@@ -459,7 +459,8 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 		for _, h := range recovered {
 			fmt.Printf("minute %d: host %s recovered\n", minute, h)
 		}
-		for _, tg := range coord.TakeTriggers() {
+		triggers := coord.TakeTriggers()
+		for _, tg := range triggers {
 			if _, err := ctl.HandleTrigger(*tg); err != nil {
 				fmt.Fprintf(os.Stderr, "trigger %s(%s): %v\n", tg.Kind, tg.Entity, err)
 			}
@@ -469,6 +470,10 @@ func runCoordinator(landscapePath, listenAddr string, interval time.Duration, jo
 				fmt.Fprintf(os.Stderr, "forecast trigger %s(%s): %v\n", tg.Kind, tg.Entity, err)
 			}
 		}
+		// The minute's triggers and forecasts are handled; hand the drained
+		// slice back so the next minute's queue reuses its backing array
+		// (as the simulator's loop does) instead of growing a fresh one.
+		coord.RecycleTriggers(triggers)
 		// Seal the minute in the backed archive (group commit +
 		// downsampling); a no-op for the in-memory archive.
 		if err := lms.Archive().Maintain(minute); err != nil {

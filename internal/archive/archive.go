@@ -53,6 +53,14 @@ type entityLog struct {
 	// (ProfileAt, DayProfileInto) is a plain array load — no per-call
 	// recompute, no allocation.
 	dayMean [MinutesPerDay]float64
+	// dayMost is the deepest dayCount slot. Counts never decrease, so a
+	// running max kept by ingest is exact and DaysObserved is one load.
+	dayMost int
+}
+
+// slot folds an absolute minute onto its minute of day.
+func slot(minute int) int {
+	return ((minute % MinutesPerDay) + MinutesPerDay) % MinutesPerDay
 }
 
 // Archive stores aggregated historic load data per entity. The zero
@@ -109,7 +117,7 @@ func (a *Archive) Retention() int { return a.retention }
 // the next Commit); the in-memory ring stays the hot tier.
 func (a *Archive) Record(entity string, s Sample) error {
 	l := a.log(entity)
-	if last, ok := a.latest(l); ok && s.Minute < last.Minute {
+	if last, ok := l.latest(); ok && s.Minute < last.Minute {
 		return fmt.Errorf("archive: %q: sample at minute %d after minute %d", entity, s.Minute, last.Minute)
 	}
 	if a.store != nil {
@@ -132,31 +140,68 @@ func (a *Archive) ingest(l *entityLog, s Sample) {
 		l.head = (l.head + 1) % a.retention
 		l.full = true
 	}
-	mod := ((s.Minute % MinutesPerDay) + MinutesPerDay) % MinutesPerDay
+	mod := slot(s.Minute)
 	l.daySum[mod] += s.CPU
 	l.dayCount[mod]++
 	l.dayMean[mod] = l.daySum[mod] / float64(l.dayCount[mod])
+	if l.dayCount[mod] > l.dayMost {
+		l.dayMost = l.dayCount[mod]
+	}
 }
 
-func (a *Archive) latest(l *entityLog) (Sample, bool) {
-	if len(l.samples) == 0 {
+// latest returns the newest sample of the ring (a full ring holds
+// exactly retention samples, so its length is the modulus).
+func (l *entityLog) latest() (Sample, bool) {
+	n := len(l.samples)
+	if n == 0 {
 		return Sample{}, false
 	}
 	if !l.full {
-		return l.samples[len(l.samples)-1], true
+		return l.samples[n-1], true
 	}
-	idx := (l.head - 1 + a.retention) % a.retention
-	return l.samples[idx], true
+	return l.samples[(l.head-1+n)%n], true
 }
 
-// Latest returns the most recent sample of an entity.
-func (a *Archive) Latest(entity string) (Sample, bool) {
-	l, ok := a.entities[entity]
-	if !ok {
-		return Sample{}, false
+// Entity is a resolved read handle on one entity: Archive.Entity pays
+// the string-keyed map lookup once, after which every read is a plain
+// array load — what a scan reading several values of one entity wants
+// (the forecast predictor: horizon profile reads per evaluation). An
+// entity the archive has not seen reads as empty, and its handle does
+// not follow a later first Record: resolve per evaluation, do not cache
+// handles across minutes.
+type Entity struct{ l *entityLog }
+
+// noEntity is what an unknown entity reads as. Never written: ingest
+// only reaches logs created by Archive.log.
+var noEntity entityLog
+
+// Entity resolves the read handle of an entity.
+func (a *Archive) Entity(entity string) Entity {
+	if l, ok := a.entities[entity]; ok {
+		return Entity{l}
 	}
-	return a.latest(l)
+	return Entity{&noEntity}
 }
+
+// Len returns the number of raw samples currently retained.
+func (e Entity) Len() int { return len(e.l.samples) }
+
+// Latest returns the most recent sample.
+func (e Entity) Latest() (Sample, bool) { return e.l.latest() }
+
+// ProfileAt returns the running mean CPU load at a minute of day (any
+// absolute minute is folded); 0 for a never-observed minute.
+func (e Entity) ProfileAt(minute int) float64 { return e.l.dayMean[slot(minute)] }
+
+// ObservationCount returns how many samples contributed to the day
+// profile at a minute of day.
+func (e Entity) ObservationCount(minute int) int { return e.l.dayCount[slot(minute)] }
+
+// DaysObserved returns the deepest per-minute observation count.
+func (e Entity) DaysObserved() int { return e.l.dayMost }
+
+// Latest returns the most recent sample of an entity.
+func (a *Archive) Latest(entity string) (Sample, bool) { return a.Entity(entity).Latest() }
 
 // LastMinute returns the most recent minute recorded across all
 // entities. A control loop that reopens a backed archive must resume
@@ -166,7 +211,7 @@ func (a *Archive) Latest(entity string) (Sample, bool) {
 func (a *Archive) LastMinute() (int, bool) {
 	last, ok := -1, false
 	for _, l := range a.entities {
-		if s, have := a.latest(l); have && s.Minute > last {
+		if s, have := l.latest(); have && s.Minute > last {
 			last, ok = s.Minute, true
 		}
 	}
@@ -273,57 +318,28 @@ func (a *Archive) DayProfile(entity string) []float64 {
 // DayProfileInto copies the day profile into dst (len MinutesPerDay)
 // without allocating. An unknown entity zeroes dst.
 func (a *Archive) DayProfileInto(entity string, dst []float64) {
-	l, ok := a.entities[entity]
-	if !ok {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	copy(dst, l.dayMean[:])
+	copy(dst, a.Entity(entity).l.dayMean[:])
 }
 
 // ProfileAt returns the running mean CPU load of the entity at a
-// minute of day (any absolute minute is folded). O(1), no allocation —
-// the forecast predictor's per-call read. A never-observed minute (or
-// unknown entity) returns 0.
+// minute of day (any absolute minute is folded). O(1), no allocation. A
+// never-observed minute (or unknown entity) returns 0.
 func (a *Archive) ProfileAt(entity string, minute int) float64 {
-	l, ok := a.entities[entity]
-	if !ok {
-		return 0
-	}
-	mod := ((minute % MinutesPerDay) + MinutesPerDay) % MinutesPerDay
-	return l.dayMean[mod]
+	return a.Entity(entity).ProfileAt(minute)
 }
 
 // ObservationCount returns how many samples contributed to the day
 // profile at a minute of day — the per-minute observation depth the
 // forecast confidence is derived from.
 func (a *Archive) ObservationCount(entity string, minute int) int {
-	l, ok := a.entities[entity]
-	if !ok {
-		return 0
-	}
-	mod := ((minute % MinutesPerDay) + MinutesPerDay) % MinutesPerDay
-	return l.dayCount[mod]
+	return a.Entity(entity).ObservationCount(minute)
 }
 
 // DaysObserved returns the deepest per-minute observation count of the
 // entity — an upper bound on how many days of history back any profile
-// minute, against which sparse minutes are judged.
-func (a *Archive) DaysObserved(entity string) int {
-	l, ok := a.entities[entity]
-	if !ok {
-		return 0
-	}
-	most := 0
-	for _, c := range l.dayCount {
-		if c > most {
-			most = c
-		}
-	}
-	return most
-}
+// minute, against which sparse minutes are judged. O(1): ingest keeps
+// the running max.
+func (a *Archive) DaysObserved(entity string) int { return a.Entity(entity).DaysObserved() }
 
 // Entities returns the names of all entities with recorded data, sorted.
 func (a *Archive) Entities() []string {
@@ -336,10 +352,4 @@ func (a *Archive) Entities() []string {
 }
 
 // Len returns the number of raw samples currently retained for entity.
-func (a *Archive) Len(entity string) int {
-	l, ok := a.entities[entity]
-	if !ok {
-		return 0
-	}
-	return len(l.samples)
-}
+func (a *Archive) Len(entity string) int { return a.Entity(entity).Len() }

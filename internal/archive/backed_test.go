@@ -2,6 +2,7 @@ package archive
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"autoglobe/internal/tsdb"
@@ -222,6 +223,82 @@ func TestProfileAccessorsMatchDayProfile(t *testing.T) {
 	for m, v := range into {
 		if v != 0 {
 			t.Fatalf("DayProfileInto(ghost)[%d] = %v, want 0", m, v)
+		}
+	}
+}
+
+// daysObservedScan is the full-scan reference DaysObserved replaced:
+// the deepest of all 1,440 per-minute observation counts.
+func daysObservedScan(a *Archive, entity string) int {
+	most := 0
+	for m := 0; m < MinutesPerDay; m++ {
+		if c := a.ObservationCount(entity, m); c > most {
+			most = c
+		}
+	}
+	return most
+}
+
+// TestDaysObservedIncremental pins the running max ingest maintains
+// against the full scan — after every record of random, gappy,
+// multi-day sequences (including a ring smaller than the history, so
+// eviction is shown not to touch the profile depth), for handles and
+// string-keyed reads alike, and again after a backed archive is closed
+// and reopened, where the replay path must rebuild the same value.
+func TestDaysObservedIncremental(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewBacked(dir, 500, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	entities := []string{HostEntity("b1"), ServiceEntity("app"), InstanceEntity("app-1")}
+	if got := a.DaysObserved("host/ghost"); got != 0 {
+		t.Fatalf("unknown entity: DaysObserved = %d, want 0", got)
+	}
+	for _, entity := range entities {
+		minute := rng.Intn(MinutesPerDay)
+		for i := 0; i < 4000; i++ {
+			// Mostly consecutive minutes, some repeats of the same minute,
+			// some gaps of up to a day and a half.
+			switch rng.Intn(10) {
+			case 0:
+			case 1:
+				minute += rng.Intn(3 * MinutesPerDay / 2)
+			default:
+				minute++
+			}
+			if err := a.Record(entity, Sample{Minute: minute, CPU: rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+			if i%97 != 0 && i < 3900 {
+				continue // the scan is 1,440 reads; check a sample of steps and the tail
+			}
+			want := daysObservedScan(a, entity)
+			if got := a.DaysObserved(entity); got != want {
+				t.Fatalf("%s after %d records: DaysObserved = %d, full scan %d", entity, i+1, got, want)
+			}
+			if got := a.Entity(entity).DaysObserved(); got != want {
+				t.Fatalf("%s after %d records: handle DaysObserved = %d, full scan %d", entity, i+1, got, want)
+			}
+		}
+		if a.DaysObserved(entity) < 2 {
+			t.Fatalf("%s: history never revisited a minute of day; the test lost its teeth", entity)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewBacked(dir, 500, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, entity := range entities {
+		want := daysObservedScan(re, entity)
+		if got := re.DaysObserved(entity); got != want || got != a.DaysObserved(entity) {
+			t.Fatalf("%s after reopen: DaysObserved = %d, full scan %d, before close %d",
+				entity, got, want, a.DaysObserved(entity))
 		}
 	}
 }

@@ -253,6 +253,10 @@ type Controller struct {
 	selVec  []float64
 	actVec  []float64
 	tried   map[string]bool
+	// scan and scanOut are the proactive scan's cached entity list and
+	// its recycled trigger buffer (see Proactive).
+	scan    []scanEntity
+	scanOut []monitor.Trigger
 
 	metrics *controllerMetrics
 	tracer  *obs.Tracer

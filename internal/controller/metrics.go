@@ -21,6 +21,12 @@ const (
 	// forecast scan, by trigger kind — decisions they lead to land in
 	// MetricDecisions like any other.
 	MetricForecastTriggers = "autoglobe_controller_forecast_triggers_total"
+	// MetricForecastScan counts the entities the proactive scan looked
+	// at by outcome: below_ramp, protected or watched (the first gate, in
+	// that order, that turned the entity away), else predicted (forecast
+	// evaluated, no trigger) or raised. The outcomes partition a scan's
+	// entities: hosts plus services with a running instance.
+	MetricForecastScan = "autoglobe_controller_forecast_scan_entities_total"
 	// MetricRuleSwaps counts hot swaps of the active rule set, by layer
 	// (action, selection, service).
 	MetricRuleSwaps = "autoglobe_rules_swaps_total"
@@ -37,11 +43,19 @@ const (
 	MetricShadowDiffs = "autoglobe_rules_shadow_diffs_total"
 )
 
+// scanOutcomeLabels are MetricForecastScan's outcome label values,
+// indexed by the scan outcome constants (scanBelowRamp … scanRaised).
+var scanOutcomeLabels = [numScanOutcomes]string{"below_ramp", "protected", "watched", "predicted", "raised"}
+
 // controllerMetrics holds the registry for the dynamic decision labels
 // and the pre-resolved inference histogram. Nil-safe.
 type controllerMetrics struct {
 	reg       *obs.Registry
 	inference *obs.Histogram
+	// The proactive scan's counters, resolved on first use and kept: a
+	// registry lookup renders labels and allocates, the scan must not.
+	scan        [numScanOutcomes]*obs.Counter
+	forecastTrg map[monitor.TriggerKind]*obs.Counter
 }
 
 func newControllerMetrics(r *obs.Registry) *controllerMetrics {
@@ -51,6 +65,7 @@ func newControllerMetrics(r *obs.Registry) *controllerMetrics {
 	r.Help(MetricDecisions, "Controller decisions, by trigger kind and action.")
 	r.Help(MetricInference, "Latency of one fuzzy inference run.")
 	r.Help(MetricForecastTriggers, "Proactive forecast triggers raised, by trigger kind.")
+	r.Help(MetricForecastScan, "Entities looked at by the proactive forecast scan, by outcome.")
 	r.Help(MetricRuleSwaps, "Hot swaps of the active rule set, by layer.")
 	r.Help(MetricRuleFallback, "Server selections with no rule base registered for the action.")
 	r.Help(MetricShadowEvals, "Shadow evaluations of a candidate rule set, by candidate.")
@@ -58,6 +73,8 @@ func newControllerMetrics(r *obs.Registry) *controllerMetrics {
 	return &controllerMetrics{
 		reg:       r,
 		inference: r.Histogram(MetricInference, obs.LatencySecondsBuckets()),
+
+		forecastTrg: make(map[monitor.TriggerKind]*obs.Counter, 2),
 	}
 }
 
@@ -76,7 +93,29 @@ func (m *controllerMetrics) forecastTrigger(kind monitor.TriggerKind) {
 	if m == nil {
 		return
 	}
-	m.reg.Counter(MetricForecastTriggers, "trigger", string(kind)).Inc()
+	ctr := m.forecastTrg[kind]
+	if ctr == nil {
+		ctr = m.reg.Counter(MetricForecastTriggers, "trigger", string(kind))
+		m.forecastTrg[kind] = ctr
+	}
+	ctr.Inc()
+}
+
+// forecastScan adds one proactive scan's per-outcome entity totals,
+// accumulated locally by the scan, once per Proactive call.
+func (m *controllerMetrics) forecastScan(n *[numScanOutcomes]int) {
+	if m == nil {
+		return
+	}
+	for o, v := range n {
+		if v == 0 {
+			continue
+		}
+		if m.scan[o] == nil {
+			m.scan[o] = m.reg.Counter(MetricForecastScan, "outcome", scanOutcomeLabels[o])
+		}
+		m.scan[o].Add(float64(v))
+	}
 }
 
 // ruleSwap counts one hot swap of the active rule set.

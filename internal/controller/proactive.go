@@ -2,6 +2,7 @@ package controller
 
 import (
 	"autoglobe/internal/archive"
+	"autoglobe/internal/cluster"
 	"autoglobe/internal/forecast"
 	"autoglobe/internal/monitor"
 )
@@ -52,6 +53,45 @@ func (f *ForecastConfig) enabled() bool {
 	return f != nil && f.Predictor != nil && f.Horizon > 0 && f.Threshold > 0
 }
 
+// scanEntity is one host or service of the proactive scan with its
+// archive key built once, so a scan minute builds no strings.
+type scanEntity struct {
+	kind      monitor.TriggerKind
+	name, key string
+}
+
+// What the scan did with one entity: the index of the per-scan totals
+// and of MetricForecastScan's outcome label. The outcomes partition
+// the scanned entities.
+const (
+	scanBelowRamp = iota // latest load under the ramp gate, or no sample
+	scanProtected
+	scanWatched
+	scanPredicted // forecast evaluated, no trigger
+	scanRaised
+	numScanOutcomes
+)
+
+// scanEntities returns the scan list — hosts in cluster order, then
+// services in catalog order — rebuilding it after a cluster membership
+// change (the catalog is immutable). The first call subscribes to the
+// cluster, so a controller that never forecasts pays nothing.
+func (c *Controller) scanEntities() []scanEntity {
+	if c.scan == nil {
+		c.scan = make([]scanEntity, 0, c.dep.Cluster().Len()+c.dep.Catalog().Len())
+		c.dep.Cluster().Watch(func(cluster.Host, bool) { c.scan = c.scan[:0] })
+	}
+	if len(c.scan) == 0 {
+		for _, h := range c.dep.Cluster().Names() {
+			c.scan = append(c.scan, scanEntity{monitor.ServerForecastOverload, h, archive.HostEntity(h)})
+		}
+		for _, s := range c.dep.Catalog().Names() {
+			c.scan = append(c.scan, scanEntity{monitor.ServiceForecastOverload, s, archive.ServiceEntity(s)})
+		}
+	}
+	return c.scan
+}
+
 // Proactive runs the forecast scan for one minute: every host and
 // every service with running instances is checked against the
 // predicted peak load over the configured horizon, and a forecast
@@ -63,61 +103,54 @@ func (f *ForecastConfig) enabled() bool {
 // Entities in protection mode and entities already under a monitor
 // watch (Watching) are skipped — the first to avoid oscillation, the
 // second because a measured situation in confirmation outranks a
-// prediction of the same thing.
+// prediction of the same thing. The gates are pure, so they run
+// cheapest and most selective first: the ramp gate is one archive
+// lookup that also resolves the handle the forecast reads, and it
+// turns away almost every entity of a healthy landscape.
+//
+// The returned slice is a controller-owned buffer, valid until the
+// next Proactive call; steady-state scans allocate nothing.
 func (c *Controller) Proactive(minute int) []monitor.Trigger {
 	f := c.cfg.Forecast
 	if !f.enabled() {
 		return nil
 	}
-	watched := func(key string) bool { return f.Watching != nil && f.Watching(key) }
 	ramp := f.RampFraction
 	if ramp == 0 {
 		ramp = defaultRampFraction
 	}
 	floor := ramp * f.Threshold
-	ramping := func(key string) bool {
-		latest, have := f.Predictor.Latest(key)
-		return have && latest.CPU >= floor
+	var n [numScanOutcomes]int
+	out := c.scanOut[:0]
+	for _, e := range c.scanEntities() {
+		if e.kind == monitor.ServiceForecastOverload && c.dep.CountOf(e.name) == 0 {
+			continue // no running instance: not an entity of the scan
+		}
+		ent := f.Predictor.Entity(e.key)
+		if latest, have := ent.Latest(); !have || latest.CPU < floor {
+			n[scanBelowRamp]++
+			continue
+		}
+		tr := monitor.Trigger{Kind: e.kind, Entity: e.name, Minute: minute, WatchedFrom: max(0, minute-f.Horizon)}
+		if c.triggerProtected(tr) {
+			n[scanProtected]++
+			continue
+		}
+		if f.Watching != nil && f.Watching(e.key) {
+			n[scanWatched]++
+			continue
+		}
+		var ok bool
+		tr.AvgLoad, tr.Confidence, ok = f.Predictor.PredictPeakOf(ent, minute, f.Horizon)
+		if !ok || tr.AvgLoad <= f.Threshold || tr.Confidence < f.MinConfidence {
+			n[scanPredicted]++
+			continue
+		}
+		n[scanRaised]++
+		out = append(out, tr)
+		c.metrics.forecastTrigger(e.kind)
 	}
-	var out []monitor.Trigger
-	emit := func(kind monitor.TriggerKind, entity string, peak, confidence float64) {
-		out = append(out, monitor.Trigger{
-			Kind:        kind,
-			Entity:      entity,
-			Minute:      minute,
-			AvgLoad:     peak,
-			WatchedFrom: max(0, minute-f.Horizon),
-			Confidence:  confidence,
-		})
-		c.metrics.forecastTrigger(kind)
-	}
-	for _, host := range c.dep.Cluster().Names() {
-		if c.HostProtected(host, minute) {
-			continue
-		}
-		key := archive.HostEntity(host)
-		if watched(key) || !ramping(key) {
-			continue
-		}
-		peak, confidence, ok := f.Predictor.PredictPeak(key, minute, f.Horizon)
-		if !ok || peak <= f.Threshold || confidence < f.MinConfidence {
-			continue
-		}
-		emit(monitor.ServerForecastOverload, host, peak, confidence)
-	}
-	for _, svcName := range c.dep.Catalog().Names() {
-		if c.dep.CountOf(svcName) == 0 || c.ServiceProtected(svcName, minute) {
-			continue
-		}
-		key := archive.ServiceEntity(svcName)
-		if watched(key) || !ramping(key) {
-			continue
-		}
-		peak, confidence, ok := f.Predictor.PredictPeak(key, minute, f.Horizon)
-		if !ok || peak <= f.Threshold || confidence < f.MinConfidence {
-			continue
-		}
-		emit(monitor.ServiceForecastOverload, svcName, peak, confidence)
-	}
+	c.metrics.forecastScan(&n)
+	c.scanOut = out
 	return out
 }

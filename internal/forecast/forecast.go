@@ -45,25 +45,70 @@ func New(arch *archive.Archive) *Predictor {
 	return &Predictor{arch: arch, DeviationHalfLife: 60, MinHistory: archive.MinutesPerDay / 2}
 }
 
-// Latest exposes the archive's most recent sample for an entity, so the
-// controller's proactive scan can gate a forecast on the measured
-// present without holding its own archive reference.
-func (p *Predictor) Latest(entity string) (archive.Sample, bool) {
-	return p.arch.Latest(entity)
+// Entity resolves an archive entity once, so the controller's proactive
+// scan can gate a forecast on the measured present (Entity.Latest) and
+// run PredictPeakOf on the same handle: one map lookup per entity.
+func (p *Predictor) Entity(entity string) archive.Entity { return p.arch.Entity(entity) }
+
+// anchor is the horizon-independent half of a forecast, resolved once
+// per evaluation: the entity, its observed depth, and what the latest
+// sample says about today.
+type anchor struct {
+	e          archive.Entity
+	days       int
+	have       bool    // a latest sample exists
+	confidence float64 // profile evidence at the latest sample's minute
+	deviation  float64 // latest load minus the profile at its minute
+	halfLife   float64
 }
 
-// confidenceAt rates how well the profile backs a prediction anchored
-// at minute `at`: the observation count of that minute of day,
-// normalized by the deepest count any minute has (≈ days observed).
-func (p *Predictor) confidenceAt(entity string, at, days int) float64 {
-	if days <= 0 {
-		return 0
+// anchor resolves the horizon-independent half. ok is false when the
+// archive holds too little history for a pattern at all.
+func (p *Predictor) anchor(e archive.Entity) (a anchor, ok bool) {
+	if e.Len() < p.MinHistory {
+		return a, false
 	}
-	c := p.arch.ObservationCount(entity, at)
-	if c >= days {
+	a = anchor{e: e, days: e.DaysObserved(), halfLife: p.DeviationHalfLife}
+	if a.halfLife <= 0 {
+		a.halfLife = 60
+	}
+	var latest archive.Sample
+	if latest, a.have = e.Latest(); a.have {
+		a.confidence = a.evidence(latest.Minute)
+		a.deviation = latest.CPU - e.ProfileAt(latest.Minute)
+	}
+	return a, true
+}
+
+// evidence rates how well the profile backs a minute of day: its
+// observation count over the deepest count any minute has (≈ days).
+func (a *anchor) evidence(minute int) float64 {
+	c := a.e.ObservationCount(minute)
+	switch {
+	case a.days <= 0:
+		return 0
+	case c >= a.days:
 		return 1
 	}
-	return float64(c) / float64(days)
+	return float64(c) / float64(a.days)
+}
+
+// at is the one forecast kernel — Predict is a step of it, PredictPeak
+// a loop: the prediction for minute target, h minutes ahead, and the
+// weaker of the target's and the anchor's evidence as its confidence.
+func (a *anchor) at(target, h int) (load, confidence float64) {
+	load, confidence = a.e.ProfileAt(target), a.evidence(target)
+	if !a.have {
+		return load, confidence
+	}
+	if a.confidence < confidence {
+		confidence = a.confidence
+	}
+	load += a.deviation * math.Exp2(-float64(h)/a.halfLife)
+	if load < 0 {
+		load = 0
+	}
+	return load, confidence
 }
 
 // Predict forecasts the CPU load of an entity at now+horizon minutes.
@@ -73,33 +118,12 @@ func (p *Predictor) confidenceAt(entity string, at, days int) float64 {
 // history for a pattern at all; confidence is 0 then. The call is
 // allocation-free — safe on the controller's per-tick hot path.
 func (p *Predictor) Predict(entity string, now, horizon int) (load, confidence float64, ok bool) {
-	if horizon < 0 {
+	a, ok := p.anchor(p.arch.Entity(entity))
+	if horizon < 0 || !ok {
 		return 0, 0, false
 	}
-	if p.arch.Len(entity) < p.MinHistory {
-		return 0, 0, false
-	}
-	days := p.arch.DaysObserved(entity)
-	base := p.arch.ProfileAt(entity, now+horizon)
-	confidence = p.confidenceAt(entity, now+horizon, days)
-	latest, have := p.arch.Latest(entity)
-	if !have {
-		return base, confidence, true
-	}
-	if c := p.confidenceAt(entity, latest.Minute, days); c < confidence {
-		confidence = c
-	}
-	deviation := latest.CPU - p.arch.ProfileAt(entity, latest.Minute)
-	halfLife := p.DeviationHalfLife
-	if halfLife <= 0 {
-		halfLife = 60
-	}
-	w := math.Exp2(-float64(horizon) / halfLife)
-	v := base + deviation*w
-	if v < 0 {
-		v = 0
-	}
-	return v, confidence, true
+	load, confidence = a.at(now+horizon, horizon)
+	return load, confidence, true
 }
 
 // PredictPeak returns the maximum predicted load over the next horizon
@@ -108,16 +132,19 @@ func (p *Predictor) Predict(entity string, now, horizon int) (load, confidence f
 // confidence across the window: a single profile hole inside the
 // horizon caps the whole peak's confidence.
 func (p *Predictor) PredictPeak(entity string, now, horizon int) (peak, confidence float64, ok bool) {
-	if horizon <= 0 {
+	return p.PredictPeakOf(p.arch.Entity(entity), now, horizon)
+}
+
+// PredictPeakOf is PredictPeak on a resolved entity: one anchor, then
+// horizon kernel steps — no map lookup, no allocation.
+func (p *Predictor) PredictPeakOf(e archive.Entity, now, horizon int) (peak, confidence float64, ok bool) {
+	a, ok := p.anchor(e)
+	if horizon <= 0 || !ok {
 		return 0, 0, false
 	}
 	confidence = 1
 	for h := 1; h <= horizon; h++ {
-		v, c, haveV := p.Predict(entity, now, h)
-		if !haveV {
-			return 0, 0, false
-		}
-		ok = true
+		v, c := a.at(now+h, h)
 		if v > peak {
 			peak = v
 		}
@@ -125,7 +152,7 @@ func (p *Predictor) PredictPeak(entity string, now, horizon int) (peak, confiden
 			confidence = c
 		}
 	}
-	return peak, confidence, ok
+	return peak, confidence, true
 }
 
 // Error reports the mean absolute error of one-step-ahead predictions

@@ -2,7 +2,8 @@
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md).
 #
 # Runs, in order:
-#   1. gofmt -l          over the tree — unformatted files fail the gate
+#   1. gofmt -l          over the tree (cmd, internal, bench and the root
+#      package) — unformatted files fail the gate
 #   2. go vet            over every package
 #   3. go build          over every package
 #   4. go test -race     the full suite under the race detector
@@ -58,16 +59,17 @@
 #  12. the perf gate: the wire fuzz target replayed over its
 #      checked-in seed corpus (hostile frames must keep failing
 #      cleanly), the zero-allocation guardrails on the steady-state
-#      heartbeat AND dispatch paths plus the archive append and
-#      forecast read paths (race-free runs, because race
-#      instrumentation allocates inside sync.Pool), and short smoke
-#      runs of the inference fast-path, 1,000-host ingest,
-#      single-action dispatch, 1,000-host fan-out, 1,000-host server
-#      selection and tsdb append/hot-read benchmarks, so a regression
-#      that breaks the compiled path, the pooled codec, the sharded
-#      merge, the pooled dispatch path, the indexed selection path or
-#      the pooled segment buffers shows up even when no test asserts
-#      on speed
+#      heartbeat AND dispatch paths plus the archive append, the
+#      forecast read paths (single prediction and horizon peak) and
+#      the controller's per-minute proactive scan (race-free runs,
+#      because race instrumentation allocates inside sync.Pool), and
+#      short smoke runs of the inference fast-path, 1,000-host
+#      ingest, single-action dispatch, 1,000-host fan-out, 1,000-host
+#      server selection and tsdb append/hot-read benchmarks, so a
+#      regression that breaks the compiled path, the pooled codec,
+#      the sharded merge, the pooled dispatch path, the indexed
+#      selection path or the pooled segment buffers shows up even
+#      when no test asserts on speed
 #
 # Usage: scripts/check.sh   (from the repository root)
 set -eu
@@ -75,7 +77,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== gofmt -l"
-unformatted=$(gofmt -l cmd internal ./*.go)
+unformatted=$(gofmt -l cmd internal bench ./*.go)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need formatting:" >&2
 	echo "$unformatted" >&2
@@ -202,15 +204,18 @@ go test -run 'TestHeartbeatPathZeroAlloc|TestDispatchPathZeroAlloc|TestTriggerQu
 # hot swap — the swap is a pointer store, never a de-optimization —
 # and the steady-state server-selection path (indexed candidate
 # enumeration, bound input vectors, pooled inference, argmax) must
-# allocate nothing end to end.
-go test -run 'TestInferZeroAllocAfterSwap|TestSelectionPathZeroAlloc' -count=1 ./internal/controller/
+# allocate nothing end to end; neither may a proactive scan minute
+# (cached scan list, recycled trigger buffer, resolved counters) with
+# a registry attached and triggers raised.
+go test -run 'TestInferZeroAllocAfterSwap|TestSelectionPathZeroAlloc|TestProactiveScanZeroAlloc' -count=1 ./internal/controller/
 go test -run 'TestInferVecAllocs' -count=1 ./internal/fuzzy/
 # The archive's steady-state write path — ring append, incremental day
 # profile, tsdb block write into pooled segment buffers — and the
-# forecaster's read path must also allocate nothing per sample.
+# forecaster's read paths (one prediction, one horizon peak on a
+# resolved entity) must also allocate nothing.
 go test -run 'TestTSDBAppendPathZeroAlloc' -count=1 ./internal/tsdb/
 go test -run 'TestArchiveRecordPathZeroAlloc' -count=1 ./internal/archive/
-go test -run 'TestPredictZeroAlloc' -count=1 ./internal/forecast/
+go test -run 'TestPredictZeroAlloc|TestPredictPeakZeroAlloc' -count=1 ./internal/forecast/
 
 echo "== benchmark smoke: TSDBAppend + TSDBReadHot (archive hot paths)"
 go test -run XXX -bench 'BenchmarkTSDBAppend$|BenchmarkTSDBReadHot$' -benchtime=100x -benchmem ./internal/tsdb/
