@@ -398,14 +398,17 @@ func BenchmarkHeartbeatIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkCoordinatorIngest1k measures a full control-plane minute of
-// a 1,000-host landscape over the binary loopback with 16 ingest
-// shards: every host's reporter delivers its heartbeat (one instance
-// sample each), the coordinator merges the shards in canonical order,
-// closes the service observations and checks liveness — the complete
-// per-minute ingest work of the scale the paper's AutoGlobe vision
-// targets ("several hundred services on hundreds of hosts").
-func BenchmarkCoordinatorIngest1k(b *testing.B) {
+// ingestBed1k is the landscape of the 1,000-host ingest benchmarks: one
+// instance of one service per host, a plane over the binary loopback
+// with 16 ingest shards, and every host's reporter.
+type ingestBed1k struct {
+	coord *agent.Coordinator
+	reps  []*agent.HeartbeatReporter
+	insts []*service.Instance
+}
+
+func newIngestBed1k(b *testing.B) *ingestBed1k {
+	b.Helper()
 	const hosts = 1000
 	mk := make([]cluster.Host, hosts)
 	for i := range mk {
@@ -443,41 +446,73 @@ func BenchmarkCoordinatorIngest1k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := dep.Cluster().Names()
-	type hostState struct {
-		rep  *agent.HeartbeatReporter
-		inst *service.Instance
-	}
-	states := make([]hostState, len(names))
-	for i, h := range names {
+	bed := &ingestBed1k{coord: p.Coordinator()}
+	for _, h := range dep.Cluster().Names() {
 		rep, ok := p.Reporter(h)
 		if !ok {
 			b.Fatal("no reporter")
 		}
-		states[i] = hostState{rep: rep, inst: dep.InstancesOn(h)[0]}
+		bed.reps = append(bed.reps, rep)
+		bed.insts = append(bed.insts, dep.InstancesOn(h)[0])
 	}
+	return bed
+}
+
+// report delivers every host's heartbeat of one minute.
+func (bed *ingestBed1k) report(ctx context.Context, b *testing.B, minute int) {
+	load := 0.3 + 0.2*float64(minute%3)
+	for i, rep := range bed.reps {
+		rep.Begin(minute, load, 0.25)
+		rep.Sample(bed.insts[i].ID, bed.insts[i].Service, load)
+		if err := rep.Send(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoordinatorIngest1k measures a full control-plane minute of
+// a 1,000-host landscape over the binary loopback with 16 ingest
+// shards: every host's reporter delivers its heartbeat (one instance
+// sample each), the coordinator merges the shards in canonical order,
+// closes the service observations and checks liveness — the complete
+// per-minute ingest work of the scale the paper's AutoGlobe vision
+// targets ("several hundred services on hundreds of hosts").
+func BenchmarkCoordinatorIngest1k(b *testing.B) {
+	bed := newIngestBed1k(b)
 	ctx := context.Background()
-	coord := p.Coordinator()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		load := 0.3 + 0.2*float64(i%3)
-		for _, st := range states {
-			st.rep.Begin(i, load, 0.25)
-			st.rep.Sample(st.inst.ID, st.inst.Service, load)
-			if err := st.rep.Send(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := coord.ObserveServices(i); err != nil {
+		bed.report(ctx, b, i)
+		if err := bed.coord.ObserveServices(i); err != nil {
 			b.Fatal(err)
 		}
-		coord.CheckLiveness(ctx, i)
-		coord.TakeTriggers()
+		bed.coord.CheckLiveness(ctx, i)
+		bed.coord.TakeTriggers()
 	}
 	b.StopTimer()
-	if got, want := coord.Heartbeats(), b.N*hosts; got != want {
+	if got, want := bed.coord.Heartbeats(), b.N*len(bed.reps); got != want {
 		b.Fatalf("ingested %d heartbeats, want %d", got, want)
+	}
+}
+
+// BenchmarkMinuteClose1k times the minute close alone on the same
+// landscape — the heartbeats are delivered with the clock stopped — so
+// the shard merge (canonical order, monitor pipeline, 2,001 archive
+// writes, service close) has its own row beside the full ingest minute.
+func BenchmarkMinuteClose1k(b *testing.B) {
+	bed := newIngestBed1k(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bed.report(ctx, b, i)
+		b.StartTimer()
+		if err := bed.coord.ObserveServices(i); err != nil {
+			b.Fatal(err)
+		}
+		bed.coord.RecycleTriggers(bed.coord.TakeTriggers())
 	}
 }
 

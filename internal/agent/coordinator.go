@@ -1,14 +1,17 @@
 package agent
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"autoglobe/internal/archive"
+	"autoglobe/internal/cluster"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
 	"autoglobe/internal/rules"
@@ -90,20 +93,29 @@ type Coordinator struct {
 	// minute loop stops allocating a fresh queue per minute.
 	trigSpare []*monitor.Trigger
 
-	// mu guards the merge path (monitor pipeline, registrations,
-	// per-service accumulators) and the rarely-touched fields below.
-	mu         sync.Mutex
-	registered map[string]bool
-	samples    map[string][]wire.InstanceSample // service -> this minute's samples
-	hostKeys   map[string]string                // host -> interned archive entity key
-	instKeys   map[string]string                // instance ID -> interned archive entity key
-	scratch    []*hostBeat                      // reusable merge buffer
-	hostOrder  map[string]int                   // reusable canonical-order index
-	lastErr    error
-	journal    *CoordinatorJournal
-	rulesReg   *rules.Registry
-	ruleSwap   RuleActivator
-	leaseHook  func(wire.Lease) wire.Lease
+	// mu guards the merge path (monitor pipeline, slot tables, canonical
+	// order) and the rarely-touched fields below. The slot tables resolve
+	// every host, instance and service once, on first sight, to what
+	// never changes between minutes, so a minute close costs one lookup
+	// per heartbeat and none per sample. They grow only with the set of
+	// names ever seen and are never evicted.
+	mu       sync.Mutex
+	hosts    map[string]*hostSlot
+	insts    map[string]*instSlot
+	svcs     []svcSlot // catalog order; the catalog is immutable
+	svcIndex map[string]*svcSlot
+	// Reusable merge buffers: all beats, the HA path's survivors, the
+	// beats of hosts outside the cluster, and one cell per cluster
+	// position (nil between merges). place and every hostSlot.pos are
+	// recomputed when orderStale says cluster membership changed.
+	scratch, kept, stragglers, place []*hostBeat
+	orderStale                       atomic.Bool
+	seen                             [3]int // hosts, instances, services observed this close
+	lastErr                          error
+	journal                          *CoordinatorJournal
+	rulesReg                         *rules.Registry
+	ruleSwap                         RuleActivator
+	leaseHook                        func(wire.Lease) wire.Lease
 	// mergeFloor (HA mode) is the newest minute the shared monitor
 	// pipeline has already observed: a takeover sets it from the
 	// previous leadership so a drained backlog cannot double-observe a
@@ -128,7 +140,49 @@ type hostBeat struct {
 	minute   int
 	cpu, mem float64
 	samples  []wire.InstanceSample
+	slot     *hostSlot // resolved by the merge
+	late     bool      // merge: came from backfill, older than the pending beat
 }
+
+// fill overwrites the beat with a heartbeat, reusing its sample storage.
+func (b *hostBeat) fill(hb wire.Heartbeat) *hostBeat {
+	b.host, b.minute, b.cpu, b.mem = hb.Host, hb.Minute, hb.CPU, hb.Mem
+	b.samples = append(b.samples[:0], hb.Instances...)
+	return b
+}
+
+// watchReg is one monitor registration of this coordinator. Forget drops
+// the cached handle; in an HA group a peer's Forget kills it too, and the
+// entity is then re-resolved by name, as the string-keyed Observe would.
+type watchReg struct {
+	key   string        // archive entity key
+	watch monitor.Watch // zero: this coordinator has not registered it
+}
+
+// hostSlot is the resolved state of one host name.
+type hostSlot struct {
+	watchReg
+	pos   int         // 1-based cluster position; 0: not in the cluster
+	insts []*instSlot // slot of the i-th sample of the host's last beat
+}
+
+// instSlot is the resolved state of one instance ID under one service.
+type instSlot struct {
+	id, service string
+	log         archive.Entity
+	svc         *svcSlot // nil: the service is not in the catalog
+}
+
+// svcSlot is one catalog service and this minute's instance samples.
+type svcSlot struct {
+	watchReg
+	name    string
+	samples []wire.InstanceSample
+}
+
+func byMinute(a, b *hostBeat) int             { return cmp.Compare(a.minute, b.minute) }
+func byHost(a, b *hostBeat) int               { return strings.Compare(a.host, b.host) }
+func bySampleID(a, b wire.InstanceSample) int { return strings.Compare(a.ID, b.ID) }
 
 // ingestShard is one slice of the ingest plane: a mutex, the pending
 // beat per host, the per-host high-water minute (stale-replay guard),
@@ -210,34 +264,30 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		tr:           tr,
 		live:         live,
 		ProbeTimeout: time.Second,
-		registered:   make(map[string]bool),
-		samples:      make(map[string][]wire.InstanceSample),
-		hostKeys:     make(map[string]string),
-		instKeys:     make(map[string]string),
-		hostOrder:    make(map[string]int),
+		hosts:        make(map[string]*hostSlot),
+		insts:        make(map[string]*instSlot),
+		svcIndex:     make(map[string]*svcSlot),
 	}
 	c.shards.Store(newShards(DefaultIngestShards))
-	// Warm the archive and the entity-key tables: every current host,
-	// instance and service gets its ring and interned key up front, so
-	// the first minute's ingest is as allocation-free as the
-	// thousandth (steady-state rings never grow — they are allocated
-	// at full retention capacity — and preallocation moves the
-	// one-time map inserts out of the hot path too).
-	ents := make([]string, 0, 64)
+	c.orderStale.Store(true)
+	dep.Cluster().Watch(func(cluster.Host, bool) { c.orderStale.Store(true) })
+	// Warm the archive and the slot tables: every current host, instance
+	// and service gets its full-capacity ring and its slot up front, so
+	// the first minute's ingest is as allocation-free as the thousandth.
+	arch := lms.Archive()
+	names := dep.Catalog().Names()
+	c.svcs = make([]svcSlot, len(names))
+	for i, svc := range names {
+		c.svcs[i] = svcSlot{watchReg: watchReg{key: archive.ServiceEntity(svc)}, name: svc}
+		c.svcIndex[svc] = &c.svcs[i]
+		arch.Preallocate(c.svcs[i].key)
+	}
 	for _, h := range dep.Cluster().Names() {
-		k := archive.HostEntity(h)
-		c.hostKeys[h] = k
-		ents = append(ents, k)
+		arch.Preallocate(c.hostSlotLocked(h).key)
 		for _, inst := range dep.InstancesOn(h) {
-			ik := archive.InstanceEntity(inst.ID)
-			c.instKeys[inst.ID] = ik
-			ents = append(ents, ik)
+			c.instSlotLocked(inst.ID, inst.Service)
 		}
 	}
-	for _, svc := range dep.Catalog().Names() {
-		ents = append(ents, archive.ServiceEntity(svc))
-	}
-	lms.Archive().Preallocate(ents...)
 	if err := tr.Listen(node, c.Handle); err != nil {
 		return nil, err
 	}
@@ -249,13 +299,10 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 // independent of the shard count — the minute-boundary merge fixes the
 // order — so resharding is purely a concurrency/throughput knob.
 func (c *Coordinator) Reshard(n int) {
-	if n <= 0 {
-		n = 1
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old := *c.shards.Load()
-	next := newShards(n)
+	next := newShards(max(n, 1))
 	c.shards.Store(next)
 	shards := *next
 	for _, sh := range old {
@@ -289,8 +336,8 @@ func (c *Coordinator) Reshard(n int) {
 func (c *Coordinator) Shards() int { return len(*c.shards.Load()) }
 
 // Instrument attaches an obs registry: ingested heartbeats are counted
-// and their staleness (minutes behind the newest observed minute) is
-// recorded. A nil registry leaves the coordinator uninstrumented.
+// with their staleness (minutes behind the newest observed minute), and
+// minute closes timed. A nil registry leaves the coordinator uninstrumented.
 func (c *Coordinator) Instrument(r *obs.Registry) {
 	c.metrics.Store(newCoordMetrics(r))
 }
@@ -567,116 +614,166 @@ func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
 		if c.ha.Load() {
 			// HA: an out-of-order older minute still fills its slot in the
 			// day profile; the grouped close replays it in minute order.
-			nb := sh.take()
-			nb.host = hb.Host
-			nb.minute = hb.Minute
-			nb.cpu = hb.CPU
-			nb.mem = hb.Mem
-			nb.samples = append(nb.samples[:0], hb.Instances...)
-			sh.backfill = append(sh.backfill, nb)
+			sh.backfill = append(sh.backfill, sh.take().fill(hb))
 		}
 		sh.mu.Unlock()
 		return nil
 	}
-	b.host = hb.Host
-	b.minute = hb.Minute
-	b.cpu = hb.CPU
-	b.mem = hb.Mem
-	b.samples = append(b.samples[:0], hb.Instances...)
+	b.fill(hb)
 	sh.mu.Unlock()
 	return nil
 }
 
-// hostKeyLocked returns the interned archive entity key for a host.
+// hostSlotLocked resolves a host name to its slot. A slot created after
+// the last order refresh belongs to a host outside the cluster (the
+// refresh resolves every member). Callers hold c.mu.
+func (c *Coordinator) hostSlotLocked(host string) *hostSlot {
+	hs := c.hosts[host]
+	if hs == nil {
+		hs = &hostSlot{watchReg: watchReg{key: archive.HostEntity(host)}}
+		c.hosts[host] = hs
+	}
+	return hs
+}
+
+// instSlotLocked resolves an instance ID reported under a service; an
+// ID seen under another service re-resolves. Callers hold c.mu.
+func (c *Coordinator) instSlotLocked(id, service string) *instSlot {
+	is := c.insts[id]
+	if is == nil || is.service != service {
+		is = &instSlot{id: id, service: service, svc: c.svcIndex[service],
+			log: c.lms.Archive().Resolve(archive.InstanceEntity(id))}
+		c.insts[id] = is
+	}
+	return is
+}
+
+// watchLocked returns a registration's live watch handle, registering
+// the entity when this coordinator first observes it (again after
+// Forget) with the host's performance index — 1 for a service or an
+// unknown host. Callers hold c.mu.
+func (c *Coordinator) watchLocked(r *watchReg, class monitor.Class, host string) monitor.Watch {
+	switch {
+	case r.watch == monitor.Watch{}:
+		perf := 1.0
+		if h, ok := c.dep.Cluster().Host(host); ok {
+			perf = h.PerformanceIndex
+		}
+		r.watch = c.lms.Register(r.key, class, perf)
+	case !r.watch.Live():
+		r.watch = c.lms.Watch(r.key)
+	}
+	return r.watch
+}
+
+// canonicalLocked reorders the beats of one minute (slots resolved), in
+// place, into the canonical order: hosts currently in the cluster first,
+// in cluster order — the order the in-process observation loop iterates
+// — then any remaining hosts sorted by name. The order is a pure
+// function of the landscape, never of arrival interleaving or shard
+// count, which makes the sharded plane byte-identical to the in-process
+// run. Clustered hosts have a dense position, so they are placed, not
+// sorted; positions are recomputed only after a membership change. A
+// host's second beat (HA: a re-delivered backfill minute) is dropped.
 // Callers hold c.mu.
-func (c *Coordinator) hostKeyLocked(host string) string {
-	k, ok := c.hostKeys[host]
-	if !ok {
-		k = archive.HostEntity(host)
-		c.hostKeys[host] = k
-	}
-	return k
-}
-
-// instKeyLocked returns the interned archive entity key for an
-// instance. Callers hold c.mu.
-func (c *Coordinator) instKeyLocked(id string) string {
-	k, ok := c.instKeys[id]
-	if !ok {
-		k = archive.InstanceEntity(id)
-		c.instKeys[id] = k
-	}
-	return k
-}
-
-// mergeHostsLocked steals every shard's pending beats and feeds them
-// into liveness tracking and the monitor pipeline in canonical order:
-// hosts currently in the cluster first, in cluster order — the order
-// the in-process observation loop iterates — then any remaining hosts
-// sorted by name. The order is a pure function of the landscape, never
-// of arrival interleaving or shard count, which is what makes the
-// sharded plane byte-identical to the in-process run. Callers hold
-// c.mu. The beats are observed at the coordinator's minute, not the
-// agents' self-reported ones: the control-plane clock is authoritative
-// (agents restart their local counters at 0; a coordinator resuming
-// over a restored archive does not), and in the simulated planes the
-// two clocks agree, so this changes nothing there.
-func (c *Coordinator) mergeHostsLocked(minute int) error {
-	shards := *c.shards.Load()
-	beats := c.scratch[:0]
-	for _, sh := range shards {
-		sh.mu.Lock()
-		for host, b := range sh.pending {
-			sh.lastMin[host] = b.minute
-			beats = append(beats, b)
+func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
+	if c.orderStale.Swap(false) {
+		for _, hs := range c.hosts {
+			hs.pos = 0
 		}
-		clear(sh.pending)
-		sh.mu.Unlock()
-	}
-	c.scratch = beats[:0] // keep the (possibly grown) buffer
-	if len(beats) == 0 {
-		return nil
-	}
-
-	order := c.hostOrder
-	clear(order)
-	for i, name := range c.dep.Cluster().Names() {
-		order[name] = i + 1 // 0 means "not in cluster"
-	}
-	sort.Slice(beats, func(i, j int) bool {
-		oi, oj := order[beats[i].host], order[beats[j].host]
-		if oi != oj {
-			if oi == 0 {
-				return false // clustered hosts first
-			}
-			if oj == 0 {
-				return true
-			}
-			return oi < oj
+		names := c.dep.Cluster().Names()
+		for i, name := range names {
+			c.hostSlotLocked(name).pos = i + 1
 		}
-		return beats[i].host < beats[j].host
-	})
-
-	var firstErr error
+		c.place = make([]*hostBeat, len(names))
+	}
+	stragglers := c.stragglers[:0]
 	for _, b := range beats {
-		if firstErr == nil {
-			firstErr = c.observeBeatLocked(b, minute)
+		switch pos := b.slot.pos; {
+		case pos == 0:
+			stragglers = append(stragglers, b)
+		case c.place[pos-1] == nil:
+			c.place[pos-1] = b
 		}
 	}
-	if firstErr == nil && minute > c.lastMerged {
-		c.lastMerged = minute
+	out := beats[:0]
+	for i, b := range c.place {
+		if b != nil {
+			out = append(out, b)
+			c.place[i] = nil
+		}
 	}
-	// Return every beat to its shard's freelist, error or not.
+	slices.SortFunc(stragglers, byHost)
+	c.stragglers = stragglers[:0]
+	return append(out, slices.CompactFunc(stragglers, func(a, b *hostBeat) bool { return a.host == b.host })...)
+}
+
+// recycleLocked returns merged beats to their shards' freelists; the
+// HA path also lifts the stale-replay watermarks to clamped minutes.
+func (c *Coordinator) recycleLocked(beats []*hostBeat, watermark bool) {
 	for _, b := range beats {
 		sh := c.shard(b.host)
 		sh.mu.Lock()
+		if watermark && b.minute > sh.lastMin[b.host] {
+			sh.lastMin[b.host] = b.minute
+		}
 		sh.free = append(sh.free, b)
 		sh.mu.Unlock()
 	}
-	return firstErr
 }
 
-// mergeGroupedLocked is the HA-mode minute close: it steals the pending
+// collectLocked steals every shard's buffered beats — pending and, in HA
+// mode, backfilled — advancing the stale-replay watermarks, and resolves
+// their host slots: the one lookup a heartbeat costs. Callers hold c.mu.
+func (c *Coordinator) collectLocked() []*hostBeat {
+	beats := c.scratch[:0]
+	for _, sh := range *c.shards.Load() {
+		sh.mu.Lock()
+		for host, b := range sh.pending {
+			sh.lastMin[host], b.late = b.minute, false
+			beats = append(beats, b)
+		}
+		clear(sh.pending)
+		for _, b := range sh.backfill {
+			b.late = true
+			beats = append(beats, b)
+		}
+		sh.backfill = sh.backfill[:0]
+		sh.mu.Unlock()
+	}
+	for _, b := range beats {
+		b.slot = c.hostSlotLocked(b.host)
+	}
+	c.scratch = beats[:0] // keep the (possibly grown) buffer
+	return beats
+}
+
+// mergeHostsLocked feeds the buffered beats into the monitor pipeline in
+// canonical order (see canonicalLocked). Callers hold c.mu. The beats
+// are observed at the coordinator's minute, not the agents'
+// self-reported ones: the control-plane clock is authoritative (agents
+// restart their local counters at 0; a coordinator resuming over a
+// restored archive does not), and in the simulated planes the two clocks
+// agree, so this changes nothing there.
+func (c *Coordinator) mergeHostsLocked(minute int) error {
+	beats := c.collectLocked()
+	if len(beats) == 0 {
+		return nil
+	}
+	var err error
+	for _, b := range c.canonicalLocked(beats) {
+		if err = c.observeBeatLocked(b, minute); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		c.lastMerged = max(c.lastMerged, minute)
+	}
+	c.recycleLocked(beats, false) // error or not
+	return err
+}
+
+// mergeGroupedLocked is the HA-mode minute close: it takes the pending
 // AND backfilled beats, drops anything at or below the merge floor
 // (already observed under the previous leadership), and replays the
 // rest as ascending per-minute groups — hosts in canonical order, then
@@ -689,104 +786,41 @@ func (c *Coordinator) mergeHostsLocked(minute int) error {
 // so a report that raced the previous minute close is degraded, never
 // silently discarded. Callers hold c.mu.
 func (c *Coordinator) mergeGroupedLocked(minute int) error {
-	shards := *c.shards.Load()
-	beats := c.scratch[:0]
-	for _, sh := range shards {
-		sh.mu.Lock()
-		for _, b := range sh.pending {
-			beats = append(beats, b)
-		}
-		clear(sh.pending)
-		beats = append(beats, sh.backfill...)
-		sh.backfill = sh.backfill[:0]
-		sh.mu.Unlock()
-	}
-	c.scratch = beats[:0] // keep the (possibly grown) buffer
-
-	// Newest minute per host (stored +1 so minute 0 survives the zero
-	// value), deciding which stale beats clamp and which drop.
-	newest := make(map[string]int, len(beats))
-	for _, b := range beats {
-		if b.minute+1 > newest[b.host] {
-			newest[b.host] = b.minute + 1
-		}
-	}
-	kept := beats[:0:0]
+	beats := c.collectLocked()
+	kept := c.kept[:0]
 	for _, b := range beats {
 		if b.minute <= c.mergeFloor {
-			if newest[b.host]-1 <= c.mergeFloor && b.minute == newest[b.host]-1 {
-				b.minute = minute // clamp the host's newest stale report
-				kept = append(kept, b)
+			if b.late {
+				continue
 			}
-			continue
+			b.minute = minute // clamp the host's newest stale report
 		}
 		kept = append(kept, b)
 	}
+	c.kept = kept[:0]
+	if !slices.IsSortedFunc(kept, byMinute) {
+		slices.SortStableFunc(kept, byMinute)
+	}
 
-	order := c.hostOrder
-	clear(order)
-	for i, name := range c.dep.Cluster().Names() {
-		order[name] = i + 1 // 0 means "not in cluster"
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].minute != kept[j].minute {
-			return kept[i].minute < kept[j].minute
+	var err error
+	for lo, hi := 0, 0; lo < len(kept) && err == nil; lo = hi {
+		group := kept[lo].minute
+		for hi < len(kept) && kept[hi].minute == group {
+			hi++
 		}
-		oi, oj := order[kept[i].host], order[kept[j].host]
-		if oi != oj {
-			if oi == 0 {
-				return false // clustered hosts first
+		for _, b := range c.canonicalLocked(kept[lo:hi]) {
+			if err = c.observeBeatLocked(b, group); err != nil {
+				break
 			}
-			if oj == 0 {
-				return true
-			}
-			return oi < oj
 		}
-		return kept[i].host < kept[j].host
-	})
-
-	var firstErr error
-	groupMin := 0
-	open := false
-	for i, b := range kept {
-		if i > 0 && b.minute == kept[i-1].minute && b.host == kept[i-1].host {
-			continue // duplicate delivery of the same host minute
-		}
-		if firstErr != nil {
-			continue
-		}
-		if open && b.minute != groupMin {
-			firstErr = c.closeServicesLocked(groupMin)
-			if firstErr != nil {
-				continue
-			}
-			open = false
-		}
-		groupMin = b.minute
-		open = true
-		firstErr = c.observeBeatLocked(b, b.minute)
-	}
-	if firstErr == nil && open {
-		firstErr = c.closeServicesLocked(groupMin)
-		if groupMin > c.lastMerged {
-			c.lastMerged = groupMin
+		if err == nil {
+			c.lastMerged = max(c.lastMerged, group)
+			err = c.closeServicesLocked(group)
 		}
 	}
-	// Return every beat and refresh the stale-replay watermarks,
-	// error or not.
-	for _, b := range beats {
-		sh := c.shard(b.host)
-		sh.mu.Lock()
-		if b.minute > sh.lastMin[b.host] {
-			sh.lastMin[b.host] = b.minute
-		}
-		sh.free = append(sh.free, b)
-		sh.mu.Unlock()
-	}
-	if minute > c.mergeFloor {
-		c.mergeFloor = minute
-	}
-	return firstErr
+	c.recycleLocked(beats, true) // error or not
+	c.mergeFloor = max(c.mergeFloor, minute)
+	return err
 }
 
 // observeBeatLocked feeds one merged beat into the monitor pipeline —
@@ -794,95 +828,104 @@ func (c *Coordinator) mergeGroupedLocked(minute int) error {
 // the minute boundary — stamped with the coordinator's authoritative
 // minute. Callers hold c.mu.
 func (c *Coordinator) observeBeatLocked(b *hostBeat, minute int) error {
-	key := c.hostKeyLocked(b.host)
-	if !c.registered[key] {
-		perf := 1.0
-		if h, ok := c.dep.Cluster().Host(b.host); ok {
-			perf = h.PerformanceIndex
-		}
-		c.lms.Register(key, monitor.Server, perf)
-		c.registered[key] = true
-	}
-	tr, err := c.lms.Observe(key, minute, b.cpu, b.mem)
+	hs := b.slot
+	tr, err := c.lms.ObserveWatch(c.watchLocked(&hs.watchReg, monitor.Server, b.host), minute, b.cpu, b.mem)
 	if err != nil {
 		return err
 	}
-	if tr != nil {
-		// An idle host with nothing running on it is the normal resting
-		// state of a pooled blade, not an exceptional situation.
-		if !(tr.Kind == monitor.ServerIdle && len(b.samples) == 0) {
-			tr.Entity = b.host
-			c.trigMu.Lock()
-			c.triggers = append(c.triggers, tr)
-			c.trigMu.Unlock()
-		}
+	c.seen[0]++
+	c.seen[1] += len(b.samples)
+	// An idle host with nothing running on it is the normal resting
+	// state of a pooled blade, not an exceptional situation.
+	if tr != nil && !(tr.Kind == monitor.ServerIdle && len(b.samples) == 0) {
+		c.queueTrigger(tr, b.host)
 	}
-	for _, s := range b.samples {
-		if err := c.lms.Archive().Record(c.instKeyLocked(s.ID),
-			archive.Sample{Minute: minute, CPU: s.Load}); err != nil {
+	for i := range b.samples {
+		s := &b.samples[i]
+		// No lookup when the host's last beat had this instance here.
+		if i == len(hs.insts) {
+			hs.insts = append(hs.insts, c.instSlotLocked(s.ID, s.Service))
+		} else if is := hs.insts[i]; is.id != s.ID || is.service != s.Service {
+			hs.insts[i] = c.instSlotLocked(s.ID, s.Service)
+		}
+		is := hs.insts[i]
+		if err := is.log.Record(archive.Sample{Minute: minute, CPU: s.Load}); err != nil {
 			return err
 		}
-		c.samples[s.Service] = append(c.samples[s.Service], s)
+		if is.svc != nil {
+			is.svc.samples = append(is.svc.samples, *s)
+		}
 	}
 	return nil
 }
 
 // ObserveServices closes the minute: the buffered host beats are merged
-// into the monitor pipeline in canonical order (see mergeHostsLocked),
+// into the monitor pipeline in canonical order (see canonicalLocked),
 // then the per-service loads accumulated from this minute's heartbeats
 // are observed in catalog order, exactly like the in-process service
 // loop, and any confirmed service triggers are queued. The accumulators
-// reset — keeping their capacity — for the next minute.
-//
-// Samples are summed in instance-ID order — the order the in-process
-// observation loop iterates instances in — so the floating-point sum is
-// bit-identical regardless of which host's heartbeat arrived first.
+// reset — keeping their capacity — on every exit path: a failed close
+// must not leak its samples into the next minute's average. Samples are
+// summed in instance-ID order — the order the in-process loop iterates
+// instances in — so the floating-point sum is bit-identical regardless
+// of which host's heartbeat arrived first.
 func (c *Coordinator) ObserveServices(minute int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	start := time.Now()
+	var err error
 	if c.ha.Load() {
-		return c.mergeGroupedLocked(minute)
+		err = c.mergeGroupedLocked(minute)
+	} else if err = c.mergeHostsLocked(minute); err == nil {
+		err = c.closeServicesLocked(minute)
 	}
-	if err := c.mergeHostsLocked(minute); err != nil {
-		return err
+	if err != nil {
+		for i := range c.svcs {
+			c.svcs[i].samples = c.svcs[i].samples[:0]
+		}
 	}
-	return c.closeServicesLocked(minute)
+	c.metrics.Load().merged(start, c.seen)
+	c.seen = [3]int{}
+	return err
 }
 
 // closeServicesLocked observes the per-service loads accumulated from
-// the heartbeats of one minute, in catalog order, and resets the
-// accumulators. Callers hold c.mu.
+// one minute's heartbeats, in catalog order, resetting each accumulator
+// as it goes. Samples arrive in canonical host order; only a service for
+// which that is not instance-ID order is sorted. Callers hold c.mu.
 func (c *Coordinator) closeServicesLocked(minute int) error {
-	for _, svcName := range c.dep.Catalog().Names() {
-		samples := c.samples[svcName]
-		if len(samples) == 0 {
+	for i := range c.svcs {
+		sv := &c.svcs[i]
+		n := len(sv.samples)
+		if n == 0 {
 			continue
 		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i].ID < samples[j].ID })
+		if !slices.IsSortedFunc(sv.samples, bySampleID) {
+			slices.SortFunc(sv.samples, bySampleID)
+		}
 		var sum float64
-		for _, s := range samples {
+		for _, s := range sv.samples {
 			sum += s.Load
 		}
-		key := archive.ServiceEntity(svcName)
-		if !c.registered[key] {
-			c.lms.Register(key, monitor.Service, 1)
-			c.registered[key] = true
-		}
-		tr, err := c.lms.Observe(key, minute, sum/float64(len(samples)), 0)
+		sv.samples = sv.samples[:0]
+		tr, err := c.lms.ObserveWatch(c.watchLocked(&sv.watchReg, monitor.Service, ""), minute, sum/float64(n), 0)
 		if err != nil {
 			return err
 		}
+		c.seen[2]++
 		if tr != nil {
-			tr.Entity = svcName
-			c.trigMu.Lock()
-			c.triggers = append(c.triggers, tr)
-			c.trigMu.Unlock()
+			c.queueTrigger(tr, sv.name)
 		}
 	}
-	for k := range c.samples {
-		c.samples[k] = c.samples[k][:0]
-	}
 	return nil
+}
+
+// queueTrigger queues a confirmed trigger under its landscape name.
+func (c *Coordinator) queueTrigger(tr *monitor.Trigger, entity string) {
+	tr.Entity = entity
+	c.trigMu.Lock()
+	c.triggers = append(c.triggers, tr)
+	c.trigMu.Unlock()
 }
 
 // TakeTriggers drains the queued confirmed triggers in arrival order.
@@ -971,9 +1014,10 @@ func (c *Coordinator) noteErr(err error) bool {
 	return err != nil
 }
 
-// Forget clears a demoted host's monitor registration and discards any
-// beat still buffered for it (the host is dead; its last report must
-// not resurface at the next merge). The liveness detector keeps
+// Forget clears a demoted host's monitor registration — dropping the
+// slot's cached watch handle with it — and discards every beat still
+// buffered for it, backfill included (the host is dead; its last report
+// must not resurface at the next merge). The liveness detector keeps
 // tracking it: a healed partition is then reported by Recovered after
 // the hysteresis streak, and the host's heartbeats re-register it.
 func (c *Coordinator) Forget(host string) {
@@ -983,12 +1027,18 @@ func (c *Coordinator) Forget(host string) {
 		delete(sh.pending, host)
 		sh.free = append(sh.free, b)
 	}
+	sh.backfill = slices.DeleteFunc(sh.backfill, func(b *hostBeat) bool {
+		if b.host == host {
+			sh.free = append(sh.free, b)
+		}
+		return b.host == host
+	})
 	sh.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := c.hostKeyLocked(host)
-	c.lms.Deregister(key)
-	delete(c.registered, key)
+	hs := c.hostSlotLocked(host)
+	c.lms.Deregister(hs.key)
+	hs.watch = monitor.Watch{}
 }
 
 // Release fully removes a host (orderly pool removal): monitor

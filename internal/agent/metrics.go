@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"time"
+
 	"autoglobe/internal/obs"
 )
 
@@ -25,6 +27,12 @@ const (
 	// minutes behind the coordinator's newest observed minute a
 	// heartbeat arrived. 0 is the healthy steady state.
 	MetricHeartbeatLag = "autoglobe_heartbeat_ingest_lag_minutes"
+	// MetricMergeSeconds is a histogram of the coordinator's minute
+	// close (shard merge, monitor pipeline, service close).
+	MetricMergeSeconds = "autoglobe_coordinator_merge_seconds"
+	// MetricMergeEntities counts the entities minute closes observed, by
+	// class (host, instance, service).
+	MetricMergeEntities = "autoglobe_coordinator_merge_entities_total"
 	// MetricJournalAppends counts write-ahead journal records by kind
 	// (epoch, dispatch, ack, liveness).
 	MetricJournalAppends = "autoglobe_journal_appends_total"
@@ -125,6 +133,8 @@ func (m *dispatchMetrics) compensation() {
 type coordMetrics struct {
 	heartbeats *obs.Counter
 	lag        *obs.Histogram
+	merge      *obs.Histogram
+	entities   [3]*obs.Counter // host, instance, service
 }
 
 func newCoordMetrics(r *obs.Registry) *coordMetrics {
@@ -133,10 +143,17 @@ func newCoordMetrics(r *obs.Registry) *coordMetrics {
 	}
 	r.Help(MetricHeartbeats, "Heartbeats ingested by the coordinator.")
 	r.Help(MetricHeartbeatLag, "Heartbeat staleness in minutes behind the newest observed minute.")
-	return &coordMetrics{
+	r.Help(MetricMergeSeconds, "Duration of the coordinator's minute close.")
+	r.Help(MetricMergeEntities, "Entities observed by minute closes, by class.")
+	m := &coordMetrics{
 		heartbeats: r.Counter(MetricHeartbeats),
 		lag:        r.Histogram(MetricHeartbeatLag, []float64{0, 1, 2, 5, 10}),
+		merge:      r.Histogram(MetricMergeSeconds, obs.LatencySecondsBuckets()),
 	}
+	for i, class := range []string{"host", "instance", "service"} {
+		m.entities[i] = r.Counter(MetricMergeEntities, "class", class)
+	}
+	return m
 }
 
 func (m *coordMetrics) ingest(lagMinutes int) {
@@ -145,6 +162,17 @@ func (m *coordMetrics) ingest(lagMinutes int) {
 	}
 	m.heartbeats.Inc()
 	m.lag.Observe(float64(lagMinutes))
+}
+
+// merged records one minute close and the entities it observed.
+func (m *coordMetrics) merged(start time.Time, seen [3]int) {
+	if m == nil {
+		return
+	}
+	m.merge.Observe(time.Since(start).Seconds())
+	for i, n := range seen {
+		m.entities[i].Add(float64(n))
+	}
 }
 
 // journalMetrics pre-resolves the coordinator journal's series.

@@ -42,20 +42,25 @@ type Sample struct {
 
 // entityLog is the per-entity state.
 type entityLog struct {
+	name    string
 	samples []Sample // ring buffer, oldest first
 	head    int      // index of oldest element when full
 	full    bool
 
-	daySum   [MinutesPerDay]float64
-	dayCount [MinutesPerDay]int
-	// dayMean is the running mean per minute of day, maintained
-	// incrementally on every Record so the controller's hot read path
-	// (ProfileAt, DayProfileInto) is a plain array load — no per-call
-	// recompute, no allocation.
-	dayMean [MinutesPerDay]float64
-	// dayMost is the deepest dayCount slot. Counts never decrease, so a
+	// day is the aggregated day profile: per minute of day the CPU sum,
+	// the observation count and the running mean, interleaved so that one
+	// Record — and one forecast step, which reads mean and count —
+	// touches a single cache line. The mean is maintained incrementally,
+	// so the controller's hot read path (ProfileAt) is a plain array load.
+	day [MinutesPerDay]struct {
+		sum, mean float64
+		n         int
+	}
+	// dayMost is the deepest day[].n slot. Counts never decrease, so a
 	// running max kept by ingest is exact and DaysObserved is one load.
 	dayMost int
+
+	stored tsdb.Handle // resolved by the first write-through Record
 }
 
 // slot folds an absolute minute onto its minute of day.
@@ -88,7 +93,7 @@ func New(retention int) *Archive {
 func (a *Archive) log(entity string) *entityLog {
 	l, ok := a.entities[entity]
 	if !ok {
-		l = &entityLog{samples: make([]Sample, 0, a.retention)}
+		l = &entityLog{name: entity, samples: make([]Sample, 0, a.retention)}
 		a.entities[entity] = l
 	}
 	return l
@@ -111,17 +116,23 @@ func (a *Archive) Preallocate(entities ...string) {
 // Retention returns the number of raw samples kept per entity.
 func (a *Archive) Retention() int { return a.retention }
 
-// Record stores a measurement for an entity. Samples must be recorded in
-// non-decreasing minute order per entity. On a backed archive the
-// sample is also appended write-through to the disk store (durable at
-// the next Commit); the in-memory ring stays the hot tier.
-func (a *Archive) Record(entity string, s Sample) error {
-	l := a.log(entity)
+// Record is Resolve(entity).Record(s) for callers keeping no handle.
+func (a *Archive) Record(entity string, s Sample) error { return a.Resolve(entity).Record(s) }
+
+// Record stores a measurement through a handle from Resolve. Samples
+// must be recorded in non-decreasing minute order per entity. On a backed
+// archive the sample is also appended write-through to the disk store
+// (durable at the next Commit); the in-memory ring stays the hot tier.
+func (e Entity) Record(s Sample) error {
+	a, l := e.a, e.l
+	if a == nil {
+		return fmt.Errorf("archive: Record through a read-only entity handle")
+	}
 	if last, ok := l.latest(); ok && s.Minute < last.Minute {
-		return fmt.Errorf("archive: %q: sample at minute %d after minute %d", entity, s.Minute, last.Minute)
+		return fmt.Errorf("archive: %q: sample at minute %d after minute %d", l.name, s.Minute, last.Minute)
 	}
 	if a.store != nil {
-		if err := a.store.Append(entity, tsdb.Sample{Minute: s.Minute, CPU: s.CPU, Mem: s.Mem}); err != nil {
+		if err := a.store.AppendTo(&l.stored, l.name, tsdb.Sample{Minute: s.Minute, CPU: s.CPU, Mem: s.Mem}); err != nil {
 			return err
 		}
 	}
@@ -140,12 +151,12 @@ func (a *Archive) ingest(l *entityLog, s Sample) {
 		l.head = (l.head + 1) % a.retention
 		l.full = true
 	}
-	mod := slot(s.Minute)
-	l.daySum[mod] += s.CPU
-	l.dayCount[mod]++
-	l.dayMean[mod] = l.daySum[mod] / float64(l.dayCount[mod])
-	if l.dayCount[mod] > l.dayMost {
-		l.dayMost = l.dayCount[mod]
+	d := &l.day[slot(s.Minute)]
+	d.sum += s.CPU
+	d.n++
+	d.mean = d.sum / float64(d.n)
+	if d.n > l.dayMost {
+		l.dayMost = d.n
 	}
 }
 
@@ -162,26 +173,34 @@ func (l *entityLog) latest() (Sample, bool) {
 	return l.samples[(l.head-1+n)%n], true
 }
 
-// Entity is a resolved read handle on one entity: Archive.Entity pays
-// the string-keyed map lookup once, after which every read is a plain
-// array load — what a scan reading several values of one entity wants
-// (the forecast predictor: horizon profile reads per evaluation). An
-// entity the archive has not seen reads as empty, and its handle does
-// not follow a later first Record: resolve per evaluation, do not cache
-// handles across minutes.
-type Entity struct{ l *entityLog }
+// Entity is a resolved handle on one entity: the string-keyed lookup is
+// paid once, after which every read is a plain array load — what the
+// forecast predictor's horizon scan wants — and every Record skips the
+// name lookups of archive and backing store alike. Entity logs are never
+// deleted, so a handle from Resolve is good for the archive's life.
+// Archive.Entity does not create: an entity the archive has not seen
+// reads as empty through a read-only handle that does not follow a
+// later first Record.
+type Entity struct {
+	a *Archive // nil: read-only handle of an unknown entity
+	l *entityLog
+}
 
 // noEntity is what an unknown entity reads as. Never written: ingest
 // only reaches logs created by Archive.log.
 var noEntity entityLog
 
-// Entity resolves the read handle of an entity.
+// Entity resolves the handle of an entity without creating it.
 func (a *Archive) Entity(entity string) Entity {
 	if l, ok := a.entities[entity]; ok {
-		return Entity{l}
+		return Entity{a, l}
 	}
-	return Entity{&noEntity}
+	return Entity{nil, &noEntity}
 }
+
+// Resolve returns the handle of an entity, creating its (empty) log —
+// ring at full capacity, as Preallocate does — on first sight.
+func (a *Archive) Resolve(entity string) Entity { return Entity{a, a.log(entity)} }
 
 // Len returns the number of raw samples currently retained.
 func (e Entity) Len() int { return len(e.l.samples) }
@@ -191,11 +210,11 @@ func (e Entity) Latest() (Sample, bool) { return e.l.latest() }
 
 // ProfileAt returns the running mean CPU load at a minute of day (any
 // absolute minute is folded); 0 for a never-observed minute.
-func (e Entity) ProfileAt(minute int) float64 { return e.l.dayMean[slot(minute)] }
+func (e Entity) ProfileAt(minute int) float64 { return e.l.day[slot(minute)].mean }
 
 // ObservationCount returns how many samples contributed to the day
 // profile at a minute of day.
-func (e Entity) ObservationCount(minute int) int { return e.l.dayCount[slot(minute)] }
+func (e Entity) ObservationCount(minute int) int { return e.l.day[slot(minute)].n }
 
 // DaysObserved returns the deepest per-minute observation count.
 func (e Entity) DaysObserved() int { return e.l.dayMost }
@@ -318,7 +337,10 @@ func (a *Archive) DayProfile(entity string) []float64 {
 // DayProfileInto copies the day profile into dst (len MinutesPerDay)
 // without allocating. An unknown entity zeroes dst.
 func (a *Archive) DayProfileInto(entity string, dst []float64) {
-	copy(dst, a.Entity(entity).l.dayMean[:])
+	l := a.Entity(entity).l
+	for i := range dst[:min(len(dst), MinutesPerDay)] {
+		dst[i] = l.day[i].mean
+	}
 }
 
 // ProfileAt returns the running mean CPU load of the entity at a

@@ -146,6 +146,8 @@ const (
 // watcher is the per-entity watch state machine. CPU and memory are
 // watched independently.
 type watcher struct {
+	entity    string         // "" once deregistered or re-registered
+	log       archive.Entity // the entity's archive write handle
 	class     Class
 	perfIndex float64
 	mode      watchMode
@@ -191,14 +193,39 @@ func (s *System) Archive() *archive.Archive { return s.archive }
 // Params returns the system's tunables.
 func (s *System) Params() Params { return s.params }
 
+// Watch is the resolved handle of one registered entity: its watcher and
+// the watcher's archive write handle. It lives as long as the
+// registration: a re-Register resets the watch state behind it,
+// Deregister kills it, and observing through a dead or zero handle is an
+// error, never a silent write. Drop cached handles where you deregister.
+type Watch struct{ w *watcher }
+
+// Live reports whether the handle's entity is still registered.
+func (h Watch) Live() bool { return h.w != nil && h.w.entity != "" }
+
+// Watch resolves the handle of an entity: dead when it is not registered.
+func (s *System) Watch(entity string) Watch { return Watch{s.watchers[entity]} }
+
 // Register announces an entity with its class and performance index
-// (hosts: their index; services: 1). Registration resets watch state.
-func (s *System) Register(entity string, class Class, perfIndex float64) {
-	s.watchers[entity] = &watcher{class: class, perfIndex: perfIndex}
+// (hosts: their index; services: 1), creating its archive log, and
+// returns its handle. Registration resets watch state.
+func (s *System) Register(entity string, class Class, perfIndex float64) Watch {
+	w, ok := s.watchers[entity]
+	if !ok {
+		w = new(watcher)
+		s.watchers[entity] = w
+	}
+	*w = watcher{entity: entity, log: s.archive.Resolve(entity), class: class, perfIndex: perfIndex}
+	return Watch{w}
 }
 
 // Deregister removes an entity (e.g. a stopped service).
-func (s *System) Deregister(entity string) { delete(s.watchers, entity) }
+func (s *System) Deregister(entity string) {
+	if w, ok := s.watchers[entity]; ok {
+		w.entity = ""
+		delete(s.watchers, entity)
+	}
+}
 
 // Watching reports whether the entity is currently under observation.
 func (s *System) Watching(entity string) bool {
@@ -206,19 +233,28 @@ func (s *System) Watching(entity string) bool {
 	return ok && w.mode != watchNone
 }
 
-// Observe feeds one measurement (the load monitor's report for the
+// Observe feeds one measurement of a registered entity by name —
+// ObserveWatch for callers that do not keep the handle.
+func (s *System) Observe(entity string, minute int, cpu, mem float64) (*Trigger, error) {
+	if h := s.Watch(entity); h.Live() {
+		return s.ObserveWatch(h, minute, cpu, mem)
+	}
+	return nil, fmt.Errorf("monitor: entity %q not registered", entity)
+}
+
+// ObserveWatch feeds one measurement (the load monitor's report for the
 // current minute). It records the sample in the archive and advances the
 // watch state machine, returning a confirmed trigger or nil.
 //
 // The advisor step is the threshold comparison at the top of the state
 // machine: only when a measurement exceeds the overload threshold (or
 // falls below the idle threshold) does observation start.
-func (s *System) Observe(entity string, minute int, cpu, mem float64) (*Trigger, error) {
-	w, ok := s.watchers[entity]
-	if !ok {
-		return nil, fmt.Errorf("monitor: entity %q not registered", entity)
+func (s *System) ObserveWatch(h Watch, minute int, cpu, mem float64) (*Trigger, error) {
+	if !h.Live() {
+		return nil, fmt.Errorf("monitor: observation through a dead watch handle")
 	}
-	if err := s.archive.Record(entity, archive.Sample{Minute: minute, CPU: cpu, Mem: mem}); err != nil {
+	w, entity := h.w, h.w.entity
+	if err := w.log.Record(archive.Sample{Minute: minute, CPU: cpu, Mem: mem}); err != nil {
 		return nil, err
 	}
 	idleThr := s.params.IdleThreshold(w.perfIndex)

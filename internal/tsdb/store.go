@@ -389,13 +389,24 @@ func (st *Store) register(name string) *entState {
 	return e
 }
 
-// Append buffers one sample for entity. Samples per entity must arrive
-// with non-decreasing minutes (the archive's contract) and at or above
-// the minute→hour compaction watermark. The sample is acknowledged —
-// guaranteed to survive a crash — only once a subsequent Commit
-// returns. The steady-state path writes into a fixed-capacity buffer
-// and allocates nothing.
-func (st *Store) Append(entity string, s Sample) error {
+// Handle is a resolved append handle on one entity. The zero value is
+// unresolved: the first AppendTo that passes the store-level checks
+// resolves it (registering the entity if new) and later appends skip the
+// name lookup. Entities are never deleted, so a handle is good for the
+// life of its store.
+type Handle struct{ e *entState }
+
+// Append is AppendTo without a cached handle.
+func (st *Store) Append(entity string, s Sample) error { return st.AppendTo(new(Handle), entity, s) }
+
+// AppendTo buffers one sample for entity through its handle. Samples
+// per entity must arrive with non-decreasing minutes (the archive's
+// contract) and at or above the minute→hour compaction watermark; a
+// sample refused by a closed store or the watermark does not register
+// the entity. The sample is acknowledged — guaranteed to survive a
+// crash — only once a subsequent Commit returns. The steady-state path
+// writes into a fixed-capacity buffer and allocates nothing.
+func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -404,14 +415,16 @@ func (st *Store) Append(entity string, s Sample) error {
 	if s.Minute < st.marks[TierMinute] {
 		return fmt.Errorf("tsdb: sample at minute %d below compaction watermark %d", s.Minute, st.marks[TierMinute])
 	}
-	id, ok := st.ids[entity]
-	var e *entState
-	if ok {
-		e = st.ents[id]
-	} else {
-		e = st.register(entity)
-		st.recBuf = appendDictRecord(st.recBuf[:0], e.id, entity)
-		st.dictPending = journal.AppendFrame(st.dictPending, st.recBuf)
+	e := h.e
+	if e == nil {
+		if id, ok := st.ids[entity]; ok {
+			e = st.ents[id]
+		} else {
+			e = st.register(entity)
+			st.recBuf = appendDictRecord(st.recBuf[:0], e.id, entity)
+			st.dictPending = journal.AppendFrame(st.dictPending, st.recBuf)
+		}
+		h.e = e
 	}
 	if e.hasLast && s.Minute < e.last {
 		return fmt.Errorf("tsdb: non-monotone minute %d for %q (last %d)", s.Minute, entity, e.last)

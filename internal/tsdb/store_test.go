@@ -139,6 +139,39 @@ func TestAppendGuards(t *testing.T) {
 	if err := st.Append("svc/b", Sample{Minute: 60}); err == nil {
 		t.Fatal("append below the compaction watermark accepted")
 	}
+	// A refused append registers nothing and leaves the handle
+	// unresolved; the first accepted one resolves it, after which handle
+	// and name write the same series under the same guards.
+	var h Handle
+	if err := st.AppendTo(&h, "svc/b", Sample{Minute: 60}); err == nil || h != (Handle{}) {
+		t.Fatalf("refused AppendTo: err %v, handle resolved %v", err, h != (Handle{}))
+	}
+	if names := st.Entities(); len(names) != 1 {
+		t.Fatalf("refused appends registered an entity: %v", names)
+	}
+	if err := st.AppendTo(&h, "svc/b", Sample{Minute: 200}); err != nil || h == (Handle{}) {
+		t.Fatalf("AppendTo: err %v, handle resolved %v", err, h != (Handle{}))
+	}
+	if err := st.Append("svc/b", Sample{Minute: 201}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendTo(&h, "svc/b", Sample{Minute: 200}); err == nil {
+		t.Fatal("non-monotone append through the handle accepted")
+	}
+	var got []int
+	if err := st.ForEachMinute("svc/b", 0, 1000, func(s Sample) { got = append(got, s.Minute) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 200 || got[1] != 201 {
+		t.Fatalf("svc/b holds minutes %v, want [200 201]", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var late Handle
+	if err := st.AppendTo(&late, "svc/c", Sample{Minute: 300}); err != ErrClosed || late != (Handle{}) {
+		t.Fatalf("AppendTo on a closed store: err %v, handle resolved %v", err, late != (Handle{}))
+	}
 }
 
 // TestStitchedReadAcrossTiers compacts a multi-day history into all

@@ -59,13 +59,15 @@
 #  12. the perf gate: the wire fuzz target replayed over its
 #      checked-in seed corpus (hostile frames must keep failing
 #      cleanly), the zero-allocation guardrails on the steady-state
-#      heartbeat AND dispatch paths plus the archive append, the
+#      heartbeat AND dispatch paths and the 1,007-host minute close
+#      (plain and HA, registry attached) plus the archive append, the
 #      forecast read paths (single prediction and horizon peak) and
 #      the controller's per-minute proactive scan (race-free runs,
 #      because race instrumentation allocates inside sync.Pool), and
 #      short smoke runs of the inference fast-path, 1,000-host
-#      ingest, single-action dispatch, 1,000-host fan-out, 1,000-host
-#      server selection and tsdb append/hot-read benchmarks, so a
+#      ingest and minute close, single-action dispatch, 1,000-host
+#      fan-out, 1,000-host server selection and tsdb append/hot-read
+#      benchmarks, so a
 #      regression that breaks the compiled path, the pooled codec,
 #      the sharded merge, the pooled dispatch path, the indexed
 #      selection path or the pooled segment buffers shows up even
@@ -198,8 +200,11 @@ echo "== perf gate: zero-alloc heartbeat + dispatch paths (race-free run)"
 # pooled envelope and attempt context, bounded agent ack cache and
 # audit ring — must allocate nothing. The tests skip themselves under
 # -race (race instrumentation allocates inside sync.Pool), so they get
-# a dedicated race-free invocation here.
-go test -run 'TestHeartbeatPathZeroAlloc|TestDispatchPathZeroAlloc|TestTriggerQueueRecycling' -count=1 ./internal/agent/
+# a dedicated race-free invocation here. So does the minute close: on
+# the tiled 1,007-host landscape, with a registry attached, a
+# steady-state ObserveServices — plain and HA — walks resolved slots
+# and allocates nothing.
+go test -run 'TestHeartbeatPathZeroAlloc|TestDispatchPathZeroAlloc|TestTriggerQueueRecycling|TestMinuteCloseZeroAlloc' -count=1 ./internal/agent/
 # The inference fast path must stay 0 allocs/op even after a rule-base
 # hot swap — the swap is a pointer store, never a de-optimization —
 # and the steady-state server-selection path (indexed candidate
@@ -223,8 +228,8 @@ go test -run XXX -bench 'BenchmarkTSDBAppend$|BenchmarkTSDBReadHot$' -benchtime=
 echo "== benchmark smoke: FuzzyInference (100 iterations)"
 go test -run XXX -bench 'BenchmarkFuzzyInference$' -benchtime=100x -benchmem .
 
-echo "== benchmark smoke: CoordinatorIngest1k (one 1,000-host minute)"
-go test -run XXX -bench 'BenchmarkCoordinatorIngest1k$' -benchtime=1x -benchmem .
+echo "== benchmark smoke: CoordinatorIngest1k + MinuteClose1k (one 1,000-host minute)"
+go test -run XXX -bench 'BenchmarkCoordinatorIngest1k$|BenchmarkMinuteClose1k$' -benchtime=1x -benchmem .
 
 echo "== benchmark smoke: ActionDispatchLoopback (1,000 dispatches)"
 go test -run XXX -bench 'BenchmarkActionDispatchLoopback$' -benchtime=1000x -benchmem .
