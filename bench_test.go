@@ -24,6 +24,7 @@ import (
 	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/journal"
 	"autoglobe/internal/monitor"
+	"autoglobe/internal/placement"
 	"autoglobe/internal/service"
 	"autoglobe/internal/simulator"
 	"autoglobe/internal/wire"
@@ -834,6 +835,67 @@ func benchmarkSelectHost(b *testing.B, nHosts int) {
 
 func BenchmarkSelectHost1k(b *testing.B)   { benchmarkSelectHost(b, 1_000) }
 func BenchmarkSelectHost100k(b *testing.B) { benchmarkSelectHost(b, 100_000) }
+
+// fleetDeployment is the landscape of the fleet benchmark workloads: the
+// paper's 19-host / 12-service full-mobility installation tiled cells
+// times under cNNN- prefixes, initial allocation started. 53 cells are
+// the 1,007 hosts, 636 services and 1,643 instances of fleet-steady.
+func fleetDeployment(b *testing.B, cells int) *service.Deployment {
+	b.Helper()
+	var hosts []cluster.Host
+	var svcs []*service.Service
+	for c := 0; c < cells; c++ {
+		prefix := fmt.Sprintf("c%03d-", c)
+		for _, h := range cluster.Paper().Hosts() {
+			h.Name = prefix + h.Name
+			hosts = append(hosts, h)
+		}
+		for _, s := range service.PaperCatalog(service.FullMobility).All() {
+			cp := *s
+			cp.Name, cp.Subsystem = prefix+s.Name, prefix+s.Subsystem
+			svcs = append(svcs, &cp)
+		}
+	}
+	dep := service.NewDeployment(cluster.MustNew(hosts...), service.MustCatalog(svcs...))
+	for c := 0; c < cells; c++ {
+		prefix := fmt.Sprintf("c%03d-", c)
+		for svc, on := range service.PaperInitialAllocation() {
+			for _, h := range on {
+				if _, err := dep.Start(prefix+svc, prefix+h); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	return dep
+}
+
+// BenchmarkPlacementIndexBuild1k measures building the placement index
+// over the 1,007-host fleet — the part of controller.New that grows with
+// the landscape. (Every build leaves its observer hooks on the
+// deployment; nothing mutates it here, so they never run.)
+func BenchmarkPlacementIndexBuild1k(b *testing.B) {
+	dep := fleetDeployment(b, 53)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		placement.NewIndex(dep, archive.HostEntity)
+	}
+}
+
+// BenchmarkRefreshHost1k measures recomputing one host's feasibility
+// column on the same fleet — what every executed start, stop and move
+// pays per touched host.
+func BenchmarkRefreshHost1k(b *testing.B) {
+	dep := fleetDeployment(b, 53)
+	ix := placement.NewIndex(dep, archive.HostEntity)
+	names := dep.Cluster().Names()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.RefreshHost(names[i%len(names)])
+	}
+}
 
 // BenchmarkHandleTriggerStorm measures the full trigger-handling path
 // under sustained pressure on a 1,000-host landscape: action-selection

@@ -41,6 +41,14 @@ const (
 	// MetricShadowDiffs counts shadow evaluations that disagreed with
 	// the active decision, by candidate label and disagreeing field.
 	MetricShadowDiffs = "autoglobe_rules_shadow_diffs_total"
+	// MetricPlacementHosts and MetricPlacementShapes gauge the placement
+	// index: pooled hosts, and distinct constraint shapes in the catalog
+	// (the index's size is their product, in bits).
+	MetricPlacementHosts  = "autoglobe_placement_index_hosts"
+	MetricPlacementShapes = "autoglobe_placement_index_shapes"
+	// MetricPlacementRefreshes counts host-column recomputations since
+	// Instrument: one per host an executed action touches or a pool adds.
+	MetricPlacementRefreshes = "autoglobe_placement_index_refreshes_total"
 )
 
 // scanOutcomeLabels are MetricForecastScan's outcome label values,
@@ -70,6 +78,9 @@ func newControllerMetrics(r *obs.Registry) *controllerMetrics {
 	r.Help(MetricRuleFallback, "Server selections with no rule base registered for the action.")
 	r.Help(MetricShadowEvals, "Shadow evaluations of a candidate rule set, by candidate.")
 	r.Help(MetricShadowDiffs, "Shadow evaluations disagreeing with the active decision, by candidate and field.")
+	r.Help(MetricPlacementHosts, "Hosts pooled in the placement index.")
+	r.Help(MetricPlacementShapes, "Distinct constraint shapes in the placement index.")
+	r.Help(MetricPlacementRefreshes, "Host feasibility columns recomputed by the placement index.")
 	return &controllerMetrics{
 		reg:       r,
 		inference: r.Histogram(MetricInference, obs.LatencySecondsBuckets()),
@@ -159,10 +170,14 @@ func (m *controllerMetrics) inferred(start time.Time) {
 
 // Instrument attaches an obs registry: resolved decisions are counted
 // by trigger and action, and every fuzzy inference run lands in a
-// latency histogram. A nil registry leaves the controller
+// latency histogram; the placement index, when there is one, reports
+// its size and refresh count. A nil registry leaves the controller
 // uninstrumented.
 func (c *Controller) Instrument(r *obs.Registry) {
 	c.metrics = newControllerMetrics(r)
+	if c.pindex != nil {
+		c.pindex.Instrument(r.Gauge(MetricPlacementHosts), r.Gauge(MetricPlacementShapes), r.Counter(MetricPlacementRefreshes))
+	}
 }
 
 // Trace attaches a tracer: HandleTrigger (and the failure handlers)

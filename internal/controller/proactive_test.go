@@ -40,12 +40,11 @@ func scanClassLoad(i int) (scale, latest float64) {
 	}
 }
 
-// forecastBed builds the paper's 19-host installation tiled cells
-// times (cNNN- prefixes, initial allocation started, so every service
-// runs), an archive holding one pre-seeded day plus one sample at
-// scanNow per host and service, and a forecasting controller over
-// both. watching, when non-nil, is wired as ForecastConfig.Watching.
-func forecastBed(tb testing.TB, cells int, watching func(string) bool) (*Controller, *archive.Archive) {
+// tiledDeployment tiles the paper's 19-host installation cells times
+// (cNNN- prefixes, initial allocation started, so every service runs):
+// 53 cells are the 1,007 hosts and 636 services of the fleet-steady
+// benchmark workload.
+func tiledDeployment(tb testing.TB, cells int) *service.Deployment {
 	tb.Helper()
 	paperHosts := cluster.Paper().Hosts()
 	paperSvcs := service.PaperCatalog(service.FullMobility).All()
@@ -74,6 +73,16 @@ func forecastBed(tb testing.TB, cells int, watching func(string) bool) (*Control
 			}
 		}
 	}
+	return dep
+}
+
+// forecastBed builds the tiled landscape, an archive holding one
+// pre-seeded day plus one sample at scanNow per host and service, and a
+// forecasting controller over both. watching, when non-nil, is wired as
+// ForecastConfig.Watching.
+func forecastBed(tb testing.TB, cells int, watching func(string) bool) (*Controller, *archive.Archive) {
+	tb.Helper()
+	dep := tiledDeployment(tb, cells)
 	arch := archive.New(archive.MinutesPerDay)
 	i := 0
 	seed := func(key string) {

@@ -8,6 +8,7 @@ import (
 	"autoglobe/internal/archive"
 	"autoglobe/internal/cluster"
 	"autoglobe/internal/monitor"
+	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
 )
 
@@ -128,6 +129,37 @@ func TestSelectionPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state selection allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestRefreshHostZeroAlloc is the perf gate of the placement index's
+// write path on the tiled 1,007-host / 636-service landscape, with the
+// registry attached: recomputing a host's feasibility column — one
+// state gather, one verdict per constraint shape — allocates nothing,
+// and the index holds the paper catalog's three shapes, not 636 services.
+func TestRefreshHostZeroAlloc(t *testing.T) {
+	dep := tiledDeployment(t, 53)
+	ctl, err := New(Config{}, dep, archive.New(0), NewDeploymentExecutor(dep, RebalanceUsers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ctl.Instrument(reg)
+	snap := reg.Snapshot()
+	if hosts, shapes := snap[MetricPlacementHosts], snap[MetricPlacementShapes]; hosts != 1007 || shapes != 3 {
+		t.Fatalf("index reports %v hosts and %v shapes, want 1007 and 3", hosts, shapes)
+	}
+	names := dep.Cluster().Names()
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, h := range names {
+			ctl.pindex.RefreshHost(h)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refreshing every host allocates %v times, want 0", allocs)
+	}
+	if got, want := reg.Snapshot()[MetricPlacementRefreshes], float64(4*len(names)); got != want {
+		t.Fatalf("%s = %v after 4 sweeps over %d hosts, want %v", MetricPlacementRefreshes, got, len(names), want)
 	}
 }
 

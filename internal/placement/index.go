@@ -1,18 +1,23 @@
 // Package placement maintains an incrementally updated feasibility
-// index over a deployment: for every service, the set of hosts an
-// instance could be placed on right now (Deployment.CanPlace), bucketed
-// by performance index so the server-selection controller's
+// index over a deployment: for every constraint shape in the catalog
+// (service.Shape — services of equal shape share one entry), the set of
+// hosts an instance of that shape fits on right now, bucketed by
+// performance index so the server-selection controller's
 // performance-relation filter (scale-up wants a strictly faster host,
 // scale-down a strictly slower one, move an equal one) is a bucket walk
 // instead of a full cluster scan.
 //
 // The index never re-derives placement logic: feasibility is always the
-// verdict of the deployment's own CanPlace, recomputed for exactly one
-// host column whenever a mutation touches that host (instance started,
-// stopped or moved; host pooled or unpooled) via the Cluster.Watch and
-// Deployment.Watch observer hooks. Protection mode is deliberately NOT
-// materialized — it is minute-scoped, self-expiring state owned by the
-// controller, so the index consults a Protection callback at query time
+// deployment's own verdict (service.HostState.Check, which CanPlace is
+// made of) on one gathered host state — one boolean per shape,
+// recomputed for exactly one host column whenever a mutation touches
+// that host (instance started, stopped or moved; host pooled or
+// unpooled) via the Cluster.Watch and Deployment.Watch observer hooks.
+// Two filters are deliberately NOT materialized but applied at query
+// time: the identity rule (a host already running the queried service
+// is no candidate), the one rule that depends on the service rather
+// than its shape; and protection mode — minute-scoped, self-expiring
+// state owned by the controller, consulted through a Protection callback
 // instead of chasing a second source of truth.
 //
 // Candidate enumeration order is canonical: performance-index buckets in
@@ -27,6 +32,7 @@ import (
 	"sort"
 
 	"autoglobe/internal/cluster"
+	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
 )
 
@@ -64,9 +70,15 @@ type HostRef struct {
 	Entity string
 	// seq orders hosts within a bucket by cluster insertion order.
 	seq int64
+	// fits is the feasibility column: bit i set = in shape i's buckets.
+	fits []uint64
+	// running marks a host running the service Index.resolved names.
+	running bool
 }
 
-// bucket holds the feasible hosts of one (service, performance index)
+func (r *HostRef) has(shape int) bool { return r.fits[shape>>6]&(1<<(shape&63)) != 0 }
+
+// bucket holds the feasible hosts of one (shape, performance index)
 // pair, ordered by seq.
 type bucket struct {
 	refs []*HostRef
@@ -95,23 +107,17 @@ func (b *bucket) remove(r *HostRef) {
 	b.refs = append(b.refs[:i], b.refs[i+1:]...)
 }
 
-// svcIndex is one service's candidate-host structure.
-type svcIndex struct {
+// shapeIndex is one constraint shape's candidate-host structure.
+type shapeIndex struct {
+	shape service.Shape
 	// pis lists the performance indices with a non-empty bucket, sorted
 	// ascending — the walk order of AppendCandidates.
 	pis []float64
 	// buckets maps a performance index to its feasible hosts.
 	buckets map[float64]*bucket
-	// member marks the hosts currently indexed as feasible, so a host
-	// refresh knows whether to insert, remove or leave each service.
-	member map[string]bool
 }
 
-func newSvcIndex() *svcIndex {
-	return &svcIndex{buckets: make(map[float64]*bucket), member: make(map[string]bool)}
-}
-
-func (si *svcIndex) add(r *HostRef) {
+func (si *shapeIndex) add(r *HostRef) {
 	pi := r.Host.PerformanceIndex
 	b, ok := si.buckets[pi]
 	if !ok {
@@ -123,17 +129,15 @@ func (si *svcIndex) add(r *HostRef) {
 		si.pis[i] = pi
 	}
 	b.insert(r)
-	si.member[r.Host.Name] = true
 }
 
-func (si *svcIndex) drop(r *HostRef) {
+func (si *shapeIndex) drop(r *HostRef) {
 	pi := r.Host.PerformanceIndex
 	b, ok := si.buckets[pi]
 	if !ok {
 		return
 	}
 	b.remove(r)
-	delete(si.member, r.Host.Name)
 	if len(b.refs) == 0 {
 		delete(si.buckets, pi)
 		i := sort.SearchFloat64s(si.pis, pi)
@@ -147,20 +151,30 @@ func (si *svcIndex) drop(r *HostRef) {
 // synchronously by the deployment's mutation hooks and therefore shares
 // the deployment's concurrency contract: mutations and index queries
 // must not race (the controller runs its decision loop on a single
-// goroutine; parallel candidate *scoring* only reads).
+// goroutine; parallel candidate *scoring* only reads the refs a query
+// returned).
 type Index struct {
 	dep       *service.Deployment
 	entityKey func(host string) string
 	prot      Protection
 
-	services map[string]*svcIndex
-	refs     map[string]*HostRef
-	nextSeq  int64
+	// shapes holds the catalog's distinct shapes — position i owns bit i
+	// of every host's column — and shapeOf each service's entry; the
+	// catalog is immutable after construction.
+	shapes  []*shapeIndex
+	shapeOf map[string]*shapeIndex
+	refs    map[string]*HostRef
+	nextSeq int64
 
-	// svcNames snapshots the catalog's service names once — the catalog
-	// is immutable after construction — so a host refresh loops a slice
-	// instead of copying names per mutation.
-	svcNames []string
+	// resolved names the service whose running hosts are marked ("" once
+	// a mutation outdated the marks), running lists the marked refs,
+	// hostBuf is scratch: queries write, so they belong to one goroutine.
+	resolved string
+	running  []*HostRef
+	hostBuf  []string
+
+	hosts     *obs.Gauge
+	refreshes *obs.Counter
 }
 
 // NewIndex builds the index over the deployment's current state and
@@ -174,12 +188,18 @@ func NewIndex(dep *service.Deployment, entityKey func(host string) string) *Inde
 	ix := &Index{
 		dep:       dep,
 		entityKey: entityKey,
-		services:  make(map[string]*svcIndex),
+		shapeOf:   make(map[string]*shapeIndex),
 		refs:      make(map[string]*HostRef),
-		svcNames:  dep.Catalog().Names(),
 	}
-	for _, name := range ix.svcNames {
-		ix.services[name] = newSvcIndex()
+	byShape := make(map[service.Shape]*shapeIndex)
+	for _, svc := range dep.Catalog().All() {
+		si := byShape[svc.Shape()]
+		if si == nil {
+			si = &shapeIndex{shape: svc.Shape(), buckets: make(map[float64]*bucket)}
+			byShape[si.shape] = si
+			ix.shapes = append(ix.shapes, si)
+		}
+		ix.shapeOf[svc.Name] = si
 	}
 	for _, h := range dep.Cluster().Hosts() {
 		ix.addHost(h)
@@ -199,52 +219,60 @@ func NewIndex(dep *service.Deployment, entityKey func(host string) string) *Inde
 // time. Nil protects nothing.
 func (ix *Index) SetProtection(p Protection) { ix.prot = p }
 
+// Instrument attaches the index's series — pooled hosts, distinct
+// shapes, host-column refreshes; nil series record nothing.
+func (ix *Index) Instrument(hosts, shapes *obs.Gauge, refreshes *obs.Counter) {
+	ix.hosts, ix.refreshes = hosts, refreshes
+	hosts.Set(float64(len(ix.refs)))
+	shapes.Set(float64(len(ix.shapes)))
+}
+
 // addHost pools a host: mint its ref and compute its feasibility column.
 func (ix *Index) addHost(h cluster.Host) {
 	ix.nextSeq++
-	ix.refs[h.Name] = &HostRef{Host: h, Entity: ix.entityKey(h.Name), seq: ix.nextSeq}
+	ix.refs[h.Name] = &HostRef{Host: h, Entity: ix.entityKey(h.Name), seq: ix.nextSeq,
+		fits: make([]uint64, (len(ix.shapes)+63)/64)}
+	ix.hosts.Set(float64(len(ix.refs)))
 	ix.RefreshHost(h.Name)
 }
 
-// removeHost unpools a host, dropping it from every service's buckets.
+// removeHost unpools a host, dropping it from every shape's buckets.
 func (ix *Index) removeHost(name string) {
 	r, ok := ix.refs[name]
 	if !ok {
 		return
 	}
-	for _, svc := range ix.svcNames {
-		if si := ix.services[svc]; si.member[name] {
+	for i, si := range ix.shapes {
+		if r.has(i) {
 			si.drop(r)
 		}
 	}
 	delete(ix.refs, name)
+	ix.hosts.Set(float64(len(ix.refs)))
 }
 
-// RefreshHost recomputes one host's feasibility for every catalog
-// service by asking the deployment's authoritative CanPlace. It is the
-// sole write path after construction — every mutation hook funnels here
-// — so index feasibility can never drift from CanPlace's verdict.
+// RefreshHost recomputes one host's feasibility column: the deployment
+// gathers the host's state once and gives its verdict per shape. It is
+// the sole write path after construction — every mutation hook funnels
+// here — so index feasibility can never drift from CanPlace's verdict.
 func (ix *Index) RefreshHost(name string) {
+	ix.resolved = ""
 	r, ok := ix.refs[name]
 	if !ok {
 		return // mutation on an unpooled host (e.g. force-stop after host death)
 	}
-	for _, svc := range ix.svcNames {
-		si := ix.services[svc]
-		feasible := ix.dep.CanPlace(svc, name) == nil
-		switch {
-		case feasible && !si.member[name]:
-			si.add(r)
-		case !feasible && si.member[name]:
-			si.drop(r)
+	ix.refreshes.Inc()
+	st := ix.dep.HostState(name)
+	for i, si := range ix.shapes {
+		if feasible := st.Check(si.shape, "") == service.Fits; feasible != r.has(i) {
+			r.fits[i>>6] ^= 1 << (i & 63)
+			if feasible {
+				si.add(r)
+			} else {
+				si.drop(r)
+			}
 		}
 	}
-}
-
-// Ref returns the index's handle on a pooled host.
-func (ix *Index) Ref(name string) (*HostRef, bool) {
-	r, ok := ix.refs[name]
-	return r, ok
 }
 
 // match reports whether a bucket's performance index satisfies the
@@ -261,6 +289,33 @@ func match(rel Rel, pi, srcPI float64) bool {
 	return true
 }
 
+// resolve finds the service's shape entry and marks the handful of hosts
+// the identity rule takes out of it: those already running the service.
+// The marks stand until a mutation or another service's query.
+func (ix *Index) resolve(svc string) (*shapeIndex, bool) {
+	si, ok := ix.shapeOf[svc]
+	if ok && svc != ix.resolved {
+		for _, r := range ix.running {
+			r.running = false
+		}
+		ix.running = ix.running[:0]
+		ix.hostBuf = ix.dep.AppendHostsOf(ix.hostBuf[:0], svc)
+		for _, h := range ix.hostBuf {
+			if r, ok := ix.refs[h]; ok {
+				r.running = true
+				ix.running = append(ix.running, r)
+			}
+		}
+		ix.resolved = svc
+	}
+	return si, ok
+}
+
+// skip applies the query-time filters to one bucket entry.
+func (ix *Index) skip(r *HostRef, minute int, exclude map[string]bool) bool {
+	return r.running || exclude[r.Host.Name] || ix.prot != nil && ix.prot.HostProtected(r.Host.Name, minute)
+}
+
 // AppendCandidates appends every host on which the service can be
 // placed right now, whose performance index satisfies rel against
 // srcPI, that is not excluded and not in protection mode at the given
@@ -268,34 +323,19 @@ func match(rel Rel, pi, srcPI float64) bool {
 // PI bucket, insertion order within the bucket); buf is reused
 // append-style so steady-state enumeration allocates nothing.
 func (ix *Index) AppendCandidates(buf []*HostRef, svc string, rel Rel, srcPI float64, minute int, exclude map[string]bool) []*HostRef {
-	si, ok := ix.services[svc]
+	si, ok := ix.resolve(svc)
 	if !ok {
-		return buf
-	}
-	if rel == RelEqual {
-		if b, ok := si.buckets[srcPI]; ok {
-			buf = ix.appendBucket(buf, b, minute, exclude)
-		}
 		return buf
 	}
 	for _, pi := range si.pis {
 		if !match(rel, pi, srcPI) {
 			continue
 		}
-		buf = ix.appendBucket(buf, si.buckets[pi], minute, exclude)
-	}
-	return buf
-}
-
-func (ix *Index) appendBucket(buf []*HostRef, b *bucket, minute int, exclude map[string]bool) []*HostRef {
-	for _, r := range b.refs {
-		if exclude[r.Host.Name] {
-			continue
+		for _, r := range si.buckets[pi].refs {
+			if !ix.skip(r, minute, exclude) {
+				buf = append(buf, r)
+			}
 		}
-		if ix.prot != nil && ix.prot.HostProtected(r.Host.Name, minute) {
-			continue
-		}
-		buf = append(buf, r)
 	}
 	return buf
 }
@@ -305,34 +345,19 @@ func (ix *Index) appendBucket(buf []*HostRef, b *bucket, minute int, exclude map
 // controller's anyTarget, reduced from a full cluster scan to (usually)
 // one bucket peek.
 func (ix *Index) AnyCandidate(svc string, rel Rel, srcPI float64, minute int, exclude map[string]bool) bool {
-	si, ok := ix.services[svc]
+	si, ok := ix.resolve(svc)
 	if !ok {
 		return false
-	}
-	if rel == RelEqual {
-		b, ok := si.buckets[srcPI]
-		return ok && ix.anyInBucket(b, minute, exclude)
 	}
 	for _, pi := range si.pis {
 		if !match(rel, pi, srcPI) {
 			continue
 		}
-		if ix.anyInBucket(si.buckets[pi], minute, exclude) {
-			return true
+		for _, r := range si.buckets[pi].refs {
+			if !ix.skip(r, minute, exclude) {
+				return true
+			}
 		}
-	}
-	return false
-}
-
-func (ix *Index) anyInBucket(b *bucket, minute int, exclude map[string]bool) bool {
-	for _, r := range b.refs {
-		if exclude[r.Host.Name] {
-			continue
-		}
-		if ix.prot != nil && ix.prot.HostProtected(r.Host.Name, minute) {
-			continue
-		}
-		return true
 	}
 	return false
 }

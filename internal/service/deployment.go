@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"autoglobe/internal/cluster"
@@ -38,6 +39,7 @@ type Deployment struct {
 	nextID    int
 
 	watchers []func(host string)
+	state    HostState // HostState's gather buffer
 }
 
 // Watch registers an observer notified with a host name after every
@@ -74,56 +76,136 @@ func (d *Deployment) Cluster() *cluster.Cluster { return d.cluster }
 // Catalog returns the deployment's service catalog.
 func (d *Deployment) Catalog() *Catalog { return d.catalog }
 
+// Shape is the part of a service description placement depends on.
+// Services of equal shape fit the same hosts, up to the identity rule
+// (a host runs at most one instance of a service).
+type Shape struct {
+	MinPerfIndex float64
+	Exclusive    bool
+	MemoryMB     int
+}
+
+// Shape returns the service's placement constraints.
+func (s *Service) Shape() Shape {
+	return Shape{s.MinPerfIndex, s.Exclusive, s.MemoryMBPerInstance}
+}
+
+// Refusal is why a placement is refused; the zero value, Fits: it is not.
+type Refusal uint8
+
+// The refusals, in the order the rules are checked.
+const (
+	Fits Refusal = iota
+	UnknownService
+	UnknownHost
+	BelowMinPerfIndex
+	ExclusiveNeedsEmptyHost
+	HostRunsExclusive
+	AlreadyRuns
+	InsufficientMemory
+)
+
+// HostState is everything about one host the placement rules read,
+// gathered once so any number of shapes can be checked against it.
+type HostState struct {
+	Pooled    bool
+	PerfIndex float64
+	MemoryMB  int
+	MemUsedMB int
+	// Exclusive names the resident exclusive service, if any.
+	Exclusive string
+	// Services names the residents' services, one per instance.
+	Services []string
+}
+
+// HostState gathers the host's placement state into the deployment's
+// one gather buffer: the result is valid until the next HostState or
+// CanPlace call and, like a mutation, must not race with either.
+func (d *Deployment) HostState(hostName string) *HostState {
+	h, ok := d.cluster.Host(hostName)
+	st := &d.state
+	*st = HostState{Pooled: ok, PerfIndex: h.PerformanceIndex, MemoryMB: h.MemoryMB, Services: st.Services[:0]}
+	for _, id := range d.byHost[hostName] {
+		svc := d.catalog.services[d.instances[id].Service]
+		st.Services = append(st.Services, svc.Name)
+		st.MemUsedMB += svc.MemoryMBPerInstance
+		if svc.Exclusive {
+			st.Exclusive = svc.Name
+		}
+	}
+	return st
+}
+
+// Check is the placement verdict, the one statement of the constraint
+// rules: the host is pooled and meets the minimum performance index,
+// exclusivity holds in both directions, the host does not already run
+// an instance of svcName, and its memory suffices. An empty svcName
+// leaves out the identity rule — the verdict then holds for every
+// service of the shape not yet running on the host.
+func (st *HostState) Check(sh Shape, svcName string) Refusal {
+	switch {
+	case !st.Pooled:
+		return UnknownHost
+	case !(st.PerfIndex >= sh.MinPerfIndex):
+		return BelowMinPerfIndex
+	case sh.Exclusive && len(st.Services) > 0:
+		return ExclusiveNeedsEmptyHost
+	case st.Exclusive != "":
+		return HostRunsExclusive
+	case svcName != "" && slices.Contains(st.Services, svcName):
+		return AlreadyRuns
+	case st.MemUsedMB+sh.MemoryMB > st.MemoryMB:
+		return InsufficientMemory
+	}
+	return Fits
+}
+
 // PlacementError explains why an instance cannot be placed on a host.
+// It carries the refusal and its operands; the text is built only when
+// somebody asks for it.
 type PlacementError struct {
 	Service string
 	Host    string
-	Reason  string
+	Reason  Refusal
+	shape   Shape
+	state   HostState // Services is not retained
 }
 
 func (e *PlacementError) Error() string {
-	return fmt.Sprintf("service: cannot place %q on %q: %s", e.Service, e.Host, e.Reason)
+	var why string
+	switch e.Reason {
+	case UnknownService:
+		why = "unknown service"
+	case UnknownHost:
+		why = "unknown host"
+	case BelowMinPerfIndex:
+		why = fmt.Sprintf("performance index %g below required minimum %g", e.state.PerfIndex, e.shape.MinPerfIndex)
+	case ExclusiveNeedsEmptyHost:
+		why = "service is exclusive but host is not empty"
+	case HostRunsExclusive:
+		why = fmt.Sprintf("host runs exclusive service %q", e.state.Exclusive)
+	case AlreadyRuns:
+		why = "host already runs an instance of this service"
+	case InsufficientMemory:
+		why = fmt.Sprintf("insufficient memory: %d MB used + %d MB needed > %d MB",
+			e.state.MemUsedMB, e.shape.MemoryMB, e.state.MemoryMB)
+	}
+	return fmt.Sprintf("service: cannot place %q on %q: %s", e.Service, e.Host, why)
 }
 
 // CanPlace checks whether an instance of the service could be started on
-// the host under the current allocation. It verifies that the host
-// exists, meets the minimum performance index, that exclusivity is
-// respected in both directions, that the host does not already run an
-// instance of the same service, and that the host's memory suffices.
+// the host under the current allocation: HostState.Check's verdict on
+// the service's shape and name.
 func (d *Deployment) CanPlace(svcName, hostName string) error {
 	svc, ok := d.catalog.Get(svcName)
 	if !ok {
-		return &PlacementError{svcName, hostName, "unknown service"}
+		return &PlacementError{Service: svcName, Host: hostName, Reason: UnknownService}
 	}
-	h, ok := d.cluster.Host(hostName)
-	if !ok {
-		return &PlacementError{svcName, hostName, "unknown host"}
-	}
-	if !svc.CanRunOn(h) {
-		return &PlacementError{svcName, hostName, fmt.Sprintf(
-			"performance index %g below required minimum %g", h.PerformanceIndex, svc.MinPerfIndex)}
-	}
-	resident := d.byHost[hostName]
-	if svc.Exclusive && len(resident) > 0 {
-		return &PlacementError{svcName, hostName, "service is exclusive but host is not empty"}
-	}
-	memUsed := 0
-	for _, id := range resident {
-		inst := d.instances[id]
-		other, _ := d.catalog.Get(inst.Service)
-		if other.Exclusive {
-			return &PlacementError{svcName, hostName, fmt.Sprintf(
-				"host runs exclusive service %q", other.Name)}
-		}
-		if inst.Service == svcName {
-			return &PlacementError{svcName, hostName, "host already runs an instance of this service"}
-		}
-		memUsed += other.MemoryMBPerInstance
-	}
-	if memUsed+svc.MemoryMBPerInstance > h.MemoryMB {
-		return &PlacementError{svcName, hostName, fmt.Sprintf(
-			"insufficient memory: %d MB used + %d MB needed > %d MB",
-			memUsed, svc.MemoryMBPerInstance, h.MemoryMB)}
+	st := d.HostState(hostName)
+	if r := st.Check(svc.Shape(), svcName); r != Fits {
+		e := &PlacementError{svcName, hostName, r, svc.Shape(), *st}
+		e.state.Services = nil
+		return e
 	}
 	return nil
 }
@@ -242,6 +324,14 @@ func (d *Deployment) collect(ids []string) []*Instance {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// AppendHostsOf appends the hosts running an instance of the service.
+func (d *Deployment) AppendHostsOf(buf []string, svcName string) []string {
+	for _, id := range d.byService[svcName] {
+		buf = append(buf, d.instances[id].Host)
+	}
+	return buf
 }
 
 // CountOf returns the number of running instances of a service.

@@ -286,3 +286,53 @@ func TestBuildPaperDeployment(t *testing.T) {
 		t.Errorf("LES users at 115%% = %g, want %g", got, 900*1.15)
 	}
 }
+
+// TestPlacementErrorTexts pins every refusal's rendered text: the
+// error carries a reason code and operands, and Error() must build the
+// same bytes the eager Sprintf did.
+func TestPlacementErrorTexts(t *testing.T) {
+	mk := func(name string, pi float64, memMB int) cluster.Host {
+		return cluster.Host{Name: name, Category: "t", PerformanceIndex: pi, CPUs: 1, MemoryMB: memMB}
+	}
+	cl := cluster.MustNew(mk("weak", 1.5, 4096), mk("mixed", 9, 4096), mk("excl", 9, 16384), mk("free", 9, 16384))
+	cat := MustCatalog(
+		&Service{Name: "app", Type: TypeInteractive, MemoryMBPerInstance: 1024},
+		&Service{Name: "fat", Type: TypeInteractive, MemoryMBPerInstance: 3500},
+		&Service{Name: "db", Type: TypeDatabase, Exclusive: true, MinPerfIndex: 5, MemoryMBPerInstance: 8192},
+		&Service{Name: "db2", Type: TypeDatabase, Exclusive: true, MinPerfIndex: 5, MemoryMBPerInstance: 8192},
+	)
+	d := NewDeployment(cl, cat)
+	for _, p := range [][2]string{{"app", "mixed"}, {"db", "excl"}} {
+		if _, err := d.Start(p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ svc, host, want string }{
+		{"nope", "free", `service: cannot place "nope" on "free": unknown service`},
+		{"app", "gone", `service: cannot place "app" on "gone": unknown host`},
+		{"db", "weak", `service: cannot place "db" on "weak": performance index 1.5 below required minimum 5`},
+		{"db2", "mixed", `service: cannot place "db2" on "mixed": service is exclusive but host is not empty`},
+		{"db", "excl", `service: cannot place "db" on "excl": service is exclusive but host is not empty`},
+		{"app", "excl", `service: cannot place "app" on "excl": host runs exclusive service "db"`},
+		{"app", "mixed", `service: cannot place "app" on "mixed": host already runs an instance of this service`},
+		{"fat", "mixed", `service: cannot place "fat" on "mixed": insufficient memory: 1024 MB used + 3500 MB needed > 4096 MB`},
+	} {
+		err := d.CanPlace(c.svc, c.host)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("CanPlace(%s, %s) = %v\nwant %s", c.svc, c.host, err, c.want)
+		}
+	}
+	if err := d.CanPlace("app", "free"); err != nil {
+		t.Errorf("CanPlace(app, free) = %v, want nil", err)
+	}
+	// Start and Move hand the same refusal through.
+	if _, err := d.Start("app", "excl"); err == nil || err.Error() != `service: cannot place "app" on "excl": host runs exclusive service "db"` {
+		t.Errorf("Start refusal = %v", err)
+	}
+	if err := d.Move(d.InstancesOf("app")[0].ID, "weak"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Start("fat", "weak"); err == nil || err.Error() != `service: cannot place "fat" on "weak": insufficient memory: 1024 MB used + 3500 MB needed > 4096 MB` {
+		t.Errorf("Start refusal after move = %v", err)
+	}
+}

@@ -292,8 +292,9 @@ type Interner struct {
 	m  map[string]string
 }
 
-// maxInternerEntries caps the table; an adversarial stream of unique
-// identifiers clears it rather than growing without bound.
+// maxInternerEntries caps the table: once full it admits nothing more,
+// so an adversarial stream of unique identifiers gets unpooled copies
+// and cannot grow it — nor evict the vocabulary already established.
 const maxInternerEntries = 8192
 
 // NewInterner returns an empty interner.
@@ -309,11 +310,10 @@ func (in *Interner) Intern(b []byte) string {
 	in.mu.Lock()
 	s, ok := in.m[string(b)] // compiler-recognised non-allocating lookup
 	if !ok {
-		if len(in.m) >= maxInternerEntries {
-			in.m = make(map[string]string, 256)
-		}
 		s = string(b)
-		in.m[s] = s
+		if len(in.m) < maxInternerEntries {
+			in.m[s] = s
+		}
 	}
 	in.mu.Unlock()
 	return s

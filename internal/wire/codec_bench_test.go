@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -91,4 +92,34 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestInternerOverflowKeepsVocabulary pins non-destructive overflow: a
+// landscape whose steady vocabulary fills the table, then a stream of
+// identifiers beyond it, must leave the established vocabulary
+// interned — re-interning it allocates nothing — and the table at its
+// bound.
+func TestInternerOverflowKeepsVocabulary(t *testing.T) {
+	in := NewInterner()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("c%05d-Blade", i)) }
+	vocab := make([][]byte, maxInternerEntries)
+	for i := range vocab {
+		vocab[i] = key(i)
+		in.Intern(vocab[i])
+	}
+	for i := 0; i < 1000; i++ {
+		if got := in.Intern(key(maxInternerEntries + i)); got != string(key(maxInternerEntries+i)) {
+			t.Fatalf("overflow identifier came back as %q", got)
+		}
+	}
+	if len(in.m) != maxInternerEntries {
+		t.Fatalf("table holds %d entries, want the bound %d", len(in.m), maxInternerEntries)
+	}
+	if allocs := testing.AllocsPerRun(3, func() {
+		for _, b := range vocab {
+			in.Intern(b)
+		}
+	}); allocs != 0 {
+		t.Fatalf("re-interning the established vocabulary: %v allocs, want 0", allocs)
+	}
 }

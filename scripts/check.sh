@@ -13,7 +13,8 @@
 #   5. the observability gate: a dedicated race-enabled run of
 #      internal/obs (including the Prometheus exposition golden test)
 #      plus a lint that every declared metric family keeps the
-#      autoglobe_ namespace and a conventional unit suffix
+#      autoglobe_ namespace and a conventional unit suffix (gauges of a
+#      population name what they count: hosts, shapes)
 #   6. the robustness gate: a race-enabled chaos smoke (the fixed-seed
 #      full-day convergence run plus both journal crash-point sweeps —
 #      single-record and group-committed batch appends) and the
@@ -61,13 +62,14 @@
 #      cleanly), the zero-allocation guardrails on the steady-state
 #      heartbeat AND dispatch paths and the 1,007-host minute close
 #      (plain and HA, registry attached) plus the archive append, the
-#      forecast read paths (single prediction and horizon peak) and
-#      the controller's per-minute proactive scan (race-free runs,
+#      forecast read paths (single prediction and horizon peak), the
+#      controller's per-minute proactive scan and the placement
+#      index's host refresh on the 1,007-host fleet (race-free runs,
 #      because race instrumentation allocates inside sync.Pool), and
 #      short smoke runs of the inference fast-path, 1,000-host
 #      ingest and minute close, single-action dispatch, 1,000-host
-#      fan-out, 1,000-host server selection and tsdb append/hot-read
-#      benchmarks, so a
+#      fan-out, 1,000-host server selection, placement-index build
+#      and host refresh, and tsdb append/hot-read benchmarks, so a
 #      regression that breaks the compiled path, the pooled codec,
 #      the sharded merge, the pooled dispatch path, the indexed
 #      selection path or the pooled segment buffers shows up even
@@ -98,10 +100,11 @@ go test -race ./internal/obs/...
 
 # Metric-name lint: every metric family declared as a Metric* constant
 # must live in the autoglobe_ namespace and end in a conventional unit
-# suffix (or the state-gauge suffix "role"), so the exposition stays
+# suffix (the state-gauge suffix "role", or for the gauge of a
+# population what it counts: "hosts", "shapes"), so the exposition stays
 # scrapeable and greppable.
 bad=$(grep -rhoE 'Metric[A-Za-z]+ += +"[^"]*"' internal --include='metrics.go' |
-	grep -vE '= +"autoglobe_[a-z_]+_(total|seconds|minutes|role)"' || true)
+	grep -vE '= +"autoglobe_[a-z_]+_(total|seconds|minutes|role|hosts|shapes)"' || true)
 if [ -n "$bad" ]; then
 	echo "metric-name lint: families outside the naming convention:" >&2
 	echo "$bad" >&2
@@ -211,8 +214,10 @@ go test -run 'TestHeartbeatPathZeroAlloc|TestDispatchPathZeroAlloc|TestTriggerQu
 # enumeration, bound input vectors, pooled inference, argmax) must
 # allocate nothing end to end; neither may a proactive scan minute
 # (cached scan list, recycled trigger buffer, resolved counters) with
-# a registry attached and triggers raised.
-go test -run 'TestInferZeroAllocAfterSwap|TestSelectionPathZeroAlloc|TestProactiveScanZeroAlloc' -count=1 ./internal/controller/
+# a registry attached and triggers raised, nor the placement index's
+# host refresh (one state gather, one verdict per constraint shape) on
+# the 1,007-host / 636-service fleet with its series attached.
+go test -run 'TestInferZeroAllocAfterSwap|TestSelectionPathZeroAlloc|TestProactiveScanZeroAlloc|TestRefreshHostZeroAlloc' -count=1 ./internal/controller/
 go test -run 'TestInferVecAllocs' -count=1 ./internal/fuzzy/
 # The archive's steady-state write path — ring append, incremental day
 # profile, tsdb block write into pooled segment buffers — and the
@@ -237,7 +242,7 @@ go test -run XXX -bench 'BenchmarkActionDispatchLoopback$' -benchtime=1000x -ben
 echo "== benchmark smoke: DispatchFanout1k (one 1,000-host storm per width)"
 go test -run XXX -bench 'BenchmarkDispatchFanout1k' -benchtime=1x -benchmem .
 
-echo "== benchmark smoke: SelectHost1k (1,000-host server selection per access path)"
-go test -run XXX -bench 'BenchmarkSelectHost1k$' -benchtime=5x -benchmem .
+echo "== benchmark smoke: SelectHost1k + PlacementIndexBuild1k + RefreshHost1k (server selection per access path, index build and host refresh)"
+go test -run XXX -bench 'BenchmarkSelectHost1k$|BenchmarkPlacementIndexBuild1k$|BenchmarkRefreshHost1k$' -benchtime=5x -benchmem .
 
 echo "check.sh: all gates passed"
