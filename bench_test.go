@@ -805,16 +805,15 @@ func selectionController(b *testing.B, dep *service.Deployment, cfg controller.C
 
 // benchmarkSelectHost measures one server-selection decision for the
 // tier-confined service — candidate enumeration, Table 3 scoring and
-// the argmax — under three access paths: the incremental placement
-// index (the default), the index with parallel scoring, and the
-// full-cluster scan the controller used before the index existed.
+// the argmax — under both access paths: the incremental placement
+// index (the default) and the full-cluster scan the controller used
+// before the index existed.
 func benchmarkSelectHost(b *testing.B, nHosts int) {
 	modes := []struct {
 		name string
 		cfg  controller.Config
 	}{
 		{"indexed", controller.Config{}},
-		{"indexed-workers8", controller.Config{SelectionWorkers: 8}},
 		{"fullscan", controller.Config{DisablePlacementIndex: true}},
 	}
 	for _, m := range modes {

@@ -425,29 +425,6 @@ func (a *Agent) SendHello(ctx context.Context, h wire.Hello) error {
 	return nil
 }
 
-// SendHeartbeat delivers one load report to the coordinator. Heartbeats
-// are deliberately fire-and-forget: a lost heartbeat is exactly the
-// signal the liveness detector exists for, so there are no retries.
-func (a *Agent) SendHeartbeat(ctx context.Context, hb wire.Heartbeat) error {
-	a.mu.Lock()
-	a.seq++
-	seq := a.seq
-	coord := a.coordinator
-	a.mu.Unlock()
-	env := wire.HeartbeatEnvelope(a.host, coord, hb)
-	env.Seq = seq
-	reply, err := a.tr.Call(ctx, coord, env)
-	if err != nil {
-		return err
-	}
-	ok := reply != nil && reply.Type == wire.TypeAck && reply.Ack != nil && reply.Ack.OK
-	wire.ReleaseEnvelope(reply)
-	if !ok {
-		return fmt.Errorf("agent: %s: heartbeat not acknowledged", a.host)
-	}
-	return nil
-}
-
 // Reporter returns the agent's heartbeat reporter, creating it on
 // first use. One reporter exists per agent; it is the batching fast
 // path for the per-minute load report.

@@ -417,18 +417,9 @@ func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute
 	if err := cj.Takeover(ls); err != nil {
 		return fmt.Errorf("agent: takeover epoch bump: %w", err)
 	}
-	p := e.p
-	p.coord = m.coord
+	e.p.coord = m.coord
 	m.coord.SetMergeFloor(e.floor)
-	p.disp.AttachJournal(cj)
-	m.coord.AttachJournal(cj)
-	for host, min := range cj.Down() {
-		m.coord.Liveness().MarkDead(host, min)
-	}
-	if err := p.replayRules(cj); err != nil {
-		return err
-	}
-	if _, err := cj.Recover(ctx, p.disp); err != nil {
+	if _, _, err := e.p.adoptJournal(ctx, cj); err != nil {
 		return err
 	}
 	m.mu.Lock()

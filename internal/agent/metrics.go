@@ -33,6 +33,9 @@ const (
 	// MetricMergeEntities counts the entities minute closes observed, by
 	// class (host, instance, service).
 	MetricMergeEntities = "autoglobe_coordinator_merge_entities_total"
+	// MetricMinuteStage is a histogram family of the control-plane
+	// minute's stage durations, one series per stage (see MinuteStages).
+	MetricMinuteStage = "autoglobe_minute_stage_seconds"
 	// MetricJournalAppends counts write-ahead journal records by kind
 	// (epoch, dispatch, ack, liveness).
 	MetricJournalAppends = "autoglobe_journal_appends_total"

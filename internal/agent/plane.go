@@ -62,6 +62,22 @@ type Plane struct {
 // deployment's cluster over the configured transport. Existing
 // instances are adopted into their agents' process tables.
 func NewPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.System) (*Plane, error) {
+	p, err := newCoordinatorPlane(cfg, dep, lms)
+	if err != nil {
+		return nil, err
+	}
+	for _, host := range dep.Cluster().Names() {
+		if err := p.AttachHost(host); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// newCoordinatorPlane wires the coordinator side only — coordinator and
+// dispatcher, no in-process agents: the plane of a daemon whose agents
+// are separate processes joining by hello.
+func newCoordinatorPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.System) (*Plane, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("agent: plane needs a transport")
 	}
@@ -73,7 +89,7 @@ func NewPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.System) (*P
 		coord.Reshard(cfg.IngestShards)
 	}
 	cfg.Dispatch.From = coord.Node()
-	p := &Plane{
+	return &Plane{
 		tr:               cfg.Transport,
 		coord:            coord,
 		disp:             NewDispatcher(cfg.Dispatch, cfg.Transport),
@@ -81,13 +97,7 @@ func NewPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.System) (*P
 		lms:              lms,
 		agents:           make(map[string]*Agent),
 		HeartbeatTimeout: 2 * time.Second,
-	}
-	for _, host := range dep.Cluster().Names() {
-		if err := p.AttachHost(host); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	}, nil
 }
 
 // AttachHost starts an agent for the host (e.g. a hot-plugged blade)
@@ -150,15 +160,9 @@ func (p *Plane) AttachRules(reg *rules.Registry, ctrl *controller.Controller) er
 	p.ruleSwap = swap
 	p.coord.AttachRules(reg, swap)
 	if cj := p.disp.Journal(); cj != nil {
-		return p.replayRules(cj)
+		return ReplayRules(cj, reg, swap)
 	}
 	return nil
-}
-
-// replayRules re-activates the journaled active rule set through the
-// plane's registry and swap hook (see ReplayRules).
-func (p *Plane) replayRules(cj *CoordinatorJournal) error {
-	return ReplayRules(cj, p.rulesReg, p.ruleSwap)
 }
 
 // Executor wraps the inner executor with the plane's dispatching layer:
@@ -192,7 +196,7 @@ func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down 
 	for host, minute := range cj.Down() {
 		p.coord.Liveness().MarkDead(host, minute)
 	}
-	if err := p.replayRules(cj); err != nil {
+	if err := ReplayRules(cj, p.rulesReg, p.ruleSwap); err != nil {
 		return nil, 0, err
 	}
 	down = cj.DownHosts()
@@ -225,22 +229,9 @@ func (p *Plane) CrashCoordinator(ctx context.Context) (reissued int, err error) 
 	return reissued, err
 }
 
-// Report sends one host's load report through its agent to the
-// coordinator. A transport failure is returned, not retried — a missed
-// heartbeat is the liveness detector's signal.
-func (p *Plane) Report(ctx context.Context, hb wire.Heartbeat) error {
-	a, ok := p.agents[hb.Host]
-	if !ok {
-		return fmt.Errorf("agent: no agent attached for host %q", hb.Host)
-	}
-	hbCtx, cancel := context.WithTimeout(ctx, p.HeartbeatTimeout)
-	defer cancel()
-	return a.SendHeartbeat(hbCtx, hb)
-}
-
 // Reporter returns the batching heartbeat reporter of a host's agent —
-// the allocation-free way to deliver the per-minute load report (see
-// HeartbeatReporter).
+// the one, allocation-free way a host's per-minute load report is
+// delivered (see HeartbeatReporter).
 func (p *Plane) Reporter(host string) (*HeartbeatReporter, bool) {
 	a, ok := p.agents[host]
 	if !ok {

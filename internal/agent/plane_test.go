@@ -13,14 +13,18 @@ import (
 	"autoglobe/internal/wire"
 )
 
-// heartbeatFor builds a heartbeat for a host from the model state.
-func heartbeatFor(dep *service.Deployment, host string, minute int, cpu float64) wire.Heartbeat {
-	hb := wire.Heartbeat{Host: host, Minute: minute, CPU: cpu}
-	for _, inst := range dep.InstancesOn(host) {
-		hb.Instances = append(hb.Instances, wire.InstanceSample{
-			ID: inst.ID, Service: inst.Service, Load: cpu})
+// reportHost delivers a host's heartbeat for the minute, built from the
+// model state, through its agent's reporter.
+func reportHost(ctx context.Context, p *Plane, dep *service.Deployment, host string, minute int, cpu float64) error {
+	rep, ok := p.Reporter(host)
+	if !ok {
+		return fmt.Errorf("no agent attached for host %q", host)
 	}
-	return hb
+	rep.Begin(minute, cpu, 0)
+	for _, inst := range dep.InstancesOn(host) {
+		rep.Sample(inst.ID, inst.Service, cpu)
+	}
+	return rep.Send(ctx)
 }
 
 // TestCoordinatorHeartbeatToTrigger drives the full monitoring half of
@@ -47,7 +51,7 @@ func TestCoordinatorHeartbeatToTrigger(t *testing.T) {
 			if host == "h1" {
 				cpu = 0.9 // sustained overload on h1 and its instance
 			}
-			if err := p.Report(ctx, heartbeatFor(dep, host, minute, cpu)); err != nil {
+			if err := reportHost(ctx, p, dep, host, minute, cpu); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -155,7 +159,7 @@ func TestDeadHostDemotion(t *testing.T) {
 	report := func(minute int, hosts ...string) {
 		t.Helper()
 		for _, h := range hosts {
-			if err := p.Report(ctx, heartbeatFor(dep, h, minute, 0.3)); err != nil {
+			if err := reportHost(ctx, p, dep, h, minute, 0.3); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -167,7 +171,7 @@ func TestDeadHostDemotion(t *testing.T) {
 	var dead []string
 	for minute := 1; minute <= 4 && len(dead) == 0; minute++ {
 		report(minute, "h1", "h3")
-		if err := p.Report(ctx, heartbeatFor(dep, "h2", minute, 0.3)); err == nil {
+		if err := reportHost(ctx, p, dep, "h2", minute, 0.3); err == nil {
 			t.Fatal("heartbeat from the partitioned host got through")
 		}
 		dead, _ = p.Coordinator().CheckLiveness(ctx, minute)

@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
+	"autoglobe/internal/agent"
 	"autoglobe/internal/obs"
 )
 
 // ObsView renders the observability panel: the registry's metric
-// families as sorted "series = value" lines and the most recent
-// control-loop traces (trigger → decision → outcome). It is the
-// console twin of the /autoglobe/v1/metrics and /autoglobe/v1/traces
-// endpoints, for the administrator watching a run from a terminal
-// instead of a scrape pipeline. Nil arguments render as absent
-// sections, so the panel degrades gracefully on uninstrumented runs.
+// families as sorted "series = value" lines, the median duration of each
+// control-plane minute stage, and the most recent control-loop traces
+// (trigger → decision → outcome). It is the console twin of the
+// /autoglobe/v1/metrics and /autoglobe/v1/traces endpoints, for the
+// administrator watching a run from a terminal instead of a scrape
+// pipeline. Nil arguments render as absent sections, so the panel
+// degrades gracefully on uninstrumented runs.
 func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 	var sb strings.Builder
 	sb.WriteString("OBSERVABILITY\n")
@@ -34,6 +37,21 @@ func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 		for _, k := range keys {
 			fmt.Fprintf(&sb, "  %s = %g\n", k, snap[k])
 		}
+	}
+
+	// Where did the minute go: the median of each pipeline stage, in
+	// pipeline order — shown only once a minute has been timed.
+	header := false
+	for _, stage := range agent.MinuteStages {
+		p50, ok := r.Quantile(agent.MetricMinuteStage, 0.5, "stage", stage)
+		if !ok {
+			continue
+		}
+		if !header {
+			sb.WriteString("MINUTE STAGES (p50)\n")
+			header = true
+		}
+		fmt.Fprintf(&sb, "  %-13s %v\n", stage, time.Duration(p50*float64(time.Second)).Round(time.Microsecond))
 	}
 
 	sb.WriteString("RECENT TRACES\n")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autoglobe/internal/agent"
 	"autoglobe/internal/obs"
 )
 
@@ -11,6 +12,13 @@ func TestObsView(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("autoglobe_controller_decisions_total", "action", "scaleUp", "trigger", "serviceOverloaded").Inc()
 	r.Counter("autoglobe_heartbeats_total").Add(42)
+	// Three timed merges around 2 ms, one timed decide; the other stages
+	// never ran and must not be listed.
+	merge := r.Histogram(agent.MetricMinuteStage, obs.LatencySecondsBuckets(), "stage", "merge")
+	for _, v := range []float64{0.002, 0.002, 0.003} {
+		merge.Observe(v)
+	}
+	r.Histogram(agent.MetricMinuteStage, obs.LatencySecondsBuckets(), "stage", "decide").Observe(0.00005)
 
 	tr := obs.NewTracer(8)
 	tr.Begin(100, obs.TraceTrigger{Kind: "serviceOverloaded", Entity: "app", Minute: 100})
@@ -31,7 +39,7 @@ func TestObsView(t *testing.T) {
 		"OBSERVABILITY",
 		`autoglobe_controller_decisions_total{action="scaleUp",trigger="serviceOverloaded"} = 1`,
 		"autoglobe_heartbeats_total = 42",
-		"RECENT TRACES",
+		"MINUTE STAGES (p50)\n  merge         3ms\n  decide        55µs\nRECENT TRACES",
 		"[  100] serviceOverloaded(app) -> executed",
 		"scaleUp app inst=app-1 weak1->big1 applicability=0.82 hostScore=0.61",
 		"IF cpuLoad IS high THEN scaleUp IS applicable",

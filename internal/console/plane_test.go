@@ -27,7 +27,9 @@ func TestPlaneView(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One host beats, the rest stay unknown.
-	if err := p.Report(context.Background(), wire.Heartbeat{Host: "Blade1", Minute: 0, CPU: 0.4}); err != nil {
+	rep, _ := p.Reporter("Blade1")
+	rep.Begin(0, 0.4, 0)
+	if err := rep.Send(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

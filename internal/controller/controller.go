@@ -76,13 +76,6 @@ type Config struct {
 	// controller predicts load over a horizon and raises forecast
 	// triggers ahead of measured overloads. See ForecastConfig.
 	Forecast *ForecastConfig
-	// SelectionWorkers bounds the worker pool scoring candidate hosts
-	// during server selection. 0 or 1 scores serially (the zero-alloc
-	// fast path); higher values fan candidates out over that many
-	// goroutines with a deterministic argmax reduction, so decisions
-	// are byte-identical at any worker count. Purely a throughput knob
-	// for very large landscapes.
-	SelectionWorkers int
 	// DisablePlacementIndex turns the incrementally maintained
 	// placement feasibility index off and falls back to the full
 	// cluster scan per selection — the reference path the index is
@@ -247,8 +240,7 @@ type Controller struct {
 	// hostBuf, selVec, actVec and tried are recycled hot-path buffers:
 	// the candidate list, the bound input vectors of server and action
 	// selection, and the exclude set of the execute-with-fallback loop.
-	// The decision loop is single-goroutine, so plain reuse is safe;
-	// parallel scoring workers allocate their own vectors.
+	// The decision loop is single-goroutine, so plain reuse is safe.
 	hostBuf []*placement.HostRef
 	selVec  []float64
 	actVec  []float64

@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"autoglobe/internal/archive"
@@ -431,9 +430,9 @@ type hostBest struct {
 // selection comparator: higher score, then higher performance index,
 // then lexicographically smaller host name. The comparator is a strict
 // total order over candidates (host names are unique), so the argmax is
-// unique and every scan order — serial, chunked, parallel — reduces to
-// the same winner. This is the determinism argument for parallel
-// scoring.
+// unique and every scan order reduces to the same winner: the order in
+// which the placement index's buckets (or the full scan) enumerate the
+// candidates is decision-neutral.
 func better(score float64, ref *placement.HostRef, cur hostBest) bool {
 	if cur.ref == nil {
 		return true
@@ -445,64 +444,6 @@ func better(score float64, ref *placement.HostRef, cur hostBest) bool {
 		return ref.Host.PerformanceIndex > cur.ref.Host.PerformanceIndex
 	}
 	return ref.Host.Name < cur.ref.Host.Name
-}
-
-// scoreRange scores a slice of candidates into a local best using the
-// caller's input vector. Candidates below MinHostScore or that cannot
-// be scored are skipped.
-func (c *Controller) scoreRange(b *binder, vec []float64, refs []*placement.HostRef, minute int, live bool) hostBest {
-	var best hostBest
-	for _, ref := range refs {
-		score, ok := c.scoreRef(b, vec, ref, minute, live)
-		if !ok || score < c.cfg.MinHostScore {
-			continue
-		}
-		if better(score, ref, best) {
-			best = hostBest{ref: ref, score: score}
-		}
-	}
-	return best
-}
-
-// scoreParallel fans candidate scoring out over SelectionWorkers
-// goroutines in contiguous chunks and reduces the per-chunk bests with
-// the same total-order comparator the chunks used internally — hence
-// byte-identical to the serial scan at any worker count (see better).
-// Everything a worker touches is read-only during selection: the
-// archive, the deployment maps and the compiled programs; the inference
-// scratch is pooled per call and the latency histogram is atomic.
-func (c *Controller) scoreParallel(b *binder, refs []*placement.HostRef, minute int, live bool) hostBest {
-	workers := c.cfg.SelectionWorkers
-	if workers > len(refs) {
-		workers = len(refs)
-	}
-	bests := make([]hostBest, workers)
-	chunk := (len(refs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(refs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(refs) {
-			hi = len(refs)
-		}
-		wg.Add(1)
-		go func(w int, part []*placement.HostRef) {
-			defer wg.Done()
-			vec := make([]float64, len(b.slots))
-			bests[w] = c.scoreRange(b, vec, part, minute, live)
-		}(w, refs[lo:hi])
-	}
-	wg.Wait()
-	var best hostBest
-	for _, bb := range bests {
-		if bb.ref != nil && better(bb.score, bb.ref, best) {
-			best = bb
-		}
-	}
-	return best
 }
 
 // selectHost runs the server-selection fuzzy controller over all
@@ -542,12 +483,15 @@ func (c *Controller) selectHostIn(rs *ruleSet, a service.Action, svcName, instID
 	}
 	b := binderFor(rb)
 	c.hostBuf = c.candidateRefs(c.hostBuf[:0], a, svcName, instID, minute, exclude)
-	refs := c.hostBuf
+	vec := c.vecFor(&c.selVec, len(b.slots))
 	var best hostBest
-	if c.cfg.SelectionWorkers > 1 && len(refs) > 1 {
-		best = c.scoreParallel(b, refs, minute, live)
-	} else {
-		best = c.scoreRange(b, c.vecFor(&c.selVec, len(b.slots)), refs, minute, live)
+	for _, ref := range c.hostBuf {
+		// Candidates that cannot be scored or rate below MinHostScore
+		// are skipped.
+		score, ok := c.scoreRef(b, vec, ref, minute, live)
+		if ok && score >= c.cfg.MinHostScore && better(score, ref, best) {
+			best = hostBest{ref: ref, score: score}
+		}
 	}
 	if best.ref == nil {
 		return "", 0

@@ -203,9 +203,8 @@ func randomLandscape(t *testing.T, rng *rand.Rand, nHosts int) (*service.Deploym
 
 // TestSelectHostParityAcrossConfigs is the controller-level property
 // test: over a randomized landscape under random mutation and
-// protection churn, the indexed serial path, the indexed parallel path
-// (8 workers) and the full-scan reference path must return byte-
-// identical (host, score) selections at every step.
+// protection churn, the indexed path and the full-scan reference path
+// must return byte-identical (host, score) selections at every step.
 func TestSelectHostParityAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dep, arch := randomLandscape(t, rng, 48)
@@ -217,10 +216,9 @@ func TestSelectHostParityAcrossConfigs(t *testing.T) {
 		}
 		return c
 	}
-	serial := mk(Config{})
-	par := mk(Config{SelectionWorkers: 8})
+	indexed := mk(Config{})
 	scan := mk(Config{DisablePlacementIndex: true})
-	ctls := []*Controller{serial, par, scan}
+	ctls := []*Controller{indexed, scan}
 
 	names := dep.Cluster().Names()
 	svcs := []string{"web", "app", "cache"}
@@ -252,13 +250,8 @@ func TestSelectHostParityAcrossConfigs(t *testing.T) {
 		inst := insts[rng.Intn(len(insts))]
 		a := actions[rng.Intn(len(actions))]
 		minute := rng.Intn(25)
-		h0, s0 := serial.SelectHost(a, inst.Service, inst.ID, minute)
-		h1, s1 := par.SelectHost(a, inst.Service, inst.ID, minute)
+		h0, s0 := indexed.SelectHost(a, inst.Service, inst.ID, minute)
 		h2, s2 := scan.SelectHost(a, inst.Service, inst.ID, minute)
-		if h0 != h1 || s0 != s1 {
-			t.Fatalf("step %d %s %s: workers=8 selected (%q, %v), serial (%q, %v)",
-				step, a, inst.ID, h1, s1, h0, s0)
-		}
 		if h0 != h2 || s0 != s2 {
 			t.Fatalf("step %d %s %s: full scan selected (%q, %v), indexed (%q, %v)",
 				step, a, inst.ID, h2, s2, h0, s0)

@@ -299,6 +299,35 @@ func (r *Registry) Histogram(family string, bounds []float64, labels ...string) 
 	}).h
 }
 
+// Quantile estimates the q-quantile (0 < q <= 1) of an existing
+// histogram series by linear interpolation inside its bucket, as
+// Prometheus's histogram_quantile does; a quantile past the last bound
+// reports that bound. It never creates a series: ok is false when the
+// series does not exist, is not a histogram or has no observations.
+func (r *Registry) Quantile(family string, q float64, labels ...string) (v float64, ok bool) {
+	if r == nil {
+		return 0, false
+	}
+	r.mu.Lock()
+	s := r.series[family+renderLabels(labels)]
+	r.mu.Unlock()
+	if s == nil || s.kind != kindHistogram || s.h.Count() == 0 {
+		return 0, false
+	}
+	h := s.h
+	rank := q * float64(h.Count())
+	var cum, lower float64
+	for i, bound := range h.bounds {
+		n := float64(h.counts[i].Load())
+		if cum+n >= rank && n > 0 {
+			return lower + (bound-lower)*(rank-cum)/n, true
+		}
+		cum += n
+		lower = bound
+	}
+	return lower, true
+}
+
 // formatValue renders a sample value the way Prometheus text format
 // expects (shortest float64 representation, +Inf/-Inf/NaN spelled out).
 func formatValue(v float64) string {

@@ -77,6 +77,42 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("autoglobe_test_seconds", []float64{0.1, 1, 10}, "stage", "merge")
+	if _, ok := r.Quantile("autoglobe_test_seconds", 0.5, "stage", "merge"); ok {
+		t.Error("empty histogram reported a quantile")
+	}
+	for _, v := range []float64{0.05, 0.1, 0.5, 5, 50} {
+		h.Observe(v)
+	}
+	for _, tc := range []struct{ q, want float64 }{
+		{0.2, 0.05}, // rank 1 of 2 in [0, 0.1]
+		{0.5, 0.55}, // rank 2.5: half-way into the single sample of (0.1, 1]
+		{0.8, 10},   // rank 4: the upper edge of (1, 10]
+		{1, 10},     // past the last bound: the bound
+	} {
+		if got, ok := r.Quantile("autoglobe_test_seconds", tc.q, "stage", "merge"); !ok || math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("q%.1f = %v (ok=%v), want %v", tc.q, got, ok, tc.want)
+		}
+	}
+	// Asking never registers: unknown series and non-histograms are absent.
+	r.Counter("autoglobe_test_total").Inc()
+	before := len(r.Snapshot())
+	if _, ok := r.Quantile("autoglobe_test_seconds", 0.5, "stage", "decide"); ok {
+		t.Error("unknown series reported a quantile")
+	}
+	if _, ok := r.Quantile("autoglobe_test_total", 0.5); ok {
+		t.Error("counter reported a quantile")
+	}
+	if _, ok := (*Registry)(nil).Quantile("autoglobe_test_seconds", 0.5); ok {
+		t.Error("nil registry reported a quantile")
+	}
+	if after := len(r.Snapshot()); after != before {
+		t.Errorf("Quantile registered series: %d -> %d", before, after)
+	}
+}
+
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

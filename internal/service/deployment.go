@@ -349,17 +349,29 @@ func (d *Deployment) UsersOf(svcName string) float64 {
 	return sum
 }
 
-// Validate checks global allocation invariants: instance counts within
-// bounds, all placements individually legal under the constraint set.
-// It is used by tests and by the simulator's self-checks.
+// Validate checks global allocation invariants: every service at or
+// above its MinInstances, and ValidatePlacement. It is used by tests and
+// by the simulator's self-checks.
 func (d *Deployment) Validate() error {
 	for _, name := range d.catalog.Names() {
 		svc, _ := d.catalog.Get(name)
-		n := len(d.byService[name])
-		if n < svc.MinInstances {
+		if n := len(d.byService[name]); n < svc.MinInstances {
 			return fmt.Errorf("service: %q runs %d instances, below minimum %d", name, n, svc.MinInstances)
 		}
-		if svc.MaxInstances > 0 && n > svc.MaxInstances {
+	}
+	return d.ValidatePlacement()
+}
+
+// ValidatePlacement checks the invariants that hold at every moment,
+// faults in flight or not (MinInstances is transiently violable while a
+// dead host's services await their restart): no service above its
+// MaxInstances, and all placements individually legal under the
+// constraint set — a pooled host, exclusivity, one instance of a service
+// per host, MinPerfIndex, memory.
+func (d *Deployment) ValidatePlacement() error {
+	for _, name := range d.catalog.Names() {
+		svc, _ := d.catalog.Get(name)
+		if n := len(d.byService[name]); svc.MaxInstances > 0 && n > svc.MaxInstances {
 			return fmt.Errorf("service: %q runs %d instances, above maximum %d", name, n, svc.MaxInstances)
 		}
 	}

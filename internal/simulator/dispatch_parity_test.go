@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"autoglobe/internal/agent"
 	"autoglobe/internal/service"
 	"autoglobe/internal/wire"
 )
@@ -46,8 +47,8 @@ func TestDispatchWorkersByteIdentical(t *testing.T) {
 			lb.SetCodec(wire.CodecBinary)
 			sim := paperSim(t, func(c *Config) {
 				c.Distributed = &DistributedConfig{
-					Transport:       lb,
-					DispatchWorkers: workers,
+					Transport: lb,
+					Dispatch:  agent.DispatchConfig{Workers: workers},
 				}
 			})
 			res, err := sim.Run()
@@ -81,8 +82,8 @@ func TestDispatchWorkersHTTPByteIdentical(t *testing.T) {
 	tr.Codec = wire.CodecBinary
 	sim := paperSim(t, func(c *Config) {
 		c.Distributed = &DistributedConfig{
-			Transport:       tr,
-			DispatchWorkers: 8,
+			Transport: tr,
+			Dispatch:  agent.DispatchConfig{Workers: 8},
 		}
 	})
 	res, err := sim.Run()

@@ -46,11 +46,7 @@ func FromLandscapeConfig(l *spec.Landscape, adjust func(*Config)) (*Simulator, e
 	for _, inst := range dep.Instances() {
 		inst.Users *= multiplier
 	}
-	mobility := service.ConstrainedMobility // sticky users unless declared
-	if sim.UserRedistribution == "rebalance" {
-		mobility = service.FullMobility
-	}
-	cfg := PaperConfig(mobility, multiplier)
+	cfg := PaperConfig(l.Mobility(), multiplier)
 	if sim.Hours > 0 {
 		cfg.Hours = sim.Hours
 	}

@@ -31,58 +31,14 @@ import (
 // instance is down until the controller restarts it elsewhere), so it
 // is asserted only at convergence points (end of run, quiet tail).
 func (s *Simulator) CheckInvariants(strict bool) error {
-	dep := s.dep
-	cat := dep.Catalog()
-	for _, name := range cat.Names() {
-		svc, _ := cat.Get(name)
-		n := dep.CountOf(name)
-		if svc.MaxInstances > 0 && n > svc.MaxInstances {
-			return fmt.Errorf("simulator: invariant: %q runs %d instances, above maximum %d",
-				name, n, svc.MaxInstances)
-		}
-		if strict && n < svc.MinInstances {
-			return fmt.Errorf("simulator: invariant: %q runs %d instances, below minimum %d",
-				name, n, svc.MinInstances)
-		}
+	check := s.dep.ValidatePlacement
+	if strict {
+		check = s.dep.Validate
 	}
-	for _, hostName := range dep.Cluster().Names() {
-		h, _ := dep.Cluster().Host(hostName)
-		insts := dep.InstancesOn(hostName)
-		seen := make(map[string]bool, len(insts))
-		memUsed := 0
-		for _, inst := range insts {
-			svc, ok := cat.Get(inst.Service)
-			if !ok {
-				return fmt.Errorf("simulator: invariant: instance %s has unknown service %q",
-					inst.ID, inst.Service)
-			}
-			if svc.Exclusive && len(insts) > 1 {
-				return fmt.Errorf("simulator: invariant: exclusive service %q shares host %q",
-					svc.Name, hostName)
-			}
-			if seen[inst.Service] {
-				return fmt.Errorf("simulator: invariant: two instances of %q on host %q",
-					inst.Service, hostName)
-			}
-			seen[inst.Service] = true
-			if !svc.CanRunOn(h) {
-				return fmt.Errorf("simulator: invariant: %q on %q violates minimum performance index %g",
-					svc.Name, hostName, svc.MinPerfIndex)
-			}
-			memUsed += svc.MemoryMBPerInstance
-		}
-		if memUsed > h.MemoryMB {
-			return fmt.Errorf("simulator: invariant: host %q memory oversubscribed: %d MB > %d MB",
-				hostName, memUsed, h.MemoryMB)
-		}
+	if err := check(); err != nil {
+		return fmt.Errorf("simulator: invariant: %w", err)
 	}
-	for _, inst := range dep.Instances() {
-		if _, ok := dep.Cluster().Host(inst.Host); !ok {
-			return fmt.Errorf("simulator: invariant: instance %s placed on unpooled host %q",
-				inst.ID, inst.Host)
-		}
-	}
-	if s.plane != nil {
+	if s.mgr.Plane != nil {
 		return s.checkAgentConsistency()
 	}
 	return nil
@@ -101,7 +57,7 @@ func (s *Simulator) checkAgentConsistency() error {
 		if s.everDemoted[hostName] {
 			continue
 		}
-		a, ok := s.plane.Agent(hostName)
+		a, ok := s.mgr.Plane.Agent(hostName)
 		if !ok {
 			return fmt.Errorf("simulator: invariant: pooled host %q has no agent", hostName)
 		}

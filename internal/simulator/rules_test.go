@@ -54,13 +54,13 @@ func TestHotSwapIdenticalBaseMidRunByteIdentical(t *testing.T) {
 	minutes := sim.cfg.Hours * 60
 	for m := 0; m < minutes; m++ {
 		if m == minutes/2 {
-			swapDefaults(t, sim.ctl)
+			swapDefaults(t, sim.Controller())
 		}
 		if err := sim.Step(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sim.res.Actions = sim.ctl.Events()
+	sim.res.Actions = sim.Controller().Events()
 	assertIdentical(t, base, sim.res, "identical-base mid-run swap")
 }
 
@@ -108,7 +108,7 @@ func TestShadowRulesDiffOnSimulatedDay(t *testing.T) {
 	}
 	assertIdentical(t, base, res, "shadow-evaluated run")
 
-	st := sim.ctl.ShadowStats()
+	st := sim.Controller().ShadowStats()
 	if st.Evals == 0 {
 		t.Fatal("shadow candidate was never evaluated — the diff claim is vacuous")
 	}

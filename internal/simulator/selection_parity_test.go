@@ -1,34 +1,6 @@
 package simulator
 
-import (
-	"fmt"
-	"testing"
-)
-
-// TestSelectionWorkersByteIdentical is the determinism proof of
-// parallel server selection: the worker count is purely a throughput
-// knob. Candidate enumeration order is fixed by the placement index,
-// the argmax comparator is a strict total order over hosts, and the
-// per-chunk bests reduce with that same comparator — so a paper day
-// decided with 1 scoring worker and with 8 must produce byte-identical
-// runs, both equal to the serial default.
-func TestSelectionWorkersByteIdentical(t *testing.T) {
-	base, err := paperSim(t, nil).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			res, err := paperSim(t, func(c *Config) {
-				c.Controller.SelectionWorkers = workers
-			}).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, base, res, fmt.Sprintf("%d selection workers", workers))
-		})
-	}
-}
+import "testing"
 
 // TestPlacementIndexByteIdentical pins that the feasibility index is an
 // access-path change only: a paper day decided through the incremental

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 
+	"autoglobe/internal/service"
 	"autoglobe/internal/workload"
 )
 
@@ -70,6 +71,16 @@ func (p ProfileSpec) BuildProfile() (*workload.Profile, error) {
 		return nil, fmt.Errorf("spec: profile for %q: %w", p.Service, err)
 	}
 	return prof, nil
+}
+
+// Mobility is the declared user-redistribution policy as a mobility
+// scenario: "rebalance" is full mobility; "sticky", or no <simulation>
+// section at all, is constrained mobility.
+func (l *Landscape) Mobility() service.Mobility {
+	if l.Simulation != nil && l.Simulation.UserRedistribution == "rebalance" {
+		return service.FullMobility
+	}
+	return service.ConstrainedMobility
 }
 
 // validateSimulation checks the simulation section against the declared
