@@ -95,7 +95,11 @@ func runReplay(args []string) {
 	samples, diffs, reported := 0, 0, 0
 	shifts := make(map[string]int)
 	for _, entity := range entities {
-		for _, s := range arch.Window(entity, *from, *to) {
+		window, err := arch.Window(entity, *from, *to)
+		if err != nil {
+			fatal(err)
+		}
+		for _, s := range window {
 			samples++
 			for _, v := range vars {
 				inputs[v] = defaults[v]

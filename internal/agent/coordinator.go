@@ -271,22 +271,29 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 	c.shards.Store(newShards(DefaultIngestShards))
 	c.orderStale.Store(true)
 	dep.Cluster().Watch(func(cluster.Host, bool) { c.orderStale.Store(true) })
-	// Warm the archive and the slot tables: every current host, instance
-	// and service gets its full-capacity ring and its slot up front, so
-	// the first minute's ingest is as allocation-free as the thousandth.
-	arch := lms.Archive()
-	names := dep.Catalog().Names()
+	// Warm the archive and the slot tables: every current service, host
+	// and instance gets its ring and day profile — one slab for all of
+	// them — and its slot up front, so the first minute's ingest is as
+	// allocation-free as the thousandth.
+	names, hosts := dep.Catalog().Names(), dep.Cluster().Names()
+	keys := make([]string, 0, len(names)+3*len(hosts))
 	c.svcs = make([]svcSlot, len(names))
 	for i, svc := range names {
 		c.svcs[i] = svcSlot{watchReg: watchReg{key: archive.ServiceEntity(svc)}, name: svc}
 		c.svcIndex[svc] = &c.svcs[i]
-		arch.Preallocate(c.svcs[i].key)
+		keys = append(keys, c.svcs[i].key)
 	}
-	for _, h := range dep.Cluster().Names() {
-		arch.Preallocate(c.hostSlotLocked(h).key)
+	var insts []*service.Instance
+	for _, h := range hosts {
+		keys = append(keys, c.hostSlotLocked(h).key)
 		for _, inst := range dep.InstancesOn(h) {
-			c.instSlotLocked(inst.ID, inst.Service)
+			keys = append(keys, archive.InstanceEntity(inst.ID))
+			insts = append(insts, inst)
 		}
+	}
+	lms.Archive().Preallocate(keys...)
+	for _, inst := range insts {
+		c.instSlotLocked(inst.ID, inst.Service)
 	}
 	if err := tr.Listen(node, c.Handle); err != nil {
 		return nil, err

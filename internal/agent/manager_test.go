@@ -7,12 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"autoglobe/internal/archive"
 	"autoglobe/internal/cluster"
 	"autoglobe/internal/controller"
 	"autoglobe/internal/journal"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
+	"autoglobe/internal/tsdb"
 	"autoglobe/internal/wire"
 )
 
@@ -381,6 +383,66 @@ func TestMinuteZeroAlloc(t *testing.T) {
 		if n := snap[MetricMinuteStage+`_count{stage="`+stage+`"}`]; n != want {
 			t.Errorf("%s{stage=%s} timed %v runs, want %v", MetricMinuteStage, stage, n, want)
 		}
+	}
+}
+
+// TestWatchReadsStayInMemory runs 150 minutes of the 1,007-host fleet
+// over a backed archive — past its 128-sample rings, which evict from
+// minute 128 on — with one host in forty overloaded, so that triggers
+// are confirmed and every inference reads its watchTime averages. None
+// of those reads may continue into the store: the hot window is sized to
+// them, and autoglobe_archive_deep_reads_total is how an operator sees
+// that it still is.
+func TestWatchReadsStayInMemory(t *testing.T) {
+	dep := tiledDeployment(t, 53)
+	lb := wire.NewLoopback()
+	defer lb.Close()
+	lb.SetCodec(wire.CodecBinary)
+	reg := obs.NewRegistry()
+	m, err := NewLocalManager(Assembly{
+		Plane:      PlaneConfig{Transport: lb},
+		Monitor:    monitor.PaperParams(),
+		Mobility:   service.FullMobility,
+		ArchiveDir: t.TempDir(),
+		Store:      tsdb.Options{NoSync: true},
+		Obs:        reg,
+	}, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	hosts := dep.Cluster().Names()
+	report := func(ctx context.Context, minute int) error {
+		for i, h := range hosts {
+			rep, _ := m.Plane.Reporter(h)
+			load := 0.4
+			if i%40 == 0 {
+				load = 0.95
+			}
+			rep.Begin(minute, load, 0.3)
+			for _, inst := range dep.InstancesOn(h) {
+				rep.Sample(inst.ID, inst.Service, load)
+			}
+			if err := rep.Send(ctx); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for minute := 0; minute < 150; minute++ {
+		if _, err := m.Minute(context.Background(), minute, report); err != nil {
+			t.Fatalf("minute %d: %v", minute, err)
+		}
+	}
+	snap := reg.Snapshot()
+	if n := snap[controller.MetricInference+"_count"]; n < 100 {
+		t.Fatalf("%v inferences in 150 minutes: too few watch windows were read to say anything", n)
+	}
+	if n := snap[archive.MetricDeepReads]; n != 0 {
+		t.Errorf("%s = %v after 150 minutes, want 0: a watchTime read left the memory tier", archive.MetricDeepReads, n)
+	}
+	if got, want := snap[archive.MetricEntities], float64(len(m.Archive.Entities())); got != want || want < 2000 {
+		t.Errorf("%s = %v, the archive holds %v entities", archive.MetricEntities, got, want)
 	}
 }
 

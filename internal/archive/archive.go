@@ -3,16 +3,24 @@
 // the average load of services during their watchTime and to initialize
 // all resource variables of the fuzzy controller."
 //
-// The archive keeps, per monitored entity, a bounded window of raw
+// The archive keeps, per monitored entity, the last `retention` raw
 // per-minute samples plus an aggregated day profile (running mean per
 // minute of day across all observed days). The day profile is the input
 // of the load-forecasting extension (paper Section 7).
+//
+// In memory are the day profile and a ring of the newest samples. An
+// in-memory archive (New) has nowhere else to keep history, so its ring
+// holds the whole retention. A backed archive (NewBacked) writes every
+// sample through to a tsdb store, so its ring is a window sized to the
+// hot readers (watchTime averages, Latest) and a read reaching further
+// back continues into the store. One ring, one read path, two capacities.
 package archive
 
 import (
 	"fmt"
 	"sort"
 
+	"autoglobe/internal/obs"
 	"autoglobe/internal/tsdb"
 )
 
@@ -40,22 +48,24 @@ type Sample struct {
 	Mem    float64 // memory load in [0, 1]
 }
 
-// entityLog is the per-entity state.
-type entityLog struct {
-	name    string
-	samples []Sample // ring buffer, oldest first
-	head    int      // index of oldest element when full
-	full    bool
+// dayCell is one minute of day of the aggregated day profile: the CPU
+// sum, the running mean and the observation count, interleaved so that
+// one Record — and one forecast step, which reads mean and count —
+// touches a single cache line. The mean is maintained incrementally, so
+// the controller's hot read path (ProfileAt) is a plain array load.
+type dayCell struct {
+	sum, mean float64
+	n         int
+}
 
-	// day is the aggregated day profile: per minute of day the CPU sum,
-	// the observation count and the running mean, interleaved so that one
-	// Record — and one forecast step, which reads mean and count —
-	// touches a single cache line. The mean is maintained incrementally,
-	// so the controller's hot read path (ProfileAt) is a plain array load.
-	day [MinutesPerDay]struct {
-		sum, mean float64
-		n         int
-	}
+// entityLog is the per-entity header. The bulk — ring and day profile —
+// lives in pointer-free slabs the collector marks but never scans.
+type entityLog struct {
+	name     string
+	ring     []Sample // newest samples; chronological from head once full
+	head     int      // index of the oldest sample once the ring is full
+	ingested int      // samples ever ingested; past cap(ring) the oldest are evicted
+	day      *[MinutesPerDay]dayCell
 	// dayMost is the deepest day[].n slot. Counts never decrease, so a
 	// running max kept by ingest is exact and DaysObserved is one load.
 	dayMost int
@@ -72,9 +82,18 @@ func slot(minute int) int {
 // value is not usable; construct with New (in-memory only) or
 // NewBacked (write-through to a disk store).
 type Archive struct {
-	retention int // raw samples kept per entity
+	retention int // raw samples kept per entity, both tiers together
+	window    int // ring capacity: retention in memory, at most hotWindow when backed
 	entities  map[string]*entityLog
 	store     *tsdb.Store // nil for a pure in-memory archive
+
+	// Unused tails of the slabs entities are carved from.
+	logs  []entityLog
+	days  [][MinutesPerDay]dayCell
+	rings []Sample
+
+	deepReads *obs.Counter
+	entityNum *obs.Gauge
 }
 
 // DefaultRetention keeps three simulated days of per-minute samples,
@@ -87,27 +106,50 @@ func New(retention int) *Archive {
 	if retention <= 0 {
 		retention = DefaultRetention
 	}
-	return &Archive{retention: retention, entities: make(map[string]*entityLog)}
+	return &Archive{retention: retention, window: retention, entities: make(map[string]*entityLog)}
+}
+
+// grow replaces the slabs with fresh ones for exactly n entities.
+func (a *Archive) grow(n int) {
+	a.logs = make([]entityLog, n)
+	a.days = make([][MinutesPerDay]dayCell, n)
+	a.rings = make([]Sample, n*a.window)
 }
 
 func (a *Archive) log(entity string) *entityLog {
 	l, ok := a.entities[entity]
 	if !ok {
-		l = &entityLog{name: entity, samples: make([]Sample, 0, a.retention)}
+		if len(a.logs) == 0 {
+			a.grow(1)
+		}
+		l = &a.logs[0]
+		*l = entityLog{name: entity, ring: a.rings[:0:a.window], day: &a.days[0]}
+		a.logs, a.days, a.rings = a.logs[1:], a.days[1:], a.rings[a.window:]
 		a.entities[entity] = l
+		a.entityNum.Set(float64(len(a.entities)))
 	}
 	return l
 }
 
-// Preallocate creates the rings for the given entities up front, each
-// at its full retention capacity. Every per-entity ring is always
-// allocated at full capacity on first touch, so steady-state recording
-// never grows a slice; preallocating additionally moves the one-time
-// map insert and ring allocation out of the ingest hot path — a
-// coordinator expecting a 1,000-host landscape warms the archive
-// before the first heartbeat arrives and then records allocation-free
-// from minute zero.
+// Preallocate creates the given entities up front: those not yet known
+// get header, day profile (34,560 B) and ring (24 B × retention in
+// memory; × hotWindow, 3 KB, when backed) carved from one slab each,
+// sized exactly for them — three allocations and three clears however
+// many entities. Every ring has its full capacity from first touch, so
+// steady-state recording never grows a slice; a coordinator expecting a
+// 1,000-host landscape warms the archive before the first heartbeat and
+// records allocation-free from minute zero. An entity first seen later
+// is allocated on its own.
 func (a *Archive) Preallocate(entities ...string) {
+	n := 0
+	for _, e := range entities {
+		if _, ok := a.entities[e]; !ok {
+			n++
+		}
+	}
+	if n > len(a.logs) {
+		a.grow(n)
+	}
 	for _, e := range entities {
 		a.log(e)
 	}
@@ -121,11 +163,12 @@ func (a *Archive) Record(entity string, s Sample) error { return a.Resolve(entit
 
 // Record stores a measurement through a handle from Resolve. Samples
 // must be recorded in non-decreasing minute order per entity. On a backed
-// archive the sample is also appended write-through to the disk store
-// (durable at the next Commit); the in-memory ring stays the hot tier.
+// archive the sample is first appended write-through to the disk store
+// (durable at the next Commit), so the store always holds what the ring
+// holds and everything the ring has evicted.
 func (e Entity) Record(s Sample) error {
 	a, l := e.a, e.l
-	if a == nil {
+	if l == &noEntity {
 		return fmt.Errorf("archive: Record through a read-only entity handle")
 	}
 	if last, ok := l.latest(); ok && s.Minute < last.Minute {
@@ -144,13 +187,15 @@ func (e Entity) Record(s Sample) error {
 // the live Record path and the replay path of a backed archive (which
 // must not write back through to the store it is replaying).
 func (a *Archive) ingest(l *entityLog, s Sample) {
-	if len(l.samples) < a.retention {
-		l.samples = append(l.samples, s)
+	if len(l.ring) < cap(l.ring) {
+		l.ring = append(l.ring, s)
 	} else {
-		l.samples[l.head] = s
-		l.head = (l.head + 1) % a.retention
-		l.full = true
+		l.ring[l.head] = s
+		if l.head++; l.head == len(l.ring) {
+			l.head = 0
+		}
 	}
+	l.ingested++
 	d := &l.day[slot(s.Minute)]
 	d.sum += s.CPU
 	d.n++
@@ -160,17 +205,30 @@ func (a *Archive) ingest(l *entityLog, s Sample) {
 	}
 }
 
-// latest returns the newest sample of the ring (a full ring holds
-// exactly retention samples, so its length is the modulus).
+// at returns the i-th oldest sample of the ring, 0 <= i < len(l.ring).
+// head stays 0 until the ring is full, so one rule serves both states.
+func (l *entityLog) at(i int) Sample {
+	if i += l.head; i >= len(l.ring) {
+		i -= len(l.ring)
+	}
+	return l.ring[i]
+}
+
+// latest returns the newest sample of the ring.
 func (l *entityLog) latest() (Sample, bool) {
-	n := len(l.samples)
-	if n == 0 {
+	if len(l.ring) == 0 {
 		return Sample{}, false
 	}
-	if !l.full {
-		return l.samples[n-1], true
-	}
-	return l.samples[(l.head-1+n)%n], true
+	return l.at(len(l.ring) - 1), true
+}
+
+// search returns the chronological index of the first ring sample at or
+// after minute m — strictly after it when after is set.
+func (l *entityLog) search(m int, after bool) int {
+	return sort.Search(len(l.ring), func(i int) bool {
+		at := l.at(i).Minute
+		return at > m || at == m && !after
+	})
 }
 
 // Entity is a resolved handle on one entity: the string-keyed lookup is
@@ -182,28 +240,31 @@ func (l *entityLog) latest() (Sample, bool) {
 // reads as empty through a read-only handle that does not follow a
 // later first Record.
 type Entity struct {
-	a *Archive // nil: read-only handle of an unknown entity
-	l *entityLog
+	a *Archive
+	l *entityLog // &noEntity: read-only handle of an unknown entity
 }
 
 // noEntity is what an unknown entity reads as. Never written: ingest
 // only reaches logs created by Archive.log.
-var noEntity entityLog
+var noEntity = entityLog{day: new([MinutesPerDay]dayCell)}
 
 // Entity resolves the handle of an entity without creating it.
 func (a *Archive) Entity(entity string) Entity {
 	if l, ok := a.entities[entity]; ok {
 		return Entity{a, l}
 	}
-	return Entity{nil, &noEntity}
+	return Entity{a, &noEntity}
 }
 
 // Resolve returns the handle of an entity, creating its (empty) log —
-// ring at full capacity, as Preallocate does — on first sight.
+// ring at full capacity, allocated on its own — on first sight.
 func (a *Archive) Resolve(entity string) Entity { return Entity{a, a.log(entity)} }
 
-// Len returns the number of raw samples currently retained.
-func (e Entity) Len() int { return len(e.l.samples) }
+// Len returns the number of raw samples currently retained, ring and
+// store together: min(ingested, retention), from a counter — the
+// forecast's minimum-history gate must not depend on how much history
+// is in memory. A reopened backed archive counts what it replays.
+func (e Entity) Len() int { return min(e.l.ingested, e.a.retention) }
 
 // Latest returns the most recent sample.
 func (e Entity) Latest() (Sample, bool) { return e.l.latest() }
@@ -237,75 +298,94 @@ func (a *Archive) LastMinute() (int, bool) {
 	return last, ok
 }
 
-// Window returns the samples of an entity with from <= Minute <= to, in
-// chronological order.
-func (a *Archive) Window(entity string, from, to int) []Sample {
-	l, ok := a.entities[entity]
-	if !ok {
-		return nil
+// span resolves a read of the minutes from..to (inclusive) against the
+// two tiers: samples only the store still holds are streamed to deep,
+// oldest first; lo..hi is the chronological index range (see at) of the
+// ring samples that follow them. Only a backed archive whose ring has
+// evicted reads deep, and only minutes above latest − retention:
+// retention there is by minute, so an answer never depends on when the
+// hourly compaction last ran (a gap-free series reads exactly as from a
+// retention-sized ring). Minutes may repeat, so the ring's oldest minute
+// can straddle the eviction edge: the store serves that minute whole and
+// the ring starts after it. A failed store read is an error, never "no
+// samples".
+func (a *Archive) span(l *entityLog, from, to int, deep func(tsdb.Sample)) (lo, hi int, err error) {
+	if n := len(l.ring); a.store != nil && l.ingested > n {
+		oldest, newest := l.at(0).Minute, l.at(n-1).Minute
+		if dlo, dhi := max(from, newest-a.retention+1), min(to, oldest); dlo <= dhi {
+			a.deepReads.Inc()
+			if err := a.store.ForEachMinute(l.name, dlo, dhi+1, deep); err != nil {
+				return 0, 0, fmt.Errorf("archive: %q: minutes %d..%d: %w", l.name, dlo, dhi, err)
+			}
+			from = oldest + 1
+		}
 	}
-	ordered := a.ordered(l)
-	lo := sort.Search(len(ordered), func(i int) bool { return ordered[i].Minute >= from })
-	hi := sort.Search(len(ordered), func(i int) bool { return ordered[i].Minute > to })
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Sample, hi-lo)
-	copy(out, ordered[lo:hi])
-	return out
+	lo = l.search(from, false)
+	return lo, max(lo, l.search(to, true)), nil
 }
 
-// ordered returns the ring buffer in chronological order.
-func (a *Archive) ordered(l *entityLog) []Sample {
-	if !l.full {
-		return l.samples
+// Window returns the samples of an entity with from <= Minute <= to, in
+// chronological order, copying only that range. What a backed archive's
+// ring no longer holds is read from the store; the error is the store's
+// (closed, a failed disk read) and never arises on an in-memory archive.
+func (a *Archive) Window(entity string, from, to int) ([]Sample, error) {
+	l := a.Entity(entity).l
+	var out []Sample
+	lo, hi, err := a.span(l, from, to, func(s tsdb.Sample) { out = append(out, Sample(s)) })
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Sample, 0, len(l.samples))
-	out = append(out, l.samples[l.head:]...)
-	out = append(out, l.samples[:l.head]...)
-	return out
+	for i := lo; i < hi; i++ {
+		out = append(out, l.at(i))
+	}
+	return out, nil
+}
+
+// sums adds up the CPU and memory loads over the window from..to in
+// chronological order — in place, without copying the window.
+func (a *Archive) sums(entity string, from, to int) (cpu, mem float64, n int, err error) {
+	l := a.Entity(entity).l
+	lo, hi, err := a.span(l, from, to, func(s tsdb.Sample) { cpu, mem, n = cpu+s.CPU, mem+s.Mem, n+1 })
+	for i := lo; i < hi; i++ {
+		s := l.at(i)
+		cpu, mem = cpu+s.CPU, mem+s.Mem
+	}
+	return cpu, mem, n + hi - lo, err
 }
 
 // AverageCPU returns the mean CPU load of an entity over the window
 // from..to (inclusive), which is how the controller initializes its load
 // variables with watchTime averages. ok is false when no samples fall in
-// the window.
-func (a *Archive) AverageCPU(entity string, from, to int) (avg float64, ok bool) {
-	w := a.Window(entity, from, to)
-	if len(w) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, s := range w {
-		sum += s.CPU
-	}
-	return sum / float64(len(w)), true
+// the window; err is Window's.
+func (a *Archive) AverageCPU(entity string, from, to int) (avg float64, ok bool, err error) {
+	cpu, _, n, err := a.sums(entity, from, to)
+	return mean(cpu, n, err)
 }
 
 // AverageMem returns the mean memory load over the window.
-func (a *Archive) AverageMem(entity string, from, to int) (avg float64, ok bool) {
-	w := a.Window(entity, from, to)
-	if len(w) == 0 {
-		return 0, false
+func (a *Archive) AverageMem(entity string, from, to int) (avg float64, ok bool, err error) {
+	_, mem, n, err := a.sums(entity, from, to)
+	return mean(mem, n, err)
+}
+
+func mean(sum float64, n int, err error) (float64, bool, error) {
+	if n == 0 || err != nil {
+		return 0, false, err
 	}
-	var sum float64
-	for _, s := range w {
-		sum += s.Mem
-	}
-	return sum / float64(len(w)), true
+	return sum / float64(n), true, nil
 }
 
 // PercentileCPU returns the p-quantile (0 < p <= 1) of the CPU load
 // over the window from..to, with linear interpolation between order
 // statistics. Operators read tail quantiles (p95/p99) off the console
-// to judge response-time risk, which mean loads hide.
-func (a *Archive) PercentileCPU(entity string, from, to int, p float64) (float64, bool) {
+// to judge response-time risk, which mean loads hide. err is Window's.
+func (a *Archive) PercentileCPU(entity string, from, to int, p float64) (float64, bool, error) {
 	if p <= 0 || p > 1 {
-		return 0, false
+		return 0, false, nil
 	}
-	w := a.Window(entity, from, to)
+	w, err := a.Window(entity, from, to)
 	if len(w) == 0 {
-		return 0, false
+		return 0, false, err
 	}
 	vals := make([]float64, len(w))
 	for i, s := range w {
@@ -313,15 +393,15 @@ func (a *Archive) PercentileCPU(entity string, from, to int, p float64) (float64
 	}
 	sort.Float64s(vals)
 	if len(vals) == 1 {
-		return vals[0], true
+		return vals[0], true, nil
 	}
 	pos := p * float64(len(vals)-1)
 	lo := int(pos)
 	if lo >= len(vals)-1 {
-		return vals[len(vals)-1], true
+		return vals[len(vals)-1], true, nil
 	}
 	frac := pos - float64(lo)
-	return vals[lo] + frac*(vals[lo+1]-vals[lo]), true
+	return vals[lo] + frac*(vals[lo+1]-vals[lo]), true, nil
 }
 
 // DayProfile returns the aggregated mean CPU load per minute of day —
@@ -373,5 +453,5 @@ func (a *Archive) Entities() []string {
 	return out
 }
 
-// Len returns the number of raw samples currently retained for entity.
+// Len is Entity(entity).Len().
 func (a *Archive) Len(entity string) int { return a.Entity(entity).Len() }

@@ -40,22 +40,22 @@ func TestWindowAndAverage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w := a.Window("x", 3, 6)
+	w, _ := a.Window("x", 3, 6)
 	if len(w) != 4 || w[0].Minute != 3 || w[3].Minute != 6 {
 		t.Fatalf("Window(3,6) = %+v", w)
 	}
-	avg, ok := a.AverageCPU("x", 3, 6)
+	avg, ok, _ := a.AverageCPU("x", 3, 6)
 	if !ok || math.Abs(avg-0.45) > 1e-9 {
 		t.Errorf("AverageCPU = %g, want 0.45", avg)
 	}
-	mem, ok := a.AverageMem("x", 0, 9)
+	mem, ok, _ := a.AverageMem("x", 0, 9)
 	if !ok || math.Abs(mem-0.5) > 1e-9 {
 		t.Errorf("AverageMem = %g, want 0.5", mem)
 	}
-	if _, ok := a.AverageCPU("x", 100, 200); ok {
+	if _, ok, _ := a.AverageCPU("x", 100, 200); ok {
 		t.Error("empty window reported ok")
 	}
-	if w := a.Window("ghost", 0, 10); w != nil {
+	if w, _ := a.Window("ghost", 0, 10); w != nil {
 		t.Error("unknown entity window not nil")
 	}
 }
@@ -70,7 +70,7 @@ func TestRingBufferEviction(t *testing.T) {
 	if a.Len("x") != 5 {
 		t.Fatalf("Len = %d, want 5", a.Len("x"))
 	}
-	w := a.Window("x", 0, 100)
+	w, _ := a.Window("x", 0, 100)
 	if len(w) != 5 || w[0].Minute != 7 || w[4].Minute != 11 {
 		t.Fatalf("window after eviction = %+v", w)
 	}
@@ -142,23 +142,23 @@ func TestPercentileCPU(t *testing.T) {
 		{0.5, 0.495}, {0.95, 0.9405}, {1.0, 0.99},
 	}
 	for _, c := range cases {
-		got, ok := a.PercentileCPU("x", 0, 99, c.p)
+		got, ok, _ := a.PercentileCPU("x", 0, 99, c.p)
 		if !ok || math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("p%.0f = %g (ok=%v), want %g", c.p*100, got, ok, c.want)
 		}
 	}
-	if _, ok := a.PercentileCPU("x", 0, 99, 0); ok {
+	if _, ok, _ := a.PercentileCPU("x", 0, 99, 0); ok {
 		t.Error("p0 accepted")
 	}
-	if _, ok := a.PercentileCPU("x", 0, 99, 1.1); ok {
+	if _, ok, _ := a.PercentileCPU("x", 0, 99, 1.1); ok {
 		t.Error("p>1 accepted")
 	}
-	if _, ok := a.PercentileCPU("ghost", 0, 99, 0.5); ok {
+	if _, ok, _ := a.PercentileCPU("ghost", 0, 99, 0.5); ok {
 		t.Error("unknown entity reported ok")
 	}
 	// Single sample: every quantile is that sample.
 	a.Record("one", Sample{Minute: 0, CPU: 0.42})
-	if got, ok := a.PercentileCPU("one", 0, 0, 0.95); !ok || got != 0.42 {
+	if got, ok, _ := a.PercentileCPU("one", 0, 0, 0.95); !ok || got != 0.42 {
 		t.Errorf("single-sample p95 = %g", got)
 	}
 }
@@ -189,7 +189,7 @@ func TestPropPercentileMonotone(t *testing.T) {
 		}
 		prev := -1.0
 		for _, p := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
-			q, ok := a.PercentileCPU("x", 0, len(raw), p)
+			q, ok, _ := a.PercentileCPU("x", 0, len(raw), p)
 			if !ok || q < prev-1e-12 || q < lo-1e-9 || q > hi+1e-9 {
 				return false
 			}
@@ -228,7 +228,7 @@ func TestPropWindowAverageWithinBounds(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		avg, ok := a.AverageCPU("x", 0, len(raw))
+		avg, ok, _ := a.AverageCPU("x", 0, len(raw))
 		return ok && avg >= lo-1e-9 && avg <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -7,6 +7,11 @@ import (
 	"autoglobe/internal/tsdb"
 )
 
+// hotWindow is the ring capacity of a backed archive, in samples: six
+// times the paper's longest watchTime (20 minutes), 3 KB an entity. It
+// only decides which tier serves a read, never what the read returns.
+const hotWindow = 128
+
 // NewBacked opens (or recovers) a disk-backed archive: every Record is
 // written through to a segmented tsdb store in dir, and opening an
 // existing directory replays the persisted history — the in-memory
@@ -16,10 +21,14 @@ import (
 // crashed with (for history still at minute resolution; the store
 // compacts only data older than the retention window).
 //
-// The in-memory rings remain the hot tier: every read API of Archive
-// is served from memory exactly as with New. The store adds
-// durability, deeper history for the forecaster, and the minute →
-// hour → day downsampling tiers.
+// In memory are the day profiles and, per entity, a ring of the newest
+// hotWindow samples: Latest, LastMinute, Len, the profile reads and
+// every watchTime average are served from there and cannot fail. Older
+// samples are in the store only; Window, AverageCPU, AverageMem and
+// PercentileCPU continue into it (sealed blocks through its hot-block
+// cache, then its open buffer) when asked for minutes the ring has
+// evicted, and return its error if it fails. The store also adds
+// durability and the minute → hour → day downsampling tiers.
 func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 	st, err := tsdb.Open(dir, opts)
 	if err != nil {
@@ -27,7 +36,10 @@ func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 	}
 	a := New(retention)
 	a.store = st
-	for _, entity := range st.Entities() {
+	a.window = min(hotWindow, a.retention)
+	names := st.Entities()
+	a.Preallocate(names...)
+	for _, entity := range names {
 		l := a.log(entity)
 		if err := st.ForEachMinute(entity, 0, math.MaxInt, func(s tsdb.Sample) {
 			a.ingest(l, Sample{Minute: s.Minute, CPU: s.CPU, Mem: s.Mem})
@@ -75,18 +87,23 @@ func (a *Archive) Maintain(minute int) error {
 	return nil
 }
 
-// Instrument attaches an obs registry to the backing store (archive
-// segments, compactions, cache hit ratio, disk footprint). Attach-only
-// and nil-safe; a no-op on an in-memory archive.
+// Instrument attaches an obs registry: entities held, reads that
+// continued into the backing store, and the store's own families
+// (segments, compactions, cache hits, disk). Attach-only and nil-safe.
 func (a *Archive) Instrument(r *obs.Registry) {
+	r.Help(MetricDeepReads, "Reads that continued below the in-memory window into the store.")
+	r.Help(MetricEntities, "Entities held: a ring and a day profile each.")
+	a.deepReads = r.Counter(MetricDeepReads)
+	a.entityNum = r.Gauge(MetricEntities)
+	a.entityNum.Set(float64(len(a.entities)))
 	if a.store != nil {
 		a.store.Instrument(r)
 	}
 }
 
 // Close commits buffered samples and closes the backing store. The
-// in-memory view stays readable; further Records fail. A no-op on an
-// in-memory archive.
+// in-memory tier stays readable; further Records, and reads that would
+// continue into the store, fail. A no-op on an in-memory archive.
 func (a *Archive) Close() error {
 	if a.store == nil {
 		return nil

@@ -68,8 +68,14 @@ func TestBackedArchiveSurvivesCrash(t *testing.T) {
 		if a.Len(entity) != re.Len(entity) {
 			t.Fatalf("%s: ring length %d after recovery, want %d", entity, re.Len(entity), a.Len(entity))
 		}
-		bw := a.Window(entity, 0, MinutesPerDay)
-		rw := re.Window(entity, 0, MinutesPerDay)
+		bw, err := a.Window(entity, 0, MinutesPerDay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, err := re.Window(entity, 0, MinutesPerDay)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range bw {
 			if bw[i] != rw[i] {
 				t.Fatalf("%s: ring sample %d diverges: %+v != %+v", entity, i, rw[i], bw[i])

@@ -11,17 +11,29 @@ func BenchmarkRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkAverageWatchWindow is the controller's typical query, a
+// 10-minute watch window ending now: on a ring filled exactly to its
+// capacity (three days), and on one that has wrapped (one sample more —
+// where every call used to copy the whole ring first: 103,680 B).
 func BenchmarkAverageWatchWindow(b *testing.B) {
-	a := New(0)
-	for m := 0; m < 3*MinutesPerDay; m++ {
-		a.Record("h", Sample{Minute: m, CPU: 0.5})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The controller's typical query: a 10-minute watch window.
-		if _, ok := a.AverageCPU("h", 2*MinutesPerDay, 2*MinutesPerDay+10); !ok {
-			b.Fatal("no data")
-		}
+	for _, c := range []struct {
+		name    string
+		samples int
+	}{{"exact-ring", DefaultRetention}, {"full-ring", DefaultRetention + 1}} {
+		samples := c.samples
+		b.Run(c.name, func(b *testing.B) {
+			a := New(0)
+			for m := 0; m < samples; m++ {
+				a.Record("h", Sample{Minute: m, CPU: 0.5})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok, _ := a.AverageCPU("h", samples-11, samples-1); !ok {
+					b.Fatal("no data")
+				}
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ func TestRingBoundaries(t *testing.T) {
 	if got := a.Len(e); got != retention {
 		t.Fatalf("Len = %d, want %d", got, retention)
 	}
-	if w := a.Window(e, 0, retention-1); len(w) != retention || w[0].Minute != 0 {
+	if w, _ := a.Window(e, 0, retention-1); len(w) != retention || w[0].Minute != 0 {
 		t.Fatalf("window before wraparound = %+v", w)
 	}
 
@@ -33,7 +33,7 @@ func TestRingBoundaries(t *testing.T) {
 	if got := a.Len(e); got != retention {
 		t.Fatalf("Len after wrap = %d, want %d", got, retention)
 	}
-	w := a.Window(e, 0, retention)
+	w, _ := a.Window(e, 0, retention)
 	if len(w) != retention {
 		t.Fatalf("window after wrap has %d samples, want %d", len(w), retention)
 	}
@@ -54,7 +54,7 @@ func TestRingBoundaries(t *testing.T) {
 		if s, ok := a.Latest(e); !ok || s.Minute != m {
 			t.Fatalf("Latest at minute %d = %+v", m, s)
 		}
-		w := a.Window(e, 0, m)
+		w, _ := a.Window(e, 0, m)
 		if len(w) != retention {
 			t.Fatalf("minute %d: window has %d samples", m, len(w))
 		}
@@ -196,7 +196,8 @@ func TestRingMatchesNaive(t *testing.T) {
 		// Random window, occasionally degenerate or fully in the past.
 		from := minute[e] - rng.Intn(2*retention)
 		to := from + rng.Intn(2*retention)
-		gotW, wantW := a.Window(e, from, to), n.window(e, from, to)
+		gotW, _ := a.Window(e, from, to)
+		wantW := n.window(e, from, to)
 		if len(gotW) != len(wantW) {
 			t.Fatalf("step %d: window(%s,%d,%d) has %d samples, naive %d",
 				step, e, from, to, len(gotW), len(wantW))
@@ -206,7 +207,7 @@ func TestRingMatchesNaive(t *testing.T) {
 				t.Fatalf("step %d: window[%d] = %+v, naive %+v", step, i, gotW[i], wantW[i])
 			}
 		}
-		gotAvg, gotOK := a.AverageCPU(e, from, to)
+		gotAvg, gotOK, _ := a.AverageCPU(e, from, to)
 		wantAvg, wantOK := n.averageCPU(e, from, to)
 		if gotOK != wantOK || !approxEqual(gotAvg, wantAvg) {
 			t.Fatalf("step %d: avg(%s,%d,%d) = %v,%v, naive %v,%v",

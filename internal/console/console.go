@@ -7,6 +7,7 @@
 package console
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -60,9 +61,12 @@ func ServerDetail(dep *service.Deployment, arch *archive.Archive, host string, n
 		fmt.Fprintf(&sb, "  load now: cpu %.0f%%, mem %.0f%%\n", s.CPU*100, s.Mem*100)
 	}
 	from := nowMinute - 24*60
-	if avg, ok := arch.AverageCPU(entity, from, nowMinute); ok {
-		p95, _ := arch.PercentileCPU(entity, from, nowMinute, 0.95)
-		p99, _ := arch.PercentileCPU(entity, from, nowMinute, 0.99)
+	avg, ok, errAvg := arch.AverageCPU(entity, from, nowMinute)
+	p95, _, err95 := arch.PercentileCPU(entity, from, nowMinute, 0.95)
+	p99, _, err99 := arch.PercentileCPU(entity, from, nowMinute, 0.99)
+	if err := cmp.Or(errAvg, err95, err99); err != nil {
+		fmt.Fprintf(&sb, "  last 24 h: unreadable: %v\n", err)
+	} else if ok {
 		fmt.Fprintf(&sb, "  last 24 h: mean %.0f%%, p95 %.0f%%, p99 %.0f%%\n", avg*100, p95*100, p99*100)
 	}
 	profile := arch.DayProfile(entity)

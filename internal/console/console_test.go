@@ -1,6 +1,7 @@
 package console
 
 import (
+	"cmp"
 	"strings"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"autoglobe/internal/cluster"
 	"autoglobe/internal/controller"
 	"autoglobe/internal/monitor"
+	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
+	"autoglobe/internal/tsdb"
 )
 
 func testWorld(t *testing.T) (*service.Deployment, *archive.Archive) {
@@ -62,6 +65,54 @@ func TestServerDetail(t *testing.T) {
 	}
 	if got := ServerDetail(dep, arch, "ghost", 0); !strings.Contains(got, "unknown server") {
 		t.Errorf("unknown host detail = %q", got)
+	}
+}
+
+// TestServerDetailOverBackedArchive is the console's deep reader over
+// the two-tier archive: two days of one host's load, recorded into an
+// in-memory archive and a backed one, whose ring holds the last 128
+// minutes of them. The panel — "last 24 h" spans 1,441 minutes, all but
+// the newest from the store — must read the same; the fall-through shows
+// on the observability panel; and a store that cannot be read shows as
+// that, not as a server without history.
+func TestServerDetailOverBackedArchive(t *testing.T) {
+	dep, mem := testWorld(t)
+	backed, err := archive.NewBacked(t.TempDir(), 0, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	backed.Instrument(reg)
+	entity := archive.HostEntity("Blade1")
+	first, _ := mem.Latest(entity) // testWorld's sample at minute 0
+	if err := backed.Record(entity, first); err != nil {
+		t.Fatal(err)
+	}
+	const now = 2 * archive.MinutesPerDay
+	for m := 1; m <= now; m++ {
+		s := archive.Sample{Minute: m, CPU: float64(m%97) / 100, Mem: 0.5}
+		if err := cmp.Or(mem.Record(entity, s), backed.Record(entity, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ServerDetail(dep, mem, "Blade1", now)
+	if !strings.Contains(want, "last 24 h: mean 48%, p95 92%, p99 96%") {
+		t.Fatalf("in-memory panel:\n%s", want)
+	}
+	if got := ServerDetail(dep, backed, "Blade1", now); got != want {
+		t.Errorf("backed panel:\n%s\nin-memory panel:\n%s", got, want)
+	}
+	v := ObsView(reg, nil, 0)
+	for _, want := range []string{archive.MetricDeepReads + " = 3", archive.MetricEntities + " = 1"} {
+		if !strings.Contains(v, want) {
+			t.Errorf("obs view missing %q:\n%s", want, v)
+		}
+	}
+	if err := backed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ServerDetail(dep, backed, "Blade1", now); !strings.Contains(got, "last 24 h: unreadable: ") || !strings.Contains(got, tsdb.ErrClosed.Error()) {
+		t.Errorf("panel over a closed store:\n%s", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/service"
+	"autoglobe/internal/tsdb"
 )
 
 // testbed wires a small landscape: two weak blades, two medium blades,
@@ -637,3 +638,43 @@ func mustRB(t *testing.T, vc *fuzzy.Vocabulary, src string) *fuzzy.RuleBase {
 }
 
 // Ensure fmt is referenced (used in helpers below when extended).
+
+// TestUnreadableWatchWindowFailsTheDecision: a watch window the archive
+// cannot read — here one reaching below a backed archive's ring after
+// its store was closed — ends the decision with the store's error; the
+// controller does not infer on the latest-sample fallback as if the
+// window were empty. A window inside the ring still decides.
+func TestUnreadableWatchWindowFailsTheDecision(t *testing.T) {
+	tb := newTestbed(t, Config{})
+	arch, err := archive.NewBacked(t.TempDir(), 0, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := New(Config{}, tb.dep, arch, tb.exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := tb.dep.Start("app", "weak1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const now = 200 // past the ring's 128 samples
+	for m := 0; m <= now; m++ {
+		for _, e := range []string{archive.HostEntity("weak1"), archive.InstanceEntity(inst.ID), archive.ServiceEntity("app")} {
+			if err := arch.Record(e, archive.Sample{Minute: m, CPU: 0.9, Mem: 0.4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr := monitor.Trigger{Kind: monitor.ServiceOverloaded, Entity: "app", Minute: now, WatchedFrom: 0, AvgLoad: 0.9}
+	if cands, err := ctl.SelectActions(tr); !errors.Is(err, tsdb.ErrClosed) {
+		t.Fatalf("watch window from minute 0 over a closed store: %d candidates, err %v; want tsdb.ErrClosed", len(cands), err)
+	}
+	tr.WatchedFrom = now - 10
+	if cands, err := ctl.SelectActions(tr); err != nil || len(cands) == 0 {
+		t.Fatalf("watch window inside the ring: %d candidates, err %v", len(cands), err)
+	}
+}

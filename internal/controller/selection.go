@@ -140,25 +140,22 @@ func explain(rb *fuzzy.RuleBase, fired []float64, output string) []FiredRule {
 // falling back to the latest sample and then to 0 — "all variables of
 // the fuzzy controller regarding CPU or memory load are set to the
 // arithmetic means of the load values during the service specific
-// watchTime".
-func (c *Controller) avg(entity string, from, to int) float64 {
-	if v, ok := c.arch.AverageCPU(entity, from, to); ok {
-		return v
+// watchTime". A window the archive cannot read is an error, not a
+// reason to decide on the fallback.
+func (c *Controller) avg(entity string, from, to int) (float64, error) {
+	if v, ok, err := c.arch.AverageCPU(entity, from, to); ok || err != nil {
+		return v, err
 	}
-	if s, ok := c.arch.Latest(entity); ok {
-		return s.CPU
-	}
-	return 0
+	s, _ := c.arch.Latest(entity)
+	return s.CPU, nil
 }
 
-func (c *Controller) avgMem(entity string, from, to int) float64 {
-	if v, ok := c.arch.AverageMem(entity, from, to); ok {
-		return v
+func (c *Controller) avgMem(entity string, from, to int) (float64, error) {
+	if v, ok, err := c.arch.AverageMem(entity, from, to); ok || err != nil {
+		return v, err
 	}
-	if s, ok := c.arch.Latest(entity); ok {
-		return s.Mem
-	}
-	return 0
+	s, _ := c.arch.Latest(entity)
+	return s.Mem, nil
 }
 
 // fillActionVec initializes the Table 1 input variables for one
@@ -176,17 +173,18 @@ func (c *Controller) fillActionVec(b *binder, vec []float64, tr monitor.Trigger,
 	from, to := tr.WatchedFrom, tr.Minute
 	forecast := tr.Kind.Forecast()
 	for i, slot := range b.slots {
+		var err error
 		switch slot {
 		case bindCPULoad:
-			vec[i] = c.avg(archive.HostEntity(h.Name), from, to)
+			vec[i], err = c.avg(archive.HostEntity(h.Name), from, to)
 		case bindMemLoad:
-			vec[i] = c.avgMem(archive.HostEntity(h.Name), from, to)
+			vec[i], err = c.avgMem(archive.HostEntity(h.Name), from, to)
 		case bindPerformanceIndex:
 			vec[i] = h.PerformanceIndex
 		case bindInstanceLoad:
-			vec[i] = c.avg(archive.InstanceEntity(inst.ID), from, to)
+			vec[i], err = c.avg(archive.InstanceEntity(inst.ID), from, to)
 		case bindServiceLoad:
-			vec[i] = c.avg(archive.ServiceEntity(inst.Service), from, to)
+			vec[i], err = c.avg(archive.ServiceEntity(inst.Service), from, to)
 		case bindInstancesOnServer:
 			vec[i] = float64(c.dep.CountOn(h.Name))
 		case bindInstancesOfService:
@@ -205,6 +203,9 @@ func (c *Controller) fillActionVec(b *binder, vec []float64, tr monitor.Trigger,
 			vec[i] = tr.Confidence
 		default:
 			return b.prog.MissingInputError(i)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

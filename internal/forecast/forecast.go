@@ -158,7 +158,10 @@ func (p *Predictor) PredictPeakOf(e archive.Entity, now, horizon int) (peak, con
 // Error reports the mean absolute error of one-step-ahead predictions
 // over a window, for evaluating forecast quality.
 func (p *Predictor) Error(entity string, from, to int) (mae float64, n int, err error) {
-	w := p.arch.Window(entity, from, to)
+	w, err := p.arch.Window(entity, from, to)
+	if err != nil {
+		return 0, 0, err
+	}
 	if len(w) < 2 {
 		return 0, 0, fmt.Errorf("forecast: too few samples for %q in [%d, %d]", entity, from, to)
 	}

@@ -115,7 +115,14 @@ func TestRecordByHandleMatchesString(t *testing.T) {
 						a.ProfileAt(m), a.ObservationCount(m), b.ProfileAt(m), b.ObservationCount(m))
 				}
 			}
-			wa, wb := byName.arch.Window(name, 0, minute), byHandle.arch.Window(name, 0, minute)
+			wa, err := byName.arch.Window(name, 0, minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, err := byHandle.arch.Window(name, 0, minute)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range wa {
 				if wa[i].Minute != wb[i].Minute || math.Float64bits(wa[i].CPU) != math.Float64bits(wb[i].CPU) ||
 					math.Float64bits(wa[i].Mem) != math.Float64bits(wb[i].Mem) {

@@ -228,7 +228,7 @@ func TestObserveRecordsToArchive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg, ok := s.Archive().AverageCPU("Blade1", 0, 4)
+	avg, ok, _ := s.Archive().AverageCPU("Blade1", 0, 4)
 	if !ok || math.Abs(avg-0.42) > 1e-9 {
 		t.Errorf("archive average = %g, want 0.42", avg)
 	}
