@@ -3,6 +3,7 @@ package agent
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -444,6 +445,74 @@ func TestWatchReadsStayInMemory(t *testing.T) {
 	if got, want := snap[archive.MetricEntities], float64(len(m.Archive.Entities())); got != want || want < 2000 {
 		t.Errorf("%s = %v, the archive holds %v entities", archive.MetricEntities, got, want)
 	}
+}
+
+// TestCoordinatorBytesPerHost keeps the fleet's memory claim in tier-1:
+// the 1,007-host landscape behind a backed manager — deployment, agents,
+// reporters, plane, monitor, archive and tsdb — after 70 steady minutes,
+// past the minute at which every entity seals its first tsdb block,
+// holds at most 60 KB of live heap a host: 48.1 KB measured on this bed
+// (1,643 instances; the benchmark's fleet, 1,009, reads 47.8) plus 20 %
+// and rounded; 115 KB before PR 19. The archive is most of it, and who
+// holds a day profile decides how much: hosts and services do (17 KB
+// each), service instances do not, and the two gauges say so.
+func TestCoordinatorBytesPerHost(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dep := tiledDeployment(t, 53)
+	lb := wire.NewLoopback()
+	defer lb.Close()
+	lb.SetCodec(wire.CodecBinary)
+	reg := obs.NewRegistry()
+	m, err := NewLocalManager(Assembly{
+		Plane:      PlaneConfig{Transport: lb},
+		Monitor:    monitor.PaperParams(),
+		Mobility:   service.FullMobility,
+		ArchiveDir: t.TempDir(),
+		Store:      tsdb.Options{NoSync: true},
+		Obs:        reg,
+	}, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	hosts := dep.Cluster().Names()
+	report := func(ctx context.Context, minute int) error {
+		for _, h := range hosts {
+			rep, _ := m.Plane.Reporter(h)
+			rep.Begin(minute, 0.4, 0.3)
+			for _, inst := range dep.InstancesOn(h) {
+				rep.Sample(inst.ID, inst.Service, 0.4)
+			}
+			if err := rep.Send(ctx); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for minute := 0; minute < 70; minute++ {
+		if _, err := m.Minute(context.Background(), minute, report); err != nil {
+			t.Fatalf("minute %d: %v", minute, err)
+		}
+	}
+	snap := reg.Snapshot()
+	profiles := len(hosts) + len(dep.Catalog().All())
+	if got := snap[archive.MetricProfiles]; got != float64(profiles) || profiles != 1643 {
+		t.Errorf("%s = %v, want hosts + services = %d (1,643 on this landscape)", archive.MetricProfiles, got, profiles)
+	}
+	if got, want := snap[archive.MetricEntities], float64(profiles+len(dep.Instances())); got != want {
+		t.Errorf("%s = %v, want %v: the profiled entities and every instance seen", archive.MetricEntities, got, want)
+	}
+	if raceEnabled {
+		t.Skip("heap sizes are distorted by race instrumentation")
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if per := (after.HeapAlloc - before.HeapAlloc) / uint64(len(hosts)); per > 60<<10 {
+		t.Errorf("the coordinator holds %d B of live heap a host, want at most %d", per, 60<<10)
+	}
+	runtime.KeepAlive(m)
 }
 
 // TestUninstrumentedManagerExposesNothing pins that the stage timers

@@ -4,11 +4,13 @@
 // all resource variables of the fuzzy controller."
 //
 // The archive keeps, per monitored entity, the last `retention` raw
-// per-minute samples plus an aggregated day profile (running mean per
-// minute of day across all observed days). The day profile is the input
-// of the load-forecasting extension (paper Section 7).
+// per-minute samples and — for hosts and services, the entities the
+// load-forecasting extension (paper Section 7) predicts — an aggregated
+// day profile (mean per minute of day across all observed days). A
+// service instance keeps no profile: nothing reads one, and its profile
+// reads answer as for a never-observed minute, 0.
 //
-// In memory are the day profile and a ring of the newest samples. An
+// In memory are the day profiles and a ring of the newest samples. An
 // in-memory archive (New) has nowhere else to keep history, so its ring
 // holds the whole retention. A backed archive (NewBacked) writes every
 // sample through to a tsdb store, so its ring is a window sized to the
@@ -19,6 +21,7 @@ package archive
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"autoglobe/internal/obs"
 	"autoglobe/internal/tsdb"
@@ -41,6 +44,12 @@ func ServiceEntity(name string) string { return "svc/" + name }
 // InstanceEntity returns the archive key for a service instance.
 func InstanceEntity(id string) string { return "inst/" + id }
 
+// profiled reports whether an entity keeps a day profile: every key but
+// those InstanceEntity mints. The forecast scan lists hosts and services
+// and the console asks for hosts; an instance's profile has no reader.
+// The name alone decides: names are all NewBacked rebuilds an entity from.
+func profiled(entity string) bool { return !strings.HasPrefix(entity, InstanceEntity("")) }
+
 // Sample is one recorded measurement.
 type Sample struct {
 	Minute int     // absolute simulation minute
@@ -48,25 +57,36 @@ type Sample struct {
 	Mem    float64 // memory load in [0, 1]
 }
 
-// dayCell is one minute of day of the aggregated day profile: the CPU
-// sum, the running mean and the observation count, interleaved so that
-// one Record — and one forecast step, which reads mean and count —
-// touches a single cache line. The mean is maintained incrementally, so
-// the controller's hot read path (ProfileAt) is a plain array load.
-type dayCell struct {
-	sum, mean float64
-	n         int
+// dayProfile is the aggregated day profile: per minute of day the CPU
+// sum and the observation count, in two arrays so that a minute costs 12
+// bytes without padding (17,280 B a profile). The interleaved {sum,
+// mean, n int} cell it replaced (24 B) kept a Record and a forecast step
+// on one cache line; they now touch a line of each array, of which a
+// horizon scan over consecutive minutes gets 8 sums and 16 counts. The
+// mean is not cached: mean divides the two operands the cached one was
+// computed from, so every float a reader sees is the same.
+type dayProfile struct {
+	sum [MinutesPerDay]float64
+	n   [MinutesPerDay]uint32
+}
+
+// mean returns the mean CPU load at a minute of day, 0 if never observed.
+func (d *dayProfile) mean(i int) float64 {
+	if d.n[i] == 0 {
+		return 0
+	}
+	return d.sum[i] / float64(d.n[i])
 }
 
 // entityLog is the per-entity header. The bulk — ring and day profile —
 // lives in pointer-free slabs the collector marks but never scans.
 type entityLog struct {
 	name     string
-	ring     []Sample // newest samples; chronological from head once full
-	head     int      // index of the oldest sample once the ring is full
-	ingested int      // samples ever ingested; past cap(ring) the oldest are evicted
-	day      *[MinutesPerDay]dayCell
-	// dayMost is the deepest day[].n slot. Counts never decrease, so a
+	ring     []Sample    // newest samples; chronological from head once full
+	head     int         // index of the oldest sample once the ring is full
+	ingested int         // samples ever ingested; past cap(ring) the oldest are evicted
+	day      *dayProfile // noEntity's shared empty one unless profiled(name)
+	// dayMost is the deepest day.n slot. Counts never decrease, so a
 	// running max kept by ingest is exact and DaysObserved is one load.
 	dayMost int
 
@@ -89,11 +109,13 @@ type Archive struct {
 
 	// Unused tails of the slabs entities are carved from.
 	logs  []entityLog
-	days  [][MinutesPerDay]dayCell
+	days  []dayProfile
 	rings []Sample
 
-	deepReads *obs.Counter
-	entityNum *obs.Gauge
+	profiles   int // entities holding a day profile of their own
+	deepReads  *obs.Counter
+	entityNum  *obs.Gauge
+	profileNum *obs.Gauge
 }
 
 // DefaultRetention keeps three simulated days of per-minute samples,
@@ -109,22 +131,28 @@ func New(retention int) *Archive {
 	return &Archive{retention: retention, window: retention, entities: make(map[string]*entityLog)}
 }
 
-// grow replaces the slabs with fresh ones for exactly n entities.
-func (a *Archive) grow(n int) {
-	a.logs = make([]entityLog, n)
-	a.days = make([][MinutesPerDay]dayCell, n)
-	a.rings = make([]Sample, n*a.window)
+// reserve makes a slab's unused tail at least n long, replacing a
+// shorter one with a fresh slab of exactly n. Each slab grows on its own.
+func reserve[T any](slab *[]T, n int) {
+	if len(*slab) < n {
+		*slab = make([]T, n)
+	}
 }
 
 func (a *Archive) log(entity string) *entityLog {
 	l, ok := a.entities[entity]
 	if !ok {
-		if len(a.logs) == 0 {
-			a.grow(1)
-		}
+		reserve(&a.logs, 1)
+		reserve(&a.rings, a.window)
 		l = &a.logs[0]
-		*l = entityLog{name: entity, ring: a.rings[:0:a.window], day: &a.days[0]}
-		a.logs, a.days, a.rings = a.logs[1:], a.days[1:], a.rings[a.window:]
+		*l = entityLog{name: entity, ring: a.rings[:0:a.window], day: noEntity.day}
+		a.logs, a.rings = a.logs[1:], a.rings[a.window:]
+		if profiled(entity) {
+			reserve(&a.days, 1)
+			l.day, a.days = &a.days[0], a.days[1:]
+			a.profiles++
+			a.profileNum.Set(float64(a.profiles))
+		}
 		a.entities[entity] = l
 		a.entityNum.Set(float64(len(a.entities)))
 	}
@@ -132,24 +160,29 @@ func (a *Archive) log(entity string) *entityLog {
 }
 
 // Preallocate creates the given entities up front: those not yet known
-// get header, day profile (34,560 B) and ring (24 B × retention in
-// memory; × hotWindow, 3 KB, when backed) carved from one slab each,
-// sized exactly for them — three allocations and three clears however
-// many entities. Every ring has its full capacity from first touch, so
-// steady-state recording never grows a slice; a coordinator expecting a
-// 1,000-host landscape warms the archive before the first heartbeat and
-// records allocation-free from minute zero. An entity first seen later
-// is allocated on its own.
+// get a header and a ring (24 B × retention in memory; × hotWindow, 3 KB,
+// when backed), and those that keep a day profile — hosts, services,
+// every key but a service instance's — its 17,280 B, each carved from
+// one slab sized exactly for them: three allocations and three clears
+// however many entities. Every ring has its full capacity from first
+// touch, so steady-state recording never grows a slice; a coordinator
+// expecting a 1,000-host landscape warms the archive before the first
+// heartbeat and records allocation-free from minute zero. An entity
+// first seen later is allocated on its own: header and ring, and a
+// profile only if it keeps one.
 func (a *Archive) Preallocate(entities ...string) {
-	n := 0
+	n, withProfile := 0, 0
 	for _, e := range entities {
 		if _, ok := a.entities[e]; !ok {
 			n++
+			if profiled(e) {
+				withProfile++
+			}
 		}
 	}
-	if n > len(a.logs) {
-		a.grow(n)
-	}
+	reserve(&a.logs, n)
+	reserve(&a.rings, n*a.window)
+	reserve(&a.days, withProfile)
 	for _, e := range entities {
 		a.log(e)
 	}
@@ -196,12 +229,14 @@ func (a *Archive) ingest(l *entityLog, s Sample) {
 		}
 	}
 	l.ingested++
-	d := &l.day[slot(s.Minute)]
-	d.sum += s.CPU
-	d.n++
-	d.mean = d.sum / float64(d.n)
-	if d.n > l.dayMost {
-		l.dayMost = d.n
+	if l.day == noEntity.day {
+		return // a service instance: no profile of its own
+	}
+	i := slot(s.Minute)
+	l.day.sum[i] += s.CPU
+	l.day.n[i]++
+	if n := int(l.day.n[i]); n > l.dayMost {
+		l.dayMost = n
 	}
 }
 
@@ -244,9 +279,11 @@ type Entity struct {
 	l *entityLog // &noEntity: read-only handle of an unknown entity
 }
 
-// noEntity is what an unknown entity reads as. Never written: ingest
-// only reaches logs created by Archive.log.
-var noEntity = entityLog{day: new([MinutesPerDay]dayCell)}
+// noEntity is what an unknown entity reads as. Its empty day profile is
+// also every service instance's, so profile reads need no branch. Never
+// written: ingest only reaches logs created by Archive.log and skips
+// those that share this profile.
+var noEntity = entityLog{day: new(dayProfile)}
 
 // Entity resolves the handle of an entity without creating it.
 func (a *Archive) Entity(entity string) Entity {
@@ -257,7 +294,8 @@ func (a *Archive) Entity(entity string) Entity {
 }
 
 // Resolve returns the handle of an entity, creating its (empty) log —
-// ring at full capacity, allocated on its own — on first sight.
+// ring at full capacity and, unless the key is a service instance's, a
+// day profile, allocated on their own — on first sight.
 func (a *Archive) Resolve(entity string) Entity { return Entity{a, a.log(entity)} }
 
 // Len returns the number of raw samples currently retained, ring and
@@ -269,13 +307,13 @@ func (e Entity) Len() int { return min(e.l.ingested, e.a.retention) }
 // Latest returns the most recent sample.
 func (e Entity) Latest() (Sample, bool) { return e.l.latest() }
 
-// ProfileAt returns the running mean CPU load at a minute of day (any
-// absolute minute is folded); 0 for a never-observed minute.
-func (e Entity) ProfileAt(minute int) float64 { return e.l.day[slot(minute)].mean }
+// ProfileAt returns the mean CPU load at a minute of day (any absolute
+// minute is folded); 0 for a never-observed minute, as a service instance's all are.
+func (e Entity) ProfileAt(minute int) float64 { return e.l.day.mean(slot(minute)) }
 
 // ObservationCount returns how many samples contributed to the day
 // profile at a minute of day.
-func (e Entity) ObservationCount(minute int) int { return e.l.day[slot(minute)].n }
+func (e Entity) ObservationCount(minute int) int { return int(e.l.day.n[slot(minute)]) }
 
 // DaysObserved returns the deepest per-minute observation count.
 func (e Entity) DaysObserved() int { return e.l.dayMost }
@@ -406,8 +444,9 @@ func (a *Archive) PercentileCPU(entity string, from, to int, p float64) (float64
 
 // DayProfile returns the aggregated mean CPU load per minute of day —
 // the "pattern" historic view used for load prediction. Minutes never
-// observed carry 0. The slice is freshly allocated; hot paths use
-// ProfileAt or DayProfileInto instead.
+// observed carry 0, and so does every minute of a service instance
+// (InstanceEntity), which keeps no profile. The slice is freshly
+// allocated; hot paths use ProfileAt or DayProfileInto instead.
 func (a *Archive) DayProfile(entity string) []float64 {
 	out := make([]float64, MinutesPerDay)
 	a.DayProfileInto(entity, out)
@@ -419,11 +458,11 @@ func (a *Archive) DayProfile(entity string) []float64 {
 func (a *Archive) DayProfileInto(entity string, dst []float64) {
 	l := a.Entity(entity).l
 	for i := range dst[:min(len(dst), MinutesPerDay)] {
-		dst[i] = l.day[i].mean
+		dst[i] = l.day.mean(i)
 	}
 }
 
-// ProfileAt returns the running mean CPU load of the entity at a
+// ProfileAt returns the mean CPU load of the entity at a
 // minute of day (any absolute minute is folded). O(1), no allocation. A
 // never-observed minute (or unknown entity) returns 0.
 func (a *Archive) ProfileAt(entity string, minute int) float64 {

@@ -15,7 +15,8 @@ const hotWindow = 128
 // NewBacked opens (or recovers) a disk-backed archive: every Record is
 // written through to a segmented tsdb store in dir, and opening an
 // existing directory replays the persisted history — the in-memory
-// rings and day profiles are rebuilt from the raw minute samples, in
+// rings and day profiles (who keeps one follows from the entity's name,
+// as on the live path) are rebuilt from the raw minute samples, in
 // the same chronological order they were first recorded, so a
 // recovered coordinator's DayProfile is byte-identical to the one it
 // crashed with (for history still at minute resolution; the store
@@ -87,15 +88,18 @@ func (a *Archive) Maintain(minute int) error {
 	return nil
 }
 
-// Instrument attaches an obs registry: entities held, reads that
-// continued into the backing store, and the store's own families
+// Instrument attaches an obs registry: entities and day profiles held,
+// reads that continued into the backing store, and the store's own families
 // (segments, compactions, cache hits, disk). Attach-only and nil-safe.
 func (a *Archive) Instrument(r *obs.Registry) {
 	r.Help(MetricDeepReads, "Reads that continued below the in-memory window into the store.")
-	r.Help(MetricEntities, "Entities held: a ring and a day profile each.")
+	r.Help(MetricEntities, "Entities held: a ring of the newest samples each.")
+	r.Help(MetricProfiles, "Entities holding a day profile: all but service instances.")
 	a.deepReads = r.Counter(MetricDeepReads)
 	a.entityNum = r.Gauge(MetricEntities)
 	a.entityNum.Set(float64(len(a.entities)))
+	a.profileNum = r.Gauge(MetricProfiles)
+	a.profileNum.Set(float64(a.profiles))
 	if a.store != nil {
 		a.store.Instrument(r)
 	}

@@ -258,7 +258,7 @@ func TestDaysObservedIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
-	entities := []string{HostEntity("b1"), ServiceEntity("app"), InstanceEntity("app-1")}
+	entities := []string{HostEntity("b1"), ServiceEntity("app"), HostEntity("b2"), ServiceEntity("db")}
 	if got := a.DaysObserved("host/ghost"); got != 0 {
 		t.Fatalf("unknown entity: DaysObserved = %d, want 0", got)
 	}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"autoglobe/internal/tsdb"
 )
@@ -42,18 +43,23 @@ func gappyStream(rng *rand.Rand, n int) []Sample {
 // repeats (by count in memory, by minute on disk — see span), so ranges
 // start where both retain everything; what the backed archive returns
 // below that is pinned against the rule itself.
+//
+// The last case is the same stream under a service instance's key: no
+// day profile on either side, every ring-and-store read as for a host.
 func TestTwoTierParity(t *testing.T) {
-	const entity = "host/h"
 	for _, tc := range []struct {
 		name               string
+		entity             string
 		retention, samples int
 	}{
-		{"below the window", 300, 100},
-		{"between window and retention", 300, 250},
-		{"past retention", 300, 1500},
-		{"retention below the window", 50, 400},
+		{"below the window", "host/h", 300, 100},
+		{"between window and retention", "host/h", 300, 250},
+		{"past retention", "host/h", 300, 1500},
+		{"retention below the window", "host/h", 50, 400},
+		{"past retention, an instance", InstanceEntity("h"), 300, 1500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			entity := tc.entity
 			rng := rand.New(rand.NewSource(int64(tc.samples)))
 			stream := gappyStream(rng, tc.samples)
 			latest := stream[len(stream)-1].Minute
@@ -141,6 +147,9 @@ func TestTwoTierParity(t *testing.T) {
 				}
 				if !slices.Equal(b.DayProfile(entity), ref.DayProfile(entity)) {
 					t.Fatalf("%s: DayProfile differs from the in-memory one", stage)
+				}
+				if got := b.DaysObserved(entity) > 0; got != profiled(entity) {
+					t.Fatalf("%s: %s has a day profile: %v", stage, entity, got)
 				}
 			}
 
@@ -246,38 +255,147 @@ func TestWatchAverageZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHotTierBytesPerEntity keeps the memory claim in tier-1: a backed
-// archive's entity costs its day profile (34,560 B), a 128-sample ring
-// (3,072 B) and a header — not another full-retention ring (147 KB an
-// entity before) — while an in-memory archive, which has no other place
-// for them, still holds all retention samples.
+// TestHotTierBytesPerEntity keeps the memory claim in tier-1, by class:
+// a backed archive's host or service costs its day profile (17,280 B at
+// 12 bytes a minute of day; 34,560 B before), a 128-sample ring
+// (3,072 B) and a header; a service instance the ring and the header —
+// and neither another full-retention ring (147 KB an entity once) —
+// while an in-memory archive, which has no other place for them, still
+// holds all retention samples.
 func TestHotTierBytesPerEntity(t *testing.T) {
-	const entities = 1000
-	keys := make([]string, entities)
-	for i := range keys {
-		keys[i] = HostEntity(fmt.Sprintf("h%04d", i))
+	if size := unsafe.Sizeof(dayProfile{}); size > 12*MinutesPerDay {
+		t.Errorf("a day profile is %d B, want at most %d (12 a minute of day)", size, 12*MinutesPerDay)
 	}
+	const entities = 1000
+	keys := func(key func(string) string) []string {
+		out := make([]string, entities)
+		for i := range out {
+			out[i] = key(fmt.Sprintf("h%04d", i))
+		}
+		return out
+	}
+	hosts, insts := keys(HostEntity), keys(InstanceEntity)
 	a, err := NewBacked(t.TempDir(), 0, tsdb.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	a.Preallocate(keys...)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if per := (after.HeapAlloc - before.HeapAlloc) / entities; per > 40<<10 {
-		t.Errorf("a preallocated backed entity holds %d B of heap, want at most %d", per, 40<<10)
+	for _, class := range []struct {
+		keys  []string
+		bound uint64
+	}{{hosts, 21 << 10}, {insts, 4<<10 + 512}} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		a.Preallocate(class.keys...)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if per := (after.HeapAlloc - before.HeapAlloc) / entities; per > class.bound {
+			t.Errorf("a preallocated backed %s holds %d B of heap, want at most %d", class.keys[0], per, class.bound)
+		}
 	}
-	if got := len(a.Entities()); got != entities {
-		t.Fatalf("%d entities after Preallocate, want %d", got, entities)
+	if got := len(a.Entities()); got != 2*entities {
+		t.Fatalf("%d entities after Preallocate, want %d", got, 2*entities)
 	}
 
 	mem := New(0)
-	now := pastTheRing(t, mem, keys[0])
-	if w, _ := mem.Window(keys[0], 0, now); len(w) != DefaultRetention || w[0].Minute != 1 {
+	now := pastTheRing(t, mem, hosts[0])
+	if w, _ := mem.Window(hosts[0], 0, now); len(w) != DefaultRetention || w[0].Minute != 1 {
 		t.Errorf("in-memory archive returns %d samples from minute %d, want all %d from minute 1", len(w), w[0].Minute, DefaultRetention)
+	}
+}
+
+// TestInstanceEntitiesKeepNoProfile pins who has a day profile. A
+// service instance fed the stream of a host answers every ring-and-store
+// read as the host does and every profile read with 0 — in memory, and
+// backed before Commit, after it and after Close and reopen, where the
+// class is rebuilt from the name alone. All instances share one empty
+// profile; recording through several must leave it empty for the next
+// instance and for an entity the archive has never seen.
+func TestInstanceEntitiesKeepNoProfile(t *testing.T) {
+	const retention = 300
+	stream := gappyStream(rand.New(rand.NewSource(19)), 2*MinutesPerDay)
+	latest := stream[len(stream)-1].Minute
+	host, insts := HostEntity("h"), []string{InstanceEntity("a-1"), InstanceEntity("a-2"), InstanceEntity("b-1")}
+	zero := make([]float64, MinutesPerDay)
+
+	check := func(stage string, a *Archive) {
+		t.Helper()
+		if a.DaysObserved(host) < 2 || slices.Equal(a.DayProfile(host), zero) {
+			t.Fatalf("%s: the host has no day profile: the comparison lost its teeth", stage)
+		}
+		wantS, _ := a.Latest(host)
+		wantW, err := a.Window(host, latest-retention, latest)
+		if err != nil || len(wantW) <= hotWindow {
+			t.Fatalf("%s: host window: %d samples, %v", stage, len(wantW), err)
+		}
+		wantAvg, _, _ := a.AverageCPU(host, latest-20, latest)
+		for _, inst := range append([]string{InstanceEntity("never-recorded"), "host/ghost"}, insts...) {
+			e := a.Entity(inst)
+			for m := 0; m < MinutesPerDay; m++ {
+				if e.ProfileAt(m) != 0 || e.ObservationCount(m) != 0 {
+					t.Fatalf("%s: %s minute %d: profile %v over %d observations, want none",
+						stage, inst, m, e.ProfileAt(m), e.ObservationCount(m))
+				}
+			}
+			if d := e.DaysObserved(); d != 0 || !slices.Equal(a.DayProfile(inst), zero) {
+				t.Fatalf("%s: %s: DaysObserved %d or a non-zero DayProfile", stage, inst, d)
+			}
+			if !slices.Contains(insts, inst) {
+				continue // never recorded: nothing to compare
+			}
+			if s, ok := e.Latest(); !ok || s != wantS || e.Len() != a.Len(host) {
+				t.Fatalf("%s: %s: Latest %+v, Len %d; the host %+v, %d", stage, inst, s, e.Len(), wantS, a.Len(host))
+			}
+			if w, err := a.Window(inst, latest-retention, latest); err != nil || !slices.Equal(w, wantW) {
+				t.Fatalf("%s: %s: Window: %d samples, %v; the host %d", stage, inst, len(w), err, len(wantW))
+			}
+			if avg, ok, err := a.AverageCPU(inst, latest-20, latest); err != nil || !ok || avg != wantAvg {
+				t.Fatalf("%s: %s: AverageCPU = %v, %v, %v; the host %v", stage, inst, avg, ok, err, wantAvg)
+			}
+		}
+	}
+	feed := func(a *Archive) {
+		t.Helper()
+		handles := []Entity{a.Resolve(host)}
+		for _, inst := range insts {
+			handles = append(handles, a.Resolve(inst))
+		}
+		for _, s := range stream {
+			for _, h := range handles {
+				if err := h.Record(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		a.Resolve(InstanceEntity("never-recorded")) // created after the others wrote
+	}
+
+	mem := New(retention)
+	feed(mem)
+	check("in memory", mem)
+
+	dir := t.TempDir()
+	backed, err := NewBacked(dir, retention, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(backed)
+	check("before Commit", backed)
+	if err := backed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Commit", backed)
+	if err := backed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewBacked(dir, retention, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("reopened", re)
+	if !slices.Equal(re.DayProfile(host), mem.DayProfile(host)) {
+		t.Fatal("reopened: the host's day profile differs from the in-memory one")
 	}
 }

@@ -85,7 +85,8 @@ func TestServerDetailOverBackedArchive(t *testing.T) {
 	backed.Instrument(reg)
 	entity := archive.HostEntity("Blade1")
 	first, _ := mem.Latest(entity) // testWorld's sample at minute 0
-	if err := backed.Record(entity, first); err != nil {
+	// An instance beside the host: an entity, but no day profile.
+	if err := cmp.Or(backed.Record(entity, first), backed.Record(archive.InstanceEntity("FI-1"), first)); err != nil {
 		t.Fatal(err)
 	}
 	const now = 2 * archive.MinutesPerDay
@@ -103,7 +104,7 @@ func TestServerDetailOverBackedArchive(t *testing.T) {
 		t.Errorf("backed panel:\n%s\nin-memory panel:\n%s", got, want)
 	}
 	v := ObsView(reg, nil, 0)
-	for _, want := range []string{archive.MetricDeepReads + " = 3", archive.MetricEntities + " = 1"} {
+	for _, want := range []string{archive.MetricDeepReads + " = 3", archive.MetricEntities + " = 2", archive.MetricProfiles + " = 1"} {
 		if !strings.Contains(v, want) {
 			t.Errorf("obs view missing %q:\n%s", want, v)
 		}

@@ -63,12 +63,14 @@ type anchor struct {
 }
 
 // anchor resolves the horizon-independent half. ok is false when the
-// archive holds too little history for a pattern at all.
+// archive holds too little history for a pattern at all — or history
+// but no pattern: a service instance keeps no day profile, and a decayed
+// deviation alone is not a forecast.
 func (p *Predictor) anchor(e archive.Entity) (a anchor, ok bool) {
-	if e.Len() < p.MinHistory {
+	a = anchor{e: e, days: e.DaysObserved(), halfLife: p.DeviationHalfLife}
+	if n := e.Len(); n < p.MinHistory || n > 0 && a.days == 0 {
 		return a, false
 	}
-	a = anchor{e: e, days: e.DaysObserved(), halfLife: p.DeviationHalfLife}
 	if a.halfLife <= 0 {
 		a.halfLife = 60
 	}

@@ -40,6 +40,24 @@ func TestPredictNeedsHistory(t *testing.T) {
 	if _, c, ok := p.Predict("x", 0, -1); ok || c != 0 {
 		t.Fatal("negative horizon reported ok")
 	}
+	// A service instance has samples past MinHistory but keeps no day
+	// profile: there is no pattern to match, so no forecast — not the
+	// decayed deviation at confidence 0.
+	inst := archive.InstanceEntity("app-1")
+	fill(t, a, inst, 2, 1)
+	now := 2*archive.MinutesPerDay - 1
+	if a.Len(inst) < p.MinHistory || a.DaysObserved(inst) != 0 {
+		t.Fatalf("%s: Len %d, DaysObserved %d; want history without a profile", inst, a.Len(inst), a.DaysObserved(inst))
+	}
+	if v, c, ok := p.Predict(inst, now, 10); ok || v != 0 || c != 0 {
+		t.Fatalf("Predict on an instance = (%v, %v, %v), want (0, 0, false)", v, c, ok)
+	}
+	if v, c, ok := p.PredictPeak(inst, now, 30); ok || v != 0 || c != 0 {
+		t.Fatalf("PredictPeak on an instance = (%v, %v, %v), want (0, 0, false)", v, c, ok)
+	}
+	if v, c, ok := p.PredictPeakOf(p.Entity(inst), now, 30); ok || v != 0 || c != 0 {
+		t.Fatalf("PredictPeakOf on an instance = (%v, %v, %v), want (0, 0, false)", v, c, ok)
+	}
 }
 
 // TestPredictPeriodicPattern: with two days of clean periodic history,

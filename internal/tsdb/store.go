@@ -382,7 +382,7 @@ func (st *Store) register(name string) *entState {
 	e := &entState{
 		id:   uint64(len(st.ents)),
 		name: name,
-		open: make([]Sample, 0, 2*BlockSamples),
+		open: make([]Sample, 0, BlockSamples), // Commit seals at one block; append grows it for a caller committing less often
 	}
 	st.ids[name] = e.id
 	st.ents = append(st.ents, e)
