@@ -39,6 +39,7 @@ package agent
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -466,6 +467,12 @@ const reporterBufferCap = 16
 // gap-free. The destination is re-read from the agent on every attempt,
 // so a lease redirect takes effect mid-buffer.
 //
+// A steady report carries numbers, not names: once a coordinator's ack
+// to a named heartbeat has issued the host's and every sample's session
+// index, the open report is stamped with them (stamp) for as long as it
+// goes to that node and lists the same instances. Anything else goes
+// out named, whole, and the ack teaches the reporter again (learn).
+//
 // The reporter is NOT safe for concurrent use: it models the one
 // monitoring loop a host daemon runs. Transports never retain the
 // envelope past the call (the loopback deep-clones held messages), so
@@ -474,6 +481,13 @@ type HeartbeatReporter struct {
 	a   *Agent
 	env wire.Envelope
 	hb  wire.Heartbeat
+
+	// The session, the node that issued it, the host's index, and per
+	// sample position the names an index was issued for.
+	session   uint64
+	node      string
+	hostIndex uint32
+	issued    []wire.InstanceSample
 
 	// buffered holds the undelivered minutes, oldest first, at most
 	// reporterBufferCap entries. Each entry owns its Instances slice.
@@ -545,7 +559,8 @@ func (r *HeartbeatReporter) Send(ctx context.Context) error {
 
 // park copies the open report into the buffer (deduplicating its
 // minute), evicting the oldest entry if the ring is full. The open
-// report's sample slice is reused next minute, so the copy is deep.
+// report's sample slice is reused next minute, so the copy is deep —
+// and named: it takes neither Session nor HostIndex along.
 func (r *HeartbeatReporter) park() {
 	keep := wire.Heartbeat{
 		Host: r.hb.Host, Minute: r.hb.Minute, CPU: r.hb.CPU, Mem: r.hb.Mem,
@@ -563,22 +578,72 @@ func (r *HeartbeatReporter) park() {
 	r.buffered = append(r.buffered, keep)
 }
 
+// stamp writes the session's indices onto the open report if it may go
+// out indexed to the node, and strips them if not: sample i must be the
+// (ID, Service) index i was issued for (the strings come from the same
+// service.Instance every minute, so the comparison ends at the pointers).
+func (r *HeartbeatReporter) stamp(node string) bool {
+	hb := &r.hb
+	hb.Session, hb.HostIndex = 0, 0
+	if r.session == 0 || node != r.node || len(hb.Instances) != len(r.issued) {
+		return false
+	}
+	for i := range hb.Instances {
+		s, was := &hb.Instances[i], &r.issued[i]
+		if s.ID != was.ID || s.Service != was.Service {
+			return false
+		}
+		s.Index = was.Index
+	}
+	hb.Session, hb.HostIndex = r.session, r.hostIndex
+	return true
+}
+
+// learn keeps the indices a coordinator node issued in its ack to a
+// named heartbeat. An ack without them — the bare answer to an indexed
+// frame, or a full dictionary — teaches nothing.
+func (r *HeartbeatReporter) learn(node string, hb *wire.Heartbeat, ack *wire.ActionAck) {
+	if ack.Session == 0 || ack.HostIndex == 0 || len(ack.Indices) != len(hb.Instances) || slices.Contains(ack.Indices, 0) {
+		return
+	}
+	r.session, r.node, r.hostIndex = ack.Session, node, ack.HostIndex
+	r.issued = append(r.issued[:0], hb.Instances...)
+	for i, idx := range ack.Indices {
+		r.issued[i].Index = idx
+	}
+}
+
 // sendOne delivers one heartbeat envelope with the configured bounded
-// retry, re-reading the agent's current coordinator on every attempt.
+// retry, re-reading the agent's current coordinator on every attempt —
+// which is also where the open report is stamped or stripped, since a
+// session belongs to one node. A resync (a restarted coordinator under
+// the same name) drops the session and sends the same minute again,
+// named, at once: not a delivery failure, so not counted against the
+// retries, and honoured once, of a frame that was in fact indexed.
 func (r *HeartbeatReporter) sendOne(ctx context.Context, env *wire.Envelope) error {
 	a := r.a
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; ; {
 		a.mu.Lock()
 		a.seq++
 		env.Seq = a.seq
 		env.To = a.coordinator
 		a.mu.Unlock()
+		indexed := env == &r.env && r.stamp(env.To)
 		reply, err := a.tr.Call(ctx, env.To, env)
 		if err == nil {
-			ok := reply != nil && reply.Type == wire.TypeAck && reply.Ack != nil && reply.Ack.OK
+			acked := reply != nil && reply.Type == wire.TypeAck && reply.Ack != nil
+			ok := acked && reply.Ack.OK
+			resync := acked && reply.Ack.Resync && indexed
+			if ok {
+				r.learn(env.To, env.Heartbeat, reply.Ack)
+			}
 			wire.ReleaseEnvelope(reply)
 			if ok {
 				return nil
+			}
+			if resync {
+				r.session = 0
+				continue
 			}
 			err = fmt.Errorf("agent: %s: heartbeat not acknowledged", a.host)
 		}
@@ -588,5 +653,6 @@ func (r *HeartbeatReporter) sendOne(ctx context.Context, env *wire.Envelope) err
 		if r.backoff > 0 {
 			r.sleep(r.backoff << attempt)
 		}
+		attempt++
 	}
 }

@@ -3,7 +3,10 @@ package agent
 import (
 	"cmp"
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -32,8 +35,8 @@ const DefaultIngestShards = 8
 // over the network), tracks host liveness with hysteresis, and queues
 // the triggers the monitor confirms for the control loop to collect.
 //
-// Ingest is sharded: a heartbeat is buffered in one of N shards keyed
-// by host hash, each with its own mutex and pending-beat map, so
+// Ingest is sharded: a heartbeat is buffered in its host's slot, under
+// the mutex of the one of N shards the host name hashes to, so
 // concurrent agents never serialise on a global lock. The buffered
 // beats are merged into the monitor pipeline at the minute boundary
 // (ObserveServices) in a canonical order — cluster order first, then
@@ -43,7 +46,8 @@ const DefaultIngestShards = 8
 // per-entity watch state machines are independent and the merge fixes
 // the cross-entity order. Steady-state ingest performs zero heap
 // allocations: pending beats and their sample slices are pooled per
-// shard, and identifier strings arrive interned from the binary codec.
+// shard, and a steady heartbeat addresses its slot and instance names by
+// session index (see resolve): no string is hashed or interned on the way.
 //
 // Ingestion preserves the in-process observation semantics exactly:
 // host entities register with their performance index, an idle trigger
@@ -93,14 +97,25 @@ type Coordinator struct {
 	// minute loop stops allocating a fresh queue per minute.
 	trigSpare []*monitor.Trigger
 
-	// mu guards the merge path (monitor pipeline, slot tables, canonical
-	// order) and the rarely-touched fields below. The slot tables resolve
-	// every host, instance and service once, on first sight, to what
-	// never changes between minutes, so a minute close costs one lookup
-	// per heartbeat and none per sample. They grow only with the set of
-	// names ever seen and are never evicted.
+	// The session dictionary: what this incarnation (session, a non-zero
+	// nonce) lets a reporter say by number. hostTab and instTab are
+	// append-only — index i is entry i-1, for good — up to dictCap; hosts
+	// holds every name ever seen. dictMu orders before a shard mutex.
+	session uint64
+	dictCap int
+	dictMu  sync.RWMutex
+	hosts   map[string]*hostSlot
+	hostTab []*hostSlot
+	instTab []instName
+	instIdx map[instName]uint32
+
+	// mu guards the merge path (monitor pipeline, the merge half of the
+	// host slots, the instance and service slots, canonical order) and
+	// the rarely-touched fields below. The slots resolve every host,
+	// instance and service once, on first sight, to what never changes
+	// between minutes, so a minute close costs no lookup per heartbeat
+	// or sample. They grow only with the names ever seen, never evicted.
 	mu       sync.Mutex
-	hosts    map[string]*hostSlot
 	insts    map[string]*instSlot
 	svcs     []svcSlot // catalog order; the catalog is immutable
 	svcIndex map[string]*svcSlot
@@ -136,17 +151,17 @@ type RuleActivator func(e *rules.Entry) error
 // per shard: a landscape in steady state recycles the same storage
 // minute after minute.
 type hostBeat struct {
-	host     string
+	slot     *hostSlot
 	minute   int
 	cpu, mem float64
 	samples  []wire.InstanceSample
-	slot     *hostSlot // resolved by the merge
-	late     bool      // merge: came from backfill, older than the pending beat
+	late     bool // merge: came from backfill, older than the pending beat
 }
 
-// fill overwrites the beat with a heartbeat, reusing its sample storage.
-func (b *hostBeat) fill(hb wire.Heartbeat) *hostBeat {
-	b.host, b.minute, b.cpu, b.mem = hb.Host, hb.Minute, hb.CPU, hb.Mem
+// fill overwrites the beat with a host's heartbeat, reusing its sample
+// storage.
+func (b *hostBeat) fill(hs *hostSlot, hb *wire.Heartbeat) *hostBeat {
+	b.slot, b.minute, b.cpu, b.mem = hs, hb.Minute, hb.CPU, hb.Mem
 	b.samples = append(b.samples[:0], hb.Instances...)
 	return b
 }
@@ -159,11 +174,42 @@ type watchReg struct {
 	watch monitor.Watch // zero: this coordinator has not registered it
 }
 
-// hostSlot is the resolved state of one host name.
+// maxSessionNames caps the session dictionary, hosts plus instances: the
+// wire is unauthenticated, and a table minted from whatever names arrive
+// must not grow without bound. Twice the 100,700-host round's ~265k.
+const maxSessionNames = 1 << 19
+
+// instName is one instance entry of the session dictionary.
+type instName struct{ id, service string }
+
+// hostSlot is everything the coordinator holds for one host name: the
+// dictionary entry an indexed frame addresses, the ingest slot its beats
+// wait in (guarded by the mutex of the shard sh points at) and the
+// merge's resolved state (guarded by Coordinator.mu).
 type hostSlot struct {
+	name  string
+	index uint32 // session-dictionary number; 0: the dictionary was full
+
+	sh      atomic.Pointer[ingestShard] // re-pointed by Reshard
+	pending *hostBeat                   // the buffered beat, nil between merges
+	lastMin int                         // newest merged minute (stale-replay guard); math.MinInt: none
+
 	watchReg
 	pos   int         // 1-based cluster position; 0: not in the cluster
 	insts []*instSlot // slot of the i-th sample of the host's last beat
+}
+
+// lockShard locks and returns the slot's shard (no defer: a deferred
+// unlock inside the retry loop costs the per-beat path an allocation).
+func (hs *hostSlot) lockShard() *ingestShard {
+	for {
+		sh := hs.sh.Load()
+		sh.mu.Lock()
+		if hs.sh.Load() == sh {
+			return sh
+		}
+		sh.mu.Unlock() // resharded between the load and the lock
+	}
 }
 
 // instSlot is the resolved state of one instance ID under one service.
@@ -181,18 +227,18 @@ type svcSlot struct {
 }
 
 func byMinute(a, b *hostBeat) int             { return cmp.Compare(a.minute, b.minute) }
-func byHost(a, b *hostBeat) int               { return strings.Compare(a.host, b.host) }
+func byHost(a, b *hostBeat) int               { return strings.Compare(a.slot.name, b.slot.name) }
 func bySampleID(a, b wire.InstanceSample) int { return strings.Compare(a.ID, b.ID) }
 
-// ingestShard is one slice of the ingest plane: a mutex, the pending
-// beat per host, the per-host high-water minute (stale-replay guard),
-// and a freelist of recycled beats. In HA mode a host's displaced
-// older-minute beats wait in backfill instead of being overwritten, so
-// a drained failover backlog survives until the minute-close merge.
+// ingestShard is one slice of the ingest plane: a mutex, the slots that
+// took a pending beat since the last merge (one that Forget emptied
+// stays listed, and may be listed twice), and a freelist of recycled
+// beats. In HA mode a host's displaced older-minute beats wait in
+// backfill instead of being overwritten, so a drained failover backlog
+// survives until the minute-close merge.
 type ingestShard struct {
 	mu       sync.Mutex
-	pending  map[string]*hostBeat
-	lastMin  map[string]int
+	queued   []*hostSlot
 	free     []*hostBeat
 	backfill []*hostBeat
 }
@@ -214,16 +260,13 @@ func newShards(n int) *[]*ingestShard {
 	}
 	shards := make([]*ingestShard, n)
 	for i := range shards {
-		shards[i] = &ingestShard{
-			pending: make(map[string]*hostBeat),
-			lastMin: make(map[string]int),
-		}
+		shards[i] = &ingestShard{}
 	}
 	return &shards
 }
 
-// fnv1a hashes a host name to its shard (FNV-1a, inlined to keep the
-// ingest path allocation-free).
+// fnv1a hashes a host name to its shard (FNV-1a): once, when its slot
+// is created, and again on Reshard.
 func fnv1a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -233,11 +276,7 @@ func fnv1a(s string) uint32 {
 	return h
 }
 
-func (c *Coordinator) shard(host string) *ingestShard {
-	shards := *c.shards.Load()
-	if len(shards) == 1 {
-		return shards[0]
-	}
+func shardOf(shards []*ingestShard, host string) *ingestShard {
 	return shards[fnv1a(host)%uint32(len(shards))]
 }
 
@@ -264,9 +303,18 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		tr:           tr,
 		live:         live,
 		ProbeTimeout: time.Second,
+		dictCap:      maxSessionNames,
 		hosts:        make(map[string]*hostSlot),
+		instIdx:      make(map[instName]uint32),
 		insts:        make(map[string]*instSlot),
 		svcIndex:     make(map[string]*svcSlot),
+	}
+	for c.session == 0 {
+		var nonce [8]byte
+		if _, err := rand.Read(nonce[:]); err != nil {
+			return nil, fmt.Errorf("agent: coordinator session: %w", err)
+		}
+		c.session = binary.LittleEndian.Uint64(nonce[:])
 	}
 	c.shards.Store(newShards(DefaultIngestShards))
 	c.orderStale.Store(true)
@@ -285,7 +333,7 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 	}
 	var insts []*service.Instance
 	for _, h := range hosts {
-		keys = append(keys, c.hostSlotLocked(h).key)
+		keys = append(keys, c.slotFor(h).key)
 		for _, inst := range dep.InstancesOn(h) {
 			keys = append(keys, archive.InstanceEntity(inst.ID))
 			insts = append(insts, inst)
@@ -302,39 +350,41 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 }
 
 // Reshard rebuilds the ingest plane with n shards (minimum 1),
-// migrating any buffered beats by rehash. Observation semantics are
-// independent of the shard count — the minute-boundary merge fixes the
-// order — so resharding is purely a concurrency/throughput knob.
+// re-pointing every host slot by rehash and migrating any buffered
+// beats with it. Observation semantics are independent of the shard
+// count — the minute-boundary merge fixes the order — so resharding is
+// purely a concurrency/throughput knob.
 func (c *Coordinator) Reshard(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old := *c.shards.Load()
 	next := newShards(max(n, 1))
-	c.shards.Store(next)
-	shards := *next
+	c.shards.Store(next) // before the walk: a slot created from here on is born re-pointed
+	c.dictMu.RLock()
+	defer c.dictMu.RUnlock()
+	for _, hs := range c.hosts {
+		src, dst := hs.sh.Load(), shardOf(*next, hs.name)
+		if src == dst {
+			continue
+		}
+		src.mu.Lock()
+		dst.mu.Lock()
+		hs.sh.Store(dst)
+		if hs.pending != nil {
+			dst.queued = append(dst.queued, hs)
+		}
+		dst.mu.Unlock()
+		src.mu.Unlock()
+	}
 	for _, sh := range old {
 		sh.mu.Lock()
-		for host, b := range sh.pending {
-			dst := shards[fnv1a(host)%uint32(len(shards))]
-			dst.mu.Lock()
-			dst.pending[host] = b
-			dst.mu.Unlock()
-		}
-		for host, m := range sh.lastMin {
-			dst := shards[fnv1a(host)%uint32(len(shards))]
-			dst.mu.Lock()
-			dst.lastMin[host] = m
-			dst.mu.Unlock()
-		}
 		for _, b := range sh.backfill {
-			dst := shards[fnv1a(b.host)%uint32(len(shards))]
+			dst := b.slot.sh.Load()
 			dst.mu.Lock()
 			dst.backfill = append(dst.backfill, b)
 			dst.mu.Unlock()
 		}
-		clear(sh.pending)
-		clear(sh.lastMin)
-		sh.backfill = sh.backfill[:0]
+		sh.queued, sh.backfill = nil, nil
 		sh.mu.Unlock()
 	}
 }
@@ -346,7 +396,7 @@ func (c *Coordinator) Shards() int { return len(*c.shards.Load()) }
 // with their staleness (minutes behind the newest observed minute), and
 // minute closes timed. A nil registry leaves the coordinator uninstrumented.
 func (c *Coordinator) Instrument(r *obs.Registry) {
-	c.metrics.Store(newCoordMetrics(r))
+	c.metrics.Store(newCoordMetrics(r, c.node))
 }
 
 // AttachJournal makes liveness transitions durable: every host death
@@ -442,18 +492,20 @@ func (c *Coordinator) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 	}
 	switch env.Type {
 	case wire.TypeHeartbeat:
-		if err := c.Ingest(*env.Heartbeat); err != nil {
-			c.noteErr(err)
-			return nil, err
+		// Nobody reads a reply's From and To; without them an ack with
+		// only OK to say is two bytes on the wire.
+		reply := wire.AcquireAckEnvelope("", "", wire.ActionAck{OK: true})
+		if hs := c.resolve(env.Heartbeat, reply.Ack); hs != nil {
+			c.ingest(hs, env.Heartbeat)
 		}
-		return wire.AcquireAckEnvelope(c.node, env.From, wire.ActionAck{OK: true}), nil
+		return reply, nil
 	case wire.TypeHello:
 		if c.OnHello != nil {
 			if err := c.OnHello(*env.Hello); err != nil {
 				return nil, err
 			}
 		}
-		return wire.AcquireAckEnvelope(c.node, env.From, wire.ActionAck{OK: true}), nil
+		return wire.AcquireAckEnvelope("", "", wire.ActionAck{OK: true}), nil
 	case wire.TypeLease:
 		c.mu.Lock()
 		hook := c.leaseHook
@@ -570,19 +622,103 @@ func (c *Coordinator) handleRuleList(env *wire.Envelope) *wire.Envelope {
 	return wire.RuleListEnvelope(c.node, env.From, l)
 }
 
-// Ingest buffers one heartbeat in its host's shard. The monitor
+// slotFor returns the slot of a host name, creating it — with the next
+// dictionary index while there is room — on first sight.
+func (c *Coordinator) slotFor(host string) *hostSlot {
+	c.dictMu.Lock()
+	defer c.dictMu.Unlock()
+	hs := c.hosts[host]
+	if hs == nil {
+		hs = &hostSlot{name: host, lastMin: math.MinInt, watchReg: watchReg{key: archive.HostEntity(host)}}
+		hs.sh.Store(shardOf(*c.shards.Load(), host))
+		if len(c.hostTab)+len(c.instTab) < c.dictCap {
+			c.hostTab = append(c.hostTab, hs)
+			hs.index = uint32(len(c.hostTab))
+		}
+		c.hosts[host] = hs
+	}
+	return hs
+}
+
+// resolve finds the slot a heartbeat frame is for and prepares its ack.
+//
+// An indexed frame is resolved under the session that issued its numbers
+// or not at all: table[index-1] for the host, each sample's names
+// restored from the instance table (two string headers, nothing hashed),
+// so everything downstream sees what a named frame would have decoded
+// to. If the session or an index is not this coordinator's and the frame
+// brings no names (JSON and the pointer-passing loopback carry both), it
+// is refused whole — nil, a resync ack, nothing ingested or counted: a
+// held or duplicated frame landing on a later incarnation is never
+// attributed to another host.
+//
+// A named frame costs one lookup per name and is acked with the numbers
+// to use from the next minute on — bare once the dictionary is full.
+func (c *Coordinator) resolve(hb *wire.Heartbeat, ack *wire.ActionAck) *hostSlot {
+	if hb.HostIndex != 0 {
+		c.dictMu.RLock()
+		ok := hb.Session == c.session && int(hb.HostIndex) <= len(c.hostTab)
+		for i := 0; ok && i < len(hb.Instances); i++ {
+			ok = hb.Instances[i].Index != 0 && int(hb.Instances[i].Index) <= len(c.instTab)
+		}
+		if ok {
+			hs := c.hostTab[hb.HostIndex-1]
+			hb.Host = hs.name
+			for i := range hb.Instances {
+				s, name := &hb.Instances[i], &c.instTab[hb.Instances[i].Index-1]
+				s.ID, s.Service = name.id, name.service
+			}
+			c.dictMu.RUnlock()
+			return hs
+		}
+		c.dictMu.RUnlock()
+		if hb.Host == "" {
+			ack.OK, ack.Resync = false, true
+			c.metrics.Load().resync()
+			return nil
+		}
+	}
+	c.metrics.Load().namedFrame()
+	hs := c.slotFor(hb.Host)
+	c.dictMu.Lock()
+	defer c.dictMu.Unlock()
+	for i := range hb.Instances {
+		name := instName{hb.Instances[i].ID, hb.Instances[i].Service}
+		idx := c.instIdx[name]
+		if idx == 0 && len(c.hostTab)+len(c.instTab) < c.dictCap {
+			c.instTab = append(c.instTab, name)
+			idx = uint32(len(c.instTab))
+			c.instIdx[name] = idx
+		}
+		ack.Indices = append(ack.Indices, idx)
+	}
+	if hs.index == 0 || slices.Contains(ack.Indices, 0) {
+		ack.Indices = ack.Indices[:0]
+	} else {
+		ack.Session, ack.HostIndex = c.session, hs.index
+	}
+	return hs
+}
+
+// Ingest buffers one heartbeat in its host's slot, found by name.
+func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
+	c.ingest(c.slotFor(hb.Host), &hb)
+	return nil
+}
+
+// ingest buffers one heartbeat in its host's slot. The monitor
 // pipeline is NOT touched here — beats are merged deterministically at
 // the minute boundary by ObserveServices — so concurrent heartbeats
 // from a 1,000-host landscape contend only per shard, and the hot path
 // allocates nothing in steady state (the pending beat and its sample
-// slice are recycled; only a brand-new host costs a map insert).
+// slice are recycled).
 //
 // A stale replay — a beat older than the host's last merged minute —
 // is dropped: it can only be re-delivered traffic (the loopback's
 // held/duplicated messages, a retried HTTP POST), and merging it would
 // regress the host's archive series. Within the same merge window a
 // newer beat overwrites an older one (latest report wins).
-func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
+func (c *Coordinator) ingest(hs *hostSlot, hb *wire.Heartbeat) {
 	c.heartbeats.Add(1)
 	for {
 		max := c.maxMinute.Load()
@@ -598,49 +734,36 @@ func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
 	// arrives, independent of the minute-boundary merge — and the
 	// detector locks internally, so shards never serialise on it for
 	// long. Everything monitor-facing waits for the merge.
-	c.live.Beat(hb.Host, hb.Minute)
+	c.live.Beat(hs.name, hb.Minute)
 
-	sh := c.shard(hb.Host)
-	sh.mu.Lock()
-	if last, ok := sh.lastMin[hb.Host]; ok && hb.Minute < last {
+	sh := hs.lockShard()
+	if hb.Minute < hs.lastMin {
 		sh.mu.Unlock()
-		return nil
+		return
 	}
-	b := sh.pending[hb.Host]
+	b := hs.pending
 	if b == nil {
 		b = sh.take()
-		sh.pending[hb.Host] = b
+		hs.pending = b
+		sh.queued = append(sh.queued, hs)
 	} else if hb.Minute > b.minute && c.ha.Load() {
 		// HA: a newer minute arriving on top of an unmerged one is a
 		// backlog drain, not a replacement — park the older beat for the
 		// grouped minute close instead of losing its minute.
 		sh.backfill = append(sh.backfill, b)
 		b = sh.take()
-		sh.pending[hb.Host] = b
+		hs.pending = b
 	} else if hb.Minute < b.minute {
 		if c.ha.Load() {
 			// HA: an out-of-order older minute still fills its slot in the
 			// day profile; the grouped close replays it in minute order.
-			sh.backfill = append(sh.backfill, sh.take().fill(hb))
+			sh.backfill = append(sh.backfill, sh.take().fill(hs, hb))
 		}
 		sh.mu.Unlock()
-		return nil
+		return
 	}
-	b.fill(hb)
+	b.fill(hs, hb)
 	sh.mu.Unlock()
-	return nil
-}
-
-// hostSlotLocked resolves a host name to its slot. A slot created after
-// the last order refresh belongs to a host outside the cluster (the
-// refresh resolves every member). Callers hold c.mu.
-func (c *Coordinator) hostSlotLocked(host string) *hostSlot {
-	hs := c.hosts[host]
-	if hs == nil {
-		hs = &hostSlot{watchReg: watchReg{key: archive.HostEntity(host)}}
-		c.hosts[host] = hs
-	}
-	return hs
 }
 
 // instSlotLocked resolves an instance ID reported under a service; an
@@ -685,12 +808,14 @@ func (c *Coordinator) watchLocked(r *watchReg, class monitor.Class, host string)
 // Callers hold c.mu.
 func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
 	if c.orderStale.Swap(false) {
+		c.dictMu.RLock()
 		for _, hs := range c.hosts {
 			hs.pos = 0
 		}
+		c.dictMu.RUnlock()
 		names := c.dep.Cluster().Names()
 		for i, name := range names {
-			c.hostSlotLocked(name).pos = i + 1
+			c.slotFor(name).pos = i + 1
 		}
 		c.place = make([]*hostBeat, len(names))
 	}
@@ -712,17 +837,16 @@ func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
 	}
 	slices.SortFunc(stragglers, byHost)
 	c.stragglers = stragglers[:0]
-	return append(out, slices.CompactFunc(stragglers, func(a, b *hostBeat) bool { return a.host == b.host })...)
+	return append(out, slices.CompactFunc(stragglers, func(a, b *hostBeat) bool { return a.slot == b.slot })...)
 }
 
 // recycleLocked returns merged beats to their shards' freelists; the
 // HA path also lifts the stale-replay watermarks to clamped minutes.
 func (c *Coordinator) recycleLocked(beats []*hostBeat, watermark bool) {
 	for _, b := range beats {
-		sh := c.shard(b.host)
-		sh.mu.Lock()
-		if watermark && b.minute > sh.lastMin[b.host] {
-			sh.lastMin[b.host] = b.minute
+		sh := b.slot.lockShard()
+		if watermark && b.minute > b.slot.lastMin {
+			b.slot.lastMin = b.minute
 		}
 		sh.free = append(sh.free, b)
 		sh.mu.Unlock()
@@ -730,26 +854,27 @@ func (c *Coordinator) recycleLocked(beats []*hostBeat, watermark bool) {
 }
 
 // collectLocked steals every shard's buffered beats — pending and, in HA
-// mode, backfilled — advancing the stale-replay watermarks, and resolves
-// their host slots: the one lookup a heartbeat costs. Callers hold c.mu.
+// mode, backfilled — advancing the stale-replay watermarks. Every beat
+// already points at its host's slot. Callers hold c.mu.
 func (c *Coordinator) collectLocked() []*hostBeat {
 	beats := c.scratch[:0]
 	for _, sh := range *c.shards.Load() {
 		sh.mu.Lock()
-		for host, b := range sh.pending {
-			sh.lastMin[host], b.late = b.minute, false
+		for _, hs := range sh.queued {
+			b := hs.pending
+			if b == nil {
+				continue // emptied by Forget, or listed twice
+			}
+			hs.pending, hs.lastMin, b.late = nil, b.minute, false
 			beats = append(beats, b)
 		}
-		clear(sh.pending)
+		sh.queued = sh.queued[:0]
 		for _, b := range sh.backfill {
 			b.late = true
 			beats = append(beats, b)
 		}
 		sh.backfill = sh.backfill[:0]
 		sh.mu.Unlock()
-	}
-	for _, b := range beats {
-		b.slot = c.hostSlotLocked(b.host)
 	}
 	c.scratch = beats[:0] // keep the (possibly grown) buffer
 	return beats
@@ -836,7 +961,7 @@ func (c *Coordinator) mergeGroupedLocked(minute int) error {
 // minute. Callers hold c.mu.
 func (c *Coordinator) observeBeatLocked(b *hostBeat, minute int) error {
 	hs := b.slot
-	tr, err := c.lms.ObserveWatch(c.watchLocked(&hs.watchReg, monitor.Server, b.host), minute, b.cpu, b.mem)
+	tr, err := c.lms.ObserveWatch(c.watchLocked(&hs.watchReg, monitor.Server, hs.name), minute, b.cpu, b.mem)
 	if err != nil {
 		return err
 	}
@@ -845,7 +970,7 @@ func (c *Coordinator) observeBeatLocked(b *hostBeat, minute int) error {
 	// An idle host with nothing running on it is the normal resting
 	// state of a pooled blade, not an exceptional situation.
 	if tr != nil && !(tr.Kind == monitor.ServerIdle && len(b.samples) == 0) {
-		c.queueTrigger(tr, b.host)
+		c.queueTrigger(tr, hs.name)
 	}
 	for i := range b.samples {
 		s := &b.samples[i]
@@ -891,7 +1016,10 @@ func (c *Coordinator) ObserveServices(minute int) error {
 			c.svcs[i].samples = c.svcs[i].samples[:0]
 		}
 	}
-	c.metrics.Load().merged(start, c.seen)
+	c.dictMu.RLock()
+	names := len(c.hostTab) + len(c.instTab)
+	c.dictMu.RUnlock()
+	c.metrics.Load().merged(start, c.seen, names)
 	c.seen = [3]int{}
 	return err
 }
@@ -1028,22 +1156,21 @@ func (c *Coordinator) noteErr(err error) bool {
 // tracking it: a healed partition is then reported by Recovered after
 // the hysteresis streak, and the host's heartbeats re-register it.
 func (c *Coordinator) Forget(host string) {
-	sh := c.shard(host)
-	sh.mu.Lock()
-	if b, ok := sh.pending[host]; ok {
-		delete(sh.pending, host)
+	hs := c.slotFor(host)
+	sh := hs.lockShard()
+	if b := hs.pending; b != nil {
+		hs.pending = nil
 		sh.free = append(sh.free, b)
 	}
 	sh.backfill = slices.DeleteFunc(sh.backfill, func(b *hostBeat) bool {
-		if b.host == host {
+		if b.slot == hs {
 			sh.free = append(sh.free, b)
 		}
-		return b.host == host
+		return b.slot == hs
 	})
 	sh.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hs := c.hostSlotLocked(host)
 	c.lms.Deregister(hs.key)
 	hs.watch = monitor.Watch{}
 }
@@ -1054,9 +1181,9 @@ func (c *Coordinator) Forget(host string) {
 // reported dead or recovered.
 func (c *Coordinator) Release(host string) {
 	c.Forget(host)
-	sh := c.shard(host)
-	sh.mu.Lock()
-	delete(sh.lastMin, host)
+	hs := c.slotFor(host)
+	sh := hs.lockShard()
+	hs.lastMin = math.MinInt
 	sh.mu.Unlock()
 	c.live.Forget(host)
 }

@@ -246,7 +246,8 @@ func TestForgetPurgesBackfill(t *testing.T) {
 		}
 		beat(5)
 		beat(6) // parks minute 5 in backfill
-		sh := coord.shard("m01")
+		hs := coord.slotFor("m01")
+		sh := hs.sh.Load()
 		if len(sh.backfill) != 1 {
 			t.Fatalf("backfill holds %d beats, want 1", len(sh.backfill))
 		}
@@ -256,8 +257,8 @@ func TestForgetPurgesBackfill(t *testing.T) {
 		} else {
 			coord.Forget("m01")
 		}
-		if len(sh.backfill) != 0 || len(sh.pending) != 0 {
-			t.Fatalf("release=%v: %d backfilled and %d pending beats survive", release, len(sh.backfill), len(sh.pending))
+		if len(sh.backfill) != 0 || hs.pending != nil {
+			t.Fatalf("release=%v: %d backfilled beats survive, pending beat %v", release, len(sh.backfill), hs.pending)
 		}
 		if len(sh.free) != free+2 {
 			t.Fatalf("release=%v: freelist grew by %d, want both beats back", release, len(sh.free)-free)
@@ -268,7 +269,7 @@ func TestForgetPurgesBackfill(t *testing.T) {
 		if coord.lms.Watch(key).Live() {
 			t.Fatalf("release=%v: forgotten host resurfaced in the monitor", release)
 		}
-		if hs := coord.hosts["m01"]; hs.watch != (monitor.Watch{}) {
+		if hs.watch != (monitor.Watch{}) {
 			t.Fatalf("release=%v: slot keeps a watch handle after Forget", release)
 		}
 		if s, _ := coord.lms.Archive().Latest(key); s.Minute != 4 {

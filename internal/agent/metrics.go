@@ -23,6 +23,18 @@ const (
 	MetricDispatchCompensations = "autoglobe_dispatch_compensations_total"
 	// MetricHeartbeats counts heartbeats the coordinator ingested.
 	MetricHeartbeats = "autoglobe_heartbeats_total"
+	// MetricHeartbeatNamedFrames counts the ingested heartbeats that
+	// arrived by name (first contact, a changed instance list, a change
+	// of coordinator, a resync, a drained backlog); the rest of
+	// MetricHeartbeats arrived as session-dictionary indices.
+	MetricHeartbeatNamedFrames = "autoglobe_heartbeat_named_frames_total"
+	// MetricHeartbeatResyncs counts indexed heartbeats refused because
+	// their session or an index was not this coordinator's; each costs
+	// its reporter one named re-send of the same minute.
+	MetricHeartbeatResyncs = "autoglobe_heartbeat_resyncs_total"
+	// MetricHeartbeatSessionNames gauges, per coordinator node, the names
+	// its session dictionary holds (at most maxSessionNames).
+	MetricHeartbeatSessionNames = "autoglobe_heartbeat_session_names_total"
 	// MetricHeartbeatLag is a histogram of heartbeat staleness: how many
 	// minutes behind the coordinator's newest observed minute a
 	// heartbeat arrived. 0 is the healthy steady state.
@@ -135,21 +147,30 @@ func (m *dispatchMetrics) compensation() {
 // coordMetrics pre-resolves the coordinator's series. Nil-safe.
 type coordMetrics struct {
 	heartbeats *obs.Counter
+	named      *obs.Counter
+	resyncs    *obs.Counter
+	names      *obs.Gauge
 	lag        *obs.Histogram
 	merge      *obs.Histogram
 	entities   [3]*obs.Counter // host, instance, service
 }
 
-func newCoordMetrics(r *obs.Registry) *coordMetrics {
+func newCoordMetrics(r *obs.Registry, node string) *coordMetrics {
 	if r == nil {
 		return nil
 	}
 	r.Help(MetricHeartbeats, "Heartbeats ingested by the coordinator.")
+	r.Help(MetricHeartbeatNamedFrames, "Ingested heartbeats that arrived by name, not by session index.")
+	r.Help(MetricHeartbeatResyncs, "Indexed heartbeats refused for a session or index the coordinator does not hold.")
+	r.Help(MetricHeartbeatSessionNames, "Host and instance names held in the coordinator's session dictionary.")
 	r.Help(MetricHeartbeatLag, "Heartbeat staleness in minutes behind the newest observed minute.")
 	r.Help(MetricMergeSeconds, "Duration of the coordinator's minute close.")
 	r.Help(MetricMergeEntities, "Entities observed by minute closes, by class.")
 	m := &coordMetrics{
 		heartbeats: r.Counter(MetricHeartbeats),
+		named:      r.Counter(MetricHeartbeatNamedFrames),
+		resyncs:    r.Counter(MetricHeartbeatResyncs),
+		names:      r.Gauge(MetricHeartbeatSessionNames, "node", node),
 		lag:        r.Histogram(MetricHeartbeatLag, []float64{0, 1, 2, 5, 10}),
 		merge:      r.Histogram(MetricMergeSeconds, obs.LatencySecondsBuckets()),
 	}
@@ -167,11 +188,25 @@ func (m *coordMetrics) ingest(lagMinutes int) {
 	m.lag.Observe(float64(lagMinutes))
 }
 
-// merged records one minute close and the entities it observed.
-func (m *coordMetrics) merged(start time.Time, seen [3]int) {
+func (m *coordMetrics) namedFrame() {
+	if m != nil {
+		m.named.Inc()
+	}
+}
+
+func (m *coordMetrics) resync() {
+	if m != nil {
+		m.resyncs.Inc()
+	}
+}
+
+// merged records one minute close, the entities it observed and the
+// names the session dictionary holds by now.
+func (m *coordMetrics) merged(start time.Time, seen [3]int, names int) {
 	if m == nil {
 		return
 	}
+	m.names.Set(float64(names))
 	m.merge.Observe(time.Since(start).Seconds())
 	for i, n := range seen {
 		m.entities[i].Add(float64(n))

@@ -11,7 +11,8 @@ import (
 )
 
 // ObsView renders the observability panel: the registry's metric
-// families as sorted "series = value" lines, the median duration of each
+// families as sorted "series = value" lines, how the heartbeats arrived
+// (by session index or by name), the median duration of each
 // control-plane minute stage, and the most recent control-loop traces
 // (trigger → decision → outcome). It is the console twin of the
 // /autoglobe/v1/metrics and /autoglobe/v1/traces endpoints, for the
@@ -36,6 +37,19 @@ func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 		}
 		for _, k := range keys {
 			fmt.Fprintf(&sb, "  %s = %g\n", k, snap[k])
+		}
+		// How the heartbeats arrived: a steady landscape reports by
+		// session index; names mean first contacts, changed instance
+		// lists, failovers — and resyncs a coordinator that restarted.
+		if named, ok := snap[agent.MetricHeartbeatNamedFrames]; ok {
+			var names float64
+			for _, k := range keys {
+				if strings.HasPrefix(k, agent.MetricHeartbeatSessionNames) {
+					names += snap[k]
+				}
+			}
+			fmt.Fprintf(&sb, "HEARTBEAT FRAMES\n  indexed %g  named %g  resyncs %g  session dictionary %g names\n",
+				snap[agent.MetricHeartbeats]-named, named, snap[agent.MetricHeartbeatResyncs], names)
 		}
 	}
 

@@ -12,6 +12,10 @@ func TestObsView(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("autoglobe_controller_decisions_total", "action", "scaleUp", "trigger", "serviceOverloaded").Inc()
 	r.Counter("autoglobe_heartbeats_total").Add(42)
+	r.Counter(agent.MetricHeartbeatNamedFrames).Add(3)
+	r.Counter(agent.MetricHeartbeatResyncs).Add(1)
+	r.Gauge(agent.MetricHeartbeatSessionNames, "node", "coordinator").Set(5)
+	r.Gauge(agent.MetricHeartbeatSessionNames, "node", "coordinator-standby-1").Set(2)
 	// Three timed merges around 2 ms, one timed decide; the other stages
 	// never ran and must not be listed.
 	merge := r.Histogram(agent.MetricMinuteStage, obs.LatencySecondsBuckets(), "stage", "merge")
@@ -39,6 +43,7 @@ func TestObsView(t *testing.T) {
 		"OBSERVABILITY",
 		`autoglobe_controller_decisions_total{action="scaleUp",trigger="serviceOverloaded"} = 1`,
 		"autoglobe_heartbeats_total = 42",
+		"HEARTBEAT FRAMES\n  indexed 39  named 3  resyncs 1  session dictionary 7 names\nMINUTE STAGES",
 		"MINUTE STAGES (p50)\n  merge         3ms\n  decide        55µs\nRECENT TRACES",
 		"[  100] serviceOverloaded(app) -> executed",
 		"scaleUp app inst=app-1 weak1->big1 applicability=0.82 hostScore=0.61",

@@ -72,7 +72,25 @@ const frameMagic = 0xA7
 // than this is rejected before any allocation.
 const maxFrame = 4 << 20
 
-// binary payload kind bytes (follow the version byte).
+// binary payload kind bytes (follow the version byte). The first eleven
+// open with [From][To][uvarint Seq][uvarint Epoch]; the last three are
+// the steady heartbeat round trip, numbers without names (DESIGN.md
+// "The ingest plane"):
+//
+//	kindHeartbeatIdx  [uvarint seq][uvarint epoch][u64 session][uvarint host]
+//	                  [varint minute][f64 cpu][f64 mem][uvarint n]
+//	                  n × ([uvarint instance][f64 load])
+//	kindAckBare       nothing: OK, and nothing else to say
+//	kindAckIndex      [flags: 1 ok | 2 resync][u64 session][uvarint host]
+//	                  [uvarint n] n × [uvarint index]
+//
+// An agent sends kindHeartbeatIdx only to the node whose kindAckIndex
+// issued every number in it. A coordinator answers a named heartbeat
+// with kindAckIndex (kindAckBare once its dictionary is full), an
+// indexed one with kindAckBare, or with a resync kindAckIndex if it does
+// not hold the session or an index. The encoder picks the kind from the
+// payload; the decoder refuses a zero session or index in a heartbeat,
+// and any index past 32 bits.
 const (
 	kindHeartbeat byte = 1 + iota
 	kindAction
@@ -85,15 +103,31 @@ const (
 	kindRuleList
 	kindLease
 	kindLeaseAck
+	kindHeartbeatIdx
+	kindAckBare
+	kindAckIndex
 )
 
-func kindOf(t MsgType) (byte, bool) {
-	switch t {
+// kindFor picks the frame kind of an envelope: by type, and for the two
+// heartbeat-path types by what the payload has to say.
+func kindFor(e *Envelope) (byte, bool) {
+	switch e.Type {
 	case TypeHeartbeat:
+		if e.Heartbeat.Indexed() {
+			return kindHeartbeatIdx, true
+		}
 		return kindHeartbeat, true
 	case TypeAction:
 		return kindAction, true
 	case TypeAck:
+		switch a := e.Ack; {
+		case a.Key != "" || a.Error != "" || a.Duplicate:
+			return kindAck, true
+		case a.Resync || a.Session != 0 || a.HostIndex != 0 || len(a.Indices) != 0:
+			return kindAckIndex, true
+		case a.OK && e.From == "" && e.To == "" && e.Seq == 0 && e.Epoch == 0:
+			return kindAckBare, true
+		}
 		return kindAck, true
 	case TypeProbe:
 		return kindProbe, true
@@ -117,11 +151,11 @@ func kindOf(t MsgType) (byte, bool) {
 
 func typeOf(k byte) (MsgType, bool) {
 	switch k {
-	case kindHeartbeat:
+	case kindHeartbeat, kindHeartbeatIdx:
 		return TypeHeartbeat, true
 	case kindAction:
 		return TypeAction, true
-	case kindAck:
+	case kindAck, kindAckBare, kindAckIndex:
 		return TypeAck, true
 	case kindProbe:
 		return TypeProbe, true
@@ -177,7 +211,8 @@ func ReleaseFrame(b *[]byte) {
 // envBox carries an Envelope together with inline payload storage so a
 // decoded hot-path message (heartbeat, ack, probe …) costs zero heap
 // allocations: the envelope's payload pointer aims at the box's own
-// field, and the heartbeat's Instances slice is reused across decodes.
+// field, and the heartbeat's Instances slice and the ack's Indices slice
+// are reused across decodes.
 type envBox struct {
 	env   Envelope
 	hb    Heartbeat
@@ -198,9 +233,9 @@ var envPool = sync.Pool{New: func() any { return new(envBox) }}
 
 func acquireBox() *envBox {
 	bx := envPool.Get().(*envBox)
-	insts := bx.hb.Instances[:0]
+	insts, indices := bx.hb.Instances[:0], bx.ack.Indices[:0]
 	*bx = envBox{}
-	bx.hb.Instances = insts
+	bx.hb.Instances, bx.ack.Indices = insts, indices
 	bx.env.box = bx
 	return bx
 }
@@ -223,13 +258,17 @@ func ReleaseEnvelope(e *Envelope) {
 
 // AcquireAckEnvelope frames an action ack in a pooled envelope. The
 // receiver of the reply releases it (transports do this after
-// serialising; in-process callers after copying the ack).
+// serialising; in-process callers after copying the ack). An ack passed
+// without Indices keeps the box's empty pooled slice to append to.
 func AcquireAckEnvelope(from, to string, ack ActionAck) *Envelope {
 	bx := acquireBox()
 	bx.env.Version = Version
 	bx.env.Type = TypeAck
 	bx.env.From = from
 	bx.env.To = to
+	if ack.Indices == nil {
+		ack.Indices = bx.ack.Indices
+	}
 	bx.ack = ack
 	bx.env.Ack = &bx.ack
 	return &bx.env
@@ -348,7 +387,7 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return dst, err
 	}
-	kind, ok := kindOf(e.Type)
+	kind, ok := kindFor(e)
 	if !ok {
 		return dst, fmt.Errorf("wire: binary codec cannot frame type %q", e.Type)
 	}
@@ -357,26 +396,55 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	start := len(dst)
 
 	dst = append(dst, byte(e.Version), kind)
-	dst = appendString(dst, e.From)
-	dst = appendString(dst, e.To)
-	dst = appendUvarint(dst, e.Seq)
-	dst = appendUvarint(dst, e.Epoch)
+	if kind < kindHeartbeatIdx {
+		dst = appendString(dst, e.From)
+		dst = appendString(dst, e.To)
+	}
+	if kind <= kindHeartbeatIdx {
+		dst = appendUvarint(dst, e.Seq)
+		dst = appendUvarint(dst, e.Epoch)
+	}
 
-	switch e.Type {
-	case TypeHeartbeat:
+	switch kind { // kindAckBare has no payload
+	case kindAckIndex:
+		a := e.Ack
+		var flags byte
+		if a.OK {
+			flags |= 1
+		}
+		if a.Resync {
+			flags |= 2
+		}
+		dst = append(dst, flags)
+		dst = binary.LittleEndian.AppendUint64(dst, a.Session)
+		dst = appendUvarint(dst, uint64(a.HostIndex))
+		dst = appendUvarint(dst, uint64(len(a.Indices)))
+		for _, idx := range a.Indices {
+			dst = appendUvarint(dst, uint64(idx))
+		}
+	case kindHeartbeat, kindHeartbeatIdx:
 		hb := e.Heartbeat
-		dst = appendString(dst, hb.Host)
+		if kind == kindHeartbeat {
+			dst = appendString(dst, hb.Host)
+		} else {
+			dst = binary.LittleEndian.AppendUint64(dst, hb.Session)
+			dst = appendUvarint(dst, uint64(hb.HostIndex))
+		}
 		dst = appendVarint(dst, int64(hb.Minute))
 		dst = appendFloat(dst, hb.CPU)
 		dst = appendFloat(dst, hb.Mem)
 		dst = appendUvarint(dst, uint64(len(hb.Instances)))
 		for i := range hb.Instances {
 			s := &hb.Instances[i]
-			dst = appendString(dst, s.ID)
-			dst = appendString(dst, s.Service)
+			if kind == kindHeartbeat {
+				dst = appendString(dst, s.ID)
+				dst = appendString(dst, s.Service)
+			} else {
+				dst = appendUvarint(dst, uint64(s.Index))
+			}
 			dst = appendFloat(dst, s.Load)
 		}
-	case TypeAction:
+	case kindAction:
 		a := e.Action
 		dst = appendString(dst, a.Key)
 		dst = appendString(dst, string(a.Op))
@@ -385,7 +453,7 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendString(dst, a.InstanceID)
 		dst = appendVarint(dst, int64(a.Delta))
 		dst = appendVarint(dst, a.DeadlineUnixMS)
-	case TypeAck:
+	case kindAck:
 		a := e.Ack
 		dst = appendString(dst, a.Key)
 		var flags byte
@@ -397,21 +465,21 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		}
 		dst = append(dst, flags)
 		dst = appendString(dst, a.Error)
-	case TypeProbe, TypeProbeAck:
+	case kindProbe, kindProbeAck:
 		p := e.Probe
 		dst = appendString(dst, p.Host)
 		dst = appendVarint(dst, int64(p.Minute))
-	case TypeHello:
+	case kindHello:
 		h := e.Hello
 		dst = appendString(dst, h.Host)
 		dst = appendFloat(dst, h.PerformanceIndex)
 		dst = appendVarint(dst, int64(h.MemoryMB))
 		dst = appendString(dst, h.Addr)
-	case TypeRuleGet:
+	case kindRuleGet:
 		g := e.RuleGet
 		dst = appendString(dst, g.Name)
 		dst = appendVarint(dst, int64(g.Version))
-	case TypeRulePut:
+	case kindRulePut:
 		p := e.RulePut
 		dst = appendString(dst, p.Name)
 		dst = appendVarint(dst, int64(p.Version))
@@ -423,7 +491,7 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		}
 		dst = append(dst, flags)
 		dst = appendString(dst, p.Error)
-	case TypeRuleList:
+	case kindRuleList:
 		l := e.RuleList
 		dst = appendUvarint(dst, uint64(len(l.Entries)))
 		for i := range l.Entries {
@@ -439,7 +507,7 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 			dst = appendVarint(dst, int64(r.Rules))
 		}
 		dst = appendString(dst, l.Error)
-	case TypeLease, TypeLeaseAck:
+	case kindLease, kindLeaseAck:
 		l := e.Lease
 		dst = appendString(dst, l.Leader)
 		dst = appendUvarint(dst, l.Epoch)
@@ -513,13 +581,27 @@ func (d *decoder) ident() (string, error) {
 	return d.in.Intern(b), nil
 }
 
-func (d *decoder) float() (float64, error) {
+// index decodes a session-dictionary number: at most 32 bits.
+func (d *decoder) index() (uint32, error) {
+	v, err := d.uvarint()
+	if err == nil && v > math.MaxUint32 {
+		err = fmt.Errorf("wire: session index %d exceeds 32 bits", v)
+	}
+	return uint32(v), err
+}
+
+func (d *decoder) u64() (uint64, error) {
 	if len(d.b) < 8 {
 		return 0, errShortFrame
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	v := binary.LittleEndian.Uint64(d.b)
 	d.b = d.b[8:]
 	return v, nil
+}
+
+func (d *decoder) float() (float64, error) {
+	v, err := d.u64()
+	return math.Float64frombits(v), err
 }
 
 func (d *decoder) byteVal() (byte, error) {
@@ -574,11 +656,14 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 	e.Version = int(version)
 	e.Type = t
 	var err error
-	if e.From, err = d.ident(); err == nil {
-		if e.To, err = d.ident(); err == nil {
-			if e.Seq, err = d.uvarint(); err == nil {
-				e.Epoch, err = d.uvarint()
-			}
+	if kind < kindHeartbeatIdx {
+		if e.From, err = d.ident(); err == nil {
+			e.To, err = d.ident()
+		}
+	}
+	if err == nil && kind <= kindHeartbeatIdx {
+		if e.Seq, err = d.uvarint(); err == nil {
+			e.Epoch, err = d.uvarint()
 		}
 	}
 	if err != nil {
@@ -586,13 +671,50 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		return nil, 0, err
 	}
 
-	switch t {
-	case TypeHeartbeat:
+	switch kind {
+	case kindAckBare:
+		e.Ack = &bx.ack
+		bx.ack.OK = true
+	case kindAckIndex:
+		a := &bx.ack
+		e.Ack = a
+		var flags byte
+		var count uint64
+		if flags, err = d.byteVal(); err != nil {
+			break
+		}
+		a.OK, a.Resync = flags&1 != 0, flags&2 != 0
+		if a.Session, err = d.u64(); err != nil {
+			break
+		}
+		if a.HostIndex, err = d.index(); err != nil {
+			break
+		}
+		if count, err = d.uvarint(); err != nil {
+			break
+		}
+		if count > uint64(len(d.b)) { // each index needs ≥ 1 byte
+			err = errShortFrame
+			break
+		}
+		for i := uint64(0); i < count; i++ {
+			var idx uint32
+			if idx, err = d.index(); err != nil {
+				break
+			}
+			a.Indices = append(a.Indices, idx)
+		}
+	case kindHeartbeat, kindHeartbeatIdx:
 		hb := &bx.hb
 		e.Heartbeat = hb
 		var minute int64
 		var count uint64
-		if hb.Host, err = d.ident(); err != nil {
+		if kind == kindHeartbeat {
+			hb.Host, err = d.ident()
+		} else if hb.Session, err = d.u64(); err == nil {
+			hb.HostIndex, err = d.index()
+		}
+		if err != nil {
 			break
 		}
 		if minute, err = d.varint(); err != nil {
@@ -614,10 +736,12 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		}
 		for i := uint64(0); i < count; i++ {
 			var s InstanceSample
-			if s.ID, err = d.ident(); err != nil {
-				break
+			if kind == kindHeartbeatIdx {
+				s.Index, err = d.index()
+			} else if s.ID, err = d.ident(); err == nil {
+				s.Service, err = d.ident()
 			}
-			if s.Service, err = d.ident(); err != nil {
+			if err != nil {
 				break
 			}
 			if s.Load, err = d.float(); err != nil {
@@ -625,7 +749,10 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 			}
 			hb.Instances = append(hb.Instances, s)
 		}
-	case TypeAction:
+		if err == nil && kind == kindHeartbeatIdx && !hb.Indexed() {
+			err = fmt.Errorf("wire: indexed heartbeat with a zero session or index")
+		}
+	case kindAction:
 		a := &bx.act
 		e.Action = a
 		var op string
@@ -651,7 +778,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		}
 		a.Delta = int(delta)
 		a.DeadlineUnixMS, err = d.varint()
-	case TypeAck:
+	case kindAck:
 		a := &bx.ack
 		e.Ack = a
 		var flags byte
@@ -664,7 +791,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		a.OK = flags&1 != 0
 		a.Duplicate = flags&2 != 0
 		a.Error, err = d.str()
-	case TypeProbe, TypeProbeAck:
+	case kindProbe, kindProbeAck:
 		p := &bx.probe
 		e.Probe = p
 		var minute int64
@@ -675,7 +802,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 			break
 		}
 		p.Minute = int(minute)
-	case TypeHello:
+	case kindHello:
 		h := &bx.hello
 		e.Hello = h
 		var memMB int64
@@ -690,7 +817,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		}
 		h.MemoryMB = int(memMB)
 		h.Addr, err = d.str()
-	case TypeRuleGet:
+	case kindRuleGet:
 		g := &bx.rget
 		e.RuleGet = g
 		var version int64
@@ -701,7 +828,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 			break
 		}
 		g.Version = int(version)
-	case TypeRulePut:
+	case kindRulePut:
 		p := &bx.rput
 		e.RulePut = p
 		var version int64
@@ -724,7 +851,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		}
 		p.Activate = flags&1 != 0
 		p.Error, err = d.str()
-	case TypeRuleList:
+	case kindRuleList:
 		l := &bx.rlist
 		e.RuleList = l
 		var count uint64
@@ -763,7 +890,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 			break
 		}
 		l.Error, err = d.str()
-	case TypeLease, TypeLeaseAck:
+	case kindLease, kindLeaseAck:
 		l := &bx.lease
 		e.Lease = l
 		var minute int64
@@ -813,6 +940,7 @@ func CloneEnvelope(e *Envelope) *Envelope {
 	}
 	if e.Ack != nil {
 		a := *e.Ack
+		a.Indices = append([]uint32(nil), e.Ack.Indices...)
 		c.Ack = &a
 	}
 	if e.Probe != nil {

@@ -25,7 +25,8 @@ func benchHeartbeatEnvelope() *Envelope {
 
 // BenchmarkEnvelopeCodec compares a full encode+decode round trip of
 // the heartbeat envelope — the control plane's hottest message — in
-// both wire codecs. The binary path uses the pooled frame buffers and
+// both wire codecs, the binary one in both of its frame forms. The
+// binary path uses the pooled frame buffers and
 // envelope carriers plus the string interner, which is exactly what
 // the loopback and HTTP transports use in steady state.
 func BenchmarkEnvelopeCodec(b *testing.B) {
@@ -37,6 +38,32 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			frame := AcquireFrame()
 			buf, err := AppendEnvelope((*frame)[:0], env)
+			if err != nil {
+				b.Fatal(err)
+			}
+			*frame = buf
+			dec, _, err := DecodeEnvelope(buf, in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ReleaseEnvelope(dec)
+			ReleaseFrame(frame)
+		}
+	})
+
+	// The same report once the coordinator has issued its numbers: the
+	// steady frame, beside the named one above.
+	b.Run("binary-indexed", func(b *testing.B) {
+		indexed := CloneEnvelope(env)
+		indexed.Heartbeat.Session, indexed.Heartbeat.HostIndex = 0x5EED0123456789AB, 7
+		for i := range indexed.Heartbeat.Instances {
+			indexed.Heartbeat.Instances[i].Index = uint32(100*i + 1)
+		}
+		in := NewInterner()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			frame := AcquireFrame()
+			buf, err := AppendEnvelope((*frame)[:0], indexed)
 			if err != nil {
 				b.Fatal(err)
 			}

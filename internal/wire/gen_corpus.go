@@ -1,105 +1,27 @@
 //go:build ignore
 
-// gen_corpus regenerates the checked-in seed corpus for
-// FuzzEnvelopeDecode (testdata/fuzz/FuzzEnvelopeDecode). The corpus
-// mirrors the f.Add seeds of the fuzz target — one valid frame per
-// binary kind plus the handcrafted malformed mutations (truncation,
-// lying length, bad magic, unknown kind, trailing bytes) — so a plain
-// `go test` replays them all as regression inputs. Run from this
-// directory:
+// gen_corpus regenerates the checked-in seed corpus of FuzzEnvelopeDecode
+// (testdata/fuzz/FuzzEnvelopeDecode): one valid frame per binary kind —
+// the indexed heartbeat, the bare ack and the index ack included — plus
+// the handcrafted malformed mutations. The seeds are defined once, in
+// fuzz_test.go (fuzzSeeds), where the fuzz target adds them and
+// TestFuzzCorpus checks the files against them; this program runs that
+// test in write mode. Run from this directory:
 //
 //	go run gen_corpus.go
 package main
 
 import (
-	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-
-	"autoglobe/internal/wire"
+	"os/exec"
 )
 
 func main() {
-	envs := map[string]*wire.Envelope{
-		"seed-heartbeat": {Version: wire.Version, Type: wire.TypeHeartbeat, From: "b1", To: "coordinator", Seq: 7,
-			Heartbeat: &wire.Heartbeat{Host: "b1", Minute: 42, CPU: 0.5, Mem: 0.25,
-				Instances: []wire.InstanceSample{
-					{ID: "app-1", Service: "app", Load: 0.3},
-					{ID: "app-2", Service: "app", Load: 0.2},
-				}}},
-		"seed-action": {Version: wire.Version, Type: wire.TypeAction, From: "coordinator", To: "b1", Seq: 8, Epoch: 2,
-			Action: &wire.ActionRequest{Key: "coordinator-e2-000001", Op: wire.OpStart,
-				Host: "b1", Service: "app", InstanceID: "app-3", Delta: 1,
-				DeadlineUnixMS: 1700000000000}},
-		"seed-ack": {Version: wire.Version, Type: wire.TypeAck, From: "b1", To: "coordinator", Seq: 9,
-			Ack: &wire.ActionAck{Key: "coordinator-e2-000001", OK: true, Duplicate: true}},
-		"seed-nack": {Version: wire.Version, Type: wire.TypeAck, From: "b1", To: "coordinator", Seq: 10,
-			Ack: &wire.ActionAck{Key: "coordinator-e2-000002", Error: "unknown instance"}},
-		"seed-probe": {Version: wire.Version, Type: wire.TypeProbe, From: "coordinator", To: "b1",
-			Probe: &wire.Probe{Host: "b1", Minute: 42}},
-		"seed-probe-ack": {Version: wire.Version, Type: wire.TypeProbeAck, From: "b1", To: "coordinator",
-			Probe: &wire.Probe{Host: "b1", Minute: 42}},
-		"seed-hello": {Version: wire.Version, Type: wire.TypeHello, From: "b9", To: "coordinator",
-			Hello: &wire.Hello{Host: "b9", PerformanceIndex: 1.25, MemoryMB: 4096,
-				Addr: "http://127.0.0.1:8147"}},
-		"seed-rule-get": {Version: wire.Version, Type: wire.TypeRuleGet, From: "admin", To: "coordinator", Seq: 11,
-			RuleGet: &wire.RuleGet{Name: "serviceOverloaded", Version: 2}},
-		"seed-rule-put": {Version: wire.Version, Type: wire.TypeRulePut, From: "admin", To: "coordinator", Seq: 12,
-			RulePut: &wire.RulePut{Name: "select/placement", Version: 3,
-				Hash:     "ab12cd34",
-				Source:   "IF cpuLoad IS high THEN scaleOut IS applicable\n",
-				Activate: true}},
-		"seed-rule-put-err": {Version: wire.Version, Type: wire.TypeRulePut, From: "coordinator", To: "admin", Seq: 13,
-			RulePut: &wire.RulePut{Name: "serverIdle", Error: "fuzzy: parse error at line 1"}},
-		"seed-rule-list": {Version: wire.Version, Type: wire.TypeRuleList, From: "admin", To: "coordinator",
-			RuleList: &wire.RuleList{}},
-		"seed-rule-list-reply": {Version: wire.Version, Type: wire.TypeRuleList, From: "coordinator", To: "admin",
-			RuleList: &wire.RuleList{Entries: []wire.RuleInfo{
-				{Name: "select/placement", Version: 3, Hash: "ab12cd34", Active: true, Rules: 5},
-				{Name: "serviceOverloaded", Version: 1, Hash: "99ff00aa", Rules: 2},
-			}}},
-		"seed-lease": {Version: wire.Version, Type: wire.TypeLease, From: "coordinator", To: "b1", Seq: 14, Epoch: 3,
-			Lease: &wire.Lease{Leader: "coordinator", Epoch: 3, Minute: 615}},
-		"seed-lease-ack": {Version: wire.Version, Type: wire.TypeLeaseAck, From: "b1", To: "coordinator", Seq: 15,
-			Lease: &wire.Lease{Leader: "standby-1", Epoch: 4, Minute: 616}},
-	}
-
-	corpus := make(map[string][]byte, len(envs)+8)
-	for name, env := range envs {
-		frame, err := wire.AppendEnvelope(nil, env)
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		corpus[name] = frame
-	}
-
-	hb := corpus["seed-heartbeat"]
-	clone := func(mut func(b []byte)) []byte {
-		c := append([]byte(nil), hb...)
-		mut(c)
-		return c
-	}
-	corpus["seed-empty"] = nil
-	corpus["seed-magic-only"] = []byte{0xA7}
-	corpus["seed-truncated-payload"] = hb[:len(hb)-3]
-	corpus["seed-truncated-header"] = hb[:7]
-	corpus["seed-bad-magic"] = clone(func(b []byte) { b[0] = 0x7B })
-	corpus["seed-lying-length"] = clone(func(b []byte) { b[1], b[2], b[3], b[4] = 0xFF, 0xFF, 0xFF, 0x7F })
-	corpus["seed-trailing-payload"] = clone(func(b []byte) { b[1] -= 4 })
-	corpus["seed-unknown-kind"] = clone(func(b []byte) { b[6] = 0xEE })
-	corpus["seed-trailing-garbage"] = append(append([]byte(nil), hb...), 0xFF, 0xFF, 0xFF)
-	corpus["seed-garbage"] = []byte("not a frame at all")
-
-	dir := filepath.Join("testdata", "fuzz", "FuzzEnvelopeDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	cmd := exec.Command("go", "test", "-count=1", "-run", "^TestFuzzCorpus$", ".")
+	cmd.Env = append(os.Environ(), "WIRE_GEN_CORPUS=1")
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+	if err := cmd.Run(); err != nil {
 		log.Fatal(err)
 	}
-	for name, data := range corpus {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("wrote %d corpus files to %s\n", len(corpus), dir)
 }

@@ -10,6 +10,13 @@
 // equivalent substrate for the reproduction, shaped after the
 // agent-streams-telemetry / manager-pushes-actions pattern of
 // constraint-based autonomic deployment middleware.
+//
+// A host is described once and measured every minute, so the steady
+// heartbeat carries numbers, not names: a coordinator acks a named
+// heartbeat with the sender's indices in its session dictionary, and
+// from then on the binary codec frames the report as indices and loads
+// and its ack as two bytes (codec.go: indexed heartbeat, bare ack, index
+// ack). The dictionary and the rules for using it live in package agent.
 package wire
 
 import "fmt"
@@ -17,13 +24,16 @@ import "fmt"
 // Version is the protocol version carried in every envelope. A node
 // receiving an envelope with a different version must reject it — the
 // stacked-deployment story (rolling agent upgrades) depends on loud,
-// early incompatibility errors rather than silent misparses.
-const Version = 1
+// early incompatibility errors rather than silent misparses. Version 2
+// added the session-indexed heartbeat and its two acks; every named
+// heartbeat is answered with an index ack a version-1 agent could not
+// decode, so the two versions refuse each other outright.
+const Version = 2
 
 // MsgType enumerates the control-plane message kinds.
 type MsgType string
 
-// The message kinds of protocol version 1.
+// The message kinds of the protocol.
 const (
 	// TypeHeartbeat is the agent → coordinator load report; it doubles
 	// as the liveness heartbeat (every load monitor's report is a
@@ -72,7 +82,7 @@ const (
 // to the agent of the affected host (see agent.OpsFor).
 type Op string
 
-// The host-local operations of protocol version 1.
+// The host-local operations of the protocol.
 const (
 	// OpStart launches a new instance of a service on the agent's host.
 	OpStart Op = "start"
@@ -92,17 +102,40 @@ type InstanceSample struct {
 	ID      string  `json:"id"`
 	Service string  `json:"service"`
 	Load    float64 `json:"load"`
+	// Index is the (ID, Service) pair's number in the session dictionary
+	// of the coordinator the heartbeat is addressed to; zero: none.
+	Index uint32 `json:"index,omitempty"`
 }
 
 // Heartbeat is the per-minute load report of one host: the host-level
 // CPU and memory loads plus a sample per resident instance. Its arrival
 // is also the host's liveness beat.
+//
+// A heartbeat is indexed when Session, HostIndex and every sample's
+// Index are non-zero: the numbers a coordinator incarnation handed out
+// in its ack to an earlier, named heartbeat. The binary codec frames it
+// without any name; in memory and in JSON the names ride along.
 type Heartbeat struct {
 	Host      string           `json:"host"`
 	Minute    int              `json:"minute"`
 	CPU       float64          `json:"cpu"`
 	Mem       float64          `json:"mem"`
 	Instances []InstanceSample `json:"instances,omitempty"`
+	Session   uint64           `json:"session,omitempty"`
+	HostIndex uint32           `json:"hostIndex,omitempty"`
+}
+
+// Indexed reports whether the host and every sample carry an index.
+func (hb *Heartbeat) Indexed() bool {
+	if hb.HostIndex == 0 || hb.Session == 0 {
+		return false
+	}
+	for i := range hb.Instances {
+		if hb.Instances[i].Index == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ActionRequest asks an agent to apply one host-local operation.
@@ -137,6 +170,17 @@ type ActionAck struct {
 	// Duplicate reports that the ack was served from the agent's
 	// idempotency cache — the operation was NOT applied again.
 	Duplicate bool `json:"duplicate,omitempty"`
+
+	// The remaining fields answer heartbeats only. A named heartbeat is
+	// acked with the sender's numbers in the coordinator's session
+	// dictionary: Session, HostIndex and one index per sample, in sample
+	// order. Resync (OK false) refuses an indexed heartbeat whose session
+	// or indices the coordinator does not hold — nothing of it was
+	// ingested, and the reporter sends the same minute again, named.
+	Resync    bool     `json:"resync,omitempty"`
+	Session   uint64   `json:"session,omitempty"`
+	HostIndex uint32   `json:"hostIndex,omitempty"`
+	Indices   []uint32 `json:"indices,omitempty"`
 }
 
 // Probe is a liveness probe for a silent host.

@@ -160,7 +160,7 @@ func TestHTTPRejectsVersionMismatchOnWire(t *testing.T) {
 	base, _ := tr.Addr("agent")
 	raw.Register("agent", base)
 	env := ActionEnvelope("c", "agent", ActionRequest{Key: "k", Op: OpStart})
-	env.Version = 2
+	env.Version = Version + 1
 	_, err := rawPost(base, env)
 	if err == nil || !strings.Contains(err.Error(), "protocol version") {
 		t.Fatalf("bad-version frame not rejected: %v", err)
