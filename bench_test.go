@@ -24,6 +24,7 @@ import (
 	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/journal"
 	"autoglobe/internal/monitor"
+	"autoglobe/internal/obs"
 	"autoglobe/internal/placement"
 	"autoglobe/internal/service"
 	"autoglobe/internal/simulator"
@@ -832,7 +833,43 @@ func benchmarkSelectHost(b *testing.B, nHosts int) {
 	}
 }
 
-func BenchmarkSelectHost1k(b *testing.B)   { benchmarkSelectHost(b, 1_000) }
+// BenchmarkSelectHost1k's first two cases select among the ~3 PI-9
+// servers a tier-confined service may use; every-host-a-candidate is the
+// other end: a scale-out of the first service of the 1,007-host tiled
+// fleet, the selection bench/probes.go times, where the index prunes
+// nothing but the instance's own host and a selection costs one
+// inference a host (candidates/op, read off the controller's histogram).
+func BenchmarkSelectHost1k(b *testing.B) {
+	benchmarkSelectHost(b, 1_000)
+	b.Run("every-host-a-candidate", func(b *testing.B) {
+		dep := fleetDeployment(b, 53)
+		arch := archive.New(256)
+		for i, n := range dep.Cluster().Names() {
+			s := archive.Sample{Minute: 10, CPU: 0.1 + 0.05*float64(i%8), Mem: 0.2}
+			if err := arch.Record(archive.HostEntity(n), s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ctl, err := controller.New(controller.Config{}, dep, arch, controller.NewDeploymentExecutor(dep, controller.RebalanceUsers))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		ctl.Instrument(reg) // as every coordinator is: one clock read a candidate
+		svc := dep.Catalog().Names()[0]
+		instID := dep.InstancesOf(svc)[0].ID
+		if host, _ := ctl.SelectHost(service.ActionScaleOut, svc, instID, 10); host == "" {
+			b.Fatal("selection found no host — the benchmark is vacuous")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctl.SelectHost(service.ActionScaleOut, svc, instID, 10)
+		}
+		snap := reg.Snapshot()
+		b.ReportMetric(snap[controller.MetricSelectionCandidates+"_sum"]/snap[controller.MetricSelectionCandidates+"_count"], "candidates/op")
+	})
+}
 func BenchmarkSelectHost100k(b *testing.B) { benchmarkSelectHost(b, 100_000) }
 
 // fleetDeployment is the landscape of the fleet benchmark workloads: the

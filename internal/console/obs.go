@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"autoglobe/internal/agent"
+	"autoglobe/internal/controller"
 	"autoglobe/internal/obs"
 )
 
 // ObsView renders the observability panel: the registry's metric
 // families as sorted "series = value" lines, how the heartbeats arrived
-// (by session index or by name), the median duration of each
+// (by session index or by name), how many candidate hosts a server
+// selection scored, the median duration of each
 // control-plane minute stage, and the most recent control-loop traces
 // (trigger → decision → outcome). It is the console twin of the
 // /autoglobe/v1/metrics and /autoglobe/v1/traces endpoints, for the
@@ -50,6 +52,11 @@ func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 			}
 			fmt.Fprintf(&sb, "HEARTBEAT FRAMES\n  indexed %g  named %g  resyncs %g  session dictionary %g names\n",
 				snap[agent.MetricHeartbeats]-named, named, snap[agent.MetricHeartbeatResyncs], names)
+		}
+		// A server selection runs one inference per candidate host.
+		if n := snap[controller.MetricSelectionCandidates+"_count"]; n > 0 {
+			fmt.Fprintf(&sb, "SERVER SELECTIONS\n  %g selections  %.1f candidate hosts each\n",
+				n, snap[controller.MetricSelectionCandidates+"_sum"]/n)
 		}
 	}
 

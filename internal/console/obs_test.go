@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autoglobe/internal/agent"
+	"autoglobe/internal/controller"
 	"autoglobe/internal/obs"
 )
 
@@ -16,6 +17,9 @@ func TestObsView(t *testing.T) {
 	r.Counter(agent.MetricHeartbeatResyncs).Add(1)
 	r.Gauge(agent.MetricHeartbeatSessionNames, "node", "coordinator").Set(5)
 	r.Gauge(agent.MetricHeartbeatSessionNames, "node", "coordinator-standby-1").Set(2)
+	sel := r.Histogram(controller.MetricSelectionCandidates, []float64{16, 1024})
+	sel.Observe(4)
+	sel.Observe(513)
 	// Three timed merges around 2 ms, one timed decide; the other stages
 	// never ran and must not be listed.
 	merge := r.Histogram(agent.MetricMinuteStage, obs.LatencySecondsBuckets(), "stage", "merge")
@@ -43,7 +47,8 @@ func TestObsView(t *testing.T) {
 		"OBSERVABILITY",
 		`autoglobe_controller_decisions_total{action="scaleUp",trigger="serviceOverloaded"} = 1`,
 		"autoglobe_heartbeats_total = 42",
-		"HEARTBEAT FRAMES\n  indexed 39  named 3  resyncs 1  session dictionary 7 names\nMINUTE STAGES",
+		"HEARTBEAT FRAMES\n  indexed 39  named 3  resyncs 1  session dictionary 7 names\nSERVER SELECTIONS",
+		"SERVER SELECTIONS\n  2 selections  258.5 candidate hosts each\nMINUTE STAGES",
 		"MINUTE STAGES (p50)\n  merge         3ms\n  decide        55µs\nRECENT TRACES",
 		"[  100] serviceOverloaded(app) -> executed",
 		"scaleUp app inst=app-1 weak1->big1 applicability=0.82 hostScore=0.61",

@@ -15,8 +15,13 @@ const (
 	// both count — the controller decided either way.
 	MetricDecisions = "autoglobe_controller_decisions_total"
 	// MetricInference is the latency of one fuzzy inference run (action
-	// selection per instance, server selection per candidate host).
+	// selection per instance, server selection per candidate host — there
+	// with the candidate's measurement gathering, the clock being read
+	// once a candidate).
 	MetricInference = "autoglobe_controller_inference_seconds"
+	// MetricSelectionCandidates is the number of candidate hosts one
+	// server selection scored — what a selection's cost is linear in.
+	MetricSelectionCandidates = "autoglobe_controller_selection_candidate_hosts"
 	// MetricForecastTriggers counts triggers raised by the proactive
 	// forecast scan, by trigger kind — decisions they lead to land in
 	// MetricDecisions like any other.
@@ -58,8 +63,9 @@ var scanOutcomeLabels = [numScanOutcomes]string{"below_ramp", "protected", "watc
 // controllerMetrics holds the registry for the dynamic decision labels
 // and the pre-resolved inference histogram. Nil-safe.
 type controllerMetrics struct {
-	reg       *obs.Registry
-	inference *obs.Histogram
+	reg        *obs.Registry
+	inference  *obs.Histogram
+	candidates *obs.Histogram
 	// The proactive scan's counters, resolved on first use and kept: a
 	// registry lookup renders labels and allocates, the scan must not.
 	scan        [numScanOutcomes]*obs.Counter
@@ -72,6 +78,7 @@ func newControllerMetrics(r *obs.Registry) *controllerMetrics {
 	}
 	r.Help(MetricDecisions, "Controller decisions, by trigger kind and action.")
 	r.Help(MetricInference, "Latency of one fuzzy inference run.")
+	r.Help(MetricSelectionCandidates, "Candidate hosts scored by one server selection.")
 	r.Help(MetricForecastTriggers, "Proactive forecast triggers raised, by trigger kind.")
 	r.Help(MetricForecastScan, "Entities looked at by the proactive forecast scan, by outcome.")
 	r.Help(MetricRuleSwaps, "Hot swaps of the active rule set, by layer.")
@@ -84,6 +91,8 @@ func newControllerMetrics(r *obs.Registry) *controllerMetrics {
 	return &controllerMetrics{
 		reg:       r,
 		inference: r.Histogram(MetricInference, obs.LatencySecondsBuckets()),
+		// 1 … 2^18 hosts in powers of four.
+		candidates: r.Histogram(MetricSelectionCandidates, []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}),
 
 		forecastTrg: make(map[monitor.TriggerKind]*obs.Counter, 2),
 	}
@@ -158,14 +167,15 @@ func (m *controllerMetrics) shadowEval(candidate string, diff []string) {
 	}
 }
 
-// inferred records the latency of one engine.Infer call. The call sites
-// sit outside the fuzzy package's zero-allocation hot path: time.Now
-// and an atomic histogram update allocate nothing.
-func (m *controllerMetrics) inferred(start time.Time) {
-	if m == nil {
-		return
-	}
-	m.inference.Observe(time.Since(start).Seconds())
+// inferred records the latency of one engine.Infer call that began at
+// *mark and ends now, and moves the mark there for the next one. The
+// call sites sit outside the fuzzy package's zero-allocation hot path
+// and guard against a nil m: time.Now and an atomic histogram update
+// allocate nothing.
+func (m *controllerMetrics) inferred(mark *time.Time) {
+	now := time.Now()
+	m.inference.Observe(now.Sub(*mark).Seconds())
+	*mark = now
 }
 
 // Instrument attaches an obs registry: resolved decisions are counted

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autoglobe/internal/archive"
+	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
@@ -53,9 +54,15 @@ func TestControllerInstrumentation(t *testing.T) {
 		t.Errorf("snapshot[%s] = %v, want 1", key, snap[key])
 	}
 	// Action selection ran once per instance and host selection once per
-	// candidate host; every run must land in the latency histogram.
-	if n := snap[MetricInference+"_count"]; n < 2 {
-		t.Errorf("inference count = %v, want >= 2", n)
+	// candidate host; every run must land in the latency histogram: one
+	// instance and four hosts, the count the before-and-after clock reads
+	// of PR 22 gave, now that a selection reads the clock once a host.
+	if n := snap[MetricInference+"_count"]; n != 5 {
+		t.Errorf("inference count = %v, want 5", n)
+	}
+	// One observation per selection, never per host.
+	if n, sum := snap[MetricSelectionCandidates+"_count"], snap[MetricSelectionCandidates+"_sum"]; n != 1 || sum != 4 {
+		t.Errorf("selection candidates: %v selections of %v hosts, want 1 of 4", n, sum)
 	}
 
 	traces := tr.Snapshot()
@@ -133,4 +140,34 @@ func TestControllerTraceOutcomes(t *testing.T) {
 			t.Errorf("queued decision not counted: %v", got)
 		}
 	})
+}
+
+// TestShadowEvaluationIsUnobserved: a shadow evaluation infers and
+// selects like the active path but reads no clock and counts no
+// candidates — the histograms of a controller with a shadow rule set
+// equal those of one without.
+func TestShadowEvaluationIsUnobserved(t *testing.T) {
+	counts := func(shadow bool) (inferences, selections float64) {
+		tb, _ := hotbed(t, Config{})
+		r := obs.NewRegistry()
+		tb.ctl.Instrument(r)
+		if shadow {
+			tb.ctl.Shadow("serviceOverloaded@candidate",
+				map[monitor.TriggerKind]*fuzzy.RuleBase{monitor.ServiceOverloaded: scaleOutOnly(t)}, nil)
+		}
+		if _, err := tb.ctl.HandleTrigger(trigger(monitor.ServiceOverloaded, "app")); err != nil {
+			t.Fatal(err)
+		}
+		if st := tb.ctl.ShadowStats(); shadow && st.Evals != 1 {
+			t.Fatalf("ShadowStats = %+v, want 1 eval", st)
+		}
+		snap := r.Snapshot()
+		return snap[MetricInference+"_count"], snap[MetricSelectionCandidates+"_count"]
+	}
+	wantInf, wantSel := counts(false)
+	gotInf, gotSel := counts(true)
+	if wantInf == 0 || wantSel == 0 || gotInf != wantInf || gotSel != wantSel {
+		t.Errorf("with a shadow: %v inferences, %v selections observed; without: %v, %v",
+			gotInf, gotSel, wantInf, wantSel)
+	}
 }

@@ -28,6 +28,7 @@ func (c *Controller) SelectActions(tr monitor.Trigger) ([]Candidate, error) {
 // skip the inference-latency histogram so candidate rule bases never
 // skew the controller's steady-state metrics.
 func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool) ([]Candidate, error) {
+	timed := live && c.metrics != nil // else nobody reads the clock
 	var instances []*service.Instance
 	switch tr.Kind {
 	case monitor.ServerOverloaded, monitor.ServerIdle, monitor.ServerForecastOverload:
@@ -59,10 +60,13 @@ func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool)
 		if err := c.fillActionVec(b, vec, tr, inst); err != nil {
 			return nil, err
 		}
-		start := time.Now()
+		var mark time.Time
+		if timed {
+			mark = time.Now()
+		}
 		res, err := c.engine.InferVec(rb, vec)
-		if live {
-			c.metrics.inferred(start)
+		if timed {
+			c.metrics.inferred(&mark)
 		}
 		if err != nil {
 			return nil, err
@@ -369,8 +373,8 @@ func (c *Controller) anyTarget(a service.Action, svcName, instID string, minute 
 // and runs the server-selection inference. ok is false when the host
 // cannot be scored (a slot the selection path cannot supply), which
 // skips the host exactly like the map path's missing-measurement error
-// did.
-func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, minute int, live bool) (score float64, ok bool) {
+// did. A non-nil mark times the inference (see selectHostIn).
+func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, minute int, mark *time.Time) (score float64, ok bool) {
 	var cpu, mem float64
 	if s, ok := c.arch.Latest(ref.Entity); ok {
 		cpu, mem = s.CPU, s.Mem
@@ -408,10 +412,9 @@ func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, 
 			return 0, false
 		}
 	}
-	start := time.Now()
 	res, err := c.engine.InferVec(b.rb, vec)
-	if live {
-		c.metrics.inferred(start)
+	if mark != nil {
+		c.metrics.inferred(mark)
 	}
 	if err != nil {
 		return 0, false
@@ -485,11 +488,19 @@ func (c *Controller) selectHostIn(rs *ruleSet, a service.Action, svcName, instID
 	b := binderFor(rb)
 	c.hostBuf = c.candidateRefs(c.hostBuf[:0], a, svcName, instID, minute, exclude)
 	vec := c.vecFor(&c.selVec, len(b.slots))
+	// One clock read a candidate: the end of one inference is the start
+	// of the next. None when nobody reads it (shadow, uninstrumented).
+	var mark *time.Time
+	if live && c.metrics != nil {
+		now := time.Now()
+		mark = &now
+		c.metrics.candidates.Observe(float64(len(c.hostBuf)))
+	}
 	var best hostBest
 	for _, ref := range c.hostBuf {
 		// Candidates that cannot be scored or rate below MinHostScore
 		// are skipped.
-		score, ok := c.scoreRef(b, vec, ref, minute, live)
+		score, ok := c.scoreRef(b, vec, ref, minute, mark)
 		if ok && score >= c.cfg.MinHostScore && better(score, ref, best) {
 			best = hostBest{ref: ref, score: score}
 		}

@@ -298,3 +298,32 @@ func TestAblationCrispQuick(t *testing.T) {
 			fuzzyRow.TotalPerDay, none.TotalPerDay)
 	}
 }
+
+// TestEngineAblationsGolden pins the two ablations that run the engine's
+// other configurations — the defuzzifiers and inference methods that
+// still materialise and scan an output set (the paper's row is computed
+// in closed form since PR 23). The tables are the ones the PR 22 tree
+// rendered: an engine change that moves a decision moves a number here.
+func TestEngineAblationsGolden(t *testing.T) {
+	const want = `Ablation: defuzzification method (FM, 125 % users)
+  variant                       worst ovl/day  total ovl/day  actions   alerts
+  leftmost-maximum (paper)               50.0          100.0       17        9
+  mean-of-maximum                        30.0           65.0       18        9
+  centroid                               30.0          115.0       20       16
+Ablation: inference method (FM, 125 % users)
+  variant                       worst ovl/day  total ovl/day  actions   alerts
+  max-min (paper)                        50.0          100.0       17        9
+  max-product                            99.0          463.0       28        8
+`
+	d, err := AblateDefuzzifier(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, err := AblateInference(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.String() + "\n" + i.String() + "\n"; got != want {
+		t.Errorf("engine ablations moved:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package fuzzy
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -19,6 +20,22 @@ import (
 // order, fuzzification grades are memoized per (variable, term) exactly
 // as before, and consequent sets are pre-sampled with the same universe
 // discretization the interpreter uses.
+//
+// For the paper's configuration — max–min inference, leftmost-maximum
+// defuzzification — no output set is built at all. With h_c the fired
+// truth of consequent c's rule and pre_c its pre-sampled set, the union
+// is A[i] = max_c min(pre_c[i], h_c), and:
+//
+//  1. its height is H = max_c min(height(pre_c), h_c): min and max
+//     commute with the maximum over i;
+//  2. no sample exceeds H, and min(pre_c[i], h_c) == H exactly when c's
+//     own cap min(height(pre_c), h_c) is H and pre_c[i] ≥ H;
+//  3. so the leftmost sample at H is the least first{i : pre_c[i] ≥ H}
+//     over the consequents capped at H — a binary search in pre_c's
+//     prefix maxima, tabulated at compile time;
+//  4. which only compares floats the sampled union compares and computes
+//     none: the result is bit-equal to LeftMax over the union, whatever
+//     the shape of the membership functions (outputSlot.leftMax).
 
 // Opcode of one compiled antecedent instruction.
 const (
@@ -52,24 +69,39 @@ type atomSlot struct {
 
 // compiledConsequent is one "THEN var IS term" clause with the term's
 // membership function pre-sampled over the output universe, so inference
-// unions plain float slices instead of re-evaluating the function at
+// reads plain float slices instead of re-evaluating the function at
 // every sample point.
 type compiledConsequent struct {
-	out int // index into Program.outputs
-	pre *Set
+	rule   int32   // index into Program.rules and Result.Fired
+	height float64 // pre.Height(), beside rule: cap reads one cache line
+	pre    *Set
+	pmax   [setSamples]float64 // pmax[i] = max(pre.grades[:i+1])
+}
+
+// newConsequent tabulates pre's prefix maxima for the given rule.
+func newConsequent(rule int, pre *Set) compiledConsequent {
+	c := compiledConsequent{rule: int32(rule), pre: pre}
+	for i, g := range pre.grades {
+		if g > c.height {
+			c.height = g
+		}
+		c.pmax[i] = c.height
+	}
+	return c
 }
 
 // compiledRule is one rule of the program.
 type compiledRule struct {
 	code   []instr
 	weight float64
-	cons   []compiledConsequent
 }
 
-// outputSlot is one distinct output variable of the rule base.
+// outputSlot is one distinct output variable of the rule base with the
+// consequents assigning it, in rule order.
 type outputSlot struct {
 	name     string
 	min, max float64
+	cons     []compiledConsequent
 }
 
 // Program is the compiled, immutable form of a rule base. It is safe for
@@ -193,7 +225,8 @@ func compile(rb *RuleBase) *Program {
 			// Fill applies exactly the clamp01(mf(x(i))) the interpreter
 			// evaluates per call, so union results are bit-identical.
 			pre := NewSet(v.Min, v.Max).Fill(t.MF)
-			cr.cons = append(cr.cons, compiledConsequent{out: outIdx[c.Var], pre: pre})
+			o := &p.outputs[outIdx[c.Var]]
+			o.cons = append(o.cons, newConsequent(i, pre))
 		}
 		p.rules = append(p.rules, cr)
 	}
@@ -216,34 +249,22 @@ func maxInt(a, b int) int {
 }
 
 // newResult hands out a Result sized for the program, recycling released
-// ones. Recycled Results keep their maps and Set buffers; only the
-// grades and fired degrees are reset, so steady-state inference does not
-// allocate.
+// ones. A recycled Result keeps its map and buffers and finish overwrites
+// every entry, so steady-state inference does not allocate. The pool is
+// shared by every engine: a recycled Result may carry stale sets from a
+// sampled inference or none from a closed-form one; finish sorts that out.
 func (p *Program) newResult() *Result {
 	if v := p.results.Get(); v != nil {
 		res := v.(*Result)
 		res.home = &p.results
-		for i := range res.Fired {
-			res.Fired[i] = 0
-		}
-		for _, s := range res.sets {
-			s.grades = [setSamples]float64{}
-		}
 		return res
 	}
-	res := &Result{
+	return &Result{
 		Outputs: make(map[string]float64, len(p.outputs)),
 		Fired:   make([]float64, len(p.rules)),
-		Sets:    make(map[string]*Set, len(p.outputs)),
-		sets:    make([]*Set, len(p.outputs)),
+		rb:      p.rb,
 		home:    &p.results,
 	}
-	for i, o := range p.outputs {
-		s := NewSet(o.min, o.max)
-		res.sets[i] = s
-		res.Sets[o.name] = s
-	}
-	return res
 }
 
 // NumInputs returns the number of distinct input variables the compiled
@@ -336,26 +357,90 @@ func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 	}
 
 	res := p.newResult()
-	maxProduct := e.inference == MaxProduct
 	for i := range p.rules {
 		cr := &p.rules[i]
-		truth := clamp01(evalCode(cr.code, sc.grades, sc.stack)) * cr.weight
-		res.Fired[i] = truth
-		if truth == 0 {
-			continue
+		res.Fired[i] = clamp01(evalCode(cr.code, sc.grades, sc.stack)) * cr.weight
+	}
+	if _, ok := e.defuzz.(LeftMax); ok && e.inference == MaxMin {
+		// The paper's configuration needs no output set (see leftMax);
+		// Result.OutputSet builds one from Fired if somebody asks.
+		res.sets = nil
+		for i := range p.outputs {
+			o := &p.outputs[i]
+			res.Outputs[o.name] = o.leftMax(res.Fired)
 		}
-		for _, c := range cr.cons {
-			if maxProduct {
-				res.sets[c.out].UnionScaledSet(c.pre, truth)
-			} else {
-				res.sets[c.out].UnionClippedSet(c.pre, truth)
-			}
-		}
+		return res
+	}
+	if res.sets == nil {
+		res.sets = make([]*Set, len(p.outputs))
 	}
 	for i := range p.outputs {
-		res.Outputs[p.outputs[i].name] = e.defuzz.Defuzzify(res.sets[i])
+		o := &p.outputs[i]
+		res.sets[i] = o.aggregate(res.sets[i], res.Fired, e.inference)
+		res.Outputs[o.name] = e.defuzz.Defuzzify(res.sets[i])
 	}
 	return res
+}
+
+// aggregate materialises the output's combined set — the union of its
+// consequents' pre-sampled sets, each shaped by its rule's fired truth —
+// into dst, cleared first (a nil dst is allocated). It is the one sampled
+// union: every engine configuration but the paper's defuzzifies its
+// result, and Result.OutputSet runs it on demand.
+func (o *outputSlot) aggregate(dst *Set, fired []float64, inf Inference) *Set {
+	if dst == nil {
+		dst = NewSet(o.min, o.max)
+	} else {
+		dst.grades = [setSamples]float64{}
+	}
+	for i := range o.cons {
+		c := &o.cons[i]
+		if inf == MaxProduct {
+			dst.UnionScaledSet(c.pre, fired[c.rule])
+		} else {
+			dst.UnionClippedSet(c.pre, fired[c.rule])
+		}
+	}
+	return dst
+}
+
+// cap returns the height the consequent reaches when clipped at its
+// rule's fired truth: min(height, clamp01(truth)), in the comparison
+// UnionClippedSet makes, under which a NaN truth does not clip.
+func (c *compiledConsequent) cap(fired []float64) float64 {
+	if h := clamp01(fired[c.rule]); h < c.height {
+		return h
+	}
+	return c.height
+}
+
+// height is o.aggregate(nil, fired, MaxMin).Height() without the set.
+func (o *outputSlot) height(fired []float64) float64 {
+	height := 0.0
+	for i := range o.cons {
+		if h := o.cons[i].cap(fired); h > height {
+			height = h
+		}
+	}
+	return height
+}
+
+// leftMax is LeftMax{}.Defuzzify(o.aggregate(nil, fired, MaxMin)) without
+// the set, by the argument in this file's header.
+func (o *outputSlot) leftMax(fired []float64) float64 {
+	height := o.height(fired)
+	if height == 0 {
+		return 0
+	}
+	first := setSamples
+	for i := range o.cons {
+		c := &o.cons[i]
+		if c.cap(fired) != height {
+			continue
+		}
+		first = sort.SearchFloat64s(c.pmax[:first], height)
+	}
+	return o.cons[0].pre.x(first)
 }
 
 // evalCode runs one antecedent's postfix instruction sequence over the

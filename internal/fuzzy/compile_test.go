@@ -82,11 +82,11 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 								ei, in, name, g, w)
 						}
 					}
-					if len(got.Outputs) != len(want.Outputs) || len(got.Sets) != len(want.Sets) {
+					if len(got.Outputs) != len(want.Outputs) {
 						t.Fatalf("engine %d: output shape mismatch", ei)
 					}
-					for name, ws := range want.Sets {
-						gs := got.Sets[name]
+					for name := range want.Outputs {
+						ws, gs := want.OutputSet(name), got.OutputSet(name)
 						for i := 0; i < setSamples; i++ {
 							if gs.Sample(i) != ws.Sample(i) {
 								t.Fatalf("engine %d inputs %v: Sets[%s] sample %d differs", ei, in, name, i)
@@ -131,8 +131,8 @@ func TestCompiledInferAllocs(t *testing.T) {
 }
 
 // TestCompiledInferAllocsWithoutRelease documents the ceiling when the
-// caller keeps every Result: only the Result and its buffers may be
-// allocated, never per-rule or per-variable scratch.
+// caller keeps every Result: only the Result, its Fired slice and its
+// Outputs map may be allocated, never sets or per-rule scratch.
 func TestCompiledInferAllocsWithoutRelease(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool")
@@ -148,10 +148,10 @@ func TestCompiledInferAllocsWithoutRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Result struct + Fired + two maps + sets slice + 3 output Sets ≈ 10;
-	// allow slack for map internals but far below the interpreter's cost.
-	if allocs > 16 {
-		t.Errorf("compiled Infer without Release allocates %.1f objects/op, want ≤ 16", allocs)
+	// Result struct + Fired + the Outputs map and its one group: the
+	// paper's engine materialises no output set.
+	if allocs > 4 {
+		t.Errorf("compiled Infer without Release allocates %.1f objects/op, want ≤ 4", allocs)
 	}
 }
 
@@ -271,7 +271,7 @@ func TestInferResultsIndependent(t *testing.T) {
 	if hot.Outputs["scaleUp"] != before {
 		t.Error("second Infer mutated an unreleased Result")
 	}
-	if hot.Sets["scaleUp"].Empty() {
+	if hot.OutputSet("scaleUp").Empty() {
 		t.Error("second Infer cleared an unreleased Result's sets")
 	}
 }

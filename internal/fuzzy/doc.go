@@ -17,6 +17,14 @@
 //     (the paper's choice); mean-of-maximum and centroid are provided as
 //     alternatives for ablation studies.
 //
+// The last three steps are exact and small, and for the paper's choice
+// the compiled program (compile.go) takes them in closed form: the
+// leftmost maximum of a union of clipped sets follows from the fired
+// truths and each consequent's pre-sampled prefix maxima by comparisons
+// alone, bit-equal to sampling the union, so no output set is built
+// unless Result.OutputSet asks for one. Every other configuration
+// samples the union over the 201-point output grid.
+//
 // A rule base is a list of rules in the form
 //
 //	IF cpuLoad IS high AND (performanceIndex IS low OR performanceIndex IS medium)

@@ -167,20 +167,34 @@ type Result struct {
 	Outputs map[string]float64
 	// Fired lists, for each rule index, the antecedent degree of truth.
 	Fired []float64
-	// Sets holds the combined output fuzzy sets before defuzzification,
-	// keyed by output variable. Useful for inspection and testing.
-	Sets map[string]*Set
 
-	// sets indexes the same Set values by compiled output slot.
+	// sets holds the combined output sets the inference defuzzified, in
+	// rb.outVars order; nil when it needed none (see OutputSet).
 	sets []*Set
+	rb   *RuleBase
 	// home is the pool the Result returns to on Release.
 	home *sync.Pool
 }
 
+// OutputSet returns the combined fuzzy set of the named output variable
+// before defuzzification, nil for a name no rule assigns. Useful for
+// inspection and testing: the paper's configuration computes its outputs
+// without the set, and a Result of it builds a fresh one on every call.
+func (r *Result) OutputSet(name string) *Set {
+	i := sort.SearchStrings(r.rb.outVars, name)
+	if i == len(r.rb.outVars) || r.rb.outVars[i] != name {
+		return nil
+	}
+	if r.sets != nil {
+		return r.sets[i]
+	}
+	return r.rb.program().outputs[i].aggregate(nil, r.Fired, MaxMin)
+}
+
 // Release returns the Result to its rule base's buffer pool so a later
-// Infer call can reuse its maps and set buffers, making steady-state
-// compiled inference allocation-free. After Release the Result (and the
-// Sets it exposes) must no longer be read. Release is optional — an
+// Infer call can reuse its map and buffers, making steady-state
+// compiled inference allocation-free. After Release the Result (and any
+// OutputSet it handed out) must no longer be read. Release is optional — an
 // unreleased Result is simply collected by the GC — and calling it more
 // than once is a no-op.
 func (r *Result) Release() {
@@ -252,11 +266,14 @@ func (e *Engine) inferInterpreted(rb *RuleBase, inputs map[string]float64) (*Res
 	res := &Result{
 		Outputs: make(map[string]float64),
 		Fired:   make([]float64, len(rb.rules)),
-		Sets:    make(map[string]*Set),
+		sets:    make([]*Set, len(rb.outVars)),
+		rb:      rb,
 	}
-	for _, name := range rb.OutputVars() {
+	sets := make(map[string]*Set)
+	for i, name := range rb.outVars {
 		v, _ := rb.vocab.Get(name)
-		res.Sets[name] = NewSet(v.Min, v.Max)
+		res.sets[i] = NewSet(v.Min, v.Max)
+		sets[name] = res.sets[i]
 	}
 
 	for i, r := range rb.rules {
@@ -273,14 +290,14 @@ func (e *Engine) inferInterpreted(rb *RuleBase, inputs map[string]float64) (*Res
 			v, _ := rb.vocab.Get(c.Var)
 			t, _ := v.Term(c.Term) // validated at construction
 			if e.inference == MaxProduct {
-				res.Sets[c.Var].UnionScaled(t.MF, truth)
+				sets[c.Var].UnionScaled(t.MF, truth)
 			} else {
-				res.Sets[c.Var].UnionClipped(t.MF, truth)
+				sets[c.Var].UnionClipped(t.MF, truth)
 			}
 		}
 	}
 
-	for name, set := range res.Sets {
+	for name, set := range sets {
 		res.Outputs[name] = e.defuzz.Defuzzify(set)
 	}
 	return res, nil

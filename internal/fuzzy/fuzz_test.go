@@ -1,6 +1,10 @@
 package fuzzy
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 // FuzzParse throws arbitrary source at the rule parser. The parser must
 // never panic and, when it accepts input, the accepted rules must render
@@ -49,6 +53,70 @@ func FuzzParse(f *testing.F) {
 			if again.String() != rendered {
 				t.Fatalf("re-parse changed rendering:\n  first:  %q\n  second: %q", rendered, again.String())
 			}
+		}
+	})
+}
+
+// differentialRuleBase draws a rule base from seed: one to six rules
+// with randomExpr antecedents over compileVocab's inputs, one or two
+// consequents each, some weighted. Besides the applicability ramps the
+// consequents assign an output whose terms are no trapezoids: a
+// singleton on the first grid point, a wave, a staircase of plateaus,
+// and a function that is NaN on part of its universe.
+func differentialRuleBase(seed int64) *RuleBase {
+	odd := NewVariable("odd", -1, 3)
+	odd.AddTerm("spike", Singleton(-1))
+	odd.AddTerm("wave", func(x float64) float64 { return 0.5 + 0.5*math.Sin(7*x) })
+	odd.AddTerm("steps", func(x float64) float64 { return math.Floor(2*(x+1)) / 8 })
+	odd.AddTerm("holes", func(x float64) float64 { return math.Sqrt(x) / 2 })
+	vc := compileVocab()
+	vc.Add(odd)
+	consequents := []Assignment{
+		{"scaleUp", "applicable"}, {"scaleUp", "notApplicable"}, {"scaleOut", "applicable"},
+		{"move", "applicable"}, {"move", "notApplicable"},
+		{"odd", "spike"}, {"odd", "wave"}, {"odd", "steps"}, {"odd", "holes"},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	vars := []string{"cpuLoad", "memLoad", "performanceIndex"}
+	hedges := []Hedge{HedgeNone, HedgeVery, HedgeExtremely, HedgeSomewhat}
+	rules := make([]Rule, 1+rng.Intn(6))
+	for i := range rules {
+		rules[i] = Rule{
+			Antecedent:  randomExpr(rng, vars, hedges, 3),
+			Consequents: []Assignment{consequents[rng.Intn(len(consequents))]},
+			Weight:      []float64{0, 0, 1, 0.4, 0.05}[rng.Intn(5)],
+		}
+		if rng.Intn(3) == 0 {
+			rules[i].Consequents = append(rules[i].Consequents, consequents[rng.Intn(len(consequents))])
+		}
+	}
+	return MustRuleBase("differential", vc, rules)
+}
+
+// FuzzInferDifferential throws a random rule base and arbitrary
+// measurements — NaN, infinities and values outside every universe
+// included — at CheckDifferential: the closed-form leftmost maximum,
+// LeftMax over the materialised union and the reference interpreter must
+// agree in every bit. (A NaN measurement is judged by the first two
+// only; see TestDefaultRuleBasesDifferential.)
+func FuzzInferDifferential(f *testing.F) {
+	f.Add(int64(1), 0.85, 0.4, 4.0)
+	f.Add(int64(2), 0.7, 1.0, 3.0) // corners of the default terms
+	f.Add(int64(3), math.Nextafter(0.5, 1), -0.0, 10.0)
+	f.Add(int64(4), math.Inf(1), math.Inf(-1), 1e300)
+	f.Add(int64(5), math.NaN(), 0.5, 5.0)
+	f.Fuzz(func(t *testing.T, seed int64, cpu, mem, pi float64) {
+		rb := differentialRuleBase(seed)
+		in := map[string]float64{"cpuLoad": cpu, "memLoad": mem, "performanceIndex": pi}
+		names := rb.Compile().Inputs()
+		vals := make([]float64, len(names))
+		interpret := true
+		for i, n := range names {
+			vals[i] = in[n]
+			interpret = interpret && !math.IsNaN(vals[i])
+		}
+		if err := CheckDifferential(rb, vals, interpret); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -170,33 +170,36 @@ func TestPropInferenceMonotoneInLoad(t *testing.T) {
 	}
 }
 
+// randomExpr draws a random antecedent tree of at most the given depth
+// over the variables and hedges given, with the terms low, medium and
+// high — shared by the parser round-trip properties and
+// FuzzInferDifferential.
+func randomExpr(rng *rand.Rand, vars []string, hedges []Hedge, depth int) Expr {
+	if depth <= 0 || rng.Intn(3) == 0 {
+		return IsExpr{
+			Var:   vars[rng.Intn(len(vars))],
+			Hedge: hedges[rng.Intn(len(hedges))],
+			Term:  []string{"low", "medium", "high"}[rng.Intn(3)],
+		}
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return AndExpr{randomExpr(rng, vars, hedges, depth-1), randomExpr(rng, vars, hedges, depth-1)}
+	case 1:
+		return OrExpr{randomExpr(rng, vars, hedges, depth-1), randomExpr(rng, vars, hedges, depth-1)}
+	default:
+		return NotExpr{randomExpr(rng, vars, hedges, depth-1)}
+	}
+}
+
 // TestPropParserRoundTripRandomRules: randomly generated rule trees
 // render to text that re-parses to the identical rendering.
 func TestPropParserRoundTripRandomRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vars := []string{"cpuLoad", "memLoad", "performanceIndex", "instanceLoad"}
-	terms := []string{"low", "medium", "high"}
 	hedges := []Hedge{HedgeNone, HedgeVery, HedgeExtremely, HedgeSomewhat}
-	var gen func(depth int) Expr
-	gen = func(depth int) Expr {
-		if depth <= 0 || rng.Intn(3) == 0 {
-			return IsExpr{
-				Var:   vars[rng.Intn(len(vars))],
-				Hedge: hedges[rng.Intn(len(hedges))],
-				Term:  terms[rng.Intn(len(terms))],
-			}
-		}
-		switch rng.Intn(3) {
-		case 0:
-			return AndExpr{gen(depth - 1), gen(depth - 1)}
-		case 1:
-			return OrExpr{gen(depth - 1), gen(depth - 1)}
-		default:
-			return NotExpr{gen(depth - 1)}
-		}
-	}
 	for i := 0; i < 200; i++ {
-		r := Rule{Antecedent: gen(4), Consequents: []Assignment{{"scaleUp", "applicable"}}}
+		r := Rule{Antecedent: randomExpr(rng, vars, hedges, 4), Consequents: []Assignment{{"scaleUp", "applicable"}}}
 		src := r.String()
 		got, err := ParseRule(src)
 		if err != nil {
@@ -215,23 +218,8 @@ func TestPropParserRoundTripRandomRules(t *testing.T) {
 func TestPropParserNewlineWrapInsideGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vars := []string{"cpuLoad", "memLoad", "performanceIndex"}
-	terms := []string{"low", "medium", "high"}
-	var gen func(depth int) Expr
-	gen = func(depth int) Expr {
-		if depth <= 0 || rng.Intn(3) == 0 {
-			return IsExpr{Var: vars[rng.Intn(len(vars))], Term: terms[rng.Intn(len(terms))]}
-		}
-		switch rng.Intn(3) {
-		case 0:
-			return AndExpr{gen(depth - 1), gen(depth - 1)}
-		case 1:
-			return OrExpr{gen(depth - 1), gen(depth - 1)}
-		default:
-			return NotExpr{gen(depth - 1)}
-		}
-	}
 	for i := 0; i < 200; i++ {
-		r := Rule{Antecedent: gen(4), Consequents: []Assignment{{"scaleUp", "applicable"}}}
+		r := Rule{Antecedent: randomExpr(rng, vars, []Hedge{HedgeNone}, 4), Consequents: []Assignment{{"scaleUp", "applicable"}}}
 		src := r.String()
 		// Wrap: inside parens, turn a random subset of spaces into newlines.
 		wrapped := make([]byte, 0, len(src)+8)

@@ -8,6 +8,9 @@ import (
 // setSamples is the number of samples used to discretize output fuzzy
 // sets over their universe. 201 samples give a resolution of 0.5 % on the
 // [0, 1] applicability universe, far below any decision-relevant margin.
+// It defines the output grid — the crisp values an inference can return —
+// and is a loop bound only where a Set is materialised: the paper's
+// configuration searches the grid, it does not walk it (compile.go).
 const setSamples = 201
 
 // Set is a discretized fuzzy set over the universe [Min, Max]. Output

@@ -2,9 +2,10 @@
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md): formatting, vet,
 # the metric-name lint, every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards skip themselves under -race, so the
-# second pass is the one in which they assert), ten seconds of real
-# fuzzing of the wire frame decoder, and every root-package benchmark
-# once as a crash smoke. A new test or guard needs no edit here.
+# second pass is the one in which they assert), ten seconds each of real
+# fuzzing of the wire frame decoder and of the closed-form inference
+# against its two references, and every root-package benchmark once as a
+# crash smoke. A new test or guard needs no edit here.
 #
 # Usage: scripts/check.sh   (from anywhere)
 set -eu
@@ -44,6 +45,10 @@ go test ./...
 # fuzzing: the decoder reads whatever an unauthenticated peer sends.
 echo "== fuzz: the wire frame decoder, 10 s"
 go test ./internal/wire -run '^$' -fuzz FuzzEnvelopeDecode -fuzztime 10s
+
+# Exact by an argument, and checked on rule bases nobody wrote.
+echo "== fuzz: closed-form leftmost maximum vs sampled union vs interpreter, 10 s"
+go test ./internal/fuzzy -run '^$' -fuzz FuzzInferDifferential -fuzztime 10s
 
 echo "== benchmark smoke: every root-package benchmark, one iteration"
 go test -run '^$' -bench . -benchtime=1x -benchmem .
