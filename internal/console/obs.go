@@ -9,14 +9,15 @@ import (
 	"autoglobe/internal/agent"
 	"autoglobe/internal/controller"
 	"autoglobe/internal/obs"
+	"autoglobe/internal/tsdb"
 )
 
 // ObsView renders the observability panel: the registry's metric
 // families as sorted "series = value" lines, how the heartbeats arrived
 // (by session index or by name), how many candidate hosts a server
-// selection scored, the median duration of each
-// control-plane minute stage, and the most recent control-loop traces
-// (trigger → decision → outcome). It is the console twin of the
+// selection scored, what the load archive's commits and fsyncs cost,
+// the median duration of each control-plane minute stage, and the most
+// recent control-loop traces (trigger → decision → outcome). It is the console twin of the
 // /autoglobe/v1/metrics and /autoglobe/v1/traces endpoints, for the
 // administrator watching a run from a terminal instead of a scrape
 // pipeline. Nil arguments render as absent sections, so the panel
@@ -58,6 +59,15 @@ func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 			fmt.Fprintf(&sb, "SERVER SELECTIONS\n  %g selections  %.1f candidate hosts each\n",
 				n, snap[controller.MetricSelectionCandidates+"_sum"]/n)
 		}
+		// What persistence costs: one commit a minute, and an fsync for
+		// each segment it wrote unless the store runs NoSync.
+		if p50, ok := r.Quantile(tsdb.MetricCommit, 0.5); ok {
+			fmt.Fprintf(&sb, "ARCHIVE COMMITS\n  %g commits  p50 %v", snap[tsdb.MetricCommit+"_count"], seconds(p50))
+			if p50, ok := r.Quantile(tsdb.MetricSync, 0.5); ok {
+				fmt.Fprintf(&sb, "  %g fsyncs  p50 %v", snap[tsdb.MetricSync+"_count"], seconds(p50))
+			}
+			sb.WriteString("\n")
+		}
 	}
 
 	// Where did the minute go: the median of each pipeline stage, in
@@ -72,7 +82,7 @@ func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 			sb.WriteString("MINUTE STAGES (p50)\n")
 			header = true
 		}
-		fmt.Fprintf(&sb, "  %-13s %v\n", stage, time.Duration(p50*float64(time.Second)).Round(time.Microsecond))
+		fmt.Fprintf(&sb, "  %-13s %v\n", stage, seconds(p50))
 	}
 
 	sb.WriteString("RECENT TRACES\n")
@@ -135,4 +145,9 @@ func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 		}
 	}
 	return strings.TrimRight(sb.String(), "\n")
+}
+
+// seconds renders a latency in seconds at microsecond resolution.
+func seconds(v float64) time.Duration {
+	return time.Duration(v * float64(time.Second)).Round(time.Microsecond)
 }

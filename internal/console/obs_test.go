@@ -7,6 +7,7 @@ import (
 	"autoglobe/internal/agent"
 	"autoglobe/internal/controller"
 	"autoglobe/internal/obs"
+	"autoglobe/internal/tsdb"
 )
 
 func TestObsView(t *testing.T) {
@@ -60,6 +61,25 @@ func TestObsView(t *testing.T) {
 		if !strings.Contains(v, want) {
 			t.Errorf("obs view missing %q:\n%s", want, v)
 		}
+	}
+}
+
+// TestObsViewArchiveCommits: the panel appears once a commit was
+// timed, with the fsync half only for a store that syncs.
+func TestObsViewArchiveCommits(t *testing.T) {
+	r := obs.NewRegistry()
+	if v := ObsView(r, nil, 0); strings.Contains(v, "ARCHIVE COMMITS") {
+		t.Fatalf("panel shown with no commit timed:\n%s", v)
+	}
+	commit := r.Histogram(tsdb.MetricCommit, obs.LatencySecondsBuckets())
+	commit.Observe(0.0001)
+	commit.Observe(0.0001)
+	if v := ObsView(r, nil, 0); !strings.Contains(v, "ARCHIVE COMMITS\n  2 commits  p50 55µs\n") {
+		t.Fatalf("NoSync store:\n%s", v)
+	}
+	r.Histogram(tsdb.MetricSync, obs.LatencySecondsBuckets()).Observe(0.002)
+	if v := ObsView(r, nil, 0); !strings.Contains(v, "ARCHIVE COMMITS\n  2 commits  p50 55µs  1 fsyncs  p50 3ms\n") {
+		t.Fatalf("syncing store:\n%s", v)
 	}
 }
 

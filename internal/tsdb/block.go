@@ -20,17 +20,32 @@
 // reader stops at cleanly — never a misparsed block. Record payloads:
 //
 //	dict:      [kDict]  [uvarint id] [uvarint len] [name bytes]
+//	row:       [kRow]   [varint base] then cells to the end of the payload
+//	           cell = [uvarint id] [varint minute − base] [f64 cpu LE] [f64 mem LE]
 //	samples:   [kBlock] [tier] [uvarint id] [uvarint count] [count × 24 B]
 //	           sample = [i64 minute LE] [f64 cpu LE] [f64 mem LE]
 //	aggs:      [kAgg]   [tier] [uvarint id] [uvarint count] [count × 48 B]
 //	           agg = [i64 start LE] [i64 n LE] [f64 sumCPU] [f64 sumMem] [f64 maxCPU] [f64 maxMem]
 //	watermark: [kMark]  [tier] [uvarint minute]
 //
-// Sample blocks hold at most BlockSamples fixed-size samples; a sealed
-// block is the steady-state storage unit, and the short block flushed
-// by a Commit covering a partial minute burst is superseded on replay
-// by the monotone per-entity minute rule (a later block re-covering the
-// same minutes only contributes samples past what was already seen).
+// The minute stream is a sequence of commit batches, each
+// [row frames][seal frames] in one write. A row holds every sample
+// appended since the previous batch, whatever its entity, in append
+// order (a batch past rowFrameBytes is split over several rows); a
+// seal is a kBlock of exactly BlockSamples samples, the steady-state
+// storage unit and the only thing the read index points at. Replay
+// fills each entity's open block from the rows and empties it at the
+// entity's seal, so two orderings are load-bearing: a batch's rows come
+// BEFORE its seals (the block's 64th sample is in a row in front of
+// it), and between an entity's 64th cell and its 65th there is always
+// its seal. A batch torn between its rows and its seals therefore
+// replays as a full open block with no frame behind it; the next commit
+// seals it, and every read in between sees each sample once.
+//
+// Stores written before the row record hold kBlock records of fewer
+// than BlockSamples samples ("tails", one per entity per commit, after
+// that commit's seals). They are still read — a tail is a one-entity
+// row — and never written.
 //
 // A watermark at tier t, minute m is the commit record of a compaction:
 // it asserts that every tier-t datum with minute < m has been rolled up
@@ -90,6 +105,7 @@ const (
 	kBlock = 2
 	kAgg   = 3
 	kMark  = 4
+	kRow   = 5
 )
 
 // BlockSamples is the capacity of one sample block: the fixed-size
@@ -144,10 +160,56 @@ func (a Agg) MeanMem() float64 {
 var ErrBadRecord = errors.New("tsdb: malformed record payload")
 
 // appendUvarint appends v as an unsigned varint.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
+func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
+// appendRowHeader opens a row payload whose cells carry minutes
+// relative to base.
+func appendRowHeader(dst []byte, base int) []byte {
+	return binary.AppendVarint(append(dst, kRow), int64(base))
+}
+
+// appendRowCell appends one sample of entity id to an open row payload.
+func appendRowCell(dst []byte, base int, id uint64, s Sample) []byte {
+	dst = binary.AppendUvarint(dst, id)
+	dst = binary.AppendVarint(dst, int64(s.Minute)-int64(base))
+	dst = appendF64(dst, s.CPU)
+	return appendF64(dst, s.Mem)
+}
+
+// decodeRow walks the cells of a row payload (kind byte included),
+// calling fn for each until it returns an error. Rows come from a file:
+// every varint and the 16 value bytes are bounds-checked, a minute that
+// does not fit an int is rejected, and decodeRow never panics, whatever
+// the input.
+func decodeRow(p []byte, fn func(id uint64, s Sample) error) error {
+	if len(p) == 0 || p[0] != kRow {
+		return ErrBadRecord
+	}
+	base, n := binary.Varint(p[1:])
+	if n <= 0 {
+		return ErrBadRecord
+	}
+	for p = p[1+n:]; len(p) > 0; p = p[16:] { // the 16 value bytes end a cell
+		id, n := binary.Uvarint(p)
+		if n <= 0 {
+			return ErrBadRecord
+		}
+		p = p[n:]
+		delta, n := binary.Varint(p)
+		minute := base + delta
+		if n <= 0 || len(p)-n < 16 || (minute < base) != (delta < 0) || int64(int(minute)) != minute {
+			return ErrBadRecord
+		}
+		p = p[n:]
+		if err := fn(id, Sample{
+			Minute: int(minute),
+			CPU:    math.Float64frombits(binary.LittleEndian.Uint64(p)),
+			Mem:    math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // appendDictRecord encodes a dictionary record.
@@ -194,15 +256,11 @@ func appendMarkRecord(dst []byte, tier Tier, minute int) []byte {
 }
 
 func appendI64(dst []byte, v int64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	return append(dst, b[:]...)
+	return binary.LittleEndian.AppendUint64(dst, uint64(v))
 }
 
 func appendF64(dst []byte, v float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return append(dst, b[:]...)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 // record is one decoded segment record. Exactly one of the payload

@@ -25,8 +25,8 @@ import (
 func (st *Store) CompactBefore(minute int) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
+	if err := st.writable(); err != nil {
+		return err
 	}
 	if err := st.compactMinutes(minute); err != nil {
 		return err

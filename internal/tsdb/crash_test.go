@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"autoglobe/internal/journal"
@@ -49,7 +50,11 @@ func truncateFile(t *testing.T, path string, n int) {
 // sample is acked when the Commit after it returned and its bytes are
 // within the surviving prefix), and recovery is an intact prefix of the
 // appended sequence per entity — never a gap, never a reorder, never an
-// invented sample.
+// invented sample. The cuts inside a burst minute — after its row frame
+// and after each of its seal frames but the last — leave full blocks
+// with no frame behind them: the next commit must seal each exactly
+// once, and a second reopen must read the same samples out of one block
+// per 64, none twice.
 func TestCrashPointSweepTSDB(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, Options{SegmentBytes: 1 << 20}) // one data segment
@@ -93,6 +98,7 @@ func TestCrashPointSweepTSDB(t *testing.T) {
 	for _, b := range boundaries {
 		points = append(points, b-1, b) // mid-frame and clean cut
 	}
+	orphanCuts := 0
 	for _, cut := range points {
 		// The largest fully-acked commit within the surviving prefix is
 		// the floor recovery must reach.
@@ -108,8 +114,13 @@ func TestCrashPointSweepTSDB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
+		if len(re.full) > 0 {
+			orphanCuts++
+		}
+		recovered := make(map[string][]Sample)
 		for name, ws := range want {
 			got := collect(t, re, name, 0, minutes)
+			recovered[name] = got
 			if len(got) < floor {
 				t.Fatalf("cut %d: %s: recovered %d samples, acked floor %d — acked data lost",
 					cut, name, len(got), floor)
@@ -125,7 +136,35 @@ func TestCrashPointSweepTSDB(t *testing.T) {
 				}
 			}
 		}
-		re.Close()
+		// The next commit seals what the cut orphaned; nothing moves.
+		if err := re.Commit(); err != nil {
+			t.Fatalf("cut %d: commit after reopen: %v", cut, err)
+		}
+		for pass, st := range []*Store{re, nil} {
+			if st == nil {
+				if st, err = Open(crashed, Options{NoSync: true}); err != nil {
+					t.Fatalf("cut %d: second reopen: %v", cut, err)
+				}
+			}
+			for name, rs := range recovered {
+				got := collect(t, st, name, 0, minutes)
+				if !slices.Equal(got, rs) {
+					t.Fatalf("cut %d pass %d: %s: %d samples after the sealing commit, %d before it",
+						cut, pass, name, len(got), len(rs))
+				}
+				e := st.ents[st.ids[name]]
+				if len(e.blocks) != len(rs)/BlockSamples || e.n != len(rs)%BlockSamples {
+					t.Fatalf("cut %d pass %d: %s: %d samples in %d blocks + %d open",
+						cut, pass, name, len(rs), len(e.blocks), e.n)
+				}
+			}
+			st.Close()
+		}
+	}
+	// Two bursts; in each, the clean cut after the row and both cuts at
+	// every seal but the clean one after the last.
+	if orphanCuts != 2*(1+2*ents-1) {
+		t.Fatalf("only %d cuts fell between a burst's rows and its last seal", orphanCuts)
 	}
 }
 

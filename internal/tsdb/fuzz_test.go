@@ -1,11 +1,43 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// rowCell is one decoded cell of a row record.
+type rowCell struct {
+	id uint64
+	s  Sample
+}
+
+// decodePayload decodes any segment record the way replay dispatches:
+// rows through decodeRow, every other kind through decodeRecord.
+func decodePayload(p []byte) (r record, cells []rowCell, err error) {
+	if len(p) > 0 && p[0] == kRow {
+		err = decodeRow(p, func(id uint64, s Sample) error {
+			cells = append(cells, rowCell{id, s})
+			return nil
+		})
+		return record{kind: kRow}, cells, err
+	}
+	r, err = decodeRecord(p, nil, nil)
+	return r, nil, err
+}
+
+// corpusRow is a row as a commit writes it: a base minute, cells of
+// several entities at and around it.
+func corpusRow() []byte {
+	b := appendRowHeader(nil, 1000)
+	for _, c := range []rowCell{{0, Sample{1000, 0.5, 0.25}}, {300, Sample{1000, 1, 0}}, {70000, Sample{1063, 0.125, 0.75}}, {6, Sample{997, 0, 1}}} {
+		b = appendRowCell(b, 1000, c.id, c.s)
+	}
+	return b
+}
 
 // corpusRecords is the happy half of the fuzz seed corpus — one valid
 // payload per record kind — shared with the corpus regenerator.
@@ -23,6 +55,9 @@ func corpusRecords() map[string][]byte {
 			{Start: 120, N: 60, SumCPU: 28, SumMem: 14, MaxCPU: 0.8, MaxMem: 0.4},
 		}),
 		"seed-mark": appendMarkRecord(nil, TierMinute, 1440),
+		"seed-row":  corpusRow(),
+		// never written, but a header with no cell is a well-formed row
+		"seed-row-empty": appendRowHeader(nil, 1000),
 	}
 }
 
@@ -52,6 +87,14 @@ func corpusMutations() map[string][]byte {
 		}),
 		"seed-mark-truncated": recs["seed-mark"][:2],
 		"seed-garbage":        []byte("not a record at all"),
+		"seed-row-no-base":    {kRow},
+		// a cell id whose varint never terminates
+		"seed-row-truncated-varint": append(appendRowHeader(nil, 1000), 0x80, 0x80),
+		// a cell cut inside its 16 value bytes
+		"seed-row-short-values": recs["seed-row"][:len(recs["seed-row"])-1],
+		// base + delta leaves the int range
+		"seed-row-delta-overflow":  appendRowCell(appendRowHeader(nil, math.MaxInt64-1), 0, 1, Sample{Minute: 2}),
+		"seed-row-delta-underflow": appendRowCell(appendRowHeader(nil, math.MinInt64+1), 0, 1, Sample{Minute: -2}),
 	}
 }
 
@@ -75,15 +118,27 @@ func FuzzRecordDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		var sampleScratch []Sample
-		var aggScratch []Agg
-		r, err := decodeRecord(p, sampleScratch, aggScratch)
+		r, cells, err := decodePayload(p)
 		if err != nil {
 			return
 		}
 		// Whatever decodes must re-encode and decode back identically.
 		var re []byte
 		switch r.kind {
+		case kRow:
+			// Cells are relative to a base the decoder does not hand out;
+			// any base within reach of every minute re-encodes them.
+			base := 0
+			if len(cells) > 0 {
+				base = cells[0].s.Minute
+			}
+			re = appendRowHeader(nil, base)
+			for _, c := range cells {
+				if d := int64(c.s.Minute) - int64(base); (d < 0) != (c.s.Minute < base) {
+					return // two cells further apart than one varint spans: no single base
+				}
+				re = appendRowCell(re, base, c.id, c.s)
+			}
 		case kDict:
 			re = appendDictRecord(nil, r.id, r.name)
 		case kBlock:
@@ -98,9 +153,17 @@ func FuzzRecordDecode(f *testing.F) {
 		// Copy before the scratch buffers are reused by the re-decode.
 		samples := append([]Sample(nil), r.samples...)
 		aggs := append([]Agg(nil), r.aggs...)
-		r2, err := decodeRecord(re, nil, nil)
+		r2, cells2, err := decodePayload(re)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if len(cells2) != len(cells) {
+			t.Fatalf("row round trip: %d cells, then %d", len(cells), len(cells2))
+		}
+		for i, c := range cells {
+			if c2 := cells2[i]; c != c2 && !(c.id == c2.id && c.s.Minute == c2.s.Minute && isNaNSample(c.s) && isNaNSample(c2.s)) {
+				t.Fatalf("cell %d diverges: %+v vs %+v", i, c, c2)
+			}
 		}
 		if r2.kind != r.kind || r2.tier != r.tier || r2.id != r.id ||
 			r2.name != r.name || r2.mark != r.mark ||
@@ -133,14 +196,17 @@ func isNaNAgg(a Agg) bool {
 // rejected with an error, never a panic, never a partial parse.
 func TestFuzzSeedsReject(t *testing.T) {
 	for name, b := range corpusMutations() {
-		if _, err := decodeRecord(b, nil, nil); err == nil {
-			t.Errorf("%s: decoded successfully, want error", name)
+		if _, _, err := decodePayload(b); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: decoded with %v, want ErrBadRecord", name, err)
 		}
 	}
 	for name, b := range corpusRecords() {
-		if _, err := decodeRecord(b, nil, nil); err != nil {
+		if _, _, err := decodePayload(b); err != nil {
 			t.Errorf("%s: valid record rejected: %v", name, err)
 		}
+	}
+	if _, cells, _ := decodePayload(corpusRow()); len(cells) != 4 || cells[3] != (rowCell{6, Sample{997, 0, 1}}) {
+		t.Errorf("seed-row decodes to %+v", cells)
 	}
 }
 

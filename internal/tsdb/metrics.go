@@ -1,6 +1,10 @@
 package tsdb
 
-import "autoglobe/internal/obs"
+import (
+	"time"
+
+	"autoglobe/internal/obs"
+)
 
 // Metric families the load archive emits.
 const (
@@ -11,9 +15,14 @@ const (
 	MetricCompactions = "autoglobe_archive_compactions_total"
 	// MetricWritten counts bytes appended to segments, by tier.
 	MetricWritten = "autoglobe_archive_written_bytes_total"
-	// MetricBlocks counts sealed 64-sample blocks and compacted
-	// aggregates written, by kind.
+	// MetricBlocks counts sealed 64-sample blocks, row frames and
+	// compacted aggregates written, by kind.
 	MetricBlocks = "autoglobe_archive_blocks_total"
+	// MetricCommit times every Commit that wrote something, dictionary
+	// write and fsyncs included.
+	MetricCommit = "autoglobe_archive_commit_seconds"
+	// MetricSync times every segment fsync (none under Options.NoSync).
+	MetricSync = "autoglobe_archive_sync_seconds"
 	// MetricCacheReads counts hot-block cache lookups, by result — the
 	// hit ratio of the controller's steady-state read path.
 	MetricCacheReads = "autoglobe_archive_cache_reads_total"
@@ -22,14 +31,22 @@ const (
 	MetricDiskBytes = "autoglobe_archive_disk_bytes_total"
 )
 
+// Label values of MetricBlocks, indexing storeMetrics.blocks.
+const (
+	kindSealed = iota
+	kindRow
+	kindAgg
+)
+
 // storeMetrics pre-resolves the store's series. Nil-safe: an
 // uninstrumented store pays one pointer test per event.
 type storeMetrics struct {
 	segments    [4]*obs.Counter
 	compactions [4]*obs.Counter
 	written     [4]*obs.Counter
-	sealed      *obs.Counter
-	aggs        *obs.Counter
+	blocks      [3]*obs.Counter // by kindSealed, kindRow, kindAgg
+	commit      *obs.Histogram
+	sync        *obs.Histogram
 	hits        *obs.Counter
 	misses      *obs.Counter
 	disk        *obs.Gauge
@@ -42,12 +59,19 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 	r.Help(MetricSegments, "Segment files opened, by tier.")
 	r.Help(MetricCompactions, "Roll-ups committed, by destination tier.")
 	r.Help(MetricWritten, "Bytes appended to archive segments, by tier.")
-	r.Help(MetricBlocks, "Sealed blocks and aggregates written, by kind.")
+	r.Help(MetricBlocks, "Sealed blocks, row frames and aggregates written, by kind.")
+	r.Help(MetricCommit, "Latency of archive commits that wrote, in seconds.")
+	r.Help(MetricSync, "Latency of archive segment fsyncs, in seconds.")
 	r.Help(MetricCacheReads, "Hot-block cache lookups, by result.")
 	r.Help(MetricDiskBytes, "Bytes currently on disk across live segments.")
 	m := &storeMetrics{
-		sealed: r.Counter(MetricBlocks, "kind", "sealed"),
-		aggs:   r.Counter(MetricBlocks, "kind", "agg"),
+		blocks: [3]*obs.Counter{
+			kindSealed: r.Counter(MetricBlocks, "kind", "sealed"),
+			kindRow:    r.Counter(MetricBlocks, "kind", "row"),
+			kindAgg:    r.Counter(MetricBlocks, "kind", "agg"),
+		},
+		commit: r.Histogram(MetricCommit, obs.LatencySecondsBuckets()),
+		sync:   r.Histogram(MetricSync, obs.LatencySecondsBuckets()),
 		hits:   r.Counter(MetricCacheReads, "result", "hit"),
 		misses: r.Counter(MetricCacheReads, "result", "miss"),
 		disk:   r.Gauge(MetricDiskBytes),
@@ -73,21 +97,37 @@ func (m *storeMetrics) wrote(tier, n int, disk int64) {
 	}
 }
 
-func (m *storeMetrics) addBlocks(kind string, n int) {
-	if m == nil || n == 0 {
-		return
+func (m *storeMetrics) addBlocks(kind, n int) {
+	if m != nil && n != 0 {
+		m.blocks[kind].Add(float64(n))
 	}
-	if kind == "sealed" {
-		m.sealed.Add(float64(n))
-	} else {
-		m.aggs.Add(float64(n))
+}
+
+// start reads the clock for a latency observation — only when there is
+// a histogram to feed.
+func (m *storeMetrics) start() (t0 time.Time) {
+	if m != nil {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+func (m *storeMetrics) committed(t0 time.Time) {
+	if m != nil {
+		m.commit.Observe(time.Since(t0).Seconds())
+	}
+}
+
+func (m *storeMetrics) synced(t0 time.Time) {
+	if m != nil {
+		m.sync.Observe(time.Since(t0).Seconds())
 	}
 }
 
 func (m *storeMetrics) compacted(destTier, aggCount int, disk int64) {
 	if m != nil {
 		m.compactions[destTier].Inc()
-		m.aggs.Add(float64(aggCount))
+		m.blocks[kindAgg].Add(float64(aggCount))
 		m.disk.Set(float64(disk))
 	}
 }
@@ -110,10 +150,10 @@ func (m *storeMetrics) cache(hit bool) {
 }
 
 // Instrument attaches an obs registry to the store: segments opened,
-// bytes written, blocks sealed, compactions committed, cache hit ratio
-// and live disk footprint. Attach-only and nil-safe, like every other
-// family — a nil registry leaves the store uninstrumented and the hot
-// paths pay a single pointer test.
+// bytes written, blocks sealed, commit and fsync latency, compactions
+// committed, cache hit ratio and live disk footprint. Attach-only and
+// nil-safe, like every other family — a nil registry leaves the store
+// uninstrumented and the hot paths pay a single pointer test.
 func (st *Store) Instrument(r *obs.Registry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

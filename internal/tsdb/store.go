@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -54,20 +56,20 @@ type blockRef struct {
 }
 
 // entState is the in-memory state of one entity: the open (unsealed)
-// sample buffer, the index of its sealed blocks on disk, and its
-// downsampled tiers.
+// block, the index of its sealed blocks on disk, and its downsampled
+// tiers.
 type entState struct {
 	id   uint64
 	name string
 
-	// open holds the samples not yet sealed into a 64-sample block;
-	// open[:flushed] is already durable as tail records, open[flushed:]
-	// is lost if the process dies before the next Commit.
-	open    []Sample
-	flushed int
+	// open[:n] holds the samples not yet sealed into a block. Their
+	// durable copies are row cells; the block is sealed by the commit
+	// that follows its 64th sample, so it never grows past one block and
+	// lives inline.
+	open    [BlockSamples]Sample
+	n       int
 	last    int // last appended minute (monotonicity guard)
 	hasLast bool
-	dirty   bool
 
 	blocks []blockRef // sealed minute blocks, chronological
 	hours  []Agg      // hour aggregates ≥ the hour→day watermark
@@ -99,22 +101,47 @@ type Store struct {
 	// marks[TierHour]: hour data below this is rolled into days.
 	marks [2]int
 
-	pending     []byte // framed minute-tier records staged by Commit
-	dictPending []byte // framed dict records for entities seen since last Commit
-	dirty       []uint64
-	recBuf      []byte // record payload scratch
-	aggScratch  []Agg  // compaction scratch
+	row         []byte   // open row payload: the cells appended since the last row frame
+	rowBase     int      // minute the open row's cells are relative to
+	pending     []byte   // framed minute-tier batch: closed rows, then the seals Commit adds
+	dictPending []byte   // framed dict records for entities seen since last Commit
+	full        []uint64 // entities whose open block is full and awaits its seal
+	stagedMax   int      // newest minute staged since the last Commit
+	recBuf      []byte   // record payload scratch
+	aggScratch  []Agg    // compaction scratch
 
 	cache blockCache
 
 	diskBytes int64
 	closed    bool
+	err       error // first failed write; sticky until the directory is reopened
 
 	m *storeMetrics
 }
 
 // ErrClosed reports use of a closed store.
 var ErrClosed = errors.New("tsdb: store is closed")
+
+// rowFrameBytes closes the open row into a frame of its own before the
+// commit: a caller staging hours of a large fleet between commits must
+// stay far below journal.MaxRecordBytes.
+const rowFrameBytes = 256 << 10
+
+// sealFrameBytes bounds one framed sealed block: the journal's 9-byte
+// frame header, kind and tier, id and count, the samples. Taking both
+// varints at their maximum is the batch buffer's headroom for the
+// entities that join between two seal bursts.
+const sealFrameBytes = 9 + 2 + 2*binary.MaxVarintLen64 + BlockSamples*sampleBytes
+
+// writable gates every mutating call: a closed store refuses them, and
+// so does one whose last write failed — how much of that write reached
+// the disk is unknown, and only a replay of the directory can tell.
+func (st *Store) writable() error {
+	if st.closed {
+		return ErrClosed
+	}
+	return st.err
+}
 
 // Open opens (or creates) a store directory, replaying every segment:
 // the entity dictionary, then the day, hour and minute tiers, honoring
@@ -201,33 +228,72 @@ func (st *Store) replay() error {
 	return nil
 }
 
-func (st *Store) replayDict() error {
-	names, err := st.segFiles(dictTier)
+// forEachFrame replays a tier's segments in sequence order. Each file is
+// read into one buffer — reused across the tier's segments, dropped on
+// return — and fn sees every intact frame in place: the payload (valid
+// during the call only), its segment, and the frame's offset and framed
+// length there. A torn final frame ends a segment cleanly.
+func (st *Store) forEachFrame(tier int, fn func(seq int, off int64, n int, payload []byte) error) error {
+	names, err := st.segFiles(tier)
 	if err != nil {
 		return err
 	}
+	var buf []byte
 	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(st.dir, name))
-		if err != nil {
+		seq := st.segSeq(name)
+		if buf, err = readInto(buf, filepath.Join(st.dir, name)); err != nil {
 			return err
 		}
-		st.diskBytes += int64(len(b))
-		payloads, _ := journal.Frames(b)
-		for _, p := range payloads {
-			r, err := decodeRecord(p, nil, nil)
+		st.diskBytes += int64(len(buf))
+		if tier == int(TierMinute) {
+			st.segSize[seq] = int64(len(buf))
+		}
+		for off := 0; ; {
+			p, n, err := journal.DecodeFrame(buf[off:])
 			if err != nil {
+				break
+			}
+			if err := fn(seq, int64(off), n, p); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
-			if r.kind != kDict {
-				return fmt.Errorf("%s: non-dict record in dict stream: %w", name, ErrBadRecord)
-			}
-			if r.id != uint64(len(st.ents)) {
-				return fmt.Errorf("%s: dict id %d out of order: %w", name, r.id, ErrBadRecord)
-			}
-			st.register(r.name)
+			off += n
 		}
 	}
 	return nil
+}
+
+// readInto reads the whole file into buf's backing array, growing it
+// only when the file is larger.
+func readInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf = slices.Grow(buf[:0], int(fi.Size()))[:fi.Size()]
+	_, err = io.ReadFull(f, buf)
+	return buf, err
+}
+
+func (st *Store) replayDict() error {
+	return st.forEachFrame(dictTier, func(_ int, _ int64, _ int, p []byte) error {
+		r, err := decodeRecord(p, nil, nil)
+		if err != nil {
+			return err
+		}
+		if r.kind != kDict {
+			return fmt.Errorf("non-dict record in dict stream: %w", ErrBadRecord)
+		}
+		if r.id != uint64(len(st.ents)) {
+			return fmt.Errorf("dict id %d out of order: %w", r.id, ErrBadRecord)
+		}
+		st.register(r.name)
+		return nil
+	})
 }
 
 // replayAggs replays the hour or day stream. Aggregates are provisional
@@ -235,10 +301,6 @@ func (st *Store) replayDict() error {
 // aggregates and then the watermark in one batch, so an aggregate with
 // no following watermark is the orphan of a torn compaction.
 func (st *Store) replayAggs(tier int) error {
-	names, err := st.segFiles(tier)
-	if err != nil {
-		return err
-	}
 	// The watermark in the day stream governs the HOUR tier (hour→day
 	// roll-up), the one in the hr stream governs the MINUTE tier.
 	srcTier := TierHour
@@ -251,139 +313,133 @@ func (st *Store) replayAggs(tier int) error {
 	}
 	var provisional []pendAgg
 	var aggScratch []Agg
-	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(st.dir, name))
+	return st.forEachFrame(tier, func(_ int, _ int64, _ int, p []byte) error {
+		r, err := decodeRecord(p, nil, aggScratch)
 		if err != nil {
 			return err
 		}
-		st.diskBytes += int64(len(b))
-		payloads, _ := journal.Frames(b)
-		for _, p := range payloads {
-			r, err := decodeRecord(p, nil, aggScratch)
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+		switch r.kind {
+		case kAgg:
+			if int(r.tier) != tier {
+				return fmt.Errorf("tier %v record in %s stream: %w", r.tier, tierPrefix[tier], ErrBadRecord)
 			}
-			switch r.kind {
-			case kAgg:
-				if int(r.tier) != tier {
-					return fmt.Errorf("%s: tier %v record in %s stream: %w", name, r.tier, tierPrefix[tier], ErrBadRecord)
-				}
-				if r.id >= uint64(len(st.ents)) {
-					return fmt.Errorf("%s: aggregate for unknown entity %d: %w", name, r.id, ErrBadRecord)
-				}
-				for _, a := range r.aggs {
-					provisional = append(provisional, pendAgg{r.id, a})
-				}
-				aggScratch = r.aggs[:0]
-			case kMark:
-				if r.tier != srcTier {
-					return fmt.Errorf("%s: tier %v watermark in %s stream: %w", name, r.tier, tierPrefix[tier], ErrBadRecord)
-				}
-				for _, pa := range provisional {
-					e := st.ents[pa.id]
-					if tier == int(TierDay) {
-						e.days = append(e.days, pa.a)
-					} else {
-						e.hours = append(e.hours, pa.a)
-					}
-				}
-				provisional = provisional[:0]
-				if r.mark > st.marks[srcTier] {
-					st.marks[srcTier] = r.mark
-				}
-			default:
-				return fmt.Errorf("%s: record kind %d in %s stream: %w", name, r.kind, tierPrefix[tier], ErrBadRecord)
+			if r.id >= uint64(len(st.ents)) {
+				return fmt.Errorf("aggregate for unknown entity %d: %w", r.id, ErrBadRecord)
 			}
+			for _, a := range r.aggs {
+				provisional = append(provisional, pendAgg{r.id, a})
+			}
+			aggScratch = r.aggs[:0]
+		case kMark:
+			if r.tier != srcTier {
+				return fmt.Errorf("tier %v watermark in %s stream: %w", r.tier, tierPrefix[tier], ErrBadRecord)
+			}
+			for _, pa := range provisional {
+				e := st.ents[pa.id]
+				if tier == int(TierDay) {
+					e.days = append(e.days, pa.a)
+				} else {
+					e.hours = append(e.hours, pa.a)
+				}
+			}
+			provisional = provisional[:0]
+			if r.mark > st.marks[srcTier] {
+				st.marks[srcTier] = r.mark
+			}
+		default:
+			return fmt.Errorf("record kind %d in %s stream: %w", r.kind, tierPrefix[tier], ErrBadRecord)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // replayMinutes rebuilds the sealed-block index and each entity's open
-// buffer. A sealed block (exactly BlockSamples samples) becomes an
-// index entry and resets the entity's open accumulation — the tails
-// flushed before it are a prefix of the block by construction. A tail
-// record (fewer samples) concatenates onto the open buffer: consecutive
-// tails cover disjoint, contiguous sample ranges.
+// block. A row's cells (and the samples of a tail, the one-entity row
+// of a store written before the row record) fill open blocks, skipping
+// what the watermark has downsampled away; a sealed block (exactly
+// BlockSamples samples) becomes an index entry and empties the
+// entity's open block — its samples are the cells replayed in front of
+// it, by the batch order block.go documents. A block still full when
+// the stream ends is the orphan of a batch torn between its rows and
+// its seals: it goes on the full list and the next Commit seals it.
 func (st *Store) replayMinutes() error {
-	names, err := st.segFiles(int(TierMinute))
-	if err != nil {
-		return err
-	}
 	wm := st.marks[TierMinute]
 	var scratch []Sample
-	for _, name := range names {
-		seq := st.segSeq(name)
-		b, err := os.ReadFile(filepath.Join(st.dir, name))
+	newest := 0 // newest minute of the frame being replayed
+	touch := func(id uint64, minute int) (*entState, error) {
+		if id >= uint64(len(st.ents)) {
+			return nil, fmt.Errorf("sample for unknown entity %d: %w", id, ErrBadRecord)
+		}
+		e := st.ents[id]
+		newest = max(newest, minute)
+		if !e.hasLast || minute > e.last {
+			e.last, e.hasLast = minute, true
+		}
+		return e, nil
+	}
+	cell := func(id uint64, s Sample) error {
+		e, err := touch(id, s.Minute)
+		if err != nil || s.Minute < wm { // below wm: already downsampled into the hour tier
+			return err
+		}
+		if e.n == BlockSamples {
+			return fmt.Errorf("entity %d open-block overflow: %w", id, ErrBadRecord)
+		}
+		e.open[e.n] = s
+		e.n++
+		return nil
+	}
+	frame := func(seq int, off int64, n int, p []byte) error {
+		if len(p) > 0 && p[0] == kRow {
+			return decodeRow(p, cell)
+		}
+		r, err := decodeRecord(p, scratch, nil)
 		if err != nil {
 			return err
 		}
-		st.diskBytes += int64(len(b))
-		st.segSize[seq] = int64(len(b))
-		payloads, boundaries := journal.Frames(b)
-		prev := 0
-		for i, p := range payloads {
-			r, err := decodeRecord(p, scratch, nil)
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			if r.kind != kBlock || r.tier != TierMinute {
-				return fmt.Errorf("%s: record kind %d in minute stream: %w", name, r.kind, ErrBadRecord)
-			}
-			if r.id >= uint64(len(st.ents)) {
-				return fmt.Errorf("%s: block for unknown entity %d: %w", name, r.id, ErrBadRecord)
-			}
-			e := st.ents[r.id]
-			if len(r.samples) > 0 {
-				maxMin := r.samples[len(r.samples)-1].Minute
-				if maxMin > st.segMax[seq] {
-					st.segMax[seq] = maxMin
-				}
-				if !e.hasLast || maxMin > e.last {
-					e.last, e.hasLast = maxMin, true
+		if r.kind != kBlock || r.tier != TierMinute {
+			return fmt.Errorf("record kind %d in minute stream: %w", r.kind, ErrBadRecord)
+		}
+		scratch = r.samples[:0]
+		if len(r.samples) != BlockSamples {
+			for _, s := range r.samples {
+				if err := cell(r.id, s); err != nil {
+					return err
 				}
 			}
-			if len(r.samples) == BlockSamples {
-				e.open = e.open[:0]
-				if r.samples[BlockSamples-1].Minute >= wm {
-					e.blocks = append(e.blocks, blockRef{
-						seq:   seq,
-						off:   int64(prev),
-						n:     boundaries[i] - prev,
-						start: r.samples[0].Minute,
-						end:   r.samples[BlockSamples-1].Minute,
-					})
-				}
-			} else {
-				for _, s := range r.samples {
-					if s.Minute < wm {
-						continue // already downsampled into the hour tier
-					}
-					if len(e.open) >= BlockSamples {
-						return fmt.Errorf("%s: entity %d open-block overflow: %w", name, r.id, ErrBadRecord)
-					}
-					e.open = append(e.open, s)
-				}
-			}
-			scratch = r.samples[:0]
-			prev = boundaries[i]
+			return nil
+		}
+		end := r.samples[BlockSamples-1].Minute
+		e, err := touch(r.id, end)
+		if err != nil {
+			return err
+		}
+		e.n = 0
+		if end >= wm {
+			e.blocks = append(e.blocks, blockRef{seq: seq, off: off, n: n, start: r.samples[0].Minute, end: end})
+		}
+		return nil
+	}
+	err := st.forEachFrame(int(TierMinute), func(seq int, off int64, n int, p []byte) error {
+		newest = 0
+		err := frame(seq, off, n, p)
+		if newest > st.segMax[seq] {
+			st.segMax[seq] = newest
+		}
+		return err
+	})
+	for _, e := range st.ents {
+		if e.n == BlockSamples {
+			st.full = append(st.full, e.id)
 		}
 	}
-	// Everything replayed into open buffers is already on disk.
-	for _, e := range st.ents {
-		e.flushed = len(e.open)
-	}
-	return nil
+	return err
 }
 
 // register creates the in-memory state for a new entity (replay path:
 // no dict record is staged).
 func (st *Store) register(name string) *entState {
-	e := &entState{
-		id:   uint64(len(st.ents)),
-		name: name,
-		open: make([]Sample, 0, BlockSamples), // Commit seals at one block; append grows it for a caller committing less often
-	}
+	e := &entState{id: uint64(len(st.ents)), name: name}
 	st.ids[name] = e.id
 	st.ents = append(st.ents, e)
 	return e
@@ -402,15 +458,19 @@ func (st *Store) Append(entity string, s Sample) error { return st.AppendTo(new(
 // AppendTo buffers one sample for entity through its handle. Samples
 // per entity must arrive with non-decreasing minutes (the archive's
 // contract) and at or above the minute→hour compaction watermark; a
-// sample refused by a closed store or the watermark does not register
-// the entity. The sample is acknowledged — guaranteed to survive a
-// crash — only once a subsequent Commit returns. The steady-state path
-// writes into a fixed-capacity buffer and allocates nothing.
+// sample refused by a closed or failed store or the watermark does not
+// register the entity. The sample is acknowledged — guaranteed to
+// survive a crash — once a subsequent Commit returns, never later and
+// sometimes earlier: an entity's full block is sealed before its next
+// sample is taken, so an append that meets one commits everything
+// staged so far first (and returns that commit's error). The sample is
+// encoded into the open row here, while it is at hand; the
+// steady-state path writes into warm buffers and allocates nothing.
 func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
+	if err := st.writable(); err != nil {
+		return err
 	}
 	if s.Minute < st.marks[TierMinute] {
 		return fmt.Errorf("tsdb: sample at minute %d below compaction watermark %d", s.Minute, st.marks[TierMinute])
@@ -429,23 +489,50 @@ func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 	if e.hasLast && s.Minute < e.last {
 		return fmt.Errorf("tsdb: non-monotone minute %d for %q (last %d)", s.Minute, entity, e.last)
 	}
-	e.open = append(e.open, s)
+	if e.n == BlockSamples {
+		if err := st.commitLocked(); err != nil {
+			return err
+		}
+	}
+	e.open[e.n] = s
+	e.n++
 	e.last, e.hasLast = s.Minute, true
-	if !e.dirty {
-		e.dirty = true
-		st.dirty = append(st.dirty, e.id)
+	if e.n == BlockSamples {
+		st.full = append(st.full, e.id)
+	}
+	if len(st.row) == 0 {
+		st.rowBase = s.Minute
+		st.row = appendRowHeader(st.row, s.Minute)
+	}
+	st.row = appendRowCell(st.row, st.rowBase, e.id, s)
+	st.stagedMax = max(st.stagedMax, s.Minute)
+	if len(st.row) >= rowFrameBytes {
+		st.closeRow()
 	}
 	return nil
 }
 
+// closeRow frames the open row, if any, onto the pending batch.
+func (st *Store) closeRow() {
+	if len(st.row) > 0 {
+		st.pending = journal.AppendFrame(st.pending, st.row)
+		st.row = st.row[:0]
+		st.m.addBlocks(kindRow, 1)
+	}
+}
+
 // Commit makes every buffered sample durable in one batched segment
-// write (plus one fsync unless Options.NoSync): full 64-sample blocks
-// are sealed and indexed, the remainder of each entity's open buffer
-// goes out as a short tail record that the next sealed block
-// supersedes on replay. Journal-style prefix durability applies — a
-// crash mid-commit preserves an intact prefix of the batch and the
-// torn tail is dropped on replay. A commit with nothing buffered is a
-// no-op.
+// write (plus one fsync unless Options.NoSync): the row of samples
+// appended since the last commit, then a sealed block for every entity
+// whose 64th open sample is among them — only those entities are
+// touched. Journal-style prefix durability applies — a crash
+// mid-commit preserves an intact prefix of the batch and the torn tail
+// is dropped on replay; a prefix that holds the rows but not every seal
+// reopens with those blocks full and unsealed, and the next commit
+// seals them. A commit with nothing buffered is a no-op. A commit whose
+// write fails acknowledges nothing and leaves the store refusing
+// appends, commits and compactions with that error until the directory
+// is reopened: replay rebuilds from what really reached the disk.
 func (st *Store) Commit() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -456,9 +543,14 @@ func (st *Store) Commit() error {
 }
 
 func (st *Store) commitLocked() error {
-	if len(st.dirty) == 0 && len(st.dictPending) == 0 {
+	if st.err != nil {
+		return st.err
+	}
+	st.closeRow()
+	if len(st.dictPending) == 0 && len(st.pending) == 0 && len(st.full) == 0 {
 		return nil
 	}
+	t0 := st.m.start()
 	// New entities become durable before any data referencing them.
 	if len(st.dictPending) > 0 {
 		if err := st.writeTier(dictTier, st.dictPending); err != nil {
@@ -466,70 +558,61 @@ func (st *Store) commitLocked() error {
 		}
 		st.dictPending = st.dictPending[:0]
 	}
-	if len(st.dirty) == 0 {
-		return nil
+	if len(st.pending) > 0 || len(st.full) > 0 {
+		if err := st.commitMinutes(); err != nil {
+			return err
+		}
 	}
-	// Canonical batch order regardless of append interleaving.
-	slices.Sort(st.dirty)
+	st.m.committed(t0)
+	return nil
+}
 
+// commitMinutes writes the minute-tier batch: the rows already framed
+// in pending, then the seals of the full list.
+func (st *Store) commitMinutes() error {
 	if err := st.ensureActive(int(TierMinute)); err != nil {
-		return err
+		return st.fail(int(TierMinute), err)
 	}
 	seq, base := st.actSeq[TierMinute], st.actSize[TierMinute]
-	st.pending = st.pending[:0]
-	sealed := 0
-	batchMax := -1
-	for _, id := range st.dirty {
+	newest := st.stagedMax
+	// Canonical batch order regardless of append interleaving; the
+	// batch buffer is sized once for the whole burst.
+	slices.Sort(st.full)
+	st.pending = slices.Grow(st.pending, len(st.full)*sealFrameBytes)
+	for _, id := range st.full {
+		// Record the block's future file location now — the whole batch
+		// lands at base in one write.
 		e := st.ents[id]
-		e.dirty = false
-		// Seal every full block; record its future file location now —
-		// the whole batch lands at base in one write.
-		n := len(e.open)
-		nSeal := (n / BlockSamples) * BlockSamples
-		for i := 0; i < nSeal; i += BlockSamples {
-			blk := e.open[i : i+BlockSamples]
-			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, blk)
-			off := int64(len(st.pending))
-			st.pending = journal.AppendFrame(st.pending, st.recBuf)
-			e.blocks = append(e.blocks, blockRef{
-				seq:   seq,
-				off:   base + off,
-				n:     len(st.pending) - int(off),
-				start: blk[0].Minute,
-				end:   blk[BlockSamples-1].Minute,
-			})
-			sealed++
-		}
-		if e.flushed < nSeal {
-			e.flushed = nSeal // tails already written are a prefix of the seals
-		}
-		if e.flushed < n {
-			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.open[e.flushed:n])
-			st.pending = journal.AppendFrame(st.pending, st.recBuf)
-		}
-		if n > 0 && e.open[n-1].Minute > batchMax {
-			batchMax = e.open[n-1].Minute
-		}
-		// Drop the sealed prefix from the open buffer.
-		if nSeal > 0 {
-			copy(e.open, e.open[nSeal:])
-			e.open = e.open[:n-nSeal]
-		}
-		e.flushed = len(e.open)
-	}
-	st.dirty = st.dirty[:0]
-	if len(st.pending) == 0 {
-		return nil
+		st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.open[:])
+		off := len(st.pending)
+		st.pending = journal.AppendFrame(st.pending, st.recBuf)
+		end := e.open[BlockSamples-1].Minute
+		e.blocks = append(e.blocks, blockRef{seq: seq, off: base + int64(off), n: len(st.pending) - off, start: e.open[0].Minute, end: end})
+		e.n = 0
+		newest = max(newest, end) // an orphan sealed after a reopen has no row in this batch
 	}
 	if err := st.writeTier(int(TierMinute), st.pending); err != nil {
+		// Nothing of this batch is acked or indexed: the blocks stay
+		// open, readable from memory.
+		for _, id := range st.full {
+			e := st.ents[id]
+			e.blocks, e.n = e.blocks[:len(e.blocks)-1], BlockSamples
+		}
 		return err
 	}
-	if batchMax > st.segMax[seq] {
-		st.segMax[seq] = batchMax
+	if newest > st.segMax[seq] {
+		st.segMax[seq] = newest
 	}
 	st.segSize[seq] += int64(len(st.pending))
-	st.m.addBlocks("sealed", sealed)
+	st.m.addBlocks(kindSealed, len(st.full))
+	st.pending, st.full, st.stagedMax = st.pending[:0], st.full[:0], 0
 	return nil
+}
+
+// fail poisons the store with its first failed write (see writable).
+func (st *Store) fail(tier int, err error) error {
+	st.err = fmt.Errorf("tsdb: %s segment write failed, store must be reopened: %w", tierPrefix[tier], err)
+	return st.err
 }
 
 // ensureActive opens (or rotates) the tier's active segment so the next
@@ -564,20 +647,22 @@ func (st *Store) ensureActive(tier int) error {
 }
 
 // writeTier appends b to the tier's active segment in one write, with
-// an fsync unless NoSync.
+// an fsync unless NoSync. Any failure poisons the store.
 func (st *Store) writeTier(tier int, b []byte) error {
 	if err := st.ensureActive(tier); err != nil {
-		return err
+		return st.fail(tier, err)
 	}
 	n, err := st.active[tier].Write(b)
 	st.actSize[tier] += int64(n)
 	st.diskBytes += int64(n)
 	st.m.wrote(tier, n, st.diskBytes)
-	if err != nil {
-		return err
+	if err == nil && !st.opts.NoSync {
+		t0 := st.m.start()
+		err = st.active[tier].Sync()
+		st.m.synced(t0)
 	}
-	if !st.opts.NoSync {
-		return st.active[tier].Sync()
+	if err != nil {
+		return st.fail(tier, err)
 	}
 	return nil
 }
@@ -619,7 +704,7 @@ func (st *Store) forEachMinuteLocked(e *entState, from, to int, fn func(Sample))
 			}
 		}
 	}
-	for _, s := range e.open {
+	for _, s := range e.open[:e.n] {
 		if s.Minute >= from && s.Minute < to {
 			fn(s)
 		}

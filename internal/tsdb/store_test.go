@@ -33,7 +33,7 @@ func collect(t testing.TB, st *Store, entity string, from, to int) []Sample {
 	return got
 }
 
-// TestAppendCommitReopenRoundTrip drives the full write path — tails,
+// TestAppendCommitReopenRoundTrip drives the full write path — rows,
 // sealed blocks, segment rotation, the dictionary — and proves a
 // reopened store serves exactly the appended sequence per entity.
 func TestAppendCommitReopenRoundTrip(t *testing.T) {
@@ -302,8 +302,8 @@ func TestCompactionPrunesSegments(t *testing.T) {
 
 // TestTSDBAppendPathZeroAlloc is the perf gate of the archive write
 // path: one steady-state minute — a sample into each entity's open
-// buffer plus the tail-record commit (encode, CRC frame, one buffered
-// segment write) — must allocate nothing. Sealing and index growth
+// block and the open row, plus the row's commit (CRC frame, one
+// buffered segment write) — must allocate nothing. Sealing and index growth
 // amortize away and are benchmarked, not asserted, in
 // BenchmarkTSDBAppend; this test pins the per-minute hot path the
 // coordinator sits on all day.
@@ -332,7 +332,7 @@ func TestTSDBAppendPathZeroAlloc(t *testing.T) {
 	}
 	// Warm every pool and buffer through two full seal cycles, ending
 	// exactly on a seal so the measured window stays inside one open
-	// block (48 runs < 64): pure tail commits, no index growth.
+	// block (48 runs < 64): pure row commits, no index growth.
 	for minute%BlockSamples != 0 || minute < 2*BlockSamples {
 		step()
 	}
@@ -342,26 +342,70 @@ func TestTSDBAppendPathZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkTSDBAppend measures the full write path — append, seal,
-// commit — at one simulated minute per iteration across 32 entities.
+// commit — at one simulated minute per iteration: across 32 entities,
+// and across the 2,652 of the bench's 1,007-host fleet, where what a
+// commit does per entity is what the minute pays.
 func BenchmarkTSDBAppend(b *testing.B) {
-	st := openStore(b, b.TempDir(), Options{})
-	const ents = 32
-	names := make([]string, ents)
-	for e := range names {
-		names[e] = fmt.Sprintf("svc/app-%d", e)
+	for _, ents := range []int{32, 2652} {
+		b.Run(fmt.Sprint(ents), func(b *testing.B) {
+			st := openStore(b, b.TempDir(), Options{})
+			names := make([]string, ents)
+			handles := make([]Handle, ents) // as the archive appends: resolved once
+			for e := range names {
+				names[e] = fmt.Sprintf("svc/app-%d", e)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for e, name := range names {
+					cpu, mem := load(e, i)
+					if err := st.AppendTo(&handles[e], name, Sample{Minute: i, CPU: cpu, Mem: mem}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := st.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for e, name := range names {
-			cpu, mem := load(e, i)
-			if err := st.Append(name, Sample{Minute: i, CPU: cpu, Mem: mem}); err != nil {
+}
+
+// BenchmarkTSDBOpen measures a cold start in isolation: replaying a
+// 511-entity, 540-minute store (the failover drill's, one commit a
+// minute) into the block index and the open blocks.
+func BenchmarkTSDBOpen(b *testing.B) {
+	dir := b.TempDir()
+	st := openStore(b, dir, Options{})
+	const ents, minutes = 511, 540
+	handles := make([]Handle, ents)
+	for m := 0; m < minutes; m++ {
+		for e := range handles {
+			cpu, mem := load(e, m)
+			if err := st.AppendTo(&handles[e], fmt.Sprintf("svc/app-%d", e), Sample{Minute: m, CPU: cpu, Mem: mem}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		if err := st.Commit(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := len(re.Entities()); got != ents {
+			b.Fatalf("reopened %d entities, want %d", got, ents)
+		}
+		re.Close()
+		b.StartTimer()
 	}
 }
 

@@ -3,9 +3,9 @@
 # the metric-name lint, every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards skip themselves under -race, so the
 # second pass is the one in which they assert), ten seconds each of real
-# fuzzing of the wire frame decoder and of the closed-form inference
-# against its two references, and every root-package benchmark once as a
-# crash smoke. A new test or guard needs no edit here.
+# fuzzing of the wire frame decoder, of the tsdb segment-record decoder
+# and of the closed-form inference against its two references, and every
+# root-package benchmark once as a crash smoke. A new test or guard needs no edit here.
 #
 # Usage: scripts/check.sh   (from anywhere)
 set -eu
@@ -45,6 +45,11 @@ go test ./...
 # fuzzing: the decoder reads whatever an unauthenticated peer sends.
 echo "== fuzz: the wire frame decoder, 10 s"
 go test ./internal/wire -run '^$' -fuzz FuzzEnvelopeDecode -fuzztime 10s
+
+# What replay decodes is whatever a crash, a full disk or bit rot left
+# inside a frame whose checksum still holds.
+echo "== fuzz: the tsdb record decoder (rows included), 10 s"
+go test ./internal/tsdb -run '^$' -fuzz FuzzRecordDecode -fuzztime 10s
 
 # Exact by an argument, and checked on rule bases nobody wrote.
 echo "== fuzz: closed-form leftmost maximum vs sampled union vs interpreter, 10 s"
