@@ -10,8 +10,6 @@ package autoglobe_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -401,8 +399,8 @@ func BenchmarkHeartbeatIngest(b *testing.B) {
 }
 
 // ingestBed1k is the landscape of the 1,000-host ingest benchmarks: one
-// instance of one service per host, a plane over the binary loopback
-// with 16 ingest shards, and every host's reporter.
+// instance of one service per host, a plane over the binary loopback,
+// and every host's reporter.
 type ingestBed1k struct {
 	coord *agent.Coordinator
 	reps  []*agent.HeartbeatReporter
@@ -444,7 +442,7 @@ func newIngestBed1k(b *testing.B) *ingestBed1k {
 	}
 	tr := wire.NewLoopback()
 	tr.SetCodec(wire.CodecBinary)
-	p, err := agent.NewPlane(agent.PlaneConfig{Transport: tr, IngestShards: 16}, dep, lms)
+	p, err := agent.NewPlane(agent.PlaneConfig{Transport: tr}, dep, lms)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -473,8 +471,8 @@ func (bed *ingestBed1k) report(ctx context.Context, b *testing.B, minute int) {
 }
 
 // BenchmarkCoordinatorIngest1k measures a full control-plane minute of
-// a 1,000-host landscape over the binary loopback with 16 ingest
-// shards: every host's reporter delivers its heartbeat (one instance
+// a 1,000-host landscape over the binary loopback: every host's
+// reporter delivers its heartbeat (one instance
 // sample each), the coordinator merges the shards in canonical order,
 // closes the service observations and checks liveness — the complete
 // per-minute ingest work of the scale the paper's AutoGlobe vision
@@ -551,63 +549,6 @@ func BenchmarkActionDispatchLoopback(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchFanout1k measures an action storm at the paper's
-// target scale: one DoBatch carrying 1,000 actions, one per host, the
-// whole batch made durable-equivalent (no journal here — the wire and
-// agent work dominate) and fanned out across the worker pool with one
-// lane per host. Sub-benchmarks sweep the worker count; per-host
-// ordering holds at every width, so the sweep shows the pure
-// throughput effect of parallel fan-out (near-linear until the
-// loopback's receive side saturates; on a single-core runner all
-// widths degenerate to serial). Each iteration alternates start/stop
-// so agent process tables stay bounded.
-func BenchmarkDispatchFanout1k(b *testing.B) {
-	const hosts = 1000
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tr := wire.NewLoopback()
-			defer tr.Close()
-			tr.SetCodec(wire.CodecBinary)
-			names := make([]string, hosts)
-			for i := range names {
-				names[i] = fmt.Sprintf("h%04d", i)
-				if _, err := agent.NewAgent(names[i], agent.CoordinatorNode, tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			d := agent.NewDispatcher(agent.DispatchConfig{
-				Timeout: 2 * time.Second, Workers: workers,
-			}, tr)
-			reqs := make([]wire.ActionRequest, hosts)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op := wire.OpStart
-				if i%2 == 1 {
-					op = wire.OpStop
-				}
-				for j := range reqs {
-					reqs[j] = wire.ActionRequest{
-						Op: op, Host: names[j], Service: "app", InstanceID: "app-bench"}
-				}
-				for _, res := range d.DoBatch(ctx, reqs) {
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-					if !res.Ack.OK {
-						b.Fatalf("nack: %s", res.Ack.Error)
-					}
-				}
-			}
-			b.StopTimer()
-			if st := d.Stats(); st.Actions != b.N*hosts {
-				b.Fatalf("dispatched %d actions, want %d", st.Actions, b.N*hosts)
-			}
-		})
-	}
-}
-
 // BenchmarkFailoverTakeover measures the mechanical work a hot standby
 // performs to replace a dead leader: the read-only warm replay of the
 // leader's journal directory, the durable epoch-bumping takeover
@@ -628,11 +569,11 @@ func BenchmarkFailoverTakeover(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// The dead leader's journal: one action per host, dispatched as one
-	// group-committed batch and acknowledged — then cut right after the
-	// batch's dispatch records, the shape a leader death mid-fan-out
-	// leaves behind, so the successor has the full set to recover (the
-	// agents applied and cached, the acks never became durable).
+	// The dead leader's journal: one dispatch record per host and no
+	// acks, the shape a leader death right after its sends leaves
+	// behind. The agents applied the actions under the journaled keys —
+	// delivered by a dispatcher without a journal — so the successor
+	// recovers all 16 and each is answered from an agent's cache.
 	cfg := agent.DispatchConfig{
 		Timeout:     time.Second,
 		BaseBackoff: time.Microsecond,
@@ -640,53 +581,25 @@ func BenchmarkFailoverTakeover(b *testing.B) {
 		MaxAttempts: 2,
 		Sleep:       func(time.Duration) {},
 	}
-	seedDir := b.TempDir()
-	cj, err := agent.OpenCoordinatorJournal(seedDir, journal.Options{})
+	leaderDir := b.TempDir()
+	cj, err := agent.OpenCoordinatorJournal(leaderDir, journal.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := agent.NewDispatcher(cfg, tr)
-	d.AttachJournal(cj)
 	ctx := context.Background()
-	reqs := make([]wire.ActionRequest, hosts)
+	deliver := agent.NewDispatcher(cfg, tr)
 	for i, h := range names {
-		reqs[i] = wire.ActionRequest{Op: wire.OpStart, Host: h, Service: "app", InstanceID: "app-" + h}
-	}
-	for _, res := range d.DoBatch(ctx, reqs) {
-		if res.Err != nil || !res.Ack.OK {
-			b.Fatalf("seed dispatch: (%v, %+v)", res.Err, res.Ack)
+		req := wire.ActionRequest{Op: wire.OpStart, Host: h, Service: "app", InstanceID: "app-" + h,
+			Key: fmt.Sprintf("%s-e%d-%06d", agent.CoordinatorNode, cj.Epoch(), i+1)}
+		if err := cj.LogDispatch(req); err != nil {
+			b.Fatal(err)
+		}
+		if ack, err := deliver.Do(ctx, req); err != nil || !ack.OK {
+			b.Fatalf("seed dispatch: (%v, %+v)", err, ack)
 		}
 	}
 	if err := cj.Close(); err != nil {
 		b.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(seedDir, "wal-*.seg"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	leaderDir := b.TempDir()
-	var cutSegs int
-	for _, seg := range segs {
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(data) == 0 {
-			continue
-		}
-		// Records: epoch, then the batch's 16 dispatches, then the acks.
-		// Cut after the dispatch records.
-		_, boundaries := journal.Frames(data)
-		if len(boundaries) < hosts+1 {
-			b.Fatalf("segment has %d records, want at least %d", len(boundaries), hosts+1)
-		}
-		if err := os.WriteFile(filepath.Join(leaderDir, filepath.Base(seg)), data[:boundaries[hosts]], 0o644); err != nil {
-			b.Fatal(err)
-		}
-		cutSegs++
-	}
-	if cutSegs != 1 {
-		b.Fatalf("%d non-empty segments, want 1", cutSegs)
 	}
 
 	standbyRoot := b.TempDir()

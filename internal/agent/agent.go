@@ -38,6 +38,7 @@ package agent
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -529,13 +530,20 @@ func (r *HeartbeatReporter) Sample(id, service string, load float64) {
 		ID: id, Service: service, Load: load})
 }
 
+// errRefused marks a heartbeat the coordinator received and refused (a
+// non-finite load): sent again it would be refused again, so it is
+// neither retried nor parked.
+var errRefused = errors.New("heartbeat refused")
+
 // Send delivers the batched report: any buffered minutes first, oldest
 // to newest, then the open one. The first failure stops the drain —
 // everything undelivered (the open report included) stays buffered for
 // the next Send — and is returned, so the caller still sees a missed
 // heartbeat (the liveness detector's signal) even though the data will
-// arrive late rather than never.
+// arrive late rather than never. A refused minute is dropped, not
+// buffered, and its error returned once the drain is done.
 func (r *HeartbeatReporter) Send(ctx context.Context) error {
+	var refused error
 	for len(r.buffered) > 0 {
 		if r.buffered[0].Minute >= r.hb.Minute {
 			// The open report supersedes a buffered same-or-newer minute
@@ -544,17 +552,21 @@ func (r *HeartbeatReporter) Send(ctx context.Context) error {
 			continue
 		}
 		env := wire.HeartbeatEnvelope(r.a.host, "", r.buffered[0])
-		if err := r.sendOne(ctx, env); err != nil {
+		if err := r.sendOne(ctx, env); errors.Is(err, errRefused) {
+			refused = err
+		} else if err != nil {
 			r.park()
 			return err
 		}
 		r.buffered = r.buffered[:copy(r.buffered, r.buffered[1:])]
 	}
 	if err := r.sendOne(ctx, &r.env); err != nil {
-		r.park()
+		if !errors.Is(err, errRefused) {
+			r.park()
+		}
 		return err
 	}
-	return nil
+	return refused
 }
 
 // park copies the open report into the buffer (deduplicating its
@@ -634,16 +646,21 @@ func (r *HeartbeatReporter) sendOne(ctx context.Context, env *wire.Envelope) err
 			acked := reply != nil && reply.Type == wire.TypeAck && reply.Ack != nil
 			ok := acked && reply.Ack.OK
 			resync := acked && reply.Ack.Resync && indexed
+			var reason string
 			if ok {
 				r.learn(env.To, env.Heartbeat, reply.Ack)
+			} else if acked {
+				reason = reply.Ack.Error
 			}
 			wire.ReleaseEnvelope(reply)
-			if ok {
+			switch {
+			case ok:
 				return nil
-			}
-			if resync {
+			case resync:
 				r.session = 0
 				continue
+			case reason != "":
+				return fmt.Errorf("agent: %s: %w: %s", a.host, errRefused, reason)
 			}
 			err = fmt.Errorf("agent: %s: heartbeat not acknowledged", a.host)
 		}

@@ -89,7 +89,7 @@ func TestDispatchPathZeroAlloc(t *testing.T) {
 	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(DispatchConfig{Timeout: 2 * time.Second, Workers: 1}, tr)
+	d := NewDispatcher(DispatchConfig{Timeout: 2 * time.Second}, tr)
 	ctx := context.Background()
 	i := 0
 	send := func() {

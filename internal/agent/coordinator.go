@@ -22,11 +22,11 @@ import (
 	"autoglobe/internal/wire"
 )
 
-// DefaultIngestShards is the shard count of the coordinator's heartbeat
-// ingest plane when none is configured. Eight shards keep a 1,000-host
-// landscape's beats off a single mutex without measurable overhead on
-// a 19-blade one.
-const DefaultIngestShards = 8
+// ingestShards is the fixed shard count of the coordinator's heartbeat
+// ingest plane. Eight shards keep a 1,000-host landscape's beats off a
+// single mutex without measurable overhead on a 19-blade one; the count
+// cannot change the run (the minute-boundary merge fixes the order).
+const ingestShards = 8
 
 // Coordinator is the receiving half of the control plane: it listens on
 // the transport as the coordinator node, ingests agent heartbeats into
@@ -36,18 +36,18 @@ const DefaultIngestShards = 8
 // the triggers the monitor confirms for the control loop to collect.
 //
 // Ingest is sharded: a heartbeat is buffered in its host's slot, under
-// the mutex of the one of N shards the host name hashes to, so
-// concurrent agents never serialise on a global lock. The buffered
+// the mutex of the one of ingestShards shards the host name hashes to,
+// so concurrent agents never serialise on a global lock. The buffered
 // beats are merged into the monitor pipeline at the minute boundary
 // (ObserveServices) in a canonical order — cluster order first, then
 // any remaining hosts by name — which reproduces the in-process
 // observation loop exactly: the trigger stream is byte-identical to an
-// unsharded or in-process run for any shard count, because the
-// per-entity watch state machines are independent and the merge fixes
-// the cross-entity order. Steady-state ingest performs zero heap
-// allocations: pending beats and their sample slices are pooled per
-// shard, and a steady heartbeat addresses its slot and instance names by
-// session index (see resolve): no string is hashed or interned on the way.
+// in-process run, because the per-entity watch state machines are
+// independent and the merge fixes the cross-entity order. Steady-state
+// ingest performs zero heap allocations: pending beats and their sample
+// slices are pooled per shard, and a steady heartbeat addresses its slot
+// and instance names by session index (see resolve): no string is hashed
+// or interned on the way.
 //
 // Ingestion preserves the in-process observation semantics exactly:
 // host entities register with their performance index, an idle trigger
@@ -82,9 +82,11 @@ type Coordinator struct {
 	maxMinute  atomic.Int64
 	metrics    atomic.Pointer[coordMetrics]
 
-	// shards carries the ingest shard set; swapped atomically by
-	// Reshard so Ingest reads it without a lock.
-	shards atomic.Pointer[[]*ingestShard]
+	// shards is the ingest shard set, ingestShards of them, fixed for the
+	// coordinator's life (only SetIngestShardsForTest rebuilds it, before
+	// the first beat): a host slot is bound to its shard once, when it is
+	// minted.
+	shards []ingestShard
 
 	// trigMu guards the confirmed-trigger queue on its own lock, so
 	// collecting triggers swaps the slice without holding (or waiting
@@ -190,26 +192,19 @@ type hostSlot struct {
 	name  string
 	index uint32 // session-dictionary number; 0: the dictionary was full
 
-	sh      atomic.Pointer[ingestShard] // re-pointed by Reshard
-	pending *hostBeat                   // the buffered beat, nil between merges
-	lastMin int                         // newest merged minute (stale-replay guard); math.MinInt: none
+	sh      *ingestShard // set once, when the slot is minted under dictMu
+	pending *hostBeat    // the buffered beat, nil between merges
+	lastMin int          // newest merged minute (stale-replay guard); math.MinInt: none
 
 	watchReg
 	pos   int         // 1-based cluster position; 0: not in the cluster
 	insts []*instSlot // slot of the i-th sample of the host's last beat
 }
 
-// lockShard locks and returns the slot's shard (no defer: a deferred
-// unlock inside the retry loop costs the per-beat path an allocation).
+// lockShard locks and returns the slot's shard.
 func (hs *hostSlot) lockShard() *ingestShard {
-	for {
-		sh := hs.sh.Load()
-		sh.mu.Lock()
-		if hs.sh.Load() == sh {
-			return sh
-		}
-		sh.mu.Unlock() // resharded between the load and the lock
-	}
+	hs.sh.mu.Lock()
+	return hs.sh
 }
 
 // instSlot is the resolved state of one instance ID under one service.
@@ -254,19 +249,8 @@ func (sh *ingestShard) take() *hostBeat {
 	return &hostBeat{}
 }
 
-func newShards(n int) *[]*ingestShard {
-	if n <= 0 {
-		n = DefaultIngestShards
-	}
-	shards := make([]*ingestShard, n)
-	for i := range shards {
-		shards[i] = &ingestShard{}
-	}
-	return &shards
-}
-
-// fnv1a hashes a host name to its shard (FNV-1a): once, when its slot
-// is created, and again on Reshard.
+// fnv1a hashes a host name to its shard (FNV-1a), once, when its slot
+// is created.
 func fnv1a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -276,8 +260,9 @@ func fnv1a(s string) uint32 {
 	return h
 }
 
-func shardOf(shards []*ingestShard, host string) *ingestShard {
-	return shards[fnv1a(host)%uint32(len(shards))]
+// shardOf is the shard a host name hashes to.
+func (c *Coordinator) shardOf(host string) *ingestShard {
+	return &c.shards[fnv1a(host)%uint32(len(c.shards))]
 }
 
 // NewCoordinator starts a coordinator over the deployment and load
@@ -304,6 +289,7 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		live:         live,
 		ProbeTimeout: time.Second,
 		dictCap:      maxSessionNames,
+		shards:       make([]ingestShard, ingestShards),
 		hosts:        make(map[string]*hostSlot),
 		instIdx:      make(map[instName]uint32),
 		insts:        make(map[string]*instSlot),
@@ -316,7 +302,6 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		}
 		c.session = binary.LittleEndian.Uint64(nonce[:])
 	}
-	c.shards.Store(newShards(DefaultIngestShards))
 	c.orderStale.Store(true)
 	dep.Cluster().Watch(func(cluster.Host, bool) { c.orderStale.Store(true) })
 	// Warm the archive and the slot tables: every current service, host
@@ -349,48 +334,25 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 	return c, nil
 }
 
-// Reshard rebuilds the ingest plane with n shards (minimum 1),
-// re-pointing every host slot by rehash and migrating any buffered
-// beats with it. Observation semantics are independent of the shard
-// count — the minute-boundary merge fixes the order — so resharding is
-// purely a concurrency/throughput knob.
-func (c *Coordinator) Reshard(n int) {
+// SetIngestShardsForTest rebuilds the ingest shard set with n shards
+// (minimum 1) and rebinds every host slot to the shard its name hashes
+// to. A running coordinator always holds ingestShards; the width exists
+// only for the parity tests, here and in the simulator, that prove it
+// cannot change a run. It panics once a heartbeat has been ingested:
+// nothing buffered is migrated.
+func (c *Coordinator) SetIngestShardsForTest(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := *c.shards.Load()
-	next := newShards(max(n, 1))
-	c.shards.Store(next) // before the walk: a slot created from here on is born re-pointed
-	c.dictMu.RLock()
-	defer c.dictMu.RUnlock()
-	for _, hs := range c.hosts {
-		src, dst := hs.sh.Load(), shardOf(*next, hs.name)
-		if src == dst {
-			continue
-		}
-		src.mu.Lock()
-		dst.mu.Lock()
-		hs.sh.Store(dst)
-		if hs.pending != nil {
-			dst.queued = append(dst.queued, hs)
-		}
-		dst.mu.Unlock()
-		src.mu.Unlock()
+	c.dictMu.Lock()
+	defer c.dictMu.Unlock()
+	if c.heartbeats.Load() != 0 {
+		panic("agent: SetIngestShardsForTest after the first heartbeat")
 	}
-	for _, sh := range old {
-		sh.mu.Lock()
-		for _, b := range sh.backfill {
-			dst := b.slot.sh.Load()
-			dst.mu.Lock()
-			dst.backfill = append(dst.backfill, b)
-			dst.mu.Unlock()
-		}
-		sh.queued, sh.backfill = nil, nil
-		sh.mu.Unlock()
+	c.shards = make([]ingestShard, max(n, 1))
+	for _, hs := range c.hosts {
+		hs.sh = c.shardOf(hs.name)
 	}
 }
-
-// Shards returns the current ingest shard count.
-func (c *Coordinator) Shards() int { return len(*c.shards.Load()) }
 
 // Instrument attaches an obs registry: ingested heartbeats are counted
 // with their staleness (minutes behind the newest observed minute), and
@@ -495,7 +457,9 @@ func (c *Coordinator) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 		// Nobody reads a reply's From and To; without them an ack with
 		// only OK to say is two bytes on the wire.
 		reply := wire.AcquireAckEnvelope("", "", wire.ActionAck{OK: true})
-		if hs := c.resolve(env.Heartbeat, reply.Ack); hs != nil {
+		if err := checkFinite(env.Heartbeat); err != nil {
+			reply.Ack.OK, reply.Ack.Error = false, err.Error()
+		} else if hs := c.resolve(env.Heartbeat, reply.Ack); hs != nil {
 			c.ingest(hs, env.Heartbeat)
 		}
 		return reply, nil
@@ -629,8 +593,8 @@ func (c *Coordinator) slotFor(host string) *hostSlot {
 	defer c.dictMu.Unlock()
 	hs := c.hosts[host]
 	if hs == nil {
-		hs = &hostSlot{name: host, lastMin: math.MinInt, watchReg: watchReg{key: archive.HostEntity(host)}}
-		hs.sh.Store(shardOf(*c.shards.Load(), host))
+		hs = &hostSlot{name: host, sh: c.shardOf(host),
+			lastMin: math.MinInt, watchReg: watchReg{key: archive.HostEntity(host)}}
 		if len(c.hostTab)+len(c.instTab) < c.dictCap {
 			c.hostTab = append(c.hostTab, hs)
 			hs.index = uint32(len(c.hostTab))
@@ -700,11 +664,33 @@ func (c *Coordinator) resolve(hb *wire.Heartbeat, ack *wire.ActionAck) *hostSlot
 	return hs
 }
 
-// Ingest buffers one heartbeat in its host's slot, found by name.
+// Ingest buffers one heartbeat in its host's slot, found by name. A
+// heartbeat carrying a non-finite load is refused, as Handle refuses it.
 func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
+	if err := checkFinite(&hb); err != nil {
+		return err
+	}
 	c.ingest(c.slotFor(hb.Host), &hb)
 	return nil
 }
+
+// checkFinite refuses a heartbeat whose CPU, memory or instance load is
+// NaN or ±Inf before anything is resolved, minted, counted or marked
+// alive: a NaN compares false against every watch threshold, so it
+// would never trigger, yet sit in the archive and poison service means.
+func checkFinite(hb *wire.Heartbeat) error {
+	ok := finite(hb.CPU) && finite(hb.Mem)
+	for i := 0; ok && i < len(hb.Instances); i++ {
+		ok = finite(hb.Instances[i].Load)
+	}
+	if !ok {
+		return fmt.Errorf("agent: heartbeat %q minute %d: non-finite load refused", hb.Host, hb.Minute)
+	}
+	return nil
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 
 // ingest buffers one heartbeat in its host's slot. The monitor
 // pipeline is NOT touched here — beats are merged deterministically at
@@ -858,7 +844,8 @@ func (c *Coordinator) recycleLocked(beats []*hostBeat, watermark bool) {
 // already points at its host's slot. Callers hold c.mu.
 func (c *Coordinator) collectLocked() []*hostBeat {
 	beats := c.scratch[:0]
-	for _, sh := range *c.shards.Load() {
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		for _, hs := range sh.queued {
 			b := hs.pending

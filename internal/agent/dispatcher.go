@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,11 +12,6 @@ import (
 	"autoglobe/internal/obs"
 	"autoglobe/internal/wire"
 )
-
-// defaultWorkers is the DoBatch fan-out width when the config does not
-// pin one: one lane worker per schedulable CPU, mirroring the ingest
-// plane's shard default.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // DispatchConfig tunes the coordinator's action dispatcher.
 type DispatchConfig struct {
@@ -33,17 +27,9 @@ type DispatchConfig struct {
 	// further attempt doubles it up to MaxBackoff (defaults 25ms / 1s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Workers bounds how many per-host lanes DoBatch drives
-	// concurrently (default: GOMAXPROCS; 1 dispatches serially).
-	// Outcomes are identical for any worker count — actions to the
-	// same host stay ordered inside their lane, idempotency keys are
-	// minted in submission order before any send, and results are
-	// assembled in submission order — so this is purely a throughput
-	// knob, exactly like the coordinator's ingest shard count.
-	Workers int
 	// Seed drives the backoff jitter deterministically (each host lane
-	// derives its own stream from it, so jitter stays replayable under
-	// concurrent fan-out).
+	// derives its own stream from it, so jitter stays replayable however
+	// concurrent callers interleave).
 	Seed uint64
 	// Sleep and Now are clock hooks for tests (Now defaults to
 	// time.Now). A nil Sleep uses a pooled timer that also honours
@@ -69,9 +55,6 @@ func (c DispatchConfig) withDefaults() DispatchConfig {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = defaultWorkers()
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -111,13 +94,6 @@ func (e *NackError) Error() string {
 	return fmt.Sprintf("agent: %s rejected %s: %s", e.Host, e.Ack.Key, e.Ack.Error)
 }
 
-// BatchResult is one submission's outcome from DoBatch. The results
-// slice is indexed by submission order, whatever the lane scheduling.
-type BatchResult struct {
-	Ack wire.ActionAck
-	Err error
-}
-
 // keyReuseLag is how many fresh agent-cache inserts a host lane must
 // observe after a key retires before the key may be minted again. It
 // equals ackCacheCap (the agent's FIFO idempotency-cache capacity):
@@ -137,9 +113,8 @@ type recycledKey struct {
 
 // hostLane is the per-host dispatch state: the backoff jitter stream,
 // the agent-cache insert counter that drives key recycling, and the
-// FIFO freelist of reusable keys. DoBatch assigns each host's actions
-// to exactly one worker, so same-host actions stay ordered while
-// different hosts fly in parallel.
+// FIFO freelist of reusable keys. Its mutex makes concurrent Do callers
+// to the same host safe; the order they reach the agent in is theirs.
 type hostLane struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -150,8 +125,8 @@ type hostLane struct {
 }
 
 // newHostLane derives the lane's jitter stream from the dispatcher
-// seed and the host name, so concurrent lanes draw deterministic,
-// interleaving-independent jitter.
+// seed and the host name, so each host draws deterministic jitter
+// whatever the other hosts' traffic.
 func newHostLane(seed uint64, host string) *hostLane {
 	h := fnv.New64a()
 	h.Write([]byte(host))
@@ -190,11 +165,10 @@ func (ln *hostLane) settle(epoch uint64, recycleKey string, freshInsert bool) {
 // exponential backoff with deterministic jitter, and retries. Lost
 // messages and lost acks are indistinguishable to it — both retry with
 // the same idempotency key, and the agent's cache keeps re-delivery
-// safe. DoBatch fans independent actions out across per-host lanes on
-// a bounded worker pool. It is safe for concurrent use; the healthy
-// dispatch path is lock-light (atomic counters, a read-locked lane
-// lookup) and allocation-free (pooled envelopes and attempt contexts,
-// recycled idempotency keys).
+// safe. One call carries one action; it is safe for concurrent use,
+// and the healthy dispatch path is lock-light (atomic counters, a
+// read-locked lane lookup) and allocation-free (pooled envelopes and
+// attempt contexts, recycled idempotency keys).
 type Dispatcher struct {
 	cfg DispatchConfig
 	tr  wire.Transport
@@ -225,10 +199,6 @@ func NewDispatcher(cfg DispatchConfig, tr wire.Transport) *Dispatcher {
 		lanes: make(map[string]*hostLane),
 	}
 }
-
-// Workers returns the batch fan-out width the dispatcher was built
-// with (at least 1).
-func (d *Dispatcher) Workers() int { return d.cfg.Workers }
 
 // Instrument attaches an obs registry: subsequent dispatches count
 // attempts, acks, nacks, duplicates, expirations and compensations.
@@ -331,8 +301,7 @@ func (d *Dispatcher) mintKey(ln *hostLane, epoch uint64) string {
 
 // backoff returns the jittered pause before retry attempt+1. The jitter
 // spreads concurrent retriers over [50%, 100%] of the nominal delay;
-// the per-lane seeded source keeps failing runs replayable whatever the
-// fan-out interleaving.
+// the per-lane seeded source keeps failing runs replayable.
 func (d *Dispatcher) backoff(ln *hostLane, attempt int) time.Duration {
 	delay := d.cfg.BaseBackoff << (attempt - 1)
 	if delay > d.cfg.MaxBackoff || delay <= 0 {
@@ -344,7 +313,7 @@ func (d *Dispatcher) backoff(ln *hostLane, attempt int) time.Duration {
 	return time.Duration(float64(delay) * f)
 }
 
-// backoffTimers pools the retry timers so a retrying worker neither
+// backoffTimers pools the retry timers so a retrying dispatch neither
 // allocates a timer per backoff nor blocks past its caller's
 // cancellation.
 var backoffTimers sync.Pool
@@ -393,11 +362,16 @@ func (d *Dispatcher) Do(ctx context.Context, req wire.ActionRequest) (wire.Actio
 
 // do is Do with the compensation flag the transaction layer sets on
 // Undo dispatches, so metrics and traces can tell rollback traffic
-// from forward progress.
+// from forward progress. The retry loop is the healthy-path hot loop:
+// pooled request envelope, pooled attempt context, atomic counters, and
+// key retirement into the lane freelist.
 func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensation bool) (wire.ActionAck, error) {
 	if req.Host == "" {
 		return wire.ActionAck{}, fmt.Errorf("agent: dispatch without destination host")
 	}
+	m := d.metrics.Load()
+	tracer := d.tracer.Load()
+	cj := d.journal.Load()
 	ln := d.lane(req.Host)
 	epoch := d.epoch.Load()
 	minted := false
@@ -410,149 +384,17 @@ func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensatio
 	}
 	d.actions.Add(1)
 	if compensation {
-		d.metrics.Load().compensation()
+		m.compensation()
 	}
-	if cj := d.journal.Load(); cj != nil {
+	if cj != nil {
 		// Write-ahead: the dispatch record must be durable BEFORE the
 		// action can reach the transport. A crash anywhere after this
 		// point leaves the action pending, and recovery re-issues it
-		// under the same idempotency key. Concurrent dispatches share
-		// flush windows through the journal's group committer.
+		// under the same idempotency key.
 		if err := cj.LogDispatch(req); err != nil {
 			return wire.ActionAck{}, err
 		}
 	}
-	return d.runOne(ctx, req, ln, epoch, compensation, minted)
-}
-
-// DoBatch delivers independent operations concurrently: requests are
-// prepared (keys, deadlines) and write-ahead journaled in submission
-// order — the whole batch becomes durable with ONE write+fsync before
-// any action reaches the transport — then fanned out over per-host
-// lanes on a pool of at most DispatchConfig.Workers workers. Actions
-// addressed to the same host run in submission order on one lane;
-// actions to different hosts fly in parallel. The returned slice is
-// indexed by submission order. Individual failures (NACKs, exhausted
-// retries) land in their BatchResult; the batch itself always runs to
-// completion.
-func (d *Dispatcher) DoBatch(ctx context.Context, reqs []wire.ActionRequest) []BatchResult {
-	return d.doBatch(ctx, reqs, false)
-}
-
-func (d *Dispatcher) doBatch(ctx context.Context, reqs []wire.ActionRequest, compensation bool) []BatchResult {
-	results := make([]BatchResult, len(reqs))
-	if len(reqs) == 0 {
-		return results
-	}
-	epoch := d.epoch.Load()
-	work := make([]wire.ActionRequest, len(reqs))
-	copy(work, reqs)
-	minted := make([]bool, len(work))
-	lanes := make([]*hostLane, len(work))
-
-	// Prepare serially in submission order, so minted keys — and with
-	// them the journal and the agents' caches — are identical whatever
-	// the worker count.
-	budgetDeadline := d.cfg.Now().Add(d.retryBudget()).UnixMilli()
-	for i := range work {
-		if work[i].Host == "" {
-			results[i].Err = fmt.Errorf("agent: dispatch without destination host")
-			continue
-		}
-		lanes[i] = d.lane(work[i].Host)
-		if work[i].Key == "" {
-			work[i].Key = d.mintKey(lanes[i], epoch)
-			minted[i] = true
-		}
-		if work[i].DeadlineUnixMS == 0 {
-			work[i].DeadlineUnixMS = budgetDeadline
-		}
-		d.actions.Add(1)
-		if compensation {
-			d.metrics.Load().compensation()
-		}
-	}
-
-	if cj := d.journal.Load(); cj != nil {
-		// Group commit: every dispatch record of the batch is durable —
-		// one write, one fsync — before ANY of the batch's actions may
-		// reach the transport. A crash tearing the batch mid-append
-		// leaves a durable prefix of actions none of which were sent:
-		// recovery re-issues the prefix, and the lost suffix never had
-		// a side effect to lose.
-		valid := make([]wire.ActionRequest, 0, len(work))
-		for i := range work {
-			if results[i].Err == nil {
-				valid = append(valid, work[i])
-			}
-		}
-		if err := cj.LogDispatchBatch(valid); err != nil {
-			for i := range results {
-				if results[i].Err == nil {
-					results[i].Err = err
-				}
-			}
-			return results
-		}
-	}
-
-	// Assign each host's actions to one lane, lanes in first-appearance
-	// order. One worker owns a lane end to end, which is what keeps
-	// same-host actions ordered.
-	laneIdx := make(map[string][]int, len(work))
-	laneOrder := make([]string, 0, len(work))
-	for i := range work {
-		if results[i].Err != nil {
-			continue
-		}
-		h := work[i].Host
-		if _, seen := laneIdx[h]; !seen {
-			laneOrder = append(laneOrder, h)
-		}
-		laneIdx[h] = append(laneIdx[h], i)
-	}
-	run := func(host string) {
-		for _, i := range laneIdx[host] {
-			results[i].Ack, results[i].Err = d.runOne(ctx, work[i], lanes[i], epoch, compensation, minted[i])
-		}
-	}
-	workers := d.cfg.Workers
-	if workers > len(laneOrder) {
-		workers = len(laneOrder)
-	}
-	if workers <= 1 {
-		for _, host := range laneOrder {
-			run(host)
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(laneOrder) {
-					return
-				}
-				run(laneOrder[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// runOne drives one prepared, already-journaled request through the
-// retry loop to its terminal outcome. This is the healthy-path hot
-// loop: pooled request envelope, pooled attempt context, atomic
-// counters, and key retirement into the lane freelist.
-func (d *Dispatcher) runOne(ctx context.Context, req wire.ActionRequest, ln *hostLane, epoch uint64, compensation, minted bool) (wire.ActionAck, error) {
-	m := d.metrics.Load()
-	tracer := d.tracer.Load()
-	cj := d.journal.Load()
 	ev := obs.TraceDispatch{
 		Host: req.Host, Op: string(req.Op), Key: req.Key,
 		InstanceID: req.InstanceID, Compensation: compensation,

@@ -3,7 +3,6 @@ package agent
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,15 +12,8 @@ import (
 	"autoglobe/internal/wire"
 )
 
-// fanoutConfig is fastDispatch widened to a concurrent lane pool.
-func fanoutConfig(workers int) DispatchConfig {
-	cfg := fastDispatch()
-	cfg.Workers = workers
-	return cfg
-}
-
-// fanoutAgents starts n agents h000..h(n-1) on the transport.
-func fanoutAgents(t *testing.T, tr wire.Transport, n int) []*Agent {
+// startAgents starts n agents h000..h(n-1) on the transport.
+func startAgents(t *testing.T, tr wire.Transport, n int) []*Agent {
 	t.Helper()
 	agents := make([]*Agent, n)
 	for i := range agents {
@@ -34,123 +26,22 @@ func fanoutAgents(t *testing.T, tr wire.Transport, n int) []*Agent {
 	return agents
 }
 
-// TestDoBatchPerHostOrdering: a batch interleaving several hosts'
-// actions must apply each host's actions in submission order, whatever
-// the worker count, and return results indexed by submission order.
-func TestDoBatchPerHostOrdering(t *testing.T) {
-	tr := wire.NewLoopback()
-	defer tr.Close()
-	agents := fanoutAgents(t, tr, 4)
-	d := NewDispatcher(fanoutConfig(8), tr)
-
-	const perHost = 16
-	var reqs []wire.ActionRequest
-	want := make(map[string][]string)
-	for i := 0; i < perHost; i++ {
-		for _, a := range agents {
-			id := fmt.Sprintf("i-%s-%03d", a.Host(), i)
-			op := wire.OpStart
-			if i%2 == 1 {
-				// Stop the instance started the round before: ordering is
-				// load-bearing, a reorder NACKs.
-				op = wire.OpStop
-				id = fmt.Sprintf("i-%s-%03d", a.Host(), i-1)
-			}
-			reqs = append(reqs, wire.ActionRequest{Op: op, Host: a.Host(), Service: "app", InstanceID: id})
-			want[a.Host()] = append(want[a.Host()], string(op)+" "+id)
-		}
-	}
-	results := d.DoBatch(context.Background(), reqs)
-	if len(results) != len(reqs) {
-		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("request %d (%s %s on %s): %v", i, reqs[i].Op, reqs[i].InstanceID, reqs[i].Host, res.Err)
-		}
-		if !res.Ack.OK || res.Ack.Duplicate {
-			t.Fatalf("request %d: ack = %+v, want clean OK", i, res.Ack)
-		}
-	}
-	for _, a := range agents {
-		if got := a.Log(); !slices.Equal(got, want[a.Host()]) {
-			t.Fatalf("host %s applied out of order:\n got %v\nwant %v", a.Host(), got, want[a.Host()])
-		}
-	}
-	if st := d.Stats(); st.Actions != len(reqs) || st.Nacks != 0 || st.Expired != 0 {
-		t.Fatalf("stats = %+v, want %d clean actions", st, len(reqs))
-	}
-}
-
-// TestDoBatchParallelMatchesSerial: the same request stream through a
-// serial (Workers=1) and a wide (Workers=8) dispatcher must mint the
-// same idempotency keys and leave byte-identical agent audit logs —
-// the determinism contract that makes the worker count a pure
-// throughput knob.
-func TestDoBatchParallelMatchesSerial(t *testing.T) {
-	run := func(workers int) (map[string][]string, []string) {
-		tr := wire.NewLoopback()
-		defer tr.Close()
-		agents := make([]*Agent, 8)
-		for i := range agents {
-			a, err := NewAgent(fmt.Sprintf("h%03d", i), CoordinatorNode, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			agents[i] = a
-		}
-		d := NewDispatcher(fanoutConfig(workers), tr)
-		var keys []string
-		for round := 0; round < 12; round++ {
-			var reqs []wire.ActionRequest
-			for _, a := range agents {
-				op, id := wire.OpStart, fmt.Sprintf("i-%s-%03d", a.Host(), round)
-				if round%2 == 1 {
-					op, id = wire.OpStop, fmt.Sprintf("i-%s-%03d", a.Host(), round-1)
-				}
-				reqs = append(reqs, wire.ActionRequest{Op: op, Host: a.Host(), Service: "app", InstanceID: id})
-			}
-			for _, res := range d.DoBatch(context.Background(), reqs) {
-				if res.Err != nil {
-					t.Fatal(res.Err)
-				}
-				keys = append(keys, res.Ack.Key)
-			}
-		}
-		logs := make(map[string][]string)
-		for _, a := range agents {
-			logs[a.Host()] = a.Log()
-		}
-		return logs, keys
-	}
-	serialLogs, serialKeys := run(1)
-	parallelLogs, parallelKeys := run(8)
-	if !slices.Equal(serialKeys, parallelKeys) {
-		t.Fatal("parallel dispatch minted different idempotency keys than serial")
-	}
-	for h, want := range serialLogs {
-		if got := parallelLogs[h]; !slices.Equal(got, want) {
-			t.Fatalf("host %s: parallel log %v != serial log %v", h, got, want)
-		}
-	}
-}
-
-// TestDoBatchFanoutStress hammers the fan-out under -race: concurrent
-// DoBatch callers over many hosts with injected drops, duplicated
-// deliveries and held messages. Per-host ordering, exactly-once
-// application and journal bookkeeping must all survive.
-func TestDoBatchFanoutStress(t *testing.T) {
+// TestDispatchConcurrentCallersStress hammers the journaled dispatcher
+// under -race: one Do caller per (caller, host) pair, all at once, over
+// many hosts with injected drops, lost acks and duplicated deliveries.
+// Per-caller ordering, exactly-once application and journal
+// bookkeeping must all survive.
+func TestDispatchConcurrentCallersStress(t *testing.T) {
 	tr := wire.NewLoopback()
 	defer tr.Close()
 	const hosts = 24
-	agents := fanoutAgents(t, tr, hosts)
-	dir := t.TempDir()
-	cj, err := OpenCoordinatorJournal(dir, journal.Options{NoSync: true})
+	agents := startAgents(t, tr, hosts)
+	cj, err := OpenCoordinatorJournal(t.TempDir(), journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cj.Close()
-	cfg := fanoutConfig(8)
+	cfg := fastDispatch()
 	cfg.MaxAttempts = 6
 	d := NewDispatcher(cfg, tr)
 	d.AttachJournal(cj)
@@ -174,24 +65,20 @@ func TestDoBatchFanoutStress(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, callers*rounds*hosts)
 	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				reqs := make([]wire.ActionRequest, 0, hosts)
-				for _, a := range agents {
-					reqs = append(reqs, wire.ActionRequest{
-						Op: wire.OpStart, Host: a.Host(), Service: "app",
-						InstanceID: fmt.Sprintf("i-%s-c%d-r%d", a.Host(), c, r),
-					})
-				}
-				for _, res := range d.DoBatch(context.Background(), reqs) {
-					if res.Err != nil {
-						errs <- res.Err
+		for _, a := range agents {
+			wg.Add(1)
+			go func(c int, host string) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if _, err := d.Do(context.Background(), wire.ActionRequest{
+						Op: wire.OpStart, Host: host, Service: "app",
+						InstanceID: fmt.Sprintf("i-%s-c%d-r%d", host, c, r),
+					}); err != nil {
+						errs <- err
 					}
 				}
-			}
-		}(c)
+			}(c, a.Host())
+		}
 	}
 	wg.Wait()
 	close(errs)
@@ -254,7 +141,7 @@ func TestDispatchKeyRecycling(t *testing.T) {
 	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(fanoutConfig(1), tr)
+	d := NewDispatcher(fastDispatch(), tr)
 	ctx := context.Background()
 
 	do := func(i int) wire.ActionAck {
@@ -304,7 +191,7 @@ func TestDispatchKeyRecyclingSkipsRetried(t *testing.T) {
 	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatcher(fanoutConfig(1), tr)
+	d := NewDispatcher(fastDispatch(), tr)
 	ctx := context.Background()
 
 	tr.DropReplyNext("h1", 1)
@@ -360,43 +247,21 @@ func TestTriggerQueueRecycling(t *testing.T) {
 	}
 }
 
-// TestDoBatchRejectsMissingHost: a request without a destination fails
-// alone; the rest of the batch still dispatches.
-func TestDoBatchRejectsMissingHost(t *testing.T) {
-	tr := wire.NewLoopback()
-	defer tr.Close()
-	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDispatcher(fanoutConfig(4), tr)
-	results := d.DoBatch(context.Background(), []wire.ActionRequest{
-		{Op: wire.OpStart, Service: "app", InstanceID: "nowhere"},
-		{Op: wire.OpStart, Host: "h1", Service: "app", InstanceID: "i1"},
-	})
-	if results[0].Err == nil {
-		t.Fatal("hostless request dispatched")
-	}
-	if results[1].Err != nil || !results[1].Ack.OK {
-		t.Fatalf("valid request failed alongside: %+v", results[1])
-	}
-}
-
-// TestGroupCommitCoalesces: concurrent journaled dispatches must share
-// flush windows — the group-commit metric proves more than one record
-// rode a single write+fsync. Run with real fsync so the flush window
-// is wide enough to catch concurrent appenders.
-func TestGroupCommitCoalesces(t *testing.T) {
+// TestConcurrentJournaledDispatch: sixteen concurrent Do callers over a
+// journal with real fsync. Every record is its own append under the
+// journal's lock; the storm must finish (no wedge) and leave nothing
+// pending.
+func TestConcurrentJournaledDispatch(t *testing.T) {
 	tr := wire.NewLoopback()
 	defer tr.Close()
 	const hosts = 16
-	agents := fanoutAgents(t, tr, hosts)
-	dir := t.TempDir()
-	cj, err := OpenCoordinatorJournal(dir, journal.Options{})
+	agents := startAgents(t, tr, hosts)
+	cj, err := OpenCoordinatorJournal(t.TempDir(), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cj.Close()
-	d := NewDispatcher(fanoutConfig(hosts), tr)
+	d := NewDispatcher(fastDispatch(), tr)
 	d.AttachJournal(cj)
 
 	var wg sync.WaitGroup
@@ -422,7 +287,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("group-committed dispatch storm wedged")
+		t.Fatal("concurrent journaled dispatch storm wedged")
 	}
 	if p := cj.Pending(); len(p) != 0 {
 		t.Fatalf("%d actions pending after clean storm", len(p))

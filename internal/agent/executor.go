@@ -142,18 +142,9 @@ func (e *DispatchExecutor) Execute(d *controller.Decision) error {
 	if err != nil {
 		return err
 	}
-	// The dispatch phase: serially inside a compensating transaction, or
-	// — for the one compound whose operations are mutually independent —
-	// fanned out over the dispatcher's per-host lanes. A whole-service
-	// stop touches a different instance on each step, so its operations
-	// commute; every other compound (move: unbind THEN bind) encodes an
-	// order and stays on the serial path.
-	if len(ops) > 1 && d.Action == service.ActionStop && e.disp.Workers() > 1 {
-		err = e.runFanout(ops)
-	} else {
-		err = e.runSerial(ops)
-	}
-	if err != nil {
+	// The dispatch phase: one operation at a time inside a compensating
+	// transaction, in decomposition order (a move unbinds THEN binds).
+	if err := e.runSerial(ops); err != nil {
 		return err // dispatch phase failed; applied hosts compensated
 	}
 	// Every host acknowledged: apply the decision to the model. On
@@ -189,54 +180,6 @@ func (e *DispatchExecutor) runSerial(ops []OpPair) error {
 		)
 	}
 	return t.Run()
-}
-
-// runFanout dispatches mutually independent ops concurrently through
-// the dispatcher's per-host lanes, then enforces the same all-or-
-// nothing contract as the serial transaction: if any dispatch failed,
-// every op that DID apply is compensated (in reverse submission order)
-// and the first failure is returned, wrapped exactly like a txn step
-// error. Audit events fire in submission order — a fan-out is not
-// allowed to scramble the trail — and failed forward dispatches are not
-// compensated, matching the serial path where a failed Do's undo never
-// runs (an op abandoned with unknown fate is journaled terminal; the
-// agent-side deadline fences any straggler).
-func (e *DispatchExecutor) runFanout(ops []OpPair) error {
-	ctx := e.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	reqs := make([]wire.ActionRequest, len(ops))
-	for i := range ops {
-		reqs[i] = ops[i].Do
-	}
-	results := e.disp.doBatch(ctx, reqs, false)
-	failed := -1
-	for i := range results {
-		if e.Audit != nil {
-			e.Audit(txn.StepEvent{Step: ops[i].Name, Err: results[i].Err})
-		}
-		if results[i].Err != nil && failed < 0 {
-			failed = i
-		}
-	}
-	if failed < 0 {
-		return nil
-	}
-	cause := fmt.Errorf("txn: step %q: %w", ops[failed].Name, results[failed].Err)
-	for i := len(ops) - 1; i >= 0; i-- {
-		if results[i].Err != nil {
-			continue // never applied; nothing to undo
-		}
-		uerr := e.dispatch(ops[i].Undo, true)
-		if e.Audit != nil {
-			e.Audit(txn.StepEvent{Step: ops[i].Name, Compensation: true, Err: uerr})
-		}
-		if uerr != nil {
-			return &txn.RollbackError{Cause: cause, FailedUndo: ops[i].Name, UndoErr: uerr}
-		}
-	}
-	return cause
 }
 
 // dispatch sends one operation and folds its outcome to an error. The

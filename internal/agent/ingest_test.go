@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -37,7 +38,10 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 	for _, shards := range []int{1, 3, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			coord := overloadCoordinator(t)
-			coord.Reshard(shards)
+			coord.SetIngestShardsForTest(shards)
+			if got := len(coord.shards); got != shards {
+				t.Fatalf("coordinator runs %d ingest shards, want %d", got, shards)
+			}
 			for minute := 0; minute <= 2; minute++ {
 				// Reverse cluster order, hot h3 first.
 				for _, host := range []string{"h3", "h2", "h1"} {
@@ -67,6 +71,29 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIngestRefusesNonFiniteLoads: Ingest refuses what Handle refuses —
+// a NaN or infinite CPU, memory or instance load — before the host has
+// a slot, a heartbeat is counted or liveness hears of it.
+func TestIngestRefusesNonFiniteLoads(t *testing.T) {
+	coord := overloadCoordinator(t)
+	for _, hb := range []wire.Heartbeat{
+		{Host: "ghost", CPU: math.NaN()},
+		{Host: "ghost", CPU: 0.4, Mem: math.Inf(1)},
+		{Host: "ghost", CPU: 0.4, Instances: []wire.InstanceSample{{ID: "g1", Service: "app", Load: math.Inf(-1)}}},
+	} {
+		if err := coord.Ingest(hb); err == nil {
+			t.Fatalf("Ingest(%+v) accepted a non-finite load", hb)
+		}
+	}
+	coord.dictMu.RLock()
+	_, minted := coord.hosts["ghost"]
+	coord.dictMu.RUnlock()
+	if minted || coord.Heartbeats() != 0 || coord.Liveness().Tracking("ghost") {
+		t.Fatalf("refused beats left a trace: slot %v, %d heartbeats, tracked %v",
+			minted, coord.Heartbeats(), coord.Liveness().Tracking("ghost"))
 	}
 }
 
@@ -112,7 +139,6 @@ func TestConcurrentIngestStress(t *testing.T) {
 		beats   = 1000
 	)
 	coord := overloadCoordinator(t)
-	coord.Reshard(8)
 
 	var producers, loop sync.WaitGroup
 	stop := make(chan struct{})

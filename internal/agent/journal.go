@@ -101,27 +101,6 @@ type CoordinatorJournal struct {
 	appends       int
 	snapshotEvery int
 	metrics       *journalMetrics
-
-	// Group-commit state (its own lock: gcMu is only ever held for
-	// queue bookkeeping, never across disk I/O). While one committer is
-	// writing, concurrent appenders park their records in the open
-	// group; the committer flushes the whole group with one batch
-	// append + fsync when the in-flight sync returns. The flush window
-	// is therefore exactly the duration of the preceding fsync — no
-	// timers, no added latency on an idle log, and full coalescing
-	// under a dispatch storm.
-	gcMu     sync.Mutex
-	gcOpen   *commitGroup
-	gcActive bool
-}
-
-// commitGroup is one flush window's worth of records awaiting the
-// group committer.
-type commitGroup struct {
-	recs     []journalRecord
-	payloads [][]byte
-	done     chan struct{}
-	err      error
 }
 
 // DefaultSnapshotEvery is how many appended records trigger an
@@ -323,105 +302,27 @@ func (cj *CoordinatorJournal) apply(r journalRecord) {
 	}
 }
 
-// append journals one record (fsync-on-commit unless the journal was
-// opened NoSync) and snapshots when the tail has grown long enough.
-// Callers must NOT hold cj.mu for the state they are logging —
-// append takes the lock itself.
+// append journals one record — one frame, one write, one fsync unless
+// the journal was opened NoSync — and snapshots when the tail has grown
+// long enough. The record reaches the in-memory state only once it is
+// on disk, so Pending and the next snapshot never hold an action whose
+// dispatch record failed to append. Callers must NOT hold cj.mu.
 func (cj *CoordinatorJournal) append(r journalRecord) error {
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("agent: journal encode: %w", err)
 	}
-	return cj.commit([]journalRecord{r}, [][]byte{payload})
-}
-
-// appendGrouped journals one or more records through the group
-// committer: if a commit (write + fsync) is already in flight, the
-// records join the open group and become durable with the NEXT flush —
-// one disk round trip for every record that arrived during the window.
-// Like append it returns only once the records are durable; the
-// write-ahead ordering the dispatcher relies on is unchanged.
-func (cj *CoordinatorJournal) appendGrouped(recs []journalRecord) error {
-	payloads := make([][]byte, len(recs))
-	for i := range recs {
-		p, err := json.Marshal(recs[i])
-		if err != nil {
-			return fmt.Errorf("agent: journal encode: %w", err)
-		}
-		payloads[i] = p
-	}
-	cj.gcMu.Lock()
-	if !cj.gcActive {
-		// No commit in flight: lead. The fast path (no concurrency) is
-		// exactly one record per flush, identical to a plain append.
-		cj.gcActive = true
-		cj.gcMu.Unlock()
-		err := cj.commit(recs, payloads)
-		cj.drainGroups()
-		return err
-	}
-	// A commit is in flight: park in the open group and wait for the
-	// leader to flush it. Joining and the leader's open-group check
-	// both happen under gcMu, so a parked record is never stranded.
-	g := cj.gcOpen
-	if g == nil {
-		g = &commitGroup{done: make(chan struct{})}
-		cj.gcOpen = g
-	}
-	g.recs = append(g.recs, recs...)
-	g.payloads = append(g.payloads, payloads...)
-	cj.gcMu.Unlock()
-	<-g.done
-	return g.err
-}
-
-// drainGroups flushes groups parked while this goroutine was
-// committing, until a lock-held check finds none and releases
-// leadership.
-func (cj *CoordinatorJournal) drainGroups() {
-	for {
-		cj.gcMu.Lock()
-		g := cj.gcOpen
-		cj.gcOpen = nil
-		if g == nil {
-			cj.gcActive = false
-			cj.gcMu.Unlock()
-			return
-		}
-		cj.gcMu.Unlock()
-		g.err = cj.commit(g.recs, g.payloads)
-		close(g.done)
-	}
-}
-
-// commit applies and durably appends a batch of already-marshaled
-// records: one frame per record, one write, one fsync (via the
-// journal's AppendBatch), then the snapshot-cadence bookkeeping.
-func (cj *CoordinatorJournal) commit(recs []journalRecord, payloads [][]byte) error {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
-	for i := range recs {
-		cj.apply(recs[i])
-	}
-	var err error
-	if len(payloads) == 1 {
-		err = cj.j.Append(payloads[0])
-	} else {
-		err = cj.j.AppendBatch(payloads)
-		cj.metrics.groupCommit()
-	}
-	if err != nil {
+	if err := cj.j.Append(payload); err != nil {
 		return err
 	}
-	for i := range recs {
-		cj.metrics.appendRecord(recs[i].Kind)
-	}
-	cj.appends += len(recs)
+	cj.apply(r)
+	cj.metrics.appendRecord(r.Kind)
+	cj.appends++
 	if cj.snapshotEvery > 0 && cj.appends >= cj.snapshotEvery {
 		cj.appends = 0
-		if err := cj.snapshotLocked(); err != nil {
-			return err
-		}
+		return cj.snapshotLocked()
 	}
 	return nil
 }
@@ -459,39 +360,18 @@ func (cj *CoordinatorJournal) SetSnapshotEvery(n int) {
 
 // LogDispatch durably records an action about to be sent. It MUST
 // return before the action reaches the transport — that ordering is the
-// whole write-ahead guarantee. Concurrent LogDispatch (and LogAck)
-// calls are group-committed: records arriving while a flush is in
-// flight share the next write+fsync instead of queueing for their own.
+// whole write-ahead guarantee.
 func (cj *CoordinatorJournal) LogDispatch(req wire.ActionRequest) error {
 	if req.Key == "" {
 		return fmt.Errorf("agent: journal dispatch without idempotency key")
 	}
-	return cj.appendGrouped([]journalRecord{{Kind: recDispatch, Action: &req}})
-}
-
-// LogDispatchBatch durably records a whole fan-out of actions with one
-// write and one fsync. Every record is durable when it returns, so a
-// batch dispatcher may send ANY of the batch's actions afterwards; a
-// crash mid-append tears the batch into a durable prefix — safe,
-// because none of the batch's actions had reached the transport yet.
-func (cj *CoordinatorJournal) LogDispatchBatch(reqs []wire.ActionRequest) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	recs := make([]journalRecord, len(reqs))
-	for i := range reqs {
-		if reqs[i].Key == "" {
-			return fmt.Errorf("agent: journal dispatch without idempotency key")
-		}
-		recs[i] = journalRecord{Kind: recDispatch, Action: &reqs[i]}
-	}
-	return cj.appendGrouped(recs)
+	return cj.append(journalRecord{Kind: recDispatch, Action: &req})
 }
 
 // LogAck durably records an action's terminal outcome (ack or NACK —
 // either way the fate is known and recovery must not re-issue it).
 func (cj *CoordinatorJournal) LogAck(key string, ack wire.ActionAck) error {
-	return cj.appendGrouped([]journalRecord{{Kind: recAck, Key: key, Ack: &ack}})
+	return cj.append(journalRecord{Kind: recAck, Key: key, Ack: &ack})
 }
 
 // LogLiveness durably records a host death or recovery.
@@ -585,13 +465,13 @@ func (cj *CoordinatorJournal) snapshotLocked() error {
 	return nil
 }
 
-// Recover re-issues every pending action through the dispatcher's
-// batch fan-out — per host in dispatch order, across hosts in parallel
-// — under the original idempotency keys: an action the agent already
-// applied is answered from its cache (counted as a duplicate, not
-// re-executed), an action that never arrived runs now.
-// Deadlines are re-minted — the original ones expired with the crashed
-// incarnation, and the agent cache answers regardless of deadline.
+// Recover re-issues every pending action through the dispatcher, one at
+// a time in journal order, under the original idempotency keys: an
+// action the agent already applied is answered from its cache (counted
+// as a duplicate, not re-executed), an action that never arrived runs
+// now. Deadlines are re-minted — the original ones expired with the
+// crashed incarnation, and the agent cache answers regardless of
+// deadline.
 //
 // All pending actions are attempted even if some fail; the errors are
 // joined. A NACK is terminal (journaled, not retried). A re-issue that
@@ -602,30 +482,21 @@ func (cj *CoordinatorJournal) snapshotLocked() error {
 func (cj *CoordinatorJournal) Recover(ctx context.Context, d *Dispatcher) (reissued int, err error) {
 	pending := cj.Pending()
 	cj.metrics.recovery(len(pending))
-	for i := range pending {
-		pending[i].DeadlineUnixMS = 0 // re-mint: the old deadline died with the old epoch
-	}
-	// A recovery storm is the dispatch plane's worst case — every
-	// in-flight action of the previous incarnation at once — so it rides
-	// the batch fan-out: per-host ordering preserves each host's dispatch
-	// order, different hosts re-issue in parallel, and the whole batch is
-	// re-journaled with one group commit. Errors surface in dispatch
-	// order regardless of lane scheduling.
-	results := d.DoBatch(ctx, pending)
 	var errs []error
-	for i := range results {
-		if derr := results[i].Err; derr != nil {
-			var nack *NackError
-			if errors.As(derr, &nack) {
-				// Terminal and journaled by the dispatcher; not an error
-				// for recovery itself (e.g. the op raced a demotion).
-				continue
-			}
+	for _, req := range pending {
+		req.DeadlineUnixMS = 0 // re-mint: the old deadline died with the old epoch
+		_, derr := d.Do(ctx, req)
+		var nack *NackError
+		switch {
+		case derr == nil:
+			reissued++
+		case errors.As(derr, &nack):
+			// Terminal and journaled by the dispatcher; not an error for
+			// recovery itself (e.g. the op raced a demotion).
+		default:
 			errs = append(errs, fmt.Errorf("recover %s %s on %s: %w",
-				pending[i].Op, pending[i].InstanceID, pending[i].Host, derr))
-			continue
+				req.Op, req.InstanceID, req.Host, derr))
 		}
-		reissued++
 	}
 	return reissued, errors.Join(errs...)
 }

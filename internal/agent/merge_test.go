@@ -95,7 +95,7 @@ func TestMergeOrderMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("ha=%v/shards=%d", ha, shards), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(shards)))
 				coord := mergeCoordinator(t, 12, 0)
-				coord.Reshard(shards)
+				coord.SetIngestShardsForTest(shards)
 				if ha {
 					coord.EnableHA()
 				}
@@ -247,7 +247,7 @@ func TestForgetPurgesBackfill(t *testing.T) {
 		beat(5)
 		beat(6) // parks minute 5 in backfill
 		hs := coord.slotFor("m01")
-		sh := hs.sh.Load()
+		sh := hs.sh
 		if len(sh.backfill) != 1 {
 			t.Fatalf("backfill holds %d beats, want 1", len(sh.backfill))
 		}

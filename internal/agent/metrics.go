@@ -53,9 +53,10 @@ const (
 	MetricJournalAppends = "autoglobe_journal_appends_total"
 	// MetricJournalSnapshots counts journal compactions.
 	MetricJournalSnapshots = "autoglobe_journal_snapshots_total"
-	// MetricJournalGroupCommits counts group commits: flushes that made
-	// more than one record durable with a single write+fsync. The ratio
-	// to MetricJournalAppends shows how well a dispatch storm coalesces.
+	// MetricJournalGroupCommits named the group committer's flushes of
+	// more than one record. The committer is gone (every record is its
+	// own append) and nothing registers the family; the name stays only
+	// because the benchmark harness reads it, and an absent family reads 0.
 	MetricJournalGroupCommits = "autoglobe_journal_group_commits_total"
 	// MetricRecoveries counts coordinator recoveries (journal replays
 	// that found state to rebuild).
@@ -216,11 +217,10 @@ func (m *coordMetrics) merged(start time.Time, seen [3]int, names int) {
 // journalMetrics pre-resolves the coordinator journal's series.
 // Nil-safe: an uninstrumented journal carries a nil *journalMetrics.
 type journalMetrics struct {
-	appends      map[string]*obs.Counter // by record kind
-	snapshots    *obs.Counter
-	groupCommits *obs.Counter
-	recoveries   *obs.Counter
-	pending      *obs.Counter
+	appends    map[string]*obs.Counter // by record kind
+	snapshots  *obs.Counter
+	recoveries *obs.Counter
+	pending    *obs.Counter
 }
 
 func newJournalMetrics(r *obs.Registry) *journalMetrics {
@@ -229,15 +229,13 @@ func newJournalMetrics(r *obs.Registry) *journalMetrics {
 	}
 	r.Help(MetricJournalAppends, "Write-ahead journal records appended, by kind.")
 	r.Help(MetricJournalSnapshots, "Journal compactions.")
-	r.Help(MetricJournalGroupCommits, "Flushes committing more than one record in a single write+fsync.")
 	r.Help(MetricRecoveries, "Coordinator journal recoveries.")
 	r.Help(MetricRecoveryPending, "Pending actions found and re-issued across recoveries.")
 	m := &journalMetrics{
-		appends:      make(map[string]*obs.Counter, 4),
-		snapshots:    r.Counter(MetricJournalSnapshots),
-		groupCommits: r.Counter(MetricJournalGroupCommits),
-		recoveries:   r.Counter(MetricRecoveries),
-		pending:      r.Counter(MetricRecoveryPending),
+		appends:    make(map[string]*obs.Counter, 4),
+		snapshots:  r.Counter(MetricJournalSnapshots),
+		recoveries: r.Counter(MetricRecoveries),
+		pending:    r.Counter(MetricRecoveryPending),
 	}
 	for _, kind := range []string{recEpoch, recDispatch, recAck, recLiveness, recRule} {
 		m.appends[kind] = r.Counter(MetricJournalAppends, "kind", kind)
@@ -257,12 +255,6 @@ func (m *journalMetrics) appendRecord(kind string) {
 func (m *journalMetrics) snapshot() {
 	if m != nil {
 		m.snapshots.Inc()
-	}
-}
-
-func (m *journalMetrics) groupCommit() {
-	if m != nil {
-		m.groupCommits.Inc()
 	}
 }
 

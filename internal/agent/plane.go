@@ -26,10 +26,6 @@ type PlaneConfig struct {
 	// Node overrides the coordinator's node name (default
 	// CoordinatorNode).
 	Node string
-	// IngestShards is the coordinator's heartbeat ingest shard count
-	// (0: DefaultIngestShards). Observation semantics are independent
-	// of the count — it is purely a concurrency knob.
-	IngestShards int
 }
 
 // Plane is a fully wired control plane for one deployment: the
@@ -84,9 +80,6 @@ func newCoordinatorPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.
 	coord, err := NewCoordinator(cfg.Node, dep, lms, cfg.Transport, cfg.Liveness)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.IngestShards > 0 {
-		coord.Reshard(cfg.IngestShards)
 	}
 	cfg.Dispatch.From = coord.Node()
 	return &Plane{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -419,154 +420,83 @@ func TestCrashPointSweep(t *testing.T) {
 	}
 }
 
-// TestCrashPointSweepGroupCommit extends the crash-point sweep to the
-// batched journal: a DoBatch makes its whole dispatch fan-out durable
-// with ONE multi-frame append, so the interesting crash points are the
-// frame boundaries INSIDE that batch region (a flush window torn
-// mid-way: a durable prefix of dispatch records whose actions were
-// never sent is re-issued; the lost suffix never had a side effect) and
-// the mid-frame cuts (a torn record must vanish without dragging the
-// intact prefix down). At every cut: zero duplicated side effects,
-// zero lost acked actions.
-func TestCrashPointSweepGroupCommit(t *testing.T) {
+// TestRecoverReissuesInJournalOrder: six actions journaled over three
+// hosts, none of them sent, none acked. Recovery re-issues all six one
+// at a time in journal order — each host's stop after its start, or it
+// would NACK — and leaves nothing for a second recovery to do.
+func TestRecoverReissuesInJournalOrder(t *testing.T) {
 	tr := wire.NewLoopback()
 	defer tr.Close()
-	hosts := []string{"h1", "h2", "h3"}
-	agents := make(map[string]*Agent)
-	for _, h := range hosts {
-		a, err := NewAgent(h, CoordinatorNode, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents[h] = a
-	}
+	agents := startAgents(t, tr, 3)
 	dir := t.TempDir()
 	cj := openTestJournal(t, dir)
-	cfg := fastDispatch()
-	cfg.Workers = 4
-	d := NewDispatcher(cfg, tr)
-	d.AttachJournal(cj)
-	ctx := context.Background()
-
-	// Batch 1: six clean starts over three hosts — one six-frame group
-	// append, then the acks.
-	var batch1 []wire.ActionRequest
-	for i := 0; i < 2; i++ {
-		for _, h := range hosts {
-			batch1 = append(batch1, startReq(h, "i-"+h+"-"+string(rune('a'+i))))
+	want := make(map[string][]string)
+	seq := 0
+	for _, op := range []wire.Op{wire.OpStart, wire.OpStop} {
+		for _, a := range agents {
+			seq++
+			id := "i-" + a.Host()
+			req := wire.ActionRequest{Op: op, Host: a.Host(), Service: "app", InstanceID: id,
+				Key: fmt.Sprintf("coordinator-e1-%06d", seq)}
+			if err := cj.LogDispatch(req); err != nil {
+				t.Fatal(err)
+			}
+			want[a.Host()] = append(want[a.Host()], string(op)+" "+id)
 		}
-	}
-	for _, res := range d.DoBatch(ctx, batch1) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	// A NACK, so a terminal failure fate sits between the batches.
-	var nack *NackError
-	if _, err := d.Do(ctx, wire.ActionRequest{Op: wire.OpStop, Host: "h1", InstanceID: "ghost"}); !errors.As(err, &nack) {
-		t.Fatalf("stop of unknown instance: err = %v, want NackError", err)
-	}
-	// Batch 2: three more starts; h2's acks all vanish, so the action
-	// applies agent-side but journals as an abandonment.
-	tr.DropReplyNext("h2", cfg.MaxAttempts)
-	batch2 := []wire.ActionRequest{startReq("h1", "i-h1-z"), startReq("h2", "i-h2-z"), startReq("h3", "i-h3-z")}
-	sawExpiry := false
-	for _, res := range d.DoBatch(ctx, batch2) {
-		if res.Err != nil {
-			sawExpiry = true
-		}
-	}
-	if !sawExpiry {
-		t.Fatal("want one expiry in batch 2: h2's acks are dropped")
 	}
 	if err := cj.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	baseline := make(map[string][]string)
-	for h, a := range agents {
-		baseline[h] = a.Log()
+	rj := openTestJournal(t, dir)
+	defer rj.Close()
+	d := NewDispatcher(fastDispatch(), tr)
+	d.AttachJournal(rj)
+	ctx := context.Background()
+	if n, err := rj.Recover(ctx, d); err != nil || n != 6 {
+		t.Fatalf("Recover = (%d, %v), want (6, nil)", n, err)
 	}
-
-	seg := onlySegment(t, dir)
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range agents {
+		if got := a.Log(); !slices.Equal(got, want[a.Host()]) {
+			t.Fatalf("host %s log = %v, want %v (journal order)", a.Host(), got, want[a.Host()])
+		}
 	}
-	payloads, boundaries := journal.Frames(data)
-	// epoch + 6 batch-1 dispatches + 6 acks + 1 nacked dispatch + its
-	// ack + 3 batch-2 dispatches + 3 terminal records (two acks, one
-	// abandonment) = 21.
-	if len(payloads) != 21 {
-		t.Fatalf("journal has %d records, want 21 for the full run", len(payloads))
+	if p := rj.Pending(); len(p) != 0 {
+		t.Fatalf("pending after recovery = %+v, want none", p)
 	}
-	cuts := []int{0}
-	prev := 0
-	for _, b := range boundaries {
-		cuts = append(cuts, (prev+b)/2, b)
-		prev = b
+	if n, err := rj.Recover(ctx, d); err != nil || n != 0 {
+		t.Fatalf("second Recover = (%d, %v), want (0, nil)", n, err)
 	}
-	for _, cut := range cuts {
-		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, filepath.Base(seg)), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rj, err := OpenCoordinatorJournal(cdir, journal.Options{NoSync: true})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
-		want := pendingOfPrefix(t, data[:cut])
-		got := make(map[string]bool)
-		for _, req := range rj.Pending() {
-			got[req.Key] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("cut %d: pending = %v, want %v", cut, got, want)
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("cut %d: action %s lost from pending set", cut, k)
-			}
-		}
-		d2 := NewDispatcher(cfg, tr)
-		d2.AttachJournal(rj)
-		if _, err := rj.Recover(ctx, d2); err != nil {
-			t.Fatalf("cut %d: recover: %v", cut, err)
-		}
-		for h, a := range agents {
-			if !slices.Equal(a.Log(), baseline[h]) {
-				t.Fatalf("cut %d: host %s log changed %v -> %v (duplicate side effect)",
-					cut, h, baseline[h], a.Log())
-			}
-		}
-		rj.Close() //nolint:errcheck
+	if st := d.Stats(); st.Actions != 6 {
+		t.Fatalf("dispatched %d actions over two recoveries, want 6", st.Actions)
 	}
 }
 
-// onlySegment returns the single non-empty WAL segment in dir.
-func onlySegment(t *testing.T, dir string) string {
-	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil {
+// TestJournalStateFollowsDisk: a record whose append fails never reaches
+// the in-memory state. A dispatch that could not be journaled was never
+// sent, so it must not sit in Pending (the next snapshot would persist
+// it and a later recovery re-issue it); an ack that could not be
+// journaled leaves its action pending, as it is on disk.
+func TestJournalStateFollowsDisk(t *testing.T) {
+	cj := openTestJournal(t, t.TempDir())
+	sent := startReq("h1", "i1")
+	sent.Key = "coordinator-e1-000001"
+	if err := cj.LogDispatch(sent); err != nil {
 		t.Fatal(err)
 	}
-	var out string
-	for _, s := range segs {
-		b, err := os.ReadFile(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) > 0 {
-			if out != "" {
-				t.Fatalf("more than one non-empty segment: %v", segs)
-			}
-			out = s
-		}
+	cj.j.Close() //nolint:errcheck // the disk goes away under the journal
+
+	lost := startReq("h1", "i2")
+	lost.Key = "coordinator-e1-000002"
+	if err := cj.LogDispatch(lost); err == nil || !strings.Contains(err.Error(), "journal: closed") {
+		t.Fatalf("LogDispatch on a closed journal = %v, want journal: closed", err)
 	}
-	if out == "" {
-		t.Fatal("no non-empty segment")
+	if err := cj.LogAck(sent.Key, wire.ActionAck{Key: sent.Key, OK: true}); err == nil {
+		t.Fatal("LogAck on a closed journal succeeded")
 	}
-	return out
+	if p := cj.Pending(); len(p) != 1 || p[0].Key != sent.Key {
+		t.Fatalf("pending = %+v, want exactly the durably dispatched %s", p, sent.Key)
+	}
 }
 
 // TestPlaneCrashCoordinator drives the whole-plane crash/restart cycle:

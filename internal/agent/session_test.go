@@ -3,8 +3,11 @@ package agent
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -651,9 +654,9 @@ func TestSessionDictionaryIsBounded(t *testing.T) {
 // TestSessionConcurrentReporters hammers the dictionary and the slots
 // from 32 reporters at once — indexed frames, and a named one whenever a
 // host's instance list changes, each minting a name — while the control
-// loop closes minutes, reshards and forgets a host. Under -race this
-// covers resolve/mint/ingest against collect/Reshard/Forget; every beat
-// must be counted and none refused.
+// loop closes minutes and forgets a host. Under -race this covers
+// resolve/mint/ingest against collect/Forget; every beat must be counted
+// and none refused.
 func TestSessionConcurrentReporters(t *testing.T) {
 	const (
 		workers = 32
@@ -704,9 +707,6 @@ func TestSessionConcurrentReporters(t *testing.T) {
 				return
 			}
 			coord.TakeTriggers()
-			if minute%7 == 0 {
-				coord.Reshard(1 + minute%5)
-			}
 			if minute%11 == 0 {
 				coord.Forget("w00")
 			}
@@ -725,6 +725,92 @@ func TestSessionConcurrentReporters(t *testing.T) {
 	}
 	if got := snap[MetricHeartbeatResyncs]; got != 0 {
 		t.Fatalf("%v resyncs", got)
+	}
+}
+
+// TestSessionRefusesNonFiniteLoads: over the binary loopback, a named
+// and an indexed heartbeat carrying a NaN or infinite load are refused
+// whole — a NACK with the reason, nothing minted, ingested, counted or
+// marked alive — and the reporter drops the minute instead of parking
+// it, so the next clean minute goes through at once.
+func TestSessionRefusesNonFiniteLoads(t *testing.T) {
+	spy := newFrameSpy(t)
+	p, lms := sessionPlane(t, spy, testDeployment(t))
+	coord := p.Coordinator()
+	reg := obs.NewRegistry()
+	coord.Instrument(reg)
+	a, err := NewAgent("ghost", CoordinatorNode, spy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := a.Reporter()
+	send := func(minute int, cpu, mem, load float64) error {
+		rep.Begin(minute, cpu, mem)
+		rep.Sample("ghost-i", "app", load)
+		return rep.Send(context.Background())
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, errRefused) || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("%s: Send = %v, want a non-finite refusal", what, err)
+		}
+		if rep.Buffered() != 0 {
+			t.Fatalf("%s: reporter parked %d refused minutes", what, rep.Buffered())
+		}
+	}
+
+	// Named: the host and its instance are new to the coordinator.
+	refused("named NaN cpu", send(0, math.NaN(), 0.3, 0.4))
+	coord.dictMu.RLock()
+	_, minted := coord.hosts["ghost"]
+	names := len(coord.instTab)
+	coord.dictMu.RUnlock()
+	if minted || names != 0 {
+		t.Fatalf("refused frame minted: host %v, %d instance names", minted, names)
+	}
+	if coord.Heartbeats() != 0 || coord.Liveness().Tracking("ghost") {
+		t.Fatalf("refused frame ingested (%d) or marked ghost alive", coord.Heartbeats())
+	}
+	if snap := reg.Snapshot(); snap[MetricHeartbeatNamedFrames] != 0 || snap[MetricHeartbeats] != 0 {
+		t.Fatalf("refused frame counted: named %v, heartbeats %v", snap[MetricHeartbeatNamedFrames], snap[MetricHeartbeats])
+	}
+
+	// Indexed: a clean named minute teaches the reporter its numbers.
+	if err := send(1, 0.4, 0.3, 0.4); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.ObserveServices(1); err != nil {
+		t.Fatal(err)
+	}
+	spy.take()
+	refused("indexed +Inf mem", send(10, 0.4, math.Inf(1), 0.4))
+	refused("indexed -Inf load", send(11, 0.4, 0.3, math.Inf(-1)))
+	for _, f := range spy.take() {
+		if !f.indexed {
+			t.Fatalf("minute %d went out named, want indexed", f.minute)
+		}
+	}
+	if err := coord.ObserveServices(11); err != nil {
+		t.Fatal(err)
+	}
+	if coord.Heartbeats() != 1 || !slices.Contains(coord.Liveness().Silent(11), "ghost") {
+		t.Fatalf("refused indexed frames ingested (%d heartbeats) or marked ghost alive", coord.Heartbeats())
+	}
+	for _, key := range []string{archive.HostEntity("ghost"), archive.InstanceEntity("ghost-i")} {
+		if m := latestMinute(t, lms, key); m != 1 {
+			t.Fatalf("%s archived up to minute %d, want 1", key, m)
+		}
+	}
+
+	// Nothing was parked, so the next clean minute is the only frame.
+	if err := send(12, 0.4, 0.3, 0.4); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := forms(spy.take()), "ghost@12:indexed"; got != want {
+		t.Fatalf("frames: got %s, want %s", got, want)
+	}
+	if coord.Heartbeats() != 2 {
+		t.Fatalf("%d heartbeats after a clean minute, want 2", coord.Heartbeats())
 	}
 }
 

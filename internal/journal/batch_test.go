@@ -147,7 +147,7 @@ func TestAppendBatchRotation(t *testing.T) {
 
 // TestAppendBatchTornTailPrefix: a crash tearing the last frame of a
 // batch recovers the batch's intact prefix and nothing else — the
-// torn-batch contract the group-committing coordinator relies on.
+// torn-batch contract any caller that batches records must design for.
 func TestAppendBatchTornTailPrefix(t *testing.T) {
 	dir := t.TempDir()
 	j := openT(t, dir, Options{NoSync: true})

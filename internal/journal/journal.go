@@ -360,8 +360,8 @@ func (j *Journal) Append(payload []byte) error {
 }
 
 // AppendBatch frames every payload and commits them with ONE write and
-// ONE fsync — the group-commit primitive: N records become durable for
-// the price of a single disk round trip. The records land in the log in
+// ONE fsync: N records become durable for the price of a single disk
+// round trip. The records land in the log in
 // slice order, each in its own frame, so a reader (and the crash-point
 // sweep) sees them exactly as if they had been appended one by one. A
 // crash mid-write can tear the tail anywhere inside the batch; the torn

@@ -2,9 +2,9 @@ package simulator
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
-	"autoglobe/internal/agent"
 	"autoglobe/internal/service"
 	"autoglobe/internal/wire"
 )
@@ -27,71 +27,74 @@ func paperSim(t *testing.T, adjust func(*Config)) *Simulator {
 	return sim
 }
 
-// TestDispatchWorkersByteIdentical is the determinism proof of the
-// parallel dispatch plane: the worker count is purely a throughput
-// knob. Idempotency keys are minted serially in submission order
-// before any worker runs, each host's lane is owned by one worker
-// end-to-end, and results come back in submission order — so a
-// landscape driven through 1 worker and through 8 must produce
-// byte-identical runs, both equal to the in-process simulation.
-func TestDispatchWorkersByteIdentical(t *testing.T) {
+// dispatchingDaysIdentical runs one full-mobility paper day over each
+// transport, all of them side by side, and proves every run
+// byte-identical to the in-process one — and not vacuously so: the
+// controller's actions went through the wire.
+func dispatchingDaysIdentical(t *testing.T, label string, trs ...wire.Transport) {
+	t.Helper()
 	base, err := paperSim(t, nil).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sims := make([]*Simulator, len(trs))
+	for i, tr := range trs {
+		sims[i] = paperSim(t, func(c *Config) { c.Distributed = &DistributedConfig{Transport: tr} })
+	}
+	results, errs := make([]*Result, len(sims)), make([]error, len(sims))
+	var wg sync.WaitGroup
+	for i, sim := range sims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = sim.Run()
+		}()
+	}
+	wg.Wait()
+	for i, sim := range sims {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		res := results[i]
+		assertIdentical(t, base, res, fmt.Sprintf("%s (day %d of %d)", label, i+1, len(sims)))
+		if st := sim.Plane().Dispatcher().Stats(); st.Actions == 0 {
+			t.Error("run dispatched no actions — the parity comparison is vacuous")
+		}
+		if got, want := sim.Plane().Coordinator().Heartbeats(), res.Minutes*len(res.Hosts); got != want {
+			t.Errorf("coordinator ingested %d heartbeats, want %d", got, want)
+		}
+	}
+}
 
+// TestDispatchWorkersByteIdentical is the determinism proof of the
+// dispatch plane over the binary loopback: every start, stop and move
+// of a paper day is carried to its agent, one action at a time, and the
+// run equals the in-process simulation byte for byte. The dispatch path
+// itself is serial; workers is the number of such days run side by
+// side in one process, as the experiments sweep's worker pool runs
+// simulations — their planes share the codec's frame and envelope pools,
+// and no day may bleed into another.
+func TestDispatchWorkersByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			lb := wire.NewLoopback()
-			defer lb.Close()
-			lb.SetCodec(wire.CodecBinary)
-			sim := paperSim(t, func(c *Config) {
-				c.Distributed = &DistributedConfig{
-					Transport: lb,
-					Dispatch:  agent.DispatchConfig{Workers: workers},
-				}
-			})
-			res, err := sim.Run()
-			if err != nil {
-				t.Fatal(err)
+			trs := make([]wire.Transport, workers)
+			for i := range trs {
+				lb := wire.NewLoopback()
+				defer lb.Close()
+				lb.SetCodec(wire.CodecBinary)
+				trs[i] = lb
 			}
-			assertIdentical(t, base, res, fmt.Sprintf("binary loopback (%d dispatch workers)", workers))
-			disp := sim.Plane().Dispatcher()
-			if got := disp.Workers(); got != workers {
-				t.Errorf("dispatcher runs %d workers, want %d", got, workers)
-			}
-			if st := disp.Stats(); st.Actions == 0 {
-				t.Error("run dispatched no actions — the parity comparison is vacuous")
-			}
+			dispatchingDaysIdentical(t, "binary loopback", trs...)
 		})
 	}
 }
 
-// TestDispatchWorkersHTTPByteIdentical repeats the identity over real
-// sockets: parallel per-host fan-out through net/http round trips —
-// with their genuinely nondeterministic completion interleaving —
-// still yields the byte-identical decision stream.
-func TestDispatchWorkersHTTPByteIdentical(t *testing.T) {
-	base, err := paperSim(t, nil).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// TestDispatchingDayHTTPByteIdentical repeats the identity over real
+// sockets: net/http round trips still yield the byte-identical decision
+// stream.
+func TestDispatchingDayHTTPByteIdentical(t *testing.T) {
 	tr := wire.NewHTTP()
 	defer tr.Close()
 	tr.Codec = wire.CodecBinary
-	sim := paperSim(t, func(c *Config) {
-		c.Distributed = &DistributedConfig{
-			Transport: tr,
-			Dispatch:  agent.DispatchConfig{Workers: 8},
-		}
-	})
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, base, res, "http binary (8 dispatch workers)")
-	if st := sim.Plane().Dispatcher().Stats(); st.Actions == 0 {
-		t.Error("run dispatched no actions — the parity comparison is vacuous")
-	}
+	dispatchingDaysIdentical(t, "http binary", tr)
 }

@@ -39,10 +39,7 @@ type DistributedConfig struct {
 	// moves the same bytes over real sockets.
 	Transport wire.Transport
 	// Dispatch tunes the action dispatcher (timeouts, retry budget,
-	// backoff, fan-out width). The zero value uses the dispatcher
-	// defaults. Dispatch.Workers is purely a throughput knob — per-host
-	// lanes and submission-order results keep runs byte-identical for
-	// any width.
+	// backoff). The zero value uses the dispatcher defaults.
 	Dispatch agent.DispatchConfig
 	// HeartbeatTimeoutMinutes is how long a host may stay silent before
 	// the coordinator probes it (default 2, the paper's heartbeat
@@ -77,12 +74,6 @@ type DistributedConfig struct {
 	// LeaseTTL is the leadership lease time-to-live in minutes
 	// (0: lease.DefaultTTL).
 	LeaseTTL int
-	// IngestShards is the coordinator's heartbeat ingest shard count
-	// (0: the agent package default). Runs are byte-identical for any
-	// shard count — the minute-boundary merge fixes the observation
-	// order — so this is purely a concurrency/throughput knob for
-	// large landscapes.
-	IngestShards int
 }
 
 // or2 is the paper-scale default of the three liveness parameters.

@@ -13,7 +13,8 @@ import (
 // spreading heartbeat ingest over 1 or 16 shards changes nothing — the
 // run stays byte-identical to the in-process simulation. The shard
 // count is irrelevant by construction (the minute-boundary merge fixes
-// the observation order), and this test is the proof.
+// the observation order), and this test is the proof that the fixed
+// count of a running coordinator is not load-bearing.
 func TestDistributedBinaryLoopbackByteIdentical(t *testing.T) {
 	base, err := declaredSim(t, tuneForActions).Run()
 	if err != nil {
@@ -27,19 +28,14 @@ func TestDistributedBinaryLoopbackByteIdentical(t *testing.T) {
 			lb.SetCodec(wire.CodecBinary)
 			sim := declaredSim(t, func(c *Config) {
 				tuneForActions(c)
-				c.Distributed = &DistributedConfig{
-					Transport:    lb,
-					IngestShards: shards,
-				}
+				c.Distributed = &DistributedConfig{Transport: lb}
 			})
+			sim.Plane().Coordinator().SetIngestShardsForTest(shards)
 			res, err := sim.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertIdentical(t, base, res, fmt.Sprintf("binary loopback (%d shards)", shards))
-			if got := sim.Plane().Coordinator().Shards(); got != shards {
-				t.Errorf("coordinator runs %d ingest shards, want %d", got, shards)
-			}
 			wantBeats := res.Minutes * len(res.Hosts)
 			if got := sim.Plane().Coordinator().Heartbeats(); got != wantBeats {
 				t.Errorf("coordinator ingested %d heartbeats, want %d", got, wantBeats)
@@ -49,8 +45,8 @@ func TestDistributedBinaryLoopbackByteIdentical(t *testing.T) {
 }
 
 // TestDistributedJSONShardedByteIdentical crosses the other two axes:
-// the JSON codec with a non-default shard count. Codec and shard count
-// are independent knobs; neither may affect the decision stream.
+// the JSON codec with a shard count other than the fixed one. Codec and
+// shard count are independent; neither may affect the decision stream.
 func TestDistributedJSONShardedByteIdentical(t *testing.T) {
 	base, err := declaredSim(t, tuneForActions).Run()
 	if err != nil {
@@ -59,13 +55,12 @@ func TestDistributedJSONShardedByteIdentical(t *testing.T) {
 
 	lb := wire.NewLoopback()
 	defer lb.Close() // JSON is the loopback default; no SetCodec
-	res, err := declaredSim(t, func(c *Config) {
+	sim := declaredSim(t, func(c *Config) {
 		tuneForActions(c)
-		c.Distributed = &DistributedConfig{
-			Transport:    lb,
-			IngestShards: 4,
-		}
-	}).Run()
+		c.Distributed = &DistributedConfig{Transport: lb}
+	})
+	sim.Plane().Coordinator().SetIngestShardsForTest(4)
+	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
