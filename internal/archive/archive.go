@@ -10,12 +10,12 @@
 // service instance keeps no profile: nothing reads one, and its profile
 // reads answer as for a never-observed minute, 0.
 //
-// In memory are the day profiles and a ring of the newest samples. An
-// in-memory archive (New) has nowhere else to keep history, so its ring
-// holds the whole retention. A backed archive (NewBacked) writes every
-// sample through to a tsdb store, so its ring is a window sized to the
-// hot readers (watchTime averages, Latest) and a read reaching further
-// back continues into the store. One ring, one read path, two capacities.
+// The archive holds the day profiles and a counter per entity; every raw
+// sample lives in a tsdb store, whose entity keeps its newest 64–128 in
+// memory — the tail every watchTime read and Latest are served from. An
+// in-memory archive (New) runs over a store with no directory, which
+// keeps every sealed block raw; a backed one (NewBacked) over a store on
+// disk. Both share one append path, one read path and one capacity rule.
 package archive
 
 import (
@@ -50,12 +50,8 @@ func InstanceEntity(id string) string { return "inst/" + id }
 // The name alone decides: names are all NewBacked rebuilds an entity from.
 func profiled(entity string) bool { return !strings.HasPrefix(entity, InstanceEntity("")) }
 
-// Sample is one recorded measurement.
-type Sample struct {
-	Minute int     // absolute simulation minute
-	CPU    float64 // CPU load in [0, 1] (may exceed 1 for raw demand)
-	Mem    float64 // memory load in [0, 1]
-}
+// Sample is one recorded measurement, the store's own type.
+type Sample = tsdb.Sample
 
 // dayProfile is the aggregated day profile: per minute of day the CPU
 // sum and the observation count, in two arrays so that a minute costs 12
@@ -78,19 +74,18 @@ func (d *dayProfile) mean(i int) float64 {
 	return d.sum[i] / float64(d.n[i])
 }
 
-// entityLog is the per-entity header. The bulk — ring and day profile —
-// lives in pointer-free slabs the collector marks but never scans.
+// entityLog is the per-entity header; the day profile lives in a
+// pointer-free slab the collector marks but never scans, the samples in
+// the store.
 type entityLog struct {
 	name     string
-	ring     []Sample    // newest samples; chronological from head once full
-	head     int         // index of the oldest sample once the ring is full
-	ingested int         // samples ever ingested; past cap(ring) the oldest are evicted
+	ingested int         // samples ever ingested
 	day      *dayProfile // noEntity's shared empty one unless profiled(name)
 	// dayMost is the deepest day.n slot. Counts never decrease, so a
 	// running max kept by ingest is exact and DaysObserved is one load.
 	dayMost int
 
-	stored tsdb.Handle // resolved by the first write-through Record
+	stored tsdb.Handle // resolved by the first Record, or by NewBacked's replay
 }
 
 // slot folds an absolute minute onto its minute of day.
@@ -99,18 +94,16 @@ func slot(minute int) int {
 }
 
 // Archive stores aggregated historic load data per entity. The zero
-// value is not usable; construct with New (in-memory only) or
-// NewBacked (write-through to a disk store).
+// value is not usable; construct with New (in memory) or NewBacked (on
+// disk).
 type Archive struct {
-	retention int // raw samples kept per entity, both tiers together
-	window    int // ring capacity: retention in memory, at most hotWindow when backed
+	retention int // raw minutes read back per entity: those above latest − retention
 	entities  map[string]*entityLog
-	store     *tsdb.Store // nil for a pure in-memory archive
+	store     *tsdb.Store
 
 	// Unused tails of the slabs entities are carved from.
-	logs  []entityLog
-	days  []dayProfile
-	rings []Sample
+	logs []entityLog
+	days []dayProfile
 
 	profiles   int // entities holding a day profile of their own
 	deepReads  *obs.Counter
@@ -122,13 +115,19 @@ type Archive struct {
 // comfortably covering the paper's 80-hour runs' recent history.
 const DefaultRetention = 3 * MinutesPerDay
 
-// New returns an archive retaining the given number of raw samples per
-// entity (DefaultRetention if retention <= 0).
+// New returns an in-memory archive retaining the given number of raw
+// minutes per entity (DefaultRetention if retention <= 0).
 func New(retention int) *Archive {
+	st, _ := tsdb.Open("", tsdb.Options{}) // a memory store cannot fail
+	return over(st, retention)
+}
+
+// over returns an empty archive over st: New's and NewBacked's shared half.
+func over(st *tsdb.Store, retention int) *Archive {
 	if retention <= 0 {
 		retention = DefaultRetention
 	}
-	return &Archive{retention: retention, window: retention, entities: make(map[string]*entityLog)}
+	return &Archive{retention: retention, entities: make(map[string]*entityLog), store: st}
 }
 
 // reserve makes a slab's unused tail at least n long, replacing a
@@ -143,10 +142,9 @@ func (a *Archive) log(entity string) *entityLog {
 	l, ok := a.entities[entity]
 	if !ok {
 		reserve(&a.logs, 1)
-		reserve(&a.rings, a.window)
 		l = &a.logs[0]
-		*l = entityLog{name: entity, ring: a.rings[:0:a.window], day: noEntity.day}
-		a.logs, a.rings = a.logs[1:], a.rings[a.window:]
+		*l = entityLog{name: entity, day: noEntity.day}
+		a.logs = a.logs[1:]
 		if profiled(entity) {
 			reserve(&a.days, 1)
 			l.day, a.days = &a.days[0], a.days[1:]
@@ -160,16 +158,13 @@ func (a *Archive) log(entity string) *entityLog {
 }
 
 // Preallocate creates the given entities up front: those not yet known
-// get a header and a ring (24 B × retention in memory; × hotWindow, 3 KB,
-// when backed), and those that keep a day profile — hosts, services,
+// get a header, and those that keep a day profile — hosts, services,
 // every key but a service instance's — its 17,280 B, each carved from
-// one slab sized exactly for them: three allocations and three clears
-// however many entities. Every ring has its full capacity from first
-// touch, so steady-state recording never grows a slice; a coordinator
-// expecting a 1,000-host landscape warms the archive before the first
-// heartbeat and records allocation-free from minute zero. An entity
-// first seen later is allocated on its own: header and ring, and a
-// profile only if it keeps one.
+// one slab sized exactly for them: two allocations and two clears
+// however many entities. A coordinator expecting a 1,000-host landscape
+// warms the archive before the first heartbeat. An entity first seen
+// later is allocated on its own: a header, and a profile only if it
+// keeps one. The store allocates an entity's tail at its first Record.
 func (a *Archive) Preallocate(entities ...string) {
 	n, withProfile := 0, 0
 	for _, e := range entities {
@@ -181,53 +176,36 @@ func (a *Archive) Preallocate(entities ...string) {
 		}
 	}
 	reserve(&a.logs, n)
-	reserve(&a.rings, n*a.window)
 	reserve(&a.days, withProfile)
 	for _, e := range entities {
 		a.log(e)
 	}
 }
 
-// Retention returns the number of raw samples kept per entity.
+// Retention returns the number of raw minutes read back per entity.
 func (a *Archive) Retention() int { return a.retention }
 
 // Record is Resolve(entity).Record(s) for callers keeping no handle.
 func (a *Archive) Record(entity string, s Sample) error { return a.Resolve(entity).Record(s) }
 
-// Record stores a measurement through a handle from Resolve. Samples
-// must be recorded in non-decreasing minute order per entity. On a backed
-// archive the sample is first appended write-through to the disk store
-// (durable at the next Commit), so the store always holds what the ring
-// holds and everything the ring has evicted.
+// Record stores a measurement through a handle from Resolve: into the
+// store (durable at the next Commit on disk), which refuses a minute
+// below the entity's last, then into the day profile.
 func (e Entity) Record(s Sample) error {
 	a, l := e.a, e.l
 	if l == &noEntity {
 		return fmt.Errorf("archive: Record through a read-only entity handle")
 	}
-	if last, ok := l.latest(); ok && s.Minute < last.Minute {
-		return fmt.Errorf("archive: %q: sample at minute %d after minute %d", l.name, s.Minute, last.Minute)
-	}
-	if a.store != nil {
-		if err := a.store.AppendTo(&l.stored, l.name, tsdb.Sample{Minute: s.Minute, CPU: s.CPU, Mem: s.Mem}); err != nil {
-			return err
-		}
+	if err := a.store.AppendTo(&l.stored, l.name, s); err != nil {
+		return err
 	}
 	a.ingest(l, s)
 	return nil
 }
 
-// ingest applies a sample to the in-memory state — the shared tail of
-// the live Record path and the replay path of a backed archive (which
-// must not write back through to the store it is replaying).
+// ingest applies a sample to the profile and the counter — the shared
+// tail of the live Record path and of NewBacked's replay.
 func (a *Archive) ingest(l *entityLog, s Sample) {
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, s)
-	} else {
-		l.ring[l.head] = s
-		if l.head++; l.head == len(l.ring) {
-			l.head = 0
-		}
-	}
 	l.ingested++
 	if l.day == noEntity.day {
 		return // a service instance: no profile of its own
@@ -240,37 +218,12 @@ func (a *Archive) ingest(l *entityLog, s Sample) {
 	}
 }
 
-// at returns the i-th oldest sample of the ring, 0 <= i < len(l.ring).
-// head stays 0 until the ring is full, so one rule serves both states.
-func (l *entityLog) at(i int) Sample {
-	if i += l.head; i >= len(l.ring) {
-		i -= len(l.ring)
-	}
-	return l.ring[i]
-}
-
-// latest returns the newest sample of the ring.
-func (l *entityLog) latest() (Sample, bool) {
-	if len(l.ring) == 0 {
-		return Sample{}, false
-	}
-	return l.at(len(l.ring) - 1), true
-}
-
-// search returns the chronological index of the first ring sample at or
-// after minute m — strictly after it when after is set.
-func (l *entityLog) search(m int, after bool) int {
-	return sort.Search(len(l.ring), func(i int) bool {
-		at := l.at(i).Minute
-		return at > m || at == m && !after
-	})
-}
-
 // Entity is a resolved handle on one entity: the string-keyed lookup is
-// paid once, after which every read is a plain array load — what the
-// forecast predictor's horizon scan wants — and every Record skips the
-// name lookups of archive and backing store alike. Entity logs are never
-// deleted, so a handle from Resolve is good for the archive's life.
+// paid once, after which every profile read is a plain array load — what
+// the forecast predictor's horizon scan wants — every Record skips the
+// name lookups of archive and store alike, and Latest reads the tail.
+// Entity logs are never deleted, so a handle from Resolve is good for
+// the archive's life.
 // Archive.Entity does not create: an entity the archive has not seen
 // reads as empty through a read-only handle that does not follow a
 // later first Record.
@@ -294,18 +247,18 @@ func (a *Archive) Entity(entity string) Entity {
 }
 
 // Resolve returns the handle of an entity, creating its (empty) log —
-// ring at full capacity and, unless the key is a service instance's, a
-// day profile, allocated on their own — on first sight.
+// a header and, unless the key is a service instance's, a day profile —
+// on first sight.
 func (a *Archive) Resolve(entity string) Entity { return Entity{a, a.log(entity)} }
 
-// Len returns the number of raw samples currently retained, ring and
-// store together: min(ingested, retention), from a counter — the
-// forecast's minimum-history gate must not depend on how much history
-// is in memory. A reopened backed archive counts what it replays.
+// Len returns min(ingested, retention), from a counter — the forecast's
+// minimum-history gate must not depend on gaps or compaction. A reopened
+// backed archive counts what it replays.
 func (e Entity) Len() int { return min(e.l.ingested, e.a.retention) }
 
-// Latest returns the most recent sample.
-func (e Entity) Latest() (Sample, bool) { return e.l.latest() }
+// Latest returns the most recent sample, from the store's tail: no
+// lookup, no lock, no allocation (see tsdb.Store.Range).
+func (e Entity) Latest() (Sample, bool) { return e.a.store.Latest(e.l.stored) }
 
 // ProfileAt returns the mean CPU load at a minute of day (any absolute
 // minute is folded); 0 for a never-observed minute, as a service instance's all are.
@@ -329,52 +282,42 @@ func (a *Archive) Latest(entity string) (Sample, bool) { return a.Entity(entity)
 func (a *Archive) LastMinute() (int, bool) {
 	last, ok := -1, false
 	for _, l := range a.entities {
-		if s, have := l.latest(); have && s.Minute > last {
+		if s, have := a.store.Latest(l.stored); have && s.Minute > last {
 			last, ok = s.Minute, true
 		}
 	}
 	return last, ok
 }
 
-// span resolves a read of the minutes from..to (inclusive) against the
-// two tiers: samples only the store still holds are streamed to deep,
-// oldest first; lo..hi is the chronological index range (see at) of the
-// ring samples that follow them. Only a backed archive whose ring has
-// evicted reads deep, and only minutes above latest − retention:
-// retention there is by minute, so an answer never depends on when the
-// hourly compaction last ran (a gap-free series reads exactly as from a
-// retention-sized ring). Minutes may repeat, so the ring's oldest minute
-// can straddle the eviction edge: the store serves that minute whole and
-// the ring starts after it. A failed store read is an error, never "no
-// samples".
-func (a *Archive) span(l *entityLog, from, to int, deep func(tsdb.Sample)) (lo, hi int, err error) {
-	if n := len(l.ring); a.store != nil && l.ingested > n {
-		oldest, newest := l.at(0).Minute, l.at(n-1).Minute
-		if dlo, dhi := max(from, newest-a.retention+1), min(to, oldest); dlo <= dhi {
-			a.deepReads.Inc()
-			if err := a.store.ForEachMinute(l.name, dlo, dhi+1, deep); err != nil {
-				return 0, 0, fmt.Errorf("archive: %q: minutes %d..%d: %w", l.name, dlo, dhi, err)
-			}
-			from = oldest + 1
-		}
+// each streams the raw samples of l with from <= Minute <= to, oldest
+// first: of those, the store returns the minutes above latest − retention
+// — one rule for both archives, so an answer never depends on when the
+// hourly compaction last ran. A read the tail answers takes no lock and
+// allocates nothing; one that needs a sealed block from disk counts as a
+// deep read. A failed store read is an error, never "no samples".
+func (a *Archive) each(l *entityLog, from, to int, fn func(Sample)) error {
+	last, ok := a.store.Latest(l.stored)
+	if !ok {
+		return nil
 	}
-	lo = l.search(from, false)
-	return lo, max(lo, l.search(to, true)), nil
+	from, to = max(from, last.Minute-a.retention+1), min(to, last.Minute)
+	disk, err := a.store.Range(l.stored, from, to+1, fn)
+	if disk {
+		a.deepReads.Inc()
+	}
+	if err != nil {
+		return fmt.Errorf("archive: %q: minutes %d..%d: %w", l.name, from, to, err)
+	}
+	return nil
 }
 
 // Window returns the samples of an entity with from <= Minute <= to, in
-// chronological order, copying only that range. What a backed archive's
-// ring no longer holds is read from the store; the error is the store's
-// (closed, a failed disk read) and never arises on an in-memory archive.
+// chronological order. The error is the store's (closed, a failed disk
+// read) and never arises on an in-memory archive.
 func (a *Archive) Window(entity string, from, to int) ([]Sample, error) {
-	l := a.Entity(entity).l
 	var out []Sample
-	lo, hi, err := a.span(l, from, to, func(s tsdb.Sample) { out = append(out, Sample(s)) })
-	if err != nil {
+	if err := a.each(a.Entity(entity).l, from, to, func(s Sample) { out = append(out, s) }); err != nil {
 		return nil, err
-	}
-	for i := lo; i < hi; i++ {
-		out = append(out, l.at(i))
 	}
 	return out, nil
 }
@@ -382,13 +325,8 @@ func (a *Archive) Window(entity string, from, to int) ([]Sample, error) {
 // sums adds up the CPU and memory loads over the window from..to in
 // chronological order — in place, without copying the window.
 func (a *Archive) sums(entity string, from, to int) (cpu, mem float64, n int, err error) {
-	l := a.Entity(entity).l
-	lo, hi, err := a.span(l, from, to, func(s tsdb.Sample) { cpu, mem, n = cpu+s.CPU, mem+s.Mem, n+1 })
-	for i := lo; i < hi; i++ {
-		s := l.at(i)
-		cpu, mem = cpu+s.CPU, mem+s.Mem
-	}
-	return cpu, mem, n + hi - lo, err
+	err = a.each(a.Entity(entity).l, from, to, func(s Sample) { cpu, mem, n = cpu+s.CPU, mem+s.Mem, n+1 })
+	return cpu, mem, n, err
 }
 
 // AverageCPU returns the mean CPU load of an entity over the window

@@ -16,12 +16,11 @@ func dayLoad(ent, minute int) (cpu, mem float64) {
 	return base, base / 2
 }
 
-// TestBackedArchiveSurvivesCrash is the acceptance test of the
-// write-through backing: a full simulated day recorded into a backed
-// archive, abandoned without Close (the crash), and recovered by a
-// fresh NewBacked must serve a byte-identical DayProfile, the same
-// running means, observation counts and ring contents for every
-// entity. Byte-identical, not approximately equal: replay re-applies
+// TestBackedArchiveSurvivesCrash is the acceptance test of the disk
+// store: a full simulated day recorded into a backed archive, abandoned
+// without Close (the crash), and recovered by a fresh NewBacked must
+// serve a byte-identical DayProfile, the same running means,
+// observation counts and raw samples for every entity. Byte-identical, not approximately equal: replay re-applies
 // the same float operations in the same order.
 func TestBackedArchiveSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
@@ -136,8 +135,8 @@ func TestBackedArchiveRetentionCompaction(t *testing.T) {
 }
 
 // TestArchiveRecordPathZeroAlloc is the perf-gate guard the ISSUE asks
-// for: the steady-state archive append path — ring write, incremental
-// day-profile update, write-through into the store's open block, and
+// for: the steady-state archive append path — incremental day-profile
+// update, the append into the store's open block, and
 // the once-per-minute Commit (tail-record encode, CRC frame, one
 // buffered segment write) — must allocate nothing. The forecast-facing
 // reads (ProfileAt, DayProfileInto) ride along under the same guard.
@@ -247,8 +246,8 @@ func daysObservedScan(a *Archive, entity string) int {
 
 // TestDaysObservedIncremental pins the running max ingest maintains
 // against the full scan — after every record of random, gappy,
-// multi-day sequences (including a ring smaller than the history, so
-// eviction is shown not to touch the profile depth), for handles and
+// multi-day sequences (including a retention shorter than the history,
+// so its read rule is shown not to touch the profile depth), for handles and
 // string-keyed reads alike, and again after a backed archive is closed
 // and reopened, where the replay path must rebuild the same value.
 func TestDaysObservedIncremental(t *testing.T) {

@@ -1,12 +1,13 @@
 package archive
 
-// Metric families of the memory tier (the store's are in internal/tsdb).
+// Metric families of the archive (the store's are in internal/tsdb).
 const (
-	// MetricDeepReads counts reads that asked for minutes the in-memory
-	// window had evicted and continued into the store. The control
+	// MetricDeepReads counts reads that needed a sealed block the store
+	// does not hold raw — one below a disk store's tail. The control
 	// loop's watchTime averages never should.
 	MetricDeepReads = "autoglobe_archive_deep_reads_total"
-	// MetricEntities gauges the entities held: a ring each.
+	// MetricEntities gauges the entities held: a header and a tsdb tail
+	// each.
 	MetricEntities = "autoglobe_archive_entities_total"
 	// MetricProfiles gauges the entities holding a day profile: hosts and
 	// services, not service instances.

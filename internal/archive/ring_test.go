@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestRingBoundaries pins the ring buffer exactly at the retention
-// boundary: the sample that fills the ring, the first overwrite, and
-// the head advance afterwards.
+// TestRingBoundaries pins the read rule exactly at the retention
+// boundary: the sample that fills the retention, the first one past it,
+// and a full lap afterwards.
 func TestRingBoundaries(t *testing.T) {
 	const retention = 5
 	a := New(retention)
@@ -66,8 +66,8 @@ func TestRingBoundaries(t *testing.T) {
 	}
 }
 
-// TestRingRejectsTimeTravel pins the ordering contract across the wrap:
-// the minute comparison uses the ring's true latest, not slice position.
+// TestRingRejectsTimeTravel pins the ordering contract past the
+// retention: the minute comparison uses the entity's true latest.
 func TestRingRejectsTimeTravel(t *testing.T) {
 	a := New(3)
 	e := "host/h"
@@ -87,9 +87,9 @@ func TestRingRejectsTimeTravel(t *testing.T) {
 
 // TestDayProfileAcrossMidnight pins the day-profile aggregation over
 // several days including the midnight boundary: the profile is the
-// running mean per minute of day, unaffected by ring eviction.
+// running mean per minute of day, unaffected by the retention.
 func TestDayProfileAcrossMidnight(t *testing.T) {
-	a := New(10) // tiny ring: eviction must not disturb the profile
+	a := New(10) // tiny retention: it must not disturb the profile
 	e := "svc/s"
 	// Three days: minute-of-day 0 sees 0.1, 0.2, 0.3; minute-of-day
 	// MinutesPerDay-1 sees 0.4, 0.6 on the first two days only.
@@ -128,22 +128,25 @@ func approxEqual(a, b float64) bool {
 }
 
 // naiveArchive is the obviously-correct reference: an unbounded slice
-// truncated from the front.
+// truncated from the front by minute, to the minutes above latest −
+// retention, and a count of every sample recorded.
 type naiveArchive struct {
 	retention int
 	samples   map[string][]Sample
+	count     map[string]int
 }
 
 func newNaive(retention int) *naiveArchive {
-	return &naiveArchive{retention: retention, samples: make(map[string][]Sample)}
+	return &naiveArchive{retention: retention, samples: make(map[string][]Sample), count: make(map[string]int)}
 }
 
 func (n *naiveArchive) record(entity string, s Sample) {
 	log := append(n.samples[entity], s)
-	if len(log) > n.retention {
-		log = log[len(log)-n.retention:]
+	for log[0].Minute <= s.Minute-n.retention {
+		log = log[1:]
 	}
 	n.samples[entity] = log
+	n.count[entity]++
 }
 
 func (n *naiveArchive) window(entity string, from, to int) []Sample {
@@ -168,9 +171,9 @@ func (n *naiveArchive) averageCPU(entity string, from, to int) (float64, bool) {
 	return sum / float64(len(w)), true
 }
 
-// TestRingMatchesNaive cross-checks the ring buffer against the naive
-// reference under a randomized workload: several entities, bursts of
-// repeated minutes, minute gaps, and window queries spanning evicted,
+// TestRingMatchesNaive cross-checks the in-memory archive against the
+// naive reference under a randomized workload: several entities, bursts
+// of repeated minutes, minute gaps, and window queries spanning evicted,
 // retained and future ranges.
 func TestRingMatchesNaive(t *testing.T) {
 	const retention = 64
@@ -216,7 +219,7 @@ func TestRingMatchesNaive(t *testing.T) {
 		if got, _ := a.Latest(e); got != s {
 			t.Fatalf("step %d: Latest = %+v, want %+v", step, got, s)
 		}
-		wantLen := len(n.samples[e])
+		wantLen := min(n.count[e], retention)
 		if got := a.Len(e); got != wantLen {
 			t.Fatalf("step %d: Len = %d, naive %d", step, got, wantLen)
 		}

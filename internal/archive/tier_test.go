@@ -35,17 +35,16 @@ func gappyStream(rng *rand.Rand, n int) []Sample {
 
 // TestTwoTierParity feeds one stream to an in-memory archive and to a
 // backed one of the same retention and demands the same answers from
-// both — the backed archive's partly from its ring, partly from the
-// store — on ranges on and around the window edge: before Commit, after
-// it, after a compacting Maintain, and after Close and reopen.
-//
-// The two archives retain differently only where the stream has gaps or
-// repeats (by count in memory, by minute on disk — see span), so ranges
-// start where both retain everything; what the backed archive returns
-// below that is pinned against the rule itself.
+// both — the backed archive's partly from the tail in memory, partly
+// from sealed blocks on disk — on ranges on and around the tail's edge:
+// before Commit, after it, after a compacting Maintain, and after Close
+// and reopen. Both archives follow one rule everywhere, the minutes
+// above latest − retention, gaps and repeats included; what they return
+// is pinned against the rule itself. "The window" in the case names is
+// the tail, 64–128 samples.
 //
 // The last case is the same stream under a service instance's key: no
-// day profile on either side, every ring-and-store read as for a host.
+// day profile on either side, every read as for a host.
 func TestTwoTierParity(t *testing.T) {
 	for _, tc := range []struct {
 		name               string
@@ -75,36 +74,29 @@ func TestTwoTierParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ring := min(hotWindow, tc.retention)
-			edge := stream[max(0, len(stream)-ring)].Minute
-			// Both archives hold every sample from floor on.
+			// Once every full block is sealed, the tail starts at the newest
+			// sealed block's first sample.
+			tail := max(0, (len(stream)/tsdb.BlockSamples-1)*tsdb.BlockSamples)
+			edge := stream[tail].Minute
+			// The rule for everything: the minutes above latest − retention.
 			floor := latest - tc.retention + 1
-			if len(stream) > tc.retention {
-				floor = max(floor, stream[len(stream)-tc.retention].Minute+1)
-			}
-			// The rule for everything: the newest ring samples, and below
-			// them the minutes above latest − retention.
 			var all []Sample
-			for i, s := range stream {
-				if i >= len(stream)-ring || s.Minute > latest-tc.retention {
+			for _, s := range stream {
+				if s.Minute >= floor {
 					all = append(all, s)
 				}
 			}
 
-			// mark is the store's minute watermark when b was opened: what
-			// lay below it was not there to replay.
-			agree := func(stage string, b *Archive, mark int) {
+			agree := func(stage string, b *Archive) {
 				t.Helper()
-				all := slices.DeleteFunc(slices.Clone(all), func(s Sample) bool { return s.Minute < mark })
 				got, err := b.Window(entity, math.MinInt, math.MaxInt)
 				if err != nil || !slices.Equal(got, all) {
 					t.Fatalf("%s: everything: %d samples, err %v; the rule gives %d", stage, len(got), err, len(all))
 				}
-				floor := max(floor, mark)
 				for i := 0; i < 200; i++ {
-					from := floor + rng.Intn(latest-floor+10)
+					from := floor - 50 + rng.Intn(latest-floor+60)
 					if i%2 == 0 {
-						from = max(floor, edge-20+rng.Intn(40))
+						from = edge - 20 + rng.Intn(40)
 					}
 					to := from + rng.Intn(80)
 					want, _ := mem.Window(entity, from, to)
@@ -153,12 +145,12 @@ func TestTwoTierParity(t *testing.T) {
 				}
 			}
 
-			agree("before Commit", backed, 0)
+			agree("before Commit", backed)
 			sameProfile("before Commit", backed, mem)
 			if err := backed.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			agree("after Commit", backed, 0)
+			agree("after Commit", backed)
 			if err := backed.Maintain(latest / 60 * 60); err != nil {
 				t.Fatal(err)
 			}
@@ -166,32 +158,32 @@ func TestTwoTierParity(t *testing.T) {
 			if tc.samples > tc.retention && mark <= stream[0].Minute {
 				t.Fatalf("Maintain(%d) left the minute watermark at %d, below the stream: nothing was compacted", latest/60*60, mark)
 			}
-			agree("after Maintain", backed, 0)
+			agree("after Maintain", backed)
 			sameProfile("after Maintain", backed, mem)
 			if err := backed.Close(); err != nil {
 				t.Fatal(err)
 			}
 
-			// Closed: the memory tier still answers; a read the store would
-			// have to finish fails — it does not come back short.
+			// Closed: the tail still answers; a read that needs a sealed
+			// block from disk fails — it does not come back short.
 			if s, ok := backed.Latest(entity); !ok || s.Minute != latest {
 				t.Fatalf("closed: Latest = %+v, %v", s, ok)
 			}
 			if w, err := backed.Window(entity, edge+1, latest); err != nil || len(w) == 0 {
-				t.Fatalf("closed: a read inside the ring: %d samples, %v", len(w), err)
+				t.Fatalf("closed: a read inside the tail: %d samples, %v", len(w), err)
 			}
-			if deep := len(stream) > ring && latest-tc.retention < edge; deep {
+			if deep := tail > 0 && stream[tail-1].Minute >= floor; deep {
 				if w, err := backed.Window(entity, math.MinInt, latest); !errors.Is(err, tsdb.ErrClosed) || w != nil {
-					t.Fatalf("closed: a read below the ring returned %d samples, err %v; want tsdb.ErrClosed", len(w), err)
+					t.Fatalf("closed: a read below the tail returned %d samples, err %v; want tsdb.ErrClosed", len(w), err)
 				}
 				if _, ok, err := backed.AverageCPU(entity, math.MinInt, latest); !errors.Is(err, tsdb.ErrClosed) || ok {
-					t.Fatalf("closed: AverageCPU below the ring: ok %v, err %v; want tsdb.ErrClosed", ok, err)
+					t.Fatalf("closed: AverageCPU below the tail: ok %v, err %v; want tsdb.ErrClosed", ok, err)
 				}
 				if _, ok, err := backed.PercentileCPU(entity, math.MinInt, latest, 0.5); !errors.Is(err, tsdb.ErrClosed) || ok {
-					t.Fatalf("closed: PercentileCPU below the ring: ok %v, err %v; want tsdb.ErrClosed", ok, err)
+					t.Fatalf("closed: PercentileCPU below the tail: ok %v, err %v; want tsdb.ErrClosed", ok, err)
 				}
-			} else if tc.retention > hotWindow && tc.samples > hotWindow {
-				t.Fatal("no read of this stream reaches the store: the case lost its teeth")
+			} else if tc.retention > 2*tsdb.BlockSamples && tc.samples > 2*tsdb.BlockSamples {
+				t.Fatal("no read of this stream reaches the disk: the case lost its teeth")
 			}
 
 			// A reopened archive is rebuilt from what compaction left at
@@ -207,16 +199,16 @@ func TestTwoTierParity(t *testing.T) {
 					survivors.Record(entity, s)
 				}
 			}
-			agree("reopened", re, mark)
+			agree("reopened", re)
 			sameProfile("reopened", re, survivors)
 		})
 	}
 }
 
-// pastTheRing returns an archive holding one entity whose ring is full
-// and has started to evict, and the minute of its newest sample.
-func pastTheRing(t testing.TB, a *Archive, entity string) int {
-	n := a.window + 1
+// pastTheTail records one entity's samples until a block lies below
+// its tail, and returns the minute of the newest.
+func pastTheTail(t testing.TB, a *Archive, entity string) int {
+	n := 2*tsdb.BlockSamples + 1
 	for m := 0; m < n; m++ {
 		if err := a.Record(entity, Sample{Minute: m, CPU: 0.5, Mem: 0.25}); err != nil {
 			t.Fatal(err)
@@ -226,9 +218,9 @@ func pastTheRing(t testing.TB, a *Archive, entity string) int {
 }
 
 // TestWatchAverageZeroAlloc guards the controller's hot read: watchTime
-// averages are summed where the samples lie. Before, every call on a
-// ring that had wrapped copied the whole ring (103,680 B at the default
-// retention) and then the window.
+// averages are summed where the samples lie, in the store's tail. Once,
+// every call on a ring that had wrapped copied the whole ring (103,680 B
+// at the default retention) and then the window.
 func TestWatchAverageZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by race instrumentation")
@@ -239,7 +231,7 @@ func TestWatchAverageZeroAlloc(t *testing.T) {
 	}
 	defer backed.Close()
 	for name, a := range map[string]*Archive{"in memory": New(0), "backed": backed} {
-		now := pastTheRing(t, a, "host/h")
+		now := pastTheTail(t, a, "host/h")
 		for _, watch := range []int{10, 20} {
 			allocs := testing.AllocsPerRun(100, func() {
 				cpu, ok, err := a.AverageCPU("host/h", now-watch, now)
@@ -256,12 +248,10 @@ func TestWatchAverageZeroAlloc(t *testing.T) {
 }
 
 // TestHotTierBytesPerEntity keeps the memory claim in tier-1, by class:
-// a backed archive's host or service costs its day profile (17,280 B at
-// 12 bytes a minute of day; 34,560 B before), a 128-sample ring
-// (3,072 B) and a header; a service instance the ring and the header —
-// and neither another full-retention ring (147 KB an entity once) —
-// while an in-memory archive, which has no other place for them, still
-// holds all retention samples.
+// the archive holds a host's or service's day profile (17,280 B at 12
+// bytes a minute of day) and a header, a service instance's header
+// alone — no samples of its own. Beside each, the tsdb entity that holds
+// the samples: its tail, two blocks inline, whatever the class.
 func TestHotTierBytesPerEntity(t *testing.T) {
 	if size := unsafe.Sizeof(dayProfile{}); size > 12*MinutesPerDay {
 		t.Errorf("a day profile is %d B, want at most %d (12 a minute of day)", size, 12*MinutesPerDay)
@@ -274,40 +264,48 @@ func TestHotTierBytesPerEntity(t *testing.T) {
 		}
 		return out
 	}
-	hosts, insts := keys(HostEntity), keys(InstanceEntity)
 	a, err := NewBacked(t.TempDir(), 0, tsdb.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
 	for _, class := range []struct {
-		keys  []string
-		bound uint64
-	}{{hosts, 21 << 10}, {insts, 4<<10 + 512}} {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		keys           []string
+		archive, store uint64
+	}{{keys(HostEntity), 17<<10 + 256, 3<<10 + 512}, {keys(InstanceEntity), 256, 3<<10 + 512}} {
+		before := heap()
 		a.Preallocate(class.keys...)
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		if per := (after.HeapAlloc - before.HeapAlloc) / entities; per > class.bound {
-			t.Errorf("a preallocated backed %s holds %d B of heap, want at most %d", class.keys[0], per, class.bound)
+		preallocated := heap()
+		for _, k := range class.keys {
+			if err := a.Record(k, Sample{Minute: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		recorded := heap()
+		if per := (preallocated - before) / entities; per > class.archive {
+			t.Errorf("a preallocated %s holds %d B of archive heap, want at most %d", class.keys[0], per, class.archive)
+		}
+		if per := (recorded - preallocated) / entities; per > class.store {
+			t.Errorf("a recorded %s holds %d B of tsdb heap, want at most %d", class.keys[0], per, class.store)
 		}
 	}
 	if got := len(a.Entities()); got != 2*entities {
 		t.Fatalf("%d entities after Preallocate, want %d", got, 2*entities)
 	}
-
-	mem := New(0)
-	now := pastTheRing(t, mem, hosts[0])
-	if w, _ := mem.Window(hosts[0], 0, now); len(w) != DefaultRetention || w[0].Minute != 1 {
-		t.Errorf("in-memory archive returns %d samples from minute %d, want all %d from minute 1", len(w), w[0].Minute, DefaultRetention)
-	}
 }
 
 // TestInstanceEntitiesKeepNoProfile pins who has a day profile. A
-// service instance fed the stream of a host answers every ring-and-store
-// read as the host does and every profile read with 0 — in memory, and
+// service instance fed the stream of a host answers every sample read as
+// the host does and every profile read with 0 — in memory, and
 // backed before Commit, after it and after Close and reopen, where the
 // class is rebuilt from the name alone. All instances share one empty
 // profile; recording through several must leave it empty for the next
@@ -326,7 +324,7 @@ func TestInstanceEntitiesKeepNoProfile(t *testing.T) {
 		}
 		wantS, _ := a.Latest(host)
 		wantW, err := a.Window(host, latest-retention, latest)
-		if err != nil || len(wantW) <= hotWindow {
+		if err != nil || len(wantW) <= 2*tsdb.BlockSamples {
 			t.Fatalf("%s: host window: %d samples, %v", stage, len(wantW), err)
 		}
 		wantAvg, _, _ := a.AverageCPU(host, latest-20, latest)

@@ -1,10 +1,11 @@
 // Package tsdb is AutoGlobe's disk-backed load archive: a segmented,
 // append-only time-series store for per-entity load samples. The paper
 // calls the load archive "a persistent aggregated view of historic load
-// data"; internal/archive keeps the hot in-memory view, and this
-// package is the persistence underneath it — history that survives a
-// coordinator crash and feeds the Section 7 load-prediction extension
-// with weeks of pattern data instead of whatever fit in a ring.
+// data"; internal/archive keeps the day profiles, and this package every
+// raw sample underneath them — each entity's newest 64–128 in memory,
+// the rest on disk: history that survives a coordinator crash and feeds
+// the Section 7 load-prediction extension with weeks of pattern data. A
+// store with no directory keeps them all in memory.
 //
 // # On-disk format
 //
@@ -109,7 +110,7 @@ const (
 )
 
 // BlockSamples is the capacity of one sample block: the fixed-size
-// on-disk unit and the granularity of the hot-block cache.
+// on-disk unit and half the most an entity's raw tail holds.
 const BlockSamples = 64
 
 // sampleBytes is the fixed encoding size of one raw sample.
@@ -118,12 +119,11 @@ const sampleBytes = 8 + 8 + 8
 // aggBytes is the fixed encoding size of one aggregate.
 const aggBytes = 8 + 8 + 8 + 8 + 8 + 8
 
-// Sample is one raw measurement, mirroring archive.Sample without
-// importing it (archive layers on top of this package).
+// Sample is one raw measurement; archive.Sample is this type.
 type Sample struct {
-	Minute int
-	CPU    float64
-	Mem    float64
+	Minute int     // absolute simulation minute
+	CPU    float64 // CPU load in [0, 1] (may exceed 1 for raw demand)
+	Mem    float64 // memory load in [0, 1]
 }
 
 // Agg is one downsampled window: Start is the window's first minute

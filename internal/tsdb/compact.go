@@ -16,7 +16,10 @@ import (
 // next compaction rewrites). Minute segments wholly below the new
 // watermark are deleted; the tiny hour and day streams are kept whole
 // so their watermark history survives. Horizons are aligned down to
-// whole windows, so a roll-up never splits an hour or a day.
+// whole windows, so a roll-up never splits an hour or a day. Each
+// roll-up stages its aggregates — staged[ends[i-1]:ends[i]] belong to
+// st.ents[i] — and applies them only once its batch is written: a failed
+// write leaves every tier as it was, and no read counts a minute twice.
 //
 // The caller picks the horizon — the archive compacts behind its
 // retention window, so raw per-minute history (and with it the
@@ -40,22 +43,22 @@ func (st *Store) compactMinutes(before int) error {
 		return nil
 	}
 	var batch []byte
-	aggCount := 0
-	for _, e := range st.ents {
+	var staged []Agg
+	ends := make([]int, len(st.ents))
+	for i, e := range st.ents {
 		st.aggScratch = st.aggScratch[:0]
-		err := st.forEachMinuteLocked(e, st.marks[TierMinute], eff, func(s Sample) {
+		err := st.forEachMinute(e, st.marks[TierMinute], eff, func(s Sample) {
 			st.aggScratch = foldWindow(st.aggScratch, TierHour, s.Minute, s.CPU, s.Mem, 1)
 		})
 		if err != nil {
 			return err
 		}
-		if len(st.aggScratch) == 0 {
-			continue
+		if len(st.aggScratch) > 0 {
+			st.recBuf = appendAggRecord(st.recBuf[:0], TierHour, e.id, st.aggScratch)
+			batch = journal.AppendFrame(batch, st.recBuf)
+			staged = append(staged, st.aggScratch...)
 		}
-		st.recBuf = appendAggRecord(st.recBuf[:0], TierHour, e.id, st.aggScratch)
-		batch = journal.AppendFrame(batch, st.recBuf)
-		e.hours = append(e.hours, st.aggScratch...)
-		aggCount += len(st.aggScratch)
+		ends[i] = len(staged)
 	}
 	st.recBuf = appendMarkRecord(st.recBuf[:0], TierMinute, eff)
 	batch = journal.AppendFrame(batch, st.recBuf)
@@ -64,7 +67,9 @@ func (st *Store) compactMinutes(before int) error {
 	}
 	// The watermark is durable; the minute tier below it is dead.
 	st.marks[TierMinute] = eff
-	for _, e := range st.ents {
+	lo := 0
+	for i, e := range st.ents {
+		e.hours, lo = append(e.hours, staged[lo:ends[i]]...), ends[i]
 		e.blocks = slices.DeleteFunc(e.blocks, func(r blockRef) bool {
 			return r.end < eff
 		})
@@ -72,7 +77,7 @@ func (st *Store) compactMinutes(before int) error {
 	if err := st.pruneMinuteSegments(eff); err != nil {
 		return err
 	}
-	st.m.compacted(int(TierHour), aggCount, st.diskBytes)
+	st.m.compacted(int(TierHour), len(staged), st.diskBytes)
 	return nil
 }
 
@@ -87,15 +92,14 @@ func (st *Store) compactHours(before int) error {
 		return nil
 	}
 	var batch []byte
-	aggCount := 0
-	for _, e := range st.ents {
+	var staged []Agg
+	ends := make([]int, len(st.ents))
+	for i, e := range st.ents {
 		st.aggScratch = st.aggScratch[:0]
-		cut := 0
 		for _, a := range e.hours {
 			if a.Start >= eff {
 				break
 			}
-			cut++
 			st.aggScratch = foldWindow(st.aggScratch, TierDay, a.Start, a.SumCPU, a.SumMem, a.N)
 			last := &st.aggScratch[len(st.aggScratch)-1]
 			if a.MaxCPU > last.MaxCPU {
@@ -105,14 +109,12 @@ func (st *Store) compactHours(before int) error {
 				last.MaxMem = a.MaxMem
 			}
 		}
-		if cut == 0 {
-			continue
+		if len(st.aggScratch) > 0 {
+			st.recBuf = appendAggRecord(st.recBuf[:0], TierDay, e.id, st.aggScratch)
+			batch = journal.AppendFrame(batch, st.recBuf)
+			staged = append(staged, st.aggScratch...)
 		}
-		st.recBuf = appendAggRecord(st.recBuf[:0], TierDay, e.id, st.aggScratch)
-		batch = journal.AppendFrame(batch, st.recBuf)
-		e.days = append(e.days, st.aggScratch...)
-		e.hours = slices.Delete(e.hours, 0, cut)
-		aggCount += len(st.aggScratch)
+		ends[i] = len(staged)
 	}
 	st.recBuf = appendMarkRecord(st.recBuf[:0], TierHour, eff)
 	batch = journal.AppendFrame(batch, st.recBuf)
@@ -120,7 +122,12 @@ func (st *Store) compactHours(before int) error {
 		return err
 	}
 	st.marks[TierHour] = eff
-	st.m.compacted(int(TierDay), aggCount, st.diskBytes)
+	lo := 0
+	for i, e := range st.ents {
+		e.days, lo = append(e.days, staged[lo:ends[i]]...), ends[i]
+		e.hours = slices.DeleteFunc(e.hours, func(a Agg) bool { return a.Start < eff })
+	}
+	st.m.compacted(int(TierDay), len(staged), st.diskBytes)
 	return nil
 }
 
@@ -152,8 +159,11 @@ func foldWindow(dst []Agg, tier Tier, minute int, sumCPU, sumMem float64, n int)
 // pruneMinuteSegments deletes minute segments whose every sample is
 // below the watermark. The active segment is kept (it is still being
 // written); straddling segments are kept and their dead prefix is
-// simply never read again.
+// simply never read again. A memory store has no segments.
 func (st *Store) pruneMinuteSegments(wm int) error {
+	if st.dir == "" {
+		return nil
+	}
 	seqs := make([]int, 0, len(st.segMax))
 	for seq := range st.segMax {
 		seqs = append(seqs, seq)
@@ -179,7 +189,6 @@ func (st *Store) pruneMinuteSegments(wm int) error {
 		st.diskBytes -= st.segSize[seq]
 		delete(st.segMax, seq)
 		delete(st.segSize, seq)
-		st.cacheDropSeq(seq)
 		st.m.pruned(st.diskBytes)
 	}
 	return nil

@@ -23,9 +23,6 @@ const (
 	MetricCommit = "autoglobe_archive_commit_seconds"
 	// MetricSync times every segment fsync (none under Options.NoSync).
 	MetricSync = "autoglobe_archive_sync_seconds"
-	// MetricCacheReads counts hot-block cache lookups, by result — the
-	// hit ratio of the controller's steady-state read path.
-	MetricCacheReads = "autoglobe_archive_cache_reads_total"
 	// MetricDiskBytes gauges the bytes currently on disk across all
 	// live segments (grows with commits, shrinks with pruning).
 	MetricDiskBytes = "autoglobe_archive_disk_bytes_total"
@@ -47,8 +44,6 @@ type storeMetrics struct {
 	blocks      [3]*obs.Counter // by kindSealed, kindRow, kindAgg
 	commit      *obs.Histogram
 	sync        *obs.Histogram
-	hits        *obs.Counter
-	misses      *obs.Counter
 	disk        *obs.Gauge
 }
 
@@ -62,7 +57,6 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 	r.Help(MetricBlocks, "Sealed blocks, row frames and aggregates written, by kind.")
 	r.Help(MetricCommit, "Latency of archive commits that wrote, in seconds.")
 	r.Help(MetricSync, "Latency of archive segment fsyncs, in seconds.")
-	r.Help(MetricCacheReads, "Hot-block cache lookups, by result.")
 	r.Help(MetricDiskBytes, "Bytes currently on disk across live segments.")
 	m := &storeMetrics{
 		blocks: [3]*obs.Counter{
@@ -72,8 +66,6 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 		},
 		commit: r.Histogram(MetricCommit, obs.LatencySecondsBuckets()),
 		sync:   r.Histogram(MetricSync, obs.LatencySecondsBuckets()),
-		hits:   r.Counter(MetricCacheReads, "result", "hit"),
-		misses: r.Counter(MetricCacheReads, "result", "miss"),
 		disk:   r.Gauge(MetricDiskBytes),
 	}
 	for t := 0; t < 4; t++ {
@@ -138,25 +130,18 @@ func (m *storeMetrics) pruned(disk int64) {
 	}
 }
 
-func (m *storeMetrics) cache(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.hits.Inc()
-	} else {
-		m.misses.Inc()
-	}
-}
-
 // Instrument attaches an obs registry to the store: segments opened,
 // bytes written, blocks sealed, commit and fsync latency, compactions
-// committed, cache hit ratio and live disk footprint. Attach-only and
-// nil-safe, like every other family — a nil registry leaves the store
-// uninstrumented and the hot paths pay a single pointer test.
+// committed and live disk footprint. Attach-only and nil-safe, like
+// every other family — a nil registry leaves the store uninstrumented
+// and the hot paths pay a single pointer test. A memory store has no
+// disk to report and attaches nothing.
 func (st *Store) Instrument(r *obs.Registry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.dir == "" {
+		return
+	}
 	st.m = newStoreMetrics(r)
 	if st.m != nil {
 		st.m.disk.Set(float64(st.diskBytes))

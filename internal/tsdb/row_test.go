@@ -67,7 +67,7 @@ func TestCommitCadences(t *testing.T) {
 						t.Fatalf("%s: %s: %d samples in %d blocks + %d open", label, name, len(ws), len(e.blocks), e.n)
 					}
 					for i := range e.blocks {
-						blk, err := st.loadBlock(&e.blocks[i])
+						blk, err := st.loadBlock(e, i)
 						if err != nil || len(blk) != BlockSamples {
 							t.Fatalf("%s: %s: block %d holds %d samples (err %v)", label, name, i, len(blk), err)
 						}
@@ -277,6 +277,58 @@ func TestFailedCommitIsSticky(t *testing.T) {
 	}
 	if err := re.Commit(); err != nil {
 		t.Fatalf("commit after reopen: %v", err)
+	}
+}
+
+// TestFailedCompactionChangesNothing closes the hour tier's active
+// segment under the store, so the next roll-up's write fails the way a
+// dead disk fails it. The failed compaction must leave every tier as it
+// was — its aggregates are applied only once written — so the stitched
+// view still counts each minute once. A memory store runs the same
+// compaction with nothing to fail.
+func TestFailedCompactionChangesNothing(t *testing.T) {
+	for _, disk := range []bool{true, false} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			dir := ""
+			if disk {
+				dir = t.TempDir()
+			}
+			st, err := Open(dir, Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			const minutes = 3000
+			for m := 0; m < minutes; m++ {
+				if err := st.Append("svc/a", Sample{Minute: m, CPU: 0.5, Mem: 0.25}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.CompactBefore(1440); err != nil {
+				t.Fatal(err)
+			}
+			if disk {
+				if err := st.active[TierHour].Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.CompactBefore(2880); !errors.Is(err, os.ErrClosed) {
+					t.Fatalf("compaction onto a closed descriptor: %v", err)
+				}
+			} else if err := st.CompactBefore(2880); err != nil {
+				t.Fatal(err)
+			}
+			var buf SeriesBuf
+			if err := st.ReadSeries("svc/a", 0, minutes, &buf); err != nil {
+				t.Fatal(err)
+			}
+			total := len(buf.Minutes)
+			for _, a := range append(buf.Days, buf.Hours...) {
+				total += a.N
+			}
+			if total != minutes {
+				t.Fatalf("stitched view covers %d samples, want %d", total, minutes)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,18 +25,11 @@ type Options struct {
 	// leave it on their temp-dir "disks" (the crash model is process
 	// death, not power loss); production daemons clear it.
 	NoSync bool
-	// CacheBlocks is the hot-block cache capacity in sealed blocks
-	// (default 32 — the controller's steady-state reads touch only the
-	// most recent blocks of each watched entity).
-	CacheBlocks int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.CacheBlocks <= 0 {
-		o.CacheBlocks = 32
 	}
 	return o
 }
@@ -46,18 +40,20 @@ const dictTier = 3
 
 var tierPrefix = [4]string{"min", "hr", "day", "dict"}
 
-// blockRef locates one sealed minute block on disk.
+// blockRef indexes one sealed minute block: its frame on disk, or in a
+// memory store the block itself.
 type blockRef struct {
-	seq   int   // minute-tier segment sequence
-	off   int64 // frame start offset within the segment file
-	n     int   // framed length in bytes
-	start int   // first sample minute
-	end   int   // last sample minute
+	raw   *[BlockSamples]Sample // a memory store's block; nil on disk
+	seq   int                   // minute-tier segment sequence
+	off   int64                 // frame start offset within the segment file
+	n     int                   // framed length in bytes
+	start int                   // first sample minute
+	end   int                   // last sample minute
 }
 
-// entState is the in-memory state of one entity: the open (unsealed)
-// block, the index of its sealed blocks on disk, and its downsampled
-// tiers.
+// entState is the in-memory state of one entity: its raw tail — the
+// open block and the newest sealed one — the index of its sealed
+// blocks, and its downsampled tiers.
 type entState struct {
 	id   uint64
 	name string
@@ -71,6 +67,12 @@ type entState struct {
 	last    int // last appended minute (monotonicity guard)
 	hasLast bool
 
+	// sealed is blocks[len(blocks)-1] held raw whenever blocks is not
+	// empty: with open, 64–128 samples that every watchTime read and
+	// Latest find in memory. A seal copies open here once its frame is
+	// written; replay copies each seal frame's samples.
+	sealed [BlockSamples]Sample
+
 	blocks []blockRef // sealed minute blocks, chronological
 	hours  []Agg      // hour aggregates ≥ the hour→day watermark
 	days   []Agg      // day aggregates, chronological
@@ -79,7 +81,16 @@ type entState struct {
 // Store is a segmented, append-only, disk-backed time-series store.
 // Writes are buffered in memory and made durable by Commit — the
 // archive calls it once per observed minute, so "acked" means "the
-// minute closed". All methods are safe for concurrent use.
+// minute closed". All methods are safe for concurrent use, except the
+// lock-free reads Latest and Range document.
+//
+// A store opened with no directory, Open("", opts), is a memory store:
+// it keeps every sealed block raw and writes nothing, through the same
+// append, commit, read and compaction code. What tells the two apart is
+// st.dir == "" in six places: Open skips the directory and its replay,
+// AppendTo stages no dictionary record and no row cell, a seal keeps the
+// block raw (commitMinutes), writeTier and pruneMinuteSegments do
+// nothing, and Instrument attaches nothing.
 type Store struct {
 	dir  string
 	opts Options
@@ -109,8 +120,8 @@ type Store struct {
 	stagedMax   int      // newest minute staged since the last Commit
 	recBuf      []byte   // record payload scratch
 	aggScratch  []Agg    // compaction scratch
-
-	cache blockCache
+	frameBuf    []byte   // a sealed block's frame read from disk
+	blockBuf    []Sample // ...and its samples (see loadBlock)
 
 	diskBytes int64
 	closed    bool
@@ -149,11 +160,9 @@ func (st *Store) writable() error {
 // of a torn compaction and are dropped; minute data below the watermark
 // has been downsampled and is dropped). Replay tolerates a torn final
 // frame in every stream — the expected end state of a crashed writer.
-// Appends after Open go to fresh segments.
+// Appends after Open go to fresh segments. An empty dir opens a memory
+// store (see Store), which cannot fail.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	st := &Store{
 		dir:     dir,
 		opts:    opts.withDefaults(),
@@ -161,6 +170,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		files:   make(map[int]*os.File),
 		segMax:  make(map[int]int),
 		segSize: make(map[int]int64),
+	}
+	if dir == "" {
+		return st, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 	if err := st.replay(); err != nil {
 		return nil, err
@@ -353,15 +368,16 @@ func (st *Store) replayAggs(tier int) error {
 	})
 }
 
-// replayMinutes rebuilds the sealed-block index and each entity's open
-// block. A row's cells (and the samples of a tail, the one-entity row
-// of a store written before the row record) fill open blocks, skipping
-// what the watermark has downsampled away; a sealed block (exactly
-// BlockSamples samples) becomes an index entry and empties the
-// entity's open block — its samples are the cells replayed in front of
-// it, by the batch order block.go documents. A block still full when
-// the stream ends is the orphan of a batch torn between its rows and
-// its seals: it goes on the full list and the next Commit seals it.
+// replayMinutes rebuilds the sealed-block index and each entity's raw
+// tail. A row's cells (and the samples of a tail record, the one-entity
+// row of a store written before the row record) fill open blocks,
+// skipping what the watermark has downsampled away; a sealed block
+// (exactly BlockSamples samples) becomes an index entry and the tail's
+// sealed block, and empties the entity's open block — its samples are
+// the cells replayed in front of it, by the batch order block.go
+// documents. A block still full when the stream ends is the orphan of a
+// batch torn between its rows and its seals: it goes on the full list
+// and the next Commit seals it.
 func (st *Store) replayMinutes() error {
 	wm := st.marks[TierMinute]
 	var scratch []Sample
@@ -417,6 +433,7 @@ func (st *Store) replayMinutes() error {
 		e.n = 0
 		if end >= wm {
 			e.blocks = append(e.blocks, blockRef{seq: seq, off: off, n: n, start: r.samples[0].Minute, end: end})
+			e.sealed = [BlockSamples]Sample(r.samples)
 		}
 		return nil
 	}
@@ -436,8 +453,8 @@ func (st *Store) replayMinutes() error {
 	return err
 }
 
-// register creates the in-memory state for a new entity (replay path:
-// no dict record is staged).
+// register creates the in-memory state for a new entity; AppendTo
+// stages its dict record.
 func (st *Store) register(name string) *entState {
 	e := &entState{id: uint64(len(st.ents)), name: name}
 	st.ids[name] = e.id
@@ -445,8 +462,9 @@ func (st *Store) register(name string) *entState {
 	return e
 }
 
-// Handle is a resolved append handle on one entity. The zero value is
-// unresolved: the first AppendTo that passes the store-level checks
+// Handle is a resolved handle on one entity, for appends and for the
+// lock-free reads Latest and Range. The zero value is unresolved and
+// reads as empty: the first AppendTo that passes the store-level checks
 // resolves it (registering the entity if new) and later appends skip the
 // name lookup. Entities are never deleted, so a handle is good for the
 // life of its store.
@@ -475,14 +493,12 @@ func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 	if s.Minute < st.marks[TierMinute] {
 		return fmt.Errorf("tsdb: sample at minute %d below compaction watermark %d", s.Minute, st.marks[TierMinute])
 	}
-	e := h.e
+	e, fresh := h.e, false
 	if e == nil {
 		if id, ok := st.ids[entity]; ok {
 			e = st.ents[id]
 		} else {
-			e = st.register(entity)
-			st.recBuf = appendDictRecord(st.recBuf[:0], e.id, entity)
-			st.dictPending = journal.AppendFrame(st.dictPending, st.recBuf)
+			e, fresh = st.register(entity), true
 		}
 		h.e = e
 	}
@@ -499,6 +515,13 @@ func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 	e.last, e.hasLast = s.Minute, true
 	if e.n == BlockSamples {
 		st.full = append(st.full, e.id)
+	}
+	if st.dir == "" {
+		return nil // a memory store: nothing will read a record
+	}
+	if fresh {
+		st.recBuf = appendDictRecord(st.recBuf[:0], e.id, entity)
+		st.dictPending = journal.AppendFrame(st.dictPending, st.recBuf)
 	}
 	if len(st.row) == 0 {
 		st.rowBase = s.Minute
@@ -570,35 +593,43 @@ func (st *Store) commitLocked() error {
 // commitMinutes writes the minute-tier batch: the rows already framed
 // in pending, then the seals of the full list.
 func (st *Store) commitMinutes() error {
-	if err := st.ensureActive(int(TierMinute)); err != nil {
-		return st.fail(int(TierMinute), err)
-	}
-	seq, base := st.actSeq[TierMinute], st.actSize[TierMinute]
 	newest := st.stagedMax
 	// Canonical batch order regardless of append interleaving; the
 	// batch buffer is sized once for the whole burst.
 	slices.Sort(st.full)
-	st.pending = slices.Grow(st.pending, len(st.full)*sealFrameBytes)
-	for _, id := range st.full {
-		// Record the block's future file location now — the whole batch
-		// lands at base in one write.
+	for i, id := range st.full {
 		e := st.ents[id]
-		st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.open[:])
-		off := len(st.pending)
-		st.pending = journal.AppendFrame(st.pending, st.recBuf)
-		end := e.open[BlockSamples-1].Minute
-		e.blocks = append(e.blocks, blockRef{seq: seq, off: base + int64(off), n: len(st.pending) - off, start: e.open[0].Minute, end: end})
-		e.n = 0
-		newest = max(newest, end) // an orphan sealed after a reopen has no row in this batch
+		ref := blockRef{start: e.open[0].Minute, end: e.open[BlockSamples-1].Minute}
+		if st.dir == "" {
+			ref.raw = new([BlockSamples]Sample)
+			*ref.raw = e.open
+		} else {
+			// The frame's offset within the batch: the batch lands whole
+			// at the segment's end in one write.
+			st.pending = slices.Grow(st.pending, (len(st.full)-i)*sealFrameBytes)
+			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.open[:])
+			off := len(st.pending)
+			st.pending = journal.AppendFrame(st.pending, st.recBuf)
+			ref.off, ref.n = int64(off), len(st.pending)-off
+		}
+		e.blocks = append(e.blocks, ref)
+		newest = max(newest, ref.end) // an orphan sealed after a reopen has no row in this batch
 	}
 	if err := st.writeTier(int(TierMinute), st.pending); err != nil {
 		// Nothing of this batch is acked or indexed: the blocks stay
-		// open, readable from memory.
+		// open and the tails as they were, readable from memory.
 		for _, id := range st.full {
 			e := st.ents[id]
-			e.blocks, e.n = e.blocks[:len(e.blocks)-1], BlockSamples
+			e.blocks = e.blocks[:len(e.blocks)-1]
 		}
 		return err
+	}
+	seq, base := st.actSeq[TierMinute], st.actSize[TierMinute]-int64(len(st.pending))
+	for _, id := range st.full {
+		e := st.ents[id]
+		ref := &e.blocks[len(e.blocks)-1]
+		ref.seq, ref.off = seq, base+ref.off
+		e.sealed, e.n = e.open, 0
 	}
 	if newest > st.segMax[seq] {
 		st.segMax[seq] = newest
@@ -647,8 +678,12 @@ func (st *Store) ensureActive(tier int) error {
 }
 
 // writeTier appends b to the tier's active segment in one write, with
-// an fsync unless NoSync. Any failure poisons the store.
+// an fsync unless NoSync. Any failure poisons the store. A memory store
+// writes nothing.
 func (st *Store) writeTier(tier int, b []byte) error {
+	if st.dir == "" {
+		return nil
+	}
 	if err := st.ensureActive(tier); err != nil {
 		return st.fail(tier, err)
 	}
@@ -668,61 +703,113 @@ func (st *Store) writeTier(tier int, b []byte) error {
 }
 
 // ForEachMinute calls fn for every raw minute-tier sample of entity in
-// [from, to), in chronological order — sealed blocks (through the
-// hot-block cache) first, then the open buffer. Minutes below the
-// minute→hour watermark have been downsampled away and are not
-// visited. fn must not call back into the store.
+// [from, to), in chronological order — sealed blocks first, then the
+// open block. Minutes below the minute→hour watermark have been
+// downsampled away and are not visited. fn must not call back into the
+// store. A closed store still answers from what it holds raw; a block it
+// would have to read from disk fails the call with ErrClosed.
 func (st *Store) ForEachMinute(entity string, from, to int, fn func(Sample)) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
 	id, ok := st.ids[entity]
 	if !ok {
 		return nil
 	}
-	return st.forEachMinuteLocked(st.ents[id], from, to, fn)
+	return st.forEachMinute(st.ents[id], from, to, fn)
 }
 
-func (st *Store) forEachMinuteLocked(e *entState, from, to int, fn func(Sample)) error {
-	if from < st.marks[TierMinute] {
-		from = st.marks[TierMinute]
+// Lookup returns the handle of a known entity, and the zero Handle —
+// which reads as empty until its first AppendTo resolves it — for an
+// unknown one.
+func (st *Store) Lookup(entity string) Handle {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if id, ok := st.ids[entity]; ok {
+		return Handle{st.ents[id]}
 	}
-	for i := range e.blocks {
-		ref := &e.blocks[i]
-		if ref.end < from || ref.start >= to {
-			continue
-		}
-		samples, err := st.loadBlock(ref)
+	return Handle{}
+}
+
+// Latest returns the newest raw sample of h's entity: the last of its
+// open block, else of its newest sealed block — none once the watermark
+// has passed it. Like Range it takes no lock (see there).
+func (st *Store) Latest(h Handle) (Sample, bool) {
+	switch e := h.e; {
+	case e == nil:
+	case e.n > 0 && e.open[e.n-1].Minute >= st.marks[TierMinute]:
+		return e.open[e.n-1], true
+	case e.n == 0 && len(e.blocks) > 0: // every block left ends at or above the watermark
+		return e.sealed[BlockSamples-1], true
+	}
+	return Sample{}, false
+}
+
+// Range is ForEachMinute through a handle, and reports whether the read
+// needed a sealed block the entity does not hold raw. Only such a read
+// — one reaching below the tail of a disk store — takes the store's
+// lock; everything else reads the tail and raw blocks in place, without
+// lock, lookup or allocation. That is safe for the handle's owner, the
+// store's single writer, and for nobody else: call Range and Latest only
+// from the goroutine that appends, commits and compacts.
+func (st *Store) Range(h Handle, from, to int, fn func(Sample)) (disk bool, err error) {
+	e := h.e
+	if e == nil || from >= to {
+		return false, nil
+	}
+	if i, _ := st.first(e, from); i < len(e.blocks)-1 && e.blocks[i].raw == nil && e.blocks[i].start < to {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		disk = true
+	}
+	return disk, st.forEachMinute(e, from, to, fn)
+}
+
+// first clamps from to the minute watermark and returns the index of
+// the first sealed block that may hold a minute at or after it.
+func (st *Store) first(e *entState, from int) (int, int) {
+	from = max(from, st.marks[TierMinute])
+	return sort.Search(len(e.blocks), func(i int) bool { return e.blocks[i].end >= from }), from
+}
+
+// forEachMinute walks e's raw samples in [from, to). It needs st.mu
+// unless every block it visits is held raw.
+func (st *Store) forEachMinute(e *entState, from, to int, fn func(Sample)) error {
+	i, from := st.first(e, from)
+	for ; i < len(e.blocks) && e.blocks[i].start < to; i++ {
+		samples, err := st.loadBlock(e, i)
 		if err != nil {
 			return err
 		}
-		for _, s := range samples {
-			if s.Minute >= from && s.Minute < to {
-				fn(s)
-			}
-		}
+		emit(samples, from, to, fn)
 	}
-	for _, s := range e.open[:e.n] {
-		if s.Minute >= from && s.Minute < to {
-			fn(s)
-		}
-	}
+	emit(e.open[:e.n], from, to, fn)
 	return nil
 }
 
-// loadBlock returns the sealed block's samples via the hot-block cache,
-// reading the frame from disk through a pooled buffer on a miss. The
-// returned slice belongs to the cache slot — callers must not retain it
-// across store calls.
-func (st *Store) loadBlock(ref *blockRef) ([]Sample, error) {
-	key := blockKey{seq: ref.seq, off: ref.off}
-	if s, ok := st.cacheGet(key); ok {
-		st.m.cache(true)
-		return s, nil
+// emit calls fn for the samples of a chronological run in [from, to).
+func emit(run []Sample, from, to int, fn func(Sample)) {
+	for _, s := range run[sort.Search(len(run), func(i int) bool { return run[i].Minute >= from }):] {
+		if s.Minute >= to {
+			return
+		}
+		fn(s)
 	}
-	st.m.cache(false)
+}
+
+// loadBlock returns the samples of e.blocks[i]: the tail's sealed block
+// or a memory store's block as they are, any other block read from disk
+// and decoded into the store's scratch — valid until the next store
+// call. A closed store reads nothing from disk.
+func (st *Store) loadBlock(e *entState, i int) ([]Sample, error) {
+	ref := &e.blocks[i]
+	switch {
+	case i == len(e.blocks)-1:
+		return e.sealed[:], nil
+	case ref.raw != nil:
+		return ref.raw[:], nil
+	case st.closed:
+		return nil, ErrClosed
+	}
 	f := st.files[ref.seq]
 	if f == nil {
 		var err error
@@ -733,32 +820,23 @@ func (st *Store) loadBlock(ref *blockRef) ([]Sample, error) {
 		}
 		st.files[ref.seq] = f
 	}
-	buf := frameBufPool.Get().(*[]byte)
-	defer frameBufPool.Put(buf)
-	b := *buf
-	if cap(b) < ref.n {
-		b = make([]byte, ref.n)
-		*buf = b
-	}
-	b = b[:ref.n]
-	if _, err := f.ReadAt(b, ref.off); err != nil {
+	st.frameBuf = slices.Grow(st.frameBuf[:0], ref.n)[:ref.n]
+	if _, err := f.ReadAt(st.frameBuf, ref.off); err != nil {
 		return nil, err
 	}
-	payload, _, err := journal.DecodeFrame(b)
+	payload, _, err := journal.DecodeFrame(st.frameBuf)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: sealed block at %s seq %d off %d: %w", st.dir, ref.seq, ref.off, err)
 	}
-	slot := st.cacheSlot(key)
-	r, err := decodeRecord(payload, slot.samples[:0], nil)
-	if err != nil || r.kind != kBlock {
-		st.cacheDrop(key)
-		if err == nil {
-			err = ErrBadRecord
-		}
+	r, err := decodeRecord(payload, st.blockBuf[:0], nil)
+	if err == nil && r.kind != kBlock {
+		err = ErrBadRecord
+	}
+	if err != nil {
 		return nil, err
 	}
-	slot.samples = r.samples
-	return slot.samples, nil
+	st.blockBuf = r.samples
+	return r.samples, nil
 }
 
 // SeriesBuf is a reusable result buffer for ReadSeries: the best
@@ -778,9 +856,6 @@ type SeriesBuf struct {
 func (st *Store) ReadSeries(entity string, from, to int, buf *SeriesBuf) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
 	buf.Days, buf.Hours, buf.Minutes = buf.Days[:0], buf.Hours[:0], buf.Minutes[:0]
 	id, ok := st.ids[entity]
 	if !ok {
@@ -797,7 +872,7 @@ func (st *Store) ReadSeries(entity string, from, to int, buf *SeriesBuf) error {
 			buf.Hours = append(buf.Hours, a)
 		}
 	}
-	return st.forEachMinuteLocked(e, from, to, func(s Sample) {
+	return st.forEachMinute(e, from, to, func(s Sample) {
 		buf.Minutes = append(buf.Minutes, s)
 	})
 }
@@ -836,7 +911,7 @@ func (st *Store) DiskBytes() int64 {
 }
 
 // Close commits buffered samples and closes every file handle. The
-// store is unusable afterwards.
+// store takes no appends afterwards; reads answer from memory.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -5,8 +5,9 @@
 # second pass is the one in which they assert), ten seconds each of real
 # fuzzing of the wire frame decoder, of the journal's frame reader, of
 # the tsdb segment-record decoder and of the closed-form inference
-# against its two references, and every root-package benchmark once as
-# a crash smoke. A new test or guard needs no edit here.
+# against its two references, and every benchmark of the root package,
+# internal/archive and internal/tsdb once as a crash smoke. A new test or
+# guard needs no edit here.
 #
 # Usage: scripts/check.sh   (from anywhere)
 set -eu
@@ -61,7 +62,9 @@ go test ./internal/tsdb -run '^$' -fuzz FuzzRecordDecode -fuzztime 10s
 echo "== fuzz: closed-form leftmost maximum vs sampled union vs interpreter, 10 s"
 go test ./internal/fuzzy -run '^$' -fuzz FuzzInferDifferential -fuzztime 10s
 
-echo "== benchmark smoke: every root-package benchmark, one iteration"
-go test -run '^$' -bench . -benchtime=1x -benchmem .
+# The archive's and the store's benchmarks set up the tail, the raw
+# blocks of a memory store and a reopen: the smoke runs their setup too.
+echo "== benchmark smoke: root package, archive and tsdb benchmarks, one iteration"
+go test -run '^$' -bench . -benchtime=1x -benchmem . ./internal/archive ./internal/tsdb
 
 echo "check.sh: all gates passed"
