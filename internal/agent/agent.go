@@ -628,10 +628,12 @@ func (r *HeartbeatReporter) learn(node string, hb *wire.Heartbeat, ack *wire.Act
 // sendOne delivers one heartbeat envelope with the configured bounded
 // retry, re-reading the agent's current coordinator on every attempt —
 // which is also where the open report is stamped or stripped, since a
-// session belongs to one node. A resync (a restarted coordinator under
-// the same name) drops the session and sends the same minute again,
-// named, at once: not a delivery failure, so not counted against the
-// retries, and honoured once, of a frame that was in fact indexed.
+// session belongs to one node — and stamped with the agent's highest
+// known epoch, which spares a leader it follows the next renewal. A
+// resync (a restarted coordinator under the same name) drops the session
+// and sends the same minute again, named, at once: not a delivery
+// failure, so not counted against the retries, and honoured once, of a
+// frame that was in fact indexed.
 func (r *HeartbeatReporter) sendOne(ctx context.Context, env *wire.Envelope) error {
 	a := r.a
 	for attempt := 0; ; {
@@ -639,6 +641,7 @@ func (r *HeartbeatReporter) sendOne(ctx context.Context, env *wire.Envelope) err
 		a.seq++
 		env.Seq = a.seq
 		env.To = a.coordinator
+		env.Epoch = a.coordEpoch
 		a.mu.Unlock()
 		indexed := env == &r.env && r.stamp(env.To)
 		reply, err := a.tr.Call(ctx, env.To, env)

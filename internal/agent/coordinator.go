@@ -192,9 +192,11 @@ type hostSlot struct {
 	name  string
 	index uint32 // session-dictionary number; 0: the dictionary was full
 
-	sh      *ingestShard // set once, when the slot is minted under dictMu
-	pending *hostBeat    // the buffered beat, nil between merges
-	lastMin int          // newest merged minute (stale-replay guard); math.MinInt: none
+	sh        *ingestShard // set once, when the slot is minted under dictMu
+	pending   *hostBeat    // the buffered beat, nil between merges
+	lastMin   int          // newest merged minute (stale-replay guard); math.MinInt: none
+	beatMin   int          // newest minute a beat was ingested for (Follows); math.MinInt: none
+	beatEpoch uint64       // the epoch that beat was stamped with
 
 	watchReg
 	pos   int         // 1-based cluster position; 0: not in the cluster
@@ -460,7 +462,7 @@ func (c *Coordinator) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 		if err := checkFinite(env.Heartbeat); err != nil {
 			reply.Ack.OK, reply.Ack.Error = false, err.Error()
 		} else if hs := c.resolve(env.Heartbeat, reply.Ack); hs != nil {
-			c.ingest(hs, env.Heartbeat)
+			c.ingest(hs, env.Heartbeat, env.Epoch)
 		}
 		return reply, nil
 	case wire.TypeHello:
@@ -593,8 +595,8 @@ func (c *Coordinator) slotFor(host string) *hostSlot {
 	defer c.dictMu.Unlock()
 	hs := c.hosts[host]
 	if hs == nil {
-		hs = &hostSlot{name: host, sh: c.shardOf(host),
-			lastMin: math.MinInt, watchReg: watchReg{key: archive.HostEntity(host)}}
+		hs = &hostSlot{name: host, sh: c.shardOf(host), lastMin: math.MinInt,
+			beatMin: math.MinInt, watchReg: watchReg{key: archive.HostEntity(host)}}
 		if len(c.hostTab)+len(c.instTab) < c.dictCap {
 			c.hostTab = append(c.hostTab, hs)
 			hs.index = uint32(len(c.hostTab))
@@ -664,14 +666,29 @@ func (c *Coordinator) resolve(hb *wire.Heartbeat, ack *wire.ActionAck) *hostSlot
 	return hs
 }
 
-// Ingest buffers one heartbeat in its host's slot, found by name. A
-// heartbeat carrying a non-finite load is refused, as Handle refuses it.
+// Ingest buffers one unstamped (epoch 0) heartbeat in its host's slot,
+// found by name. A non-finite load is refused, as Handle refuses it.
 func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
 	if err := checkFinite(&hb); err != nil {
 		return err
 	}
-	c.ingest(c.slotFor(hb.Host), &hb)
+	c.ingest(c.slotFor(hb.Host), &hb, 0)
 	return nil
+}
+
+// Follows reports whether host's newest ingested beat is for minute
+// since or later and was stamped with epoch: proof that the host's agent
+// reports to this coordinator under that epoch. An unknown host does not.
+func (c *Coordinator) Follows(host string, since int, epoch uint64) bool {
+	c.dictMu.RLock()
+	hs := c.hosts[host]
+	c.dictMu.RUnlock()
+	if hs == nil {
+		return false
+	}
+	sh := hs.lockShard()
+	defer sh.mu.Unlock()
+	return hs.beatMin >= since && hs.beatEpoch == epoch
 }
 
 // checkFinite refuses a heartbeat whose CPU, memory or instance load is
@@ -703,8 +720,9 @@ func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 // is dropped: it can only be re-delivered traffic (the loopback's
 // held/duplicated messages, a retried HTTP POST), and merging it would
 // regress the host's archive series. Within the same merge window a
-// newer beat overwrites an older one (latest report wins).
-func (c *Coordinator) ingest(hs *hostSlot, hb *wire.Heartbeat) {
+// newer beat overwrites an older one (latest report wins), and only a
+// beat at least as new as the slot's record replaces it (Follows).
+func (c *Coordinator) ingest(hs *hostSlot, hb *wire.Heartbeat, epoch uint64) {
 	c.heartbeats.Add(1)
 	for {
 		max := c.maxMinute.Load()
@@ -723,6 +741,9 @@ func (c *Coordinator) ingest(hs *hostSlot, hb *wire.Heartbeat) {
 	c.live.Beat(hs.name, hb.Minute)
 
 	sh := hs.lockShard()
+	if hb.Minute >= hs.beatMin {
+		hs.beatMin, hs.beatEpoch = hb.Minute, epoch
+	}
 	if hb.Minute < hs.lastMin {
 		sh.mu.Unlock()
 		return
@@ -1141,10 +1162,12 @@ func (c *Coordinator) noteErr(err error) bool {
 // buffered for it, backfill included (the host is dead; its last report
 // must not resurface at the next merge). The liveness detector keeps
 // tracking it: a healed partition is then reported by Recovered after
-// the hysteresis streak, and the host's heartbeats re-register it.
+// the hysteresis streak, and the host's heartbeats re-register it. Its
+// record of the last beat is dropped too: it must earn Follows again.
 func (c *Coordinator) Forget(host string) {
 	hs := c.slotFor(host)
 	sh := hs.lockShard()
+	hs.beatMin = math.MinInt
 	if b := hs.pending; b != nil {
 		hs.pending = nil
 		sh.free = append(sh.free, b)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"autoglobe/internal/lease"
@@ -190,6 +189,7 @@ func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 		e.members = append(e.members, m)
 	}
 	p.election = e
+	e.Instrument(p.reg)
 	return e, nil
 }
 
@@ -197,8 +197,9 @@ func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 // attached.
 func (p *Plane) Election() *Election { return p.election }
 
-// Instrument attaches an obs registry: takeovers, per-member role
-// gauges and the agent-side buffered-minute depth are published.
+// Instrument attaches an obs registry (AttachStandbys: the plane's):
+// takeovers, beacons, per-member role gauges and the agent-side
+// buffered-minute depth are published.
 func (e *Election) Instrument(r *obs.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -294,10 +295,11 @@ func (e *Election) hookFor(m *electionMember) func(wire.Lease) wire.Lease {
 
 // Tick advances the group by one minute: due members restart as
 // standbys, every member still believing it leads beacons a renewal
-// (the believing set is normally one; an isolated predecessor makes it
-// two until its first fenced ack), and the first standby whose lease
-// lapsed performs a takeover. Call before the minute's agent reports,
-// so a takeover's announcement redirects reporters within the minute.
+// where it is news (the believing set is normally one; an isolated
+// predecessor makes it two until its first fenced ack), and the first
+// standby whose lease lapsed performs a takeover. Call before the
+// minute's agent reports, so a takeover's announcement redirects
+// reporters within the minute.
 func (e *Election) Tick(ctx context.Context, minute int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -332,26 +334,30 @@ func (e *Election) Tick(ctx context.Context, minute int) error {
 	}
 	if e.metrics != nil {
 		buffered := 0
-		for _, host := range e.p.dep.Cluster().Names() {
-			if a, ok := e.p.agents[host]; ok {
-				buffered += a.Reporter().Buffered()
-			}
+		for _, a := range e.p.byHost {
+			buffered += a.Reporter().Buffered()
 		}
 		e.metrics.bufferedDepth(buffered)
 	}
 	return nil
 }
 
-// beaconLocked sends m's lease renewal to every other live member and
-// to every agent, in deterministic order. An ack carrying a higher
-// epoch is the fence: a successor exists, so m steps down. Callers
-// hold e.mu; no member lock is held across the transport calls.
+// beaconLocked sends m's lease renewal to every other live member (that
+// is a standby's lease) and, in host order, to every agent whose beat for
+// the previous minute or later did not reach m stamped with m's epoch:
+// all of them in the founding minute and a takeover's announcement, then
+// only those that fell silent, restarted with epoch 0 or report
+// elsewhere — which still fences a deposed leader. An ack carrying a
+// higher epoch is the fence: a successor exists, so m steps down.
+// Callers hold e.mu; no member lock is held across the transport calls.
 func (e *Election) beaconLocked(ctx context.Context, m *electionMember, minute int) {
 	m.mu.Lock()
 	l := wire.Lease{Leader: m.node, Epoch: m.knownEpochLocked(), Minute: minute}
 	m.mu.Unlock()
 	deposedBy := uint64(0)
+	sent := 0
 	send := func(to string) {
+		sent++
 		reply, err := e.p.tr.Call(ctx, to, wire.LeaseEnvelope(m.node, to, l))
 		if err != nil {
 			return // unreachable receiver: the lease simply is not renewed
@@ -369,14 +375,13 @@ func (e *Election) beaconLocked(ctx context.Context, m *electionMember, minute i
 		}
 		send(o.node)
 	}
-	hosts := make([]string, 0, len(e.p.agents))
-	for h := range e.p.agents {
-		hosts = append(hosts, h)
+	members := sent
+	for _, a := range e.p.byHost {
+		if !m.coord.Follows(a.host, minute-1, l.Epoch) {
+			send(a.host)
+		}
 	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		send(h)
-	}
+	e.metrics.beacons(members, sent-members)
 	if deposedBy > 0 {
 		m.mu.Lock()
 		if m.role == RoleLeader {

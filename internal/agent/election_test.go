@@ -12,6 +12,7 @@ import (
 	"autoglobe/internal/archive"
 	"autoglobe/internal/journal"
 	"autoglobe/internal/monitor"
+	"autoglobe/internal/obs"
 	"autoglobe/internal/wire"
 )
 
@@ -186,6 +187,237 @@ func TestElectionIsolatedLeaderFenced(t *testing.T) {
 	}
 	if got := e.Takeovers(); got != 1 {
 		t.Fatalf("takeovers after heal = %d, want still 1 (stepping down is not a takeover)", got)
+	}
+}
+
+// leaseCalls reads how many lease beacons a loopback instrumented with
+// reg has carried.
+func leaseCalls(reg *obs.Registry) float64 {
+	return reg.Snapshot()[wire.MetricCalls+`{transport="loopback",type="lease"}`]
+}
+
+// TestElectionQuietLeadership: once every agent's beat proves it
+// follows the leader under the leader's epoch, a minute's renewals are
+// exactly the standbys' leases — members − 1 — and the founding minute
+// is the only one that beacons every agent.
+func TestElectionQuietLeadership(t *testing.T) {
+	p, e, tr, _ := electionPlane(t, 2)
+	reg := obs.NewRegistry()
+	tr.Instrument(reg)
+	p.Instrument(reg)
+	agents := float64(len(p.dep.Cluster().Names()))
+	prev := 0.0
+	for m := 0; m < 6; m++ {
+		electionMinute(t, p, e, m)
+		want := 2.0
+		if m == 0 {
+			want += agents
+		}
+		if got := leaseCalls(reg) - prev; got != want {
+			t.Fatalf("minute %d: %v lease calls, want %v", m, got, want)
+		}
+		prev = leaseCalls(reg)
+	}
+	snap := reg.Snapshot()
+	if got := snap[MetricElectionBeacons+`{to="member"}`]; got != 12 {
+		t.Fatalf("member beacons = %v, want 12", got)
+	}
+	if got := snap[MetricElectionBeacons+`{to="agent"}`]; got != agents {
+		t.Fatalf("agent beacons = %v, want %v (the founding minute only)", got, agents)
+	}
+}
+
+// TestElectionLostAnnouncement: the takeover's announcement to one agent
+// is lost. That agent keeps reporting to the dead leader, so no beat of
+// it proves it follows the successor, and it is beaconed again the next
+// minute: it redirects and drains, and nobody else is renewed. No
+// host-minute is observed twice; the lost agent's minutes the successor
+// closed without it stay empty, as they would with a renewal every
+// minute.
+func TestElectionLostAnnouncement(t *testing.T) {
+	p, e, tr, lms := electionPlane(t, 2)
+	reg := obs.NewRegistry()
+	p.Instrument(reg)
+	agentBeacons := func() float64 { return reg.Snapshot()[MetricElectionBeacons+`{to="agent"}`] }
+	for m := 0; m < 3; m++ {
+		electionMinute(t, p, e, m)
+	}
+	if _, err := e.KillLeader(3); err != nil {
+		t.Fatal(err)
+	}
+	electionMinute(t, p, e, 3) // leaderless
+	const lost = "h2"
+	tr.DropNext(lost, 1)
+	before := agentBeacons()
+	electionMinute(t, p, e, 4) // takeover: every agent is announced to
+	hosts := p.dep.Cluster().Names()
+	if got := agentBeacons() - before; got != float64(len(hosts)) {
+		t.Fatalf("takeover beaconed %v agents, want all %d", got, len(hosts))
+	}
+	a := agentOf(t, p, lost)
+	if a.Coordinator() == e.LeaderNode() {
+		t.Fatal("the agent whose announcement was lost redirected anyway")
+	}
+	before = agentBeacons()
+	electionMinute(t, p, e, 5)
+	if got := agentBeacons() - before; got != 1 {
+		t.Fatalf("minute after the takeover beaconed %v agents, want 1 (%s)", got, lost)
+	}
+	if a.Coordinator() != e.LeaderNode() || a.CoordEpoch() != e.Epoch() {
+		t.Fatalf("%s follows %q at epoch %d, want %q at %d", lost, a.Coordinator(), a.CoordEpoch(), e.LeaderNode(), e.Epoch())
+	}
+	if rep, _ := p.Reporter(lost); rep.Buffered() != 0 {
+		t.Fatalf("%s still buffers %d minutes", lost, rep.Buffered())
+	}
+	before = agentBeacons()
+	electionMinute(t, p, e, 6)
+	if got := agentBeacons() - before; got != 0 {
+		t.Fatalf("a quiet minute beaconed %v agents", got)
+	}
+	arch := lms.Archive()
+	for _, host := range hosts {
+		for m := 0; m <= 6; m++ {
+			want := 1
+			if host == lost && (m == 3 || m == 4) {
+				want = 0 // closed by the successor before the agent redirected
+			}
+			if n := arch.ObservationCount(archive.HostEntity(host), m); n != want {
+				t.Fatalf("host %s minute %d observed %d times, want %d", host, m, n, want)
+			}
+		}
+	}
+}
+
+// TestElectionStaleStampBeaconed: a beat stamped with an epoch older
+// than the leader's, or with 0 (an agent that never heard a lease), does
+// not excuse its agent from the renewal. The epoch-0 agent is beaconed,
+// learns the leader and its epoch, and from then on NACKs an action of
+// the superseded incarnation.
+func TestElectionStaleStampBeaconed(t *testing.T) {
+	p, e, tr, _ := electionPlane(t, 1)
+	reg := obs.NewRegistry()
+	p.Instrument(reg)
+	for m := 0; m < 3; m++ {
+		electionMinute(t, p, e, m)
+	}
+	if _, err := e.KillLeader(3); err != nil {
+		t.Fatal(err)
+	}
+	for m := 3; m < 6; m++ {
+		electionMinute(t, p, e, m)
+	}
+	leader, epoch := e.LeaderNode(), e.Epoch()
+	if epoch != 2 {
+		t.Fatalf("epoch after the takeover = %d, want 2", epoch)
+	}
+	ctx := context.Background()
+	// h1's minute-5 beat arrives again, stamped with the old epoch.
+	stale := wire.HeartbeatEnvelope("h1", leader, wire.Heartbeat{Host: "h1", Minute: 5, CPU: 0.4, Mem: 0.3})
+	stale.Epoch = epoch - 1
+	if reply, err := tr.Call(ctx, leader, stale); err != nil {
+		t.Fatal(err)
+	} else {
+		wire.ReleaseEnvelope(reply)
+	}
+	// A host attached late has heard no lease: its beat carries epoch 0.
+	if err := p.AttachHost("h9"); err != nil {
+		t.Fatal(err)
+	}
+	late := agentOf(t, p, "h9")
+	rep := late.Reporter()
+	rep.Begin(5, 0.1, 0.1)
+	if err := rep.Send(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Snapshot()[MetricElectionBeacons+`{to="agent"}`]
+	if err := e.Tick(ctx, 6); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot()[MetricElectionBeacons+`{to="agent"}`] - before; got != 2 {
+		t.Fatalf("beaconed %v agents, want 2 (h1 and h9)", got)
+	}
+	if late.CoordEpoch() != epoch || late.Coordinator() != leader {
+		t.Fatalf("h9 follows %q at epoch %d, want %q at %d", late.Coordinator(), late.CoordEpoch(), leader, epoch)
+	}
+	req := startReq("h9", "i9")
+	req.Key = "stale-1"
+	act := wire.ActionEnvelope("old-leader", "h9", req)
+	act.Epoch = epoch - 1
+	reply, err := tr.Call(ctx, "h9", act)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.ReleaseEnvelope(reply)
+	if reply.Ack == nil || reply.Ack.OK || late.StaleNacks() != 1 || late.Running("i9") {
+		t.Fatalf("stale-epoch action answered %+v (stale NACKs %d), want a NACK", reply.Ack, late.StaleNacks())
+	}
+}
+
+// TestFollowsKeepsNewestBeat: the slot's record is the newest minute's
+// beat — a held older beat delivered late does not regress it — and
+// Forget drops it.
+func TestFollowsKeepsNewestBeat(t *testing.T) {
+	tr := wire.NewLoopback()
+	t.Cleanup(func() { tr.Close() })
+	coord, err := NewCoordinator(CoordinatorNode, testDeployment(t), sessionSystem(t), tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beat := func(minute int, epoch uint64) {
+		env := wire.HeartbeatEnvelope("h1", CoordinatorNode, wire.Heartbeat{Host: "h1", Minute: minute, CPU: 0.4, Mem: 0.3})
+		env.Epoch = epoch
+		reply, err := coord.Handle(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.ReleaseEnvelope(reply)
+	}
+	beat(5, 2)
+	beat(3, 1) // held since minute 3, under the previous epoch
+	if !coord.Follows("h1", 5, 2) || coord.Follows("h1", 6, 2) || coord.Follows("h1", 5, 1) {
+		t.Fatal("the record is not minute 5 at epoch 2")
+	}
+	coord.Forget("h1")
+	if coord.Follows("h1", 5, 2) {
+		t.Fatal("a forgotten host still follows")
+	}
+}
+
+// TestTakeoverKeepsMetricsCounting: a successor coordinator and journal
+// count into the registry the plane was instrumented with — heartbeats
+// ingested after the takeover and the dispatch journaled by the new
+// leader show on the same series.
+func TestTakeoverKeepsMetricsCounting(t *testing.T) {
+	p, e, _, _ := electionPlane(t, 2)
+	reg := obs.NewRegistry()
+	p.Instrument(reg)
+	for m := 0; m < 3; m++ {
+		electionMinute(t, p, e, m)
+	}
+	if _, err := e.KillLeader(3); err != nil {
+		t.Fatal(err)
+	}
+	for m := 3; m < 6; m++ {
+		electionMinute(t, p, e, m)
+	}
+	if e.Takeovers() != 1 {
+		t.Fatalf("takeovers = %d, want 1", e.Takeovers())
+	}
+	if _, err := p.Dispatcher().Do(context.Background(), startReq("h3", "i-after")); err != nil {
+		t.Fatal(err)
+	}
+	ingested := 0
+	for _, m := range e.members {
+		ingested += m.coord.Heartbeats()
+	}
+	snap := reg.Snapshot()
+	if got := snap[MetricHeartbeats]; got != float64(ingested) {
+		t.Fatalf("%s = %v, want %d (every member's ingest)", MetricHeartbeats, got, ingested)
+	}
+	for _, kind := range []string{recDispatch, recAck} {
+		if got := snap[MetricJournalAppends+`{kind="`+kind+`"}`]; got != 1 {
+			t.Fatalf("journal %s appends = %v, want 1 (the new leader's)", kind, got)
+		}
 	}
 }
 

@@ -104,9 +104,10 @@ func NewLocalManager(a Assembly, dep *service.Deployment) (*Manager, error) {
 }
 
 // assemble is the one wiring order. Its constraints: the archive comes
-// first and decides where the clock resumes; plane and journal are
-// instrumented before the journal is adopted, so the recovery a reopened
-// journal runs is counted, and in-process agents exist before it
+// first and decides where the clock resumes; the plane is instrumented
+// before it adopts the journal, so the recovery a reopened journal runs
+// is counted (and the standbys it attaches, and every successor, count
+// into the same registry), and in-process agents exist before it
 // re-issues in-flight actions to them; standbys warm-follow the journal;
 // the dispatch layer wraps outermost, after WrapExecutor — hosts
 // acknowledge before the model, and any mirror of it, changes; the rule
@@ -155,15 +156,12 @@ func assemble(a Assembly, dep *service.Deployment, newPlane func(PlaneConfig, *s
 			if err != nil {
 				return nil, err
 			}
-			cj.Instrument(a.Obs)
 			m.Down, m.Reissued, m.RecoveryErr = m.Plane.adoptJournal(context.Background(), cj)
 		}
 		if a.Standbys > 0 {
-			election, err := m.Plane.AttachStandbys(a.Standbys, a.Election)
-			if err != nil {
+			if _, err := m.Plane.AttachStandbys(a.Standbys, a.Election); err != nil {
 				return nil, err
 			}
-			election.Instrument(a.Obs)
 		}
 		exec = m.Plane.Executor(exec)
 	}

@@ -81,6 +81,10 @@ const (
 	// agents currently hold buffered for a leaderless window — nonzero
 	// while a failover is in progress, draining to zero on redirect.
 	MetricElectionBufferedMinutes = "autoglobe_election_buffered_minutes"
+	// MetricElectionBeacons counts lease renewals sent, by receiver:
+	// to="member" (every live member, every minute) and to="agent" (only
+	// agents whose last beat did not prove they follow the sender).
+	MetricElectionBeacons = "autoglobe_election_beacons_total"
 )
 
 // dispatchMetrics pre-resolves the dispatcher's series. Nil-safe.
@@ -271,6 +275,8 @@ type electionMetrics struct {
 	r         *obs.Registry
 	takeovers *obs.Counter
 	buffered  *obs.Gauge
+	toMember  *obs.Counter
+	toAgent   *obs.Counter
 }
 
 func newElectionMetrics(r *obs.Registry) *electionMetrics {
@@ -280,16 +286,26 @@ func newElectionMetrics(r *obs.Registry) *electionMetrics {
 	r.Help(MetricElectionTakeovers, "Leadership takeovers after lease expiry.")
 	r.Help(MetricElectionRole, "Per-member leadership role: 1 leader, 0 standby or down.")
 	r.Help(MetricElectionBufferedMinutes, "Heartbeat minutes buffered agent-side awaiting a leader.")
+	r.Help(MetricElectionBeacons, "Lease renewals sent, by receiver (member or agent).")
 	return &electionMetrics{
 		r:         r,
 		takeovers: r.Counter(MetricElectionTakeovers),
 		buffered:  r.Gauge(MetricElectionBufferedMinutes),
+		toMember:  r.Counter(MetricElectionBeacons, "to", "member"),
+		toAgent:   r.Counter(MetricElectionBeacons, "to", "agent"),
 	}
 }
 
 func (m *electionMetrics) takeover() {
 	if m != nil {
 		m.takeovers.Inc()
+	}
+}
+
+func (m *electionMetrics) beacons(members, agents int) {
+	if m != nil {
+		m.toMember.Add(float64(members))
+		m.toAgent.Add(float64(agents))
 	}
 }
 

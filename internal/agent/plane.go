@@ -3,6 +3,8 @@ package agent
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"autoglobe/internal/controller"
@@ -41,6 +43,12 @@ type Plane struct {
 	dep    *service.Deployment
 	lms    *monitor.System
 	agents map[string]*Agent
+	// byHost is the same agents sorted by host name: the election's
+	// beacon order, kept sorted as AttachHost adds them.
+	byHost []*Agent
+	// reg is the registry the plane was instrumented with, attached to
+	// every journal and coordinator it adopts later (restart, takeover).
+	reg *obs.Registry
 
 	rulesReg *rules.Registry
 	ruleSwap RuleActivator
@@ -107,15 +115,22 @@ func (p *Plane) AttachHost(host string) error {
 		a.Adopt(inst.ID, inst.Service)
 	}
 	p.agents[host] = a
+	i, _ := slices.BinarySearchFunc(p.byHost, host, func(a *Agent, h string) int { return strings.Compare(a.host, h) })
+	p.byHost = slices.Insert(p.byHost, i, a)
 	return nil
 }
 
-// Instrument attaches an obs registry to the plane's coordinator and
-// dispatcher (heartbeat ingest, dispatch outcomes). The transport is
-// instrumented by whoever owns it. Nil is a no-op.
+// Instrument attaches an obs registry to the plane's coordinator,
+// dispatcher and journal, and to those of every later restart or
+// takeover. The transport is instrumented by whoever owns it. Nil is a
+// no-op.
 func (p *Plane) Instrument(r *obs.Registry) {
+	p.reg = r
 	p.coord.Instrument(r)
 	p.disp.Instrument(r)
+	if cj := p.disp.Journal(); cj != nil {
+		cj.Instrument(r)
+	}
 	if p.election != nil {
 		p.election.Instrument(r)
 	}
@@ -182,8 +197,13 @@ func (p *Plane) AttachJournal(ctx context.Context, dir string, opts journal.Opti
 }
 
 // adoptJournal wires an already-open journal into the plane and runs
-// recovery against it.
+// recovery against it, counted: journal and coordinator (a successor's,
+// after a takeover) join the plane's registry, whose series get-or-create.
 func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down []string, reissued int, err error) {
+	if p.reg != nil {
+		p.coord.Instrument(p.reg)
+		cj.Instrument(p.reg)
+	}
 	p.disp.AttachJournal(cj)
 	p.coord.AttachJournal(cj)
 	for host, minute := range cj.Down() {

@@ -654,9 +654,9 @@ func TestSessionDictionaryIsBounded(t *testing.T) {
 // TestSessionConcurrentReporters hammers the dictionary and the slots
 // from 32 reporters at once — indexed frames, and a named one whenever a
 // host's instance list changes, each minting a name — while the control
-// loop closes minutes and forgets a host. Under -race this covers
-// resolve/mint/ingest against collect/Forget; every beat must be counted
-// and none refused.
+// loop closes minutes and forgets a host, and an election asks whether
+// hosts follow. Under -race this covers resolve/mint/ingest against
+// collect/Forget/Follows; every beat must be counted and none refused.
 func TestSessionConcurrentReporters(t *testing.T) {
 	const (
 		workers = 32
@@ -674,8 +674,10 @@ func TestSessionConcurrentReporters(t *testing.T) {
 
 	var producers, loop sync.WaitGroup
 	stop := make(chan struct{})
+	hosts := make([]string, workers)
 	for w := 0; w < workers; w++ {
 		host := fmt.Sprintf("w%02d", w)
+		hosts[w] = host
 		a, err := NewAgent(host, CoordinatorNode, lb)
 		if err != nil {
 			t.Fatal(err)
@@ -712,6 +714,22 @@ func TestSessionConcurrentReporters(t *testing.T) {
 			}
 		}
 	}()
+	loop.Add(1)
+	go func() {
+		defer loop.Done()
+		for minute := 0; ; minute++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Agents never heard a lease: no beat can prove epoch 1.
+			if coord.Follows(hosts[minute%workers], 0, 1) {
+				t.Error("a beat stamped with epoch 0 confirmed epoch 1")
+				return
+			}
+		}
+	}()
 	producers.Wait()
 	close(stop)
 	loop.Wait()
@@ -725,6 +743,9 @@ func TestSessionConcurrentReporters(t *testing.T) {
 	}
 	if got := snap[MetricHeartbeatResyncs]; got != 0 {
 		t.Fatalf("%v resyncs", got)
+	}
+	if !coord.Follows("w01", beats-1, 0) || coord.Follows("w01", beats, 0) || coord.Follows("nobody", 0, 0) {
+		t.Fatal("Follows disagrees with the last beat w01 sent, or knows an unknown host")
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 
 // ObsView renders the observability panel: the registry's metric
 // families as sorted "series = value" lines, how the heartbeats arrived
-// (by session index or by name), how many candidate hosts a server
-// selection scored, what the load archive's commits and fsyncs cost,
+// (by session index or by name), whom the coordinator group's lease
+// beacons went to, how many candidate hosts a server selection scored,
+// what the load archive's commits and fsyncs cost,
 // the median duration of each control-plane minute stage, and the most
 // recent control-loop traces (trigger → decision → outcome). It is the console twin of the
 // /autoglobe/v1/metrics and /autoglobe/v1/traces endpoints, for the
@@ -53,6 +54,12 @@ func ObsView(r *obs.Registry, tr *obs.Tracer, traceLimit int) string {
 			}
 			fmt.Fprintf(&sb, "HEARTBEAT FRAMES\n  indexed %g  named %g  resyncs %g  session dictionary %g names\n",
 				snap[agent.MetricHeartbeats]-named, named, snap[agent.MetricHeartbeatResyncs], names)
+		}
+		// Standbys are renewed every minute; an agent only when no beat of
+		// it proved it follows the leader (takeovers, restarts, silence).
+		if members, ok := snap[agent.MetricElectionBeacons+`{to="member"}`]; ok {
+			fmt.Fprintf(&sb, "LEASE BEACONS\n  to members %g  to agents %g  takeovers %g\n",
+				members, snap[agent.MetricElectionBeacons+`{to="agent"}`], snap[agent.MetricElectionTakeovers])
 		}
 		// A server selection runs one inference per candidate host.
 		if n := snap[controller.MetricSelectionCandidates+"_count"]; n > 0 {

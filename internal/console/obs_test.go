@@ -83,6 +83,21 @@ func TestObsViewArchiveCommits(t *testing.T) {
 	}
 }
 
+// TestObsViewLeaseBeacons: the panel appears once an election counted a
+// beacon, and splits them by receiver.
+func TestObsViewLeaseBeacons(t *testing.T) {
+	r := obs.NewRegistry()
+	if v := ObsView(r, nil, 0); strings.Contains(v, "LEASE BEACONS") {
+		t.Fatalf("panel shown with no election:\n%s", v)
+	}
+	r.Counter(agent.MetricElectionBeacons, "to", "member").Add(2880)
+	r.Counter(agent.MetricElectionBeacons, "to", "agent").Add(95)
+	r.Counter(agent.MetricElectionTakeovers).Add(4)
+	if v := ObsView(r, nil, 0); !strings.Contains(v, "LEASE BEACONS\n  to members 2880  to agents 95  takeovers 4\n") {
+		t.Fatalf("lease beacons panel:\n%s", v)
+	}
+}
+
 func TestObsViewTraceLimit(t *testing.T) {
 	tr := obs.NewTracer(16)
 	for m := 0; m < 5; m++ {

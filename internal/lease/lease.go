@@ -6,7 +6,9 @@
 // the chaos harness.
 //
 // The protocol is deliberately small: the acting leader beacons a
-// lease-renewal envelope every minute; a standby that has not heard a
+// lease-renewal envelope to every standby every minute (agents get one
+// only when their own heartbeat, stamped with the epoch they know, did
+// not show they follow the leader already); a standby that has not heard a
 // renewal for TTL consecutive minutes declares the lease expired and
 // takes over. Safety does not rest on the timing — epoch fencing does
 // that (see DESIGN.md "Coordinator HA") — the lease only decides WHEN

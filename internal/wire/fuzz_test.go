@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,14 +17,15 @@ const fuzzSession = 0x5EED0123456789AB
 // corpus file name — the happy half of the fuzz seed corpus.
 func corpusEnvelopes() map[string]*Envelope {
 	return map[string]*Envelope{
-		"seed-heartbeat": {Version: Version, Type: TypeHeartbeat, From: "b1", To: "coordinator", Seq: 7,
+		// A heartbeat carries the agent's highest known epoch.
+		"seed-heartbeat": {Version: Version, Type: TypeHeartbeat, From: "b1", To: "coordinator", Seq: 7, Epoch: 5,
 			Heartbeat: &Heartbeat{Host: "b1", Minute: 42, CPU: 0.5, Mem: 0.25,
 				Instances: []InstanceSample{
 					{ID: "app-1", Service: "app", Load: 0.3},
 					{ID: "app-2", Service: "app", Load: 0.2},
 				}}},
 		// The same report as numbers: the names stay behind.
-		"seed-heartbeat-indexed": {Version: Version, Type: TypeHeartbeat, From: "b1", To: "coordinator", Seq: 7,
+		"seed-heartbeat-indexed": {Version: Version, Type: TypeHeartbeat, From: "b1", To: "coordinator", Seq: 7, Epoch: 5,
 			Heartbeat: &Heartbeat{Host: "b1", Minute: 42, CPU: 0.5, Mem: 0.25, Session: fuzzSession, HostIndex: 3,
 				Instances: []InstanceSample{
 					{ID: "app-1", Service: "app", Load: 0.3, Index: 1},
@@ -286,9 +288,43 @@ func TestIndexedFrameCarriesNoName(t *testing.T) {
 	if env.From != "" || env.To != "" || hb.Host != "" || hb.Instances[0].ID != "" || hb.Instances[1].Service != "" {
 		t.Fatalf("an indexed frame decoded to names: %+v", *hb)
 	}
-	if env.Seq != 7 || hb.Session != fuzzSession || hb.HostIndex != 3 || hb.Minute != 42 || hb.CPU != 0.5 || hb.Mem != 0.25 ||
+	if env.Seq != 7 || env.Epoch != 5 || hb.Session != fuzzSession || hb.HostIndex != 3 || hb.Minute != 42 || hb.CPU != 0.5 || hb.Mem != 0.25 ||
 		len(hb.Instances) != 2 || hb.Instances[0] != (InstanceSample{Load: 0.3, Index: 1}) || hb.Instances[1] != (InstanceSample{Load: 0.2, Index: 300}) {
 		t.Fatalf("indexed frame decoded to %+v", *hb)
+	}
+}
+
+// TestHeartbeatEpochRoundTrip: the epoch an agent stamps on a heartbeat,
+// named or indexed, survives the binary codec and JSON — a coordinator
+// reads it to decide whether the agent still needs a lease renewal.
+func TestHeartbeatEpochRoundTrip(t *testing.T) {
+	envs := corpusEnvelopes()
+	for _, name := range []string{"seed-heartbeat", "seed-heartbeat-indexed"} {
+		env := envs[name]
+		b, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, _, err := DecodeEnvelope(b, NewInterner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Epoch != env.Epoch || back.Heartbeat.Minute != env.Heartbeat.Minute {
+			t.Errorf("%s: binary round trip gives epoch %d minute %d, want %d %d",
+				name, back.Epoch, back.Heartbeat.Minute, env.Epoch, env.Heartbeat.Minute)
+		}
+		ReleaseEnvelope(back)
+		js, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromJSON Envelope
+		if err := json.Unmarshal(js, &fromJSON); err != nil {
+			t.Fatal(err)
+		}
+		if fromJSON.Epoch != env.Epoch {
+			t.Errorf("%s: JSON round trip gives epoch %d, want %d", name, fromJSON.Epoch, env.Epoch)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func newWireMetrics(r *obs.Registry, transport string) *wireMetrics {
 	r.Help(MetricSeconds, "Latency of one control-plane call (request to reply).")
 	r.Help(MetricBytes, "Envelope bytes on the wire, by direction (HTTP transport).")
 	m := &wireMetrics{calls: make(map[MsgType]*obs.Counter)}
-	for _, mt := range []MsgType{TypeHeartbeat, TypeAction, TypeAck, TypeProbe, TypeProbeAck, TypeHello} {
+	for _, mt := range []MsgType{TypeHeartbeat, TypeAction, TypeAck, TypeProbe, TypeProbeAck, TypeHello, TypeLease} {
 		m.calls[mt] = r.Counter(MetricCalls, "transport", transport, "type", string(mt))
 	}
 	m.callsOther = r.Counter(MetricCalls, "transport", transport, "type", "other")

@@ -68,8 +68,10 @@ const (
 	TypeRuleList MsgType = "ruleList"
 	// TypeLease is the acting leader's renewal beacon: sent every
 	// coordinated minute to standby coordinators (renewing their lease
-	// timers) and to agents (announcing which node currently leads, so
-	// agents redirect after a takeover and drain buffered heartbeats).
+	// timers), and to the agents whose last heartbeat did not carry the
+	// leader's epoch to the leader (announcing which node currently
+	// leads, so agents redirect after a takeover and drain buffered
+	// heartbeats).
 	TypeLease MsgType = "lease"
 	// TypeLeaseAck answers a lease beacon, echoing the receiver's
 	// highest known epoch — a sender that learns of a higher epoch from
@@ -275,7 +277,9 @@ type Envelope struct {
 	// an epoch lower than the highest they have seen — a pre-crash
 	// straggler or a split-brain predecessor cannot mutate a host the
 	// new incarnation already administers. Zero (the default for
-	// unjournaled coordinators) disables the guard.
+	// unjournaled coordinators) disables the guard. On a heartbeat it is
+	// the agent's highest known epoch, which proves to an elected leader
+	// that the agent already follows it (no lease renewal needed).
 	Epoch uint64 `json:"epoch,omitempty"`
 
 	Heartbeat *Heartbeat     `json:"heartbeat,omitempty"`
