@@ -358,10 +358,15 @@ func BenchmarkRuleParsing(b *testing.B) {
 // of running the paper landscape in distributed mode; the steady state
 // is allocation-free (pooled frames and envelopes, interned strings,
 // recycled pending beats — guarded by TestHeartbeatPathZeroAlloc).
-// Sub-benchmarks compare the wire codecs on the identical path.
+// Sub-benchmarks compare the frame codec with by-reference delivery (no
+// encoding at all) on the identical path.
 func BenchmarkHeartbeatIngest(b *testing.B) {
-	for _, codec := range []wire.Codec{wire.CodecBinary, wire.CodecJSON} {
-		b.Run(codec.String(), func(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		codec wire.Codec
+	}{{"binary", wire.CodecBinary}, {"by-reference", 0}} {
+		codec := c.codec
+		b.Run(c.name, func(b *testing.B) {
 			dep, err := service.BuildPaperDeployment(cluster.Paper(), service.FullMobility, 1.0)
 			if err != nil {
 				b.Fatal(err)
@@ -755,7 +760,7 @@ func benchmarkSelectHost(b *testing.B, nHosts int) {
 func BenchmarkSelectHost1k(b *testing.B) {
 	benchmarkSelectHost(b, 1_000)
 	b.Run("every-host-a-candidate", func(b *testing.B) {
-		dep := fleetDeployment(b, 53)
+		dep := service.TilePaper(53)
 		arch := archive.New(256)
 		for i, n := range dep.Cluster().Names() {
 			s := archive.Sample{Minute: 10, CPU: 0.1 + 0.05*float64(i%8), Mem: 0.2}
@@ -785,46 +790,12 @@ func BenchmarkSelectHost1k(b *testing.B) {
 }
 func BenchmarkSelectHost100k(b *testing.B) { benchmarkSelectHost(b, 100_000) }
 
-// fleetDeployment is the landscape of the fleet benchmark workloads: the
-// paper's 19-host / 12-service full-mobility installation tiled cells
-// times under cNNN- prefixes, initial allocation started. 53 cells are
-// the 1,007 hosts, 636 services and 1,643 instances of fleet-steady.
-func fleetDeployment(b *testing.B, cells int) *service.Deployment {
-	b.Helper()
-	var hosts []cluster.Host
-	var svcs []*service.Service
-	for c := 0; c < cells; c++ {
-		prefix := fmt.Sprintf("c%03d-", c)
-		for _, h := range cluster.Paper().Hosts() {
-			h.Name = prefix + h.Name
-			hosts = append(hosts, h)
-		}
-		for _, s := range service.PaperCatalog(service.FullMobility).All() {
-			cp := *s
-			cp.Name, cp.Subsystem = prefix+s.Name, prefix+s.Subsystem
-			svcs = append(svcs, &cp)
-		}
-	}
-	dep := service.NewDeployment(cluster.MustNew(hosts...), service.MustCatalog(svcs...))
-	for c := 0; c < cells; c++ {
-		prefix := fmt.Sprintf("c%03d-", c)
-		for svc, on := range service.PaperInitialAllocation() {
-			for _, h := range on {
-				if _, err := dep.Start(prefix+svc, prefix+h); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	return dep
-}
-
 // BenchmarkPlacementIndexBuild1k measures building the placement index
 // over the 1,007-host fleet — the part of controller.New that grows with
 // the landscape. (Every build leaves its observer hooks on the
 // deployment; nothing mutates it here, so they never run.)
 func BenchmarkPlacementIndexBuild1k(b *testing.B) {
-	dep := fleetDeployment(b, 53)
+	dep := service.TilePaper(53)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -836,7 +807,7 @@ func BenchmarkPlacementIndexBuild1k(b *testing.B) {
 // column on the same fleet — what every executed start, stop and move
 // pays per touched host.
 func BenchmarkRefreshHost1k(b *testing.B) {
-	dep := fleetDeployment(b, 53)
+	dep := service.TilePaper(53)
 	ix := placement.NewIndex(dep, archive.HostEntity)
 	names := dep.Cluster().Names()
 	b.ReportAllocs()

@@ -20,7 +20,6 @@ import (
 func runAgent(ctx context.Context, o options) error {
 	host, interval, load := o.host, o.interval, o.load
 	tr := wire.NewHTTP()
-	tr.Codec = o.codec
 	defer tr.Close()
 	// The agent serves the same observability surface as the
 	// coordinator on its own listener: wire-call metrics plus a health

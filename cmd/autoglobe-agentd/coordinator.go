@@ -46,10 +46,8 @@ func newCoordinatorDaemon(o options) (*coordinatorDaemon, error) {
 	d := &coordinatorDaemon{o: o, tr: wire.NewHTTP()}
 	reg, tracer, health := obs.NewRegistry(), obs.NewTracer(0), obs.NewHealth()
 	d.tr.DefaultListenAddr = o.listen
-	d.tr.Codec = o.codec
 	d.tr.Instrument(reg)
 	health.SetInfo("mode", "coordinator")
-	health.SetInfo("codec", o.codec.String())
 	health.Register("minute", func() error {
 		d.mu.Lock()
 		defer d.mu.Unlock()

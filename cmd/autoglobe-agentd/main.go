@@ -2,10 +2,8 @@
 // as real processes: a coordinator daemon that ingests heartbeats,
 // feeds the monitoring pipeline and dispatches the fuzzy controller's
 // actions, and per-host agent daemons that join the landscape, report
-// load and execute the actions. All traffic is protocol-version-1
-// envelopes over HTTP — JSON by default, length-prefixed binary frames
-// with -codec binary; the receiving side negotiates by content type, so
-// mixed landscapes interoperate (see internal/wire).
+// load and execute the actions. All traffic is protocol envelopes in
+// length-prefixed binary frames over HTTP (see internal/wire).
 //
 // Usage, one line per mode (README.md walks through journal, archive,
 // rules, standby and chaos set-ups; -help explains every flag):
@@ -43,8 +41,6 @@ type options struct {
 	obsAddr, journalDir, archiveDir, standbyOf string
 	rulesDir, shadowDir, shadowLabel           string
 	pprof                                      bool
-	codecName                                  string
-	codec                                      wire.Codec // codecName parsed, set by validate
 }
 
 // bind declares every flag on fs, storing into o.
@@ -60,7 +56,6 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.StringVar(&o.obsAddr, "obs", "", "demo mode: keep serving /healthz and /autoglobe/v1/{metrics,traces} on this address after the run (coordinator and agent modes always serve them on their wire listener)")
 	fs.StringVar(&o.journalDir, "journal", "", "write-ahead action journal directory (coordinator and demo modes): every action is journaled before dispatch, and a restart recovers in-flight actions under a fresh epoch")
 	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 0, "demo mode: inject the deterministic fault schedule derived from this seed — coordinator crashes, duplicated and delayed deliveries, short partitions (0 disables)")
-	fs.StringVar(&o.codecName, "codec", "json", "wire codec for outgoing envelopes: json (compatible default) or binary (length-prefixed zero-alloc frames; the receiving side negotiates by content type, so mixed landscapes interoperate)")
 	fs.StringVar(&o.archiveDir, "archive-dir", "", "coordinator/demo modes: back the load archive with the segmented on-disk store in this directory; the full observation history is committed once per minute and replayed on restart")
 	fs.IntVar(&o.forecastMin, "forecast", 0, "coordinator/demo modes: proactive-control horizon in minutes — the forecast scan predicts every host's and service's load this far ahead and raises forecast triggers before measured overloads confirm (0 disables)")
 	fs.StringVar(&o.rulesDir, "rules-dir", "", "coordinator/demo modes: versioned rule-base directory (<name>@v<N>.rules); every file is validated into the rule registry and the highest version of each base is hot-swapped into the controller before the first minute")
@@ -123,7 +118,7 @@ func mountObs(tr *wire.HTTP, mux *http.ServeMux) {
 	}
 }
 
-// validate checks the command line as a whole and parses the codec.
+// validate checks the command line as a whole.
 func (o *options) validate() error {
 	for _, f := range []struct {
 		flag      string
@@ -151,11 +146,6 @@ func (o *options) validate() error {
 	if o.forecastMin < 0 {
 		return fmt.Errorf("-forecast %d must be >= 0", o.forecastMin)
 	}
-	codec, err := wire.ParseCodec(o.codecName)
-	if err != nil {
-		return fmt.Errorf("-codec: %w", err)
-	}
-	o.codec = codec
 	switch o.mode {
 	case "coordinator", "demo":
 		if o.landscape == "" {

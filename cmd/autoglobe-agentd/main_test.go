@@ -47,7 +47,6 @@ func TestValidateRejections(t *testing.T) {
 		{"-mode agent -host b1 -shadow-rules-dir r", "-shadow-rules-dir only applies to -mode coordinator or demo"},
 		{"-mode demo -landscape l.xml -forecast -1", "-forecast -1 must be >= 0"},
 		{"-mode agent -host b1 -forecast 30", "-forecast only applies to -mode coordinator or demo"},
-		{"-mode demo -landscape l.xml -codec morse", `-codec: wire: unknown codec "morse" (want json or binary)`},
 		{"-mode coordinator", "-mode coordinator needs -landscape"},
 		{"-mode demo", "-mode demo needs -landscape"},
 		{"-mode standby -standby-of http://x -journal j", "-mode standby needs -landscape"},
@@ -69,7 +68,7 @@ func TestValidateRejections(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	for _, args := range []string{
 		"-mode demo -landscape l.xml",
-		"-mode coordinator -landscape l.xml -journal j -archive-dir a -forecast 45 -codec binary -pprof",
+		"-mode coordinator -landscape l.xml -journal j -archive-dir a -forecast 45 -pprof",
 		"-mode agent -host b1 -load 0.95 -interval 300ms",
 		"-mode standby -landscape l.xml -standby-of http://x -journal j -lease-ttl 3",
 		"-mode demo -landscape l.xml -standbys 2 -chaos-seed 11 -hours 4",
@@ -78,8 +77,9 @@ func TestFlagSurface(t *testing.T) {
 			t.Errorf("%s: rejected: %v", args, err)
 		}
 	}
-	// The width knobs are gone from the command line, not merely ignored.
-	for _, gone := range []string{"-ingest-shards", "-dispatch-workers", "-selection-workers"} {
+	// The width knobs and the codec choice are gone from the command
+	// line, not merely ignored.
+	for _, gone := range []string{"-ingest-shards", "-dispatch-workers", "-selection-workers", "-codec"} {
 		if _, err := parse("-mode", "demo", "-landscape", "l.xml", gone, "4"); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s: error %v, want an undefined-flag error", gone, err)
@@ -90,8 +90,8 @@ func TestFlagSurface(t *testing.T) {
 	o.bind(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 21 {
-		t.Errorf("%d flags, want 21", n)
+	if n != 20 {
+		t.Errorf("%d flags, want 20", n)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 	go func() { done <- d.run(ctx) }()
 	for _, h := range hosts {
 		ao, err := parse("-mode", "agent", "-host", h, "-coordinator", d.base,
-			"-load", "0.4", "-interval", "10ms", "-codec", "binary")
+			"-load", "0.4", "-interval", "10ms")
 		if err != nil {
 			t.Fatal(err)
 		}

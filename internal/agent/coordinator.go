@@ -613,7 +613,7 @@ func (c *Coordinator) slotFor(host string) *hostSlot {
 // restored from the instance table (two string headers, nothing hashed),
 // so everything downstream sees what a named frame would have decoded
 // to. If the session or an index is not this coordinator's and the frame
-// brings no names (JSON and the pointer-passing loopback carry both), it
+// brings no names (only the by-reference loopback carries both), it
 // is refused whole — nil, a resync ack, nothing ingested or counted: a
 // held or duplicated frame landing on a later incarnation is never
 // attributed to another host.

@@ -324,7 +324,7 @@ func TestMinuteZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by race instrumentation")
 	}
-	dep := tiledDeployment(t, 53)
+	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
 	defer lb.Close()
 	lb.SetCodec(wire.CodecBinary)
@@ -395,7 +395,7 @@ func TestMinuteZeroAlloc(t *testing.T) {
 // them, and autoglobe_archive_deep_reads_total is how an operator sees
 // that it still is.
 func TestWatchReadsStayInMemory(t *testing.T) {
-	dep := tiledDeployment(t, 53)
+	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
 	defer lb.Close()
 	lb.SetCodec(wire.CodecBinary)
@@ -460,7 +460,7 @@ func TestCoordinatorBytesPerHost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	dep := tiledDeployment(t, 53)
+	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
 	defer lb.Close()
 	lb.SetCodec(wire.CodecBinary)

@@ -355,40 +355,6 @@ func TestInstanceMovesBetweenServices(t *testing.T) {
 	}
 }
 
-// tiledDeployment tiles the paper's 19-host landscape (full mobility,
-// initial allocation) cells times under per-cell name prefixes: 53 cells
-// are the 1,007 hosts, 1,643 instances and 636 services of the
-// fleet-steady benchmark workload.
-func tiledDeployment(tb testing.TB, cells int) *service.Deployment {
-	tb.Helper()
-	var hosts []cluster.Host
-	var svcs []*service.Service
-	for c := 0; c < cells; c++ {
-		prefix := fmt.Sprintf("c%03d-", c)
-		for _, h := range cluster.Paper().Hosts() {
-			h.Name = prefix + h.Name
-			hosts = append(hosts, h)
-		}
-		for _, s := range service.PaperCatalog(service.FullMobility).All() {
-			cp := *s
-			cp.Name, cp.Subsystem = prefix+s.Name, prefix+s.Subsystem
-			svcs = append(svcs, &cp)
-		}
-	}
-	dep := service.NewDeployment(cluster.MustNew(hosts...), service.MustCatalog(svcs...))
-	for c := 0; c < cells; c++ {
-		prefix := fmt.Sprintf("c%03d-", c)
-		for svc, on := range service.PaperInitialAllocation() {
-			for _, h := range on {
-				if _, err := dep.Start(prefix+svc, prefix+h); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}
-	}
-	return dep
-}
-
 // TestMinuteCloseZeroAlloc is the perf gate of the minute close: on the
 // tiled 1,007-host landscape, with a registry attached to coordinator
 // and monitor, a steady-state minute — every host's beat buffered, the
@@ -402,7 +368,7 @@ func TestMinuteCloseZeroAlloc(t *testing.T) {
 	}
 	for _, ha := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ha=%v", ha), func(t *testing.T) {
-			dep := tiledDeployment(t, 53)
+			dep := service.TilePaper(53)
 			lms, err := monitor.NewSystem(monitor.PaperParams(), archive.New(64))
 			if err != nil {
 				t.Fatal(err)

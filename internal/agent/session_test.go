@@ -2,7 +2,6 @@ package agent
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"autoglobe/internal/archive"
 	"autoglobe/internal/cluster"
@@ -521,66 +519,6 @@ func TestSessionParkedMinutesDrainNamed(t *testing.T) {
 	}
 }
 
-// TestSessionOverJSON drives the JSON codec end to end, over real HTTP:
-// names and indices travel together, a steady frame is resolved by its
-// indices, and a frame from a stale session that brings its names is
-// ingested by name, not bounced.
-func TestSessionOverJSON(t *testing.T) {
-	tr := wire.NewHTTP() // Codec: JSON
-	t.Cleanup(func() { tr.Close() })
-	dep := testDeployment(t)
-	p, lms := sessionPlane(t, tr, dep)
-	reg := obs.NewRegistry()
-	p.Instrument(reg)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for minute := 0; minute < 3; minute++ {
-		if err := reportHost(ctx, p, dep, "h1", minute, 0.4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := reg.Snapshot()
-	if snap[MetricHeartbeats] != 3 || snap[MetricHeartbeatNamedFrames] != 1 || snap[MetricHeartbeatResyncs] != 0 {
-		t.Fatalf("heartbeats %v, named %v, resyncs %v; want 3, 1, 0",
-			snap[MetricHeartbeats], snap[MetricHeartbeatNamedFrames], snap[MetricHeartbeatResyncs])
-	}
-	rep, _ := p.Reporter("h1")
-	doc, err := json.Marshal(&rep.env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"host":"h1"`, `"hostIndex":`, `"session":`, `"index":`, `"service":"app"`} {
-		if !strings.Contains(string(doc), field) {
-			t.Fatalf("JSON heartbeat lacks %s: %s", field, doc)
-		}
-	}
-
-	// A stale session, names present.
-	stale := wire.CloneEnvelope(&rep.env)
-	stale.Heartbeat.Session ^= 0x5a5a
-	stale.Heartbeat.Minute = 3
-	reply, err := tr.Call(ctx, CoordinatorNode, stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := p.Coordinator()
-	if a := reply.Ack; a == nil || !a.OK || a.Resync || a.Session != coord.session ||
-		a.HostIndex != coord.slotFor("h1").index || len(a.Indices) != len(stale.Heartbeat.Instances) {
-		t.Fatalf("stale-session JSON frame answered %+v, want an index ack of session %x", reply.Ack, coord.session)
-	}
-	snap = reg.Snapshot()
-	if snap[MetricHeartbeats] != 4 || snap[MetricHeartbeatNamedFrames] != 2 || snap[MetricHeartbeatResyncs] != 0 {
-		t.Fatalf("after the stale frame: heartbeats %v, named %v, resyncs %v; want 4, 2, 0",
-			snap[MetricHeartbeats], snap[MetricHeartbeatNamedFrames], snap[MetricHeartbeatResyncs])
-	}
-	if err := coord.ObserveServices(3); err != nil {
-		t.Fatal(err)
-	}
-	if m := latestMinute(t, lms, archive.HostEntity("h1")); m != 3 {
-		t.Fatalf("h1 archived up to minute %d, want 3", m)
-	}
-}
-
 // TestSessionDictionaryIsBounded: the wire is unauthenticated, so what a
 // peer can make the coordinator remember is capped. A stream of unique
 // host and instance names stops growing the tables at the cap; indices
@@ -839,7 +777,7 @@ func TestSessionRefusesNonFiniteLoads(t *testing.T) {
 // loopback: the fleet-steady benchmark's shape.
 func fleetBed(tb testing.TB, reg *obs.Registry) (*Manager, *service.Deployment) {
 	tb.Helper()
-	dep := tiledDeployment(tb, 53)
+	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
 	lb.SetCodec(wire.CodecBinary)
 	m, err := NewLocalManager(Assembly{

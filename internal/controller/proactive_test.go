@@ -1,13 +1,11 @@
 package controller
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"autoglobe/internal/archive"
-	"autoglobe/internal/cluster"
 	"autoglobe/internal/forecast"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
@@ -40,49 +38,13 @@ func scanClassLoad(i int) (scale, latest float64) {
 	}
 }
 
-// tiledDeployment tiles the paper's 19-host installation cells times
-// (cNNN- prefixes, initial allocation started, so every service runs):
-// 53 cells are the 1,007 hosts and 636 services of the fleet-steady
-// benchmark workload.
-func tiledDeployment(tb testing.TB, cells int) *service.Deployment {
-	tb.Helper()
-	paperHosts := cluster.Paper().Hosts()
-	paperSvcs := service.PaperCatalog(service.FullMobility).All()
-	var hosts []cluster.Host
-	var svcs []*service.Service
-	for c := 0; c < cells; c++ {
-		prefix := fmt.Sprintf("c%03d-", c)
-		for _, h := range paperHosts {
-			h.Name = prefix + h.Name
-			hosts = append(hosts, h)
-		}
-		for _, s := range paperSvcs {
-			cp := *s
-			cp.Name, cp.Subsystem = prefix+s.Name, prefix+s.Subsystem
-			svcs = append(svcs, &cp)
-		}
-	}
-	dep := service.NewDeployment(cluster.MustNew(hosts...), service.MustCatalog(svcs...))
-	for c := 0; c < cells; c++ {
-		prefix := fmt.Sprintf("c%03d-", c)
-		for svc, on := range service.PaperInitialAllocation() {
-			for _, h := range on {
-				if _, err := dep.Start(prefix+svc, prefix+h); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}
-	}
-	return dep
-}
-
 // forecastBed builds the tiled landscape, an archive holding one
 // pre-seeded day plus one sample at scanNow per host and service, and a
 // forecasting controller over both. watching, when non-nil, is wired as
 // ForecastConfig.Watching.
 func forecastBed(tb testing.TB, cells int, watching func(string) bool) (*Controller, *archive.Archive) {
 	tb.Helper()
-	dep := tiledDeployment(tb, cells)
+	dep := service.TilePaper(cells)
 	arch := archive.New(archive.MinutesPerDay)
 	i := 0
 	seed := func(key string) {

@@ -138,7 +138,7 @@ func TestSelectionPathZeroAlloc(t *testing.T) {
 // state gather, one verdict per constraint shape — allocates nothing,
 // and the index holds the paper catalog's three shapes, not 636 services.
 func TestRefreshHostZeroAlloc(t *testing.T) {
-	dep := tiledDeployment(t, 53)
+	dep := service.TilePaper(53)
 	ctl, err := New(Config{}, dep, archive.New(0), NewDeploymentExecutor(dep, RebalanceUsers))
 	if err != nil {
 		t.Fatal(err)

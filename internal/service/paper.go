@@ -218,3 +218,41 @@ func BuildPaperDeployment(cl *cluster.Cluster, m Mobility, multiplier float64) (
 	}
 	return d, nil
 }
+
+// TilePaper tiles the paper's 19-host / 12-service full-mobility
+// installation cells times under cNNN- name prefixes, with every cell's
+// initial allocation (Figure 11) started and no users assigned: 53 cells
+// are the 1,007 hosts, 636 services and 1,643 instances of the
+// fleet-steady benchmark workload. It panics only if the paper's own
+// landscape is inconsistent.
+func TilePaper(cells int) *Deployment {
+	paperHosts := cluster.Paper().Hosts()
+	paperSvcs := PaperCatalog(FullMobility).All()
+	var hosts []cluster.Host
+	var svcs []*Service
+	for c := 0; c < cells; c++ {
+		prefix := fmt.Sprintf("c%03d-", c)
+		for _, h := range paperHosts {
+			h.Name = prefix + h.Name
+			hosts = append(hosts, h)
+		}
+		for _, s := range paperSvcs {
+			cp := *s // Allowed is shared: the catalog never mutates it
+			cp.Name, cp.Subsystem = prefix+s.Name, prefix+s.Subsystem
+			svcs = append(svcs, &cp)
+		}
+	}
+	d := NewDeployment(cluster.MustNew(hosts...), MustCatalog(svcs...))
+	alloc := PaperInitialAllocation()
+	for c := 0; c < cells; c++ {
+		prefix := fmt.Sprintf("c%03d-", c)
+		for _, s := range paperSvcs {
+			for _, h := range alloc[s.Name] {
+				if _, err := d.Start(prefix+s.Name, prefix+h); err != nil {
+					panic(fmt.Sprintf("service: tiling the paper landscape: %v", err))
+				}
+			}
+		}
+	}
+	return d
+}

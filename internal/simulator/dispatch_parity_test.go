@@ -95,6 +95,5 @@ func TestDispatchWorkersByteIdentical(t *testing.T) {
 func TestDispatchingDayHTTPByteIdentical(t *testing.T) {
 	tr := wire.NewHTTP()
 	defer tr.Close()
-	tr.Codec = wire.CodecBinary
-	dispatchingDaysIdentical(t, "http binary", tr)
+	dispatchingDaysIdentical(t, "http", tr)
 }

@@ -131,8 +131,9 @@ func TestDistributedLoopbackByteIdentical(t *testing.T) {
 }
 
 // TestDistributedHTTPByteIdentical repeats the identity over real
-// sockets: JSON encodes float64 exactly, so the run survives the trip
-// through net/http on localhost unchanged.
+// sockets: the length-prefixed binary frames carry IEEE float64 bits
+// verbatim, so the run survives the trip through net/http bit-exactly —
+// no decimal round-trip is even involved.
 func TestDistributedHTTPByteIdentical(t *testing.T) {
 	base, err := declaredSim(t, tuneForActions).Run()
 	if err != nil {

@@ -44,17 +44,18 @@ func TestDistributedBinaryLoopbackByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDistributedJSONShardedByteIdentical crosses the other two axes:
-// the JSON codec with a shard count other than the fixed one. Codec and
-// shard count are independent; neither may affect the decision stream.
-func TestDistributedJSONShardedByteIdentical(t *testing.T) {
+// TestDistributedByReferenceShardedByteIdentical crosses the other two
+// axes: by-reference delivery (the loopback's zero Codec, no encoding)
+// with a shard count other than the fixed one. Delivery and shard count
+// are independent; neither may affect the decision stream.
+func TestDistributedByReferenceShardedByteIdentical(t *testing.T) {
 	base, err := declaredSim(t, tuneForActions).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	lb := wire.NewLoopback()
-	defer lb.Close() // JSON is the loopback default; no SetCodec
+	defer lb.Close() // no SetCodec: envelopes pass by pointer
 	sim := declaredSim(t, func(c *Config) {
 		tuneForActions(c)
 		c.Distributed = &DistributedConfig{Transport: lb}
@@ -64,13 +65,13 @@ func TestDistributedJSONShardedByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, base, res, "json loopback (4 shards)")
+	assertIdentical(t, base, res, "by-reference loopback (4 shards)")
 }
 
-// TestDistributedHTTPBinaryByteIdentical repeats the identity over real
-// sockets with the binary codec: the length-prefixed frames carry IEEE
-// float64 bits verbatim, so the run survives the trip through net/http
-// bit-exactly — no decimal round-trip is even involved.
+// TestDistributedHTTPBinaryByteIdentical crosses real sockets with the
+// sharded ingest path: binary frames through net/http, heartbeat ingest
+// spread over 16 shards. The run stays byte-identical to the in-process
+// simulation, and every host's heartbeat arrives every minute.
 func TestDistributedHTTPBinaryByteIdentical(t *testing.T) {
 	base, err := declaredSim(t, tuneForActions).Run()
 	if err != nil {
@@ -79,13 +80,18 @@ func TestDistributedHTTPBinaryByteIdentical(t *testing.T) {
 
 	tr := wire.NewHTTP()
 	defer tr.Close()
-	tr.Codec = wire.CodecBinary
-	res, err := declaredSim(t, func(c *Config) {
+	sim := declaredSim(t, func(c *Config) {
 		tuneForActions(c)
 		c.Distributed = &DistributedConfig{Transport: tr}
-	}).Run()
+	})
+	sim.Plane().Coordinator().SetIngestShardsForTest(16)
+	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, base, res, "http binary")
+	assertIdentical(t, base, res, "http binary (16 shards)")
+	wantBeats := res.Minutes * len(res.Hosts)
+	if got := sim.Plane().Coordinator().Heartbeats(); got != wantBeats {
+		t.Errorf("coordinator ingested %d heartbeats, want %d", got, wantBeats)
+	}
 }

@@ -7,64 +7,27 @@ import (
 	"sync"
 )
 
-// Codec selects the envelope encoding a transport uses on the wire.
-// JSON is the readable, debuggable default and the compatibility
-// fallback; Binary is the length-prefixed zero-copy format the ingest
-// fast path uses at landscape scale. Both encode exactly the same
-// Envelope — the simulator's byte-identical parity guarantee holds
-// under either, because parity is asserted on the decoded protocol
-// events, and the codec round-trips losslessly (FuzzEnvelopeDecode
-// checks re-encode/re-decode identity).
+// Codec selects how the loopback transport delivers an envelope. The
+// zero value hands the handler the caller's pointer (by-reference
+// delivery, no encoding at all); CodecBinary round-trips request and
+// reply through the frame format, exactly as the HTTP transport does.
+// On a socket the length-prefixed binary frame is the only encoding.
 type Codec uint8
 
-const (
-	// CodecJSON is protocol version 1's original encoding: one JSON
-	// object per envelope. Always accepted — it is the negotiation
-	// fallback.
-	CodecJSON Codec = iota
-	// CodecBinary is the length-prefixed binary frame format (see
-	// DESIGN.md "Ingest plane"): a magic byte, a little-endian uint32
-	// payload length, then a compact field encoding with uvarint
-	// lengths. Heartbeats and acks — the per-minute hot kinds — cost
-	// zero heap allocations to encode and decode (pooled frames,
-	// pooled envelopes, interned identifier strings).
-	CodecBinary
-)
+// CodecBinary is the length-prefixed binary frame format (see DESIGN.md
+// "Ingest plane"): a magic byte, a little-endian uint32 payload length,
+// then a compact field encoding with uvarint lengths. Heartbeats and
+// acks — the per-minute hot kinds — cost zero heap allocations to
+// encode and decode (pooled frames, pooled envelopes, interned
+// identifier strings).
+const CodecBinary Codec = 1
 
-// ParseCodec maps a flag value ("json", "binary") to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return CodecJSON, fmt.Errorf("wire: unknown codec %q (want json or binary)", s)
-	}
-}
-
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// BinaryContentType is the MIME type the HTTP transport uses for
-// binary-framed envelopes; requests and responses carrying it are
-// decoded with DecodeEnvelope, anything else falls back to JSON. An
-// old coordinator that has never heard of the binary codec answers
-// a binary POST with an error, and the operator pins -codec=json —
-// negotiation is by content type, not by handshake.
+// BinaryContentType is the MIME type the HTTP transport labels frames
+// with. The label is informative: the server decodes every body as a
+// frame and refuses anything else.
 const BinaryContentType = "application/x-autoglobe-wire"
 
-// JSONContentType is the MIME type of JSON-framed envelopes.
-const JSONContentType = "application/json"
-
-// frameMagic is the first byte of every binary frame. It can never
-// open a JSON document ('{' is 0x7B), so a receiver can sniff the
-// codec from the first byte if the content type is missing.
+// frameMagic is the first byte of every binary frame.
 const frameMagic = 0xA7
 
 // maxFrame bounds the payload length a decoder will accept, matching

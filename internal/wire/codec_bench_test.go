@@ -25,7 +25,8 @@ func benchHeartbeatEnvelope() *Envelope {
 
 // BenchmarkEnvelopeCodec compares a full encode+decode round trip of
 // the heartbeat envelope — the control plane's hottest message — in
-// both wire codecs, the binary one in both of its frame forms. The
+// both of its frame forms, beside encoding/json (the debug rendering,
+// never on the wire) as a reference point. The
 // binary path uses the pooled frame buffers and
 // envelope carriers plus the string interner, which is exactly what
 // the loopback and HTTP transports use in steady state.
@@ -96,7 +97,7 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 }
 
 // BenchmarkEnvelopeEncode isolates the encode halves, the agent-side
-// cost of putting one heartbeat on the wire.
+// cost of putting one heartbeat on the wire (json: the reference point).
 func BenchmarkEnvelopeEncode(b *testing.B) {
 	env := benchHeartbeatEnvelope()
 	b.Run("binary", func(b *testing.B) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -73,10 +74,10 @@ func TestBodyReadDeadlineIsTimeout(t *testing.T) {
 		// A server that sends headers immediately, then stalls mid-body.
 		stall := make(chan struct{})
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Type", BinaryContentType)
 			w.Header().Set("Content-Length", "4096")
 			w.WriteHeader(http.StatusOK)
-			io.WriteString(w, `{"v":1,`)
+			w.Write([]byte{frameMagic, 0xFB, 0x0F, 0, 0, Version}) // 6 of 4096 bytes
 			w.(http.Flusher).Flush()
 			<-stall
 		}))
@@ -109,6 +110,44 @@ func TestBodyReadDeadlineIsTimeout(t *testing.T) {
 			t.Fatalf("deadline expiry during delivery: err = %v, want ErrTimeout", err)
 		}
 	})
+}
+
+// TestServerRefusesNonFrames: binary frames are the only encoding the
+// wire endpoint speaks. A JSON envelope, a body without the frame magic
+// and an empty body are each refused with 400, and the handler never
+// runs.
+func TestServerRefusesNonFrames(t *testing.T) {
+	tr := NewHTTP()
+	defer tr.Close()
+	calls := 0
+	base, err := tr.ListenOn("agent", "127.0.0.1:0", func(env *Envelope) (*Envelope, error) {
+		calls++
+		return echoHandler("agent")(env)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(ActionEnvelope("c", "agent", ActionRequest{Key: "k", Op: OpStart}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := AppendEnvelope(nil, ActionEnvelope("c", "agent", ActionRequest{Key: "k", Op: OpStart}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[0] = 0x7B // a valid frame but for its first byte
+	for name, body := range map[string][]byte{"json envelope": doc, "no magic": frame, "empty": nil} {
+		code, msg, err := rawPost(base, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d %q, want 400", name, code, msg)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("handler ran %d times for refused bodies, want 0", calls)
+	}
 }
 
 // TestMountServesSidecarHandlers verifies obs endpoints can ride on the

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -18,7 +17,7 @@ import (
 const WirePath = "/autoglobe/v1/wire"
 
 // HTTP is the TCP transport: each listening node runs a stdlib
-// net/http server accepting JSON envelopes on WirePath, and calls POST
+// net/http server accepting binary frames on WirePath, and calls POST
 // to the destination's base URL. Node names map to base URLs through an
 // internal peer table — filled automatically for nodes listening on the
 // same transport instance (single-process tests) and explicitly via
@@ -31,12 +30,10 @@ type HTTP struct {
 	// binds the address once).
 	DefaultListenAddr string
 
-	// Codec selects the encoding outgoing calls use (default CodecJSON).
-	// The server side needs no configuration: it answers every request
-	// in the codec the request arrived in (negotiation by content type),
-	// so mixed landscapes — a binary coordinator administering JSON
-	// agents, or the reverse — interoperate without a handshake. Set
-	// before the first Call.
+	// Codec is ignored: every call and every reply is a binary frame. It
+	// stays only for the benchmark rig, which still assigns CodecBinary.
+	//
+	// Deprecated: leave it unset.
 	Codec Codec
 
 	// Server hardening knobs, applied to every server ListenOn starts.
@@ -190,34 +187,8 @@ func (t *HTTP) Addr(node string) (string, bool) {
 	return u, ok
 }
 
-// jsonCodec pools a scratch buffer with a JSON encoder permanently
-// bound to it, plus a reusable bytes.Reader for request bodies, so the
-// JSON fallback path stops allocating encoder state per call.
-type jsonCodec struct {
-	buf    bytes.Buffer
-	enc    *json.Encoder
-	reader bytes.Reader
-}
-
-var jsonPool = sync.Pool{
-	New: func() any {
-		c := &jsonCodec{}
-		c.enc = json.NewEncoder(&c.buf)
-		return c
-	},
-}
-
-func acquireJSON() *jsonCodec {
-	c := jsonPool.Get().(*jsonCodec)
-	c.buf.Reset()
-	return c
-}
-
-func releaseJSON(c *jsonCodec) {
-	if c.buf.Cap() <= maxFrame {
-		jsonPool.Put(c)
-	}
-}
+// readerPool recycles the request-body readers of outgoing calls.
+var readerPool = sync.Pool{New: func() any { return new(bytes.Reader) }}
 
 // readBody drains r (capped at maxFrame bytes) into the pooled buffer,
 // growing it geometrically, without the per-call allocations of
@@ -242,11 +213,9 @@ func readBody(r io.Reader, buf *[]byte) error {
 	}
 }
 
-// serveWire handles one POSTed envelope. The codec is negotiated per
-// request — a BinaryContentType body (or one opening with the frame
-// magic, which no JSON document can) is decoded binary, anything else
-// JSON — and the reply mirrors the request's codec, so heterogeneous
-// peers interoperate without a handshake.
+// serveWire handles one POSTed frame. A body that is not exactly one
+// well-formed frame of this protocol version is refused with 400 before
+// the handler runs; the reply goes back as a frame.
 func (t *HTTP) serveWire(w http.ResponseWriter, r *http.Request, h Handler) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "wire: POST only", http.StatusMethodNotAllowed)
@@ -258,35 +227,15 @@ func (t *HTTP) serveWire(w http.ResponseWriter, r *http.Request, h Handler) {
 		http.Error(w, "wire: read: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	body := *buf
-	binaryReq := r.Header.Get("Content-Type") == BinaryContentType ||
-		(len(body) > 0 && body[0] == frameMagic)
-	var env *Envelope
-	if binaryReq {
-		decoded, n, err := DecodeEnvelope(body, t.intern)
-		if err != nil {
-			http.Error(w, "wire: decode: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if n != len(body) {
-			ReleaseEnvelope(decoded)
-			http.Error(w, "wire: trailing bytes after frame", http.StatusBadRequest)
-			return
-		}
-		defer ReleaseEnvelope(decoded)
-		env = decoded
-	} else {
-		env = new(Envelope)
-		if err := json.Unmarshal(body, env); err != nil {
-			http.Error(w, "wire: decode: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Version negotiation happens here: an incompatible frame is
-		// rejected loudly before any handler state changes.
-		if err := env.Validate(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	env, n, err := DecodeEnvelope(*buf, t.intern)
+	if err != nil {
+		http.Error(w, "wire: decode: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	defer ReleaseEnvelope(env)
+	if n != len(*buf) {
+		http.Error(w, "wire: trailing bytes after frame", http.StatusBadRequest)
+		return
 	}
 	reply, err := h(env)
 	if err != nil {
@@ -299,27 +248,16 @@ func (t *HTTP) serveWire(w http.ResponseWriter, r *http.Request, h Handler) {
 		return
 	}
 	defer ReleaseEnvelope(reply)
-	if binaryReq {
-		out := AcquireFrame()
-		defer ReleaseFrame(out)
-		b, err := AppendEnvelope((*out)[:0], reply)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		*out = b
-		w.Header().Set("Content-Type", BinaryContentType)
-		w.Write(b) //nolint:errcheck // header already sent
-		return
-	}
-	jc := acquireJSON()
-	defer releaseJSON(jc)
-	if err := jc.enc.Encode(reply); err != nil {
+	out := AcquireFrame()
+	defer ReleaseFrame(out)
+	b, err := AppendEnvelope((*out)[:0], reply)
+	*out = b
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", JSONContentType)
-	w.Write(jc.buf.Bytes()) //nolint:errcheck // header already sent
+	w.Header().Set("Content-Type", BinaryContentType)
+	w.Write(b) //nolint:errcheck // header already sent
 }
 
 // Call implements Transport.
@@ -350,7 +288,6 @@ func (t *HTTP) call(ctx context.Context, node string, env *Envelope) (*Envelope,
 	base, ok := t.peers[node]
 	client := t.client
 	m := t.metrics
-	codec := t.Codec
 	t.mu.Unlock()
 	if !ok {
 		return nil, ErrNoRoute
@@ -359,36 +296,24 @@ func (t *HTTP) call(ctx context.Context, node string, env *Envelope) (*Envelope,
 	start := time.Now()
 	defer m.observe(start)
 
-	// Encode into pooled state: a binary frame buffer, or the pooled
-	// buffer+encoder pair of the JSON fallback — either way the encode
-	// side of a call performs no steady-state allocations.
-	jc := acquireJSON()
-	defer releaseJSON(jc)
-	var payload []byte
-	ctype := JSONContentType
-	if codec == CodecBinary {
-		frame := AcquireFrame()
-		defer ReleaseFrame(frame)
-		b, err := AppendEnvelope((*frame)[:0], env)
-		if err != nil {
-			return nil, fmt.Errorf("wire: encode: %w", err)
-		}
-		*frame = b
-		payload = b
-		ctype = BinaryContentType
-	} else {
-		if err := jc.enc.Encode(env); err != nil {
-			return nil, fmt.Errorf("wire: encode: %w", err)
-		}
-		payload = jc.buf.Bytes()
+	// Encode into a pooled frame and send it through a pooled reader:
+	// the encode side of a call performs no steady-state allocations.
+	frame := AcquireFrame()
+	defer ReleaseFrame(frame)
+	payload, err := AppendEnvelope((*frame)[:0], env)
+	*frame = payload
+	if err != nil {
+		return nil, fmt.Errorf("wire: encode: %w", err)
 	}
 	m.sent(len(payload))
-	jc.reader.Reset(payload)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+WirePath, &jc.reader)
+	body := readerPool.Get().(*bytes.Reader)
+	defer readerPool.Put(body)
+	body.Reset(payload)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+WirePath, body)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", ctype)
+	req.Header.Set("Content-Type", BinaryContentType)
 	resp, err := client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -408,34 +333,23 @@ func (t *HTTP) call(ctx context.Context, node string, env *Envelope) (*Envelope,
 		}
 		return nil, fmt.Errorf("wire: call %s: read reply: %w", node, err)
 	}
-	body := *rbuf
-	m.received(len(body))
+	reply := *rbuf
+	m.received(len(reply))
 	switch resp.StatusCode {
 	case http.StatusOK:
-		if resp.Header.Get("Content-Type") == BinaryContentType ||
-			(len(body) > 0 && body[0] == frameMagic) {
-			reply, n, derr := DecodeEnvelope(body, t.intern)
-			if derr != nil {
-				return nil, fmt.Errorf("wire: call %s: decode reply: %w", node, derr)
-			}
-			if n != len(body) {
-				ReleaseEnvelope(reply)
-				return nil, fmt.Errorf("wire: call %s: trailing bytes after reply frame", node)
-			}
-			return reply, nil
-		}
-		var reply Envelope
-		if err := json.Unmarshal(body, &reply); err != nil {
+		env, n, err := DecodeEnvelope(reply, t.intern)
+		if err != nil {
 			return nil, fmt.Errorf("wire: call %s: decode reply: %w", node, err)
 		}
-		if err := reply.Validate(); err != nil {
-			return nil, err
+		if n != len(reply) {
+			ReleaseEnvelope(env)
+			return nil, fmt.Errorf("wire: call %s: trailing bytes after reply frame", node)
 		}
-		return &reply, nil
+		return env, nil
 	case http.StatusNoContent:
 		return nil, nil
 	default:
-		return nil, fmt.Errorf("wire: call %s: HTTP %d: %s", node, resp.StatusCode, bytes.TrimSpace(body))
+		return nil, fmt.Errorf("wire: call %s: HTTP %d: %s", node, resp.StatusCode, bytes.TrimSpace(reply))
 	}
 }
 

@@ -58,8 +58,8 @@ func NewLoopback() *Loopback {
 // round-trips request and reply through the binary frame format — the
 // handler receives a decoded copy, exactly as it would over a socket —
 // so the loopback exercises the codec end to end while staying
-// deterministic. The default CodecJSON passes envelopes by pointer
-// (the original in-memory behaviour).
+// deterministic. The zero Codec passes envelopes by pointer (the
+// original in-memory behaviour: no encoding at all).
 func (l *Loopback) SetCodec(c Codec) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

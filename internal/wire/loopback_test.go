@@ -3,35 +3,22 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
 )
 
-// rawPost posts an envelope without client-side validation, to test
-// server-side rejection.
-func rawPost(base string, env *Envelope) (*Envelope, error) {
-	buf, err := json.Marshal(env)
+// rawPost posts body to a node's wire endpoint as it is, past every
+// client-side check, and returns the status code and response body.
+func rawPost(base string, body []byte) (int, string, error) {
+	resp, err := http.Post(base+WirePath, BinaryContentType, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(base+WirePath, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return nil, err
+		return 0, "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var msg bytes.Buffer
-		msg.ReadFrom(resp.Body) //nolint:errcheck
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg.String())
-	}
-	var reply Envelope
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
+	var msg bytes.Buffer
+	_, err = msg.ReadFrom(resp.Body)
+	return resp.StatusCode, msg.String(), err
 }
 
 func TestLoopbackDropNext(t *testing.T) {

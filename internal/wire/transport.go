@@ -12,7 +12,7 @@ type Handler func(*Envelope) (*Envelope, error)
 
 // Transport moves envelopes between named nodes. Implementations:
 // Loopback (in-memory, deterministic, fault-injectable) and HTTP
-// (net/http JSON over TCP). A full monitor → controller → action round
+// (binary frames POSTed over net/http). A full monitor → controller → action round
 // trip must behave identically on either — the control plane's logic
 // lives above this interface.
 type Transport interface {

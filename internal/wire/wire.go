@@ -4,8 +4,10 @@
 // action request/ack, liveness probe — exchanged over a pluggable
 // Transport. Two transports are provided: a deterministic in-memory
 // loopback with injectable latency/drop/partition faults (for tests and
-// single-process deployments) and a stdlib net/http JSON transport for
-// real TCP landscapes. The paper's controller administered 19 blade
+// single-process deployments) and a stdlib net/http transport of
+// length-prefixed binary frames for real TCP landscapes. The struct tags
+// give a JSON rendering for debugging and logs; it is never put on the
+// wire. The paper's controller administered 19 blade
 // hosts through ServiceGlobe's network substrate; this package is the
 // equivalent substrate for the reproduction, shaped after the
 // agent-streams-telemetry / manager-pushes-actions pattern of
@@ -116,7 +118,7 @@ type InstanceSample struct {
 // A heartbeat is indexed when Session, HostIndex and every sample's
 // Index are non-zero: the numbers a coordinator incarnation handed out
 // in its ack to an earlier, named heartbeat. The binary codec frames it
-// without any name; in memory and in JSON the names ride along.
+// without any name; in memory the names ride along.
 type Heartbeat struct {
 	Host      string           `json:"host"`
 	Minute    int              `json:"minute"`

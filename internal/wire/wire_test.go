@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -155,15 +156,15 @@ func TestHTTPRejectsVersionMismatchOnWire(t *testing.T) {
 	}
 	// Hand-craft a frame with a bad version and post it raw: the server
 	// must reject it before the handler runs.
-	raw := NewHTTP()
-	defer raw.Close()
 	base, _ := tr.Addr("agent")
-	raw.Register("agent", base)
-	env := ActionEnvelope("c", "agent", ActionRequest{Key: "k", Op: OpStart})
-	env.Version = Version + 1
-	_, err := rawPost(base, env)
-	if err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Fatalf("bad-version frame not rejected: %v", err)
+	frame, err := AppendEnvelope(nil, ActionEnvelope("c", "agent", ActionRequest{Key: "k", Op: OpStart}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[5] = Version + 1 // the version byte opens the payload
+	code, body, err := rawPost(base, frame)
+	if err != nil || code != http.StatusBadRequest || !strings.Contains(body, "protocol version") {
+		t.Fatalf("bad-version frame not rejected: %d %q %v", code, body, err)
 	}
 }
 

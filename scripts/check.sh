@@ -1,6 +1,6 @@
 #!/bin/sh
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md): formatting, vet,
-# the metric-name lint, every test twice (under the race detector, then
+# the metric-name lint, the wire-encoding lint, every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards skip themselves under -race, so the
 # second pass is the one in which they assert), the ingest and dispatch
 # concurrency tests ten more times under the race detector, ten seconds
@@ -35,6 +35,14 @@ bad=$(grep -rhoE 'Metric[A-Za-z]+ += +"[^"]*"' internal --include='metrics.go' |
 if [ -n "$bad" ]; then
 	echo "metric-name lint: families outside the naming convention:" >&2
 	echo "$bad" >&2
+	exit 1
+fi
+
+# Binary frames are the only wire encoding: a second envelope codec
+# must not creep back into the package.
+echo "== wire lint: non-test internal/wire does not import encoding/json"
+if go list -f '{{join .Imports " "}}' ./internal/wire | grep -qw 'encoding/json'; then
+	echo "wire lint: internal/wire imports encoding/json" >&2
 	exit 1
 fi
 
