@@ -354,52 +354,40 @@ func BenchmarkRuleParsing(b *testing.B) {
 // trip over the in-memory loopback: the agent's batching reporter
 // assembles the minute's report, the binary codec frames it, transport
 // delivery, and the coordinator buffering the host and per-instance
-// samples into its ingest shard. This is the per-host, per-minute cost
-// of running the paper landscape in distributed mode; the steady state
-// is allocation-free (pooled frames and envelopes, interned strings,
+// samples in the host's slot. This is the per-host, per-minute cost of
+// running the paper landscape in distributed mode; the steady state is
+// allocation-free (pooled frames and envelopes, interned strings,
 // recycled pending beats — guarded by TestHeartbeatPathZeroAlloc).
-// Sub-benchmarks compare the frame codec with by-reference delivery (no
-// encoding at all) on the identical path.
 func BenchmarkHeartbeatIngest(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		codec wire.Codec
-	}{{"binary", wire.CodecBinary}, {"by-reference", 0}} {
-		codec := c.codec
-		b.Run(c.name, func(b *testing.B) {
-			dep, err := service.BuildPaperDeployment(cluster.Paper(), service.FullMobility, 1.0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lms, err := monitor.NewSystem(monitor.PaperParams(), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr := wire.NewLoopback()
-			tr.SetCodec(codec)
-			p, err := agent.NewPlane(agent.PlaneConfig{Transport: tr}, dep, lms)
-			if err != nil {
-				b.Fatal(err)
-			}
-			host := dep.Cluster().Names()[0]
-			insts := dep.InstancesOn(host)
-			rep, ok := p.Reporter(host)
-			if !ok {
-				b.Fatal("no reporter")
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep.Begin(i, 0.42, 0.3)
-				for _, inst := range insts {
-					rep.Sample(inst.ID, inst.Service, 0.42)
-				}
-				if err := rep.Send(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	dep, err := service.BuildPaperDeployment(cluster.Paper(), service.FullMobility, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lms, err := monitor.NewSystem(monitor.PaperParams(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := agent.NewPlane(agent.PlaneConfig{Transport: wire.NewLoopback()}, dep, lms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	host := dep.Cluster().Names()[0]
+	insts := dep.InstancesOn(host)
+	rep, ok := p.Reporter(host)
+	if !ok {
+		b.Fatal("no reporter")
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep.Begin(i, 0.42, 0.3)
+		for _, inst := range insts {
+			rep.Sample(inst.ID, inst.Service, 0.42)
+		}
+		if err := rep.Send(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -445,9 +433,7 @@ func newIngestBed1k(b *testing.B) *ingestBed1k {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := wire.NewLoopback()
-	tr.SetCodec(wire.CodecBinary)
-	p, err := agent.NewPlane(agent.PlaneConfig{Transport: tr}, dep, lms)
+	p, err := agent.NewPlane(agent.PlaneConfig{Transport: wire.NewLoopback()}, dep, lms)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -478,7 +464,7 @@ func (bed *ingestBed1k) report(ctx context.Context, b *testing.B, minute int) {
 // BenchmarkCoordinatorIngest1k measures a full control-plane minute of
 // a 1,000-host landscape over the binary loopback: every host's
 // reporter delivers its heartbeat (one instance
-// sample each), the coordinator merges the shards in canonical order,
+// sample each), the coordinator merges the beats in canonical order,
 // closes the service observations and checks liveness — the complete
 // per-minute ingest work of the scale the paper's AutoGlobe vision
 // targets ("several hundred services on hundreds of hosts").
@@ -503,7 +489,7 @@ func BenchmarkCoordinatorIngest1k(b *testing.B) {
 
 // BenchmarkMinuteClose1k times the minute close alone on the same
 // landscape — the heartbeats are delivered with the clock stopped — so
-// the shard merge (canonical order, monitor pipeline, 2,001 archive
+// the merge (canonical order, monitor pipeline, 2,001 archive
 // writes, service close) has its own row beside the full ingest minute.
 func BenchmarkMinuteClose1k(b *testing.B) {
 	bed := newIngestBed1k(b)

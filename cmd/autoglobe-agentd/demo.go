@@ -25,7 +25,6 @@ func runDemo(ctx context.Context, o options) error {
 		return err
 	}
 	tr := wire.NewLoopback()
-	tr.SetCodec(wire.CodecBinary) // the production encoding, as on a socket
 	defer tr.Close()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(0)

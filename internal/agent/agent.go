@@ -475,9 +475,11 @@ const reporterBufferCap = 16
 // out named, whole, and the ack teaches the reporter again (learn).
 //
 // The reporter is NOT safe for concurrent use: it models the one
-// monitoring loop a host daemon runs. Transports never retain the
-// envelope past the call (the loopback deep-clones held messages), so
-// reuse across minutes is safe.
+// monitoring loop a host daemon runs — one report a minute, which is all
+// the coordinator's single ingest lock is sized for. Transports never
+// retain the envelope past the call (both encode it into a frame; the
+// loopback parks a held message as that frame), so reuse across minutes
+// is safe.
 type HeartbeatReporter struct {
 	a   *Agent
 	env wire.Envelope

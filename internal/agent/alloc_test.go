@@ -11,8 +11,9 @@ import (
 
 // TestHeartbeatPathZeroAlloc is the perf gate of the ingest plane: one
 // steady-state heartbeat — reporter batching, binary frame encode, the
-// loopback's socket-equivalent decode, coordinator shard buffering and
-// the pooled ack coming back — must allocate nothing. The pools
+// loopback's socket-equivalent decode, buffering in the host's slot
+// under the ingest lock and the pooled ack coming back — must allocate
+// nothing. The pools
 // (frames, envelope carriers, interned identifiers, recycled pending
 // beats) exist precisely for this property; if a change re-introduces
 // an allocation, this test names the regression long before a 1,000-
@@ -27,7 +28,6 @@ func TestHeartbeatPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := wire.NewLoopback()
-	tr.SetCodec(wire.CodecBinary)
 	p, err := NewPlane(PlaneConfig{Transport: tr}, dep, lms)
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +50,8 @@ func TestHeartbeatPathZeroAlloc(t *testing.T) {
 		}
 		minute++
 	}
-	// Warm-up: populate the pools, the interner and the shard's pending
-	// entry; the first beats legitimately allocate.
+	// Warm-up: populate the pools, the interner and the slot's pending
+	// beat; the first beats legitimately allocate.
 	for i := 0; i < 64; i++ {
 		send()
 	}
@@ -76,11 +76,18 @@ func TestHeartbeatPathZeroAlloc(t *testing.T) {
 // mirror of the heartbeat gate above: one steady-state healthy dispatch
 // — recycled idempotency key, pooled action envelope, pooled attempt
 // context, the agent's bounded ack cache and audit ring, the pooled ack
-// coming back — must allocate nothing. The warm-up is deliberately long:
-// the agent's ack cache (ackCacheCap) and audit ring (agentLogCap) must
-// both reach capacity, and the lane freelist must start recycling keys,
-// before the steady state exists.
+// coming back — allocates exactly dispatchFrameAllocs times, and only in
+// the frame decoder. The warm-up is deliberately long: the agent's ack
+// cache (ackCacheCap) and audit ring (agentLogCap) must both reach
+// capacity, and the lane freelist must start recycling keys, before the
+// steady state exists.
 func TestDispatchPathZeroAlloc(t *testing.T) {
+	// The two allocations are the idempotency key decoded from the
+	// request frame and the one decoded from the ack frame: a key is
+	// unique per action, so it is copied out of the frame, not interned —
+	// the interner holds the bounded vocabulary of host, service,
+	// instance and node names, and keys would only churn it.
+	const dispatchFrameAllocs = 2
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by race instrumentation")
 	}
@@ -114,7 +121,7 @@ func TestDispatchPathZeroAlloc(t *testing.T) {
 	if st := d.Stats(); st.Recycled == 0 {
 		t.Fatal("warm-up did not reach the key-recycling steady state")
 	}
-	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
-		t.Fatalf("steady-state dispatch path allocates %.1f times per action, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, send); allocs != dispatchFrameAllocs {
+		t.Fatalf("steady-state dispatch path allocates %.1f times per action, want %d", allocs, dispatchFrameAllocs)
 	}
 }

@@ -22,12 +22,6 @@ import (
 	"autoglobe/internal/wire"
 )
 
-// ingestShards is the fixed shard count of the coordinator's heartbeat
-// ingest plane. Eight shards keep a 1,000-host landscape's beats off a
-// single mutex without measurable overhead on a 19-blade one; the count
-// cannot change the run (the minute-boundary merge fixes the order).
-const ingestShards = 8
-
 // Coordinator is the receiving half of the control plane: it listens on
 // the transport as the coordinator node, ingests agent heartbeats into
 // the load monitoring system (the advisors and watchTime state machines
@@ -35,19 +29,19 @@ const ingestShards = 8
 // over the network), tracks host liveness with hysteresis, and queues
 // the triggers the monitor confirms for the control loop to collect.
 //
-// Ingest is sharded: a heartbeat is buffered in its host's slot, under
-// the mutex of the one of ingestShards shards the host name hashes to,
-// so concurrent agents never serialise on a global lock. The buffered
-// beats are merged into the monitor pipeline at the minute boundary
-// (ObserveServices) in a canonical order — cluster order first, then
-// any remaining hosts by name — which reproduces the in-process
-// observation loop exactly: the trigger stream is byte-identical to an
-// in-process run, because the per-entity watch state machines are
-// independent and the merge fixes the cross-entity order. Steady-state
-// ingest performs zero heap allocations: pending beats and their sample
-// slices are pooled per shard, and a steady heartbeat addresses its slot
-// and instance names by session index (see resolve): no string is hashed
-// or interned on the way.
+// A heartbeat is buffered in its host's slot under one ingest lock: a
+// load monitor reports once a minute, so ingest is one short critical
+// section per host per minute, and a second core has never been shown
+// to buy anything here. The buffered beats are merged into the monitor
+// pipeline at the minute boundary (ObserveServices) in a canonical
+// order — cluster order first, then any remaining hosts by name — which
+// reproduces the in-process observation loop exactly: the trigger
+// stream is byte-identical to an in-process run, because the per-entity
+// watch state machines are independent and the merge fixes the
+// cross-entity order. Steady-state ingest performs zero heap
+// allocations: pending beats and their sample slices are recycled, and
+// a steady heartbeat addresses its slot and instance names by session
+// index (see resolveLocked): no string is hashed or interned on the way.
 //
 // Ingestion preserves the in-process observation semantics exactly:
 // host entities register with their performance index, an idle trigger
@@ -74,19 +68,35 @@ type Coordinator struct {
 	// failover), and the minute close replays them as ascending
 	// per-minute groups instead of keeping only the latest. Off by
 	// default — the plain path stays byte-for-byte the original.
-	ha atomic.Bool
+	ha      atomic.Bool
+	metrics atomic.Pointer[coordMetrics]
 
-	// Lock-free ingest counters: Ingest runs concurrently across
-	// shards and must not serialise on c.mu.
-	heartbeats atomic.Int64
-	maxMinute  atomic.Int64
-	metrics    atomic.Pointer[coordMetrics]
+	// ingestMu guards the session dictionary and every piece of ingest
+	// state: the host slots' pending beats, stale-replay watermarks and
+	// Follows records, the counters, the queued list, the freelist and
+	// the HA backfill. It is taken after mu, never before.
+	ingestMu   sync.Mutex
+	heartbeats int
+	maxMinute  int // newest minute a beat was ingested for
+	// queued lists the slots that took a pending beat since the last
+	// merge (one that Forget emptied stays listed, and may be listed
+	// twice); free recycles merged beats. In HA mode a host's displaced
+	// older-minute beats wait in backfill instead of being overwritten,
+	// so a drained failover backlog survives until the minute-close merge.
+	queued   []*hostSlot
+	free     []*hostBeat
+	backfill []*hostBeat
 
-	// shards is the ingest shard set, ingestShards of them, fixed for the
-	// coordinator's life (only SetIngestShardsForTest rebuilds it, before
-	// the first beat): a host slot is bound to its shard once, when it is
-	// minted.
-	shards []ingestShard
+	// The session dictionary: what this incarnation (session, a non-zero
+	// nonce) lets a reporter say by number. hostTab and instTab are
+	// append-only — index i is entry i-1, for good — up to dictCap; hosts
+	// holds every name ever seen.
+	session uint64
+	dictCap int
+	hosts   map[string]*hostSlot
+	hostTab []*hostSlot
+	instTab []instName
+	instIdx map[instName]uint32
 
 	// trigMu guards the confirmed-trigger queue on its own lock, so
 	// collecting triggers swaps the slice without holding (or waiting
@@ -98,18 +108,6 @@ type Coordinator struct {
 	// RecycleTriggers returns a drained slice here, so the steady-state
 	// minute loop stops allocating a fresh queue per minute.
 	trigSpare []*monitor.Trigger
-
-	// The session dictionary: what this incarnation (session, a non-zero
-	// nonce) lets a reporter say by number. hostTab and instTab are
-	// append-only — index i is entry i-1, for good — up to dictCap; hosts
-	// holds every name ever seen. dictMu orders before a shard mutex.
-	session uint64
-	dictCap int
-	dictMu  sync.RWMutex
-	hosts   map[string]*hostSlot
-	hostTab []*hostSlot
-	instTab []instName
-	instIdx map[instName]uint32
 
 	// mu guards the merge path (monitor pipeline, the merge half of the
 	// host slots, the instance and service slots, canonical order) and
@@ -148,10 +146,9 @@ type Coordinator struct {
 // activation (the version stays archived but inactive).
 type RuleActivator func(e *rules.Entry) error
 
-// hostBeat is one host's buffered load report, waiting in a shard for
-// the minute-boundary merge. Beats and their sample slices are pooled
-// per shard: a landscape in steady state recycles the same storage
-// minute after minute.
+// hostBeat is one host's buffered load report, waiting for the
+// minute-boundary merge. Beats and their sample slices are recycled: a
+// landscape in steady state reuses the same storage minute after minute.
 type hostBeat struct {
 	slot     *hostSlot
 	minute   int
@@ -186,27 +183,20 @@ type instName struct{ id, service string }
 
 // hostSlot is everything the coordinator holds for one host name: the
 // dictionary entry an indexed frame addresses, the ingest slot its beats
-// wait in (guarded by the mutex of the shard sh points at) and the
-// merge's resolved state (guarded by Coordinator.mu).
+// wait in (guarded by Coordinator.ingestMu) and the merge's resolved
+// state (guarded by Coordinator.mu).
 type hostSlot struct {
 	name  string
 	index uint32 // session-dictionary number; 0: the dictionary was full
 
-	sh        *ingestShard // set once, when the slot is minted under dictMu
-	pending   *hostBeat    // the buffered beat, nil between merges
-	lastMin   int          // newest merged minute (stale-replay guard); math.MinInt: none
-	beatMin   int          // newest minute a beat was ingested for (Follows); math.MinInt: none
-	beatEpoch uint64       // the epoch that beat was stamped with
+	pending   *hostBeat // the buffered beat, nil between merges
+	lastMin   int       // newest merged minute (stale-replay guard); math.MinInt: none
+	beatMin   int       // newest minute a beat was ingested for (Follows); math.MinInt: none
+	beatEpoch uint64    // the epoch that beat was stamped with
 
 	watchReg
 	pos   int         // 1-based cluster position; 0: not in the cluster
 	insts []*instSlot // slot of the i-th sample of the host's last beat
-}
-
-// lockShard locks and returns the slot's shard.
-func (hs *hostSlot) lockShard() *ingestShard {
-	hs.sh.mu.Lock()
-	return hs.sh
 }
 
 // instSlot is the resolved state of one instance ID under one service.
@@ -227,44 +217,15 @@ func byMinute(a, b *hostBeat) int             { return cmp.Compare(a.minute, b.m
 func byHost(a, b *hostBeat) int               { return strings.Compare(a.slot.name, b.slot.name) }
 func bySampleID(a, b wire.InstanceSample) int { return strings.Compare(a.ID, b.ID) }
 
-// ingestShard is one slice of the ingest plane: a mutex, the slots that
-// took a pending beat since the last merge (one that Forget emptied
-// stays listed, and may be listed twice), and a freelist of recycled
-// beats. In HA mode a host's displaced older-minute beats wait in
-// backfill instead of being overwritten, so a drained failover backlog
-// survives until the minute-close merge.
-type ingestShard struct {
-	mu       sync.Mutex
-	queued   []*hostSlot
-	free     []*hostBeat
-	backfill []*hostBeat
-}
-
-// take pops a recycled beat from the freelist or allocates one.
-// Callers hold sh.mu.
-func (sh *ingestShard) take() *hostBeat {
-	if n := len(sh.free); n > 0 {
-		b := sh.free[n-1]
-		sh.free = sh.free[:n-1]
+// takeBeatLocked pops a recycled beat from the freelist or allocates
+// one. Callers hold c.ingestMu.
+func (c *Coordinator) takeBeatLocked() *hostBeat {
+	if n := len(c.free); n > 0 {
+		b := c.free[n-1]
+		c.free = c.free[:n-1]
 		return b
 	}
 	return &hostBeat{}
-}
-
-// fnv1a hashes a host name to its shard (FNV-1a), once, when its slot
-// is created.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// shardOf is the shard a host name hashes to.
-func (c *Coordinator) shardOf(host string) *ingestShard {
-	return &c.shards[fnv1a(host)%uint32(len(c.shards))]
 }
 
 // NewCoordinator starts a coordinator over the deployment and load
@@ -291,7 +252,6 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		live:         live,
 		ProbeTimeout: time.Second,
 		dictCap:      maxSessionNames,
-		shards:       make([]ingestShard, ingestShards),
 		hosts:        make(map[string]*hostSlot),
 		instIdx:      make(map[instName]uint32),
 		insts:        make(map[string]*instSlot),
@@ -334,26 +294,6 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		return nil, err
 	}
 	return c, nil
-}
-
-// SetIngestShardsForTest rebuilds the ingest shard set with n shards
-// (minimum 1) and rebinds every host slot to the shard its name hashes
-// to. A running coordinator always holds ingestShards; the width exists
-// only for the parity tests, here and in the simulator, that prove it
-// cannot change a run. It panics once a heartbeat has been ingested:
-// nothing buffered is migrated.
-func (c *Coordinator) SetIngestShardsForTest(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dictMu.Lock()
-	defer c.dictMu.Unlock()
-	if c.heartbeats.Load() != 0 {
-		panic("agent: SetIngestShardsForTest after the first heartbeat")
-	}
-	c.shards = make([]ingestShard, max(n, 1))
-	for _, hs := range c.hosts {
-		hs.sh = c.shardOf(hs.name)
-	}
 }
 
 // Instrument attaches an obs registry: ingested heartbeats are counted
@@ -435,7 +375,9 @@ func (c *Coordinator) Liveness() *monitor.Liveness { return c.live }
 
 // Heartbeats returns how many heartbeats have been ingested.
 func (c *Coordinator) Heartbeats() int {
-	return int(c.heartbeats.Load())
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
+	return c.heartbeats
 }
 
 // Err returns the first ingestion error since the last call, if any.
@@ -461,9 +403,13 @@ func (c *Coordinator) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 		reply := wire.AcquireAckEnvelope("", "", wire.ActionAck{OK: true})
 		if err := checkFinite(env.Heartbeat); err != nil {
 			reply.Ack.OK, reply.Ack.Error = false, err.Error()
-		} else if hs := c.resolve(env.Heartbeat, reply.Ack); hs != nil {
-			c.ingest(hs, env.Heartbeat, env.Epoch)
+			return reply, nil
 		}
+		c.ingestMu.Lock()
+		if hs := c.resolveLocked(env.Heartbeat, reply.Ack); hs != nil {
+			c.ingestLocked(hs, env.Heartbeat, env.Epoch)
+		}
+		c.ingestMu.Unlock()
 		return reply, nil
 	case wire.TypeHello:
 		if c.OnHello != nil {
@@ -588,14 +534,19 @@ func (c *Coordinator) handleRuleList(env *wire.Envelope) *wire.Envelope {
 	return wire.RuleListEnvelope(c.node, env.From, l)
 }
 
-// slotFor returns the slot of a host name, creating it — with the next
-// dictionary index while there is room — on first sight.
+// slotFor returns the slot of a host name, creating it on first sight.
 func (c *Coordinator) slotFor(host string) *hostSlot {
-	c.dictMu.Lock()
-	defer c.dictMu.Unlock()
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
+	return c.slotLocked(host)
+}
+
+// slotLocked is slotFor for callers holding c.ingestMu: a new slot takes
+// the next dictionary index while there is room.
+func (c *Coordinator) slotLocked(host string) *hostSlot {
 	hs := c.hosts[host]
 	if hs == nil {
-		hs = &hostSlot{name: host, sh: c.shardOf(host), lastMin: math.MinInt,
+		hs = &hostSlot{name: host, lastMin: math.MinInt,
 			beatMin: math.MinInt, watchReg: watchReg{key: archive.HostEntity(host)}}
 		if len(c.hostTab)+len(c.instTab) < c.dictCap {
 			c.hostTab = append(c.hostTab, hs)
@@ -606,48 +557,41 @@ func (c *Coordinator) slotFor(host string) *hostSlot {
 	return hs
 }
 
-// resolve finds the slot a heartbeat frame is for and prepares its ack.
+// resolveLocked finds the slot a heartbeat frame is for and prepares its
+// ack. Callers hold c.ingestMu.
 //
 // An indexed frame is resolved under the session that issued its numbers
 // or not at all: table[index-1] for the host, each sample's names
 // restored from the instance table (two string headers, nothing hashed),
 // so everything downstream sees what a named frame would have decoded
-// to. If the session or an index is not this coordinator's and the frame
-// brings no names (only the by-reference loopback carries both), it
-// is refused whole — nil, a resync ack, nothing ingested or counted: a
-// held or duplicated frame landing on a later incarnation is never
-// attributed to another host.
+// to. If the session or an index is not this coordinator's, the frame is
+// refused whole — nil, a resync ack, nothing ingested or counted: a held
+// or duplicated frame landing on a later incarnation is never attributed
+// to another host.
 //
 // A named frame costs one lookup per name and is acked with the numbers
 // to use from the next minute on — bare once the dictionary is full.
-func (c *Coordinator) resolve(hb *wire.Heartbeat, ack *wire.ActionAck) *hostSlot {
+func (c *Coordinator) resolveLocked(hb *wire.Heartbeat, ack *wire.ActionAck) *hostSlot {
 	if hb.HostIndex != 0 {
-		c.dictMu.RLock()
 		ok := hb.Session == c.session && int(hb.HostIndex) <= len(c.hostTab)
 		for i := 0; ok && i < len(hb.Instances); i++ {
 			ok = hb.Instances[i].Index != 0 && int(hb.Instances[i].Index) <= len(c.instTab)
 		}
-		if ok {
-			hs := c.hostTab[hb.HostIndex-1]
-			hb.Host = hs.name
-			for i := range hb.Instances {
-				s, name := &hb.Instances[i], &c.instTab[hb.Instances[i].Index-1]
-				s.ID, s.Service = name.id, name.service
-			}
-			c.dictMu.RUnlock()
-			return hs
-		}
-		c.dictMu.RUnlock()
-		if hb.Host == "" {
+		if !ok {
 			ack.OK, ack.Resync = false, true
 			c.metrics.Load().resync()
 			return nil
 		}
+		hs := c.hostTab[hb.HostIndex-1]
+		hb.Host = hs.name
+		for i := range hb.Instances {
+			s, name := &hb.Instances[i], &c.instTab[hb.Instances[i].Index-1]
+			s.ID, s.Service = name.id, name.service
+		}
+		return hs
 	}
 	c.metrics.Load().namedFrame()
-	hs := c.slotFor(hb.Host)
-	c.dictMu.Lock()
-	defer c.dictMu.Unlock()
+	hs := c.slotLocked(hb.Host)
 	for i := range hb.Instances {
 		name := instName{hb.Instances[i].ID, hb.Instances[i].Service}
 		idx := c.instIdx[name]
@@ -672,7 +616,9 @@ func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
 	if err := checkFinite(&hb); err != nil {
 		return err
 	}
-	c.ingest(c.slotFor(hb.Host), &hb, 0)
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
+	c.ingestLocked(c.slotLocked(hb.Host), &hb, 0)
 	return nil
 }
 
@@ -680,15 +626,10 @@ func (c *Coordinator) Ingest(hb wire.Heartbeat) error {
 // since or later and was stamped with epoch: proof that the host's agent
 // reports to this coordinator under that epoch. An unknown host does not.
 func (c *Coordinator) Follows(host string, since int, epoch uint64) bool {
-	c.dictMu.RLock()
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
 	hs := c.hosts[host]
-	c.dictMu.RUnlock()
-	if hs == nil {
-		return false
-	}
-	sh := hs.lockShard()
-	defer sh.mu.Unlock()
-	return hs.beatMin >= since && hs.beatEpoch == epoch
+	return hs != nil && hs.beatMin >= since && hs.beatEpoch == epoch
 }
 
 // checkFinite refuses a heartbeat whose CPU, memory or instance load is
@@ -709,12 +650,11 @@ func checkFinite(hb *wire.Heartbeat) error {
 // finite reports whether x is neither NaN nor ±Inf.
 func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 
-// ingest buffers one heartbeat in its host's slot. The monitor
-// pipeline is NOT touched here — beats are merged deterministically at
-// the minute boundary by ObserveServices — so concurrent heartbeats
-// from a 1,000-host landscape contend only per shard, and the hot path
-// allocates nothing in steady state (the pending beat and its sample
-// slice are recycled).
+// ingestLocked buffers one heartbeat in its host's slot. Callers hold
+// c.ingestMu. The monitor pipeline is NOT touched here — beats are
+// merged deterministically at the minute boundary by ObserveServices —
+// and the hot path allocates nothing in steady state (the pending beat
+// and its sample slice are recycled).
 //
 // A stale replay — a beat older than the host's last merged minute —
 // is dropped: it can only be re-delivered traffic (the loopback's
@@ -722,55 +662,42 @@ func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 // regress the host's archive series. Within the same merge window a
 // newer beat overwrites an older one (latest report wins), and only a
 // beat at least as new as the slot's record replaces it (Follows).
-func (c *Coordinator) ingest(hs *hostSlot, hb *wire.Heartbeat, epoch uint64) {
-	c.heartbeats.Add(1)
-	for {
-		max := c.maxMinute.Load()
-		if int64(hb.Minute) <= max {
-			break
-		}
-		if c.maxMinute.CompareAndSwap(max, int64(hb.Minute)) {
-			break
-		}
-	}
-	c.metrics.Load().ingest(int(c.maxMinute.Load()) - hb.Minute)
+func (c *Coordinator) ingestLocked(hs *hostSlot, hb *wire.Heartbeat, epoch uint64) {
+	c.heartbeats++
+	c.maxMinute = max(c.maxMinute, hb.Minute)
+	c.metrics.Load().ingest(c.maxMinute - hb.Minute)
 	// Liveness is eager — a beat is proof of life the moment it
-	// arrives, independent of the minute-boundary merge — and the
-	// detector locks internally, so shards never serialise on it for
-	// long. Everything monitor-facing waits for the merge.
+	// arrives, independent of the minute-boundary merge. Everything
+	// monitor-facing waits for the merge.
 	c.live.Beat(hs.name, hb.Minute)
 
-	sh := hs.lockShard()
 	if hb.Minute >= hs.beatMin {
 		hs.beatMin, hs.beatEpoch = hb.Minute, epoch
 	}
 	if hb.Minute < hs.lastMin {
-		sh.mu.Unlock()
 		return
 	}
 	b := hs.pending
 	if b == nil {
-		b = sh.take()
+		b = c.takeBeatLocked()
 		hs.pending = b
-		sh.queued = append(sh.queued, hs)
+		c.queued = append(c.queued, hs)
 	} else if hb.Minute > b.minute && c.ha.Load() {
 		// HA: a newer minute arriving on top of an unmerged one is a
 		// backlog drain, not a replacement — park the older beat for the
 		// grouped minute close instead of losing its minute.
-		sh.backfill = append(sh.backfill, b)
-		b = sh.take()
+		c.backfill = append(c.backfill, b)
+		b = c.takeBeatLocked()
 		hs.pending = b
 	} else if hb.Minute < b.minute {
 		if c.ha.Load() {
 			// HA: an out-of-order older minute still fills its slot in the
 			// day profile; the grouped close replays it in minute order.
-			sh.backfill = append(sh.backfill, sh.take().fill(hs, hb))
+			c.backfill = append(c.backfill, c.takeBeatLocked().fill(hs, hb))
 		}
-		sh.mu.Unlock()
 		return
 	}
 	b.fill(hs, hb)
-	sh.mu.Unlock()
 }
 
 // instSlotLocked resolves an instance ID reported under a service; an
@@ -807,23 +734,22 @@ func (c *Coordinator) watchLocked(r *watchReg, class monitor.Class, host string)
 // place, into the canonical order: hosts currently in the cluster first,
 // in cluster order — the order the in-process observation loop iterates
 // — then any remaining hosts sorted by name. The order is a pure
-// function of the landscape, never of arrival interleaving or shard
-// count, which makes the sharded plane byte-identical to the in-process
-// run. Clustered hosts have a dense position, so they are placed, not
-// sorted; positions are recomputed only after a membership change. A
-// host's second beat (HA: a re-delivered backfill minute) is dropped.
-// Callers hold c.mu.
+// function of the landscape, never of arrival interleaving, which makes
+// the distributed plane byte-identical to the in-process run. Clustered
+// hosts have a dense position, so they are placed, not sorted; positions
+// are recomputed only after a membership change. A host's second beat
+// (HA: a re-delivered backfill minute) is dropped. Callers hold c.mu.
 func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
 	if c.orderStale.Swap(false) {
-		c.dictMu.RLock()
+		names := c.dep.Cluster().Names()
+		c.ingestMu.Lock()
 		for _, hs := range c.hosts {
 			hs.pos = 0
 		}
-		c.dictMu.RUnlock()
-		names := c.dep.Cluster().Names()
 		for i, name := range names {
-			c.slotFor(name).pos = i + 1
+			c.slotLocked(name).pos = i + 1
 		}
+		c.ingestMu.Unlock()
 		c.place = make([]*hostBeat, len(names))
 	}
 	stragglers := c.stragglers[:0]
@@ -847,43 +773,40 @@ func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
 	return append(out, slices.CompactFunc(stragglers, func(a, b *hostBeat) bool { return a.slot == b.slot })...)
 }
 
-// recycleLocked returns merged beats to their shards' freelists; the
-// HA path also lifts the stale-replay watermarks to clamped minutes.
+// recycleLocked returns merged beats to the freelist; the HA path also
+// lifts the stale-replay watermarks to clamped minutes. Callers hold c.mu.
 func (c *Coordinator) recycleLocked(beats []*hostBeat, watermark bool) {
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
 	for _, b := range beats {
-		sh := b.slot.lockShard()
 		if watermark && b.minute > b.slot.lastMin {
 			b.slot.lastMin = b.minute
 		}
-		sh.free = append(sh.free, b)
-		sh.mu.Unlock()
+		c.free = append(c.free, b)
 	}
 }
 
-// collectLocked steals every shard's buffered beats — pending and, in HA
-// mode, backfilled — advancing the stale-replay watermarks. Every beat
+// collectLocked steals the buffered beats — pending and, in HA mode,
+// backfilled — advancing the stale-replay watermarks. Every beat
 // already points at its host's slot. Callers hold c.mu.
 func (c *Coordinator) collectLocked() []*hostBeat {
 	beats := c.scratch[:0]
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, hs := range sh.queued {
-			b := hs.pending
-			if b == nil {
-				continue // emptied by Forget, or listed twice
-			}
-			hs.pending, hs.lastMin, b.late = nil, b.minute, false
-			beats = append(beats, b)
+	c.ingestMu.Lock()
+	for _, hs := range c.queued {
+		b := hs.pending
+		if b == nil {
+			continue // emptied by Forget, or listed twice
 		}
-		sh.queued = sh.queued[:0]
-		for _, b := range sh.backfill {
-			b.late = true
-			beats = append(beats, b)
-		}
-		sh.backfill = sh.backfill[:0]
-		sh.mu.Unlock()
+		hs.pending, hs.lastMin, b.late = nil, b.minute, false
+		beats = append(beats, b)
 	}
+	c.queued = c.queued[:0]
+	for _, b := range c.backfill {
+		b.late = true
+		beats = append(beats, b)
+	}
+	c.backfill = c.backfill[:0]
+	c.ingestMu.Unlock()
 	c.scratch = beats[:0] // keep the (possibly grown) buffer
 	return beats
 }
@@ -1024,9 +947,9 @@ func (c *Coordinator) ObserveServices(minute int) error {
 			c.svcs[i].samples = c.svcs[i].samples[:0]
 		}
 	}
-	c.dictMu.RLock()
+	c.ingestMu.Lock()
 	names := len(c.hostTab) + len(c.instTab)
-	c.dictMu.RUnlock()
+	c.ingestMu.Unlock()
 	c.metrics.Load().merged(start, c.seen, names)
 	c.seen = [3]int{}
 	return err
@@ -1165,20 +1088,20 @@ func (c *Coordinator) noteErr(err error) bool {
 // the hysteresis streak, and the host's heartbeats re-register it. Its
 // record of the last beat is dropped too: it must earn Follows again.
 func (c *Coordinator) Forget(host string) {
-	hs := c.slotFor(host)
-	sh := hs.lockShard()
+	c.ingestMu.Lock()
+	hs := c.slotLocked(host)
 	hs.beatMin = math.MinInt
 	if b := hs.pending; b != nil {
 		hs.pending = nil
-		sh.free = append(sh.free, b)
+		c.free = append(c.free, b)
 	}
-	sh.backfill = slices.DeleteFunc(sh.backfill, func(b *hostBeat) bool {
+	c.backfill = slices.DeleteFunc(c.backfill, func(b *hostBeat) bool {
 		if b.slot == hs {
-			sh.free = append(sh.free, b)
+			c.free = append(c.free, b)
 		}
 		return b.slot == hs
 	})
-	sh.mu.Unlock()
+	c.ingestMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lms.Deregister(hs.key)
@@ -1191,9 +1114,8 @@ func (c *Coordinator) Forget(host string) {
 // reported dead or recovered.
 func (c *Coordinator) Release(host string) {
 	c.Forget(host)
-	hs := c.slotFor(host)
-	sh := hs.lockShard()
-	hs.lastMin = math.MinInt
-	sh.mu.Unlock()
+	c.ingestMu.Lock()
+	c.slotLocked(host).lastMin = math.MinInt
+	c.ingestMu.Unlock()
 	c.live.Forget(host)
 }

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -28,30 +29,42 @@ func overloadCoordinator(t *testing.T) *Coordinator {
 	return coord
 }
 
-// TestMergeOrderIsCanonical is the determinism contract of the sharded
-// ingest plane: whatever order heartbeats arrive in — and whatever
-// shard they land in — the minute-boundary merge observes hosts in
-// cluster order. Both h1 and h3 overload simultaneously; ingesting
-// their beats in reverse host order must still confirm the h1 trigger
-// before the h3 trigger, for any shard count.
+// TestMergeOrderIsCanonical is the determinism contract of the ingest
+// plane: whatever order heartbeats arrive in, the minute-boundary merge
+// observes hosts in cluster order. Both h1 and h3 overload
+// simultaneously; ingesting their beats in reverse host order must still
+// confirm the h1 trigger before the h3 trigger. shards=N deals each
+// minute's beats round-robin over N concurrent senders: one sender is
+// the fixed reverse order, more leave the arrival order to the
+// scheduler, and the one ingest lock must serialise any of them into
+// the same transcript.
 func TestMergeOrderIsCanonical(t *testing.T) {
+	hosts := []string{"h3", "h2", "h1"} // reverse cluster order, hot h3 first
 	for _, shards := range []int{1, 3, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			coord := overloadCoordinator(t)
-			coord.SetIngestShardsForTest(shards)
-			if got := len(coord.shards); got != shards {
-				t.Fatalf("coordinator runs %d ingest shards, want %d", got, shards)
-			}
 			for minute := 0; minute <= 2; minute++ {
-				// Reverse cluster order, hot h3 first.
-				for _, host := range []string{"h3", "h2", "h1"} {
-					cpu := 0.4
-					if host == "h1" || host == "h3" {
-						cpu = 0.9
-					}
-					if err := coord.Ingest(wire.Heartbeat{Host: host, Minute: minute, CPU: cpu}); err != nil {
-						t.Fatal(err)
-					}
+				var wg sync.WaitGroup
+				errs := make(chan error, len(hosts))
+				for lane := 0; lane < shards; lane++ {
+					wg.Add(1)
+					go func(lane int) {
+						defer wg.Done()
+						for i := lane; i < len(hosts); i += shards {
+							cpu := 0.4
+							if hosts[i] == "h1" || hosts[i] == "h3" {
+								cpu = 0.9
+							}
+							if err := coord.Ingest(wire.Heartbeat{Host: hosts[i], Minute: minute, CPU: cpu}); err != nil {
+								errs <- err
+							}
+						}
+					}(lane)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
 				}
 				if err := coord.ObserveServices(minute); err != nil {
 					t.Fatal(err)
@@ -88,9 +101,9 @@ func TestIngestRefusesNonFiniteLoads(t *testing.T) {
 			t.Fatalf("Ingest(%+v) accepted a non-finite load", hb)
 		}
 	}
-	coord.dictMu.RLock()
+	coord.ingestMu.Lock()
 	_, minted := coord.hosts["ghost"]
-	coord.dictMu.RUnlock()
+	coord.ingestMu.Unlock()
 	if minted || coord.Heartbeats() != 0 || coord.Liveness().Tracking("ghost") {
 		t.Fatalf("refused beats left a trace: slot %v, %d heartbeats, tracked %v",
 			minted, coord.Heartbeats(), coord.Liveness().Tracking("ghost"))
@@ -126,7 +139,44 @@ func TestStaleBeatDropped(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestStress hammers the sharded ingest path from 64
+// TestStaleBeatDoesNotReviveDeadHost: a heartbeat from before a host's
+// death — a held or duplicated frame, a retried POST — delivered after
+// the liveness sweep declared it dead must not count toward its
+// recovery, or the manager would re-pool a host that never came back.
+// Fresh beats still revive it.
+func TestStaleBeatDoesNotReviveDeadHost(t *testing.T) {
+	coord := overloadCoordinator(t) // liveness hysteresis 2/2/2
+	ctx := context.Background()
+	beat := func(minute int) {
+		t.Helper()
+		if err := coord.Ingest(wire.Heartbeat{Host: "h1", Minute: minute, CPU: 0.4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m := 0; m <= 2; m++ {
+		beat(m)
+	}
+	var dead []string
+	for m := 3; m <= 6; m++ {
+		d, _ := coord.CheckLiveness(ctx, m) // h1 has no agent: probes fail
+		dead = append(dead, d...)
+	}
+	if len(dead) != 1 || dead[0] != "h1" {
+		t.Fatalf("dead by minute 6: %v, want [h1]", dead)
+	}
+	beat(1)
+	beat(1)
+	if rec := coord.Liveness().Recovered(); len(rec) != 0 {
+		t.Fatalf("replayed minute-1 beats recovered %v", rec)
+	}
+	beat(7)
+	beat(8)
+	if _, rec := coord.CheckLiveness(ctx, 8); len(rec) != 1 || rec[0] != "h1" {
+		t.Fatalf("fresh beats at minutes 7 and 8 recovered %v, want [h1]", rec)
+	}
+}
+
+// TestConcurrentIngestStress hammers the ingest lock from 64
 // goroutines (1,000 beats each, own host per goroutine so per-host
 // minute order is preserved) while the control loop concurrently
 // closes minutes, drains triggers and forgets a host. Run under -race

@@ -42,7 +42,6 @@ func newManagerBed(t *testing.T) *managerBed {
 	}
 	b := &managerBed{t: t, lb: wire.NewLoopback(), reg: obs.NewRegistry(), dep: dep,
 		dir: t.TempDir(), demoted: make(map[string]bool)}
-	b.lb.SetCodec(wire.CodecBinary)
 	b.m, err = NewLocalManager(Assembly{
 		Plane:      PlaneConfig{Transport: b.lb},
 		Monitor:    monitor.PaperParams(),
@@ -327,7 +326,6 @@ func TestMinuteZeroAlloc(t *testing.T) {
 	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
 	defer lb.Close()
-	lb.SetCodec(wire.CodecBinary)
 	reg := obs.NewRegistry()
 	m, err := NewLocalManager(Assembly{
 		Plane:    PlaneConfig{Transport: lb},
@@ -398,7 +396,6 @@ func TestWatchReadsStayInMemory(t *testing.T) {
 	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
 	defer lb.Close()
-	lb.SetCodec(wire.CodecBinary)
 	reg := obs.NewRegistry()
 	m, err := NewLocalManager(Assembly{
 		Plane:      PlaneConfig{Transport: lb},
@@ -463,7 +460,6 @@ func TestCoordinatorBytesPerHost(t *testing.T) {
 	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
 	defer lb.Close()
-	lb.SetCodec(wire.CodecBinary)
 	reg := obs.NewRegistry()
 	m, err := NewLocalManager(Assembly{
 		Plane:      PlaneConfig{Transport: lb},

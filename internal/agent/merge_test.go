@@ -85,17 +85,16 @@ func referenceOrder(beats []hostMinute, clusterNames []string) {
 // TestMergeOrderMatchesReference drives randomized beat sets — clustered
 // and out-of-cluster hosts, shuffled arrival, hosts joining and leaving
 // the cluster between minutes — through the plain and the HA minute
-// close for 1, 4 and 16 shards, and checks the observation order
-// (every beat is hot and confirms at once, so the trigger queue is the
-// transcript) against the old comparator. The cached order must follow
-// a membership change on the very next close.
+// close for three seeds, and checks the observation order (every beat is
+// hot and confirms at once, so the trigger queue is the transcript)
+// against the old comparator. The cached order must follow a membership
+// change on the very next close.
 func TestMergeOrderMatchesReference(t *testing.T) {
 	for _, ha := range []bool{false, true} {
-		for _, shards := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("ha=%v/shards=%d", ha, shards), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(shards)))
+		for _, seed := range []int64{1, 4, 16} {
+			t.Run(fmt.Sprintf("ha=%v/seed=%d", ha, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
 				coord := mergeCoordinator(t, 12, 0)
-				coord.SetIngestShardsForTest(shards)
 				if ha {
 					coord.EnableHA()
 				}
@@ -247,21 +246,20 @@ func TestForgetPurgesBackfill(t *testing.T) {
 		beat(5)
 		beat(6) // parks minute 5 in backfill
 		hs := coord.slotFor("m01")
-		sh := hs.sh
-		if len(sh.backfill) != 1 {
-			t.Fatalf("backfill holds %d beats, want 1", len(sh.backfill))
+		if len(coord.backfill) != 1 {
+			t.Fatalf("backfill holds %d beats, want 1", len(coord.backfill))
 		}
-		free := len(sh.free)
+		free := len(coord.free)
 		if release {
 			coord.Release("m01")
 		} else {
 			coord.Forget("m01")
 		}
-		if len(sh.backfill) != 0 || hs.pending != nil {
-			t.Fatalf("release=%v: %d backfilled beats survive, pending beat %v", release, len(sh.backfill), hs.pending)
+		if len(coord.backfill) != 0 || hs.pending != nil {
+			t.Fatalf("release=%v: %d backfilled beats survive, pending beat %v", release, len(coord.backfill), hs.pending)
 		}
-		if len(sh.free) != free+2 {
-			t.Fatalf("release=%v: freelist grew by %d, want both beats back", release, len(sh.free)-free)
+		if len(coord.free) != free+2 {
+			t.Fatalf("release=%v: freelist grew by %d, want both beats back", release, len(coord.free)-free)
 		}
 		if err := coord.ObserveServices(6); err != nil {
 			t.Fatal(err)
@@ -358,7 +356,7 @@ func TestInstanceMovesBetweenServices(t *testing.T) {
 // TestMinuteCloseZeroAlloc is the perf gate of the minute close: on the
 // tiled 1,007-host landscape, with a registry attached to coordinator
 // and monitor, a steady-state minute — every host's beat buffered, the
-// shards merged in canonical order, every instance archived, every
+// beats merged in canonical order, every instance archived, every
 // service closed — must allocate nothing, in the plain and the HA
 // path alike. Slots, cached order, merge buffers and accumulators exist
 // for this property.

@@ -40,7 +40,8 @@ const (
 	// heartbeat arrived. 0 is the healthy steady state.
 	MetricHeartbeatLag = "autoglobe_heartbeat_ingest_lag_minutes"
 	// MetricMergeSeconds is a histogram of the coordinator's minute
-	// close (shard merge, monitor pipeline, service close).
+	// close (the merge of the buffered beats, monitor pipeline, service
+	// close).
 	MetricMergeSeconds = "autoglobe_coordinator_merge_seconds"
 	// MetricMergeEntities counts the entities minute closes observed, by
 	// class (host, instance, service).

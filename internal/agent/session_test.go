@@ -30,7 +30,7 @@ type spiedFrame struct {
 	err      error
 }
 
-// frameSpy is a binary loopback that notes every heartbeat call's frame
+// frameSpy is a loopback that notes every heartbeat call's frame
 // form. Embedding forwards Listen, Unlisten and the fault hooks.
 type frameSpy struct {
 	*wire.Loopback
@@ -39,7 +39,6 @@ type frameSpy struct {
 
 func newFrameSpy(t *testing.T) *frameSpy {
 	s := &frameSpy{Loopback: wire.NewLoopback()}
-	s.SetCodec(wire.CodecBinary)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -54,6 +53,21 @@ func (s *frameSpy) Call(ctx context.Context, node string, env *wire.Envelope) (*
 	f.resync = reply != nil && reply.Ack != nil && reply.Ack.Resync
 	s.frames = append(s.frames, f)
 	return reply, err
+}
+
+// frameCopy returns env as a receiver sees it: encoded into a frame and
+// decoded again, detached from the original.
+func frameCopy(t *testing.T, env *wire.Envelope) *wire.Envelope {
+	t.Helper()
+	frame, err := wire.AppendEnvelope(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := wire.DecodeEnvelope(frame, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // take returns the frames spied since the last call.
@@ -241,7 +255,7 @@ func TestSessionStaleIndexedFrameIsDroppedWhole(t *testing.T) {
 		t.Fatalf("frames: got %s, want %s", got, want)
 	}
 	rep, _ := p.Reporter("h1")
-	stale := wire.CloneEnvelope(&rep.env) // h1's indexed minute 1, as it went over the wire
+	stale := frameCopy(t, &rep.env) // h1's indexed minute 1, as it went over the wire
 	if !stale.Heartbeat.Indexed() || stale.Heartbeat.HostIndex != 1 {
 		t.Fatalf("h1's last frame is not the indexed one: %+v", stale.Heartbeat)
 	}
@@ -601,7 +615,6 @@ func TestSessionConcurrentReporters(t *testing.T) {
 		beats   = 300
 	)
 	lb := wire.NewLoopback()
-	lb.SetCodec(wire.CodecBinary)
 	t.Cleanup(func() { lb.Close() })
 	coord, err := NewCoordinator(CoordinatorNode, testDeployment(t), sessionSystem(t), lb, nil)
 	if err != nil {
@@ -720,10 +733,10 @@ func TestSessionRefusesNonFiniteLoads(t *testing.T) {
 
 	// Named: the host and its instance are new to the coordinator.
 	refused("named NaN cpu", send(0, math.NaN(), 0.3, 0.4))
-	coord.dictMu.RLock()
+	coord.ingestMu.Lock()
 	_, minted := coord.hosts["ghost"]
 	names := len(coord.instTab)
-	coord.dictMu.RUnlock()
+	coord.ingestMu.Unlock()
 	if minted || names != 0 {
 		t.Fatalf("refused frame minted: host %v, %d instance names", minted, names)
 	}
@@ -779,7 +792,6 @@ func fleetBed(tb testing.TB, reg *obs.Registry) (*Manager, *service.Deployment) 
 	tb.Helper()
 	dep := service.TilePaper(53)
 	lb := wire.NewLoopback()
-	lb.SetCodec(wire.CodecBinary)
 	m, err := NewLocalManager(Assembly{
 		Plane:      PlaneConfig{Transport: lb},
 		Monitor:    monitor.PaperParams(),

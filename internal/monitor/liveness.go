@@ -32,9 +32,10 @@ type Liveness struct {
 	// default) 1.
 	AliveAfter int
 
-	// mu guards state and metrics: the coordinator's sharded ingest
-	// plane delivers beats from merge goroutines while the control loop
-	// evaluates Silent/Dead/Down, so the detector locks internally.
+	// mu guards state and metrics: the coordinator delivers beats from
+	// whatever goroutine a transport runs its handler on (one per HTTP
+	// request) while the control loop evaluates Silent/Dead/Down, so the
+	// detector locks internally.
 	mu      sync.Mutex
 	state   map[string]*livenessState
 	metrics *livenessMetrics
@@ -43,7 +44,7 @@ type Liveness struct {
 type livenessState struct {
 	last      int // minute of the most recent beat
 	misses    int // consecutive missed probes (silent evaluations)
-	missedAt  int // minute of the last counted miss (guards double counting)
+	missedAt  int // minute of the last counted miss (guards double counting); while dead, the minute of death
 	dead      bool
 	successes int  // consecutive beats while dead
 	recovered bool // completed a recovery streak, not yet reported
@@ -79,16 +80,22 @@ func NewLivenessHysteresis(timeout, deadAfter, aliveAfter int) *Liveness {
 
 // Beat records a heartbeat for an entity. A beat from an entity
 // currently considered dead counts toward its AliveAfter recovery
-// streak; Recovered reports completed recoveries. The recorded
-// last-seen minute is monotone: an agent restarted with a fresh local
-// counter must not rewind a host that a coordinator probe (stamped
-// with the authoritative clock) already confirmed alive.
+// streak — unless it is for the minute of death or earlier: that is a
+// replay of traffic from before the death (a held or duplicated frame,
+// a retried POST), not proof of life, and it is ignored. Recovered
+// reports completed recoveries. The recorded last-seen minute is
+// monotone: an agent restarted with a fresh local counter must not
+// rewind a host that a coordinator probe (stamped with the
+// authoritative clock) already confirmed alive.
 func (l *Liveness) Beat(entity string, minute int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st, ok := l.state[entity]
 	if !ok {
 		l.state[entity] = &livenessState{last: minute, missedAt: -1}
+		return
+	}
+	if st.dead && minute <= st.missedAt {
 		return
 	}
 	if minute > st.last {

@@ -187,3 +187,44 @@ func TestLivenessMarkDead(t *testing.T) {
 		t.Fatal("MarkDead on a tracked entity left it alive")
 	}
 }
+
+// TestLivenessReplayedBeatDoesNotRevive: while an entity is dead, a beat
+// for the minute of its death or earlier is a replay of pre-death
+// traffic, not proof of life, and does not count toward the recovery
+// streak. Beats after the death still revive it, for a detected death
+// and a journaled one (MarkDead) alike.
+func TestLivenessReplayedBeatDoesNotRevive(t *testing.T) {
+	l := NewLivenessHysteresis(2, 2, 2)
+	for m := 0; m <= 2; m++ {
+		l.Beat("h", m)
+	}
+	for m := 3; m <= 6; m++ {
+		l.Dead(m)
+	}
+	if l.Tracking("h") {
+		t.Fatal("h not dead at minute 6")
+	}
+	l.Beat("h", 1)
+	l.Beat("h", 1)
+	l.Beat("h", 6)
+	if rec := l.Recovered(); len(rec) != 0 {
+		t.Fatalf("Recovered after replayed beats = %v, want none", rec)
+	}
+	l.Beat("h", 7)
+	l.Beat("h", 8)
+	if rec := l.Recovered(); len(rec) != 1 || rec[0] != "h" {
+		t.Fatalf("Recovered after two fresh beats = %v, want [h]", rec)
+	}
+
+	l.MarkDead("j", 5)
+	l.Beat("j", 4)
+	l.Beat("j", 5)
+	if rec := l.Recovered(); len(rec) != 0 {
+		t.Fatalf("Recovered after replays of a journaled death = %v, want none", rec)
+	}
+	l.Beat("j", 6)
+	l.Beat("j", 7)
+	if rec := l.Recovered(); len(rec) != 1 || rec[0] != "j" {
+		t.Fatalf("Recovered after two fresh beats = %v, want [j]", rec)
+	}
+}

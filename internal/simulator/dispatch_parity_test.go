@@ -81,7 +81,6 @@ func TestDispatchWorkersByteIdentical(t *testing.T) {
 			for i := range trs {
 				lb := wire.NewLoopback()
 				defer lb.Close()
-				lb.SetCodec(wire.CodecBinary)
 				trs[i] = lb
 			}
 			dispatchingDaysIdentical(t, "binary loopback", trs...)

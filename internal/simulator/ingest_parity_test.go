@@ -2,19 +2,22 @@ package simulator
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
+	"autoglobe/internal/agent"
+	"autoglobe/internal/obs"
 	"autoglobe/internal/wire"
 )
 
 // TestDistributedBinaryLoopbackByteIdentical extends the wire layer's
-// correctness claim to the binary codec and the sharded ingest path:
-// framing every envelope through the length-prefixed binary format and
-// spreading heartbeat ingest over 1 or 16 shards changes nothing — the
-// run stays byte-identical to the in-process simulation. The shard
-// count is irrelevant by construction (the minute-boundary merge fixes
-// the observation order), and this test is the proof that the fixed
-// count of a running coordinator is not load-bearing.
+// correctness claim to the steady heartbeat frame: with the plane
+// instrumented, every host's report crosses the loopback as a binary
+// frame every minute, named on first contact and as session indices
+// from then on, and the run stays byte-identical to the in-process
+// simulation. shards=N runs N such planes side by side, each over its
+// own loopback and registry: frames and envelopes come from
+// process-wide pools, so no plane may see another's bytes.
 func TestDistributedBinaryLoopbackByteIdentical(t *testing.T) {
 	base, err := declaredSim(t, tuneForActions).Run()
 	if err != nil {
@@ -23,55 +26,46 @@ func TestDistributedBinaryLoopbackByteIdentical(t *testing.T) {
 
 	for _, shards := range []int{1, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			lb := wire.NewLoopback()
-			defer lb.Close()
-			lb.SetCodec(wire.CodecBinary)
-			sim := declaredSim(t, func(c *Config) {
-				tuneForActions(c)
-				c.Distributed = &DistributedConfig{Transport: lb}
-			})
-			sim.Plane().Coordinator().SetIngestShardsForTest(shards)
-			res, err := sim.Run()
-			if err != nil {
-				t.Fatal(err)
+			sims := make([]*Simulator, shards)
+			regs := make([]*obs.Registry, shards)
+			for i := range sims {
+				lb := wire.NewLoopback()
+				defer lb.Close()
+				regs[i] = obs.NewRegistry()
+				sims[i] = declaredSim(t, func(c *Config) {
+					tuneForActions(c)
+					c.Obs = regs[i]
+					c.Distributed = &DistributedConfig{Transport: lb}
+				})
 			}
-			assertIdentical(t, base, res, fmt.Sprintf("binary loopback (%d shards)", shards))
-			wantBeats := res.Minutes * len(res.Hosts)
-			if got := sim.Plane().Coordinator().Heartbeats(); got != wantBeats {
-				t.Errorf("coordinator ingested %d heartbeats, want %d", got, wantBeats)
+			results := make([]*Result, shards)
+			errs := make([]error, shards)
+			var wg sync.WaitGroup
+			for i, sim := range sims {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[i], errs[i] = sim.Run()
+				}()
+			}
+			wg.Wait()
+			for i, res := range results {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				label := fmt.Sprintf("binary loopback (plane %d of %d)", i+1, shards)
+				assertIdentical(t, base, res, label)
+				assertSteadyHeartbeats(t, sims[i], regs[i], res, label)
 			}
 		})
 	}
 }
 
-// TestDistributedByReferenceShardedByteIdentical crosses the other two
-// axes: by-reference delivery (the loopback's zero Codec, no encoding)
-// with a shard count other than the fixed one. Delivery and shard count
-// are independent; neither may affect the decision stream.
-func TestDistributedByReferenceShardedByteIdentical(t *testing.T) {
-	base, err := declaredSim(t, tuneForActions).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lb := wire.NewLoopback()
-	defer lb.Close() // no SetCodec: envelopes pass by pointer
-	sim := declaredSim(t, func(c *Config) {
-		tuneForActions(c)
-		c.Distributed = &DistributedConfig{Transport: lb}
-	})
-	sim.Plane().Coordinator().SetIngestShardsForTest(4)
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, base, res, "by-reference loopback (4 shards)")
-}
-
-// TestDistributedHTTPBinaryByteIdentical crosses real sockets with the
-// sharded ingest path: binary frames through net/http, heartbeat ingest
-// spread over 16 shards. The run stays byte-identical to the in-process
-// simulation, and every host's heartbeat arrives every minute.
+// TestDistributedHTTPBinaryByteIdentical carries the steady heartbeat
+// frame over real sockets: binary frames through net/http, the plane
+// instrumented. The run stays byte-identical to the in-process
+// simulation, every host's heartbeat arrives every minute, and the
+// session indices survive the trip without a resync.
 func TestDistributedHTTPBinaryByteIdentical(t *testing.T) {
 	base, err := declaredSim(t, tuneForActions).Run()
 	if err != nil {
@@ -80,18 +74,35 @@ func TestDistributedHTTPBinaryByteIdentical(t *testing.T) {
 
 	tr := wire.NewHTTP()
 	defer tr.Close()
+	reg := obs.NewRegistry()
 	sim := declaredSim(t, func(c *Config) {
 		tuneForActions(c)
+		c.Obs = reg
 		c.Distributed = &DistributedConfig{Transport: tr}
 	})
-	sim.Plane().Coordinator().SetIngestShardsForTest(16)
 	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, base, res, "http binary (16 shards)")
+	assertIdentical(t, base, res, "http binary")
+	assertSteadyHeartbeats(t, sim, reg, res, "http binary")
+}
+
+// assertSteadyHeartbeats checks a fault-free distributed run's heartbeat
+// stream: one beat per host per minute reached the coordinator, each
+// host was named once and indexed from then on, and no session had to
+// resync.
+func assertSteadyHeartbeats(t *testing.T, sim *Simulator, reg *obs.Registry, res *Result, label string) {
+	t.Helper()
 	wantBeats := res.Minutes * len(res.Hosts)
 	if got := sim.Plane().Coordinator().Heartbeats(); got != wantBeats {
-		t.Errorf("coordinator ingested %d heartbeats, want %d", got, wantBeats)
+		t.Errorf("%s: coordinator ingested %d heartbeats, want %d", label, got, wantBeats)
+	}
+	snap := reg.Snapshot()
+	if named := snap[agent.MetricHeartbeatNamedFrames]; named < float64(len(res.Hosts)) || 2*named > float64(wantBeats) {
+		t.Errorf("%s: %v of %d heartbeats named: want every host once, and most minutes indexed", label, named, wantBeats)
+	}
+	if got := snap[agent.MetricHeartbeatResyncs]; got != 0 {
+		t.Errorf("%s: %v resyncs on a fault-free run", label, got)
 	}
 }

@@ -7,19 +7,19 @@ import (
 	"sync"
 )
 
-// Codec selects how the loopback transport delivers an envelope. The
-// zero value hands the handler the caller's pointer (by-reference
-// delivery, no encoding at all); CodecBinary round-trips request and
-// reply through the frame format, exactly as the HTTP transport does.
-// On a socket the length-prefixed binary frame is the only encoding.
+// Codec is ignored: every transport speaks the length-prefixed binary
+// frame format only (see DESIGN.md "The ingest plane"): a magic byte, a
+// little-endian uint32 payload length, then a compact field encoding
+// with uvarint lengths.
+//
+// Deprecated: Codec and CodecBinary stay only for the benchmark rig,
+// which still passes CodecBinary to the no-op Loopback.SetCodec and
+// HTTP.Codec.
 type Codec uint8
 
-// CodecBinary is the length-prefixed binary frame format (see DESIGN.md
-// "Ingest plane"): a magic byte, a little-endian uint32 payload length,
-// then a compact field encoding with uvarint lengths. Heartbeats and
-// acks — the per-minute hot kinds — cost zero heap allocations to
-// encode and decode (pooled frames, pooled envelopes, interned
-// identifier strings).
+// CodecBinary is the length-prefixed binary frame format.
+//
+// Deprecated: see Codec.
 const CodecBinary Codec = 1
 
 // BinaryContentType is the MIME type the HTTP transport labels frames
@@ -241,8 +241,8 @@ func AcquireAckEnvelope(from, to string, ack ActionAck) *Envelope {
 // the dispatcher's sending half of the zero-allocation action path (the
 // agent's AcquireAckEnvelope is the answering half). The caller releases
 // it once the transport call returns: transports never retain a request
-// past the call (the loopback deep-clones held messages, the HTTP client
-// serialises before returning), so the box can be recycled immediately.
+// past the call (both encode it into a frame first; the loopback parks a
+// held message as that frame), so the box can be recycled immediately.
 func AcquireActionEnvelope(from, to string, req ActionRequest) *Envelope {
 	bx := acquireBox()
 	bx.env.Version = Version
@@ -881,55 +881,4 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		return nil, 0, err
 	}
 	return e, consumed, nil
-}
-
-// CloneEnvelope deep-copies an envelope into freshly allocated memory,
-// detached from any pool. Transports use it when they must retain a
-// message past the caller's release (the loopback's HoldNext parking).
-func CloneEnvelope(e *Envelope) *Envelope {
-	if e == nil {
-		return nil
-	}
-	c := *e
-	c.box = nil
-	if e.Heartbeat != nil {
-		hb := *e.Heartbeat
-		hb.Instances = append([]InstanceSample(nil), e.Heartbeat.Instances...)
-		c.Heartbeat = &hb
-	}
-	if e.Action != nil {
-		a := *e.Action
-		c.Action = &a
-	}
-	if e.Ack != nil {
-		a := *e.Ack
-		a.Indices = append([]uint32(nil), e.Ack.Indices...)
-		c.Ack = &a
-	}
-	if e.Probe != nil {
-		p := *e.Probe
-		c.Probe = &p
-	}
-	if e.Hello != nil {
-		h := *e.Hello
-		c.Hello = &h
-	}
-	if e.RuleGet != nil {
-		g := *e.RuleGet
-		c.RuleGet = &g
-	}
-	if e.RulePut != nil {
-		p := *e.RulePut
-		c.RulePut = &p
-	}
-	if e.RuleList != nil {
-		l := *e.RuleList
-		l.Entries = append([]RuleInfo(nil), e.RuleList.Entries...)
-		c.RuleList = &l
-	}
-	if e.Lease != nil {
-		l := *e.Lease
-		c.Lease = &l
-	}
-	return &c
 }

@@ -55,7 +55,7 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 	// The same report once the coordinator has issued its numbers: the
 	// steady frame, beside the named one above.
 	b.Run("binary-indexed", func(b *testing.B) {
-		indexed := CloneEnvelope(env)
+		indexed := benchHeartbeatEnvelope()
 		indexed.Heartbeat.Session, indexed.Heartbeat.HostIndex = 0x5EED0123456789AB, 7
 		for i := range indexed.Heartbeat.Instances {
 			indexed.Heartbeat.Instances[i].Index = uint32(100*i + 1)

@@ -12,20 +12,23 @@ import (
 // Loopback is the in-memory transport: delivery is a synchronous
 // function call in the caller's goroutine, so tests are deterministic,
 // and an injectable fault model — latency, message drops, lost replies,
-// partitions — turns it into a miniature unreliable network. It is the
-// reference transport: the distributed simulator scenario must produce
-// byte-identical action logs over Loopback and over HTTP.
+// partitions — turns it into a miniature unreliable network. Every call
+// round-trips request and reply through the binary frame format, so the
+// handler and the caller each receive a decoded copy, exactly as over a
+// socket. It is the reference transport: the distributed simulator
+// scenario must produce byte-identical action logs over Loopback and
+// over HTTP.
 type Loopback struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
 	closed   bool
 
 	// fault state, all guarded by mu
-	dropNext      map[string]int // node -> calls to swallow before the handler runs
-	dropReplyNext map[string]int // node -> replies to swallow after the handler ran
-	dupNext       map[string]int // node -> deliveries to run through the handler twice
-	holdNext      map[string]int // node -> deliveries to park for later release
-	held          map[string][]*Envelope
+	dropNext      map[string]int      // node -> calls to swallow before the handler runs
+	dropReplyNext map[string]int      // node -> replies to swallow after the handler ran
+	dupNext       map[string]int      // node -> deliveries to run through the handler twice
+	holdNext      map[string]int      // node -> deliveries to park for later release
+	held          map[string][][]byte // node -> parked frames, as they were in flight
 	latency       map[string]time.Duration
 	isolated      map[string]bool
 	dropRate      float64
@@ -34,7 +37,6 @@ type Loopback struct {
 	calls   int
 	dropped int
 
-	codec  Codec
 	intern *Interner
 
 	metrics *wireMetrics
@@ -48,26 +50,18 @@ func NewLoopback() *Loopback {
 		dropReplyNext: make(map[string]int),
 		dupNext:       make(map[string]int),
 		holdNext:      make(map[string]int),
-		held:          make(map[string][]*Envelope),
+		held:          make(map[string][][]byte),
 		latency:       make(map[string]time.Duration),
 		isolated:      make(map[string]bool),
+		intern:        NewInterner(),
 	}
 }
 
-// SetCodec selects the envelope encoding. With CodecBinary every call
-// round-trips request and reply through the binary frame format — the
-// handler receives a decoded copy, exactly as it would over a socket —
-// so the loopback exercises the codec end to end while staying
-// deterministic. The zero Codec passes envelopes by pointer (the
-// original in-memory behaviour: no encoding at all).
-func (l *Loopback) SetCodec(c Codec) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.codec = c
-	if c == CodecBinary && l.intern == nil {
-		l.intern = NewInterner()
-	}
-}
+// SetCodec is ignored: every call round-trips binary frames. It stays
+// only for the benchmark rig, which still selects CodecBinary.
+//
+// Deprecated: do not call it.
+func (l *Loopback) SetCodec(Codec) {}
 
 // Instrument attaches an obs registry: every subsequent Call is counted
 // by message type, failures by cause, and latency into a histogram. A
@@ -100,9 +94,6 @@ func (l *Loopback) Unlisten(node string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.handlers, node)
-	for _, env := range l.held[node] {
-		ReleaseEnvelope(env)
-	}
 	delete(l.held, node)
 	return nil
 }
@@ -170,10 +161,16 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 		// the handler later (a delayed delivery, e.g. after a partition
 		// heals). The caller meanwhile sees the same thing it would for
 		// a loss — no ack within the deadline — and retries. The park
-		// keeps a deep clone: the caller may reuse its envelope (the
-		// heartbeat reporter does) long before the held copy lands.
+		// keeps the encoded frame, detached from the caller's envelope,
+		// which the caller may reuse (the heartbeat reporter does) long
+		// before the held copy lands.
+		frame, err := AppendEnvelope(nil, env)
+		if err != nil {
+			l.mu.Unlock()
+			return nil, err
+		}
 		l.holdNext[node]--
-		l.held[node] = append(l.held[node], CloneEnvelope(env))
+		l.held[node] = append(l.held[node], frame)
 		l.dropped++
 		l.mu.Unlock()
 		return nil, ErrTimeout
@@ -184,7 +181,6 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 		dup = true
 	}
 	lat := l.latency[node]
-	codec, intern := l.codec, l.intern
 	l.mu.Unlock()
 
 	if lat > 0 {
@@ -198,24 +194,26 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 		return nil, ErrTimeout
 	}
 
-	if dup {
-		// Duplicate delivery: the network hands the same message to the
-		// handler twice (a replayed packet). The first reply vanishes;
-		// the caller sees only the second — which an idempotent receiver
-		// answers from its applied cache without re-executing.
-		if first, ferr := l.deliver(h, env, codec, intern); ferr == nil && first != nil {
+	// No defer releases the frame: with this many returns it would be
+	// heap-allocated on every call.
+	buf := AcquireFrame()
+	frame, err := AppendEnvelope((*buf)[:0], env)
+	*buf = frame
+	var reply *Envelope
+	if err == nil {
+		if dup {
+			// Duplicate delivery: the network hands the same frame to the
+			// handler twice (a replayed packet). The first reply vanishes;
+			// the caller sees only the second — which an idempotent
+			// receiver answers from its applied cache without re-executing.
+			first, _ := l.deliver(h, frame)
 			ReleaseEnvelope(first) // swallowed, like a reply lost in transit
 		}
+		reply, err = l.deliver(h, frame)
 	}
-	reply, err := l.deliver(h, env, codec, intern)
+	ReleaseFrame(buf)
 	if err != nil {
 		return nil, err
-	}
-	if reply != nil {
-		if err := reply.Validate(); err != nil {
-			ReleaseEnvelope(reply)
-			return nil, err
-		}
 	}
 
 	l.mu.Lock()
@@ -230,49 +228,31 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 	return reply, nil
 }
 
-// deliver hands env to the handler. With the binary codec both the
-// request and the reply round-trip through the frame format — the
-// handler sees a decoded copy, exactly as it would over a socket, and
-// the caller receives a decoded reply it must ReleaseEnvelope.
-func (l *Loopback) deliver(h Handler, env *Envelope, codec Codec, intern *Interner) (*Envelope, error) {
-	if codec != CodecBinary {
-		return h(env)
+// deliver decodes one request frame and hands the copy to the handler,
+// as a socket's receiver would; the reply round-trips through a frame of
+// its own, so the caller receives a decoded reply it must
+// ReleaseEnvelope.
+func (l *Loopback) deliver(h Handler, frame []byte) (*Envelope, error) {
+	req, _, err := DecodeEnvelope(frame, l.intern)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := h(req)
+	ReleaseEnvelope(req)
+	if err != nil || reply == nil {
+		ReleaseEnvelope(reply)
+		return nil, err
 	}
 	buf := AcquireFrame()
-	b, err := AppendEnvelope((*buf)[:0], env)
-	if err != nil {
-		ReleaseFrame(buf)
-		return nil, err
-	}
+	defer ReleaseFrame(buf)
+	b, err := AppendEnvelope((*buf)[:0], reply)
 	*buf = b
-	req, _, err := DecodeEnvelope(*buf, intern)
-	ReleaseFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	reply, herr := h(req)
-	ReleaseEnvelope(req)
-	if herr != nil {
-		ReleaseEnvelope(reply)
-		return nil, herr
-	}
-	if reply == nil {
-		return nil, nil
-	}
-	rbuf := AcquireFrame()
-	rb, rerr := AppendEnvelope((*rbuf)[:0], reply)
 	ReleaseEnvelope(reply)
-	if rerr != nil {
-		ReleaseFrame(rbuf)
-		return nil, rerr
-	}
-	*rbuf = rb
-	out, _, err := DecodeEnvelope(*rbuf, intern)
-	ReleaseFrame(rbuf)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	out, _, err := DecodeEnvelope(b, l.intern)
+	return out, err
 }
 
 // Close implements Transport.
@@ -330,20 +310,18 @@ func (l *Loopback) HoldNext(node string, n int) {
 // many messages were delivered.
 func (l *Loopback) DeliverHeld(node string) int {
 	l.mu.Lock()
-	envs := l.held[node]
+	frames := l.held[node]
 	delete(l.held, node)
 	h, ok := l.handlers[node]
-	codec, intern := l.codec, l.intern
 	l.mu.Unlock()
 	if !ok {
 		return 0
 	}
-	for _, env := range envs {
-		reply, err := l.deliver(h, env, codec, intern)
-		_ = err // stale traffic: replies and errors vanish
+	for _, frame := range frames {
+		reply, _ := l.deliver(h, frame) // stale traffic: replies and errors vanish
 		ReleaseEnvelope(reply)
 	}
-	return len(envs)
+	return len(frames)
 }
 
 // Held reports how many messages are currently parked for node.

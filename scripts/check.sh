@@ -3,7 +3,9 @@
 # the metric-name lint, the wire-encoding lint, every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards skip themselves under -race, so the
 # second pass is the one in which they assert), the ingest and dispatch
-# concurrency tests ten more times under the race detector, ten seconds
+# concurrency tests — the session dictionary, the single ingest lock
+# that guards it with every pending beat, and journaled dispatch — ten
+# more times under the race detector, ten seconds
 # each of real fuzzing of the wire frame decoder, of the journal's frame reader, of
 # the tsdb segment-record decoder and of the closed-form inference
 # against its two references, and every benchmark of the root package,
@@ -53,10 +55,12 @@ echo "== go test ./...   (race-free: the zero-alloc guards assert here)"
 go test ./...
 
 # One pass rarely schedules the interleaving a race needs: 32 reporters
-# against the minute close, Forget and the election's Follows query, and
-# concurrent journaled dispatch. About 5 s on 2 vCPUs.
+# against the minute close, Forget and the election's Follows query; 64
+# direct ingesters against the same close (one lock guards both the
+# session dictionary and every pending beat); and concurrent journaled
+# dispatch. About 7 s on 2 vCPUs.
 echo "== go test -race -count=10: the ingest and dispatch concurrency tests"
-go test -race -count=10 -run '^(TestSessionConcurrentReporters|TestDispatchConcurrentCallersStress)$' ./internal/agent
+go test -race -count=10 -run '^(TestSessionConcurrentReporters|TestConcurrentIngestStress|TestDispatchConcurrentCallersStress)$' ./internal/agent
 
 # Replaying the seed corpus (which the two passes above do) is not
 # fuzzing: the decoder reads whatever an unauthenticated peer sends.
