@@ -70,8 +70,11 @@ func runAgent(ctx context.Context, o options) error {
 	rep := a.Reporter()
 	// A transiently lost heartbeat is redelivered within the interval
 	// (two quick retries), and an outage that outlives the retries parks
-	// the minute in the reporter's ring for the next successful send —
-	// the coordinator's day profiles stay gap-free across a failover.
+	// the minute in the reporter's ring for the next successful send; the
+	// coordinator observes a parked minute it has not closed yet at its
+	// own minute, so the day profiles stay gap-free across a failover.
+	// The loop counts from 0 on every start; the first ack puts the
+	// reports on the coordinator's minute.
 	rep.SetRetry(2, interval/16, nil)
 	var ids []string
 	for minute := 0; ; minute++ {

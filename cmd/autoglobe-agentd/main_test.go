@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"autoglobe/internal/agent"
+	"autoglobe/internal/archive"
 	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
 	"autoglobe/internal/spec"
@@ -97,7 +98,8 @@ func TestFlagSurface(t *testing.T) {
 
 // TestCoordinatorAndAgentsOverHTTP runs the real daemon code in one
 // process: a coordinator and two agents, each on its own 127.0.0.1:0
-// listener, talking over sockets at 10 ms a minute.
+// listener, talking over sockets at 10 ms a minute — one agent killed
+// and started again under the same host name halfway.
 func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 	l, err := spec.Paper(service.FullMobility, 1)
@@ -137,15 +139,21 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan error, 1+len(hosts)) // one send per daemon
+	done := make(chan error, 2+len(hosts)) // one send per daemon, the restarted agent's included
 	go func() { done <- d.run(ctx) }()
-	for _, h := range hosts {
+	startAgent := func(ctx context.Context, h string) {
 		ao, err := parse("-mode", "agent", "-host", h, "-coordinator", d.base,
 			"-load", "0.4", "-interval", "10ms")
 		if err != nil {
 			t.Fatal(err)
 		}
 		go func() { done <- run(ctx, ao) }()
+	}
+	firstCtx, stopFirst := context.WithCancel(ctx)
+	defer stopFirst()
+	startAgent(firstCtx, hosts[0])
+	for _, h := range hosts[1:] {
+		startAgent(ctx, h)
 	}
 
 	get := func(path string) (int, string) {
@@ -187,9 +195,8 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 	if code, body := get(obs.HealthPath); code != http.StatusOK || !strings.Contains(body, `"minute":"ok"`) {
 		t.Errorf("healthz: %d %s, want 200 with a passing minute check", code, body)
 	}
-
-	cancel()
-	for i := 0; i < 1+len(hosts); i++ {
+	wait := func() {
+		t.Helper()
 		select {
 		case err := <-done:
 			if err != nil {
@@ -198,5 +205,38 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("a daemon did not return within 5 s of cancel")
 		}
+	}
+	closes := func() int {
+		_, body := get(obs.MetricsPath)
+		return int(series(body, agent.MetricMinuteStage+`_count{stage="merge"}`))
+	}
+
+	// The first agent's process restarts and counts its minutes from 0
+	// again: its first ack puts it back on the coordinator's minute, and
+	// its host is observed past the restart instead of going dark.
+	stopFirst()
+	wait()
+	restart := closes() // the minutes before it are closed
+	startAgent(ctx, hosts[0])
+	coord := d.mgr.Plane.Coordinator()
+	deadline = time.Now().Add(10 * time.Second)
+	for !coord.Follows(hosts[0], restart+1, 0) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10 s the restarted agent's beats are not stamped past minute %d", restart)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	for until := closes() + 2; closes() < until; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("after 10 s the coordinator has not closed the restarted agent's minute")
+		}
+	}
+
+	cancel()
+	for i := 0; i < 1+len(hosts); i++ {
+		wait()
+	}
+	if s, _ := d.mgr.Archive.Latest(archive.HostEntity(hosts[0])); s.Minute <= restart {
+		t.Fatalf("%s is archived up to minute %d, want past the restart at minute %d", hosts[0], s.Minute, restart)
 	}
 }

@@ -468,6 +468,14 @@ const reporterBufferCap = 16
 // gap-free. The destination is re-read from the agent on every attempt,
 // so a lease redirect takes effect mid-buffer.
 //
+// The reporter stamps reports on the coordinator's clock: Begin adds an
+// offset to the caller's minute, and an ack to the open report that
+// carries the coordinator's next minute (the report was at or below the
+// newest minute it closed — an agent restarted at minute 0, or one that
+// fell behind) raises the offset by the difference. Parked minutes never
+// move the clock, and the offset only grows: an agent ahead of its
+// coordinator stays ahead, its reports placed at the close's minute.
+//
 // A steady report carries numbers, not names: once a coordinator's ack
 // to a named heartbeat has issued the host's and every sample's session
 // index, the open report is stamped with them (stamp) for as long as it
@@ -496,6 +504,9 @@ type HeartbeatReporter struct {
 	// reporterBufferCap entries. Each entry owns its Instances slice.
 	buffered []wire.Heartbeat
 
+	// offset is how far the coordinator's clock is ahead of the caller's.
+	offset int
+
 	// retries and backoff bound the per-report delivery attempts: a Send
 	// makes 1+retries attempts, sleeping backoff<<attempt between them.
 	// The default (0 retries) preserves the fire-and-forget semantics a
@@ -518,9 +529,10 @@ func (r *HeartbeatReporter) SetRetry(n int, d time.Duration, sleep func(time.Dur
 // Buffered returns how many undelivered minutes the reporter holds.
 func (r *HeartbeatReporter) Buffered() int { return len(r.buffered) }
 
-// Begin starts a new report for the minute, resetting the sample batch.
+// Begin starts a new report for the minute — stamped minute + offset,
+// the coordinator's minute — resetting the sample batch.
 func (r *HeartbeatReporter) Begin(minute int, cpu, mem float64) {
-	r.hb.Minute = minute
+	r.hb.Minute = minute + r.offset
 	r.hb.CPU = cpu
 	r.hb.Mem = mem
 	r.hb.Instances = r.hb.Instances[:0]
@@ -635,7 +647,8 @@ func (r *HeartbeatReporter) learn(node string, hb *wire.Heartbeat, ack *wire.Act
 // resync (a restarted coordinator under the same name) drops the session
 // and sends the same minute again, named, at once: not a delivery
 // failure, so not counted against the retries, and honoured once, of a
-// frame that was in fact indexed.
+// frame that was in fact indexed. An ack to the open report that carries
+// a next minute later than its stamp raises the clock offset.
 func (r *HeartbeatReporter) sendOne(ctx context.Context, env *wire.Envelope) error {
 	a := r.a
 	for attempt := 0; ; {
@@ -654,6 +667,9 @@ func (r *HeartbeatReporter) sendOne(ctx context.Context, env *wire.Envelope) err
 			var reason string
 			if ok {
 				r.learn(env.To, env.Heartbeat, reply.Ack)
+				if next := reply.Ack.NextMinute; env == &r.env && next > r.hb.Minute {
+					r.offset += next - r.hb.Minute
+				}
 			} else if acked {
 				reason = reply.Ack.Error
 			}

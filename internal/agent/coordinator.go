@@ -43,6 +43,14 @@ import (
 // a steady heartbeat addresses its slot and instance names by session
 // index (see resolveLocked): no string is hashed or interned on the way.
 //
+// The coordinator's minute is the clock. It owns the minutes above its
+// floor — the newest minute closed, or at construction and takeover the
+// archive's high-water mark — and a close observes a beat at its own
+// minute only inside that window; anything else is placed at the
+// close's minute (see collectLocked). A heartbeat stamped at or below the
+// floor is acked with the minute the coordinator is on, and the agent's
+// reporter moves its clock up to it.
+//
 // Ingestion preserves the in-process observation semantics exactly:
 // host entities register with their performance index, an idle trigger
 // for an empty host is filtered (a pooled blade at rest is not an
@@ -62,30 +70,24 @@ type Coordinator struct {
 	// joining the landscape); its error is returned to the agent.
 	OnHello func(wire.Hello) error
 
-	// ha flips the coordinator into high-availability ingest mode: a
-	// host may deliver several distinct minutes inside one merge window
-	// (a reporter draining the backlog it buffered during a leaderless
-	// failover), and the minute close replays them as ascending
-	// per-minute groups instead of keeping only the latest. Off by
-	// default — the plain path stays byte-for-byte the original.
-	ha      atomic.Bool
 	metrics atomic.Pointer[coordMetrics]
 
 	// ingestMu guards the session dictionary and every piece of ingest
-	// state: the host slots' pending beats, stale-replay watermarks and
-	// Follows records, the counters, the queued list, the freelist and
-	// the HA backfill. It is taken after mu, never before.
+	// state: the host slots' pending and parked beats, stale-replay
+	// watermarks and Follows records, the counters, the queued list and
+	// the freelist. It is taken after mu, never before.
 	ingestMu   sync.Mutex
 	heartbeats int
 	maxMinute  int // newest minute a beat was ingested for
 	// queued lists the slots that took a pending beat since the last
 	// merge (one that Forget emptied stays listed, and may be listed
-	// twice); free recycles merged beats. In HA mode a host's displaced
-	// older-minute beats wait in backfill instead of being overwritten,
-	// so a drained failover backlog survives until the minute-close merge.
-	queued   []*hostSlot
-	free     []*hostBeat
-	backfill []*hostBeat
+	// twice); free recycles merged beats.
+	queued []*hostSlot
+	free   []*hostBeat
+	// floor is the newest minute the monitor pipeline has closed: the
+	// archive's high-water mark at construction and takeover, then each
+	// close's minute.
+	floor int
 
 	// The session dictionary: what this incarnation (session, a non-zero
 	// nonce) lets a reporter say by number. hostTab and instTab are
@@ -119,25 +121,18 @@ type Coordinator struct {
 	insts    map[string]*instSlot
 	svcs     []svcSlot // catalog order; the catalog is immutable
 	svcIndex map[string]*svcSlot
-	// Reusable merge buffers: all beats, the HA path's survivors, the
-	// beats of hosts outside the cluster, and one cell per cluster
-	// position (nil between merges). place and every hostSlot.pos are
-	// recomputed when orderStale says cluster membership changed.
-	scratch, kept, stragglers, place []*hostBeat
-	orderStale                       atomic.Bool
-	seen                             [3]int // hosts, instances, services observed this close
-	lastErr                          error
-	journal                          *CoordinatorJournal
-	rulesReg                         *rules.Registry
-	ruleSwap                         RuleActivator
-	leaseHook                        func(wire.Lease) wire.Lease
-	// mergeFloor (HA mode) is the newest minute the shared monitor
-	// pipeline has already observed: a takeover sets it from the
-	// previous leadership so a drained backlog cannot double-observe a
-	// minute the deposed leader already merged. lastMerged is the
-	// newest minute this coordinator actually observed host beats at.
-	mergeFloor int
-	lastMerged int
+	// Reusable merge buffers: the beats a close observes, those of hosts
+	// outside the cluster, and one cell per cluster position (nil
+	// between merges). place and every hostSlot.pos are recomputed when
+	// orderStale says cluster membership changed.
+	scratch, stragglers, place []*hostBeat
+	orderStale                 atomic.Bool
+	seen                       [3]int // hosts, instances, services observed this close
+	lastErr                    error
+	journal                    *CoordinatorJournal
+	rulesReg                   *rules.Registry
+	ruleSwap                   RuleActivator
+	leaseHook                  func(wire.Lease) wire.Lease
 }
 
 // RuleActivator is the hook a validated-and-activated rule base is
@@ -151,10 +146,9 @@ type RuleActivator func(e *rules.Entry) error
 // landscape in steady state reuses the same storage minute after minute.
 type hostBeat struct {
 	slot     *hostSlot
-	minute   int
+	minute   int // the minute reported; from collection on, the minute observed at
 	cpu, mem float64
 	samples  []wire.InstanceSample
-	late     bool // merge: came from backfill, older than the pending beat
 }
 
 // fill overwrites the beat with a host's heartbeat, reusing its sample
@@ -189,10 +183,11 @@ type hostSlot struct {
 	name  string
 	index uint32 // session-dictionary number; 0: the dictionary was full
 
-	pending   *hostBeat // the buffered beat, nil between merges
-	lastMin   int       // newest merged minute (stale-replay guard); math.MinInt: none
-	beatMin   int       // newest minute a beat was ingested for (Follows); math.MinInt: none
-	beatEpoch uint64    // the epoch that beat was stamped with
+	pending   *hostBeat   // the newest buffered beat, nil between merges
+	parked    []*hostBeat // older buffered minutes, ascending, at most reporterBufferCap
+	lastMin   int         // newest minute observed at (stale-replay guard); math.MinInt: none
+	beatMin   int         // newest minute a beat was ingested for (Follows); math.MinInt: none
+	beatEpoch uint64      // the epoch that beat was stamped with
 
 	watchReg
 	pos   int         // 1-based cluster position; 0: not in the cluster
@@ -257,6 +252,7 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		insts:        make(map[string]*instSlot),
 		svcIndex:     make(map[string]*svcSlot),
 	}
+	c.resetFloor() // over a restored archive, never observe below it
 	for c.session == 0 {
 		var nonce [8]byte
 		if _, err := rand.Read(nonce[:]); err != nil {
@@ -333,29 +329,14 @@ func (c *Coordinator) ruleState() (*rules.Registry, RuleActivator, *CoordinatorJ
 	return c.rulesReg, c.ruleSwap, c.journal
 }
 
-// EnableHA switches the coordinator into high-availability ingest
-// mode (see the ha field). It is enabled once, before traffic, on
-// every member of an elected coordinator group.
-func (c *Coordinator) EnableHA() { c.ha.Store(true) }
-
-// SetMergeFloor (HA mode) records the newest minute the shared monitor
-// pipeline has already observed. Beats at or below the floor are
-// discarded by the grouped minute close — a new leader sets this at
-// takeover so a drained agent backlog cannot double-observe minutes
-// its predecessor already merged.
-func (c *Coordinator) SetMergeFloor(minute int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mergeFloor = minute
-}
-
-// LastMerged returns the newest minute this coordinator observed host
-// beats at — the value a plane carries across a takeover into the
-// successor's merge floor.
-func (c *Coordinator) LastMerged() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastMerged
+// resetFloor sets the floor to the archive's high-water mark — whoever
+// closed those minutes — so a coordinator taking over the shared monitor
+// pipeline cannot observe a minute its predecessor already observed.
+func (c *Coordinator) resetFloor() {
+	last, _ := c.lms.Archive().LastMinute()
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
+	c.floor = last
 }
 
 // SetLeaseHook routes incoming lease-renewal beacons (an elected
@@ -408,6 +389,9 @@ func (c *Coordinator) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 		c.ingestMu.Lock()
 		if hs := c.resolveLocked(env.Heartbeat, reply.Ack); hs != nil {
 			c.ingestLocked(hs, env.Heartbeat, env.Epoch)
+			if env.Heartbeat.Minute <= c.floor {
+				reply.Ack.NextMinute = c.floor + 1 // the agent lags: give it the clock
+			}
 		}
 		c.ingestMu.Unlock()
 		return reply, nil
@@ -656,12 +640,14 @@ func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 // and the hot path allocates nothing in steady state (the pending beat
 // and its sample slice are recycled).
 //
-// A stale replay — a beat older than the host's last merged minute —
-// is dropped: it can only be re-delivered traffic (the loopback's
-// held/duplicated messages, a retried HTTP POST), and merging it would
-// regress the host's archive series. Within the same merge window a
-// newer beat overwrites an older one (latest report wins), and only a
-// beat at least as new as the slot's record replaces it (Follows).
+// A stale replay — a beat older than the minute the host was last
+// observed at — is dropped: it can only be re-delivered traffic (the
+// loopback's held/duplicated messages, a retried HTTP POST) or an agent
+// behind the coordinator's clock, which the ack corrects. The newest
+// beat is pending; an older minute — a drained backlog, or a report
+// that arrived out of order — is parked beside it (parkLocked), and the
+// same minute again overwrites (latest report wins). Only a beat at
+// least as new as the slot's record replaces it (Follows).
 func (c *Coordinator) ingestLocked(hs *hostSlot, hb *wire.Heartbeat, epoch uint64) {
 	c.heartbeats++
 	c.maxMinute = max(c.maxMinute, hb.Minute)
@@ -678,26 +664,38 @@ func (c *Coordinator) ingestLocked(hs *hostSlot, hb *wire.Heartbeat, epoch uint6
 		return
 	}
 	b := hs.pending
-	if b == nil {
+	switch {
+	case b == nil:
 		b = c.takeBeatLocked()
 		hs.pending = b
 		c.queued = append(c.queued, hs)
-	} else if hb.Minute > b.minute && c.ha.Load() {
-		// HA: a newer minute arriving on top of an unmerged one is a
-		// backlog drain, not a replacement — park the older beat for the
-		// grouped minute close instead of losing its minute.
-		c.backfill = append(c.backfill, b)
+	case hb.Minute > b.minute:
+		c.parkLocked(hs, b)
 		b = c.takeBeatLocked()
 		hs.pending = b
-	} else if hb.Minute < b.minute {
-		if c.ha.Load() {
-			// HA: an out-of-order older minute still fills its slot in the
-			// day profile; the grouped close replays it in minute order.
-			c.backfill = append(c.backfill, c.takeBeatLocked().fill(hs, hb))
-		}
+	case hb.Minute < b.minute:
+		c.parkLocked(hs, c.takeBeatLocked().fill(hs, hb))
 		return
 	}
 	b.fill(hs, hb)
+}
+
+// parkLocked keeps a beat older than its host's pending one for the
+// close, in minute order: a minute already parked is overwritten, and
+// past reporterBufferCap minutes — all a reporter ever holds — the
+// oldest goes. Callers hold c.ingestMu.
+func (c *Coordinator) parkLocked(hs *hostSlot, b *hostBeat) {
+	i, found := slices.BinarySearchFunc(hs.parked, b, byMinute)
+	if found {
+		c.free = append(c.free, hs.parked[i])
+		hs.parked[i] = b
+		return
+	}
+	hs.parked = slices.Insert(hs.parked, i, b)
+	if len(hs.parked) > reporterBufferCap {
+		c.free = append(c.free, hs.parked[0])
+		hs.parked = slices.Delete(hs.parked, 0, 1)
+	}
 }
 
 // instSlotLocked resolves an instance ID reported under a service; an
@@ -730,15 +728,15 @@ func (c *Coordinator) watchLocked(r *watchReg, class monitor.Class, host string)
 	return r.watch
 }
 
-// canonicalLocked reorders the beats of one minute (slots resolved), in
-// place, into the canonical order: hosts currently in the cluster first,
-// in cluster order — the order the in-process observation loop iterates
-// — then any remaining hosts sorted by name. The order is a pure
-// function of the landscape, never of arrival interleaving, which makes
-// the distributed plane byte-identical to the in-process run. Clustered
-// hosts have a dense position, so they are placed, not sorted; positions
-// are recomputed only after a membership change. A host's second beat
-// (HA: a re-delivered backfill minute) is dropped. Callers hold c.mu.
+// canonicalLocked reorders the beats of one minute (slots resolved, one
+// per host), in place, into the canonical order: hosts currently in the
+// cluster first, in cluster order — the order the in-process observation
+// loop iterates — then any remaining hosts sorted by name. The order is
+// a pure function of the landscape, never of arrival interleaving, which
+// makes the distributed plane byte-identical to the in-process run.
+// Clustered hosts have a dense position, so they are placed, not sorted;
+// positions are recomputed only after a membership change. Callers hold
+// c.mu.
 func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
 	if c.orderStale.Swap(false) {
 		names := c.dep.Cluster().Names()
@@ -754,10 +752,9 @@ func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
 	}
 	stragglers := c.stragglers[:0]
 	for _, b := range beats {
-		switch pos := b.slot.pos; {
-		case pos == 0:
+		if pos := b.slot.pos; pos == 0 {
 			stragglers = append(stragglers, b)
-		case c.place[pos-1] == nil:
+		} else {
 			c.place[pos-1] = b
 		}
 	}
@@ -770,26 +767,16 @@ func (c *Coordinator) canonicalLocked(beats []*hostBeat) []*hostBeat {
 	}
 	slices.SortFunc(stragglers, byHost)
 	c.stragglers = stragglers[:0]
-	return append(out, slices.CompactFunc(stragglers, func(a, b *hostBeat) bool { return a.slot == b.slot })...)
+	return append(out, stragglers...)
 }
 
-// recycleLocked returns merged beats to the freelist; the HA path also
-// lifts the stale-replay watermarks to clamped minutes. Callers hold c.mu.
-func (c *Coordinator) recycleLocked(beats []*hostBeat, watermark bool) {
-	c.ingestMu.Lock()
-	defer c.ingestMu.Unlock()
-	for _, b := range beats {
-		if watermark && b.minute > b.slot.lastMin {
-			b.slot.lastMin = b.minute
-		}
-		c.free = append(c.free, b)
-	}
-}
-
-// collectLocked steals the buffered beats — pending and, in HA mode,
-// backfilled — advancing the stale-replay watermarks. Every beat
-// already points at its host's slot. Callers hold c.mu.
-func (c *Coordinator) collectLocked() []*hostBeat {
+// collectLocked steals the buffered beats and places each by the window
+// the close owns, floor < minute <= the close's minute. A host's newest
+// beat keeps its minute inside the window and takes the close's outside
+// it — a late report degraded, never silently discarded, and one from
+// the future clamped; a parked beat is kept only inside the window and
+// below the newest. Callers hold c.mu.
+func (c *Coordinator) collectLocked(minute int) []*hostBeat {
 	beats := c.scratch[:0]
 	c.ingestMu.Lock()
 	for _, hs := range c.queued {
@@ -797,101 +784,32 @@ func (c *Coordinator) collectLocked() []*hostBeat {
 		if b == nil {
 			continue // emptied by Forget, or listed twice
 		}
-		hs.pending, hs.lastMin, b.late = nil, b.minute, false
+		hs.pending = nil
+		if b.minute <= c.floor || b.minute > minute {
+			b.minute = minute
+		}
+		for _, p := range hs.parked {
+			if c.floor < p.minute && p.minute < b.minute {
+				beats = append(beats, p)
+			} else {
+				c.free = append(c.free, p)
+			}
+		}
+		hs.parked = hs.parked[:0]
 		beats = append(beats, b)
 	}
 	c.queued = c.queued[:0]
-	for _, b := range c.backfill {
-		b.late = true
-		beats = append(beats, b)
-	}
-	c.backfill = c.backfill[:0]
 	c.ingestMu.Unlock()
 	c.scratch = beats[:0] // keep the (possibly grown) buffer
 	return beats
 }
 
-// mergeHostsLocked feeds the buffered beats into the monitor pipeline in
-// canonical order (see canonicalLocked). Callers hold c.mu. The beats
-// are observed at the coordinator's minute, not the agents'
-// self-reported ones: the control-plane clock is authoritative (agents
-// restart their local counters at 0; a coordinator resuming over a
-// restored archive does not), and in the simulated planes the two clocks
-// agree, so this changes nothing there.
-func (c *Coordinator) mergeHostsLocked(minute int) error {
-	beats := c.collectLocked()
-	if len(beats) == 0 {
-		return nil
-	}
-	var err error
-	for _, b := range c.canonicalLocked(beats) {
-		if err = c.observeBeatLocked(b, minute); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		c.lastMerged = max(c.lastMerged, minute)
-	}
-	c.recycleLocked(beats, false) // error or not
-	return err
-}
-
-// mergeGroupedLocked is the HA-mode minute close: it takes the pending
-// AND backfilled beats, drops anything at or below the merge floor
-// (already observed under the previous leadership), and replays the
-// rest as ascending per-minute groups — hosts in canonical order, then
-// the service close — each at the group's own minute. A drained
-// failover backlog therefore lands in the monitor pipeline exactly as
-// the fault-free run would have observed it: same minutes, same order,
-// same archive slots, so day profiles stay gap-free. A host whose only
-// beats sit at or below the floor gets its newest one observed at the
-// authoritative minute instead — the plain path's late-beat semantics —
-// so a report that raced the previous minute close is degraded, never
-// silently discarded. Callers hold c.mu.
-func (c *Coordinator) mergeGroupedLocked(minute int) error {
-	beats := c.collectLocked()
-	kept := c.kept[:0]
-	for _, b := range beats {
-		if b.minute <= c.mergeFloor {
-			if b.late {
-				continue
-			}
-			b.minute = minute // clamp the host's newest stale report
-		}
-		kept = append(kept, b)
-	}
-	c.kept = kept[:0]
-	if !slices.IsSortedFunc(kept, byMinute) {
-		slices.SortStableFunc(kept, byMinute)
-	}
-
-	var err error
-	for lo, hi := 0, 0; lo < len(kept) && err == nil; lo = hi {
-		group := kept[lo].minute
-		for hi < len(kept) && kept[hi].minute == group {
-			hi++
-		}
-		for _, b := range c.canonicalLocked(kept[lo:hi]) {
-			if err = c.observeBeatLocked(b, group); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			c.lastMerged = max(c.lastMerged, group)
-			err = c.closeServicesLocked(group)
-		}
-	}
-	c.recycleLocked(beats, true) // error or not
-	c.mergeFloor = max(c.mergeFloor, minute)
-	return err
-}
-
-// observeBeatLocked feeds one merged beat into the monitor pipeline —
-// the exact sequence the old per-heartbeat ingest performed, now at
-// the minute boundary — stamped with the coordinator's authoritative
-// minute. Callers hold c.mu.
-func (c *Coordinator) observeBeatLocked(b *hostBeat, minute int) error {
-	hs := b.slot
+// observeBeatLocked feeds one collected beat into the monitor pipeline
+// at the minute the close placed it — the exact sequence the old
+// per-heartbeat ingest performed, now at the minute boundary. Callers
+// hold c.mu.
+func (c *Coordinator) observeBeatLocked(b *hostBeat) error {
+	hs, minute := b.slot, b.minute
 	tr, err := c.lms.ObserveWatch(c.watchLocked(&hs.watchReg, monitor.Server, hs.name), minute, b.cpu, b.mem)
 	if err != nil {
 		return err
@@ -922,25 +840,44 @@ func (c *Coordinator) observeBeatLocked(b *hostBeat, minute int) error {
 	return nil
 }
 
-// ObserveServices closes the minute: the buffered host beats are merged
-// into the monitor pipeline in canonical order (see canonicalLocked),
-// then the per-service loads accumulated from this minute's heartbeats
-// are observed in catalog order, exactly like the in-process service
-// loop, and any confirmed service triggers are queued. The accumulators
-// reset — keeping their capacity — on every exit path: a failed close
-// must not leak its samples into the next minute's average. Samples are
-// summed in instance-ID order — the order the in-process loop iterates
-// instances in — so the floating-point sum is bit-identical regardless
-// of which host's heartbeat arrived first.
+// ObserveServices closes the minute. The collected beats (see
+// collectLocked) are replayed as ascending per-minute groups — hosts in
+// canonical order (see canonicalLocked), then the per-service loads
+// accumulated from their samples, in catalog order exactly like the
+// in-process service loop — each at the group's own minute, and any
+// confirmed triggers are queued. In step there is one group, at the
+// close's minute; a drained failover backlog lands as the fault-free run
+// would have observed it — same minutes, same order, same archive slots
+// — so day profiles stay gap-free. The service accumulators reset,
+// keeping their capacity, on every exit path: a failed close must not
+// leak its samples into the next minute's average. Samples are summed in
+// instance-ID order — the order the in-process loop iterates instances
+// in — so the floating-point sum is bit-identical regardless of which
+// host's heartbeat arrived first. Error or not, every beat is recycled,
+// its host's stale-replay watermark lifted to the minute it was observed
+// at, and the floor moves up to the close's minute.
 func (c *Coordinator) ObserveServices(minute int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
+	beats := c.collectLocked(minute)
+	if !slices.IsSortedFunc(beats, byMinute) {
+		slices.SortStableFunc(beats, byMinute)
+	}
 	var err error
-	if c.ha.Load() {
-		err = c.mergeGroupedLocked(minute)
-	} else if err = c.mergeHostsLocked(minute); err == nil {
-		err = c.closeServicesLocked(minute)
+	for lo, hi := 0, 0; lo < len(beats) && err == nil; lo = hi {
+		group := beats[lo].minute
+		for hi < len(beats) && beats[hi].minute == group {
+			hi++
+		}
+		for _, b := range c.canonicalLocked(beats[lo:hi]) {
+			if err = c.observeBeatLocked(b); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = c.closeServicesLocked(group)
+		}
 	}
 	if err != nil {
 		for i := range c.svcs {
@@ -948,6 +885,11 @@ func (c *Coordinator) ObserveServices(minute int) error {
 		}
 	}
 	c.ingestMu.Lock()
+	for _, b := range beats {
+		b.slot.lastMin = max(b.slot.lastMin, b.minute)
+		c.free = append(c.free, b)
+	}
+	c.floor = max(c.floor, minute)
 	names := len(c.hostTab) + len(c.instTab)
 	c.ingestMu.Unlock()
 	c.metrics.Load().merged(start, c.seen, names)
@@ -1082,8 +1024,8 @@ func (c *Coordinator) noteErr(err error) bool {
 
 // Forget clears a demoted host's monitor registration — dropping the
 // slot's cached watch handle with it — and discards every beat still
-// buffered for it, backfill included (the host is dead; its last report
-// must not resurface at the next merge). The liveness detector keeps
+// buffered for it, parked minutes included (the host is dead; its last
+// report must not resurface at the next merge). The liveness detector keeps
 // tracking it: a healed partition is then reported by Recovered after
 // the hysteresis streak, and the host's heartbeats re-register it. Its
 // record of the last beat is dropped too: it must earn Follows again.
@@ -1095,12 +1037,8 @@ func (c *Coordinator) Forget(host string) {
 		hs.pending = nil
 		c.free = append(c.free, b)
 	}
-	c.backfill = slices.DeleteFunc(c.backfill, func(b *hostBeat) bool {
-		if b.slot == hs {
-			c.free = append(c.free, b)
-		}
-		return b.slot == hs
-	})
+	c.free = append(c.free, hs.parked...)
+	hs.parked = hs.parked[:0]
 	c.ingestMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()

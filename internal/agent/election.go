@@ -124,10 +124,6 @@ type Election struct {
 	leader    int // index of the member the plane is wired to
 	takeovers int
 	fenced    int
-	// floor is the newest minute any leadership merged host beats at —
-	// carried into each successor's merge floor so a drained agent
-	// backlog cannot double-observe minutes already in the monitor.
-	floor int
 }
 
 // AttachStandbys turns the plane's coordinator into the founding
@@ -152,7 +148,6 @@ func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 		restart = DefaultRestartAfter
 	}
 	e := &Election{p: p, restartAfter: restart}
-	p.coord.EnableHA()
 	lead := &electionMember{
 		node:    p.coord.Node(),
 		dir:     cj.Dir(),
@@ -171,7 +166,6 @@ func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 		if err != nil {
 			return nil, err
 		}
-		coord.EnableHA()
 		scj, err := OpenStandbyJournal(dir, cj.Options())
 		if err != nil {
 			return nil, err
@@ -399,17 +393,15 @@ func (e *Election) beaconLocked(ctx context.Context, m *electionMember, minute i
 
 // takeoverLocked promotes m: the previous leadership's journal is
 // warm-replayed, m's own journal durably adopts that state under a
-// bumped epoch (the fence), the plane is rewired to m's coordinator
-// with the merge floor carried over, journaled dead hosts and the
-// active rule set are replayed, the unacked dispatches are re-issued
-// through the agents' idempotency caches, and m announces itself so
-// agents redirect before this minute's reports. Callers hold e.mu.
+// bumped epoch (the fence), the plane is rewired to m's coordinator —
+// its floor read from the shared archive, so a drained agent backlog
+// cannot double-observe a minute already in the monitor — journaled
+// dead hosts and the active rule set are replayed, the unacked
+// dispatches are re-issued through the agents' idempotency caches, and
+// m announces itself so agents redirect before this minute's reports.
+// Callers hold e.mu.
 func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute int) error {
-	prev := e.members[e.leader]
-	if lm := prev.coord.LastMerged(); lm > e.floor {
-		e.floor = lm
-	}
-	ls, err := WarmReplay(prev.dir)
+	ls, err := WarmReplay(e.members[e.leader].dir)
 	if err != nil {
 		return fmt.Errorf("agent: takeover warm replay: %w", err)
 	}
@@ -423,7 +415,7 @@ func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute
 		return fmt.Errorf("agent: takeover epoch bump: %w", err)
 	}
 	e.p.coord = m.coord
-	m.coord.SetMergeFloor(e.floor)
+	m.coord.resetFloor()
 	if _, _, err := e.p.adoptJournal(ctx, cj); err != nil {
 		return err
 	}

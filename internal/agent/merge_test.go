@@ -84,97 +84,95 @@ func referenceOrder(beats []hostMinute, clusterNames []string) {
 
 // TestMergeOrderMatchesReference drives randomized beat sets — clustered
 // and out-of-cluster hosts, shuffled arrival, hosts joining and leaving
-// the cluster between minutes — through the plain and the HA minute
-// close for three seeds, and checks the observation order (every beat is
-// hot and confirms at once, so the trigger queue is the transcript)
-// against the old comparator. The cached order must follow a membership
-// change on the very next close.
+// the cluster between minutes — through the minute close for three seeds,
+// and checks the observation order (every beat is hot and confirms at
+// once, so the trigger queue is the transcript) against the old
+// comparator. With ha=false every close covers one minute, as agents in
+// step with one coordinator send; with ha=true a close may cover two, as
+// agents draining their backlog after a leader change send. The cached
+// order must follow a membership change on the very next close.
 func TestMergeOrderMatchesReference(t *testing.T) {
 	for _, ha := range []bool{false, true} {
 		for _, seed := range []int64{1, 4, 16} {
 			t.Run(fmt.Sprintf("ha=%v/seed=%d", ha, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				coord := mergeCoordinator(t, 12, 0)
-				if ha {
-					coord.EnableHA()
-				}
-				cl := coord.dep.Cluster()
-				outsiders := []string{"zeta", "alpha", "m99", "kappa", "M00"}
-				spare := 0
-				minute := 1
-				for round := 0; round < 120; round++ {
-					// Membership churn: a host joins (possibly one that
-					// beat as an outsider before) or leaves.
-					switch rng.Intn(5) {
-					case 0:
-						name := fmt.Sprintf("n%02d", spare)
-						if spare%2 == 1 {
-							name = outsiders[spare/2%len(outsiders)]
-						}
-						spare++
-						if _, ok := cl.Host(name); !ok {
-							if err := cl.Add(mergeHost(name)); err != nil {
-								t.Fatal(err)
-							}
-						}
-					case 1:
-						if names := cl.Names(); len(names) > 4 {
-							if err := cl.Remove(names[rng.Intn(len(names))]); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					// The HA close may cover two minutes: the older one
-					// lands in backfill and is replayed as its own group.
-					span := 1
-					if ha && rng.Intn(3) == 0 {
-						span = 2
-					}
-					pool := cl.Names()
-					for _, name := range outsiders {
-						if _, member := cl.Host(name); !member {
-							pool = append(pool, name)
-						}
-					}
-					var sent []hostMinute
-					for m := minute; m < minute+span; m++ {
-						for _, host := range pool {
-							if rng.Intn(4) > 0 {
-								sent = append(sent, hostMinute{host, m})
-							}
-						}
-					}
-					rng.Shuffle(len(sent), func(i, j int) { sent[i], sent[j] = sent[j], sent[i] })
-					for _, b := range sent {
-						if err := coord.Ingest(wire.Heartbeat{Host: b.host, Minute: b.minute, CPU: 0.9}); err != nil {
-							t.Fatal(err)
-						}
-					}
-					minute += span
-					last := minute - 1
-					if err := coord.ObserveServices(last); err != nil {
-						t.Fatal(err)
-					}
-					want := sent
-					if !ha {
-						// Plain path: the coordinator's minute stamps all.
-						for i := range want {
-							want[i].minute = last
-						}
-					}
-					referenceOrder(want, cl.Names())
-					got := coord.TakeTriggers()
-					if len(got) != len(want) {
-						t.Fatalf("round %d: %d observations, want %d", round, len(got), len(want))
-					}
-					for i, tr := range got {
-						if tr.Entity != want[i].host || tr.Minute != want[i].minute {
-							t.Fatalf("round %d: observation %d = %s@%d, want %s@%d", round, i,
-								tr.Entity, tr.Minute, want[i].host, want[i].minute)
-						}
-					}
-				}
+				mergeOrderRounds(t, ha, seed)
 			})
+		}
+	}
+}
+
+// mergeOrderRounds runs one subtest of TestMergeOrderMatchesReference:
+// 120 randomized closes, each checked against referenceOrder.
+func mergeOrderRounds(t *testing.T, ha bool, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	coord := mergeCoordinator(t, 12, 0)
+	cl := coord.dep.Cluster()
+	outsiders := []string{"zeta", "alpha", "m99", "kappa", "M00"}
+	spare := 0
+	minute := 1
+	for round := 0; round < 120; round++ {
+		// Membership churn: a host joins (possibly one that
+		// beat as an outsider before) or leaves.
+		switch rng.Intn(5) {
+		case 0:
+			name := fmt.Sprintf("n%02d", spare)
+			if spare%2 == 1 {
+				name = outsiders[spare/2%len(outsiders)]
+			}
+			spare++
+			if _, ok := cl.Host(name); !ok {
+				if err := cl.Add(mergeHost(name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 1:
+			if names := cl.Names(); len(names) > 4 {
+				if err := cl.Remove(names[rng.Intn(len(names))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// A backlog drain may cover two minutes: the older one is
+		// parked and replayed as its own group.
+		span := 1
+		if ha && rng.Intn(3) == 0 {
+			span = 2
+		}
+		pool := cl.Names()
+		for _, name := range outsiders {
+			if _, member := cl.Host(name); !member {
+				pool = append(pool, name)
+			}
+		}
+		var sent []hostMinute
+		for m := minute; m < minute+span; m++ {
+			for _, host := range pool {
+				if rng.Intn(4) > 0 {
+					sent = append(sent, hostMinute{host, m})
+				}
+			}
+		}
+		rng.Shuffle(len(sent), func(i, j int) { sent[i], sent[j] = sent[j], sent[i] })
+		for _, b := range sent {
+			if err := coord.Ingest(wire.Heartbeat{Host: b.host, Minute: b.minute, CPU: 0.9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		minute += span
+		if err := coord.ObserveServices(minute - 1); err != nil {
+			t.Fatal(err)
+		}
+		want := sent
+		referenceOrder(want, cl.Names())
+		got := coord.TakeTriggers()
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d observations, want %d", round, len(got), len(want))
+		}
+		for i, tr := range got {
+			if tr.Entity != want[i].host || tr.Minute != want[i].minute {
+				t.Fatalf("round %d: observation %d = %s@%d, want %s@%d", round, i,
+					tr.Entity, tr.Minute, want[i].host, want[i].minute)
+			}
 		}
 	}
 }
@@ -222,13 +220,12 @@ func TestFailedMergeDoesNotLeakServiceSamples(t *testing.T) {
 	}
 }
 
-// TestForgetPurgesBackfill: in HA mode a dead host's parked
-// older-minute beat must not be replayed by the next grouped close —
-// that would re-register the host the liveness sweep just demoted.
+// TestForgetPurgesBackfill: a dead host's parked older-minute beat must
+// not be replayed by the next close — that would re-register the host
+// the liveness sweep just demoted.
 func TestForgetPurgesBackfill(t *testing.T) {
 	for _, release := range []bool{false, true} {
 		coord := mergeCoordinator(t, 3, 2)
-		coord.EnableHA()
 		beat := func(minute int) {
 			t.Helper()
 			if err := coord.Ingest(wire.Heartbeat{Host: "m01", Minute: minute, CPU: 0.5}); err != nil {
@@ -244,10 +241,10 @@ func TestForgetPurgesBackfill(t *testing.T) {
 			t.Fatal("host not registered by its first beat")
 		}
 		beat(5)
-		beat(6) // parks minute 5 in backfill
+		beat(6) // parks minute 5 beside the pending 6
 		hs := coord.slotFor("m01")
-		if len(coord.backfill) != 1 {
-			t.Fatalf("backfill holds %d beats, want 1", len(coord.backfill))
+		if len(hs.parked) != 1 {
+			t.Fatalf("%d parked beats, want 1", len(hs.parked))
 		}
 		free := len(coord.free)
 		if release {
@@ -255,8 +252,8 @@ func TestForgetPurgesBackfill(t *testing.T) {
 		} else {
 			coord.Forget("m01")
 		}
-		if len(coord.backfill) != 0 || hs.pending != nil {
-			t.Fatalf("release=%v: %d backfilled beats survive, pending beat %v", release, len(coord.backfill), hs.pending)
+		if len(hs.parked) != 0 || hs.pending != nil {
+			t.Fatalf("release=%v: %d parked beats survive, pending beat %v", release, len(hs.parked), hs.pending)
 		}
 		if len(coord.free) != free+2 {
 			t.Fatalf("release=%v: freelist grew by %d, want both beats back", release, len(coord.free)-free)
@@ -273,6 +270,66 @@ func TestForgetPurgesBackfill(t *testing.T) {
 		if s, _ := coord.lms.Archive().Latest(key); s.Minute != 4 {
 			t.Fatalf("release=%v: archive advanced to minute %d after Forget", release, s.Minute)
 		}
+	}
+}
+
+// TestFutureBeatIsClamped: the wire is unauthenticated, so any peer can
+// stamp a beat a million minutes ahead. The close places it at its own
+// minute, as any beat from outside the window it owns: every later close
+// succeeds, and the host goes on being observed at the coordinator's
+// minute instead of hiding behind a watermark from the future.
+func TestFutureBeatIsClamped(t *testing.T) {
+	coord := mergeCoordinator(t, 3, 2, "app")
+	arch := coord.lms.Archive()
+	for minute := 0; minute < 20; minute++ {
+		for _, host := range []string{"m00", "m01"} {
+			stamp := minute
+			if host == "m01" && minute == 10 {
+				stamp = 1_000_000
+			}
+			if err := coord.Ingest(wire.Heartbeat{Host: host, Minute: stamp, CPU: 0.4,
+				Instances: []wire.InstanceSample{{ID: host + "-i", Service: "app", Load: 0.4}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := coord.ObserveServices(minute); err != nil {
+			t.Fatalf("minute %d: %v", minute, err)
+		}
+		for _, key := range []string{archive.HostEntity("m00"), archive.HostEntity("m01"), archive.ServiceEntity("app")} {
+			if s, _ := arch.Latest(key); s.Minute != minute {
+				t.Fatalf("minute %d: %s archived up to minute %d", minute, key, s.Minute)
+			}
+		}
+	}
+}
+
+// TestParkedMinutesAreBounded: a host parks at most reporterBufferCap
+// older minutes between two closes — all a reporter ever holds — so
+// 100,000 distinct minutes from one host hold 17 beats, not 100,000:
+// past the cap the oldest goes back to the freelist, and the close
+// observes the newest minutes, each at its own.
+func TestParkedMinutesAreBounded(t *testing.T) {
+	coord := mergeCoordinator(t, 3, 2)
+	for minute := 1; minute <= 100_000; minute++ {
+		if err := coord.Ingest(wire.Heartbeat{Host: "m01", Minute: minute, CPU: 0.4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(coord.slotFor("m01").parked); n > reporterBufferCap {
+		t.Fatalf("%d minutes parked, want at most %d", n, reporterBufferCap)
+	}
+	if err := coord.ObserveServices(100_000); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(coord.free); n != reporterBufferCap+1 {
+		t.Fatalf("the host held %d beats, want %d", n, reporterBufferCap+1)
+	}
+	key := archive.HostEntity("m01")
+	if n := coord.lms.Archive().Len(key); n != reporterBufferCap+1 {
+		t.Fatalf("the close observed %d minutes, want %d", n, reporterBufferCap+1)
+	}
+	if s, _ := coord.lms.Archive().Latest(key); s.Minute != 100_000 {
+		t.Fatalf("m01 archived up to minute %d, want 100000", s.Minute)
 	}
 }
 
@@ -357,71 +414,85 @@ func TestInstanceMovesBetweenServices(t *testing.T) {
 // tiled 1,007-host landscape, with a registry attached to coordinator
 // and monitor, a steady-state minute — every host's beat buffered, the
 // beats merged in canonical order, every instance archived, every
-// service closed — must allocate nothing, in the plain and the HA
-// path alike. Slots, cached order, merge buffers and accumulators exist
-// for this property.
+// service closed — must allocate nothing. With ha=true every close
+// drains a two-minute backlog, as after a leader change: the older
+// minute is parked and replayed as its own group, allocation-free too.
+// Slots, cached order, merge buffers and accumulators exist for this
+// property.
 func TestMinuteCloseZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by race instrumentation")
 	}
 	for _, ha := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ha=%v", ha), func(t *testing.T) {
-			dep := service.TilePaper(53)
-			lms, err := monitor.NewSystem(monitor.PaperParams(), archive.New(64))
-			if err != nil {
-				t.Fatal(err)
-			}
-			coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg := obs.NewRegistry()
-			coord.Instrument(reg)
-			lms.Instrument(reg)
+			span := 1
 			if ha {
-				coord.EnableHA()
+				span = 2
 			}
-			// A load between the idle and the overload threshold: no watch
-			// starts, so no trigger is allocated.
-			var beats []wire.Heartbeat
-			for _, h := range dep.Cluster().Names() {
-				hb := wire.Heartbeat{Host: h, CPU: 0.4, Mem: 0.3}
-				for _, inst := range dep.InstancesOn(h) {
-					hb.Instances = append(hb.Instances, wire.InstanceSample{ID: inst.ID, Service: inst.Service, Load: 0.4})
-				}
-				beats = append(beats, hb)
-			}
-			minute := 0
-			step := func() {
-				for i := range beats {
-					beats[i].Minute = minute
-					if err := coord.Ingest(beats[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := coord.ObserveServices(minute); err != nil {
+			minuteCloseZeroAlloc(t, span)
+		})
+	}
+}
+
+// minuteCloseZeroAlloc runs one subtest of TestMinuteCloseZeroAlloc,
+// with span minutes per host buffered for each close.
+func minuteCloseZeroAlloc(t *testing.T, span int) {
+	dep := service.TilePaper(53)
+	lms, err := monitor.NewSystem(monitor.PaperParams(), archive.New(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	coord.Instrument(reg)
+	lms.Instrument(reg)
+	// A load between the idle and the overload threshold: no watch
+	// starts, so no trigger is allocated.
+	var beats []wire.Heartbeat
+	for _, h := range dep.Cluster().Names() {
+		hb := wire.Heartbeat{Host: h, CPU: 0.4, Mem: 0.3}
+		for _, inst := range dep.InstancesOn(h) {
+			hb.Instances = append(hb.Instances, wire.InstanceSample{ID: inst.ID, Service: inst.Service, Load: 0.4})
+		}
+		beats = append(beats, hb)
+	}
+	minute, closes := 0, 0
+	step := func() {
+		for end := minute + span; minute < end; minute++ {
+			for i := range beats {
+				beats[i].Minute = minute
+				if err := coord.Ingest(beats[i]); err != nil {
 					t.Fatal(err)
 				}
-				minute++
 			}
-			for i := 0; i < 80; i++ { // fill the rings, pools and buffers
-				step()
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("steady-state minute close allocates %.1f times, want 0", allocs)
-			}
-			if trs := coord.TakeTriggers(); len(trs) != 0 {
-				t.Fatalf("steady load raised %d triggers", len(trs))
-			}
-			snap := reg.Snapshot()
-			if n := snap[MetricMergeSeconds+"_count"]; n != float64(minute) {
-				t.Errorf("%s counted %v closes, want %d", MetricMergeSeconds, n, minute)
-			}
-			for class, per := range map[string]int{"host": len(beats), "service": dep.Catalog().Len(), "instance": len(dep.Instances())} {
-				if n := snap[MetricMergeEntities+`{class="`+class+`"}`]; n != float64(per*minute) {
-					t.Errorf("%s{class=%s} = %v, want %d per close", MetricMergeEntities, class, n, per)
-				}
-			}
-		})
+		}
+		if err := coord.ObserveServices(minute - 1); err != nil {
+			t.Fatal(err)
+		}
+		closes++
+	}
+	// Fill the rings, pools and buffers for 80 minutes; the measured
+	// closes then end below minute 128, where the archive seals its
+	// second block of every entity.
+	for minute < 80 {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("steady-state minute close allocates %.1f times, want 0", allocs)
+	}
+	if trs := coord.TakeTriggers(); len(trs) != 0 {
+		t.Fatalf("steady load raised %d triggers", len(trs))
+	}
+	snap := reg.Snapshot()
+	if n := snap[MetricMergeSeconds+"_count"]; n != float64(closes) {
+		t.Errorf("%s counted %v closes, want %d", MetricMergeSeconds, n, closes)
+	}
+	for class, per := range map[string]int{"host": len(beats), "service": dep.Catalog().Len(), "instance": len(dep.Instances())} {
+		if n := snap[MetricMergeEntities+`{class="`+class+`"}`]; n != float64(per*minute) {
+			t.Errorf("%s{class=%s} = %v, want %d per minute", MetricMergeEntities, class, n, per)
+		}
 	}
 }

@@ -216,6 +216,74 @@ func TestSessionResyncOnRestart(t *testing.T) {
 	}
 }
 
+// TestRestartedAgentCatchesUp: an agent process restarts its minute
+// counter at 0 while the coordinator's clock goes on. Its first beat is
+// below the minute the host was last observed at — dropped, and acked
+// with the coordinator's minute — and from its second beat on the host
+// is observed once a minute again, instead of going dark behind its own
+// stale-replay watermark.
+func TestRestartedAgentCatchesUp(t *testing.T) {
+	tr := wire.NewLoopback()
+	t.Cleanup(func() { tr.Close() })
+	dep := testDeployment(t)
+	p, lms := sessionPlane(t, tr, dep)
+	coord := p.Coordinator()
+	arch, key := lms.Archive(), archive.HostEntity("h1")
+	ctx := context.Background()
+	beat := func(rep *HeartbeatReporter, local, minute int) {
+		t.Helper()
+		rep.Begin(local, 0.4, 0.3)
+		for _, inst := range dep.InstancesOn("h1") {
+			rep.Sample(inst.ID, inst.Service, 0.4)
+		}
+		if err := rep.Send(ctx); err != nil {
+			t.Fatalf("local minute %d: %v", local, err)
+		}
+		if err := coord.ObserveServices(minute); err != nil {
+			t.Fatalf("minute %d: %v", minute, err)
+		}
+	}
+	// The coordinator resumes at minute 500 — a restored archive — while
+	// h1's agent counts from 0.
+	if err := coord.ObserveServices(499); err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := p.Reporter("h1")
+	for local := 0; local < 20; local++ {
+		beat(rep, local, 500+local)
+	}
+	if m := latestMinute(t, lms, key); m != 519 {
+		t.Fatalf("before the restart h1 is archived up to minute %d, want 519", m)
+	}
+
+	// The agent process restarts under the same host name.
+	if err := tr.Unlisten("h1"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAgent("h1", CoordinatorNode, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep = a.Reporter()
+	for local := 0; local < 10; local++ {
+		n := arch.Len(key)
+		beat(rep, local, 520+local)
+		if local == 0 {
+			continue
+		}
+		if got, m := arch.Len(key)-n, latestMinute(t, lms, key); got != 1 || m != 520+local {
+			t.Fatalf("restarted agent's beat %d: %d new observations, archive at minute %d; want 1 at minute %d",
+				local, got, m, 520+local)
+		}
+	}
+	if n := coord.Heartbeats(); n != 30 {
+		t.Fatalf("%d heartbeats counted, want 30", n)
+	}
+	if live := coord.Liveness(); !live.Tracking("h1") || slices.Contains(live.Silent(529), "h1") {
+		t.Fatal("h1 is not alive and heard from at minute 529")
+	}
+}
+
 // reorderedDeployment is testDeployment with the hosts h2, h3, h1: a
 // coordinator over it gives index 1 to h2, where one over testDeployment
 // gives it to h1.
@@ -489,7 +557,6 @@ func TestSessionParkedMinutesDrainNamed(t *testing.T) {
 	spy := newFrameSpy(t)
 	dep := testDeployment(t)
 	p, lms := sessionPlane(t, spy, dep)
-	p.Coordinator().EnableHA() // keep every drained minute, not only the newest
 	rep, _ := p.Reporter("h1")
 	ctx := context.Background()
 	for minute := 0; minute < 2; minute++ {
@@ -626,6 +693,7 @@ func TestSessionConcurrentReporters(t *testing.T) {
 	var producers, loop sync.WaitGroup
 	stop := make(chan struct{})
 	hosts := make([]string, workers)
+	reps := make([]*HeartbeatReporter, workers)
 	for w := 0; w < workers; w++ {
 		host := fmt.Sprintf("w%02d", w)
 		hosts[w] = host
@@ -633,6 +701,7 @@ func TestSessionConcurrentReporters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reps[w] = a.Reporter()
 		producers.Add(1)
 		go func(rep *HeartbeatReporter) {
 			defer producers.Done()
@@ -695,7 +764,10 @@ func TestSessionConcurrentReporters(t *testing.T) {
 	if got := snap[MetricHeartbeatResyncs]; got != 0 {
 		t.Fatalf("%v resyncs", got)
 	}
-	if !coord.Follows("w01", beats-1, 0) || coord.Follows("w01", beats, 0) || coord.Follows("nobody", 0, 0) {
+	// The loop's minutes run ahead of the reporters, whose acks move
+	// their clocks: w01's last beat is stamped where its reporter put it.
+	last := reps[1].hb.Minute
+	if !coord.Follows("w01", last, 0) || coord.Follows("w01", last+1, 0) || coord.Follows("nobody", 0, 0) {
 		t.Fatal("Follows disagrees with the last beat w01 sent, or knows an unknown host")
 	}
 }

@@ -44,16 +44,18 @@ const maxFrame = 4 << 20
 //	                  [varint minute][f64 cpu][f64 mem][uvarint n]
 //	                  n × ([uvarint instance][f64 load])
 //	kindAckBare       nothing: OK, and nothing else to say
-//	kindAckIndex      [flags: 1 ok | 2 resync][u64 session][uvarint host]
-//	                  [uvarint n] n × [uvarint index]
+//	kindAckIndex      [flags: 1 ok | 2 resync | 4 next][u64 session]
+//	                  [uvarint host][uvarint n] n × [uvarint index]
+//	                  [varint next minute: flag 4 only]
 //
 // An agent sends kindHeartbeatIdx only to the node whose kindAckIndex
 // issued every number in it. A coordinator answers a named heartbeat
 // with kindAckIndex (kindAckBare once its dictionary is full), an
 // indexed one with kindAckBare, or with a resync kindAckIndex if it does
-// not hold the session or an index. The encoder picks the kind from the
-// payload; the decoder refuses a zero session or index in a heartbeat,
-// and any index past 32 bits.
+// not hold the session or an index; a heartbeat behind the coordinator's
+// clock gets a kindAckIndex with the next minute. The encoder picks the
+// kind from the payload; the decoder refuses a zero session or index in
+// a heartbeat, and any index past 32 bits.
 const (
 	kindHeartbeat byte = 1 + iota
 	kindAction
@@ -86,7 +88,7 @@ func kindFor(e *Envelope) (byte, bool) {
 		switch a := e.Ack; {
 		case a.Key != "" || a.Error != "" || a.Duplicate:
 			return kindAck, true
-		case a.Resync || a.Session != 0 || a.HostIndex != 0 || len(a.Indices) != 0:
+		case a.Resync || a.Session != 0 || a.HostIndex != 0 || len(a.Indices) != 0 || a.NextMinute != 0:
 			return kindAckIndex, true
 		case a.OK && e.From == "" && e.To == "" && e.Seq == 0 && e.Epoch == 0:
 			return kindAckBare, true
@@ -378,12 +380,18 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		if a.Resync {
 			flags |= 2
 		}
+		if a.NextMinute != 0 {
+			flags |= 4
+		}
 		dst = append(dst, flags)
 		dst = binary.LittleEndian.AppendUint64(dst, a.Session)
 		dst = appendUvarint(dst, uint64(a.HostIndex))
 		dst = appendUvarint(dst, uint64(len(a.Indices)))
 		for _, idx := range a.Indices {
 			dst = appendUvarint(dst, uint64(idx))
+		}
+		if a.NextMinute != 0 {
+			dst = appendVarint(dst, int64(a.NextMinute))
 		}
 	case kindHeartbeat, kindHeartbeatIdx:
 		hb := e.Heartbeat
@@ -666,6 +674,11 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 				break
 			}
 			a.Indices = append(a.Indices, idx)
+		}
+		if err == nil && flags&4 != 0 {
+			var next int64
+			next, err = d.varint()
+			a.NextMinute = int(next)
 		}
 	case kindHeartbeat, kindHeartbeatIdx:
 		hb := &bx.hb

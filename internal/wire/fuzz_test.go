@@ -43,6 +43,8 @@ func corpusEnvelopes() map[string]*Envelope {
 		"seed-ack-index": {Version: Version, Type: TypeAck,
 			Ack: &ActionAck{OK: true, Session: fuzzSession, HostIndex: 3, Indices: []uint32{1, 300}}},
 		"seed-ack-resync": {Version: Version, Type: TypeAck, Ack: &ActionAck{Resync: true}},
+		// The answer to a beat behind the coordinator's clock.
+		"seed-ack-next": {Version: Version, Type: TypeAck, Ack: &ActionAck{OK: true, NextMinute: 520}},
 		"seed-probe": {Version: Version, Type: TypeProbe, From: "coordinator", To: "b1",
 			Probe: &Probe{Host: "b1", Minute: 42}},
 		"seed-probe-ack": {Version: Version, Type: TypeProbeAck, From: "b1", To: "coordinator",
@@ -113,7 +115,8 @@ type fuzzSeed struct {
 // above, framed, and the handcrafted malformed mutations — of the frame
 // (truncation, lying length, bad magic, unknown kind, trailing bytes)
 // and of the three index kinds (session 0, index 0, an index past 32
-// bits, a count larger than the bytes left, trailing bytes). It feeds
+// bits, a count larger than the bytes left, trailing bytes, a next
+// minute cut short). It feeds
 // f.Add and, through TestFuzzCorpus, testdata/fuzz.
 func fuzzSeeds(tb testing.TB) map[string]fuzzSeed {
 	seeds := make(map[string]fuzzSeed)
@@ -124,7 +127,7 @@ func fuzzSeeds(tb testing.TB) map[string]fuzzSeed {
 		}
 		seeds[name] = fuzzSeed{frame: b}
 	}
-	hb := seeds["seed-heartbeat"].frame
+	hb, next := seeds["seed-heartbeat"].frame, seeds["seed-ack-next"].frame
 	mutate := func(mut func(b []byte)) []byte {
 		c := append([]byte(nil), hb...)
 		mut(c)
@@ -152,6 +155,7 @@ func fuzzSeeds(tb testing.TB) map[string]fuzzSeed {
 		"seed-ack-index-33-bits":     rawIndexAck(3, 2, 1, 1<<32),
 		"seed-ack-index-lying-count": rawIndexAck(3, 200, 1, 300),
 		"seed-ack-index-trailing":    rawIndexAck(3, 1, 1, 300),
+		"seed-ack-next-truncated":    rawFrame(next[5 : len(next)-1]), // flag 4, half a varint
 	} {
 		seeds[name] = fuzzSeed{frame: b, reject: true}
 	}

@@ -29,8 +29,10 @@ import "fmt"
 // early incompatibility errors rather than silent misparses. Version 2
 // added the session-indexed heartbeat and its two acks; every named
 // heartbeat is answered with an index ack a version-1 agent could not
-// decode, so the two versions refuse each other outright.
-const Version = 2
+// decode, so the two versions refuse each other outright. Version 3 lets
+// the index ack carry the coordinator's minute to a lagging agent
+// (ActionAck.NextMinute).
+const Version = 3
 
 // MsgType enumerates the control-plane message kinds.
 type MsgType string
@@ -165,12 +167,13 @@ type ActionRequest struct {
 	DeadlineUnixMS int64 `json:"deadlineUnixMS,omitempty"`
 }
 
-// ActionAck answers an action request.
+// ActionAck answers an action request. Its fields are ordered for size
+// (80 bytes): every agent caches one per action it applied.
 type ActionAck struct {
 	Key string `json:"key"`
-	OK  bool   `json:"ok"`
 	// Error explains a rejected request (OK false).
 	Error string `json:"error,omitempty"`
+	OK    bool   `json:"ok"`
 	// Duplicate reports that the ack was served from the agent's
 	// idempotency cache — the operation was NOT applied again.
 	Duplicate bool `json:"duplicate,omitempty"`
@@ -182,9 +185,14 @@ type ActionAck struct {
 	// or indices the coordinator does not hold — nothing of it was
 	// ingested, and the reporter sends the same minute again, named.
 	Resync    bool     `json:"resync,omitempty"`
-	Session   uint64   `json:"session,omitempty"`
 	HostIndex uint32   `json:"hostIndex,omitempty"`
+	Session   uint64   `json:"session,omitempty"`
 	Indices   []uint32 `json:"indices,omitempty"`
+	// NextMinute, non-zero, answers a heartbeat stamped at or below the
+	// minute the coordinator last closed: it is the minute the
+	// coordinator is on, and the reporter moves its clock up to it. An
+	// agent in step never receives it.
+	NextMinute int `json:"nextMinute,omitempty"`
 }
 
 // Probe is a liveness probe for a silent host.
