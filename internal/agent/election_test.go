@@ -126,7 +126,7 @@ func TestElectionFailover(t *testing.T) {
 	arch := lms.Archive()
 	for _, host := range p.dep.Cluster().Names() {
 		for m := 0; m <= 4; m++ {
-			if n := arch.ObservationCount(archive.HostEntity(host), m); n != 1 {
+			if n := arch.Entity(archive.HostEntity(host)).ObservationCount(m); n != 1 {
 				t.Fatalf("host %s minute %d observed %d times, want 1", host, m, n)
 			}
 		}
@@ -281,7 +281,7 @@ func TestElectionLostAnnouncement(t *testing.T) {
 			if host == lost && (m == 3 || m == 4) {
 				want = 0 // closed by the successor before the agent redirected
 			}
-			if n := arch.ObservationCount(archive.HostEntity(host), m); n != want {
+			if n := arch.Entity(archive.HostEntity(host)).ObservationCount(m); n != want {
 				t.Fatalf("host %s minute %d observed %d times, want %d", host, m, n, want)
 			}
 		}

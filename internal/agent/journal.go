@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -47,13 +48,15 @@ type journalRecord struct {
 	Rule   *RuleActivation     `json:"rule,omitempty"`
 }
 
-// journalState is the snapshot payload: everything recovery needs,
-// compacted, so the record tail stays short.
-type journalState struct {
+// LeaderState is what a journal folds to: everything recovery needs,
+// compacted. It is the snapshot payload, so the record tail stays
+// short, and what a standby warm-replays from a (possibly dead,
+// possibly still appending) leader's journal and adopts at takeover.
+type LeaderState struct {
 	Epoch   uint64                    `json:"epoch"`
-	Pending []wire.ActionRequest      `json:"pending,omitempty"`
-	Down    map[string]int            `json:"down,omitempty"`  // host -> minute confirmed dead
-	Rules   map[string]RuleActivation `json:"rules,omitempty"` // name -> active rule base
+	Pending []wire.ActionRequest      `json:"pending,omitempty"` // dispatch order
+	Down    map[string]int            `json:"down,omitempty"`    // host -> minute confirmed dead
+	Rules   map[string]RuleActivation `json:"rules,omitempty"`   // name -> active rule base
 }
 
 // CoordinatorJournal is the coordinator's write-ahead action log: a
@@ -98,14 +101,13 @@ type CoordinatorJournal struct {
 	down    map[string]int                // host -> minute confirmed dead
 	rules   map[string]RuleActivation     // name -> active rule base
 
-	appends       int
-	snapshotEvery int
-	metrics       *journalMetrics
+	appends int
+	metrics *journalMetrics
 }
 
-// DefaultSnapshotEvery is how many appended records trigger an
-// automatic snapshot-and-prune.
-const DefaultSnapshotEvery = 256
+// snapshotEvery is how many appended records trigger an automatic
+// snapshot-and-prune.
+const snapshotEvery = 256
 
 // OpenCoordinatorJournal opens (or creates) the WAL in dir, replays the
 // snapshot and tail to rebuild the pending-action and liveness state,
@@ -142,55 +144,36 @@ func openCoordinatorJournal(dir string, opts journal.Options) (*CoordinatorJourn
 	if err != nil {
 		return nil, err
 	}
-	cj := &CoordinatorJournal{
-		j:             j,
-		dir:           dir,
-		opts:          opts,
-		pending:       make(map[string]wire.ActionRequest),
-		down:          make(map[string]int),
-		rules:         make(map[string]RuleActivation),
-		snapshotEvery: DefaultSnapshotEvery,
+	cj, err := load(j.Recovered())
+	if err != nil {
+		j.Close()
+		return nil, err
 	}
-	snapshot, records := j.Recovered()
+	cj.j, cj.dir, cj.opts = j, dir, opts
+	return cj, nil
+}
+
+// load folds a replayed snapshot and record tail into a journal's
+// state; the caller attaches the log.
+func load(snapshot []byte, records [][]byte) (*CoordinatorJournal, error) {
+	var st LeaderState
 	if snapshot != nil {
-		var st journalState
 		if err := json.Unmarshal(snapshot, &st); err != nil {
-			j.Close()
 			return nil, fmt.Errorf("agent: journal snapshot unreadable: %w", err)
 		}
-		cj.epoch = st.Epoch
-		for _, req := range st.Pending {
-			cj.pending[req.Key] = req
-			cj.order = append(cj.order, req.Key)
-		}
-		for h, m := range st.Down {
-			cj.down[h] = m
-		}
-		for name, ra := range st.Rules {
-			cj.rules[name] = ra
-		}
 	}
+	cj := &CoordinatorJournal{}
+	cj.install(&st)
 	for _, raw := range records {
 		var r journalRecord
 		if err := json.Unmarshal(raw, &r); err != nil {
 			// An intact frame with unparseable JSON is a version skew or
 			// a bug, not a torn tail; refuse to guess at the in-flight set.
-			j.Close()
 			return nil, fmt.Errorf("agent: journal record unreadable: %w", err)
 		}
 		cj.apply(r)
 	}
 	return cj, nil
-}
-
-// LeaderState is the durable state of a (possibly dead, possibly still
-// appending) leader's journal, read without mutating the directory —
-// what a standby warm-replays and adopts at takeover.
-type LeaderState struct {
-	Epoch   uint64
-	Pending []wire.ActionRequest
-	Down    map[string]int
-	Rules   map[string]RuleActivation
 }
 
 // WarmReplay reads a leader's journal directory read-only (see
@@ -204,42 +187,11 @@ func WarmReplay(dir string) (*LeaderState, error) {
 	if err != nil {
 		return nil, err
 	}
-	tmp := &CoordinatorJournal{
-		pending: make(map[string]wire.ActionRequest),
-		down:    make(map[string]int),
-		rules:   make(map[string]RuleActivation),
+	cj, err := load(snapshot, records)
+	if err != nil {
+		return nil, err
 	}
-	if snapshot != nil {
-		var st journalState
-		if err := json.Unmarshal(snapshot, &st); err != nil {
-			return nil, fmt.Errorf("agent: journal snapshot unreadable: %w", err)
-		}
-		tmp.epoch = st.Epoch
-		for _, req := range st.Pending {
-			tmp.pending[req.Key] = req
-			tmp.order = append(tmp.order, req.Key)
-		}
-		for h, m := range st.Down {
-			tmp.down[h] = m
-		}
-		for name, ra := range st.Rules {
-			tmp.rules[name] = ra
-		}
-	}
-	for _, raw := range records {
-		var r journalRecord
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, fmt.Errorf("agent: journal record unreadable: %w", err)
-		}
-		tmp.apply(r)
-	}
-	ls := &LeaderState{Epoch: tmp.epoch, Down: tmp.down, Rules: tmp.rules}
-	for _, key := range tmp.order {
-		if req, ok := tmp.pending[key]; ok {
-			ls.Pending = append(ls.Pending, req)
-		}
-	}
-	return ls, nil
+	return cj.state(), nil
 }
 
 // Takeover durably adopts a dead leader's warm-replayed state into this
@@ -249,30 +201,46 @@ func WarmReplay(dir string) (*LeaderState, error) {
 // committed with a single snapshot, which embeds the epoch: the
 // snapshot record is the new incarnation's durable lease, after which
 // the adopted pending actions are available through Pending for the
-// usual Recover re-issue.
+// usual Recover re-issue. The state is installed only once the snapshot
+// is on disk, so a failed takeover changes nothing and a retry bumps
+// the epoch once, not twice.
 func (cj *CoordinatorJournal) Takeover(ls *LeaderState) error {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
-	if ls.Epoch > cj.epoch {
-		cj.epoch = ls.Epoch
+	next := *ls
+	next.Epoch = max(ls.Epoch, cj.epoch) + 1
+	if err := cj.snapshotLocked(&next); err != nil {
+		return err
 	}
-	cj.epoch++
-	cj.pending = make(map[string]wire.ActionRequest, len(ls.Pending))
-	cj.order = cj.order[:0]
-	for _, req := range ls.Pending {
+	cj.install(&next)
+	return nil
+}
+
+// install replaces the state wholesale with a copy of st.
+func (cj *CoordinatorJournal) install(st *LeaderState) {
+	cj.epoch = st.Epoch
+	cj.pending = make(map[string]wire.ActionRequest, len(st.Pending))
+	cj.order = make([]string, 0, len(st.Pending))
+	for _, req := range st.Pending {
 		cj.pending[req.Key] = req
 		cj.order = append(cj.order, req.Key)
 	}
-	cj.down = make(map[string]int, len(ls.Down))
-	for h, m := range ls.Down {
-		cj.down[h] = m
+	cj.down = make(map[string]int, len(st.Down))
+	maps.Copy(cj.down, st.Down)
+	cj.rules = make(map[string]RuleActivation, len(st.Rules))
+	maps.Copy(cj.rules, st.Rules)
+}
+
+// state is the folded state, pending actions in dispatch order. Its
+// maps are the journal's own.
+func (cj *CoordinatorJournal) state() *LeaderState {
+	st := &LeaderState{Epoch: cj.epoch, Down: cj.down, Rules: cj.rules}
+	for _, key := range cj.order {
+		if req, ok := cj.pending[key]; ok {
+			st.Pending = append(st.Pending, req)
+		}
 	}
-	cj.rules = make(map[string]RuleActivation, len(ls.Rules))
-	for name, ra := range ls.Rules {
-		cj.rules[name] = ra
-	}
-	cj.appends = 0
-	return cj.snapshotLocked()
+	return st
 }
 
 // apply folds one replayed record into the recovered state.
@@ -320,9 +288,8 @@ func (cj *CoordinatorJournal) append(r journalRecord) error {
 	cj.apply(r)
 	cj.metrics.appendRecord(r.Kind)
 	cj.appends++
-	if cj.snapshotEvery > 0 && cj.appends >= cj.snapshotEvery {
-		cj.appends = 0
-		return cj.snapshotLocked()
+	if cj.appends >= snapshotEvery {
+		return cj.compactLocked()
 	}
 	return nil
 }
@@ -349,14 +316,6 @@ func (cj *CoordinatorJournal) Dir() string { return cj.dir }
 
 // Options returns the journal options the log was opened with.
 func (cj *CoordinatorJournal) Options() journal.Options { return cj.opts }
-
-// SetSnapshotEvery tunes the automatic snapshot cadence (records
-// between snapshots; 0 disables automatic snapshots).
-func (cj *CoordinatorJournal) SetSnapshotEvery(n int) {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	cj.snapshotEvery = n
-}
 
 // LogDispatch durably records an action about to be sent. It MUST
 // return before the action reaches the transport — that ordering is the
@@ -435,17 +394,28 @@ func (cj *CoordinatorJournal) Down() map[string]int {
 func (cj *CoordinatorJournal) Snapshot() error {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
-	cj.appends = 0
-	return cj.snapshotLocked()
+	return cj.compactLocked()
 }
 
-func (cj *CoordinatorJournal) snapshotLocked() error {
-	st := journalState{Epoch: cj.epoch, Down: cj.down, Rules: cj.rules}
-	for _, key := range cj.order {
-		if req, ok := cj.pending[key]; ok {
-			st.Pending = append(st.Pending, req)
-		}
+// compactLocked snapshots the current state; the order slice sheds the
+// acked keys. Callers hold cj.mu.
+func (cj *CoordinatorJournal) compactLocked() error {
+	st := cj.state()
+	if err := cj.snapshotLocked(st); err != nil {
+		return err
 	}
+	cj.order = cj.order[:0]
+	for _, req := range st.Pending {
+		cj.order = append(cj.order, req.Key)
+	}
+	return nil
+}
+
+// snapshotLocked checkpoints st and prunes the record tail it
+// supersedes; the automatic cadence restarts either way. Callers hold
+// cj.mu.
+func (cj *CoordinatorJournal) snapshotLocked(st *LeaderState) error {
+	cj.appends = 0
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("agent: journal snapshot encode: %w", err)
@@ -454,14 +424,6 @@ func (cj *CoordinatorJournal) snapshotLocked() error {
 		return err
 	}
 	cj.metrics.snapshot()
-	// The order slice can shed acked keys now.
-	live := cj.order[:0]
-	for _, key := range cj.order {
-		if _, ok := cj.pending[key]; ok {
-			live = append(live, key)
-		}
-	}
-	cj.order = live
 	return nil
 }
 

@@ -25,10 +25,10 @@ type PlaneConfig struct {
 	// Liveness is the host liveness detector (nil: hysteresis detector
 	// with timeout 2, dead after 2, alive after 2).
 	Liveness *monitor.Liveness
-	// Node overrides the coordinator's node name (default
-	// CoordinatorNode).
-	Node string
 }
+
+// HeartbeatTimeout bounds one in-process heartbeat delivery.
+const HeartbeatTimeout = 2 * time.Second
 
 // Plane is a fully wired control plane for one deployment: the
 // coordinator plus one agent per cluster host, all over one transport.
@@ -57,9 +57,6 @@ type Plane struct {
 	// group of coordinators; p.coord then always points at the member
 	// currently holding leadership.
 	election *Election
-
-	// HeartbeatTimeout bounds one heartbeat delivery (default 2s).
-	HeartbeatTimeout time.Duration
 }
 
 // NewPlane wires a coordinator and one agent per host of the
@@ -85,19 +82,18 @@ func newCoordinatorPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("agent: plane needs a transport")
 	}
-	coord, err := NewCoordinator(cfg.Node, dep, lms, cfg.Transport, cfg.Liveness)
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, cfg.Transport, cfg.Liveness)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Dispatch.From = coord.Node()
 	return &Plane{
-		tr:               cfg.Transport,
-		coord:            coord,
-		disp:             NewDispatcher(cfg.Dispatch, cfg.Transport),
-		dep:              dep,
-		lms:              lms,
-		agents:           make(map[string]*Agent),
-		HeartbeatTimeout: 2 * time.Second,
+		tr:     cfg.Transport,
+		coord:  coord,
+		disp:   NewDispatcher(cfg.Dispatch, cfg.Transport),
+		dep:    dep,
+		lms:    lms,
+		agents: make(map[string]*Agent),
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -496,6 +497,44 @@ func TestJournalStateFollowsDisk(t *testing.T) {
 	}
 	if p := cj.Pending(); len(p) != 1 || p[0].Key != sent.Key {
 		t.Fatalf("pending = %+v, want exactly the durably dispatched %s", p, sent.Key)
+	}
+}
+
+// TestFailedTakeoverChangesNothing: Takeover installs the adopted state
+// only once its snapshot is durable. A takeover whose snapshot fails
+// leaves epoch, pending and down as they were, so a caller that retries
+// bumps the epoch once per leader death, not once per attempt.
+func TestFailedTakeoverChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	cj, err := OpenStandbyJournal(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := startReq("h1", "i1")
+	own.Key = "coordinator-e0-000001"
+	if err := cj.LogDispatch(own); err != nil {
+		t.Fatal(err)
+	}
+	if err := cj.LogLiveness("h2", true, 7); err != nil {
+		t.Fatal(err)
+	}
+	epoch, pending, down := cj.Epoch(), cj.Pending(), cj.Down()
+	cj.j.Close() //nolint:errcheck // the disk goes away under the journal
+
+	adopted := startReq("h3", "i3")
+	adopted.Key = "coordinator-e4-000009"
+	ls := &LeaderState{Epoch: 4, Pending: []wire.ActionRequest{adopted}, Down: map[string]int{"h4": 9}}
+	if err := cj.Takeover(ls); err == nil {
+		t.Fatal("Takeover on a closed journal succeeded")
+	}
+	if got := cj.Epoch(); got != epoch {
+		t.Errorf("epoch after a failed takeover = %d, want %d", got, epoch)
+	}
+	if got := cj.Pending(); !reflect.DeepEqual(got, pending) {
+		t.Errorf("pending after a failed takeover = %+v, want %+v", got, pending)
+	}
+	if got := cj.Down(); !reflect.DeepEqual(got, down) {
+		t.Errorf("down after a failed takeover = %v, want %v", got, down)
 	}
 }
 

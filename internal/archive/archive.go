@@ -182,9 +182,6 @@ func (a *Archive) Preallocate(entities ...string) {
 	}
 }
 
-// Retention returns the number of raw minutes read back per entity.
-func (a *Archive) Retention() int { return a.retention }
-
 // Record is Resolve(entity).Record(s) for callers keeping no handle.
 func (a *Archive) Record(entity string, s Sample) error { return a.Resolve(entity).Record(s) }
 
@@ -265,10 +262,14 @@ func (e Entity) Latest() (Sample, bool) { return e.a.store.Latest(e.l.stored) }
 func (e Entity) ProfileAt(minute int) float64 { return e.l.day.mean(slot(minute)) }
 
 // ObservationCount returns how many samples contributed to the day
-// profile at a minute of day.
+// profile at a minute of day — the per-minute observation depth the
+// forecast confidence is derived from.
 func (e Entity) ObservationCount(minute int) int { return int(e.l.day.n[slot(minute)]) }
 
-// DaysObserved returns the deepest per-minute observation count.
+// DaysObserved returns the deepest per-minute observation count — an
+// upper bound on how many days of history back any profile minute,
+// against which sparse minutes are judged. O(1): ingest keeps the
+// running max.
 func (e Entity) DaysObserved() int { return e.l.dayMost }
 
 // Latest returns the most recent sample of an entity.
@@ -399,26 +400,6 @@ func (a *Archive) DayProfileInto(entity string, dst []float64) {
 		dst[i] = l.day.mean(i)
 	}
 }
-
-// ProfileAt returns the mean CPU load of the entity at a
-// minute of day (any absolute minute is folded). O(1), no allocation. A
-// never-observed minute (or unknown entity) returns 0.
-func (a *Archive) ProfileAt(entity string, minute int) float64 {
-	return a.Entity(entity).ProfileAt(minute)
-}
-
-// ObservationCount returns how many samples contributed to the day
-// profile at a minute of day — the per-minute observation depth the
-// forecast confidence is derived from.
-func (a *Archive) ObservationCount(entity string, minute int) int {
-	return a.Entity(entity).ObservationCount(minute)
-}
-
-// DaysObserved returns the deepest per-minute observation count of the
-// entity — an upper bound on how many days of history back any profile
-// minute, against which sparse minutes are judged. O(1): ingest keeps
-// the running max.
-func (a *Archive) DaysObserved(entity string) int { return a.Entity(entity).DaysObserved() }
 
 // Entities returns the names of all entities with recorded data, sorted.
 func (a *Archive) Entities() []string {

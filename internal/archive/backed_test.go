@@ -61,7 +61,7 @@ func TestBackedArchiveSurvivesCrash(t *testing.T) {
 					entity, m, after[m], before[m])
 			}
 		}
-		if b, r := a.ObservationCount(entity, 100), re.ObservationCount(entity, 100); b != r {
+		if b, r := a.Entity(entity).ObservationCount(100), re.Entity(entity).ObservationCount(100); b != r {
 			t.Fatalf("%s: observation count %d after recovery, want %d", entity, r, b)
 		}
 		if a.Len(entity) != re.Len(entity) {
@@ -169,7 +169,7 @@ func TestArchiveRecordPathZeroAlloc(t *testing.T) {
 		if err := a.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		sink += a.ProfileAt(entities[0], minute+15)
+		sink += a.Entity(entities[0]).ProfileAt(minute + 15)
 		a.DayProfileInto(entities[0], profile)
 		minute++
 	}
@@ -206,22 +206,22 @@ func TestProfileAccessorsMatchDayProfile(t *testing.T) {
 	into := make([]float64, MinutesPerDay)
 	a.DayProfileInto(entity, into)
 	for m := 0; m < MinutesPerDay; m++ {
-		if full[m] != into[m] || full[m] != a.ProfileAt(entity, m) {
+		if full[m] != into[m] || full[m] != a.Entity(entity).ProfileAt(m) {
 			t.Fatalf("minute %d: DayProfile %v, Into %v, ProfileAt %v diverge",
-				m, full[m], into[m], a.ProfileAt(entity, m))
+				m, full[m], into[m], a.Entity(entity).ProfileAt(m))
 		}
 	}
-	if c := a.ObservationCount(entity, 10); c != 2 {
+	if c := a.Entity(entity).ObservationCount(10); c != 2 {
 		t.Fatalf("ObservationCount(10) = %d, want 2", c)
 	}
-	if c := a.ObservationCount(entity, 400); c != 1 {
+	if c := a.Entity(entity).ObservationCount(400); c != 1 {
 		t.Fatalf("ObservationCount(400) = %d, want 1", c)
 	}
-	if d := a.DaysObserved(entity); d != 2 {
+	if d := a.Entity(entity).DaysObserved(); d != 2 {
 		t.Fatalf("DaysObserved = %d, want 2", d)
 	}
 	// Unknown entities read as empty, not as a panic or allocation.
-	if v := a.ProfileAt("svc/ghost", 3); v != 0 {
+	if v := a.Entity("svc/ghost").ProfileAt(3); v != 0 {
 		t.Fatalf("ProfileAt(ghost) = %v", v)
 	}
 	a.DayProfileInto("svc/ghost", into)
@@ -237,7 +237,7 @@ func TestProfileAccessorsMatchDayProfile(t *testing.T) {
 func daysObservedScan(a *Archive, entity string) int {
 	most := 0
 	for m := 0; m < MinutesPerDay; m++ {
-		if c := a.ObservationCount(entity, m); c > most {
+		if c := a.Entity(entity).ObservationCount(m); c > most {
 			most = c
 		}
 	}
@@ -258,7 +258,7 @@ func TestDaysObservedIncremental(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	entities := []string{HostEntity("b1"), ServiceEntity("app"), HostEntity("b2"), ServiceEntity("db")}
-	if got := a.DaysObserved("host/ghost"); got != 0 {
+	if got := a.Entity("host/ghost").DaysObserved(); got != 0 {
 		t.Fatalf("unknown entity: DaysObserved = %d, want 0", got)
 	}
 	for _, entity := range entities {
@@ -280,14 +280,11 @@ func TestDaysObservedIncremental(t *testing.T) {
 				continue // the scan is 1,440 reads; check a sample of steps and the tail
 			}
 			want := daysObservedScan(a, entity)
-			if got := a.DaysObserved(entity); got != want {
+			if got := a.Entity(entity).DaysObserved(); got != want {
 				t.Fatalf("%s after %d records: DaysObserved = %d, full scan %d", entity, i+1, got, want)
 			}
-			if got := a.Entity(entity).DaysObserved(); got != want {
-				t.Fatalf("%s after %d records: handle DaysObserved = %d, full scan %d", entity, i+1, got, want)
-			}
 		}
-		if a.DaysObserved(entity) < 2 {
+		if a.Entity(entity).DaysObserved() < 2 {
 			t.Fatalf("%s: history never revisited a minute of day; the test lost its teeth", entity)
 		}
 	}
@@ -301,9 +298,9 @@ func TestDaysObservedIncremental(t *testing.T) {
 	defer re.Close()
 	for _, entity := range entities {
 		want := daysObservedScan(re, entity)
-		if got := re.DaysObserved(entity); got != want || got != a.DaysObserved(entity) {
+		if got := re.Entity(entity).DaysObserved(); got != want || got != a.Entity(entity).DaysObserved() {
 			t.Fatalf("%s after reopen: DaysObserved = %d, full scan %d, before close %d",
-				entity, got, want, a.DaysObserved(entity))
+				entity, got, want, a.Entity(entity).DaysObserved())
 		}
 	}
 }

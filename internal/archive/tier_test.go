@@ -134,13 +134,13 @@ func TestTwoTierParity(t *testing.T) {
 				if got, want := b.Len(entity), ref.Len(entity); got != want {
 					t.Fatalf("%s: Len = %d, in memory %d", stage, got, want)
 				}
-				if got, want := b.DaysObserved(entity), ref.DaysObserved(entity); got != want {
+				if got, want := b.Entity(entity).DaysObserved(), ref.Entity(entity).DaysObserved(); got != want {
 					t.Fatalf("%s: DaysObserved = %d, in memory %d", stage, got, want)
 				}
 				if !slices.Equal(b.DayProfile(entity), ref.DayProfile(entity)) {
 					t.Fatalf("%s: DayProfile differs from the in-memory one", stage)
 				}
-				if got := b.DaysObserved(entity) > 0; got != profiled(entity) {
+				if got := b.Entity(entity).DaysObserved() > 0; got != profiled(entity) {
 					t.Fatalf("%s: %s has a day profile: %v", stage, entity, got)
 				}
 			}
@@ -319,7 +319,7 @@ func TestInstanceEntitiesKeepNoProfile(t *testing.T) {
 
 	check := func(stage string, a *Archive) {
 		t.Helper()
-		if a.DaysObserved(host) < 2 || slices.Equal(a.DayProfile(host), zero) {
+		if a.Entity(host).DaysObserved() < 2 || slices.Equal(a.DayProfile(host), zero) {
 			t.Fatalf("%s: the host has no day profile: the comparison lost its teeth", stage)
 		}
 		wantS, _ := a.Latest(host)

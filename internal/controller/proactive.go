@@ -15,7 +15,7 @@ import (
 // so the controller scales out *before* the monitor's watchTime
 // confirms a measured one.
 type ForecastConfig struct {
-	// Predictor supplies PredictPeak over the shared load archive.
+	// Predictor supplies PredictPeakOf over the shared load archive.
 	Predictor *forecast.Predictor
 	// Horizon is how many minutes ahead the scan looks. Zero disables
 	// proactive control.
@@ -24,29 +24,21 @@ type ForecastConfig struct {
 	// trigger is raised — typically the monitor's overload threshold,
 	// so "predicted overload" means the same thing as a measured one.
 	Threshold float64
-	// MinConfidence discards predictions whose profile evidence (see
-	// forecast.Predictor) is below this value. The confidence also
-	// rides on the trigger, where the forecast rule bases weigh it
-	// fuzzily; this is the hard floor underneath. Default 0.
-	MinConfidence float64
-	// RampFraction gates forecasts on the present: a trigger fires only
-	// when the entity's latest measured load has already climbed past
-	// RampFraction·Threshold. The day profile alone keeps "predicting"
-	// yesterday's overload even after a remedy fixed it — demanding a
-	// live ramp restricts the scan to situations actually unfolding,
-	// so the forecast front-runs the watchTime instead of replaying
-	// history. Default 0.8; negative disables the gate.
-	RampFraction float64
 	// Watching, when set, suppresses the proactive scan for archive
 	// entities already under a monitor watch: a situation the reactive
 	// pipeline is about to confirm does not need a forecast.
 	Watching func(entity string) bool
 }
 
-// defaultRampFraction is the ramp gate when ForecastConfig.RampFraction
-// is left zero: forecasts fire once measured load reaches 80 % of the
-// overload threshold.
-const defaultRampFraction = 0.8
+// rampFraction gates forecasts on the present: a trigger fires only
+// when the entity's latest measured load has already climbed past
+// rampFraction·Threshold. The day profile alone keeps "predicting"
+// yesterday's overload even after a remedy fixed it — demanding a live
+// ramp restricts the scan to situations actually unfolding, so the
+// forecast front-runs the watchTime instead of replaying history. The
+// prediction's confidence rides on the trigger, where the forecast rule
+// bases weigh it fuzzily.
+const rampFraction = 0.8
 
 // enabled reports whether the proactive scan is configured to run.
 func (f *ForecastConfig) enabled() bool {
@@ -115,11 +107,7 @@ func (c *Controller) Proactive(minute int) []monitor.Trigger {
 	if !f.enabled() {
 		return nil
 	}
-	ramp := f.RampFraction
-	if ramp == 0 {
-		ramp = defaultRampFraction
-	}
-	floor := ramp * f.Threshold
+	floor := rampFraction * f.Threshold
 	var n [numScanOutcomes]int
 	out := c.scanOut[:0]
 	for _, e := range c.scanEntities() {
@@ -142,7 +130,7 @@ func (c *Controller) Proactive(minute int) []monitor.Trigger {
 		}
 		var ok bool
 		tr.AvgLoad, tr.Confidence, ok = f.Predictor.PredictPeakOf(ent, minute, f.Horizon)
-		if !ok || tr.AvgLoad <= f.Threshold || tr.Confidence < f.MinConfidence {
+		if !ok || tr.AvgLoad <= f.Threshold {
 			n[scanPredicted]++
 			continue
 		}

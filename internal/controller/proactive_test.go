@@ -93,23 +93,19 @@ func seedScanEntity(tb testing.TB, arch *archive.Archive, key string, i int) {
 // refProactive is the proactive scan as it was before the cached scan
 // list and the reordered gates, kept as the oracle: names copied from
 // the cluster and the catalog on every call, keys built per entity,
-// gates in their original order, string-keyed predictor reads.
+// gates in their original order, an entity lookup per predictor read.
 func refProactive(c *Controller, arch *archive.Archive, minute int) []monitor.Trigger {
 	f := c.cfg.Forecast
-	ramp := f.RampFraction
-	if ramp == 0 {
-		ramp = defaultRampFraction
-	}
 	var out []monitor.Trigger
 	scan := func(kind monitor.TriggerKind, name, key string, protected bool) {
 		if protected || (f.Watching != nil && f.Watching(key)) {
 			return
 		}
-		if latest, have := arch.Latest(key); !have || latest.CPU < ramp*f.Threshold {
+		if latest, have := arch.Latest(key); !have || latest.CPU < rampFraction*f.Threshold {
 			return
 		}
-		peak, confidence, ok := f.Predictor.PredictPeak(key, minute, f.Horizon)
-		if !ok || peak <= f.Threshold || confidence < f.MinConfidence {
+		peak, confidence, ok := f.Predictor.PredictPeakOf(f.Predictor.Entity(key), minute, f.Horizon)
+		if !ok || peak <= f.Threshold {
 			return
 		}
 		out = append(out, monitor.Trigger{Kind: kind, Entity: name, Minute: minute, AvgLoad: peak,

@@ -95,7 +95,7 @@ func (a *anchor) evidence(minute int) float64 {
 	return float64(c) / float64(a.days)
 }
 
-// at is the one forecast kernel — Predict is a step of it, PredictPeak
+// at is the one forecast kernel — Predict is a step of it, PredictPeakOf
 // a loop: the prediction for minute target, h minutes ahead, and the
 // weaker of the target's and the anchor's evidence as its confidence.
 func (a *anchor) at(target, h int) (load, confidence float64) {
@@ -128,17 +128,12 @@ func (p *Predictor) Predict(entity string, now, horizon int) (load, confidence f
 	return load, confidence, true
 }
 
-// PredictPeak returns the maximum predicted load over the next horizon
-// minutes (sampled per minute) — what a proactive controller compares
-// against the overload threshold — and the weakest per-minute
-// confidence across the window: a single profile hole inside the
-// horizon caps the whole peak's confidence.
-func (p *Predictor) PredictPeak(entity string, now, horizon int) (peak, confidence float64, ok bool) {
-	return p.PredictPeakOf(p.arch.Entity(entity), now, horizon)
-}
-
-// PredictPeakOf is PredictPeak on a resolved entity: one anchor, then
-// horizon kernel steps — no map lookup, no allocation.
+// PredictPeakOf returns the maximum predicted load of a resolved entity
+// over the next horizon minutes (sampled per minute) — what a proactive
+// controller compares against the overload threshold — and the weakest
+// per-minute confidence across the window: a single profile hole inside
+// the horizon caps the whole peak's confidence. One anchor, then horizon
+// kernel steps — no map lookup, no allocation.
 func (p *Predictor) PredictPeakOf(e archive.Entity, now, horizon int) (peak, confidence float64, ok bool) {
 	a, ok := p.anchor(e)
 	if horizon <= 0 || !ok {

@@ -46,14 +46,11 @@ func TestPredictNeedsHistory(t *testing.T) {
 	inst := archive.InstanceEntity("app-1")
 	fill(t, a, inst, 2, 1)
 	now := 2*archive.MinutesPerDay - 1
-	if a.Len(inst) < p.MinHistory || a.DaysObserved(inst) != 0 {
-		t.Fatalf("%s: Len %d, DaysObserved %d; want history without a profile", inst, a.Len(inst), a.DaysObserved(inst))
+	if a.Len(inst) < p.MinHistory || a.Entity(inst).DaysObserved() != 0 {
+		t.Fatalf("%s: Len %d, DaysObserved %d; want history without a profile", inst, a.Len(inst), a.Entity(inst).DaysObserved())
 	}
 	if v, c, ok := p.Predict(inst, now, 10); ok || v != 0 || c != 0 {
 		t.Fatalf("Predict on an instance = (%v, %v, %v), want (0, 0, false)", v, c, ok)
-	}
-	if v, c, ok := p.PredictPeak(inst, now, 30); ok || v != 0 || c != 0 {
-		t.Fatalf("PredictPeak on an instance = (%v, %v, %v), want (0, 0, false)", v, c, ok)
 	}
 	if v, c, ok := p.PredictPeakOf(p.Entity(inst), now, 30); ok || v != 0 || c != 0 {
 		t.Fatalf("PredictPeakOf on an instance = (%v, %v, %v), want (0, 0, false)", v, c, ok)
@@ -120,7 +117,7 @@ func TestPredictPeak(t *testing.T) {
 	fill(t, a, "h", 2, 1)
 	// At 10:00, the pattern still rises toward noon: the 2-hour peak
 	// exceeds the current value.
-	peak, conf, ok := p.PredictPeak("h", archive.MinutesPerDay+10*60, 120)
+	peak, conf, ok := p.PredictPeakOf(p.Entity("h"), archive.MinutesPerDay+10*60, 120)
 	if !ok {
 		t.Fatal("no peak prediction")
 	}
@@ -130,7 +127,7 @@ func TestPredictPeak(t *testing.T) {
 	if conf != 1 {
 		t.Errorf("peak confidence %.3f on complete history, want 1", conf)
 	}
-	if _, _, ok := p.PredictPeak("h", 0, 0); ok {
+	if _, _, ok := p.PredictPeakOf(p.Entity("h"), 0, 0); ok {
 		t.Error("zero horizon reported ok")
 	}
 }
@@ -254,7 +251,7 @@ func TestPredictPeakConfidenceIsWindowMinimum(t *testing.T) {
 		}
 	}
 	// Horizon window [96, 110] spans the hole.
-	_, conf, ok := p.PredictPeak("h", 2*day+95, 15)
+	_, conf, ok := p.PredictPeakOf(p.Entity("h"), 2*day+95, 15)
 	if !ok {
 		t.Fatal("no peak prediction")
 	}
@@ -262,7 +259,7 @@ func TestPredictPeakConfidenceIsWindowMinimum(t *testing.T) {
 		t.Fatalf("peak confidence = %v, want 0.5 (weakest minute in window)", conf)
 	}
 	// A window clear of the hole keeps full confidence.
-	_, conf, ok = p.PredictPeak("h", 2*day+200, 15)
+	_, conf, ok = p.PredictPeakOf(p.Entity("h"), 2*day+200, 15)
 	if !ok {
 		t.Fatal("no peak prediction")
 	}

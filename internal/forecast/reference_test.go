@@ -22,7 +22,7 @@ type refPredictor struct {
 func refDays(a *archive.Archive, entity string) int {
 	most := 0
 	for m := 0; m < archive.MinutesPerDay; m++ {
-		if c := a.ObservationCount(entity, m); c > most {
+		if c := a.Entity(entity).ObservationCount(m); c > most {
 			most = c
 		}
 	}
@@ -33,7 +33,7 @@ func (p refPredictor) confidenceAt(entity string, at, days int) float64 {
 	if days <= 0 {
 		return 0
 	}
-	c := p.arch.ObservationCount(entity, at)
+	c := p.arch.Entity(entity).ObservationCount(at)
 	if c >= days {
 		return 1
 	}
@@ -47,7 +47,7 @@ func (p refPredictor) predict(entity string, now, horizon, days int) (load, conf
 	if p.arch.Len(entity) < p.minHistory {
 		return 0, 0, false
 	}
-	base := p.arch.ProfileAt(entity, now+horizon)
+	base := p.arch.Entity(entity).ProfileAt(now + horizon)
 	confidence = p.confidenceAt(entity, now+horizon, days)
 	latest, have := p.arch.Latest(entity)
 	if !have {
@@ -56,7 +56,7 @@ func (p refPredictor) predict(entity string, now, horizon, days int) (load, conf
 	if c := p.confidenceAt(entity, latest.Minute, days); c < confidence {
 		confidence = c
 	}
-	deviation := latest.CPU - p.arch.ProfileAt(entity, latest.Minute)
+	deviation := latest.CPU - p.arch.Entity(entity).ProfileAt(latest.Minute)
 	halfLife := p.halfLife
 	if halfLife <= 0 {
 		halfLife = 60
@@ -142,7 +142,7 @@ func randomHistory(t *testing.T, rng *rand.Rand, a *archive.Archive, entity stri
 }
 
 // TestPredictPeakMatchesReference is the differential test of the
-// single-pass kernel: PredictPeak, PredictPeakOf and Predict against
+// single-pass kernel: PredictPeakOf and Predict against
 // the per-horizon-minute oracle above, bit for bit (math.Float64bits),
 // over randomized sparse, gappy, daylight-only, short and absent
 // histories; MinHistory on both sides of the boundary and at 0 (the
@@ -158,7 +158,7 @@ func TestPredictPeakMatchesReference(t *testing.T) {
 		const entity = "svc/x"
 		last := randomHistory(t, rng, a, entity)
 		days := refDays(a, entity)
-		if got := a.DaysObserved(entity); got != days {
+		if got := a.Entity(entity).DaysObserved(); got != days {
 			t.Fatalf("history %d: DaysObserved = %d, full scan %d", hist, got, days)
 		}
 		p := New(a)
@@ -183,15 +183,9 @@ func TestPredictPeakMatchesReference(t *testing.T) {
 				horizon = archive.MinutesPerDay + rng.Intn(100)
 			}
 			wantV, wantC, wantOK := ref.predictPeak(entity, now, horizon, days)
-			for name, got := range map[string]func() (float64, float64, bool){
-				"PredictPeak":   func() (float64, float64, bool) { return p.PredictPeak(entity, now, horizon) },
-				"PredictPeakOf": func() (float64, float64, bool) { return p.PredictPeakOf(p.Entity(entity), now, horizon) },
-			} {
-				v, c, ok := got()
-				if bits(v) != bits(wantV) || bits(c) != bits(wantC) || ok != wantOK {
-					t.Fatalf("history %d now=%d horizon=%d halfLife=%v minHistory=%d: %s = (%v, %v, %v), reference (%v, %v, %v)",
-						hist, now, horizon, p.DeviationHalfLife, p.MinHistory, name, v, c, ok, wantV, wantC, wantOK)
-				}
+			if v, c, ok := p.PredictPeakOf(p.Entity(entity), now, horizon); bits(v) != bits(wantV) || bits(c) != bits(wantC) || ok != wantOK {
+				t.Fatalf("history %d now=%d horizon=%d halfLife=%v minHistory=%d: PredictPeakOf = (%v, %v, %v), reference (%v, %v, %v)",
+					hist, now, horizon, p.DeviationHalfLife, p.MinHistory, v, c, ok, wantV, wantC, wantOK)
 			}
 			wantV, wantC, wantOK = ref.predict(entity, now, horizon, days)
 			if v, c, ok := p.Predict(entity, now, horizon); bits(v) != bits(wantV) || bits(c) != bits(wantC) || ok != wantOK {
@@ -262,7 +256,7 @@ func BenchmarkPredictPeak30(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := p.PredictPeak("host/Blade1", 2*archive.MinutesPerDay-1, 30); !ok {
+		if _, _, ok := p.PredictPeakOf(p.Entity("host/Blade1"), 2*archive.MinutesPerDay-1, 30); !ok {
 			b.Fatal("no peak prediction")
 		}
 	}

@@ -166,7 +166,8 @@ type Journal struct {
 	seq    uint64 // number of the segment f writes to
 	size   int
 	closed bool
-	buf    []byte // scratch for framing batch appends
+	err    error  // the first failed segment write: the tail may be torn
+	buf    []byte // scratch for framing appends
 
 	snapshot []byte   // recovered snapshot payload (nil if none)
 	records  [][]byte // recovered tail records, oldest first
@@ -177,62 +178,17 @@ type Journal struct {
 // prepares a fresh segment for appends (a torn tail is never appended
 // to). The recovered state is available through Recovered.
 func Open(dir string, opts Options) (*Journal, error) {
-	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	segs, snaps, maxSeq, err := scan(dir)
+	snapshot, records, maxSeq, err := replay(dir)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{dir: dir, opts: opts}
-
-	// Latest snapshot wins; segments older than it were pruned when it
-	// was taken (or are about to be ignored).
-	var snapSeq uint64
-	if len(snaps) > 0 {
-		snapSeq = snaps[len(snaps)-1]
-		b, err := os.ReadFile(j.snapPath(snapSeq))
-		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-		payload, _, derr := DecodeFrame(b)
-		if derr != nil {
-			// Snapshots are written atomically (temp file + rename), so a
-			// failing checksum is bit rot, not a crash artifact. Refuse to
-			// guess.
-			return nil, fmt.Errorf("journal: snapshot %s corrupt: %w", j.snapPath(snapSeq), derr)
-		}
-		j.snapshot = append([]byte(nil), payload...)
-	}
-
-	// Replay segments at or after the snapshot, oldest first. A torn
-	// record ends the replay of its segment — the writer died
-	// mid-append and the partial record was never acknowledged — but
-	// later segments still replay: appends after a reopen always go to
-	// a fresh segment, so everything beyond the tear lives in files
-	// written by later, healthy incarnations.
-	for _, seq := range segs {
-		if seq < snapSeq {
-			continue
-		}
-		b, err := os.ReadFile(j.segPath(seq))
-		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
-		}
-		payloads, _ := Frames(b)
-		for _, p := range payloads {
-			j.records = append(j.records, append([]byte(nil), p...))
-		}
-	}
-
-	// Fresh segment for this incarnation's appends.
-	j.seq = maxSeq + 1
-	f, err := os.OpenFile(j.segPath(j.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
+	j := &Journal{dir: dir, opts: opts.withDefaults(), seq: maxSeq + 1, snapshot: snapshot, records: records}
+	if j.f, err = os.OpenFile(segPath(dir, j.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j.f = f
 	return j, nil
 }
 
@@ -244,41 +200,55 @@ func Open(dir string, opts Options) (*Journal, error) {
 // keeps appending — the reader sees a prefix-durable view, never a
 // misparsed record. A missing directory replays as empty.
 func Replay(dir string) (snapshot []byte, records [][]byte, err error) {
-	segs, snaps, _, err := scan(dir)
-	if err != nil {
-		if os.IsNotExist(errors.Unwrap(err)) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
+	if _, err := os.Stat(dir); os.IsNotExist(err) {
+		return nil, nil, nil
 	}
+	snapshot, records, _, err = replay(dir)
+	return snapshot, records, err
+}
+
+// replay reads the latest snapshot of dir and every intact record after
+// it, and returns the highest segment or snapshot number in use.
+func replay(dir string) (snapshot []byte, records [][]byte, maxSeq uint64, err error) {
+	segs, snaps, maxSeq, err := scan(dir)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	// Latest snapshot wins; segments older than it were pruned when it
+	// was taken (or are about to be ignored).
 	var snapSeq uint64
 	if len(snaps) > 0 {
 		snapSeq = snaps[len(snaps)-1]
-		path := filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, snapSeq, snapSuffix))
+		path := snapPath(dir, snapSeq)
 		b, err := os.ReadFile(path)
 		if err != nil {
-			return nil, nil, fmt.Errorf("journal: %w", err)
+			return nil, nil, 0, fmt.Errorf("journal: %w", err)
 		}
-		payload, _, derr := DecodeFrame(b)
-		if derr != nil {
-			return nil, nil, fmt.Errorf("journal: snapshot %s corrupt: %w", path, derr)
+		if snapshot, _, err = DecodeFrame(b); err != nil {
+			// Snapshots are written atomically (temp file + rename), so a
+			// failing checksum is bit rot, not a crash artifact. Refuse to
+			// guess.
+			return nil, nil, 0, fmt.Errorf("journal: snapshot %s corrupt: %w", path, err)
 		}
-		snapshot = append([]byte(nil), payload...)
 	}
+	// Replay segments at or after the snapshot, oldest first. A torn
+	// record ends the replay of its segment — the writer died
+	// mid-append and the partial record was never acknowledged — but
+	// later segments still replay: appends after a reopen always go to
+	// a fresh segment, so everything beyond the tear lives in files
+	// written by later, healthy incarnations.
 	for _, seq := range segs {
 		if seq < snapSeq {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix)))
+		b, err := os.ReadFile(segPath(dir, seq))
 		if err != nil {
-			return nil, nil, fmt.Errorf("journal: %w", err)
+			return nil, nil, 0, fmt.Errorf("journal: %w", err)
 		}
 		payloads, _ := Frames(b)
-		for _, p := range payloads {
-			records = append(records, append([]byte(nil), p...))
-		}
+		records = append(records, payloads...)
 	}
-	return snapshot, records, nil
+	return snapshot, records, maxSeq, nil
 }
 
 // scan lists the segment and snapshot sequence numbers in dir, sorted
@@ -312,12 +282,12 @@ func scan(dir string) (segs, snaps []uint64, maxSeq uint64, err error) {
 	return segs, snaps, maxSeq, nil
 }
 
-func (j *Journal) segPath(seq uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
+func segPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
 }
 
-func (j *Journal) snapPath(seq uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix))
+func snapPath(dir string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix))
 }
 
 // Dir returns the journal directory.
@@ -332,32 +302,7 @@ func (j *Journal) Recovered() (snapshot []byte, records [][]byte) {
 // Append frames the payload, writes it to the current segment and —
 // unless Options.NoSync — fsyncs before returning: when Append returns
 // nil the record survives a crash.
-func (j *Journal) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("journal: record of %d bytes exceeds MaxRecordBytes", len(payload))
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("journal: closed")
-	}
-	if j.size > 0 && j.size+headerSize+len(payload) > j.opts.SegmentBytes {
-		if err := j.rotateLocked(j.seq + 1); err != nil {
-			return err
-		}
-	}
-	frame := AppendFrame(nil, payload)
-	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.size += len(frame)
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-	}
-	return nil
-}
+func (j *Journal) Append(payload []byte) error { return j.AppendBatch([][]byte{payload}) }
 
 // AppendBatch frames every payload and commits them with ONE write and
 // ONE fsync: N records become durable for the price of a single disk
@@ -369,7 +314,10 @@ func (j *Journal) Append(payload []byte) error {
 // replays — a batch is not atomic, it is a prefix-durable burst.
 //
 // An empty batch is a no-op. When AppendBatch returns nil every record
-// of the batch survives a crash.
+// of the batch survives a crash. A failed write or fsync may have left a
+// torn frame at the tail, and replay stops there: from then on every
+// append and snapshot returns that first error, so nothing acknowledged
+// is ever written behind the tear.
 func (j *Journal) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
@@ -383,8 +331,8 @@ func (j *Journal) AppendBatch(payloads [][]byte) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("journal: closed")
+	if err := j.usableLocked(); err != nil {
+		return err
 	}
 	if j.size > 0 && j.size+total > j.opts.SegmentBytes {
 		if err := j.rotateLocked(j.seq + 1); err != nil {
@@ -397,26 +345,44 @@ func (j *Journal) AppendBatch(payloads [][]byte) error {
 	}
 	j.buf = buf
 	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return j.failLocked(err)
 	}
 	j.size += len(buf)
 	if !j.opts.NoSync {
 		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: %w", err)
+			return j.failLocked(err)
 		}
 	}
 	return nil
+}
+
+// usableLocked is the error every append and snapshot returns once the
+// journal is closed or a segment write has failed. Callers hold j.mu.
+func (j *Journal) usableLocked() error {
+	if j.closed {
+		return fmt.Errorf("journal: closed")
+	}
+	return j.err
+}
+
+// failLocked records the first failed segment write and returns it.
+// Callers hold j.mu.
+func (j *Journal) failLocked(err error) error {
+	if j.err == nil {
+		j.err = fmt.Errorf("journal: %w", err)
+	}
+	return j.err
 }
 
 // rotateLocked closes the current segment and starts segment seq.
 // Callers hold j.mu.
 func (j *Journal) rotateLocked(seq uint64) error {
 	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return j.failLocked(err)
 	}
-	f, err := os.OpenFile(j.segPath(seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(segPath(j.dir, seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return j.failLocked(err)
 	}
 	j.f, j.seq, j.size = f, seq, 0
 	return nil
@@ -433,8 +399,8 @@ func (j *Journal) Snapshot(state []byte) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("journal: closed")
+	if err := j.usableLocked(); err != nil {
+		return err
 	}
 	seq := j.seq + 1
 	tmp, err := os.CreateTemp(j.dir, "snap-*.tmp")
@@ -458,7 +424,7 @@ func (j *Journal) Snapshot(state []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("journal: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), j.snapPath(seq)); err != nil {
+	if err := os.Rename(tmp.Name(), snapPath(j.dir, seq)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -471,12 +437,12 @@ func (j *Journal) Snapshot(state []byte) error {
 	if err == nil {
 		for _, n := range segs {
 			if n < seq {
-				os.Remove(j.segPath(n))
+				os.Remove(segPath(j.dir, n))
 			}
 		}
 		for _, n := range snaps {
 			if n < seq {
-				os.Remove(j.snapPath(n))
+				os.Remove(snapPath(j.dir, n))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -206,6 +207,49 @@ func TestOversizedRecordRejected(t *testing.T) {
 	defer j.Close()
 	if err := j.Append(make([]byte, MaxRecordBytes+1)); err == nil {
 		t.Fatal("oversized append accepted")
+	}
+}
+
+// TestFailedAppendIsSticky: a write that fails may leave a torn frame,
+// and replay stops at a tear, so a record appended behind it would be
+// acknowledged and then lost. Once a segment write fails, every later
+// append and snapshot returns that first error, even after the segment
+// would accept writes again.
+func TestFailedAppendIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, dir, Options{NoSync: true})
+	defer j.Close()
+	if err := j.Append(rec(0)); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(j.f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := j.f
+	j.f = ro
+	first := j.Append(rec(1))
+	j.f = rw
+	if first == nil {
+		t.Fatal("append through a read-only segment handle succeeded")
+	}
+	for name, err := range map[string]error{
+		"Append":      j.Append(rec(2)),
+		"AppendBatch": j.AppendBatch([][]byte{rec(3)}),
+		"Snapshot":    j.Snapshot([]byte("state")),
+	} {
+		if !errors.Is(err, first) {
+			t.Errorf("%s after a failed append = %v, want the first error %v", name, err, first)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := openT(t, dir, Options{NoSync: true})
+	defer j2.Close()
+	if snap, records := j2.Recovered(); snap != nil || len(records) != 1 || !bytes.Equal(records[0], rec(0)) {
+		t.Fatalf("recovered snapshot %q and %q, want only %q", snap, records, rec(0))
 	}
 }
 

@@ -28,9 +28,6 @@ import (
 	"sync/atomic"
 )
 
-// Namespace is the prefix of every metric AutoGlobe emits.
-const Namespace = "autoglobe"
-
 // Counter is a monotonically increasing metric. The nil counter is a
 // valid no-op, so call sites need no guards.
 type Counter struct{ bits atomic.Uint64 }
@@ -136,12 +133,6 @@ func (h *Histogram) Sum() float64 {
 // network retries.
 func LatencySecondsBuckets() []float64 {
 	return []float64{1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 2.5e-2, 1e-1, 5e-1, 1, 2.5, 5}
-}
-
-// BytesBuckets spans typical envelope sizes up to the transport's 4 MB
-// body cap.
-func BytesBuckets() []float64 {
-	return []float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 }
 
 // metricKind tags a registered family for the # TYPE line.

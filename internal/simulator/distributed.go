@@ -57,10 +57,6 @@ type DistributedConfig struct {
 	// transport, and agents fence superseded coordinator epochs. See
 	// agent.Plane.AttachJournal.
 	JournalDir string
-	// JournalSync enables fsync-on-commit for the journal. Tests and
-	// simulations leave it off (the "disk" is a temp dir and the crash
-	// model is process death, not power loss); production daemons set it.
-	JournalSync bool
 	// Chaos, when set, injects faults at every minute boundary — before
 	// any heartbeat or dispatch of the minute, so a coordinator crash
 	// never lands mid-transaction. See the chaos package.
@@ -106,7 +102,7 @@ func (s *Simulator) report(ctx context.Context, minute int) error {
 		for _, inst := range s.dep.InstancesOn(hostName) {
 			rep.Sample(inst.ID, inst.Service, s.instanceLoad(inst))
 		}
-		hbCtx, cancel := context.WithTimeout(ctx, s.mgr.Plane.HeartbeatTimeout)
+		hbCtx, cancel := context.WithTimeout(ctx, agent.HeartbeatTimeout)
 		// A delivery failure is not a run error: a missed heartbeat is
 		// exactly the signal the liveness detector consumes.
 		_ = rep.Send(hbCtx)

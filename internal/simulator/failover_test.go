@@ -132,7 +132,7 @@ func TestFailoverConvergesToFaultFreeLandscape(t *testing.T) {
 	arch := sim.Archive()
 	for _, host := range hosts {
 		for m := 0; m < 24*60; m++ {
-			if n := arch.ObservationCount(archive.HostEntity(host), m); n != 1 {
+			if n := arch.Entity(archive.HostEntity(host)).ObservationCount(m); n != 1 {
 				t.Fatalf("host %s minute %d has %d observations, want exactly 1 — failover lost or duplicated a heartbeat minute", host, m, n)
 			}
 		}

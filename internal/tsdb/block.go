@@ -137,22 +137,6 @@ type Agg struct {
 	MaxMem float64
 }
 
-// MeanCPU returns the window's mean CPU load.
-func (a Agg) MeanCPU() float64 {
-	if a.N == 0 {
-		return 0
-	}
-	return a.SumCPU / float64(a.N)
-}
-
-// MeanMem returns the window's mean memory load.
-func (a Agg) MeanMem() float64 {
-	if a.N == 0 {
-		return 0
-	}
-	return a.SumMem / float64(a.N)
-}
-
 // ErrBadRecord reports a structurally invalid record payload — a frame
 // whose checksum held but whose contents do not parse. Distinct from
 // journal.ErrTornTail: a torn tail is expected after a crash, a bad

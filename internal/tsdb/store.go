@@ -702,22 +702,6 @@ func (st *Store) writeTier(tier int, b []byte) error {
 	return nil
 }
 
-// ForEachMinute calls fn for every raw minute-tier sample of entity in
-// [from, to), in chronological order — sealed blocks first, then the
-// open block. Minutes below the minute→hour watermark have been
-// downsampled away and are not visited. fn must not call back into the
-// store. A closed store still answers from what it holds raw; a block it
-// would have to read from disk fails the call with ErrClosed.
-func (st *Store) ForEachMinute(entity string, from, to int, fn func(Sample)) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	id, ok := st.ids[entity]
-	if !ok {
-		return nil
-	}
-	return st.forEachMinute(st.ents[id], from, to, fn)
-}
-
 // Lookup returns the handle of a known entity, and the zero Handle —
 // which reads as empty until its first AppendTo resolves it — for an
 // unknown one.
@@ -744,11 +728,16 @@ func (st *Store) Latest(h Handle) (Sample, bool) {
 	return Sample{}, false
 }
 
-// Range is ForEachMinute through a handle, and reports whether the read
-// needed a sealed block the entity does not hold raw. Only such a read
-// — one reaching below the tail of a disk store — takes the store's
-// lock; everything else reads the tail and raw blocks in place, without
-// lock, lookup or allocation. That is safe for the handle's owner, the
+// Range calls fn for every raw minute-tier sample of h's entity in
+// [from, to), in chronological order — sealed blocks first, then the
+// open block — and reports whether the read needed a sealed block the
+// entity does not hold raw. Minutes below the minute→hour watermark have
+// been downsampled away and are not visited. fn must not call back into
+// the store. A closed store still answers from what it holds raw; a
+// block it would have to read from disk fails the call with ErrClosed.
+// Only a read that needs such a block — one reaching below the tail of
+// a disk store — takes the store's lock; everything else reads the tail
+// and raw blocks in place, without lock, lookup or allocation. That is safe for the handle's owner, the
 // store's single writer, and for nobody else: call Range and Latest only
 // from the goroutine that appends, commits and compacts.
 func (st *Store) Range(h Handle, from, to int, fn func(Sample)) (disk bool, err error) {

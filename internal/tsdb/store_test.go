@@ -25,7 +25,7 @@ func openStore(t testing.TB, dir string, opts Options) *Store {
 func collect(t testing.TB, st *Store, entity string, from, to int) []Sample {
 	t.Helper()
 	var got []Sample
-	if err := st.ForEachMinute(entity, from, to, func(s Sample) {
+	if _, err := st.Range(st.Lookup(entity), from, to, func(s Sample) {
 		got = append(got, s)
 	}); err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestAppendGuards(t *testing.T) {
 		t.Fatal("non-monotone append through the handle accepted")
 	}
 	var got []int
-	if err := st.ForEachMinute("svc/b", 0, 1000, func(s Sample) { got = append(got, s.Minute) }); err != nil {
+	if _, err := st.Range(st.Lookup("svc/b"), 0, 1000, func(s Sample) { got = append(got, s.Minute) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != 200 || got[1] != 201 {
@@ -428,9 +428,10 @@ func BenchmarkTSDBReadHot(b *testing.B) {
 	for _, span := range []int{20, 120} {
 		b.Run(fmt.Sprintf("last-%d", span), func(b *testing.B) {
 			var sum float64
+			h := st.Lookup("svc/app")
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := st.ForEachMinute("svc/app", minutes-span, minutes, func(s Sample) {
+				if _, err := st.Range(h, minutes-span, minutes, func(s Sample) {
 					sum += s.CPU
 				}); err != nil {
 					b.Fatal(err)

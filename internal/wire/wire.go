@@ -376,13 +376,6 @@ func LeaseEnvelope(from, to string, l Lease) *Envelope {
 	return e
 }
 
-// LeaseAckEnvelope frames a lease-beacon reply.
-func LeaseAckEnvelope(from, to string, l Lease) *Envelope {
-	e := NewEnvelope(TypeLeaseAck, from, to)
-	e.Lease = &l
-	return e
-}
-
 // Validate checks version and payload consistency. Transports call it
 // on receipt so a malformed or incompatible frame is rejected at the
 // boundary, before any handler state changes.

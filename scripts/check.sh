@@ -1,8 +1,11 @@
 #!/bin/sh
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md): formatting, vet,
 # the metric-name lint, the wire-encoding lint, every test twice (under the race detector, then
-# race-free — the *ZeroAlloc guards skip themselves under -race, so the
-# second pass is the one in which they assert), the ingest and dispatch
+# race-free — the *ZeroAlloc guards and the root package's surface
+# ratchet skip themselves under -race, so the second pass is the one in
+# which they assert; the ratchet fails when a line joins SURFACE.txt: an
+# exported name in internal/ without a non-test caller outside its
+# package, or an exported field nobody sets), the ingest and dispatch
 # concurrency tests — the session dictionary, the single ingest lock
 # that guards it with every pending beat, and journaled dispatch — ten
 # more times under the race detector, ten seconds
