@@ -70,7 +70,7 @@ func newCoordinatorDaemon(o options) (*coordinatorDaemon, error) {
 		Controller:     ctlCfg,
 		Mobility:       l.Mobility(),
 		ArchiveDir:     o.archiveDir,
-		JournalDir:     o.journalDir, // fsync-on-commit: the zero journal.Options
+		JournalDir:     o.journalDir, // fsync-on-commit: the zero Storage
 		RulesDir:       o.rulesDir,
 		ShadowRulesDir: o.shadowDir,
 		ShadowLabel:    o.shadowLabel,

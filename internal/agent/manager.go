@@ -13,7 +13,6 @@ import (
 	"autoglobe/internal/obs"
 	"autoglobe/internal/rules"
 	"autoglobe/internal/service"
-	"autoglobe/internal/tsdb"
 )
 
 // Assembly names what one autonomic manager is built from — what the
@@ -35,14 +34,13 @@ type Assembly struct {
 	// executor (e.g. a federation mirror); dispatch still wraps outermost.
 	Mobility     service.Mobility
 	WrapExecutor func(dep *service.Deployment, exec controller.Executor) (controller.Executor, error)
-	// ArchiveDir backs the load archive with the on-disk store, tuned by
-	// Store (empty: in memory). JournalDir makes the plane crash-safe,
-	// tuned by Journal (empty: no journal). Standbys attaches that many
+	// ArchiveDir backs the load archive with the on-disk store (empty: in
+	// memory). JournalDir makes the plane crash-safe (empty: no journal).
+	// Storage tunes the segments under both. Standbys attaches that many
 	// hot-standby coordinators, tuned by Election (needs JournalDir).
 	ArchiveDir string
-	Store      tsdb.Options
 	JournalDir string
-	Journal    journal.Options
+	Storage    journal.Options
 	Standbys   int
 	Election   ElectionConfig
 	// RulesDir seeds the rule registry and the controller's active rule
@@ -117,7 +115,7 @@ func assemble(a Assembly, dep *service.Deployment, newPlane func(PlaneConfig, *s
 	m = &Manager{dep: dep, lost: make(map[string]cluster.Host), stages: newStageTimers(a.Obs)}
 	if a.ArchiveDir == "" {
 		m.Archive = archive.New(0)
-	} else if m.Archive, err = archive.NewBacked(a.ArchiveDir, 0, a.Store); err != nil {
+	} else if m.Archive, err = archive.NewBacked(a.ArchiveDir, 0, a.Storage); err != nil {
 		return nil, err
 	}
 	defer func(built *Manager) {
@@ -152,7 +150,7 @@ func assemble(a Assembly, dep *service.Deployment, newPlane func(PlaneConfig, *s
 		m.Plane.Trace(a.Tracer)
 		m.Plane.Coordinator().Liveness().Instrument(a.Obs)
 		if a.JournalDir != "" {
-			cj, err := OpenCoordinatorJournal(a.JournalDir, a.Journal)
+			cj, err := OpenCoordinatorJournal(a.JournalDir, a.Storage)
 			if err != nil {
 				return nil, err
 			}

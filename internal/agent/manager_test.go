@@ -15,7 +15,6 @@ import (
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
-	"autoglobe/internal/tsdb"
 	"autoglobe/internal/wire"
 )
 
@@ -47,7 +46,7 @@ func newManagerBed(t *testing.T) *managerBed {
 		Monitor:    monitor.PaperParams(),
 		Mobility:   service.FullMobility,
 		JournalDir: b.dir,
-		Journal:    journal.Options{NoSync: true},
+		Storage:    journal.Options{NoSync: true},
 		Obs:        b.reg,
 	}, dep)
 	if err != nil {
@@ -402,7 +401,7 @@ func TestWatchReadsStayInMemory(t *testing.T) {
 		Monitor:    monitor.PaperParams(),
 		Mobility:   service.FullMobility,
 		ArchiveDir: t.TempDir(),
-		Store:      tsdb.Options{NoSync: true},
+		Storage:    journal.Options{NoSync: true},
 		Obs:        reg,
 	}, dep)
 	if err != nil {
@@ -466,7 +465,7 @@ func TestCoordinatorBytesPerHost(t *testing.T) {
 		Monitor:    monitor.PaperParams(),
 		Mobility:   service.FullMobility,
 		ArchiveDir: t.TempDir(),
-		Store:      tsdb.Options{NoSync: true},
+		Storage:    journal.Options{NoSync: true},
 		Obs:        reg,
 	}, dep)
 	if err != nil {

@@ -869,7 +869,7 @@ func fleetBed(tb testing.TB, reg *obs.Registry) (*Manager, *service.Deployment) 
 		Monitor:    monitor.PaperParams(),
 		Mobility:   service.FullMobility,
 		JournalDir: tb.TempDir(),
-		Journal:    journal.Options{NoSync: true},
+		Storage:    journal.Options{NoSync: true},
 		Obs:        reg,
 	}, dep)
 	if err != nil {

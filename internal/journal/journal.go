@@ -18,13 +18,13 @@
 //
 // # On-disk format
 //
-// A journal directory holds numbered segment files and at most one
-// snapshot:
+// A journal directory holds numbered segment files — a Segments stream,
+// the storage the tsdb's tiers run on too — and at most one snapshot:
 //
-//	wal-00000001.seg   records, appended in order
-//	wal-00000002.seg   ...
-//	snap-00000003.snap one framed record holding the snapshot payload
-//	wal-00000003.seg   records since the snapshot
+//	wal-00000000.seg   records, appended in order
+//	wal-00000001.seg   ...
+//	snap-00000002.snap one framed record holding the snapshot payload
+//	wal-00000002.seg   records since the snapshot
 //
 // Every record — in segments and snapshots alike — is framed as
 //
@@ -36,12 +36,12 @@
 // with the CRC (Castagnoli) taken over the payload bytes. A reader
 // stops cleanly at the first frame that is incomplete, oversized or
 // fails its checksum: a crash mid-append leaves a torn tail, never a
-// misparsed record. Appends after a reopen always go to a fresh
-// segment, so a torn tail is never appended to.
+// misparsed record; later segments still replay. Appends after a reopen
+// always go to a fresh segment, so a torn tail is never appended to.
 //
 // Snapshots are written to a temporary file and renamed into place, so
 // a crash during snapshotting leaves either the old or the new
-// snapshot, never a half-written one. After a successful snapshot all
+// snapshot, never a half-written one. Once the rename is durable all
 // older segments and snapshots are pruned.
 package journal
 
@@ -52,9 +52,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 )
 
@@ -68,7 +66,7 @@ const (
 	// bound is treated as corruption, not as an instruction to allocate.
 	MaxRecordBytes = 16 << 20
 
-	segPrefix  = "wal-"
+	segPrefix  = "wal"
 	segSuffix  = ".seg"
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
@@ -136,15 +134,15 @@ func Frames(b []byte) (payloads [][]byte, boundaries []int) {
 	}
 }
 
-// Options tunes a journal.
+// Options tunes a Segments stream: the journal's and the tsdb's.
 type Options struct {
-	// SegmentBytes is the rotation threshold: an append that would grow
-	// the current segment past it starts a new segment first
-	// (default 1 MiB).
+	// SegmentBytes is the rotation threshold: a write that would grow a
+	// non-empty segment past it starts a new segment first (default 1 MiB).
 	SegmentBytes int
-	// NoSync skips the fsync after each append and snapshot. Only for
-	// tests and benchmarks — a production coordinator must not
-	// acknowledge actions its journal could still lose.
+	// NoSync skips every fsync: of appends, snapshots and directories.
+	// Only for tests, simulations and benchmarks, whose crash model is
+	// process death, not power loss — a production daemon must not
+	// acknowledge what its disk could still lose.
 	NoSync bool
 }
 
@@ -158,13 +156,10 @@ func (o Options) withDefaults() Options {
 // Journal is an append-only record log in one directory. It is safe for
 // concurrent use.
 type Journal struct {
-	dir  string
-	opts Options
+	dir string
 
 	mu     sync.Mutex
-	f      *os.File
-	seq    uint64 // number of the segment f writes to
-	size   int
+	segs   *Segments
 	closed bool
 	err    error  // the first failed segment write: the tail may be torn
 	buf    []byte // scratch for framing appends
@@ -173,23 +168,16 @@ type Journal struct {
 	records  [][]byte // recovered tail records, oldest first
 }
 
-// Open opens (or creates) the journal directory, replays the latest
-// snapshot plus every record after it — tolerating a torn tail — and
-// prepares a fresh segment for appends (a torn tail is never appended
-// to). The recovered state is available through Recovered.
+// Open opens (or creates) the journal directory and replays the latest
+// snapshot plus every record after it, tolerating a torn tail. The first
+// append goes to a fresh segment (a torn tail is never appended to). The
+// recovered state is available through Recovered.
 func Open(dir string, opts Options) (*Journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	snapshot, records, maxSeq, err := replay(dir)
+	segs, snapshot, records, err := replay(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{dir: dir, opts: opts.withDefaults(), seq: maxSeq + 1, snapshot: snapshot, records: records}
-	if j.f, err = os.OpenFile(segPath(dir, j.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return j, nil
+	return &Journal{dir: dir, segs: segs, snapshot: snapshot, records: records}, nil
 }
 
 // Replay reads a journal directory WITHOUT opening it for appends: the
@@ -203,95 +191,51 @@ func Replay(dir string) (snapshot []byte, records [][]byte, err error) {
 	if _, err := os.Stat(dir); os.IsNotExist(err) {
 		return nil, nil, nil
 	}
-	snapshot, records, _, err = replay(dir)
+	_, snapshot, records, err = replay(dir, Options{})
 	return snapshot, records, err
 }
 
-// replay reads the latest snapshot of dir and every intact record after
-// it, and returns the highest segment or snapshot number in use.
-func replay(dir string) (snapshot []byte, records [][]byte, maxSeq uint64, err error) {
-	segs, snaps, maxSeq, err := scan(dir)
+// replay lists dir's segments and reads the latest snapshot and every
+// intact record after it.
+func replay(dir string, opts Options) (segs *Segments, snapshot []byte, records [][]byte, err error) {
+	if segs, err = OpenSegments(dir, segPrefix, opts); err != nil {
+		return nil, nil, nil, err
+	}
+	snaps, err := list(dir, snapPrefix, snapSuffix)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, err
 	}
 	// Latest snapshot wins; segments older than it were pruned when it
 	// was taken (or are about to be ignored).
 	var snapSeq uint64
 	if len(snaps) > 0 {
-		snapSeq = snaps[len(snaps)-1]
+		snapSeq = snaps[len(snaps)-1].seq
 		path := snapPath(dir, snapSeq)
 		b, err := os.ReadFile(path)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("journal: %w", err)
+			return nil, nil, nil, fmt.Errorf("journal: %w", err)
 		}
-		if snapshot, _, err = DecodeFrame(b); err != nil {
-			// Snapshots are written atomically (temp file + rename), so a
-			// failing checksum is bit rot, not a crash artifact. Refuse to
-			// guess.
-			return nil, nil, 0, fmt.Errorf("journal: snapshot %s corrupt: %w", path, err)
-		}
-	}
-	// Replay segments at or after the snapshot, oldest first. A torn
-	// record ends the replay of its segment — the writer died
-	// mid-append and the partial record was never acknowledged — but
-	// later segments still replay: appends after a reopen always go to
-	// a fresh segment, so everything beyond the tear lives in files
-	// written by later, healthy incarnations.
-	for _, seq := range segs {
-		if seq < snapSeq {
-			continue
-		}
-		b, err := os.ReadFile(segPath(dir, seq))
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("journal: %w", err)
-		}
+		// Snapshots are written atomically (temp file + rename), so
+		// anything but one intact frame is bit rot, not a crash artifact.
+		// Refuse to guess.
 		payloads, _ := Frames(b)
-		records = append(records, payloads...)
-	}
-	return snapshot, records, maxSeq, nil
-}
-
-// scan lists the segment and snapshot sequence numbers in dir, sorted
-// ascending, plus the overall maximum.
-func scan(dir string) (segs, snaps []uint64, maxSeq uint64, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	parse := func(name, prefix, suffix string) (uint64, bool) {
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-			return 0, false
+		if len(payloads) != 1 {
+			return nil, nil, nil, fmt.Errorf("journal: snapshot %s corrupt: %w", path, ErrTornTail)
 		}
-		n, err := strconv.ParseUint(name[len(prefix):len(name)-len(suffix)], 10, 64)
-		return n, err == nil
+		snapshot = payloads[0]
+		// The records after snapshot n live in wal-n.seg and later.
+		segs.next = max(segs.next, snapSeq)
 	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if n, ok := parse(e.Name(), segPrefix, segSuffix); ok {
-			segs = append(segs, n)
-			maxSeq = max(maxSeq, n)
-		} else if n, ok := parse(e.Name(), snapPrefix, snapSuffix); ok {
-			snaps = append(snaps, n)
-			maxSeq = max(maxSeq, n)
-		}
-	}
-	sort.Slice(segs, func(i, k int) bool { return segs[i] < segs[k] })
-	sort.Slice(snaps, func(i, k int) bool { return snaps[i] < snaps[k] })
-	return segs, snaps, maxSeq, nil
-}
-
-func segPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix))
+	err = segs.Replay(snapSeq, func(_ uint64, _ int64, _ int, p []byte) error {
+		records = append(records, slices.Clone(p))
+		return nil
+	})
+	return segs, snapshot, records, err
 }
 
 func snapPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", snapPrefix, seq, snapSuffix))
 }
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Recovered returns the state replayed at Open: the latest snapshot
 // payload (nil if none) and every intact record after it, oldest first.
@@ -322,36 +266,26 @@ func (j *Journal) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	total := 0
 	for _, p := range payloads {
 		if len(p) > MaxRecordBytes {
 			return fmt.Errorf("journal: record of %d bytes exceeds MaxRecordBytes", len(p))
 		}
-		total += headerSize + len(p)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.usableLocked(); err != nil {
 		return err
 	}
-	if j.size > 0 && j.size+total > j.opts.SegmentBytes {
-		if err := j.rotateLocked(j.seq + 1); err != nil {
-			return err
-		}
-	}
 	buf := j.buf[:0]
 	for _, p := range payloads {
 		buf = AppendFrame(buf, p)
 	}
 	j.buf = buf
-	if _, err := j.f.Write(buf); err != nil {
+	if _, _, err := j.segs.Write(buf); err != nil {
 		return j.failLocked(err)
 	}
-	j.size += len(buf)
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return j.failLocked(err)
-		}
+	if err := j.segs.Sync(); err != nil {
+		return j.failLocked(err)
 	}
 	return nil
 }
@@ -374,25 +308,12 @@ func (j *Journal) failLocked(err error) error {
 	return j.err
 }
 
-// rotateLocked closes the current segment and starts segment seq.
-// Callers hold j.mu.
-func (j *Journal) rotateLocked(seq uint64) error {
-	if err := j.f.Close(); err != nil {
-		return j.failLocked(err)
-	}
-	f, err := os.OpenFile(segPath(j.dir, seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return j.failLocked(err)
-	}
-	j.f, j.seq, j.size = f, seq, 0
-	return nil
-}
-
 // Snapshot persists a full-state checkpoint and prunes the history it
 // supersedes: the state is framed into snap-<n>.snap (written to a
-// temporary file, fsynced, renamed), appends continue in wal-<n>.seg,
-// and all older segments and snapshots are deleted. Recovery then
-// replays the snapshot plus the records appended after it.
+// temporary file, fsynced, renamed, the directory fsynced), where n is
+// the next segment's number, appends continue in wal-<n>.seg, and all
+// older segments and snapshots are deleted. Recovery then replays the
+// snapshot plus the records appended after it.
 func (j *Journal) Snapshot(state []byte) error {
 	if len(state) > MaxRecordBytes {
 		return fmt.Errorf("journal: snapshot of %d bytes exceeds MaxRecordBytes", len(state))
@@ -402,54 +323,53 @@ func (j *Journal) Snapshot(state []byte) error {
 	if err := j.usableLocked(); err != nil {
 		return err
 	}
-	seq := j.seq + 1
+	seq := j.segs.next
 	tmp, err := os.CreateTemp(j.dir, "snap-*.tmp")
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	frame := AppendFrame(nil, state)
-	if _, err := tmp.Write(frame); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	defer os.Remove(tmp.Name()) // a no-op once renamed
+	_, err = tmp.Write(AppendFrame(nil, state))
+	if err == nil && !j.segs.opts.NoSync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), snapPath(j.dir, seq))
+	}
+	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if !j.opts.NoSync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
+	// The snapshot is in place: an append behind it would be superseded.
+	if err := j.segs.rotate(); err != nil {
+		return j.failLocked(err)
+	}
+	// The rename must be durable before the history it supersedes goes.
+	if !j.segs.opts.NoSync {
+		if err := syncDir(j.dir); err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: %w", err)
+	// Prune superseded history: every live segment is older than seq.
+	// Failures here are ignored: stale files waste space but cannot
+	// corrupt recovery (the latest snapshot wins).
+	for _, g := range slices.Clone(j.segs.live) {
+		j.segs.Remove(g.seq)
 	}
-	if err := os.Rename(tmp.Name(), snapPath(j.dir, seq)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.rotateLocked(seq); err != nil {
-		return err
-	}
-	// Prune superseded history. Failures here are ignored: stale files
-	// waste space but cannot corrupt recovery (the latest snapshot wins).
-	segs, snaps, _, err := scan(j.dir)
-	if err == nil {
-		for _, n := range segs {
-			if n < seq {
-				os.Remove(segPath(j.dir, n))
-			}
-		}
-		for _, n := range snaps {
-			if n < seq {
-				os.Remove(snapPath(j.dir, n))
+	if snaps, err := list(j.dir, snapPrefix, snapSuffix); err == nil {
+		for _, g := range snaps {
+			if g.seq < seq {
+				os.Remove(snapPath(j.dir, g.seq))
 			}
 		}
 	}
 	return nil
 }
 
-// Close flushes and closes the current segment.
+// Close closes the journal's segments. Every append was already fsynced
+// unless NoSync.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -457,11 +377,5 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			j.f.Close()
-			return fmt.Errorf("journal: %w", err)
-		}
-	}
-	return j.f.Close()
+	return j.segs.Close()
 }

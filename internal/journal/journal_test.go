@@ -222,15 +222,15 @@ func TestFailedAppendIsSticky(t *testing.T) {
 	if err := j.Append(rec(0)); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := os.Open(j.f.Name())
+	ro, err := os.Open(j.segs.w.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	rw := j.f
-	j.f = ro
+	rw := j.segs.w
+	j.segs.w = ro
 	first := j.Append(rec(1))
-	j.f = rw
+	j.segs.w = rw
 	if first == nil {
 		t.Fatal("append through a read-only segment handle succeeded")
 	}

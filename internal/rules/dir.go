@@ -18,11 +18,6 @@ import (
 // fileExt is the rule-file suffix LoadDir scans for.
 const fileExt = ".rules"
 
-// EntryPath returns the file path for (name, version) under dir.
-func EntryPath(dir, name string, version int) string {
-	return filepath.Join(dir, filepath.FromSlash(name)+"@v"+strconv.Itoa(version)+fileExt)
-}
-
 // parseEntryName splits "<name>@v<version>" out of a path relative to
 // the load root.
 func parseEntryName(rel string) (name string, version int, err error) {
@@ -36,24 +31,6 @@ func parseEntryName(rel string) (name string, version int, err error) {
 		return "", 0, fmt.Errorf("rules: file %q has invalid version", rel)
 	}
 	return filepath.ToSlash(base[:at]), version, nil
-}
-
-// WriteEntry persists an entry under dir, creating subdirectories as
-// needed. The write goes through a temp file and rename so a crashed
-// push never leaves a torn rule file for LoadDir to trip over.
-func WriteEntry(dir string, e *Entry) error {
-	path := EntryPath(dir, e.Name, e.Version)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("rules: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(e.Source), 0o644); err != nil {
-		return fmt.Errorf("rules: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("rules: %w", err)
-	}
-	return nil
 }
 
 // LoadDir loads every *.rules file under dir into the registry via

@@ -3,6 +3,7 @@ package rules
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,7 +175,11 @@ func TestDirRoundTrip(t *testing.T) {
 	e2, _ := r.Put("serviceOverloaded", goodSrc2)
 	sel, _ := r.Put("select/placement", goodSelSrc)
 	for _, e := range []*Entry{e1, e2, sel} {
-		if err := WriteEntry(dir, e); err != nil {
+		path := filepath.Join(dir, filepath.FromSlash(e.Name)+"@v"+strconv.Itoa(e.Version)+fileExt)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(e.Source), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package simulator
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"autoglobe/internal/controller"
@@ -68,7 +69,7 @@ func TestHotSwapIdenticalBaseMidRunByteIdentical(t *testing.T) {
 // directory.
 func writeRuleFile(t *testing.T, dir, name string, version int, src string) {
 	t.Helper()
-	path := rules.EntryPath(dir, name, version)
+	path := filepath.Join(dir, filepath.FromSlash(name)+"@v"+strconv.Itoa(version)+".rules")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,9 @@
 //
 // # On-disk format
 //
-// A store directory holds per-tier segment files plus a dictionary:
+// A store directory holds per-tier segment files plus a dictionary, each
+// stream a journal.Segments — named, rotated, synced and read back the
+// way the journal's own segments are:
 //
 //	dict-00000001.seg   entity-name records (never pruned)
 //	min-00000003.seg    minute-tier sample blocks

@@ -1,9 +1,6 @@
 package tsdb
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"autoglobe/internal/journal"
@@ -62,7 +59,7 @@ func (st *Store) compactMinutes(before int) error {
 	}
 	st.recBuf = appendMarkRecord(st.recBuf[:0], TierMinute, eff)
 	batch = journal.AppendFrame(batch, st.recBuf)
-	if err := st.writeTier(int(TierHour), batch); err != nil {
+	if _, _, err := st.writeTier(int(TierHour), batch); err != nil {
 		return err
 	}
 	// The watermark is durable; the minute tier below it is dead.
@@ -77,7 +74,7 @@ func (st *Store) compactMinutes(before int) error {
 	if err := st.pruneMinuteSegments(eff); err != nil {
 		return err
 	}
-	st.m.compacted(int(TierHour), len(staged), st.diskBytes)
+	st.m.compacted(int(TierHour), len(staged), st.diskBytes())
 	return nil
 }
 
@@ -118,7 +115,7 @@ func (st *Store) compactHours(before int) error {
 	}
 	st.recBuf = appendMarkRecord(st.recBuf[:0], TierHour, eff)
 	batch = journal.AppendFrame(batch, st.recBuf)
-	if err := st.writeTier(int(TierDay), batch); err != nil {
+	if _, _, err := st.writeTier(int(TierDay), batch); err != nil {
 		return err
 	}
 	st.marks[TierHour] = eff
@@ -127,7 +124,7 @@ func (st *Store) compactHours(before int) error {
 		e.days, lo = append(e.days, staged[lo:ends[i]]...), ends[i]
 		e.hours = slices.DeleteFunc(e.hours, func(a Agg) bool { return a.Start < eff })
 	}
-	st.m.compacted(int(TierDay), len(staged), st.diskBytes)
+	st.m.compacted(int(TierDay), len(staged), st.diskBytes())
 	return nil
 }
 
@@ -156,40 +153,22 @@ func foldWindow(dst []Agg, tier Tier, minute int, sumCPU, sumMem float64, n int)
 	return dst
 }
 
-// pruneMinuteSegments deletes minute segments whose every sample is
-// below the watermark. The active segment is kept (it is still being
-// written); straddling segments are kept and their dead prefix is
+// pruneMinuteSegments deletes the minute segments whose every sample is
+// below the watermark, the active one included: the next commit starts a
+// fresh one. Straddling segments are kept and their dead prefix is
 // simply never read again. A memory store has no segments.
 func (st *Store) pruneMinuteSegments(wm int) error {
 	if st.dir == "" {
 		return nil
 	}
-	seqs := make([]int, 0, len(st.segMax))
-	for seq := range st.segMax {
-		seqs = append(seqs, seq)
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		if st.segMax[seq] >= wm {
+	for seq, newest := range st.segMax {
+		if newest >= wm {
 			continue
 		}
-		if st.active[TierMinute] != nil && seq == st.actSeq[TierMinute] {
-			continue
-		}
-		if f := st.files[seq]; f != nil {
-			if err := f.Close(); err != nil {
-				return err
-			}
-			delete(st.files, seq)
-		}
-		name := fmt.Sprintf("%s-%08d.seg", tierPrefix[TierMinute], seq)
-		if err := os.Remove(filepath.Join(st.dir, name)); err != nil {
+		if err := st.segs[TierMinute].Remove(seq); err != nil {
 			return err
 		}
-		st.diskBytes -= st.segSize[seq]
 		delete(st.segMax, seq)
-		delete(st.segSize, seq)
-		st.m.pruned(st.diskBytes)
 	}
 	return nil
 }

@@ -8,8 +8,8 @@ import (
 
 // Metric families the load archive emits.
 const (
-	// MetricSegments counts segment files opened, by tier (minute, hour,
-	// day, dict).
+	// MetricSegments counts segment files started, by tier (minute,
+	// hour, day, dict): the writes that landed at offset 0.
 	MetricSegments = "autoglobe_archive_segments_total"
 	// MetricCompactions counts roll-ups committed, by destination tier.
 	MetricCompactions = "autoglobe_archive_compactions_total"
@@ -51,7 +51,7 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 	if r == nil {
 		return nil
 	}
-	r.Help(MetricSegments, "Segment files opened, by tier.")
+	r.Help(MetricSegments, "Segment files started, by tier.")
 	r.Help(MetricCompactions, "Roll-ups committed, by destination tier.")
 	r.Help(MetricWritten, "Bytes appended to archive segments, by tier.")
 	r.Help(MetricBlocks, "Sealed blocks, row frames and aggregates written, by kind.")
@@ -124,12 +124,6 @@ func (m *storeMetrics) compacted(destTier, aggCount int, disk int64) {
 	}
 }
 
-func (m *storeMetrics) pruned(disk int64) {
-	if m != nil {
-		m.disk.Set(float64(disk))
-	}
-}
-
 // Instrument attaches an obs registry to the store: segments opened,
 // bytes written, blocks sealed, commit and fsync latency, compactions
 // committed and live disk footprint. Attach-only and nil-safe, like
@@ -144,6 +138,6 @@ func (st *Store) Instrument(r *obs.Registry) {
 	}
 	st.m = newStoreMetrics(r)
 	if st.m != nil {
-		st.m.disk.Set(float64(st.diskBytes))
+		st.m.disk.Set(float64(st.diskBytes()))
 	}
 }

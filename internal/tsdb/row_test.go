@@ -219,8 +219,8 @@ func TestOversizedRowSplits(t *testing.T) {
 	checkSeries(t, "reopened", openStore(t, dir, Options{}), want)
 }
 
-// TestFailedCommitIsSticky closes the active segment's descriptor under
-// the store, so the next write fails the way a dead disk fails it. The
+// TestFailedCommitIsSticky closes the minute tier's segments under the
+// store, so the next write fails the way a dead disk fails it. The
 // failed commit must acknowledge nothing and index nothing, and must
 // not be forgotten: appends, commits and compactions refuse with the
 // same cause until the directory is reopened, reads of what memory
@@ -243,7 +243,7 @@ func TestFailedCommitIsSticky(t *testing.T) {
 		}
 		acked = append(acked, s)
 	}
-	if err := st.active[TierMinute].Close(); err != nil {
+	if err := st.segs[TierMinute].Close(); err != nil {
 		t.Fatal(err)
 	}
 	cause := st.Commit()
@@ -280,9 +280,9 @@ func TestFailedCommitIsSticky(t *testing.T) {
 	}
 }
 
-// TestFailedCompactionChangesNothing closes the hour tier's active
-// segment under the store, so the next roll-up's write fails the way a
-// dead disk fails it. The failed compaction must leave every tier as it
+// TestFailedCompactionChangesNothing closes the hour tier's segments
+// under the store, so the next roll-up's write fails the way a dead disk
+// fails it. The failed compaction must leave every tier as it
 // was — its aggregates are applied only once written — so the stitched
 // view still counts each minute once. A memory store runs the same
 // compaction with nothing to fail.
@@ -308,7 +308,7 @@ func TestFailedCompactionChangesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			if disk {
-				if err := st.active[TierHour].Close(); err != nil {
+				if err := st.segs[TierHour].Close(); err != nil {
 					t.Fatal(err)
 				}
 				if err := st.CompactBefore(2880); !errors.Is(err, os.ErrClosed) {

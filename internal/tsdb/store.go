@@ -4,35 +4,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"autoglobe/internal/journal"
 )
 
-// Options tunes a Store.
-type Options struct {
-	// SegmentBytes is the rotation threshold: a commit that finds the
-	// active segment past it starts a new segment first (default 1 MiB).
-	SegmentBytes int
-	// NoSync skips the fsync after each commit. Simulations and tests
-	// leave it on their temp-dir "disks" (the crash model is process
-	// death, not power loss); production daemons clear it.
-	NoSync bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	return o
-}
+// Options tunes a Store's segments: they are the journal's (see
+// journal.Options).
+type Options = journal.Options
 
 // tier file-name prefixes; dictTier is the pseudo-tier of the entity
 // dictionary stream.
@@ -44,7 +25,7 @@ var tierPrefix = [4]string{"min", "hr", "day", "dict"}
 // memory store the block itself.
 type blockRef struct {
 	raw   *[BlockSamples]Sample // a memory store's block; nil on disk
-	seq   int                   // minute-tier segment sequence
+	seq   uint64                // minute-tier segment number
 	off   int64                 // frame start offset within the segment file
 	n     int                   // framed length in bytes
 	start int                   // first sample minute
@@ -99,14 +80,8 @@ type Store struct {
 	ids  map[string]uint64
 	ents []*entState
 
-	active  [4]*os.File // active segment per tier (lazily opened)
-	actSeq  [4]int
-	actSize [4]int64
-	nextSeq [4]int
-
-	files   map[int]*os.File // minute-tier read handles by seq
-	segMax  map[int]int      // minute-tier seq → max sample minute written
-	segSize map[int]int64    // minute-tier seq → bytes written
+	segs   [4]*journal.Segments // one segment stream per tier; none in a memory store
+	segMax map[uint64]int       // minute-tier segment → max sample minute written
 
 	// marks[TierMinute]: minute data below this is rolled into hours;
 	// marks[TierHour]: hour data below this is rolled into days.
@@ -123,9 +98,8 @@ type Store struct {
 	frameBuf    []byte   // a sealed block's frame read from disk
 	blockBuf    []Sample // ...and its samples (see loadBlock)
 
-	diskBytes int64
-	closed    bool
-	err       error // first failed write; sticky until the directory is reopened
+	closed bool
+	err    error // first failed write; sticky until the directory is reopened
 
 	m *storeMetrics
 }
@@ -163,58 +137,20 @@ func (st *Store) writable() error {
 // Appends after Open go to fresh segments. An empty dir opens a memory
 // store (see Store), which cannot fail.
 func Open(dir string, opts Options) (*Store, error) {
-	st := &Store{
-		dir:     dir,
-		opts:    opts.withDefaults(),
-		ids:     make(map[string]uint64),
-		files:   make(map[int]*os.File),
-		segMax:  make(map[int]int),
-		segSize: make(map[int]int64),
-	}
+	st := &Store{dir: dir, opts: opts, ids: make(map[string]uint64), segMax: make(map[uint64]int)}
 	if dir == "" {
 		return st, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	for tier := range st.segs {
+		var err error
+		if st.segs[tier], err = journal.OpenSegments(dir, tierPrefix[tier], opts); err != nil {
+			return nil, err
+		}
 	}
 	if err := st.replay(); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// segFiles lists the tier's segment files in sequence order and bumps
-// nextSeq past them.
-func (st *Store) segFiles(tier int) ([]string, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, err
-	}
-	prefix := tierPrefix[tier] + "-"
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".seg") {
-			continue
-		}
-		seq, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".seg"))
-		if err != nil {
-			continue
-		}
-		if seq >= st.nextSeq[tier] {
-			st.nextSeq[tier] = seq + 1
-		}
-		names = append(names, name)
-	}
-	// %08d names sort numerically; ReadDir already returns sorted order.
-	slices.Sort(names)
-	return names, nil
-}
-
-func (st *Store) segSeq(name string) int {
-	base := name[strings.IndexByte(name, '-')+1:]
-	seq, _ := strconv.Atoi(strings.TrimSuffix(base, ".seg"))
-	return seq
 }
 
 func (st *Store) replay() error {
@@ -243,59 +179,8 @@ func (st *Store) replay() error {
 	return nil
 }
 
-// forEachFrame replays a tier's segments in sequence order. Each file is
-// read into one buffer — reused across the tier's segments, dropped on
-// return — and fn sees every intact frame in place: the payload (valid
-// during the call only), its segment, and the frame's offset and framed
-// length there. A torn final frame ends a segment cleanly.
-func (st *Store) forEachFrame(tier int, fn func(seq int, off int64, n int, payload []byte) error) error {
-	names, err := st.segFiles(tier)
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for _, name := range names {
-		seq := st.segSeq(name)
-		if buf, err = readInto(buf, filepath.Join(st.dir, name)); err != nil {
-			return err
-		}
-		st.diskBytes += int64(len(buf))
-		if tier == int(TierMinute) {
-			st.segSize[seq] = int64(len(buf))
-		}
-		for off := 0; ; {
-			p, n, err := journal.DecodeFrame(buf[off:])
-			if err != nil {
-				break
-			}
-			if err := fn(seq, int64(off), n, p); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			off += n
-		}
-	}
-	return nil
-}
-
-// readInto reads the whole file into buf's backing array, growing it
-// only when the file is larger.
-func readInto(buf []byte, path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	buf = slices.Grow(buf[:0], int(fi.Size()))[:fi.Size()]
-	_, err = io.ReadFull(f, buf)
-	return buf, err
-}
-
 func (st *Store) replayDict() error {
-	return st.forEachFrame(dictTier, func(_ int, _ int64, _ int, p []byte) error {
+	return st.segs[dictTier].Replay(0, func(_ uint64, _ int64, _ int, p []byte) error {
 		r, err := decodeRecord(p, nil, nil)
 		if err != nil {
 			return err
@@ -328,7 +213,7 @@ func (st *Store) replayAggs(tier int) error {
 	}
 	var provisional []pendAgg
 	var aggScratch []Agg
-	return st.forEachFrame(tier, func(_ int, _ int64, _ int, p []byte) error {
+	return st.segs[tier].Replay(0, func(_ uint64, _ int64, _ int, p []byte) error {
 		r, err := decodeRecord(p, nil, aggScratch)
 		if err != nil {
 			return err
@@ -405,7 +290,7 @@ func (st *Store) replayMinutes() error {
 		e.n++
 		return nil
 	}
-	frame := func(seq int, off int64, n int, p []byte) error {
+	frame := func(seq uint64, off int64, n int, p []byte) error {
 		if len(p) > 0 && p[0] == kRow {
 			return decodeRow(p, cell)
 		}
@@ -437,7 +322,7 @@ func (st *Store) replayMinutes() error {
 		}
 		return nil
 	}
-	err := st.forEachFrame(int(TierMinute), func(seq int, off int64, n int, p []byte) error {
+	err := st.segs[TierMinute].Replay(0, func(seq uint64, off int64, n int, p []byte) error {
 		newest = 0
 		err := frame(seq, off, n, p)
 		if newest > st.segMax[seq] {
@@ -576,7 +461,7 @@ func (st *Store) commitLocked() error {
 	t0 := st.m.start()
 	// New entities become durable before any data referencing them.
 	if len(st.dictPending) > 0 {
-		if err := st.writeTier(dictTier, st.dictPending); err != nil {
+		if _, _, err := st.writeTier(dictTier, st.dictPending); err != nil {
 			return err
 		}
 		st.dictPending = st.dictPending[:0]
@@ -615,7 +500,8 @@ func (st *Store) commitMinutes() error {
 		e.blocks = append(e.blocks, ref)
 		newest = max(newest, ref.end) // an orphan sealed after a reopen has no row in this batch
 	}
-	if err := st.writeTier(int(TierMinute), st.pending); err != nil {
+	seq, base, err := st.writeTier(int(TierMinute), st.pending)
+	if err != nil {
 		// Nothing of this batch is acked or indexed: the blocks stay
 		// open and the tails as they were, readable from memory.
 		for _, id := range st.full {
@@ -624,7 +510,6 @@ func (st *Store) commitMinutes() error {
 		}
 		return err
 	}
-	seq, base := st.actSeq[TierMinute], st.actSize[TierMinute]-int64(len(st.pending))
 	for _, id := range st.full {
 		e := st.ents[id]
 		ref := &e.blocks[len(e.blocks)-1]
@@ -634,7 +519,6 @@ func (st *Store) commitMinutes() error {
 	if newest > st.segMax[seq] {
 		st.segMax[seq] = newest
 	}
-	st.segSize[seq] += int64(len(st.pending))
 	st.m.addBlocks(kindSealed, len(st.full))
 	st.pending, st.full, st.stagedMax = st.pending[:0], st.full[:0], 0
 	return nil
@@ -646,60 +530,29 @@ func (st *Store) fail(tier int, err error) error {
 	return st.err
 }
 
-// ensureActive opens (or rotates) the tier's active segment so the next
-// write has room below the rotation threshold.
-func (st *Store) ensureActive(tier int) error {
-	if st.active[tier] != nil && st.actSize[tier] < int64(st.opts.SegmentBytes) {
-		return nil
-	}
-	if st.active[tier] != nil && tier != int(TierMinute) {
-		// Minute handles stay open for ReadAt; other tiers are replay-only.
-		if err := st.active[tier].Close(); err != nil {
-			return err
-		}
-		st.active[tier] = nil
-	}
-	seq := st.nextSeq[tier]
-	st.nextSeq[tier]++
-	name := fmt.Sprintf("%s-%08d.seg", tierPrefix[tier], seq)
-	f, err := os.OpenFile(filepath.Join(st.dir, name), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	st.active[tier] = f
-	st.actSeq[tier] = seq
-	st.actSize[tier] = 0
-	if tier == int(TierMinute) {
-		st.files[seq] = f
-		st.segSize[seq] = 0
-	}
-	st.m.segment(tier)
-	return nil
-}
-
-// writeTier appends b to the tier's active segment in one write, with
-// an fsync unless NoSync. Any failure poisons the store. A memory store
-// writes nothing.
-func (st *Store) writeTier(tier int, b []byte) error {
+// writeTier appends b to the tier's segments in one write, with an fsync
+// unless NoSync, and returns the segment and offset it landed at. Any
+// failure poisons the store. A memory store writes nothing.
+func (st *Store) writeTier(tier int, b []byte) (seq uint64, off int64, err error) {
 	if st.dir == "" {
-		return nil
+		return 0, 0, nil
 	}
-	if err := st.ensureActive(tier); err != nil {
-		return st.fail(tier, err)
-	}
-	n, err := st.active[tier].Write(b)
-	st.actSize[tier] += int64(n)
-	st.diskBytes += int64(n)
-	st.m.wrote(tier, n, st.diskBytes)
-	if err == nil && !st.opts.NoSync {
-		t0 := st.m.start()
-		err = st.active[tier].Sync()
-		st.m.synced(t0)
+	s := st.segs[tier]
+	if seq, off, err = s.Write(b); err == nil {
+		if off == 0 {
+			st.m.segment(tier)
+		}
+		st.m.wrote(tier, len(b), st.diskBytes())
+		if !st.opts.NoSync {
+			t0 := st.m.start()
+			err = s.Sync()
+			st.m.synced(t0)
+		}
 	}
 	if err != nil {
-		return st.fail(tier, err)
+		return 0, 0, st.fail(tier, err)
 	}
-	return nil
+	return seq, off, nil
 }
 
 // Lookup returns the handle of a known entity, and the zero Handle —
@@ -799,18 +652,8 @@ func (st *Store) loadBlock(e *entState, i int) ([]Sample, error) {
 	case st.closed:
 		return nil, ErrClosed
 	}
-	f := st.files[ref.seq]
-	if f == nil {
-		var err error
-		name := fmt.Sprintf("%s-%08d.seg", tierPrefix[TierMinute], ref.seq)
-		f, err = os.Open(filepath.Join(st.dir, name))
-		if err != nil {
-			return nil, err
-		}
-		st.files[ref.seq] = f
-	}
 	st.frameBuf = slices.Grow(st.frameBuf[:0], ref.n)[:ref.n]
-	if _, err := f.ReadAt(st.frameBuf, ref.off); err != nil {
+	if err := st.segs[TierMinute].ReadAt(ref.seq, ref.off, st.frameBuf); err != nil {
 		return nil, err
 	}
 	payload, _, err := journal.DecodeFrame(st.frameBuf)
@@ -889,18 +732,24 @@ func (st *Store) Entities() []string {
 	return names
 }
 
-// Dir returns the store directory.
-func (st *Store) Dir() string { return st.dir }
-
 // DiskBytes returns the bytes currently on disk across all segments.
 func (st *Store) DiskBytes() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.diskBytes
+	return st.diskBytes()
 }
 
-// Close commits buffered samples and closes every file handle. The
-// store takes no appends afterwards; reads answer from memory.
+func (st *Store) diskBytes() (n int64) {
+	for _, s := range st.segs {
+		if s != nil {
+			n += s.Bytes()
+		}
+	}
+	return n
+}
+
+// Close commits buffered samples and closes every segment. The store
+// takes no appends afterwards; reads answer from memory.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -909,23 +758,12 @@ func (st *Store) Close() error {
 	}
 	err := st.commitLocked()
 	st.closed = true
-	for tier, f := range st.active {
-		if f == nil {
-			continue
-		}
-		// Minute-tier actives also sit in st.files; close once there.
-		if tier != int(TierMinute) {
-			if cerr := f.Close(); err == nil {
+	for _, s := range st.segs {
+		if s != nil {
+			if cerr := s.Close(); err == nil {
 				err = cerr
 			}
 		}
-		st.active[tier] = nil
-	}
-	for seq, f := range st.files {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		delete(st.files, seq)
 	}
 	return err
 }

@@ -1,6 +1,8 @@
 #!/bin/sh
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md): formatting, vet,
-# the metric-name lint, the wire-encoding lint, every test twice (under the race detector, then
+# the metric-name lint, the wire-encoding lint, the storage lint (only
+# internal/journal creates, writes, renames or removes a file), every
+# test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards and the root package's surface
 # ratchet skip themselves under -race, so the second pass is the one in
 # which they assert; the ratchet fails when a line joins SURFACE.txt: an
@@ -48,6 +50,18 @@ fi
 echo "== wire lint: non-test internal/wire does not import encoding/json"
 if go list -f '{{join .Imports " "}}' ./internal/wire | grep -qw 'encoding/json'; then
 	echo "wire lint: internal/wire imports encoding/json" >&2
+	exit 1
+fi
+
+# One module decides how a durable segment is named, opened, rotated,
+# synced and read back: the journal and every tsdb tier run on
+# journal.Segments, and nothing else in internal/ touches a file.
+echo "== storage lint: non-test internal/ outside internal/journal creates, writes, renames or removes no file"
+bad=$(grep -rnE '\bos\.(OpenFile|Create|CreateTemp|WriteFile|Rename|Remove|RemoveAll|Mkdir|MkdirAll)\(' internal \
+	--include='*.go' --exclude='*_test.go' --exclude-dir=journal || true)
+if [ -n "$bad" ]; then
+	echo "storage lint: file writes outside internal/journal:" >&2
+	echo "$bad" >&2
 	exit 1
 fi
 
