@@ -10,6 +10,8 @@ package autoglobe_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -541,10 +543,10 @@ func BenchmarkActionDispatchLoopback(b *testing.B) {
 }
 
 // BenchmarkFailoverTakeover measures the mechanical work a hot standby
-// performs to replace a dead leader: the read-only warm replay of the
-// leader's journal directory, the durable epoch-bumping takeover
-// snapshot into the standby's own (fsync'd) journal, and the recovery
-// re-issue of the in-flight actions — 16 pending, one per host, the
+// performs to replace a dead leader: reopening the group's journal —
+// replay and the durable epoch-bumping snapshot, fsync on — on a fresh
+// copy of the dead leader's directory made outside the timer, and the
+// recovery re-issue of the in-flight actions — 16 pending, one per host, the
 // crash-heaviest shape. The lease protocol adds one leaderless minute
 // (the TTL) of detection latency on top; this is the cost of the
 // takeover itself once the lease lapses, i.e. how far behind the
@@ -593,19 +595,16 @@ func BenchmarkFailoverTakeover(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	standbyRoot := b.TempDir()
+	copies := b.TempDir()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ls, err := agent.WarmReplay(leaderDir)
+		b.StopTimer()
+		dir := filepath.Join(copies, fmt.Sprintf("t%d", i))
+		copyJournalDir(b, leaderDir, dir)
+		b.StartTimer()
+		scj, err := agent.OpenCoordinatorJournal(dir, journal.Options{})
 		if err != nil {
-			b.Fatal(err)
-		}
-		scj, err := agent.OpenStandbyJournal(fmt.Sprintf("%s/t%d", standbyRoot, i), journal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := scj.Takeover(ls); err != nil {
 			b.Fatal(err)
 		}
 		d2 := agent.NewDispatcher(cfg, tr)
@@ -614,6 +613,28 @@ func BenchmarkFailoverTakeover(b *testing.B) {
 			b.Fatalf("recover = (%d, %v), want (%d, nil)", n, err, hosts)
 		}
 		if err := scj.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// copyJournalDir copies the files of the journal directory src into a
+// new directory dst.
+func copyJournalDir(b *testing.B, src, dst string) {
+	b.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -178,12 +178,11 @@ func renderEvent(e controller.Event) string {
 }
 
 // runStandby is the hot-standby coordinator daemon: it checks the
-// acting leader's health endpoint once per interval, warm-replays the
-// leader's journal from shared storage so its view of the in-flight
-// actions stays current, and — when the leader has been unreachable
-// for the lease TTL — promotes itself by running the full coordinator
-// over the same journal directory. The promotion reopens the journal
-// under a bumped epoch, so the agents' epoch guard fences any
+// acting leader's health endpoint once per interval and — when the
+// leader has been unreachable for the lease TTL — promotes itself by
+// running the full coordinator over the same journal directory. The
+// promotion reopens the journal under a bumped epoch, exactly as a
+// restart does, so the agents' epoch guard fences any
 // straggling messages from the deposed incarnation; safety rests on
 // that fencing, the lease only decides when to move. The standby's
 // -listen address should sit behind the shared coordinator address
@@ -215,8 +214,7 @@ func runStandby(ctx context.Context, o options) error {
 		o.standbyOf, tracker.TTL(), interval, journalDir)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	var lastEpoch uint64
-	lastPending := -1
+
 	for tick := 0; ; tick++ {
 		select {
 		case <-ctx.Done():
@@ -227,17 +225,7 @@ func runStandby(ctx context.Context, o options) error {
 		if err := check(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "standby: leader check: %v\n", err)
 		} else {
-			tracker.Renew(tick, 0)
-		}
-		// Follow the leader's durable state between checks: the replay is
-		// read-only and torn-tail tolerant, so it is safe against a leader
-		// that is still appending.
-		if ls, err := agent.WarmReplay(journalDir); err != nil {
-			fmt.Fprintf(os.Stderr, "standby: warm replay: %v\n", err)
-		} else if ls.Epoch != lastEpoch || len(ls.Pending) != lastPending {
-			fmt.Printf("standby: following epoch %d, %d in-flight actions, %d hosts down\n",
-				ls.Epoch, len(ls.Pending), len(ls.Down))
-			lastEpoch, lastPending = ls.Epoch, len(ls.Pending)
+			tracker.Renew(tick)
 		}
 		if !tracker.Expired(tick) {
 			continue

@@ -31,8 +31,8 @@ func runDemo(ctx context.Context, o options) error {
 	jdir := o.journalDir
 	if (chaosSeed != 0 || o.standbys > 0) && jdir == "" {
 		// Crash injections need a journal to recover from (an unjournaled
-		// chaos run would die at the first crash), and standby
-		// coordinators warm-replay the leader's journal directory.
+		// chaos run would die at the first crash), and a standby
+		// takes over by reopening the leader's journal directory.
 		tmp, err := os.MkdirTemp("", "autoglobe-journal-")
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -238,5 +239,120 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 	}
 	if s, _ := d.mgr.Archive.Latest(archive.HostEntity(hosts[0])); s.Minute <= restart {
 		t.Fatalf("%s is archived up to minute %d, want past the restart at minute %d", hosts[0], s.Minute, restart)
+	}
+}
+
+// TestStandbyPromotesOverHTTP runs a standby daemon beside a coordinator
+// and two agents, on the coordinator's own address and over its journal
+// directory: when the coordinator stops, the standby's lease lapses and
+// it promotes there under epoch 2 — the journal reopened exactly as a
+// restart reopens it — and goes on ingesting and closing minutes.
+func TestStandbyPromotesOverHTTP(t *testing.T) {
+	dir := t.TempDir()
+	l, err := spec.Paper(service.FullMobility, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "paper.xml")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hosts := []string{l.Servers[0].Name, l.Servers[1].Name}
+	stdout := os.Stdout
+	if os.Stdout, err = os.OpenFile(os.DevNull, os.O_WRONLY, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { os.Stdout.Close(); os.Stdout = stdout }()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	base := "http://" + addr
+	journalDir := filepath.Join(dir, "journal")
+	daemon := func(ctx context.Context, done chan<- error, args ...string) {
+		o, err := parse(append(args, "-interval", "20ms")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { done <- run(ctx, o) }()
+	}
+	get := func(path string) (int, string) {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			return 0, "" // between incarnations
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("after 10 s: %s", what)
+			}
+		}
+	}
+	wait := func(done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("daemon returned %v on cancel, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a daemon did not return within 5 s of cancel")
+		}
+	}
+	ingesting := func() bool {
+		_, body := get(obs.MetricsPath)
+		beats := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(agent.MetricHeartbeats) + ` (\d+)`).FindStringSubmatch(body)
+		closes := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(agent.MetricMinuteStage+`_count{stage="merge"}`) + ` (\d+)`).FindStringSubmatch(body)
+		if beats == nil || closes == nil {
+			return false
+		}
+		b, _ := strconv.Atoi(beats[1])
+		c, _ := strconv.Atoi(closes[1])
+		return b >= 4 && c >= 2
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderCtx, stopLeader := context.WithCancel(ctx)
+	defer stopLeader()
+	leaderDone := make(chan error, 1)
+	daemon(leaderCtx, leaderDone, "-mode", "coordinator", "-landscape", path, "-listen", addr, "-journal", journalDir)
+	// The standby must see a healthy leader first, or it would promote
+	// onto the address the leader is still binding.
+	until("the leader does not answer /healthz", func() bool { code, _ := get(obs.HealthPath); return code == http.StatusOK })
+	done := make(chan error, 1+len(hosts))
+	daemon(ctx, done, "-mode", "standby", "-standby-of", base, "-landscape", path,
+		"-listen", addr, "-journal", journalDir, "-lease-ttl", "2")
+	for _, h := range hosts {
+		daemon(ctx, done, "-mode", "agent", "-host", h, "-coordinator", base, "-load", "0.4")
+	}
+	until("the leader ingests no heartbeats", ingesting)
+
+	stopLeader()
+	wait(leaderDone)
+	until(`/healthz never reports "epoch":"2"`, func() bool {
+		_, body := get(obs.HealthPath)
+		return strings.Contains(body, `"epoch":"2"`)
+	})
+	until("the promoted daemon ingests no heartbeats", ingesting)
+
+	cancel()
+	for i := 0; i < 1+len(hosts); i++ {
+		wait(done)
 	}
 }

@@ -3,7 +3,6 @@ package agent
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 
 	"autoglobe/internal/lease"
@@ -19,14 +18,14 @@ const DefaultRestartAfter = 3
 type memberRole int
 
 const (
-	// RoleStandby members warm-track the leader and wait for its lease
-	// to lapse.
+	// RoleStandby members follow the leader's lease and wait for it to
+	// lapse.
 	RoleStandby memberRole = iota
 	// RoleLeader members run the control plane: they merge heartbeats,
 	// dispatch actions and beacon lease renewals.
 	RoleLeader
-	// RoleDown members are crashed processes: journal closed, transport
-	// endpoint gone. They rejoin as standbys after RestartAfter minutes.
+	// RoleDown members are crashed processes: transport endpoint gone.
+	// They rejoin as standbys after RestartAfter minutes.
 	RoleDown
 )
 
@@ -52,9 +51,10 @@ type ElectionConfig struct {
 	RestartAfter int
 }
 
-// electionMember is one coordinator of the group: the initial leader
-// (member 0, the plane's original coordinator and journal) or a
-// hot standby with its own journal directory nested under the leader's.
+// electionMember is one coordinator of the group: the founding leader
+// (member 0, the plane's original coordinator) or a hot standby. No
+// member owns a journal: the group has one, which only the member the
+// plane is wired to holds open, and every takeover reopens it.
 //
 // Locking: mb.mu guards the member's volatile state and is the ONLY
 // lock a lease hook takes — the loopback transport delivers
@@ -63,21 +63,20 @@ type ElectionConfig struct {
 // deadlock. Tick never holds any member lock across a transport call.
 type electionMember struct {
 	node string
-	dir  string
 	// coord is the member's coordinator over the SHARED deployment,
 	// monitor system and liveness detector: the monitor state a leader
 	// accumulates is the state its successor continues from, modelling
-	// standbys that warm-replay the leader's observations. The journal
-	// (dispatch state) is the part recovered by replay at takeover.
+	// standbys that track the leader's observations. The group's journal
+	// (dispatch state) is the part a takeover recovers by reopening it.
 	coord *Coordinator
 
 	mu      sync.Mutex
-	cj      *CoordinatorJournal // nil while down
 	tracker *lease.Tracker
 	role    memberRole
 	downAt  int
-	// epochSeen is the highest epoch any lease traffic has carried —
-	// the member's fencing knowledge even while its journal is closed.
+	// epochSeen is all the member knows of epochs: its own when it
+	// founded or took over the group, raised by lease traffic carrying a
+	// higher one. It fences the member's beacons and hook replies.
 	epochSeen uint64
 	// leaderNode is who this member believes leads, per lease traffic.
 	leaderNode string
@@ -87,18 +86,6 @@ func (m *electionMember) getRole() memberRole {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.role
-}
-
-// knownEpochLocked is the highest epoch the member can vouch for:
-// its own journal's, or the highest seen in lease traffic.
-func (m *electionMember) knownEpochLocked() uint64 {
-	e := m.epochSeen
-	if m.cj != nil {
-		if je := m.cj.Epoch(); je > e {
-			e = je
-		}
-	}
-	return e
 }
 
 // Election runs lease-based leader election over a group of
@@ -128,10 +115,9 @@ type Election struct {
 
 // AttachStandbys turns the plane's coordinator into the founding
 // leader of an n+1 member group: n hot standbys are created, each a
-// full coordinator listening on "<node>-standby-<i>" with a journal
-// directory nested inside the leader's (the journal scanner skips
-// directories, so the nesting is safe). Requires an attached journal.
-// The returned election must be Ticked once per minute.
+// full coordinator listening on "<node>-standby-<i>". The group shares
+// the plane's one journal, so one must be attached. The returned
+// election must be Ticked once per minute.
 func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 	cj := p.disp.Journal()
 	if cj == nil {
@@ -149,32 +135,24 @@ func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 	}
 	e := &Election{p: p, restartAfter: restart}
 	lead := &electionMember{
-		node:    p.coord.Node(),
-		dir:     cj.Dir(),
-		coord:   p.coord,
-		cj:      cj,
-		tracker: lease.NewTracker(cfg.TTL),
-		role:    RoleLeader,
+		node:      p.coord.Node(),
+		coord:     p.coord,
+		tracker:   lease.NewTracker(cfg.TTL),
+		role:      RoleLeader,
+		epochSeen: cj.Epoch(),
 	}
 	lead.leaderNode = lead.node
 	p.coord.SetLeaseHook(e.hookFor(lead))
 	e.members = append(e.members, lead)
 	for i := 1; i <= n; i++ {
 		node := fmt.Sprintf("%s-standby-%d", p.coord.Node(), i)
-		dir := filepath.Join(cj.Dir(), fmt.Sprintf("standby-%d", i))
 		coord, err := NewCoordinator(node, p.dep, p.lms, p.tr, p.coord.Liveness())
-		if err != nil {
-			return nil, err
-		}
-		scj, err := OpenStandbyJournal(dir, cj.Options())
 		if err != nil {
 			return nil, err
 		}
 		m := &electionMember{
 			node:       node,
-			dir:        dir,
 			coord:      coord,
-			cj:         scj,
 			tracker:    lease.NewTracker(cfg.TTL),
 			role:       RoleStandby,
 			leaderNode: lead.node,
@@ -246,17 +224,14 @@ func (e *Election) FencedDepositions() int {
 	return e.fenced
 }
 
-// Epoch returns the current leader's journal epoch.
+// Epoch returns the wired leader's epoch.
 func (e *Election) Epoch() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m := e.members[e.leader]
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cj == nil {
-		return m.epochSeen
-	}
-	return m.cj.Epoch()
+	return m.epochSeen
 }
 
 // hookFor builds the lease hook of one member: the coordinator routes
@@ -269,13 +244,12 @@ func (e *Election) hookFor(m *electionMember) func(wire.Lease) wire.Lease {
 	return func(l wire.Lease) wire.Lease {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		known := m.knownEpochLocked()
-		if l.Epoch < known {
-			return wire.Lease{Leader: m.leaderNode, Epoch: known, Minute: l.Minute}
+		if l.Epoch < m.epochSeen {
+			return wire.Lease{Leader: m.leaderNode, Epoch: m.epochSeen, Minute: l.Minute}
 		}
 		m.epochSeen = l.Epoch
 		m.leaderNode = l.Leader
-		m.tracker.Renew(l.Minute, l.Epoch)
+		m.tracker.Renew(l.Minute)
 		if m.role == RoleLeader && l.Leader != m.node {
 			// A successor with a fresher epoch exists: stand down before
 			// issuing anything else under the dead incarnation.
@@ -346,7 +320,7 @@ func (e *Election) Tick(ctx context.Context, minute int) error {
 // Callers hold e.mu; no member lock is held across the transport calls.
 func (e *Election) beaconLocked(ctx context.Context, m *electionMember, minute int) {
 	m.mu.Lock()
-	l := wire.Lease{Leader: m.node, Epoch: m.knownEpochLocked(), Minute: minute}
+	l := wire.Lease{Leader: m.node, Epoch: m.epochSeen, Minute: minute}
 	m.mu.Unlock()
 	deposedBy := uint64(0)
 	sent := 0
@@ -391,28 +365,19 @@ func (e *Election) beaconLocked(ctx context.Context, m *electionMember, minute i
 	}
 }
 
-// takeoverLocked promotes m: the previous leadership's journal is
-// warm-replayed, m's own journal durably adopts that state under a
-// bumped epoch (the fence), the plane is rewired to m's coordinator —
-// its floor read from the shared archive, so a drained agent backlog
-// cannot double-observe a minute already in the monitor — journaled
-// dead hosts and the active rule set are replayed, the unacked
-// dispatches are re-issued through the agents' idempotency caches, and
-// m announces itself so agents redirect before this minute's reports.
-// Callers hold e.mu.
+// takeoverLocked promotes m the way every incarnation begins: the
+// group's journal is reopened under a bumped epoch (the fence) — a
+// failed reopen returns before anything is rewired — the plane is
+// rewired to m's coordinator, its floor read from the shared archive so
+// a drained agent backlog cannot double-observe a minute already in the
+// monitor, and adoptJournal recovers: journaled dead hosts, the active
+// rule set and rule admin, and the unacked dispatches re-issued through
+// the agents' idempotency caches. m then announces itself so agents
+// redirect before this minute's reports. Callers hold e.mu.
 func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute int) error {
-	ls, err := WarmReplay(e.members[e.leader].dir)
+	cj, err := e.p.reopenJournal()
 	if err != nil {
-		return fmt.Errorf("agent: takeover warm replay: %w", err)
-	}
-	m.mu.Lock()
-	cj := m.cj
-	m.mu.Unlock()
-	if cj == nil {
-		return fmt.Errorf("agent: takeover by %s without an open journal", m.node)
-	}
-	if err := cj.Takeover(ls); err != nil {
-		return fmt.Errorf("agent: takeover epoch bump: %w", err)
+		return fmt.Errorf("agent: takeover by %s: %w", m.node, err)
 	}
 	e.p.coord = m.coord
 	m.coord.resetFloor()
@@ -422,7 +387,8 @@ func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute
 	m.mu.Lock()
 	m.role = RoleLeader
 	m.leaderNode = m.node
-	m.tracker.Renew(minute, cj.Epoch())
+	m.epochSeen = cj.Epoch()
+	m.tracker.Renew(minute)
 	m.mu.Unlock()
 	for i, o := range e.members {
 		if o == m {
@@ -436,21 +402,14 @@ func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute
 	return nil
 }
 
-// restartLocked brings a down member back as a standby: its journal
-// directory is reopened without an epoch bump, its coordinator listens
-// again, and its lease tracker restarts so a full TTL must pass before
-// it could ever contend. Callers hold e.mu.
+// restartLocked brings a down member back as a standby: its coordinator
+// listens again, and its lease tracker restarts so a full TTL must pass
+// before it could ever contend. Callers hold e.mu.
 func (e *Election) restartLocked(m *electionMember, minute int) error {
-	cj, err := OpenStandbyJournal(m.dir, e.p.disp.Journal().Options())
-	if err != nil {
-		return fmt.Errorf("agent: standby restart: %w", err)
-	}
 	if err := e.p.tr.Listen(m.node, m.coord.Handle); err != nil {
-		cj.Close()
 		return fmt.Errorf("agent: standby restart: %w", err)
 	}
 	m.mu.Lock()
-	m.cj = cj
 	m.role = RoleStandby
 	m.tracker.Reset(minute)
 	m.mu.Unlock()
@@ -458,7 +417,7 @@ func (e *Election) restartLocked(m *electionMember, minute int) error {
 	return nil
 }
 
-// KillLeader crashes the acting leader: its journal closes mid-flight
+// KillLeader crashes the acting leader: the group's journal closes mid-flight
 // (nothing beyond the write-ahead protocol's durability survives) and
 // its transport endpoint disappears, exactly like a killed process.
 // The kill is skipped (false) when no live standby could take over —
@@ -481,23 +440,16 @@ func (e *Election) KillLeader(minute int) (bool, error) {
 	if standbys == 0 {
 		return false, nil
 	}
-	m := lead
-	m.mu.Lock()
-	cj := m.cj
-	m.cj = nil
-	m.role = RoleDown
-	m.downAt = minute
-	m.mu.Unlock()
-	if cj != nil {
-		if err := cj.Close(); err != nil {
-			return false, err
-		}
+	lead.mu.Lock()
+	lead.role = RoleDown
+	lead.downAt = minute
+	lead.mu.Unlock()
+	if err := e.p.disp.Journal().Close(); err != nil {
+		return false, err
 	}
-	if u, ok := e.p.tr.(interface{ Unlisten(string) error }); ok {
-		if err := u.Unlisten(m.node); err != nil {
-			return false, err
-		}
+	if err := e.p.tr.Unlisten(lead.node); err != nil {
+		return false, err
 	}
-	e.metrics.role(m.node, false)
+	e.metrics.role(lead.node, false)
 	return true, nil
 }

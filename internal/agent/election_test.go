@@ -3,16 +3,16 @@ package agent
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 	"time"
 
 	"autoglobe/internal/archive"
+	"autoglobe/internal/controller"
 	"autoglobe/internal/journal"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
+	"autoglobe/internal/rules"
 	"autoglobe/internal/wire"
 )
 
@@ -422,13 +422,13 @@ func TestTakeoverKeepsMetricsCounting(t *testing.T) {
 }
 
 // TestLeaderDeathCrashPointSweep is the takeover acceptance sweep: the
-// leader's journal is cut at every record boundary AND mid-record, a
-// standby warm-replays the prefix, performs the durable epoch-bumping
-// takeover and recovers — and at every cut the successor's pending set
-// is exactly the dispatch-minus-ack set of the intact prefix (zero
-// lost acked actions) and the agents' audit logs never change (zero
-// duplicated side effects). The mirror of TestCrashPointSweep with a
-// takeover in place of a same-directory reopen.
+// leader's journal is cut at every record boundary AND mid-record, the
+// successor reopens the cut directory — a takeover begins its
+// incarnation exactly as a restart does — and recovers. At every cut
+// the successor's epoch is one past the leader's, its pending set is
+// exactly the dispatch-minus-ack set of the intact prefix (zero lost
+// acked actions) and the agents' audit logs never change (zero
+// duplicated side effects).
 func TestLeaderDeathCrashPointSweep(t *testing.T) {
 	tr := wire.NewLoopback()
 	defer tr.Close()
@@ -447,8 +447,10 @@ func TestLeaderDeathCrashPointSweep(t *testing.T) {
 	d.AttachJournal(cj)
 	ctx := context.Background()
 
-	// The same every-fate run the reopen sweep uses: clean acks, an
-	// applied-but-ack-lost expiry, a NACK.
+	// A run with every terminal fate represented: clean acks, an
+	// applied-but-ack-lost action that expires into a journaled
+	// abandonment (its pending window is a mid-sweep cut, not the final
+	// state), and a NACK.
 	if _, err := d.Do(ctx, startReq("h1", "i1")); err != nil {
 		t.Fatal(err)
 	}
@@ -472,27 +474,15 @@ func TestLeaderDeathCrashPointSweep(t *testing.T) {
 		baseline[h] = a.Log()
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seg string
-	var data []byte
-	for _, s := range segs {
-		b, err := os.ReadFile(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) > 0 {
-			if data != nil {
-				t.Fatalf("more than one non-empty segment: %v", segs)
-			}
-			seg, data = filepath.Base(s), b
-		}
-	}
-	payloads, boundaries := journal.Frames(data)
-	if len(payloads) != 9 {
-		t.Fatalf("journal has %d records, want 9 for the full run", len(payloads))
+	// The whole run lives in one segment beside the open's snapshot;
+	// sweep every record boundary and every mid-record cut.
+	img := readJournalImage(t, dir)
+	payloads, boundaries := journal.Frames(img.data)
+	// Every fate is terminal: 4 dispatches + 4 terminal records (two
+	// clean acks, i2's abandonment, ghost's NACK). The epoch is in the
+	// snapshot.
+	if len(payloads) != 8 {
+		t.Fatalf("journal has %d records, want 8 for the full run", len(payloads))
 	}
 	cuts := []int{0}
 	prev := 0
@@ -501,29 +491,16 @@ func TestLeaderDeathCrashPointSweep(t *testing.T) {
 		prev = b
 	}
 	for _, cut := range cuts {
-		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, seg), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The standby warm-replays the dead leader's directory and takes
-		// over into its OWN journal — the leader's files are never touched.
-		ls, err := WarmReplay(cdir)
+		rj, err := OpenCoordinatorJournal(img.cut(t, cut), journal.Options{NoSync: true})
 		if err != nil {
-			t.Fatalf("cut %d: warm replay: %v", cut, err)
+			t.Fatalf("cut %d: takeover open: %v", cut, err)
 		}
-		scj, err := OpenStandbyJournal(filepath.Join(cdir, "standby-1"), journal.Options{NoSync: true})
-		if err != nil {
-			t.Fatalf("cut %d: open standby: %v", cut, err)
-		}
-		if err := scj.Takeover(ls); err != nil {
-			t.Fatalf("cut %d: takeover: %v", cut, err)
-		}
-		if got, want := scj.Epoch(), ls.Epoch+1; got != want {
+		if got, want := rj.Epoch(), cj.Epoch()+1; got != want {
 			t.Fatalf("cut %d: takeover epoch = %d, want %d (exactly one bump)", cut, got, want)
 		}
-		want := pendingOfPrefix(t, data[:cut])
+		want := pendingOfPrefix(t, img.data[:cut])
 		got := make(map[string]bool)
-		for _, req := range scj.Pending() {
+		for _, req := range rj.Pending() {
 			got[req.Key] = true
 		}
 		if len(got) != len(want) {
@@ -531,21 +508,114 @@ func TestLeaderDeathCrashPointSweep(t *testing.T) {
 		}
 		for k := range want {
 			if !got[k] {
-				t.Fatalf("cut %d: acked-or-dispatched action %s lost across the takeover", cut, k)
+				t.Fatalf("cut %d: acked-or-dispatched action %s lost from pending set", cut, k)
 			}
 		}
 		d2 := NewDispatcher(cfg, tr)
-		d2.AttachJournal(scj)
-		if _, err := scj.Recover(ctx, d2); err != nil {
+		d2.AttachJournal(rj)
+		if _, err := rj.Recover(ctx, d2); err != nil {
 			t.Fatalf("cut %d: recover: %v", cut, err)
 		}
 		for h, a := range agents {
 			if !slices.Equal(a.Log(), baseline[h]) {
-				t.Fatalf("cut %d: host %s log changed %v -> %v (duplicate side effect across takeover)",
+				t.Fatalf("cut %d: host %s log changed %v -> %v (duplicate side effect)",
 					cut, h, baseline[h], a.Log())
 			}
 		}
-		scj.Close() //nolint:errcheck
+		rj.Close() //nolint:errcheck
+	}
+}
+
+// TestSuccessorServesRuleAdmin: rules attached after the standbys, as
+// the manager attaches them, reach every successor — an activated push
+// to the new leader succeeds and is journaled.
+func TestSuccessorServesRuleAdmin(t *testing.T) {
+	p, e, tr, lms := electionPlane(t, 1)
+	ctl, err := controller.New(controller.Config{}, p.dep, lms.Archive(),
+		controller.NewDeploymentExecutor(p.dep, controller.StickyUsers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AttachRules(rules.New(controller.RuleVocabulary), ctl); err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < 3; m++ {
+		electionMinute(t, p, e, m)
+	}
+	if _, err := e.KillLeader(3); err != nil {
+		t.Fatal(err)
+	}
+	for m := 3; m < 5; m++ {
+		electionMinute(t, p, e, m)
+	}
+	if e.Takeovers() != 1 {
+		t.Fatalf("takeovers = %d, want 1", e.Takeovers())
+	}
+	leader := e.LeaderNode()
+	reply, err := tr.Call(context.Background(), leader, wire.RulePutEnvelope("admin", leader,
+		wire.RulePut{Name: "serviceOverloaded", Source: pushedSrc, Activate: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.ReleaseEnvelope(reply)
+	if reply.RulePut == nil || reply.RulePut.Error != "" || reply.RulePut.Version != 1 {
+		t.Fatalf("activated push to the successor %s: %+v", leader, reply.RulePut)
+	}
+	if got := p.Dispatcher().Journal().ActiveRules(); len(got) != 1 || got[0].Name != "serviceOverloaded" {
+		t.Fatalf("journaled rule set = %+v, want the activation", got)
+	}
+}
+
+// TestKillLeaderOverHTTP: a killed leader goes quiet on a real network
+// too — a heartbeat to it fails — and after RestartAfter minutes its
+// member listens again and answers.
+func TestKillLeaderOverHTTP(t *testing.T) {
+	dep := testDeployment(t)
+	lms, err := monitor.NewSystem(monitor.PaperParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := wire.NewHTTP()
+	t.Cleanup(func() { tr.Close() })
+	p, err := NewPlane(PlaneConfig{Transport: tr, Dispatch: fastDispatch()}, dep, lms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, _, err := p.AttachJournal(ctx, t.TempDir(), journal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := p.AttachStandbys(1, ElectionConfig{RestartAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < 2; m++ {
+		electionMinute(t, p, e, m)
+	}
+	dead := e.LeaderNode()
+	call := func(env *wire.Envelope) error {
+		reply, err := tr.Call(ctx, dead, env)
+		wire.ReleaseEnvelope(reply)
+		return err
+	}
+	probe := func() *wire.Envelope { return wire.LeaseEnvelope("probe", dead, wire.Lease{Leader: "probe"}) }
+	if err := call(probe()); err != nil {
+		t.Fatalf("live leader unreachable: %v", err)
+	}
+	if killed, err := e.KillLeader(2); err != nil || !killed {
+		t.Fatalf("KillLeader = (%v, %v), want (true, nil)", killed, err)
+	}
+	if err := call(wire.HeartbeatEnvelope("h1", dead, wire.Heartbeat{Host: "h1", Minute: 2, CPU: 0.4, Mem: 0.3})); err == nil {
+		t.Fatal("the killed leader still takes heartbeats")
+	}
+	for m := 2; m < 5; m++ {
+		electionMinute(t, p, e, m)
+	}
+	if roles := e.Members(); roles[dead] != "standby" {
+		t.Fatalf("killed leader is %q after RestartAfter, want standby (roles %v)", roles[dead], roles)
+	}
+	if err := call(probe()); err != nil {
+		t.Fatalf("the restarted member does not answer: %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // Journal record kinds. Every coordinator side effect with a fate the
 // restarted incarnation must know about is one of these.
 const (
-	recEpoch    = "epoch"    // a coordinator incarnation began
+	recEpoch    = "epoch"    // an incarnation began (logs of older builds only)
 	recDispatch = "dispatch" // an action is about to leave for an agent
 	recAck      = "ack"      // the action's terminal outcome arrived
 	recLiveness = "liveness" // a host was confirmed dead or recovered
@@ -48,11 +48,9 @@ type journalRecord struct {
 	Rule   *RuleActivation     `json:"rule,omitempty"`
 }
 
-// LeaderState is what a journal folds to: everything recovery needs,
-// compacted. It is the snapshot payload, so the record tail stays
-// short, and what a standby warm-replays from a (possibly dead,
-// possibly still appending) leader's journal and adopts at takeover.
-type LeaderState struct {
+// journalState is what a journal folds to: everything recovery needs,
+// compacted. It is the snapshot payload, so the record tail stays short.
+type journalState struct {
 	Epoch   uint64                    `json:"epoch"`
 	Pending []wire.ActionRequest      `json:"pending,omitempty"` // dispatch order
 	Down    map[string]int            `json:"down,omitempty"`    // host -> minute confirmed dead
@@ -68,9 +66,10 @@ type LeaderState struct {
 //
 //   - Opening the journal starts a new epoch (one higher than any epoch
 //     the log has seen) and makes it durable before returning — the
-//     epoch record is the incarnation's lease. Dispatches are stamped
-//     with the epoch, and agents NACK actions from superseded epochs,
-//     so a not-quite-dead predecessor cannot mutate the landscape.
+//     snapshot carrying it is the incarnation's lease. Dispatches are
+//     stamped with the epoch, and agents NACK actions from superseded
+//     epochs, so a not-quite-dead predecessor cannot mutate the
+//     landscape.
 //   - A dispatch record is fsynced BEFORE the action leaves for the
 //     agent (write-ahead). A crash after the record but before (or
 //     during, or after) the send leaves the action pending; recovery
@@ -111,59 +110,41 @@ const snapshotEvery = 256
 
 // OpenCoordinatorJournal opens (or creates) the WAL in dir, replays the
 // snapshot and tail to rebuild the pending-action and liveness state,
-// and durably begins a new epoch. The previous incarnation's unacked
+// and durably begins a new epoch: one past every epoch the log has seen,
+// written as the snapshot the log restarts from. Every incarnation
+// begins here — the first open, a restart in place, a takeover and a
+// promoted standby daemon. The previous incarnation's unacked
 // dispatches are available through Pending (and re-issued by Recover).
-func OpenCoordinatorJournal(dir string, opts journal.Options) (*CoordinatorJournal, error) {
-	cj, err := openCoordinatorJournal(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	// This incarnation's lease: durably one past everything seen.
-	cj.epoch++
-	if err := cj.append(journalRecord{Kind: recEpoch, Epoch: cj.epoch}); err != nil {
-		cj.j.Close()
-		return nil, err
-	}
-	return cj, nil
-}
-
-// OpenStandbyJournal opens the WAL in dir WITHOUT beginning a new
-// epoch: the replayed epoch (zero for a fresh standby) is kept as-is.
-// A standby coordinator must not bump the epoch at construction — only
-// an actual takeover is a new incarnation, and the acceptance invariant
-// "one epoch bump per leader death" depends on standbys staying
-// epoch-silent until then. Takeover performs the bump durably.
-func OpenStandbyJournal(dir string, opts journal.Options) (*CoordinatorJournal, error) {
-	return openCoordinatorJournal(dir, opts)
-}
-
-// openCoordinatorJournal opens the log and replays snapshot + tail into
-// the typed state, without starting an epoch.
-func openCoordinatorJournal(dir string, opts journal.Options) (*CoordinatorJournal, error) {
+func OpenCoordinatorJournal(dir string, opts journal.Options) (_ *CoordinatorJournal, err error) {
 	j, err := journal.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	cj, err := load(j.Recovered())
-	if err != nil {
-		j.Close()
-		return nil, err
-	}
-	cj.j, cj.dir, cj.opts = j, dir, opts
-	return cj, nil
-}
-
-// load folds a replayed snapshot and record tail into a journal's
-// state; the caller attaches the log.
-func load(snapshot []byte, records [][]byte) (*CoordinatorJournal, error) {
-	var st LeaderState
+	defer func() {
+		if err != nil {
+			j.Close()
+		}
+	}()
+	snapshot, records := j.Recovered()
+	var st journalState
 	if snapshot != nil {
 		if err := json.Unmarshal(snapshot, &st); err != nil {
 			return nil, fmt.Errorf("agent: journal snapshot unreadable: %w", err)
 		}
 	}
-	cj := &CoordinatorJournal{}
-	cj.install(&st)
+	cj := &CoordinatorJournal{
+		j: j, dir: dir, opts: opts,
+		epoch:   st.Epoch,
+		pending: make(map[string]wire.ActionRequest, len(st.Pending)),
+		down:    make(map[string]int, len(st.Down)),
+		rules:   make(map[string]RuleActivation, len(st.Rules)),
+	}
+	for _, req := range st.Pending {
+		cj.pending[req.Key] = req
+		cj.order = append(cj.order, req.Key)
+	}
+	maps.Copy(cj.down, st.Down)
+	maps.Copy(cj.rules, st.Rules)
 	for _, raw := range records {
 		var r journalRecord
 		if err := json.Unmarshal(raw, &r); err != nil {
@@ -173,74 +154,12 @@ func load(snapshot []byte, records [][]byte) (*CoordinatorJournal, error) {
 		}
 		cj.apply(r)
 	}
+	// This incarnation's lease: durably one past everything seen.
+	cj.epoch++
+	if err := cj.compactLocked(); err != nil {
+		return nil, err
+	}
 	return cj, nil
-}
-
-// WarmReplay reads a leader's journal directory read-only (see
-// journal.Replay) and folds snapshot + tail into a LeaderState. A
-// standby calls it periodically while following and once more at
-// takeover; because the underlying reader is torn-tail tolerant and
-// never touches the files, it is safe against a leader that is still
-// appending — the view is a durable prefix of the leader's log.
-func WarmReplay(dir string) (*LeaderState, error) {
-	snapshot, records, err := journal.Replay(dir)
-	if err != nil {
-		return nil, err
-	}
-	cj, err := load(snapshot, records)
-	if err != nil {
-		return nil, err
-	}
-	return cj.state(), nil
-}
-
-// Takeover durably adopts a dead leader's warm-replayed state into this
-// (standby) journal: the epoch becomes one past the larger of the
-// standby's own and the leader's — exactly one bump per leader death —
-// and the pending/down/rules state is replaced wholesale. Everything is
-// committed with a single snapshot, which embeds the epoch: the
-// snapshot record is the new incarnation's durable lease, after which
-// the adopted pending actions are available through Pending for the
-// usual Recover re-issue. The state is installed only once the snapshot
-// is on disk, so a failed takeover changes nothing and a retry bumps
-// the epoch once, not twice.
-func (cj *CoordinatorJournal) Takeover(ls *LeaderState) error {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	next := *ls
-	next.Epoch = max(ls.Epoch, cj.epoch) + 1
-	if err := cj.snapshotLocked(&next); err != nil {
-		return err
-	}
-	cj.install(&next)
-	return nil
-}
-
-// install replaces the state wholesale with a copy of st.
-func (cj *CoordinatorJournal) install(st *LeaderState) {
-	cj.epoch = st.Epoch
-	cj.pending = make(map[string]wire.ActionRequest, len(st.Pending))
-	cj.order = make([]string, 0, len(st.Pending))
-	for _, req := range st.Pending {
-		cj.pending[req.Key] = req
-		cj.order = append(cj.order, req.Key)
-	}
-	cj.down = make(map[string]int, len(st.Down))
-	maps.Copy(cj.down, st.Down)
-	cj.rules = make(map[string]RuleActivation, len(st.Rules))
-	maps.Copy(cj.rules, st.Rules)
-}
-
-// state is the folded state, pending actions in dispatch order. Its
-// maps are the journal's own.
-func (cj *CoordinatorJournal) state() *LeaderState {
-	st := &LeaderState{Epoch: cj.epoch, Down: cj.down, Rules: cj.rules}
-	for _, key := range cj.order {
-		if req, ok := cj.pending[key]; ok {
-			st.Pending = append(st.Pending, req)
-		}
-	}
-	return st
 }
 
 // apply folds one replayed record into the recovered state.
@@ -311,7 +230,7 @@ func (cj *CoordinatorJournal) Epoch() uint64 {
 	return cj.epoch
 }
 
-// Dir returns the journal directory (so a restart can reopen it).
+// Dir returns the journal directory (so a new incarnation can reopen it).
 func (cj *CoordinatorJournal) Dir() string { return cj.dir }
 
 // Options returns the journal options the log was opened with.
@@ -397,26 +316,19 @@ func (cj *CoordinatorJournal) Snapshot() error {
 	return cj.compactLocked()
 }
 
-// compactLocked snapshots the current state; the order slice sheds the
-// acked keys. Callers hold cj.mu.
+// compactLocked checkpoints the current state — pending actions in
+// dispatch order — and prunes the record tail it supersedes; the order
+// slice sheds the acked keys, and the automatic cadence restarts either
+// way. Callers hold cj.mu.
 func (cj *CoordinatorJournal) compactLocked() error {
-	st := cj.state()
-	if err := cj.snapshotLocked(st); err != nil {
-		return err
-	}
-	cj.order = cj.order[:0]
-	for _, req := range st.Pending {
-		cj.order = append(cj.order, req.Key)
-	}
-	return nil
-}
-
-// snapshotLocked checkpoints st and prunes the record tail it
-// supersedes; the automatic cadence restarts either way. Callers hold
-// cj.mu.
-func (cj *CoordinatorJournal) snapshotLocked(st *LeaderState) error {
 	cj.appends = 0
-	payload, err := json.Marshal(st)
+	st := journalState{Epoch: cj.epoch, Down: cj.down, Rules: cj.rules}
+	for _, key := range cj.order {
+		if req, ok := cj.pending[key]; ok {
+			st.Pending = append(st.Pending, req)
+		}
+	}
+	payload, err := json.Marshal(&st)
 	if err != nil {
 		return fmt.Errorf("agent: journal snapshot encode: %w", err)
 	}
@@ -424,6 +336,10 @@ func (cj *CoordinatorJournal) snapshotLocked(st *LeaderState) error {
 		return err
 	}
 	cj.metrics.snapshot()
+	cj.order = cj.order[:0]
+	for _, req := range st.Pending {
+		cj.order = append(cj.order, req.Key)
+	}
 	return nil
 }
 
@@ -475,7 +391,7 @@ func (cj *CoordinatorJournal) DownHosts() []string {
 	return out
 }
 
-// Close flushes and closes the underlying log.
+// Close flushes and closes the underlying log. Closing twice is a no-op.
 func (cj *CoordinatorJournal) Close() error {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()

@@ -203,12 +203,9 @@ func TestMinuteDemotesDeadHost(t *testing.T) {
 		t.Error("controller log has no host-failure entry")
 	}
 	// The journal holds the death and the restarts.
-	ls, err := WarmReplay(b.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, down := ls.Down[victim]; !down || len(ls.Pending) != 0 {
-		t.Errorf("journal: down %v, %d pending; want %s down and nothing in flight", ls.Down, len(ls.Pending), victim)
+	cj := b.m.Plane.Dispatcher().Journal()
+	if _, down := cj.Down()[victim]; !down || len(cj.Pending()) != 0 {
+		t.Errorf("journal: down %v, %d pending; want %s down and nothing in flight", cj.Down(), len(cj.Pending()), victim)
 	}
 	if d, a, l := b.journalAppends(recDispatch), b.journalAppends(recAck), b.journalAppends(recLiveness); d < float64(lost) || a != d || l != 1 {
 		t.Errorf("journal appends: %v dispatch, %v ack, %v liveness; want >= %d acked dispatches and 1 transition", d, a, l, lost)
@@ -235,8 +232,8 @@ func TestMinuteDemotesDeadHost(t *testing.T) {
 	if n := b.dep.CountOn(victim); n != 0 {
 		t.Errorf("re-pooled host runs %d instances, want none", n)
 	}
-	if ls, err = WarmReplay(b.dir); err != nil || len(ls.Down) != 0 {
-		t.Errorf("journal after recovery: down %v, err %v", ls.Down, err)
+	if down := cj.Down(); len(down) != 0 {
+		t.Errorf("journal after recovery: down %v", down)
 	}
 	for end := minute + 3; minute < end; minute++ { // beats from the re-pooled host merge cleanly
 		b.minute(minute)

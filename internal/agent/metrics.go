@@ -242,7 +242,7 @@ func newJournalMetrics(r *obs.Registry) *journalMetrics {
 		recoveries: r.Counter(MetricRecoveries),
 		pending:    r.Counter(MetricRecoveryPending),
 	}
-	for _, kind := range []string{recEpoch, recDispatch, recAck, recLiveness, recRule} {
+	for _, kind := range []string{recDispatch, recAck, recLiveness, recRule} {
 		m.appends[kind] = r.Counter(MetricJournalAppends, "kind", kind)
 	}
 	return m

@@ -193,8 +193,10 @@ func (p *Plane) AttachJournal(ctx context.Context, dir string, opts journal.Opti
 }
 
 // adoptJournal wires an already-open journal into the plane and runs
-// recovery against it, counted: journal and coordinator (a successor's,
-// after a takeover) join the plane's registry, whose series get-or-create.
+// recovery against it. It is the one path every incarnation takes, so
+// the plane's coordinator — a successor's, after a takeover — gets the
+// journal, the rule registry and the plane's metrics registry, whose
+// series get-or-create.
 func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down []string, reissued int, err error) {
 	if p.reg != nil {
 		p.coord.Instrument(p.reg)
@@ -202,6 +204,7 @@ func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down 
 	}
 	p.disp.AttachJournal(cj)
 	p.coord.AttachJournal(cj)
+	p.coord.AttachRules(p.rulesReg, p.ruleSwap)
 	for host, minute := range cj.Down() {
 		p.coord.Liveness().MarkDead(host, minute)
 	}
@@ -213,6 +216,26 @@ func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down 
 	return down, reissued, err
 }
 
+// reopenJournal opens the plane's journal directory again under the next
+// epoch — how a restart in place and a takeover begin their incarnation —
+// and only then closes the old handle (a no-op if a kill already closed
+// it). A reopen that fails leaves the old handle as it was, so a leader
+// deposed only by isolation can still journal.
+func (p *Plane) reopenJournal() (*CoordinatorJournal, error) {
+	old := p.disp.Journal()
+	if old == nil {
+		return nil, fmt.Errorf("agent: no journal attached to reopen")
+	}
+	cj, err := OpenCoordinatorJournal(old.Dir(), old.Options())
+	if err != nil {
+		return nil, err
+	}
+	// Every append the old handle took is already on disk, and the new
+	// epoch supersedes it: its close error loses nothing.
+	_ = old.Close()
+	return cj, nil
+}
+
 // CrashCoordinator simulates a coordinator process crash and restart:
 // the journal is closed mid-flight (nothing is flushed beyond what the
 // write-ahead protocol already made durable), reopened from the same
@@ -222,19 +245,11 @@ func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down 
 // coordinator's volatile dispatch state dies. Returns the re-issued
 // action count. It is an error if no journal is attached.
 func (p *Plane) CrashCoordinator(ctx context.Context) (reissued int, err error) {
-	cj := p.disp.Journal()
-	if cj == nil {
-		return 0, fmt.Errorf("agent: CrashCoordinator without an attached journal")
-	}
-	dir, opts := cj.Dir(), cj.Options()
-	if err := cj.Close(); err != nil {
-		return 0, err
-	}
-	next, err := OpenCoordinatorJournal(dir, opts)
+	cj, err := p.reopenJournal()
 	if err != nil {
 		return 0, err
 	}
-	_, reissued, err = p.adoptJournal(ctx, next)
+	_, reissued, err = p.adoptJournal(ctx, cj)
 	return reissued, err
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -352,31 +351,15 @@ func TestCrashPointSweep(t *testing.T) {
 		baseline[h] = a.Log()
 	}
 
-	// The whole run lives in one segment; sweep every record boundary
-	// and every mid-record cut.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seg string
-	var data []byte
-	for _, s := range segs {
-		b, err := os.ReadFile(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) > 0 {
-			if data != nil {
-				t.Fatalf("more than one non-empty segment: %v", segs)
-			}
-			seg, data = filepath.Base(s), b
-		}
-	}
-	payloads, boundaries := journal.Frames(data)
-	// Every fate is terminal: epoch + 4 dispatches + 4 terminal records
-	// (two clean acks, i2's abandonment, ghost's NACK).
-	if len(payloads) != 9 {
-		t.Fatalf("journal has %d records, want 9 for the full run", len(payloads))
+	// The whole run lives in one segment beside the open's snapshot;
+	// sweep every record boundary and every mid-record cut.
+	img := readJournalImage(t, dir)
+	payloads, boundaries := journal.Frames(img.data)
+	// Every fate is terminal: 4 dispatches + 4 terminal records (two
+	// clean acks, i2's abandonment, ghost's NACK). The epoch is in the
+	// snapshot.
+	if len(payloads) != 8 {
+		t.Fatalf("journal has %d records, want 8 for the full run", len(payloads))
 	}
 	cuts := []int{0}
 	prev := 0
@@ -385,15 +368,11 @@ func TestCrashPointSweep(t *testing.T) {
 		prev = b
 	}
 	for _, cut := range cuts {
-		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, seg), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rj, err := OpenCoordinatorJournal(cdir, journal.Options{NoSync: true})
+		rj, err := OpenCoordinatorJournal(img.cut(t, cut), journal.Options{NoSync: true})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
-		want := pendingOfPrefix(t, data[:cut])
+		want := pendingOfPrefix(t, img.data[:cut])
 		got := make(map[string]bool)
 		for _, req := range rj.Pending() {
 			got[req.Key] = true
@@ -419,6 +398,57 @@ func TestCrashPointSweep(t *testing.T) {
 		}
 		rj.Close() //nolint:errcheck
 	}
+}
+
+// journalImage is what a sweep's run leaves on disk: the snapshot its
+// open wrote and the one non-empty segment its records went to.
+type journalImage struct {
+	snapName, seg string
+	snap, data    []byte
+}
+
+// readJournalImage reads the closed journal directory of a sweep's run.
+func readJournalImage(t *testing.T, dir string) journalImage {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v (%v), want the open's one", snaps, err)
+	}
+	img := journalImage{snapName: filepath.Base(snaps[0])}
+	if img.snap, err = os.ReadFile(snaps[0]); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		b, err := os.ReadFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > 0 {
+			if img.data != nil {
+				t.Fatalf("more than one non-empty segment: %v", segs)
+			}
+			img.seg, img.data = filepath.Base(s), b
+		}
+	}
+	return img
+}
+
+// cut writes the image into a fresh directory with the segment cut at
+// byte n: the directory a crash at that point leaves behind.
+func (img journalImage) cut(t *testing.T, n int) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, img.snapName), img.snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, img.seg), img.data[:n], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // TestRecoverReissuesInJournalOrder: six actions journaled over three
@@ -500,41 +530,127 @@ func TestJournalStateFollowsDisk(t *testing.T) {
 	}
 }
 
-// TestFailedTakeoverChangesNothing: Takeover installs the adopted state
-// only once its snapshot is durable. A takeover whose snapshot fails
-// leaves epoch, pending and down as they were, so a caller that retries
-// bumps the epoch once per leader death, not once per attempt.
+// TestFailedTakeoverChangesNothing: a takeover whose journal reopen
+// fails returns before anything is rewired — the plane stays with the
+// dead leader, no takeover is counted, no agent is redirected — and the
+// retry the next minute bumps the epoch once per leader death, not once
+// per attempt.
 func TestFailedTakeoverChangesNothing(t *testing.T) {
+	p, e, _, _ := electionPlane(t, 1)
+	for m := 0; m < 3; m++ {
+		electionMinute(t, p, e, m)
+	}
+	dead, cj := e.LeaderNode(), p.Dispatcher().Journal()
+	if _, err := e.KillLeader(3); err != nil {
+		t.Fatal(err)
+	}
+	electionMinute(t, p, e, 3) // leaderless
+	// Bit rot: a newer snapshot that is not one intact frame, which the
+	// reopen refuses to guess past.
+	rot := filepath.Join(cj.Dir(), "snap-99999999.snap")
+	if err := os.WriteFile(rot, []byte("not a frame"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Tick(context.Background(), 4); err == nil {
+		t.Fatal("a takeover over a corrupt journal succeeded")
+	}
+	if e.Takeovers() != 0 || e.LeaderNode() != dead || e.LeaderAlive() || e.Epoch() != 1 {
+		t.Fatalf("after the failed takeover: %d takeovers, leader %s (alive %v) at epoch %d; want 0, %s dead at 1",
+			e.Takeovers(), e.LeaderNode(), e.LeaderAlive(), e.Epoch(), dead)
+	}
+	if p.Coordinator().Node() != dead || p.Dispatcher().Journal() != cj {
+		t.Fatal("the failed takeover rewired the plane")
+	}
+	for _, host := range p.dep.Cluster().Names() {
+		if a := agentOf(t, p, host); a.Coordinator() != dead {
+			t.Fatalf("host %s redirected to %q by a failed takeover", host, a.Coordinator())
+		}
+	}
+	if err := os.Remove(rot); err != nil {
+		t.Fatal(err)
+	}
+	electionMinute(t, p, e, 5) // the retry
+	if e.Takeovers() != 1 || e.Epoch() != 2 {
+		t.Fatalf("retried takeover: %d takeovers at epoch %d, want 1 at 2", e.Takeovers(), e.Epoch())
+	}
+}
+
+// TestFailedTakeoverKeepsIsolatedLeaderJournaling: a leader deposed by
+// isolation is still alive and still wired. A takeover whose reopen
+// fails must leave its journal open, so the live leader keeps logging.
+func TestFailedTakeoverKeepsIsolatedLeaderJournaling(t *testing.T) {
+	p, e, tr, _ := electionPlane(t, 1)
+	for m := 0; m < 3; m++ {
+		electionMinute(t, p, e, m)
+	}
+	lead, cj := e.LeaderNode(), p.Dispatcher().Journal()
+	tr.Isolate(lead)
+	electionMinute(t, p, e, 3) // isolated: the standby's lease lapses
+	rot := filepath.Join(cj.Dir(), "snap-99999999.snap")
+	if err := os.WriteFile(rot, []byte("not a frame"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Tick(context.Background(), 4); err == nil {
+		t.Fatal("a takeover over a corrupt journal succeeded")
+	}
+	if e.Takeovers() != 0 || p.Dispatcher().Journal() != cj {
+		t.Fatalf("after the failed takeover: %d takeovers, journal rewired %v", e.Takeovers(), p.Dispatcher().Journal() != cj)
+	}
+	if err := cj.LogLiveness("h1", true, 4); err != nil {
+		t.Fatalf("the live leader cannot journal after a failed takeover: %v", err)
+	}
+}
+
+// TestOpenOlderBuildJournal: a group directory written before the epoch
+// moved into the open's snapshot holds epoch records and a standby
+// journal per member under standby-<i>/. It opens one past its highest
+// epoch with its pending dispatch, and the nested directory is ignored.
+func TestOpenOlderBuildJournal(t *testing.T) {
 	dir := t.TempDir()
-	cj, err := OpenStandbyJournal(dir, journal.Options{NoSync: true})
+	j, err := journal.Open(dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := startReq("h1", "i1")
-	own.Key = "coordinator-e0-000001"
-	if err := cj.LogDispatch(own); err != nil {
+	req := startReq("h1", "i-old")
+	req.Key = "coordinator-e5-000001"
+	for _, r := range []journalRecord{
+		{Kind: recEpoch, Epoch: 4},
+		{Kind: recEpoch, Epoch: 5},
+		{Kind: recDispatch, Action: &req},
+	} {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cj.LogLiveness("h2", true, 7); err != nil {
+	sj, err := journal.Open(filepath.Join(dir, "standby-1"), journal.Options{NoSync: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, pending, down := cj.Epoch(), cj.Pending(), cj.Down()
-	cj.j.Close() //nolint:errcheck // the disk goes away under the journal
+	if err := sj.Append([]byte(`{"kind":"epoch","epoch":9}`)); err != nil {
+		t.Fatal(err)
+	}
+	sj.Close()
 
-	adopted := startReq("h3", "i3")
-	adopted.Key = "coordinator-e4-000009"
-	ls := &LeaderState{Epoch: 4, Pending: []wire.ActionRequest{adopted}, Down: map[string]int{"h4": 9}}
-	if err := cj.Takeover(ls); err == nil {
-		t.Fatal("Takeover on a closed journal succeeded")
+	cj := openTestJournal(t, dir)
+	if got := cj.Epoch(); got != 6 {
+		t.Fatalf("epoch = %d, want 6 (one past the log's highest)", got)
 	}
-	if got := cj.Epoch(); got != epoch {
-		t.Errorf("epoch after a failed takeover = %d, want %d", got, epoch)
+	if p := cj.Pending(); len(p) != 1 || p[0].Key != req.Key {
+		t.Fatalf("pending = %+v, want the one dispatch %s", p, req.Key)
 	}
-	if got := cj.Pending(); !reflect.DeepEqual(got, pending) {
-		t.Errorf("pending after a failed takeover = %+v, want %+v", got, pending)
-	}
-	if got := cj.Down(); !reflect.DeepEqual(got, down) {
-		t.Errorf("down after a failed takeover = %v, want %v", got, down)
+	cj.Close()
+	// The open's snapshot carries the epoch: a second open needs no record.
+	cj = openTestJournal(t, dir)
+	defer cj.Close()
+	if got := cj.Epoch(); got != 7 {
+		t.Fatalf("reopened epoch = %d, want 7", got)
 	}
 }
 

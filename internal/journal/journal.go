@@ -180,21 +180,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return &Journal{dir: dir, segs: segs, snapshot: snapshot, records: records}, nil
 }
 
-// Replay reads a journal directory WITHOUT opening it for appends: the
-// latest snapshot payload (nil if none) plus every intact record after
-// it, oldest first, tolerating a torn tail exactly like Open. Nothing
-// in the directory is created, renamed or pruned, so a standby
-// coordinator can warm-replay a live leader's journal while the leader
-// keeps appending — the reader sees a prefix-durable view, never a
-// misparsed record. A missing directory replays as empty.
-func Replay(dir string) (snapshot []byte, records [][]byte, err error) {
-	if _, err := os.Stat(dir); os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	_, snapshot, records, err = replay(dir, Options{})
-	return snapshot, records, err
-}
-
 // replay lists dir's segments and reads the latest snapshot and every
 // intact record after it.
 func replay(dir string, opts Options) (segs *Segments, snapshot []byte, records [][]byte, err error) {

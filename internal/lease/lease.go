@@ -26,7 +26,6 @@ const DefaultTTL = 2
 type Tracker struct {
 	ttl       int
 	lastRenew int
-	epoch     uint64
 	renewed   bool
 }
 
@@ -42,21 +41,15 @@ func NewTracker(ttl int) *Tracker {
 // TTL returns the tracker's time-to-live in minutes.
 func (t *Tracker) TTL() int { return t.ttl }
 
-// Renew records a lease renewal observed at the given minute carrying
-// the leader's epoch. Renewals never move the clock backwards.
-func (t *Tracker) Renew(minute int, epoch uint64) {
-	if epoch > t.epoch {
-		t.epoch = epoch
-	}
+// Renew records a lease renewal observed at the given minute. Renewals
+// never move the clock backwards.
+func (t *Tracker) Renew(minute int) {
 	if t.renewed && minute < t.lastRenew {
 		return
 	}
 	t.lastRenew = minute
 	t.renewed = true
 }
-
-// Epoch returns the highest leader epoch a renewal has carried.
-func (t *Tracker) Epoch() uint64 { return t.epoch }
 
 // Expired reports whether the lease has lapsed at the given minute: no
 // renewal has arrived within the last TTL minutes. A tracker that has
@@ -76,5 +69,4 @@ func (t *Tracker) Expired(minute int) bool {
 func (t *Tracker) Reset(minute int) {
 	t.lastRenew = minute
 	t.renewed = true
-	t.epoch = 0
 }

@@ -14,41 +14,32 @@ func TestTrackerExpiry(t *testing.T) {
 	if !tr.Expired(2) {
 		t.Fatal("not expired 2 minutes after start with TTL 2")
 	}
-	tr.Renew(5, 3)
+	tr.Renew(5)
 	if tr.Expired(6) {
 		t.Fatal("expired 1 minute after renewal")
 	}
 	if !tr.Expired(7) {
 		t.Fatal("not expired TTL minutes after renewal")
 	}
-	if tr.Epoch() != 3 {
-		t.Fatalf("epoch = %d, want 3", tr.Epoch())
-	}
+
 }
 
 func TestTrackerRenewalsMonotone(t *testing.T) {
 	tr := NewTracker(2)
-	tr.Renew(10, 4)
-	tr.Renew(8, 9) // late-delivered older beacon: clock stays, epoch still rises
+	tr.Renew(10)
+	tr.Renew(8) // late-delivered older beacon: the clock stays
 	if tr.Expired(11) {
 		t.Fatal("stale renewal moved the clock backwards")
 	}
-	if tr.Epoch() != 9 {
-		t.Fatalf("epoch = %d, want 9 (epochs are max-merged)", tr.Epoch())
-	}
-	tr.Renew(12, 2)
-	if tr.Epoch() != 9 {
-		t.Fatalf("epoch = %d, want 9 (epochs never regress)", tr.Epoch())
+	if !tr.Expired(12) {
+		t.Fatal("not expired TTL minutes after the newest renewal")
 	}
 }
 
 func TestTrackerReset(t *testing.T) {
 	tr := NewTracker(3)
-	tr.Renew(4, 7)
+	tr.Renew(4)
 	tr.Reset(20)
-	if tr.Epoch() != 0 {
-		t.Fatalf("epoch survived reset: %d", tr.Epoch())
-	}
 	if tr.Expired(22) {
 		t.Fatal("expired before a full TTL after reset")
 	}

@@ -46,13 +46,12 @@ type HTTP struct {
 	IdleTimeout       time.Duration // default 2m
 	MaxHeaderBytes    int           // default 64 KiB
 
-	mu        sync.Mutex
-	peers     map[string]string // node -> base URL
-	listeners []net.Listener
-	servers   []*http.Server
-	extra     map[string]http.Handler // Mount'ed sidecar handlers
-	closed    bool
-	metrics   *wireMetrics
+	mu      sync.Mutex
+	peers   map[string]string       // node -> base URL
+	servers map[string]*http.Server // node -> the server ListenOn started
+	extra   map[string]http.Handler // Mount'ed sidecar handlers
+	closed  bool
+	metrics *wireMetrics
 
 	client *http.Client
 	intern *Interner
@@ -61,9 +60,10 @@ type HTTP struct {
 // NewHTTP returns an HTTP transport with a default client.
 func NewHTTP() *HTTP {
 	return &HTTP{
-		peers:  make(map[string]string),
-		client: &http.Client{Timeout: 30 * time.Second},
-		intern: NewInterner(),
+		peers:   make(map[string]string),
+		servers: make(map[string]*http.Server),
+		client:  &http.Client{Timeout: 30 * time.Second},
+		intern:  NewInterner(),
 	}
 }
 
@@ -139,10 +139,13 @@ func (t *HTTP) ListenOn(node, addr string, h Handler) (string, error) {
 
 	base := "http://" + ln.Addr().String()
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		srv.Close()
+		return "", ErrClosed
+	}
 	t.peers[node] = base
-	t.listeners = append(t.listeners, ln)
-	t.servers = append(t.servers, srv)
-	t.mu.Unlock()
+	t.servers[node] = srv
 	return base, nil
 }
 
@@ -353,6 +356,21 @@ func (t *HTTP) call(ctx context.Context, node string, env *Envelope) (*Envelope,
 	}
 }
 
+// Unlisten implements Transport: the node's server is closed and its
+// peer entry dropped, so calls to it fail with ErrNoRoute until a later
+// Listen binds it again.
+func (t *HTTP) Unlisten(node string) error {
+	t.mu.Lock()
+	srv := t.servers[node]
+	delete(t.servers, node)
+	delete(t.peers, node)
+	t.mu.Unlock()
+	if srv == nil {
+		return nil
+	}
+	return srv.Close()
+}
+
 // Close implements Transport: shuts down every server this instance
 // started.
 func (t *HTTP) Close() error {
@@ -360,7 +378,6 @@ func (t *HTTP) Close() error {
 	t.closed = true
 	servers := t.servers
 	t.servers = nil
-	t.listeners = nil
 	t.mu.Unlock()
 	var firstErr error
 	for _, srv := range servers {

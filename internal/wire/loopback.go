@@ -86,7 +86,7 @@ func (l *Loopback) Listen(node string, h Handler) error {
 	return nil
 }
 
-// Unlisten removes a node's handler: subsequent calls to it fail with
+// Unlisten implements Transport: subsequent calls to the node fail with
 // ErrNoRoute, exactly like a crashed process whose port went away. The
 // node may Listen again later (a restart). Held messages for the node
 // are discarded — the process they were addressed to is gone.

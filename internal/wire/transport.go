@@ -24,6 +24,9 @@ type Transport interface {
 	// a dropped message or an unreachable node surface as errors the
 	// caller treats uniformly as "no ack within the deadline".
 	Call(ctx context.Context, node string, env *Envelope) (*Envelope, error)
+	// Unlisten removes a node's handler, as if its process died: calls
+	// to the node fail from then on, and it may Listen again (a restart).
+	Unlisten(node string) error
 	// Close releases transport resources (HTTP listeners, …).
 	Close() error
 }
