@@ -183,11 +183,12 @@ type hostSlot struct {
 	name  string
 	index uint32 // session-dictionary number; 0: the dictionary was full
 
-	pending   *hostBeat   // the newest buffered beat, nil between merges
-	parked    []*hostBeat // older buffered minutes, ascending, at most reporterBufferCap
-	lastMin   int         // newest minute observed at (stale-replay guard); math.MinInt: none
-	beatMin   int         // newest minute a beat was ingested for (Follows); math.MinInt: none
-	beatEpoch uint64      // the epoch that beat was stamped with
+	pending   *hostBeat              // the newest buffered beat, nil between merges
+	parked    []*hostBeat            // older buffered minutes, ascending, at most reporterBufferCap
+	lastMin   int                    // newest minute observed at (stale-replay guard); math.MinInt: none
+	beatMin   int                    // newest minute a beat was ingested for (Follows); math.MinInt: none
+	beatEpoch uint64                 // the epoch that beat was stamped with
+	live      monitor.LivenessHandle // the host's liveness state, resolved by its first beat
 
 	watchReg
 	pos   int         // 1-based cluster position; 0: not in the cluster
@@ -655,7 +656,7 @@ func (c *Coordinator) ingestLocked(hs *hostSlot, hb *wire.Heartbeat, epoch uint6
 	// Liveness is eager — a beat is proof of life the moment it
 	// arrives, independent of the minute-boundary merge. Everything
 	// monitor-facing waits for the merge.
-	c.live.Beat(hs.name, hb.Minute)
+	c.live.BeatHandle(&hs.live, hs.name, hb.Minute)
 
 	if hb.Minute >= hs.beatMin {
 		hs.beatMin, hs.beatEpoch = hb.Minute, epoch

@@ -48,7 +48,13 @@ type livenessState struct {
 	dead      bool
 	successes int  // consecutive beats while dead
 	recovered bool // completed a recovery streak, not yet reported
+	gone      bool // Forget dropped it: a handle on it resolves again by name
 }
+
+// LivenessHandle caches one entity's detector state for BeatHandle. The
+// zero handle, and one whose state Forget dropped, resolves by name on
+// its next beat. It is used only under its detector's lock.
+type LivenessHandle struct{ st *livenessState }
 
 // NewLiveness returns a liveness detector with the given timeout
 // (minimum 1 minute) and no hysteresis: one missed probe kills, one
@@ -87,14 +93,20 @@ func NewLivenessHysteresis(timeout, deadAfter, aliveAfter int) *Liveness {
 // monotone: an agent restarted with a fresh local counter must not
 // rewind a host that a coordinator probe (stamped with the
 // authoritative clock) already confirmed alive.
-func (l *Liveness) Beat(entity string, minute int) {
+func (l *Liveness) Beat(entity string, minute int) { l.BeatHandle(new(LivenessHandle), entity, minute) }
+
+// BeatHandle is Beat through a handle the caller caches per entity.
+func (l *Liveness) BeatHandle(h *LivenessHandle, entity string, minute int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st, ok := l.state[entity]
-	if !ok {
-		l.state[entity] = &livenessState{last: minute, missedAt: -1}
-		return
+	if h.st == nil || h.st.gone {
+		if h.st = l.state[entity]; h.st == nil {
+			h.st = &livenessState{last: minute, missedAt: -1}
+			l.state[entity] = h.st
+			return
+		}
 	}
+	st := h.st
 	if st.dead && minute <= st.missedAt {
 		return
 	}
@@ -144,7 +156,10 @@ func (l *Liveness) MarkDead(entity string, minute int) {
 func (l *Liveness) Forget(entity string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.state, entity)
+	if st := l.state[entity]; st != nil {
+		st.gone = true
+		delete(l.state, entity)
+	}
 }
 
 // Tracking reports whether the entity is being watched and currently

@@ -93,13 +93,12 @@ func addFloat(bits *atomic.Uint64, v float64) {
 
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper
 // bounds in ascending order; an implicit +Inf bucket catches the rest.
-// Observe is allocation-free, so histograms may sit on hot paths. The
-// nil histogram is a valid no-op.
+// Observe is allocation-free and two atomic operations, so histograms
+// may sit on hot paths. The nil histogram is a valid no-op.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1, cumulative on read only
 	sum    atomic.Uint64   // float64 bits
-	count  atomic.Uint64
 }
 
 // Observe records one sample.
@@ -107,18 +106,24 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v (le semantics)
+	i := 0 // the first bound >= v (le semantics), NaN past the last, as sort.SearchFloat64s finds it
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	addFloat(&h.sum, v)
 }
 
-// Count returns the number of observations.
+// Count returns the number of observations: the sum of the buckets.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -391,7 +396,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			cum += s.h.counts[len(s.h.bounds)].Load()
 			fmt.Fprintf(&sb, "%s_bucket%s %d\n", s.family, mergeLabels(s.labels, "+Inf"), cum)
 			fmt.Fprintf(&sb, "%s_sum%s %s\n", s.family, s.labels, formatValue(s.h.Sum()))
-			fmt.Fprintf(&sb, "%s_count%s %d\n", s.family, s.labels, s.h.Count())
+			fmt.Fprintf(&sb, "%s_count%s %d\n", s.family, s.labels, cum) // the +Inf bucket
 		}
 	}
 	_, err := io.WriteString(w, sb.String())
@@ -427,7 +432,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 			cum += s.h.counts[len(s.h.bounds)].Load()
 			out[s.family+"_bucket"+mergeLabels(s.labels, "+Inf")] = float64(cum)
 			out[s.family+"_sum"+s.labels] = s.h.Sum()
-			out[s.family+"_count"+s.labels] = float64(s.h.Count())
+			out[s.family+"_count"+s.labels] = float64(cum)
 		}
 	}
 	return out

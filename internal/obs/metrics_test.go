@@ -161,3 +161,54 @@ func TestLabelEscaping(t *testing.T) {
 		t.Fatalf("labels not escaped:\n%s", sb.String())
 	}
 }
+
+// TestHistogramEdgesExposition pins where every edge of a fixed
+// observation sequence lands: values equal to a bound (le semantics),
+// below the first and past the last bound, ±Inf and NaN. The golden is
+// the exposition the registry printed while Observe still searched the
+// bounds with sort.SearchFloat64s and kept a count of its own.
+func TestHistogramEdgesExposition(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("autoglobe_edge_seconds", LatencySecondsBuckets())
+	for _, v := range []float64{0, 1e-5, 1.0000001e-5, 5e-4, 0.003, 1, 2.5, 5, 7, -1, 1e-4, 1e-4, 0.1} {
+		h.Observe(v)
+	}
+	n := r.Histogram("autoglobe_edge_nan_seconds", []float64{0.5, 1}, "kind", "nan")
+	for _, v := range []float64{math.NaN(), 0.5, math.Inf(1), 2, math.Inf(-1)} {
+		n.Observe(v)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const golden = `# TYPE autoglobe_edge_nan_seconds histogram
+autoglobe_edge_nan_seconds_bucket{kind="nan",le="0.5"} 2
+autoglobe_edge_nan_seconds_bucket{kind="nan",le="1"} 2
+autoglobe_edge_nan_seconds_bucket{kind="nan",le="+Inf"} 5
+autoglobe_edge_nan_seconds_sum{kind="nan"} NaN
+autoglobe_edge_nan_seconds_count{kind="nan"} 5
+# TYPE autoglobe_edge_seconds histogram
+autoglobe_edge_seconds_bucket{le="1e-05"} 3
+autoglobe_edge_seconds_bucket{le="0.0001"} 6
+autoglobe_edge_seconds_bucket{le="0.0005"} 7
+autoglobe_edge_seconds_bucket{le="0.001"} 7
+autoglobe_edge_seconds_bucket{le="0.005"} 8
+autoglobe_edge_seconds_bucket{le="0.025"} 8
+autoglobe_edge_seconds_bucket{le="0.1"} 9
+autoglobe_edge_seconds_bucket{le="0.5"} 9
+autoglobe_edge_seconds_bucket{le="1"} 10
+autoglobe_edge_seconds_bucket{le="2.5"} 11
+autoglobe_edge_seconds_bucket{le="5"} 12
+autoglobe_edge_seconds_bucket{le="+Inf"} 13
+autoglobe_edge_seconds_sum 14.603720000001
+autoglobe_edge_seconds_count 13
+`
+	if got := sb.String(); got != golden {
+		t.Fatalf("exposition drifted.\n--- got ---\n%s--- want ---\n%s", got, golden)
+	}
+	snap := r.Snapshot()
+	if snap["autoglobe_edge_seconds_count"] != 13 || h.Count() != 13 || n.Count() != 5 ||
+		snap[`autoglobe_edge_nan_seconds_count{kind="nan"}`] != 5 {
+		t.Fatalf("counts: snapshot %v, Count %d and %d", snap["autoglobe_edge_seconds_count"], h.Count(), n.Count())
+	}
+}

@@ -23,8 +23,6 @@ import (
 // per-minute-of-day profile resolution) is preserved for the full
 // retention period and only older data is downsampled.
 func (st *Store) CompactBefore(minute int) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if err := st.writable(); err != nil {
 		return err
 	}

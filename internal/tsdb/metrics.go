@@ -131,8 +131,6 @@ func (m *storeMetrics) compacted(destTier, aggCount int, disk int64) {
 // and the hot paths pay a single pointer test. A memory store has no
 // disk to report and attaches nothing.
 func (st *Store) Instrument(r *obs.Registry) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.dir == "" {
 		return
 	}

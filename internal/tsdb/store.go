@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"autoglobe/internal/journal"
 )
@@ -62,8 +61,9 @@ type entState struct {
 // Store is a segmented, append-only, disk-backed time-series store.
 // Writes are buffered in memory and made durable by Commit — the
 // archive calls it once per observed minute, so "acked" means "the
-// minute closed". All methods are safe for concurrent use, except the
-// lock-free reads Latest and Range document.
+// minute closed". A store has one owner and no lock: the goroutine that
+// appends, commits, compacts and reads it, the archive's owner. No
+// method is safe for concurrent use.
 //
 // A store opened with no directory, Open("", opts), is a memory store:
 // it keeps every sealed block raw and writes nothing, through the same
@@ -76,7 +76,6 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu   sync.Mutex
 	ids  map[string]uint64
 	ents []*entState
 
@@ -348,7 +347,7 @@ func (st *Store) register(name string) *entState {
 }
 
 // Handle is a resolved handle on one entity, for appends and for the
-// lock-free reads Latest and Range. The zero value is unresolved and
+// reads Latest and Range. The zero value is unresolved and
 // reads as empty: the first AppendTo that passes the store-level checks
 // resolves it (registering the entity if new) and later appends skip the
 // name lookup. Entities are never deleted, so a handle is good for the
@@ -370,8 +369,6 @@ func (st *Store) Append(entity string, s Sample) error { return st.AppendTo(new(
 // encoded into the open row here, while it is at hand; the
 // steady-state path writes into warm buffers and allocates nothing.
 func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if err := st.writable(); err != nil {
 		return err
 	}
@@ -391,7 +388,7 @@ func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 		return fmt.Errorf("tsdb: non-monotone minute %d for %q (last %d)", s.Minute, entity, e.last)
 	}
 	if e.n == BlockSamples {
-		if err := st.commitLocked(); err != nil {
+		if err := st.Commit(); err != nil {
 			return err
 		}
 	}
@@ -442,17 +439,8 @@ func (st *Store) closeRow() {
 // appends, commits and compactions with that error until the directory
 // is reopened: replay rebuilds from what really reached the disk.
 func (st *Store) Commit() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	return st.commitLocked()
-}
-
-func (st *Store) commitLocked() error {
-	if st.err != nil {
-		return st.err
+	if err := st.writable(); err != nil {
+		return err
 	}
 	st.closeRow()
 	if len(st.dictPending) == 0 && len(st.pending) == 0 && len(st.full) == 0 {
@@ -559,8 +547,6 @@ func (st *Store) writeTier(tier int, b []byte) (seq uint64, off int64, err error
 // which reads as empty until its first AppendTo resolves it — for an
 // unknown one.
 func (st *Store) Lookup(entity string) Handle {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if id, ok := st.ids[entity]; ok {
 		return Handle{st.ents[id]}
 	}
@@ -569,7 +555,7 @@ func (st *Store) Lookup(entity string) Handle {
 
 // Latest returns the newest raw sample of h's entity: the last of its
 // open block, else of its newest sealed block — none once the watermark
-// has passed it. Like Range it takes no lock (see there).
+// has passed it.
 func (st *Store) Latest(h Handle) (Sample, bool) {
 	switch e := h.e; {
 	case e == nil:
@@ -588,21 +574,15 @@ func (st *Store) Latest(h Handle) (Sample, bool) {
 // been downsampled away and are not visited. fn must not call back into
 // the store. A closed store still answers from what it holds raw; a
 // block it would have to read from disk fails the call with ErrClosed.
-// Only a read that needs such a block — one reaching below the tail of
-// a disk store — takes the store's lock; everything else reads the tail
-// and raw blocks in place, without lock, lookup or allocation. That is safe for the handle's owner, the
-// store's single writer, and for nobody else: call Range and Latest only
-// from the goroutine that appends, commits and compacts.
+// A read that stays in the tail and the raw blocks does no lookup and
+// allocates nothing.
 func (st *Store) Range(h Handle, from, to int, fn func(Sample)) (disk bool, err error) {
 	e := h.e
 	if e == nil || from >= to {
 		return false, nil
 	}
-	if i, _ := st.first(e, from); i < len(e.blocks)-1 && e.blocks[i].raw == nil && e.blocks[i].start < to {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		disk = true
-	}
+	i, _ := st.first(e, from)
+	disk = i < len(e.blocks)-1 && e.blocks[i].raw == nil && e.blocks[i].start < to
 	return disk, st.forEachMinute(e, from, to, fn)
 }
 
@@ -613,8 +593,7 @@ func (st *Store) first(e *entState, from int) (int, int) {
 	return sort.Search(len(e.blocks), func(i int) bool { return e.blocks[i].end >= from }), from
 }
 
-// forEachMinute walks e's raw samples in [from, to). It needs st.mu
-// unless every block it visits is held raw.
+// forEachMinute walks e's raw samples in [from, to).
 func (st *Store) forEachMinute(e *entState, from, to int, fn func(Sample)) error {
 	i, from := st.first(e, from)
 	for ; i < len(e.blocks) && e.blocks[i].start < to; i++ {
@@ -686,8 +665,6 @@ type SeriesBuf struct {
 // hour aggregates from there up to the minute→hour watermark, raw
 // minute samples above it. An unknown entity yields an empty buffer.
 func (st *Store) ReadSeries(entity string, from, to int, buf *SeriesBuf) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	buf.Days, buf.Hours, buf.Minutes = buf.Days[:0], buf.Hours[:0], buf.Minutes[:0]
 	id, ok := st.ids[entity]
 	if !ok {
@@ -713,8 +690,6 @@ func (st *Store) ReadSeries(entity string, from, to int, buf *SeriesBuf) error {
 // data below Watermark(TierMinute) lives in the hour tier, hour data
 // below Watermark(TierHour) in the day tier. TierDay has no watermark.
 func (st *Store) Watermark(t Tier) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if t >= TierDay {
 		return 0
 	}
@@ -723,8 +698,6 @@ func (st *Store) Watermark(t Tier) int {
 
 // Entities returns every known entity name in registration order.
 func (st *Store) Entities() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	names := make([]string, len(st.ents))
 	for i, e := range st.ents {
 		names[i] = e.name
@@ -734,8 +707,6 @@ func (st *Store) Entities() []string {
 
 // DiskBytes returns the bytes currently on disk across all segments.
 func (st *Store) DiskBytes() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.diskBytes()
 }
 
@@ -751,12 +722,10 @@ func (st *Store) diskBytes() (n int64) {
 // Close commits buffered samples and closes every segment. The store
 // takes no appends afterwards; reads answer from memory.
 func (st *Store) Close() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.closed {
 		return nil
 	}
-	err := st.commitLocked()
+	err := st.Commit()
 	st.closed = true
 	for _, s := range st.segs {
 		if s != nil {

@@ -198,11 +198,35 @@ var envPool = sync.Pool{New: func() any { return new(envBox) }}
 
 func acquireBox() *envBox {
 	bx := envPool.Get().(*envBox)
-	insts, indices := bx.hb.Instances[:0], bx.ack.Indices[:0]
-	*bx = envBox{}
-	bx.hb.Instances, bx.ack.Indices = insts, indices
-	bx.env.box = bx
+	bx.reset()
 	return bx
+}
+
+// reset clears what the box's last use set: the envelope and the one
+// payload it points at, which a decode sets before writing the payload.
+// The Instances and Indices backing arrays stay for the next decode.
+func (bx *envBox) reset() {
+	switch e := &bx.env; {
+	case e.Heartbeat != nil:
+		bx.hb = Heartbeat{Instances: bx.hb.Instances[:0]}
+	case e.Action != nil:
+		bx.act = ActionRequest{}
+	case e.Ack != nil:
+		bx.ack = ActionAck{Indices: bx.ack.Indices[:0]}
+	case e.Probe != nil:
+		bx.probe = Probe{}
+	case e.Hello != nil:
+		bx.hello = Hello{}
+	case e.RuleGet != nil:
+		bx.rget = RuleGet{}
+	case e.RulePut != nil:
+		bx.rput = RulePut{}
+	case e.RuleList != nil:
+		bx.rlist = RuleList{}
+	case e.Lease != nil:
+		bx.lease = Lease{}
+	}
+	bx.env = Envelope{box: bx}
 }
 
 // ReleaseEnvelope returns a pooled envelope (one produced by
@@ -593,36 +617,47 @@ func (d *decoder) byteVal() (byte, error) {
 // an unknown kind, trailing payload bytes — returns an error, never a
 // panic (FuzzEnvelopeDecode enforces this).
 func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
+	bx := acquireBox()
+	n, err := bx.decode(b, in)
+	if err != nil {
+		ReleaseEnvelope(&bx.env)
+		return nil, 0, err
+	}
+	return &bx.env, n, nil
+}
+
+// decode fills a freshly acquired box from the frame at the front of b
+// and returns the bytes consumed; a failed one may leave it half-written.
+func (bx *envBox) decode(b []byte, in *Interner) (int, error) {
 	if len(b) < 5 {
-		return nil, 0, errShortFrame
+		return 0, errShortFrame
 	}
 	if b[0] != frameMagic {
-		return nil, 0, fmt.Errorf("wire: bad frame magic 0x%02X", b[0])
+		return 0, fmt.Errorf("wire: bad frame magic 0x%02X", b[0])
 	}
 	n := binary.LittleEndian.Uint32(b[1:5])
 	if n > maxFrame {
-		return nil, 0, fmt.Errorf("wire: frame length %d exceeds %d-byte cap", n, maxFrame)
+		return 0, fmt.Errorf("wire: frame length %d exceeds %d-byte cap", n, maxFrame)
 	}
 	if uint64(len(b)-5) < uint64(n) {
-		return nil, 0, errShortFrame
+		return 0, errShortFrame
 	}
 	consumed := 5 + int(n)
 	d := decoder{b: b[5:consumed], in: in}
 
 	if len(d.b) < 2 {
-		return nil, 0, errShortFrame
+		return 0, errShortFrame
 	}
 	version, kind := d.b[0], d.b[1]
 	d.b = d.b[2:]
 	if int(version) != Version {
-		return nil, 0, fmt.Errorf("wire: protocol version %d, want %d", version, Version)
+		return 0, fmt.Errorf("wire: protocol version %d, want %d", version, Version)
 	}
 	t, ok := typeOf(kind)
 	if !ok {
-		return nil, 0, fmt.Errorf("wire: unknown binary kind %d", kind)
+		return 0, fmt.Errorf("wire: unknown binary kind %d", kind)
 	}
 
-	bx := acquireBox()
 	e := &bx.env
 	e.Version = int(version)
 	e.Type = t
@@ -638,8 +673,7 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		}
 	}
 	if err != nil {
-		ReleaseEnvelope(e)
-		return nil, 0, err
+		return 0, err
 	}
 
 	switch kind {
@@ -882,16 +916,13 @@ func DecodeEnvelope(b []byte, in *Interner) (*Envelope, int, error) {
 		l.Minute = int(minute)
 	}
 	if err != nil {
-		ReleaseEnvelope(e)
-		return nil, 0, err
+		return 0, err
 	}
 	if len(d.b) != 0 {
-		ReleaseEnvelope(e)
-		return nil, 0, fmt.Errorf("wire: %d trailing bytes after %s payload", len(d.b), t)
+		return 0, fmt.Errorf("wire: %d trailing bytes after %s payload", len(d.b), t)
 	}
 	if err := e.Validate(); err != nil {
-		ReleaseEnvelope(e)
-		return nil, 0, err
+		return 0, err
 	}
-	return e, consumed, nil
+	return consumed, nil
 }

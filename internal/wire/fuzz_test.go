@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -214,7 +215,9 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	}
 
 	in := NewInterner()
+	others := reuseFrames(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
+		checkBoxReuse(t, b, in, others)
 		env, n, err := DecodeEnvelope(b, in)
 		if err != nil {
 			if env != nil {
@@ -250,6 +253,76 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			t.Fatalf("round trip diverges:\n got %s\nwant %s", got, want)
 		}
 	})
+}
+
+// reuseFrames returns one valid corpus frame per binary kind, each with
+// a copy of itself cut one byte short inside its payload — the length
+// prefix rewritten to match, so the decode gets past the header and
+// fails partway through the payload.
+func reuseFrames(tb testing.TB) (frames [][2][]byte) {
+	seeds := fuzzSeeds(tb)
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	seen := make(map[byte]bool)
+	for _, name := range names {
+		seed := seeds[name]
+		if seed.reject || name == "seed-trailing-garbage" || seen[seed.frame[6]] {
+			continue
+		}
+		seen[seed.frame[6]] = true
+		cut := rawFrame(seed.frame[5 : len(seed.frame)-1])
+		frames = append(frames, [2][]byte{seed.frame, cut})
+	}
+	return frames
+}
+
+// checkBoxReuse decodes b into a box whose last two uses were a decode
+// of another kind and a decode that failed partway through its payload,
+// and demands the box equal one b was decoded into fresh — every
+// payload of the box compared, not only the one the envelope points
+// at, so a payload the acquire left uncleared shows even when the next
+// decode is of another kind. The kinds go through in pairs, one decoded
+// whole and one cut, so every kind dirties the box once per input.
+func checkBoxReuse(t *testing.T, b []byte, in *Interner, others [][2][]byte) {
+	t.Helper()
+	var fresh envBox
+	fresh.reset()
+	wantN, wantErr := fresh.decode(b, in)
+	want := renderBox(&fresh)
+	for i := 0; i < len(others); i += 2 {
+		whole, cut := others[i][0], others[(i+1)%len(others)][1]
+		if len(b) > 6 && b[6] == whole[6] {
+			whole, cut = others[(i+1)%len(others)][0], others[i][1]
+		}
+		bx := acquireBox()
+		if _, err := bx.decode(whole, in); err != nil {
+			t.Fatalf("corpus frame of kind %d does not decode: %v", whole[6], err)
+		}
+		bx.reset()
+		if _, err := bx.decode(cut, in); err == nil {
+			t.Fatalf("a frame of kind %d cut short decoded", cut[6])
+		}
+		bx.reset()
+		n, err := bx.decode(b, in)
+		if n != wantN || (err == nil) != (wantErr == nil) || renderBox(bx) != want {
+			t.Fatalf("a box reused after kinds %d and %d (cut) decodes to\n%s (%d, %v)\nwant\n%s (%d, %v)",
+				whole[6], cut[6], renderBox(bx), n, err, want, wantN, wantErr)
+		}
+		ReleaseEnvelope(&bx.env)
+	}
+}
+
+// renderBox flattens a box: its envelope, which payloads the envelope
+// points at, and every payload the box holds.
+func renderBox(bx *envBox) string {
+	e := &bx.env
+	return fmt.Sprintf("%s|%t%t%t%t%t%t%t%t%t|%+v|%+v|%+v|%+v|%+v|%+v|%+v|%+v|%+v", renderEnvelope(e),
+		e.Heartbeat != nil, e.Action != nil, e.Ack != nil, e.Probe != nil, e.Hello != nil,
+		e.RuleGet != nil, e.RulePut != nil, e.RuleList != nil, e.Lease != nil,
+		bx.hb, bx.act, bx.ack, bx.probe, bx.hello, bx.rget, bx.rput, bx.rlist, bx.lease)
 }
 
 // TestFuzzSeedsDecode pins the intent of the corpus: each handcrafted

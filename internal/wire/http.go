@@ -296,8 +296,7 @@ func (t *HTTP) call(ctx context.Context, node string, env *Envelope) (*Envelope,
 		return nil, ErrNoRoute
 	}
 	m.call(env.Type)
-	start := time.Now()
-	defer m.observe(start)
+	defer m.observe(clock())
 
 	// Encode into a pooled frame and send it through a pooled reader:
 	// the encode side of a call performs no steady-state allocations.

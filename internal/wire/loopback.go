@@ -20,19 +20,11 @@ import (
 // over HTTP.
 type Loopback struct {
 	mu       sync.Mutex
-	handlers map[string]Handler
+	nodes    map[string]*endpoint
+	isolated int // endpoints isolated; a sender is looked up only while some are
 	closed   bool
-
-	// fault state, all guarded by mu
-	dropNext      map[string]int      // node -> calls to swallow before the handler runs
-	dropReplyNext map[string]int      // node -> replies to swallow after the handler ran
-	dupNext       map[string]int      // node -> deliveries to run through the handler twice
-	holdNext      map[string]int      // node -> deliveries to park for later release
-	held          map[string][][]byte // node -> parked frames, as they were in flight
-	latency       map[string]time.Duration
-	isolated      map[string]bool
-	dropRate      float64
-	rng           *rand.Rand
+	dropRate float64
+	rng      *rand.Rand
 
 	calls   int
 	dropped int
@@ -42,19 +34,33 @@ type Loopback struct {
 	metrics *wireMetrics
 }
 
+// endpoint is one node: its handler and the faults armed against it,
+// guarded by Loopback.mu, so a call looks its destination up once.
+// Faults may be armed before Listen and outlive Unlisten.
+type endpoint struct {
+	h             Handler  // nil while nothing listens
+	dropNext      int      // calls to swallow before the handler runs
+	dropReplyNext int      // replies to swallow after the handler ran
+	dupNext       int      // deliveries to run through the handler twice
+	holdNext      int      // deliveries to park for later release
+	held          [][]byte // parked frames, as they were in flight
+	latency       time.Duration
+	isolated      bool
+}
+
 // NewLoopback returns an empty loopback network.
 func NewLoopback() *Loopback {
-	return &Loopback{
-		handlers:      make(map[string]Handler),
-		dropNext:      make(map[string]int),
-		dropReplyNext: make(map[string]int),
-		dupNext:       make(map[string]int),
-		holdNext:      make(map[string]int),
-		held:          make(map[string][][]byte),
-		latency:       make(map[string]time.Duration),
-		isolated:      make(map[string]bool),
-		intern:        NewInterner(),
+	return &Loopback{nodes: make(map[string]*endpoint), intern: NewInterner()}
+}
+
+// node returns the endpoint of name, creating it. Callers hold l.mu.
+func (l *Loopback) node(name string) *endpoint {
+	ep := l.nodes[name]
+	if ep == nil {
+		ep = &endpoint{}
+		l.nodes[name] = ep
 	}
+	return ep
 }
 
 // SetCodec is ignored: every call round-trips binary frames. It stays
@@ -79,10 +85,11 @@ func (l *Loopback) Listen(node string, h Handler) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if _, dup := l.handlers[node]; dup {
+	ep := l.node(node)
+	if ep.h != nil {
 		return errDuplicateListener(node)
 	}
-	l.handlers[node] = h
+	ep.h = h
 	return nil
 }
 
@@ -93,8 +100,8 @@ func (l *Loopback) Listen(node string, h Handler) error {
 func (l *Loopback) Unlisten(node string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.handlers, node)
-	delete(l.held, node)
+	ep := l.node(node)
+	ep.h, ep.held = nil, nil
 	return nil
 }
 
@@ -106,10 +113,10 @@ type listenerError struct{ node string }
 
 func (e *listenerError) Error() string { return "wire: node " + e.node + " already listening" }
 
-// Call implements Transport. Faults are evaluated in order: isolation,
-// scheduled drops, random drops, latency, handler, scheduled reply
-// drops. A swallowed message or reply surfaces as ErrTimeout, exactly
-// what a caller waiting for an ack over a real network would see.
+// Call implements Transport. Faults apply in order: isolation, drops,
+// random drops, holds, duplicates, latency, handler, reply drops. A
+// swallowed message or reply surfaces as ErrTimeout, exactly what a
+// caller waiting for an ack over a real network would see.
 func (l *Loopback) Call(ctx context.Context, node string, env *Envelope) (*Envelope, error) {
 	reply, err := l.call(ctx, node, env)
 	if err != nil {
@@ -133,20 +140,19 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 	l.calls++
 	m := l.metrics
 	m.call(env.Type)
-	start := time.Now()
-	defer m.observe(start)
-	h, ok := l.handlers[node]
-	if !ok {
+	defer m.observe(clock())
+	ep := l.nodes[node]
+	if ep == nil || ep.h == nil {
 		l.mu.Unlock()
 		return nil, ErrNoRoute
 	}
-	if l.isolated[node] || l.isolated[env.From] {
+	if ep.isolated || l.isolated > 0 && l.nodes[env.From] != nil && l.nodes[env.From].isolated {
 		l.dropped++
 		l.mu.Unlock()
 		return nil, ErrTimeout
 	}
-	if l.dropNext[node] > 0 {
-		l.dropNext[node]--
+	if ep.dropNext > 0 {
+		ep.dropNext--
 		l.dropped++
 		l.mu.Unlock()
 		return nil, ErrTimeout
@@ -156,7 +162,7 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 		l.mu.Unlock()
 		return nil, ErrTimeout
 	}
-	if l.holdNext[node] > 0 {
+	if ep.holdNext > 0 {
 		// The message is parked, not lost: DeliverHeld releases it to
 		// the handler later (a delayed delivery, e.g. after a partition
 		// heals). The caller meanwhile sees the same thing it would for
@@ -169,18 +175,18 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 			l.mu.Unlock()
 			return nil, err
 		}
-		l.holdNext[node]--
-		l.held[node] = append(l.held[node], frame)
+		ep.holdNext--
+		ep.held = append(ep.held, frame)
 		l.dropped++
 		l.mu.Unlock()
 		return nil, ErrTimeout
 	}
-	dup := false
-	if l.dupNext[node] > 0 {
-		l.dupNext[node]--
-		dup = true
+	dup := ep.dupNext > 0
+	if dup {
+		ep.dupNext--
 	}
-	lat := l.latency[node]
+	// Only a reply drop armed by now can swallow this call's reply.
+	h, lat, dropReply := ep.h, ep.latency, ep.dropReplyNext > 0
 	l.mu.Unlock()
 
 	if lat > 0 {
@@ -216,15 +222,17 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 		return nil, err
 	}
 
-	l.mu.Lock()
-	if l.dropReplyNext[node] > 0 {
-		l.dropReplyNext[node]--
-		l.dropped++
+	if dropReply {
+		l.mu.Lock()
+		if ep.dropReplyNext > 0 {
+			ep.dropReplyNext--
+			l.dropped++
+			l.mu.Unlock()
+			ReleaseEnvelope(reply)
+			return nil, ErrTimeout
+		}
 		l.mu.Unlock()
-		ReleaseEnvelope(reply)
-		return nil, ErrTimeout
 	}
-	l.mu.Unlock()
 	return reply, nil
 }
 
@@ -237,8 +245,10 @@ func (l *Loopback) deliver(h Handler, frame []byte) (*Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The request is released only once the reply is encoded: a reply
+	// may point into it (an echoed payload), as over HTTP.
+	defer ReleaseEnvelope(req)
 	reply, err := h(req)
-	ReleaseEnvelope(req)
 	if err != nil || reply == nil {
 		ReleaseEnvelope(reply)
 		return nil, err
@@ -268,16 +278,17 @@ func (l *Loopback) Close() error {
 func (l *Loopback) DropNext(node string, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dropNext[node] += n
+	l.node(node).dropNext += n
 }
 
 // DropReplyNext lets the next n messages to node execute but swallows
 // their replies (lost acks) — the scenario idempotency keys exist for:
-// the caller retries an operation the agent already applied.
+// the caller retries an operation the agent already applied. A call
+// already past its faults when the drop is armed keeps its reply.
 func (l *Loopback) DropReplyNext(node string, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dropReplyNext[node] += n
+	l.node(node).dropReplyNext += n
 }
 
 // DuplicateNext makes the next n messages to node run through its
@@ -288,7 +299,7 @@ func (l *Loopback) DropReplyNext(node string, n int) {
 func (l *Loopback) DuplicateNext(node string, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.dupNext[node] += n
+	l.node(node).dupNext += n
 }
 
 // HoldNext parks the next n messages addressed to node instead of
@@ -299,7 +310,7 @@ func (l *Loopback) DuplicateNext(node string, n int) {
 func (l *Loopback) HoldNext(node string, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.holdNext[node] += n
+	l.node(node).holdNext += n
 }
 
 // DeliverHeld releases every message parked for node to its handler, in
@@ -310,11 +321,11 @@ func (l *Loopback) HoldNext(node string, n int) {
 // many messages were delivered.
 func (l *Loopback) DeliverHeld(node string) int {
 	l.mu.Lock()
-	frames := l.held[node]
-	delete(l.held, node)
-	h, ok := l.handlers[node]
+	ep := l.node(node)
+	frames, h := ep.held, ep.h
+	ep.held = nil
 	l.mu.Unlock()
-	if !ok {
+	if h == nil {
 		return 0
 	}
 	for _, frame := range frames {
@@ -324,43 +335,25 @@ func (l *Loopback) DeliverHeld(node string) int {
 	return len(frames)
 }
 
-// Held reports how many messages are currently parked for node.
-func (l *Loopback) Held(node string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.held[node])
-}
-
-// SetLatency delays every delivery to node; a call whose context
-// expires during the delay times out.
-func (l *Loopback) SetLatency(node string, d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.latency[node] = d
-}
-
 // Isolate partitions a node from the network: every message to or from
 // it vanishes until Heal.
 func (l *Loopback) Isolate(node string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.isolated[node] = true
+	if ep := l.node(node); !ep.isolated {
+		ep.isolated = true
+		l.isolated++
+	}
 }
 
 // Heal reconnects an isolated node.
 func (l *Loopback) Heal(node string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.isolated, node)
-}
-
-// SetDropRate makes a fraction of deliveries vanish at random, driven
-// by the given seed so a failing run replays exactly.
-func (l *Loopback) SetDropRate(rate float64, seed uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dropRate = rate
-	l.rng = rand.New(rand.NewSource(int64(seed)))
+	if ep := l.node(node); ep.isolated {
+		ep.isolated = false
+		l.isolated--
+	}
 }
 
 // Stats reports delivered-call and dropped-message counters.

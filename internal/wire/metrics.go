@@ -17,10 +17,10 @@ const (
 )
 
 // wireMetrics pre-resolves a transport's metric series at Instrument
-// time, so the per-call cost is a nil check and an atomic add — cheap
-// enough to stay unconditionally on the call path.
+// time, so the per-call cost is a nil check, a short scan and an atomic
+// add — cheap enough to stay unconditionally on the call path.
 type wireMetrics struct {
-	calls      map[MsgType]*obs.Counter
+	calls      [len(callTypes)]*obs.Counter // by callTypes
 	callsOther *obs.Counter
 
 	errTimeout *obs.Counter
@@ -42,9 +42,9 @@ func newWireMetrics(r *obs.Registry, transport string) *wireMetrics {
 	r.Help(MetricErrors, "Failed control-plane calls, by transport and cause.")
 	r.Help(MetricSeconds, "Latency of one control-plane call (request to reply).")
 	r.Help(MetricBytes, "Envelope bytes on the wire, by direction (HTTP transport).")
-	m := &wireMetrics{calls: make(map[MsgType]*obs.Counter)}
-	for _, mt := range []MsgType{TypeHeartbeat, TypeAction, TypeAck, TypeProbe, TypeProbeAck, TypeHello, TypeLease} {
-		m.calls[mt] = r.Counter(MetricCalls, "transport", transport, "type", string(mt))
+	m := &wireMetrics{}
+	for i, mt := range callTypes {
+		m.calls[i] = r.Counter(MetricCalls, "transport", transport, "type", string(mt))
 	}
 	m.callsOther = r.Counter(MetricCalls, "transport", transport, "type", "other")
 	cause := func(c string) *obs.Counter {
@@ -62,14 +62,19 @@ func newWireMetrics(r *obs.Registry, transport string) *wireMetrics {
 	return m
 }
 
+// callTypes have a series each, heartbeat first; the rest count as "other".
+var callTypes = [...]MsgType{TypeHeartbeat, TypeAction, TypeAck, TypeProbe, TypeProbeAck, TypeHello, TypeLease}
+
 // call counts one outgoing call by message type. Nil-safe.
 func (m *wireMetrics) call(t MsgType) {
 	if m == nil {
 		return
 	}
-	if c, ok := m.calls[t]; ok {
-		c.Inc()
-		return
+	for i, mt := range callTypes {
+		if mt == t {
+			m.calls[i].Inc()
+			return
+		}
 	}
 	m.callsOther.Inc()
 }
@@ -91,12 +96,18 @@ func (m *wireMetrics) fail(err error) {
 	}
 }
 
-// observe records the call latency. Nil-safe.
-func (m *wireMetrics) observe(start time.Time) {
+// clock reads the monotonic clock once, where time.Now reads two clocks.
+func clock() time.Duration { return time.Since(clockBase) }
+
+var clockBase = time.Now()
+
+// observe records the latency of a call that started at clock() start.
+// Nil-safe.
+func (m *wireMetrics) observe(start time.Duration) {
 	if m == nil {
 		return
 	}
-	m.latency.Observe(time.Since(start).Seconds())
+	m.latency.Observe((clock() - start).Seconds())
 }
 
 // sent / received count envelope bytes. Nil-safe.

@@ -1,16 +1,19 @@
 #!/bin/sh
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md): formatting, vet,
-# the metric-name lint, the wire-encoding lint, the storage lint (only
-# internal/journal creates, writes, renames or removes a file), every
-# test twice (under the race detector, then
+# the metric-name lint, the wire-encoding lint, the tsdb single-owner
+# lint (non-test internal/tsdb does not import sync), the storage lint
+# (only internal/journal creates, writes, renames or removes a file),
+# every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards and the root package's surface
 # ratchet skip themselves under -race, so the second pass is the one in
 # which they assert; the ratchet fails when a line joins SURFACE.txt: an
 # exported name in internal/ without a non-test caller outside its
 # package, or an exported field nobody sets), the ingest and dispatch
 # concurrency tests — the session dictionary, the single ingest lock
-# that guards it with every pending beat, and journaled dispatch — ten
-# more times under the race detector, ten seconds
+# that guards it with every pending beat, and journaled dispatch — and
+# the liveness handles beaten concurrently
+# (TestLivenessHandleConcurrentBeats) ten more times under the race
+# detector, ten seconds
 # each of real fuzzing of the wire frame decoder, of the journal's frame reader, of
 # the tsdb segment-record decoder and of the closed-form inference
 # against its two references, and every benchmark of the root package,
@@ -53,6 +56,14 @@ if go list -f '{{join .Imports " "}}' ./internal/wire | grep -qw 'encoding/json'
 	exit 1
 fi
 
+# A tsdb store has one owner and no lock: the archive's owner appends,
+# commits, compacts and reads it. A mutex must not creep back in.
+echo "== tsdb lint: non-test internal/tsdb does not import sync"
+if go list -f '{{join .Imports " "}}' ./internal/tsdb | grep -qE '(^| )sync(/atomic)?( |$)'; then
+	echo "tsdb lint: internal/tsdb imports sync or sync/atomic" >&2
+	exit 1
+fi
+
 # One module decides how a durable segment is named, opened, rotated,
 # synced and read back: the journal and every tsdb tier run on
 # journal.Segments, and nothing else in internal/ touches a file.
@@ -75,9 +86,11 @@ go test ./...
 # against the minute close, Forget and the election's Follows query; 64
 # direct ingesters against the same close (one lock guards both the
 # session dictionary and every pending beat); and concurrent journaled
-# dispatch. About 7 s on 2 vCPUs.
-echo "== go test -race -count=10: the ingest and dispatch concurrency tests"
+# dispatch; and 32 goroutines beating through cached liveness handles
+# while the minute sweeps and Forgets. About 7 s on 2 vCPUs.
+echo "== go test -race -count=10: the ingest, dispatch and liveness-handle concurrency tests"
 go test -race -count=10 -run '^(TestSessionConcurrentReporters|TestConcurrentIngestStress|TestDispatchConcurrentCallersStress)$' ./internal/agent
+go test -race -count=10 -run '^TestLivenessHandleConcurrentBeats$' ./internal/monitor
 
 # Replaying the seed corpus (which the two passes above do) is not
 # fuzzing: the decoder reads whatever an unauthenticated peer sends.
