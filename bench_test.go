@@ -729,18 +729,54 @@ func selectionController(b *testing.B, dep *service.Deployment, cfg controller.C
 	return ctl, inst.ID
 }
 
+// selectionCopies returns two sets of server-selection rule bases, each
+// compiled separately from the built-in sources: equal rules, distinct
+// pointers. A candidate host's score memo is keyed on the base pointer,
+// so a selection under one set never hits what the other set stored.
+func selectionCopies() [2]map[string]*fuzzy.RuleBase {
+	var sets [2]map[string]*fuzzy.RuleBase
+	for i := range sets {
+		sets[i] = make(map[string]*fuzzy.RuleBase)
+		for name, src := range controller.DefaultRuleSources() {
+			if controller.ActionsForRuleBase(name) != nil {
+				sets[i][name] = fuzzy.MustRuleBase(name, controller.RuleVocabulary(name), fuzzy.MustParse(src))
+			}
+		}
+	}
+	return sets
+}
+
+// coldPlacement configures scale-out and start with the two copies of
+// select/placement: a selection loop alternating the two actions scores
+// the same candidates with a cold memo every time, at no swap cost.
+func coldPlacement(cfg controller.Config) controller.Config {
+	sets := selectionCopies()
+	cfg.SelectionRules = controller.DefaultSelectionRules()
+	cfg.SelectionRules[service.ActionScaleOut] = sets[0]["select/placement"]
+	cfg.SelectionRules[service.ActionStart] = sets[1]["select/placement"]
+	return cfg
+}
+
+// coldActions alternate between the two placement copies of coldPlacement.
+var coldActions = [2]service.Action{service.ActionScaleOut, service.ActionStart}
+
 // benchmarkSelectHost measures one server-selection decision for the
 // tier-confined service — candidate enumeration, Table 3 scoring and
 // the argmax — under both access paths: the incremental placement
 // index (the default) and the full-cluster scan the controller used
-// before the index existed.
+// before the index existed. A repeated selection finds every
+// candidate's score memoised, so indexed is the warm row; indexed-cold
+// alternates two separately compiled placement bases and infers every
+// candidate, as the full scan's fresh refs always do.
 func benchmarkSelectHost(b *testing.B, nHosts int) {
 	modes := []struct {
 		name string
 		cfg  controller.Config
+		cold bool
 	}{
-		{"indexed", controller.Config{}},
-		{"fullscan", controller.Config{DisablePlacementIndex: true}},
+		{"indexed", controller.Config{}, false},
+		{"indexed-cold", coldPlacement(controller.Config{}), true},
+		{"fullscan", controller.Config{DisablePlacementIndex: true}, false},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -752,48 +788,64 @@ func benchmarkSelectHost(b *testing.B, nHosts int) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ctl.SelectHost(service.ActionScaleOut, "crit", instID, 10)
+				a := service.ActionScaleOut
+				if m.cold {
+					a = coldActions[i&1]
+				}
+				ctl.SelectHost(a, "crit", instID, 10)
 			}
 		})
 	}
 }
 
-// BenchmarkSelectHost1k's first two cases select among the ~3 PI-9
+// BenchmarkSelectHost1k's first three cases select among the ~3 PI-9
 // servers a tier-confined service may use; every-host-a-candidate is the
 // other end: a scale-out of the first service of the 1,007-host tiled
 // fleet, the selection bench/probes.go times, where the index prunes
-// nothing but the instance's own host and a selection costs one
-// inference a host (candidates/op, read off the controller's histogram).
+// nothing but the instance's own host (candidates/op, read off the
+// controller's histogram). Repeated, it finds every score memoised;
+// every-host-a-candidate-cold alternates two placement copies and pays
+// one inference a host.
 func BenchmarkSelectHost1k(b *testing.B) {
 	benchmarkSelectHost(b, 1_000)
-	b.Run("every-host-a-candidate", func(b *testing.B) {
-		dep := service.TilePaper(53)
-		arch := archive.New(256)
-		for i, n := range dep.Cluster().Names() {
-			s := archive.Sample{Minute: 10, CPU: 0.1 + 0.05*float64(i%8), Mem: 0.2}
-			if err := arch.Record(archive.HostEntity(n), s); err != nil {
+	for _, cold := range []bool{false, true} {
+		name, cfg := "every-host-a-candidate", controller.Config{}
+		if cold {
+			name, cfg = name+"-cold", coldPlacement(cfg)
+		}
+		b.Run(name, func(b *testing.B) {
+			dep := service.TilePaper(53)
+			arch := archive.New(256)
+			for i, n := range dep.Cluster().Names() {
+				s := archive.Sample{Minute: 10, CPU: 0.1 + 0.05*float64(i%8), Mem: 0.2}
+				if err := arch.Record(archive.HostEntity(n), s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ctl, err := controller.New(cfg, dep, arch, controller.NewDeploymentExecutor(dep, controller.RebalanceUsers))
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		ctl, err := controller.New(controller.Config{}, dep, arch, controller.NewDeploymentExecutor(dep, controller.RebalanceUsers))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		ctl.Instrument(reg) // as every coordinator is: one clock read a candidate
-		svc := dep.Catalog().Names()[0]
-		instID := dep.InstancesOf(svc)[0].ID
-		if host, _ := ctl.SelectHost(service.ActionScaleOut, svc, instID, 10); host == "" {
-			b.Fatal("selection found no host — the benchmark is vacuous")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctl.SelectHost(service.ActionScaleOut, svc, instID, 10)
-		}
-		snap := reg.Snapshot()
-		b.ReportMetric(snap[controller.MetricSelectionCandidates+"_sum"]/snap[controller.MetricSelectionCandidates+"_count"], "candidates/op")
-	})
+			reg := obs.NewRegistry()
+			ctl.Instrument(reg) // as every coordinator is: two clock reads a selection
+			svc := dep.Catalog().Names()[0]
+			instID := dep.InstancesOf(svc)[0].ID
+			if host, _ := ctl.SelectHost(service.ActionScaleOut, svc, instID, 10); host == "" {
+				b.Fatal("selection found no host — the benchmark is vacuous")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := service.ActionScaleOut
+				if cold {
+					a = coldActions[i&1]
+				}
+				ctl.SelectHost(a, svc, instID, 10)
+			}
+			snap := reg.Snapshot()
+			b.ReportMetric(snap[controller.MetricSelectionCandidates+"_sum"]/snap[controller.MetricSelectionCandidates+"_count"], "candidates/op")
+		})
+	}
 }
 func BenchmarkSelectHost100k(b *testing.B) { benchmarkSelectHost(b, 100_000) }
 
@@ -832,8 +884,16 @@ func BenchmarkRefreshHost1k(b *testing.B) {
 // disabled so every trigger is decided rather than absorbed; the run
 // reaches a steady state once the instances have migrated to the PI-9
 // tier, and decisions/op reports how many triggers still executed an
-// action.
-func BenchmarkHandleTriggerStorm(b *testing.B) {
+// action. The repeated trigger finds most candidates' scores memoised:
+// this is the warm row, BenchmarkHandleTriggerStormCold the cold one.
+func BenchmarkHandleTriggerStorm(b *testing.B) { benchmarkStorm(b, false) }
+
+// BenchmarkHandleTriggerStormCold is the storm with every selection
+// base swapped, between iterations and off the clock, for the other of
+// two separately compiled copies: no candidate's score memo hits.
+func BenchmarkHandleTriggerStormCold(b *testing.B) { benchmarkStorm(b, true) }
+
+func benchmarkStorm(b *testing.B, cold bool) {
 	dep := selectionDeployment(b, 1_000)
 	arch := archive.New(256)
 	// Rebuild the archive picture the storm needs: blades loaded, the
@@ -880,10 +940,20 @@ func BenchmarkHandleTriggerStorm(b *testing.B) {
 		b.Fatal(err)
 	}
 	trg := monitor.Trigger{Kind: monitor.ServiceOverloaded, Entity: "app", Minute: 10, WatchedFrom: 0, AvgLoad: 0.85}
+	copies := selectionCopies()
 	executed := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold {
+			b.StopTimer()
+			for name, rb := range copies[i&1] {
+				if err := storm.SwapRuleBase(name, rb); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
 		d, err := storm.HandleTrigger(trg)
 		if err != nil {
 			b.Fatal(err)

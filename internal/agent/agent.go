@@ -223,15 +223,6 @@ func (a *Agent) Log() []string {
 	return out
 }
 
-// FailNext makes the agent reject the next request carrying the given
-// op with the message — a fault hook for partial-compound-failure
-// tests (the real-world analogue: the host-local start script fails).
-func (a *Agent) FailNext(op wire.Op, msg string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.failNextOp, a.failNextMsg = op, msg
-}
-
 // Handle is the agent's transport handler.
 func (a *Agent) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 	if err := env.Validate(); err != nil {

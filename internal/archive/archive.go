@@ -243,6 +243,13 @@ func (a *Archive) Entity(entity string) Entity {
 	return Entity{a, &noEntity}
 }
 
+// Known reports whether the handle names an entity the archive holds.
+// It is false for the zero Entity and for Archive.Entity's read-only
+// handle of an entity not yet seen, which does not follow that entity's
+// first Record: a caller keeping such a handle resolves it again. A
+// known handle stays valid for the archive's life.
+func (e Entity) Known() bool { return e.l != nil && e.l != &noEntity }
+
 // Resolve returns the handle of an entity, creating its (empty) log —
 // a header and, unless the key is a service instance's, a day profile —
 // on first sight.

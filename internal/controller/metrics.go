@@ -14,10 +14,10 @@ const (
 	// selected action. Queued (semi-automatic) and executed decisions
 	// both count — the controller decided either way.
 	MetricDecisions = "autoglobe_controller_decisions_total"
-	// MetricInference is the latency of one fuzzy inference run (action
-	// selection per instance, server selection per candidate host — there
-	// with the candidate's measurement gathering, the clock being read
-	// once a candidate).
+	// MetricInference is the latency of one fuzzy inference run with its
+	// input gathering (action selection per instance, server selection
+	// per candidate host scored, memo hits included): each loop reads the
+	// clock twice and observes its runs at their mean.
 	MetricInference = "autoglobe_controller_inference_seconds"
 	// MetricSelectionCandidates is the number of candidate hosts one
 	// server selection scored — what a selection's cost is linear in.
@@ -77,7 +77,7 @@ func newControllerMetrics(r *obs.Registry) *controllerMetrics {
 		return nil
 	}
 	r.Help(MetricDecisions, "Controller decisions, by trigger kind and action.")
-	r.Help(MetricInference, "Latency of one fuzzy inference run.")
+	r.Help(MetricInference, "Latency of one fuzzy inference run with its input gathering, each loop of runs observed at its mean.")
 	r.Help(MetricSelectionCandidates, "Candidate hosts scored by one server selection.")
 	r.Help(MetricForecastTriggers, "Proactive forecast triggers raised, by trigger kind.")
 	r.Help(MetricForecastScan, "Entities looked at by the proactive forecast scan, by outcome.")
@@ -167,15 +167,14 @@ func (m *controllerMetrics) shadowEval(candidate string, diff []string) {
 	}
 }
 
-// inferred records the latency of one engine.Infer call that began at
-// *mark and ends now, and moves the mark there for the next one. The
-// call sites sit outside the fuzzy package's zero-allocation hot path
-// and guard against a nil m: time.Now and an atomic histogram update
-// allocate nothing.
-func (m *controllerMetrics) inferred(mark *time.Time) {
-	now := time.Now()
-	m.inference.Observe(now.Sub(*mark).Seconds())
-	*mark = now
+// inferences records the *n inference runs of a loop that began at
+// start and ends now, each at the loop's mean: one clock read and two
+// atomics however long the loop. Deferred by the loop's owner, it reads
+// n when the loop is done. The call sites guard against a nil m.
+func (m *controllerMetrics) inferences(start time.Time, n *int) {
+	if *n > 0 {
+		m.inference.ObserveN(time.Since(start).Seconds()/float64(*n), uint64(*n))
+	}
 }
 
 // Instrument attaches an obs registry: resolved decisions are counted

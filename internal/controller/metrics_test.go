@@ -56,7 +56,8 @@ func TestControllerInstrumentation(t *testing.T) {
 	// Action selection ran once per instance and host selection once per
 	// candidate host; every run must land in the latency histogram: one
 	// instance and four hosts, the count the before-and-after clock reads
-	// of PR 22 gave, now that a selection reads the clock once a host.
+	// of PR 22 gave, now that each loop reads the clock twice and
+	// observes its runs at their mean.
 	if n := snap[MetricInference+"_count"]; n != 5 {
 		t.Errorf("inference count = %v, want 5", n)
 	}

@@ -28,7 +28,6 @@ func (c *Controller) SelectActions(tr monitor.Trigger) ([]Candidate, error) {
 // skip the inference-latency histogram so candidate rule bases never
 // skew the controller's steady-state metrics.
 func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool) ([]Candidate, error) {
-	timed := live && c.metrics != nil // else nobody reads the clock
 	var instances []*service.Instance
 	switch tr.Kind {
 	case monitor.ServerOverloaded, monitor.ServerIdle, monitor.ServerForecastOverload:
@@ -39,6 +38,10 @@ func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool)
 		return nil, fmt.Errorf("controller: unknown trigger kind %q", tr.Kind)
 	}
 
+	inferred := 0
+	if live && c.metrics != nil { // else nobody reads the clock
+		defer c.metrics.inferences(time.Now(), &inferred)
+	}
 	var candidates []Candidate
 	for _, inst := range instances {
 		if c.ServiceProtected(inst.Service, tr.Minute) {
@@ -60,14 +63,8 @@ func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool)
 		if err := c.fillActionVec(b, vec, tr, inst); err != nil {
 			return nil, err
 		}
-		var mark time.Time
-		if timed {
-			mark = time.Now()
-		}
 		res, err := c.engine.InferVec(rb, vec)
-		if timed {
-			c.metrics.inferred(&mark)
-		}
+		inferred++
 		if err != nil {
 			return nil, err
 		}
@@ -370,13 +367,19 @@ func (c *Controller) anyTarget(a service.Action, svcName, instID string, minute 
 // scoreRef fills the bound input vector with the Table 3 variables of
 // one candidate host — current measurements and meta data, with
 // capacity reserved for mission-critical tasks counted as CPU load —
-// and runs the server-selection inference. ok is false when the host
-// cannot be scored (a slot the selection path cannot supply), which
-// skips the host exactly like the map path's missing-measurement error
-// did. A non-nil mark times the inference (see selectHostIn).
-func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, minute int, mark *time.Time) (score float64, ok bool) {
+// and runs the server-selection inference, unless the ref's memo holds
+// the score of this rule base over these exact inputs. ok is false when
+// the host cannot be scored (a slot the selection path cannot supply),
+// which skips the host exactly like the map path's missing-measurement
+// error did. The memo is exact: the engine is fixed at New, a rule base
+// is immutable (a swap installs a new pointer), and vec carries every
+// input the score reads. The full scan's fresh refs never hit.
+func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, minute int) (score float64, ok bool) {
+	if !ref.Load.Known() { // a host's first sample may follow its first selection
+		ref.Load = c.arch.Entity(ref.Entity)
+	}
 	var cpu, mem float64
-	if s, ok := c.arch.Latest(ref.Entity); ok {
+	if s, ok := ref.Load.Latest(); ok {
 		cpu, mem = s.CPU, s.Mem
 	}
 	if c.cfg.Reservations != nil {
@@ -412,15 +415,16 @@ func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, 
 			return 0, false
 		}
 	}
-	res, err := c.engine.InferVec(b.rb, vec)
-	if mark != nil {
-		c.metrics.inferred(mark)
+	if score, hit := ref.Memoised(b.rb, vec); hit {
+		return score, true
 	}
+	res, err := c.engine.InferVec(b.rb, vec)
 	if err != nil {
 		return 0, false
 	}
 	score = res.Outputs[VarScore]
 	res.Release()
+	ref.Memoise(b.rb, vec, score)
 	return score, true
 }
 
@@ -488,20 +492,24 @@ func (c *Controller) selectHostIn(rs *ruleSet, a service.Action, svcName, instID
 	b := binderFor(rb)
 	c.hostBuf = c.candidateRefs(c.hostBuf[:0], a, svcName, instID, minute, exclude)
 	vec := c.vecFor(&c.selVec, len(b.slots))
-	// One clock read a candidate: the end of one inference is the start
-	// of the next. None when nobody reads it (shadow, uninstrumented).
-	var mark *time.Time
+	// Two clock reads a selection, none when nobody reads them (shadow,
+	// uninstrumented): every candidate scored counts as one inference,
+	// memo hit or not.
+	scored := 0
 	if live && c.metrics != nil {
-		now := time.Now()
-		mark = &now
 		c.metrics.candidates.Observe(float64(len(c.hostBuf)))
+		defer c.metrics.inferences(time.Now(), &scored)
 	}
 	var best hostBest
 	for _, ref := range c.hostBuf {
 		// Candidates that cannot be scored or rate below MinHostScore
 		// are skipped.
-		score, ok := c.scoreRef(b, vec, ref, minute, mark)
-		if ok && score >= c.cfg.MinHostScore && better(score, ref, best) {
+		score, ok := c.scoreRef(b, vec, ref, minute)
+		if !ok {
+			continue
+		}
+		scored++
+		if score >= c.cfg.MinHostScore && better(score, ref, best) {
 			best = hostBest{ref: ref, score: score}
 		}
 	}

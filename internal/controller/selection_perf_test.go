@@ -2,11 +2,13 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"autoglobe/internal/archive"
 	"autoglobe/internal/cluster"
+	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
@@ -163,10 +165,37 @@ func TestRefreshHostZeroAlloc(t *testing.T) {
 	}
 }
 
+// parityRand is what the selection parity loop draws its world and its
+// steps from: a seeded *rand.Rand in the test, the fuzz input in
+// FuzzSelectHostParity.
+type parityRand interface {
+	Intn(n int) int
+	Float64() float64
+}
+
+// bytesRand draws one byte of the fuzz input a choice, and zeros once
+// the input is spent.
+type bytesRand struct{ b []byte }
+
+func (r *bytesRand) next() int {
+	if len(r.b) == 0 {
+		return 0
+	}
+	v := int(r.b[0])
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *bytesRand) Intn(n int) int   { return r.next() % n }
+func (r *bytesRand) Float64() float64 { return float64(r.next()) / 256 }
+func (r *bytesRand) spent() bool      { return len(r.b) == 0 }
+
 // randomLandscape builds a deployment plus archive with nHosts hosts of
 // mixed performance indexes and three services of varying placement
 // constraints, all derived from rng so parity runs see the same world.
-func randomLandscape(t *testing.T, rng *rand.Rand, nHosts int) (*service.Deployment, *archive.Archive) {
+// Every fourth host has no sample yet: its first lands, if at all, after
+// a selection has scored it.
+func randomLandscape(t *testing.T, rng parityRand, nHosts int) (*service.Deployment, *archive.Archive) {
 	t.Helper()
 	pis := []float64{1, 1, 2, 2, 5, 9}
 	mems := []int{2048, 4096, 8192, 16384}
@@ -191,7 +220,10 @@ func randomLandscape(t *testing.T, rng *rand.Rand, nHosts int) (*service.Deploym
 	)
 	dep := service.NewDeployment(cluster.MustNew(hosts...), cat)
 	arch := archive.New(0)
-	for _, h := range hosts {
+	for i, h := range hosts {
+		if i%4 == 3 {
+			continue
+		}
 		if err := arch.Record(archive.HostEntity(h.Name), archive.Sample{
 			Minute: 10, CPU: rng.Float64(), Mem: rng.Float64(),
 		}); err != nil {
@@ -201,15 +233,38 @@ func randomLandscape(t *testing.T, rng *rand.Rand, nHosts int) (*service.Deploym
 	return dep, arch
 }
 
-// TestSelectHostParityAcrossConfigs is the controller-level property
-// test: over a randomized landscape under random mutation and
-// protection churn, the indexed path and the full-scan reference path
-// must return byte-identical (host, score) selections at every step.
-func TestSelectHostParityAcrossConfigs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// reservedOn is a Reserver whose reservations the parity loop churns.
+type reservedOn map[string]float64
+
+func (r reservedOn) ReservedOn(host string, _ int) float64 { return r[host] }
+
+// contrarianPlacement scores over the placement base's inputs, in the
+// same slot order, and prefers what it avoids: a memo that forgot its
+// rule base would hand one base's score to the other.
+const contrarianPlacement = `
+IF cpuLoad IS high THEN score IS applicable
+IF cpuLoad IS low AND memLoad IS low THEN score IS notApplicable
+IF instancesOnServer IS high THEN score IS applicable
+IF tempSpace IS scarce THEN score IS applicable
+`
+
+// selectHostParity is the controller-level property loop: over a
+// randomized landscape under random mutation, protection churn, archive
+// appends (+0, −0 and NaN loads among them, and hosts first sampled
+// after they were scored), reservation churn, hot swaps of
+// select/placement to a separately compiled copy and back, and shadow
+// selections under a different base, the indexed path — whose refs
+// memoise their scores — and the full-scan reference path, whose refs
+// are fresh every call and never hit, must return bit-equal (host,
+// score) selections at every step. It stops after steps steps or, for
+// a bytesRand, once the input is spent.
+func selectHostParity(t *testing.T, rng parityRand, steps int) {
+	t.Helper()
 	dep, arch := randomLandscape(t, rng, 48)
 	exec := NewDeploymentExecutor(dep, RebalanceUsers)
+	res := reservedOn{}
 	mk := func(cfg Config) *Controller {
+		cfg.Reservations = res
 		c, err := New(cfg, dep, arch, exec)
 		if err != nil {
 			t.Fatal(err)
@@ -220,18 +275,50 @@ func TestSelectHostParityAcrossConfigs(t *testing.T) {
 	scan := mk(Config{DisablePlacementIndex: true})
 	ctls := []*Controller{indexed, scan}
 
+	vc := SelectionVocabulary()
+	placementBase := DefaultSelectionRules()[service.ActionScaleOut]
+	placementCopy := fuzzy.MustRuleBase("select/placement", vc, fuzzy.MustParse(placementRules))
+	contrarian := fuzzy.MustRuleBase("select/contrarian", vc, fuzzy.MustParse(contrarianPlacement))
+	shadowSel := map[service.Action]*fuzzy.RuleBase{
+		service.ActionScaleOut: contrarian, service.ActionStart: contrarian,
+	}
+	for _, c := range ctls {
+		c.Shadow("contrarian", nil, shadowSel)
+	}
+
 	names := dep.Cluster().Names()
 	svcs := []string{"web", "app", "cache"}
 	actions := []service.Action{
 		service.ActionScaleOut, service.ActionScaleUp,
 		service.ActionScaleDown, service.ActionMove, service.ActionStart,
 	}
-	for step := 0; step < 400; step++ {
+	load := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.NaN()
+		}
+		return rng.Float64()
+	}
+	clock, swapped, a := 10, false, actions[0]
+	br, fuzzing := rng.(*bytesRand)
+	// Half the placements aim at the first six hosts, so that hosts run
+	// two and three instances and instancesOnServer moves the score.
+	target := func() string {
+		if rng.Intn(2) == 0 {
+			return names[rng.Intn(6)]
+		}
+		return names[rng.Intn(len(names))]
+	}
+	for step := 0; step < steps && !(fuzzing && br.spent()); step++ {
 		switch insts := dep.Instances(); {
-		case len(insts) < 4 || rng.Intn(3) == 0:
-			dep.Start(svcs[rng.Intn(len(svcs))], names[rng.Intn(len(names))])
+		case len(insts) < 16 || rng.Intn(2) == 0:
+			dep.Start(svcs[rng.Intn(len(svcs))], target())
 		case rng.Intn(2) == 0:
-			dep.Move(insts[rng.Intn(len(insts))].ID, names[rng.Intn(len(names))])
+			dep.Move(insts[rng.Intn(len(insts))].ID, target())
 		default:
 			dep.Stop(insts[rng.Intn(len(insts))].ID, true)
 		}
@@ -243,18 +330,76 @@ func TestSelectHostParityAcrossConfigs(t *testing.T) {
 				c.protHost[h] = until
 			}
 		}
+		for n := rng.Intn(4); n > 0; n-- {
+			clock += rng.Intn(2)
+			h := names[rng.Intn(len(names))]
+			if err := arch.Record(archive.HostEntity(h), archive.Sample{Minute: clock, CPU: load(), Mem: load()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			if h := names[rng.Intn(len(names))]; rng.Intn(3) == 0 {
+				delete(res, h)
+			} else {
+				res[h] = []float64{0, 0.25, 0.5, 1}[rng.Intn(4)]
+			}
+		}
+		if rng.Intn(8) == 0 {
+			rb := placementCopy
+			if swapped {
+				rb = placementBase
+			}
+			for _, c := range ctls {
+				if err := c.SwapRuleBase("select/placement", rb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			swapped = !swapped
+		}
 		insts := dep.Instances()
 		if len(insts) == 0 {
 			continue
 		}
 		inst := insts[rng.Intn(len(insts))]
-		a := actions[rng.Intn(len(actions))]
+		if rng.Intn(4) == 0 { // storms repeat an action: consecutive selections share a base
+			a = actions[rng.Intn(len(actions))]
+		}
 		minute := rng.Intn(25)
+		if rng.Intn(3) == 0 {
+			var hosts [2]string
+			var scores [2]float64
+			for i, c := range ctls {
+				rs := c.shadow.Load().overlay(c.ruleset())
+				hosts[i], scores[i] = c.selectHostIn(rs, a, inst.Service, inst.ID, minute, nil, false)
+			}
+			if hosts[0] != hosts[1] || math.Float64bits(scores[0]) != math.Float64bits(scores[1]) {
+				t.Fatalf("step %d shadow %s %s: full scan selected (%q, %v), indexed (%q, %v)",
+					step, a, inst.ID, hosts[1], scores[1], hosts[0], scores[0])
+			}
+		}
 		h0, s0 := indexed.SelectHost(a, inst.Service, inst.ID, minute)
 		h2, s2 := scan.SelectHost(a, inst.Service, inst.ID, minute)
-		if h0 != h2 || s0 != s2 {
+		if h0 != h2 || math.Float64bits(s0) != math.Float64bits(s2) {
 			t.Fatalf("step %d %s %s: full scan selected (%q, %v), indexed (%q, %v)",
 				step, a, inst.ID, h2, s2, h0, s0)
 		}
 	}
+}
+
+// TestSelectHostParityAcrossConfigs runs the parity loop on a seeded
+// stream.
+func TestSelectHostParityAcrossConfigs(t *testing.T) {
+	selectHostParity(t, rand.New(rand.NewSource(7)), 400)
+}
+
+// FuzzSelectHostParity drives the parity loop from the fuzz input, one
+// byte a choice: the world, then the steps, until the input is spent.
+func FuzzSelectHostParity(f *testing.F) {
+	seed := make([]byte, 512)
+	rand.New(rand.NewSource(7)).Read(seed)
+	f.Add(seed)
+	f.Add([]byte{0, 1, 2, 3, 255, 254, 253, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		selectHostParity(t, &bytesRand{b: data}, 400)
+	})
 }

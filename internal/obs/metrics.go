@@ -93,8 +93,8 @@ func addFloat(bits *atomic.Uint64, v float64) {
 
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper
 // bounds in ascending order; an implicit +Inf bucket catches the rest.
-// Observe is allocation-free and two atomic operations, so histograms
-// may sit on hot paths. The nil histogram is a valid no-op.
+// Observe and ObserveN are allocation-free and two atomic operations, so
+// histograms may sit on hot paths. The nil histogram is a valid no-op.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1, cumulative on read only
@@ -102,16 +102,21 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value: n in v's bucket and
+// v·n in the sum — how a batch of n runs timed as one interval reports
+// them, each at the batch's mean. n = 0 records nothing.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	i := 0 // the first bound >= v (le semantics), NaN past the last, as sort.SearchFloat64s finds it
 	for i < len(h.bounds) && !(h.bounds[i] >= v) {
 		i++
 	}
-	h.counts[i].Add(1)
-	addFloat(&h.sum, v)
+	h.counts[i].Add(n)
+	addFloat(&h.sum, v*float64(n))
 }
 
 // Count returns the number of observations: the sum of the buckets.

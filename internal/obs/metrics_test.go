@@ -212,3 +212,52 @@ autoglobe_edge_seconds_count 13
 		t.Fatalf("counts: snapshot %v, Count %d and %d", snap["autoglobe_edge_seconds_count"], h.Count(), n.Count())
 	}
 }
+
+// TestHistogramObserveN pins ObserveN against the Observe calls it
+// stands for: n = 0 records nothing (a NaN included, which would poison
+// the sum), and n observations of a value — below the first bound, equal
+// to a bound, past the last, NaN — expose exactly what n Observe calls
+// of it do. The values are dyadic, so v·n and n additions of v agree to
+// the bit.
+func TestHistogramObserveN(t *testing.T) {
+	bounds := []float64{0.25, 1, 4}
+	batched, single := NewRegistry(), NewRegistry()
+	b := batched.Histogram("autoglobe_batch_seconds", bounds)
+	s := single.Histogram("autoglobe_batch_seconds", bounds)
+	b.ObserveN(math.NaN(), 0)
+	b.ObserveN(1, 0)
+	if b.Count() != 0 || math.Float64bits(b.Sum()) != 0 {
+		t.Fatalf("n = 0 recorded count %d, sum %v", b.Count(), b.Sum())
+	}
+	for _, c := range []struct {
+		v float64
+		n uint64
+	}{{0.125, 3}, {0.25, 5}, {1, 1}, {4, 7}, {8, 2}, {0.5, 4}} {
+		b.ObserveN(c.v, c.n)
+		for i := uint64(0); i < c.n; i++ {
+			s.Observe(c.v)
+		}
+	}
+	expose := func(r *Registry) string {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if got, want := expose(batched), expose(single); got != want {
+		t.Fatalf("ObserveN exposition:\n%s\nObserve calls:\n%s", got, want)
+	}
+	if b.Count() != 22 {
+		t.Fatalf("count %d, want 22", b.Count())
+	}
+	var nilHist *Histogram
+	nilHist.ObserveN(1, 3) // a no-op, as Observe is
+	n := batched.Histogram("autoglobe_batch_nan_seconds", bounds)
+	n.ObserveN(math.NaN(), 3)
+	snap := batched.Snapshot()
+	if snap[`autoglobe_batch_nan_seconds_bucket{le="4"}`] != 0 || snap[`autoglobe_batch_nan_seconds_bucket{le="+Inf"}`] != 3 ||
+		!math.IsNaN(snap["autoglobe_batch_nan_seconds_sum"]) {
+		t.Fatalf("three NaNs: %v", snap)
+	}
+}

@@ -29,9 +29,12 @@
 package placement
 
 import (
+	"math"
 	"sort"
 
+	"autoglobe/internal/archive"
 	"autoglobe/internal/cluster"
+	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/obs"
 	"autoglobe/internal/service"
 )
@@ -60,7 +63,9 @@ const (
 
 // HostRef is the index's handle on one pooled host: the immutable host
 // attributes plus the precomputed archive entity key, so hot-path
-// consumers never re-derive either.
+// consumers never re-derive either. Load and memo are the selection
+// controller's per-host state, owned by its single decision goroutine;
+// the index never reads them.
 type HostRef struct {
 	// Host is the host's static description (a value copy; cluster
 	// hosts are immutable once pooled).
@@ -68,15 +73,55 @@ type HostRef struct {
 	// Entity is the host's load-archive entity key, cached at pooling
 	// time because deriving it concatenates strings.
 	Entity string
+	// Load is the host's archive handle, resolved from Entity by the
+	// controller while it is not archive.Entity.Known.
+	Load archive.Entity
 	// seq orders hosts within a bucket by cluster insertion order.
 	seq int64
 	// fits is the feasibility column: bit i set = in shape i's buckets.
 	fits []uint64
 	// running marks a host running the service Index.resolved names.
 	running bool
+	// memo is the last score Memoise stored, inline: a box allocated on
+	// first use would cost one allocation a host.
+	memo struct {
+		base  *fuzzy.RuleBase
+		in    [memoSlots]uint64 // math.Float64bits of each input
+		score float64
+	}
 }
 
+// memoSlots bounds a memo's inputs: Table 3's ten selection variables.
+const memoSlots = 10
+
 func (r *HostRef) has(shape int) bool { return r.fits[shape>>6]&(1<<(shape&63)) != 0 }
+
+// Memoised returns the score Memoise last stored for this rule base and
+// bit-for-bit these inputs; hit is false for any other key. Bits, not
+// ==: ±0 never share a score, and a NaN input hits only its own payload.
+func (r *HostRef) Memoised(base *fuzzy.RuleBase, in []float64) (score float64, hit bool) {
+	if r.memo.base != base || len(in) > memoSlots {
+		return 0, false
+	}
+	for i, v := range in {
+		if math.Float64bits(v) != r.memo.in[i] {
+			return 0, false
+		}
+	}
+	return r.memo.score, true
+}
+
+// Memoise stores the score a rule base gave these inputs, replacing the
+// previous memo. An input vector longer than memoSlots is not kept.
+func (r *HostRef) Memoise(base *fuzzy.RuleBase, in []float64, score float64) {
+	if len(in) > memoSlots {
+		return
+	}
+	r.memo.base, r.memo.score = base, score
+	for i, v := range in {
+		r.memo.in[i] = math.Float64bits(v)
+	}
+}
 
 // bucket holds the feasible hosts of one (shape, performance index)
 // pair, ordered by seq.

@@ -2,11 +2,13 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"autoglobe/internal/cluster"
+	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/service"
 )
 
@@ -368,5 +370,53 @@ func TestAppendCandidatesCanonicalOrder(t *testing.T) {
 	want := []string{"a1", "b1", "m2", "z9"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("canonical order %v, want %v", got, want)
+	}
+}
+
+// TestHostRefMemoKey pins the score memo's key: the rule base by
+// pointer — a separately compiled twin misses — and every input slot by
+// its bits, so that +0 and −0 miss each other and a NaN hits only its
+// own payload. An input vector longer than the memo is never kept.
+func TestHostRefMemoKey(t *testing.T) {
+	vc := fuzzy.NewVocabulary()
+	vc.Add(fuzzy.StandardLoad("x"))
+	vc.Add(fuzzy.Applicability("score"))
+	base := func() *fuzzy.RuleBase {
+		return fuzzy.MustRuleBase("b", vc, fuzzy.MustParse("IF x IS low THEN score IS applicable"))
+	}
+	a, twin := base(), base()
+	negZero, nan, otherNaN := math.Copysign(0, -1), math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())^1)
+	in := []float64{0.25, 0, nan, 3, 4, 5, 6, 7, 8, 9}
+
+	var r HostRef
+	if _, hit := r.Memoised(a, in); hit {
+		t.Fatal("an empty memo hit")
+	}
+	r.Memoise(a, in, 0.75)
+	if s, hit := r.Memoised(a, in); !hit || s != 0.75 {
+		t.Fatalf("the stored key: (%v, %v), want (0.75, true)", s, hit)
+	}
+	if _, hit := r.Memoised(twin, in); hit {
+		t.Fatal("a separately compiled twin base hit")
+	}
+	for i := range in {
+		for _, v := range []float64{in[i] + 1, negZero, otherNaN} {
+			probe := append([]float64(nil), in...)
+			probe[i] = v
+			if math.Float64bits(v) == math.Float64bits(in[i]) {
+				continue
+			}
+			if _, hit := r.Memoised(a, probe); hit {
+				t.Errorf("slot %d: %v hit the memo of %v", i, v, in[i])
+			}
+		}
+	}
+	long := append(append([]float64(nil), in...), 10)
+	r.Memoise(a, long, 0.5)
+	if _, hit := r.Memoised(a, long); hit {
+		t.Fatal("an eleven-slot vector was kept")
+	}
+	if s, hit := r.Memoised(a, in); !hit || s != 0.75 {
+		t.Fatalf("an unkept store replaced the memo: (%v, %v)", s, hit)
 	}
 }

@@ -15,8 +15,9 @@
 # (TestLivenessHandleConcurrentBeats) ten more times under the race
 # detector, ten seconds
 # each of real fuzzing of the wire frame decoder, of the journal's frame reader, of
-# the tsdb segment-record decoder and of the closed-form inference
-# against its two references, and every benchmark of the root package,
+# the tsdb segment-record decoder, of the closed-form inference
+# against its two references and of memoised server selection against
+# the full scan (FuzzSelectHostParity), and every benchmark of the root package,
 # internal/archive and internal/tsdb once as a crash smoke. A new test or
 # guard needs no edit here.
 #
@@ -110,6 +111,13 @@ go test ./internal/tsdb -run '^$' -fuzz FuzzRecordDecode -fuzztime 10s
 # Exact by an argument, and checked on rule bases nobody wrote.
 echo "== fuzz: closed-form leftmost maximum vs sampled union vs interpreter, 10 s"
 go test ./internal/fuzzy -run '^$' -fuzz FuzzInferDifferential -fuzztime 10s
+
+# A candidate's score memo must be exact under any sequence of archive
+# appends, reservation churn, rule swaps and shadow selections. The
+# loop's inputs are long, and minimizing one new input at the default
+# 60 s would spend the whole budget: minimization stops at 100 runs.
+echo "== fuzz: memoised server selection vs the full scan, 10 s"
+go test ./internal/controller -run '^$' -fuzz FuzzSelectHostParity -fuzztime 10s -fuzzminimizetime 100x
 
 # The archive's and the store's benchmarks set up the tail, the raw
 # blocks of a memory store and a reopen: the smoke runs their setup too.
