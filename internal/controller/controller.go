@@ -429,18 +429,19 @@ func (c *Controller) execute(d *Decision) bool {
 }
 
 // protect puts the services and servers involved in an executed action
-// into protection mode. A scale-out leaves its source host untouched —
-// it only records where the hot instance that fired the rule sits — so
-// that host is not protected: if one additional instance is not enough,
-// the server-overload pipeline must stay free to act there while the
-// new instance is still filling up.
+// into protection mode, source and target host alike, as the paper does.
+// The one exception belongs to the proactive extension (Forecast set): a
+// scale-out leaves its source host untouched — it only records where the
+// hot instance that fired the rule sits — so that host is not protected,
+// and the server-overload pipeline stays free to act there while the new
+// instance is still filling up.
 func (c *Controller) protect(d *Decision) {
 	if c.cfg.ProtectionMinutes == 0 {
 		return
 	}
 	until := d.Trigger.Minute + c.cfg.ProtectionMinutes
 	c.protSvc[d.Service] = until
-	if d.SourceHost != "" && d.Action != service.ActionScaleOut {
+	if d.SourceHost != "" && (d.Action != service.ActionScaleOut || c.cfg.Forecast == nil) {
 		c.protHost[d.SourceHost] = until
 	}
 	if d.TargetHost != "" {

@@ -308,6 +308,37 @@ func TestProtectionDisabled(t *testing.T) {
 	}
 }
 
+// TestScaleOutSourceProtectedUnlessForecast pins the protection rule for
+// a scale-out's source host: the paper protects every host an executed
+// action involves, so a reactive scale-out protects its source; only the
+// proactive extension leaves the source free for the server-overload
+// pipeline while the new instance fills up.
+func TestScaleOutSourceProtectedUnlessForecast(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		forecast *ForecastConfig
+		want     bool
+	}{
+		{"paper", nil, true},
+		{"forecast", &ForecastConfig{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t, Config{Forecast: tc.forecast})
+			tb.ctl.protect(&Decision{
+				Trigger: trigger(monitor.ServiceOverloaded, "app"),
+				Action:  service.ActionScaleOut, Service: "app",
+				SourceHost: "weak1", TargetHost: "mid1",
+			})
+			if got := tb.ctl.HostProtected("weak1", 11); got != tc.want {
+				t.Errorf("source host protected = %v, want %v", got, tc.want)
+			}
+			if !tb.ctl.HostProtected("mid1", 11) || !tb.ctl.ServiceProtected("app", 11) {
+				t.Error("target host and service must be protected")
+			}
+		})
+	}
+}
+
 // TestIdleScaleIn: an idle service with clearly too many instances is
 // scaled in and the users of the stopped instance reconnect elsewhere.
 // (With only a modest surplus the conservative idle rules deliberately
