@@ -1,8 +1,7 @@
 // missioncritical demonstrates the administrator-facing extension
-// points: a service-specific rule base that makes the controller prefer
-// powerful servers for a mission-critical service, an explicit capacity
-// reservation for a payroll batch window (the paper's Section 7 plans),
-// and the landscape designer computing an optimized pre-assignment.
+// points: the landscape designer computing an optimized pre-assignment,
+// and a service-specific rule base that makes the controller prefer
+// powerful servers for a mission-critical service.
 //
 //	go run ./examples/missioncritical
 package main
@@ -17,7 +16,6 @@ import (
 	"autoglobe/internal/designer"
 	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/monitor"
-	"autoglobe/internal/reservation"
 	"autoglobe/internal/service"
 )
 
@@ -57,18 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Reservation: payroll needs 70 % of big2 tonight (minutes
-	// 1200–1500). The controller must not place anything there.
-	book := reservation.NewBook()
-	if err := book.Add(reservation.Reservation{
-		Task: "payroll", Host: "big2", From: 1200, To: 1500, Fraction: 0.7,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nreserved: %d reservation(s); big2 at minute 1300 → %.0f%% reserved\n",
-		book.Len(), book.ReservedOn("big2", 1300)*100)
-
-	// 3. Service-specific rule base: billing is mission-critical — on
+	// 2. Service-specific rule base: billing is mission-critical — on
 	// overload it must always move to the most powerful hardware, never
 	// just scale out.
 	vocab := controller.ActionVocabulary()
@@ -81,7 +68,6 @@ func main() {
 	}
 	arch := archive.New(0)
 	ctl, err := controller.New(controller.Config{
-		Reservations: book,
 		ServiceRules: map[string]map[monitor.TriggerKind]*fuzzy.RuleBase{
 			"billing": {monitor.ServiceOverloaded: billingRules},
 		},
@@ -90,11 +76,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Operations drifted: one billing instance ended up on the weak
-	// blade1. Overload it during the payroll window: the
-	// mission-critical rule base demands a scale-up, and the target must
-	// be blade2 — big1 already runs the other billing instance and big2
-	// is reserved for payroll, so the fuzzy server selection rejects it.
+	// 3. Operations drifted: one billing instance ended up on the weak
+	// blade1. Overload it: the mission-critical rule base demands a
+	// scale-up, and the fuzzy server selection picks the idle powerful
+	// server.
 	inst := dep.InstancesOf("billing")[0]
 	if err := dep.Move(inst.ID, "blade1"); err != nil {
 		log.Fatal(err)
@@ -121,5 +106,5 @@ func main() {
 		return
 	}
 	fmt.Printf("\nmission-critical overload: %s (applicability %.2f)\n", d, d.Applicability)
-	fmt.Printf("target avoids the reserved host: %s (score %.2f)\n", d.TargetHost, d.HostScore)
+	fmt.Printf("target is the idle powerful server: %s (score %.2f)\n", d.TargetHost, d.HostScore)
 }

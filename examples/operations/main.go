@@ -1,9 +1,8 @@
 // operations is a day-in-the-life tour of AutoGlobe's operator surface:
-// the controller runs in semi-automatic mode, so decisions wait for a
-// human; a security guard decides who may confirm them and audits every
-// attempt; the ServiceGlobe federation keeps client traffic flowing
-// across the resulting relocation; and a failing binding layer shows
-// the transactional executor rolling an action back cleanly.
+// the controller runs in semi-automatic mode, so a decision waits for
+// the administrator, who reads why it was proposed and approves it; and
+// a failing binding layer shows the transactional executor rolling an
+// action back cleanly.
 //
 //	go run ./examples/operations
 package main
@@ -15,10 +14,9 @@ import (
 
 	"autoglobe/internal/archive"
 	"autoglobe/internal/cluster"
+	"autoglobe/internal/console"
 	"autoglobe/internal/controller"
 	"autoglobe/internal/monitor"
-	"autoglobe/internal/registry"
-	"autoglobe/internal/security"
 	"autoglobe/internal/service"
 )
 
@@ -47,33 +45,10 @@ func main() {
 	}
 	inst.Users = 140
 
-	// ServiceGlobe federation: hosts join, the deployment is mirrored,
-	// clients route by service name.
-	fed := registry.NewFederation()
-	for _, h := range cl.Names() {
-		if err := fed.Join(h); err != nil {
-			log.Fatal(err)
-		}
-	}
-	inner := controller.NewDeploymentExecutor(dep, controller.RebalanceUsers)
-	mirror, err := registry.NewMirror(fed, dep, inner)
-	if err != nil {
-		log.Fatal(err)
-	}
-	router := registry.NewRouter(fed)
-	ep, _ := router.Route("orders")
-	fmt.Printf("client reaches orders at service IP %v (bound to %s)\n", ep.ServiceIP, ep.Host)
-
-	// Controller in semi-automatic mode behind the security console.
+	// Controller in semi-automatic mode: decisions wait for a human.
+	exec := controller.NewDeploymentExecutor(dep, controller.RebalanceUsers)
 	arch := archive.New(0)
-	ctl, err := controller.New(controller.Config{Mode: controller.SemiAutomatic}, dep, arch, mirror)
-	if err != nil {
-		log.Fatal(err)
-	}
-	guard := security.NewGuard()
-	guard.Register(security.Principal{Name: "vera", Roles: []security.Role{security.RoleViewer}})
-	guard.Register(security.Principal{Name: "olive", Roles: []security.Role{security.RoleOperator}})
-	console, err := security.NewConsole(guard, ctl)
+	ctl, err := controller.New(controller.Config{Mode: controller.SemiAutomatic}, dep, arch, exec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,44 +68,33 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	pending, _ := console.Pending("vera")
+	pending := ctl.Pending()
 	fmt.Printf("pending decision: %s\n", pending[0])
 	fmt.Println("why the controller proposes it:")
 	fmt.Println(pending[0].Explain())
 
-	// The viewer may look but not touch.
-	if _, err := console.Approve("vera", 0); err != nil {
-		fmt.Printf("vera tries to approve: %v\n", err)
-	}
-	// The operator confirms; the action executes through the
-	// transactional executor and the federation rebinds the service IP.
-	d, err := console.Approve("olive", 0)
+	// The administrator confirms; the action executes through the
+	// transactional executor.
+	d, err := ctl.Approve(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("olive approves: %s executed\n", d)
-	after, _ := router.RouteAddr(ep.ServiceIP)
-	fmt.Printf("same service IP %v now bound to %s — clients never noticed\n",
-		ep.ServiceIP, after.Host)
+	fmt.Printf("approved: %s executed, %d decisions still waiting\n", d, len(ctl.Pending()))
 
 	// Later, the binding layer has an outage: the transactional
 	// executor rolls the whole action back instead of leaving the
 	// landscape half-administered.
-	inner.PostStep = func(*controller.Decision) error {
+	exec.PostStep = func(*controller.Decision) error {
 		return errors.New("binding layer outage")
 	}
-	hostBefore := after.Host
-	err = inner.Execute(&controller.Decision{
+	err = exec.Execute(&controller.Decision{
 		Trigger: monitor.Trigger{Minute: 60}, Action: service.ActionScaleDown,
-		Service: "orders", InstanceID: inst.ID, TargetHost: "blade2", SourceHost: hostBefore,
+		Service: "orders", InstanceID: inst.ID, TargetHost: "blade2", SourceHost: d.TargetHost,
 	})
 	fmt.Printf("scale-down during outage: %v\n", err)
 	now, _ := dep.Instance(inst.ID)
 	fmt.Printf("instance still on %s, landscape consistent: %v\n", now.Host, dep.Validate() == nil)
 
-	// The audit trail remembers everything.
-	fmt.Println("audit trail:")
-	for _, e := range guard.Audit() {
-		fmt.Printf("  %s\n", e)
-	}
+	// The controller's message log records what happened.
+	fmt.Println(console.MessageView(ctl.Events(), 10))
 }

@@ -30,10 +30,8 @@ type Assembly struct {
 	Controller controller.Config
 	// Mobility selects the model executor's user policy: full mobility
 	// rebalances users over a service's instances, anything else keeps
-	// sessions where they are. WrapExecutor, when set, decorates that
-	// executor (e.g. a federation mirror); dispatch still wraps outermost.
-	Mobility     service.Mobility
-	WrapExecutor func(dep *service.Deployment, exec controller.Executor) (controller.Executor, error)
+	// sessions where they are. Dispatch wraps that executor.
+	Mobility service.Mobility
 	// ArchiveDir backs the load archive with the on-disk store (empty: in
 	// memory). JournalDir makes the plane crash-safe (empty: no journal).
 	// Storage tunes the segments under both. Standbys attaches that many
@@ -106,11 +104,11 @@ func NewLocalManager(a Assembly, dep *service.Deployment) (*Manager, error) {
 // before it adopts the journal, so the recovery a reopened journal runs
 // is counted (and the standbys it attaches, and every successor, count
 // into the same registry), and in-process agents exist before it
-// re-issues in-flight actions to them; standbys warm-follow the journal;
-// the dispatch layer wraps outermost, after WrapExecutor — hosts
-// acknowledge before the model, and any mirror of it, changes; the rule
-// registry attaches once controller and journal exist — the directory
-// seeds the active set, then journaled activations replay over it.
+// re-issues in-flight actions to them; standbys attach once the journal
+// is adopted; the dispatch layer wraps the model executor — hosts
+// acknowledge before the model changes; the rule registry attaches once
+// controller and journal exist — the directory seeds the active set,
+// then journaled activations replay over it.
 func assemble(a Assembly, dep *service.Deployment, newPlane func(PlaneConfig, *service.Deployment, *monitor.System) (*Plane, error)) (m *Manager, err error) {
 	m = &Manager{dep: dep, lost: make(map[string]cluster.Host), stages: newStageTimers(a.Obs)}
 	if a.ArchiveDir == "" {
@@ -137,11 +135,6 @@ func assemble(a Assembly, dep *service.Deployment, newPlane func(PlaneConfig, *s
 		policy = controller.RebalanceUsers
 	}
 	var exec controller.Executor = controller.NewDeploymentExecutor(dep, policy)
-	if a.WrapExecutor != nil {
-		if exec, err = a.WrapExecutor(dep, exec); err != nil {
-			return nil, err
-		}
-	}
 	if a.Plane.Transport != nil {
 		if m.Plane, err = newPlane(a.Plane, dep, m.Monitor); err != nil {
 			return nil, err

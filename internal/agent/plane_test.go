@@ -8,7 +8,6 @@ import (
 	"autoglobe/internal/archive"
 	"autoglobe/internal/controller"
 	"autoglobe/internal/monitor"
-	"autoglobe/internal/registry"
 	"autoglobe/internal/service"
 	"autoglobe/internal/wire"
 )
@@ -114,11 +113,11 @@ func TestAgentHelloJoin(t *testing.T) {
 	}
 }
 
-// TestDeadHostDemotion is the dead-host path of the issue: a host stops
+// TestDeadHostDemotion is the plane's dead-host path: a host stops
 // answering heartbeats and probes, the hysteresis liveness detector
-// confirms it dead, the federation demotes it (its service IPs are
-// unbound so the failover router stops handing out its addresses), and
-// the controller restarts the lost instances elsewhere.
+// confirms it dead, the model drops it with its instances, and the
+// controller restarts the lost instances elsewhere through the
+// dispatching executor.
 func TestDeadHostDemotion(t *testing.T) {
 	dep := testDeployment(t)
 	tr := wire.NewLoopback()
@@ -132,25 +131,8 @@ func TestDeadHostDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ServiceGlobe substrate: every host joins the federation and the
-	// current allocation is registered (service IPs bound).
-	fed := registry.NewFederation()
-	for _, h := range dep.Cluster().Names() {
-		if err := fed.Join(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := registry.SyncDeployment(fed, dep); err != nil {
-		t.Fatal(err)
-	}
-	router := registry.NewRouter(fed)
-
 	inner := controller.NewDeploymentExecutor(dep, controller.StickyUsers)
-	mirror, err := registry.NewMirror(fed, dep, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := controller.New(controller.Config{}, dep, lms.Archive(), p.Executor(mirror))
+	ctl, err := controller.New(controller.Config{}, dep, lms.Archive(), p.Executor(inner))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,28 +162,7 @@ func TestDeadHostDemotion(t *testing.T) {
 		t.Fatalf("dead = %v, want [h2] after hysteresis", dead)
 	}
 
-	// Demote: unbind the dead host's service IPs and restart the lost
-	// instances elsewhere.
-	lostID := dep.InstancesOn("h2")[0].ID
-	lost, err := fed.DemoteHost("h2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lost) != 1 || lost[0].InstanceID != lostID {
-		t.Fatalf("demotion lost %v, want [%s]", lost, lostID)
-	}
-	// The failover router immediately stops handing out h2.
-	for i := 0; i < 4; i++ {
-		ep, err := router.Route("app")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ep.Host == "h2" {
-			t.Fatal("router still routes to the demoted host")
-		}
-	}
-
-	// Model side: the host's instances are gone with it.
+	// Demote: the host's instances are gone with it.
 	var lostServices []string
 	for _, inst := range dep.InstancesOn("h2") {
 		lostServices = append(lostServices, inst.Service)
@@ -226,7 +187,7 @@ func TestDeadHostDemotion(t *testing.T) {
 		t.Fatal("restart targeted the dead host")
 	}
 	// The restart went through the dispatching executor: the target's
-	// agent runs the replacement, and the federation serves its address.
+	// agent runs the replacement.
 	replacement := dep.InstancesOn(restartHost)
 	a := agentOf(t, p, restartHost)
 	var found bool
@@ -237,8 +198,5 @@ func TestDeadHostDemotion(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("agent of %s does not run the restarted instance", restartHost)
-	}
-	if eps := fed.Lookup("app"); len(eps) != 2 {
-		t.Fatalf("federation lists %d app endpoints, want 2 after restart", len(eps))
 	}
 }

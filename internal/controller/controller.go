@@ -82,24 +82,12 @@ type Config struct {
 	// parity-tested and benchmarked against. Decisions are identical
 	// either way; only enumeration cost changes.
 	DisablePlacementIndex bool
-	// Reservations, when set, lets the server-selection controller see
-	// capacity reserved for registered mission-critical tasks: the
-	// reserved fraction is added to a candidate host's CPU load, so the
-	// controller steers ordinary services elsewhere (the paper's planned
-	// explicit-reservations extension).
-	Reservations Reserver
 	// Notify, when set, receives every message-log event as it is
 	// appended — executed actions, failures, administrator alerts. This
 	// is where a deployment hooks its paging or ticketing system; the
 	// paper's controller "requests human interaction by alerting the
 	// system administrator".
 	Notify func(Event)
-}
-
-// Reserver reports the capacity fraction reserved on a host at a minute
-// (see the reservation package).
-type Reserver interface {
-	ReservedOn(host string, minute int) float64
 }
 
 // DefaultProtectionMinutes is the paper's protection time.
@@ -544,15 +532,4 @@ func (c *Controller) Approve(i int) (*Decision, error) {
 	c.traceDecide(d)
 	c.tracer.End(obs.OutcomeExecuted, "")
 	return d, nil
-}
-
-// Reject discards the i-th pending decision.
-func (c *Controller) Reject(i int) error {
-	if i < 0 || i >= len(c.pending) {
-		return fmt.Errorf("controller: no pending decision %d", i)
-	}
-	d := c.pending[i]
-	c.pending = append(c.pending[:i], c.pending[i+1:]...)
-	c.appendEvent(Event{Minute: d.Trigger.Minute, Decision: d, Note: "rejected by administrator"})
-	return nil
 }

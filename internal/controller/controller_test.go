@@ -459,7 +459,7 @@ func TestNoActionAlertsAdministrator(t *testing.T) {
 }
 
 // TestSemiAutomaticMode: decisions are queued, not executed, until
-// approved; rejection discards them.
+// approved.
 func TestSemiAutomaticMode(t *testing.T) {
 	tb := newTestbed(t, Config{Mode: SemiAutomatic})
 	inst, _ := tb.dep.Start("app", "weak1")
@@ -490,9 +490,6 @@ func TestSemiAutomaticMode(t *testing.T) {
 	}
 	if _, err := tb.ctl.Approve(0); err == nil {
 		t.Error("approving empty queue succeeded")
-	}
-	if err := tb.ctl.Reject(0); err == nil {
-		t.Error("rejecting empty queue succeeded")
 	}
 }
 

@@ -33,7 +33,7 @@ const (
 	// entities: hosts plus services with a running instance.
 	MetricForecastScan = "autoglobe_controller_forecast_scan_entities_total"
 	// MetricRuleSwaps counts hot swaps of the active rule set, by layer
-	// (action, selection, service).
+	// (action, selection).
 	MetricRuleSwaps = "autoglobe_rules_swaps_total"
 	// MetricRuleFallback counts server selections that found no rule
 	// base registered for the action (only start silently shares the

@@ -122,32 +122,6 @@ func (c *Controller) SwapSelectionRules(a service.Action, rb *fuzzy.RuleBase) er
 	return nil
 }
 
-// AddServiceRules registers (or replaces) a service-specific rule base
-// for one trigger at runtime — Section 4.1's dynamic adaptation: "an
-// administrator can add service-specific rule bases for mission
-// critical services". The rule base must be built over the
-// action-selection vocabulary. Like the Swap methods this is an atomic
-// copy-on-write store; concurrent inference never observes a half
-// registered override.
-func (c *Controller) AddServiceRules(svcName string, kind monitor.TriggerKind, rb *fuzzy.RuleBase) error {
-	if _, ok := c.dep.Catalog().Get(svcName); !ok {
-		return fmt.Errorf("controller: unknown service %q", svcName)
-	}
-	if rb == nil {
-		return fmt.Errorf("controller: nil rule base")
-	}
-	c.swapMu.Lock()
-	defer c.swapMu.Unlock()
-	next := c.rules.Load().clone()
-	if next.services[svcName] == nil {
-		next.services[svcName] = make(map[monitor.TriggerKind]*fuzzy.RuleBase)
-	}
-	next.services[svcName][kind] = rb
-	c.rules.Store(next)
-	c.metrics.ruleSwap("service")
-	return nil
-}
-
 // shadowRules is a candidate overlay evaluated beside the active set:
 // entries present here replace the active base for the shadow run, the
 // rest of the set is shared. Immutable once installed.

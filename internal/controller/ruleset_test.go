@@ -187,7 +187,6 @@ func TestSwapUnderConcurrentInference(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			tb.ctl.AddServiceRules("app", monitor.ServiceOverloaded, fresh())
 		}
 	}()
 	for i := 0; i < 300; i++ {

@@ -365,28 +365,21 @@ func (c *Controller) anyTarget(a service.Action, svcName, instID string, minute 
 }
 
 // scoreRef fills the bound input vector with the Table 3 variables of
-// one candidate host — current measurements and meta data, with
-// capacity reserved for mission-critical tasks counted as CPU load —
-// and runs the server-selection inference, unless the ref's memo holds
+// one candidate host — current measurements and meta data — and runs
+// the server-selection inference, unless the ref's memo holds
 // the score of this rule base over these exact inputs. ok is false when
 // the host cannot be scored (a slot the selection path cannot supply),
 // which skips the host exactly like the map path's missing-measurement
 // error did. The memo is exact: the engine is fixed at New, a rule base
 // is immutable (a swap installs a new pointer), and vec carries every
 // input the score reads. The full scan's fresh refs never hit.
-func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef, minute int) (score float64, ok bool) {
+func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef) (score float64, ok bool) {
 	if !ref.Load.Known() { // a host's first sample may follow its first selection
 		ref.Load = c.arch.Entity(ref.Entity)
 	}
 	var cpu, mem float64
 	if s, ok := ref.Load.Latest(); ok {
 		cpu, mem = s.CPU, s.Mem
-	}
-	if c.cfg.Reservations != nil {
-		cpu += c.cfg.Reservations.ReservedOn(ref.Host.Name, minute)
-		if cpu > 1 {
-			cpu = 1
-		}
 	}
 	h := &ref.Host
 	for i, slot := range b.slots {
@@ -504,7 +497,7 @@ func (c *Controller) selectHostIn(rs *ruleSet, a service.Action, svcName, instID
 	for _, ref := range c.hostBuf {
 		// Candidates that cannot be scored or rate below MinHostScore
 		// are skipped.
-		score, ok := c.scoreRef(b, vec, ref, minute)
+		score, ok := c.scoreRef(b, vec, ref)
 		if !ok {
 			continue
 		}

@@ -233,11 +233,6 @@ func randomLandscape(t *testing.T, rng parityRand, nHosts int) (*service.Deploym
 	return dep, arch
 }
 
-// reservedOn is a Reserver whose reservations the parity loop churns.
-type reservedOn map[string]float64
-
-func (r reservedOn) ReservedOn(host string, _ int) float64 { return r[host] }
-
 // contrarianPlacement scores over the placement base's inputs, in the
 // same slot order, and prefers what it avoids: a memo that forgot its
 // rule base would hand one base's score to the other.
@@ -251,7 +246,7 @@ IF tempSpace IS scarce THEN score IS applicable
 // selectHostParity is the controller-level property loop: over a
 // randomized landscape under random mutation, protection churn, archive
 // appends (+0, −0 and NaN loads among them, and hosts first sampled
-// after they were scored), reservation churn, hot swaps of
+// after they were scored), hot swaps of
 // select/placement to a separately compiled copy and back, and shadow
 // selections under a different base, the indexed path — whose refs
 // memoise their scores — and the full-scan reference path, whose refs
@@ -262,9 +257,7 @@ func selectHostParity(t *testing.T, rng parityRand, steps int) {
 	t.Helper()
 	dep, arch := randomLandscape(t, rng, 48)
 	exec := NewDeploymentExecutor(dep, RebalanceUsers)
-	res := reservedOn{}
 	mk := func(cfg Config) *Controller {
-		cfg.Reservations = res
 		c, err := New(cfg, dep, arch, exec)
 		if err != nil {
 			t.Fatal(err)
@@ -335,13 +328,6 @@ func selectHostParity(t *testing.T, rng parityRand, steps int) {
 			h := names[rng.Intn(len(names))]
 			if err := arch.Record(archive.HostEntity(h), archive.Sample{Minute: clock, CPU: load(), Mem: load()}); err != nil {
 				t.Fatal(err)
-			}
-		}
-		if rng.Intn(3) == 0 {
-			if h := names[rng.Intn(len(names))]; rng.Intn(3) == 0 {
-				delete(res, h)
-			} else {
-				res[h] = []float64{0, 0.25, 0.5, 1}[rng.Intn(4)]
 			}
 		}
 		if rng.Intn(8) == 0 {

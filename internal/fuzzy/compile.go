@@ -90,12 +90,6 @@ func newConsequent(rule int, pre *Set) compiledConsequent {
 	return c
 }
 
-// compiledRule is one rule of the program.
-type compiledRule struct {
-	code   []instr
-	weight float64
-}
-
 // outputSlot is one distinct output variable of the rule base with the
 // consequents assigning it, in rule order.
 type outputSlot struct {
@@ -111,7 +105,7 @@ type Program struct {
 	rb       *RuleBase
 	inputs   []inputSlot
 	atoms    []atomSlot
-	rules    []compiledRule
+	rules    [][]instr // each rule's lowered antecedent
 	outputs  []outputSlot
 	maxDepth int // deepest evaluation stack across all rules
 
@@ -213,8 +207,8 @@ func compile(rb *RuleBase) *Program {
 	}
 
 	for i, r := range rb.rules {
-		cr := compiledRule{weight: r.effectiveWeight()}
-		depth := lower(i, r.Antecedent, &cr.code)
+		var code []instr
+		depth := lower(i, r.Antecedent, &code)
 		if depth > p.maxDepth {
 			p.maxDepth = depth
 		}
@@ -228,7 +222,7 @@ func compile(rb *RuleBase) *Program {
 			o := &p.outputs[outIdx[c.Var]]
 			o.cons = append(o.cons, newConsequent(i, pre))
 		}
-		p.rules = append(p.rules, cr)
+		p.rules = append(p.rules, code)
 	}
 
 	p.scratch.New = func() any {
@@ -357,9 +351,8 @@ func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 	}
 
 	res := p.newResult()
-	for i := range p.rules {
-		cr := &p.rules[i]
-		res.Fired[i] = clamp01(evalCode(cr.code, sc.grades, sc.stack)) * cr.weight
+	for i, code := range p.rules {
+		res.Fired[i] = clamp01(evalCode(code, sc.grades, sc.stack))
 	}
 	if _, ok := e.defuzz.(LeftMax); ok && e.inference == MaxMin {
 		// The paper's configuration needs no output set (see leftMax);

@@ -34,9 +34,6 @@ func compileRuleBase(t testing.TB) *RuleBase {
 		IF NOT (cpuLoad IS low) AND memLoad IS somewhat high THEN move IS applicable
 		IF memLoad IS NOT high AND cpuLoad IS medium THEN scaleOut IS notApplicable
 	`)
-	weighted := MustParse(`IF cpuLoad IS extremely high THEN move IS applicable`)[0]
-	weighted.Weight = 0.4
-	rules = append(rules, weighted)
 	rb, err := NewRuleBase("compile-test", compileVocab(), rules)
 	if err != nil {
 		t.Fatal(err)

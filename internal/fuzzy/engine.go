@@ -281,7 +281,7 @@ func (e *Engine) inferInterpreted(rb *RuleBase, inputs map[string]float64) (*Res
 		if err != nil {
 			return nil, fmt.Errorf("fuzzy: rule base %q, rule %d (%s): %w", rb.Name, i, r, err)
 		}
-		truth = clamp01(truth) * r.effectiveWeight()
+		truth = clamp01(truth)
 		res.Fired[i] = truth
 		if truth == 0 {
 			continue

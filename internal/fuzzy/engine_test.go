@@ -115,20 +115,6 @@ func TestInferUnionOfRules(t *testing.T) {
 	}
 }
 
-func TestInferRuleWeight(t *testing.T) {
-	vc := paperVocab(t)
-	r := MustParse(`IF cpuLoad IS high THEN scaleUp IS applicable`)[0]
-	r.Weight = 0.5
-	rb := MustRuleBase("t", vc, []Rule{r})
-	res, err := NewEngine(nil).Infer(rb, map[string]float64{"cpuLoad": 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Outputs["scaleUp"]; math.Abs(got-0.5) > 0.01 {
-		t.Errorf("weighted rule: scaleUp = %g, want 0.5", got)
-	}
-}
-
 func TestRuleBaseValidation(t *testing.T) {
 	vc := paperVocab(t)
 	cases := []string{

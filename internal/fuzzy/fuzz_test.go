@@ -59,7 +59,7 @@ func FuzzParse(f *testing.F) {
 
 // differentialRuleBase draws a rule base from seed: one to six rules
 // with randomExpr antecedents over compileVocab's inputs, one or two
-// consequents each, some weighted. Besides the applicability ramps the
+// consequents each. Besides the applicability ramps the
 // consequents assign an output whose terms are no trapezoids: a
 // singleton on the first grid point, a wave, a staircase of plateaus,
 // and a function that is NaN on part of its universe.
@@ -84,7 +84,6 @@ func differentialRuleBase(seed int64) *RuleBase {
 		rules[i] = Rule{
 			Antecedent:  randomExpr(rng, vars, hedges, 3),
 			Consequents: []Assignment{consequents[rng.Intn(len(consequents))]},
-			Weight:      []float64{0, 0, 1, 0.4, 0.05}[rng.Intn(5)],
 		}
 		if rng.Intn(3) == 0 {
 			rules[i].Consequents = append(rules[i].Consequents, consequents[rng.Intn(len(consequents))])

@@ -12,7 +12,7 @@ import (
 // so that plateaus, ties between rules and maxima reached by several
 // consequents are the common case, with the odd NaN grade a user's
 // membership function may produce — fired at truths from zero and the
-// smallest float through weight-scaled and exact ones to beyond one and
+// smallest float through fractional and exact ones to beyond one and
 // NaN. Height and leftmost maximum must equal, bit for bit, Height() and
 // LeftMax of the union materialised from the same truths.
 func TestPropClosedFormMatchesUnion(t *testing.T) {

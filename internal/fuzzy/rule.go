@@ -154,12 +154,6 @@ func (a Assignment) String() string { return a.Var + " IS " + a.Term }
 type Rule struct {
 	Antecedent  Expr
 	Consequents []Assignment
-	// Weight scales the antecedent truth before inference. 0 means the
-	// zero value was never set; it is treated as 1 so that plain parsed
-	// rules work without extra configuration.
-	Weight float64
-	// Comment carries an optional annotation (e.g. provenance).
-	Comment string
 }
 
 func (r Rule) String() string {
@@ -168,14 +162,6 @@ func (r Rule) String() string {
 		parts[i] = c.String()
 	}
 	return "IF " + r.Antecedent.String() + " THEN " + strings.Join(parts, " AND ")
-}
-
-// effectiveWeight returns the rule weight, defaulting to 1.
-func (r Rule) effectiveWeight() float64 {
-	if r.Weight == 0 {
-		return 1
-	}
-	return clamp01(r.Weight)
 }
 
 // InputVars returns the set of input variables referenced by the rule's

@@ -3,7 +3,8 @@
 # the metric-name lint, the wire-encoding lint, the tsdb single-owner
 # lint (non-test internal/tsdb does not import sync), the storage lint
 # (only internal/journal creates, writes, renames or removes a file),
-# every test twice (under the race detector, then
+# every examples/* program built and run (a non-zero exit fails the
+# gate), every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards and the root package's surface
 # ratchet skip themselves under -race, so the second pass is the one in
 # which they assert; the ratchet fails when a line joins SURFACE.txt: an
@@ -77,6 +78,15 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
+# Compiling the examples is not enough: each one exercises an API path
+# (semi-automatic approval, transactional rollback, the designer) that
+# no daemon runs. About 1 s for all of them.
+echo "== examples: build and run each"
+for ex in examples/*/; do
+	echo "-- $ex"
+	go run "./$ex" >/dev/null
+done
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -113,7 +123,7 @@ echo "== fuzz: closed-form leftmost maximum vs sampled union vs interpreter, 10 
 go test ./internal/fuzzy -run '^$' -fuzz FuzzInferDifferential -fuzztime 10s
 
 # A candidate's score memo must be exact under any sequence of archive
-# appends, reservation churn, rule swaps and shadow selections. The
+# appends, protection churn, rule swaps and shadow selections. The
 # loop's inputs are long, and minimizing one new input at the default
 # 60 s would spend the whole budget: minimization stops at 100 runs.
 echo "== fuzz: memoised server selection vs the full scan, 10 s"
