@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -166,26 +165,15 @@ func BenchmarkFigure17FIFM(b *testing.B) {
 // maximum relative user population per scenario (paper: 100 % static,
 // 115 % constrained mobility, 135 % full mobility). The sweep points
 // run on the parallel sweep engine with one worker per core; results
-// are byte-identical to the sequential sweep (see
-// BenchmarkTable07MaxUsersSequential for the A/B reference).
+// are byte-identical to the sequential sweep (GOMAXPROCS=1 runs it).
 func BenchmarkTable07MaxUsers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table7(experiments.Table7Options{Workers: runtime.GOMAXPROCS(0)})
+		r, err := experiments.Table7(experiments.Table7Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			printOnce(b, r)
-		}
-	}
-}
-
-// BenchmarkTable07MaxUsersSequential is the single-worker reference for
-// BenchmarkTable07MaxUsers: identical output, no parallelism.
-func BenchmarkTable07MaxUsersSequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table7(experiments.Table7Options{}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -196,23 +184,12 @@ func BenchmarkTable07MaxUsersSequential(b *testing.B) {
 // grid, so it stays saturated across seed boundaries.
 func BenchmarkTable07Stability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table7Stability([]uint64{1, 2, 3},
-			experiments.Table7Options{Workers: runtime.GOMAXPROCS(0)})
+		r, err := experiments.Table7Stability([]uint64{1, 2, 3}, experiments.Table7Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			printOnce(b, r)
-		}
-	}
-}
-
-// BenchmarkTable07StabilitySequential is the single-worker reference
-// for BenchmarkTable07Stability.
-func BenchmarkTable07StabilitySequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table7Stability([]uint64{1, 2, 3}, experiments.Table7Options{}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

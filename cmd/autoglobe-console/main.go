@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"autoglobe/internal/console"
 	"autoglobe/internal/service"
@@ -30,7 +29,7 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := parseScenario(*scenario)
+	m, err := service.ParseMobility(*scenario)
 	if err != nil {
 		fatal(err)
 	}
@@ -65,18 +64,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-}
-
-func parseScenario(s string) (service.Mobility, error) {
-	switch strings.ToLower(s) {
-	case "static":
-		return service.Static, nil
-	case "cm", "constrained":
-		return service.ConstrainedMobility, nil
-	case "fm", "full":
-		return service.FullMobility, nil
-	}
-	return 0, fmt.Errorf("unknown scenario %q", s)
 }
 
 func fatal(err error) {

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -40,14 +39,13 @@ func main() {
 		landscape     = flag.String("landscape", "", "run a declarative XML landscape instead of the paper scenario")
 		explain       = flag.Bool("explain", false, "with -actions, print the rules behind each decision")
 		seeds         = flag.Int("seeds", 1, "with -table7, repeat the sweep for seeds 1..N")
-		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "with -table7, parallel simulator runs (1 = sequential; results are identical either way)")
 		dumpLandscape = flag.Bool("dump-landscape", false, "print the paper scenario as declarative XML and exit")
 	)
 	flag.Parse()
 
 	// Reject nonsensical parameters with a clear message before any
-	// work starts — a negative worker count or zero-hour run would
-	// otherwise surface as a confusing failure deep in the sweep engine.
+	// work starts — a zero-hour run would otherwise surface as a
+	// confusing failure deep in the sweep engine.
 	switch {
 	case *hours <= 0:
 		fatal(fmt.Errorf("-hours %d must be positive", *hours))
@@ -57,8 +55,6 @@ func main() {
 		fatal(fmt.Errorf("-failures %g must not be negative", *failures))
 	case *seeds < 1:
 		fatal(fmt.Errorf("-seeds %d must be at least 1", *seeds))
-	case *workers < 1:
-		fatal(fmt.Errorf("-workers %d must be at least 1", *workers))
 	case *explain && !*actions:
 		fatal(fmt.Errorf("-explain requires -actions"))
 	case *recordCSV != "" && *record == "":
@@ -68,7 +64,7 @@ func main() {
 	}
 
 	if *dumpLandscape {
-		m, err := parseScenario(*scenario)
+		m, err := service.ParseMobility(*scenario)
 		if err != nil {
 			fatal(err)
 		}
@@ -83,7 +79,7 @@ func main() {
 	}
 	if *table7 {
 		for s := uint64(1); s <= uint64(*seeds); s++ {
-			res, err := experiments.Table7(experiments.Table7Options{Hours: *hours, Seed: s, Workers: *workers})
+			res, err := experiments.Table7(experiments.Table7Options{Hours: *hours, Seed: s})
 			if err != nil {
 				fatal(err)
 			}
@@ -111,7 +107,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		m, err := parseScenario(*scenario)
+		m, err := service.ParseMobility(*scenario)
 		if err != nil {
 			fatal(err)
 		}
@@ -220,18 +216,6 @@ func writeSeriesCSV(path string, res *simulator.Result) error {
 	}
 	w.Flush()
 	return w.Error()
-}
-
-func parseScenario(s string) (service.Mobility, error) {
-	switch strings.ToLower(s) {
-	case "static":
-		return service.Static, nil
-	case "cm", "constrained":
-		return service.ConstrainedMobility, nil
-	case "fm", "full":
-		return service.FullMobility, nil
-	}
-	return 0, fmt.Errorf("unknown scenario %q (want static, cm or fm)", s)
 }
 
 // writeCSV emits minute, per-host loads, and the all-host average — the

@@ -64,8 +64,6 @@ type Coordinator struct {
 	tr   wire.Transport
 	live *monitor.Liveness
 
-	// ProbeTimeout bounds one liveness probe (default 1s).
-	ProbeTimeout time.Duration
 	// OnHello, when set, is invoked for every hello message (an agent
 	// joining the landscape); its error is returned to the agent.
 	OnHello func(wire.Hello) error
@@ -172,6 +170,9 @@ type watchReg struct {
 // must not grow without bound. Twice the 100,700-host round's ~265k.
 const maxSessionNames = 1 << 19
 
+// probeTimeout bounds one liveness probe.
+const probeTimeout = time.Second
+
 // instName is one instance entry of the session dictionary.
 type instName struct{ id, service string }
 
@@ -241,17 +242,16 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		live = monitor.NewLivenessHysteresis(2, 2, 2)
 	}
 	c := &Coordinator{
-		node:         node,
-		dep:          dep,
-		lms:          lms,
-		tr:           tr,
-		live:         live,
-		ProbeTimeout: time.Second,
-		dictCap:      maxSessionNames,
-		hosts:        make(map[string]*hostSlot),
-		instIdx:      make(map[instName]uint32),
-		insts:        make(map[string]*instSlot),
-		svcIndex:     make(map[string]*svcSlot),
+		node:     node,
+		dep:      dep,
+		lms:      lms,
+		tr:       tr,
+		live:     live,
+		dictCap:  maxSessionNames,
+		hosts:    make(map[string]*hostSlot),
+		instIdx:  make(map[instName]uint32),
+		insts:    make(map[string]*instSlot),
+		svcIndex: make(map[string]*svcSlot),
 	}
 	c.resetFloor() // over a restored archive, never observe below it
 	for c.session == 0 {
@@ -979,7 +979,7 @@ func (c *Coordinator) RecycleTriggers(trs []*monitor.Trigger) {
 // is degraded, not dead.
 func (c *Coordinator) CheckLiveness(ctx context.Context, minute int) (dead, recovered []string) {
 	for _, host := range append(c.live.Silent(minute), c.live.Down()...) {
-		probeCtx, cancel := context.WithTimeout(ctx, c.ProbeTimeout)
+		probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
 		reply, err := c.tr.Call(probeCtx, host,
 			wire.ProbeEnvelope(c.node, host, wire.Probe{Host: host, Minute: minute}))
 		cancel()

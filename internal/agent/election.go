@@ -25,7 +25,7 @@ const (
 	// dispatch actions and beacon lease renewals.
 	RoleLeader
 	// RoleDown members are crashed processes: transport endpoint gone.
-	// They rejoin as standbys after RestartAfter minutes.
+	// They rejoin as standbys after DefaultRestartAfter minutes.
 	RoleDown
 )
 
@@ -46,9 +46,6 @@ type ElectionConfig struct {
 	// A leader silent for TTL consecutive minutes is presumed dead and
 	// the first live standby (in member order) takes over.
 	TTL int
-	// RestartAfter is how many minutes a killed member stays down
-	// before rejoining as a standby (0: DefaultRestartAfter).
-	RestartAfter int
 }
 
 // electionMember is one coordinator of the group: the founding leader
@@ -102,9 +99,8 @@ func (m *electionMember) getRole() memberRole {
 // WHICH standby moves (Tick scans in order and the first expired
 // standby wins — a deterministic single winner with no quorum round).
 type Election struct {
-	p            *Plane
-	restartAfter int
-	metrics      *electionMetrics
+	p       *Plane
+	metrics *electionMetrics
 
 	mu        sync.Mutex
 	members   []*electionMember
@@ -129,11 +125,7 @@ func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("agent: a coordinator group needs at least one standby")
 	}
-	restart := cfg.RestartAfter
-	if restart <= 0 {
-		restart = DefaultRestartAfter
-	}
-	e := &Election{p: p, restartAfter: restart}
+	e := &Election{p: p}
 	lead := &electionMember{
 		node:      p.coord.Node(),
 		coord:     p.coord,
@@ -273,7 +265,7 @@ func (e *Election) Tick(ctx context.Context, minute int) error {
 	defer e.mu.Unlock()
 	for _, m := range e.members {
 		m.mu.Lock()
-		due := m.role == RoleDown && minute-m.downAt >= e.restartAfter
+		due := m.role == RoleDown && minute-m.downAt >= DefaultRestartAfter
 		m.mu.Unlock()
 		if due {
 			if err := e.restartLocked(m, minute); err != nil {
@@ -423,7 +415,7 @@ func (e *Election) restartLocked(m *electionMember, minute int) error {
 // The kill is skipped (false) when no live standby could take over —
 // the group would otherwise be permanently headless — or when the
 // group is already leaderless. The member rejoins as a standby after
-// RestartAfter minutes.
+// DefaultRestartAfter minutes.
 func (e *Election) KillLeader(minute int) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -567,7 +567,7 @@ func TestSuccessorServesRuleAdmin(t *testing.T) {
 }
 
 // TestKillLeaderOverHTTP: a killed leader goes quiet on a real network
-// too — a heartbeat to it fails — and after RestartAfter minutes its
+// too — a heartbeat to it fails — and after DefaultRestartAfter minutes its
 // member listens again and answers.
 func TestKillLeaderOverHTTP(t *testing.T) {
 	dep := testDeployment(t)
@@ -585,7 +585,7 @@ func TestKillLeaderOverHTTP(t *testing.T) {
 	if _, _, err := p.AttachJournal(ctx, t.TempDir(), journal.Options{NoSync: true}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := p.AttachStandbys(1, ElectionConfig{RestartAfter: 2})
+	e, err := p.AttachStandbys(1, ElectionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,11 +608,11 @@ func TestKillLeaderOverHTTP(t *testing.T) {
 	if err := call(wire.HeartbeatEnvelope("h1", dead, wire.Heartbeat{Host: "h1", Minute: 2, CPU: 0.4, Mem: 0.3})); err == nil {
 		t.Fatal("the killed leader still takes heartbeats")
 	}
-	for m := 2; m < 5; m++ {
+	for m := 2; m <= 2+DefaultRestartAfter; m++ {
 		electionMinute(t, p, e, m)
 	}
 	if roles := e.Members(); roles[dead] != "standby" {
-		t.Fatalf("killed leader is %q after RestartAfter, want standby (roles %v)", roles[dead], roles)
+		t.Fatalf("killed leader is %q after DefaultRestartAfter, want standby (roles %v)", roles[dead], roles)
 	}
 	if err := call(probe()); err != nil {
 		t.Fatalf("the restarted member does not answer: %v", err)

@@ -122,18 +122,12 @@ type DispatchExecutor struct {
 	dep   *service.Deployment
 	inner controller.Executor
 	disp  *Dispatcher
-
-	// Context bounds every dispatch (default context.Background()).
-	Context context.Context
-	// Audit, when set, observes every dispatched step and compensation,
-	// feeding the transaction audit trail of network side effects.
-	Audit func(txn.StepEvent)
 }
 
 // NewDispatchExecutor wraps inner so decisions are dispatched through
 // the given dispatcher before being applied.
 func NewDispatchExecutor(dep *service.Deployment, inner controller.Executor, disp *Dispatcher) *DispatchExecutor {
-	return &DispatchExecutor{dep: dep, inner: inner, disp: disp, Context: context.Background()}
+	return &DispatchExecutor{dep: dep, inner: inner, disp: disp}
 }
 
 // Execute implements controller.Executor.
@@ -152,11 +146,7 @@ func (e *DispatchExecutor) Execute(d *controller.Decision) error {
 	// verbatim.
 	if err := e.inner.Execute(d); err != nil {
 		for i := len(ops) - 1; i >= 0; i-- {
-			uerr := e.dispatch(ops[i].Undo, true)
-			if e.Audit != nil {
-				e.Audit(txn.StepEvent{Step: ops[i].Name, Compensation: true, Err: uerr})
-			}
-			if uerr != nil {
+			if uerr := e.dispatch(ops[i].Undo, true); uerr != nil {
 				return &txn.RollbackError{Cause: err, FailedUndo: ops[i].Name, UndoErr: uerr}
 			}
 		}
@@ -169,9 +159,6 @@ func (e *DispatchExecutor) Execute(d *controller.Decision) error {
 // transaction: the first failure rolls the completed prefix back.
 func (e *DispatchExecutor) runSerial(ops []OpPair) error {
 	t := &txn.Transaction{}
-	if e.Audit != nil {
-		t.Observe(e.Audit)
-	}
 	for i := range ops {
 		p := ops[i]
 		t.Add(p.Name,
@@ -185,10 +172,6 @@ func (e *DispatchExecutor) runSerial(ops []OpPair) error {
 // dispatch sends one operation and folds its outcome to an error. The
 // compensation flag marks Undo dispatches in metrics and traces.
 func (e *DispatchExecutor) dispatch(req wire.ActionRequest, compensation bool) error {
-	ctx := e.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	_, err := e.disp.do(ctx, req, compensation)
+	_, err := e.disp.do(context.Background(), req, compensation)
 	return err
 }

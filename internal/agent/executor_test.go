@@ -2,13 +2,11 @@ package agent
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"autoglobe/internal/controller"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/service"
-	"autoglobe/internal/txn"
 	"autoglobe/internal/wire"
 )
 
@@ -82,9 +80,6 @@ func TestDispatchExecutorMove(t *testing.T) {
 // and the model exactly as before.
 func TestDispatchExecutorCompensatesPartialMove(t *testing.T) {
 	dep, _, p, exec := plumb(t)
-	var audit []txn.StepEvent
-	exec.Audit = func(e txn.StepEvent) { audit = append(audit, e) }
-
 	id := dep.InstancesOn("h1")[0].ID
 	agentOf(t, p, "h3").FailNext(wire.OpBind, "bind script failed: no free service IP slot")
 
@@ -108,20 +103,6 @@ func TestDispatchExecutorCompensatesPartialMove(t *testing.T) {
 	}
 	if inst, _ := dep.Instance(id); inst.Host != "h1" {
 		t.Fatalf("model host = %s, want h1 (unchanged)", inst.Host)
-	}
-	// The audit trail shows the failed bind and the compensating
-	// re-bind of the unbind step.
-	var sawFailedBind, sawCompensation bool
-	for _, e := range audit {
-		if strings.HasPrefix(e.Step, "bind ") && !e.Compensation && e.Err != nil {
-			sawFailedBind = true
-		}
-		if strings.HasPrefix(e.Step, "unbind ") && e.Compensation && e.Err == nil {
-			sawCompensation = true
-		}
-	}
-	if !sawFailedBind || !sawCompensation {
-		t.Fatalf("audit trail missing failed bind or compensation: %+v", audit)
 	}
 }
 

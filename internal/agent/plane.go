@@ -22,9 +22,6 @@ type PlaneConfig struct {
 	Transport wire.Transport
 	// Dispatch tunes the action dispatcher.
 	Dispatch DispatchConfig
-	// Liveness is the host liveness detector (nil: hysteresis detector
-	// with timeout 2, dead after 2, alive after 2).
-	Liveness *monitor.Liveness
 }
 
 // HeartbeatTimeout bounds one in-process heartbeat delivery.
@@ -82,7 +79,7 @@ func newCoordinatorPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("agent: plane needs a transport")
 	}
-	coord, err := NewCoordinator(CoordinatorNode, dep, lms, cfg.Transport, cfg.Liveness)
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, cfg.Transport, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -125,8 +125,7 @@ func TestDeadHostDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := monitor.NewLivenessHysteresis(1, 2, 2)
-	p, err := NewPlane(PlaneConfig{Transport: tr, Dispatch: fastDispatch(), Liveness: live}, dep, lms)
+	p, err := NewPlane(PlaneConfig{Transport: tr, Dispatch: fastDispatch()}, dep, lms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -485,7 +485,7 @@ func TestSessionFollowsLeaseRedirect(t *testing.T) {
 	if _, _, err := p.AttachJournal(context.Background(), t.TempDir(), journal.Options{NoSync: true}); err != nil {
 		t.Fatal(err)
 	}
-	e, err := p.AttachStandbys(1, ElectionConfig{RestartAfter: 2})
+	e, err := p.AttachStandbys(1, ElectionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

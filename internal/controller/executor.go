@@ -34,7 +34,7 @@ type DeploymentExecutor struct {
 
 	// PostStep, when set, runs as the final transactional step of every
 	// decision; its failure rolls the whole action back. Integrations
-	// (e.g. mirroring service-IP bindings into a federation) hook here.
+	// (e.g. pushing a service-IP binding to the binding layer) hook here.
 	PostStep func(*Decision) error
 }
 

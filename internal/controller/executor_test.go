@@ -70,7 +70,7 @@ func TestRebalanceWeightsByPerformance(t *testing.T) {
 }
 
 // TestPostStepFailureRollsBack: when the final transactional step fails
-// (e.g. a federation rebind), the whole action is compensated and the
+// (e.g. a service-IP rebind), the whole action is compensated and the
 // landscape is exactly as before.
 func TestPostStepFailureRollsBack(t *testing.T) {
 	tb, i1, i2 := executorWorld(t, RebalanceUsers)

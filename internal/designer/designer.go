@@ -17,7 +17,6 @@ package designer
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"autoglobe/internal/cluster"
@@ -40,8 +39,6 @@ type Plan struct {
 	// Assignments maps each service to the hosts chosen for its
 	// instances, in placement order.
 	Assignments map[string][]string
-	// HostLoad is the projected peak relative load per host.
-	HostLoad map[string]float64
 	// Makespan is the highest projected relative load.
 	Makespan float64
 }
@@ -84,7 +81,7 @@ func Design(cl *cluster.Cluster, cat *service.Catalog, demands []Demand) (*Plan,
 	memUsed := make(map[string]int)
 	hasService := make(map[string]map[string]bool) // host -> services
 	exclusiveHost := make(map[string]bool)
-	plan := &Plan{Assignments: make(map[string][]string), HostLoad: load}
+	plan := &Plan{Assignments: make(map[string][]string)}
 
 	for _, w := range work {
 		bestHost := ""
@@ -131,131 +128,6 @@ func Design(cl *cluster.Cluster, cat *service.Catalog, demands []Demand) (*Plan,
 		}
 	}
 	return plan, nil
-}
-
-// Refine improves a plan by local search: it repeatedly tries to
-// relocate one instance from the most loaded host to any feasible host
-// that lowers the makespan, until no single relocation helps or
-// maxMoves relocations were applied. LPT plus this descent typically
-// lands within a few percent of the optimum on landscape-sized inputs.
-func Refine(cl *cluster.Cluster, cat *service.Catalog, demands []Demand, plan *Plan, maxMoves int) (*Plan, error) {
-	// Rebuild the placement bookkeeping from the plan.
-	unitsOf := make(map[string]float64) // service -> per-instance units (incl. base)
-	for _, d := range demands {
-		svc, ok := cat.Get(d.Service)
-		if !ok {
-			return nil, fmt.Errorf("designer: unknown service %q", d.Service)
-		}
-		unitsOf[d.Service] = d.UnitsPerInstance + svc.BaseLoad
-	}
-	type placement struct {
-		svc  *service.Service
-		host string
-		slot int // index into plan.Assignments[svc]
-	}
-	var placements []placement
-	load := make(map[string]float64)
-	memUsed := make(map[string]int)
-	hasService := make(map[string]map[string]bool)
-	exclusiveHost := make(map[string]bool)
-	for svcName, hosts := range plan.Assignments {
-		svc, ok := cat.Get(svcName)
-		if !ok {
-			return nil, fmt.Errorf("designer: plan references unknown service %q", svcName)
-		}
-		for slot, hostName := range hosts {
-			h, ok := cl.Host(hostName)
-			if !ok {
-				return nil, fmt.Errorf("designer: plan references unknown host %q", hostName)
-			}
-			placements = append(placements, placement{svc: svc, host: hostName, slot: slot})
-			load[hostName] += unitsOf[svcName] / h.PerformanceIndex
-			memUsed[hostName] += svc.MemoryMBPerInstance
-			if hasService[hostName] == nil {
-				hasService[hostName] = make(map[string]bool)
-			}
-			hasService[hostName][svcName] = true
-			if svc.Exclusive {
-				exclusiveHost[hostName] = true
-			}
-		}
-	}
-	sort.Slice(placements, func(i, j int) bool {
-		if placements[i].svc.Name != placements[j].svc.Name {
-			return placements[i].svc.Name < placements[j].svc.Name
-		}
-		return placements[i].slot < placements[j].slot
-	})
-
-	makespan := func() (string, float64) {
-		worstHost, worst := "", 0.0
-		for h, v := range load {
-			if v > worst || worstHost == "" {
-				worstHost, worst = h, v
-			}
-		}
-		return worstHost, worst
-	}
-
-	for move := 0; move < maxMoves; move++ {
-		worstHost, worst := makespan()
-		improved := false
-		for i := range placements {
-			p := &placements[i]
-			if p.host != worstHost || p.svc.Exclusive {
-				continue
-			}
-			units := unitsOf[p.svc.Name]
-			for _, h := range cl.Hosts() {
-				if h.Name == p.host || exclusiveHost[h.Name] || hasService[h.Name][p.svc.Name] {
-					continue
-				}
-				if !p.svc.CanRunOn(h) {
-					continue
-				}
-				if memUsed[h.Name]+p.svc.MemoryMBPerInstance > h.MemoryMB {
-					continue
-				}
-				newSrc := load[p.host] - units/mustPI(cl, p.host)
-				newDst := load[h.Name] + units/h.PerformanceIndex
-				if math.Max(newSrc, newDst) >= worst {
-					continue
-				}
-				// Apply the relocation.
-				delete(hasService[p.host], p.svc.Name)
-				memUsed[p.host] -= p.svc.MemoryMBPerInstance
-				load[p.host] = newSrc
-				if hasService[h.Name] == nil {
-					hasService[h.Name] = make(map[string]bool)
-				}
-				hasService[h.Name][p.svc.Name] = true
-				memUsed[h.Name] += p.svc.MemoryMBPerInstance
-				load[h.Name] = newDst
-				plan.Assignments[p.svc.Name][p.slot] = h.Name
-				p.host = h.Name
-				improved = true
-				break
-			}
-			if improved {
-				break
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-
-	out := &Plan{Assignments: plan.Assignments, HostLoad: load}
-	_, out.Makespan = makespan()
-	return out, nil
-}
-
-func mustPI(cl *cluster.Cluster, host string) float64 {
-	h, ok := cl.Host(host)
-	if !ok {
-		return 1
-	}
-	return h.PerformanceIndex
 }
 
 // Apply starts the planned instances on a fresh deployment.

@@ -114,68 +114,6 @@ func TestDesignErrors(t *testing.T) {
 	}
 }
 
-// TestRefineImprovesUnbalancedPlan: local search relocates instances
-// off the most loaded host until the makespan cannot improve.
-func TestRefineImprovesUnbalancedPlan(t *testing.T) {
-	cl := cluster.MustNew(mk("a", 1, 8192), mk("b", 1, 8192), mk("c", 1, 8192))
-	cat := service.MustCatalog(
-		&service.Service{Name: "s1", Type: service.TypeInteractive, MemoryMBPerInstance: 1024},
-		&service.Service{Name: "s2", Type: service.TypeInteractive, MemoryMBPerInstance: 1024},
-		&service.Service{Name: "s3", Type: service.TypeInteractive, MemoryMBPerInstance: 1024},
-	)
-	demands := []Demand{
-		{Service: "s1", Instances: 1, UnitsPerInstance: 0.3},
-		{Service: "s2", Instances: 1, UnitsPerInstance: 0.3},
-		{Service: "s3", Instances: 1, UnitsPerInstance: 0.3},
-	}
-	// A deliberately terrible plan: everything on host a.
-	bad := &Plan{Assignments: map[string][]string{
-		"s1": {"a"}, "s2": {"a"}, "s3": {"a"},
-	}}
-	refined, err := Refine(cl, cat, demands, bad, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Makespan > 0.35 {
-		t.Errorf("refined makespan = %.2f, want ~0.3 (one service per host)\n%v",
-			refined.Makespan, refined.Assignments)
-	}
-	hosts := map[string]bool{}
-	for _, hs := range refined.Assignments {
-		for _, h := range hs {
-			hosts[h] = true
-		}
-	}
-	if len(hosts) != 3 {
-		t.Errorf("refined plan uses %d hosts, want 3", len(hosts))
-	}
-}
-
-// TestRefineRespectsConstraints: refinement never moves onto an
-// exclusive host or violates memory/min-PI.
-func TestRefineRespectsConstraints(t *testing.T) {
-	cl := cluster.MustNew(mk("small", 1, 2048), mk("big", 9, 16384))
-	cat := service.MustCatalog(
-		&service.Service{Name: "db", Type: service.TypeDatabase, Exclusive: true,
-			MinPerfIndex: 5, MemoryMBPerInstance: 8192},
-		&service.Service{Name: "app", Type: service.TypeInteractive, MemoryMBPerInstance: 1024},
-	)
-	demands := []Demand{
-		{Service: "db", Instances: 1, UnitsPerInstance: 2},
-		{Service: "app", Instances: 1, UnitsPerInstance: 0.9},
-	}
-	plan := &Plan{Assignments: map[string][]string{"db": {"big"}, "app": {"small"}}}
-	refined, err := Refine(cl, cat, demands, plan, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// app is on the worst host (0.95 vs 0.25) but big is exclusive: it
-	// must stay put.
-	if got := refined.Assignments["app"][0]; got != "small" {
-		t.Errorf("app relocated onto exclusive host: %s", got)
-	}
-}
-
 // TestDesignPaperLandscape plans the paper's full installation from its
 // peak demands and checks the plan is feasible and balanced well below
 // the overload level.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"autoglobe/internal/controller"
@@ -48,7 +49,7 @@ func ablate(name string, hours int, variants []struct {
 }) (AblationResult, error) {
 	res := AblationResult{Name: name}
 	rows := make([]AblationRow, len(variants))
-	err := forEachIndex(resolveWorkers(-1), len(variants), func(i int) error {
+	err := forEachIndex(runtime.GOMAXPROCS(0), len(variants), func(i int) error {
 		v := variants[i]
 		cfg := simulator.PaperConfig(service.FullMobility, 1.25)
 		cfg.Hours = hours

@@ -135,7 +135,7 @@ func TestTable7Headline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full Table 7 sweep is too slow under the race detector")
 	}
-	r, err := Table7(Table7Options{Workers: -1})
+	r, err := Table7(Table7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

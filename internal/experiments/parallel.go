@@ -13,24 +13,9 @@
 package experiments
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// resolveWorkers maps a Workers knob value to a concrete pool size:
-// 0 or 1 mean sequential (the backwards-compatible default), negative
-// means one worker per core (GOMAXPROCS), anything else is taken as is.
-func resolveWorkers(w int) int {
-	switch {
-	case w < 0:
-		return runtime.GOMAXPROCS(0)
-	case w == 0:
-		return 1
-	default:
-		return w
-	}
-}
 
 // forEachIndex runs job(0..n-1) across a pool of workers goroutines and
 // returns the first error by index. Jobs are dispatched in index order,

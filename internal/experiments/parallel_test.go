@@ -4,25 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync/atomic"
 	"testing"
-)
 
-func TestResolveWorkers(t *testing.T) {
-	if got := resolveWorkers(0); got != 1 {
-		t.Errorf("resolveWorkers(0) = %d, want 1", got)
-	}
-	if got := resolveWorkers(1); got != 1 {
-		t.Errorf("resolveWorkers(1) = %d, want 1", got)
-	}
-	if got := resolveWorkers(7); got != 7 {
-		t.Errorf("resolveWorkers(7) = %d, want 7", got)
-	}
-	if got := resolveWorkers(-1); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("resolveWorkers(-1) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-}
+	"autoglobe/internal/service"
+)
 
 func TestForEachIndexRunsAllJobs(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
@@ -110,32 +96,30 @@ func TestSweepCut(t *testing.T) {
 	}
 }
 
-// TestTable7ParallelDeterminism is the ISSUE's determinism guarantee:
-// the parallel sweep must be byte-identical to the sequential sweep,
-// across several seeds.
+// TestTable7ParallelDeterminism is the sweep engine's determinism
+// guarantee: the grid on eight workers assembles, seed by seed, exactly
+// what the one-worker grid — the plain sequential loop — does.
 func TestTable7ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep in -short mode")
 	}
-	opts := Table7Options{Hours: 24, From: 100, To: 110}
-	for _, seed := range []uint64{1, 2, 3} {
-		opts.Seed = seed
-		opts.Workers = 0
-		seq, err := Table7(opts)
-		if err != nil {
-			t.Fatalf("seed %d sequential: %v", seed, err)
+	seeds := []uint64{1, 2, 3}
+	opts := Table7Options{Hours: 24, From: 100, To: 110}.withDefaults()
+	seq, err := table7Grid(opts, seeds, 1)
+	if err != nil {
+		t.Fatalf("one worker: %v", err)
+	}
+	par, err := table7Grid(opts, seeds, 8)
+	if err != nil {
+		t.Fatalf("eight workers: %v", err)
+	}
+	for i, seed := range seeds {
+		if !reflect.DeepEqual(seq[i], par[i]) {
+			t.Errorf("seed %d: parallel result differs from sequential\nseq: %+v\npar: %+v", seed, seq[i], par[i])
 		}
-		opts.Workers = 8
-		par, err := Table7(opts)
-		if err != nil {
-			t.Fatalf("seed %d parallel: %v", seed, err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("seed %d: parallel result differs from sequential\nseq: %+v\npar: %+v", seed, seq, par)
-		}
-		if seq.String() != par.String() {
+		if seq[i].String() != par[i].String() {
 			t.Errorf("seed %d: parallel rendering differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				seed, seq, par)
+				seed, seq[i], par[i])
 		}
 	}
 }
@@ -148,36 +132,22 @@ func TestTable7StabilityParallelDeterminism(t *testing.T) {
 	}
 	seeds := []uint64{1, 2, 3}
 	opts := Table7Options{Hours: 24, From: 100, To: 105}
-	seq, err := Table7Stability(seeds, opts)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	opts.Workers = 8
 	par, err := Table7Stability(seeds, opts)
 	if err != nil {
-		t.Fatalf("parallel: %v", err)
+		t.Fatalf("shared grid: %v", err)
+	}
+	seq := &StabilityResult{Seeds: seeds, Ceilings: make(map[uint64]map[service.Mobility]int)}
+	for _, s := range seeds {
+		res, err := table7Grid(opts.withDefaults(), []uint64{s}, 1)
+		if err != nil {
+			t.Fatalf("seed %d sequential: %v", s, err)
+		}
+		seq.Ceilings[s] = res[0].MaxUsers
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("parallel stability differs from sequential\nseq: %+v\npar: %+v", seq, par)
 	}
 	if seq.String() != par.String() {
 		t.Errorf("parallel rendering differs\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
-	}
-}
-
-// TestTable7WorkersNegative checks the GOMAXPROCS convention end to end.
-func TestTable7WorkersNegative(t *testing.T) {
-	opts := Table7Options{Hours: 24, From: 100, To: 100, Workers: -1}
-	par, err := Table7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 0
-	seq, err := Table7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("Workers: -1 differs from sequential\nseq: %+v\npar: %+v", seq, par)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"autoglobe/internal/service"
@@ -37,7 +38,7 @@ func CompareSLA(multiplier, maxDegraded float64, hours int) (*SLAComparison, err
 	// sequential loop.
 	scenarios := []service.Mobility{service.Static, service.ConstrainedMobility, service.FullMobility}
 	reports := make([]*sla.Report, len(scenarios))
-	err := forEachIndex(resolveWorkers(-1), len(scenarios), func(i int) error {
+	err := forEachIndex(runtime.GOMAXPROCS(0), len(scenarios), func(i int) error {
 		cfg := simulator.PaperConfig(scenarios[i], multiplier)
 		cfg.Hours = hours
 		sim, err := simulator.New(cfg)

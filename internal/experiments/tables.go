@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -140,12 +141,6 @@ type Table7Options struct {
 	Budget   float64 // overload minutes/day budget (default simulator.DefaultOverloadBudget)
 	Streak   int     // continuous overload budget (default simulator.DefaultStreakBudget)
 	Seed     uint64  // noise seed (default 1, the paper-reproduction seed)
-	// Workers bounds the parallel sweep engine's pool: 0 or 1 run the
-	// sweep sequentially, n > 1 fans the independent (scenario, percent)
-	// simulator runs out over n goroutines, and any negative value uses
-	// one worker per core (GOMAXPROCS). Results are byte-identical to
-	// the sequential sweep for every setting.
-	Workers int
 }
 
 func (o Table7Options) withDefaults() Table7Options {
@@ -306,41 +301,34 @@ func assembleTable7(opts Table7Options, seed uint64, points map[sweepKey]Table7P
 	return res
 }
 
-// Table7 sweeps the user multiplier for all three scenarios, increasing
-// the population in 5 % steps "until the system becomes overloaded",
-// and reports the maximum each scenario handles. With Workers > 1 the
-// independent sweep points run on the parallel sweep engine; the result
-// is byte-identical to the sequential sweep.
-func Table7(opts Table7Options) (*Table7Result, error) {
-	opts = opts.withDefaults()
-	workers := resolveWorkers(opts.Workers)
-	if workers <= 1 {
-		// Sequential reference path: run exactly the points the paper's
-		// protocol visits, in order.
-		res := &Table7Result{MaxUsers: make(map[service.Mobility]int)}
-		for _, m := range table7Scenarios {
-			maxOK := 0
-			for pct := opts.From; pct <= opts.To; pct += opts.Step {
-				p, err := runTable7Point(opts, opts.Seed, m, pct)
-				if err != nil {
-					return nil, err
-				}
-				res.Detail = append(res.Detail, p)
-				if p.Overloaded {
-					break
-				}
-				maxOK = pct
-			}
-			res.MaxUsers[m] = maxOK
-		}
-		return res, nil
-	}
-	jobs, groups := sweepGridJobs(opts, []uint64{opts.Seed})
+// table7Grid runs the sweep grid of the seeds on workers goroutines and
+// assembles one Table 7 result per seed, in seed order. With one worker
+// the grid is the plain loop, so the result is the sequential sweep's.
+func table7Grid(opts Table7Options, seeds []uint64, workers int) ([]*Table7Result, error) {
+	jobs, groups := sweepGridJobs(opts, seeds)
 	points, err := runSweepGrid(opts, jobs, groups, workers)
 	if err != nil {
 		return nil, err
 	}
-	return assembleTable7(opts, opts.Seed, points), nil
+	out := make([]*Table7Result, len(seeds))
+	for i, s := range seeds {
+		out[i] = assembleTable7(opts, s, points)
+	}
+	return out, nil
+}
+
+// Table7 sweeps the user multiplier for all three scenarios, increasing
+// the population in 5 % steps "until the system becomes overloaded",
+// and reports the maximum each scenario handles. The independent sweep
+// points run on one worker per core (GOMAXPROCS bounds it); the result
+// is byte-identical to the sequential sweep.
+func Table7(opts Table7Options) (*Table7Result, error) {
+	opts = opts.withDefaults()
+	res, err := table7Grid(opts, []uint64{opts.Seed}, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // StabilityResult holds Table 7 ceilings across noise seeds, the
@@ -350,33 +338,18 @@ type StabilityResult struct {
 	Ceilings map[uint64]map[service.Mobility]int
 }
 
-// Table7Stability repeats the Table 7 sweep for several seeds. With
-// Workers > 1 one shared worker pool spans the whole (seed, scenario,
-// percent) grid, so the pool stays saturated across seed boundaries;
-// per-seed ceilings are byte-identical to sequential ones.
+// Table7Stability repeats the Table 7 sweep for several seeds. One
+// shared worker pool spans the whole (seed, scenario, percent) grid, so
+// the pool stays saturated across seed boundaries; per-seed ceilings are
+// byte-identical to sequential ones.
 func Table7Stability(seeds []uint64, opts Table7Options) (*StabilityResult, error) {
-	out := &StabilityResult{Seeds: seeds, Ceilings: make(map[uint64]map[service.Mobility]int)}
-	o := opts.withDefaults()
-	workers := resolveWorkers(o.Workers)
-	if workers <= 1 {
-		for _, s := range seeds {
-			so := opts
-			so.Seed = s
-			res, err := Table7(so)
-			if err != nil {
-				return nil, err
-			}
-			out.Ceilings[s] = res.MaxUsers
-		}
-		return out, nil
-	}
-	jobs, groups := sweepGridJobs(o, seeds)
-	points, err := runSweepGrid(o, jobs, groups, workers)
+	res, err := table7Grid(opts.withDefaults(), seeds, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range seeds {
-		out.Ceilings[s] = assembleTable7(o, s, points).MaxUsers
+	out := &StabilityResult{Seeds: seeds, Ceilings: make(map[uint64]map[service.Mobility]int)}
+	for i, s := range seeds {
+		out.Ceilings[s] = res[i].MaxUsers
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"strings"
 
 	"autoglobe/internal/cluster"
 )
@@ -39,6 +40,20 @@ func (m Mobility) String() string {
 		return "full mobility"
 	}
 	return "unknown"
+}
+
+// ParseMobility reads a scenario name as the command lines spell it:
+// static, cm or constrained, fm or full, in any case.
+func ParseMobility(s string) (Mobility, error) {
+	switch strings.ToLower(s) {
+	case "static":
+		return Static, nil
+	case "cm", "constrained":
+		return ConstrainedMobility, nil
+	case "fm", "full":
+		return FullMobility, nil
+	}
+	return 0, fmt.Errorf("service: unknown scenario %q (want static, cm or fm)", s)
 }
 
 func actions(as ...Action) map[Action]bool {

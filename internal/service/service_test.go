@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 
 	"autoglobe/internal/cluster"
@@ -198,5 +199,32 @@ func TestMobilityString(t *testing.T) {
 	if Static.String() != "static" || ConstrainedMobility.String() != "constrained mobility" ||
 		FullMobility.String() != "full mobility" || Mobility(42).String() != "unknown" {
 		t.Error("Mobility.String mismatch")
+	}
+}
+
+func TestParseMobility(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mobility
+	}{
+		{"static", Static}, {"STATIC", Static},
+		{"cm", ConstrainedMobility}, {"CM", ConstrainedMobility},
+		{"constrained", ConstrainedMobility}, {"Constrained", ConstrainedMobility},
+		{"fm", FullMobility}, {"Fm", FullMobility},
+		{"full", FullMobility}, {"FULL", FullMobility},
+	} {
+		if got, err := ParseMobility(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseMobility(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, in := range []string{"", "mobile", "full mobility", " fm"} {
+		_, err := ParseMobility(in)
+		if err == nil {
+			t.Errorf("ParseMobility(%q) accepted an unknown scenario", in)
+			continue
+		}
+		if want := fmt.Sprintf("service: unknown scenario %q (want static, cm or fm)", in); err.Error() != want {
+			t.Errorf("ParseMobility(%q) error = %q, want %q", in, err, want)
+		}
 	}
 }

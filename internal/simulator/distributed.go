@@ -41,16 +41,6 @@ type DistributedConfig struct {
 	// Dispatch tunes the action dispatcher (timeouts, retry budget,
 	// backoff). The zero value uses the dispatcher defaults.
 	Dispatch agent.DispatchConfig
-	// HeartbeatTimeoutMinutes is how long a host may stay silent before
-	// the coordinator probes it (default 2, the paper's heartbeat
-	// timeout).
-	HeartbeatTimeoutMinutes int
-	// DeadAfter is the number of consecutive missed probes before a
-	// silent host is declared dead and demoted (default 2).
-	DeadAfter int
-	// AliveAfter is the number of consecutive beats a demoted host must
-	// deliver before it is re-pooled (default 2).
-	AliveAfter int
 	// JournalDir, when non-empty, makes the coordinator crash-safe: a
 	// write-ahead action journal is opened (or recovered) there before
 	// the run starts, every dispatched action is journaled ahead of the
@@ -70,14 +60,6 @@ type DistributedConfig struct {
 	// LeaseTTL is the leadership lease time-to-live in minutes
 	// (0: lease.DefaultTTL).
 	LeaseTTL int
-}
-
-// or2 is the paper-scale default of the three liveness parameters.
-func or2(v int) int {
-	if v <= 0 {
-		return 2
-	}
-	return v
 }
 
 // Plane exposes the control plane of a distributed run (nil otherwise).

@@ -155,17 +155,16 @@ func TestDistributedHTTPByteIdentical(t *testing.T) {
 // TestDistributedPartitionDemotesAndRepools partitions a host mid-run:
 // its heartbeats and probes vanish, the hysteresis detector confirms it
 // dead, the host is demoted and its instance restarted elsewhere; when
-// the partition heals, answered probes re-pool the empty host.
+// the partition heals, answered probes re-pool the empty host. The
+// detector is the coordinator's paper-scale one (probe after 2 silent
+// minutes, dead after 2 missed probes, alive after 2 beats), so the
+// minutes are exact: isolated from minute 10, b1 is demoted at 13;
+// healed before minute 14, it is re-pooled at 15.
 func TestDistributedPartitionDemotesAndRepools(t *testing.T) {
 	lb := wire.NewLoopback()
 	defer lb.Close()
 	sim := declaredSim(t, func(c *Config) {
-		c.Distributed = &DistributedConfig{
-			Transport:               lb,
-			HeartbeatTimeoutMinutes: 1,
-			DeadAfter:               2,
-			AliveAfter:              2,
-		}
+		c.Distributed = &DistributedConfig{Transport: lb}
 	})
 
 	step := func(m int) {
@@ -186,8 +185,8 @@ func TestDistributedPartitionDemotesAndRepools(t *testing.T) {
 			demotedAt = minute
 		}
 	}
-	if demotedAt < 0 {
-		t.Fatal("partitioned host was never demoted")
+	if demotedAt != 13 {
+		t.Fatalf("partitioned host demoted at minute %d, want 13", demotedAt)
 	}
 	if _, ok := sim.Deployment().Cluster().Host("b1"); ok {
 		t.Fatal("demoted host still pooled")
@@ -207,14 +206,15 @@ func TestDistributedPartitionDemotesAndRepools(t *testing.T) {
 	}
 
 	lb.Heal("b1")
-	for repooledAt := -1; minute < 60 && repooledAt < 0; minute++ {
+	repooledAt := -1
+	for ; minute < 60 && repooledAt < 0; minute++ {
 		step(minute)
 		if sim.res.RepooledHosts > 0 {
 			repooledAt = minute
 		}
 	}
-	if sim.res.RepooledHosts != 1 {
-		t.Fatal("healed host was never re-pooled")
+	if sim.res.RepooledHosts != 1 || repooledAt != 15 {
+		t.Fatalf("healed host re-pooled %d times, at minute %d; want once, at 15", sim.res.RepooledHosts, repooledAt)
 	}
 	h, ok := sim.Deployment().Cluster().Host("b1")
 	if !ok {

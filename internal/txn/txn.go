@@ -13,14 +13,11 @@
 // reverse — the classic saga/compensation pattern.
 package txn
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Step is one unit of work within a transaction.
 type Step struct {
-	// Name identifies the step in error messages and the audit trail.
+	// Name identifies the step in error messages.
 	Name string
 	// Do performs the step.
 	Do func() error
@@ -33,35 +30,7 @@ type Step struct {
 // nothing, via compensation). The zero value is an empty, usable
 // transaction.
 type Transaction struct {
-	steps    []Step
-	done     int // number of completed steps (for tests and inspection)
-	observer func(StepEvent)
-}
-
-// StepEvent records one step execution for the audit trail: which step
-// ran (or was compensated) and how it ended. The distributed action
-// dispatcher observes these to log every network side effect of a
-// compound action.
-type StepEvent struct {
-	// Step is the step name.
-	Step string
-	// Compensation is true for an Undo execution during rollback.
-	Compensation bool
-	// Err is the step's outcome (nil on success).
-	Err error
-}
-
-// Observe registers a callback invoked after every Do and every Undo
-// with the step's outcome. It returns the transaction for chaining.
-func (t *Transaction) Observe(fn func(StepEvent)) *Transaction {
-	t.observer = fn
-	return t
-}
-
-func (t *Transaction) emit(step string, compensation bool, err error) {
-	if t.observer != nil {
-		t.observer(StepEvent{Step: step, Compensation: compensation, Err: err})
-	}
+	steps []Step
 }
 
 // Add appends a step and returns the transaction for chaining.
@@ -69,12 +38,6 @@ func (t *Transaction) Add(name string, do, undo func() error) *Transaction {
 	t.steps = append(t.steps, Step{Name: name, Do: do, Undo: undo})
 	return t
 }
-
-// Len returns the number of steps.
-func (t *Transaction) Len() int { return len(t.steps) }
-
-// Completed returns how many steps ran successfully in the last Run.
-func (t *Transaction) Completed() int { return t.done }
 
 // RollbackError reports a failed compensation: the landscape may be in
 // an inconsistent state and needs administrator attention.
@@ -129,15 +92,12 @@ func protect(name string, fn func() error) (err error) {
 // human. A panic in a Do or Undo is recovered into a *PanicError and
 // treated exactly like the corresponding step failure.
 func (t *Transaction) Run() error {
-	t.done = 0
 	for i, s := range t.steps {
 		if s.Do == nil {
 			return fmt.Errorf("txn: step %q has no Do", s.Name)
 		}
 		err := protect(s.Name, s.Do)
-		t.emit(s.Name, false, err)
 		if err == nil {
-			t.done++
 			continue
 		}
 		cause := fmt.Errorf("txn: step %q: %w", s.Name, err)
@@ -146,9 +106,7 @@ func (t *Transaction) Run() error {
 			if u.Undo == nil {
 				continue
 			}
-			uerr := protect(u.Name, u.Undo)
-			t.emit(u.Name, true, uerr)
-			if uerr != nil {
+			if uerr := protect(u.Name, u.Undo); uerr != nil {
 				return &RollbackError{Cause: cause, FailedUndo: u.Name, UndoErr: uerr}
 			}
 		}
@@ -156,6 +114,3 @@ func (t *Transaction) Run() error {
 	}
 	return nil
 }
-
-// ErrAborted can be returned from a Do to abort deliberately.
-var ErrAborted = errors.New("txn: aborted")

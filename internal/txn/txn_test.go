@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// errAborted is a deliberate step failure.
+var errAborted = errors.New("txn: aborted")
+
 func TestRunAllSucceed(t *testing.T) {
 	var log []string
 	tr := (&Transaction{}).
@@ -16,9 +19,6 @@ func TestRunAllSucceed(t *testing.T) {
 	}
 	if strings.Join(log, ",") != "a,b" {
 		t.Errorf("log = %v", log)
-	}
-	if tr.Completed() != 2 || tr.Len() != 2 {
-		t.Errorf("completed %d / len %d", tr.Completed(), tr.Len())
 	}
 }
 
@@ -38,9 +38,6 @@ func TestRunCompensatesInReverse(t *testing.T) {
 	}
 	if strings.Join(log, ",") != "a,b,undo-b,undo-a" {
 		t.Errorf("log = %v, want reverse compensation order", log)
-	}
-	if tr.Completed() != 2 {
-		t.Errorf("completed = %d, want 2", tr.Completed())
 	}
 }
 
@@ -83,16 +80,30 @@ func TestMissingDoRejected(t *testing.T) {
 	}
 }
 
+// TestRunResetsCompleted: every Run starts from an empty completed
+// prefix — a rerun executes each step again, and a failure in the rerun
+// compensates only what that run completed.
 func TestRunResetsCompleted(t *testing.T) {
-	n := 0
-	tr := (&Transaction{}).Add("a", func() error { n++; return nil }, nil)
-	tr.Run()
-	tr.Run()
-	if tr.Completed() != 1 {
-		t.Errorf("completed = %d after rerun, want 1", tr.Completed())
+	var log []string
+	fail := true
+	tr := (&Transaction{}).
+		Add("a", func() error { log = append(log, "a"); return nil }, func() error { log = append(log, "undo-a"); return nil }).
+		Add("b", func() error {
+			if fail {
+				return errors.New("b failed")
+			}
+			log = append(log, "b")
+			return nil
+		}, nil)
+	if err := tr.Run(); err == nil {
+		t.Fatal("first run succeeded despite b failing")
 	}
-	if n != 2 {
-		t.Errorf("step ran %d times, want 2", n)
+	fail = false
+	if err := tr.Run(); err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if got := strings.Join(log, ","); got != "a,undo-a,a,b" {
+		t.Errorf("log = %s, want a,undo-a,a,b", got)
 	}
 }
 
@@ -126,7 +137,7 @@ func TestPanicInDoCompensates(t *testing.T) {
 func TestPanicInUndoIsRollbackError(t *testing.T) {
 	tr := (&Transaction{}).
 		Add("a", func() error { return nil }, func() error { panic("undo kaboom") }).
-		Add("fail", func() error { return ErrAborted }, nil)
+		Add("fail", func() error { return errAborted }, nil)
 	err := tr.Run()
 	var re *RollbackError
 	if !errors.As(err, &re) {
@@ -136,7 +147,7 @@ func TestPanicInUndoIsRollbackError(t *testing.T) {
 	if !errors.As(re.UndoErr, &pe) || pe.Step != "a" {
 		t.Fatalf("UndoErr = %T %v, want *PanicError for step a", re.UndoErr, re.UndoErr)
 	}
-	if !errors.Is(err, ErrAborted) {
+	if !errors.Is(err, errAborted) {
 		t.Errorf("rollback error lost the original cause: %v", err)
 	}
 }

@@ -9,7 +9,7 @@
 # ratchet skip themselves under -race, so the second pass is the one in
 # which they assert; the ratchet fails when a line joins SURFACE.txt: an
 # exported name in internal/ without a non-test caller outside its
-# package, or an exported field nobody sets), the ingest and dispatch
+# package, or an exported field nobody sets or reads), the ingest and dispatch
 # concurrency tests — the session dictionary, the single ingest lock
 # that guards it with every pending beat, and journaled dispatch — and
 # the liveness handles beaten concurrently

@@ -19,7 +19,7 @@ import (
 
 // The surface check: every exported name in internal/ earns a caller
 // outside tests, and every exported field of an exported struct there
-// is set by someone. SURFACE.txt lists what does not, one
+// is set and read by someone. SURFACE.txt lists what does not, one
 // "class kind pkg.Name[.Member]" line each, sorted. A name's class is
 // the widest reach of the non-test code that uses it:
 //
@@ -32,6 +32,11 @@ import (
 // A field no non-test code writes is listed as "unset field". A write
 // is a keyed or unkeyed composite literal, an assignment, ++/--, or
 // &x.F; a struct with json: or xml: tags is written by its decoder.
+// A written field no non-test code reads is listed as "unread field".
+// A read is any selection of the field — a promoted access reads every
+// field on its path — except as the left side of a plain = assignment
+// (so x.F += v, x.F++ and &x.F read it); a struct with json: or xml:
+// tags is read by its encoder.
 // A method counts as used wherever its type is when the type needs it
 // to satisfy an interface declared in the module or in a standard
 // package the module imports (error, fmt.Stringer, wire.Transport, …),
@@ -70,7 +75,7 @@ func TestSurface(t *testing.T) {
 	}
 	if len(joined) > 0 {
 		t.Errorf("%d new %s lines: give each name a non-test caller outside its package, "+
-			"set the field, or delete it (SURFACE_UPDATE=1 rewrites the file if the change is deliberate):\n%s",
+			"set and read the field, or delete it (SURFACE_UPDATE=1 rewrites the file if the change is deliberate):\n%s",
 			len(joined), file, strings.Join(joined, "\n"))
 	}
 	if left := len(listed) + len(joined) - len(got); left > 0 {
@@ -88,6 +93,7 @@ func TestSurfaceFixture(t *testing.T) {
 		"none func lib.Unused",
 		"none method lib.Mode.Unused",
 		"self func lib.Helper",
+		"unread field lib.Opts.Unread",
 		"unset field lib.Opts.Unset",
 	}
 	if got := surface(t, "testdata/surface"); !slices.Equal(got, want) {
@@ -210,6 +216,7 @@ type surfaceName struct {
 	class      int
 	owner      *types.TypeName // a method's, field's or enum member's type
 	written    bool            // fields only
+	read       bool            // fields only
 }
 
 func classify(pkgs []*surfacePkg) []string {
@@ -277,7 +284,7 @@ func classify(pkgs []*surfacePkg) []string {
 				for i := 0; i < st.NumFields(); i++ {
 					if f := st.Field(i); f.Exported() {
 						member("field", f)
-						names[f].written = tagged
+						names[f].written, names[f].read = tagged, tagged
 					}
 				}
 			}
@@ -322,6 +329,15 @@ func classify(pkgs []*surfacePkg) []string {
 				sn.written = true
 			}
 		}
+		read := func(obj types.Object) {
+			if sn := names[origin(obj)]; sn != nil {
+				sn.read = true
+			}
+		}
+		// assigned holds the selectors on the left of a plain =, the
+		// one place a field selection is not a read; Inspect visits an
+		// assignment before its operands.
+		assigned := make(map[*ast.SelectorExpr]bool)
 		var lhs func(e ast.Expr)
 		lhs = func(e ast.Expr) {
 			se, ok := ast.Unparen(e).(*ast.SelectorExpr)
@@ -369,6 +385,29 @@ func classify(pkgs []*surfacePkg) []string {
 				case *ast.AssignStmt:
 					for _, e := range n.Lhs {
 						lhs(e)
+						if se, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && n.Tok == token.ASSIGN {
+							assigned[se] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					sel := p.info.Selections[n]
+					if sel == nil {
+						break // a qualified identifier
+					}
+					// The fields on the path; a method's last index is
+					// the method, and an assigned field's is written.
+					path := sel.Index()
+					if sel.Kind() != types.FieldVal || assigned[n] {
+						path = path[:len(path)-1]
+					}
+					t := sel.Recv()
+					for _, i := range path {
+						if ptr, ok := t.Underlying().(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						f := t.Underlying().(*types.Struct).Field(i)
+						read(f)
+						t = f.Type()
 					}
 				case *ast.IncDecStmt:
 					lhs(n.X)
@@ -407,6 +446,8 @@ func classify(pkgs []*surfacePkg) []string {
 		switch {
 		case sn.kind == "field" && !sn.written:
 			lines = append(lines, "unset field "+sn.name)
+		case sn.kind == "field" && !sn.read:
+			lines = append(lines, "unread field "+sn.name)
 		case sn.kind != "field" && sn.class < classProd:
 			lines = append(lines, fmt.Sprintf("%s %s %s", className[sn.class], sn.kind, sn.name))
 		}

@@ -49,5 +49,6 @@ type Wire struct {
 // Pair is written only by an unkeyed literal.
 type Pair struct{ A, B int }
 
-// Opts is written by a keyed literal that leaves Unset out.
-type Opts struct{ Set, Unset int }
+// Opts is written by a keyed literal that leaves Unset out; Unread is
+// assigned but never read.
+type Opts struct{ Set, Unset, Unread int }
