@@ -3,7 +3,7 @@ package service
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"autoglobe/internal/cluster"
 )
@@ -29,14 +29,25 @@ type Instance struct {
 // validates every transition against the services' declarative
 // constraints. It is the control surface the AutoGlobe controller's
 // actions operate on.
+//
+// The instance lists it returns are shared snapshots: read-only, and
+// never edited afterwards — a mutation replaces the lists it stales. A
+// Deployment is not safe for concurrent use.
 type Deployment struct {
 	cluster *cluster.Cluster
 	catalog *Catalog
 
 	instances map[string]*Instance
-	byHost    map[string][]string // host -> instance IDs
-	byService map[string][]string // service -> instance IDs
+	byHost    map[string][]string // host -> instance IDs, in start order
+	byService map[string][]string // service -> instance IDs, in start order
 	nextID    int
+
+	// The ID-sorted snapshots InstancesOn, InstancesOf and Instances
+	// hand out; all is rebuilt by the first Instances after a Start or
+	// Stop (nil: stale).
+	onHost    map[string][]*Instance
+	ofService map[string][]*Instance
+	all       []*Instance
 
 	watchers []func(host string)
 	state    HostState // HostState's gather buffer
@@ -67,6 +78,8 @@ func NewDeployment(cl *cluster.Cluster, cat *Catalog) *Deployment {
 		instances: make(map[string]*Instance),
 		byHost:    make(map[string][]string),
 		byService: make(map[string][]string),
+		onHost:    make(map[string][]*Instance),
+		ofService: make(map[string][]*Instance),
 	}
 }
 
@@ -234,6 +247,9 @@ func (d *Deployment) Start(svcName, hostName string) (*Instance, error) {
 	d.instances[inst.ID] = inst
 	d.byHost[hostName] = append(d.byHost[hostName], inst.ID)
 	d.byService[svcName] = append(d.byService[svcName], inst.ID)
+	d.onHost[hostName] = with(d.onHost[hostName], inst)
+	d.ofService[svcName] = with(d.ofService[svcName], inst)
+	d.all = nil
 	d.notify(hostName)
 	return inst, nil
 }
@@ -265,6 +281,9 @@ func (d *Deployment) Stop(instID string, force bool) error {
 	delete(d.instances, instID)
 	d.byHost[inst.Host] = removeString(d.byHost[inst.Host], instID)
 	d.byService[inst.Service] = removeString(d.byService[inst.Service], instID)
+	d.onHost[inst.Host] = without(d.onHost[inst.Host], inst)
+	d.ofService[inst.Service] = without(d.ofService[inst.Service], inst)
+	d.all = nil
 	d.notify(inst.Host)
 	return nil
 }
@@ -284,9 +303,11 @@ func (d *Deployment) Move(instID, hostName string) error {
 		return err
 	}
 	from := inst.Host
-	d.byHost[inst.Host] = removeString(d.byHost[inst.Host], instID)
+	d.byHost[from] = removeString(d.byHost[from], instID)
+	d.onHost[from] = without(d.onHost[from], inst)
 	inst.Host = hostName
 	d.byHost[hostName] = append(d.byHost[hostName], instID)
+	d.onHost[hostName] = with(d.onHost[hostName], inst)
 	d.notify(from)
 	d.notify(hostName)
 	return nil
@@ -298,33 +319,47 @@ func (d *Deployment) Instance(id string) (*Instance, bool) {
 	return inst, ok
 }
 
-// InstancesOf returns the instances of a service, sorted by ID.
-func (d *Deployment) InstancesOf(svcName string) []*Instance {
-	return d.collect(d.byService[svcName])
-}
+// InstancesOf returns the instances of a service, sorted by ID. The
+// slice is a shared snapshot: the caller must not modify it.
+func (d *Deployment) InstancesOf(svcName string) []*Instance { return d.ofService[svcName] }
 
-// InstancesOn returns the instances running on a host, sorted by ID.
-func (d *Deployment) InstancesOn(hostName string) []*Instance {
-	return d.collect(d.byHost[hostName])
-}
+// InstancesOn returns the instances running on a host, sorted by ID. The
+// slice is a shared snapshot: the caller must not modify it.
+func (d *Deployment) InstancesOn(hostName string) []*Instance { return d.onHost[hostName] }
 
-// Instances returns all instances, sorted by ID.
+// Instances returns all instances, sorted by ID. The slice is a shared
+// snapshot: the caller must not modify it.
 func (d *Deployment) Instances() []*Instance {
-	ids := make([]string, 0, len(d.instances))
-	for id := range d.instances {
-		ids = append(ids, id)
+	if d.all == nil && len(d.instances) > 0 {
+		d.all = make([]*Instance, 0, len(d.instances))
+		for _, inst := range d.instances {
+			d.all = append(d.all, inst)
+		}
+		slices.SortFunc(d.all, func(a, b *Instance) int { return strings.Compare(a.ID, b.ID) })
 	}
-	return d.collect(ids)
+	return d.all
 }
 
-func (d *Deployment) collect(ids []string) []*Instance {
-	out := make([]*Instance, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.instances[id])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+// with returns a copy of the ID-sorted list with inst inserted.
+func with(list []*Instance, inst *Instance) []*Instance {
+	i, _ := slices.BinarySearchFunc(list, inst.ID, instanceID)
+	out := make([]*Instance, len(list)+1)
+	copy(out, list[:i])
+	out[i] = inst
+	copy(out[i+1:], list[i:])
 	return out
 }
+
+// without returns a copy of the ID-sorted list with inst left out.
+func without(list []*Instance, inst *Instance) []*Instance {
+	i, _ := slices.BinarySearchFunc(list, inst.ID, instanceID)
+	out := make([]*Instance, len(list)-1)
+	copy(out, list[:i])
+	copy(out[i:], list[i+1:])
+	return out
+}
+
+func instanceID(inst *Instance, id string) int { return strings.Compare(inst.ID, id) }
 
 // AppendHostsOf appends the hosts running an instance of the service.
 func (d *Deployment) AppendHostsOf(buf []string, svcName string) []string {

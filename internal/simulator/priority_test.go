@@ -52,11 +52,11 @@ func TestPrioritySharesCPU(t *testing.T) {
 	if err := sim.Step(0); err != nil {
 		t.Fatal(err)
 	}
-	if sim.actual[ia.ID] != sim.actual[ib.ID] {
+	if sim.granted(ia) != sim.granted(ib) {
 		t.Fatalf("equal priorities got unequal shares: %g vs %g",
-			sim.actual[ia.ID], sim.actual[ib.ID])
+			sim.granted(ia), sim.granted(ib))
 	}
-	total := sim.actual[ia.ID] + sim.actual[ib.ID]
+	total := sim.granted(ia) + sim.granted(ib)
 	if total > 1.0001 {
 		t.Fatalf("granted CPU %g exceeds host capacity", total)
 	}
@@ -67,11 +67,11 @@ func TestPrioritySharesCPU(t *testing.T) {
 	if err := sim.Step(1); err != nil {
 		t.Fatal(err)
 	}
-	if !(sim.actual[ia.ID] > sim.actual[ib.ID]) {
+	if !(sim.granted(ia) > sim.granted(ib)) {
 		t.Errorf("priority +1 did not increase a's share: %g vs %g",
-			sim.actual[ia.ID], sim.actual[ib.ID])
+			sim.granted(ia), sim.granted(ib))
 	}
-	total = sim.actual[ia.ID] + sim.actual[ib.ID]
+	total = sim.granted(ia) + sim.granted(ib)
 	if total > 1.0001 || total < 0.999 {
 		t.Errorf("granted CPU %g, want the full host", total)
 	}

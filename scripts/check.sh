@@ -17,8 +17,10 @@
 # detector, ten seconds
 # each of real fuzzing of the wire frame decoder, of the journal's frame reader, of
 # the tsdb segment-record decoder, of the closed-form inference
-# against its two references and of memoised server selection against
-# the full scan (FuzzSelectHostParity), and every benchmark of the root package,
+# against its two references, of memoised server selection against
+# the full scan (FuzzSelectHostParity) and of the deployment's ID-sorted
+# instance snapshots against a collect-and-sort reference
+# (FuzzDeploymentSnapshots), and every benchmark of the root package,
 # internal/archive and internal/tsdb once as a crash smoke. A new test or
 # guard needs no edit here.
 #
@@ -128,6 +130,12 @@ go test ./internal/fuzzy -run '^$' -fuzz FuzzInferDifferential -fuzztime 10s
 # 60 s would spend the whole budget: minimization stops at 100 runs.
 echo "== fuzz: memoised server selection vs the full scan, 10 s"
 go test ./internal/controller -run '^$' -fuzz FuzzSelectHostParity -fuzztime 10s -fuzzminimizetime 100x
+
+# Every reader of the landscape shares the deployment's snapshots: any
+# start, stop or move sequence must leave them equal to the instances
+# collected and sorted afresh, and a snapshot handed out earlier intact.
+echo "== fuzz: deployment instance snapshots vs collect-and-sort, 10 s"
+go test ./internal/service -run '^$' -fuzz FuzzDeploymentSnapshots -fuzztime 10s
 
 # The archive's and the store's benchmarks set up the tail, the raw
 # blocks of a memory store and a reopen: the smoke runs their setup too.
