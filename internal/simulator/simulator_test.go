@@ -209,6 +209,49 @@ func TestFailureConservesUsers(t *testing.T) {
 	}
 }
 
+// TestEveryCrashIsDetected: a crashed instance falls silent, and once
+// heartbeatTimeout minutes have passed the failure is remedied — the
+// instance is restarted or the restart counted failed — however young
+// the instance was when it crashed (started this minute, restarted the
+// minute before, or at minute 0).
+func TestEveryCrashIsDetected(t *testing.T) {
+	if raceEnabled {
+		t.Skip("80 simulated hours × 20 runs; the race pass adds nothing here")
+	}
+	for _, m := range []service.Mobility{service.ConstrainedMobility, service.FullMobility} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			cfg := PaperConfig(m, 1.15)
+			cfg.Seed = seed
+			cfg.FailuresPerDay = 60
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashedAt := map[string]int{}
+			late := 0
+			for minute := 0; minute < cfg.Hours*60; minute++ {
+				if err := sim.Step(minute); err != nil {
+					t.Fatal(err)
+				}
+				for id := range sim.crashed {
+					if _, ok := crashedAt[id]; !ok {
+						crashedAt[id] = minute
+					}
+					if minute-crashedAt[id] == heartbeatTimeout {
+						late++
+					}
+				}
+			}
+			if late > 0 {
+				t.Errorf("%v seed %d: %d crashes still unremedied %d minutes after they happened", m, seed, late, heartbeatTimeout)
+			}
+			if remedied := sim.res.Restarts + sim.res.FailedRestarts; remedied+len(sim.crashed) != len(crashedAt) {
+				t.Errorf("%v seed %d: %d crashes, %d remedied, %d pending", m, seed, len(crashedAt), remedied, len(sim.crashed))
+			}
+		}
+	}
+}
+
 // TestRecordServices: requesting FI series yields FI@host curves, the
 // data behind Figures 15–17.
 func TestRecordServices(t *testing.T) {
