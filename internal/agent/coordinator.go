@@ -228,9 +228,7 @@ func (c *Coordinator) takeBeatLocked() *hostBeat {
 // NewCoordinator starts a coordinator over the deployment and load
 // monitoring system, listening on the transport under node (empty:
 // CoordinatorNode). The liveness detector may be shared with the
-// caller; nil builds a hysteresis detector with the paper-scale
-// defaults (timeout 2 minutes, dead after 2 missed probes, alive after
-// 2 beats).
+// caller; nil builds a fresh one.
 func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, tr wire.Transport, live *monitor.Liveness) (*Coordinator, error) {
 	if node == "" {
 		node = CoordinatorNode
@@ -239,7 +237,7 @@ func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, t
 		return nil, fmt.Errorf("agent: coordinator needs deployment, monitor system and transport")
 	}
 	if live == nil {
-		live = monitor.NewLivenessHysteresis(2, 2, 2)
+		live = monitor.NewLiveness()
 	}
 	c := &Coordinator{
 		node:     node,
@@ -972,9 +970,9 @@ func (c *Coordinator) RecycleTriggers(trs []*monitor.Trigger) {
 
 // CheckLiveness probes the hosts that stayed silent this minute — and
 // the hosts already considered dead, so a healed partition is noticed —
-// and returns the hosts newly confirmed dead (after DeadAfter
-// consecutive misses, probes included) and those newly recovered (after
-// AliveAfter consecutive answered probes). A probe answer counts as a
+// and returns the hosts newly confirmed dead (after two consecutive
+// misses, probes included) and those newly recovered (after two
+// consecutive answered probes). A probe answer counts as a
 // beat: a host whose heartbeats are lost but which still answers probes
 // is degraded, not dead.
 func (c *Coordinator) CheckLiveness(ctx context.Context, minute int) (dead, recovered []string) {

@@ -234,10 +234,8 @@ func (m *Manager) demote(host string, minute int, rep *MinuteReport) error {
 		return nil
 	}
 	d := Demotion{Host: host}
-	var services []string
 	for _, inst := range m.dep.InstancesOn(host) {
 		d.Lost = append(d.Lost, *inst)
-		services = append(services, inst.Service)
 		if err := m.dep.Stop(inst.ID, true); err != nil {
 			return err
 		}
@@ -249,21 +247,7 @@ func (m *Manager) demote(host string, minute int, rep *MinuteReport) error {
 	m.Plane.Coordinator().Forget(host)
 
 	var err error
-	d.Restarts, err = m.Controller.HandleHostFailure(host, services, minute)
-	for i, restart := range d.Restarts {
-		if restart == nil {
-			continue
-		}
-		// In full mobility the executor may already have rebalanced, so
-		// the orphaned sessions are added rather than assigned.
-		for _, inst := range m.dep.InstancesOf(restart.Service) {
-			if inst.Host == restart.TargetHost {
-				inst.Users += d.Lost[i].Users
-				inst.Priority = d.Lost[i].Priority
-				break
-			}
-		}
-	}
+	d.Restarts, err = m.Controller.HandleHostFailure(host, d.Lost, minute)
 	rep.Demoted = append(rep.Demoted, d)
 	return err
 }

@@ -162,9 +162,9 @@ func TestDeadHostDemotion(t *testing.T) {
 	}
 
 	// Demote: the host's instances are gone with it.
-	var lostServices []string
+	var lost []service.Instance
 	for _, inst := range dep.InstancesOn("h2") {
-		lostServices = append(lostServices, inst.Service)
+		lost = append(lost, *inst)
 		if err := dep.Stop(inst.ID, true); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestDeadHostDemotion(t *testing.T) {
 	}
 	p.Coordinator().Forget("h2")
 
-	decisions, err := ctl.HandleHostFailure("h2", lostServices, 4)
+	decisions, err := ctl.HandleHostFailure("h2", lost, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

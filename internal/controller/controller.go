@@ -446,14 +446,17 @@ func (c *Controller) triggerProtected(tr monitor.Trigger) bool {
 	}
 }
 
-// HandleFailure remedies a detected failure situation — a crashed
-// instance of svcName that was running on failedHost — with a restart
+// HandleFailure remedies a detected failure situation — the crash of
+// the lost instance, already gone from the deployment — with a restart
 // (Section 2: "failure situations like a program crash are remedied for
 // example with a restart"). The restart prefers the original host; if
 // that placement is no longer possible the server-selection fuzzy
-// controller picks a new home. The executed start decision is returned,
-// or nil with an administrator alert when no host can take the service.
-func (c *Controller) HandleFailure(svcName, failedHost string, minute int) (*Decision, error) {
+// controller picks a new home. The replacement takes over the lost
+// instance's sessions and priority. The executed start decision is
+// returned, or nil with an administrator alert when no host can take
+// the service.
+func (c *Controller) HandleFailure(lost service.Instance, minute int) (*Decision, error) {
+	svcName, failedHost := lost.Service, lost.Host
 	if _, ok := c.dep.Catalog().Get(svcName); !ok {
 		return nil, fmt.Errorf("controller: failure of unknown service %q", svcName)
 	}
@@ -484,24 +487,32 @@ func (c *Controller) HandleFailure(svcName, failedHost string, minute int) (*Dec
 		c.tracer.End(obs.OutcomeError, "restart failed on every host")
 		return nil, nil
 	}
+	// In full mobility the executor may already have rebalanced, so the
+	// orphaned sessions are added rather than assigned.
+	for _, inst := range c.dep.InstancesOf(svcName) {
+		if inst.Host == d.TargetHost {
+			inst.Users += lost.Users
+			inst.Priority = lost.Priority
+			break
+		}
+	}
 	c.metrics.decision("failure", d.Action)
 	c.traceDecide(d)
 	c.tracer.End(obs.OutcomeExecuted, "")
 	return d, nil
 }
 
-// HandleHostFailure remedies a dead host: every service that lost an
-// instance with the host is restarted elsewhere through HandleFailure.
-// The caller must already have removed the host's instances from the
-// deployment (they are gone — the host stopped answering); lostServices
-// names their services, one entry per lost instance. Returned decisions
-// align with lostServices; a nil entry means no host could take the
-// restart (an administrator alert is logged for it).
-func (c *Controller) HandleHostFailure(host string, lostServices []string, minute int) ([]*Decision, error) {
-	c.note(minute, "host failure: %s stopped responding, %d instances lost", host, len(lostServices))
-	out := make([]*Decision, len(lostServices))
-	for i, svc := range lostServices {
-		d, err := c.HandleFailure(svc, host, minute)
+// HandleHostFailure remedies a dead host: every instance lost with it
+// is restarted elsewhere through HandleFailure. The caller must already
+// have removed the lost instances from the deployment (they are gone —
+// the host stopped answering). Returned decisions align with lost; a
+// nil entry means no host could take the restart (an administrator
+// alert is logged for it).
+func (c *Controller) HandleHostFailure(host string, lost []service.Instance, minute int) ([]*Decision, error) {
+	c.note(minute, "host failure: %s stopped responding, %d instances lost", host, len(lost))
+	out := make([]*Decision, len(lost))
+	for i, inst := range lost {
+		d, err := c.HandleFailure(inst, minute)
 		if err != nil {
 			return out, err
 		}

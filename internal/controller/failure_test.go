@@ -9,13 +9,15 @@ import (
 )
 
 // TestHandleFailureRestartsInPlace: a crashed instance is restarted on
-// its original host when that placement is still valid.
+// its original host when that placement is still valid, and the
+// replacement takes over its sessions and priority.
 func TestHandleFailureRestartsInPlace(t *testing.T) {
 	tb := newTestbed(t, Config{})
 	inst, err := tb.dep.Start("app", "weak1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst.Users, inst.Priority = 40, 1
 	// Crash: the instance disappears.
 	if err := tb.dep.Stop(inst.ID, true); err != nil {
 		t.Fatal(err)
@@ -23,7 +25,7 @@ func TestHandleFailureRestartsInPlace(t *testing.T) {
 	for _, h := range []string{"weak1", "weak2", "mid1", "mid2", "big1", "big2"} {
 		tb.record(t, archive.HostEntity(h), 0.2, 0.2)
 	}
-	d, err := tb.ctl.HandleFailure("app", "weak1", 10)
+	d, err := tb.ctl.HandleFailure(*inst, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,10 @@ func TestHandleFailureRestartsInPlace(t *testing.T) {
 		t.Errorf("restart target = %s, want original host weak1", d.TargetHost)
 	}
 	if tb.dep.CountOf("app") != 1 {
-		t.Errorf("app instances after restart = %d, want 1", tb.dep.CountOf("app"))
+		t.Fatalf("app instances after restart = %d, want 1", tb.dep.CountOf("app"))
+	}
+	if re := tb.dep.InstancesOf("app")[0]; re.Users != 40 || re.Priority != 1 {
+		t.Errorf("replacement has %g users at priority %d, want the crashed instance's 40 at 1", re.Users, re.Priority)
 	}
 	// The failure and the restart both appear in the message log.
 	var sawFailure bool
@@ -67,7 +72,7 @@ func TestHandleFailureRelocates(t *testing.T) {
 	for _, h := range []string{"weak1", "weak2", "mid1", "mid2", "big1", "big2"} {
 		tb.record(t, archive.HostEntity(h), 0.2, 0.2)
 	}
-	d, err := tb.ctl.HandleFailure("app", "big1", 10)
+	d, err := tb.ctl.HandleFailure(*inst, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestHandleFailureNoHostAlerts(t *testing.T) {
 	tb.dep.Move(tb.dep.InstancesOf("db")[0].ID, "big2") // db on big2
 	// weak1 remains placeable; restart succeeds there even under
 	// protection (restarts are unconditional remedies).
-	d, err := tb.ctl.HandleFailure("app", "weak1", 10)
+	d, err := tb.ctl.HandleFailure(*inst, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestHandleFailureNoHostAlerts(t *testing.T) {
 
 func TestHandleFailureUnknownService(t *testing.T) {
 	tb := newTestbed(t, Config{})
-	if _, err := tb.ctl.HandleFailure("ghost", "weak1", 0); err == nil {
+	if _, err := tb.ctl.HandleFailure(service.Instance{ID: "ghost-1", Service: "ghost", Host: "weak1"}, 0); err == nil {
 		t.Fatal("unknown service accepted")
 	}
 }

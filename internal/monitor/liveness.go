@@ -7,31 +7,18 @@ import (
 
 // Liveness detects failure situations ("like a program crash") through
 // missed heartbeats: every load monitor's report doubles as a
-// heartbeat, and an entity that stays silent for more than Timeout
-// minutes is declared dead. The controller then remedies the failure,
-// for example with a restart.
+// heartbeat, and an entity that stays silent too long is declared dead.
+// The controller then remedies the failure, for example with a restart.
 //
 // Flapping hosts — a congested link delivering every other heartbeat —
 // would make a naive detector oscillate between dead and alive,
 // triggering restart/demotion churn exactly like the short load peaks
 // the watchTime mechanism filters. Liveness therefore applies the same
-// hysteresis idea: an entity is declared dead only after DeadAfter
+// hysteresis idea: an entity is declared dead only after deadAfter
 // consecutive missed probes (evaluations of Dead while silent), and a
-// dead entity is re-admitted only after AliveAfter consecutive
+// dead entity is re-admitted only after aliveAfter consecutive
 // heartbeats.
 type Liveness struct {
-	// Timeout is the number of minutes an entity may stay silent before
-	// an evaluation counts as a missed probe.
-	Timeout int
-	// DeadAfter is the number of consecutive missed probes before the
-	// entity is declared dead. Minimum (and default) 1: the first
-	// expired evaluation kills it, the pre-hysteresis behavior.
-	DeadAfter int
-	// AliveAfter is the number of consecutive heartbeats a dead entity
-	// must deliver before it counts as alive again. Minimum (and
-	// default) 1.
-	AliveAfter int
-
 	// mu guards state and metrics: the coordinator delivers beats from
 	// whatever goroutine a transport runs its handler on (one per HTTP
 	// request) while the control loop evaluates Silent/Dead/Down, so the
@@ -56,36 +43,23 @@ type livenessState struct {
 // its next beat. It is used only under its detector's lock.
 type LivenessHandle struct{ st *livenessState }
 
-// NewLiveness returns a liveness detector with the given timeout
-// (minimum 1 minute) and no hysteresis: one missed probe kills, one
-// beat revives.
-func NewLiveness(timeout int) *Liveness {
-	return NewLivenessHysteresis(timeout, 1, 1)
-}
+// The detector's paper-scale hysteresis: an entity silent for more
+// than timeout minutes misses a probe each minute, deadAfter
+// consecutive misses kill it, and aliveAfter consecutive beats revive
+// it.
+const (
+	timeout    = 2
+	deadAfter  = 2
+	aliveAfter = 2
+)
 
-// NewLivenessHysteresis returns a liveness detector declaring death
-// after deadAfter consecutive missed probes and life after aliveAfter
-// consecutive heartbeats. All parameters are clamped to minimum 1.
-func NewLivenessHysteresis(timeout, deadAfter, aliveAfter int) *Liveness {
-	if timeout < 1 {
-		timeout = 1
-	}
-	if deadAfter < 1 {
-		deadAfter = 1
-	}
-	if aliveAfter < 1 {
-		aliveAfter = 1
-	}
-	return &Liveness{
-		Timeout:    timeout,
-		DeadAfter:  deadAfter,
-		AliveAfter: aliveAfter,
-		state:      make(map[string]*livenessState),
-	}
+// NewLiveness returns a liveness detector tracking nothing yet.
+func NewLiveness() *Liveness {
+	return &Liveness{state: make(map[string]*livenessState)}
 }
 
 // Beat records a heartbeat for an entity. A beat from an entity
-// currently considered dead counts toward its AliveAfter recovery
+// currently considered dead counts toward its aliveAfter recovery
 // streak — unless it is for the minute of death or earlier: that is a
 // replay of traffic from before the death (a held or duplicated frame,
 // a retried POST), not proof of life, and it is ignored. Recovered
@@ -115,7 +89,7 @@ func (l *Liveness) BeatHandle(h *LivenessHandle, entity string, minute int) {
 	}
 	if st.dead {
 		st.successes++
-		if st.successes >= l.AliveAfter {
+		if st.successes >= aliveAfter {
 			st.dead = false
 			st.misses = 0
 			st.successes = 0
@@ -131,10 +105,10 @@ func (l *Liveness) BeatHandle(h *LivenessHandle, entity string, minute int) {
 }
 
 // MarkDead seeds an entity directly into the dead state, as if it had
-// exhausted its DeadAfter misses at the given minute. A recovered
+// exhausted its deadAfter misses at the given minute. A recovered
 // coordinator uses it to replay journaled liveness transitions: a host
 // confirmed dead before the crash must stay demoted after the restart
-// (and must still earn its AliveAfter streak to be re-pooled) instead
+// (and must still earn its aliveAfter streak to be re-pooled) instead
 // of silently re-entering the landscape with the coordinator's memory.
 func (l *Liveness) MarkDead(entity string, minute int) {
 	l.mu.Lock()
@@ -145,7 +119,7 @@ func (l *Liveness) MarkDead(entity string, minute int) {
 		l.state[entity] = st
 	}
 	st.last = minute
-	st.misses = l.DeadAfter
+	st.misses = deadAfter
 	st.missedAt = minute
 	st.dead = true
 	st.successes = 0
@@ -172,14 +146,14 @@ func (l *Liveness) Tracking(entity string) bool {
 }
 
 // Silent returns the alive entities whose last heartbeat is more than
-// Timeout minutes old — the candidates the coordinator probes before
+// timeout minutes old — the candidates the coordinator probes before
 // the next Dead evaluation can take them down.
 func (l *Liveness) Silent(minute int) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []string
 	for e, st := range l.state {
-		if !st.dead && minute-st.last > l.Timeout {
+		if !st.dead && minute-st.last > timeout {
 			out = append(out, e)
 		}
 	}
@@ -189,7 +163,7 @@ func (l *Liveness) Silent(minute int) []string {
 
 // Down returns the entities currently considered dead, sorted. The
 // coordinator keeps probing them: each answered probe is a Beat and
-// counts toward the AliveAfter recovery streak.
+// counts toward the aliveAfter recovery streak.
 func (l *Liveness) Down() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -204,9 +178,9 @@ func (l *Liveness) Down() []string {
 }
 
 // Dead evaluates every tracked entity at the given minute: each alive
-// entity whose last heartbeat is more than Timeout minutes old accrues
+// entity whose last heartbeat is more than timeout minutes old accrues
 // one missed probe (at most one per minute), and entities reaching
-// DeadAfter consecutive misses are declared dead and returned, sorted.
+// deadAfter consecutive misses are declared dead and returned, sorted.
 // Each death is reported exactly once; a dead entity stays tracked so
 // its recovery streak can revive it (see Beat and Recovered).
 func (l *Liveness) Dead(minute int) []string {
@@ -216,20 +190,20 @@ func (l *Liveness) Dead(minute int) []string {
 	for e, st := range l.state {
 		if st.dead {
 			// A relapse into silence resets the recovery streak: the
-			// AliveAfter successes must be consecutive.
-			if minute-st.last > l.Timeout {
+			// aliveAfter successes must be consecutive.
+			if minute-st.last > timeout {
 				st.successes = 0
 			}
 			continue
 		}
-		if minute-st.last <= l.Timeout {
+		if minute-st.last <= timeout {
 			continue
 		}
 		if st.missedAt != minute {
 			st.misses++
 			st.missedAt = minute
 		}
-		if st.misses >= l.DeadAfter {
+		if st.misses >= deadAfter {
 			st.dead = true
 			st.successes = 0
 			// A recovery completed but not yet drained by Recovered is
@@ -246,7 +220,7 @@ func (l *Liveness) Dead(minute int) []string {
 	return out
 }
 
-// Recovered returns the entities that completed their AliveAfter
+// Recovered returns the entities that completed their aliveAfter
 // recovery streak since the last call, sorted. The caller re-admits
 // them (e.g. re-pools a demoted host).
 func (l *Liveness) Recovered() []string {

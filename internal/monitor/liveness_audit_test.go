@@ -11,20 +11,24 @@ import (
 // Recovered, and the entity dies again. The pending recovery must be
 // void — reporting it would re-pool a host that is dead right now.
 func TestLivenessRedeathVoidsUndrainedRecovery(t *testing.T) {
-	l := NewLivenessHysteresis(1, 1, 1)
+	l := NewLiveness()
 	l.Beat("e", 0)
-	if d := l.Dead(2); len(d) != 1 {
-		t.Fatalf("Dead(2) = %v, want [e]", d)
+	l.Dead(3)
+	if d := l.Dead(4); len(d) != 1 {
+		t.Fatalf("Dead(4) = %v, want [e]", d)
 	}
-	l.Beat("e", 3) // completes the recovery streak; Recovered not drained
-	if d := l.Dead(5); len(d) != 1 {
-		t.Fatalf("Dead(5) = %v, want [e] (re-death)", d)
+	l.Beat("e", 5)
+	l.Beat("e", 6) // completes the recovery streak; Recovered not drained
+	l.Dead(9)
+	if d := l.Dead(10); len(d) != 1 {
+		t.Fatalf("Dead(10) = %v, want [e] (re-death)", d)
 	}
 	if rec := l.Recovered(); len(rec) != 0 {
 		t.Fatalf("stale recovery reported after re-death: %v", rec)
 	}
 	// The next genuine recovery still reports.
-	l.Beat("e", 6)
+	l.Beat("e", 11)
+	l.Beat("e", 12)
 	if rec := l.Recovered(); len(rec) != 1 || rec[0] != "e" {
 		t.Fatalf("genuine recovery after re-death lost: %v", rec)
 	}
@@ -34,60 +38,60 @@ func TestLivenessRedeathVoidsUndrainedRecovery(t *testing.T) {
 // however often the control loop evaluates Dead within one minute, a
 // silent entity accrues exactly one miss for that minute.
 func TestLivenessDeadEvaluatedRepeatedlyPerMinute(t *testing.T) {
-	l := NewLivenessHysteresis(1, 2, 1)
+	l := NewLiveness()
 	l.Beat("e", 0)
-	// Minute 2 is past the timeout. Three evaluations in the same
-	// minute must count one miss, not reach DeadAfter=2.
+	// Minute 3 is past the timeout. Three evaluations in the same
+	// minute must count one miss, not the two that kill.
 	for i := 0; i < 3; i++ {
-		if d := l.Dead(2); len(d) != 0 {
-			t.Fatalf("evaluation %d at minute 2 declared dead: %v", i, d)
+		if d := l.Dead(3); len(d) != 0 {
+			t.Fatalf("evaluation %d at minute 3 declared dead: %v", i, d)
 		}
 	}
 	// The second consecutive miss (a new minute) kills.
-	if d := l.Dead(3); len(d) != 1 || d[0] != "e" {
-		t.Fatalf("Dead(3) = %v, want [e]", d)
+	if d := l.Dead(4); len(d) != 1 || d[0] != "e" {
+		t.Fatalf("Dead(4) = %v, want [e]", d)
 	}
 }
 
 // TestLivenessRecoveryStreakSemantics pins how probe answers interleave
-// with Dead evaluations during recovery: gaps within Timeout keep the
-// AliveAfter streak alive (a degraded-but-answering host is converging),
-// while silence beyond Timeout resets it.
+// with Dead evaluations during recovery: gaps within the timeout keep
+// the recovery streak alive (a degraded-but-answering host is
+// converging), while silence beyond it resets the streak.
 func TestLivenessRecoveryStreakSemantics(t *testing.T) {
-	t.Run("short gaps tolerated", func(t *testing.T) {
-		l := NewLivenessHysteresis(2, 1, 3)
+	dead := func(t *testing.T) *Liveness {
+		t.Helper()
+		l := NewLiveness()
 		l.Beat("e", 0)
-		if d := l.Dead(3); len(d) != 1 {
-			t.Fatalf("Dead(3) = %v, want [e]", d)
+		l.Dead(3)
+		if d := l.Dead(4); len(d) != 1 {
+			t.Fatalf("Dead(4) = %v, want [e]", d)
 		}
-		// Probe answers at minutes 4, 6, 8 — each gap is within the
-		// 2-minute timeout, so the streak completes on the third beat.
-		l.Beat("e", 4)
-		l.Dead(5)
-		l.Beat("e", 6)
+		return l
+	}
+	t.Run("short gaps tolerated", func(t *testing.T) {
+		l := dead(t)
+		// Probe answers at minutes 5 and 7 — the gap is within the
+		// 2-minute timeout, so the streak completes on the second beat.
+		l.Beat("e", 5)
+		l.Dead(6)
 		l.Dead(7)
-		l.Beat("e", 8)
+		l.Beat("e", 7)
 		if rec := l.Recovered(); len(rec) != 1 || rec[0] != "e" {
 			t.Fatalf("streak with short gaps did not recover: %v", rec)
 		}
 	})
 	t.Run("long silence resets", func(t *testing.T) {
-		l := NewLivenessHysteresis(1, 1, 3)
-		l.Beat("e", 0)
-		if d := l.Dead(2); len(d) != 1 {
-			t.Fatalf("Dead(2) = %v, want [e]", d)
-		}
-		l.Beat("e", 3) // streak 1
+		l := dead(t)
+		l.Beat("e", 5) // streak 1
 		// Relapse: silence beyond the timeout resets the streak.
-		l.Dead(6)
-		l.Beat("e", 7)
-		l.Beat("e", 8)
+		l.Dead(8)
+		l.Beat("e", 9)
 		if rec := l.Recovered(); len(rec) != 0 {
-			t.Fatalf("recovered with only 2 beats after relapse: %v", rec)
+			t.Fatalf("recovered with 1 beat after relapse: %v", rec)
 		}
-		l.Beat("e", 9) // streak 3 → recovered
+		l.Beat("e", 10) // streak 2 → recovered
 		if rec := l.Recovered(); len(rec) != 1 || rec[0] != "e" {
-			t.Fatalf("streak of 3 after relapse did not recover: %v", rec)
+			t.Fatalf("streak of 2 after relapse did not recover: %v", rec)
 		}
 	})
 }
@@ -95,12 +99,15 @@ func TestLivenessRecoveryStreakSemantics(t *testing.T) {
 // TestLivenessTransitionMetrics counts death and recovery transitions.
 func TestLivenessTransitionMetrics(t *testing.T) {
 	r := obs.NewRegistry()
-	l := NewLivenessHysteresis(1, 1, 1)
+	l := NewLiveness()
 	l.Instrument(r)
 	l.Beat("e", 0)
-	l.Dead(2)      // dead
-	l.Beat("e", 3) // recovered
-	l.Dead(5)      // dead again
+	l.Dead(3)
+	l.Dead(4) // dead
+	l.Beat("e", 5)
+	l.Beat("e", 6) // recovered
+	l.Dead(9)
+	l.Dead(10) // dead again
 	snap := r.Snapshot()
 	if got := snap[`autoglobe_liveness_transitions_total{transition="dead"}`]; got != 2 {
 		t.Errorf("dead transitions = %v, want 2", got)

@@ -20,7 +20,7 @@ func TestLivenessHandleMatchesName(t *testing.T) {
 	const entities = 6
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		byName, byHandle := NewLivenessHysteresis(2, 2, 2), NewLivenessHysteresis(2, 2, 2)
+		byName, byHandle := NewLiveness(), NewLiveness()
 		var handles [entities]LivenessHandle
 		minute := 0
 		for step := 0; step < 400; step++ {
@@ -69,7 +69,7 @@ func TestLivenessHandleMatchesName(t *testing.T) {
 // holds — a Forget never leaves a handle beating a detached state.
 func TestLivenessHandleConcurrentBeats(t *testing.T) {
 	const entities, beaters = 8, 32
-	l := NewLivenessHysteresis(2, 2, 2)
+	l := NewLiveness()
 	var handles [entities]LivenessHandle
 	names := make([]string, entities)
 	for i := range names {

@@ -2,25 +2,32 @@ package monitor
 
 import "testing"
 
+// TestLivenessDetectsSilence: an entity silent past the timeout misses
+// a probe each minute and is declared dead at its second miss; each
+// death is reported once.
 func TestLivenessDetectsSilence(t *testing.T) {
-	l := NewLiveness(2)
+	l := NewLiveness()
 	l.Beat("a", 0)
 	l.Beat("b", 0)
-	if dead := l.Dead(1); len(dead) != 0 {
-		t.Fatalf("Dead(1) = %v, want none", dead)
+	if dead := l.Dead(2); len(dead) != 0 {
+		t.Fatalf("Dead(2) = %v, want none", dead)
 	}
 	l.Beat("a", 2) // a keeps beating, b goes silent
-	if dead := l.Dead(3); len(dead) != 1 || dead[0] != "b" {
-		t.Fatalf("Dead(3) = %v, want [b]", dead)
+	if dead := l.Dead(3); len(dead) != 0 {
+		t.Fatalf("Dead(3) = %v, want none (b's first miss)", dead)
+	}
+	if dead := l.Dead(4); len(dead) != 1 || dead[0] != "b" {
+		t.Fatalf("Dead(4) = %v, want [b]", dead)
 	}
 	// Each failure is reported once.
-	if dead := l.Dead(10); len(dead) != 1 || dead[0] != "a" {
-		t.Fatalf("Dead(10) = %v, want [a] (b already reported)", dead)
+	l.Dead(10)
+	if dead := l.Dead(11); len(dead) != 1 || dead[0] != "a" {
+		t.Fatalf("Dead(11) = %v, want [a] (b already reported)", dead)
 	}
 }
 
 func TestLivenessForget(t *testing.T) {
-	l := NewLiveness(2)
+	l := NewLiveness()
 	l.Beat("a", 0)
 	if !l.Tracking("a") {
 		t.Fatal("not tracking after beat")
@@ -29,71 +36,59 @@ func TestLivenessForget(t *testing.T) {
 	if l.Tracking("a") {
 		t.Fatal("still tracking after forget")
 	}
+	l.Dead(99)
 	if dead := l.Dead(100); len(dead) != 0 {
 		t.Fatalf("forgotten entity reported dead: %v", dead)
 	}
 }
 
-func TestLivenessMinimumTimeout(t *testing.T) {
-	l := NewLiveness(0)
-	if l.Timeout != 1 {
-		t.Fatalf("timeout = %d, want clamped to 1", l.Timeout)
-	}
-}
-
 // TestLivenessHysteresisFlapSequences drives a single entity through
 // scripted beat/silence sequences and checks the dead/alive transitions
-// a hysteresis detector (N consecutive missed probes before dead, M
-// successes before alive) must produce. Each step is one minute: 'b'
-// beats then evaluates, '.' stays silent and evaluates. The expected
-// string records the evaluation outcome per minute: 'D' the entity is
-// reported dead this minute, 'R' it is reported recovered, '-' neither.
+// the detector's hysteresis (a probe missed each minute past the
+// 2-minute timeout, dead after 2 consecutive misses, alive after 2
+// consecutive beats) must produce. Each step is one minute: 'b' beats
+// then evaluates, '.' stays silent and evaluates. The expected string
+// records the evaluation outcome per minute: 'D' the entity is reported
+// dead this minute, 'R' it is reported recovered, '-' neither.
 func TestLivenessHysteresisFlapSequences(t *testing.T) {
 	cases := []struct {
-		name                 string
-		timeout, dead, alive int
-		steps                string
-		want                 string
+		name  string
+		steps string
+		want  string
 	}{
 		{
-			// One silent evaluation is not enough at DeadAfter=2: the
-			// beat at minute 3 resets the miss streak; only the two
-			// consecutive misses at minutes 5 and 6 kill.
-			name: "single gap survives", timeout: 1, dead: 2, alive: 1,
-			steps: "b..b....",
-			want:  "------D-",
+			// One missed probe is not enough: the miss at minute 3 is
+			// reset by the beat at minute 4; only the two consecutive
+			// misses at minutes 7 and 8 kill.
+			name:  "single gap survives",
+			steps: "b...b.....",
+			want:  "--------D-",
 		},
 		{
-			// Classic flap: alternating beat/silence never reaches two
-			// consecutive misses — the entity is never declared dead.
-			name: "alternating flap stays alive", timeout: 1, dead: 2, alive: 1,
-			steps: "b.b.b.b.b.",
-			want:  "----------",
+			// A flap: every silence costs one missed probe, never two in
+			// a row — the entity is never declared dead.
+			name:  "alternating flap stays alive",
+			steps: "b...b...b...b...",
+			want:  "----------------",
 		},
 		{
-			// Without hysteresis the same flap kills on the first gap.
-			name: "alternating flap dies without hysteresis", timeout: 1, dead: 1, alive: 1,
-			steps: "b..b",
-			want:  "--DR",
-		},
-		{
-			// A dead entity needs AliveAfter=3 consecutive beats; two
-			// beats followed by a relapse (silence past the timeout)
-			// restart the count.
-			name: "recovery needs a streak", timeout: 1, dead: 2, alive: 3,
-			steps: "b...bb..bbb",
-			want:  "---D------R",
+			// A dead entity needs 2 consecutive beats; a beat followed by
+			// a relapse (silence past the timeout, minute 9) restarts the
+			// count, so the beat at minute 10 is a first again.
+			name:  "recovery needs a streak",
+			steps: "b.....b...bb",
+			want:  "----D------R",
 		},
 		{
 			// A long partition: death reported exactly once.
-			name: "death reported once", timeout: 2, dead: 3, alive: 1,
+			name:  "death reported once",
 			steps: "b..........",
-			want:  "-----D-----",
+			want:  "----D------",
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			l := NewLivenessHysteresis(c.timeout, c.dead, c.alive)
+			l := NewLiveness()
 			want := c.want
 			if len(want) != len(c.steps) {
 				t.Fatalf("bad test: %d steps, %d expectations", len(c.steps), len(want))
@@ -122,12 +117,14 @@ func TestLivenessHysteresisFlapSequences(t *testing.T) {
 	}
 }
 
+// TestLivenessSilent: an entity past the timeout is Silent — a probe
+// candidate — before a Dead evaluation can take it down.
 func TestLivenessSilent(t *testing.T) {
-	l := NewLivenessHysteresis(1, 3, 1)
+	l := NewLiveness()
 	l.Beat("a", 0)
 	l.Beat("b", 0)
-	if s := l.Silent(1); len(s) != 0 {
-		t.Fatalf("Silent(1) = %v, want none", s)
+	if s := l.Silent(2); len(s) != 0 {
+		t.Fatalf("Silent(2) = %v, want none", s)
 	}
 	l.Beat("a", 2)
 	if s := l.Silent(3); len(s) != 1 || s[0] != "b" {
@@ -135,16 +132,17 @@ func TestLivenessSilent(t *testing.T) {
 	}
 	// Silent entities are probe candidates, not dead yet.
 	if l.Dead(3); !l.Tracking("b") {
-		t.Fatal("b declared dead after a single miss at DeadAfter=3")
+		t.Fatal("b declared dead after a single miss")
 	}
 }
 
 func TestLivenessSortedOutput(t *testing.T) {
-	l := NewLiveness(1)
+	l := NewLiveness()
 	l.Beat("z", 0)
 	l.Beat("a", 0)
 	l.Beat("m", 0)
-	dead := l.Dead(5)
+	l.Dead(5)
+	dead := l.Dead(6)
 	if len(dead) != 3 || dead[0] != "a" || dead[1] != "m" || dead[2] != "z" {
 		t.Fatalf("Dead = %v, want sorted", dead)
 	}
@@ -155,7 +153,7 @@ func TestLivenessSortedOutput(t *testing.T) {
 // dead before the crash stays demoted after the restart and must still
 // earn its full recovery streak.
 func TestLivenessMarkDead(t *testing.T) {
-	l := NewLivenessHysteresis(2, 2, 2)
+	l := NewLiveness()
 	l.MarkDead("h", 5)
 	if l.Tracking("h") {
 		t.Fatal("marked-dead entity is tracked as alive")
@@ -194,7 +192,7 @@ func TestLivenessMarkDead(t *testing.T) {
 // streak. Beats after the death still revive it, for a detected death
 // and a journaled one (MarkDead) alike.
 func TestLivenessReplayedBeatDoesNotRevive(t *testing.T) {
-	l := NewLivenessHysteresis(2, 2, 2)
+	l := NewLiveness()
 	for m := 0; m <= 2; m++ {
 		l.Beat("h", m)
 	}

@@ -10,8 +10,8 @@ const (
 	// expired (the average receded; a short peak was filtered out).
 	MetricWatches = "autoglobe_monitor_watches_total"
 	// MetricLiveness counts liveness transitions: dead (an entity
-	// completed DeadAfter consecutive missed probes) and recovered (a
-	// dead entity completed its AliveAfter beat streak).
+	// completed its consecutive missed probes) and recovered (a dead
+	// entity completed its beat streak).
 	MetricLiveness = "autoglobe_liveness_transitions_total"
 )
 

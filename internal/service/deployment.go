@@ -38,13 +38,11 @@ type Deployment struct {
 	catalog *Catalog
 
 	instances map[string]*Instance
-	byHost    map[string][]string // host -> instance IDs, in start order
-	byService map[string][]string // service -> instance IDs, in start order
 	nextID    int
 
 	// The ID-sorted snapshots InstancesOn, InstancesOf and Instances
-	// hand out; all is rebuilt by the first Instances after a Start or
-	// Stop (nil: stale).
+	// hand out, and every reader walks; all is rebuilt by the first
+	// Instances after a Start or Stop (nil: stale).
 	onHost    map[string][]*Instance
 	ofService map[string][]*Instance
 	all       []*Instance
@@ -76,8 +74,6 @@ func NewDeployment(cl *cluster.Cluster, cat *Catalog) *Deployment {
 		cluster:   cl,
 		catalog:   cat,
 		instances: make(map[string]*Instance),
-		byHost:    make(map[string][]string),
-		byService: make(map[string][]string),
 		onHost:    make(map[string][]*Instance),
 		ofService: make(map[string][]*Instance),
 	}
@@ -138,8 +134,8 @@ func (d *Deployment) HostState(hostName string) *HostState {
 	h, ok := d.cluster.Host(hostName)
 	st := &d.state
 	*st = HostState{Pooled: ok, PerfIndex: h.PerformanceIndex, MemoryMB: h.MemoryMB, Services: st.Services[:0]}
-	for _, id := range d.byHost[hostName] {
-		svc := d.catalog.services[d.instances[id].Service]
+	for _, inst := range d.onHost[hostName] {
+		svc := d.catalog.services[inst.Service]
 		st.Services = append(st.Services, svc.Name)
 		st.MemUsedMB += svc.MemoryMBPerInstance
 		if svc.Exclusive {
@@ -231,7 +227,7 @@ func (d *Deployment) Start(svcName, hostName string) (*Instance, error) {
 	if !ok {
 		return nil, fmt.Errorf("service: unknown service %q", svcName)
 	}
-	if svc.MaxInstances > 0 && len(d.byService[svcName]) >= svc.MaxInstances {
+	if svc.MaxInstances > 0 && len(d.ofService[svcName]) >= svc.MaxInstances {
 		return nil, fmt.Errorf("service: %q already runs its maximum of %d instances",
 			svcName, svc.MaxInstances)
 	}
@@ -245,8 +241,6 @@ func (d *Deployment) Start(svcName, hostName string) (*Instance, error) {
 		Host:    hostName,
 	}
 	d.instances[inst.ID] = inst
-	d.byHost[hostName] = append(d.byHost[hostName], inst.ID)
-	d.byService[svcName] = append(d.byService[svcName], inst.ID)
 	d.onHost[hostName] = with(d.onHost[hostName], inst)
 	d.ofService[svcName] = with(d.ofService[svcName], inst)
 	d.all = nil
@@ -274,13 +268,11 @@ func (d *Deployment) Stop(instID string, force bool) error {
 		return fmt.Errorf("service: unknown instance %q", instID)
 	}
 	svc, _ := d.catalog.Get(inst.Service)
-	if !force && len(d.byService[inst.Service]) <= svc.MinInstances {
+	if !force && len(d.ofService[inst.Service]) <= svc.MinInstances {
 		return fmt.Errorf("service: stopping %q would violate minimum of %d instances of %q",
 			instID, svc.MinInstances, svc.Name)
 	}
 	delete(d.instances, instID)
-	d.byHost[inst.Host] = removeString(d.byHost[inst.Host], instID)
-	d.byService[inst.Service] = removeString(d.byService[inst.Service], instID)
 	d.onHost[inst.Host] = without(d.onHost[inst.Host], inst)
 	d.ofService[inst.Service] = without(d.ofService[inst.Service], inst)
 	d.all = nil
@@ -303,10 +295,8 @@ func (d *Deployment) Move(instID, hostName string) error {
 		return err
 	}
 	from := inst.Host
-	d.byHost[from] = removeString(d.byHost[from], instID)
 	d.onHost[from] = without(d.onHost[from], inst)
 	inst.Host = hostName
-	d.byHost[hostName] = append(d.byHost[hostName], instID)
 	d.onHost[hostName] = with(d.onHost[hostName], inst)
 	d.notify(from)
 	d.notify(hostName)
@@ -363,23 +353,23 @@ func instanceID(inst *Instance, id string) int { return strings.Compare(inst.ID,
 
 // AppendHostsOf appends the hosts running an instance of the service.
 func (d *Deployment) AppendHostsOf(buf []string, svcName string) []string {
-	for _, id := range d.byService[svcName] {
-		buf = append(buf, d.instances[id].Host)
+	for _, inst := range d.ofService[svcName] {
+		buf = append(buf, inst.Host)
 	}
 	return buf
 }
 
 // CountOf returns the number of running instances of a service.
-func (d *Deployment) CountOf(svcName string) int { return len(d.byService[svcName]) }
+func (d *Deployment) CountOf(svcName string) int { return len(d.ofService[svcName]) }
 
 // CountOn returns the number of instances running on a host.
-func (d *Deployment) CountOn(hostName string) int { return len(d.byHost[hostName]) }
+func (d *Deployment) CountOn(hostName string) int { return len(d.onHost[hostName]) }
 
 // UsersOf returns the total users across all instances of a service.
 func (d *Deployment) UsersOf(svcName string) float64 {
 	var sum float64
-	for _, id := range d.byService[svcName] {
-		sum += d.instances[id].Users
+	for _, inst := range d.ofService[svcName] {
+		sum += inst.Users
 	}
 	return sum
 }
@@ -390,7 +380,7 @@ func (d *Deployment) UsersOf(svcName string) float64 {
 func (d *Deployment) Validate() error {
 	for _, name := range d.catalog.Names() {
 		svc, _ := d.catalog.Get(name)
-		if n := len(d.byService[name]); n < svc.MinInstances {
+		if n := len(d.ofService[name]); n < svc.MinInstances {
 			return fmt.Errorf("service: %q runs %d instances, below minimum %d", name, n, svc.MinInstances)
 		}
 	}
@@ -406,24 +396,23 @@ func (d *Deployment) Validate() error {
 func (d *Deployment) ValidatePlacement() error {
 	for _, name := range d.catalog.Names() {
 		svc, _ := d.catalog.Get(name)
-		if n := len(d.byService[name]); svc.MaxInstances > 0 && n > svc.MaxInstances {
+		if n := len(d.ofService[name]); svc.MaxInstances > 0 && n > svc.MaxInstances {
 			return fmt.Errorf("service: %q runs %d instances, above maximum %d", name, n, svc.MaxInstances)
 		}
 	}
-	for host, ids := range d.byHost {
+	for host, insts := range d.onHost {
 		h, ok := d.cluster.Host(host)
 		if !ok {
-			if len(ids) > 0 {
+			if len(insts) > 0 {
 				return fmt.Errorf("service: instances on unknown host %q", host)
 			}
 			continue
 		}
 		seen := make(map[string]bool)
 		memUsed := 0
-		for _, id := range ids {
-			inst := d.instances[id]
+		for _, inst := range insts {
 			svc, _ := d.catalog.Get(inst.Service)
-			if svc.Exclusive && len(ids) > 1 {
+			if svc.Exclusive && len(insts) > 1 {
 				return fmt.Errorf("service: exclusive service %q shares host %q", svc.Name, host)
 			}
 			if !svc.CanRunOn(h) {
@@ -441,13 +430,4 @@ func (d *Deployment) ValidatePlacement() error {
 		}
 	}
 	return nil
-}
-
-func removeString(s []string, v string) []string {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"autoglobe/internal/obs"
+	"autoglobe/internal/service"
 	"autoglobe/internal/wire"
 )
 
@@ -175,4 +176,74 @@ func TestDistributedTraceCarriesDispatches(t *testing.T) {
 	if withDispatch == 0 {
 		t.Fatal("no executed trace carries dispatch events")
 	}
+}
+
+// TestLivenessCountsHostDeathsOnly: the liveness transition counter is
+// the coordinator's host detector. An orderly scale-in or an injected
+// instance crash is no host death: a fault-free in-process run
+// publishes no dead transition at all, and a distributed run with
+// crashes and partitions counts exactly the hosts it demoted.
+func TestLivenessCountsHostDeathsOnly(t *testing.T) {
+	dead := `autoglobe_liveness_transitions_total{transition="dead"}`
+	t.Run("in-process", func(t *testing.T) {
+		r := obs.NewRegistry()
+		cfg := PaperConfig(service.FullMobility, 1.15)
+		cfg.Obs = r
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		scaleIns := 0
+		for _, e := range sim.Controller().Events() {
+			if e.Executed && e.Decision != nil && e.Decision.Action == service.ActionScaleIn {
+				scaleIns++
+			}
+		}
+		if scaleIns == 0 {
+			t.Fatal("the run scaled nothing in — the check is vacuous")
+		}
+		if v, ok := r.Snapshot()[dead]; ok {
+			t.Errorf("%s = %v after %d orderly scale-ins and no host death", dead, v, scaleIns)
+		}
+	})
+	t.Run("distributed", func(t *testing.T) {
+		lb := wire.NewLoopback()
+		defer lb.Close()
+		r := obs.NewRegistry()
+		cfg := PaperConfig(service.FullMobility, 1.15)
+		cfg.Hours = 12
+		cfg.FailuresPerDay = 48
+		cfg.Obs = r
+		cfg.Distributed = &DistributedConfig{Transport: lb, Dispatch: chaosDispatch()}
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		hosts := sim.Deployment().Cluster().Names()
+		var isolated string
+		for m := 0; m < cfg.Hours*60; m++ {
+			// Every 90 minutes one host is cut off for half an hour.
+			switch m % 90 {
+			case 10:
+				isolated = hosts[(m/90*7+1)%len(hosts)]
+				lb.Isolate(isolated)
+			case 40:
+				lb.Heal(isolated)
+			}
+			if err := sim.Step(m); err != nil {
+				t.Fatalf("minute %d: %v", m, err)
+			}
+		}
+		res := sim.res
+		if res.DemotedHosts == 0 || res.Restarts <= res.DemotedHosts {
+			t.Fatalf("%d hosts demoted, %d restarts: the run needs both host deaths and instance crashes", res.DemotedHosts, res.Restarts)
+		}
+		if got := r.Snapshot()[dead]; got != float64(res.DemotedHosts) {
+			t.Errorf("%s = %v, want the %d demoted hosts", dead, got, res.DemotedHosts)
+		}
+	})
 }

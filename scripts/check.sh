@@ -19,7 +19,7 @@
 # the tsdb segment-record decoder, of the closed-form inference
 # against its two references, of memoised server selection against
 # the full scan (FuzzSelectHostParity) and of the deployment's ID-sorted
-# instance snapshots against a collect-and-sort reference
+# instance snapshots against the instance map filtered and sorted by ID
 # (FuzzDeploymentSnapshots), and every benchmark of the root package,
 # internal/archive and internal/tsdb once as a crash smoke. A new test or
 # guard needs no edit here.
@@ -131,10 +131,10 @@ go test ./internal/fuzzy -run '^$' -fuzz FuzzInferDifferential -fuzztime 10s
 echo "== fuzz: memoised server selection vs the full scan, 10 s"
 go test ./internal/controller -run '^$' -fuzz FuzzSelectHostParity -fuzztime 10s -fuzzminimizetime 100x
 
-# Every reader of the landscape shares the deployment's snapshots: any
-# start, stop or move sequence must leave them equal to the instances
-# collected and sorted afresh, and a snapshot handed out earlier intact.
-echo "== fuzz: deployment instance snapshots vs collect-and-sort, 10 s"
+# Every reader of the landscape walks the deployment's snapshots: any
+# start, stop or move sequence must leave them equal to the instance map
+# filtered and sorted afresh, and a snapshot handed out earlier intact.
+echo "== fuzz: deployment instance snapshots vs the filtered instance map, 10 s"
 go test ./internal/service -run '^$' -fuzz FuzzDeploymentSnapshots -fuzztime 10s
 
 # The archive's and the store's benchmarks set up the tail, the raw
