@@ -58,12 +58,11 @@ type proc struct {
 }
 
 // ackCacheCap bounds the agent's idempotency cache: the most recent
-// terminal answers are kept, oldest evicted first. The dispatcher's
-// key-recycling freelist is calibrated against exactly this capacity
-// (see keyReuseLag) — a key is only ever reused once this many younger
-// answers guarantee its eviction, so a recycled key can never be
-// answered from a stale cache line. The cache grows on demand and a
-// quiet agent never pays for the full capacity.
+// terminal answers are kept, oldest evicted first. It only has to
+// outlive a key's retries and a recovery's re-issue: the dispatcher
+// never mints a key twice, so an evicted key is never asked again by a
+// fresh action. The cache grows on demand and a quiet agent never pays
+// for the full capacity.
 const ackCacheCap = 4096
 
 // agentLogCap bounds the audit trail: the most recent applied

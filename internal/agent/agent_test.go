@@ -115,14 +115,14 @@ func TestDispatcherRetriesWithBackoff(t *testing.T) {
 		MaxAttempts: 4,
 		BaseBackoff: 10 * time.Millisecond,
 		MaxBackoff:  25 * time.Millisecond,
-		Seed:        7,
 		Sleep:       func(d time.Duration) { delays = append(delays, d) },
 	}
 	d := NewDispatcher(cfg, tr)
 
 	tr.DropNext("h1", 2) // two lost requests, third attempt lands
-	if _, err := d.Do(context.Background(), wire.ActionRequest{
-		Op: wire.OpStart, Host: "h1", Service: "app", InstanceID: "app-1"}); err != nil {
+	req := wire.ActionRequest{Op: wire.OpStart, Host: "h1", Service: "app", InstanceID: "app-1"}
+	ack, err := d.Do(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(delays) != 2 {
@@ -138,6 +138,25 @@ func TestDispatcherRetriesWithBackoff(t *testing.T) {
 		if got < bounds[i].lo || got > bounds[i].hi {
 			t.Errorf("backoff %d = %v outside [%v, %v]", i+1, got, bounds[i].lo, bounds[i].hi)
 		}
+	}
+
+	// Jitter is a function of the key and the attempt: re-issuing the
+	// key after other retries to the same host sleeps the same pauses.
+	first := delays
+	delays = nil
+	tr.DropNext("h1", 1)
+	if _, err := d.Do(context.Background(), wire.ActionRequest{
+		Op: wire.OpStart, Host: "h1", Service: "app", InstanceID: "app-2"}); err != nil {
+		t.Fatal(err)
+	}
+	delays = nil
+	tr.DropNext("h1", 2)
+	req.Key = ack.Key
+	if again, err := d.Do(context.Background(), req); err != nil || !again.Duplicate {
+		t.Fatalf("re-issue = (%+v, %v), want a duplicate ack", again, err)
+	}
+	if len(delays) != len(first) || delays[0] != first[0] || delays[1] != first[1] {
+		t.Fatalf("re-issued key slept %v, want %v", delays, first)
 	}
 
 	// Exhausting the budget surfaces the transport error.

@@ -3,9 +3,6 @@ package agent
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,15 +24,11 @@ type DispatchConfig struct {
 	// further attempt doubles it up to MaxBackoff (defaults 25ms / 1s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// Seed drives the backoff jitter deterministically (each host lane
-	// derives its own stream from it, so jitter stays replayable however
-	// concurrent callers interleave).
-	Seed uint64
 	// Sleep and Now are clock hooks for tests (Now defaults to
-	// time.Now). A nil Sleep uses a pooled timer that also honours
-	// context cancellation — a retrying dispatch stops backing off the
-	// moment its caller gives up — while a test-provided Sleep is
-	// called as before.
+	// time.Now). A nil Sleep waits on a timer that also honours context
+	// cancellation — a retrying dispatch stops backing off the moment
+	// its caller gives up — while a test-provided Sleep is called
+	// instead.
 	Sleep func(time.Duration)
 	Now   func() time.Time
 }
@@ -75,10 +68,6 @@ type DispatchStats struct {
 	Nacks int
 	// Expired counts operations abandoned after MaxAttempts.
 	Expired int
-	// Recycled counts idempotency keys reused from a host lane's
-	// freelist instead of minted — the steady-state zero-allocation
-	// path (see hostLane).
-	Recycled int
 }
 
 // NackError reports that the agent received the request and refused it.
@@ -94,81 +83,13 @@ func (e *NackError) Error() string {
 	return fmt.Sprintf("agent: %s rejected %s: %s", e.Host, e.Ack.Key, e.Ack.Error)
 }
 
-// keyReuseLag is how many fresh agent-cache inserts a host lane must
-// observe after a key retires before the key may be minted again. It
-// equals ackCacheCap (the agent's FIFO idempotency-cache capacity):
-// once that many younger entries were cached, the agent has provably
-// evicted the retired key, so reuse can never be answered from a stale
-// cache line. Only keys whose dispatch completed with a clean
-// first-attempt, non-duplicate ack retire into the freelist — any key
-// that was retried, duplicated or held may still have a stray copy in
-// the network, and is simply never reused.
-const keyReuseLag = ackCacheCap
-
-// recycledKey is a retired idempotency key parked in a lane freelist.
-type recycledKey struct {
-	key string
-	at  uint64 // lane insert count at retirement; reusable at at+keyReuseLag
-}
-
-// hostLane is the per-host dispatch state: the backoff jitter stream,
-// the agent-cache insert counter that drives key recycling, and the
-// FIFO freelist of reusable keys. Its mutex makes concurrent Do callers
-// to the same host safe; the order they reach the agent in is theirs.
-type hostLane struct {
-	mu      sync.Mutex
-	rng     *rand.Rand
-	epoch   uint64 // epoch the parked keys were minted under
-	inserts uint64 // fresh terminal answers the agent cached for us
-	free    []recycledKey
-	head    int // freelist FIFO cursor (pop side)
-}
-
-// newHostLane derives the lane's jitter stream from the dispatcher
-// seed and the host name, so each host draws deterministic jitter
-// whatever the other hosts' traffic.
-func newHostLane(seed uint64, host string) *hostLane {
-	h := fnv.New64a()
-	h.Write([]byte(host))
-	return &hostLane{rng: rand.New(rand.NewSource(int64(seed^h.Sum64()) + 41))}
-}
-
-// settle records a dispatch's terminal outcome against the lane's
-// model of the agent cache: every fresh (non-duplicate) terminal
-// answer is one cache insert at the agent, and recycleKey — when
-// non-empty — parks the key for reuse once keyReuseLag further inserts
-// guarantee its eviction. Inserts the dispatcher does not know about
-// (held deliveries landing late) only evict earlier, so the lag stays
-// sufficient.
-func (ln *hostLane) settle(epoch uint64, recycleKey string, freshInsert bool) {
-	if !freshInsert && recycleKey == "" {
-		return
-	}
-	ln.mu.Lock()
-	if freshInsert {
-		ln.inserts++
-	}
-	if recycleKey != "" && ln.epoch == epoch {
-		if ln.head > 0 && len(ln.free) == cap(ln.free) {
-			// Compact in place so the steady state (pop one, park one)
-			// never reallocates the backing array.
-			n := copy(ln.free, ln.free[ln.head:])
-			ln.free = ln.free[:n]
-			ln.head = 0
-		}
-		ln.free = append(ln.free, recycledKey{key: recycleKey, at: ln.inserts})
-	}
-	ln.mu.Unlock()
-}
-
 // Dispatcher sends action requests to agents with timeout, bounded
 // exponential backoff with deterministic jitter, and retries. Lost
 // messages and lost acks are indistinguishable to it — both retry with
 // the same idempotency key, and the agent's cache keeps re-delivery
-// safe. One call carries one action; it is safe for concurrent use,
-// and the healthy dispatch path is lock-light (atomic counters, a
-// read-locked lane lookup) and allocation-free (pooled envelopes and
-// attempt contexts, recycled idempotency keys).
+// safe. One call carries one action; it is safe for concurrent use and
+// keeps no per-host state: every minted key is used for one action
+// only, and a retry's jitter is a function of its key and attempt.
 type Dispatcher struct {
 	cfg DispatchConfig
 	tr  wire.Transport
@@ -179,25 +100,17 @@ type Dispatcher struct {
 	dups    atomic.Int64
 	nacks   atomic.Int64
 	expired atomic.Int64
-	reused  atomic.Int64
 
 	metrics atomic.Pointer[dispatchMetrics]
 	tracer  atomic.Pointer[obs.Tracer]
 	journal atomic.Pointer[CoordinatorJournal]
 	epoch   atomic.Uint64
-
-	lanesMu sync.RWMutex
-	lanes   map[string]*hostLane
 }
 
 // NewDispatcher builds a dispatcher over the transport.
 func NewDispatcher(cfg DispatchConfig, tr wire.Transport) *Dispatcher {
 	cfg = cfg.withDefaults()
-	return &Dispatcher{
-		cfg:   cfg,
-		tr:    tr,
-		lanes: make(map[string]*hostLane),
-	}
+	return &Dispatcher{cfg: cfg, tr: tr}
 }
 
 // Instrument attaches an obs registry: subsequent dispatches count
@@ -220,8 +133,7 @@ func (d *Dispatcher) Trace(tr *obs.Tracer) {
 // traffic from superseded incarnations. Keys minted after attachment
 // are epoch-scoped ("from-e<epoch>-<seq>"), so a recovered incarnation
 // can never collide with its predecessor's keys in an agent's
-// idempotency cache (parked keys from an older epoch are discarded,
-// never reused). A nil journal detaches.
+// idempotency cache. A nil journal detaches.
 func (d *Dispatcher) AttachJournal(cj *CoordinatorJournal) {
 	var epoch uint64
 	if cj != nil {
@@ -244,54 +156,14 @@ func (d *Dispatcher) Stats() DispatchStats {
 		Duplicates: int(d.dups.Load()),
 		Nacks:      int(d.nacks.Load()),
 		Expired:    int(d.expired.Load()),
-		Recycled:   int(d.reused.Load()),
 	}
 }
 
-// lane returns the host's dispatch lane, creating it on first use.
-func (d *Dispatcher) lane(host string) *hostLane {
-	d.lanesMu.RLock()
-	ln := d.lanes[host]
-	d.lanesMu.RUnlock()
-	if ln != nil {
-		return ln
-	}
-	d.lanesMu.Lock()
-	defer d.lanesMu.Unlock()
-	if ln = d.lanes[host]; ln == nil {
-		ln = newHostLane(d.cfg.Seed, host)
-		d.lanes[host] = ln
-	}
-	return ln
-}
-
-// mintKey returns an idempotency key for the lane: a parked key whose
-// agent-cache eviction is proven (the zero-allocation steady state),
-// or a freshly formatted one. With a journal attached the key is
-// epoch-scoped: two coordinator incarnations can never mint the same
-// key, so an agent's cached answer is always for the incarnation that
-// asked. An epoch change empties the lane's freelist — parked keys
-// embed the old epoch and must not resurface.
-func (d *Dispatcher) mintKey(ln *hostLane, epoch uint64) string {
-	ln.mu.Lock()
-	if ln.epoch != epoch {
-		ln.free = ln.free[:0]
-		ln.head = 0
-		ln.epoch = epoch
-	}
-	if ln.head < len(ln.free) && ln.inserts >= ln.free[ln.head].at+keyReuseLag {
-		k := ln.free[ln.head].key
-		ln.free[ln.head] = recycledKey{}
-		ln.head++
-		if ln.head == len(ln.free) {
-			ln.free = ln.free[:0]
-			ln.head = 0
-		}
-		ln.mu.Unlock()
-		d.reused.Add(1)
-		return k
-	}
-	ln.mu.Unlock()
+// mintKey returns a fresh idempotency key. With a journal attached the
+// key is epoch-scoped: two coordinator incarnations can never mint the
+// same key, so an agent's cached answer is always for the incarnation
+// that asked.
+func (d *Dispatcher) mintKey(epoch uint64) string {
 	seq := d.seq.Add(1)
 	if epoch > 0 {
 		return fmt.Sprintf("%s-e%d-%06d", d.cfg.From, epoch, seq)
@@ -300,49 +172,41 @@ func (d *Dispatcher) mintKey(ln *hostLane, epoch uint64) string {
 }
 
 // backoff returns the jittered pause before retry attempt+1. The jitter
-// spreads concurrent retriers over [50%, 100%] of the nominal delay;
-// the per-lane seeded source keeps failing runs replayable.
-func (d *Dispatcher) backoff(ln *hostLane, attempt int) time.Duration {
+// spreads concurrent retriers over [50%, 100%] of the nominal delay; it
+// is a hash of the key and the attempt, so a failing run replays the
+// same pauses whatever else the dispatcher sent.
+func (d *Dispatcher) backoff(key string, attempt int) time.Duration {
 	delay := d.cfg.BaseBackoff << (attempt - 1)
 	if delay > d.cfg.MaxBackoff || delay <= 0 {
 		delay = d.cfg.MaxBackoff
 	}
-	ln.mu.Lock()
-	f := 0.5 + 0.5*ln.rng.Float64()
-	ln.mu.Unlock()
+	// FNV-1a over the key, then the splitmix64 finaliser over the
+	// attempt, so neighbouring keys and attempts draw unrelated jitter.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	h += uint64(attempt) * 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
+	f := 0.5 + 0.5*float64(h>>11)/(1<<53)
 	return time.Duration(float64(delay) * f)
 }
 
-// backoffTimers pools the retry timers so a retrying dispatch neither
-// allocates a timer per backoff nor blocks past its caller's
-// cancellation.
-var backoffTimers sync.Pool
-
 // pause waits the backoff delay out: through the test hook when one is
-// configured, otherwise on a pooled timer raced against the caller's
-// context.
+// configured, otherwise on a timer raced against the caller's context.
 func (d *Dispatcher) pause(ctx context.Context, dur time.Duration) {
 	if d.cfg.Sleep != nil {
 		d.cfg.Sleep(dur)
 		return
 	}
-	t, _ := backoffTimers.Get().(*time.Timer)
-	if t == nil {
-		t = time.NewTimer(dur)
-	} else {
-		t.Reset(dur)
-	}
+	t := time.NewTimer(dur)
+	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-ctx.Done():
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
 	}
-	backoffTimers.Put(t)
 }
 
 // retryBudget is the wall-clock span of a full retry schedule — the
@@ -362,9 +226,7 @@ func (d *Dispatcher) Do(ctx context.Context, req wire.ActionRequest) (wire.Actio
 
 // do is Do with the compensation flag the transaction layer sets on
 // Undo dispatches, so metrics and traces can tell rollback traffic
-// from forward progress. The retry loop is the healthy-path hot loop:
-// pooled request envelope, pooled attempt context, atomic counters, and
-// key retirement into the lane freelist.
+// from forward progress.
 func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensation bool) (wire.ActionAck, error) {
 	if req.Host == "" {
 		return wire.ActionAck{}, fmt.Errorf("agent: dispatch without destination host")
@@ -372,12 +234,9 @@ func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensatio
 	m := d.metrics.Load()
 	tracer := d.tracer.Load()
 	cj := d.journal.Load()
-	ln := d.lane(req.Host)
 	epoch := d.epoch.Load()
-	minted := false
 	if req.Key == "" {
-		req.Key = d.mintKey(ln, epoch)
-		minted = true
+		req.Key = d.mintKey(epoch)
 	}
 	if req.DeadlineUnixMS == 0 {
 		req.DeadlineUnixMS = d.cfg.Now().Add(d.retryBudget()).UnixMilli()
@@ -405,7 +264,7 @@ func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensatio
 	for attempt := 1; attempt <= d.cfg.MaxAttempts; attempt++ {
 		attempts = attempt
 		if attempt > 1 {
-			d.pause(ctx, d.backoff(ln, attempt-1))
+			d.pause(ctx, d.backoff(req.Key, attempt-1))
 			d.retries.Add(1)
 		}
 		// The caller's context bounds the WHOLE retry loop, backoff
@@ -419,9 +278,9 @@ func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensatio
 		m.attempt()
 		env := wire.AcquireActionEnvelope(d.cfg.From, req.Host, req)
 		env.Epoch = epoch
-		ac := acquireAttemptCtx(ctx, d.cfg.Timeout)
+		ac, cancel := context.WithTimeout(ctx, d.cfg.Timeout)
 		reply, err := d.tr.Call(ac, req.Host, env)
-		releaseAttemptCtx(ac)
+		cancel()
 		wire.ReleaseEnvelope(env)
 		if err != nil {
 			lastErr = err
@@ -446,7 +305,6 @@ func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensatio
 		if !ack.OK {
 			d.nacks.Add(1)
 			m.nack()
-			ln.settle(epoch, "", !ack.Duplicate)
 			ev.Error = ack.Error
 			tracer.Dispatch(ev)
 			if cj != nil {
@@ -458,14 +316,6 @@ func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensatio
 			return ack, &NackError{Host: req.Host, Ack: ack}
 		}
 		m.ok(ack.Duplicate)
-		// A key retires into the freelist only when no stray copy of it
-		// can still be in flight: exactly one attempt, answered fresh
-		// (not from cache), for a key this dispatcher minted itself.
-		recycle := ""
-		if minted && attempt == 1 && !ack.Duplicate {
-			recycle = req.Key
-		}
-		ln.settle(epoch, recycle, !ack.Duplicate)
 		tracer.Dispatch(ev)
 		if cj != nil {
 			if jerr := cj.LogAck(req.Key, ack); jerr != nil {
@@ -498,89 +348,3 @@ func (d *Dispatcher) do(ctx context.Context, req wire.ActionRequest, compensatio
 	}
 	return wire.ActionAck{}, err
 }
-
-// ---------------------------------------------------------------------
-// Pooled per-attempt contexts
-// ---------------------------------------------------------------------
-
-// attemptCtx is a pooled deadline context for one delivery attempt.
-// The synchronous transports (the loopback) only ever poll Err(), so
-// the healthy path materialises no timer, no channel and no derived
-// context — zero allocations per attempt, and the struct returns to
-// the pool. A transport that selects on Done() (HTTP under latency)
-// lazily promotes the context to a real context.WithDeadline — and
-// thereby escapes it: net/http derives a cancel context from the
-// request context whose teardown runs asynchronously after Call
-// returns, reading the parent (this struct) from the connection's
-// read loop. An escaped attemptCtx is therefore never reused — its
-// inner context is cancelled and the GC takes the husk.
-type attemptCtx struct {
-	parent   context.Context
-	deadline time.Time
-
-	mu     sync.Mutex
-	inner  context.Context
-	cancel context.CancelFunc
-}
-
-var attemptCtxPool = sync.Pool{New: func() any { return new(attemptCtx) }}
-
-func acquireAttemptCtx(parent context.Context, timeout time.Duration) *attemptCtx {
-	c := attemptCtxPool.Get().(*attemptCtx)
-	c.parent = parent
-	c.deadline = time.Now().Add(timeout)
-	if pd, ok := parent.Deadline(); ok && pd.Before(c.deadline) {
-		c.deadline = pd
-	}
-	return c
-}
-
-func releaseAttemptCtx(c *attemptCtx) {
-	c.mu.Lock()
-	cancel := c.cancel
-	c.mu.Unlock()
-	if cancel != nil {
-		// Done() was materialised, so the context may have been captured
-		// by a derived context whose asynchronous teardown still reads
-		// this struct. Cancel the timer and abandon the struct — writing
-		// any field here would race with that teardown.
-		cancel()
-		return
-	}
-	c.parent = nil
-	attemptCtxPool.Put(c)
-}
-
-// Deadline implements context.Context.
-func (c *attemptCtx) Deadline() (time.Time, bool) { return c.deadline, true }
-
-// Done implements context.Context, materialising the real timer-backed
-// context on first use.
-func (c *attemptCtx) Done() <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inner == nil {
-		c.inner, c.cancel = context.WithDeadline(c.parent, c.deadline)
-	}
-	return c.inner.Done()
-}
-
-// Err implements context.Context.
-func (c *attemptCtx) Err() error {
-	if err := c.parent.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	inner := c.inner
-	c.mu.Unlock()
-	if inner != nil {
-		return inner.Err()
-	}
-	if !time.Now().Before(c.deadline) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-// Value implements context.Context.
-func (c *attemptCtx) Value(key any) any { return c.parent.Value(key) }

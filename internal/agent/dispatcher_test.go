@@ -3,6 +3,7 @@ package agent
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,11 +132,11 @@ func TestDispatchConcurrentCallersStress(t *testing.T) {
 	}
 }
 
-// TestDispatchKeyRecycling: once a host lane has observed more fresh
-// answers than the agent's idempotency cache holds, retired keys are
-// minted again instead of formatted — and never while the agent could
-// still answer them from cache.
-func TestDispatchKeyRecycling(t *testing.T) {
+// TestDispatchKeysAreNeverReused: every action gets a key of its own.
+// More dispatches than the agent's idempotency cache holds go to one
+// host, one of them retried after a lost ack, then more under a journal
+// epoch; no key repeats, and only the retry is answered from the cache.
+func TestDispatchKeysAreNeverReused(t *testing.T) {
 	tr := wire.NewLoopback()
 	defer tr.Close()
 	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
@@ -144,79 +145,51 @@ func TestDispatchKeyRecycling(t *testing.T) {
 	d := NewDispatcher(fastDispatch(), tr)
 	ctx := context.Background()
 
-	do := func(i int) wire.ActionAck {
-		op, id := wire.OpStart, fmt.Sprintf("i%d", i)
+	seen := make(map[string]bool)
+	send := func(i int) wire.ActionAck {
+		op := wire.OpStart
 		if i%2 == 1 {
-			op, id = wire.OpStop, fmt.Sprintf("i%d", i-1)
+			op = wire.OpStop
 		}
-		ack, err := d.Do(ctx, wire.ActionRequest{Op: op, Host: "h1", Service: "app", InstanceID: id})
+		ack, err := d.Do(ctx, wire.ActionRequest{Op: op, Host: "h1", Service: "app", InstanceID: "app-1"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if seen[ack.Key] {
+			t.Fatalf("dispatch %d: key %s minted twice", i, ack.Key)
+		}
+		seen[ack.Key] = true
 		return ack
 	}
-	// The first retired key becomes reusable only after ackCacheCap
-	// further fresh answers prove its eviction.
-	for i := 0; i < ackCacheCap; i++ {
-		do(i)
-	}
-	if st := d.Stats(); st.Recycled != 0 {
-		t.Fatalf("recycled %d keys before the cache could have evicted any", st.Recycled)
-	}
-	seen := make(map[string]int)
-	for i := 0; i < ackCacheCap; i++ {
-		ack := do(ackCacheCap + i)
-		if ack.Duplicate {
-			t.Fatalf("dispatch %d: recycled key answered from cache (stale!)", i)
+	const retried = 100
+	n := 0
+	for ; n < ackCacheCap+64; n++ {
+		if n == retried {
+			tr.DropReplyNext("h1", 1)
 		}
-		seen[ack.Key]++
-	}
-	st := d.Stats()
-	if st.Recycled == 0 {
-		t.Fatal("no keys recycled after cycling past the ack-cache capacity")
-	}
-	for k, n := range seen {
-		if n > 1 {
-			t.Fatalf("key %s used %d times within one cache window", k, n)
+		if ack := send(n); ack.Duplicate != (n == retried) {
+			t.Fatalf("dispatch %d: duplicate = %v, want %v", n, ack.Duplicate, n == retried)
 		}
 	}
-}
 
-// TestDispatchKeyRecyclingSkipsRetried: a key whose dispatch needed a
-// retry (a stray copy may survive in the network) must never re-enter
-// the mint pool.
-func TestDispatchKeyRecyclingSkipsRetried(t *testing.T) {
-	tr := wire.NewLoopback()
-	defer tr.Close()
-	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDispatcher(fastDispatch(), tr)
-	ctx := context.Background()
-
-	tr.DropReplyNext("h1", 1)
-	ack, err := d.Do(ctx, wire.ActionRequest{Op: wire.OpStart, Host: "h1", Service: "app", InstanceID: "i0"})
+	cj, err := OpenCoordinatorJournal(t.TempDir(), journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ack.Duplicate {
-		t.Fatalf("ack = %+v, want duplicate (retry answered from cache)", ack)
+	defer cj.Close()
+	d.AttachJournal(cj)
+	scope := fmt.Sprintf("%s-e%d-", CoordinatorNode, cj.Epoch())
+	for end := n + 64; n < end; n++ {
+		ack := send(n)
+		if ack.Duplicate {
+			t.Fatalf("dispatch %d under epoch %d answered from cache", n, cj.Epoch())
+		}
+		if !strings.HasPrefix(ack.Key, scope) {
+			t.Fatalf("dispatch %d: key %s, want prefix %s", n, ack.Key, scope)
+		}
 	}
-	retried := ack.Key
-	// Push enough fresh answers through the lane that a retired key
-	// WOULD be eligible, then verify the retried key never comes back.
-	for i := 1; i <= 2*ackCacheCap; i++ {
-		op, id := wire.OpStart, fmt.Sprintf("i%d", i)
-		if i%2 == 0 {
-			op, id = wire.OpStop, fmt.Sprintf("i%d", i-1)
-		}
-		got, err := d.Do(ctx, wire.ActionRequest{Op: op, Host: "h1", Service: "app", InstanceID: id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Key == retried {
-			t.Fatalf("retried key %s was recycled", retried)
-		}
+	if st := d.Stats(); st.Actions != n || st.Retries != 1 || st.Duplicates != 1 {
+		t.Fatalf("stats = %+v, want %d actions, 1 retry, 1 duplicate", st, n)
 	}
 }
 

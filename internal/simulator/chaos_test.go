@@ -19,7 +19,6 @@ func chaosDispatch() agent.DispatchConfig {
 		BaseBackoff: time.Microsecond,
 		MaxBackoff:  time.Microsecond,
 		Sleep:       func(time.Duration) {},
-		Seed:        7,
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md): formatting, vet,
 # the metric-name lint, the wire-encoding lint, the tsdb single-owner
-# lint (non-test internal/tsdb does not import sync), the storage lint
+# lint (non-test internal/tsdb does not import sync), the dispatch lint
+# (non-test internal/agent does not import math/rand), the storage lint
 # (only internal/journal creates, writes, renames or removes a file),
 # every examples/* program built and run (a non-zero exit fails the
 # gate), every test twice (under the race detector, then
@@ -65,6 +66,14 @@ fi
 echo "== tsdb lint: non-test internal/tsdb does not import sync"
 if go list -f '{{join .Imports " "}}' ./internal/tsdb | grep -qE '(^| )sync(/atomic)?( |$)'; then
 	echo "tsdb lint: internal/tsdb imports sync or sync/atomic" >&2
+	exit 1
+fi
+
+# The dispatcher keeps no per-host state: a retry's jitter is a hash of
+# its key and attempt. A per-host generator must not creep back in.
+echo "== dispatch lint: non-test internal/agent does not import math/rand"
+if go list -f '{{join .Imports " "}}' ./internal/agent | grep -qE '(^| )math/rand(/v2)?( |$)'; then
+	echo "dispatch lint: internal/agent imports math/rand" >&2
 	exit 1
 fi
 
