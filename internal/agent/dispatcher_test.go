@@ -193,6 +193,77 @@ func TestDispatchKeysAreNeverReused(t *testing.T) {
 	}
 }
 
+// TestDispatchKeyRecycling: keys are not recycled. Past the point where
+// the agent's idempotency cache has evicted the first keys (ackCacheCap
+// fresh answers from one host), a dispatch still gets a key never used
+// before, so no fresh action is answered from the cache.
+func TestDispatchKeyRecycling(t *testing.T) {
+	tr := wire.NewLoopback()
+	defer tr.Close()
+	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(fastDispatch(), tr)
+	ctx := context.Background()
+
+	seen := make(map[string]int)
+	for i := 0; i < 2*ackCacheCap; i++ {
+		op, id := wire.OpStart, fmt.Sprintf("i%d", i)
+		if i%2 == 1 {
+			op, id = wire.OpStop, fmt.Sprintf("i%d", i-1)
+		}
+		ack, err := d.Do(ctx, wire.ActionRequest{Op: op, Host: "h1", Service: "app", InstanceID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Duplicate {
+			t.Fatalf("dispatch %d: key %s answered from cache (stale!)", i, ack.Key)
+		}
+		if j, ok := seen[ack.Key]; ok {
+			t.Fatalf("dispatch %d: key %s already used by dispatch %d", i, ack.Key, j)
+		}
+		seen[ack.Key] = i
+	}
+}
+
+// TestDispatchKeyRecyclingSkipsRetried: a key whose dispatch needed a
+// retry (a stray copy may survive in the network) never comes back,
+// however many fresh answers pass through the host afterwards.
+func TestDispatchKeyRecyclingSkipsRetried(t *testing.T) {
+	tr := wire.NewLoopback()
+	defer tr.Close()
+	if _, err := NewAgent("h1", CoordinatorNode, tr); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(fastDispatch(), tr)
+	ctx := context.Background()
+
+	tr.DropReplyNext("h1", 1)
+	ack, err := d.Do(ctx, wire.ActionRequest{Op: wire.OpStart, Host: "h1", Service: "app", InstanceID: "i0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ack.Duplicate {
+		t.Fatalf("ack = %+v, want duplicate (retry answered from cache)", ack)
+	}
+	retried := ack.Key
+	// Push more fresh answers through the host than the agent's cache
+	// holds, then verify the retried key never comes back.
+	for i := 1; i <= 2*ackCacheCap; i++ {
+		op, id := wire.OpStart, fmt.Sprintf("i%d", i)
+		if i%2 == 0 {
+			op, id = wire.OpStop, fmt.Sprintf("i%d", i-1)
+		}
+		got, err := d.Do(ctx, wire.ActionRequest{Op: op, Host: "h1", Service: "app", InstanceID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Key == retried {
+			t.Fatalf("retried key %s was used again", retried)
+		}
+	}
+}
+
 // TestTriggerQueueRecycling: the coordinator's per-minute trigger
 // drain must reuse the recycled backing array instead of allocating a
 // fresh queue every minute.
