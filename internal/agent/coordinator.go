@@ -940,7 +940,9 @@ func (c *Coordinator) queueTrigger(tr *monitor.Trigger, entity string) {
 // contending with (or blocking behind) an in-flight merge. A caller
 // done with the returned slice may hand it back through
 // RecycleTriggers; the spare backing array is then reused instead of
-// reallocated, making the steady-state minute loop allocation-free.
+// reallocated. Only the slice is recycled: each trigger is a fresh
+// allocation of the monitor's confirmation (monitor.System), so a
+// minute that confirms triggers still allocates one per trigger.
 func (c *Coordinator) TakeTriggers() []*monitor.Trigger {
 	c.trigMu.Lock()
 	defer c.trigMu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"autoglobe/internal/controller"
 	"autoglobe/internal/journal"
@@ -23,9 +22,6 @@ type PlaneConfig struct {
 	// Dispatch tunes the action dispatcher.
 	Dispatch DispatchConfig
 }
-
-// HeartbeatTimeout bounds one in-process heartbeat delivery.
-const HeartbeatTimeout = 2 * time.Second
 
 // Plane is a fully wired control plane for one deployment: the
 // coordinator plus one agent per cluster host, all over one transport.

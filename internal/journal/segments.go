@@ -19,10 +19,13 @@ import (
 // Nothing is created at open. The first write after it starts a fresh
 // segment (O_EXCL), so a torn tail left by a crashed writer is never
 // appended to, and a write that would grow a non-empty segment past
-// Options.SegmentBytes starts the next one. Unless Options.NoSync, a new
-// segment's directory entry is fsynced as it is created: fsyncing a
-// file does not make its name durable. Segments is not safe for
-// concurrent use; its owner serializes calls.
+// Options.SegmentBytes starts the next one. Unless Options.NoSync, the
+// segment a rotation closes is fsynced before the next one starts — a
+// caller that makes several writes and then one Sync has all of them
+// durable, whichever segments they landed in — and a new segment's
+// directory entry is fsynced as it is created: fsyncing a file does not
+// make its name durable. Segments is not safe for concurrent use; its
+// owner serializes calls.
 type Segments struct {
 	dir, prefix string
 	opts        Options
@@ -140,15 +143,26 @@ func (s *Segments) create() error {
 	return syncDir(s.dir)
 }
 
-// rotate closes the active segment: the next write starts a fresh one.
+// rotate closes the active segment, fsyncing it first unless NoSync:
+// the next write starts a fresh one, and Sync only reaches that one.
 func (s *Segments) rotate() error {
 	if s.w == nil {
 		return nil
 	}
-	err := s.w.Close()
+	var err error
+	if !s.opts.NoSync {
+		err = fsync(s.w)
+	}
+	if cerr := s.w.Close(); err == nil {
+		err = cerr
+	}
 	s.w, s.live[len(s.live)-1].f = nil, nil
 	return err
 }
+
+// fsync makes a segment's written bytes durable. A variable, so that the
+// tests can see which segments were synced.
+var fsync = (*os.File).Sync
 
 // syncDir makes dir's entries durable — a created segment, a renamed
 // snapshot — which fsyncing the files themselves does not.
@@ -166,7 +180,7 @@ func (s *Segments) Sync() error {
 	if s.opts.NoSync || s.w == nil {
 		return nil
 	}
-	return s.w.Sync()
+	return fsync(s.w)
 }
 
 // ReadAt fills b from segment seq at offset off, where Write reported a

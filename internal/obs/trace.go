@@ -98,14 +98,17 @@ const DefaultTraceCapacity = 256
 // the decision (Decide), the dispatcher appends per-host outcomes
 // (Dispatch), and End seals the record. The loop handles one trigger
 // at a time, so at most one trace is open; events arriving with no
-// open trace are dropped. The nil tracer is a valid no-op.
+// open trace are dropped. The open trace is a field of the tracer,
+// filled by Begin and copied into the ring when sealed, so opening one
+// allocates nothing. The nil tracer is a valid no-op.
 type Tracer struct {
-	mu   sync.Mutex
-	ring []Trace
-	head int // index of oldest element when full
-	n    int // number of valid elements
-	seq  uint64
-	open *Trace
+	mu     sync.Mutex
+	ring   []Trace
+	head   int // index of oldest element when full
+	n      int // number of valid elements
+	seq    uint64
+	open   Trace // the open trace, while isOpen
+	isOpen bool
 }
 
 // NewTracer returns a tracer retaining the most recent capacity traces
@@ -126,11 +129,11 @@ func (t *Tracer) Begin(minute int, tg TraceTrigger) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.open != nil {
+	if t.isOpen {
 		t.sealLocked("abandoned", "")
 	}
 	t.seq++
-	t.open = &Trace{Seq: t.seq, Minute: minute, Trigger: tg}
+	t.open, t.isOpen = Trace{Seq: t.seq, Minute: minute, Trigger: tg}, true
 }
 
 // Decide attaches the resolved decision to the open trace. Fallback
@@ -142,7 +145,7 @@ func (t *Tracer) Decide(d TraceDecision) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.open == nil {
+	if !t.isOpen {
 		return
 	}
 	t.open.Decision = &d
@@ -155,7 +158,7 @@ func (t *Tracer) Dispatch(d TraceDispatch) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.open == nil {
+	if !t.isOpen {
 		return
 	}
 	t.open.Dispatches = append(t.open.Dispatches, d)
@@ -168,7 +171,7 @@ func (t *Tracer) Shadow(s TraceShadow) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.open == nil {
+	if !t.isOpen {
 		return
 	}
 	t.open.Shadow = &s
@@ -183,7 +186,7 @@ func (t *Tracer) Annotate(note string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.open == nil {
+	if !t.isOpen {
 		return
 	}
 	if t.open.Note != "" {
@@ -205,7 +208,7 @@ func (t *Tracer) End(outcome, note string) {
 
 // sealLocked commits the open trace. Callers hold t.mu.
 func (t *Tracer) sealLocked(outcome, note string) {
-	if t.open == nil {
+	if !t.isOpen {
 		return
 	}
 	t.open.Outcome = outcome
@@ -213,13 +216,13 @@ func (t *Tracer) sealLocked(outcome, note string) {
 		t.open.Note = note
 	}
 	if t.n < len(t.ring) {
-		t.ring[(t.head+t.n)%len(t.ring)] = *t.open
+		t.ring[(t.head+t.n)%len(t.ring)] = t.open
 		t.n++
 	} else {
-		t.ring[t.head] = *t.open
+		t.ring[t.head] = t.open
 		t.head = (t.head + 1) % len(t.ring)
 	}
-	t.open = nil
+	t.open, t.isOpen = Trace{}, false // the ring keeps the copy; the tracer pins none of it
 }
 
 // Snapshot returns the sealed traces, oldest first.

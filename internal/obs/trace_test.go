@@ -114,3 +114,35 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
+
+// TestTracerBeginZeroAlloc pins that opening and sealing a trace — what
+// every handled trigger costs the control loop, decision or not —
+// allocates nothing, and that the open trace held by the tracer hands
+// nothing of one trace to the next.
+func TestTracerBeginZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted by race instrumentation")
+	}
+	tr := NewTracer(4)
+	tg := TraceTrigger{Kind: "serverIdle", Entity: "b1", Minute: 7}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tr.Begin(7, tg)
+		tr.End(OutcomeNoAction, "")
+	}); allocs != 0 {
+		t.Fatalf("Begin+End allocates %.1f times per trace, want 0", allocs)
+	}
+	tr.Begin(8, tg)
+	tr.Dispatch(TraceDispatch{Host: "b1", Op: "stop", OK: true})
+	tr.Annotate("first")
+	tr.End(OutcomeExecuted, "")
+	tr.Begin(9, tg)
+	tr.End(OutcomeNoAction, "")
+	traces := tr.Snapshot()
+	first, second := traces[len(traces)-2], traces[len(traces)-1]
+	if len(first.Dispatches) != 1 || first.Note != "first" {
+		t.Fatalf("sealed trace lost its events: %+v", first)
+	}
+	if second.Dispatches != nil || second.Note != "" || second.Decision != nil {
+		t.Fatalf("a new trace starts with the last one's events: %+v", second)
+	}
+}

@@ -32,18 +32,22 @@
 //	watermark: [kMark]  [tier] [uvarint minute]
 //
 // The minute stream is a sequence of commit batches, each
-// [row frames][seal frames] in one write. A row holds every sample
-// appended since the previous batch, whatever its entity, in append
-// order (a batch past rowFrameBytes is split over several rows); a
-// seal is a kBlock of exactly BlockSamples samples, the steady-state
-// storage unit and the only thing the read index points at. Replay
-// fills each entity's open block from the rows and empties it at the
-// entity's seal, so two orderings are load-bearing: a batch's rows come
-// BEFORE its seals (the block's 64th sample is in a row in front of
-// it), and between an entity's 64th cell and its 65th there is always
-// its seal. A batch torn between its rows and its seals therefore
-// replays as a full open block with no frame behind it; the next commit
-// seals it, and every read in between sees each sample once.
+// [row frames][seal frames], written in one write or — when many
+// entities seal in the same commit — in several, each at most
+// rowFrameBytes plus one seal frame, with one fsync after the last (a
+// write that rotates the segment fsyncs the one it closes). A row holds
+// every sample appended since the previous batch, whatever its entity,
+// in append order (a batch past rowFrameBytes is split over several
+// rows); a seal is a kBlock of exactly BlockSamples samples, the
+// steady-state storage unit and the only thing the read index points
+// at. Replay fills each entity's open block from the rows and empties it
+// at the entity's seal, so two orderings are load-bearing: a batch's
+// rows come BEFORE its seals (the block's 64th sample is in a row in
+// front of it), and between an entity's 64th cell and its 65th there is
+// always its seal. A batch torn between its rows and its seals — by a
+// crash mid-write or between two of its writes — therefore replays as a
+// full open block with no frame behind it; the next commit seals it,
+// and every read in between sees each sample once.
 //
 // Stores written before the row record hold kBlock records of fewer
 // than BlockSamples samples ("tails", one per entity per commit, after

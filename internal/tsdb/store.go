@@ -88,7 +88,7 @@ type Store struct {
 
 	row         []byte   // open row payload: the cells appended since the last row frame
 	rowBase     int      // minute the open row's cells are relative to
-	pending     []byte   // framed minute-tier batch: closed rows, then the seals Commit adds
+	pending     []byte   // framed minute-tier chunk: closed rows, then the seals Commit adds
 	dictPending []byte   // framed dict records for entities seen since last Commit
 	full        []uint64 // entities whose open block is full and awaits its seal
 	stagedMax   int      // newest minute staged since the last Commit
@@ -108,13 +108,14 @@ var ErrClosed = errors.New("tsdb: store is closed")
 
 // rowFrameBytes closes the open row into a frame of its own before the
 // commit: a caller staging hours of a large fleet between commits must
-// stay far below journal.MaxRecordBytes.
+// stay far below journal.MaxRecordBytes. It also bounds a commit's
+// chunk of seal frames (see commitMinutes).
 const rowFrameBytes = 256 << 10
 
 // sealFrameBytes bounds one framed sealed block: the journal's 9-byte
 // frame header, kind and tier, id and count, the samples. Taking both
-// varints at their maximum is the batch buffer's headroom for the
-// entities that join between two seal bursts.
+// varints at their maximum makes it a bound for any id, so a chunk of
+// seals is sized from it once.
 const sealFrameBytes = 9 + 2 + 2*binary.MaxVarintLen64 + BlockSamples*sampleBytes
 
 // writable gates every mutating call: a closed store refuses them, and
@@ -426,18 +427,21 @@ func (st *Store) closeRow() {
 	}
 }
 
-// Commit makes every buffered sample durable in one batched segment
-// write (plus one fsync unless Options.NoSync): the row of samples
-// appended since the last commit, then a sealed block for every entity
-// whose 64th open sample is among them — only those entities are
-// touched. Journal-style prefix durability applies — a crash
-// mid-commit preserves an intact prefix of the batch and the torn tail
-// is dropped on replay; a prefix that holds the rows but not every seal
-// reopens with those blocks full and unsealed, and the next commit
-// seals them. A commit with nothing buffered is a no-op. A commit whose
-// write fails acknowledges nothing and leaves the store refusing
-// appends, commits and compactions with that error until the directory
-// is reopened: replay rebuilds from what really reached the disk.
+// Commit makes every buffered sample durable in one batch (plus one
+// fsync unless Options.NoSync): the row of samples appended since the
+// last commit, then a sealed block for every entity whose 64th open
+// sample is among them — only those entities are touched. The batch
+// goes out in one segment write or, when many entities seal at once,
+// several, each at most rowFrameBytes plus one seal frame; a write that
+// rotates the segment fsyncs the one it closes. Journal-style prefix
+// durability applies — a crash mid-commit preserves an intact prefix of
+// the batch and the torn tail is dropped on replay; a prefix that holds
+// the rows but not every seal reopens with those blocks full and
+// unsealed, and the next commit seals them. A commit with nothing
+// buffered is a no-op. A commit whose write fails acknowledges nothing
+// and leaves the store refusing appends, commits and compactions with
+// that error until the directory is reopened: replay rebuilds from what
+// really reached the disk.
 func (st *Store) Commit() error {
 	if err := st.writable(); err != nil {
 		return err
@@ -463,53 +467,95 @@ func (st *Store) Commit() error {
 	return nil
 }
 
-// commitMinutes writes the minute-tier batch: the rows already framed
-// in pending, then the seals of the full list.
+// commitMinutes writes the minute-tier batch — the rows already framed
+// in pending, then the seals of the full list in id order — in chunks,
+// and fsyncs once after the last. Seal frames join a chunk while it is
+// below rowFrameBytes, so the batch buffer holds one chunk, however many
+// entities seal in the same minute. A crash between two chunks leaves a
+// batch torn at a frame boundary, which replay already recovers.
 func (st *Store) commitMinutes() error {
-	newest := st.stagedMax
-	// Canonical batch order regardless of append interleaving; the
-	// batch buffer is sized once for the whole burst.
-	slices.Sort(st.full)
-	for i, id := range st.full {
+	slices.Sort(st.full)   // canonical batch order regardless of append interleaving
+	newest := st.stagedMax // the rows ride in the first chunk
+	for i := 0; ; {
+		j := st.frameSeals(i)
+		seq, base, err := st.write(int(TierMinute), st.pending)
+		if err != nil {
+			st.unindex(j)
+			return err
+		}
+		for _, id := range st.full[i:j] {
+			e := st.ents[id]
+			ref := &e.blocks[len(e.blocks)-1]
+			ref.seq, ref.off = seq, base+ref.off
+			newest = max(newest, ref.end) // an orphan sealed after a reopen has no row in this batch
+		}
+		if newest > st.segMax[seq] {
+			st.segMax[seq] = newest
+		}
+		st.pending, newest, i = st.pending[:0], 0, j
+		if i == len(st.full) {
+			break
+		}
+	}
+	if err := st.sync(int(TierMinute)); err != nil {
+		st.unindex(len(st.full))
+		return err
+	}
+	for _, id := range st.full {
+		e := st.ents[id]
+		e.sealed, e.n = e.open, 0
+	}
+	st.m.addBlocks(kindSealed, len(st.full))
+	st.full, st.stagedMax = st.full[:0], 0
+	return nil
+}
+
+// frameSeals indexes the seals of full[i:] that join the chunk being
+// built and returns where the run ends. A memory store keeps every block
+// raw in one run. A disk store frames them onto pending — the frame's
+// offset is relative to the chunk until its write returns — while the
+// chunk is below rowFrameBytes, at least one a chunk. Pending grows at
+// most once per chunk, for the frames it takes, and its capacity stays
+// within rowFrameBytes + sealFrameBytes unless the rows alone pass that.
+func (st *Store) frameSeals(i int) int {
+	n := len(st.full) - i
+	if st.dir != "" {
+		if len(st.pending) >= rowFrameBytes {
+			return i // the rows are a chunk of their own
+		}
+		n = min(n, max(1, (rowFrameBytes-len(st.pending))/sealFrameBytes))
+		if need := len(st.pending) + n*sealFrameBytes; need > cap(st.pending) {
+			// Double, as append would for bursts that grow minute by
+			// minute, but never past the bound: need is within it.
+			c := min(max(need, 2*cap(st.pending)), rowFrameBytes+sealFrameBytes)
+			st.pending = append(make([]byte, 0, c), st.pending...)
+		}
+	}
+	for _, id := range st.full[i : i+n] {
 		e := st.ents[id]
 		ref := blockRef{start: e.open[0].Minute, end: e.open[BlockSamples-1].Minute}
 		if st.dir == "" {
 			ref.raw = new([BlockSamples]Sample)
 			*ref.raw = e.open
 		} else {
-			// The frame's offset within the batch: the batch lands whole
-			// at the segment's end in one write.
-			st.pending = slices.Grow(st.pending, (len(st.full)-i)*sealFrameBytes)
 			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.open[:])
 			off := len(st.pending)
 			st.pending = journal.AppendFrame(st.pending, st.recBuf)
 			ref.off, ref.n = int64(off), len(st.pending)-off
 		}
 		e.blocks = append(e.blocks, ref)
-		newest = max(newest, ref.end) // an orphan sealed after a reopen has no row in this batch
 	}
-	seq, base, err := st.writeTier(int(TierMinute), st.pending)
-	if err != nil {
-		// Nothing of this batch is acked or indexed: the blocks stay
-		// open and the tails as they were, readable from memory.
-		for _, id := range st.full {
-			e := st.ents[id]
-			e.blocks = e.blocks[:len(e.blocks)-1]
-		}
-		return err
-	}
-	for _, id := range st.full {
+	return i + n
+}
+
+// unindex drops the index entries frameSeals added for full[:j] when the
+// commit fails: nothing of the batch is acked, the blocks stay open and
+// the tails as they were, readable from memory.
+func (st *Store) unindex(j int) {
+	for _, id := range st.full[:j] {
 		e := st.ents[id]
-		ref := &e.blocks[len(e.blocks)-1]
-		ref.seq, ref.off = seq, base+ref.off
-		e.sealed, e.n = e.open, 0
+		e.blocks = e.blocks[:len(e.blocks)-1]
 	}
-	if newest > st.segMax[seq] {
-		st.segMax[seq] = newest
-	}
-	st.m.addBlocks(kindSealed, len(st.full))
-	st.pending, st.full, st.stagedMax = st.pending[:0], st.full[:0], 0
-	return nil
 }
 
 // fail poisons the store with its first failed write (see writable).
@@ -518,29 +564,47 @@ func (st *Store) fail(tier int, err error) error {
 	return st.err
 }
 
-// writeTier appends b to the tier's segments in one write, with an fsync
-// unless NoSync, and returns the segment and offset it landed at. Any
-// failure poisons the store. A memory store writes nothing.
+// writeTier appends b to the tier's segments in one write and fsyncs
+// them, and returns the segment and offset it landed at.
 func (st *Store) writeTier(tier int, b []byte) (seq uint64, off int64, err error) {
+	if seq, off, err = st.write(tier, b); err == nil {
+		err = st.sync(tier)
+	}
+	return seq, off, err
+}
+
+// write appends b to the tier's segments in one write and returns the
+// segment and offset it landed at. Any failure poisons the store. A
+// memory store writes nothing.
+func (st *Store) write(tier int, b []byte) (uint64, int64, error) {
 	if st.dir == "" {
 		return 0, 0, nil
 	}
-	s := st.segs[tier]
-	if seq, off, err = s.Write(b); err == nil {
-		if off == 0 {
-			st.m.segment(tier)
-		}
-		st.m.wrote(tier, len(b), st.diskBytes())
-		if !st.opts.NoSync {
-			t0 := st.m.start()
-			err = s.Sync()
-			st.m.synced(t0)
-		}
-	}
+	seq, off, err := st.segs[tier].Write(b)
 	if err != nil {
 		return 0, 0, st.fail(tier, err)
 	}
+	if off == 0 {
+		st.m.segment(tier)
+	}
+	st.m.wrote(tier, len(b), st.diskBytes())
 	return seq, off, nil
+}
+
+// sync fsyncs the tier's active segment unless NoSync — a segment an
+// earlier write of the same commit rotated out was fsynced as it closed
+// (see journal.Segments). Any failure poisons the store.
+func (st *Store) sync(tier int) error {
+	if st.dir == "" || st.opts.NoSync {
+		return nil
+	}
+	t0 := st.m.start()
+	err := st.segs[tier].Sync()
+	st.m.synced(t0)
+	if err != nil {
+		return st.fail(tier, err)
+	}
+	return nil
 }
 
 // Lookup returns the handle of a known entity, and the zero Handle —

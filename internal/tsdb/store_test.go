@@ -2,6 +2,10 @@ package tsdb
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -338,6 +342,118 @@ func TestTSDBAppendPathZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(48, step); allocs != 0 {
 		t.Fatalf("steady-state append+commit allocates %.1f times per minute, want 0", allocs)
+	}
+}
+
+// TestSealBurstBounded pins the memory of a seal burst — every entity
+// of a fleet that started together sealing in one commit: the batch
+// buffer holds one chunk at a time, never more than rowFrameBytes plus
+// one seal frame, and a warm burst allocates the same bytes at 400 and
+// at 4,000 entities. Warm is the fourth burst: the first three grow
+// every entity's block index to a capacity of four, the index's own
+// growth, which BenchmarkTSDBAppend amortizes.
+func TestSealBurstBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted by race instrumentation")
+	}
+	var warm []uint64
+	for _, ents := range []int{400, 4000} {
+		st := openStore(t, t.TempDir(), Options{SegmentBytes: 1 << 30}) // one segment: no rotation allocates
+		handles := make([]Handle, ents)
+		names := make([]string, ents)
+		for e := range names {
+			names[e] = fmt.Sprintf("svc/app-%d", e)
+		}
+		minute := func(m int) {
+			for e, name := range names {
+				cpu, mem := load(e, m)
+				if err := st.AppendTo(&handles[e], name, Sample{Minute: m, CPU: cpu, Mem: mem}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if c := cap(st.pending); c > rowFrameBytes+sealFrameBytes {
+				t.Fatalf("%d entities, minute %d: batch buffer capacity %d, want at most %d",
+					ents, m, c, rowFrameBytes+sealFrameBytes)
+			}
+		}
+		last := 4*BlockSamples - 1
+		for m := 0; m < last; m++ {
+			minute(m)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		minute(last)
+		runtime.ReadMemStats(&after)
+		warm = append(warm, after.TotalAlloc-before.TotalAlloc)
+		if got := len(st.ents[0].blocks); got != 4 {
+			t.Fatalf("%d entities: %d sealed blocks after the fourth burst", ents, got)
+		}
+	}
+	if warm[0] != warm[1] {
+		t.Fatalf("a warm seal burst allocates %d B at 400 entities and %d B at 4,000", warm[0], warm[1])
+	}
+}
+
+// BenchmarkTSDBSealBurst measures the seal burst of a store whose rows
+// are warm — its 63 row-only minutes run before the clock starts — at
+// the 2,652 entities of the bench's 1,007-host fleet and ten times
+// that: every entity seals in the same commit, as a fleet that started
+// together does at minute 64. Each iteration is a fresh store's first
+// burst, what every round of the benchmark and every coordinator restart
+// pays. B/op is what the commit allocates to write the burst; batch-B
+// is the batch buffer's capacity afterwards, which the store keeps. The
+// burst's per-entity bookkeeping — a block index entry and a place on
+// the list of full blocks, 56 B an entity, kept for the store's life and
+// counted in BenchmarkTSDBAppend — is reserved before the clock starts.
+func BenchmarkTSDBSealBurst(b *testing.B) {
+	for _, ents := range []int{2652, 26520} {
+		b.Run(fmt.Sprint(ents), func(b *testing.B) {
+			b.StopTimer()
+			b.ReportAllocs()
+			dir := filepath.Join(b.TempDir(), "store")
+			names := make([]string, ents)
+			for e := range names {
+				names[e] = fmt.Sprintf("svc/app-%d", e)
+			}
+			for i := 0; i < b.N; i++ {
+				st, err := Open(dir, Options{NoSync: true}) // closed below: a cleanup would keep every store live
+				if err != nil {
+					b.Fatal(err)
+				}
+				handles := make([]Handle, ents)
+				minute := func(m int) {
+					for e, name := range names {
+						cpu, mem := load(e, m)
+						if err := st.AppendTo(&handles[e], name, Sample{Minute: m, CPU: cpu, Mem: mem}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := st.Commit(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for m := 0; m < BlockSamples-1; m++ {
+					minute(m)
+				}
+				for _, e := range st.ents {
+					e.blocks = slices.Grow(e.blocks, 1)
+				}
+				st.full = slices.Grow(st.full, ents)
+				b.StartTimer()
+				minute(BlockSamples - 1)
+				b.StopTimer()
+				b.ReportMetric(float64(cap(st.pending)), "batch-B")
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
