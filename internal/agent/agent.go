@@ -140,9 +140,6 @@ func NewAgent(host, coordinator string, tr wire.Transport) (*Agent, error) {
 	return a, nil
 }
 
-// Host returns the agent's host name.
-func (a *Agent) Host() string { return a.host }
-
 // Instrument attaches an obs registry: stale-epoch rejections are
 // counted. A nil registry leaves the agent uninstrumented.
 func (a *Agent) Instrument(r *obs.Registry) {
@@ -154,13 +151,6 @@ func (a *Agent) Instrument(r *obs.Registry) {
 	}
 	r.Help(MetricEpochRejections, "Action requests NACKed for carrying a superseded coordinator epoch.")
 	a.epochRejects = r.Counter(MetricEpochRejections)
-}
-
-// CoordEpoch returns the highest coordinator epoch the agent has seen.
-func (a *Agent) CoordEpoch() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.coordEpoch
 }
 
 // StaleNacks returns how many action requests were rejected for
@@ -177,14 +167,6 @@ func (a *Agent) Adopt(instanceID, svc string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.procs[instanceID] = proc{service: svc}
-}
-
-// Running returns whether the instance is in the local process table.
-func (a *Agent) Running(instanceID string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.procs[instanceID]
-	return ok
 }
 
 // Procs returns the number of instances in the local process table.

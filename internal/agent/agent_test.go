@@ -70,7 +70,7 @@ func TestAgentAppliesAndAcks(t *testing.T) {
 	if !ack.OK || ack.Duplicate {
 		t.Fatalf("ack = %+v, want fresh OK", ack)
 	}
-	if !a.Running("app-9") {
+	if !running(a, "app-9") {
 		t.Fatal("instance not in the process table after start")
 	}
 }
@@ -186,7 +186,7 @@ func TestAgentRejectsExpiredDeadline(t *testing.T) {
 	if _, ok := err.(*NackError); !ok {
 		t.Fatalf("err = %v, want NackError for expired deadline", err)
 	}
-	if a.Running("app-1") {
+	if running(a, "app-1") {
 		t.Fatal("expired action was applied anyway")
 	}
 }
@@ -223,4 +223,10 @@ func TestAgentAnswersProbes(t *testing.T) {
 	if reply.Type != wire.TypeProbeAck || reply.Probe.Host != "h1" {
 		t.Fatalf("probe reply = %+v, want probeAck from h1", reply)
 	}
+}
+
+// running reports whether the instance is in a's process table.
+func running(a *Agent, instanceID string) bool {
+	_, ok := a.Instances()[instanceID]
+	return ok
 }

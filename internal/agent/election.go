@@ -29,17 +29,6 @@ const (
 	RoleDown
 )
 
-func (r memberRole) String() string {
-	switch r {
-	case RoleLeader:
-		return "leader"
-	case RoleDown:
-		return "down"
-	default:
-		return "standby"
-	}
-}
-
 // ElectionConfig tunes a coordinator group.
 type ElectionConfig struct {
 	// TTL is the lease time-to-live in minutes (0: lease.DefaultTTL).
@@ -173,17 +162,6 @@ func (e *Election) Instrument(r *obs.Registry) {
 	}
 }
 
-// Members reports the group's member nodes and roles, in member order.
-func (e *Election) Members() map[string]string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]string, len(e.members))
-	for _, m := range e.members {
-		out[m.node] = m.getRole().String()
-	}
-	return out
-}
-
 // LeaderNode returns the node the plane is currently wired to.
 func (e *Election) LeaderNode() string {
 	e.mu.Lock()
@@ -214,16 +192,6 @@ func (e *Election) FencedDepositions() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.fenced
-}
-
-// Epoch returns the wired leader's epoch.
-func (e *Election) Epoch() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := e.members[e.leader]
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epochSeen
 }
 
 // hookFor builds the lease hook of one member: the coordinator routes

@@ -341,14 +341,15 @@ func TestElectionStaleStampBeaconed(t *testing.T) {
 	}
 	req := startReq("h9", "i9")
 	req.Key = "stale-1"
-	act := wire.ActionEnvelope("old-leader", "h9", req)
+	act := wire.NewEnvelope(wire.TypeAction, "old-leader", "h9")
+	act.Action = &req
 	act.Epoch = epoch - 1
 	reply, err := tr.Call(ctx, "h9", act)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wire.ReleaseEnvelope(reply)
-	if reply.Ack == nil || reply.Ack.OK || late.StaleNacks() != 1 || late.Running("i9") {
+	if reply.Ack == nil || reply.Ack.OK || late.StaleNacks() != 1 || running(late, "i9") {
 		t.Fatalf("stale-epoch action answered %+v (stale NACKs %d), want a NACK", reply.Ack, late.StaleNacks())
 	}
 }

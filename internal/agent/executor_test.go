@@ -48,7 +48,7 @@ func TestDispatchExecutorScaleOut(t *testing.T) {
 		t.Fatalf("model: %d instances on h3, want 1", got)
 	}
 	id := dep.InstancesOn("h3")[0].ID
-	if !agentOf(t, p, "h3").Running(id) {
+	if !running(agentOf(t, p, "h3"), id) {
 		t.Fatalf("agent h3 does not run %s", id)
 	}
 }
@@ -61,10 +61,10 @@ func TestDispatchExecutorMove(t *testing.T) {
 	if err := exec.Execute(d); err != nil {
 		t.Fatal(err)
 	}
-	if agentOf(t, p, "h1").Running(id) {
+	if running(agentOf(t, p, "h1"), id) {
 		t.Fatal("source agent still runs the moved instance")
 	}
-	if !agentOf(t, p, "h3").Running(id) {
+	if !running(agentOf(t, p, "h3"), id) {
 		t.Fatal("target agent does not run the moved instance")
 	}
 	inst, _ := dep.Instance(id)
@@ -95,10 +95,10 @@ func TestDispatchExecutorCompensatesPartialMove(t *testing.T) {
 	}
 	// The source host got the instance back, the target never had it,
 	// and the model never changed.
-	if !agentOf(t, p, "h1").Running(id) {
+	if !running(agentOf(t, p, "h1"), id) {
 		t.Fatal("compensation did not re-bind the instance on the source host")
 	}
-	if agentOf(t, p, "h3").Running(id) {
+	if running(agentOf(t, p, "h3"), id) {
 		t.Fatal("target host kept the instance despite the nack")
 	}
 	if inst, _ := dep.Instance(id); inst.Host != "h1" {
@@ -120,7 +120,7 @@ func TestDispatchExecutorCompensatesUnreachableTarget(t *testing.T) {
 	if err := exec.Execute(d); err == nil {
 		t.Fatal("move succeeded with the target partitioned")
 	}
-	if !agentOf(t, p, "h1").Running(id) {
+	if !running(agentOf(t, p, "h1"), id) {
 		t.Fatal("compensation did not restore the source host")
 	}
 	if inst, _ := dep.Instance(id); inst.Host != "h1" {
@@ -150,7 +150,7 @@ func TestDispatchExecutorModelFailureRollsBackHosts(t *testing.T) {
 		t.Fatalf("err = %v, want the inner error verbatim", err)
 	}
 	id := dep.NextID("app")
-	if agentOf(t, p, "h3").Running(id) {
+	if running(agentOf(t, p, "h3"), id) {
 		t.Fatal("host kept the instance after the model rejected the decision")
 	}
 }

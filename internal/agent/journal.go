@@ -308,14 +308,6 @@ func (cj *CoordinatorJournal) Down() map[string]int {
 	return out
 }
 
-// Snapshot compacts the journal now: the full recovered state is
-// checkpointed and the superseded record tail pruned.
-func (cj *CoordinatorJournal) Snapshot() error {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	return cj.compactLocked()
-}
-
 // compactLocked checkpoints the current state — pending actions in
 // dispatch order — and prunes the record tail it supersedes; the order
 // slice sheds the acked keys, and the automatic cadence restarts either

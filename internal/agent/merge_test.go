@@ -325,7 +325,7 @@ func TestParkedMinutesAreBounded(t *testing.T) {
 		t.Fatalf("the host held %d beats, want %d", n, reporterBufferCap+1)
 	}
 	key := archive.HostEntity("m01")
-	if n := coord.lms.Archive().Len(key); n != reporterBufferCap+1 {
+	if n := coord.lms.Archive().Entity(key).Len(); n != reporterBufferCap+1 {
 		t.Fatalf("the close observed %d minutes, want %d", n, reporterBufferCap+1)
 	}
 	if s, _ := coord.lms.Archive().Latest(key); s.Minute != 100_000 {
@@ -395,7 +395,7 @@ func TestInstanceMovesBetweenServices(t *testing.T) {
 	if s, _ := arch.Latest(archive.ServiceEntity("app")); s.Minute != 0 || math.Abs(s.CPU-0.3) > 1e-12 {
 		t.Fatalf("minute 0: app = %+v, want the mean of both instances", s)
 	}
-	if arch.Len(archive.ServiceEntity("db")) != 0 {
+	if arch.Entity(archive.ServiceEntity("db")).Len() != 0 {
 		t.Fatal("db observed before any instance reported under it")
 	}
 	report(1, "db", 0.6)

@@ -191,7 +191,7 @@ func TestDeadHostDemotion(t *testing.T) {
 	a := agentOf(t, p, restartHost)
 	var found bool
 	for _, inst := range replacement {
-		if inst.Service == "app" && a.Running(inst.ID) {
+		if inst.Service == "app" && running(a, inst.ID) {
 			found = true
 		}
 	}

@@ -108,7 +108,8 @@ func TestRecoveryLostAckNotReapplied(t *testing.T) {
 	if err := cj.LogDispatch(req); err != nil {
 		t.Fatal(err)
 	}
-	env := wire.ActionEnvelope(CoordinatorNode, "h1", req)
+	env := wire.NewEnvelope(wire.TypeAction, CoordinatorNode, "h1")
+	env.Action = &req
 	env.Epoch = cj.Epoch()
 	reply, err := tr.Call(ctx, "h1", env)
 	if err != nil || reply.Ack == nil || !reply.Ack.OK {
@@ -174,8 +175,8 @@ func TestAgentFencesStaleEpoch(t *testing.T) {
 
 	// The dead incarnation's straggler finally arrives (e.g. released
 	// from a healed partition), carrying the superseded epoch.
-	env := wire.ActionEnvelope(CoordinatorNode, "h1",
-		wire.ActionRequest{Key: "stale-1", Op: wire.OpStop, Host: "h1", InstanceID: "i1"})
+	env := wire.NewEnvelope(wire.TypeAction, CoordinatorNode, "h1")
+	env.Action = &wire.ActionRequest{Key: "stale-1", Op: wire.OpStop, Host: "h1", InstanceID: "i1"}
 	env.Epoch = cj1.Epoch()
 	reply, err := tr.Call(ctx, "h1", env)
 	if err != nil {
@@ -184,21 +185,21 @@ func TestAgentFencesStaleEpoch(t *testing.T) {
 	if reply.Ack == nil || reply.Ack.OK || !strings.Contains(reply.Ack.Error, "superseded") {
 		t.Fatalf("stale-epoch ack = %+v, want a superseded NACK", reply.Ack)
 	}
-	if !a.Running("i1") {
+	if !running(a, "i1") {
 		t.Fatal("stale stop mutated the process table")
 	}
 	if a.StaleNacks() != 1 {
 		t.Fatalf("staleNacks = %d, want 1", a.StaleNacks())
 	}
 	// The fence did not poison the key: the live incarnation can use it.
-	env2 := wire.ActionEnvelope(CoordinatorNode, "h1",
-		wire.ActionRequest{Key: "stale-1", Op: wire.OpStop, Host: "h1", InstanceID: "i1"})
+	env2 := wire.NewEnvelope(wire.TypeAction, CoordinatorNode, "h1")
+	env2.Action = &wire.ActionRequest{Key: "stale-1", Op: wire.OpStop, Host: "h1", InstanceID: "i1"}
 	env2.Epoch = cj2.Epoch()
 	reply2, err := tr.Call(ctx, "h1", env2)
 	if err != nil || reply2.Ack == nil || !reply2.Ack.OK || reply2.Ack.Duplicate {
 		t.Fatalf("current-epoch reuse = (%+v, %v), want a fresh OK", reply2.Ack, err)
 	}
-	if a.Running("i1") {
+	if running(a, "i1") {
 		t.Fatal("legitimate stop was not applied")
 	}
 }
@@ -687,7 +688,8 @@ func TestPlaneCrashCoordinator(t *testing.T) {
 	if err := cjnl.LogDispatch(req); err != nil {
 		t.Fatal(err)
 	}
-	env := wire.ActionEnvelope(CoordinatorNode, "h3", req)
+	env := wire.NewEnvelope(wire.TypeAction, CoordinatorNode, "h3")
+	env.Action = &req
 	env.Epoch = epoch1
 	if reply, err := tr.Call(ctx, "h3", env); err != nil || reply.Ack == nil || !reply.Ack.OK {
 		t.Fatalf("delivery = (%+v, %v), want a clean ack", reply, err)

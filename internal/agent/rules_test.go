@@ -118,8 +118,9 @@ func TestCoordinatorRuleGetAndList(t *testing.T) {
 
 	push(t, tr, wire.RulePut{Name: "serviceOverloaded", Source: pushedSrc, Activate: true})
 
-	reply, err := tr.Call(ctx, CoordinatorNode,
-		wire.RuleGetEnvelope("admin", CoordinatorNode, wire.RuleGet{Name: "serviceOverloaded"}))
+	get := wire.NewEnvelope(wire.TypeRuleGet, "admin", CoordinatorNode)
+	get.RuleGet = &wire.RuleGet{Name: "serviceOverloaded"}
+	reply, err := tr.Call(ctx, CoordinatorNode, get)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,9 @@ func TestCoordinatorRuleGetAndList(t *testing.T) {
 		t.Fatalf("ruleGet reply = %+v", got)
 	}
 
-	reply, err = tr.Call(ctx, CoordinatorNode,
-		wire.RuleGetEnvelope("admin", CoordinatorNode, wire.RuleGet{Name: "serviceOverloaded", Version: 9}))
+	get = wire.NewEnvelope(wire.TypeRuleGet, "admin", CoordinatorNode)
+	get.RuleGet = &wire.RuleGet{Name: "serviceOverloaded", Version: 9}
+	reply, err = tr.Call(ctx, CoordinatorNode, get)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,12 +266,12 @@ func TestRestartedAgentCatchesUp(t *testing.T) {
 	}
 	rep = a.Reporter()
 	for local := 0; local < 10; local++ {
-		n := arch.Len(key)
+		n := arch.Entity(key).Len()
 		beat(rep, local, 520+local)
 		if local == 0 {
 			continue
 		}
-		if got, m := arch.Len(key)-n, latestMinute(t, lms, key); got != 1 || m != 520+local {
+		if got, m := arch.Entity(key).Len()-n, latestMinute(t, lms, key); got != 1 || m != 520+local {
 			t.Fatalf("restarted agent's beat %d: %d new observations, archive at minute %d; want 1 at minute %d",
 				local, got, m, 520+local)
 		}
@@ -357,7 +357,7 @@ func TestSessionStaleIndexedFrameIsDroppedWhole(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range lms.Archive().Entities() {
-			if lms.Archive().Len(e) != 0 {
+			if lms.Archive().Entity(e).Len() != 0 {
 				t.Fatalf("%s: archive series %s has samples", when, e)
 			}
 		}
@@ -595,7 +595,7 @@ func TestSessionParkedMinutesDrainNamed(t *testing.T) {
 	if err := p.Coordinator().ObserveServices(5); err != nil {
 		t.Fatal(err)
 	}
-	if n := lms.Archive().Len(archive.HostEntity("h1")); n != 6 {
+	if n := lms.Archive().Entity(archive.HostEntity("h1")).Len(); n != 6 {
 		t.Fatalf("h1 has %d archived minutes, want 6 (none lost)", n)
 	}
 }

@@ -417,6 +417,3 @@ func (a *Archive) Entities() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Len is Entity(entity).Len().
-func (a *Archive) Len(entity string) int { return a.Entity(entity).Len() }

@@ -41,10 +41,6 @@ func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 	return a, nil
 }
 
-// Store exposes the archive's tsdb store — a memory store for an
-// in-memory archive — for tiered reads and stats beyond the Archive API.
-func (a *Archive) Store() *tsdb.Store { return a.store }
-
 // Commit makes every sample recorded since the last call durable in
 // one batched segment write. The coordinator calls it once per
 // observed minute — "acked" load history means "the minute closed".

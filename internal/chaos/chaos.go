@@ -229,14 +229,6 @@ func NewDriver(plan []Injection, net *wire.Loopback) *Driver {
 	return &Driver{net: net, plan: plan, applied: make(map[Kind]int)}
 }
 
-// Bind attaches (or replaces) the loopback network the driver injects
-// into — for callers that must build the driver before the transport.
-func (d *Driver) Bind(net *wire.Loopback) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.net = net
-}
-
 // Instrument attaches an obs registry: applied injections are counted
 // by kind. A nil registry leaves the driver uninstrumented.
 func (d *Driver) Instrument(r *obs.Registry) {

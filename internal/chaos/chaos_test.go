@@ -52,7 +52,9 @@ func TestDriverAppliesInOrder(t *testing.T) {
 	delivered := 0
 	if err := net.Listen("h1", func(env *wire.Envelope) (*wire.Envelope, error) {
 		delivered++
-		return wire.AckEnvelope("h1", env.From, wire.ActionAck{Key: env.Action.Key, OK: true}), nil
+		ack := wire.NewEnvelope(wire.TypeAck, "h1", env.From)
+		ack.Ack = &wire.ActionAck{Key: env.Action.Key, OK: true}
+		return ack, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,9 @@ func TestDriverAppliesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The hold is armed: the next call is parked, not delivered.
-	if _, err := net.Call(ctx, "h1", wire.ActionEnvelope("c", "h1", wire.ActionRequest{Key: "k", Op: wire.OpStart})); err != wire.ErrTimeout {
+	act := wire.NewEnvelope(wire.TypeAction, "c", "h1")
+	act.Action = &wire.ActionRequest{Key: "k", Op: wire.OpStart}
+	if _, err := net.Call(ctx, "h1", act); err != wire.ErrTimeout {
 		t.Fatalf("held call: err = %v, want ErrTimeout", err)
 	}
 	if delivered != 0 {

@@ -210,9 +210,7 @@ type Controller struct {
 	swapMu sync.Mutex
 	// shadow is the candidate overlay evaluated beside the active set on
 	// every trigger (nil: shadow mode off).
-	shadow      atomic.Pointer[shadowRules]
-	shadowEvals atomic.Uint64
-	shadowDiffs atomic.Uint64
+	shadow atomic.Pointer[shadowRules]
 
 	protHost map[string]int // host -> protected until minute (exclusive)
 	protSvc  map[string]int

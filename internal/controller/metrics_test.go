@@ -159,8 +159,8 @@ func TestShadowEvaluationIsUnobserved(t *testing.T) {
 		if _, err := tb.ctl.HandleTrigger(trigger(monitor.ServiceOverloaded, "app")); err != nil {
 			t.Fatal(err)
 		}
-		if st := tb.ctl.ShadowStats(); shadow && st.Evals != 1 {
-			t.Fatalf("ShadowStats = %+v, want 1 eval", st)
+		if evals, _ := shadowCounts(r, "serviceOverloaded@candidate"); shadow && evals != 1 {
+			t.Fatalf("%v shadow evaluations, want 1", evals)
 		}
 		snap := r.Snapshot()
 		return snap[MetricInference+"_count"], snap[MetricSelectionCandidates+"_count"]

@@ -157,24 +157,6 @@ func (c *Controller) Shadow(label string,
 	c.shadow.Store(sh)
 }
 
-// ClearShadow uninstalls the candidate overlay.
-func (c *Controller) ClearShadow() {
-	c.shadow.Store(nil)
-}
-
-// ShadowStats reports how often the installed candidate was evaluated
-// and how often it disagreed with the active rule set.
-type ShadowStats struct {
-	Evals uint64
-	Diffs uint64
-}
-
-// ShadowStats returns the counters accumulated since the controller was
-// built (they survive Shadow/ClearShadow cycles).
-func (c *Controller) ShadowStats() ShadowStats {
-	return ShadowStats{Evals: c.shadowEvals.Load(), Diffs: c.shadowDiffs.Load()}
-}
-
 // shadowSet builds the effective rule set for the shadow run: the active
 // set with the candidate's entries overlaid.
 func (sh *shadowRules) overlay(active *ruleSet) *ruleSet {
@@ -236,8 +218,8 @@ func diffDecisions(active, shadow *Decision) []string {
 }
 
 // recordShadow evaluates the installed candidate (if any) against the
-// trigger and the active path's final decision, updating counters,
-// metrics and the open trace. Called once per handled trigger, after
+// trigger and the active path's final decision, updating the metrics
+// and the open trace. Called once per handled trigger, after
 // the active decision is known but computed from the pre-execution
 // snapshot taken at the top of HandleTrigger.
 func (c *Controller) recordShadow(active *Decision, shadow *Decision, sh *shadowRules) {
@@ -245,10 +227,6 @@ func (c *Controller) recordShadow(active *Decision, shadow *Decision, sh *shadow
 		return
 	}
 	diff := diffDecisions(active, shadow)
-	c.shadowEvals.Add(1)
-	if len(diff) > 0 {
-		c.shadowDiffs.Add(1)
-	}
 	c.metrics.shadowEval(sh.label, diff)
 	ts := obs.TraceShadow{Candidate: sh.label, Diff: diff}
 	if shadow != nil {

@@ -216,9 +216,8 @@ func TestShadowDiffsPerturbedBase(t *testing.T) {
 	if d == nil || d.Action != service.ActionScaleUp {
 		t.Fatalf("active decision = %+v, want scaleUp (shadow must not influence it)", d)
 	}
-	st := tb.ctl.ShadowStats()
-	if st.Evals != 1 || st.Diffs != 1 {
-		t.Fatalf("ShadowStats = %+v, want 1 eval, 1 diff", st)
+	if evals, diffs := shadowCounts(reg, "serviceOverloaded@candidate"); evals != 1 || diffs[`"action"`] != 1 {
+		t.Fatalf("shadow counters: %v evals, diffs by field %v; want 1 eval, 1 action diff", evals, diffs)
 	}
 	// The shadow's scale-out was never executed: exactly the scale-up's
 	// new instance appeared, no extra one.
@@ -242,6 +241,8 @@ func TestShadowDiffsPerturbedBase(t *testing.T) {
 
 func TestShadowIdenticalBaseAgrees(t *testing.T) {
 	tb, _ := hotbed(t, Config{})
+	reg := obs.NewRegistry()
+	tb.ctl.Instrument(reg)
 	src := DefaultRuleSources()["serviceOverloaded"]
 	rb, err := fuzzy.NewRuleBase("serviceOverloaded", ActionVocabulary(), fuzzy.MustParse(src))
 	if err != nil {
@@ -252,17 +253,23 @@ func TestShadowIdenticalBaseAgrees(t *testing.T) {
 	if _, err := tb.ctl.HandleTrigger(trigger(monitor.ServiceOverloaded, "app")); err != nil {
 		t.Fatal(err)
 	}
-	st := tb.ctl.ShadowStats()
-	if st.Evals != 1 || st.Diffs != 0 {
-		t.Fatalf("ShadowStats = %+v, want 1 eval, 0 diffs", st)
+	if evals, diffs := shadowCounts(reg, "serviceOverloaded@same"); evals != 1 || len(diffs) != 0 {
+		t.Fatalf("shadow counters: %v evals, diffs by field %v; want 1 eval, no diffs", evals, diffs)
 	}
-	tb.ctl.ClearShadow()
-	if _, err := tb.ctl.HandleTrigger(trigger(monitor.ServiceIdle, "app")); err != nil {
-		t.Fatal(err)
+}
+
+// shadowCounts reads the candidate's autoglobe_rules_shadow_* counters:
+// its evaluations, and its diffs keyed by the quoted field label.
+func shadowCounts(reg *obs.Registry, candidate string) (evals float64, diffs map[string]float64) {
+	diffs = make(map[string]float64)
+	prefix := MetricShadowDiffs + `{candidate="` + candidate + `",field=`
+	snap := reg.Snapshot()
+	for key, v := range snap {
+		if field, ok := strings.CutPrefix(key, prefix); ok {
+			diffs[strings.TrimSuffix(field, "}")] = v
+		}
 	}
-	if st := tb.ctl.ShadowStats(); st.Evals != 1 {
-		t.Fatalf("cleared shadow still evaluated: %+v", st)
-	}
+	return snap[MetricShadowEvals+`{candidate="`+candidate+`"}`], diffs
 }
 
 // TestInferZeroAllocAfterSwap is the hot-swap allocation guardrail: a

@@ -35,7 +35,6 @@ func (r Figure3Result) String() string {
 // Figure5Result holds the Section 3 / Figure 5 inference example.
 type Figure5Result struct {
 	CPULoad         float64
-	PerfGrades      map[string]float64
 	Rule1Truth      float64 // scale-up antecedent
 	Rule2Truth      float64 // scale-out antecedent
 	ScaleUpCrisp    float64
@@ -73,7 +72,6 @@ func Figure5() (Figure5Result, error) {
 	}
 	out := Figure5Result{
 		CPULoad:         0.9,
-		PerfGrades:      map[string]float64{"low": 0, "medium": 0.6, "high": 0.3},
 		Rule1Truth:      res.Fired[0],
 		Rule2Truth:      res.Fired[1],
 		ScaleUpCrisp:    res.Outputs["scaleUp"],

@@ -46,8 +46,8 @@ func TestPredictNeedsHistory(t *testing.T) {
 	inst := archive.InstanceEntity("app-1")
 	fill(t, a, inst, 2, 1)
 	now := 2*archive.MinutesPerDay - 1
-	if a.Len(inst) < p.MinHistory || a.Entity(inst).DaysObserved() != 0 {
-		t.Fatalf("%s: Len %d, DaysObserved %d; want history without a profile", inst, a.Len(inst), a.Entity(inst).DaysObserved())
+	if a.Entity(inst).Len() < p.MinHistory || a.Entity(inst).DaysObserved() != 0 {
+		t.Fatalf("%s: Len %d, DaysObserved %d; want history without a profile", inst, a.Entity(inst).Len(), a.Entity(inst).DaysObserved())
 	}
 	if v, c, ok := p.Predict(inst, now, 10); ok || v != 0 || c != 0 {
 		t.Fatalf("Predict on an instance = (%v, %v, %v), want (0, 0, false)", v, c, ok)

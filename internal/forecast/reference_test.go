@@ -44,7 +44,7 @@ func (p refPredictor) predict(entity string, now, horizon, days int) (load, conf
 	if horizon < 0 {
 		return 0, 0, false
 	}
-	if p.arch.Len(entity) < p.minHistory {
+	if p.arch.Entity(entity).Len() < p.minHistory {
 		return 0, 0, false
 	}
 	base := p.arch.Entity(entity).ProfileAt(now + horizon)
@@ -167,7 +167,7 @@ func TestPredictPeakMatchesReference(t *testing.T) {
 			p.DeviationHalfLife = []float64{60, 60, 45, 7.5, 1e-3, 1e6, 0, -3}[rng.Intn(8)]
 			switch rng.Intn(4) {
 			case 0:
-				p.MinHistory = a.Len(entity) + rng.Intn(3) - 1 // the boundary: one under, at, one over
+				p.MinHistory = a.Entity(entity).Len() + rng.Intn(3) - 1 // the boundary: one under, at, one over
 			case 1:
 				p.MinHistory = 0
 			default:
@@ -196,7 +196,7 @@ func TestPredictPeakMatchesReference(t *testing.T) {
 			switch {
 			case !wantOK:
 				refused++
-			case a.Len(entity) == 0:
+			case a.Entity(entity).Len() == 0:
 				noLatest++
 			case wantV == 0:
 				clamped++

@@ -15,11 +15,12 @@ import (
 // compiled inference performs zero heap allocations when callers return
 // Results to the pool via Result.Release.
 //
-// The compiled path is bit-for-bit equivalent to the reference
-// interpreter (Engine.inferInterpreted): rules are evaluated in the same
-// order, fuzzification grades are memoized per (variable, term) exactly
-// as before, and consequent sets are pre-sampled with the same universe
-// discretization the interpreter uses.
+// The program is the package's one inference engine. Its tests hold a
+// tree-walking reference interpreter (interpret_test.go) and require
+// bit-for-bit agreement with it: rules are evaluated in the same order,
+// fuzzification grades are memoized per (variable, term) as the
+// interpreter's memo map does, and consequent sets are pre-sampled with
+// the universe discretization the interpreter samples at every call.
 //
 // For the paper's configuration — max–min inference, leftmost-maximum
 // defuzzification — no output set is built at all. With h_c the fired
@@ -256,7 +257,6 @@ func (p *Program) newResult() *Result {
 	return &Result{
 		Outputs: make(map[string]float64, len(p.outputs)),
 		Fired:   make([]float64, len(p.rules)),
-		rb:      p.rb,
 		home:    &p.results,
 	}
 }
@@ -288,25 +288,17 @@ func (p *Program) MissingInputError(i int) error {
 		p.rb.Name, r, p.rb.rules[r], in.name)
 }
 
-// run executes one fuzzification → inference → defuzzification cycle of
-// the compiled program.
+// run executes one fuzzification → inference → defuzzification cycle
+// of the compiled program over a map of measurements, one lookup per
+// distinct input variable. A missing measurement reports the first rule
+// referencing the variable.
 func (p *Program) run(e *Engine, inputs map[string]float64) (*Result, error) {
 	sc := p.scratch.Get().(*inferScratch)
 	defer p.scratch.Put(sc)
-
-	// Gather and clamp measurements, one map lookup per distinct input
-	// variable. Missing measurements report the first rule referencing
-	// the variable, matching the interpreter's error context.
 	for i := range p.inputs {
-		in := &p.inputs[i]
-		x, ok := inputs[in.name]
+		x, ok := inputs[p.inputs[i].name]
 		if !ok {
 			return nil, p.MissingInputError(i)
-		}
-		if x < in.min {
-			x = in.min
-		} else if x > in.max {
-			x = in.max
 		}
 		sc.inVals[i] = x
 	}
@@ -317,8 +309,8 @@ func (p *Program) run(e *Engine, inputs map[string]float64) (*Result, error) {
 // measurement for the i-th input slot (see Inputs). The caller must
 // fill every slot — slot resolution and missing-input detection happen
 // at bind time, not per inference — and retains vals; the program
-// copies the values into pooled scratch before clamping, so the same
-// recycled vector can back any number of inferences.
+// copies the values into pooled scratch, so the same recycled vector can
+// back any number of inferences.
 func (p *Program) runVec(e *Engine, vals []float64) (*Result, error) {
 	if len(vals) != len(p.inputs) {
 		return nil, fmt.Errorf("fuzzy: rule base %q: input vector has %d slots, program expects %d",
@@ -326,23 +318,22 @@ func (p *Program) runVec(e *Engine, vals []float64) (*Result, error) {
 	}
 	sc := p.scratch.Get().(*inferScratch)
 	defer p.scratch.Put(sc)
-	for i := range p.inputs {
-		in := &p.inputs[i]
-		x := vals[i]
-		if x < in.min {
-			x = in.min
-		} else if x > in.max {
-			x = in.max
-		}
-		sc.inVals[i] = x
-	}
+	copy(sc.inVals, vals)
 	return p.finish(e, sc), nil
 }
 
-// finish runs fuzzification, rule evaluation and defuzzification over
-// gathered, clamped measurements — the shared tail of run and runVec,
-// guaranteeing the two entry points are bit-identical past the gather.
+// finish clamps the gathered measurements to their universes and runs
+// fuzzification, rule evaluation and defuzzification — the shared tail
+// of run and runVec, which differ only in where the values come from.
 func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
+	for i := range p.inputs {
+		in := &p.inputs[i]
+		if x := sc.inVals[i]; x < in.min {
+			sc.inVals[i] = in.min
+		} else if x > in.max {
+			sc.inVals[i] = in.max
+		}
+	}
 	// Fuzzify every distinct (variable, term) pair once — the compiled
 	// form of the interpreter's memo map.
 	for i := range p.atoms {
@@ -355,8 +346,7 @@ func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 		res.Fired[i] = clamp01(evalCode(code, sc.grades, sc.stack))
 	}
 	if _, ok := e.defuzz.(LeftMax); ok && e.inference == MaxMin {
-		// The paper's configuration needs no output set (see leftMax);
-		// Result.OutputSet builds one from Fired if somebody asks.
+		// The paper's configuration needs no output set (see leftMax).
 		res.sets = nil
 		for i := range p.outputs {
 			o := &p.outputs[i]
@@ -379,7 +369,7 @@ func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 // consequents' pre-sampled sets, each shaped by its rule's fired truth —
 // into dst, cleared first (a nil dst is allocated). It is the one sampled
 // union: every engine configuration but the paper's defuzzifies its
-// result, and Result.OutputSet runs it on demand.
+// result.
 func (o *outputSlot) aggregate(dst *Set, fired []float64, inf Inference) *Set {
 	if dst == nil {
 		dst = NewSet(o.min, o.max)

@@ -21,16 +21,17 @@
 // the compiled program (compile.go) takes them in closed form: the
 // leftmost maximum of a union of clipped sets follows from the fired
 // truths and each consequent's pre-sampled prefix maxima by comparisons
-// alone, bit-equal to sampling the union, so no output set is built
-// unless Result.OutputSet asks for one. Every other configuration
-// samples the union over the 201-point output grid.
+// alone, bit-equal to sampling the union, so no output set is built.
+// Every other configuration samples the union over the 201-point output
+// grid.
 //
 // A rule base is a list of rules in the form
 //
 //	IF cpuLoad IS high AND (performanceIndex IS low OR performanceIndex IS medium)
 //	THEN scaleUp IS applicable
 //
-// Rules are parsed by Parse/ParseRule into an AST (Expr) and evaluated by
-// an Engine against crisp measurements, producing crisp output values
-// (action applicabilities and host scores in AutoGlobe).
+// Rules are parsed by Parse into an AST (Expr), compiled once per rule
+// base, and evaluated by an Engine against crisp measurements, producing
+// crisp output values (action applicabilities and host scores in
+// AutoGlobe).
 package fuzzy

@@ -80,9 +80,6 @@ func (rb *RuleBase) RuleAt(i int) Rule { return rb.rules[i] }
 // Len returns the number of rules.
 func (rb *RuleBase) Len() int { return len(rb.rules) }
 
-// Vocabulary returns the rule base's vocabulary.
-func (rb *RuleBase) Vocabulary() *Vocabulary { return rb.vocab }
-
 // Extend returns a new rule base with additional rules appended. The
 // AutoGlobe controller uses this to layer service-specific rule bases on
 // top of the defaults (Section 4.1: "an administrator can add
@@ -157,9 +154,6 @@ func (e *Engine) WithInference(inf Inference) *Engine {
 // Defuzzifier returns the engine's defuzzification method.
 func (e *Engine) Defuzzifier() Defuzzifier { return e.defuzz }
 
-// Inference returns the engine's inference method.
-func (e *Engine) Inference() Inference { return e.inference }
-
 // Result holds the outcome of one inference cycle.
 type Result struct {
 	// Outputs maps every output variable of the rule base to its crisp
@@ -169,34 +163,18 @@ type Result struct {
 	Fired []float64
 
 	// sets holds the combined output sets the inference defuzzified, in
-	// rb.outVars order; nil when it needed none (see OutputSet).
+	// the rule base's output-variable order, for the next inference to
+	// reuse; nil when it needed none.
 	sets []*Set
-	rb   *RuleBase
 	// home is the pool the Result returns to on Release.
 	home *sync.Pool
 }
 
-// OutputSet returns the combined fuzzy set of the named output variable
-// before defuzzification, nil for a name no rule assigns. Useful for
-// inspection and testing: the paper's configuration computes its outputs
-// without the set, and a Result of it builds a fresh one on every call.
-func (r *Result) OutputSet(name string) *Set {
-	i := sort.SearchStrings(r.rb.outVars, name)
-	if i == len(r.rb.outVars) || r.rb.outVars[i] != name {
-		return nil
-	}
-	if r.sets != nil {
-		return r.sets[i]
-	}
-	return r.rb.program().outputs[i].aggregate(nil, r.Fired, MaxMin)
-}
-
 // Release returns the Result to its rule base's buffer pool so a later
 // Infer call can reuse its map and buffers, making steady-state
-// compiled inference allocation-free. After Release the Result (and any
-// OutputSet it handed out) must no longer be read. Release is optional — an
-// unreleased Result is simply collected by the GC — and calling it more
-// than once is a no-op.
+// compiled inference allocation-free. After Release the Result must no
+// longer be read. Release is optional — an unreleased Result is simply
+// collected by the GC — and calling it more than once is a no-op.
 func (r *Result) Release() {
 	if r.home == nil {
 		return
@@ -234,71 +212,4 @@ func (e *Engine) Infer(rb *RuleBase, inputs map[string]float64) (*Result, error)
 // equal inputs and safe for concurrent use.
 func (e *Engine) InferVec(rb *RuleBase, vals []float64) (*Result, error) {
 	return rb.program().runVec(e, vals)
-}
-
-// inferInterpreted is the reference tree-walking implementation the
-// compiled path is differential-tested against (see compile_test.go).
-func (e *Engine) inferInterpreted(rb *RuleBase, inputs map[string]float64) (*Result, error) {
-	// Fuzzification is memoized per (variable, term).
-	type key struct{ v, t string }
-	memo := make(map[key]float64)
-	fuzz := func(v, t string) (float64, error) {
-		k := key{v, t}
-		if g, ok := memo[k]; ok {
-			return g, nil
-		}
-		vr, ok := rb.vocab.Get(v)
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: unknown variable %q", v)
-		}
-		x, ok := inputs[v]
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: no measurement for input variable %q", v)
-		}
-		g, err := vr.Membership(t, x)
-		if err != nil {
-			return 0, err
-		}
-		memo[k] = g
-		return g, nil
-	}
-
-	res := &Result{
-		Outputs: make(map[string]float64),
-		Fired:   make([]float64, len(rb.rules)),
-		sets:    make([]*Set, len(rb.outVars)),
-		rb:      rb,
-	}
-	sets := make(map[string]*Set)
-	for i, name := range rb.outVars {
-		v, _ := rb.vocab.Get(name)
-		res.sets[i] = NewSet(v.Min, v.Max)
-		sets[name] = res.sets[i]
-	}
-
-	for i, r := range rb.rules {
-		truth, err := r.Antecedent.Eval(fuzz)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzy: rule base %q, rule %d (%s): %w", rb.Name, i, r, err)
-		}
-		truth = clamp01(truth)
-		res.Fired[i] = truth
-		if truth == 0 {
-			continue
-		}
-		for _, c := range r.Consequents {
-			v, _ := rb.vocab.Get(c.Var)
-			t, _ := v.Term(c.Term) // validated at construction
-			if e.inference == MaxProduct {
-				sets[c.Var].UnionScaled(t.MF, truth)
-			} else {
-				sets[c.Var].UnionClipped(t.MF, truth)
-			}
-		}
-	}
-
-	for name, set := range sets {
-		res.Outputs[name] = e.defuzz.Defuzzify(set)
-	}
-	return res, nil
 }

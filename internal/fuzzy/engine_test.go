@@ -84,7 +84,7 @@ func TestInferNoRuleFires(t *testing.T) {
 	if res.Outputs["scaleUp"] != 0 {
 		t.Errorf("no rule fired but scaleUp = %g, want 0", res.Outputs["scaleUp"])
 	}
-	if !res.OutputSet("scaleUp").Empty() {
+	if outputSet(rb, res, "scaleUp").Height() != 0 {
 		t.Error("output set should be empty when no rule fires")
 	}
 }
@@ -205,7 +205,7 @@ func TestMaxProductInference(t *testing.T) {
 		t.Errorf("max-product scaleUp (leftmost max of scaled ramp) = %g, want 1.0", prod.Outputs["scaleUp"])
 	}
 	// The scaled set's height equals the truth.
-	if h := prod.OutputSet("scaleUp").Height(); math.Abs(h-0.8) > 0.01 {
+	if h := outputSet(rb, prod, "scaleUp").Height(); math.Abs(h-0.8) > 0.01 {
 		t.Errorf("scaled set height = %g, want 0.8", h)
 	}
 	if MaxMin.String() != "max-min" || MaxProduct.String() != "max-product" {

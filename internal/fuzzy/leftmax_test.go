@@ -77,7 +77,7 @@ func TestSampledEnginesRecyclePaperResults(t *testing.T) {
 					t.Fatalf("round %d, %s: %s = %v on a recycled Result, interpreter %v",
 						round, e.Defuzzifier().Name(), name, got.Outputs[name], w)
 				}
-				if gs, ws := got.OutputSet(name), want.OutputSet(name); gs.grades != ws.grades {
+				if gs, ws := outputSet(rb, got, name), outputSet(rb, want, name); gs.grades != ws.grades {
 					t.Fatalf("round %d, %s: set of %s differs on a recycled Result", round, e.Defuzzifier().Name(), name)
 				}
 			}

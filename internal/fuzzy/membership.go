@@ -1,9 +1,6 @@
 package fuzzy
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MembershipFunc maps a crisp value to a membership grade in [0, 1].
 type MembershipFunc func(x float64) float64
@@ -37,34 +34,9 @@ func Trapezoid(a, b, c, d float64) MembershipFunc {
 	}
 }
 
-// Triangle returns a triangular membership function peaking at b.
-func Triangle(a, b, c float64) MembershipFunc { return Trapezoid(a, b, b, c) }
-
-// ShoulderLeft returns a function that is 1 up to a and falls to 0 at b.
-// It models the lowest linguistic term of a variable (e.g. "low").
-func ShoulderLeft(a, b float64) MembershipFunc {
-	return Trapezoid(math.Inf(-1), math.Inf(-1), a, b)
-}
-
-// ShoulderRight returns a function that is 0 up to a and rises to 1 at b,
-// staying 1 afterwards. It models the highest linguistic term ("high").
-func ShoulderRight(a, b float64) MembershipFunc {
-	return Trapezoid(a, b, math.Inf(1), math.Inf(1))
-}
-
 // Rect returns the crisp (rectangular) membership function that is 1 on
 // [a, b] and 0 elsewhere. It is used to embed crisp conditions in rules.
 func Rect(a, b float64) MembershipFunc { return Trapezoid(a, a, b, b) }
-
-// Singleton returns a membership function that is 1 exactly at v.
-func Singleton(v float64) MembershipFunc {
-	return func(x float64) float64 {
-		if x == v {
-			return 1
-		}
-		return 0
-	}
-}
 
 // clamp01 clamps v to the interval [0, 1]. Membership grades must stay in
 // that interval; measurement noise may push raw values slightly outside.

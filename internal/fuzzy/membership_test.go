@@ -60,29 +60,6 @@ func TestTriangle(t *testing.T) {
 	}
 }
 
-func TestShoulders(t *testing.T) {
-	left := ShoulderLeft(0.2, 0.4)
-	if got := left(0); got != 1 {
-		t.Errorf("left shoulder at 0 = %g, want 1", got)
-	}
-	if got := left(0.3); !approx(got, 0.5) {
-		t.Errorf("left shoulder at 0.3 = %g, want 0.5", got)
-	}
-	if got := left(0.5); got != 0 {
-		t.Errorf("left shoulder at 0.5 = %g, want 0", got)
-	}
-	right := ShoulderRight(0.6, 0.8)
-	if got := right(1); got != 1 {
-		t.Errorf("right shoulder at 1 = %g, want 1", got)
-	}
-	if got := right(0.7); !approx(got, 0.5) {
-		t.Errorf("right shoulder at 0.7 = %g, want 0.5", got)
-	}
-	if got := right(0.5); got != 0 {
-		t.Errorf("right shoulder at 0.5 = %g, want 0", got)
-	}
-}
-
 func TestRectAndSingleton(t *testing.T) {
 	r := Rect(0.25, 0.75)
 	for _, c := range []struct{ x, want float64 }{{0.2, 0}, {0.25, 1}, {0.5, 1}, {0.75, 1}, {0.8, 0}} {
@@ -158,10 +135,6 @@ func TestVocabulary(t *testing.T) {
 	if _, ok := vc.Get("diskLoad"); ok {
 		t.Fatal("unexpected variable diskLoad")
 	}
-	names := vc.Names()
-	if len(names) != 2 || names[0] != "cpuLoad" || names[1] != "memLoad" {
-		t.Fatalf("Names() = %v", names)
-	}
 }
 
 func TestVocabularyDuplicatePanics(t *testing.T) {
@@ -173,16 +146,15 @@ func TestVocabularyDuplicatePanics(t *testing.T) {
 	NewVocabulary().Add(StandardLoad("x")).Add(StandardLoad("x"))
 }
 
-func TestTermsOrder(t *testing.T) {
-	v := StandardLoad("cpuLoad")
-	want := []string{"low", "medium", "high"}
-	got := v.Terms()
-	if len(got) != len(want) {
-		t.Fatalf("Terms() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Terms() = %v, want %v", got, want)
+// Triangle returns a triangular membership function peaking at b.
+func Triangle(a, b, c float64) MembershipFunc { return Trapezoid(a, b, b, c) }
+
+// Singleton returns a membership function that is 1 exactly at v.
+func Singleton(v float64) MembershipFunc {
+	return func(x float64) float64 {
+		if x == v {
+			return 1
 		}
+		return 0
 	}
 }

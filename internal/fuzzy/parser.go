@@ -167,18 +167,6 @@ func (p *parser) expect(kind tokenKind) (token, error) {
 	return t, nil
 }
 
-// ParseRule parses a single rule. Trailing input is an error.
-func ParseRule(src string) (Rule, error) {
-	rules, err := Parse(src)
-	if err != nil {
-		return Rule{}, err
-	}
-	if len(rules) != 1 {
-		return Rule{}, fmt.Errorf("fuzzy: expected exactly one rule, found %d", len(rules))
-	}
-	return rules[0], nil
-}
-
 // Parse parses a sequence of rules separated by semicolons or newlines.
 // A rule may span several lines: line breaks inside a rule (before THEN,
 // inside parentheses, after AND/OR, …) are tolerated because the parser

@@ -1,6 +1,7 @@
 package fuzzy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -273,4 +274,16 @@ func TestRuleInputVars(t *testing.T) {
 	if !vars["cpuLoad"] || !vars["memLoad"] || len(vars) != 2 {
 		t.Errorf("InputVars = %v", vars)
 	}
+}
+
+// ParseRule parses a single rule. Trailing input is an error.
+func ParseRule(src string) (Rule, error) {
+	rules, err := Parse(src)
+	if err != nil {
+		return Rule{}, err
+	}
+	if len(rules) != 1 {
+		return Rule{}, fmt.Errorf("fuzzy: expected exactly one rule, found %d", len(rules))
+	}
+	return rules[0], nil
 }

@@ -6,12 +6,10 @@ import (
 	"strings"
 )
 
-// Expr is a node of a rule-antecedent expression tree. Eval returns the
-// expression's degree of truth in [0, 1] given fuzzified inputs.
+// Expr is a node of a rule-antecedent expression tree: IsExpr, NotExpr,
+// AndExpr or OrExpr. Inference runs the postfix code the compiled
+// program (compile.go) lowers it into.
 type Expr interface {
-	// Eval computes the degree of truth. fuzz returns the membership
-	// grade of the current measurement of variable v in term t.
-	Eval(fuzz func(v, t string) (float64, error)) (float64, error)
 	// String renders the expression in rule-language syntax.
 	String() string
 	// Vars appends the variable names referenced by the expression.
@@ -51,15 +49,6 @@ type IsExpr struct {
 	Term  string
 }
 
-// Eval implements Expr.
-func (e IsExpr) Eval(fuzz func(v, t string) (float64, error)) (float64, error) {
-	g, err := fuzz(e.Var, e.Term)
-	if err != nil {
-		return 0, err
-	}
-	return e.Hedge.Apply(g), nil
-}
-
 func (e IsExpr) String() string {
 	if e.Hedge != HedgeNone {
 		return e.Var + " IS " + string(e.Hedge) + " " + e.Term
@@ -73,15 +62,6 @@ func (e IsExpr) Vars(into map[string]bool) { into[e.Var] = true }
 // NotExpr is the fuzzy complement: truth = 1 − truth(child).
 type NotExpr struct{ X Expr }
 
-// Eval implements Expr.
-func (e NotExpr) Eval(fuzz func(v, t string) (float64, error)) (float64, error) {
-	v, err := e.X.Eval(fuzz)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - v, nil
-}
-
 func (e NotExpr) String() string { return "NOT " + parenthesize(e.X) }
 
 // Vars implements Expr.
@@ -90,19 +70,6 @@ func (e NotExpr) Vars(into map[string]bool) { e.X.Vars(into) }
 // AndExpr is a fuzzy conjunction, evaluated with the minimum function.
 type AndExpr struct{ X, Y Expr }
 
-// Eval implements Expr.
-func (e AndExpr) Eval(fuzz func(v, t string) (float64, error)) (float64, error) {
-	x, err := e.X.Eval(fuzz)
-	if err != nil {
-		return 0, err
-	}
-	y, err := e.Y.Eval(fuzz)
-	if err != nil {
-		return 0, err
-	}
-	return math.Min(x, y), nil
-}
-
 func (e AndExpr) String() string { return parenthesize(e.X) + " AND " + parenthesize(e.Y) }
 
 // Vars implements Expr.
@@ -110,19 +77,6 @@ func (e AndExpr) Vars(into map[string]bool) { e.X.Vars(into); e.Y.Vars(into) }
 
 // OrExpr is a fuzzy disjunction, evaluated with the maximum function.
 type OrExpr struct{ X, Y Expr }
-
-// Eval implements Expr.
-func (e OrExpr) Eval(fuzz func(v, t string) (float64, error)) (float64, error) {
-	x, err := e.X.Eval(fuzz)
-	if err != nil {
-		return 0, err
-	}
-	y, err := e.Y.Eval(fuzz)
-	if err != nil {
-		return 0, err
-	}
-	return math.Max(x, y), nil
-}
 
 func (e OrExpr) String() string { return parenthesize(e.X) + " OR " + parenthesize(e.Y) }
 

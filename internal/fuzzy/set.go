@@ -1,9 +1,6 @@
 package fuzzy
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // setSamples is the number of samples used to discretize output fuzzy
 // sets over their universe. 201 samples give a resolution of 0.5 % on the
@@ -13,10 +10,11 @@ import (
 // configuration searches the grid, it does not walk it (compile.go).
 const setSamples = 201
 
-// Set is a discretized fuzzy set over the universe [Min, Max]. Output
-// variables of the inference engine accumulate clipped consequent sets
-// into a Set via Union, and the final crisp value is extracted by a
-// Defuzzifier.
+// Set is a discretized fuzzy set over the universe [Min, Max]. An output
+// variable's set is the union of its consequents' pre-sampled sets, each
+// clipped (UnionClippedSet) or scaled (UnionScaledSet) by its rule's
+// truth, and a Defuzzifier extracts the crisp value. The paper's
+// configuration derives that value without building the set (compile.go).
 type Set struct {
 	Min, Max float64
 	grades   [setSamples]float64
@@ -35,9 +33,6 @@ func (s *Set) x(i int) float64 {
 	return s.Min + (s.Max-s.Min)*float64(i)/float64(setSamples-1)
 }
 
-// Sample returns the membership grade stored at sample index i.
-func (s *Set) Sample(i int) float64 { return s.grades[i] }
-
 // Fill sets the grades by sampling the membership function mf.
 func (s *Set) Fill(mf MembershipFunc) *Set {
 	for i := range s.grades {
@@ -46,46 +41,13 @@ func (s *Set) Fill(mf MembershipFunc) *Set {
 	return s
 }
 
-// UnionClipped merges the membership function mf, clipped at height h,
-// into the set using the fuzzy union (pointwise maximum). This is the
-// max–min inference step: the consequent set mf is clipped off at the
-// antecedent's degree of truth h, and all sets referring to the same
-// output variable are combined by union.
-func (s *Set) UnionClipped(mf MembershipFunc, h float64) {
-	h = clamp01(h)
-	if h == 0 {
-		return
-	}
-	for i := range s.grades {
-		g := math.Min(clamp01(mf(s.x(i))), h)
-		if g > s.grades[i] {
-			s.grades[i] = g
-		}
-	}
-}
-
-// UnionScaled merges mf scaled (multiplied) by h into the set — the
-// max–product inference alternative, which preserves the consequent
-// set's shape instead of flattening its top.
-func (s *Set) UnionScaled(mf MembershipFunc, h float64) {
-	h = clamp01(h)
-	if h == 0 {
-		return
-	}
-	for i := range s.grades {
-		g := clamp01(mf(s.x(i))) * h
-		if g > s.grades[i] {
-			s.grades[i] = g
-		}
-	}
-}
-
 // UnionClippedSet merges a pre-sampled consequent set, clipped at height
-// h, into the set by pointwise maximum — the fast-path equivalent of
-// UnionClipped for membership functions already discretized over the
-// same universe (compiled inference pre-samples every consequent term
-// once at compile time). pre's grades are assumed clamped to [0, 1], as
-// Fill guarantees.
+// h, into the set by pointwise maximum — the max–min inference step:
+// the consequent is clipped off at its antecedent's degree of truth, and
+// all sets of one output variable combine by the fuzzy union. pre covers
+// the same universe (compiled inference pre-samples every consequent
+// term once at compile time), its grades clamped to [0, 1] as Fill
+// guarantees.
 func (s *Set) UnionClippedSet(pre *Set, h float64) {
 	h = clamp01(h)
 	if h == 0 {
@@ -103,7 +65,8 @@ func (s *Set) UnionClippedSet(pre *Set, h float64) {
 }
 
 // UnionScaledSet merges a pre-sampled consequent set scaled by h into
-// the set — the fast-path equivalent of UnionScaled.
+// the set — the max–product alternative, which keeps the consequent's
+// shape instead of flattening its top.
 func (s *Set) UnionScaledSet(pre *Set, h float64) {
 	h = clamp01(h)
 	if h == 0 {
@@ -117,20 +80,6 @@ func (s *Set) UnionScaledSet(pre *Set, h float64) {
 	}
 }
 
-// Union merges another set (over the same universe) by pointwise max.
-func (s *Set) Union(o *Set) error {
-	if s.Min != o.Min || s.Max != o.Max {
-		return fmt.Errorf("fuzzy: union of sets over different universes [%g,%g] vs [%g,%g]",
-			s.Min, s.Max, o.Min, o.Max)
-	}
-	for i := range s.grades {
-		if o.grades[i] > s.grades[i] {
-			s.grades[i] = o.grades[i]
-		}
-	}
-	return nil
-}
-
 // Height returns the maximum membership grade of the set.
 func (s *Set) Height() float64 {
 	h := 0.0
@@ -141,9 +90,6 @@ func (s *Set) Height() float64 {
 	}
 	return h
 }
-
-// Empty reports whether the set has no support (all grades zero).
-func (s *Set) Empty() bool { return s.Height() == 0 }
 
 // A Defuzzifier converts a fuzzy set into a crisp value.
 type Defuzzifier interface {

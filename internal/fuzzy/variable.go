@@ -1,15 +1,12 @@
 package fuzzy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Term is a linguistic term (such as "low", "medium", "high") of a
-// linguistic variable, together with its membership function.
+// linguistic variable: its membership function, under the name the
+// variable keys it by.
 type Term struct {
-	Name string
-	MF   MembershipFunc
+	MF MembershipFunc
 }
 
 // Variable is a linguistic variable: a name, a universe of discourse
@@ -21,7 +18,6 @@ type Variable struct {
 	Min   float64
 	Max   float64
 	terms map[string]Term
-	order []string // term insertion order, for deterministic iteration
 }
 
 // NewVariable creates a linguistic variable over the universe [min, max].
@@ -39,8 +35,7 @@ func (v *Variable) AddTerm(name string, mf MembershipFunc) *Variable {
 	if _, dup := v.terms[name]; dup {
 		panic(fmt.Sprintf("fuzzy: variable %q: duplicate term %q", v.Name, name))
 	}
-	v.terms[name] = Term{Name: name, MF: mf}
-	v.order = append(v.order, name)
+	v.terms[name] = Term{MF: mf}
 	return v
 }
 
@@ -48,24 +43,6 @@ func (v *Variable) AddTerm(name string, mf MembershipFunc) *Variable {
 func (v *Variable) Term(name string) (Term, bool) {
 	t, ok := v.terms[name]
 	return t, ok
-}
-
-// Terms returns the variable's term names in insertion order.
-func (v *Variable) Terms() []string {
-	out := make([]string, len(v.order))
-	copy(out, v.order)
-	return out
-}
-
-// Membership returns the membership grade of the crisp value x in the
-// named term. The value is clamped to the universe first, mirroring how a
-// fuzzy controller treats out-of-range sensor readings.
-func (v *Variable) Membership(term string, x float64) (float64, error) {
-	t, ok := v.terms[term]
-	if !ok {
-		return 0, fmt.Errorf("fuzzy: variable %q has no term %q", v.Name, term)
-	}
-	return clamp01(t.MF(v.clampU(x))), nil
 }
 
 // Fuzzify maps the crisp value x onto all terms of the variable and
@@ -137,14 +114,4 @@ func (vc *Vocabulary) Add(v *Variable) *Vocabulary {
 func (vc *Vocabulary) Get(name string) (*Variable, bool) {
 	v, ok := vc.vars[name]
 	return v, ok
-}
-
-// Names returns all variable names in lexicographic order.
-func (vc *Vocabulary) Names() []string {
-	out := make([]string, 0, len(vc.vars))
-	for n := range vc.vars {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

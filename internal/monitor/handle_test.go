@@ -160,7 +160,7 @@ func TestRecordByHandleMatchesString(t *testing.T) {
 	if err := byHandle.arch.Entity("nobody").Record(archive.Sample{Minute: minute}); err == nil {
 		t.Fatal("Record through the read-only handle of an unknown entity accepted")
 	}
-	if byHandle.arch.Len("nobody") != 0 || len(byHandle.arch.Entities()) != 2*entities {
+	if byHandle.arch.Entity("nobody").Len() != 0 || len(byHandle.arch.Entities()) != 2*entities {
 		t.Fatal("refused Record left a trace")
 	}
 }

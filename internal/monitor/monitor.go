@@ -190,9 +190,6 @@ func NewSystem(params Params, arch *archive.Archive) (*System, error) {
 // Archive returns the load archive the system records into.
 func (s *System) Archive() *archive.Archive { return s.archive }
 
-// Params returns the system's tunables.
-func (s *System) Params() Params { return s.params }
-
 // Watch is the resolved handle of one registered entity: its watcher and
 // the watcher's archive write handle. It lives as long as the
 // registration: a re-Register resets the watch state behind it,

@@ -64,14 +64,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add shifts the value by a (possibly negative) delta.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	addFloat(&g.bits, v)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

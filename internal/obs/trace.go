@@ -239,27 +239,6 @@ func (t *Tracer) Snapshot() []Trace {
 	return out
 }
 
-// Len returns the number of sealed traces currently retained.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Total returns the number of traces ever begun (sealed or open),
-// including those the ring has already evicted.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
 // WriteJSON writes the sealed traces as a JSON array, oldest first.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	traces := t.Snapshot()

@@ -54,9 +54,6 @@ type Ref struct {
 // vocabulary, everything else the action-selection vocabulary.
 type VocabFunc func(name string) *fuzzy.Vocabulary
 
-// SelectionPrefix marks server-selection rule bases by name.
-const SelectionPrefix = "select/"
-
 // Hash returns the content hash of rule source text.
 func Hash(source string) string {
 	sum := sha256.Sum256([]byte(source))
@@ -214,18 +211,6 @@ func (r *Registry) Activate(name string, version int) (*Entry, error) {
 	return nil, fmt.Errorf("rules: no version %d of %q to activate", version, name)
 }
 
-// Names returns the registered rule-base names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // List returns every stored version as a Ref, sorted by name then
 // version — the payload of the ruleList wire reply.
 func (r *Registry) List() []Ref {
@@ -241,26 +226,6 @@ func (r *Registry) List() []Ref {
 				Active:  r.active[name] == e.Version,
 				Rules:   e.Base.Len(),
 			})
-		}
-	}
-	return out
-}
-
-// ActiveRefs returns one Ref per name with an activated version — what
-// the coordinator journals so a restart can recover the active set.
-func (r *Registry) ActiveRefs() []Ref {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Ref
-	for _, name := range r.sortedNamesLocked() {
-		v := r.active[name]
-		if v == 0 {
-			continue
-		}
-		for _, e := range r.byName[name] {
-			if e.Version == v {
-				out = append(out, Ref{Name: name, Version: v, Hash: e.Hash, Active: true, Rules: e.Base.Len()})
-			}
 		}
 	}
 	return out

@@ -15,7 +15,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 
 	"autoglobe/internal/cluster"
 )
@@ -228,18 +227,6 @@ func (c *Catalog) All() []*Service {
 	for _, n := range c.order {
 		out = append(out, c.services[n])
 	}
-	return out
-}
-
-// ByType returns the services of the given type, sorted by name.
-func (c *Catalog) ByType(t Type) []*Service {
-	var out []*Service
-	for _, s := range c.services {
-		if s.Type == t {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -32,10 +32,14 @@ func chaosDispatch() agent.DispatchConfig {
 // fault-free run of the identical configuration: the faults were fully
 // absorbed, not merely survived.
 func TestChaosConvergesToFaultFreeLandscape(t *testing.T) {
-	run := func(t *testing.T, drv *chaos.Driver) (*Simulator, int) {
+	run := func(t *testing.T, plan []chaos.Injection) (*Simulator, *chaos.Driver) {
 		t.Helper()
 		lb := wire.NewLoopback()
 		t.Cleanup(func() { lb.Close() })
+		var drv *chaos.Driver
+		if plan != nil {
+			drv = chaos.NewDriver(plan, lb)
+		}
 		sim := declaredSim(t, func(c *Config) {
 			tuneForActions(c)
 			dc := &DistributedConfig{Transport: lb, Dispatch: chaosDispatch()}
@@ -46,7 +50,6 @@ func TestChaosConvergesToFaultFreeLandscape(t *testing.T) {
 			c.Distributed = dc
 		})
 		if drv != nil {
-			drv.Bind(lb)
 			drv.Crash = func() error {
 				_, err := sim.Plane().CrashCoordinator(context.Background())
 				return err
@@ -64,7 +67,7 @@ func TestChaosConvergesToFaultFreeLandscape(t *testing.T) {
 		if err := sim.CheckInvariants(true); err != nil {
 			t.Fatalf("strict invariants at end of run: %v", err)
 		}
-		return sim, minutes
+		return sim, drv
 	}
 
 	base, _ := run(t, nil)
@@ -72,8 +75,7 @@ func TestChaosConvergesToFaultFreeLandscape(t *testing.T) {
 
 	hosts := base.Deployment().Cluster().Names()
 	plan := chaos.NewPlan(11, 24*60, hosts, chaos.DefaultProfile())
-	drv := chaos.NewDriver(plan, nil)
-	sim, _ := run(t, drv)
+	sim, drv := run(t, plan)
 
 	if drv.Remaining() != 0 {
 		t.Errorf("chaos plan has %d injections left unapplied", drv.Remaining())

@@ -20,10 +20,14 @@ import (
 // day profiles stay gap-free because agents buffer through the
 // leaderless windows and the successor backfills them.
 func TestFailoverConvergesToFaultFreeLandscape(t *testing.T) {
-	run := func(t *testing.T, drv *chaos.Driver) *Simulator {
+	run := func(t *testing.T, plan []chaos.Injection) (*Simulator, *chaos.Driver) {
 		t.Helper()
 		lb := wire.NewLoopback()
 		t.Cleanup(func() { lb.Close() })
+		var drv *chaos.Driver
+		if plan != nil {
+			drv = chaos.NewDriver(plan, lb)
+		}
 		sim := declaredSim(t, func(c *Config) {
 			tuneForActions(c)
 			dc := &DistributedConfig{
@@ -38,7 +42,6 @@ func TestFailoverConvergesToFaultFreeLandscape(t *testing.T) {
 			c.Distributed = dc
 		})
 		if drv != nil {
-			drv.Bind(lb)
 			drv.KillLeader = func(step int) (bool, error) {
 				return sim.Plane().Election().KillLeader(step)
 			}
@@ -56,12 +59,12 @@ func TestFailoverConvergesToFaultFreeLandscape(t *testing.T) {
 		if err := sim.CheckInvariants(true); err != nil {
 			t.Fatalf("strict invariants at end of run: %v", err)
 		}
-		return sim
+		return sim, drv
 	}
 
 	// The baseline also runs with standbys attached — leadership that is
 	// never contested must be invisible to the control loop.
-	base := run(t, nil)
+	base, _ := run(t, nil)
 	want := base.Landscape()
 	if got := base.Plane().Election().Takeovers(); got != 0 {
 		t.Fatalf("fault-free run elected %d successors", got)
@@ -78,8 +81,7 @@ func TestFailoverConvergesToFaultFreeLandscape(t *testing.T) {
 	}
 	hosts := base.Deployment().Cluster().Names()
 	plan := chaos.NewPlan(11, 24*60, hosts, profile)
-	drv := chaos.NewDriver(plan, nil)
-	sim := run(t, drv)
+	sim, drv := run(t, plan)
 
 	if drv.Remaining() != 0 {
 		t.Errorf("chaos plan has %d injections left unapplied", drv.Remaining())

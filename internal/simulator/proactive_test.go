@@ -51,9 +51,9 @@ func TestArchiveBackedRunSurvivesCrash(t *testing.T) {
 					entity, m, after[m], before[m])
 			}
 		}
-		if arch.Len(entity) != rearch.Len(entity) {
+		if arch.Entity(entity).Len() != rearch.Entity(entity).Len() {
 			t.Fatalf("%s: ring length %d recovered, want %d",
-				entity, rearch.Len(entity), arch.Len(entity))
+				entity, rearch.Entity(entity).Len(), arch.Entity(entity).Len())
 		}
 	}
 }

@@ -109,18 +109,11 @@ func TestShadowRulesDiffOnSimulatedDay(t *testing.T) {
 	}
 	assertIdentical(t, base, res, "shadow-evaluated run")
 
-	st := sim.Controller().ShadowStats()
-	if st.Evals == 0 {
-		t.Fatal("shadow candidate was never evaluated — the diff claim is vacuous")
-	}
-	if st.Diffs == 0 {
-		t.Fatal("perturbed candidate never disagreed with the active rule set")
-	}
-	if v := reg.Counter(controller.MetricShadowEvals, "candidate", "perturbed@v1").Value(); v != float64(st.Evals) {
-		t.Errorf("%s = %v, want %d", controller.MetricShadowEvals, v, st.Evals)
+	if v := reg.Counter(controller.MetricShadowEvals, "candidate", "perturbed@v1").Value(); v == 0 {
+		t.Fatalf("%s = 0: the shadow candidate was never evaluated, the diff claim is vacuous", controller.MetricShadowEvals)
 	}
 	if v := reg.Counter(controller.MetricShadowDiffs, "candidate", "perturbed@v1", "field", "action").Value(); v == 0 {
-		t.Errorf("no action-field diffs counted in %s", controller.MetricShadowDiffs)
+		t.Fatalf("%s = 0: the perturbed candidate never disagreed with the active rule set", controller.MetricShadowDiffs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"autoglobe/internal/service"
+	"autoglobe/internal/workload"
 )
 
 const sampleXML = `<?xml version="1.0"?>
@@ -226,7 +227,11 @@ func TestSimulationSectionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("profile %s: %v", p.Service, err)
 		}
-		if prof.Peak() <= 0 {
+		loaded := false
+		for m := 0; m < workload.MinutesPerDay && !loaded; m++ {
+			loaded = prof.At(m) > 0
+		}
+		if !loaded {
 			t.Errorf("profile %s has no load", p.Service)
 		}
 	}

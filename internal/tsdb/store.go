@@ -769,11 +769,6 @@ func (st *Store) Entities() []string {
 	return names
 }
 
-// DiskBytes returns the bytes currently on disk across all segments.
-func (st *Store) DiskBytes() int64 {
-	return st.diskBytes()
-}
-
 func (st *Store) diskBytes() (n int64) {
 	for _, s := range st.segs {
 		if s != nil {

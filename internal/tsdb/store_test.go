@@ -276,11 +276,11 @@ func TestCompactionPrunesSegments(t *testing.T) {
 	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	before := st.DiskBytes()
+	before := st.diskBytes()
 	if err := st.CompactBefore(2880); err != nil {
 		t.Fatal(err)
 	}
-	after := st.DiskBytes()
+	after := st.diskBytes()
 	if after >= before {
 		t.Fatalf("compaction did not reclaim disk: %d -> %d bytes", before, after)
 	}

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Fault seams only this package's tests arm.
+// Fault seams and envelope builders only this package's tests use.
 
 // Held reports how many messages are currently parked for node.
 func (l *Loopback) Held(node string) int {
@@ -32,4 +32,25 @@ func (l *Loopback) SetDropRate(rate float64, seed uint64) {
 	defer l.mu.Unlock()
 	l.dropRate = rate
 	l.rng = rand.New(rand.NewSource(int64(seed)))
+}
+
+// ActionEnvelope frames an action request.
+func ActionEnvelope(from, to string, req ActionRequest) *Envelope {
+	e := NewEnvelope(TypeAction, from, to)
+	e.Action = &req
+	return e
+}
+
+// AckEnvelope frames an action ack.
+func AckEnvelope(from, to string, ack ActionAck) *Envelope {
+	e := NewEnvelope(TypeAck, from, to)
+	e.Ack = &ack
+	return e
+}
+
+// RuleGetEnvelope frames a rule-base lookup request.
+func RuleGetEnvelope(from, to string, g RuleGet) *Envelope {
+	e := NewEnvelope(TypeRuleGet, from, to)
+	e.RuleGet = &g
+	return e
 }

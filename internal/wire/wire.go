@@ -320,20 +320,6 @@ func HeartbeatEnvelope(from, to string, hb Heartbeat) *Envelope {
 	return e
 }
 
-// ActionEnvelope frames an action request.
-func ActionEnvelope(from, to string, req ActionRequest) *Envelope {
-	e := NewEnvelope(TypeAction, from, to)
-	e.Action = &req
-	return e
-}
-
-// AckEnvelope frames an action ack.
-func AckEnvelope(from, to string, ack ActionAck) *Envelope {
-	e := NewEnvelope(TypeAck, from, to)
-	e.Ack = &ack
-	return e
-}
-
 // ProbeEnvelope frames a liveness probe.
 func ProbeEnvelope(from, to string, p Probe) *Envelope {
 	e := NewEnvelope(TypeProbe, from, to)
@@ -345,13 +331,6 @@ func ProbeEnvelope(from, to string, p Probe) *Envelope {
 func HelloEnvelope(from, to string, h Hello) *Envelope {
 	e := NewEnvelope(TypeHello, from, to)
 	e.Hello = &h
-	return e
-}
-
-// RuleGetEnvelope frames a rule-base lookup request.
-func RuleGetEnvelope(from, to string, g RuleGet) *Envelope {
-	e := NewEnvelope(TypeRuleGet, from, to)
-	e.RuleGet = &g
 	return e
 }
 

@@ -176,18 +176,6 @@ func (g *Generator) AddBurst(svc string, b Burst) error {
 	return nil
 }
 
-// Services returns the names of all sources.
-func (g *Generator) Services() []string {
-	out := make([]string, 0, len(g.sources))
-	for n := range g.sources {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Users returns the population of a service.
-func (g *Generator) Users(svc string) float64 { return g.sources[svc].Users }
-
 // PaperProfiles returns the activity profile of every application
 // service in the paper's installation. LES, FI and PP follow the
 // interactive workday pattern of Figure 10 (with small phase shifts so

@@ -24,12 +24,11 @@ type Point struct {
 // at a time between anchor points is linearly interpolated; the curve
 // wraps around midnight.
 type Profile struct {
-	Name   string
 	points []Point
 }
 
 // NewProfile builds a profile from anchor points. Points need not be
-// sorted; duplicate minutes are an error.
+// sorted; duplicate minutes are an error. name labels the errors.
 func NewProfile(name string, points ...Point) (*Profile, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("workload: profile %q has no points", name)
@@ -48,7 +47,7 @@ func NewProfile(name string, points ...Point) (*Profile, error) {
 			return nil, fmt.Errorf("workload: profile %q: negative value at minute %d", name, p.Minute)
 		}
 	}
-	return &Profile{Name: name, points: ps}, nil
+	return &Profile{points: ps}, nil
 }
 
 // MustProfile is NewProfile panicking on error, for profile literals.
@@ -107,26 +106,6 @@ func lerpWrapped(a, b Point, m int) float64 {
 	}
 	t := float64(off) / float64(span)
 	return a.Value + t*(b.Value-a.Value)
-}
-
-// Peak returns the maximum value over the day (sampled per minute).
-func (p *Profile) Peak() float64 {
-	peak := 0.0
-	for m := 0; m < MinutesPerDay; m++ {
-		if v := p.At(m); v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
-
-// Mean returns the mean value over the day (sampled per minute).
-func (p *Profile) Mean() float64 {
-	sum := 0.0
-	for m := 0; m < MinutesPerDay; m++ {
-		sum += p.At(m)
-	}
-	return sum / MinutesPerDay
 }
 
 func hm(h, m int) int { return h*60 + m }
@@ -193,42 +172,4 @@ func (p *Profile) Shift(name string, minutes int) *Profile {
 		})
 	}
 	return MustProfile(name, pts...)
-}
-
-// Scale returns a copy with every value multiplied by factor (>= 0).
-func (p *Profile) Scale(name string, factor float64) *Profile {
-	if factor < 0 {
-		panic("workload: negative scale factor")
-	}
-	pts := make([]Point, 0, len(p.points))
-	for _, pt := range p.points {
-		pts = append(pts, Point{Minute: pt.Minute, Value: pt.Value * factor})
-	}
-	return MustProfile(name, pts...)
-}
-
-// FromSeries builds a profile from a measured per-minute series (e.g.
-// the load archive's aggregated day profile), anchoring one point per
-// stride minutes. This closes the loop the paper's §7 envisions:
-// observe a landscape, extract its daily pattern, and replay it against
-// candidate configurations.
-func FromSeries(name string, series []float64, stride int) (*Profile, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("workload: empty series for profile %q", name)
-	}
-	if len(series) > MinutesPerDay {
-		return nil, fmt.Errorf("workload: series for %q has %d samples, max %d", name, len(series), MinutesPerDay)
-	}
-	if stride <= 0 {
-		stride = 15
-	}
-	var pts []Point
-	for m := 0; m < len(series); m += stride {
-		v := series[m]
-		if v < 0 {
-			return nil, fmt.Errorf("workload: negative sample at minute %d", m)
-		}
-		pts = append(pts, Point{Minute: m, Value: v})
-	}
-	return NewProfile(name, pts...)
 }

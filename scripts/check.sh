@@ -1,8 +1,8 @@
 #!/bin/sh
 # scripts/check.sh — the tier-1 gate (see ROADMAP.md): formatting, vet,
-# the metric-name lint, the wire-encoding lint, the tsdb single-owner
-# lint (non-test internal/tsdb does not import sync), the dispatch lint
-# (non-test internal/agent does not import math/rand), the storage lint
+# the metric-name lint, the import lints (non-test internal/wire does
+# not import encoding/json, internal/tsdb sync, internal/agent
+# math/rand), the storage lint
 # (only internal/journal creates, writes, renames or removes a file),
 # every examples/* program built and run (a non-zero exit fails the
 # gate), every test twice (under the race detector, then
@@ -10,7 +10,8 @@
 # ratchet skip themselves under -race, so the second pass is the one in
 # which they assert; the ratchet fails when a line joins SURFACE.txt: an
 # exported name in internal/ without a non-test caller outside its
-# package, or an exported field nobody sets or reads), the ingest and dispatch
+# package, an unexported function no non-test code calls, or an
+# exported field nobody sets or reads), the ingest and dispatch
 # concurrency tests — the session dictionary, the single ingest lock
 # that guards it with every pending beat, and journaled dispatch — and
 # the liveness handles beaten concurrently
@@ -53,29 +54,25 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-# Binary frames are the only wire encoding: a second envelope codec
-# must not creep back into the package.
-echo "== wire lint: non-test internal/wire does not import encoding/json"
-if go list -f '{{join .Imports " "}}' ./internal/wire | grep -qw 'encoding/json'; then
-	echo "wire lint: internal/wire imports encoding/json" >&2
-	exit 1
-fi
-
-# A tsdb store has one owner and no lock: the archive's owner appends,
-# commits, compacts and reads it. A mutex must not creep back in.
-echo "== tsdb lint: non-test internal/tsdb does not import sync"
-if go list -f '{{join .Imports " "}}' ./internal/tsdb | grep -qE '(^| )sync(/atomic)?( |$)'; then
-	echo "tsdb lint: internal/tsdb imports sync or sync/atomic" >&2
-	exit 1
-fi
-
-# The dispatcher keeps no per-host state: a retry's jitter is a hash of
-# its key and attempt. A per-host generator must not creep back in.
-echo "== dispatch lint: non-test internal/agent does not import math/rand"
-if go list -f '{{join .Imports " "}}' ./internal/agent | grep -qE '(^| )math/rand(/v2)?( |$)'; then
-	echo "dispatch lint: internal/agent imports math/rand" >&2
-	exit 1
-fi
+# Import lints, one a line: lint|package|banned import (an extended
+# regexp matched against whole import paths)|what the message names.
+#   wire      binary frames are the only wire encoding: a second
+#             envelope codec must not creep back into the package.
+#   tsdb      a tsdb store has one owner and no lock: the archive's owner
+#             appends, commits, compacts and reads it.
+#   dispatch  the dispatcher keeps no per-host state: a retry's jitter
+#             is a hash of its key and attempt, not a per-host generator.
+while IFS='|' read -r lint pkg banned names; do
+	echo "== $lint lint: non-test $pkg does not import ${names%% or *}"
+	if go list -f '{{range .Imports}}{{println .}}{{end}}' "./$pkg" | grep -qxE "$banned"; then
+		echo "$lint lint: $pkg imports $names" >&2
+		exit 1
+	fi
+done <<'EOF'
+wire|internal/wire|(.*/)?encoding/json(/.*)?|encoding/json
+tsdb|internal/tsdb|sync(/atomic)?|sync or sync/atomic
+dispatch|internal/agent|math/rand(/v2)?|math/rand
+EOF
 
 # One module decides how a durable segment is named, opened, rotated,
 # synced and read back: the journal and every tsdb tier run on

@@ -29,6 +29,9 @@ import (
 //	self      its own package only
 //	none      nothing but tests
 //
+// An unexported function or method that no non-test code calls, its
+// own body aside, is listed as "none" too.
+//
 // A field no non-test code writes is listed as "unset field". A write
 // is a keyed or unkeyed composite literal, an assignment, ++/--, or
 // &x.F; a struct with json: or xml: tags is written by its decoder.
@@ -91,6 +94,7 @@ func TestSurfaceFixture(t *testing.T) {
 		"examples func lib.ForExamples",
 		"none func lib.TestOnly",
 		"none func lib.Unused",
+		"none func lib.unused",
 		"none method lib.Mode.Unused",
 		"self func lib.Helper",
 		"unread field lib.Opts.Unread",
@@ -155,6 +159,7 @@ func (l *surfaceLoader) load(rel string) (*surfacePkg, error) {
 	}
 	p := &surfacePkg{rel: rel, info: &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}}
@@ -215,6 +220,7 @@ type surfaceName struct {
 	home       *surfacePkg
 	class      int
 	owner      *types.TypeName // a method's, field's or enum member's type
+	hidden     bool            // an unexported function or method
 	written    bool            // fields only
 	read       bool            // fields only
 }
@@ -253,12 +259,22 @@ func classify(pkgs []*surfacePkg) []string {
 		scope := p.pkg.Scope()
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
+			tn, isType := obj.(*types.TypeName)
+			if named, ok := obj.Type().(*types.Named); ok && isType && !tn.IsAlias() {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); !m.Exported() {
+						names[m] = &surfaceName{kind: "method", name: pkgName + "." + n + "." + m.Name(), home: p, owner: tn, hidden: true}
+					}
+				}
+			}
 			if !obj.Exported() {
+				if _, ok := obj.(*types.Func); ok {
+					names[obj] = &surfaceName{kind: "func", name: pkgName + "." + n, home: p, hidden: true}
+				}
 				continue
 			}
 			names[obj] = &surfaceName{kind: objKind(obj), name: pkgName + "." + n, home: p}
-			tn, ok := obj.(*types.TypeName)
-			if !ok {
+			if !isType {
 				continue
 			}
 			member := func(kind string, m types.Object) {
@@ -318,11 +334,27 @@ func classify(pkgs []*surfacePkg) []string {
 		}
 		return obj
 	}
+	// An unexported function's calls from its own body are no callers.
+	body := make(map[types.Object]*ast.FuncDecl)
 	for _, p := range pkgs {
-		for _, obj := range p.info.Uses {
-			if sn := names[origin(obj)]; sn != nil {
-				sn.class = max(sn.class, useClass(p, sn.home))
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					body[p.info.Defs[fd.Name]] = fd
+				}
 			}
+		}
+	}
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			sn := names[origin(obj)]
+			if sn == nil {
+				continue
+			}
+			if fd := body[origin(obj)]; sn.hidden && fd != nil && fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
+				continue
+			}
+			sn.class = max(sn.class, useClass(p, sn.home))
 		}
 		write := func(obj types.Object) {
 			if sn := names[origin(obj)]; sn != nil {
@@ -437,13 +469,21 @@ func classify(pkgs []*surfacePkg) []string {
 	}
 	for obj, sn := range names {
 		if sn.kind == "const" && sn.owner != nil || sn.kind == "method" && satisfies(obj.Name(), sn.owner, ifaces) {
-			sn.class = max(sn.class, names[sn.owner].class)
+			if owner := names[sn.owner]; owner != nil {
+				sn.class = max(sn.class, owner.class)
+			} else {
+				sn.class = max(sn.class, classSelf) // an unexported type's
+			}
 		}
 	}
 
 	var lines []string
 	for _, sn := range names {
 		switch {
+		case sn.hidden:
+			if sn.class == classNone {
+				lines = append(lines, fmt.Sprintf("none %s %s", sn.kind, sn.name))
+			}
 		case sn.kind == "field" && !sn.written:
 			lines = append(lines, "unset field "+sn.name)
 		case sn.kind == "field" && !sn.read:

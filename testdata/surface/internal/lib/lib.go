@@ -5,7 +5,18 @@ package lib
 func Unused() {}
 
 // Helper is called only inside this package.
-func Helper() int { return 1 }
+func Helper() int { return helper() }
+
+// unused has no caller but itself.
+func unused(n int) int {
+	if n > 0 {
+		return unused(n - 1)
+	}
+	return 0
+}
+
+// helper is called by Helper, a non-test sibling.
+func helper() int { return 1 }
 
 // TestOnly is called only from a test.
 func TestOnly() int { return Helper() }
@@ -23,6 +34,11 @@ type Shape interface{ Area() float64 }
 type Square struct{ Side float64 }
 
 func (s Square) Area() float64 { return s.Side * s.Side }
+
+// node is a sealed interface: nobody calls isNode, Square needs it.
+type node interface{ isNode() }
+
+func (Square) isNode() {}
 
 // Fault's Error satisfies error, which the module does not declare.
 type Fault struct{}
