@@ -11,8 +11,12 @@ import (
 	"autoglobe/internal/fuzzy"
 )
 
-// sourcePrefix names the rule bases parsed from DefaultRuleSources.
-const sourcePrefix = "source:"
+// sourcePrefix names the rule bases parsed from DefaultRuleSources, and
+// hedgedPrefix their hedged variants (hedgedRuleBases).
+const (
+	sourcePrefix = "source:"
+	hedgedPrefix = "hedged:"
+)
 
 // defaultRuleBases lists every rule base the controller ships: the
 // compiled action and selection defaults, and DefaultRuleSources parsed
@@ -41,8 +45,43 @@ func defaultRuleBases(t *testing.T) []*fuzzy.RuleBase {
 	return out
 }
 
+// hedgedRuleBases rewrites an action and a selection default so that
+// every antecedent term carries a hedge — "high" becomes "very high",
+// "low" "somewhat low", "medium" "extremely medium", with or without
+// NOT — since no default rule base uses one: an engine that drops a
+// hedge must disagree with the interpreter on these.
+func hedgedRuleBases(t *testing.T) []*fuzzy.RuleBase {
+	t.Helper()
+	hedge := strings.NewReplacer(
+		" IS high", " IS very high", " IS NOT high", " IS NOT very high",
+		" IS low", " IS somewhat low", " IS NOT low", " IS NOT somewhat low",
+		" IS medium", " IS extremely medium", " IS NOT medium", " IS NOT extremely medium",
+	)
+	srcs := controller.DefaultRuleSources()
+	var out []*fuzzy.RuleBase
+	for _, name := range []string{"serverOverloaded", "select/placement"} {
+		var b strings.Builder
+		for _, line := range strings.Split(srcs[name], "\n") {
+			if cond, then, ok := strings.Cut(line, " THEN "); ok {
+				line = hedge.Replace(cond) + " THEN " + then
+			}
+			b.WriteString(line + "\n")
+		}
+		if !strings.Contains(b.String(), " very ") || !strings.Contains(b.String(), " somewhat ") {
+			t.Fatalf("%s: the rewrite left no hedge", name)
+		}
+		rb, err := fuzzy.NewRuleBase(hedgedPrefix+name, controller.RuleVocabulary(name), fuzzy.MustParse(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rb)
+	}
+	return out
+}
+
 // TestDefaultRuleBasesDifferential is the exactness proof by example of
-// the closed-form leftmost maximum: over every default rule base, the
+// the closed-form leftmost maximum: over every default rule base and two
+// hedged variants (no default uses a hedge), the
 // closed form, LeftMax over the materialised union and the reference
 // interpreter agree in every bit of every output and fired truth. The
 // vectors are lattice points of each input's universe (where the default
@@ -59,10 +98,10 @@ func TestDefaultRuleBasesDifferential(t *testing.T) {
 	if fuzzy.RaceEnabled || testing.Short() {
 		perBase = 4_000
 	}
-	for bi, rb := range defaultRuleBases(t) {
+	for bi, rb := range append(defaultRuleBases(t), hedgedRuleBases(t)...) {
 		perBase := perBase
-		if strings.HasPrefix(rb.Name, sourcePrefix) {
-			perBase /= 5 // the same ten texts again: a fifth of the vectors
+		if strings.HasPrefix(rb.Name, sourcePrefix) || strings.HasPrefix(rb.Name, hedgedPrefix) {
+			perBase /= 5 // texts seen before, or rewritten: a fifth of the vectors
 		}
 		vocab := rb.Vocabulary()
 		names := rb.Compile().Inputs()

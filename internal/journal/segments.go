@@ -2,6 +2,7 @@ package journal
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -245,11 +246,14 @@ func (s *Segments) Close() (err error) {
 
 // Replay calls fn for every intact frame of the segments numbered from
 // on, oldest first: its segment, offset and framed length, and its
-// payload — valid during the call only, as each file is read into one
-// reused buffer. The first bad frame ends its segment: the writer died
-// mid-append and the partial record was never acknowledged. Later
-// segments still replay, since appends after a reopen always go to a
-// fresh segment. An error from fn stops the replay.
+// payload — valid during the call only. Frames are read through one
+// reused buffer that grows to the largest frame, not to the segment:
+// each read fills the buffer with as many frames as it holds, and a
+// frame larger than the buffer first grows it to that frame's size. The
+// first bad frame ends its segment: the writer died mid-append and the
+// partial record was never acknowledged. Later segments still replay,
+// since appends after a reopen always go to a fresh segment. An error
+// from fn stops the replay.
 func (s *Segments) Replay(from uint64, fn func(seq uint64, off int64, n int, payload []byte) error) error {
 	var buf []byte
 	for _, g := range s.live {
@@ -261,21 +265,52 @@ func (s *Segments) Replay(from uint64, fn func(seq uint64, off int64, n int, pay
 		if err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
-		buf = slices.Grow(buf[:0], int(g.size))[:g.size]
-		_, err = f.ReadAt(buf, 0)
+		// buf[lo:hi] holds the bytes read and not yet replayed, from
+		// segment offset base on.
+		var base int64
+		lo, hi := 0, 0
+		for {
+			need := headerSize // the bytes the next frame spans, once known
+			if hi-lo >= headerSize {
+				length := binary.LittleEndian.Uint32(buf[lo+1 : lo+5])
+				if buf[lo] != recordMagic || length > MaxRecordBytes {
+					break
+				}
+				need += int(length)
+				if hi-lo >= need {
+					p, n, derr := DecodeFrame(buf[lo:hi])
+					if derr != nil {
+						break
+					}
+					if err := fn(g.seq, base, n, p); err != nil {
+						f.Close()
+						return fmt.Errorf("%s: %w", path, err)
+					}
+					lo += n
+					base += int64(n)
+					continue
+				}
+			}
+			next := base + int64(hi-lo) // the segment offset of the next read
+			if next+int64(need-(hi-lo)) > g.size {
+				break // the segment ends inside the frame
+			}
+			hi = copy(buf, buf[lo:hi])
+			lo = 0
+			if need > len(buf) {
+				grown := make([]byte, need)
+				copy(grown, buf[:hi])
+				buf = grown
+			}
+			n := min(len(buf)-hi, int(g.size-next))
+			if _, err = f.ReadAt(buf[hi:hi+n], next); err != nil {
+				break
+			}
+			hi += n
+		}
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("journal: %w", err)
-		}
-		for off := 0; ; {
-			p, n, err := DecodeFrame(buf[off:])
-			if err != nil {
-				break
-			}
-			if err := fn(g.seq, int64(off), n, p); err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			off += n
 		}
 	}
 	return nil

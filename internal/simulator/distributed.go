@@ -71,18 +71,18 @@ func (s *Simulator) Plane() *agent.Plane { return s.mgr.Plane }
 // the order the in-process loop iterates and the coordinator's canonical
 // merge reproduces — so a fault-free run's triggers are byte-identical.
 func (s *Simulator) report(ctx context.Context, minute int) error {
-	for _, hostName := range s.dep.Cluster().Names() {
-		raw, mem := s.hostRaw(hostName)
-		rep, ok := s.mgr.Plane.Reporter(hostName)
+	for _, h := range s.hosts {
+		raw, mem := s.hostRaw(h)
+		rep, ok := s.mgr.Plane.Reporter(h.name)
 		if !ok {
-			return fmt.Errorf("simulator: no agent attached for host %q", hostName)
+			return fmt.Errorf("simulator: no agent attached for host %q", h.name)
 		}
 		// The reporter batches the minute's instance samples into one
 		// reusable envelope — the steady-state heartbeat path allocates
 		// nothing (see agent.HeartbeatReporter).
 		rep.Begin(minute, math.Min(1, raw), mem)
-		for _, inst := range s.dep.InstancesOn(hostName) {
-			rep.Sample(inst.ID, inst.Service, s.instanceLoad(inst))
+		for _, inst := range s.dep.InstancesOn(h.name) {
+			rep.Sample(inst.ID, inst.Service, math.Min(1, s.demandOf(inst)/h.perf))
 		}
 		// A delivery failure is not a run error: a missed heartbeat is
 		// exactly the signal the liveness detector consumes. The minute's

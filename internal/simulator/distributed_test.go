@@ -226,7 +226,7 @@ func TestDistributedPartitionDemotesAndRepools(t *testing.T) {
 	// The re-pooled host's load series is padded for its absence, so
 	// the result stays rectangular enough for the summaries.
 	step(minute)
-	if got, want := len(sim.res.HostLoad["b1"]), sim.res.Minutes; got != want {
+	if got, want := len(sim.result().HostLoad["b1"]), sim.res.Minutes; got != want {
 		t.Fatalf("b1 load series has %d samples after %d minutes", got, want)
 	}
 }

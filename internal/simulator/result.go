@@ -76,23 +76,17 @@ type Result struct {
 	// the quantity service level agreements are written against.
 	UserMinutes         map[string]float64
 	DegradedUserMinutes map[string]float64
-
-	streak map[string]int
 }
 
+// newResult starts a run's result. The per-host and per-service maps
+// are made when the simulator folds its slots into them (result).
 func newResult(cfg Config, hosts []string) *Result {
 	return &Result{
-		Mobility:            cfg.Mobility,
-		Multiplier:          cfg.Multiplier,
-		Hosts:               hosts,
-		HostLoad:            make(map[string][]float64, len(hosts)),
-		ServiceHostSeries:   make(map[string][]SeriesPoint),
-		OverloadMinutes:     make(map[string]int),
-		MaxStreak:           make(map[string]int),
-		TriggerCount:        make(map[monitor.TriggerKind]int),
-		UserMinutes:         make(map[string]float64),
-		DegradedUserMinutes: make(map[string]float64),
-		streak:              make(map[string]int),
+		Mobility:          cfg.Mobility,
+		Multiplier:        cfg.Multiplier,
+		Hosts:             hosts,
+		ServiceHostSeries: make(map[string][]SeriesPoint),
+		TriggerCount:      make(map[monitor.TriggerKind]int),
 	}
 }
 

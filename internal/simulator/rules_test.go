@@ -61,8 +61,9 @@ func TestHotSwapIdenticalBaseMidRunByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sim.res.Actions = sim.Controller().Events()
-	assertIdentical(t, base, sim.res, "identical-base mid-run swap")
+	res := sim.result()
+	res.Actions = sim.Controller().Events()
+	assertIdentical(t, base, res, "identical-base mid-run swap")
 }
 
 // writeRuleFile writes one versioned rule file into a registry-layout

@@ -14,7 +14,12 @@ func (g *Generator) Services() []string {
 }
 
 // Users returns the population of a service.
-func (g *Generator) Users(svc string) float64 { return g.sources[svc].Users }
+func (g *Generator) Users(svc string) float64 {
+	if s, ok := g.sources[svc]; ok {
+		return s.Users
+	}
+	return 0
+}
 
 // Peak returns the maximum value over the day (sampled per minute).
 func (p *Profile) Peak() float64 {

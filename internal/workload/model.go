@@ -101,13 +101,13 @@ type Source struct {
 
 // Generator produces the per-minute demand of all services.
 type Generator struct {
-	sources map[string]Source
+	sources map[string]*Source
 	jitter  Jitter
 }
 
 // NewGenerator builds a generator over the given sources.
 func NewGenerator(jitter Jitter, sources ...Source) (*Generator, error) {
-	g := &Generator{sources: make(map[string]Source, len(sources)), jitter: jitter}
+	g := &Generator{sources: make(map[string]*Source, len(sources)), jitter: jitter}
 	for _, s := range sources {
 		if s.Service == "" {
 			return nil, fmt.Errorf("workload: source with empty service name")
@@ -121,7 +121,7 @@ func NewGenerator(jitter Jitter, sources ...Source) (*Generator, error) {
 		if _, dup := g.sources[s.Service]; dup {
 			return nil, fmt.Errorf("workload: duplicate source %q", s.Service)
 		}
-		g.sources[s.Service] = s
+		g.sources[s.Service] = &s
 	}
 	return g, nil
 }
@@ -148,12 +148,25 @@ func (g *Generator) ActiveUsers(svc string, minute int) float64 {
 // ActiveFraction returns the activity fraction (profile value times any
 // active burst factor, without noise) for a service.
 func (g *Generator) ActiveFraction(svc string, minute int) float64 {
-	s, ok := g.sources[svc]
-	if !ok {
+	return g.Activity(svc).At(minute)
+}
+
+// Activity is a resolved handle on one service's source: ActiveFraction
+// without the name lookup. It follows later AddBurst calls; a service
+// without a source reads 0.
+type Activity struct{ s *Source }
+
+// Activity resolves the handle of a service's source.
+func (g *Generator) Activity(svc string) Activity { return Activity{g.sources[svc]} }
+
+// At returns the service's activity fraction at the minute, as
+// ActiveFraction does.
+func (a Activity) At(minute int) float64 {
+	if a.s == nil {
 		return 0
 	}
-	v := s.Profile.At(minute)
-	for _, b := range s.Bursts {
+	v := a.s.Profile.At(minute)
+	for _, b := range a.s.Bursts {
 		if b.active(minute) {
 			v *= b.Factor
 		}
@@ -172,7 +185,6 @@ func (g *Generator) AddBurst(svc string, b Burst) error {
 		return fmt.Errorf("workload: burst on %q needs positive length and factor", svc)
 	}
 	s.Bursts = append(s.Bursts, b)
-	g.sources[svc] = s
 	return nil
 }
 

@@ -22,7 +22,9 @@
 # against its two references, of memoised server selection against
 # the full scan (FuzzSelectHostParity) and of the deployment's ID-sorted
 # instance snapshots against the instance map filtered and sorted by ID
-# (FuzzDeploymentSnapshots), and every benchmark of the root package,
+# (FuzzDeploymentSnapshots), of the simulator's host, service and
+# instance slots against the landscape read afresh (FuzzSimulatorSlots),
+# and every benchmark of the root package,
 # internal/archive and internal/tsdb once as a crash smoke. A new test or
 # guard needs no edit here.
 #
@@ -142,6 +144,14 @@ go test ./internal/controller -run '^$' -fuzz FuzzSelectHostParity -fuzztime 10s
 # filtered and sorted afresh, and a snapshot handed out earlier intact.
 echo "== fuzz: deployment instance snapshots vs the filtered instance map, 10 s"
 go test ./internal/service -run '^$' -fuzz FuzzDeploymentSnapshots -fuzztime 10s
+
+# The simulator's minute walks slots it keeps current from pool changes,
+# deployment mutations and the instance snapshot: after any start, stop,
+# move, crash or pool change, a cached host load must equal a fresh sum
+# over the host's instances and a service's fraction the generator's.
+# Minimization stops at 100 runs, as for the selection fuzzer.
+echo "== fuzz: simulator slots vs the landscape read afresh, 10 s"
+go test ./internal/simulator -run '^$' -fuzz FuzzSimulatorSlots -fuzztime 10s -fuzzminimizetime 100x
 
 # The archive's and the store's benchmarks set up the tail, the raw
 # blocks of a memory store and a reopen: the smoke runs their setup too.
