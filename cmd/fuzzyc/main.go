@@ -88,8 +88,8 @@ func main() {
 	}
 
 	if *dump {
-		for i, r := range rb.Rules() {
-			fmt.Printf("rule %2d: %s\n", i+1, r)
+		for i := 0; i < rb.Len(); i++ {
+			fmt.Printf("rule %2d: %s\n", i+1, rb.Text(i))
 		}
 	}
 
@@ -100,7 +100,7 @@ func main() {
 	fmt.Printf("rule base %q (%d rules), defuzzifier %s\n", rb.Name, rb.Len(), d.Name())
 	for i, truth := range res.Fired {
 		if truth > 0 {
-			fmt.Printf("  fired %.2f: %s\n", truth, rb.Rules()[i])
+			fmt.Printf("  fired %.2f: %s\n", truth, rb.Text(i))
 		}
 	}
 	names := make([]string, 0, len(res.Outputs))

@@ -102,12 +102,17 @@ type Coordinator struct {
 	// collecting triggers swaps the slice without holding (or waiting
 	// on) the merge lock.
 	trigMu   sync.Mutex
-	triggers []*monitor.Trigger
+	triggers []monitor.Trigger
 	// trigSpare is the recycled backing array for the trigger queue:
-	// TakeTriggers hands the filled slice out and arms the spare, and
-	// RecycleTriggers returns a drained slice here, so the steady-state
+	// takeTriggers hands the filled slice out and arms the spare, and
+	// recycleTriggers returns a drained slice here, so the steady-state
 	// minute loop stops allocating a fresh queue per minute.
-	trigSpare []*monitor.Trigger
+	trigSpare []monitor.Trigger
+	// TakeTriggers' pointer view: lent is the queue it pointed into,
+	// until RecycleTriggers hands the view back, and ptrSpare the
+	// recycled view.
+	lent     []monitor.Trigger
+	ptrSpare []*monitor.Trigger
 
 	// mu guards the merge path (monitor pipeline, the merge half of the
 	// host slots, the instance and service slots, canonical order) and
@@ -125,7 +130,8 @@ type Coordinator struct {
 	// orderStale says cluster membership changed.
 	scratch, stragglers, place []*hostBeat
 	orderStale                 atomic.Bool
-	seen                       [3]int // hosts, instances, services observed this close
+	seen                       [3]int            // hosts, instances, services observed this close
+	confirmed                  []monitor.Trigger // what one observation confirmed, before it is queued
 	lastErr                    error
 	journal                    *CoordinatorJournal
 	rulesReg                   *rules.Registry
@@ -809,16 +815,17 @@ func (c *Coordinator) collectLocked(minute int) []*hostBeat {
 // hold c.mu.
 func (c *Coordinator) observeBeatLocked(b *hostBeat) error {
 	hs, minute := b.slot, b.minute
-	tr, err := c.lms.ObserveWatch(c.watchLocked(&hs.watchReg, monitor.Server, hs.name), minute, b.cpu, b.mem)
+	trs, err := c.lms.ObserveWatch(c.confirmed[:0], c.watchLocked(&hs.watchReg, monitor.Server, hs.name), minute, b.cpu, b.mem)
 	if err != nil {
 		return err
 	}
+	c.confirmed = trs
 	c.seen[0]++
 	c.seen[1] += len(b.samples)
 	// An idle host with nothing running on it is the normal resting
 	// state of a pooled blade, not an exceptional situation.
-	if tr != nil && !(tr.Kind == monitor.ServerIdle && len(b.samples) == 0) {
-		c.queueTrigger(tr, hs.name)
+	if len(trs) > 0 && !(trs[0].Kind == monitor.ServerIdle && len(b.samples) == 0) {
+		c.queueTrigger(&trs[0], hs.name)
 	}
 	for i := range b.samples {
 		s := &b.samples[i]
@@ -915,35 +922,36 @@ func (c *Coordinator) closeServicesLocked(minute int) error {
 			sum += s.Load
 		}
 		sv.samples = sv.samples[:0]
-		tr, err := c.lms.ObserveWatch(c.watchLocked(&sv.watchReg, monitor.Service, ""), minute, sum/float64(n), 0)
+		trs, err := c.lms.ObserveWatch(c.confirmed[:0], c.watchLocked(&sv.watchReg, monitor.Service, ""), minute, sum/float64(n), 0)
 		if err != nil {
 			return err
 		}
+		c.confirmed = trs
 		c.seen[2]++
-		if tr != nil {
-			c.queueTrigger(tr, sv.name)
+		if len(trs) > 0 {
+			c.queueTrigger(&trs[0], sv.name)
 		}
 	}
 	return nil
 }
 
-// queueTrigger queues a confirmed trigger under its landscape name.
+// queueTrigger queues a copy of a confirmed trigger under its landscape
+// name.
 func (c *Coordinator) queueTrigger(tr *monitor.Trigger, entity string) {
 	tr.Entity = entity
 	c.trigMu.Lock()
-	c.triggers = append(c.triggers, tr)
+	c.triggers = append(c.triggers, *tr)
 	c.trigMu.Unlock()
 }
 
-// TakeTriggers drains the queued confirmed triggers in arrival order.
+// takeTriggers drains the queued confirmed triggers in arrival order.
 // The queue has its own lock, so collection swaps the slice without
 // contending with (or blocking behind) an in-flight merge. A caller
 // done with the returned slice may hand it back through
-// RecycleTriggers; the spare backing array is then reused instead of
-// reallocated. Only the slice is recycled: each trigger is a fresh
-// allocation of the monitor's confirmation (monitor.System), so a
-// minute that confirms triggers still allocates one per trigger.
-func (c *Coordinator) TakeTriggers() []*monitor.Trigger {
+// recycleTriggers; the spare backing array is then reused instead of
+// reallocated, and a minute that confirms triggers allocates nothing
+// for them.
+func (c *Coordinator) takeTriggers() []monitor.Trigger {
 	c.trigMu.Lock()
 	defer c.trigMu.Unlock()
 	out := c.triggers
@@ -952,22 +960,64 @@ func (c *Coordinator) TakeTriggers() []*monitor.Trigger {
 	return out
 }
 
-// RecycleTriggers returns a slice obtained from TakeTriggers to the
+// recycleTriggers returns a slice obtained from takeTriggers to the
 // queue's freelist. The elements are cleared (the coordinator must not
 // pin processed triggers live) and the capacity kept. The caller must
 // not touch the slice afterwards.
-func (c *Coordinator) RecycleTriggers(trs []*monitor.Trigger) {
+func (c *Coordinator) recycleTriggers(trs []monitor.Trigger) {
 	if cap(trs) == 0 {
 		return
 	}
-	for i := range trs {
-		trs[i] = nil
-	}
+	clear(trs)
 	c.trigMu.Lock()
 	if c.trigSpare == nil {
 		c.trigSpare = trs[:0]
 	}
 	c.trigMu.Unlock()
+}
+
+// TakeTriggers is takeTriggers for callers outside the package: the
+// drained triggers as pointers into the queue's backing array, which
+// stay valid until the slice goes back through RecycleTriggers. Neither
+// the view nor the queue is reallocated in the steady state.
+func (c *Coordinator) TakeTriggers() []*monitor.Trigger {
+	trs := c.takeTriggers()
+	c.trigMu.Lock()
+	ptrs := c.ptrSpare[:0]
+	c.ptrSpare = nil
+	if len(trs) > 0 {
+		c.lent = trs
+	}
+	c.trigMu.Unlock()
+	if len(trs) == 0 {
+		c.recycleTriggers(trs) // nothing points into it
+	}
+	for i := range trs {
+		ptrs = append(ptrs, &trs[i])
+	}
+	return ptrs
+}
+
+// RecycleTriggers returns a slice obtained from TakeTriggers, and the
+// queue its pointers point into, to the freelists. The caller must not
+// touch the slice or the triggers afterwards. Only the queue lent last
+// is reused: a view returned after a later TakeTriggers leaves its
+// queue to the collector.
+func (c *Coordinator) RecycleTriggers(ptrs []*monitor.Trigger) {
+	if cap(ptrs) == 0 {
+		return
+	}
+	c.trigMu.Lock()
+	var trs []monitor.Trigger
+	if len(ptrs) > 0 && len(c.lent) > 0 && ptrs[0] == &c.lent[0] {
+		trs, c.lent = c.lent, nil
+	}
+	clear(ptrs)
+	if c.ptrSpare == nil {
+		c.ptrSpare = ptrs[:0]
+	}
+	c.trigMu.Unlock()
+	c.recycleTriggers(trs)
 }
 
 // CheckLiveness probes the hosts that stayed silent this minute — and

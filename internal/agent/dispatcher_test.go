@@ -274,7 +274,7 @@ func TestTriggerQueueRecycling(t *testing.T) {
 	var c Coordinator
 	spare := make([]*monitor.Trigger, 0, 8)
 	c.RecycleTriggers(spare[:4])
-	trig := &monitor.Trigger{Kind: monitor.ServerOverloaded}
+	trig := monitor.Trigger{Kind: monitor.ServerOverloaded}
 	cycle := func() {
 		c.trigMu.Lock()
 		c.triggers = append(c.triggers, trig, trig)
@@ -288,6 +288,46 @@ func TestTriggerQueueRecycling(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("steady-state trigger drain allocates %.1f times per minute, want 0", allocs)
+	}
+}
+
+// TestTakeTriggersViewsStayValid: a view TakeTriggers lent points into
+// a queue no later drain reuses until the view comes back, whatever the
+// order views are taken and returned in.
+func TestTakeTriggersViewsStayValid(t *testing.T) {
+	var c Coordinator
+	queue := func(entities ...string) {
+		for _, e := range entities {
+			c.queueTrigger(&monitor.Trigger{Kind: monitor.ServerOverloaded}, e)
+		}
+	}
+	check := func(view []*monitor.Trigger, entities ...string) {
+		t.Helper()
+		if len(view) != len(entities) {
+			t.Fatalf("view holds %d triggers, want %d", len(view), len(entities))
+		}
+		for i, tr := range view {
+			if tr.Entity != entities[i] {
+				t.Fatalf("view[%d] = %q, want %q", i, tr.Entity, entities[i])
+			}
+		}
+	}
+	for round := 0; round < 4; round++ {
+		queue("a1", "a2")
+		a := c.TakeTriggers()
+		empty := c.TakeTriggers()
+		queue("b1")
+		b := c.TakeTriggers()
+		c.RecycleTriggers(empty)
+		queue("c1", "c2", "c3")
+		check(a, "a1", "a2")
+		check(b, "b1")
+		c.RecycleTriggers(a) // lent before b: left to the collector
+		cv := c.TakeTriggers()
+		check(b, "b1")
+		check(cv, "c1", "c2", "c3")
+		c.RecycleTriggers(b)
+		c.RecycleTriggers(cv)
 	}
 }
 

@@ -140,13 +140,13 @@ func (m *Manager) Minute(ctx context.Context, minute int, report func(ctx contex
 	}
 	m.lap(stageLiveness, t)
 
-	triggers := coord.TakeTriggers()
+	triggers := coord.takeTriggers()
 	rep.Triggers = m.kinds[:0]
 	for _, tr := range triggers {
 		rep.Triggers = append(rep.Triggers, tr.Kind)
 	}
 	err = m.Decide(minute, triggers, &rep)
-	coord.RecycleTriggers(triggers)
+	coord.recycleTriggers(triggers)
 	m.kinds = rep.Triggers
 	if err != nil {
 		return rep, err
@@ -164,10 +164,10 @@ func (m *Manager) Minute(ctx context.Context, minute int, report func(ctx contex
 // raised) outranks a prediction of the same thing. Minute calls it; so
 // does a loop that confirms its triggers without a plane (the in-process
 // simulator).
-func (m *Manager) Decide(minute int, triggers []*monitor.Trigger, rep *MinuteReport) error {
+func (m *Manager) Decide(minute int, triggers []monitor.Trigger, rep *MinuteReport) error {
 	t := m.now()
 	for _, tr := range triggers {
-		if err := m.decide(*tr, rep); err != nil {
+		if err := m.decide(tr, rep); err != nil {
 			return err
 		}
 	}

@@ -116,8 +116,11 @@ func (c Config) withDefaults() Config {
 }
 
 // FiredRule records one rule that contributed to a candidate, for
-// operator-facing explanations.
+// operator-facing explanations: the rule's id, its text — the rule
+// base's own rendering, shared, never rendered again — and the truth it
+// fired with.
 type FiredRule struct {
+	ID    fuzzy.RuleID
 	Rule  string
 	Truth float64
 }
@@ -373,7 +376,7 @@ func (c *Controller) HandleTrigger(tr monitor.Trigger) (*Decision, error) {
 	// opportunity and must not page anyone.
 	switch tr.Kind {
 	case monitor.ServerOverloaded, monitor.ServiceOverloaded:
-		c.note(tr.Minute, "ALERT %s: no applicable action — administrator interaction requested", tr)
+		c.note(tr.Minute, "ALERT %s: no applicable action — administrator interaction requested", tr.String())
 	}
 	c.recordShadow(nil, shadowD, sh)
 	c.tracer.End(obs.OutcomeNoAction, "")

@@ -1,8 +1,9 @@
 package controller
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"autoglobe/internal/archive"
@@ -97,42 +98,57 @@ func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool)
 	// then (service, instance ID) — the instance identity fully breaks
 	// every remaining tie, so the sort is a strict total order over
 	// candidates and independent of evaluation timing.
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Applicability != candidates[j].Applicability {
-			return candidates[i].Applicability > candidates[j].Applicability
+	slices.SortFunc(candidates, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Applicability, a.Applicability); c != 0 {
+			return c
 		}
-		if candidates[i].Action != candidates[j].Action {
-			return candidates[i].Action < candidates[j].Action
+		if c := cmp.Compare(a.Action, b.Action); c != 0 {
+			return c
 		}
-		if candidates[i].Service != candidates[j].Service {
-			return candidates[i].Service < candidates[j].Service
+		if c := cmp.Compare(a.Service, b.Service); c != 0 {
+			return c
 		}
-		return candidates[i].InstanceID < candidates[j].InstanceID
+		return cmp.Compare(a.InstanceID, b.InstanceID)
 	})
 	return candidates, nil
 }
 
 // explain collects the rules asserting the named output variable that
-// fired, strongest first.
+// fired, strongest first; rules of equal truth in the order of their
+// texts. It names each rule by its id and the base's rendered text, so
+// it allocates the returned list and nothing else.
 func explain(rb *fuzzy.RuleBase, fired []float64, output string) []FiredRule {
-	var out []FiredRule
-	for i := 0; i < rb.Len(); i++ {
+	asserts := func(i int) bool {
 		if fired[i] == 0 {
-			continue
+			return false
 		}
-		r := rb.RuleAt(i)
-		for _, cons := range r.Consequents {
+		for _, cons := range rb.RuleAt(i).Consequents {
 			if cons.Var == output {
-				out = append(out, FiredRule{Rule: r.String(), Truth: fired[i]})
-				break
+				return true
 			}
 		}
+		return false
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Truth != out[j].Truth {
-			return out[i].Truth > out[j].Truth
+	n := 0
+	for i := 0; i < rb.Len(); i++ {
+		if asserts(i) {
+			n++
 		}
-		return out[i].Rule < out[j].Rule
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]FiredRule, 0, n)
+	for i := 0; i < rb.Len(); i++ {
+		if asserts(i) {
+			out = append(out, FiredRule{ID: rb.ID(i), Rule: rb.Text(i), Truth: fired[i]})
+		}
+	}
+	slices.SortFunc(out, func(a, b FiredRule) int {
+		if c := cmp.Compare(b.Truth, a.Truth); c != 0 {
+			return c
+		}
+		return cmp.Compare(rb.Rank(a.ID.Index), rb.Rank(b.ID.Index))
 	})
 	return out
 }

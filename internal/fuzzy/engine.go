@@ -2,7 +2,9 @@ package fuzzy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -11,9 +13,19 @@ import (
 // use; its compiled inference program (see compile.go) is built lazily
 // at most once.
 type RuleBase struct {
-	Name  string
-	rules []Rule
-	vocab *Vocabulary
+	Name string
+	// Version is the rule registry's version of the base (see
+	// internal/rules), set before the base is shared; 0 for a base built
+	// in code.
+	Version int
+	rules   []Rule
+	vocab   *Vocabulary
+
+	// texts[i] is rules[i] rendered, and ranks[i] its place among the
+	// texts in lexicographic order — both made once at construction, so
+	// naming a fired rule renders nothing.
+	texts []string
+	ranks []int
 
 	// outVars caches the sorted output-variable names, computed once at
 	// construction instead of per Infer call.
@@ -34,9 +46,23 @@ func NewRuleBase(name string, vocab *Vocabulary, rules []Rule) (*RuleBase, error
 			return nil, fmt.Errorf("fuzzy: rule base %q: %w", name, err)
 		}
 	}
-	cp := make([]Rule, len(rules))
-	copy(cp, rules)
-	return &RuleBase{Name: name, rules: cp, vocab: vocab, outVars: computeOutputVars(cp)}, nil
+	return newRuleBase(name, vocab, slices.Clone(rules)), nil
+}
+
+// newRuleBase builds a rule base over validated rules it takes
+// ownership of.
+func newRuleBase(name string, vocab *Vocabulary, rules []Rule) *RuleBase {
+	texts := make([]string, len(rules))
+	order := make([]int, len(rules))
+	for i, r := range rules {
+		texts[i], order[i] = r.String(), i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(texts[a], texts[b]) })
+	ranks := make([]int, len(rules))
+	for rank, i := range order {
+		ranks[i] = rank
+	}
+	return &RuleBase{Name: name, rules: rules, vocab: vocab, texts: texts, ranks: ranks, outVars: computeOutputVars(rules)}
 }
 
 // computeOutputVars returns the names of all output variables assigned
@@ -77,6 +103,28 @@ func (rb *RuleBase) Rules() []Rule {
 // individual rules (e.g. building decision explanations).
 func (rb *RuleBase) RuleAt(i int) Rule { return rb.rules[i] }
 
+// RuleID names one rule for as long as its rule base lives: the base's
+// name and version and the rule's index in it. A rule base never
+// changes once built, so the id of a fired rule joins a decision, a
+// counter and an offline tool to the same rule without its text.
+type RuleID struct {
+	Base    string
+	Version int
+	Index   int
+}
+
+// ID returns the id of the i-th rule.
+func (rb *RuleBase) ID(i int) RuleID { return RuleID{Base: rb.Name, Version: rb.Version, Index: i} }
+
+// Text returns the i-th rule rendered in rule-language syntax — the
+// string Rule.String builds, rendered once when the base was built.
+func (rb *RuleBase) Text(i int) string { return rb.texts[i] }
+
+// Rank returns the place of the i-th rule's text among the base's rule
+// texts in lexicographic order: comparing ranks orders rules as
+// comparing their texts would.
+func (rb *RuleBase) Rank(i int) int { return rb.ranks[i] }
+
 // Len returns the number of rules.
 func (rb *RuleBase) Len() int { return len(rb.rules) }
 
@@ -95,7 +143,7 @@ func (rb *RuleBase) Extend(name string, rules []Rule) (*RuleBase, error) {
 	merged := make([]Rule, 0, len(rb.rules)+len(rules))
 	merged = append(merged, rb.rules...)
 	merged = append(merged, rules...)
-	return &RuleBase{Name: name, rules: merged, vocab: rb.vocab, outVars: computeOutputVars(merged)}, nil
+	return newRuleBase(name, rb.vocab, merged), nil
 }
 
 // OutputVars returns the names of all output variables assigned by any

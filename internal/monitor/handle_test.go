@@ -73,13 +73,13 @@ func TestRecordByHandleMatchesString(t *testing.T) {
 				}
 				cpu, mem := rng.Float64(), rng.Float64()
 				want, err1 := byName.sys.Observe(key(e), minute, cpu, mem)
-				got, err2 := byHandle.sys.ObserveWatch(watches[e], minute, cpu, mem)
+				got, err2 := byHandle.sys.ObserveWatch(nil, watches[e], minute, cpu, mem)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("minute %d entity %d: %v / %v", minute, e, err1, err2)
 				}
-				if (want == nil) != (got == nil) || (want != nil && (*want != *got ||
-					math.Float64bits(want.AvgLoad) != math.Float64bits(got.AvgLoad))) {
-					t.Fatalf("minute %d entity %d: trigger by handle %v, by name %v", minute, e, got, want)
+				if (want != nil) != (len(got) == 1) || len(got) > 1 || (want != nil && (*want != got[0] ||
+					math.Float64bits(want.AvgLoad) != math.Float64bits(got[0].AvgLoad))) {
+					t.Fatalf("minute %d entity %d: triggers by handle %v, by name %v", minute, e, got, want)
 				}
 				s := archive.Sample{Minute: minute, CPU: cpu * 1.5}
 				if err := byName.arch.Record(archive.InstanceEntity(fmt.Sprint(e)), s); err != nil {
@@ -151,10 +151,10 @@ func TestRecordByHandleMatchesString(t *testing.T) {
 	if watches[0].Live() {
 		t.Fatal("handle survives Deregister")
 	}
-	if _, err := byHandle.sys.ObserveWatch(watches[0], minute, 0.5, 0.5); err == nil {
+	if _, err := byHandle.sys.ObserveWatch(nil, watches[0], minute, 0.5, 0.5); err == nil {
 		t.Fatal("observation through a dead handle accepted")
 	}
-	if _, err := byHandle.sys.ObserveWatch(Watch{}, minute, 0.5, 0.5); err == nil {
+	if _, err := byHandle.sys.ObserveWatch(nil, Watch{}, minute, 0.5, 0.5); err == nil {
 		t.Fatal("observation through a zero handle accepted")
 	}
 	if err := byHandle.arch.Entity("nobody").Record(archive.Sample{Minute: minute}); err == nil {

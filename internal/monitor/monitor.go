@@ -77,11 +77,14 @@ type Trigger struct {
 	Confidence float64
 }
 
+// String renders the trigger for logs and event notes. Every argument
+// is a plain string or number, which fmt prints without a type
+// assertion (whose runtime cache grows at random moments).
 func (t Trigger) String() string {
 	if t.Kind.Forecast() {
-		return fmt.Sprintf("%s(%s) peak=%.2f conf=%.2f at minute %d", t.Kind, t.Entity, t.AvgLoad, t.Confidence, t.Minute)
+		return fmt.Sprintf("%s(%s) peak=%.2f conf=%.2f at minute %d", string(t.Kind), t.Entity, t.AvgLoad, t.Confidence, t.Minute)
 	}
-	return fmt.Sprintf("%s(%s) avg=%.2f at minute %d", t.Kind, t.Entity, t.AvgLoad, t.Minute)
+	return fmt.Sprintf("%s(%s) avg=%.2f at minute %d", string(t.Kind), t.Entity, t.AvgLoad, t.Minute)
 }
 
 // Params are the tunables of the load monitoring system. The paper's
@@ -231,35 +234,45 @@ func (s *System) Watching(entity string) bool {
 }
 
 // Observe feeds one measurement of a registered entity by name —
-// ObserveWatch for callers that do not keep the handle.
+// ObserveWatch for callers that do not keep the handle — and returns the
+// confirmed trigger, or nil.
 func (s *System) Observe(entity string, minute int, cpu, mem float64) (*Trigger, error) {
-	if h := s.Watch(entity); h.Live() {
-		return s.ObserveWatch(h, minute, cpu, mem)
+	h := s.Watch(entity)
+	if !h.Live() {
+		return nil, fmt.Errorf("monitor: entity %q not registered", entity)
 	}
-	return nil, fmt.Errorf("monitor: entity %q not registered", entity)
+	trs, err := s.ObserveWatch(nil, h, minute, cpu, mem) // allocates only what confirms
+	if len(trs) == 0 {
+		return nil, err
+	}
+	return &trs[0], err
 }
 
 // ObserveWatch feeds one measurement (the load monitor's report for the
 // current minute). It records the sample in the archive and advances the
-// watch state machine, returning a confirmed trigger or nil.
+// watch state machine; a trigger it confirms is appended to dst, which
+// it returns — dst as it was when nothing confirms or the sample is
+// refused. Callers keep a minute's triggers in a slice they reuse, so a
+// confirmation allocates nothing.
 //
 // The advisor step is the threshold comparison at the top of the state
 // machine: only when a measurement exceeds the overload threshold (or
 // falls below the idle threshold) does observation start.
-func (s *System) ObserveWatch(h Watch, minute int, cpu, mem float64) (*Trigger, error) {
+func (s *System) ObserveWatch(dst []Trigger, h Watch, minute int, cpu, mem float64) ([]Trigger, error) {
 	if !h.Live() {
-		return nil, fmt.Errorf("monitor: observation through a dead watch handle")
+		return dst, fmt.Errorf("monitor: observation through a dead watch handle")
 	}
 	w, entity := h.w, h.w.entity
 	if err := w.log.Record(archive.Sample{Minute: minute, CPU: cpu, Mem: mem}); err != nil {
-		return nil, err
+		return dst, err
 	}
 	idleThr := s.params.IdleThreshold(w.perfIndex)
 
 	// Memory watching (when enabled) runs independently of the CPU
 	// machine; a confirmed CPU situation below takes precedence in the
-	// same minute and the memory confirmation repeats next minute.
-	var memTrigger *Trigger
+	// same minute — it replaces the memory trigger at dst[n] — and the
+	// memory confirmation repeats next minute.
+	n := len(dst)
 	if thr := s.params.MemOverloadThreshold; thr > 0 {
 		switch w.memMode {
 		case watchNone:
@@ -269,7 +282,7 @@ func (s *System) ObserveWatch(h Watch, minute int, cpu, mem float64) (*Trigger, 
 				w.memSum, w.memN = mem, 1
 				s.metrics.observe()
 				if s.params.OverloadWatch == 0 {
-					memTrigger = s.confirmMem(w, entity, minute, mem)
+					dst = append(dst, s.confirmMem(w, entity, minute, mem))
 				}
 			}
 		case watchOverload:
@@ -277,7 +290,7 @@ func (s *System) ObserveWatch(h Watch, minute int, cpu, mem float64) (*Trigger, 
 			w.memN++
 			if minute-w.memStart >= s.params.OverloadWatch {
 				if avg := w.memSum / float64(w.memN); avg > thr {
-					memTrigger = s.confirmMem(w, entity, minute, avg)
+					dst = append(dst, s.confirmMem(w, entity, minute, avg))
 				} else {
 					w.memMode = watchNone
 					s.metrics.expire()
@@ -295,7 +308,7 @@ func (s *System) ObserveWatch(h Watch, minute int, cpu, mem float64) (*Trigger, 
 			w.sum, w.n = cpu, 1
 			s.metrics.observe()
 			if s.params.OverloadWatch == 0 {
-				return s.confirm(w, entity, minute, cpu)
+				return append(dst[:n], s.confirm(w, entity, minute, cpu)), nil
 			}
 		case cpu < idleThr:
 			w.mode = watchIdle
@@ -303,41 +316,38 @@ func (s *System) ObserveWatch(h Watch, minute int, cpu, mem float64) (*Trigger, 
 			w.sum, w.n = cpu, 1
 			s.metrics.observe()
 			if s.params.IdleWatch == 0 {
-				return s.confirm(w, entity, minute, cpu)
+				return append(dst[:n], s.confirm(w, entity, minute, cpu)), nil
 			}
 		}
-		return memTrigger, nil
 	case watchOverload:
 		w.sum += cpu
 		w.n++
 		if minute-w.start < s.params.OverloadWatch {
-			return memTrigger, nil
+			return dst, nil
 		}
 		avg := w.sum / float64(w.n)
 		if avg > s.params.OverloadThreshold {
-			return s.confirm(w, entity, minute, avg)
+			return append(dst[:n], s.confirm(w, entity, minute, avg)), nil
 		}
 		w.mode = watchNone
 		s.metrics.expire()
-		return memTrigger, nil
 	case watchIdle:
 		w.sum += cpu
 		w.n++
 		if minute-w.start < s.params.IdleWatch {
-			return memTrigger, nil
+			return dst, nil
 		}
 		avg := w.sum / float64(w.n)
 		if avg < idleThr {
-			return s.confirm(w, entity, minute, avg)
+			return append(dst[:n], s.confirm(w, entity, minute, avg)), nil
 		}
 		w.mode = watchNone
 		s.metrics.expire()
-		return memTrigger, nil
 	}
-	return memTrigger, nil
+	return dst, nil
 }
 
-func (s *System) confirm(w *watcher, entity string, minute int, avg float64) (*Trigger, error) {
+func (s *System) confirm(w *watcher, entity string, minute int, avg float64) Trigger {
 	var kind TriggerKind
 	switch {
 	case w.class == Server && w.mode == watchOverload:
@@ -353,13 +363,13 @@ func (s *System) confirm(w *watcher, entity string, minute int, avg float64) (*T
 	w.mode = watchNone
 	w.sum, w.n = 0, 0
 	s.metrics.confirm()
-	return &Trigger{Kind: kind, Entity: entity, Minute: minute, AvgLoad: avg, WatchedFrom: start}, nil
+	return Trigger{Kind: kind, Entity: entity, Minute: minute, AvgLoad: avg, WatchedFrom: start}
 }
 
 // confirmMem builds a memory-overload trigger and resets the memory
 // watch. When a CPU situation confirms in the same minute it takes
 // precedence and the memory situation simply re-arms on the next sample.
-func (s *System) confirmMem(w *watcher, entity string, minute int, avg float64) *Trigger {
+func (s *System) confirmMem(w *watcher, entity string, minute int, avg float64) Trigger {
 	kind := ServiceOverloaded
 	if w.class == Server {
 		kind = ServerOverloaded
@@ -368,6 +378,6 @@ func (s *System) confirmMem(w *watcher, entity string, minute int, avg float64) 
 	w.memMode = watchNone
 	w.memSum, w.memN = 0, 0
 	s.metrics.confirm()
-	return &Trigger{Kind: kind, Entity: entity, Minute: minute, AvgLoad: avg,
+	return Trigger{Kind: kind, Entity: entity, Minute: minute, AvgLoad: avg,
 		WatchedFrom: start, Resource: "memory"}
 }

@@ -139,6 +139,7 @@ func (r *Registry) Put(name, source string) (*Entry, error) {
 	if n := len(r.byName[name]); n > 0 {
 		e.Version = r.byName[name][n-1].Version + 1
 	}
+	e.Base.Version = e.Version // the base is still ours alone
 	r.byName[name] = append(r.byName[name], e)
 	return e, nil
 }
@@ -154,7 +155,7 @@ func (r *Registry) PutVersion(name string, version int, source string) (*Entry, 
 	if err != nil {
 		return nil, err
 	}
-	e.Version = version
+	e.Version, e.Base.Version = version, version
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	vs := r.byName[name]

@@ -55,6 +55,10 @@ func TestPutVersionsAndHash(t *testing.T) {
 	if e2.Version != 2 {
 		t.Fatalf("second put version = %d, want 2", e2.Version)
 	}
+	// A stored base names its rules under its version.
+	if id := e2.Base.ID(0); id != (fuzzy.RuleID{Base: "serviceOverloaded", Version: 2, Index: 0}) || e1.Base.Version != 1 {
+		t.Fatalf("rule id %+v, first base version %d", id, e1.Base.Version)
+	}
 }
 
 func TestPutRejectsBadSource(t *testing.T) {
@@ -118,8 +122,8 @@ func TestActivateAndGet(t *testing.T) {
 
 func TestPutVersionReplay(t *testing.T) {
 	r := New(testVocab)
-	if _, err := r.PutVersion("serviceOverloaded", 3, goodSrc); err != nil {
-		t.Fatal(err)
+	if e, err := r.PutVersion("serviceOverloaded", 3, goodSrc); err != nil || e.Base.Version != 3 {
+		t.Fatalf("replayed entry %+v, %v: want its base at version 3", e, err)
 	}
 	// Same version, same hash: idempotent.
 	if _, err := r.PutVersion("serviceOverloaded", 3, goodSrc); err != nil {

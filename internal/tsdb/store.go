@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -21,15 +22,29 @@ const dictTier = 3
 var tierPrefix = [4]string{"min", "hr", "day", "dict"}
 
 // blockRef indexes one sealed minute block: its frame on disk, or in a
-// memory store the block itself.
+// memory store the block itself. It is 32 bytes, one per seal for the
+// store's life: the frame's length follows from the entity's id (see
+// sealFrameLen), and a segment number and an offset within a segment
+// each fit 32 bits (see commitMinutes).
 type blockRef struct {
 	raw   *[BlockSamples]Sample // a memory store's block; nil on disk
-	seq   uint64                // minute-tier segment number
-	off   int64                 // frame start offset within the segment file
-	n     int                   // framed length in bytes
 	start int                   // first sample minute
 	end   int                   // last sample minute
+	seq   uint32                // minute-tier segment number
+	off   uint32                // frame start offset within the segment file
 }
+
+// sealFrameLen is the framed length of a sealed block of entity id: the
+// journal's 9-byte frame header, kind and tier, the id and count
+// varints, the samples.
+func sealFrameLen(id uint64) int {
+	var v [binary.MaxVarintLen64]byte
+	return frameHeaderBytes + 2 + binary.PutUvarint(v[:], id) + binary.PutUvarint(v[:], BlockSamples) + BlockSamples*sampleBytes
+}
+
+// errIndexRange reports a minute-tier frame the 32-bit block index
+// cannot address: a segment past 4 GiB, or past 2^32 segments.
+var errIndexRange = errors.New("tsdb: minute-tier frame beyond the block index's 32-bit segment or offset")
 
 // entState is the in-memory state of one entity: its raw tail — the
 // open block and the newest sealed one — the index of its sealed
@@ -92,6 +107,7 @@ type Store struct {
 	dictPending []byte   // framed dict records for entities seen since last Commit
 	full        []uint64 // entities whose open block is full and awaits its seal
 	stagedMax   int      // newest minute staged since the last Commit
+	unsynced    bool     // flushRow wrote rows the next Commit must fsync
 	recBuf      []byte   // record payload scratch
 	aggScratch  []Agg    // compaction scratch
 	frameBuf    []byte   // a sealed block's frame read from disk
@@ -116,7 +132,10 @@ const rowFrameBytes = 256 << 10
 // frame header, kind and tier, id and count, the samples. Taking both
 // varints at their maximum makes it a bound for any id, so a chunk of
 // seals is sized from it once.
-const sealFrameBytes = 9 + 2 + 2*binary.MaxVarintLen64 + BlockSamples*sampleBytes
+const sealFrameBytes = frameHeaderBytes + 2 + 2*binary.MaxVarintLen64 + BlockSamples*sampleBytes
+
+// frameHeaderBytes is the journal's frame header: magic, length, CRC.
+const frameHeaderBytes = 9
 
 // writable gates every mutating call: a closed store refuses them, and
 // so does one whose last write failed — how much of that write reached
@@ -317,7 +336,13 @@ func (st *Store) replayMinutes() error {
 		}
 		e.n = 0
 		if end >= wm {
-			e.blocks = append(e.blocks, blockRef{seq: seq, off: off, n: n, start: r.samples[0].Minute, end: end})
+			if n != sealFrameLen(r.id) {
+				return fmt.Errorf("sealed block of entity %d framed in %d bytes: %w", r.id, n, ErrBadRecord)
+			}
+			if seq > math.MaxUint32 || off > math.MaxUint32 {
+				return errIndexRange
+			}
+			e.blocks = append(e.blocks, blockRef{seq: uint32(seq), off: uint32(off), start: r.samples[0].Minute, end: end})
 			e.sealed = [BlockSamples]Sample(r.samples)
 		}
 		return nil
@@ -413,24 +438,54 @@ func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 	st.row = appendRowCell(st.row, st.rowBase, e.id, s)
 	st.stagedMax = max(st.stagedMax, s.Minute)
 	if len(st.row) >= rowFrameBytes {
-		st.closeRow()
+		return st.flushRow()
 	}
 	return nil
 }
 
-// closeRow frames the open row, if any, onto the pending batch.
+// closeRow frames the open row, if any, onto the pending batch. A row
+// ends below rowFrameBytes plus one cell, so growing pending to fit
+// keeps its capacity within rowFrameBytes + sealFrameBytes.
 func (st *Store) closeRow() {
-	if len(st.row) > 0 {
-		st.pending = journal.AppendFrame(st.pending, st.row)
-		st.row = st.row[:0]
-		st.m.addBlocks(kindRow, 1)
+	if len(st.row) == 0 {
+		return
 	}
+	if need := len(st.pending) + frameHeaderBytes + len(st.row); need > cap(st.pending) {
+		c := max(need, min(2*cap(st.pending), rowFrameBytes+sealFrameBytes))
+		st.pending = append(make([]byte, 0, c), st.pending...)
+	}
+	st.pending = journal.AppendFrame(st.pending, st.row)
+	st.row = st.row[:0]
+	st.m.addBlocks(kindRow, 1)
+}
+
+// flushRow writes a full open row at once instead of queueing it for
+// Commit, so the batch buffer holds one row however many entities a
+// minute has. The dictionary records the row may name go first, fsynced
+// — an entity must be durable before any data that references it can
+// be; the row itself waits for Commit's fsync (unsynced).
+func (st *Store) flushRow() error {
+	st.closeRow()
+	if len(st.dictPending) > 0 {
+		if _, _, err := st.writeTier(dictTier, st.dictPending); err != nil {
+			return err
+		}
+		st.dictPending = st.dictPending[:0]
+	}
+	seq, _, err := st.write(int(TierMinute), st.pending)
+	if err != nil {
+		return err
+	}
+	st.segMax[seq] = max(st.segMax[seq], st.stagedMax)
+	st.pending, st.unsynced = st.pending[:0], true
+	return nil
 }
 
 // Commit makes every buffered sample durable in one batch (plus one
 // fsync unless Options.NoSync): the row of samples appended since the
-// last commit, then a sealed block for every entity whose 64th open
-// sample is among them — only those entities are touched. The batch
+// last commit (of a minute whose rows pass rowFrameBytes, what flushRow
+// has not written yet), then a sealed block for every entity whose 64th
+// open sample is among them — only those entities are touched. The batch
 // goes out in one segment write or, when many entities seal at once,
 // several, each at most rowFrameBytes plus one seal frame; a write that
 // rotates the segment fsyncs the one it closes. Journal-style prefix
@@ -447,7 +502,7 @@ func (st *Store) Commit() error {
 		return err
 	}
 	st.closeRow()
-	if len(st.dictPending) == 0 && len(st.pending) == 0 && len(st.full) == 0 {
+	if len(st.dictPending) == 0 && len(st.pending) == 0 && len(st.full) == 0 && !st.unsynced {
 		return nil
 	}
 	t0 := st.m.start()
@@ -462,7 +517,10 @@ func (st *Store) Commit() error {
 		if err := st.commitMinutes(); err != nil {
 			return err
 		}
+	} else if err := st.sync(int(TierMinute)); err != nil { // rows flushRow wrote, nothing after them
+		return err
 	}
+	st.unsynced = false
 	st.m.committed(t0)
 	return nil
 }
@@ -479,6 +537,9 @@ func (st *Store) commitMinutes() error {
 	for i := 0; ; {
 		j := st.frameSeals(i)
 		seq, base, err := st.write(int(TierMinute), st.pending)
+		if err == nil && (seq > math.MaxUint32 || base+int64(len(st.pending)) > math.MaxUint32) {
+			err = st.fail(int(TierMinute), errIndexRange)
+		}
 		if err != nil {
 			st.unindex(j)
 			return err
@@ -486,7 +547,7 @@ func (st *Store) commitMinutes() error {
 		for _, id := range st.full[i:j] {
 			e := st.ents[id]
 			ref := &e.blocks[len(e.blocks)-1]
-			ref.seq, ref.off = seq, base+ref.off
+			ref.seq, ref.off = uint32(seq), uint32(base)+ref.off
 			newest = max(newest, ref.end) // an orphan sealed after a reopen has no row in this batch
 		}
 		if newest > st.segMax[seq] {
@@ -516,7 +577,8 @@ func (st *Store) commitMinutes() error {
 // offset is relative to the chunk until its write returns — while the
 // chunk is below rowFrameBytes, at least one a chunk. Pending grows at
 // most once per chunk, for the frames it takes, and its capacity stays
-// within rowFrameBytes + sealFrameBytes unless the rows alone pass that.
+// within rowFrameBytes + sealFrameBytes: the rows it starts with are
+// one row frame, less than rowFrameBytes plus a cell (see flushRow).
 func (st *Store) frameSeals(i int) int {
 	n := len(st.full) - i
 	if st.dir != "" {
@@ -539,9 +601,8 @@ func (st *Store) frameSeals(i int) int {
 			*ref.raw = e.open
 		} else {
 			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.open[:])
-			off := len(st.pending)
+			ref.off = uint32(len(st.pending))
 			st.pending = journal.AppendFrame(st.pending, st.recBuf)
-			ref.off, ref.n = int64(off), len(st.pending)-off
 		}
 		e.blocks = append(e.blocks, ref)
 	}
@@ -695,8 +756,9 @@ func (st *Store) loadBlock(e *entState, i int) ([]Sample, error) {
 	case st.closed:
 		return nil, ErrClosed
 	}
-	st.frameBuf = slices.Grow(st.frameBuf[:0], ref.n)[:ref.n]
-	if err := st.segs[TierMinute].ReadAt(ref.seq, ref.off, st.frameBuf); err != nil {
+	n := sealFrameLen(e.id)
+	st.frameBuf = slices.Grow(st.frameBuf[:0], n)[:n]
+	if err := st.segs[TierMinute].ReadAt(uint64(ref.seq), int64(ref.off), st.frameBuf); err != nil {
 		return nil, err
 	}
 	payload, _, err := journal.DecodeFrame(st.frameBuf)

@@ -397,6 +397,59 @@ func TestSealBurstBounded(t *testing.T) {
 	}
 }
 
+// TestLargeMinuteRowsBounded: a minute of 26,520 entities — ten times
+// the bench fleet's, about 540 KiB of rows — keeps the batch buffer
+// within rowFrameBytes plus one seal frame, after every append and
+// every commit: a full row is written at once, not queued for Commit
+// (which left 532,480 B of capacity). The rows written early replay
+// like committed ones.
+func TestLargeMinuteRowsBounded(t *testing.T) {
+	const ents, minutes = 26520, 3
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{})
+	handles := make([]Handle, ents)
+	names := make([]string, ents)
+	for e := range names {
+		names[e] = fmt.Sprintf("svc/app-%d", e)
+	}
+	bound := rowFrameBytes + sealFrameBytes
+	for m := 0; m < minutes; m++ {
+		for e, name := range names {
+			cpu, mem := load(e, m)
+			if err := st.AppendTo(&handles[e], name, Sample{Minute: m, CPU: cpu, Mem: mem}); err != nil {
+				t.Fatal(err)
+			}
+			if c := cap(st.pending); c > bound {
+				t.Fatalf("minute %d, entity %d: batch buffer capacity %d, want at most %d", m, e, c, bound)
+			}
+		}
+		if err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(st.pending); c > bound {
+			t.Fatalf("minute %d committed: batch buffer capacity %d, want at most %d", m, c, bound)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openStore(t, dir, Options{})
+	for _, e := range []int{0, ents / 2, ents - 1} {
+		var got []Sample
+		if _, err := st.Range(st.Lookup(names[e]), 0, minutes, func(s Sample) { got = append(got, s) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != minutes {
+			t.Fatalf("%s replays %d samples, want %d", names[e], len(got), minutes)
+		}
+		for m, s := range got {
+			if cpu, mem := load(e, m); s != (Sample{Minute: m, CPU: cpu, Mem: mem}) {
+				t.Fatalf("%s minute %d replays %+v", names[e], m, s)
+			}
+		}
+	}
+}
+
 // BenchmarkTSDBSealBurst measures the seal burst of a store whose rows
 // are warm — its 63 row-only minutes run before the clock starts — at
 // the 2,652 entities of the bench's 1,007-host fleet and ten times
@@ -405,9 +458,10 @@ func TestSealBurstBounded(t *testing.T) {
 // burst, what every round of the benchmark and every coordinator restart
 // pays. B/op is what the commit allocates to write the burst; batch-B
 // is the batch buffer's capacity afterwards, which the store keeps. The
-// burst's per-entity bookkeeping — a block index entry and a place on
-// the list of full blocks, 56 B an entity, kept for the store's life and
-// counted in BenchmarkTSDBAppend — is reserved before the clock starts.
+// burst's per-entity bookkeeping — a 32 B block index entry and a place
+// on the list of full blocks, 40 B an entity, kept for the store's life
+// and counted in BenchmarkTSDBAppend — is reserved before the clock
+// starts.
 func BenchmarkTSDBSealBurst(b *testing.B) {
 	for _, ents := range []int{2652, 26520} {
 		b.Run(fmt.Sprint(ents), func(b *testing.B) {

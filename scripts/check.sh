@@ -8,10 +8,12 @@
 # gate), every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards and the root package's surface
 # ratchet skip themselves under -race, so the second pass is the one in
-# which they assert; the ratchet fails when a line joins SURFACE.txt: an
-# exported name in internal/ without a non-test caller outside its
-# package, an unexported function no non-test code calls, or an
-# exported field nobody sets or reads), the ingest and dispatch
+# which they assert, and the allocation guards run twenty more times
+# each, so a flaky count fails the gate; the ratchet fails when a line
+# joins SURFACE.txt: an exported name in internal/ without a non-test
+# caller outside its package, an unexported function no non-test code
+# calls, or an exported field nobody sets or reads), the ingest and
+# dispatch
 # concurrency tests — the session dictionary, the single ingest lock
 # that guards it with every pending beat, and journaled dispatch — and
 # the liveness handles beaten concurrently
@@ -102,6 +104,13 @@ go test -race ./...
 
 echo "== go test ./...   (race-free: the zero-alloc guards assert here)"
 go test ./...
+
+# An allocation guard that passes most of the time is not a guard: the
+# exact window count and the two zero-alloc minutes must read the same
+# twenty times in one process. About 2 s.
+echo "== go test -count=20: the allocation guards"
+go test -count=20 -run '^TestSimulatorStepAllocs$' ./internal/simulator
+go test -count=20 -run '^(TestMinuteZeroAlloc|TestDispatchPathZeroAlloc)$' ./internal/agent
 
 # One pass rarely schedules the interleaving a race needs: 32 reporters
 # against the minute close, Forget and the election's Follows query; 64
