@@ -638,9 +638,8 @@ func BenchmarkSimulatorDay(b *testing.B) {
 // 400 hosts (~250 on the 100k landscape), an unconstrained app service,
 // and a mission-critical service confined to the PI-9 tier by
 // MinPerfIndex and memory demand. Selecting a host for the critical
-// service therefore scores a few hundred real candidates, while the
-// full-scan reference path still visits every host in the cluster —
-// the access-path gap the placement index exists to close.
+// service therefore scores a few hundred real candidates out of the
+// whole cluster — the pruning the placement index exists for.
 func selectionDeployment(b *testing.B, nHosts int) *service.Deployment {
 	b.Helper()
 	hosts := make([]cluster.Host, nHosts)
@@ -738,13 +737,11 @@ func coldPlacement(cfg controller.Config) controller.Config {
 var coldActions = [2]service.Action{service.ActionScaleOut, service.ActionStart}
 
 // benchmarkSelectHost measures one server-selection decision for the
-// tier-confined service — candidate enumeration, Table 3 scoring and
-// the argmax — under both access paths: the incremental placement
-// index (the default) and the full-cluster scan the controller used
-// before the index existed. A repeated selection finds every
-// candidate's score memoised, so indexed is the warm row; indexed-cold
-// alternates two separately compiled placement bases and infers every
-// candidate, as the full scan's fresh refs always do.
+// tier-confined service — candidate enumeration through the placement
+// index, Table 3 scoring and the argmax. A repeated selection finds
+// every candidate's score memoised, so indexed is the warm row;
+// indexed-cold alternates two separately compiled placement bases and
+// infers every candidate.
 func benchmarkSelectHost(b *testing.B, nHosts int) {
 	modes := []struct {
 		name string
@@ -753,7 +750,6 @@ func benchmarkSelectHost(b *testing.B, nHosts int) {
 	}{
 		{"indexed", controller.Config{}, false},
 		{"indexed-cold", coldPlacement(controller.Config{}), true},
-		{"fullscan", controller.Config{DisablePlacementIndex: true}, false},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -775,7 +771,7 @@ func benchmarkSelectHost(b *testing.B, nHosts int) {
 	}
 }
 
-// BenchmarkSelectHost1k's first three cases select among the ~3 PI-9
+// BenchmarkSelectHost1k's first two cases select among the ~3 PI-9
 // servers a tier-confined service may use; every-host-a-candidate is the
 // other end: a scale-out of the first service of the 1,007-host tiled
 // fleet, the selection bench/probes.go times, where the index prunes

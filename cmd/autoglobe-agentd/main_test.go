@@ -34,6 +34,17 @@ func parse(args ...string) (options, error) {
 	return o, o.validate()
 }
 
+// until polls cond every 20 ms and fails the test with what when it
+// has not held within 10 s.
+func until(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10 s: %s", what)
+		}
+	}
+}
+
 func TestValidateRejections(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -215,23 +226,30 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 	// The first agent's process restarts and counts its minutes from 0
 	// again: its first ack puts it back on the coordinator's minute, and
 	// its host is observed past the restart instead of going dark.
+	//
+	// What implies that: a beat stamped past minute k, ingested once k
+	// was closed, and a close that began after it. The close observes
+	// the beat at its stamp or, if the stamp lies ahead of it, at the
+	// close's own minute — past k either way. closes() counts the
+	// minutes from 0, so minute closes()-1 is closed; a beat that
+	// Follows reports only after it read false was ingested after that.
+	// Of the closes counted once the beat is in, the first may have
+	// collected before it arrived; the second began after.
 	stopFirst()
 	wait()
 	restart := closes() // the minutes before it are closed
 	startAgent(ctx, hosts[0])
 	coord := d.mgr.Plane.Coordinator()
-	deadline = time.Now().Add(10 * time.Second)
-	for !coord.Follows(hosts[0], restart+1, 0) {
-		if time.Now().After(deadline) {
-			t.Fatalf("after 10 s the restarted agent's beats are not stamped past minute %d", restart)
-		}
-		time.Sleep(20 * time.Millisecond)
+	until(t, "no close past the restart", func() bool { return closes() > restart })
+	since := closes() // minute since-1 >= restart is closed
+	for coord.Follows(hosts[0], since, 0) {
+		since++ // that beat may predate the close
 	}
-	for until := closes() + 2; closes() < until; time.Sleep(20 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("after 10 s the coordinator has not closed the restarted agent's minute")
-		}
-	}
+	until(t, "the restarted agent's beats are not stamped past the restart",
+		func() bool { return coord.Follows(hosts[0], since, 0) })
+	closed := closes()
+	until(t, "the coordinator has not closed the restarted agent's minute",
+		func() bool { return closes() >= closed+2 })
 
 	cancel()
 	for i := 0; i < 1+len(hosts); i++ {
@@ -295,14 +313,6 @@ func TestStandbyPromotesOverHTTP(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
-	until := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(20 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("after 10 s: %s", what)
-			}
-		}
-	}
 	wait := func(done <-chan error) {
 		t.Helper()
 		select {
@@ -334,22 +344,22 @@ func TestStandbyPromotesOverHTTP(t *testing.T) {
 	daemon(leaderCtx, leaderDone, "-mode", "coordinator", "-landscape", path, "-listen", addr, "-journal", journalDir)
 	// The standby must see a healthy leader first, or it would promote
 	// onto the address the leader is still binding.
-	until("the leader does not answer /healthz", func() bool { code, _ := get(obs.HealthPath); return code == http.StatusOK })
+	until(t, "the leader does not answer /healthz", func() bool { code, _ := get(obs.HealthPath); return code == http.StatusOK })
 	done := make(chan error, 1+len(hosts))
 	daemon(ctx, done, "-mode", "standby", "-standby-of", base, "-landscape", path,
 		"-listen", addr, "-journal", journalDir, "-lease-ttl", "2")
 	for _, h := range hosts {
 		daemon(ctx, done, "-mode", "agent", "-host", h, "-coordinator", base, "-load", "0.4")
 	}
-	until("the leader ingests no heartbeats", ingesting)
+	until(t, "the leader ingests no heartbeats", ingesting)
 
 	stopLeader()
 	wait(leaderDone)
-	until(`/healthz never reports "epoch":"2"`, func() bool {
+	until(t, `/healthz never reports "epoch":"2"`, func() bool {
 		_, body := get(obs.HealthPath)
 		return strings.Contains(body, `"epoch":"2"`)
 	})
-	until("the promoted daemon ingests no heartbeats", ingesting)
+	until(t, "the promoted daemon ingests no heartbeats", ingesting)
 
 	cancel()
 	for i := 0; i < 1+len(hosts); i++ {

@@ -98,28 +98,13 @@ type Coordinator struct {
 	instTab []instName
 	instIdx map[instName]uint32
 
-	// trigMu guards the confirmed-trigger queue on its own lock, so
-	// collecting triggers swaps the slice without holding (or waiting
-	// on) the merge lock.
-	trigMu   sync.Mutex
-	triggers []monitor.Trigger
-	// trigSpare is the recycled backing array for the trigger queue:
-	// takeTriggers hands the filled slice out and arms the spare, and
-	// recycleTriggers returns a drained slice here, so the steady-state
-	// minute loop stops allocating a fresh queue per minute.
-	trigSpare []monitor.Trigger
-	// TakeTriggers' pointer view: lent is the queue it pointed into,
-	// until RecycleTriggers hands the view back, and ptrSpare the
-	// recycled view.
-	lent     []monitor.Trigger
-	ptrSpare []*monitor.Trigger
-
 	// mu guards the merge path (monitor pipeline, the merge half of the
-	// host slots, the instance and service slots, canonical order) and
-	// the rarely-touched fields below. The slots resolve every host,
-	// instance and service once, on first sight, to what never changes
-	// between minutes, so a minute close costs no lookup per heartbeat
-	// or sample. They grow only with the names ever seen, never evicted.
+	// host slots, the instance and service slots, canonical order), the
+	// trigger queue and the rarely-touched fields below. The slots
+	// resolve every host, instance and service once, on first sight, to
+	// what never changes between minutes, so a minute close costs no
+	// lookup per heartbeat or sample. They grow only with the names ever
+	// seen, never evicted.
 	mu       sync.Mutex
 	insts    map[string]*instSlot
 	svcs     []svcSlot // catalog order; the catalog is immutable
@@ -130,13 +115,21 @@ type Coordinator struct {
 	// orderStale says cluster membership changed.
 	scratch, stragglers, place []*hostBeat
 	orderStale                 atomic.Bool
-	seen                       [3]int            // hosts, instances, services observed this close
-	confirmed                  []monitor.Trigger // what one observation confirmed, before it is queued
-	lastErr                    error
-	journal                    *CoordinatorJournal
-	rulesReg                   *rules.Registry
-	ruleSwap                   RuleActivator
-	leaseHook                  func(wire.Lease) wire.Lease
+	seen                       [3]int // hosts, instances, services observed this close
+	// triggers is the queue of confirmed triggers the merge appends to
+	// and takeTriggers hands out; recycleTriggers gives its backing
+	// array back, so a steady minute allocates no queue. TakeTriggers'
+	// pointer view: lent is the queue it pointed into, until
+	// RecycleTriggers hands the view back, and ptrSpare the recycled
+	// view.
+	triggers  []monitor.Trigger
+	lent      []monitor.Trigger
+	ptrSpare  []*monitor.Trigger
+	lastErr   error
+	journal   *CoordinatorJournal
+	rulesReg  *rules.Registry
+	ruleSwap  RuleActivator
+	leaseHook func(wire.Lease) wire.Lease
 }
 
 // RuleActivator is the hook a validated-and-activated rule base is
@@ -815,17 +808,22 @@ func (c *Coordinator) collectLocked(minute int) []*hostBeat {
 // hold c.mu.
 func (c *Coordinator) observeBeatLocked(b *hostBeat) error {
 	hs, minute := b.slot, b.minute
-	trs, err := c.lms.ObserveWatch(c.confirmed[:0], c.watchLocked(&hs.watchReg, monitor.Server, hs.name), minute, b.cpu, b.mem)
+	n := len(c.triggers)
+	trs, err := c.lms.ObserveWatch(c.triggers, c.watchLocked(&hs.watchReg, monitor.Server, hs.name), minute, b.cpu, b.mem)
 	if err != nil {
 		return err
 	}
-	c.confirmed = trs
+	c.triggers = trs
 	c.seen[0]++
 	c.seen[1] += len(b.samples)
-	// An idle host with nothing running on it is the normal resting
-	// state of a pooled blade, not an exceptional situation.
-	if len(trs) > 0 && !(trs[0].Kind == monitor.ServerIdle && len(b.samples) == 0) {
-		c.queueTrigger(&trs[0], hs.name)
+	if len(trs) > n {
+		// An idle host with nothing running on it is the normal resting
+		// state of a pooled blade, not an exceptional situation.
+		if trs[n].Kind == monitor.ServerIdle && len(b.samples) == 0 {
+			c.triggers = trs[:n]
+		} else {
+			trs[n].Entity = hs.name
+		}
 	}
 	for i := range b.samples {
 		s := &b.samples[i]
@@ -851,12 +849,13 @@ func (c *Coordinator) observeBeatLocked(b *hostBeat) error {
 // canonical order (see canonicalLocked), then the per-service loads
 // accumulated from their samples, in catalog order exactly like the
 // in-process service loop — each at the group's own minute, and any
-// confirmed triggers are queued. In step there is one group, at the
-// close's minute; a drained failover backlog lands as the fault-free run
-// would have observed it — same minutes, same order, same archive slots
-// — so day profiles stay gap-free. The service accumulators reset,
-// keeping their capacity, on every exit path: a failed close must not
-// leak its samples into the next minute's average. Samples are summed in
+// confirmed triggers are appended to the queue. In step there is one
+// group, at the close's minute; a drained failover backlog lands as the
+// fault-free run would have observed it — same minutes, same order,
+// same archive slots — so day profiles stay gap-free. The service
+// accumulators reset, keeping their capacity, on every exit path: a
+// failed close must not leak its samples into the next minute's
+// average. Samples are summed in
 // instance-ID order — the order the in-process loop iterates instances
 // in — so the floating-point sum is bit-identical regardless of which
 // host's heartbeat arrived first. Error or not, every beat is recycled,
@@ -922,58 +921,51 @@ func (c *Coordinator) closeServicesLocked(minute int) error {
 			sum += s.Load
 		}
 		sv.samples = sv.samples[:0]
-		trs, err := c.lms.ObserveWatch(c.confirmed[:0], c.watchLocked(&sv.watchReg, monitor.Service, ""), minute, sum/float64(n), 0)
+		q := len(c.triggers)
+		trs, err := c.lms.ObserveWatch(c.triggers, c.watchLocked(&sv.watchReg, monitor.Service, ""), minute, sum/float64(n), 0)
 		if err != nil {
 			return err
 		}
-		c.confirmed = trs
+		c.triggers = trs
 		c.seen[2]++
-		if len(trs) > 0 {
-			c.queueTrigger(&trs[0], sv.name)
+		if len(trs) > q {
+			trs[q].Entity = sv.name
 		}
 	}
 	return nil
 }
 
-// queueTrigger queues a copy of a confirmed trigger under its landscape
-// name.
-func (c *Coordinator) queueTrigger(tr *monitor.Trigger, entity string) {
-	tr.Entity = entity
-	c.trigMu.Lock()
-	c.triggers = append(c.triggers, *tr)
-	c.trigMu.Unlock()
-}
-
-// takeTriggers drains the queued confirmed triggers in arrival order.
-// The queue has its own lock, so collection swaps the slice without
-// contending with (or blocking behind) an in-flight merge. A caller
-// done with the returned slice may hand it back through
-// recycleTriggers; the spare backing array is then reused instead of
-// reallocated, and a minute that confirms triggers allocates nothing
-// for them.
+// takeTriggers drains the queued confirmed triggers in merge order.
+// A caller done with the returned slice hands it back through
+// recycleTriggers, and the next minute's triggers go into the same
+// backing array: a minute that confirms triggers allocates nothing for
+// them. Callers take and recycle after ObserveServices, on the
+// goroutine that runs the close.
 func (c *Coordinator) takeTriggers() []monitor.Trigger {
-	c.trigMu.Lock()
-	defer c.trigMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := c.triggers
-	c.triggers = c.trigSpare
-	c.trigSpare = nil
+	c.triggers = nil
 	return out
 }
 
-// recycleTriggers returns a slice obtained from takeTriggers to the
-// queue's freelist. The elements are cleared (the coordinator must not
-// pin processed triggers live) and the capacity kept. The caller must
-// not touch the slice afterwards.
+// recycleTriggers returns a slice obtained from takeTriggers as the
+// queue's backing array, unless a close has started a new one since.
+// The elements are cleared (the coordinator must not pin processed
+// triggers live) and the capacity kept. The caller must not touch the
+// slice afterwards.
 func (c *Coordinator) recycleTriggers(trs []monitor.Trigger) {
-	if cap(trs) == 0 {
-		return
-	}
 	clear(trs)
-	c.trigMu.Lock()
-	if c.trigSpare == nil {
-		c.trigSpare = trs[:0]
+	c.mu.Lock()
+	c.recycleLocked(trs)
+	c.mu.Unlock()
+}
+
+// recycleLocked is recycleTriggers' hand-back. Callers hold c.mu.
+func (c *Coordinator) recycleLocked(trs []monitor.Trigger) {
+	if cap(c.triggers) == 0 {
+		c.triggers = trs[:0]
 	}
-	c.trigMu.Unlock()
 }
 
 // TakeTriggers is takeTriggers for callers outside the package: the
@@ -981,17 +973,15 @@ func (c *Coordinator) recycleTriggers(trs []monitor.Trigger) {
 // stay valid until the slice goes back through RecycleTriggers. Neither
 // the view nor the queue is reallocated in the steady state.
 func (c *Coordinator) TakeTriggers() []*monitor.Trigger {
-	trs := c.takeTriggers()
-	c.trigMu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	ptrs := c.ptrSpare[:0]
 	c.ptrSpare = nil
-	if len(trs) > 0 {
-		c.lent = trs
+	if len(c.triggers) == 0 {
+		return ptrs // nothing to point into: the queue stays
 	}
-	c.trigMu.Unlock()
-	if len(trs) == 0 {
-		c.recycleTriggers(trs) // nothing points into it
-	}
+	trs := c.triggers
+	c.lent, c.triggers = trs, nil
 	for i := range trs {
 		ptrs = append(ptrs, &trs[i])
 	}
@@ -999,25 +989,25 @@ func (c *Coordinator) TakeTriggers() []*monitor.Trigger {
 }
 
 // RecycleTriggers returns a slice obtained from TakeTriggers, and the
-// queue its pointers point into, to the freelists. The caller must not
-// touch the slice or the triggers afterwards. Only the queue lent last
-// is reused: a view returned after a later TakeTriggers leaves its
+// queue its pointers point into, to the coordinator. The caller must
+// not touch the slice or the triggers afterwards. Only the queue lent
+// last is reused: a view returned after a later TakeTriggers leaves its
 // queue to the collector.
 func (c *Coordinator) RecycleTriggers(ptrs []*monitor.Trigger) {
 	if cap(ptrs) == 0 {
 		return
 	}
-	c.trigMu.Lock()
-	var trs []monitor.Trigger
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(ptrs) > 0 && len(c.lent) > 0 && ptrs[0] == &c.lent[0] {
-		trs, c.lent = c.lent, nil
+		clear(c.lent)
+		c.recycleLocked(c.lent)
+		c.lent = nil
 	}
 	clear(ptrs)
 	if c.ptrSpare == nil {
 		c.ptrSpare = ptrs[:0]
 	}
-	c.trigMu.Unlock()
-	c.recycleTriggers(trs)
 }
 
 // CheckLiveness probes the hosts that stayed silent this minute — and

@@ -276,9 +276,9 @@ func TestTriggerQueueRecycling(t *testing.T) {
 	c.RecycleTriggers(spare[:4])
 	trig := monitor.Trigger{Kind: monitor.ServerOverloaded}
 	cycle := func() {
-		c.trigMu.Lock()
+		c.mu.Lock()
 		c.triggers = append(c.triggers, trig, trig)
-		c.trigMu.Unlock()
+		c.mu.Unlock()
 		out := c.TakeTriggers()
 		if len(out) != 2 {
 			t.Fatalf("took %d triggers, want 2", len(out))
@@ -297,9 +297,11 @@ func TestTriggerQueueRecycling(t *testing.T) {
 func TestTakeTriggersViewsStayValid(t *testing.T) {
 	var c Coordinator
 	queue := func(entities ...string) {
+		c.mu.Lock()
 		for _, e := range entities {
-			c.queueTrigger(&monitor.Trigger{Kind: monitor.ServerOverloaded}, e)
+			c.triggers = append(c.triggers, monitor.Trigger{Kind: monitor.ServerOverloaded, Entity: e})
 		}
+		c.mu.Unlock()
 	}
 	check := func(view []*monitor.Trigger, entities ...string) {
 		t.Helper()

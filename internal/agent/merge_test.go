@@ -496,3 +496,55 @@ func minuteCloseZeroAlloc(t *testing.T, span int) {
 		}
 	}
 }
+
+// TestCloseQueuesConfirmedTriggers: one close appends what the monitor
+// confirms straight onto the trigger queue, in merge order — hosts in
+// cluster order, then services in catalog order — under each trigger's
+// landscape name, and drops the idle trigger of a host with nothing
+// running on it, whatever comes after it.
+func TestCloseQueuesConfirmedTriggers(t *testing.T) {
+	dep := service.NewDeployment(cluster.MustNew(mergeHost("m00"), mergeHost("m01"), mergeHost("m02")),
+		service.MustCatalog(
+			&service.Service{Name: "app", Type: service.TypeInteractive, MinInstances: 1, UsersPerUnit: 150, RequestWeight: 1, MemoryMBPerInstance: 256},
+			&service.Service{Name: "db", Type: service.TypeInteractive, MinInstances: 1, UsersPerUnit: 150, RequestWeight: 1, MemoryMBPerInstance: 256},
+		))
+	lms, err := monitor.NewSystem(monitor.Params{OverloadThreshold: 0.70, IdleThresholdBase: 0.125}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hb := range []wire.Heartbeat{
+		{Host: "m02", Minute: 1, CPU: 0.05, Instances: []wire.InstanceSample{{ID: "db-1", Service: "db", Load: 0.05}}},
+		{Host: "m01", Minute: 1, CPU: 0.05}, // idle and empty: its resting state
+		{Host: "m00", Minute: 1, CPU: 0.9, Instances: []wire.InstanceSample{{ID: "app-1", Service: "app", Load: 0.9}}},
+	} {
+		if err := coord.Ingest(hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.ObserveServices(1); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		kind   monitor.TriggerKind
+		entity string
+	}{
+		{monitor.ServerOverloaded, "m00"},
+		{monitor.ServerIdle, "m02"},
+		{monitor.ServiceOverloaded, "app"},
+		{monitor.ServiceIdle, "db"},
+	}
+	got := coord.takeTriggers()
+	if len(got) != len(want) {
+		t.Fatalf("queued %d triggers, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if got[i].Kind != w.kind || got[i].Entity != w.entity || got[i].Minute != 1 {
+			t.Errorf("trigger %d = %s %q at minute %d, want %s %q at minute 1",
+				i, got[i].Kind, got[i].Entity, got[i].Minute, w.kind, w.entity)
+		}
+	}
+}

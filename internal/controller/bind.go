@@ -19,10 +19,9 @@ import (
 type boundInput uint8
 
 const (
-	// bindUnknown marks a variable the controller cannot supply. The
-	// map path would report it as a missing measurement at Infer time;
-	// the binder preserves exactly that behavior per path (selection
-	// skips the host, action selection propagates the error).
+	// bindUnknown marks a variable the controller cannot supply: server
+	// selection skips the host, action selection returns the program's
+	// missing-measurement error for the slot.
 	bindUnknown boundInput = iota
 	bindCPULoad
 	bindMemLoad
@@ -109,9 +108,8 @@ func binderFor(rb *fuzzy.RuleBase) *binder {
 	return actual.(*binder)
 }
 
-// vecFor returns the controller's recycled serial input vector, sized
-// for n slots. Only the single-goroutine decision path may use it;
-// parallel scoring workers allocate their own vectors.
+// vecFor returns one of the controller's recycled input vectors, sized
+// for n slots. Only the single-goroutine decision path may use it.
 func (c *Controller) vecFor(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)

@@ -76,12 +76,6 @@ type Config struct {
 	// controller predicts load over a horizon and raises forecast
 	// triggers ahead of measured overloads. See ForecastConfig.
 	Forecast *ForecastConfig
-	// DisablePlacementIndex turns the incrementally maintained
-	// placement feasibility index off and falls back to the full
-	// cluster scan per selection — the reference path the index is
-	// parity-tested and benchmarked against. Decisions are identical
-	// either way; only enumeration cost changes.
-	DisablePlacementIndex bool
 	// Notify, when set, receives every message-log event as it is
 	// appended — executed actions, failures, administrator alerts. This
 	// is where a deployment hooks its paging or ticketing system; the
@@ -220,8 +214,7 @@ type Controller struct {
 	events   []Event
 	pending  []*Decision
 
-	// pindex is the placement feasibility index behind candidateRefs
-	// (nil when Config.DisablePlacementIndex selects the full scan).
+	// pindex is the placement feasibility index behind candidateRefs.
 	// It is maintained synchronously by the deployment's and cluster's
 	// mutation hooks and consults the controller's protection state at
 	// query time, so it is never a second source of truth.
@@ -266,10 +259,8 @@ func New(cfg Config, dep *service.Deployment, arch *archive.Archive, exec Execut
 		protSvc:  make(map[string]int),
 	}
 	c.rules.Store(newRuleSet(cfg.ActionRules, cfg.SelectionRules, cfg.ServiceRules))
-	if !cfg.DisablePlacementIndex {
-		c.pindex = placement.NewIndex(dep, archive.HostEntity)
-		c.pindex.SetProtection(c)
-	}
+	c.pindex = placement.NewIndex(dep, archive.HostEntity)
+	c.pindex.SetProtection(c)
 	return c, nil
 }
 

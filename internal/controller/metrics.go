@@ -179,14 +179,11 @@ func (m *controllerMetrics) inferences(start time.Time, n *int) {
 
 // Instrument attaches an obs registry: resolved decisions are counted
 // by trigger and action, and every fuzzy inference run lands in a
-// latency histogram; the placement index, when there is one, reports
-// its size and refresh count. A nil registry leaves the controller
-// uninstrumented.
+// latency histogram; the placement index reports its size and refresh
+// count. A nil registry leaves the controller uninstrumented.
 func (c *Controller) Instrument(r *obs.Registry) {
 	c.metrics = newControllerMetrics(r)
-	if c.pindex != nil {
-		c.pindex.Instrument(r.Gauge(MetricPlacementHosts), r.Gauge(MetricPlacementShapes), r.Counter(MetricPlacementRefreshes))
-	}
+	c.pindex.Instrument(r.Gauge(MetricPlacementHosts), r.Gauge(MetricPlacementShapes), r.Counter(MetricPlacementRefreshes))
 }
 
 // Trace attaches a tracer: HandleTrigger (and the failure handlers)

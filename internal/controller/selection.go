@@ -92,12 +92,12 @@ func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool)
 		}
 		res.Release()
 	}
-	// Deterministic candidate order, pinned as a contract so parallel
-	// scoring can never reorder ties: applicability descending, then
-	// the canonical action order (which remedy Figure 6 tries first),
-	// then (service, instance ID) — the instance identity fully breaks
-	// every remaining tie, so the sort is a strict total order over
-	// candidates and independent of evaluation timing.
+	// Deterministic candidate order, pinned as a contract: applicability
+	// descending, then the canonical action order (which remedy Figure 6
+	// tries first), then (service, instance ID) — the instance identity
+	// fully breaks every remaining tie, so the sort is a strict total
+	// order over candidates, independent of the order instances and
+	// outputs were visited in.
 	slices.SortFunc(candidates, func(a, b Candidate) int {
 		if c := cmp.Compare(b.Applicability, a.Applicability); c != 0 {
 			return c
@@ -178,10 +178,9 @@ func (c *Controller) avgMem(entity string, from, to int) (float64, error) {
 // fillActionVec initializes the Table 1 input variables for one
 // instance into the rule base's bound input vector: load variables from
 // watch-window archive averages, the rest from current measurements and
-// meta data. Slots the action path cannot supply — selection-only
-// variables, or forecast variables on a non-forecast trigger — produce
-// exactly the missing-measurement error the map-based Infer path
-// reported, detected in the same slot order.
+// meta data. A slot the action path cannot supply — a selection-only
+// variable, or a forecast variable on a non-forecast trigger — returns
+// the program's missing-measurement error for the first such slot.
 func (c *Controller) fillActionVec(b *binder, vec []float64, tr monitor.Trigger, inst *service.Instance) error {
 	h, ok := c.dep.Cluster().Host(inst.Host)
 	if !ok {
@@ -268,8 +267,7 @@ func (c *Controller) feasible(a service.Action, svcName, instID string, minute i
 // strictly more powerful host, scale-down a strictly less powerful one,
 // move an equivalently powerful one; placement actions accept any
 // level). ok is false for actions without a target or when the instance
-// or its host cannot be resolved — no candidates exist then, matching
-// the per-host targetAllowed verdict of the full scan.
+// or its host cannot be resolved: no host is a candidate then.
 func (c *Controller) selRel(a service.Action, instID string) (rel placement.Rel, srcPI float64, ok bool) {
 	switch a {
 	case service.ActionScaleOut, service.ActionStart:
@@ -295,100 +293,38 @@ func (c *Controller) selRel(a service.Action, instID string) (rel placement.Rel,
 	return placement.RelEqual, src.PerformanceIndex, true
 }
 
-// targetAllowed checks the performance-index relation between the
-// instance's current host and a candidate target — the per-host filter
-// of the full-scan reference path (the indexed path resolves the
-// relation once via selRel and walks matching PI buckets instead).
-func (c *Controller) targetAllowed(a service.Action, instID, target string) bool {
-	switch a {
-	case service.ActionScaleOut, service.ActionStart:
-		return true
-	}
-	inst, ok := c.dep.Instance(instID)
-	if !ok {
-		return false
-	}
-	src, ok := c.dep.Cluster().Host(inst.Host)
-	if !ok {
-		return false
-	}
-	dst, ok := c.dep.Cluster().Host(target)
-	if !ok {
-		return false
-	}
-	switch a {
-	case service.ActionScaleUp:
-		return dst.PerformanceIndex > src.PerformanceIndex
-	case service.ActionScaleDown:
-		return dst.PerformanceIndex < src.PerformanceIndex
-	case service.ActionMove:
-		return dst.PerformanceIndex == src.PerformanceIndex
-	}
-	return false
-}
-
 // candidateRefs appends the hosts on which the action could place the
 // service: placeable under the constraints, not in protection mode, and
 // with the right performance relation. "Initially, these are all servers
 // on which an instance of the service can be started and that are not
-// in protection mode."
-//
-// With the placement index (the default) this is O(candidates): the
-// index already bucketed the feasible hosts of the service by
-// performance index, so enumeration walks only the buckets matching the
-// action's relation. The full-scan reference path — kept selectable via
-// Config.DisablePlacementIndex for parity tests and benchmarks —
-// re-scans the entire cluster and re-runs CanPlace per host. Both paths
-// produce the same candidate SET; the index enumerates in canonical
-// bucket order rather than raw cluster order, which is decision-neutral
-// because every consumer reduces candidates with a total-order
-// comparator.
+// in protection mode." The placement index already bucketed the
+// service's feasible hosts by performance index, so this walks only the
+// buckets matching the action's relation, in canonical bucket order —
+// decision-neutral, because selectHostIn reduces the candidates with a
+// total-order comparator.
 func (c *Controller) candidateRefs(buf []*placement.HostRef, a service.Action, svcName, instID string, minute int, exclude map[string]bool) []*placement.HostRef {
-	if c.pindex != nil {
-		rel, srcPI, ok := c.selRel(a, instID)
-		if !ok {
-			return buf
-		}
-		return c.pindex.AppendCandidates(buf, svcName, rel, srcPI, minute, exclude)
+	rel, srcPI, ok := c.selRel(a, instID)
+	if !ok {
+		return buf
 	}
-	for _, name := range c.dep.Cluster().Names() {
-		if exclude[name] || c.HostProtected(name, minute) {
-			continue
-		}
-		if !c.targetAllowed(a, instID, name) {
-			continue
-		}
-		if err := c.dep.CanPlace(svcName, name); err != nil {
-			continue
-		}
-		h, _ := c.dep.Cluster().Host(name)
-		buf = append(buf, &placement.HostRef{Host: h, Entity: archive.HostEntity(name)})
-	}
-	return buf
+	return c.pindex.AppendCandidates(buf, svcName, rel, srcPI, minute, exclude)
 }
 
-// anyTarget reports whether at least one candidate host exists. The
-// indexed probe short-circuits on the first feasible bucket entry.
+// anyTarget reports whether at least one candidate host exists,
+// stopping at the first feasible bucket entry.
 func (c *Controller) anyTarget(a service.Action, svcName, instID string, minute int) bool {
-	if c.pindex != nil {
-		rel, srcPI, ok := c.selRel(a, instID)
-		if !ok {
-			return false
-		}
-		return c.pindex.AnyCandidate(svcName, rel, srcPI, minute, nil)
-	}
-	return len(c.candidateRefs(nil, a, svcName, instID, minute, nil)) > 0
+	rel, srcPI, ok := c.selRel(a, instID)
+	return ok && c.pindex.AnyCandidate(svcName, rel, srcPI, minute, nil)
 }
 
 // scoreRef fills the bound input vector with the Table 3 variables of
 // one candidate host — current measurements and meta data — and runs
-// the server-selection inference, unless the ref's memo holds
-// the score of this rule base over these exact inputs. ok is false when
-// the host cannot be scored (a slot the selection path cannot supply),
-// which skips the host exactly like the map path's missing-measurement
-// error did. The memo is exact: the engine is fixed at New, a rule base
+// the server-selection inference, unless the ref's memo holds the score
+// of this rule base over these exact inputs. ok is false when the host
+// cannot be scored (a slot the selection path cannot supply): the host
+// is skipped. The memo is exact: the engine is fixed at New, a rule base
 // is immutable (a swap installs a new pointer), and vec carries every
-// input the score reads. The full scan's fresh refs never hit.
+// input the score reads.
 func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef) (score float64, ok bool) {
 	if !ref.Load.Known() { // a host's first sample may follow its first selection
 		ref.Load = c.arch.Entity(ref.Entity)
@@ -447,9 +383,9 @@ type hostBest struct {
 // selection comparator: higher score, then higher performance index,
 // then lexicographically smaller host name. The comparator is a strict
 // total order over candidates (host names are unique), so the argmax is
-// unique and every scan order reduces to the same winner: the order in
-// which the placement index's buckets (or the full scan) enumerate the
-// candidates is decision-neutral.
+// unique and every enumeration order reduces to the same winner: the
+// order in which the placement index's buckets list the candidates is
+// decision-neutral.
 func better(score float64, ref *placement.HostRef, cur hostBest) bool {
 	if cur.ref == nil {
 		return true

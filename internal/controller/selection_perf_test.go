@@ -17,7 +17,7 @@ import (
 // candLess is the pinned SelectActions candidate order: applicability
 // descending, then the canonical action order, then (service, instance
 // ID). The tests below assert SelectActions output is sorted under
-// exactly this comparator, so parallel scoring can never reorder ties.
+// exactly this comparator.
 func candLess(a, b Candidate) bool {
 	if a.Applicability != b.Applicability {
 		return a.Applicability > b.Applicability
@@ -248,25 +248,19 @@ IF tempSpace IS scarce THEN score IS applicable
 // appends (+0, −0 and NaN loads among them, and hosts first sampled
 // after they were scored), hot swaps of
 // select/placement to a separately compiled copy and back, and shadow
-// selections under a different base, the indexed path — whose refs
-// memoise their scores — and the full-scan reference path, whose refs
-// are fresh every call and never hit, must return bit-equal (host,
-// score) selections at every step. It stops after steps steps or, for
-// a bytesRand, once the input is spent.
+// selections under a different base, the controller's selection — the
+// placement index's candidates, whose refs memoise their scores — and
+// the full-scan reference in scan_test.go, whose refs are fresh every
+// call and never hit, must return bit-equal (host, score) selections at
+// every step. It stops after steps steps or, for a bytesRand, once the
+// input is spent.
 func selectHostParity(t *testing.T, rng parityRand, steps int) {
 	t.Helper()
 	dep, arch := randomLandscape(t, rng, 48)
-	exec := NewDeploymentExecutor(dep, RebalanceUsers)
-	mk := func(cfg Config) *Controller {
-		c, err := New(cfg, dep, arch, exec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	ctl, err := New(Config{}, dep, arch, NewDeploymentExecutor(dep, RebalanceUsers))
+	if err != nil {
+		t.Fatal(err)
 	}
-	indexed := mk(Config{})
-	scan := mk(Config{DisablePlacementIndex: true})
-	ctls := []*Controller{indexed, scan}
 
 	vc := SelectionVocabulary()
 	placementBase := DefaultSelectionRules()[service.ActionScaleOut]
@@ -275,9 +269,7 @@ func selectHostParity(t *testing.T, rng parityRand, steps int) {
 	shadowSel := map[service.Action]*fuzzy.RuleBase{
 		service.ActionScaleOut: contrarian, service.ActionStart: contrarian,
 	}
-	for _, c := range ctls {
-		c.Shadow("contrarian", nil, shadowSel)
-	}
+	ctl.Shadow("contrarian", nil, shadowSel)
 
 	names := dep.Cluster().Names()
 	svcs := []string{"web", "app", "cache"}
@@ -316,12 +308,9 @@ func selectHostParity(t *testing.T, rng parityRand, steps int) {
 			dep.Stop(insts[rng.Intn(len(insts))].ID, true)
 		}
 		if rng.Intn(4) == 0 {
-			// Protection lives on the controller, not the index; mirror it
-			// on every controller so only the lookup strategy differs.
-			h, until := names[rng.Intn(len(names))], rng.Intn(30)
-			for _, c := range ctls {
-				c.protHost[h] = until
-			}
+			// Protection lives on the controller, not the index: both
+			// paths consult the same map.
+			ctl.protHost[names[rng.Intn(len(names))]] = rng.Intn(30)
 		}
 		for n := rng.Intn(4); n > 0; n-- {
 			clock += rng.Intn(2)
@@ -335,10 +324,8 @@ func selectHostParity(t *testing.T, rng parityRand, steps int) {
 			if swapped {
 				rb = placementBase
 			}
-			for _, c := range ctls {
-				if err := c.SwapRuleBase("select/placement", rb); err != nil {
-					t.Fatal(err)
-				}
+			if err := ctl.SwapRuleBase("select/placement", rb); err != nil {
+				t.Fatal(err)
 			}
 			swapped = !swapped
 		}
@@ -352,22 +339,19 @@ func selectHostParity(t *testing.T, rng parityRand, steps int) {
 		}
 		minute := rng.Intn(25)
 		if rng.Intn(3) == 0 {
-			var hosts [2]string
-			var scores [2]float64
-			for i, c := range ctls {
-				rs := c.shadow.Load().overlay(c.ruleset())
-				hosts[i], scores[i] = c.selectHostIn(rs, a, inst.Service, inst.ID, minute, nil, false)
-			}
-			if hosts[0] != hosts[1] || math.Float64bits(scores[0]) != math.Float64bits(scores[1]) {
+			rs := ctl.shadow.Load().overlay(ctl.ruleset())
+			h0, s0 := ctl.selectHostIn(rs, a, inst.Service, inst.ID, minute, nil, false)
+			h1, s1 := ctl.scanSelectHost(rs, a, inst.Service, inst.ID, minute)
+			if h0 != h1 || math.Float64bits(s0) != math.Float64bits(s1) {
 				t.Fatalf("step %d shadow %s %s: full scan selected (%q, %v), indexed (%q, %v)",
-					step, a, inst.ID, hosts[1], scores[1], hosts[0], scores[0])
+					step, a, inst.ID, h1, s1, h0, s0)
 			}
 		}
-		h0, s0 := indexed.SelectHost(a, inst.Service, inst.ID, minute)
-		h2, s2 := scan.SelectHost(a, inst.Service, inst.ID, minute)
-		if h0 != h2 || math.Float64bits(s0) != math.Float64bits(s2) {
+		h0, s0 := ctl.SelectHost(a, inst.Service, inst.ID, minute)
+		h1, s1 := ctl.scanSelectHost(ctl.ruleset(), a, inst.Service, inst.ID, minute)
+		if h0 != h1 || math.Float64bits(s0) != math.Float64bits(s1) {
 			t.Fatalf("step %d %s %s: full scan selected (%q, %v), indexed (%q, %v)",
-				step, a, inst.ID, h2, s2, h0, s0)
+				step, a, inst.ID, h1, s1, h0, s0)
 		}
 	}
 }

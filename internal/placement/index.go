@@ -25,7 +25,8 @@
 // This differs from the raw cluster order a full scan would produce, but
 // any consumer that reduces candidates with a total-order comparator
 // (the server-selection argmax does) is order-independent, and set
-// equality with the full scan is what the parity tests assert.
+// equality with a full scan — a test oracle of the controller's — is
+// what the parity tests assert.
 package placement
 
 import (
@@ -196,8 +197,7 @@ func (si *shapeIndex) drop(r *HostRef) {
 // synchronously by the deployment's mutation hooks and therefore shares
 // the deployment's concurrency contract: mutations and index queries
 // must not race (the controller runs its decision loop on a single
-// goroutine; parallel candidate *scoring* only reads the refs a query
-// returned).
+// goroutine).
 type Index struct {
 	dep       *service.Deployment
 	entityKey func(host string) string

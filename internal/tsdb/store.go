@@ -466,11 +466,8 @@ func (st *Store) closeRow() {
 // be; the row itself waits for Commit's fsync (unsynced).
 func (st *Store) flushRow() error {
 	st.closeRow()
-	if len(st.dictPending) > 0 {
-		if _, _, err := st.writeTier(dictTier, st.dictPending); err != nil {
-			return err
-		}
-		st.dictPending = st.dictPending[:0]
+	if err := st.writeDict(); err != nil {
+		return err
 	}
 	seq, _, err := st.write(int(TierMinute), st.pending)
 	if err != nil {
@@ -478,6 +475,26 @@ func (st *Store) flushRow() error {
 	}
 	st.segMax[seq] = max(st.segMax[seq], st.stagedMax)
 	st.pending, st.unsynced = st.pending[:0], true
+	return nil
+}
+
+// writeDict writes the dictionary records framed since the last write,
+// if any. A burst of new entities — a fleet's first minute — grows the
+// buffer to the burst; past one seal frame it is dropped once written,
+// so the store keeps what a few new entities a minute need, not the
+// largest burst it ever saw.
+func (st *Store) writeDict() error {
+	if len(st.dictPending) == 0 {
+		return nil
+	}
+	if _, _, err := st.writeTier(dictTier, st.dictPending); err != nil {
+		return err
+	}
+	if cap(st.dictPending) > sealFrameBytes {
+		st.dictPending = nil
+	} else {
+		st.dictPending = st.dictPending[:0]
+	}
 	return nil
 }
 
@@ -507,11 +524,8 @@ func (st *Store) Commit() error {
 	}
 	t0 := st.m.start()
 	// New entities become durable before any data referencing them.
-	if len(st.dictPending) > 0 {
-		if _, _, err := st.writeTier(dictTier, st.dictPending); err != nil {
-			return err
-		}
-		st.dictPending = st.dictPending[:0]
+	if err := st.writeDict(); err != nil {
+		return err
 	}
 	if len(st.pending) > 0 || len(st.full) > 0 {
 		if err := st.commitMinutes(); err != nil {

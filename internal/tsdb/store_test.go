@@ -450,6 +450,45 @@ func TestLargeMinuteRowsBounded(t *testing.T) {
 	}
 }
 
+// TestDictBufferBounded: the dictionary records of a 26,520-entity
+// first minute pass through a buffer of their size, which the store
+// drops once they are written; a later minute registering one new
+// entity leaves a buffer of about one record, kept for the next (the
+// first minute left 352,256 B of capacity for the store's life).
+func TestDictBufferBounded(t *testing.T) {
+	const ents = 26520
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{})
+	handles := make([]Handle, ents+1)
+	for e := 0; e < ents; e++ {
+		if err := st.AppendTo(&handles[e], fmt.Sprintf("svc/app-%d", e), Sample{Minute: 0, CPU: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(st.dictPending); c > sealFrameBytes {
+		t.Fatalf("after the %d-entity minute the dictionary buffer keeps %d B, want at most %d", ents, c, sealFrameBytes)
+	}
+	if err := st.AppendTo(&handles[ents], "inst/app-new", Sample{Minute: 1, CPU: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(st.dictPending); c == 0 || c > sealFrameBytes {
+		t.Fatalf("after a one-entity minute the dictionary buffer keeps %d B, want 1 to %d", c, sealFrameBytes)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openStore(t, dir, Options{})
+	if s, ok := st.Latest(st.Lookup("inst/app-new")); !ok || s.Minute != 1 {
+		t.Fatalf("the new entity replays as %+v, %v", s, ok)
+	}
+}
+
 // BenchmarkTSDBSealBurst measures the seal burst of a store whose rows
 // are warm — its 63 row-only minutes run before the clock starts — at
 // the 2,652 entities of the bench's 1,007-host fleet and ten times

@@ -12,18 +12,18 @@
 # each, so a flaky count fails the gate; the ratchet fails when a line
 # joins SURFACE.txt: an exported name in internal/ without a non-test
 # caller outside its package, an unexported function no non-test code
-# calls, or an exported field nobody sets or reads), the ingest and
-# dispatch
-# concurrency tests — the session dictionary, the single ingest lock
-# that guards it with every pending beat, and journaled dispatch — and
-# the liveness handles beaten concurrently
+# calls, or an exported field nobody sets or reads), the daemon test
+# that restarts an agent over real HTTP ten more times on one CPU, the
+# ingest and dispatch concurrency tests — the session dictionary, the
+# single ingest lock that guards it with every pending beat, and
+# journaled dispatch — and the liveness handles beaten concurrently
 # (TestLivenessHandleConcurrentBeats) ten more times under the race
-# detector, ten seconds
-# each of real fuzzing of the wire frame decoder, of the journal's frame reader, of
-# the tsdb segment-record decoder, of the closed-form inference
-# against its two references, of memoised server selection against
-# the full scan (FuzzSelectHostParity) and of the deployment's ID-sorted
-# instance snapshots against the instance map filtered and sorted by ID
+# detector, ten seconds each of real fuzzing of the wire frame decoder,
+# of the journal's frame reader, of the tsdb segment-record decoder, of
+# the closed-form inference against its two references, of memoised
+# server selection vs the full-scan reference in its test
+# (FuzzSelectHostParity) and of the deployment's ID-sorted instance
+# snapshots against the instance map filtered and sorted by ID
 # (FuzzDeploymentSnapshots), of the simulator's host, service and
 # instance slots against the landscape read afresh (FuzzSimulatorSlots),
 # and every benchmark of the root package,
@@ -112,6 +112,13 @@ echo "== go test -count=20: the allocation guards"
 go test -count=20 -run '^TestSimulatorStepAllocs$' ./internal/simulator
 go test -count=20 -run '^(TestMinuteZeroAlloc|TestDispatchPathZeroAlloc)$' ./internal/agent
 
+# A wait that holds only when the daemons keep pace is a flake: the
+# restarted agent's host must be archived past the restart however the
+# coordinator's and the agent's tickers interleave. One CPU makes the
+# goroutines take turns. About 1 s.
+echo "== go test -count=10 -cpu 1: the coordinator and agents over real HTTP"
+go test -count=10 -cpu 1 -run '^TestCoordinatorAndAgentsOverHTTP$' ./cmd/autoglobe-agentd
+
 # One pass rarely schedules the interleaving a race needs: 32 reporters
 # against the minute close, Forget and the election's Follows query; 64
 # direct ingesters against the same close (one lock guards both the
@@ -145,7 +152,7 @@ go test ./internal/fuzzy -run '^$' -fuzz FuzzInferDifferential -fuzztime 10s
 # appends, protection churn, rule swaps and shadow selections. The
 # loop's inputs are long, and minimizing one new input at the default
 # 60 s would spend the whole budget: minimization stops at 100 runs.
-echo "== fuzz: memoised server selection vs the full scan, 10 s"
+echo "== fuzz: memoised server selection vs the full-scan reference in its test, 10 s"
 go test ./internal/controller -run '^$' -fuzz FuzzSelectHostParity -fuzztime 10s -fuzzminimizetime 100x
 
 # Every reader of the landscape walks the deployment's snapshots: any
