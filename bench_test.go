@@ -306,10 +306,15 @@ func BenchmarkFuzzyInference(b *testing.B) {
 		controller.VarInstancesOnServer:  2,
 		controller.VarInstancesOfService: 3,
 	}
+	names := rb.Compile().Inputs()
+	vals := make([]float64, len(names))
+	for i, n := range names {
+		vals[i] = inputs[n]
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.Infer(rb, inputs)
+		res, err := engine.InferVec(rb, vals)
 		if err != nil {
 			b.Fatal(err)
 		}

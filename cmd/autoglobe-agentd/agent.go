@@ -22,8 +22,9 @@ func runAgent(ctx context.Context, o options) error {
 	tr := wire.NewHTTP()
 	defer tr.Close()
 	// The agent serves the same observability surface as the
-	// coordinator on its own listener: wire-call metrics plus a health
-	// report naming the host (no tracer — traces are controller-side).
+	// coordinator on its own listener: wire-call metrics, the count of
+	// actions fenced for a superseded epoch, and a health report naming
+	// the host (no tracer — traces are controller-side).
 	reg := obs.NewRegistry()
 	health := obs.NewHealth()
 	health.SetInfo("mode", "agent")
@@ -35,6 +36,7 @@ func runAgent(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
+	a.Instrument(reg)
 	base, _ := tr.Addr(host)
 	fmt.Printf("observability: %s%s, %s%s\n", base, obs.HealthPath, base, obs.MetricsPath)
 

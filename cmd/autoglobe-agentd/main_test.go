@@ -112,8 +112,10 @@ func TestFlagSurface(t *testing.T) {
 // process: a coordinator and two agents, each on its own 127.0.0.1:0
 // listener, talking over sockets at 10 ms a minute — one agent killed
 // and started again under the same host name halfway.
-func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
-	dir := t.TempDir()
+// paperLandscape writes the paper's full-mobility landscape to dir and
+// returns its path and the names of its first two hosts.
+func paperLandscape(t *testing.T, dir string) (string, []string) {
+	t.Helper()
 	l, err := spec.Paper(service.FullMobility, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -129,14 +131,26 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hosts := []string{l.Servers[0].Name, l.Servers[1].Name}
+	return path, []string{l.Servers[0].Name, l.Servers[1].Name}
+}
 
-	// The daemons narrate every minute on stdout; keep the test log clean.
+// quietStdout sends stdout to the null device until the test ends: the
+// daemons narrate every minute there, and the test log stays clean.
+func quietStdout(t *testing.T) {
+	t.Helper()
 	stdout := os.Stdout
-	if os.Stdout, err = os.OpenFile(os.DevNull, os.O_WRONLY, 0); err != nil {
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { os.Stdout.Close(); os.Stdout = stdout }()
+	os.Stdout = null
+	t.Cleanup(func() { null.Close(); os.Stdout = stdout })
+}
+
+func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
+	dir := t.TempDir()
+	path, hosts := paperLandscape(t, dir)
+	quietStdout(t)
 
 	co, err := parse("-mode", "coordinator", "-landscape", path, "-listen", "127.0.0.1:0",
 		"-interval", "10ms", "-journal", filepath.Join(dir, "journal"))
@@ -267,27 +281,8 @@ func TestCoordinatorAndAgentsOverHTTP(t *testing.T) {
 // restart reopens it — and goes on ingesting and closing minutes.
 func TestStandbyPromotesOverHTTP(t *testing.T) {
 	dir := t.TempDir()
-	l, err := spec.Paper(service.FullMobility, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "paper.xml")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	hosts := []string{l.Servers[0].Name, l.Servers[1].Name}
-	stdout := os.Stdout
-	if os.Stdout, err = os.OpenFile(os.DevNull, os.O_WRONLY, 0); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { os.Stdout.Close(); os.Stdout = stdout }()
+	path, hosts := paperLandscape(t, dir)
+	quietStdout(t)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -364,5 +359,64 @@ func TestStandbyPromotesOverHTTP(t *testing.T) {
 	cancel()
 	for i := 0; i < 1+len(hosts); i++ {
 		wait(done)
+	}
+}
+
+// TestAgentMetricsOverHTTP reads a joined agent's own metrics endpoint:
+// it exposes the fencing counter, at 0 while no deposed coordinator has
+// sent the agent anything.
+func TestAgentMetricsOverHTTP(t *testing.T) {
+	dir := t.TempDir()
+	path, hosts := paperLandscape(t, dir)
+	quietStdout(t)
+	co, err := parse("-mode", "coordinator", "-landscape", path, "-listen", "127.0.0.1:0",
+		"-interval", "10ms", "-journal", filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newCoordinatorDaemon(co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.close()
+	ao, err := parse("-mode", "agent", "-host", hosts[0], "-coordinator", d.base, "-load", "0.4", "-interval", "10ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 2)
+	go func() { done <- d.run(ctx) }()
+	go func() { done <- run(ctx, ao) }()
+
+	var base string
+	until(t, "the agent does not join", func() bool {
+		var ok bool
+		base, ok = d.tr.Addr(hosts[0])
+		return ok
+	})
+	resp, err := http.Get(base + obs.MetricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^` + agent.MetricEpochRejections + ` 0$`).Match(body) {
+		t.Errorf("agent %s metrics lack %s 0:\n%s", hosts[0], agent.MetricEpochRejections, body)
+	}
+
+	cancel()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("daemon returned %v on cancel, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a daemon did not return within 5 s of cancel")
+		}
 	}
 }

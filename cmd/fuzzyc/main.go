@@ -93,7 +93,11 @@ func main() {
 		}
 	}
 
-	res, err := fuzzy.NewEngine(d).Infer(rb, inputs)
+	vals, err := bind(rb, inputs)
+	if err != nil {
+		fatal(err)
+	}
+	res, err := fuzzy.NewEngine(d).InferVec(rb, vals)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,20 +107,34 @@ func main() {
 			fmt.Printf("  fired %.2f: %s\n", truth, rb.Text(i))
 		}
 	}
-	names := make([]string, 0, len(res.Outputs))
-	for n := range res.Outputs {
-		names = append(names, n)
+	// Outputs come in name order; print them by value, highest first,
+	// ties in name order.
+	names := rb.OutputVars()
+	order := make([]int, len(names))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if res.Outputs[names[i]] != res.Outputs[names[j]] {
-			return res.Outputs[names[i]] > res.Outputs[names[j]]
-		}
-		return names[i] < names[j]
-	})
+	sort.SliceStable(order, func(i, j int) bool { return res.Outputs[order[i]] > res.Outputs[order[j]] })
 	fmt.Println("outputs:")
-	for _, n := range names {
-		fmt.Printf("  %-20s %.3f\n", n, res.Outputs[n])
+	for _, o := range order {
+		fmt.Printf("  %-20s %.3f\n", names[o], res.Outputs[o])
 	}
+}
+
+// bind lays the named measurements out in the input slots of the rule
+// base's compiled program. A slot without a measurement is an error
+// naming the variable and the first rule that reads it.
+func bind(rb *fuzzy.RuleBase, inputs map[string]float64) ([]float64, error) {
+	prog := rb.Compile()
+	vals := make([]float64, prog.NumInputs())
+	for i, name := range prog.Inputs() {
+		x, ok := inputs[name]
+		if !ok {
+			return nil, prog.MissingInputError(i)
+		}
+		vals[i] = x
+	}
+	return vals, nil
 }
 
 func readRules(path string) (string, error) {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -180,45 +181,37 @@ func sampleInputs(inputs map[string]float64, entity string, cpu, mem float64) {
 	}
 }
 
-// unionInputVars collects every input variable either base references,
-// so the replay asserts a complete measurement set for both.
+// unionInputVars collects every input variable either base reads, so
+// the replay asserts a complete measurement set for both.
 func unionInputVars(bases ...*fuzzy.RuleBase) []string {
-	seen := make(map[string]bool)
+	var out []string
 	for _, rb := range bases {
-		for _, r := range rb.Rules() {
-			for v := range r.InputVars() {
-				seen[v] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+		out = append(out, rb.Compile().Inputs()...)
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // winner reduces one inference to the comparable decision: the output
 // variable with the highest applicability, "(none)" if nothing fired.
-// Ties break lexicographically so the diff is deterministic. Returns
+// Outputs come in name order and only a strictly higher value wins, so
+// ties break lexicographically and the diff is deterministic. Returns
 // the bare action (the identity compared and tallied) and a rendering
 // with the applicability for the per-sample report.
 func winner(engine *fuzzy.Engine, rb *fuzzy.RuleBase, inputs map[string]float64) (action, rendered string, err error) {
-	res, err := engine.Infer(rb, inputs)
+	vals, err := bind(rb, inputs)
+	if err != nil {
+		return "", "", err
+	}
+	res, err := engine.InferVec(rb, vals)
 	if err != nil {
 		return "", "", err
 	}
 	defer res.Release()
 	best, bestVal := "(none)", 0.0
-	names := make([]string, 0, len(res.Outputs))
-	for n := range res.Outputs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if v := res.Outputs[n]; v > bestVal {
-			best, bestVal = n, v
+	for o, name := range rb.OutputVars() {
+		if v := res.Outputs[o]; v > bestVal {
+			best, bestVal = name, v
 		}
 	}
 	if bestVal == 0 {

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"sync"
 
 	"autoglobe/internal/fuzzy"
@@ -13,7 +14,10 @@ import (
 // then fills a recycled []float64 vector per call. Binding turns the
 // per-candidate cost of server selection from "allocate + hash ten map
 // entries" into "write ten float64 slots", which is what makes the
-// steady-state selection path allocation-free end to end.
+// steady-state selection path allocation-free end to end. Outputs come
+// back as slots too: the binder keeps the base's output names, so the
+// action path reads each action by slot and server selection reads the
+// score slot.
 
 // boundInput names the controller quantity feeding one input slot.
 type boundInput uint8
@@ -78,11 +82,17 @@ func bindFor(name string) boundInput {
 }
 
 // binder carries a rule base's compiled program plus the resolved
-// binding of every input slot. Immutable after construction.
+// binding of every input slot, and the names of its output slots.
+// Immutable after construction.
 type binder struct {
 	rb    *fuzzy.RuleBase
 	prog  *fuzzy.Program
 	slots []boundInput
+	// outputs names every output slot of an inference Result
+	// (RuleBase.OutputVars); score is the slot of VarScore, or -1 for a
+	// base that asserts none, which scores every host 0.
+	outputs []string
+	score   int
 }
 
 // binders caches one binder per rule base, keyed by the immutable
@@ -100,7 +110,9 @@ func binderFor(rb *fuzzy.RuleBase) *binder {
 	}
 	prog := rb.Compile()
 	names := prog.Inputs()
-	b := &binder{rb: rb, prog: prog, slots: make([]boundInput, len(names))}
+	outputs := rb.OutputVars()
+	b := &binder{rb: rb, prog: prog, slots: make([]boundInput, len(names)),
+		outputs: outputs, score: slices.Index(outputs, VarScore)}
 	for i, n := range names {
 		b.slots[i] = bindFor(n)
 	}

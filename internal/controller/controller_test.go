@@ -80,6 +80,17 @@ func (tb *testbed) record(t *testing.T, entity string, cpu, mem float64) {
 	}
 }
 
+// vecOf lays named measurements out in the input slots of rb's
+// compiled program; a slot no name fills reads 0.
+func vecOf(rb *fuzzy.RuleBase, in map[string]float64) []float64 {
+	names := rb.Compile().Inputs()
+	vec := make([]float64, len(names))
+	for i, n := range names {
+		vec[i] = in[n]
+	}
+	return vec
+}
+
 func trigger(kind monitor.TriggerKind, entity string) monitor.Trigger {
 	return monitor.Trigger{Kind: kind, Entity: entity, Minute: 10, WatchedFrom: 0, AvgLoad: 0.9}
 }

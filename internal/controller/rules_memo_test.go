@@ -72,7 +72,7 @@ func TestDefaultRulesConcurrent(t *testing.T) {
 			e := fuzzy.NewEngine(nil)
 			for i := 0; i < 50; i++ {
 				rb := DefaultActionRules()[monitor.ServiceOverloaded]
-				res, err := e.Infer(rb, map[string]float64{
+				res, err := e.InferVec(rb, vecOf(rb, map[string]float64{
 					VarCPULoad:            0.8,
 					VarMemLoad:            0.4,
 					VarInstanceLoad:       0.9,
@@ -80,7 +80,7 @@ func TestDefaultRulesConcurrent(t *testing.T) {
 					VarPerformanceIndex:   2,
 					VarInstancesOnServer:  2,
 					VarInstancesOfService: 3,
-				})
+				}))
 				if err != nil {
 					done <- err
 					return

@@ -15,7 +15,7 @@ import (
 // bases, and the administrator's service-specific overrides. The
 // controller holds the current set behind an atomic pointer — inference
 // loads the pointer and never takes a lock, so a hot swap (a pointer
-// store of a freshly built set) is invisible to the zero-alloc Infer
+// store of a freshly built set) is invisible to the zero-alloc InferVec
 // fast path. A ruleSet is never mutated after construction; swaps build
 // a copy-on-write successor under Controller.swapMu.
 type ruleSet struct {
@@ -77,7 +77,7 @@ func (c *Controller) ruleset() *ruleSet {
 // SwapActionRules atomically replaces the action-selection rule base for
 // one trigger kind. The swap is a pointer store: in-flight inferences
 // finish on the set they loaded, the next trigger sees the new base, and
-// the compiled zero-alloc Infer fast path is untouched. The base must
+// the compiled zero-alloc InferVec path is untouched. The base must
 // already be parsed, validated and compiled (see the rules registry) —
 // the controller rejects only structurally unusable input here.
 func (c *Controller) SwapActionRules(kind monitor.TriggerKind, rb *fuzzy.RuleBase) error {

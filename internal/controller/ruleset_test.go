@@ -138,6 +138,35 @@ func TestSwapValidation(t *testing.T) {
 	}
 }
 
+// TestSelectionBaseWithoutScore: only SwapSelectionRules rejects a
+// selection base that asserts no score, so one can still arrive through
+// Config.SelectionRules. It rates every candidate host 0, and no host
+// reaches the threshold.
+func TestSelectionBaseWithoutScore(t *testing.T) {
+	noScore, err := fuzzy.NewRuleBase("select/placement", SelectionVocabulary(),
+		fuzzy.MustParse(`IF cpuLoad IS low THEN memLoad IS high`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := DefaultSelectionRules()
+	sel[service.ActionScaleOut] = noScore
+	tb, inst := hotbed(t, Config{SelectionRules: sel})
+	b := binderFor(noScore)
+	vec := make([]float64, len(b.slots))
+	refs := tb.ctl.candidateRefs(nil, service.ActionScaleOut, "app", inst.ID, 10, nil)
+	if len(refs) == 0 {
+		t.Fatal("no candidate hosts for scale-out")
+	}
+	for _, ref := range refs {
+		if score, ok := tb.ctl.scoreRef(b, vec, ref); !ok || score != 0 {
+			t.Errorf("%s scores %v (ok %v), want 0", ref.Host.Name, score, ok)
+		}
+	}
+	if h, score := tb.ctl.SelectHost(service.ActionScaleOut, "app", inst.ID, 10); h != "" {
+		t.Errorf("selected %s at %v, want no host", h, score)
+	}
+}
+
 func TestSwapRuleBaseRouting(t *testing.T) {
 	tb, _ := hotbed(t, Config{})
 	if err := tb.ctl.SwapRuleBase("serviceOverloaded", scaleOutOnly(t)); err != nil {
@@ -298,15 +327,16 @@ func TestInferZeroAllocAfterSwap(t *testing.T) {
 		VarInstanceLoad: 0.85, VarServiceLoad: 0.55,
 		VarInstancesOnServer: 1, VarInstancesOfService: 1,
 	}
-	for i := 0; i < 3; i++ { // warm the pools and force the one-time compile
-		res, err := tb.ctl.engine.Infer(swapped, in)
+	vec := vecOf(swapped, in)
+	for i := 0; i < 3; i++ { // warm the pools
+		res, err := tb.ctl.engine.InferVec(swapped, vec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Release()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		res, err := tb.ctl.engine.Infer(swapped, in)
+		res, err := tb.ctl.engine.InferVec(swapped, vec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,8 @@ func (c *Controller) selectActionsIn(rs *ruleSet, tr monitor.Trigger, live bool)
 		if err != nil {
 			return nil, err
 		}
-		for name, value := range res.Outputs {
+		for o, value := range res.Outputs {
+			name := b.outputs[o]
 			a := service.Action(name)
 			if value < c.cfg.MinApplicability {
 				continue
@@ -367,7 +368,9 @@ func (c *Controller) scoreRef(b *binder, vec []float64, ref *placement.HostRef) 
 	if err != nil {
 		return 0, false
 	}
-	score = res.Outputs[VarScore]
+	if b.score >= 0 {
+		score = res.Outputs[b.score]
+	}
 	res.Release()
 	ref.Memoise(b.rb, vec, score)
 	return score, true

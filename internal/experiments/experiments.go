@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"autoglobe/internal/controller"
@@ -65,17 +66,28 @@ func Figure5() (Figure5Result, error) {
 	if err != nil {
 		return Figure5Result{}, err
 	}
+	// Inputs and outputs are slots, named when the base compiles.
+	vals := make([]float64, 2)
+	for i, name := range rb.Compile().Inputs() {
+		switch name {
+		case "cpuLoad":
+			vals[i] = 0.9
+		case "performanceIndex":
+			vals[i] = 5
+		}
+	}
 	engine := fuzzy.NewEngine(nil)
-	res, err := engine.Infer(rb, map[string]float64{"cpuLoad": 0.9, "performanceIndex": 5})
+	res, err := engine.InferVec(rb, vals)
 	if err != nil {
 		return Figure5Result{}, err
 	}
+	outputs := rb.OutputVars()
 	out := Figure5Result{
 		CPULoad:         0.9,
 		Rule1Truth:      res.Fired[0],
 		Rule2Truth:      res.Fired[1],
-		ScaleUpCrisp:    res.Outputs["scaleUp"],
-		ScaleOutCrisp:   res.Outputs["scaleOut"],
+		ScaleUpCrisp:    res.Outputs[slices.Index(outputs, "scaleUp")],
+		ScaleOutCrisp:   res.Outputs[slices.Index(outputs, "scaleOut")],
 		DefuzzifierName: engine.Defuzzifier().Name(),
 	}
 	out.PreferredAction = "scale-up"

@@ -28,10 +28,10 @@ func BenchmarkInferTwoRules(b *testing.B) {
 		IF cpuLoad IS medium THEN scaleOut IS applicable
 	`))
 	e := NewEngine(nil)
-	in := map[string]float64{"cpuLoad": 0.8}
+	vec := []float64{0.8} // cpuLoad, the base's one input slot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Infer(rb, in); err != nil {
+		if _, err := e.InferVec(rb, vec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,11 +50,11 @@ func BenchmarkInferTwoRulesReleased(b *testing.B) {
 	`))
 	rb.Compile() // warm the program outside the timed loop
 	e := NewEngine(nil)
-	in := map[string]float64{"cpuLoad": 0.8}
+	vec := []float64{0.8} // cpuLoad
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Infer(rb, in)
+		res, err := e.InferVec(rb, vec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,9 +77,9 @@ func BenchmarkInferParallel(b *testing.B) {
 	e := NewEngine(nil)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		in := map[string]float64{"cpuLoad": 0.8}
+		vec := []float64{0.8} // cpuLoad
 		for pb.Next() {
-			res, err := e.Infer(rb, in)
+			res, err := e.InferVec(rb, vec)
 			if err != nil {
 				b.Fatal(err)
 			}

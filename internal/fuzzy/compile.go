@@ -94,7 +94,6 @@ func newConsequent(rule int, pre *Set) compiledConsequent {
 // outputSlot is one distinct output variable of the rule base with the
 // consequents assigning it, in rule order.
 type outputSlot struct {
-	name     string
 	min, max float64
 	cons     []compiledConsequent
 }
@@ -122,8 +121,8 @@ type inferScratch struct {
 }
 
 // Compile lowers the rule base into its index-based program. Compilation
-// happens at most once per rule base (Engine.Infer compiles lazily on
-// first use); calling Compile eagerly simply warms the program, e.g.
+// happens at most once per rule base (Engine.InferVec compiles lazily
+// on first use); calling Compile eagerly simply warms the program, e.g.
 // before handing the rule base to concurrent controllers.
 func (rb *RuleBase) Compile() *Program { return rb.program() }
 
@@ -204,7 +203,7 @@ func compile(rb *RuleBase) *Program {
 			panic(fmt.Sprintf("fuzzy: compile %q: unknown output variable %q", rb.Name, name))
 		}
 		outIdx[name] = len(p.outputs)
-		p.outputs = append(p.outputs, outputSlot{name: name, min: v.Min, max: v.Max})
+		p.outputs = append(p.outputs, outputSlot{min: v.Min, max: v.Max})
 	}
 
 	for i, r := range rb.rules {
@@ -244,8 +243,8 @@ func maxInt(a, b int) int {
 }
 
 // newResult hands out a Result sized for the program, recycling released
-// ones. A recycled Result keeps its map and buffers and finish overwrites
-// every entry, so steady-state inference does not allocate. The pool is
+// ones. A recycled Result keeps its buffers and finish overwrites every
+// slot, so steady-state inference does not allocate. The pool is
 // shared by every engine: a recycled Result may carry stale sets from a
 // sampled inference or none from a closed-form one; finish sorts that out.
 func (p *Program) newResult() *Result {
@@ -255,14 +254,14 @@ func (p *Program) newResult() *Result {
 		return res
 	}
 	return &Result{
-		Outputs: make(map[string]float64, len(p.outputs)),
+		Outputs: make([]float64, len(p.outputs)),
 		Fired:   make([]float64, len(p.rules)),
 		home:    &p.results,
 	}
 }
 
 // NumInputs returns the number of distinct input variables the compiled
-// program gathers — the length of the vector RunVec expects.
+// program gathers — the length of the vector InferVec expects.
 func (p *Program) NumInputs() int { return len(p.inputs) }
 
 // Inputs returns the names of the program's distinct input variables in
@@ -277,10 +276,10 @@ func (p *Program) Inputs() []string {
 	return out
 }
 
-// MissingInputError builds the exact error the map-based Infer path
-// reports when the i-th input slot has no measurement, so callers that
-// gather inputs themselves (the vector path) surface byte-identical
-// error semantics.
+// MissingInputError builds the error a caller reports when it has no
+// measurement for the i-th input slot: it names the variable and the
+// first rule that reads it, so every caller binding inputs to slots
+// reports a missing one the same way.
 func (p *Program) MissingInputError(i int) error {
 	in := &p.inputs[i]
 	r := in.ruleIdx
@@ -288,30 +287,14 @@ func (p *Program) MissingInputError(i int) error {
 		p.rb.Name, r, p.rb.rules[r], in.name)
 }
 
-// run executes one fuzzification → inference → defuzzification cycle
-// of the compiled program over a map of measurements, one lookup per
-// distinct input variable. A missing measurement reports the first rule
-// referencing the variable.
-func (p *Program) run(e *Engine, inputs map[string]float64) (*Result, error) {
-	sc := p.scratch.Get().(*inferScratch)
-	defer p.scratch.Put(sc)
-	for i := range p.inputs {
-		x, ok := inputs[p.inputs[i].name]
-		if !ok {
-			return nil, p.MissingInputError(i)
-		}
-		sc.inVals[i] = x
-	}
-	return p.finish(e, sc), nil
-}
-
-// runVec is run over a caller-filled input vector: vals[i] is the
-// measurement for the i-th input slot (see Inputs). The caller must
-// fill every slot — slot resolution and missing-input detection happen
-// at bind time, not per inference — and retains vals; the program
-// copies the values into pooled scratch, so the same recycled vector can
-// back any number of inferences.
-func (p *Program) runVec(e *Engine, vals []float64) (*Result, error) {
+// run executes one fuzzification → inference → defuzzification
+// cycle of the compiled program over a caller-filled input vector:
+// vals[i] is the measurement for the i-th input slot (see Inputs). The
+// caller must fill every slot — slot resolution and missing-input
+// detection happen at bind time, not per inference — and retains vals;
+// the program copies the values into pooled scratch, so the same
+// recycled vector can back any number of inferences.
+func (p *Program) run(e *Engine, vals []float64) (*Result, error) {
 	if len(vals) != len(p.inputs) {
 		return nil, fmt.Errorf("fuzzy: rule base %q: input vector has %d slots, program expects %d",
 			p.rb.Name, len(vals), len(p.inputs))
@@ -323,8 +306,8 @@ func (p *Program) runVec(e *Engine, vals []float64) (*Result, error) {
 }
 
 // finish clamps the gathered measurements to their universes and runs
-// fuzzification, rule evaluation and defuzzification — the shared tail
-// of run and runVec, which differ only in where the values come from.
+// fuzzification, rule evaluation and defuzzification, writing each
+// output's crisp value to its slot.
 func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 	for i := range p.inputs {
 		in := &p.inputs[i]
@@ -350,7 +333,7 @@ func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 		res.sets = nil
 		for i := range p.outputs {
 			o := &p.outputs[i]
-			res.Outputs[o.name] = o.leftMax(res.Fired)
+			res.Outputs[i] = o.leftMax(res.Fired)
 		}
 		return res
 	}
@@ -360,7 +343,7 @@ func (p *Program) finish(e *Engine, sc *inferScratch) *Result {
 	for i := range p.outputs {
 		o := &p.outputs[i]
 		res.sets[i] = o.aggregate(res.sets[i], res.Fired, e.inference)
-		res.Outputs[o.name] = e.defuzz.Defuzzify(res.sets[i])
+		res.Outputs[i] = e.defuzz.Defuzzify(res.sets[i])
 	}
 	return res
 }

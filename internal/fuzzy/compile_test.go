@@ -3,7 +3,7 @@ package fuzzy
 import (
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -43,7 +43,8 @@ func compileRuleBase(t testing.TB) *RuleBase {
 
 // TestCompiledMatchesInterpreted differential-tests the compiled fast
 // path against the reference interpreter over a grid of inputs, all
-// inference methods and all defuzzifiers. Results must be bit-identical.
+// inference methods and all defuzzifiers, binding every point into one
+// recycled vector as a hot path does. Results must be bit-identical.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	rb := compileRuleBase(t)
 	engines := []*Engine{
@@ -52,6 +53,8 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		NewEngine(MeanOfMax{}),
 		NewEngine(Centroid{}).WithInference(MaxProduct),
 	}
+	names := rb.Compile().Inputs()
+	vec := make([]float64, len(names))
 	for ei, e := range engines {
 		for cpu := -0.2; cpu <= 1.2; cpu += 0.1 {
 			for mem := 0.0; mem <= 1.0; mem += 0.25 {
@@ -59,11 +62,14 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 					in := map[string]float64{
 						"cpuLoad": cpu, "memLoad": mem, "performanceIndex": pi,
 					}
+					for i, n := range names {
+						vec[i] = in[n]
+					}
 					want, err := e.inferInterpreted(rb, in)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := e.Infer(rb, in)
+					got, err := e.InferVec(rb, vec)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -73,16 +79,14 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 								ei, in, i, got.Fired[i], want.Fired[i])
 						}
 					}
-					for name, w := range want.Outputs {
-						if g, ok := got.Outputs[name]; !ok || g != w {
-							t.Fatalf("engine %d inputs %v: Outputs[%s] = %v, interpreter %v",
-								ei, in, name, g, w)
-						}
-					}
 					if len(got.Outputs) != len(want.Outputs) {
-						t.Fatalf("engine %d: output shape mismatch", ei)
+						t.Fatalf("engine %d: %d outputs, interpreter %d", ei, len(got.Outputs), len(want.Outputs))
 					}
-					for name := range want.Outputs {
+					for o, name := range rb.OutputVars() {
+						if got.Outputs[o] != want.Outputs[o] {
+							t.Fatalf("engine %d inputs %v: %s = %v, interpreter %v",
+								ei, in, name, got.Outputs[o], want.Outputs[o])
+						}
 						ws, gs := outputSet(rb, want, name), outputSet(rb, got, name)
 						for i := 0; i < setSamples; i++ {
 							if gs.grades[i] != ws.grades[i] {
@@ -104,51 +108,50 @@ func TestCompiledInferAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates inside sync.Pool")
 	}
 	rb := compileRuleBase(t)
-	rb.Compile()
 	e := NewEngine(nil)
-	in := map[string]float64{"cpuLoad": 0.85, "memLoad": 0.4, "performanceIndex": 4}
+	vec := bind(t, rb, map[string]float64{"cpuLoad": 0.85, "memLoad": 0.4, "performanceIndex": 4})
 	// Warm the pools.
 	for i := 0; i < 3; i++ {
-		res, err := e.Infer(rb, in)
+		res, err := e.InferVec(rb, vec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Release()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		res, err := e.Infer(rb, in)
+		res, err := e.InferVec(rb, vec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.Release()
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state compiled Infer allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("steady-state compiled inference allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
 // TestCompiledInferAllocsWithoutRelease documents the ceiling when the
 // caller keeps every Result: only the Result, its Fired slice and its
-// Outputs map may be allocated, never sets or per-rule scratch.
+// Outputs slice may be allocated, never sets or per-rule scratch.
 func TestCompiledInferAllocsWithoutRelease(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool")
 	}
 	rb := compileRuleBase(t)
 	e := NewEngine(nil)
-	in := map[string]float64{"cpuLoad": 0.85, "memLoad": 0.4, "performanceIndex": 4}
-	if _, err := e.Infer(rb, in); err != nil {
+	vec := bind(t, rb, map[string]float64{"cpuLoad": 0.85, "memLoad": 0.4, "performanceIndex": 4})
+	if _, err := e.InferVec(rb, vec); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.Infer(rb, in); err != nil {
+		if _, err := e.InferVec(rb, vec); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Result struct + Fired + the Outputs map and its one group: the
-	// paper's engine materialises no output set.
-	if allocs > 4 {
-		t.Errorf("compiled Infer without Release allocates %.1f objects/op, want ≤ 4", allocs)
+	// Result struct + Fired + Outputs: the paper's engine materialises
+	// no output set.
+	if allocs > 3 {
+		t.Errorf("compiled inference without Release allocates %.1f objects/op, want ≤ 3", allocs)
 	}
 }
 
@@ -158,16 +161,16 @@ func TestCompiledInferAllocsWithoutRelease(t *testing.T) {
 func TestCompiledInferConcurrent(t *testing.T) {
 	rb := compileRuleBase(t)
 	e := NewEngine(nil)
-	inputsFor := func(i int) map[string]float64 {
-		return map[string]float64{
+	vecs := make([][]float64, 64)
+	want := make([][]float64, len(vecs))
+	for i := range want {
+		in := map[string]float64{
 			"cpuLoad":          float64(i%11) / 10,
 			"memLoad":          float64(i%7) / 6,
 			"performanceIndex": float64(i % 10),
 		}
-	}
-	want := make([]map[string]float64, 64)
-	for i := range want {
-		res, err := e.inferInterpreted(rb, inputsFor(i))
+		vecs[i] = bind(t, rb, in)
+		res, err := e.inferInterpreted(rb, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +184,14 @@ func TestCompiledInferConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
 				i := iter % len(want)
-				res, err := e.Infer(rb, inputsFor(i))
+				res, err := e.InferVec(rb, vecs[i])
 				if err != nil {
 					errs <- err
 					return
 				}
-				for name, w := range want[i] {
-					if res.Outputs[name] != w {
-						errs <- fmt.Errorf("case %d: Outputs[%s] = %v, want %v", i, name, res.Outputs[name], w)
+				for o, w := range want[i] {
+					if res.Outputs[o] != w {
+						errs <- fmt.Errorf("case %d: Outputs[%d] = %v, want %v", i, o, res.Outputs[o], w)
 						res.Release()
 						return
 					}
@@ -205,18 +208,19 @@ func TestCompiledInferConcurrent(t *testing.T) {
 }
 
 // TestCompiledMissingInput preserves the interpreter's error contract:
-// the error names the rule base, the first referencing rule, and the
-// missing variable.
+// the program's error for a slot without a measurement is the one the
+// interpreter reports for the same missing variable, naming the rule
+// base, the first referencing rule, and the variable.
 func TestCompiledMissingInput(t *testing.T) {
 	rb := compileRuleBase(t)
-	_, err := NewEngine(nil).Infer(rb, map[string]float64{"cpuLoad": 0.5, "performanceIndex": 1})
+	_, err := NewEngine(nil).inferInterpreted(rb, map[string]float64{"cpuLoad": 0.5, "performanceIndex": 1})
 	if err == nil {
-		t.Fatal("expected error for missing input variable")
+		t.Fatal("interpreter: no error for missing input variable")
 	}
-	for _, frag := range []string{`"memLoad"`, `"compile-test"`, "no measurement"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("error %q does not mention %s", err, frag)
-		}
+	p := rb.Compile()
+	slot := slices.Index(p.Inputs(), "memLoad")
+	if got := p.MissingInputError(slot).Error(); got != err.Error() {
+		t.Errorf("MissingInputError(%d) = %q, interpreter %q", slot, got, err)
 	}
 }
 
@@ -226,50 +230,50 @@ func TestResultRelease(t *testing.T) {
 	rb := compileRuleBase(t)
 	e := NewEngine(nil)
 	in := map[string]float64{"cpuLoad": 0.9, "memLoad": 0.2, "performanceIndex": 4}
-	r1, err := e.Infer(rb, in)
+	r1, err := e.InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantUp := r1.Outputs["scaleUp"]
+	wantUp := output(rb, r1, "scaleUp")
 	r1.Release()
 	r1.Release() // double release must be harmless
-	quiet, err := e.Infer(rb, map[string]float64{"cpuLoad": 0, "memLoad": 0, "performanceIndex": 0})
+	quiet, err := e.InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": 0, "memLoad": 0, "performanceIndex": 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A recycled Result must not leak the previous call's grades.
-	if got := quiet.Outputs["scaleUp"]; got >= wantUp {
+	if got := output(rb, quiet, "scaleUp"); got >= wantUp {
 		t.Errorf("recycled result leaked state: quiet scaleUp = %v (previous %v)", got, wantUp)
 	}
 	quiet.Release()
-	r2, err := e.Infer(rb, in)
+	r2, err := e.InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Outputs["scaleUp"] != wantUp {
-		t.Errorf("after recycle: scaleUp = %v, want %v", r2.Outputs["scaleUp"], wantUp)
+	if output(rb, r2, "scaleUp") != wantUp {
+		t.Errorf("after recycle: scaleUp = %v, want %v", output(rb, r2, "scaleUp"), wantUp)
 	}
 	r2.Release()
 }
 
-// TestInferResultsIndependent: results of two Infer calls must not share
+// TestInferResultsIndependent: results of two inferences must not share
 // buffers unless the first was explicitly released.
 func TestInferResultsIndependent(t *testing.T) {
 	rb := compileRuleBase(t)
 	e := NewEngine(nil)
-	hot, err := e.Infer(rb, map[string]float64{"cpuLoad": 0.9, "memLoad": 0.2, "performanceIndex": 4})
+	hot, err := e.InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": 0.9, "memLoad": 0.2, "performanceIndex": 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := hot.Outputs["scaleUp"]
-	if _, err := e.Infer(rb, map[string]float64{"cpuLoad": 0, "memLoad": 0, "performanceIndex": 0}); err != nil {
+	before := output(rb, hot, "scaleUp")
+	if _, err := e.InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": 0, "memLoad": 0, "performanceIndex": 0})); err != nil {
 		t.Fatal(err)
 	}
-	if hot.Outputs["scaleUp"] != before {
-		t.Error("second Infer mutated an unreleased Result")
+	if output(rb, hot, "scaleUp") != before {
+		t.Error("a second inference mutated an unreleased Result")
 	}
 	if outputSet(rb, hot, "scaleUp").Height() == 0 {
-		t.Error("second Infer cleared an unreleased Result's sets")
+		t.Error("a second inference cleared an unreleased Result's sets")
 	}
 }
 
@@ -279,7 +283,7 @@ func TestExtendCompiles(t *testing.T) {
 	rb := compileRuleBase(t)
 	e := NewEngine(nil)
 	in := map[string]float64{"cpuLoad": 0.9, "memLoad": 0.2, "performanceIndex": 4}
-	base, err := e.Infer(rb, in)
+	base, err := e.InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,17 +291,17 @@ func TestExtendCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extRes, err := e.Infer(ext, in)
+	extRes, err := e.InferVec(ext, bind(t, ext, in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(extRes.Fired) != rb.Len()+1 {
 		t.Fatalf("extended Fired has %d entries, want %d", len(extRes.Fired), rb.Len()+1)
 	}
-	if got := extRes.Outputs["scaleUp"]; got != base.Outputs["scaleUp"] {
-		t.Errorf("extension changed unrelated output: %v vs %v", got, base.Outputs["scaleUp"])
+	if got := output(ext, extRes, "scaleUp"); got != output(rb, base, "scaleUp") {
+		t.Errorf("extension changed unrelated output: %v vs %v", got, output(rb, base, "scaleUp"))
 	}
-	again, err := e.Infer(rb, in)
+	again, err := e.InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +327,11 @@ func TestCompiledHugeExpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewEngine(nil).Infer(rb, in)
+	got, err := NewEngine(nil).InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Outputs["scaleUp"]-want.Outputs["scaleUp"]) != 0 {
-		t.Errorf("deep expression: %v vs %v", got.Outputs["scaleUp"], want.Outputs["scaleUp"])
+	if math.Abs(output(rb, got, "scaleUp")-output(rb, want, "scaleUp")) != 0 {
+		t.Errorf("deep expression: %v vs %v", output(rb, got, "scaleUp"), output(rb, want, "scaleUp"))
 	}
 }

@@ -31,7 +31,9 @@
 //	THEN scaleUp IS applicable
 //
 // Rules are parsed by Parse into an AST (Expr), compiled once per rule
-// base, and evaluated by an Engine against crisp measurements, producing
-// crisp output values (action applicabilities and host scores in
-// AutoGlobe).
+// base, and evaluated by Engine.InferVec against crisp measurements,
+// producing crisp output values (action applicabilities and host scores
+// in AutoGlobe). Both are slots fixed when the base compiles: the i-th
+// measurement feeds the variable Program.Inputs names i-th, and the i-th
+// output is the variable RuleBase.OutputVars names i-th.
 package fuzzy

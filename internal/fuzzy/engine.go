@@ -28,7 +28,7 @@ type RuleBase struct {
 	ranks []int
 
 	// outVars caches the sorted output-variable names, computed once at
-	// construction instead of per Infer call.
+	// construction: the order of the compiled program's output slots.
 	outVars []string
 
 	compileOnce sync.Once
@@ -89,13 +89,6 @@ func MustRuleBase(name string, vocab *Vocabulary, rules []Rule) *RuleBase {
 		panic(err)
 	}
 	return rb
-}
-
-// Rules returns a copy of the rule list.
-func (rb *RuleBase) Rules() []Rule {
-	cp := make([]Rule, len(rb.rules))
-	copy(cp, rb.rules)
-	return cp
 }
 
 // RuleAt returns the i-th rule without copying the whole list — the
@@ -204,9 +197,10 @@ func (e *Engine) Defuzzifier() Defuzzifier { return e.defuzz }
 
 // Result holds the outcome of one inference cycle.
 type Result struct {
-	// Outputs maps every output variable of the rule base to its crisp
-	// defuzzified value. Variables no rule fired for map to 0.
-	Outputs map[string]float64
+	// Outputs holds the crisp defuzzified value of every output variable
+	// of the rule base, indexed like RuleBase.OutputVars. Variables no
+	// rule fired for read 0.
+	Outputs []float64
 	// Fired lists, for each rule index, the antecedent degree of truth.
 	Fired []float64
 
@@ -219,7 +213,7 @@ type Result struct {
 }
 
 // Release returns the Result to its rule base's buffer pool so a later
-// Infer call can reuse its map and buffers, making steady-state
+// inference can reuse its buffers, making steady-state
 // compiled inference allocation-free. After Release the Result must no
 // longer be read. Release is optional — an unreleased Result is simply
 // collected by the GC — and calling it more than once is a no-op.
@@ -232,32 +226,18 @@ func (r *Result) Release() {
 	h.Put(r)
 }
 
-// Infer runs one fuzzification → inference → defuzzification cycle
+// InferVec runs one fuzzification → inference → defuzzification cycle
 // using the rule base's compiled program (see compile.go); the program
-// is compiled transparently on first use. Infer is safe for concurrent
-// use on a shared Engine and RuleBase.
-//
-// inputs maps variable names to crisp measurements. Every input variable
-// referenced by a firing rule must be present; a missing input is an
-// error (the AutoGlobe controller always initializes all variables from
-// monitoring data or the load archive before triggering inference).
+// is compiled on first use. vals[i] is the crisp measurement for the
+// i-th input slot of the program (slot order via Program.Inputs, fixed
+// when the base compiles): callers resolve names to slots once per rule
+// base and fill a recycled vector per call. Every slot must be filled —
+// a caller that lacks a measurement reports Program.MissingInputError
+// for its slot. InferVec is safe for concurrent use on a shared Engine
+// and RuleBase.
 //
 // Call Release on the returned Result when done with it to recycle its
 // buffers; steady-state inference then performs zero heap allocations.
-func (e *Engine) Infer(rb *RuleBase, inputs map[string]float64) (*Result, error) {
-	return rb.program().run(e, inputs)
-}
-
-// InferVec is Infer over a pre-bound input vector: vals[i] is the crisp
-// measurement for the i-th input slot of the rule base's compiled
-// program (slot order via Program.Inputs, resolved once per rule base,
-// not per call). Hot paths fill a recycled vector instead of building a
-// map[string]float64 per inference, which removes the last steady-state
-// allocation from the AutoGlobe server-selection loop. Every slot must
-// be filled — callers detect missing measurements at bind time and
-// report them with Program.MissingInputError, keeping error semantics
-// identical to the map path. InferVec is bit-identical to Infer given
-// equal inputs and safe for concurrent use.
 func (e *Engine) InferVec(rb *RuleBase, vals []float64) (*Result, error) {
-	return rb.program().runVec(e, vals)
+	return rb.program().run(e, vals)
 }

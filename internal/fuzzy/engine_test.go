@@ -50,10 +50,10 @@ func TestSection3Inference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewEngine(nil).Infer(rb, map[string]float64{
+	res, err := NewEngine(nil).InferVec(rb, bind(t, rb, map[string]float64{
 		"cpuLoad":          0.9,
 		"performanceIndex": 4,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestSection3Inference(t *testing.T) {
 	if !approx(res.Fired[1], 0.3) {
 		t.Errorf("rule 2 antecedent truth = %g, want 0.3", res.Fired[1])
 	}
-	if got := res.Outputs["scaleUp"]; math.Abs(got-0.6) > 0.01 {
+	if got := output(rb, res, "scaleUp"); math.Abs(got-0.6) > 0.01 {
 		t.Errorf("scaleUp applicability = %g, want 0.6 (Figure 5)", got)
 	}
-	if got := res.Outputs["scaleOut"]; math.Abs(got-0.3) > 0.01 {
+	if got := output(rb, res, "scaleOut"); math.Abs(got-0.3) > 0.01 {
 		t.Errorf("scaleOut applicability = %g, want 0.3", got)
 	}
-	if res.Outputs["scaleUp"] <= res.Outputs["scaleOut"] {
+	if output(rb, res, "scaleUp") <= output(rb, res, "scaleOut") {
 		t.Error("controller must favor scale-up over scale-out in this situation")
 	}
 }
@@ -77,22 +77,24 @@ func TestSection3Inference(t *testing.T) {
 func TestInferNoRuleFires(t *testing.T) {
 	vc := paperVocab(t)
 	rb := MustRuleBase("t", vc, MustParse(`IF cpuLoad IS high THEN scaleUp IS applicable`))
-	res, err := NewEngine(nil).Infer(rb, map[string]float64{"cpuLoad": 0.1})
+	res, err := NewEngine(nil).InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs["scaleUp"] != 0 {
-		t.Errorf("no rule fired but scaleUp = %g, want 0", res.Outputs["scaleUp"])
+	if output(rb, res, "scaleUp") != 0 {
+		t.Errorf("no rule fired but scaleUp = %g, want 0", output(rb, res, "scaleUp"))
 	}
 	if outputSet(rb, res, "scaleUp").Height() != 0 {
 		t.Error("output set should be empty when no rule fires")
 	}
 }
 
+// TestInferMissingInput: a vector without the slot of the base's one
+// input is refused, not read past its end.
 func TestInferMissingInput(t *testing.T) {
 	vc := paperVocab(t)
 	rb := MustRuleBase("t", vc, MustParse(`IF cpuLoad IS high THEN scaleUp IS applicable`))
-	if _, err := NewEngine(nil).Infer(rb, map[string]float64{}); err == nil {
+	if _, err := NewEngine(nil).InferVec(rb, nil); err == nil {
 		t.Fatal("expected error for missing input variable")
 	}
 }
@@ -105,12 +107,12 @@ func TestInferUnionOfRules(t *testing.T) {
 		IF cpuLoad IS high THEN scaleUp IS applicable
 		IF cpuLoad IS medium THEN scaleUp IS applicable
 	`))
-	res, err := NewEngine(nil).Infer(rb, map[string]float64{"cpuLoad": 0.9})
+	res, err := NewEngine(nil).InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": 0.9}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// At 0.9: high = 0.8, medium = 0. Union peaks at 0.8.
-	if got := res.Outputs["scaleUp"]; math.Abs(got-0.8) > 0.01 {
+	if got := output(rb, res, "scaleUp"); math.Abs(got-0.8) > 0.01 {
 		t.Errorf("scaleUp = %g, want 0.8", got)
 	}
 }
@@ -162,23 +164,23 @@ func TestEngineDefuzzifierChoice(t *testing.T) {
 	rb := MustRuleBase("t", vc, MustParse(`IF cpuLoad IS high THEN scaleUp IS applicable`))
 	in := map[string]float64{"cpuLoad": 0.9} // clip height 0.8
 
-	left, err := NewEngine(LeftMax{}).Infer(rb, in)
+	left, err := NewEngine(LeftMax{}).InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cen, err := NewEngine(Centroid{}).Infer(rb, in)
+	cen, err := NewEngine(Centroid{}).InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Leftmost-max of the ramp clipped at 0.8 is exactly 0.8; the centroid
 	// is pulled left by the ramp's mass, so the two methods must disagree
 	// with centroid < leftmost-max.
-	if math.Abs(left.Outputs["scaleUp"]-0.8) > 0.01 {
-		t.Errorf("leftmost-max = %g, want 0.8", left.Outputs["scaleUp"])
+	if math.Abs(output(rb, left, "scaleUp")-0.8) > 0.01 {
+		t.Errorf("leftmost-max = %g, want 0.8", output(rb, left, "scaleUp"))
 	}
-	if !(cen.Outputs["scaleUp"] < left.Outputs["scaleUp"]) {
+	if !(output(rb, cen, "scaleUp") < output(rb, left, "scaleUp")) {
 		t.Errorf("centroid (%g) should be below leftmost-max (%g) for a clipped rising ramp",
-			cen.Outputs["scaleUp"], left.Outputs["scaleUp"])
+			output(rb, cen, "scaleUp"), output(rb, left, "scaleUp"))
 	}
 }
 
@@ -190,19 +192,19 @@ func TestMaxProductInference(t *testing.T) {
 	rb := MustRuleBase("t", vc, MustParse(`IF cpuLoad IS high THEN scaleUp IS applicable`))
 	in := map[string]float64{"cpuLoad": 0.9} // truth 0.8
 
-	clip, err := NewEngine(nil).Infer(rb, in)
+	clip, err := NewEngine(nil).InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := NewEngine(nil).WithInference(MaxProduct).Infer(rb, in)
+	prod, err := NewEngine(nil).WithInference(MaxProduct).InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(clip.Outputs["scaleUp"]-0.8) > 0.01 {
-		t.Errorf("max-min scaleUp = %g, want 0.8", clip.Outputs["scaleUp"])
+	if math.Abs(output(rb, clip, "scaleUp")-0.8) > 0.01 {
+		t.Errorf("max-min scaleUp = %g, want 0.8", output(rb, clip, "scaleUp"))
 	}
-	if math.Abs(prod.Outputs["scaleUp"]-1.0) > 0.01 {
-		t.Errorf("max-product scaleUp (leftmost max of scaled ramp) = %g, want 1.0", prod.Outputs["scaleUp"])
+	if math.Abs(output(rb, prod, "scaleUp")-1.0) > 0.01 {
+		t.Errorf("max-product scaleUp (leftmost max of scaled ramp) = %g, want 1.0", output(rb, prod, "scaleUp"))
 	}
 	// The scaled set's height equals the truth.
 	if h := outputSet(rb, prod, "scaleUp").Height(); math.Abs(h-0.8) > 0.01 {
@@ -237,15 +239,15 @@ func TestInferIdempotent(t *testing.T) {
 	rb := MustRuleBase("t", vc, MustParse(`IF cpuLoad IS high THEN scaleUp IS applicable`))
 	e := NewEngine(nil)
 	in := map[string]float64{"cpuLoad": 0.77}
-	r1, err := e.Infer(rb, in)
+	r1, err := e.InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Infer(rb, in)
+	r2, err := e.InferVec(rb, bind(t, rb, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Outputs["scaleUp"] != r2.Outputs["scaleUp"] {
-		t.Errorf("inference not idempotent: %g vs %g", r1.Outputs["scaleUp"], r2.Outputs["scaleUp"])
+	if output(rb, r1, "scaleUp") != output(rb, r2, "scaleUp") {
+		t.Errorf("inference not idempotent: %g vs %g", output(rb, r1, "scaleUp"), output(rb, r2, "scaleUp"))
 	}
 }

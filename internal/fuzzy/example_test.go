@@ -6,10 +6,11 @@ import (
 	"autoglobe/internal/fuzzy"
 )
 
-// ExampleEngine_Infer walks the paper's Section 3 inference: fuzzify,
+// ExampleEngine_InferVec walks the paper's Section 3 inference: fuzzify,
 // evaluate the rule base with max–min inference, defuzzify with the
-// leftmost maximum.
-func ExampleEngine_Infer() {
+// leftmost maximum. Inputs and outputs are slots fixed when the base
+// compiles: the program's Inputs and the base's OutputVars name them.
+func ExampleEngine_InferVec() {
 	vocab := fuzzy.NewVocabulary()
 	vocab.Add(fuzzy.StandardLoad("cpuLoad"))
 	vocab.Add(fuzzy.Applicability("scaleOut"))
@@ -19,11 +20,14 @@ func ExampleEngine_Infer() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := fuzzy.NewEngine(nil).Infer(rb, map[string]float64{"cpuLoad": 0.9})
+	vals := []float64{0.9} // rb.Compile().Inputs(): [cpuLoad]
+	res, err := fuzzy.NewEngine(nil).InferVec(rb, vals)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("scaleOut applicability: %.2f\n", res.Outputs["scaleOut"])
+	for i, name := range rb.OutputVars() {
+		fmt.Printf("%s applicability: %.2f\n", name, res.Outputs[i])
+	}
 	// Output: scaleOut applicability: 0.80
 }
 

@@ -40,8 +40,8 @@ func CheckDifferential(rb *RuleBase, vals []float64, interpret bool) error {
 			}
 		}
 	}
-	for _, name := range rb.outVars {
-		closed, set := got.Outputs[name], outputSet(rb, got, name)
+	for o, name := range rb.outVars {
+		closed, set := got.Outputs[o], outputSet(rb, got, name)
 		if sampled := (LeftMax{}).Defuzzify(set); math.Float64bits(closed) != math.Float64bits(sampled) {
 			return fmt.Errorf("%s %v: %s = %v in closed form, %v over the materialised set (fired %v)",
 				rb.Name, vals, name, closed, sampled, got.Fired)
@@ -49,7 +49,7 @@ func CheckDifferential(rb *RuleBase, vals []float64, interpret bool) error {
 		if want == nil {
 			continue
 		}
-		if w := want.Outputs[name]; math.Float64bits(closed) != math.Float64bits(w) {
+		if w := want.Outputs[o]; math.Float64bits(closed) != math.Float64bits(w) {
 			return fmt.Errorf("%s %v: %s = %v, interpreter %v", rb.Name, vals, name, closed, w)
 		}
 		ws := outputSet(rb, want, name)

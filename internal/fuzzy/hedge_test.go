@@ -83,16 +83,16 @@ func TestHedgeInference(t *testing.T) {
 		IF cpuLoad IS high THEN move IS applicable
 		IF cpuLoad IS very high THEN scaleUp IS applicable
 	`))
-	res, err := NewEngine(nil).Infer(rb, map[string]float64{"cpuLoad": 0.9})
+	res, err := NewEngine(nil).InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": 0.9}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// μ_high(0.9) = 0.8; very high = 0.64.
-	if math.Abs(res.Outputs["move"]-0.8) > 0.01 {
-		t.Errorf("move = %g, want 0.8", res.Outputs["move"])
+	if math.Abs(output(rb, res, "move")-0.8) > 0.01 {
+		t.Errorf("move = %g, want 0.8", output(rb, res, "move"))
 	}
-	if math.Abs(res.Outputs["scaleUp"]-0.64) > 0.01 {
-		t.Errorf("scaleUp = %g, want 0.64", res.Outputs["scaleUp"])
+	if math.Abs(output(rb, res, "scaleUp")-0.64) > 0.01 {
+		t.Errorf("scaleUp = %g, want 0.64", output(rb, res, "scaleUp"))
 	}
 }
 

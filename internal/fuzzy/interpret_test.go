@@ -39,7 +39,7 @@ func (e *Engine) inferInterpreted(rb *RuleBase, inputs map[string]float64) (*Res
 	}
 
 	res := &Result{
-		Outputs: make(map[string]float64),
+		Outputs: make([]float64, len(rb.outVars)),
 		Fired:   make([]float64, len(rb.rules)),
 		sets:    make([]*Set, len(rb.outVars)),
 	}
@@ -71,8 +71,8 @@ func (e *Engine) inferInterpreted(rb *RuleBase, inputs map[string]float64) (*Res
 		}
 	}
 
-	for name, set := range sets {
-		res.Outputs[name] = e.defuzz.Defuzzify(set)
+	for i, set := range res.sets {
+		res.Outputs[i] = e.defuzz.Defuzzify(set)
 	}
 	return res, nil
 }

@@ -54,17 +54,18 @@ func TestPropClosedFormMatchesUnion(t *testing.T) {
 // gets ones with stale sets. Neither may show in what they return.
 func TestSampledEnginesRecyclePaperResults(t *testing.T) {
 	rb := compileRuleBase(t)
-	in := map[string]float64{"cpuLoad": 0.9, "memLoad": 0.2, "performanceIndex": 4}
+	hotVec := bind(t, rb, map[string]float64{"cpuLoad": 0.9, "memLoad": 0.2, "performanceIndex": 4})
 	quiet := map[string]float64{"cpuLoad": 0, "memLoad": 0, "performanceIndex": 0}
+	quietVec := bind(t, rb, quiet)
 	paper, centroid := NewEngine(nil), NewEngine(Centroid{})
 	for round := 0; round < 3; round++ {
 		for _, e := range []*Engine{paper, centroid} {
-			hot, err := e.Infer(rb, in)
+			hot, err := e.InferVec(rb, hotVec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hot.Release()
-			got, err := e.Infer(rb, quiet)
+			got, err := e.InferVec(rb, quietVec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,10 +73,10 @@ func TestSampledEnginesRecyclePaperResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, w := range want.Outputs {
-				if got.Outputs[name] != w {
+			for o, name := range rb.OutputVars() {
+				if got.Outputs[o] != want.Outputs[o] {
 					t.Fatalf("round %d, %s: %s = %v on a recycled Result, interpreter %v",
-						round, e.Defuzzifier().Name(), name, got.Outputs[name], w)
+						round, e.Defuzzifier().Name(), name, got.Outputs[o], want.Outputs[o])
 				}
 				if gs, ws := outputSet(rb, got, name), outputSet(rb, want, name); gs.grades != ws.grades {
 					t.Fatalf("round %d, %s: set of %s differs on a recycled Result", round, e.Defuzzifier().Name(), name)

@@ -265,17 +265,6 @@ func TestParseLongRuleBase(t *testing.T) {
 	}
 }
 
-func TestRuleInputVars(t *testing.T) {
-	r, err := ParseRule(`IF cpuLoad IS high AND (memLoad IS low OR cpuLoad IS medium) THEN move IS applicable`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars := r.InputVars()
-	if !vars["cpuLoad"] || !vars["memLoad"] || len(vars) != 2 {
-		t.Errorf("InputVars = %v", vars)
-	}
-}
-
 // ParseRule parses a single rule. Trailing input is an error.
 func ParseRule(src string) (Rule, error) {
 	rules, err := Parse(src)

@@ -155,15 +155,15 @@ func TestPropInferenceMonotoneInLoad(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		rx, err := e.Infer(rb, map[string]float64{"cpuLoad": x})
+		rx, err := e.InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": x}))
 		if err != nil {
 			return false
 		}
-		ry, err := e.Infer(rb, map[string]float64{"cpuLoad": y})
+		ry, err := e.InferVec(rb, bind(t, rb, map[string]float64{"cpuLoad": y}))
 		if err != nil {
 			return false
 		}
-		return rx.Outputs["scaleUp"] <= ry.Outputs["scaleUp"]+1e-9
+		return output(rb, rx, "scaleUp") <= output(rb, ry, "scaleUp")+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -12,8 +12,6 @@ import (
 type Expr interface {
 	// String renders the expression in rule-language syntax.
 	String() string
-	// Vars appends the variable names referenced by the expression.
-	Vars(into map[string]bool)
 }
 
 // Hedge is a linguistic modifier applied to a term's membership grade
@@ -56,32 +54,20 @@ func (e IsExpr) String() string {
 	return e.Var + " IS " + e.Term
 }
 
-// Vars implements Expr.
-func (e IsExpr) Vars(into map[string]bool) { into[e.Var] = true }
-
 // NotExpr is the fuzzy complement: truth = 1 − truth(child).
 type NotExpr struct{ X Expr }
 
 func (e NotExpr) String() string { return "NOT " + parenthesize(e.X) }
-
-// Vars implements Expr.
-func (e NotExpr) Vars(into map[string]bool) { e.X.Vars(into) }
 
 // AndExpr is a fuzzy conjunction, evaluated with the minimum function.
 type AndExpr struct{ X, Y Expr }
 
 func (e AndExpr) String() string { return parenthesize(e.X) + " AND " + parenthesize(e.Y) }
 
-// Vars implements Expr.
-func (e AndExpr) Vars(into map[string]bool) { e.X.Vars(into); e.Y.Vars(into) }
-
 // OrExpr is a fuzzy disjunction, evaluated with the maximum function.
 type OrExpr struct{ X, Y Expr }
 
 func (e OrExpr) String() string { return parenthesize(e.X) + " OR " + parenthesize(e.Y) }
-
-// Vars implements Expr.
-func (e OrExpr) Vars(into map[string]bool) { e.X.Vars(into); e.Y.Vars(into) }
 
 // parenthesize wraps composite sub-expressions so the rendered rule
 // re-parses to the same tree.
@@ -116,14 +102,6 @@ func (r Rule) String() string {
 		parts[i] = c.String()
 	}
 	return "IF " + r.Antecedent.String() + " THEN " + strings.Join(parts, " AND ")
-}
-
-// InputVars returns the set of input variables referenced by the rule's
-// antecedent.
-func (r Rule) InputVars() map[string]bool {
-	m := make(map[string]bool)
-	r.Antecedent.Vars(m)
-	return m
 }
 
 // Validate checks that every variable and term referenced by the rule

@@ -1,61 +1,32 @@
 package fuzzy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestInferVecMatchesInfer differential-tests the vector entry point
-// against the map path over a grid of inputs, inference methods and
-// defuzzifiers. Both run the same compiled program past the gather, so
-// results must be bit-identical.
-func TestInferVecMatchesInfer(t *testing.T) {
-	rb := compileRuleBase(t)
+// bind lays named measurements out in the slots of rb's compiled
+// program, as a caller outside the package binds them once per rule
+// base, and fails the test for a slot without one.
+func bind(t testing.TB, rb *RuleBase, in map[string]float64) []float64 {
+	t.Helper()
 	p := rb.Compile()
-	names := p.Inputs()
-	engines := []*Engine{
-		NewEngine(nil),
-		NewEngine(nil).WithInference(MaxProduct),
-		NewEngine(MeanOfMax{}),
-		NewEngine(Centroid{}).WithInference(MaxProduct),
-	}
-	vec := make([]float64, len(names))
-	for ei, e := range engines {
-		for cpu := -0.2; cpu <= 1.2; cpu += 0.1 {
-			for mem := 0.0; mem <= 1.0; mem += 0.25 {
-				for pi := 0.0; pi <= 10; pi += 2.5 {
-					in := map[string]float64{
-						"cpuLoad": cpu, "memLoad": mem, "performanceIndex": pi,
-					}
-					for i, n := range names {
-						vec[i] = in[n]
-					}
-					want, err := e.Infer(rb, in)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := e.InferVec(rb, vec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range want.Fired {
-						if want.Fired[i] != got.Fired[i] {
-							t.Fatalf("engine %d inputs %v: Fired[%d] = %v, map path %v",
-								ei, in, i, got.Fired[i], want.Fired[i])
-						}
-					}
-					for name, w := range want.Outputs {
-						if g, ok := got.Outputs[name]; !ok || g != w {
-							t.Fatalf("engine %d inputs %v: Outputs[%s] = %v, map path %v",
-								ei, in, name, g, w)
-						}
-					}
-					want.Release()
-					got.Release()
-				}
-			}
+	vec := make([]float64, p.NumInputs())
+	for i, name := range p.Inputs() {
+		x, ok := in[name]
+		if !ok {
+			t.Fatal(p.MissingInputError(i))
 		}
+		vec[i] = x
 	}
+	return vec
+}
+
+// output reads the named output variable's crisp value from r: the slot
+// of the name in rb.OutputVars.
+func output(rb *RuleBase, r *Result, name string) float64 {
+	return r.Outputs[slices.Index(rb.outVars, name)]
 }
 
 // TestProgramInputs pins the slot contract: Inputs lists every distinct
@@ -85,27 +56,18 @@ func TestProgramInputs(t *testing.T) {
 	}
 }
 
-// TestMissingInputErrorMatchesMapPath pins that MissingInputError
-// produces byte-for-byte the error the map path reports for the same
-// missing variable, so vector-path callers keep error semantics.
-func TestMissingInputErrorMatchesMapPath(t *testing.T) {
-	rb := compileRuleBase(t)
-	p := rb.Compile()
-	e := NewEngine(nil)
-	for i, name := range p.Inputs() {
-		in := map[string]float64{"cpuLoad": 0.5, "memLoad": 0.5, "performanceIndex": 5}
-		delete(in, name)
-		_, err := e.Infer(rb, in)
-		if err == nil {
-			t.Fatalf("map path: no error for missing %q", name)
-		}
-		// The map path reports the first missing slot in slot order;
-		// here exactly one is missing, so the slot is i.
-		if got := p.MissingInputError(i).Error(); got != err.Error() {
-			t.Fatalf("MissingInputError(%d) = %q, map path %q", i, got, err.Error())
-		}
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("error %q does not name variable %q", err, name)
+// TestMissingInputErrorText pins the error a caller reports for a slot
+// it has no measurement for: it names the rule base, the first rule
+// reading the variable, and the variable.
+func TestMissingInputErrorText(t *testing.T) {
+	p := compileRuleBase(t).Compile()
+	for i, want := range []string{
+		`fuzzy: rule base "compile-test", rule 0 (IF cpuLoad IS high AND (performanceIndex IS low OR performanceIndex IS medium) THEN scaleUp IS applicable): fuzzy: no measurement for input variable "cpuLoad"`,
+		`fuzzy: rule base "compile-test", rule 0 (IF cpuLoad IS high AND (performanceIndex IS low OR performanceIndex IS medium) THEN scaleUp IS applicable): fuzzy: no measurement for input variable "performanceIndex"`,
+		`fuzzy: rule base "compile-test", rule 3 (IF (NOT cpuLoad IS low) AND memLoad IS somewhat high THEN move IS applicable): fuzzy: no measurement for input variable "memLoad"`,
+	} {
+		if got := p.MissingInputError(i).Error(); got != want {
+			t.Errorf("MissingInputError(%d) = %q\nwant %q", i, got, want)
 		}
 	}
 }

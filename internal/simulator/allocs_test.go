@@ -14,7 +14,7 @@ import (
 // simulator's slots, the run's rows are reserved at its first minute,
 // triggers travel by value and explanations name rules by id, so what
 // is left is what the run keeps: the memory store's sealed blocks and
-// their index (257 of the 456), the archive and monitor entries of
+// their index (257 of the 454), the archive and monitor entries of
 // instances started in the window, and the controller's candidates,
 // decisions, events and executed model changes. The window read 810–870
 // allocations before those changes, about 3 a minute.
@@ -32,7 +32,7 @@ func TestSimulatorStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const want = 456
+	const want = 454
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := PaperConfig(service.FullMobility, 1.15)

@@ -18,7 +18,10 @@
 # single ingest lock that guards it with every pending beat, and
 # journaled dispatch — and the liveness handles beaten concurrently
 # (TestLivenessHandleConcurrentBeats) ten more times under the race
-# detector, ten seconds each of real fuzzing of the wire frame decoder,
+# detector, the Table 7 golden file (the exact text of
+# `autoglobe-sim -table7 -seeds 3`) once more on one CPU, so the
+# parallel sweep is shown to assemble the bytes a single worker does,
+# ten seconds each of real fuzzing of the wire frame decoder,
 # of the journal's frame reader, of the tsdb segment-record decoder, of
 # the closed-form inference against its two references, of memoised
 # server selection vs the full-scan reference in its test
@@ -111,6 +114,12 @@ go test ./...
 echo "== go test -count=20: the allocation guards"
 go test -count=20 -run '^TestSimulatorStepAllocs$' ./internal/simulator
 go test -count=20 -run '^(TestMinuteZeroAlloc|TestDispatchPathZeroAlloc)$' ./internal/agent
+
+# The sweep runs its points on GOMAXPROCS workers and assembles them in
+# order: one worker must print the same 73 lines the race-free pass
+# compared. About 1.6 s.
+echo "== go test -cpu 1: the Table 7 golden file on one worker"
+go test -count=1 -cpu 1 -run '^TestTable7Golden$' ./internal/experiments
 
 # A wait that holds only when the daemons keep pace is a flake: the
 # restarted agent's host must be archived past the restart however the
