@@ -43,8 +43,8 @@ func compileRuleBase(t testing.TB) *RuleBase {
 
 // TestCompiledMatchesInterpreted differential-tests the compiled fast
 // path against the reference interpreter over a grid of inputs, all
-// inference methods and all defuzzifiers, binding every point into one
-// recycled vector as a hot path does. Results must be bit-identical.
+// inference methods and all defuzzifiers. Results, output sets
+// included, must be bit-identical.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	rb := compileRuleBase(t)
 	engines := []*Engine{
@@ -53,8 +53,6 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		NewEngine(MeanOfMax{}),
 		NewEngine(Centroid{}).WithInference(MaxProduct),
 	}
-	names := rb.Compile().Inputs()
-	vec := make([]float64, len(names))
 	for ei, e := range engines {
 		for cpu := -0.2; cpu <= 1.2; cpu += 0.1 {
 			for mem := 0.0; mem <= 1.0; mem += 0.25 {
@@ -62,14 +60,11 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 					in := map[string]float64{
 						"cpuLoad": cpu, "memLoad": mem, "performanceIndex": pi,
 					}
-					for i, n := range names {
-						vec[i] = in[n]
-					}
 					want, err := e.inferInterpreted(rb, in)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := e.InferVec(rb, vec)
+					got, err := e.InferVec(rb, bind(t, rb, in))
 					if err != nil {
 						t.Fatal(err)
 					}

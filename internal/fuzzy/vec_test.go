@@ -29,6 +29,62 @@ func output(rb *RuleBase, r *Result, name string) float64 {
 	return r.Outputs[slices.Index(rb.outVars, name)]
 }
 
+// TestInferVecMatchesInfer differential-tests the vector entry point
+// against map-keyed inference (the reference interpreter, which looks
+// each variable up by name) over a grid of inputs, inference methods and
+// defuzzifiers. Every point is bound into one recycled vector in
+// Inputs() order, as a hot path binds it, so a slot left over from the
+// previous point would show. Results must be bit-identical.
+func TestInferVecMatchesInfer(t *testing.T) {
+	rb := compileRuleBase(t)
+	names := rb.Compile().Inputs()
+	engines := []*Engine{
+		NewEngine(nil),
+		NewEngine(nil).WithInference(MaxProduct),
+		NewEngine(MeanOfMax{}),
+		NewEngine(Centroid{}).WithInference(MaxProduct),
+	}
+	vec := make([]float64, len(names))
+	for ei, e := range engines {
+		for cpu := -0.2; cpu <= 1.2; cpu += 0.1 {
+			for mem := 0.0; mem <= 1.0; mem += 0.25 {
+				for pi := 0.0; pi <= 10; pi += 2.5 {
+					in := map[string]float64{
+						"cpuLoad": cpu, "memLoad": mem, "performanceIndex": pi,
+					}
+					for i, n := range names {
+						vec[i] = in[n]
+					}
+					want, err := e.inferInterpreted(rb, in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := e.InferVec(rb, vec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want.Fired {
+						if want.Fired[i] != got.Fired[i] {
+							t.Fatalf("engine %d inputs %v: Fired[%d] = %v, map-keyed %v",
+								ei, in, i, got.Fired[i], want.Fired[i])
+						}
+					}
+					if len(got.Outputs) != len(want.Outputs) {
+						t.Fatalf("engine %d: %d outputs, map-keyed %d", ei, len(got.Outputs), len(want.Outputs))
+					}
+					for o, name := range rb.OutputVars() {
+						if got.Outputs[o] != want.Outputs[o] {
+							t.Fatalf("engine %d inputs %v: %s = %v, map-keyed %v",
+								ei, in, name, got.Outputs[o], want.Outputs[o])
+						}
+					}
+					got.Release()
+				}
+			}
+		}
+	}
+}
+
 // TestProgramInputs pins the slot contract: Inputs lists every distinct
 // input variable in first-reference order, NumInputs agrees, and the
 // returned slice is a copy.
