@@ -1018,7 +1018,7 @@ func (c *Coordinator) RecycleTriggers(ptrs []*monitor.Trigger) {
 // beat: a host whose heartbeats are lost but which still answers probes
 // is degraded, not dead.
 func (c *Coordinator) CheckLiveness(ctx context.Context, minute int) (dead, recovered []string) {
-	for _, host := range append(c.live.Silent(minute), c.live.Down()...) {
+	for _, host := range c.live.Probes(minute) {
 		probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
 		reply, err := c.tr.Call(probeCtx, host,
 			wire.ProbeEnvelope(c.node, host, wire.Probe{Host: host, Minute: minute}))
@@ -1028,7 +1028,7 @@ func (c *Coordinator) CheckLiveness(ctx context.Context, minute int) (dead, reco
 		}
 		wire.ReleaseEnvelope(reply)
 	}
-	dead, recovered = c.live.Dead(minute), c.live.Recovered()
+	dead, recovered = c.live.Sweep(minute)
 	c.mu.Lock()
 	cj := c.journal
 	c.mu.Unlock()
@@ -1067,7 +1067,7 @@ func (c *Coordinator) noteErr(err error) bool {
 // slot's cached watch handle with it — and discards every beat still
 // buffered for it, parked minutes included (the host is dead; its last
 // report must not resurface at the next merge). The liveness detector keeps
-// tracking it: a healed partition is then reported by Recovered after
+// tracking it: a healed partition is then reported by Sweep after
 // the hysteresis streak, and the host's heartbeats re-register it. Its
 // record of the last beat is dropped too: it must earn Follows again.
 func (c *Coordinator) Forget(host string) {

@@ -166,7 +166,7 @@ func TestStaleBeatDoesNotReviveDeadHost(t *testing.T) {
 	}
 	beat(1)
 	beat(1)
-	if rec := coord.Liveness().Recovered(); len(rec) != 0 {
+	if _, rec := coord.Liveness().Sweep(6); len(rec) != 0 {
 		t.Fatalf("replayed minute-1 beats recovered %v", rec)
 	}
 	beat(7)

@@ -279,7 +279,7 @@ func TestRestartedAgentCatchesUp(t *testing.T) {
 	if n := coord.Heartbeats(); n != 30 {
 		t.Fatalf("%d heartbeats counted, want 30", n)
 	}
-	if live := coord.Liveness(); !live.Tracking("h1") || slices.Contains(live.Silent(529), "h1") {
+	if live := coord.Liveness(); !live.Tracking("h1") || slices.Contains(live.Probes(529), "h1") {
 		t.Fatal("h1 is not alive and heard from at minute 529")
 	}
 }
@@ -837,7 +837,7 @@ func TestSessionRefusesNonFiniteLoads(t *testing.T) {
 	if err := coord.ObserveServices(11); err != nil {
 		t.Fatal(err)
 	}
-	if coord.Heartbeats() != 1 || !slices.Contains(coord.Liveness().Silent(11), "ghost") {
+	if coord.Heartbeats() != 1 || !slices.Contains(coord.Liveness().Probes(11), "ghost") {
 		t.Fatalf("refused indexed frames ingested (%d heartbeats) or marked ghost alive", coord.Heartbeats())
 	}
 	for _, key := range []string{archive.HostEntity("ghost"), archive.InstanceEntity("ghost-i")} {

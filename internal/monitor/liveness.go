@@ -15,14 +15,12 @@ import (
 // triggering restart/demotion churn exactly like the short load peaks
 // the watchTime mechanism filters. Liveness therefore applies the same
 // hysteresis idea: an entity is declared dead only after deadAfter
-// consecutive missed probes (evaluations of Dead while silent), and a
-// dead entity is re-admitted only after aliveAfter consecutive
-// heartbeats.
+// consecutive missed probes (sweeps that find it silent), and a dead
+// entity is re-admitted only after aliveAfter consecutive heartbeats.
 type Liveness struct {
 	// mu guards state and metrics: the coordinator delivers beats from
 	// whatever goroutine a transport runs its handler on (one per HTTP
-	// request) while the control loop evaluates Silent/Dead/Down, so the
-	// detector locks internally.
+	// request) while the control loop sweeps, so the detector locks.
 	mu      sync.Mutex
 	state   map[string]*livenessState
 	metrics *livenessMetrics
@@ -30,7 +28,7 @@ type Liveness struct {
 
 type livenessState struct {
 	last      int // minute of the most recent beat
-	misses    int // consecutive missed probes (silent evaluations)
+	misses    int // consecutive missed probes (sweeps finding it silent)
 	missedAt  int // minute of the last counted miss (guards double counting); while dead, the minute of death
 	dead      bool
 	successes int  // consecutive beats while dead
@@ -62,8 +60,8 @@ func NewLiveness() *Liveness {
 // currently considered dead counts toward its aliveAfter recovery
 // streak — unless it is for the minute of death or earlier: that is a
 // replay of traffic from before the death (a held or duplicated frame,
-// a retried POST), not proof of life, and it is ignored. Recovered
-// reports completed recoveries. The recorded last-seen minute is
+// a retried POST), not proof of life, and it is ignored. Sweep reports
+// completed recoveries. The recorded last-seen minute is
 // monotone: an agent restarted with a fresh local counter must not
 // rewind a host that a coordinator probe (stamped with the
 // authoritative clock) already confirmed alive.
@@ -145,25 +143,29 @@ func (l *Liveness) Tracking(entity string) bool {
 	return ok && !st.dead
 }
 
-// Silent returns the alive entities whose last heartbeat is more than
-// timeout minutes old — the candidates the coordinator probes before
-// the next Dead evaluation can take them down.
-func (l *Liveness) Silent(minute int) []string {
+// Probes returns the entities to probe at the given minute: the alive
+// ones whose last heartbeat is more than timeout minutes old — the
+// candidates the minute's Sweep can take down — sorted, then the dead
+// ones, sorted, so that an answered probe (a Beat) counts toward the
+// aliveAfter recovery streak and a healed partition is noticed.
+func (l *Liveness) Probes(minute int) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []string
+	var silent, down []string
 	for e, st := range l.state {
-		if !st.dead && minute-st.last > timeout {
-			out = append(out, e)
+		switch {
+		case st.dead:
+			down = append(down, e)
+		case minute-st.last > timeout:
+			silent = append(silent, e)
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(silent)
+	sort.Strings(down)
+	return append(silent, down...)
 }
 
-// Down returns the entities currently considered dead, sorted. The
-// coordinator keeps probing them: each answered probe is a Beat and
-// counts toward the aliveAfter recovery streak.
+// Down returns the entities currently considered dead, sorted.
 func (l *Liveness) Down() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -177,62 +179,48 @@ func (l *Liveness) Down() []string {
 	return out
 }
 
-// Dead evaluates every tracked entity at the given minute: each alive
-// entity whose last heartbeat is more than timeout minutes old accrues
-// one missed probe (at most one per minute), and entities reaching
-// deadAfter consecutive misses are declared dead and returned, sorted.
-// Each death is reported exactly once; a dead entity stays tracked so
-// its recovery streak can revive it (see Beat and Recovered).
-func (l *Liveness) Dead(minute int) []string {
+// Sweep evaluates every tracked entity at the given minute in one walk
+// and returns, sorted, the entities it declares dead and those that
+// completed their aliveAfter recovery streak (see Beat) since the last
+// sweep; the caller re-admits the latter (e.g. re-pools a demoted host).
+// An alive entity silent for more than timeout minutes accrues one
+// missed probe (at most one per minute) and dies at deadAfter
+// consecutive misses; each death is reported once, and the entity stays
+// tracked so its recovery streak can revive it. A recovery resets the
+// misses to 0 and the sweep that reports it adds at most one, so no
+// entity dies in the sweep that reports its recovery.
+func (l *Liveness) Sweep(minute int) (dead, recovered []string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []string
-	for e, st := range l.state {
-		if st.dead {
-			// A relapse into silence resets the recovery streak: the
-			// aliveAfter successes must be consecutive.
-			if minute-st.last > timeout {
-				st.successes = 0
-			}
-			continue
-		}
-		if minute-st.last <= timeout {
-			continue
-		}
-		if st.missedAt != minute {
-			st.misses++
-			st.missedAt = minute
-		}
-		if st.misses >= deadAfter {
-			st.dead = true
-			st.successes = 0
-			// A recovery completed but not yet drained by Recovered is
-			// void now: reporting it after this re-death would re-pool a
-			// dead host.
-			st.recovered = false
-			if l.metrics != nil {
-				l.metrics.dead.Inc()
-			}
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Recovered returns the entities that completed their aliveAfter
-// recovery streak since the last call, sorted. The caller re-admits
-// them (e.g. re-pools a demoted host).
-func (l *Liveness) Recovered() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []string
 	for e, st := range l.state {
 		if st.recovered {
 			st.recovered = false
-			out = append(out, e)
+			recovered = append(recovered, e)
+		}
+		silent := minute-st.last > timeout
+		switch {
+		case st.dead:
+			// A relapse into silence resets the recovery streak: the
+			// aliveAfter successes must be consecutive.
+			if silent {
+				st.successes = 0
+			}
+		case silent:
+			if st.missedAt != minute {
+				st.misses++
+				st.missedAt = minute
+			}
+			if st.misses >= deadAfter {
+				st.dead = true
+				st.successes = 0
+				if l.metrics != nil {
+					l.metrics.dead.Inc()
+				}
+				dead = append(dead, e)
+			}
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(dead)
+	sort.Strings(recovered)
+	return dead, recovered
 }

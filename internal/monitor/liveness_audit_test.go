@@ -6,55 +6,27 @@ import (
 	"autoglobe/internal/obs"
 )
 
-// TestLivenessRedeathVoidsUndrainedRecovery pins the fix for a stale
-// recovery report: an entity recovers, the caller has not yet drained
-// Recovered, and the entity dies again. The pending recovery must be
-// void — reporting it would re-pool a host that is dead right now.
-func TestLivenessRedeathVoidsUndrainedRecovery(t *testing.T) {
-	l := NewLiveness()
-	l.Beat("e", 0)
-	l.Dead(3)
-	if d := l.Dead(4); len(d) != 1 {
-		t.Fatalf("Dead(4) = %v, want [e]", d)
-	}
-	l.Beat("e", 5)
-	l.Beat("e", 6) // completes the recovery streak; Recovered not drained
-	l.Dead(9)
-	if d := l.Dead(10); len(d) != 1 {
-		t.Fatalf("Dead(10) = %v, want [e] (re-death)", d)
-	}
-	if rec := l.Recovered(); len(rec) != 0 {
-		t.Fatalf("stale recovery reported after re-death: %v", rec)
-	}
-	// The next genuine recovery still reports.
-	l.Beat("e", 11)
-	l.Beat("e", 12)
-	if rec := l.Recovered(); len(rec) != 1 || rec[0] != "e" {
-		t.Fatalf("genuine recovery after re-death lost: %v", rec)
-	}
-}
-
 // TestLivenessDeadEvaluatedRepeatedlyPerMinute pins the missedAt guard:
-// however often the control loop evaluates Dead within one minute, a
-// silent entity accrues exactly one miss for that minute.
+// however often the control loop sweeps within one minute, a silent
+// entity accrues exactly one miss for that minute.
 func TestLivenessDeadEvaluatedRepeatedlyPerMinute(t *testing.T) {
 	l := NewLiveness()
 	l.Beat("e", 0)
-	// Minute 3 is past the timeout. Three evaluations in the same
-	// minute must count one miss, not the two that kill.
+	// Minute 3 is past the timeout. Three sweeps in the same minute
+	// must count one miss, not the two that kill.
 	for i := 0; i < 3; i++ {
-		if d := l.Dead(3); len(d) != 0 {
+		if d, _ := l.Sweep(3); len(d) != 0 {
 			t.Fatalf("evaluation %d at minute 3 declared dead: %v", i, d)
 		}
 	}
 	// The second consecutive miss (a new minute) kills.
-	if d := l.Dead(4); len(d) != 1 || d[0] != "e" {
-		t.Fatalf("Dead(4) = %v, want [e]", d)
+	if d, _ := l.Sweep(4); len(d) != 1 || d[0] != "e" {
+		t.Fatalf("Sweep(4) = %v, want [e]", d)
 	}
 }
 
 // TestLivenessRecoveryStreakSemantics pins how probe answers interleave
-// with Dead evaluations during recovery: gaps within the timeout keep
+// with sweeps during recovery: gaps within the timeout keep
 // the recovery streak alive (a degraded-but-answering host is
 // converging), while silence beyond it resets the streak.
 func TestLivenessRecoveryStreakSemantics(t *testing.T) {
@@ -62,9 +34,9 @@ func TestLivenessRecoveryStreakSemantics(t *testing.T) {
 		t.Helper()
 		l := NewLiveness()
 		l.Beat("e", 0)
-		l.Dead(3)
-		if d := l.Dead(4); len(d) != 1 {
-			t.Fatalf("Dead(4) = %v, want [e]", d)
+		l.Sweep(3)
+		if d, _ := l.Sweep(4); len(d) != 1 {
+			t.Fatalf("Sweep(4) = %v, want [e]", d)
 		}
 		return l
 	}
@@ -73,10 +45,10 @@ func TestLivenessRecoveryStreakSemantics(t *testing.T) {
 		// Probe answers at minutes 5 and 7 — the gap is within the
 		// 2-minute timeout, so the streak completes on the second beat.
 		l.Beat("e", 5)
-		l.Dead(6)
-		l.Dead(7)
+		l.Sweep(6)
+		l.Sweep(7)
 		l.Beat("e", 7)
-		if rec := l.Recovered(); len(rec) != 1 || rec[0] != "e" {
+		if _, rec := l.Sweep(7); len(rec) != 1 || rec[0] != "e" {
 			t.Fatalf("streak with short gaps did not recover: %v", rec)
 		}
 	})
@@ -84,13 +56,13 @@ func TestLivenessRecoveryStreakSemantics(t *testing.T) {
 		l := dead(t)
 		l.Beat("e", 5) // streak 1
 		// Relapse: silence beyond the timeout resets the streak.
-		l.Dead(8)
+		l.Sweep(8)
 		l.Beat("e", 9)
-		if rec := l.Recovered(); len(rec) != 0 {
+		if _, rec := l.Sweep(9); len(rec) != 0 {
 			t.Fatalf("recovered with 1 beat after relapse: %v", rec)
 		}
 		l.Beat("e", 10) // streak 2 → recovered
-		if rec := l.Recovered(); len(rec) != 1 || rec[0] != "e" {
+		if _, rec := l.Sweep(10); len(rec) != 1 || rec[0] != "e" {
 			t.Fatalf("streak of 2 after relapse did not recover: %v", rec)
 		}
 	})
@@ -102,12 +74,12 @@ func TestLivenessTransitionMetrics(t *testing.T) {
 	l := NewLiveness()
 	l.Instrument(r)
 	l.Beat("e", 0)
-	l.Dead(3)
-	l.Dead(4) // dead
+	l.Sweep(3)
+	l.Sweep(4) // dead
 	l.Beat("e", 5)
 	l.Beat("e", 6) // recovered
-	l.Dead(9)
-	l.Dead(10) // dead again
+	l.Sweep(9)
+	l.Sweep(10) // dead again
 	snap := r.Snapshot()
 	if got := snap[`autoglobe_liveness_transitions_total{transition="dead"}`]; got != 2 {
 		t.Errorf("dead transitions = %v, want 2", got)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestLivenessHandleMatchesName applies one random sequence of Beat,
-// MarkDead, Forget, Dead, Silent, Down, Recovered and Tracking to two
+// MarkDead, Forget, Sweep, Probes, Down and Tracking to two
 // detectors, one fed by name and one through handles cached per entity
 // for the whole run, and demands equal answers after every step. A
 // handle must follow its entity through Forget (the next beat starts a
@@ -38,15 +38,18 @@ func TestLivenessHandleMatchesName(t *testing.T) {
 			case 5:
 				byName.Forget(name)
 				byHandle.Forget(name)
-			case 6:
-				minute++
-				a, b = byName.Dead(minute), byHandle.Dead(minute)
+			case 6, 9:
+				if op == 6 {
+					minute++ // 9 sweeps the same minute again
+				}
+				d, r := byName.Sweep(minute)
+				a = [][]string{d, r}
+				d, r = byHandle.Sweep(minute)
+				b = [][]string{d, r}
 			case 7:
-				a, b = byName.Silent(minute), byHandle.Silent(minute)
+				a, b = byName.Probes(minute), byHandle.Probes(minute)
 			case 8:
 				a, b = byName.Down(), byHandle.Down()
-			case 9:
-				a, b = byName.Recovered(), byHandle.Recovered()
 			}
 			if fmt.Sprint(a) != fmt.Sprint(b) {
 				t.Fatalf("seed %d step %d: by name %v, by handle %v", seed, step, a, b)
@@ -63,7 +66,7 @@ func TestLivenessHandleMatchesName(t *testing.T) {
 
 // TestLivenessHandleConcurrentBeats: 32 goroutines beat eight entities
 // through one shared array of cached handles while the minute sweeps
-// (Dead, Silent, Down, Recovered) and Forgets entities under them. Run
+// (Probes, Down, Sweep) and Forgets entities under them. Run
 // under -race it checks the handle is touched only under the detector's
 // lock; at the end every handle must resolve to the state its name
 // holds — a Forget never leaves a handle beating a detached state.
@@ -90,10 +93,9 @@ func TestLivenessHandleConcurrentBeats(t *testing.T) {
 	}
 	for m := 1; m <= 1000; m++ {
 		minute.Store(int64(m))
-		l.Dead(m)
-		l.Silent(m)
+		l.Probes(m)
 		l.Down()
-		l.Recovered()
+		l.Sweep(m)
 		if m%7 == 0 {
 			l.Forget(names[m%entities])
 		}
@@ -116,8 +118,8 @@ func TestLivenessHandleConcurrentBeats(t *testing.T) {
 			t.Fatalf("the handle of %s beats a state its name does not hold", n)
 		}
 	}
-	if silent := l.Silent(last); len(silent) != 0 {
-		t.Fatalf("Silent(%d) = %v after every entity beat", last, silent)
+	if probes := l.Probes(last); len(probes) != 0 {
+		t.Fatalf("Probes(%d) = %v after every entity beat", last, probes)
 	}
 	if got := len(l.state); got != entities || !slices.Equal(l.Down(), nil) {
 		t.Fatalf("%d states tracked, down %v; want %d and none", got, l.Down(), entities)

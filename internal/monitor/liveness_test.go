@@ -9,20 +9,20 @@ func TestLivenessDetectsSilence(t *testing.T) {
 	l := NewLiveness()
 	l.Beat("a", 0)
 	l.Beat("b", 0)
-	if dead := l.Dead(2); len(dead) != 0 {
-		t.Fatalf("Dead(2) = %v, want none", dead)
+	if dead, _ := l.Sweep(2); len(dead) != 0 {
+		t.Fatalf("Sweep(2) = %v, want none", dead)
 	}
 	l.Beat("a", 2) // a keeps beating, b goes silent
-	if dead := l.Dead(3); len(dead) != 0 {
-		t.Fatalf("Dead(3) = %v, want none (b's first miss)", dead)
+	if dead, _ := l.Sweep(3); len(dead) != 0 {
+		t.Fatalf("Sweep(3) = %v, want none (b's first miss)", dead)
 	}
-	if dead := l.Dead(4); len(dead) != 1 || dead[0] != "b" {
-		t.Fatalf("Dead(4) = %v, want [b]", dead)
+	if dead, _ := l.Sweep(4); len(dead) != 1 || dead[0] != "b" {
+		t.Fatalf("Sweep(4) = %v, want [b]", dead)
 	}
 	// Each failure is reported once.
-	l.Dead(10)
-	if dead := l.Dead(11); len(dead) != 1 || dead[0] != "a" {
-		t.Fatalf("Dead(11) = %v, want [a] (b already reported)", dead)
+	l.Sweep(10)
+	if dead, _ := l.Sweep(11); len(dead) != 1 || dead[0] != "a" {
+		t.Fatalf("Sweep(11) = %v, want [a] (b already reported)", dead)
 	}
 }
 
@@ -36,8 +36,8 @@ func TestLivenessForget(t *testing.T) {
 	if l.Tracking("a") {
 		t.Fatal("still tracking after forget")
 	}
-	l.Dead(99)
-	if dead := l.Dead(100); len(dead) != 0 {
+	l.Sweep(99)
+	if dead, _ := l.Sweep(100); len(dead) != 0 {
 		t.Fatalf("forgotten entity reported dead: %v", dead)
 	}
 }
@@ -47,7 +47,7 @@ func TestLivenessForget(t *testing.T) {
 // the detector's hysteresis (a probe missed each minute past the
 // 2-minute timeout, dead after 2 consecutive misses, alive after 2
 // consecutive beats) must produce. Each step is one minute: 'b' beats
-// then evaluates, '.' stays silent and evaluates. The expected string
+// then sweeps, '.' stays silent and sweeps. The expected string
 // records the evaluation outcome per minute: 'D' the entity is reported
 // dead this minute, 'R' it is reported recovered, '-' neither.
 func TestLivenessHysteresisFlapSequences(t *testing.T) {
@@ -98,12 +98,13 @@ func TestLivenessHysteresisFlapSequences(t *testing.T) {
 					l.Beat("e", m)
 				}
 				got := byte('-')
-				if dead := l.Dead(m); len(dead) == 1 && dead[0] == "e" {
+				dead, rec := l.Sweep(m)
+				if len(dead) == 1 && dead[0] == "e" {
 					got = 'D'
 				} else if len(dead) != 0 {
 					t.Fatalf("minute %d: unexpected dead set %v", m, dead)
 				}
-				if rec := l.Recovered(); len(rec) == 1 && rec[0] == "e" {
+				if len(rec) == 1 && rec[0] == "e" {
 					if got == 'D' {
 						t.Fatalf("minute %d: dead and recovered at once", m)
 					}
@@ -117,21 +118,21 @@ func TestLivenessHysteresisFlapSequences(t *testing.T) {
 	}
 }
 
-// TestLivenessSilent: an entity past the timeout is Silent — a probe
-// candidate — before a Dead evaluation can take it down.
+// TestLivenessSilent: an alive entity past the timeout is among the
+// Probes — a probe candidate — before a Sweep can take it down.
 func TestLivenessSilent(t *testing.T) {
 	l := NewLiveness()
 	l.Beat("a", 0)
 	l.Beat("b", 0)
-	if s := l.Silent(2); len(s) != 0 {
-		t.Fatalf("Silent(2) = %v, want none", s)
+	if s := l.Probes(2); len(s) != 0 {
+		t.Fatalf("Probes(2) = %v, want none", s)
 	}
 	l.Beat("a", 2)
-	if s := l.Silent(3); len(s) != 1 || s[0] != "b" {
-		t.Fatalf("Silent(3) = %v, want [b]", s)
+	if s := l.Probes(3); len(s) != 1 || s[0] != "b" {
+		t.Fatalf("Probes(3) = %v, want [b]", s)
 	}
 	// Silent entities are probe candidates, not dead yet.
-	if l.Dead(3); !l.Tracking("b") {
+	if l.Sweep(3); !l.Tracking("b") {
 		t.Fatal("b declared dead after a single miss")
 	}
 }
@@ -141,10 +142,10 @@ func TestLivenessSortedOutput(t *testing.T) {
 	l.Beat("z", 0)
 	l.Beat("a", 0)
 	l.Beat("m", 0)
-	l.Dead(5)
-	dead := l.Dead(6)
+	l.Sweep(5)
+	dead, _ := l.Sweep(6)
 	if len(dead) != 3 || dead[0] != "a" || dead[1] != "m" || dead[2] != "z" {
-		t.Fatalf("Dead = %v, want sorted", dead)
+		t.Fatalf("Sweep = %v, want sorted", dead)
 	}
 }
 
@@ -162,16 +163,16 @@ func TestLivenessMarkDead(t *testing.T) {
 		t.Fatalf("Down = %v, want [h]", down)
 	}
 	// The death was confirmed pre-crash: it is not re-reported.
-	if dead := l.Dead(8); len(dead) != 0 {
-		t.Fatalf("Dead(8) = %v, want none (already confirmed)", dead)
+	if dead, _ := l.Sweep(8); len(dead) != 0 {
+		t.Fatalf("Sweep(8) = %v, want none (already confirmed)", dead)
 	}
 	// The recovery streak starts from zero: one beat is not enough.
 	l.Beat("h", 9)
-	if rec := l.Recovered(); len(rec) != 0 {
+	if _, rec := l.Sweep(9); len(rec) != 0 {
 		t.Fatalf("Recovered after one beat = %v, want none", rec)
 	}
 	l.Beat("h", 10)
-	if rec := l.Recovered(); len(rec) != 1 || rec[0] != "h" {
+	if _, rec := l.Sweep(10); len(rec) != 1 || rec[0] != "h" {
 		t.Fatalf("Recovered after the full streak = %v, want [h]", rec)
 	}
 	if !l.Tracking("h") {
@@ -197,7 +198,7 @@ func TestLivenessReplayedBeatDoesNotRevive(t *testing.T) {
 		l.Beat("h", m)
 	}
 	for m := 3; m <= 6; m++ {
-		l.Dead(m)
+		l.Sweep(m)
 	}
 	if l.Tracking("h") {
 		t.Fatal("h not dead at minute 6")
@@ -205,24 +206,24 @@ func TestLivenessReplayedBeatDoesNotRevive(t *testing.T) {
 	l.Beat("h", 1)
 	l.Beat("h", 1)
 	l.Beat("h", 6)
-	if rec := l.Recovered(); len(rec) != 0 {
+	if _, rec := l.Sweep(6); len(rec) != 0 {
 		t.Fatalf("Recovered after replayed beats = %v, want none", rec)
 	}
 	l.Beat("h", 7)
 	l.Beat("h", 8)
-	if rec := l.Recovered(); len(rec) != 1 || rec[0] != "h" {
+	if _, rec := l.Sweep(8); len(rec) != 1 || rec[0] != "h" {
 		t.Fatalf("Recovered after two fresh beats = %v, want [h]", rec)
 	}
 
 	l.MarkDead("j", 5)
 	l.Beat("j", 4)
 	l.Beat("j", 5)
-	if rec := l.Recovered(); len(rec) != 0 {
+	if _, rec := l.Sweep(8); len(rec) != 0 {
 		t.Fatalf("Recovered after replays of a journaled death = %v, want none", rec)
 	}
 	l.Beat("j", 6)
 	l.Beat("j", 7)
-	if rec := l.Recovered(); len(rec) != 1 || rec[0] != "j" {
+	if _, rec := l.Sweep(8); len(rec) != 1 || rec[0] != "j" {
 		t.Fatalf("Recovered after two fresh beats = %v, want [j]", rec)
 	}
 }

@@ -11,6 +11,7 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 
 	"autoglobe/internal/archive"
 )
@@ -146,22 +147,64 @@ const (
 	watchIdle
 )
 
-// watcher is the per-entity watch state machine. CPU and memory are
-// watched independently.
+// watch is one resource's watchTime state machine: a sample past a
+// threshold opens it, and once the watch time has passed, the average
+// of the samples since either confirms the situation or the watch
+// expires.
+type watch struct {
+	mode     watchMode
+	start, n int
+	sum      float64
+}
+
+// step feeds one sample v: it opens an overload watch when v > over and
+// an idle watch when v < idle. Once the watch time has passed (overWatch
+// or idleWatch minutes since the opening; 0 judges the opening sample)
+// the average confirms the situation (avg > over, avg < idle) or the
+// watch expires. A confirmation returns the watch as it stood and its
+// average; otherwise step returns a zero watch.
+func (w *watch) step(m *monitorMetrics, minute int, v, over, idle float64, overWatch, idleWatch int) (watch, float64) {
+	if w.mode == watchNone {
+		switch {
+		case v > over:
+			w.mode = watchOverload
+		case v < idle:
+			w.mode = watchIdle
+		default:
+			return watch{}, 0
+		}
+		w.start, w.sum, w.n = minute, v, 1
+		m.observe()
+	} else {
+		w.sum += v
+		w.n++
+	}
+	wait := overWatch
+	if w.mode == watchIdle {
+		wait = idleWatch
+	}
+	if minute-w.start < wait {
+		return watch{}, 0
+	}
+	avg := w.sum / float64(w.n)
+	confirmed := *w
+	*w = watch{}
+	if confirmed.mode == watchOverload && avg > over || confirmed.mode == watchIdle && avg < idle {
+		m.confirm()
+		return confirmed, avg
+	}
+	m.expire()
+	return watch{}, 0
+}
+
+// watcher is one entity's watch state: CPU and memory are watched
+// independently, each by its own watch.
 type watcher struct {
 	entity    string         // "" once deregistered or re-registered
 	log       archive.Entity // the entity's archive write handle
 	class     Class
 	perfIndex float64
-	mode      watchMode
-	start     int
-	sum       float64
-	n         int
-
-	memMode  watchMode
-	memStart int
-	memSum   float64
-	memN     int
+	cpu, mem  watch
 }
 
 // System is the load monitoring system: it consumes the advisors'
@@ -230,7 +273,7 @@ func (s *System) Deregister(entity string) {
 // Watching reports whether the entity is currently under observation.
 func (s *System) Watching(entity string) bool {
 	w, ok := s.watchers[entity]
-	return ok && w.mode != watchNone
+	return ok && w.cpu.mode != watchNone
 }
 
 // Observe feeds one measurement of a registered entity by name —
@@ -262,122 +305,44 @@ func (s *System) ObserveWatch(dst []Trigger, h Watch, minute int, cpu, mem float
 	if !h.Live() {
 		return dst, fmt.Errorf("monitor: observation through a dead watch handle")
 	}
-	w, entity := h.w, h.w.entity
+	w := h.w
 	if err := w.log.Record(archive.Sample{Minute: minute, CPU: cpu, Mem: mem}); err != nil {
 		return dst, err
 	}
-	idleThr := s.params.IdleThreshold(w.perfIndex)
 
-	// Memory watching (when enabled) runs independently of the CPU
-	// machine; a confirmed CPU situation below takes precedence in the
-	// same minute — it replaces the memory trigger at dst[n] — and the
-	// memory confirmation repeats next minute.
-	n := len(dst)
-	if thr := s.params.MemOverloadThreshold; thr > 0 {
-		switch w.memMode {
-		case watchNone:
-			if mem > thr {
-				w.memMode = watchOverload
-				w.memStart = minute
-				w.memSum, w.memN = mem, 1
-				s.metrics.observe()
-				if s.params.OverloadWatch == 0 {
-					dst = append(dst, s.confirmMem(w, entity, minute, mem))
-				}
-			}
-		case watchOverload:
-			w.memSum += mem
-			w.memN++
-			if minute-w.memStart >= s.params.OverloadWatch {
-				if avg := w.memSum / float64(w.memN); avg > thr {
-					dst = append(dst, s.confirmMem(w, entity, minute, avg))
-				} else {
-					w.memMode = watchNone
-					s.metrics.expire()
-				}
-			}
+	// Memory watching (when enabled) runs beside the CPU watch, with the
+	// CPU watch time, and never idles. A CPU situation confirmed in the
+	// same minute takes precedence: it replaces the memory trigger at
+	// dst[n]. Two watches that open in the same minute confirm and
+	// reopen together, so a memory overload that began with a CPU one
+	// never shows while the CPU overload lasts.
+	n, p := len(dst), &s.params
+	if thr := p.MemOverloadThreshold; thr > 0 {
+		c, avg := w.mem.step(s.metrics, minute, mem, thr, math.Inf(-1), p.OverloadWatch, 0)
+		if c.mode != watchNone {
+			dst = append(dst, w.trigger(c, minute, avg, "memory"))
 		}
 	}
-
-	switch w.mode {
-	case watchNone:
-		switch {
-		case cpu > s.params.OverloadThreshold:
-			w.mode = watchOverload
-			w.start = minute
-			w.sum, w.n = cpu, 1
-			s.metrics.observe()
-			if s.params.OverloadWatch == 0 {
-				return append(dst[:n], s.confirm(w, entity, minute, cpu)), nil
-			}
-		case cpu < idleThr:
-			w.mode = watchIdle
-			w.start = minute
-			w.sum, w.n = cpu, 1
-			s.metrics.observe()
-			if s.params.IdleWatch == 0 {
-				return append(dst[:n], s.confirm(w, entity, minute, cpu)), nil
-			}
-		}
-	case watchOverload:
-		w.sum += cpu
-		w.n++
-		if minute-w.start < s.params.OverloadWatch {
-			return dst, nil
-		}
-		avg := w.sum / float64(w.n)
-		if avg > s.params.OverloadThreshold {
-			return append(dst[:n], s.confirm(w, entity, minute, avg)), nil
-		}
-		w.mode = watchNone
-		s.metrics.expire()
-	case watchIdle:
-		w.sum += cpu
-		w.n++
-		if minute-w.start < s.params.IdleWatch {
-			return dst, nil
-		}
-		avg := w.sum / float64(w.n)
-		if avg < idleThr {
-			return append(dst[:n], s.confirm(w, entity, minute, avg)), nil
-		}
-		w.mode = watchNone
-		s.metrics.expire()
+	c, avg := w.cpu.step(s.metrics, minute, cpu, p.OverloadThreshold, p.IdleThreshold(w.perfIndex), p.OverloadWatch, p.IdleWatch)
+	if c.mode != watchNone {
+		dst = append(dst[:n], w.trigger(c, minute, avg, ""))
 	}
 	return dst, nil
 }
 
-func (s *System) confirm(w *watcher, entity string, minute int, avg float64) Trigger {
-	var kind TriggerKind
+// trigger builds the trigger a confirmed watch c raises: its kind comes
+// from the entity's class and the watch's mode, and resource names what
+// overflowed ("" for CPU).
+func (w *watcher) trigger(c watch, minute int, avg float64, resource string) Trigger {
+	kind := ServiceIdle
 	switch {
-	case w.class == Server && w.mode == watchOverload:
+	case w.class == Server && c.mode == watchOverload:
 		kind = ServerOverloaded
-	case w.class == Server && w.mode == watchIdle:
+	case w.class == Server:
 		kind = ServerIdle
-	case w.class == Service && w.mode == watchOverload:
+	case c.mode == watchOverload:
 		kind = ServiceOverloaded
-	default:
-		kind = ServiceIdle
 	}
-	start := w.start
-	w.mode = watchNone
-	w.sum, w.n = 0, 0
-	s.metrics.confirm()
-	return Trigger{Kind: kind, Entity: entity, Minute: minute, AvgLoad: avg, WatchedFrom: start}
-}
-
-// confirmMem builds a memory-overload trigger and resets the memory
-// watch. When a CPU situation confirms in the same minute it takes
-// precedence and the memory situation simply re-arms on the next sample.
-func (s *System) confirmMem(w *watcher, entity string, minute int, avg float64) Trigger {
-	kind := ServiceOverloaded
-	if w.class == Server {
-		kind = ServerOverloaded
-	}
-	start := w.memStart
-	w.memMode = watchNone
-	w.memSum, w.memN = 0, 0
-	s.metrics.confirm()
-	return Trigger{Kind: kind, Entity: entity, Minute: minute, AvgLoad: avg,
-		WatchedFrom: start, Resource: "memory"}
+	return Trigger{Kind: kind, Entity: w.entity, Minute: minute, AvgLoad: avg,
+		WatchedFrom: c.start, Resource: resource}
 }

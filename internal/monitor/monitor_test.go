@@ -3,6 +3,8 @@ package monitor
 import (
 	"math"
 	"testing"
+
+	"autoglobe/internal/obs"
 )
 
 func newSystem(t *testing.T, p Params) *System {
@@ -266,6 +268,42 @@ func TestMemoryOverloadWatch(t *testing.T) {
 	}
 	if got.Kind != ServerOverloaded || got.Resource != "memory" {
 		t.Errorf("trigger = %+v, want serverOverloaded/memory", got)
+	}
+}
+
+// TestCPUConfirmationSupersedesMemory: a host past both thresholds opens
+// its CPU and memory watches in the same minute, so they confirm, close
+// and reopen in lockstep. Each time the CPU trigger replaces the memory
+// one, which never shows while the CPU overload lasts: the triggers of
+// minutes 10 and 21 are both CPU-tagged, and each memory confirmation
+// is still counted.
+func TestCPUConfirmationSupersedesMemory(t *testing.T) {
+	p := PaperParams()
+	p.MemOverloadThreshold = 0.9
+	s := newSystem(t, p)
+	r := obs.NewRegistry()
+	s.Instrument(r)
+	h := s.Register("Blade1", Server, 1)
+	var trs []Trigger
+	for m := 0; m <= 31; m++ {
+		var err error
+		if trs, err = s.ObserveWatch(trs, h, m, 0.95, 0.95); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(trs) != 2 {
+		t.Fatalf("triggers %+v, want two", trs)
+	}
+	for i, m := range []int{10, 21} {
+		if tr := trs[i]; tr.Minute != m || tr.WatchedFrom != m-10 || tr.Kind != ServerOverloaded || tr.Resource != "" {
+			t.Errorf("trigger %d = %+v, want a CPU serverOverloaded at minute %d", i, tr, m)
+		}
+	}
+	snap := r.Snapshot()
+	for phase, want := range map[string]float64{"observed": 6, "confirmed": 4, "expired": 0} {
+		if got := snap[`autoglobe_monitor_watches_total{phase="`+phase+`"}`]; got != want {
+			t.Errorf("%s watches = %v, want %v", phase, got, want)
+		}
 	}
 }
 

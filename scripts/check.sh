@@ -29,7 +29,10 @@
 # snapshots against the instance map filtered and sorted by ID
 # (FuzzDeploymentSnapshots), of the simulator's host, service and
 # instance slots against the landscape read afresh (FuzzSimulatorSlots),
-# and every benchmark of the root package,
+# of the monitor's watch machine against its CPU-and-memory reference
+# (FuzzWatchMatchesReference) and of the liveness detector's probe list
+# and sweep against its four-call reference
+# (FuzzLivenessMatchesReference), and every benchmark of the root package,
 # internal/archive and internal/tsdb once as a crash smoke. A new test or
 # guard needs no edit here.
 #
@@ -177,6 +180,15 @@ go test ./internal/service -run '^$' -fuzz FuzzDeploymentSnapshots -fuzztime 10s
 # Minimization stops at 100 runs, as for the selection fuzzer.
 echo "== fuzz: simulator slots vs the landscape read afresh, 10 s"
 go test ./internal/simulator -run '^$' -fuzz FuzzSimulatorSlots -fuzztime 10s -fuzzminimizetime 100x
+
+# One watch machine serves CPU and memory, and one sweep judges a
+# minute's deaths and recoveries: any loads (−0, NaN and ±Inf
+# included) under any parameters, and any schedule of beats, replays,
+# deaths, forgets, skipped and repeated minutes, must answer as the
+# references in the test file do. Minimization stops at 100 runs.
+echo "== fuzz: the watch machine and the liveness sweep vs their references, 10 s each"
+go test ./internal/monitor -run '^$' -fuzz FuzzWatchMatchesReference -fuzztime 10s -fuzzminimizetime 100x
+go test ./internal/monitor -run '^$' -fuzz FuzzLivenessMatchesReference -fuzztime 10s -fuzzminimizetime 100x
 
 # The archive's and the store's benchmarks set up the tail, the raw
 # blocks of a memory store and a reopen: the smoke runs their setup too.
