@@ -40,6 +40,14 @@ func main() {
 		fatal(err)
 	}
 
+	if *detail != "" {
+		// The detail panel's day profile covers the whole run, history
+		// the archive compacts behind its retention included.
+		if err := sim.Archive().KeepProfiles(); err != nil {
+			fatal(err)
+		}
+	}
+
 	total := *hours * 60
 	every := total
 	if *checkpoints > 1 {

@@ -124,6 +124,9 @@ func TestElectionFailover(t *testing.T) {
 	// The leaderless minute was backfilled: the archive has an
 	// observation in every slot, the day profile is gap-free.
 	arch := lms.Archive()
+	if err := arch.KeepProfiles(); err != nil {
+		t.Fatal(err)
+	}
 	for _, host := range p.dep.Cluster().Names() {
 		for m := 0; m <= 4; m++ {
 			if n := arch.Entity(archive.HostEntity(host)).ObservationCount(m); n != 1 {
@@ -275,6 +278,9 @@ func TestElectionLostAnnouncement(t *testing.T) {
 		t.Fatalf("a quiet minute beaconed %v agents", got)
 	}
 	arch := lms.Archive()
+	if err := arch.KeepProfiles(); err != nil {
+		t.Fatal(err)
+	}
 	for _, host := range hosts {
 		for m := 0; m <= 6; m++ {
 			want := 1

@@ -10,6 +10,14 @@
 // service instance keeps no profile: nothing reads one, and its profile
 // reads answer as for a never-observed minute, 0.
 //
+// Day profiles are kept on demand. An archive keeps none until a reader
+// calls KeepProfiles — the forecaster (forecast.New), a forecasting
+// controller (controller.New) or the console's detail panel — which
+// builds each from the store's raw minutes; from then on every Record
+// updates them. Until then ProfileAt, ObservationCount, DaysObserved and
+// DayProfile(Into) answer as for an unknown entity, and
+// MetricProfiles reads 0.
+//
 // The archive holds the day profiles and a counter per entity; every raw
 // sample lives in a tsdb store, whose entity keeps its newest 64–128 in
 // memory — the tail every watchTime read and Latest are served from. An
@@ -20,6 +28,8 @@ package archive
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,10 +54,11 @@ func ServiceEntity(name string) string { return "svc/" + name }
 // InstanceEntity returns the archive key for a service instance.
 func InstanceEntity(id string) string { return "inst/" + id }
 
-// profiled reports whether an entity keeps a day profile: every key but
-// those InstanceEntity mints. The forecast scan lists hosts and services
-// and the console asks for hosts; an instance's profile has no reader.
-// The name alone decides: names are all NewBacked rebuilds an entity from.
+// profiled reports whether an entity keeps a day profile while the
+// archive keeps profiles: every key but those InstanceEntity mints. The
+// forecast scan lists hosts and services and the console asks for hosts;
+// an instance's profile has no reader. The name alone decides: names are
+// all KeepProfiles rebuilds a profile from.
 func profiled(entity string) bool { return !strings.HasPrefix(entity, InstanceEntity("")) }
 
 // Sample is one recorded measurement, the store's own type.
@@ -80,12 +91,25 @@ func (d *dayProfile) mean(i int) float64 {
 type entityLog struct {
 	name     string
 	ingested int         // samples ever ingested
-	day      *dayProfile // noEntity's shared empty one unless profiled(name)
+	day      *dayProfile // noEntity's shared empty one unless kept and profiled(name)
 	// dayMost is the deepest day.n slot. Counts never decrease, so a
-	// running max kept by ingest is exact and DaysObserved is one load.
+	// running max kept by fold is exact and DaysObserved is one load.
 	dayMost int
 
 	stored tsdb.Handle // resolved by the first Record, or by NewBacked's replay
+}
+
+// fold adds a sample to the entity's day profile, if it keeps one.
+func (l *entityLog) fold(s Sample) {
+	if l.day == noEntity.day {
+		return // no profile of its own
+	}
+	i := slot(s.Minute)
+	l.day.sum[i] += s.CPU
+	l.day.n[i]++
+	if n := int(l.day.n[i]); n > l.dayMost {
+		l.dayMost = n
+	}
 }
 
 // slot folds an absolute minute onto its minute of day.
@@ -99,13 +123,15 @@ func slot(minute int) int {
 type Archive struct {
 	retention int // raw minutes read back per entity: those above latest − retention
 	entities  map[string]*entityLog
+	created   []*entityLog // every log in creation order: KeepProfiles' walk
 	store     *tsdb.Store
 
 	// Unused tails of the slabs entities are carved from.
 	logs []entityLog
 	days []dayProfile
 
-	profiles   int // entities holding a day profile of their own
+	keep       bool // day profiles are kept (KeepProfiles)
+	profiles   int  // entities holding a day profile of their own
 	deepReads  *obs.Counter
 	entityNum  *obs.Gauge
 	profileNum *obs.Gauge
@@ -145,38 +171,47 @@ func (a *Archive) log(entity string) *entityLog {
 		l = &a.logs[0]
 		*l = entityLog{name: entity, day: noEntity.day}
 		a.logs = a.logs[1:]
-		if profiled(entity) {
-			reserve(&a.days, 1)
-			l.day, a.days = &a.days[0], a.days[1:]
-			a.profiles++
-			a.profileNum.Set(float64(a.profiles))
+		if a.keep && profiled(entity) {
+			a.carve(l)
 		}
 		a.entities[entity] = l
+		a.created = append(a.created, l)
 		a.entityNum.Set(float64(len(a.entities)))
 	}
 	return l
 }
 
+// carve gives l an empty day profile from the profile slab.
+func (a *Archive) carve(l *entityLog) {
+	reserve(&a.days, 1)
+	l.day, a.days = &a.days[0], a.days[1:]
+	a.profiles++
+	a.profileNum.Set(float64(a.profiles))
+}
+
 // Preallocate creates the given entities up front: those not yet known
-// get a header, and those that keep a day profile — hosts, services,
-// every key but a service instance's — its 17,280 B, each carved from
-// one slab sized exactly for them: two allocations and two clears
-// however many entities. A coordinator expecting a 1,000-host landscape
-// warms the archive before the first heartbeat. An entity first seen
-// later is allocated on its own: a header, and a profile only if it
-// keeps one. The store allocates an entity's tail at its first Record.
+// get a header and, while the archive keeps profiles, those that keep a
+// day profile — hosts, services, every key but a service instance's —
+// its 17,280 B, each carved from one slab sized exactly for them: two
+// allocations and two clears however many entities. An archive that
+// keeps no profiles carves none (KeepProfiles carves them later). A
+// coordinator expecting a 1,000-host landscape warms the archive before
+// the first heartbeat. An entity first seen later is allocated on its
+// own: a header, and a profile only if it keeps one. The store
+// allocates an entity's tail at its first Record.
 func (a *Archive) Preallocate(entities ...string) {
 	n, withProfile := 0, 0
 	for _, e := range entities {
 		if _, ok := a.entities[e]; !ok {
 			n++
-			if profiled(e) {
+			if a.keep && profiled(e) {
 				withProfile++
 			}
 		}
 	}
 	reserve(&a.logs, n)
 	reserve(&a.days, withProfile)
+	a.created = slices.Grow(a.created, n)
 	for _, e := range entities {
 		a.log(e)
 	}
@@ -196,23 +231,51 @@ func (e Entity) Record(s Sample) error {
 	if err := a.store.AppendTo(&l.stored, l.name, s); err != nil {
 		return err
 	}
-	a.ingest(l, s)
+	l.ingested++
+	l.fold(s)
 	return nil
 }
 
-// ingest applies a sample to the profile and the counter — the shared
-// tail of the live Record path and of NewBacked's replay.
-func (a *Archive) ingest(l *entityLog, s Sample) {
-	l.ingested++
-	if l.day == noEntity.day {
-		return // a service instance: no profile of its own
+// KeepProfiles turns day profiles on: it carves one slab for every
+// known host and service, in the order they were created, and builds
+// each profile from the store's raw minutes, oldest first; from then on
+// Record keeps them up to date. Run before the first Record or right
+// after NewBacked, it gives every profile the float operations the live
+// path would have, in the same order; history compacted behind the
+// retention window is no longer raw and is left out. A second call does
+// nothing. If a store read fails, the archive keeps no profiles and the
+// call can be retried.
+func (a *Archive) KeepProfiles() error {
+	if a.keep {
+		return nil
 	}
-	i := slot(s.Minute)
-	l.day.sum[i] += s.CPU
-	l.day.n[i]++
-	if n := int(l.day.n[i]); n > l.dayMost {
-		l.dayMost = n
+	n := 0
+	for _, l := range a.created {
+		if profiled(l.name) {
+			n++
+		}
 	}
+	reserve(&a.days, n)
+	// One closure for the whole walk: cur is the entity being built.
+	var cur *entityLog
+	fold := func(s Sample) { cur.fold(s) }
+	for _, l := range a.created {
+		if !profiled(l.name) {
+			continue
+		}
+		cur = l
+		a.carve(l)
+		if _, err := a.store.Range(l.stored, 0, math.MaxInt, fold); err != nil {
+			for _, e := range a.created {
+				e.day, e.dayMost = noEntity.day, 0
+			}
+			a.days, a.profiles = nil, 0
+			a.profileNum.Set(0)
+			return fmt.Errorf("archive: %q: day profile: %w", l.name, err)
+		}
+	}
+	a.keep = true
+	return nil
 }
 
 // Entity is a resolved handle on one entity: the string-keyed lookup is
@@ -230,9 +293,9 @@ type Entity struct {
 }
 
 // noEntity is what an unknown entity reads as. Its empty day profile is
-// also every service instance's, so profile reads need no branch. Never
-// written: ingest only reaches logs created by Archive.log and skips
-// those that share this profile.
+// also every service instance's, and every entity's while the archive
+// keeps no profiles, so profile reads need no branch. Never written:
+// fold skips the logs that share this profile.
 var noEntity = entityLog{day: new(dayProfile)}
 
 // Entity resolves the handle of an entity without creating it.
@@ -251,8 +314,8 @@ func (a *Archive) Entity(entity string) Entity {
 func (e Entity) Known() bool { return e.l != nil && e.l != &noEntity }
 
 // Resolve returns the handle of an entity, creating its (empty) log —
-// a header and, unless the key is a service instance's, a day profile —
-// on first sight.
+// a header and, while the archive keeps profiles and unless the key is
+// a service instance's, a day profile — on first sight.
 func (a *Archive) Resolve(entity string) Entity { return Entity{a, a.log(entity)} }
 
 // Len returns min(ingested, retention), from a counter — the forecast's
@@ -265,7 +328,9 @@ func (e Entity) Len() int { return min(e.l.ingested, e.a.retention) }
 func (e Entity) Latest() (Sample, bool) { return e.a.store.Latest(e.l.stored) }
 
 // ProfileAt returns the mean CPU load at a minute of day (any absolute
-// minute is folded); 0 for a never-observed minute, as a service instance's all are.
+// minute is folded); 0 for a never-observed minute, as a service
+// instance's all are, and every minute while the archive keeps no
+// profiles (KeepProfiles).
 func (e Entity) ProfileAt(minute int) float64 { return e.l.day.mean(slot(minute)) }
 
 // ObservationCount returns how many samples contributed to the day
@@ -275,7 +340,7 @@ func (e Entity) ObservationCount(minute int) int { return int(e.l.day.n[slot(min
 
 // DaysObserved returns the deepest per-minute observation count — an
 // upper bound on how many days of history back any profile minute,
-// against which sparse minutes are judged. O(1): ingest keeps the
+// against which sparse minutes are judged. O(1): fold keeps the
 // running max.
 func (e Entity) DaysObserved() int { return e.l.dayMost }
 
@@ -391,7 +456,8 @@ func (a *Archive) PercentileCPU(entity string, from, to int, p float64) (float64
 // DayProfile returns the aggregated mean CPU load per minute of day —
 // the "pattern" historic view used for load prediction. Minutes never
 // observed carry 0, and so does every minute of a service instance
-// (InstanceEntity), which keeps no profile. The slice is freshly
+// (InstanceEntity), which keeps no profile, and of every entity while
+// the archive keeps no profiles (KeepProfiles). The slice is freshly
 // allocated; hot paths use ProfileAt or DayProfileInto instead.
 func (a *Archive) DayProfile(entity string) []float64 {
 	out := make([]float64, MinutesPerDay)

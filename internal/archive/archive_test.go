@@ -80,8 +80,19 @@ func TestRingBufferEviction(t *testing.T) {
 	}
 }
 
+// keepProfiles turns the day profiles of every archive on.
+func keepProfiles(t testing.TB, archives ...*Archive) {
+	t.Helper()
+	for _, a := range archives {
+		if err := a.KeepProfiles(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestDayProfileAggregation(t *testing.T) {
 	a := New(0)
+	keepProfiles(t, a)
 	// Same minute-of-day on three consecutive days: 0.2, 0.4, 0.6.
 	for day, cpu := range []float64{0.2, 0.4, 0.6} {
 		if err := a.Record("x", Sample{Minute: day*MinutesPerDay + 100, CPU: cpu}); err != nil {
@@ -104,6 +115,7 @@ func TestDayProfileSurvivesEviction(t *testing.T) {
 	// The aggregated day profile must retain history even after raw
 	// samples are evicted: that is the "persistent aggregated view".
 	a := New(10)
+	keepProfiles(t, a)
 	for m := 0; m < 100; m++ {
 		if err := a.Record("x", Sample{Minute: m, CPU: 1}); err != nil {
 			t.Fatal(err)

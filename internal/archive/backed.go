@@ -9,13 +9,14 @@ import (
 
 // NewBacked opens (or recovers) a disk-backed archive: every Record is
 // written to a segmented tsdb store in dir, and opening an existing
-// directory replays the persisted history — the day profiles (who keeps
-// one follows from the entity's name, as on the live path) and counters
-// are rebuilt from the raw minute samples, in the same chronological
-// order they were first recorded, so a recovered coordinator's
-// DayProfile is byte-identical to the one it crashed with (for history
-// still at minute resolution; the store compacts only data older than
-// the retention window). The store rebuilds each entity's tail itself.
+// directory replays the persisted history — each entity's counter is
+// rebuilt by counting its raw minute samples. The reopened archive keeps
+// no day profiles: KeepProfiles, called next, rebuilds them from the
+// same samples in the order they were first recorded, so a recovered
+// coordinator's DayProfile is byte-identical to the one it crashed with
+// (for history still at minute resolution; the store compacts only data
+// older than the retention window). The store rebuilds each entity's
+// tail itself.
 //
 // Latest and every watchTime average are served from the tail in
 // memory; Window, AverageCPU, AverageMem and PercentileCPU read sealed
@@ -30,10 +31,13 @@ func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 	a := over(st, retention)
 	names := st.Entities()
 	a.Preallocate(names...)
+	// One closure for the whole walk: cur is the entity being counted.
+	var cur *entityLog
+	count := func(Sample) { cur.ingested++ }
 	for _, entity := range names {
-		l := a.log(entity)
-		l.stored = st.Lookup(entity)
-		if _, err := st.Range(l.stored, 0, math.MaxInt, func(s Sample) { a.ingest(l, s) }); err != nil {
+		cur = a.log(entity)
+		cur.stored = st.Lookup(entity)
+		if _, err := st.Range(cur.stored, 0, math.MaxInt, count); err != nil {
 			st.Close()
 			return nil, err
 		}
@@ -69,7 +73,7 @@ func (a *Archive) Maintain(minute int) error {
 func (a *Archive) Instrument(r *obs.Registry) {
 	r.Help(MetricDeepReads, "Reads that needed a sealed block not held raw in memory.")
 	r.Help(MetricEntities, "Entities held: a header and a tsdb tail each.")
-	r.Help(MetricProfiles, "Entities holding a day profile: all but service instances.")
+	r.Help(MetricProfiles, "Entities holding a day profile: all but service instances, and none until a reader keeps profiles.")
 	a.deepReads = r.Counter(MetricDeepReads)
 	a.entityNum = r.Gauge(MetricEntities)
 	a.entityNum.Set(float64(len(a.entities)))

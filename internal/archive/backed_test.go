@@ -3,6 +3,7 @@ package archive
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"autoglobe/internal/tsdb"
@@ -28,6 +29,7 @@ func TestBackedArchiveSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keepProfiles(t, a)
 	entities := []string{
 		HostEntity("b1"), HostEntity("b2"),
 		ServiceEntity("app"), InstanceEntity("app-1"),
@@ -49,10 +51,14 @@ func TestBackedArchiveSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	keepProfiles(t, re)
 	if got, want := re.Entities(), a.Entities(); len(got) != len(want) {
 		t.Fatalf("recovered %d entities, want %d", len(got), len(want))
 	}
 	for _, entity := range entities {
+		if got := re.Entity(entity).DaysObserved() > 0; got != profiled(entity) {
+			t.Fatalf("%s: has a day profile after recovery: %v", entity, got)
+		}
 		before := a.DayProfile(entity)
 		after := re.DayProfile(entity)
 		for m := range before {
@@ -150,6 +156,7 @@ func TestArchiveRecordPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	keepProfiles(t, a)
 	const ents = 8
 	entities := make([]string, ents)
 	for e := range entities {
@@ -182,12 +189,16 @@ func TestArchiveRecordPathZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state record+commit+profile reads allocate %.1f times per minute, want 0", allocs)
 	}
 	_ = sink
+	if a.Entity(entities[0]).DaysObserved() == 0 || slices.Max(profile) == 0 {
+		t.Fatal("the profile reads read an empty profile: the guard lost its teeth")
+	}
 }
 
 // TestProfileAccessorsMatchDayProfile pins the incremental running
 // mean against the allocating DayProfile API on gappy history.
 func TestProfileAccessorsMatchDayProfile(t *testing.T) {
 	a := New(0)
+	keepProfiles(t, a)
 	entity := ServiceEntity("app")
 	// Two days, second day only partially observed, some minutes thrice.
 	for m := 0; m < MinutesPerDay; m++ {
@@ -201,6 +212,9 @@ func TestProfileAccessorsMatchDayProfile(t *testing.T) {
 		if err := a.Record(entity, Sample{Minute: m, CPU: cpu}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if a.Entity(entity).DaysObserved() == 0 {
+		t.Fatal("no day profile: the comparison lost its teeth")
 	}
 	full := a.DayProfile(entity)
 	into := make([]float64, MinutesPerDay)
@@ -256,6 +270,7 @@ func TestDaysObservedIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keepProfiles(t, a)
 	rng := rand.New(rand.NewSource(13))
 	entities := []string{HostEntity("b1"), ServiceEntity("app"), HostEntity("b2"), ServiceEntity("db")}
 	if got := a.Entity("host/ghost").DaysObserved(); got != 0 {
@@ -296,6 +311,7 @@ func TestDaysObservedIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	keepProfiles(t, re)
 	for _, entity := range entities {
 		want := daysObservedScan(re, entity)
 		if got := re.Entity(entity).DaysObserved(); got != want || got != a.Entity(entity).DaysObserved() {

@@ -85,6 +85,7 @@ func BenchmarkLatest(b *testing.B) {
 
 func BenchmarkDayProfile(b *testing.B) {
 	a := New(0)
+	keepProfiles(b, a)
 	for m := 0; m < 3*MinutesPerDay; m++ {
 		a.Record("h", Sample{Minute: m, CPU: 0.5})
 	}

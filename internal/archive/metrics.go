@@ -10,6 +10,7 @@ const (
 	// each.
 	MetricEntities = "autoglobe_archive_entities_total"
 	// MetricProfiles gauges the entities holding a day profile: hosts and
-	// services, not service instances.
+	// services, not service instances, and none until a reader calls
+	// Archive.KeepProfiles.
 	MetricProfiles = "autoglobe_archive_profiles_total"
 )

@@ -90,6 +90,7 @@ func TestRingRejectsTimeTravel(t *testing.T) {
 // running mean per minute of day, unaffected by the retention.
 func TestDayProfileAcrossMidnight(t *testing.T) {
 	a := New(10) // tiny retention: it must not disturb the profile
+	keepProfiles(t, a)
 	e := "svc/s"
 	// Three days: minute-of-day 0 sees 0.1, 0.2, 0.3; minute-of-day
 	// MinutesPerDay-1 sees 0.4, 0.6 on the first two days only.

@@ -69,6 +69,7 @@ func TestTwoTierParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			keepProfiles(t, mem, backed)
 			for _, s := range stream {
 				if err := cmp.Or(mem.Record(entity, s), backed.Record(entity, s)); err != nil {
 					t.Fatal(err)
@@ -131,6 +132,9 @@ func TestTwoTierParity(t *testing.T) {
 			// in-memory archive that ingested the same samples.
 			sameProfile := func(stage string, b, ref *Archive) {
 				t.Helper()
+				if got := b.Entity(entity).DaysObserved() > 0; got != profiled(entity) {
+					t.Fatalf("%s: %s has a day profile: %v", stage, entity, got)
+				}
 				if got, want := b.Len(entity), ref.Len(entity); got != want {
 					t.Fatalf("%s: Len = %d, in memory %d", stage, got, want)
 				}
@@ -139,9 +143,6 @@ func TestTwoTierParity(t *testing.T) {
 				}
 				if !slices.Equal(b.DayProfile(entity), ref.DayProfile(entity)) {
 					t.Fatalf("%s: DayProfile differs from the in-memory one", stage)
-				}
-				if got := b.Entity(entity).DaysObserved() > 0; got != profiled(entity) {
-					t.Fatalf("%s: %s has a day profile: %v", stage, entity, got)
 				}
 			}
 
@@ -194,6 +195,7 @@ func TestTwoTierParity(t *testing.T) {
 			}
 			defer re.Close()
 			survivors := New(tc.retention)
+			keepProfiles(t, re, survivors)
 			for _, s := range stream {
 				if s.Minute >= mark {
 					survivors.Record(entity, s)
@@ -248,9 +250,9 @@ func TestWatchAverageZeroAlloc(t *testing.T) {
 }
 
 // TestHotTierBytesPerEntity keeps the memory claim in tier-1, by class:
-// the archive holds a host's or service's day profile (17,280 B at 12
-// bytes a minute of day) and a header, a service instance's header
-// alone — no samples of its own. Beside each, the tsdb entity that holds
+// an archive that keeps profiles holds a host's or service's day profile
+// (17,280 B at 12 bytes a minute of day) and a header, a service
+// instance's header alone — no samples of its own. Beside each, the tsdb entity that holds
 // the samples: its tail, two blocks inline, whatever the class.
 func TestHotTierBytesPerEntity(t *testing.T) {
 	if size := unsafe.Sizeof(dayProfile{}); size > 12*MinutesPerDay {
@@ -269,6 +271,7 @@ func TestHotTierBytesPerEntity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	keepProfiles(t, a)
 	heap := func() uint64 {
 		var m runtime.MemStats
 		runtime.GC()
@@ -370,6 +373,7 @@ func TestInstanceEntitiesKeepNoProfile(t *testing.T) {
 	}
 
 	mem := New(retention)
+	keepProfiles(t, mem)
 	feed(mem)
 	check("in memory", mem)
 
@@ -378,6 +382,7 @@ func TestInstanceEntitiesKeepNoProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keepProfiles(t, backed)
 	feed(backed)
 	check("before Commit", backed)
 	if err := backed.Commit(); err != nil {
@@ -392,6 +397,7 @@ func TestInstanceEntitiesKeepNoProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	keepProfiles(t, re)
 	check("reopened", re)
 	if !slices.Equal(re.DayProfile(host), mem.DayProfile(host)) {
 		t.Fatal("reopened: the host's day profile differs from the in-memory one")

@@ -46,7 +46,9 @@ func ServerView(dep *service.Deployment, arch *archive.Archive) string {
 // ServerDetail renders the lower right-hand panel of the paper's
 // console: detailed information about one selected server — hardware
 // attributes, current load, tail quantiles over the recent window, the
-// aggregated day profile, and resident instances.
+// aggregated day profile, and resident instances. It turns the
+// archive's day profiles on: a caller that wants them to cover history
+// the archive has since compacted turns them on before the run.
 func ServerDetail(dep *service.Deployment, arch *archive.Archive, host string, nowMinute int) string {
 	h, ok := dep.Cluster().Host(host)
 	if !ok {
@@ -69,8 +71,11 @@ func ServerDetail(dep *service.Deployment, arch *archive.Archive, host string, n
 	} else if ok {
 		fmt.Fprintf(&sb, "  last 24 h: mean %.0f%%, p95 %.0f%%, p99 %.0f%%\n", avg*100, p95*100, p99*100)
 	}
-	profile := arch.DayProfile(entity)
-	fmt.Fprintf(&sb, "  day profile: %s\n", loadSparkline(profile))
+	if err := arch.KeepProfiles(); err != nil {
+		fmt.Fprintf(&sb, "  day profile: unreadable: %v\n", err)
+	} else {
+		fmt.Fprintf(&sb, "  day profile: %s\n", loadSparkline(arch.DayProfile(entity)))
+	}
 	insts := dep.InstancesOn(host)
 	fmt.Fprintf(&sb, "  instances (%d):\n", len(insts))
 	for _, inst := range insts {

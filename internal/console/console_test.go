@@ -74,10 +74,12 @@ func TestServerDetail(t *testing.T) {
 // minutes of them. The panel — "last 24 h" spans 1,441 minutes, all but
 // the newest from the store — must read the same; the fall-through shows
 // on the observability panel; and a store that cannot be read shows as
-// that, not as a server without history.
+// that, not as a server without history — for the 24 h line, and for a
+// day profile a reopened archive cannot build.
 func TestServerDetailOverBackedArchive(t *testing.T) {
 	dep, mem := testWorld(t)
-	backed, err := archive.NewBacked(t.TempDir(), 0, tsdb.Options{NoSync: true})
+	dir := t.TempDir()
+	backed, err := archive.NewBacked(dir, 0, tsdb.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +102,9 @@ func TestServerDetailOverBackedArchive(t *testing.T) {
 	if !strings.Contains(want, "last 24 h: mean 48%, p95 92%, p99 96%") {
 		t.Fatalf("in-memory panel:\n%s", want)
 	}
+	if mem.Entity(entity).DaysObserved() == 0 {
+		t.Fatal("the in-memory panel read an empty day profile: the comparison lost its teeth")
+	}
 	if got := ServerDetail(dep, backed, "Blade1", now); got != want {
 		t.Errorf("backed panel:\n%s\nin-memory panel:\n%s", got, want)
 	}
@@ -114,6 +119,16 @@ func TestServerDetailOverBackedArchive(t *testing.T) {
 	}
 	if got := ServerDetail(dep, backed, "Blade1", now); !strings.Contains(got, "last 24 h: unreadable: ") || !strings.Contains(got, tsdb.ErrClosed.Error()) {
 		t.Errorf("panel over a closed store:\n%s", got)
+	}
+	re, err := archive.NewBacked(dir, 0, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ServerDetail(dep, re, "Blade1", now); !strings.Contains(got, "day profile: unreadable: ") || !strings.Contains(got, tsdb.ErrClosed.Error()) {
+		t.Errorf("panel over a reopened store closed before its profiles were built:\n%s", got)
 	}
 }
 

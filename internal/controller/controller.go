@@ -237,7 +237,9 @@ type Controller struct {
 }
 
 // New builds a controller over the deployment, reading load data from
-// the archive and executing through exec.
+// the archive and executing through exec. With a forecast predictor
+// configured it turns the predictor's day profiles on, and returns the
+// error if they cannot be built.
 func New(cfg Config, dep *service.Deployment, arch *archive.Archive, exec Executor) (*Controller, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("controller: nil deployment")
@@ -247,6 +249,11 @@ func New(cfg Config, dep *service.Deployment, arch *archive.Archive, exec Execut
 	}
 	if exec == nil {
 		return nil, fmt.Errorf("controller: nil executor")
+	}
+	if f := cfg.Forecast; f != nil && f.Predictor != nil {
+		if err := f.Predictor.KeepProfiles(); err != nil {
+			return nil, fmt.Errorf("controller: forecast: %w", err)
+		}
 	}
 	cfg = cfg.withDefaults()
 	c := &Controller{

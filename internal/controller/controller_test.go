@@ -6,6 +6,7 @@ import (
 
 	"autoglobe/internal/archive"
 	"autoglobe/internal/cluster"
+	"autoglobe/internal/forecast"
 	"autoglobe/internal/fuzzy"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/service"
@@ -677,6 +678,49 @@ func mustRB(t *testing.T, vc *fuzzy.Vocabulary, src string) *fuzzy.RuleBase {
 }
 
 // Ensure fmt is referenced (used in helpers below when extended).
+
+// TestForecastNeedsItsProfiles: a forecasting controller turns the
+// archive's day profiles on, and one whose profiles cannot be built —
+// here a reopened archive whose store was closed before they were —
+// is not built either: New returns the store's error.
+func TestForecastNeedsItsProfiles(t *testing.T) {
+	tb := newTestbed(t, Config{})
+	dir := t.TempDir()
+	arch, err := archive.NewBacked(dir, 0, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m <= 200; m++ { // past the tail: a block on disk
+		if err := arch.Record(archive.HostEntity("weak1"), archive.Sample{Minute: m, CPU: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := archive.NewBacked(dir, 0, tsdb.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Forecast: &ForecastConfig{Predictor: forecast.New(re), Horizon: 30, Threshold: 0.7}}
+	if _, err := New(cfg, tb.dep, re, tb.exec); !errors.Is(err, tsdb.ErrClosed) {
+		t.Fatalf("New over profiles that cannot be built: err %v, want tsdb.ErrClosed", err)
+	}
+	mem := archive.New(0)
+	if err := mem.Record(archive.HostEntity("weak1"), archive.Sample{Minute: 0, CPU: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Forecast.Predictor = forecast.New(mem)
+	if _, err := New(cfg, tb.dep, mem, tb.exec); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Entity(archive.HostEntity("weak1")).ObservationCount(0); got != 1 {
+		t.Fatalf("a forecasting controller's archive counts %d observations at minute 0, want 1", got)
+	}
+}
 
 // TestUnreadableWatchWindowFailsTheDecision: a watch window the archive
 // cannot read — here one reaching below a backed archive's ring after

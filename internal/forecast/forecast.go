@@ -39,10 +39,18 @@ type Predictor struct {
 	MinHistory int
 }
 
-// New returns a predictor over the archive.
+// New returns a predictor over the archive and turns the archive's day
+// profiles on. Should that fail — a store read of a reopened archive —
+// the archive keeps none and the predictor forecasts nothing until
+// KeepProfiles succeeds; controller.New retries it and returns the error.
 func New(arch *archive.Archive) *Predictor {
+	_ = arch.KeepProfiles() // a failure leaves no profiles: no forecast, and a retry (controller.New) reports it
 	return &Predictor{arch: arch, DeviationHalfLife: 60, MinHistory: archive.MinutesPerDay / 2}
 }
+
+// KeepProfiles turns the day profiles of the predictor's archive on: a
+// no-op once they are kept (see archive.Archive.KeepProfiles).
+func (p *Predictor) KeepProfiles() error { return p.arch.KeepProfiles() }
 
 // Entity resolves an archive entity once, so the controller's proactive
 // scan can gate a forecast on the measured present (Entity.Latest) and

@@ -152,11 +152,14 @@ func randomHistory(t *testing.T, rng *rand.Rand, a *archive.Archive, entity stri
 func TestPredictPeakMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060403))
 	bits := math.Float64bits
-	cases, clamped, noLatest, refused, midnight := 0, 0, 0, 0, 0
+	cases, clamped, noLatest, refused, midnight, profiled := 0, 0, 0, 0, 0, 0
 	for hist := 0; hist < 260; hist++ {
 		a := archive.New(1 + rng.Intn(3*archive.MinutesPerDay))
 		const entity = "svc/x"
 		last := randomHistory(t, rng, a, entity)
+		if err := a.KeepProfiles(); err != nil {
+			t.Fatal(err)
+		}
 		days := refDays(a, entity)
 		if got := a.Entity(entity).DaysObserved(); got != days {
 			t.Fatalf("history %d: DaysObserved = %d, full scan %d", hist, got, days)
@@ -193,6 +196,9 @@ func TestPredictPeakMatchesReference(t *testing.T) {
 					hist, now, horizon, p.DeviationHalfLife, p.MinHistory, v, c, ok, wantV, wantC, wantOK)
 			}
 			cases++
+			if days > 0 {
+				profiled++
+			}
 			switch {
 			case !wantOK:
 				refused++
@@ -212,6 +218,7 @@ func TestPredictPeakMatchesReference(t *testing.T) {
 	for name, n := range map[string]int{
 		"clamped at 0": clamped, "no latest sample": noLatest,
 		"refused": refused, "window across midnight": midnight,
+		"over a day profile": profiled,
 	} {
 		if n < 50 {
 			t.Errorf("only %d cases %s; the generator lost that branch", n, name)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"autoglobe/internal/archive"
@@ -40,6 +41,9 @@ func TestRecordByHandleMatchesString(t *testing.T) {
 		t.Helper()
 		arch, err := archive.NewBacked(s.dir, 200, tsdb.Options{NoSync: true})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := arch.KeepProfiles(); err != nil {
 			t.Fatal(err)
 		}
 		sys, err := NewSystem(params, arch)
@@ -105,6 +109,9 @@ func TestRecordByHandleMatchesString(t *testing.T) {
 		}
 		for _, name := range names {
 			a, b := byName.arch.Entity(name), byHandle.arch.Entity(name)
+			if instance := strings.HasPrefix(name, archive.InstanceEntity("")); (a.DaysObserved() > 0) == instance {
+				t.Fatalf("%s: %s: has a day profile: %v", when, name, !instance)
+			}
 			if a.Len() != b.Len() || a.DaysObserved() != b.DaysObserved() {
 				t.Fatalf("%s: %s: len %d/%d, days %d/%d", when, name, a.Len(), b.Len(), a.DaysObserved(), b.DaysObserved())
 			}

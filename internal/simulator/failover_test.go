@@ -132,6 +132,9 @@ func TestFailoverConvergesToFaultFreeLandscape(t *testing.T) {
 	// observation per minute of the day, including the leaderless
 	// windows (buffered by the agents, backfilled by the successors).
 	arch := sim.Archive()
+	if err := arch.KeepProfiles(); err != nil {
+		t.Fatal(err)
+	}
 	for _, host := range hosts {
 		for m := 0; m < 24*60; m++ {
 			if n := arch.Entity(archive.HostEntity(host)).ObservationCount(m); n != 1 {

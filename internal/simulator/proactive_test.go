@@ -1,8 +1,10 @@
 package simulator
 
 import (
+	"strings"
 	"testing"
 
+	"autoglobe/internal/archive"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/service"
 	"autoglobe/internal/wire"
@@ -24,10 +26,13 @@ func TestArchiveBackedRunSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	arch := sim.Archive()
+	if err := arch.KeepProfiles(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	arch := sim.Archive()
 	entities := arch.Entities()
 	if len(entities) == 0 {
 		t.Fatal("run recorded no entities")
@@ -39,10 +44,17 @@ func TestArchiveBackedRunSurvivesCrash(t *testing.T) {
 	}
 	defer re.Close()
 	rearch := re.Archive()
+	if err := rearch.KeepProfiles(); err != nil {
+		t.Fatal(err)
+	}
 	if got := rearch.Entities(); len(got) != len(entities) {
 		t.Fatalf("recovered %d entities, want %d", len(got), len(entities))
 	}
 	for _, entity := range entities {
+		instance := strings.HasPrefix(entity, archive.InstanceEntity(""))
+		if got := rearch.Entity(entity).DaysObserved() > 0; got == instance {
+			t.Fatalf("%s: has a recovered day profile: %v", entity, got)
+		}
 		before := arch.DayProfile(entity)
 		after := rearch.DayProfile(entity)
 		for m := range before {

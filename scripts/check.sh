@@ -30,9 +30,11 @@
 # (FuzzDeploymentSnapshots), of the simulator's host, service and
 # instance slots against the landscape read afresh (FuzzSimulatorSlots),
 # of the monitor's watch machine against its CPU-and-memory reference
-# (FuzzWatchMatchesReference) and of the liveness detector's probe list
+# (FuzzWatchMatchesReference), of the liveness detector's probe list
 # and sweep against its four-call reference
-# (FuzzLivenessMatchesReference), and every benchmark of the root package,
+# (FuzzLivenessMatchesReference) and of the archive's day profiles built
+# on demand against profiles kept from the start
+# (FuzzKeepProfilesMatchesLive), and every benchmark of the root package,
 # internal/archive and internal/tsdb once as a crash smoke. A new test or
 # guard needs no edit here.
 #
@@ -189,6 +191,14 @@ go test ./internal/simulator -run '^$' -fuzz FuzzSimulatorSlots -fuzztime 10s -f
 echo "== fuzz: the watch machine and the liveness sweep vs their references, 10 s each"
 go test ./internal/monitor -run '^$' -fuzz FuzzWatchMatchesReference -fuzztime 10s -fuzzminimizetime 100x
 go test ./internal/monitor -run '^$' -fuzz FuzzLivenessMatchesReference -fuzztime 10s -fuzzminimizetime 100x
+
+# A day profile is built on demand, from whatever the store holds raw:
+# after any history of gaps, jumps across midnight, compaction past the
+# retention and reopens, it must equal the raw survivors folded in
+# order and lack, against a profile kept from the start, exactly the
+# compacted minutes. Minimization stops at 100 runs.
+echo "== fuzz: day profiles kept late vs kept from the start, 10 s"
+go test ./internal/archive -run '^$' -fuzz FuzzKeepProfilesMatchesLive -fuzztime 10s -fuzzminimizetime 100x
 
 # The archive's and the store's benchmarks set up the tail, the raw
 # blocks of a memory store and a reopen: the smoke runs their setup too.
