@@ -446,12 +446,11 @@ func TestWatchReadsStayInMemory(t *testing.T) {
 // past the minute at which every entity seals its first tsdb block. The
 // archive is most of it, and who holds a day profile decides how much:
 // with a forecaster configured, hosts and services do (17 KB each) and
-// service instances do not, and at most 60 KB of live heap a host is
-// held: 48.1 KB measured on this bed (1,643 instances; the benchmark's
-// fleet, 1,009, reads 47.8) plus 20 % and rounded; 115 KB before PR 19.
-// Without one, nothing reads a profile and none is built: at most
-// 15,600 B a host, 12,988 B measured (41,298 with the forecaster) plus
-// 20 %. The gauges say which.
+// service instances do not, and at most 46 KiB of live heap a host is
+// held: 37,856 B measured on this bed (1,643 profiles) plus 20 % and
+// rounded. Without one, nothing reads a profile and none is built: at
+// most 11,200 B a host, 9,291 B measured plus 20 %. The gauges say
+// which.
 func TestCoordinatorBytesPerHost(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -459,8 +458,8 @@ func TestCoordinatorBytesPerHost(t *testing.T) {
 		profiled bool
 		bound    uint64
 	}{
-		{"forecasting", &controller.ForecastConfig{Horizon: 30}, true, 60 << 10},
-		{"no forecaster", nil, false, 15_600},
+		{"forecasting", &controller.ForecastConfig{Horizon: 30}, true, 46 << 10},
+		{"no forecaster", nil, false, 11_200},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

@@ -19,7 +19,7 @@
 // MetricProfiles reads 0.
 //
 // The archive holds the day profiles and a counter per entity; every raw
-// sample lives in a tsdb store, whose entity keeps its newest 64–128 in
+// sample lives in a tsdb store, whose entity keeps its newest 64 in
 // memory — the tail every watchTime read and Latest are served from. An
 // in-memory archive (New) runs over a store with no directory, which
 // keeps every sealed block raw; a backed one (NewBacked) over a store on

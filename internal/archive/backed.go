@@ -1,28 +1,28 @@
 package archive
 
 import (
-	"math"
-
 	"autoglobe/internal/obs"
 	"autoglobe/internal/tsdb"
 )
 
 // NewBacked opens (or recovers) a disk-backed archive: every Record is
 // written to a segmented tsdb store in dir, and opening an existing
-// directory replays the persisted history — each entity's counter is
-// rebuilt by counting its raw minute samples. The reopened archive keeps
-// no day profiles: KeepProfiles, called next, rebuilds them from the
-// same samples in the order they were first recorded, so a recovered
-// coordinator's DayProfile is byte-identical to the one it crashed with
-// (for history still at minute resolution; the store compacts only data
-// older than the retention window). The store rebuilds each entity's
-// tail itself.
+// directory replays the persisted history. Each entity's counter comes
+// from the store's block index (tsdb.Store.Count), which reads at most
+// the one sealed block the compaction watermark cuts. The reopened
+// archive keeps no day profiles: KeepProfiles, called next, rebuilds
+// them from the same samples in the order they were first recorded, so
+// a recovered coordinator's DayProfile is byte-identical to the one it
+// crashed with (for history still at minute resolution; the store
+// compacts only data older than the retention window). The store
+// rebuilds each entity's tail itself.
 //
 // Latest and every watchTime average are served from the tail in
-// memory; Window, AverageCPU, AverageMem and PercentileCPU read sealed
-// blocks from disk when asked for minutes below it, and return the
-// store's error if that fails. The store also adds durability and the
-// minute → hour → day downsampling tiers.
+// memory, each entity's newest 64 samples; Window, AverageCPU,
+// AverageMem and PercentileCPU read sealed blocks from disk when asked
+// for minutes below it, and return the store's error if that fails. The
+// store also adds durability and the minute → hour → day downsampling
+// tiers.
 func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 	st, err := tsdb.Open(dir, opts)
 	if err != nil {
@@ -31,13 +31,10 @@ func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 	a := over(st, retention)
 	names := st.Entities()
 	a.Preallocate(names...)
-	// One closure for the whole walk: cur is the entity being counted.
-	var cur *entityLog
-	count := func(Sample) { cur.ingested++ }
 	for _, entity := range names {
-		cur = a.log(entity)
-		cur.stored = st.Lookup(entity)
-		if _, err := st.Range(cur.stored, 0, math.MaxInt, count); err != nil {
+		l := a.log(entity)
+		l.stored = st.Lookup(entity)
+		if l.ingested, err = st.Count(l.stored); err != nil {
 			st.Close()
 			return nil, err
 		}
@@ -71,7 +68,7 @@ func (a *Archive) Maintain(minute int) error {
 // families (segments, compactions, commits, disk). Attach-only and
 // nil-safe.
 func (a *Archive) Instrument(r *obs.Registry) {
-	r.Help(MetricDeepReads, "Reads that needed a sealed block not held raw in memory.")
+	r.Help(MetricDeepReads, "Reads that needed a sealed block not held raw in memory: on disk, one that reaches past an entity's newest 64 samples.")
 	r.Help(MetricEntities, "Entities held: a header and a tsdb tail each.")
 	r.Help(MetricProfiles, "Entities holding a day profile: all but service instances, and none until a reader keeps profiles.")
 	a.deepReads = r.Counter(MetricDeepReads)

@@ -3,8 +3,9 @@ package archive
 // Metric families of the archive (the store's are in internal/tsdb).
 const (
 	// MetricDeepReads counts reads that needed a sealed block the store
-	// does not hold raw — one below a disk store's tail. The control
-	// loop's watchTime averages never should.
+	// does not hold raw — one below a disk store's tail, an entity's
+	// newest 64 samples. The control loop's watchTime averages never
+	// should: a watch window longer than 64 minutes counts here.
 	MetricDeepReads = "autoglobe_archive_deep_reads_total"
 	// MetricEntities gauges the entities held: a header and a tsdb tail
 	// each.

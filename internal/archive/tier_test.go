@@ -41,7 +41,7 @@ func gappyStream(rng *rand.Rand, n int) []Sample {
 // and reopen. Both archives follow one rule everywhere, the minutes
 // above latest − retention, gaps and repeats included; what they return
 // is pinned against the rule itself. "The window" in the case names is
-// the tail, 64–128 samples.
+// the tail, the newest 64 samples.
 //
 // The last case is the same stream under a service instance's key: no
 // day profile on either side, every read as for a host.
@@ -75,9 +75,8 @@ func TestTwoTierParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Once every full block is sealed, the tail starts at the newest
-			// sealed block's first sample.
-			tail := max(0, (len(stream)/tsdb.BlockSamples-1)*tsdb.BlockSamples)
+			// The tail is the newest BlockSamples samples.
+			tail := max(0, len(stream)-tsdb.BlockSamples)
 			edge := stream[tail].Minute
 			// The rule for everything: the minutes above latest − retention.
 			floor := latest - tc.retention + 1
@@ -252,8 +251,9 @@ func TestWatchAverageZeroAlloc(t *testing.T) {
 // TestHotTierBytesPerEntity keeps the memory claim in tier-1, by class:
 // an archive that keeps profiles holds a host's or service's day profile
 // (17,280 B at 12 bytes a minute of day) and a header, a service
-// instance's header alone — no samples of its own. Beside each, the tsdb entity that holds
-// the samples: its tail, two blocks inline, whatever the class.
+// instance's header alone — no samples of its own. Beside each, the tsdb
+// entity that holds the samples: its tail, one block inline, whatever
+// the class — 1,896 B measured plus 20 % and rounded.
 func TestHotTierBytesPerEntity(t *testing.T) {
 	if size := unsafe.Sizeof(dayProfile{}); size > 12*MinutesPerDay {
 		t.Errorf("a day profile is %d B, want at most %d (12 a minute of day)", size, 12*MinutesPerDay)
@@ -281,7 +281,7 @@ func TestHotTierBytesPerEntity(t *testing.T) {
 	for _, class := range []struct {
 		keys           []string
 		archive, store uint64
-	}{{keys(HostEntity), 17<<10 + 256, 3<<10 + 512}, {keys(InstanceEntity), 256, 3<<10 + 512}} {
+	}{{keys(HostEntity), 17<<10 + 256, 2<<10 + 256}, {keys(InstanceEntity), 256, 2<<10 + 256}} {
 		before := heap()
 		a.Preallocate(class.keys...)
 		preallocated := heap()

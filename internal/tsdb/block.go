@@ -2,7 +2,7 @@
 // append-only time-series store for per-entity load samples. The paper
 // calls the load archive "a persistent aggregated view of historic load
 // data"; internal/archive keeps the day profiles, and this package every
-// raw sample underneath them — each entity's newest 64–128 in memory,
+// raw sample underneath them — each entity's newest 64 in memory,
 // the rest on disk: history that survives a coordinator crash and feeds
 // the Section 7 load-prediction extension with weeks of pattern data. A
 // store with no directory keeps them all in memory.

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -67,7 +68,7 @@ func TestCommitCadences(t *testing.T) {
 						t.Fatalf("%s: %s: %d samples in %d blocks + %d open", label, name, len(ws), len(e.blocks), e.n)
 					}
 					for i := range e.blocks {
-						blk, err := st.loadBlock(e, i)
+						blk, err := st.loadBlock(e, i, math.MinInt)
 						if err != nil || len(blk) != BlockSamples {
 							t.Fatalf("%s: %s: block %d holds %d samples (err %v)", label, name, i, len(blk), err)
 						}

@@ -47,26 +47,26 @@ func sealFrameLen(id uint64) int {
 var errIndexRange = errors.New("tsdb: minute-tier frame beyond the block index's 32-bit segment or offset")
 
 // entState is the in-memory state of one entity: its raw tail — the
-// open block and the newest sealed one — the index of its sealed
-// blocks, and its downsampled tiers.
+// newest BlockSamples samples — the index of its sealed blocks, and its
+// downsampled tiers.
 type entState struct {
 	id   uint64
 	name string
 
-	// open[:n] holds the samples not yet sealed into a block. Their
-	// durable copies are row cells; the block is sealed by the commit
-	// that follows its 64th sample, so it never grows past one block and
-	// lives inline.
-	open    [BlockSamples]Sample
+	// tail holds the newest BlockSamples samples, inline. Every block is
+	// exactly BlockSamples long and so starts at slot 0: tail[:n] is the
+	// open block, the samples not yet sealed, whose durable copies are
+	// row cells; tail[n:] is the part of the newest sealed block,
+	// blocks[len(blocks)-1], that the open block has not overwritten
+	// yet. The commit that follows the 64th open sample seals the block
+	// by writing its frame and setting n to 0: a seal copies nothing.
+	// Replay writes each seal frame's samples here. Every watchTime read
+	// and Latest find what they need in the tail (see inTail).
+	tail    [BlockSamples]Sample
 	n       int
+	cut     int // minute of the newest sealed sample overwritten, tail[n-1] before its append
 	last    int // last appended minute (monotonicity guard)
 	hasLast bool
-
-	// sealed is blocks[len(blocks)-1] held raw whenever blocks is not
-	// empty: with open, 64–128 samples that every watchTime read and
-	// Latest find in memory. A seal copies open here once its frame is
-	// written; replay copies each seal frame's samples.
-	sealed [BlockSamples]Sample
 
 	blocks []blockRef // sealed minute blocks, chronological
 	hours  []Agg      // hour aggregates ≥ the hour→day watermark
@@ -276,12 +276,12 @@ func (st *Store) replayAggs(tier int) error {
 // tail. A row's cells (and the samples of a tail record, the one-entity
 // row of a store written before the row record) fill open blocks,
 // skipping what the watermark has downsampled away; a sealed block
-// (exactly BlockSamples samples) becomes an index entry and the tail's
-// sealed block, and empties the entity's open block — its samples are
-// the cells replayed in front of it, by the batch order block.go
-// documents. A block still full when the stream ends is the orphan of a
-// batch torn between its rows and its seals: it goes on the full list
-// and the next Commit seals it.
+// (exactly BlockSamples samples) becomes an index entry, is written into
+// the tail and empties the entity's open block — its samples are the
+// cells replayed in front of it, by the batch order block.go documents.
+// A block still full when the stream ends is the orphan of a batch torn
+// between its rows and its seals: it goes on the full list and the next
+// Commit seals it.
 func (st *Store) replayMinutes() error {
 	wm := st.marks[TierMinute]
 	var scratch []Sample
@@ -305,8 +305,7 @@ func (st *Store) replayMinutes() error {
 		if e.n == BlockSamples {
 			return fmt.Errorf("entity %d open-block overflow: %w", id, ErrBadRecord)
 		}
-		e.open[e.n] = s
-		e.n++
+		e.put(s)
 		return nil
 	}
 	frame := func(seq uint64, off int64, n int, p []byte) error {
@@ -334,7 +333,7 @@ func (st *Store) replayMinutes() error {
 		if err != nil {
 			return err
 		}
-		e.n = 0
+		e.tail, e.n = [BlockSamples]Sample(r.samples), 0
 		if end >= wm {
 			if n != sealFrameLen(r.id) {
 				return fmt.Errorf("sealed block of entity %d framed in %d bytes: %w", r.id, n, ErrBadRecord)
@@ -343,7 +342,6 @@ func (st *Store) replayMinutes() error {
 				return errIndexRange
 			}
 			e.blocks = append(e.blocks, blockRef{seq: uint32(seq), off: uint32(off), start: r.samples[0].Minute, end: end})
-			e.sealed = [BlockSamples]Sample(r.samples)
 		}
 		return nil
 	}
@@ -371,6 +369,21 @@ func (st *Store) register(name string) *entState {
 	st.ents = append(st.ents, e)
 	return e
 }
+
+// put appends s to the open block, over the oldest sample of the newest
+// sealed block still in the tail.
+func (e *entState) put(s Sample) {
+	e.cut = e.tail[e.n].Minute
+	e.tail[e.n] = s
+	e.n++
+}
+
+// inTail reports whether tail[e.n:] holds every sample at or after
+// minute from of the newest sealed block: all of the block until the
+// first append overwrites slot 0, then what follows the last minute
+// overwritten. A repeated minute may straddle the cut, so a read that
+// starts at it needs the block from disk.
+func (e *entState) inTail(from int) bool { return e.n == 0 || from > e.cut }
 
 // Handle is a resolved handle on one entity, for appends and for the
 // reads Latest and Range. The zero value is unresolved and
@@ -418,8 +431,7 @@ func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 			return err
 		}
 	}
-	e.open[e.n] = s
-	e.n++
+	e.put(s)
 	e.last, e.hasLast = s.Minute, true
 	if e.n == BlockSamples {
 		st.full = append(st.full, e.id)
@@ -577,8 +589,7 @@ func (st *Store) commitMinutes() error {
 		return err
 	}
 	for _, id := range st.full {
-		e := st.ents[id]
-		e.sealed, e.n = e.open, 0
+		st.ents[id].n = 0 // the tail is the sealed block now
 	}
 	st.m.addBlocks(kindSealed, len(st.full))
 	st.full, st.stagedMax = st.full[:0], 0
@@ -609,12 +620,12 @@ func (st *Store) frameSeals(i int) int {
 	}
 	for _, id := range st.full[i : i+n] {
 		e := st.ents[id]
-		ref := blockRef{start: e.open[0].Minute, end: e.open[BlockSamples-1].Minute}
+		ref := blockRef{start: e.tail[0].Minute, end: e.tail[BlockSamples-1].Minute}
 		if st.dir == "" {
 			ref.raw = new([BlockSamples]Sample)
-			*ref.raw = e.open
+			*ref.raw = e.tail
 		} else {
-			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.open[:])
+			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.tail[:])
 			ref.off = uint32(len(st.pending))
 			st.pending = journal.AppendFrame(st.pending, st.recBuf)
 		}
@@ -624,8 +635,8 @@ func (st *Store) frameSeals(i int) int {
 }
 
 // unindex drops the index entries frameSeals added for full[:j] when the
-// commit fails: nothing of the batch is acked, the blocks stay open and
-// the tails as they were, readable from memory.
+// commit fails: nothing of the batch is acked, and the blocks stay open,
+// readable from the tail.
 func (st *Store) unindex(j int) {
 	for _, id := range st.full[:j] {
 		e := st.ents[id]
@@ -692,36 +703,67 @@ func (st *Store) Lookup(entity string) Handle {
 	return Handle{}
 }
 
-// Latest returns the newest raw sample of h's entity: the last of its
-// open block, else of its newest sealed block — none once the watermark
-// has passed it.
+// Latest returns the newest raw sample of h's entity, from the tail: the
+// last of its open block, else of its newest sealed block — none once the
+// watermark has passed it.
 func (st *Store) Latest(h Handle) (Sample, bool) {
 	switch e := h.e; {
 	case e == nil:
-	case e.n > 0 && e.open[e.n-1].Minute >= st.marks[TierMinute]:
-		return e.open[e.n-1], true
+	case e.n > 0 && e.tail[e.n-1].Minute >= st.marks[TierMinute]:
+		return e.tail[e.n-1], true
 	case e.n == 0 && len(e.blocks) > 0: // every block left ends at or above the watermark
-		return e.sealed[BlockSamples-1], true
+		return e.tail[BlockSamples-1], true
 	}
 	return Sample{}, false
+}
+
+// Count returns how many raw minute-tier samples h's entity holds at or
+// above the minute→hour watermark — what a Range over every minute
+// visits — from the block index: BlockSamples for every sealed block
+// that starts at or above the watermark, a walk of the one block the
+// watermark may cut (from disk unless the tail or a memory store holds
+// it), and the open block. A closed store that would have to read that
+// block fails with ErrClosed.
+func (st *Store) Count(h Handle) (int, error) {
+	e := h.e
+	if e == nil {
+		return 0, nil
+	}
+	wm := st.marks[TierMinute]
+	n := e.n - below(e.tail[:e.n], wm)
+	for i, ref := range e.blocks {
+		if ref.start >= wm {
+			return n + (len(e.blocks)-i)*BlockSamples, nil
+		}
+		samples, err := st.loadBlock(e, i, wm)
+		if err != nil {
+			return 0, err
+		}
+		n += len(samples) - below(samples, wm)
+	}
+	return n, nil
 }
 
 // Range calls fn for every raw minute-tier sample of h's entity in
 // [from, to), in chronological order — sealed blocks first, then the
 // open block — and reports whether the read needed a sealed block the
-// entity does not hold raw. Minutes below the minute→hour watermark have
-// been downsampled away and are not visited. fn must not call back into
-// the store. A closed store still answers from what it holds raw; a
-// block it would have to read from disk fails the call with ErrClosed.
-// A read that stays in the tail and the raw blocks does no lookup and
-// allocates nothing.
+// entity does not hold raw. The tail holds the newest BlockSamples
+// samples: a window that reaches further back needs the newest sealed
+// block from disk, or an older one, unless the store keeps them raw (a
+// memory store). Minutes below the minute→hour watermark have been
+// downsampled away and are not visited. fn must not call back into the
+// store. A closed store still answers from what it holds raw; a block it
+// would have to read from disk fails the call with ErrClosed. A read
+// that stays in the tail and the raw blocks does no lookup and allocates
+// nothing.
 func (st *Store) Range(h Handle, from, to int, fn func(Sample)) (disk bool, err error) {
 	e := h.e
 	if e == nil || from >= to {
 		return false, nil
 	}
-	i, _ := st.first(e, from)
-	disk = i < len(e.blocks)-1 && e.blocks[i].raw == nil && e.blocks[i].start < to
+	i, lo := st.first(e, from)
+	disk = i < len(e.blocks) && e.blocks[i].raw == nil && e.blocks[i].start < to &&
+		(i < len(e.blocks)-1 || !e.inTail(lo))
 	return disk, st.forEachMinute(e, from, to, fn)
 }
 
@@ -736,19 +778,19 @@ func (st *Store) first(e *entState, from int) (int, int) {
 func (st *Store) forEachMinute(e *entState, from, to int, fn func(Sample)) error {
 	i, from := st.first(e, from)
 	for ; i < len(e.blocks) && e.blocks[i].start < to; i++ {
-		samples, err := st.loadBlock(e, i)
+		samples, err := st.loadBlock(e, i, from)
 		if err != nil {
 			return err
 		}
 		emit(samples, from, to, fn)
 	}
-	emit(e.open[:e.n], from, to, fn)
+	emit(e.tail[:e.n], from, to, fn)
 	return nil
 }
 
 // emit calls fn for the samples of a chronological run in [from, to).
 func emit(run []Sample, from, to int, fn func(Sample)) {
-	for _, s := range run[sort.Search(len(run), func(i int) bool { return run[i].Minute >= from }):] {
+	for _, s := range run[below(run, from):] {
 		if s.Minute >= to {
 			return
 		}
@@ -756,15 +798,23 @@ func emit(run []Sample, from, to int, fn func(Sample)) {
 	}
 }
 
-// loadBlock returns the samples of e.blocks[i]: the tail's sealed block
-// or a memory store's block as they are, any other block read from disk
-// and decoded into the store's scratch — valid until the next store
-// call. A closed store reads nothing from disk.
-func (st *Store) loadBlock(e *entState, i int) ([]Sample, error) {
+// below returns how many samples of a chronological run lie before
+// minute from.
+func below(run []Sample, from int) int {
+	return sort.Search(len(run), func(i int) bool { return run[i].Minute >= from })
+}
+
+// loadBlock returns e.blocks[i]'s samples at or after minute from, and
+// possibly some before it: the newest sealed block's that the tail still
+// holds, tail[n:], when they are all of those (see inTail); a memory
+// store's block as it is; any other block read from disk and decoded
+// into the store's scratch — valid until the next store call. A closed
+// store reads nothing from disk.
+func (st *Store) loadBlock(e *entState, i, from int) ([]Sample, error) {
 	ref := &e.blocks[i]
 	switch {
-	case i == len(e.blocks)-1:
-		return e.sealed[:], nil
+	case i == len(e.blocks)-1 && e.inTail(from):
+		return e.tail[e.n:], nil
 	case ref.raw != nil:
 		return ref.raw[:], nil
 	case st.closed:

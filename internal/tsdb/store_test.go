@@ -619,9 +619,9 @@ func BenchmarkTSDBOpen(b *testing.B) {
 }
 
 // BenchmarkTSDBReadHot measures the controller's steady-state read, a
-// 20-minute watch window, which the tail — the open block and the
-// newest sealed one — answers, and a 120-minute forecast read that also
-// needs the sealed block below the tail, from disk.
+// 20-minute watch window, which the tail — the newest 64 samples —
+// answers, and a 120-minute forecast read that also needs two sealed
+// blocks from disk.
 func BenchmarkTSDBReadHot(b *testing.B) {
 	st := openStore(b, b.TempDir(), Options{})
 	const minutes = 4*BlockSamples + 10

@@ -23,6 +23,8 @@
 # parallel sweep is shown to assemble the bytes a single worker does,
 # ten seconds each of real fuzzing of the wire frame decoder,
 # of the journal's frame reader, of the tsdb segment-record decoder, of
+# the tsdb tail's windows against the reference in its test
+# (FuzzTailWindows), of
 # the closed-form inference against its two references, of memoised
 # server selection vs the full-scan reference in its test
 # (FuzzSelectHostParity) and of the deployment's ID-sorted instance
@@ -157,6 +159,14 @@ go test ./internal/journal -run '^$' -fuzz FuzzFrames -fuzztime 10s
 # inside a frame whose checksum still holds.
 echo "== fuzz: the tsdb record decoder (rows included), 10 s"
 go test ./internal/tsdb -run '^$' -fuzz FuzzRecordDecode -fuzztime 10s
+
+# The tail holds each entity's newest 64 samples: after any run of
+# repeated and skipped minutes, commits, compactions, reopens and torn
+# seals, every window back from the newest sample must read as the
+# reference does, and report a disk read exactly when it reaches past the
+# tail. Minimization stops at 100 runs.
+echo "== fuzz: the tsdb tail's windows vs the reference, 10 s"
+go test ./internal/tsdb -run '^$' -fuzz FuzzTailWindows -fuzztime 10s -fuzzminimizetime 100x
 
 # Exact by an argument, and checked on rule bases nobody wrote.
 echo "== fuzz: closed-form leftmost maximum vs sampled union vs interpreter, 10 s"
