@@ -241,8 +241,8 @@ func (e Entity) Record(s Sample) error {
 // each profile from the store's raw minutes, oldest first; from then on
 // Record keeps them up to date. Run before the first Record or right
 // after NewBacked, it gives every profile the float operations the live
-// path would have, in the same order; history compacted behind the
-// retention window is no longer raw and is left out. A second call does
+// path would have, in the same order; history the store has cut behind
+// the retention window is gone and is left out. A second call does
 // nothing. If a store read fails, the archive keeps no profiles and the
 // call can be retried.
 func (a *Archive) KeepProfiles() error {
@@ -365,7 +365,7 @@ func (a *Archive) LastMinute() (int, bool) {
 // each streams the raw samples of l with from <= Minute <= to, oldest
 // first: of those, the store returns the minutes above latest − retention
 // — one rule for both archives, so an answer never depends on when the
-// hourly compaction last ran. A read the tail answers takes no lock and
+// hourly retention cut last ran. A read the tail answers takes no lock and
 // allocates nothing; one that needs a sealed block from disk counts as a
 // deep read. A failed store read is an error, never "no samples".
 func (a *Archive) each(l *entityLog, from, to int, fn func(Sample)) error {

@@ -9,20 +9,20 @@ import (
 // written to a segmented tsdb store in dir, and opening an existing
 // directory replays the persisted history. Each entity's counter comes
 // from the store's block index (tsdb.Store.Count), which reads at most
-// the one sealed block the compaction watermark cuts. The reopened
-// archive keeps no day profiles: KeepProfiles, called next, rebuilds
-// them from the same samples in the order they were first recorded, so
-// a recovered coordinator's DayProfile is byte-identical to the one it
-// crashed with (for history still at minute resolution; the store
-// compacts only data older than the retention window). The store
-// rebuilds each entity's tail itself.
+// the one sealed block the retention cut splits. The reopened archive
+// keeps no day profiles: KeepProfiles, called next, rebuilds them from
+// the same samples in the order they were first recorded, so a
+// recovered coordinator's DayProfile is byte-identical to the one it
+// crashed with (for the history the store still holds; it cuts only
+// data older than the retention window). The store rebuilds each
+// entity's tail itself.
 //
 // Latest and every watchTime average are served from the tail in
 // memory, each entity's newest 64 samples; Window, AverageCPU,
 // AverageMem and PercentileCPU read sealed blocks from disk when asked
 // for minutes below it, and return the store's error if that fails. The
-// store also adds durability and the minute → hour → day downsampling
-// tiers.
+// store also adds durability, and keeps raw minutes only: the day
+// profile is the archive's one aggregated view.
 func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 	st, err := tsdb.Open(dir, opts)
 	if err != nil {
@@ -49,8 +49,9 @@ func NewBacked(dir string, retention int, opts tsdb.Options) (*Archive, error) {
 func (a *Archive) Commit() error { return a.store.Commit() }
 
 // Maintain is the once-per-minute housekeeping call: commit the
-// minute's samples, and once per hour compact history older than the
-// retention window into the hour and day tiers. Raw minute resolution —
+// minute's samples, and once per hour cut the history older than the
+// retention window (tsdb.Store.CompactBefore, which aligns the cut down
+// to the hour, so up to an hour more is kept). Raw minute resolution —
 // and with it the day profile's inputs — is preserved for the full
 // retention window.
 func (a *Archive) Maintain(minute int) error {
@@ -65,7 +66,7 @@ func (a *Archive) Maintain(minute int) error {
 
 // Instrument attaches an obs registry: entities and day profiles held,
 // reads that needed a sealed block from disk, and a disk store's own
-// families (segments, compactions, commits, disk). Attach-only and
+// families (segments, retention cuts, commits, disk). Attach-only and
 // nil-safe.
 func (a *Archive) Instrument(r *obs.Registry) {
 	r.Help(MetricDeepReads, "Reads that needed a sealed block not held raw in memory: on disk, one that reaches past an entity's newest 64 samples.")

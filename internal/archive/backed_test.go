@@ -91,8 +91,9 @@ func TestBackedArchiveSurvivesCrash(t *testing.T) {
 }
 
 // TestBackedArchiveRetentionCompaction drives a backed archive past
-// its retention window and checks Maintain rolls old disk history into
-// coarser tiers while the in-memory APIs keep working unchanged.
+// its retention window and checks Maintain cuts the disk history behind
+// it, an hour at a time, while the in-memory APIs keep working
+// unchanged.
 func TestBackedArchiveRetentionCompaction(t *testing.T) {
 	dir := t.TempDir()
 	const retention = MinutesPerDay // 1 day of raw samples
@@ -113,26 +114,15 @@ func TestBackedArchiveRetentionCompaction(t *testing.T) {
 		}
 	}
 	st := a.Store()
-	if wm := st.Watermark(tsdb.TierMinute); wm <= 0 || wm > minutes-retention {
-		t.Fatalf("minute watermark %d, want in (0, %d]", wm, minutes-retention)
+	if wm := st.Watermark(); wm <= 0 || wm > minutes-retention {
+		t.Fatalf("retention cut %d, want in (0, %d]", wm, minutes-retention)
 	}
 	var buf tsdb.SeriesBuf
 	if err := st.ReadSeries(entity, 0, minutes, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(buf.Days) == 0 || len(buf.Minutes) == 0 {
-		t.Fatalf("stitched view should span tiers: %d days, %d hours, %d minutes",
-			len(buf.Days), len(buf.Hours), len(buf.Minutes))
-	}
-	total := len(buf.Minutes)
-	for _, g := range buf.Days {
-		total += g.N
-	}
-	for _, g := range buf.Hours {
-		total += g.N
-	}
-	if total != minutes {
-		t.Fatalf("stitched view covers %d samples, want %d", total, minutes)
+	if wm := st.Watermark(); len(buf.Minutes) != minutes-wm || buf.Minutes[0].Minute != wm {
+		t.Fatalf("%d raw minutes after the cut at %d, want the %d from it", len(buf.Minutes), wm, minutes-wm)
 	}
 	// The hot tier is untouched by compaction.
 	if got, ok := a.Latest(entity); !ok || got.Minute != minutes-1 {

@@ -108,7 +108,7 @@ func FuzzKeepProfilesMatchesLive(f *testing.F) {
 				}
 				live, late = open(0), open(1)
 				keepProfiles(t, live)
-				liveFrom = live.Store().Watermark(tsdb.TierMinute)
+				liveFrom = live.Store().Watermark()
 			case 7: // across midnight, and often past the retention
 				minute += MinutesPerDay - 40 + 3*arg
 			default: // a run of consecutive minutes
@@ -125,8 +125,8 @@ func FuzzKeepProfilesMatchesLive(f *testing.F) {
 			}
 		}
 		keepProfiles(t, late)
-		wm := late.Store().Watermark(tsdb.TierMinute)
-		if got := live.Store().Watermark(tsdb.TierMinute); got != wm {
+		wm := late.Store().Watermark()
+		if got := live.Store().Watermark(); got != wm {
 			t.Fatalf("watermarks differ: live %d, late %d", got, wm)
 		}
 		bits := math.Float64bits

@@ -154,7 +154,7 @@ func TestTwoTierParity(t *testing.T) {
 			if err := backed.Maintain(latest / 60 * 60); err != nil {
 				t.Fatal(err)
 			}
-			mark := backed.Store().Watermark(tsdb.TierMinute)
+			mark := backed.Store().Watermark()
 			if tc.samples > tc.retention && mark <= stream[0].Minute {
 				t.Fatalf("Maintain(%d) left the minute watermark at %d, below the stream: nothing was compacted", latest/60*60, mark)
 			}

@@ -9,14 +9,12 @@
 //
 // # On-disk format
 //
-// A store directory holds per-tier segment files plus a dictionary, each
-// stream a journal.Segments — named, rotated, synced and read back the
-// way the journal's own segments are:
+// A store directory holds two segment streams, each a journal.Segments —
+// named, rotated, synced and read back the way the journal's own
+// segments are:
 //
-//	dict-00000001.seg   entity-name records (never pruned)
-//	min-00000003.seg    minute-tier sample blocks
-//	hr-00000002.seg     hour-tier aggregate blocks + compaction watermarks
-//	day-00000001.seg    day-tier aggregate blocks + compaction watermarks
+//	dict-00000001.seg   entity-name records and retention cuts (never pruned)
+//	min-00000003.seg    sample rows and sealed blocks
 //
 // Every record reuses internal/journal's CRC-32C frame (magic, length,
 // checksum, payload), so a crash mid-append leaves a torn tail that the
@@ -25,11 +23,13 @@
 //	dict:      [kDict]  [uvarint id] [uvarint len] [name bytes]
 //	row:       [kRow]   [varint base] then cells to the end of the payload
 //	           cell = [uvarint id] [varint minute − base] [f64 cpu LE] [f64 mem LE]
-//	samples:   [kBlock] [tier] [uvarint id] [uvarint count] [count × 24 B]
+//	samples:   [kBlock] [0] [uvarint id] [uvarint count] [count × 24 B]
 //	           sample = [i64 minute LE] [f64 cpu LE] [f64 mem LE]
-//	aggs:      [kAgg]   [tier] [uvarint id] [uvarint count] [count × 48 B]
-//	           agg = [i64 start LE] [i64 n LE] [f64 sumCPU] [f64 sumMem] [f64 maxCPU] [f64 maxMem]
-//	watermark: [kMark]  [tier] [uvarint minute]
+//	cut:       [kMark]  [0] [uvarint minute]
+//
+// The 0 byte of a block or cut record is the tier byte of the format's
+// older stores, written and checked as 0. Kind 3 was their hour and day
+// aggregate, and is rejected like any other unknown kind.
 //
 // The minute stream is a sequence of commit batches, each
 // [row frames][seal frames], written in one write or — when many
@@ -54,63 +54,31 @@
 // that commit's seals). They are still read — a tail is a one-entity
 // row — and never written.
 //
-// A watermark at tier t, minute m is the commit record of a compaction:
-// it asserts that every tier-t datum with minute < m has been rolled up
-// into tier t+1. Aggregates above the current watermark are orphans of
-// a torn compaction and are ignored; data below it is served from the
-// coarser tier. Because the watermark is the LAST frame of the
-// compaction's append batch, prefix durability makes the roll-up
-// atomic: either the watermark survives (and then so do all the
-// aggregates before it) or the finer tier remains authoritative.
+// A cut record at minute m is the commit record of a retention cut
+// (CompactBefore): every sample below m is gone. Replay keeps the
+// highest cut of the dictionary stream, which is replayed before the
+// minute stream and never pruned, and skips the minutes below it, which
+// a minute segment that straddles the cut still holds. The cut is one
+// frame, so a crash leaves it either durable or absent; minute segments
+// wholly below it are deleted only after it is.
+//
+// Stores written before the cut moved to the dictionary stream also
+// hold hr- and day- segments of aggregates, with their cut in the hr-
+// stream. Neither is opened: such a store reopens with no cut, and the
+// minutes below its old cut that a straddling segment still holds read
+// again until the next cut removes them.
 package tsdb
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 )
-
-// Tier is the downsampling level of a block.
-type Tier uint8
-
-// The three downsampling tiers. Minute holds raw samples; Hour and Day
-// hold aggregates (sum, count, max) over their window.
-const (
-	TierMinute Tier = 0
-	TierHour   Tier = 1
-	TierDay    Tier = 2
-)
-
-// String names the tier.
-func (t Tier) String() string {
-	switch t {
-	case TierMinute:
-		return "minute"
-	case TierHour:
-		return "hour"
-	case TierDay:
-		return "day"
-	}
-	return fmt.Sprintf("tier(%d)", uint8(t))
-}
-
-// Window returns the tier's aggregation window in minutes.
-func (t Tier) Window() int {
-	switch t {
-	case TierHour:
-		return 60
-	case TierDay:
-		return 24 * 60
-	}
-	return 1
-}
 
 // Record kinds (first payload byte).
 const (
 	kDict  = 1
 	kBlock = 2
-	kAgg   = 3
 	kMark  = 4
 	kRow   = 5
 )
@@ -122,25 +90,11 @@ const BlockSamples = 64
 // sampleBytes is the fixed encoding size of one raw sample.
 const sampleBytes = 8 + 8 + 8
 
-// aggBytes is the fixed encoding size of one aggregate.
-const aggBytes = 8 + 8 + 8 + 8 + 8 + 8
-
 // Sample is one raw measurement; archive.Sample is this type.
 type Sample struct {
 	Minute int     // absolute simulation minute
 	CPU    float64 // CPU load in [0, 1] (may exceed 1 for raw demand)
 	Mem    float64 // memory load in [0, 1]
-}
-
-// Agg is one downsampled window: Start is the window's first minute
-// (hour- or day-aligned), N the number of raw samples rolled up.
-type Agg struct {
-	Start  int
-	N      int
-	SumCPU float64
-	SumMem float64
-	MaxCPU float64
-	MaxMem float64
 }
 
 // ErrBadRecord reports a structurally invalid record payload — a frame
@@ -211,8 +165,8 @@ func appendDictRecord(dst []byte, id uint64, name string) []byte {
 }
 
 // appendBlockRecord encodes a sample block.
-func appendBlockRecord(dst []byte, tier Tier, id uint64, samples []Sample) []byte {
-	dst = append(dst, kBlock, byte(tier))
+func appendBlockRecord(dst []byte, id uint64, samples []Sample) []byte {
+	dst = append(dst, kBlock, 0)
 	dst = appendUvarint(dst, id)
 	dst = appendUvarint(dst, uint64(len(samples)))
 	for _, s := range samples {
@@ -223,25 +177,9 @@ func appendBlockRecord(dst []byte, tier Tier, id uint64, samples []Sample) []byt
 	return dst
 }
 
-// appendAggRecord encodes an aggregate block.
-func appendAggRecord(dst []byte, tier Tier, id uint64, aggs []Agg) []byte {
-	dst = append(dst, kAgg, byte(tier))
-	dst = appendUvarint(dst, id)
-	dst = appendUvarint(dst, uint64(len(aggs)))
-	for _, a := range aggs {
-		dst = appendI64(dst, int64(a.Start))
-		dst = appendI64(dst, int64(a.N))
-		dst = appendF64(dst, a.SumCPU)
-		dst = appendF64(dst, a.SumMem)
-		dst = appendF64(dst, a.MaxCPU)
-		dst = appendF64(dst, a.MaxMem)
-	}
-	return dst
-}
-
-// appendMarkRecord encodes a compaction watermark.
-func appendMarkRecord(dst []byte, tier Tier, minute int) []byte {
-	dst = append(dst, kMark, byte(tier))
+// appendMarkRecord encodes a retention cut.
+func appendMarkRecord(dst []byte, minute int) []byte {
+	dst = append(dst, kMark, 0)
 	return appendUvarint(dst, uint64(minute))
 }
 
@@ -257,24 +195,20 @@ func appendF64(dst []byte, v float64) []byte {
 // fields is meaningful, selected by kind.
 type record struct {
 	kind    byte
-	tier    Tier
 	id      uint64
 	name    string   // kDict
 	samples []Sample // kBlock (aliases scratch — copy to retain)
-	aggs    []Agg    // kAgg (aliases scratch — copy to retain)
 	mark    int      // kMark
 }
 
-// maxBlockEntries bounds the declared entry count of a block or agg
-// record: a count field above the bound is corruption, not an
+// maxBlockEntries bounds the declared entry count of a block record: a count field above the bound is corruption, not an
 // instruction to allocate.
 const maxBlockEntries = 1 << 16
 
-// decodeRecord parses one record payload. The samples/aggs slices are
-// decoded into (and alias) the provided scratch buffers, so a caller
-// that retains them across calls must copy. decodeRecord never panics,
-// whatever the input.
-func decodeRecord(p []byte, sampleScratch []Sample, aggScratch []Agg) (record, error) {
+// decodeRecord parses one record payload. The samples are decoded into
+// (and alias) the provided scratch buffer, so a caller that retains them
+// across calls must copy. decodeRecord never panics, whatever the input.
+func decodeRecord(p []byte, sampleScratch []Sample) (record, error) {
 	var r record
 	if len(p) == 0 {
 		return r, ErrBadRecord
@@ -300,14 +234,14 @@ func decodeRecord(p []byte, sampleScratch []Sample, aggScratch []Agg) (record, e
 		r.name = string(p)
 		return r, nil
 	case kBlock:
-		tier, id, count, rest, err := decodeBlockHeader(p)
+		id, count, rest, err := decodeBlockHeader(p)
 		if err != nil {
 			return r, err
 		}
 		if uint64(len(rest)) != count*sampleBytes {
 			return r, ErrBadRecord
 		}
-		r.tier, r.id = tier, id
+		r.id = id
 		r.samples = sampleScratch[:0]
 		for i := uint64(0); i < count; i++ {
 			off := i * sampleBytes
@@ -318,34 +252,8 @@ func decodeRecord(p []byte, sampleScratch []Sample, aggScratch []Agg) (record, e
 			})
 		}
 		return r, nil
-	case kAgg:
-		tier, id, count, rest, err := decodeBlockHeader(p)
-		if err != nil {
-			return r, err
-		}
-		if uint64(len(rest)) != count*aggBytes {
-			return r, ErrBadRecord
-		}
-		r.tier, r.id = tier, id
-		r.aggs = aggScratch[:0]
-		for i := uint64(0); i < count; i++ {
-			off := i * aggBytes
-			r.aggs = append(r.aggs, Agg{
-				Start:  int(int64(binary.LittleEndian.Uint64(rest[off:]))),
-				N:      int(int64(binary.LittleEndian.Uint64(rest[off+8:]))),
-				SumCPU: math.Float64frombits(binary.LittleEndian.Uint64(rest[off+16:])),
-				SumMem: math.Float64frombits(binary.LittleEndian.Uint64(rest[off+24:])),
-				MaxCPU: math.Float64frombits(binary.LittleEndian.Uint64(rest[off+32:])),
-				MaxMem: math.Float64frombits(binary.LittleEndian.Uint64(rest[off+40:])),
-			})
-		}
-		return r, nil
 	case kMark:
-		if len(p) < 1 {
-			return r, ErrBadRecord
-		}
-		r.tier = Tier(p[0])
-		if r.tier > TierDay {
+		if len(p) < 1 || p[0] != 0 {
 			return r, ErrBadRecord
 		}
 		m, n := binary.Uvarint(p[1:])
@@ -358,25 +266,21 @@ func decodeRecord(p []byte, sampleScratch []Sample, aggScratch []Agg) (record, e
 	return r, ErrBadRecord
 }
 
-// decodeBlockHeader parses the shared [tier][uvarint id][uvarint count]
-// header of block and agg records and returns the remaining bytes.
-func decodeBlockHeader(p []byte) (Tier, uint64, uint64, []byte, error) {
-	if len(p) < 1 {
-		return 0, 0, 0, nil, ErrBadRecord
-	}
-	tier := Tier(p[0])
-	if tier > TierDay {
-		return 0, 0, 0, nil, ErrBadRecord
+// decodeBlockHeader parses the [0][uvarint id][uvarint count] header of
+// a block record and returns the remaining bytes.
+func decodeBlockHeader(p []byte) (uint64, uint64, []byte, error) {
+	if len(p) < 1 || p[0] != 0 {
+		return 0, 0, nil, ErrBadRecord
 	}
 	p = p[1:]
 	id, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, 0, 0, nil, ErrBadRecord
+		return 0, 0, nil, ErrBadRecord
 	}
 	p = p[n:]
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count > maxBlockEntries {
-		return 0, 0, 0, nil, ErrBadRecord
+		return 0, 0, nil, ErrBadRecord
 	}
-	return tier, id, count, p[n:], nil
+	return id, count, p[n:], nil
 }

@@ -216,14 +216,12 @@ func TestCrashPointSweepDict(t *testing.T) {
 	}
 }
 
-// TestCrashPointSweepCompaction kills the store at every boundary of a
-// compaction's append batch — aggregates then the watermark commit
-// record — with the pre-compaction minute segments still on disk (the
-// pruning that follows only runs after the watermark write returns).
-// Every cut must reopen into a consistent stitched view: the watermark
-// either advanced completely (aggregates authoritative) or not at all
-// (orphan aggregates dropped, minute tier authoritative); either way
-// the total sample coverage is exact.
+// TestCrashPointSweepCompaction kills the store at every byte of the
+// one frame a retention cut writes — which a reopened store appends to a
+// fresh dictionary segment — with the minute segments still as they were
+// before the cut (pruning runs only after the cut's write returns).
+// Below the frame's end the store reopens with no cut and every minute;
+// at its end, with the cut at 120 and every minute from 120 on.
 func TestCrashPointSweepCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, Options{})
@@ -249,7 +247,7 @@ func TestCrashPointSweepCompaction(t *testing.T) {
 	}
 	preCompaction := copyDir(t, dir)
 
-	// Run the compaction on a clone to obtain the hr stream image.
+	// Run the cut on a clone to obtain the frame it writes.
 	compDir := copyDir(t, dir)
 	cst, err := Open(compDir, Options{NoSync: true})
 	if err != nil {
@@ -261,66 +259,39 @@ func TestCrashPointSweepCompaction(t *testing.T) {
 	if err := cst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hrName := "hr-00000000.seg"
-	img, err := os.ReadFile(filepath.Join(compDir, hrName))
+	cutName := tierPrefix[dictTier] + "-00000001.seg"
+	img, err := os.ReadFile(filepath.Join(compDir, cutName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, boundaries := journal.Frames(img)
-	points := []int{0}
-	for _, b := range boundaries {
-		points = append(points, b-1, b)
+	if _, ends := journal.Frames(img); len(ends) != 1 || ends[0] != len(img) {
+		t.Fatalf("the cut wrote frames ending at %v in %d bytes, want one", ends, len(img))
 	}
-	lastBoundary := boundaries[len(boundaries)-1]
-	for _, cut := range points {
+	for cut := 0; cut <= len(img); cut++ {
 		crashed := copyDir(t, preCompaction)
-		if err := os.WriteFile(filepath.Join(crashed, hrName), img[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(crashed, cutName), img[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Open(crashed, Options{NoSync: true})
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		committed := cut == lastBoundary // only the watermark frame commits
 		wantWM := 0
-		if committed {
+		if cut == len(img) {
 			wantWM = 120
 		}
-		if wm := re.Watermark(TierMinute); wm != wantWM {
-			t.Fatalf("cut %d: minute watermark %d, want %d", cut, wm, wantWM)
+		if wm := re.Watermark(); wm != wantWM {
+			t.Fatalf("cut %d: retention cut %d, want %d", cut, wm, wantWM)
 		}
 		for e := 0; e < 2; e++ {
 			name := fmt.Sprintf("svc/app-%d", e)
-			var buf SeriesBuf
-			if err := re.ReadSeries(name, 0, minutes, &buf); err != nil {
-				t.Fatal(err)
+			var want []Sample
+			for m := wantWM; m < minutes; m++ {
+				cpu, mem := load(e, m)
+				want = append(want, Sample{Minute: m, CPU: cpu, Mem: mem})
 			}
-			if len(buf.Days) != 0 {
-				t.Fatalf("cut %d: %s: unexpected day aggregates %+v", cut, name, buf.Days)
-			}
-			aggN := 0
-			var aggSum float64
-			for _, a := range buf.Hours {
-				aggN += a.N
-				aggSum += a.SumCPU
-			}
-			var rawSum float64
-			for _, s := range buf.Minutes {
-				rawSum += s.CPU
-			}
-			if aggN+len(buf.Minutes) != minutes {
-				t.Fatalf("cut %d: %s: stitched view covers %d samples, want %d",
-					cut, name, aggN+len(buf.Minutes), minutes)
-			}
-			var wantSum float64
-			for m := 0; m < minutes; m++ {
-				cpu, _ := load(e, m)
-				wantSum += cpu
-			}
-			// Tolerance, not equality: the stitched sum associates
-			// per-window partial sums, the reference adds straight through.
-			if got := aggSum + rawSum; got < wantSum-1e-9 || got > wantSum+1e-9 {
-				t.Fatalf("cut %d: %s: stitched CPU sum %v, want %v", cut, name, got, wantSum)
+			if got := collect(t, re, name, 0, minutes); !slices.Equal(got, want) {
+				t.Fatalf("cut %d: %s: %d minutes, want the %d from %d", cut, name, len(got), len(want), wantWM)
 			}
 		}
 		re.Close()
@@ -336,7 +307,7 @@ func minuteSegments(t *testing.T, dir string) (names []string, imgs [][]byte) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), tierPrefix[TierMinute]+"-") {
+		if strings.HasPrefix(e.Name(), tierPrefix[minuteTier]+"-") {
 			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)

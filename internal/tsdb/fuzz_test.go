@@ -25,7 +25,7 @@ func decodePayload(p []byte) (r record, cells []rowCell, err error) {
 		})
 		return record{kind: kRow}, cells, err
 	}
-	r, err = decodeRecord(p, nil, nil)
+	r, err = decodeRecord(p, nil)
 	return r, nil, err
 }
 
@@ -48,14 +48,10 @@ func corpusRecords() map[string][]byte {
 	}
 	return map[string][]byte{
 		"seed-dict":  appendDictRecord(nil, 7, "svc/app-7"),
-		"seed-block": appendBlockRecord(nil, TierMinute, 3, blockSamples),
-		"seed-tail":  appendBlockRecord(nil, TierMinute, 3, blockSamples[:5]),
-		"seed-agg": appendAggRecord(nil, TierHour, 2, []Agg{
-			{Start: 60, N: 60, SumCPU: 30.5, SumMem: 15.25, MaxCPU: 0.9, MaxMem: 0.5},
-			{Start: 120, N: 60, SumCPU: 28, SumMem: 14, MaxCPU: 0.8, MaxMem: 0.4},
-		}),
-		"seed-mark": appendMarkRecord(nil, TierMinute, 1440),
-		"seed-row":  corpusRow(),
+		"seed-block": appendBlockRecord(nil, 3, blockSamples),
+		"seed-tail":  appendBlockRecord(nil, 3, blockSamples[:5]),
+		"seed-mark":  appendMarkRecord(nil, 1440),
+		"seed-row":   corpusRow(),
 		// never written, but a header with no cell is a well-formed row
 		"seed-row-empty": appendRowHeader(nil, 1000),
 	}
@@ -95,12 +91,16 @@ func corpusMutations() map[string][]byte {
 		// base + delta leaves the int range
 		"seed-row-delta-overflow":  appendRowCell(appendRowHeader(nil, math.MaxInt64-1), 0, 1, Sample{Minute: 2}),
 		"seed-row-delta-underflow": appendRowCell(appendRowHeader(nil, math.MinInt64+1), 0, 1, Sample{Minute: -2}),
+		// an hour aggregate, the kind nothing reads any more
+		"seed-agg": legacyAggRecord(1, 2,
+			legacyAgg{start: 60, n: 60, sumCPU: 30.5, sumMem: 15.25, maxCPU: 0.9, maxMem: 0.5},
+			legacyAgg{start: 120, n: 60, sumCPU: 28, sumMem: 14, maxCPU: 0.8, maxMem: 0.4}),
 	}
 }
 
 // FuzzRecordDecode is the native fuzz target for the segment record
-// codec: whatever payload survives a CRC frame — torn compactions,
-// bit rot, hostile files — the decoder must never panic, must reject
+// codec: whatever payload survives a CRC frame — torn writes, bit
+// rot, hostile files — the decoder must never panic, must reject
 // structurally invalid records with ErrBadRecord, and for everything it
 // accepts the encode→decode round trip must be semantically exact.
 // Run with
@@ -142,17 +142,14 @@ func FuzzRecordDecode(f *testing.F) {
 		case kDict:
 			re = appendDictRecord(nil, r.id, r.name)
 		case kBlock:
-			re = appendBlockRecord(nil, r.tier, r.id, r.samples)
-		case kAgg:
-			re = appendAggRecord(nil, r.tier, r.id, r.aggs)
+			re = appendBlockRecord(nil, r.id, r.samples)
 		case kMark:
-			re = appendMarkRecord(nil, r.tier, r.mark)
+			re = appendMarkRecord(nil, r.mark)
 		default:
 			t.Fatalf("decoder accepted unknown kind %d", r.kind)
 		}
-		// Copy before the scratch buffers are reused by the re-decode.
+		// Copy before the scratch buffer is reused by the re-decode.
 		samples := append([]Sample(nil), r.samples...)
-		aggs := append([]Agg(nil), r.aggs...)
 		r2, cells2, err := decodePayload(re)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
@@ -165,9 +162,8 @@ func FuzzRecordDecode(f *testing.F) {
 				t.Fatalf("cell %d diverges: %+v vs %+v", i, c, c2)
 			}
 		}
-		if r2.kind != r.kind || r2.tier != r.tier || r2.id != r.id ||
-			r2.name != r.name || r2.mark != r.mark ||
-			len(r2.samples) != len(samples) || len(r2.aggs) != len(aggs) {
+		if r2.kind != r.kind || r2.id != r.id || r2.name != r.name || r2.mark != r.mark ||
+			len(r2.samples) != len(samples) {
 			t.Fatalf("round trip diverges: %+v vs %+v", r, r2)
 		}
 		for i := range samples {
@@ -178,18 +174,32 @@ func FuzzRecordDecode(f *testing.F) {
 				t.Fatalf("sample %d diverges: %+v vs %+v", i, s1, s2)
 			}
 		}
-		for i := range aggs {
-			a1, a2 := aggs[i], r2.aggs[i]
-			if a1 != a2 && !(isNaNAgg(a1) && isNaNAgg(a2)) {
-				t.Fatalf("agg %d diverges: %+v vs %+v", i, a1, a2)
-			}
-		}
 	})
 }
 
 func isNaNSample(s Sample) bool { return s.CPU != s.CPU || s.Mem != s.Mem }
-func isNaNAgg(a Agg) bool {
-	return a.SumCPU != a.SumCPU || a.SumMem != a.SumMem || a.MaxCPU != a.MaxCPU || a.MaxMem != a.MaxMem
+
+// legacyAgg is one hour or day window of the aggregate record older
+// stores wrote to their hr- and day- streams.
+type legacyAgg struct {
+	start, n                       int
+	sumCPU, sumMem, maxCPU, maxMem float64
+}
+
+// legacyAggRecord encodes that record, kind 3:
+//
+//	[3] [tier] [uvarint id] [uvarint count] [count × 48 B]
+//	agg = [i64 start LE] [i64 n LE] [f64 sumCPU] [f64 sumMem] [f64 maxCPU] [f64 maxMem]
+func legacyAggRecord(tier byte, id uint64, aggs ...legacyAgg) []byte {
+	dst := appendUvarint([]byte{3, tier}, id)
+	dst = appendUvarint(dst, uint64(len(aggs)))
+	for _, a := range aggs {
+		dst = appendI64(appendI64(dst, int64(a.start)), int64(a.n))
+		for _, v := range []float64{a.sumCPU, a.sumMem, a.maxCPU, a.maxMem} {
+			dst = appendF64(dst, v)
+		}
+	}
+	return dst
 }
 
 // TestFuzzSeedsReject pins the intent of each handcrafted mutation:

@@ -8,15 +8,15 @@ import (
 
 // Metric families the load archive emits.
 const (
-	// MetricSegments counts segment files started, by tier (minute,
-	// hour, day, dict): the writes that landed at offset 0.
+	// MetricSegments counts segment files started, by stream (tier
+	// label min or dict): the writes that landed at offset 0.
 	MetricSegments = "autoglobe_archive_segments_total"
-	// MetricCompactions counts roll-ups committed, by destination tier.
+	// MetricCompactions counts retention cuts committed.
 	MetricCompactions = "autoglobe_archive_compactions_total"
-	// MetricWritten counts bytes appended to segments, by tier.
+	// MetricWritten counts bytes appended to segments, by stream.
 	MetricWritten = "autoglobe_archive_written_bytes_total"
-	// MetricBlocks counts sealed 64-sample blocks, row frames and
-	// compacted aggregates written, by kind.
+	// MetricBlocks counts sealed 64-sample blocks and row frames
+	// written, by kind.
 	MetricBlocks = "autoglobe_archive_blocks_total"
 	// MetricCommit times every Commit that wrote something, dictionary
 	// write and fsyncs included.
@@ -32,16 +32,15 @@ const (
 const (
 	kindSealed = iota
 	kindRow
-	kindAgg
 )
 
 // storeMetrics pre-resolves the store's series. Nil-safe: an
 // uninstrumented store pays one pointer test per event.
 type storeMetrics struct {
-	segments    [4]*obs.Counter
-	compactions [4]*obs.Counter
-	written     [4]*obs.Counter
-	blocks      [3]*obs.Counter // by kindSealed, kindRow, kindAgg
+	segments    [2]*obs.Counter // by stream
+	compactions *obs.Counter
+	written     [2]*obs.Counter // by stream
+	blocks      [2]*obs.Counter // by kindSealed, kindRow
 	commit      *obs.Histogram
 	sync        *obs.Histogram
 	disk        *obs.Gauge
@@ -51,27 +50,26 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 	if r == nil {
 		return nil
 	}
-	r.Help(MetricSegments, "Segment files started, by tier.")
-	r.Help(MetricCompactions, "Roll-ups committed, by destination tier.")
-	r.Help(MetricWritten, "Bytes appended to archive segments, by tier.")
-	r.Help(MetricBlocks, "Sealed blocks, row frames and aggregates written, by kind.")
+	r.Help(MetricSegments, "Segment files started, by stream.")
+	r.Help(MetricCompactions, "Retention cuts committed.")
+	r.Help(MetricWritten, "Bytes appended to archive segments, by stream.")
+	r.Help(MetricBlocks, "Sealed blocks and row frames written, by kind.")
 	r.Help(MetricCommit, "Latency of archive commits that wrote, in seconds.")
 	r.Help(MetricSync, "Latency of archive segment fsyncs, in seconds.")
 	r.Help(MetricDiskBytes, "Bytes currently on disk across live segments.")
 	m := &storeMetrics{
-		blocks: [3]*obs.Counter{
+		compactions: r.Counter(MetricCompactions),
+		blocks: [2]*obs.Counter{
 			kindSealed: r.Counter(MetricBlocks, "kind", "sealed"),
 			kindRow:    r.Counter(MetricBlocks, "kind", "row"),
-			kindAgg:    r.Counter(MetricBlocks, "kind", "agg"),
 		},
 		commit: r.Histogram(MetricCommit, obs.LatencySecondsBuckets()),
 		sync:   r.Histogram(MetricSync, obs.LatencySecondsBuckets()),
 		disk:   r.Gauge(MetricDiskBytes),
 	}
-	for t := 0; t < 4; t++ {
-		m.segments[t] = r.Counter(MetricSegments, "tier", tierPrefix[t])
-		m.compactions[t] = r.Counter(MetricCompactions, "tier", tierPrefix[t])
-		m.written[t] = r.Counter(MetricWritten, "tier", tierPrefix[t])
+	for t, prefix := range tierPrefix {
+		m.segments[t] = r.Counter(MetricSegments, "tier", prefix)
+		m.written[t] = r.Counter(MetricWritten, "tier", prefix)
 	}
 	return m
 }
@@ -116,16 +114,15 @@ func (m *storeMetrics) synced(t0 time.Time) {
 	}
 }
 
-func (m *storeMetrics) compacted(destTier, aggCount int, disk int64) {
+func (m *storeMetrics) compacted(disk int64) {
 	if m != nil {
-		m.compactions[destTier].Inc()
-		m.blocks[kindAgg].Add(float64(aggCount))
+		m.compactions.Inc()
 		m.disk.Set(float64(disk))
 	}
 }
 
 // Instrument attaches an obs registry to the store: segments opened,
-// bytes written, blocks sealed, commit and fsync latency, compactions
+// bytes written, blocks sealed, commit and fsync latency, retention cuts
 // committed and live disk footprint. Attach-only and nil-safe, like
 // every other family — a nil registry leaves the store uninstrumented
 // and the hot paths pay a single pointer test. A memory store has no

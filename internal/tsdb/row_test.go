@@ -115,12 +115,12 @@ func TestLegacyStoreOpens(t *testing.T) {
 		for e := range states {
 			l := &states[e]
 			for len(l.open) >= BlockSamples {
-				seg = journal.AppendFrame(seg, appendBlockRecord(nil, TierMinute, uint64(e), l.open[:BlockSamples]))
+				seg = journal.AppendFrame(seg, appendBlockRecord(nil, uint64(e), l.open[:BlockSamples]))
 				l.open = l.open[BlockSamples:]
 				l.flushed = max(l.flushed-BlockSamples, 0)
 			}
 			if l.flushed < len(l.open) {
-				seg = journal.AppendFrame(seg, appendBlockRecord(nil, TierMinute, uint64(e), l.open[l.flushed:]))
+				seg = journal.AppendFrame(seg, appendBlockRecord(nil, uint64(e), l.open[l.flushed:]))
 				l.flushed = len(l.open)
 			}
 		}
@@ -163,7 +163,7 @@ func TestLegacyStoreOpens(t *testing.T) {
 		if p[0] == kRow {
 			continue
 		}
-		if r, err := decodeRecord(p, nil, nil); err != nil || r.kind != kBlock || len(r.samples) != BlockSamples {
+		if r, err := decodeRecord(p, nil); err != nil || r.kind != kBlock || len(r.samples) != BlockSamples {
 			t.Fatalf("frame %d of the new segment: kind %d, %d samples, err %v", i, r.kind, len(r.samples), err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestFailedCommitIsSticky(t *testing.T) {
 		}
 		acked = append(acked, s)
 	}
-	if err := st.segs[TierMinute].Close(); err != nil {
+	if err := st.segs[minuteTier].Close(); err != nil {
 		t.Fatal(err)
 	}
 	cause := st.Commit()
@@ -281,12 +281,11 @@ func TestFailedCommitIsSticky(t *testing.T) {
 	}
 }
 
-// TestFailedCompactionChangesNothing closes the hour tier's segments
-// under the store, so the next roll-up's write fails the way a dead disk
-// fails it. The failed compaction must leave every tier as it
-// was — its aggregates are applied only once written — so the stitched
-// view still counts each minute once. A memory store runs the same
-// compaction with nothing to fail.
+// TestFailedCompactionChangesNothing closes the dictionary stream's
+// segments under the store, so the next retention cut's write fails the
+// way a dead disk fails it. The failed cut must leave the store as it
+// was — its cut, its block index and every minute from the cut on. A
+// memory store runs the same cut with nothing to fail.
 func TestFailedCompactionChangesNothing(t *testing.T) {
 	for _, disk := range []bool{true, false} {
 		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
@@ -308,28 +307,138 @@ func TestFailedCompactionChangesNothing(t *testing.T) {
 			if err := st.CompactBefore(1440); err != nil {
 				t.Fatal(err)
 			}
+			cut := 2880
 			if disk {
-				if err := st.segs[TierHour].Close(); err != nil {
+				if err := st.segs[dictTier].Close(); err != nil {
 					t.Fatal(err)
 				}
 				if err := st.CompactBefore(2880); !errors.Is(err, os.ErrClosed) {
 					t.Fatalf("compaction onto a closed descriptor: %v", err)
 				}
+				cut = 1440
 			} else if err := st.CompactBefore(2880); err != nil {
 				t.Fatal(err)
+			}
+			if wm := st.Watermark(); wm != cut {
+				t.Fatalf("retention cut %d, want %d", wm, cut)
 			}
 			var buf SeriesBuf
 			if err := st.ReadSeries("svc/a", 0, minutes, &buf); err != nil {
 				t.Fatal(err)
 			}
-			total := len(buf.Minutes)
-			for _, a := range append(buf.Days, buf.Hours...) {
-				total += a.N
+			if len(buf.Minutes) != minutes-cut || buf.Minutes[0].Minute != cut {
+				t.Fatalf("%d raw minutes, want the %d from %d", len(buf.Minutes), minutes-cut, cut)
 			}
-			if total != minutes {
-				t.Fatalf("stitched view covers %d samples, want %d", total, minutes)
+			if n, err := st.Count(st.Lookup("svc/a")); err != nil || n != minutes-cut {
+				t.Fatalf("Count = %d, %v; want %d", n, err, minutes-cut)
 			}
 		})
+	}
+}
+
+// TestHourDayStoreOpens builds a store directory the way the store wrote
+// it while it rolled expired minutes into hour and day aggregates: the
+// dict- and min- streams, an hr- stream of hour aggregates (kind 3) and
+// the cut record that committed them, and a day- stream of a day
+// aggregate and its own cut record. The store opens it, reads every raw
+// minute back — those below the old cut included, which the straddling
+// minute segment still holds — and takes appends, and it leaves the hr-
+// and day- files as they were: neither is read, or the aggregates and
+// the day stream's hour-tier cut would fail the open with ErrBadRecord.
+// The next cut removes the old minutes.
+func TestHourDayStoreOpens(t *testing.T) {
+	dir := t.TempDir()
+	const ents, minutes = 2, 150
+	name := func(e int) string { return fmt.Sprintf("svc/app-%d", e) }
+	var dict, seg []byte
+	for e := 0; e < ents; e++ {
+		dict = journal.AppendFrame(dict, appendDictRecord(nil, uint64(e), name(e)))
+	}
+	want := make(map[string][]Sample)
+	for m := 0; m < minutes; m++ {
+		row := appendRowHeader(nil, m)
+		for e := 0; e < ents; e++ {
+			cpu, mem := load(e, m)
+			s := Sample{Minute: m, CPU: cpu, Mem: mem}
+			row = appendRowCell(row, m, uint64(e), s)
+			want[name(e)] = append(want[name(e)], s)
+		}
+		seg = journal.AppendFrame(seg, row)
+		if (m+1)%BlockSamples == 0 {
+			for e := 0; e < ents; e++ {
+				ws := want[name(e)]
+				seg = journal.AppendFrame(seg, appendBlockRecord(nil, uint64(e), ws[len(ws)-BlockSamples:]))
+			}
+		}
+	}
+	var hr, day []byte
+	for e := 0; e < ents; e++ {
+		hr = journal.AppendFrame(hr, legacyAggRecord(1, uint64(e), legacyAgg{start: 0, n: 60, sumCPU: 1, sumMem: 1, maxCPU: 1, maxMem: 1}))
+	}
+	hr = journal.AppendFrame(hr, appendMarkRecord(nil, 60))
+	day = journal.AppendFrame(day, legacyAggRecord(2, 0, legacyAgg{start: 0, n: 1440, sumCPU: 1, sumMem: 1, maxCPU: 1, maxMem: 1}))
+	day = journal.AppendFrame(day, []byte{kMark, 1, 0}) // the hour tier's cut, at minute 0
+	files := map[string][]byte{
+		"dict-00000000.seg": dict,
+		"min-00000000.seg":  seg,
+		"hr-00000000.seg":   hr,
+		"day-00000000.seg":  day,
+	}
+	for file, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st := openStore(t, dir, Options{})
+	if wm := st.Watermark(); wm != 0 {
+		t.Fatalf("the old layout opens with the retention cut at %d, want none", wm)
+	}
+	checkSeries(t, "old layout", st, want)
+	for m := minutes; m < minutes+100; m++ {
+		for e := 0; e < ents; e++ {
+			cpu, mem := load(e, m)
+			s := Sample{Minute: m, CPU: cpu, Mem: mem}
+			if err := st.Append(name(e), s); err != nil {
+				t.Fatal(err)
+			}
+			want[name(e)] = append(want[name(e)], s)
+		}
+		if err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSeries(t, "old layout+new", st, want)
+	if err := st.CompactBefore(120); err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < ents; e++ {
+		want[name(e)] = want[name(e)][120:]
+	}
+	checkSeries(t, "cut", st, want)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openStore(t, dir, Options{})
+	if wm := re.Watermark(); wm != 120 {
+		t.Fatalf("reopened with the retention cut at %d, want 120", wm)
+	}
+	checkSeries(t, "reopened", re, want)
+	for _, prefix := range []string{"hr", "day"} {
+		paths, err := filepath.Glob(filepath.Join(dir, prefix+"-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) != 1 {
+			t.Fatalf("%s- files %v, want the one written", prefix, paths)
+		}
+		b, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file := filepath.Base(paths[0]); !slices.Equal(b, files[file]) {
+			t.Fatalf("%s changed: %d bytes, %d written", file, len(b), len(files[file]))
+		}
 	}
 }
 

@@ -15,11 +15,15 @@ import (
 // journal.Options).
 type Options = journal.Options
 
-// tier file-name prefixes; dictTier is the pseudo-tier of the entity
-// dictionary stream.
-const dictTier = 3
+// The store's two segment streams, indexing segs and tierPrefix: the
+// minute stream of rows and sealed blocks, and the dictionary stream of
+// entity names and retention cuts.
+const (
+	minuteTier = iota
+	dictTier
+)
 
-var tierPrefix = [4]string{"min", "hr", "day", "dict"}
+var tierPrefix = [2]string{"min", "dict"}
 
 // blockRef indexes one sealed minute block: its frame on disk, or in a
 // memory store the block itself. It is 32 bytes, one per seal for the
@@ -47,8 +51,7 @@ func sealFrameLen(id uint64) int {
 var errIndexRange = errors.New("tsdb: minute-tier frame beyond the block index's 32-bit segment or offset")
 
 // entState is the in-memory state of one entity: its raw tail — the
-// newest BlockSamples samples — the index of its sealed blocks, and its
-// downsampled tiers.
+// newest BlockSamples samples — and the index of its sealed blocks.
 type entState struct {
 	id   uint64
 	name string
@@ -69,8 +72,6 @@ type entState struct {
 	hasLast bool
 
 	blocks []blockRef // sealed minute blocks, chronological
-	hours  []Agg      // hour aggregates ≥ the hour→day watermark
-	days   []Agg      // day aggregates, chronological
 }
 
 // Store is a segmented, append-only, disk-backed time-series store.
@@ -94,12 +95,10 @@ type Store struct {
 	ids  map[string]uint64
 	ents []*entState
 
-	segs   [4]*journal.Segments // one segment stream per tier; none in a memory store
-	segMax map[uint64]int       // minute-tier segment → max sample minute written
+	segs   [2]*journal.Segments // the minute and dictionary streams; none in a memory store
+	segMax map[uint64]int       // minute segment → max sample minute written
 
-	// marks[TierMinute]: minute data below this is rolled into hours;
-	// marks[TierHour]: hour data below this is rolled into days.
-	marks [2]int
+	cut int // the retention cut: every sample below it is gone (see CompactBefore)
 
 	row         []byte   // open row payload: the cells appended since the last row frame
 	rowBase     int      // minute the open row's cells are relative to
@@ -109,7 +108,6 @@ type Store struct {
 	stagedMax   int      // newest minute staged since the last Commit
 	unsynced    bool     // flushRow wrote rows the next Commit must fsync
 	recBuf      []byte   // record payload scratch
-	aggScratch  []Agg    // compaction scratch
 	frameBuf    []byte   // a sealed block's frame read from disk
 	blockBuf    []Sample // ...and its samples (see loadBlock)
 
@@ -148,11 +146,10 @@ func (st *Store) writable() error {
 }
 
 // Open opens (or creates) a store directory, replaying every segment:
-// the entity dictionary, then the day, hour and minute tiers, honoring
-// compaction watermarks (aggregates past the last watermark are orphans
-// of a torn compaction and are dropped; minute data below the watermark
-// has been downsampled and is dropped). Replay tolerates a torn final
-// frame in every stream — the expected end state of a crashed writer.
+// the dictionary stream — entity names and retention cuts — then the
+// minute stream, skipping the minutes below the highest cut. Replay
+// tolerates a torn final frame in every stream — the expected end state
+// of a crashed writer.
 // Appends after Open go to fresh segments. An empty dir opens a memory
 // store (see Store), which cannot fail.
 func Open(dir string, opts Options) (*Store, error) {
@@ -176,97 +173,26 @@ func (st *Store) replay() error {
 	if err := st.replayDict(); err != nil {
 		return err
 	}
-	// Aggregate tiers first: their watermark records decide which finer
-	// data is still authoritative.
-	if err := st.replayAggs(int(TierDay)); err != nil {
-		return err
-	}
-	if err := st.replayAggs(int(TierHour)); err != nil {
-		return err
-	}
-	if err := st.replayMinutes(); err != nil {
-		return err
-	}
-	// Hour aggregates below the hour→day watermark were rolled into
-	// days; the hr segments still hold them (only minute segments are
-	// pruned), so drop them from memory here.
-	for _, e := range st.ents {
-		e.hours = slices.DeleteFunc(e.hours, func(a Agg) bool {
-			return a.Start < st.marks[TierHour]
-		})
-	}
-	return nil
+	return st.replayMinutes()
 }
 
+// replayDict registers the entities in id order and keeps the highest
+// retention cut.
 func (st *Store) replayDict() error {
 	return st.segs[dictTier].Replay(0, func(_ uint64, _ int64, _ int, p []byte) error {
-		r, err := decodeRecord(p, nil, nil)
+		r, err := decodeRecord(p, nil)
 		if err != nil {
 			return err
 		}
-		if r.kind != kDict {
-			return fmt.Errorf("non-dict record in dict stream: %w", ErrBadRecord)
-		}
-		if r.id != uint64(len(st.ents)) {
+		switch {
+		case r.kind == kMark:
+			st.cut = max(st.cut, r.mark)
+		case r.kind != kDict:
+			return fmt.Errorf("record kind %d in dict stream: %w", r.kind, ErrBadRecord)
+		case r.id != uint64(len(st.ents)):
 			return fmt.Errorf("dict id %d out of order: %w", r.id, ErrBadRecord)
-		}
-		st.register(r.name)
-		return nil
-	})
-}
-
-// replayAggs replays the hour or day stream. Aggregates are provisional
-// until a watermark record commits them: a compaction appends its
-// aggregates and then the watermark in one batch, so an aggregate with
-// no following watermark is the orphan of a torn compaction.
-func (st *Store) replayAggs(tier int) error {
-	// The watermark in the day stream governs the HOUR tier (hour→day
-	// roll-up), the one in the hr stream governs the MINUTE tier.
-	srcTier := TierHour
-	if tier == int(TierHour) {
-		srcTier = TierMinute
-	}
-	type pendAgg struct {
-		id uint64
-		a  Agg
-	}
-	var provisional []pendAgg
-	var aggScratch []Agg
-	return st.segs[tier].Replay(0, func(_ uint64, _ int64, _ int, p []byte) error {
-		r, err := decodeRecord(p, nil, aggScratch)
-		if err != nil {
-			return err
-		}
-		switch r.kind {
-		case kAgg:
-			if int(r.tier) != tier {
-				return fmt.Errorf("tier %v record in %s stream: %w", r.tier, tierPrefix[tier], ErrBadRecord)
-			}
-			if r.id >= uint64(len(st.ents)) {
-				return fmt.Errorf("aggregate for unknown entity %d: %w", r.id, ErrBadRecord)
-			}
-			for _, a := range r.aggs {
-				provisional = append(provisional, pendAgg{r.id, a})
-			}
-			aggScratch = r.aggs[:0]
-		case kMark:
-			if r.tier != srcTier {
-				return fmt.Errorf("tier %v watermark in %s stream: %w", r.tier, tierPrefix[tier], ErrBadRecord)
-			}
-			for _, pa := range provisional {
-				e := st.ents[pa.id]
-				if tier == int(TierDay) {
-					e.days = append(e.days, pa.a)
-				} else {
-					e.hours = append(e.hours, pa.a)
-				}
-			}
-			provisional = provisional[:0]
-			if r.mark > st.marks[srcTier] {
-				st.marks[srcTier] = r.mark
-			}
 		default:
-			return fmt.Errorf("record kind %d in %s stream: %w", r.kind, tierPrefix[tier], ErrBadRecord)
+			st.register(r.name)
 		}
 		return nil
 	})
@@ -275,7 +201,7 @@ func (st *Store) replayAggs(tier int) error {
 // replayMinutes rebuilds the sealed-block index and each entity's raw
 // tail. A row's cells (and the samples of a tail record, the one-entity
 // row of a store written before the row record) fill open blocks,
-// skipping what the watermark has downsampled away; a sealed block
+// skipping the minutes below the retention cut; a sealed block
 // (exactly BlockSamples samples) becomes an index entry, is written into
 // the tail and empties the entity's open block — its samples are the
 // cells replayed in front of it, by the batch order block.go documents.
@@ -283,7 +209,7 @@ func (st *Store) replayAggs(tier int) error {
 // between its rows and its seals: it goes on the full list and the next
 // Commit seals it.
 func (st *Store) replayMinutes() error {
-	wm := st.marks[TierMinute]
+	cut := st.cut
 	var scratch []Sample
 	newest := 0 // newest minute of the frame being replayed
 	touch := func(id uint64, minute int) (*entState, error) {
@@ -299,7 +225,7 @@ func (st *Store) replayMinutes() error {
 	}
 	cell := func(id uint64, s Sample) error {
 		e, err := touch(id, s.Minute)
-		if err != nil || s.Minute < wm { // below wm: already downsampled into the hour tier
+		if err != nil || s.Minute < cut {
 			return err
 		}
 		if e.n == BlockSamples {
@@ -312,11 +238,11 @@ func (st *Store) replayMinutes() error {
 		if len(p) > 0 && p[0] == kRow {
 			return decodeRow(p, cell)
 		}
-		r, err := decodeRecord(p, scratch, nil)
+		r, err := decodeRecord(p, scratch)
 		if err != nil {
 			return err
 		}
-		if r.kind != kBlock || r.tier != TierMinute {
+		if r.kind != kBlock {
 			return fmt.Errorf("record kind %d in minute stream: %w", r.kind, ErrBadRecord)
 		}
 		scratch = r.samples[:0]
@@ -334,7 +260,7 @@ func (st *Store) replayMinutes() error {
 			return err
 		}
 		e.tail, e.n = [BlockSamples]Sample(r.samples), 0
-		if end >= wm {
+		if end >= cut {
 			if n != sealFrameLen(r.id) {
 				return fmt.Errorf("sealed block of entity %d framed in %d bytes: %w", r.id, n, ErrBadRecord)
 			}
@@ -345,7 +271,7 @@ func (st *Store) replayMinutes() error {
 		}
 		return nil
 	}
-	err := st.segs[TierMinute].Replay(0, func(seq uint64, off int64, n int, p []byte) error {
+	err := st.segs[minuteTier].Replay(0, func(seq uint64, off int64, n int, p []byte) error {
 		newest = 0
 		err := frame(seq, off, n, p)
 		if newest > st.segMax[seq] {
@@ -398,8 +324,8 @@ func (st *Store) Append(entity string, s Sample) error { return st.AppendTo(new(
 
 // AppendTo buffers one sample for entity through its handle. Samples
 // per entity must arrive with non-decreasing minutes (the archive's
-// contract) and at or above the minute→hour compaction watermark; a
-// sample refused by a closed or failed store or the watermark does not
+// contract) and at or above the retention cut; a sample refused by a
+// closed or failed store or the cut does not
 // register the entity. The sample is acknowledged — guaranteed to
 // survive a crash — once a subsequent Commit returns, never later and
 // sometimes earlier: an entity's full block is sealed before its next
@@ -411,8 +337,8 @@ func (st *Store) AppendTo(h *Handle, entity string, s Sample) error {
 	if err := st.writable(); err != nil {
 		return err
 	}
-	if s.Minute < st.marks[TierMinute] {
-		return fmt.Errorf("tsdb: sample at minute %d below compaction watermark %d", s.Minute, st.marks[TierMinute])
+	if s.Minute < st.cut {
+		return fmt.Errorf("tsdb: sample at minute %d below the retention cut %d", s.Minute, st.cut)
 	}
 	e, fresh := h.e, false
 	if e == nil {
@@ -481,7 +407,7 @@ func (st *Store) flushRow() error {
 	if err := st.writeDict(); err != nil {
 		return err
 	}
-	seq, _, err := st.write(int(TierMinute), st.pending)
+	seq, _, err := st.write(minuteTier, st.pending)
 	if err != nil {
 		return err
 	}
@@ -543,7 +469,7 @@ func (st *Store) Commit() error {
 		if err := st.commitMinutes(); err != nil {
 			return err
 		}
-	} else if err := st.sync(int(TierMinute)); err != nil { // rows flushRow wrote, nothing after them
+	} else if err := st.sync(minuteTier); err != nil { // rows flushRow wrote, nothing after them
 		return err
 	}
 	st.unsynced = false
@@ -562,9 +488,9 @@ func (st *Store) commitMinutes() error {
 	newest := st.stagedMax // the rows ride in the first chunk
 	for i := 0; ; {
 		j := st.frameSeals(i)
-		seq, base, err := st.write(int(TierMinute), st.pending)
+		seq, base, err := st.write(minuteTier, st.pending)
 		if err == nil && (seq > math.MaxUint32 || base+int64(len(st.pending)) > math.MaxUint32) {
-			err = st.fail(int(TierMinute), errIndexRange)
+			err = st.fail(minuteTier, errIndexRange)
 		}
 		if err != nil {
 			st.unindex(j)
@@ -584,7 +510,7 @@ func (st *Store) commitMinutes() error {
 			break
 		}
 	}
-	if err := st.sync(int(TierMinute)); err != nil {
+	if err := st.sync(minuteTier); err != nil {
 		st.unindex(len(st.full))
 		return err
 	}
@@ -625,7 +551,7 @@ func (st *Store) frameSeals(i int) int {
 			ref.raw = new([BlockSamples]Sample)
 			*ref.raw = e.tail
 		} else {
-			st.recBuf = appendBlockRecord(st.recBuf[:0], TierMinute, id, e.tail[:])
+			st.recBuf = appendBlockRecord(st.recBuf[:0], id, e.tail[:])
 			ref.off = uint32(len(st.pending))
 			st.pending = journal.AppendFrame(st.pending, st.recBuf)
 		}
@@ -705,23 +631,23 @@ func (st *Store) Lookup(entity string) Handle {
 
 // Latest returns the newest raw sample of h's entity, from the tail: the
 // last of its open block, else of its newest sealed block — none once the
-// watermark has passed it.
+// retention cut has passed it.
 func (st *Store) Latest(h Handle) (Sample, bool) {
 	switch e := h.e; {
 	case e == nil:
-	case e.n > 0 && e.tail[e.n-1].Minute >= st.marks[TierMinute]:
+	case e.n > 0 && e.tail[e.n-1].Minute >= st.cut:
 		return e.tail[e.n-1], true
-	case e.n == 0 && len(e.blocks) > 0: // every block left ends at or above the watermark
+	case e.n == 0 && len(e.blocks) > 0: // every block left ends at or above the cut
 		return e.tail[BlockSamples-1], true
 	}
 	return Sample{}, false
 }
 
-// Count returns how many raw minute-tier samples h's entity holds at or
-// above the minute→hour watermark — what a Range over every minute
-// visits — from the block index: BlockSamples for every sealed block
-// that starts at or above the watermark, a walk of the one block the
-// watermark may cut (from disk unless the tail or a memory store holds
+// Count returns how many raw samples h's entity holds at or above the
+// retention cut — what a Range over every minute visits — from the
+// block index: BlockSamples for every sealed block that starts at or
+// above the cut, a walk of the one block the cut may split (from disk
+// unless the tail or a memory store holds
 // it), and the open block. A closed store that would have to read that
 // block fails with ErrClosed.
 func (st *Store) Count(h Handle) (int, error) {
@@ -729,17 +655,16 @@ func (st *Store) Count(h Handle) (int, error) {
 	if e == nil {
 		return 0, nil
 	}
-	wm := st.marks[TierMinute]
-	n := e.n - below(e.tail[:e.n], wm)
+	n := e.n - below(e.tail[:e.n], st.cut)
 	for i, ref := range e.blocks {
-		if ref.start >= wm {
+		if ref.start >= st.cut {
 			return n + (len(e.blocks)-i)*BlockSamples, nil
 		}
-		samples, err := st.loadBlock(e, i, wm)
+		samples, err := st.loadBlock(e, i, st.cut)
 		if err != nil {
 			return 0, err
 		}
-		n += len(samples) - below(samples, wm)
+		n += len(samples) - below(samples, st.cut)
 	}
 	return n, nil
 }
@@ -750,8 +675,8 @@ func (st *Store) Count(h Handle) (int, error) {
 // entity does not hold raw. The tail holds the newest BlockSamples
 // samples: a window that reaches further back needs the newest sealed
 // block from disk, or an older one, unless the store keeps them raw (a
-// memory store). Minutes below the minute→hour watermark have been
-// downsampled away and are not visited. fn must not call back into the
+// memory store). Minutes below the retention cut are gone and are not
+// visited. fn must not call back into the
 // store. A closed store still answers from what it holds raw; a block it
 // would have to read from disk fails the call with ErrClosed. A read
 // that stays in the tail and the raw blocks does no lookup and allocates
@@ -767,10 +692,10 @@ func (st *Store) Range(h Handle, from, to int, fn func(Sample)) (disk bool, err 
 	return disk, st.forEachMinute(e, from, to, fn)
 }
 
-// first clamps from to the minute watermark and returns the index of
+// first clamps from to the retention cut and returns the index of
 // the first sealed block that may hold a minute at or after it.
 func (st *Store) first(e *entState, from int) (int, int) {
-	from = max(from, st.marks[TierMinute])
+	from = max(from, st.cut)
 	return sort.Search(len(e.blocks), func(i int) bool { return e.blocks[i].end >= from }), from
 }
 
@@ -822,14 +747,14 @@ func (st *Store) loadBlock(e *entState, i, from int) ([]Sample, error) {
 	}
 	n := sealFrameLen(e.id)
 	st.frameBuf = slices.Grow(st.frameBuf[:0], n)[:n]
-	if err := st.segs[TierMinute].ReadAt(uint64(ref.seq), int64(ref.off), st.frameBuf); err != nil {
+	if err := st.segs[minuteTier].ReadAt(uint64(ref.seq), int64(ref.off), st.frameBuf); err != nil {
 		return nil, err
 	}
 	payload, _, err := journal.DecodeFrame(st.frameBuf)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: sealed block at %s seq %d off %d: %w", st.dir, ref.seq, ref.off, err)
 	}
-	r, err := decodeRecord(payload, st.blockBuf[:0], nil)
+	r, err := decodeRecord(payload, st.blockBuf[:0])
 	if err == nil && r.kind != kBlock {
 		err = ErrBadRecord
 	}
@@ -840,51 +765,27 @@ func (st *Store) loadBlock(e *entState, i, from int) ([]Sample, error) {
 	return r.samples, nil
 }
 
-// SeriesBuf is a reusable result buffer for ReadSeries: the best
-// available resolution for each span — day aggregates for the oldest
-// history, hour aggregates below the minute→hour watermark, raw
-// samples above it. Slices are reset, not reallocated, across calls.
+// SeriesBuf is a reusable result buffer for ReadSeries. Minutes is
+// reset, not reallocated, across calls.
 type SeriesBuf struct {
-	Days    []Agg
-	Hours   []Agg
 	Minutes []Sample
 }
 
-// ReadSeries fills buf with entity's data intersecting [from, to):
-// day aggregates whose window starts below the hour→day watermark,
-// hour aggregates from there up to the minute→hour watermark, raw
-// minute samples above it. An unknown entity yields an empty buffer.
+// ReadSeries fills buf with entity's raw samples in [from, to). An
+// unknown entity yields an empty buffer.
 func (st *Store) ReadSeries(entity string, from, to int, buf *SeriesBuf) error {
-	buf.Days, buf.Hours, buf.Minutes = buf.Days[:0], buf.Hours[:0], buf.Minutes[:0]
+	buf.Minutes = buf.Minutes[:0]
 	id, ok := st.ids[entity]
 	if !ok {
 		return nil
 	}
-	e := st.ents[id]
-	for _, a := range e.days {
-		if a.Start+TierDay.Window() > from && a.Start < to {
-			buf.Days = append(buf.Days, a)
-		}
-	}
-	for _, a := range e.hours {
-		if a.Start+TierHour.Window() > from && a.Start < to {
-			buf.Hours = append(buf.Hours, a)
-		}
-	}
-	return st.forEachMinute(e, from, to, func(s Sample) {
+	return st.forEachMinute(st.ents[id], from, to, func(s Sample) {
 		buf.Minutes = append(buf.Minutes, s)
 	})
 }
 
-// Watermark returns the compaction watermark of a source tier: minute
-// data below Watermark(TierMinute) lives in the hour tier, hour data
-// below Watermark(TierHour) in the day tier. TierDay has no watermark.
-func (st *Store) Watermark(t Tier) int {
-	if t >= TierDay {
-		return 0
-	}
-	return st.marks[t]
-}
+// Watermark returns the retention cut: every sample below it is gone.
+func (st *Store) Watermark() int { return st.cut }
 
 // Entities returns every known entity name in registration order.
 func (st *Store) Entities() []string {

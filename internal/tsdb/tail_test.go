@@ -181,9 +181,9 @@ func TestCountMatchesRange(t *testing.T) {
 			// newest those that cut the newest one, which the tail serves.
 			minute, cuts, newest := 0, 0, 0
 			cut := func(st *Store, h Handle) {
-				if blocks := h.e.blocks; len(blocks) > 0 && blocks[0].start < st.Watermark(TierMinute) {
+				if blocks := h.e.blocks; len(blocks) > 0 && blocks[0].start < st.Watermark() {
 					cuts++
-					if len(blocks) == 1 && h.e.inTail(st.Watermark(TierMinute)) {
+					if len(blocks) == 1 && h.e.inTail(st.Watermark()) {
 						newest++
 					}
 				}
@@ -341,8 +341,8 @@ func runTailScript(t *testing.T, script []byte, disk bool) {
 		if len(all) == 0 {
 			return
 		}
-		wm := st.Watermark(TierMinute)
-		_, _, raw := ref.expect(entity, wm, st.Watermark(TierHour))
+		wm := st.Watermark()
+		raw := ref.expect(entity, wm)
 		if s, ok := st.Latest(h); ok != (len(raw) > 0) || (ok && s != raw[len(raw)-1]) {
 			t.Fatalf("%s: Latest = %+v, %v; %d raw samples", label, s, ok, len(raw))
 		}

@@ -5,9 +5,10 @@
 // Transport. Two transports are provided: a deterministic in-memory
 // loopback with injectable latency/drop/partition faults (for tests and
 // single-process deployments) and a stdlib net/http transport of
-// length-prefixed binary frames for real TCP landscapes. The struct tags
-// give a JSON rendering for debugging and logs; it is never put on the
-// wire. The paper's controller administered 19 blade
+// length-prefixed binary frames for real TCP landscapes. Only
+// ActionRequest and ActionAck carry JSON tags: the coordinator journal
+// stores them as JSON. Nothing is JSON on the wire. The paper's
+// controller administered 19 blade
 // hosts through ServiceGlobe's network substrate; this package is the
 // equivalent substrate for the reproduction, shaped after the
 // agent-streams-telemetry / manager-pushes-actions pattern of
@@ -105,12 +106,12 @@ const (
 
 // InstanceSample is one instance's load measurement inside a heartbeat.
 type InstanceSample struct {
-	ID      string  `json:"id"`
-	Service string  `json:"service"`
-	Load    float64 `json:"load"`
+	ID      string
+	Service string
+	Load    float64
 	// Index is the (ID, Service) pair's number in the session dictionary
 	// of the coordinator the heartbeat is addressed to; zero: none.
-	Index uint32 `json:"index,omitempty"`
+	Index uint32
 }
 
 // Heartbeat is the per-minute load report of one host: the host-level
@@ -122,13 +123,13 @@ type InstanceSample struct {
 // in its ack to an earlier, named heartbeat. The binary codec frames it
 // without any name; in memory the names ride along.
 type Heartbeat struct {
-	Host      string           `json:"host"`
-	Minute    int              `json:"minute"`
-	CPU       float64          `json:"cpu"`
-	Mem       float64          `json:"mem"`
-	Instances []InstanceSample `json:"instances,omitempty"`
-	Session   uint64           `json:"session,omitempty"`
-	HostIndex uint32           `json:"hostIndex,omitempty"`
+	Host      string
+	Minute    int
+	CPU       float64
+	Mem       float64
+	Instances []InstanceSample
+	Session   uint64
+	HostIndex uint32
 }
 
 // Indexed reports whether the host and every sample carry an index.
@@ -197,29 +198,29 @@ type ActionAck struct {
 
 // Probe is a liveness probe for a silent host.
 type Probe struct {
-	Host   string `json:"host"`
-	Minute int    `json:"minute"`
+	Host   string
+	Minute int
 }
 
 // Hello announces an agent joining the landscape.
 type Hello struct {
-	Host             string  `json:"host"`
-	PerformanceIndex float64 `json:"performanceIndex"`
-	MemoryMB         int     `json:"memoryMB"`
+	Host             string
+	PerformanceIndex float64
+	MemoryMB         int
 	// Addr is the agent's reachable base URL on routed transports
 	// (HTTP), so the coordinator can register the return route for
 	// actions and probes. Empty on transports with implicit routing
 	// (loopback).
-	Addr string `json:"addr,omitempty"`
+	Addr string
 }
 
 // RuleGet asks for one rule base from the coordinator's registry.
 type RuleGet struct {
 	// Name addresses the rule base ("serviceOverloaded",
 	// "select/placement", …).
-	Name string `json:"name"`
+	Name string
 	// Version selects an archived version; zero means the active one.
-	Version int `json:"version,omitempty"`
+	Version int
 }
 
 // RulePut carries a rule base's source text. As a request it pushes a
@@ -227,38 +228,38 @@ type RuleGet struct {
 // was stored (Version and Hash assigned by the registry) or answers a
 // RuleGet, or reports an Error with everything else empty.
 type RulePut struct {
-	Name string `json:"name"`
+	Name string
 	// Version is registry-assigned in replies; requests leave it zero
 	// (journal replay between coordinators pins it explicitly).
-	Version int `json:"version,omitempty"`
+	Version int
 	// Hash is the hex SHA-256 of Source. Requests may leave it empty;
 	// when set, the receiver verifies it against the received Source
 	// before validating — a cheap end-to-end corruption check.
-	Hash string `json:"hash,omitempty"`
+	Hash string
 	// Source is the rule-language text.
-	Source string `json:"source,omitempty"`
+	Source string
 	// Activate asks the coordinator to hot-swap the pushed version into
 	// the live controller after validation. False archives it only — an
 	// admin can then shadow-evaluate before promoting.
-	Activate bool `json:"activate,omitempty"`
+	Activate bool
 	// Error reports a rejected push or failed lookup (reply only).
-	Error string `json:"error,omitempty"`
+	Error string
 }
 
 // RuleInfo is one registry entry in a rule-list reply, mirroring the
 // rules package's Ref.
 type RuleInfo struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-	Hash    string `json:"hash"`
-	Active  bool   `json:"active,omitempty"`
-	Rules   int    `json:"rules,omitempty"`
+	Name    string
+	Version int
+	Hash    string
+	Active  bool
+	Rules   int
 }
 
 // RuleList is both the catalog request (empty) and its reply.
 type RuleList struct {
-	Entries []RuleInfo `json:"entries,omitempty"`
-	Error   string     `json:"error,omitempty"`
+	Entries []RuleInfo
+	Error   string
 }
 
 // Lease is the leader-election renewal payload, shared by TypeLease
@@ -269,18 +270,18 @@ type RuleList struct {
 // the receiver has seen — the fencing signal a deposed leader steps
 // down on.
 type Lease struct {
-	Leader string `json:"leader"`
-	Epoch  uint64 `json:"epoch"`
-	Minute int    `json:"minute"`
+	Leader string
+	Epoch  uint64
+	Minute int
 }
 
 // Envelope is the versioned frame every message travels in.
 type Envelope struct {
-	Version int     `json:"v"`
-	Type    MsgType `json:"type"`
-	From    string  `json:"from"`
-	To      string  `json:"to"`
-	Seq     uint64  `json:"seq,omitempty"`
+	Version int
+	Type    MsgType
+	From    string
+	To      string
+	Seq     uint64
 	// Epoch is the sender's coordinator incarnation (the lease token of
 	// the crash-recovery protocol): a journaled coordinator bumps its
 	// epoch on every restart, and agents NACK action requests carrying
@@ -290,21 +291,21 @@ type Envelope struct {
 	// unjournaled coordinators) disables the guard. On a heartbeat it is
 	// the agent's highest known epoch, which proves to an elected leader
 	// that the agent already follows it (no lease renewal needed).
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 
-	Heartbeat *Heartbeat     `json:"heartbeat,omitempty"`
-	Action    *ActionRequest `json:"action,omitempty"`
-	Ack       *ActionAck     `json:"ack,omitempty"`
-	Probe     *Probe         `json:"probe,omitempty"`
-	Hello     *Hello         `json:"hello,omitempty"`
-	RuleGet   *RuleGet       `json:"ruleGet,omitempty"`
-	RulePut   *RulePut       `json:"rulePut,omitempty"`
-	RuleList  *RuleList      `json:"ruleList,omitempty"`
-	Lease     *Lease         `json:"lease,omitempty"`
+	Heartbeat *Heartbeat
+	Action    *ActionRequest
+	Ack       *ActionAck
+	Probe     *Probe
+	Hello     *Hello
+	RuleGet   *RuleGet
+	RulePut   *RulePut
+	RuleList  *RuleList
+	Lease     *Lease
 
 	// box links a pooled envelope back to its carrier; ReleaseEnvelope
 	// recycles it. Nil for plainly constructed envelopes.
-	box *envBox `json:"-"`
+	box *envBox
 }
 
 // NewEnvelope frames a payload. Exactly one payload field should be set

@@ -8,11 +8,14 @@
 # gate), every test twice (under the race detector, then
 # race-free — the *ZeroAlloc guards and the root package's surface
 # ratchet skip themselves under -race, so the second pass is the one in
-# which they assert, and the allocation guards run twenty more times
-# each, so a flaky count fails the gate; the ratchet fails when a line
-# joins SURFACE.txt: an exported name in internal/ without a non-test
-# caller outside its package, an unexported function no non-test code
-# calls, or an exported field nobody sets or reads), the daemon test
+# which they assert, and the allocation guards — the simulator's exact
+# window count, the agent's two zero-alloc minutes, the tsdb's
+# zero-alloc append path and its seal burst that allocates the same at
+# 400 and 4,000 entities — run twenty more times each, so a flaky count
+# fails the gate; the ratchet fails when a line joins SURFACE.txt: an
+# exported name in internal/ without a non-test caller outside its
+# package, an unexported function no non-test code calls, or an
+# exported field nobody sets or reads), the daemon test
 # that restarts an agent over real HTTP ten more times on one CPU, the
 # ingest and dispatch concurrency tests — the session dictionary, the
 # single ingest lock that guards it with every pending beat, and
@@ -116,11 +119,13 @@ echo "== go test ./...   (race-free: the zero-alloc guards assert here)"
 go test ./...
 
 # An allocation guard that passes most of the time is not a guard: the
-# exact window count and the two zero-alloc minutes must read the same
-# twenty times in one process. About 2 s.
+# exact window count, the two zero-alloc minutes, the tsdb's zero-alloc
+# append path and its bounded seal burst must read the same twenty times
+# in one process. About 6 s.
 echo "== go test -count=20: the allocation guards"
 go test -count=20 -run '^TestSimulatorStepAllocs$' ./internal/simulator
 go test -count=20 -run '^(TestMinuteZeroAlloc|TestDispatchPathZeroAlloc)$' ./internal/agent
+go test -count=20 -run '^(TestSealBurstBounded|TestTSDBAppendPathZeroAlloc)$' ./internal/tsdb
 
 # The sweep runs its points on GOMAXPROCS workers and assembles them in
 # order: one worker must print the same 73 lines the race-free pass
@@ -161,8 +166,8 @@ echo "== fuzz: the tsdb record decoder (rows included), 10 s"
 go test ./internal/tsdb -run '^$' -fuzz FuzzRecordDecode -fuzztime 10s
 
 # The tail holds each entity's newest 64 samples: after any run of
-# repeated and skipped minutes, commits, compactions, reopens and torn
-# seals, every window back from the newest sample must read as the
+# repeated and skipped minutes, commits, retention cuts, reopens and
+# torn seals, every window back from the newest sample must read as the
 # reference does, and report a disk read exactly when it reaches past the
 # tail. Minimization stops at 100 runs.
 echo "== fuzz: the tsdb tail's windows vs the reference, 10 s"
@@ -203,10 +208,10 @@ go test ./internal/monitor -run '^$' -fuzz FuzzWatchMatchesReference -fuzztime 1
 go test ./internal/monitor -run '^$' -fuzz FuzzLivenessMatchesReference -fuzztime 10s -fuzzminimizetime 100x
 
 # A day profile is built on demand, from whatever the store holds raw:
-# after any history of gaps, jumps across midnight, compaction past the
-# retention and reopens, it must equal the raw survivors folded in
-# order and lack, against a profile kept from the start, exactly the
-# compacted minutes. Minimization stops at 100 runs.
+# after any history of gaps, jumps across midnight, retention cuts and
+# reopens, it must equal the raw survivors folded in order and lack,
+# against a profile kept from the start, exactly the minutes cut.
+# Minimization stops at 100 runs.
 echo "== fuzz: day profiles kept late vs kept from the start, 10 s"
 go test ./internal/archive -run '^$' -fuzz FuzzKeepProfilesMatchesLive -fuzztime 10s -fuzzminimizetime 100x
 
