@@ -108,8 +108,8 @@ func newCoordinatorDaemon(o options) (*coordinatorDaemon, error) {
 		if d.mgr.RecoveryErr != nil {
 			fmt.Fprintf(os.Stderr, "journal recovery: %v\n", d.mgr.RecoveryErr)
 		}
-		fmt.Printf("journal: %s at epoch %d, %d in-flight actions re-issued, %d rule activations restored\n",
-			o.journalDir, cj.Epoch(), d.mgr.Reissued, len(cj.ActiveRules()))
+		fmt.Printf("journal: %s at epoch %d, %d in-flight actions re-issued\n",
+			o.journalDir, cj.Epoch(), d.mgr.Reissued)
 		health.SetInfo("epoch", fmt.Sprintf("%d", cj.Epoch()))
 	}
 	if o.rulesDir != "" {

@@ -11,7 +11,7 @@
 //	       serviceLoad=0.75 instancesOnServer=2 instancesOfService=3 performanceIndex=1
 //
 // The replay subcommand validates a candidate rule file exactly like a
-// coordinator push would and diffs it against the built-in (or a given)
+// rules-directory load would and diffs it against the built-in (or a given)
 // baseline over real archived load from a tsdb-backed archive
 // directory — the offline first step of promoting a rule edit:
 //

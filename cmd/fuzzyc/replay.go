@@ -16,13 +16,14 @@ import (
 )
 
 // runReplay is the offline half of the rule administration loop: it
-// validates a candidate rule file exactly like a coordinator push would
-// (parse, vocabulary check, compile — addressed by rule-base name), and
-// optionally replays archived load from a tsdb-backed archive directory
-// through both the candidate and the currently-default base, reporting
+// validates a candidate rule file exactly like a rules-directory load
+// would (parse, vocabulary check, compile — addressed by rule-base
+// name), and optionally replays archived load from a tsdb-backed
+// archive directory through both the candidate and the
+// currently-default base, reporting
 // every sample where the two disagree on the winning action. An admin
-// can judge a rule edit against yesterday's real load before pushing it
-// anywhere near a live controller.
+// can judge a rule edit against yesterday's real load before it goes
+// anywhere near a live controller's rules directory.
 func runReplay(args []string) {
 	fs := flag.NewFlagSet("fuzzyc replay", flag.ExitOnError)
 	var (

@@ -17,7 +17,6 @@ import (
 	"autoglobe/internal/cluster"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
-	"autoglobe/internal/rules"
 	"autoglobe/internal/service"
 	"autoglobe/internal/wire"
 )
@@ -127,16 +126,8 @@ type Coordinator struct {
 	ptrSpare  []*monitor.Trigger
 	lastErr   error
 	journal   *CoordinatorJournal
-	rulesReg  *rules.Registry
-	ruleSwap  RuleActivator
 	leaseHook func(wire.Lease) wire.Lease
 }
-
-// RuleActivator is the hook a validated-and-activated rule base is
-// handed to — typically a closure over controller.SwapRuleBase, so an
-// accepted push hot-swaps the live controller. Its error vetoes the
-// activation (the version stays archived but inactive).
-type RuleActivator func(e *rules.Entry) error
 
 // hostBeat is one host's buffered load report, waiting for the
 // minute-boundary merge. Beats and their sample slices are recycled: a
@@ -307,26 +298,6 @@ func (c *Coordinator) AttachJournal(cj *CoordinatorJournal) {
 	c.journal = cj
 }
 
-// AttachRules connects the coordinator's rule-base registry and the
-// activation hook: rulePut/ruleGet/ruleList messages are then served,
-// every push is validated (parse + vocabulary + compile) by the
-// registry before a version exists, and an Activate push swaps the
-// hook's target (normally the live controller) after journaling the
-// version bump. A nil registry detaches.
-func (c *Coordinator) AttachRules(reg *rules.Registry, activate RuleActivator) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rulesReg = reg
-	c.ruleSwap = activate
-}
-
-// ruleState snapshots the rule-admin wiring under the merge lock.
-func (c *Coordinator) ruleState() (*rules.Registry, RuleActivator, *CoordinatorJournal) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rulesReg, c.ruleSwap, c.journal
-}
-
 // resetFloor sets the floor to the archive's high-water mark — whoever
 // closed those minutes — so a coordinator taking over the shared monitor
 // pipeline cannot observe a minute its predecessor already observed.
@@ -410,110 +381,9 @@ func (c *Coordinator) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 			return wire.AcquireLeaseAckEnvelope(c.node, env.From, *env.Lease), nil
 		}
 		return wire.AcquireLeaseAckEnvelope(c.node, env.From, hook(*env.Lease)), nil
-	case wire.TypeRulePut:
-		return c.handleRulePut(env), nil
-	case wire.TypeRuleGet:
-		return c.handleRuleGet(env), nil
-	case wire.TypeRuleList:
-		return c.handleRuleList(env), nil
 	default:
 		return nil, fmt.Errorf("agent: coordinator cannot handle %q messages", env.Type)
 	}
-}
-
-// handleRulePut validates and archives a pushed rule base, optionally
-// activating it. Rejections travel as an Error reply, not a transport
-// error — the admin client needs the reason, and a bad rule file is a
-// protocol-level outcome, not a broken connection.
-func (c *Coordinator) handleRulePut(env *wire.Envelope) *wire.Envelope {
-	reg, swap, cj := c.ruleState()
-	p := env.RulePut
-	fail := func(err error) *wire.Envelope {
-		return wire.RulePutEnvelope(c.node, env.From, wire.RulePut{Name: p.Name, Error: err.Error()})
-	}
-	if reg == nil {
-		return fail(fmt.Errorf("agent: coordinator has no rule registry attached"))
-	}
-	if p.Source == "" {
-		return fail(fmt.Errorf("agent: rule push without source"))
-	}
-	if p.Hash != "" && p.Hash != rules.Hash(p.Source) {
-		return fail(fmt.Errorf("agent: rule push hash mismatch (corrupted in transit?)"))
-	}
-	// Validation before any version exists: the registry builds
-	// (parse, vocabulary check, compile) before storing.
-	var e *rules.Entry
-	var err error
-	if p.Version > 0 {
-		e, err = reg.PutVersion(p.Name, p.Version, p.Source)
-	} else {
-		e, err = reg.Put(p.Name, p.Source)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if p.Activate {
-		// Swap the live controller first; a routing failure (a name no
-		// controller slot answers to) leaves the version archived but
-		// inactive. The journal record follows the successful swap, so a
-		// recovered coordinator only ever re-activates rule sets that
-		// were really live.
-		if swap != nil {
-			if err := swap(e); err != nil {
-				return fail(err)
-			}
-		}
-		if _, err := reg.Activate(e.Name, e.Version); err != nil {
-			return fail(err)
-		}
-		if cj != nil {
-			if err := cj.LogRule(RuleActivation{
-				Name: e.Name, Version: e.Version, Hash: e.Hash, Source: e.Source,
-			}); err != nil {
-				c.noteErr(err)
-				return fail(err)
-			}
-		}
-	}
-	return wire.RulePutEnvelope(c.node, env.From, wire.RulePut{
-		Name: e.Name, Version: e.Version, Hash: e.Hash,
-	})
-}
-
-// handleRuleGet answers a rule-base lookup with a rulePut reply
-// carrying the archived source.
-func (c *Coordinator) handleRuleGet(env *wire.Envelope) *wire.Envelope {
-	reg, _, _ := c.ruleState()
-	g := env.RuleGet
-	if reg == nil {
-		return wire.RulePutEnvelope(c.node, env.From, wire.RulePut{
-			Name: g.Name, Error: "agent: coordinator has no rule registry attached"})
-	}
-	e, ok := reg.Get(g.Name, g.Version)
-	if !ok {
-		return wire.RulePutEnvelope(c.node, env.From, wire.RulePut{
-			Name: g.Name, Error: fmt.Sprintf("agent: no rule base %q version %d", g.Name, g.Version)})
-	}
-	return wire.RulePutEnvelope(c.node, env.From, wire.RulePut{
-		Name: e.Name, Version: e.Version, Hash: e.Hash, Source: e.Source,
-	})
-}
-
-// handleRuleList answers the registry catalog.
-func (c *Coordinator) handleRuleList(env *wire.Envelope) *wire.Envelope {
-	reg, _, _ := c.ruleState()
-	if reg == nil {
-		return wire.RuleListEnvelope(c.node, env.From, wire.RuleList{
-			Error: "agent: coordinator has no rule registry attached"})
-	}
-	refs := reg.List()
-	l := wire.RuleList{Entries: make([]wire.RuleInfo, len(refs))}
-	for i, r := range refs {
-		l.Entries[i] = wire.RuleInfo{
-			Name: r.Name, Version: r.Version, Hash: r.Hash, Active: r.Active, Rules: r.Rules,
-		}
-	}
-	return wire.RuleListEnvelope(c.node, env.From, l)
 }
 
 // slotFor returns the slot of a host name, creating it on first sight.

@@ -330,10 +330,10 @@ func (e *Election) beaconLocked(ctx context.Context, m *electionMember, minute i
 // failed reopen returns before anything is rewired — the plane is
 // rewired to m's coordinator, its floor read from the shared archive so
 // a drained agent backlog cannot double-observe a minute already in the
-// monitor, and adoptJournal recovers: journaled dead hosts, the active
-// rule set and rule admin, and the unacked dispatches re-issued through
-// the agents' idempotency caches. m then announces itself so agents
-// redirect before this minute's reports. Callers hold e.mu.
+// monitor, and adoptJournal recovers: journaled dead hosts and the
+// unacked dispatches re-issued through the agents' idempotency caches.
+// m then announces itself so agents redirect before this minute's
+// reports. Callers hold e.mu.
 func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute int) error {
 	cj, err := e.p.reopenJournal()
 	if err != nil {

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"autoglobe/internal/archive"
-	"autoglobe/internal/controller"
 	"autoglobe/internal/journal"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
-	"autoglobe/internal/rules"
 	"autoglobe/internal/wire"
 )
 
@@ -530,46 +528,6 @@ func TestLeaderDeathCrashPointSweep(t *testing.T) {
 			}
 		}
 		rj.Close() //nolint:errcheck
-	}
-}
-
-// TestSuccessorServesRuleAdmin: rules attached after the standbys, as
-// the manager attaches them, reach every successor — an activated push
-// to the new leader succeeds and is journaled.
-func TestSuccessorServesRuleAdmin(t *testing.T) {
-	p, e, tr, lms := electionPlane(t, 1)
-	ctl, err := controller.New(controller.Config{}, p.dep, lms.Archive(),
-		controller.NewDeploymentExecutor(p.dep, controller.StickyUsers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AttachRules(rules.New(controller.RuleVocabulary), ctl); err != nil {
-		t.Fatal(err)
-	}
-	for m := 0; m < 3; m++ {
-		electionMinute(t, p, e, m)
-	}
-	if _, err := e.KillLeader(3); err != nil {
-		t.Fatal(err)
-	}
-	for m := 3; m < 5; m++ {
-		electionMinute(t, p, e, m)
-	}
-	if e.Takeovers() != 1 {
-		t.Fatalf("takeovers = %d, want 1", e.Takeovers())
-	}
-	leader := e.LeaderNode()
-	reply, err := tr.Call(context.Background(), leader, wire.RulePutEnvelope("admin", leader,
-		wire.RulePut{Name: "serviceOverloaded", Source: pushedSrc, Activate: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wire.ReleaseEnvelope(reply)
-	if reply.RulePut == nil || reply.RulePut.Error != "" || reply.RulePut.Version != 1 {
-		t.Fatalf("activated push to the successor %s: %+v", leader, reply.RulePut)
-	}
-	if got := p.Dispatcher().Journal().ActiveRules(); len(got) != 1 || got[0].Name != "serviceOverloaded" {
-		t.Fatalf("journaled rule set = %+v, want the activation", got)
 	}
 }
 

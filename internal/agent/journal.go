@@ -21,21 +21,12 @@ const (
 	recDispatch = "dispatch" // an action is about to leave for an agent
 	recAck      = "ack"      // the action's terminal outcome arrived
 	recLiveness = "liveness" // a host was confirmed dead or recovered
-	recRule     = "rule"     // a rule-base version was activated
 )
 
-// RuleActivation is one journaled rule-base activation: the full source
-// travels with the record, so a restarted coordinator rebuilds the
-// active rule set from the journal alone — no rules directory needed.
-type RuleActivation struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-	Hash    string `json:"hash"`
-	Source  string `json:"source"`
-}
-
 // journalRecord is the JSON payload of one WAL record. Exactly the
-// fields of its kind are set.
+// fields of its kind are set. A record of a kind this build does not
+// know — the "rule" activations older builds journaled — decodes and
+// folds to nothing.
 type journalRecord struct {
 	Kind   string              `json:"kind"`
 	Epoch  uint64              `json:"epoch,omitempty"`
@@ -45,16 +36,14 @@ type journalRecord struct {
 	Host   string              `json:"host,omitempty"`
 	Dead   bool                `json:"dead,omitempty"`
 	Minute int                 `json:"minute,omitempty"`
-	Rule   *RuleActivation     `json:"rule,omitempty"`
 }
 
 // journalState is what a journal folds to: everything recovery needs,
 // compacted. It is the snapshot payload, so the record tail stays short.
 type journalState struct {
-	Epoch   uint64                    `json:"epoch"`
-	Pending []wire.ActionRequest      `json:"pending,omitempty"` // dispatch order
-	Down    map[string]int            `json:"down,omitempty"`    // host -> minute confirmed dead
-	Rules   map[string]RuleActivation `json:"rules,omitempty"`   // name -> active rule base
+	Epoch   uint64               `json:"epoch"`
+	Pending []wire.ActionRequest `json:"pending,omitempty"` // dispatch order
+	Down    map[string]int       `json:"down,omitempty"`    // host -> minute confirmed dead
 }
 
 // CoordinatorJournal is the coordinator's write-ahead action log: a
@@ -98,7 +87,6 @@ type CoordinatorJournal struct {
 	pending map[string]wire.ActionRequest // key -> dispatched, fate unknown
 	order   []string                      // dispatch order of pending keys
 	down    map[string]int                // host -> minute confirmed dead
-	rules   map[string]RuleActivation     // name -> active rule base
 
 	appends int
 	metrics *journalMetrics
@@ -137,14 +125,12 @@ func OpenCoordinatorJournal(dir string, opts journal.Options) (_ *CoordinatorJou
 		epoch:   st.Epoch,
 		pending: make(map[string]wire.ActionRequest, len(st.Pending)),
 		down:    make(map[string]int, len(st.Down)),
-		rules:   make(map[string]RuleActivation, len(st.Rules)),
 	}
 	for _, req := range st.Pending {
 		cj.pending[req.Key] = req
 		cj.order = append(cj.order, req.Key)
 	}
 	maps.Copy(cj.down, st.Down)
-	maps.Copy(cj.rules, st.Rules)
 	for _, raw := range records {
 		var r journalRecord
 		if err := json.Unmarshal(raw, &r); err != nil {
@@ -181,10 +167,6 @@ func (cj *CoordinatorJournal) apply(r journalRecord) {
 			cj.down[r.Host] = r.Minute
 		} else {
 			delete(cj.down, r.Host)
-		}
-	case recRule:
-		if r.Rule != nil && r.Rule.Name != "" {
-			cj.rules[r.Rule.Name] = *r.Rule
 		}
 	}
 }
@@ -257,31 +239,6 @@ func (cj *CoordinatorJournal) LogLiveness(host string, dead bool, minute int) er
 	return cj.append(journalRecord{Kind: recLiveness, Host: host, Dead: dead, Minute: minute})
 }
 
-// LogRule durably records a rule-base activation (a version bump of the
-// active rule set). The record carries the full source, so recovery can
-// rebuild and re-activate the rule base without any other storage.
-func (cj *CoordinatorJournal) LogRule(ra RuleActivation) error {
-	if ra.Name == "" {
-		return fmt.Errorf("agent: journal rule activation without name")
-	}
-	r := ra
-	return cj.append(journalRecord{Kind: recRule, Rule: &r})
-}
-
-// ActiveRules returns the journaled active rule set sorted by name —
-// what a recovered coordinator re-activates before administering
-// anything.
-func (cj *CoordinatorJournal) ActiveRules() []RuleActivation {
-	cj.mu.Lock()
-	defer cj.mu.Unlock()
-	out := make([]RuleActivation, 0, len(cj.rules))
-	for _, ra := range cj.rules {
-		out = append(out, ra)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Pending returns the dispatched actions whose fate is unknown, in
 // dispatch order — what a recovered coordinator must re-issue.
 func (cj *CoordinatorJournal) Pending() []wire.ActionRequest {
@@ -314,7 +271,7 @@ func (cj *CoordinatorJournal) Down() map[string]int {
 // way. Callers hold cj.mu.
 func (cj *CoordinatorJournal) compactLocked() error {
 	cj.appends = 0
-	st := journalState{Epoch: cj.epoch, Down: cj.down, Rules: cj.rules}
+	st := journalState{Epoch: cj.epoch, Down: cj.down}
 	for _, key := range cj.order {
 		if req, ok := cj.pending[key]; ok {
 			st.Pending = append(st.Pending, req)

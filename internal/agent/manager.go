@@ -59,7 +59,7 @@ type Manager struct {
 	Monitor    *monitor.System
 	Plane      *Plane // nil for an in-process manager
 	Controller *controller.Controller
-	// Rules backs the plane's rule-admin messages, seeded from RulesDir.
+	// Rules holds the rule bases loaded from RulesDir.
 	Rules *rules.Registry
 	// Start is the first minute to run: 0, or the minute after a
 	// reopened archive's high-water mark (its appends are monotone).
@@ -106,9 +106,8 @@ func NewLocalManager(a Assembly, dep *service.Deployment) (*Manager, error) {
 // into the same registry), and in-process agents exist before it
 // re-issues in-flight actions to them; standbys attach once the journal
 // is adopted; the dispatch layer wraps the model executor — hosts
-// acknowledge before the model changes; the rule registry attaches once
-// controller and journal exist — the directory seeds the active set,
-// then journaled activations replay over it.
+// acknowledge before the model changes; the rules directory loads once
+// the controller exists, and is the only source of its rule set.
 func assemble(a Assembly, dep *service.Deployment, newPlane func(PlaneConfig, *service.Deployment, *monitor.System) (*Plane, error)) (m *Manager, err error) {
 	m = &Manager{dep: dep, lost: make(map[string]cluster.Host), stages: newStageTimers(a.Obs)}
 	if a.ArchiveDir == "" {
@@ -172,11 +171,6 @@ func assemble(a Assembly, dep *service.Deployment, newPlane func(PlaneConfig, *s
 	if a.RulesDir != "" {
 		if _, err = LoadRuleDir(m.Rules, m.Controller, a.RulesDir); err != nil {
 			return nil, fmt.Errorf("agent: rules dir %s: %w", a.RulesDir, err)
-		}
-	}
-	if m.Plane != nil {
-		if err = m.Plane.AttachRules(m.Rules, m.Controller); err != nil {
-			return nil, err
 		}
 	}
 	if a.ShadowRulesDir != "" {

@@ -50,7 +50,7 @@ const (
 	// minute's stage durations, one series per stage (see MinuteStages).
 	MetricMinuteStage = "autoglobe_minute_stage_seconds"
 	// MetricJournalAppends counts write-ahead journal records by kind
-	// (epoch, dispatch, ack, liveness).
+	// (dispatch, ack, liveness).
 	MetricJournalAppends = "autoglobe_journal_appends_total"
 	// MetricJournalSnapshots counts journal compactions.
 	MetricJournalSnapshots = "autoglobe_journal_snapshots_total"
@@ -237,12 +237,12 @@ func newJournalMetrics(r *obs.Registry) *journalMetrics {
 	r.Help(MetricRecoveries, "Coordinator journal recoveries.")
 	r.Help(MetricRecoveryPending, "Pending actions found and re-issued across recoveries.")
 	m := &journalMetrics{
-		appends:    make(map[string]*obs.Counter, 4),
+		appends:    make(map[string]*obs.Counter, 3),
 		snapshots:  r.Counter(MetricJournalSnapshots),
 		recoveries: r.Counter(MetricRecoveries),
 		pending:    r.Counter(MetricRecoveryPending),
 	}
-	for _, kind := range []string{recDispatch, recAck, recLiveness, recRule} {
+	for _, kind := range []string{recDispatch, recAck, recLiveness} {
 		m.appends[kind] = r.Counter(MetricJournalAppends, "kind", kind)
 	}
 	return m

@@ -10,7 +10,6 @@ import (
 	"autoglobe/internal/journal"
 	"autoglobe/internal/monitor"
 	"autoglobe/internal/obs"
-	"autoglobe/internal/rules"
 	"autoglobe/internal/service"
 	"autoglobe/internal/wire"
 )
@@ -42,9 +41,6 @@ type Plane struct {
 	// reg is the registry the plane was instrumented with, attached to
 	// every journal and coordinator it adopts later (restart, takeover).
 	reg *obs.Registry
-
-	rulesReg *rules.Registry
-	ruleSwap RuleActivator
 
 	// election, when standbys are attached, runs leader election over a
 	// group of coordinators; p.coord then always points at the member
@@ -143,25 +139,6 @@ func (p *Plane) Agent(host string) (*Agent, bool) {
 	return a, ok
 }
 
-// AttachRules connects a rule-base registry and the controller whose
-// rule set pushed-and-activated bases hot-swap. Rule admin messages
-// (rulePut/ruleGet/ruleList) are served from then on; activations are
-// journaled when a journal is attached, and an attached journal's
-// previously activated rule set is replayed immediately.
-func (p *Plane) AttachRules(reg *rules.Registry, ctrl *controller.Controller) error {
-	var swap RuleActivator
-	if ctrl != nil {
-		swap = func(e *rules.Entry) error { return ctrl.SwapRuleBase(e.Name, e.Base) }
-	}
-	p.rulesReg = reg
-	p.ruleSwap = swap
-	p.coord.AttachRules(reg, swap)
-	if cj := p.disp.Journal(); cj != nil {
-		return ReplayRules(cj, reg, swap)
-	}
-	return nil
-}
-
 // Executor wraps the inner executor with the plane's dispatching layer:
 // every decision is acknowledged by the affected hosts before it is
 // applied to the model.
@@ -188,8 +165,7 @@ func (p *Plane) AttachJournal(ctx context.Context, dir string, opts journal.Opti
 // adoptJournal wires an already-open journal into the plane and runs
 // recovery against it. It is the one path every incarnation takes, so
 // the plane's coordinator — a successor's, after a takeover — gets the
-// journal, the rule registry and the plane's metrics registry, whose
-// series get-or-create.
+// journal and the plane's metrics registry, whose series get-or-create.
 func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down []string, reissued int, err error) {
 	if p.reg != nil {
 		p.coord.Instrument(p.reg)
@@ -197,12 +173,8 @@ func (p *Plane) adoptJournal(ctx context.Context, cj *CoordinatorJournal) (down 
 	}
 	p.disp.AttachJournal(cj)
 	p.coord.AttachJournal(cj)
-	p.coord.AttachRules(p.rulesReg, p.ruleSwap)
 	for host, minute := range cj.Down() {
 		p.coord.Liveness().MarkDead(host, minute)
-	}
-	if err := ReplayRules(cj, p.rulesReg, p.ruleSwap); err != nil {
-		return nil, 0, err
 	}
 	down = cj.DownHosts()
 	reissued, err = cj.Recover(ctx, p.disp)

@@ -655,6 +655,88 @@ func TestOpenOlderBuildJournal(t *testing.T) {
 	}
 }
 
+// TestJournalWithRuleRecordsOpens: a journal written by a build that
+// journaled rule-base activations — a snapshot carrying a "rules"
+// field, and "rule" records between the others — still opens. The rule
+// state is dropped (rule bases load from the rules directory), and
+// everything else recovers: one past the snapshot's epoch, the one
+// dispatch without an ack, the dead host. A second open after more
+// appends, a rule record among them, agrees.
+func TestJournalWithRuleRecordsOpens(t *testing.T) {
+	dir := t.TempDir()
+	appendRaw := func(payloads ...string) {
+		t.Helper()
+		j, err := journal.Open(dir, journal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			if err := j.Append([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rule = `{"kind":"rule","rule":{"name":"serviceOverloaded","version":2,"hash":"ab12",` +
+		`"source":"IF instanceLoad IS high THEN scaleOut IS applicable\n"}}`
+	acked, pending := startReq("h1", "i-acked"), startReq("h2", "i-pending")
+	acked.Key, pending.Key = "coordinator-e3-000001", "coordinator-e3-000002"
+	record := func(r journalRecord) string {
+		t.Helper()
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	j, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Snapshot([]byte(`{"epoch":3,"rules":{"serverIdle":{"name":"serverIdle","version":1,` +
+		`"hash":"cd34","source":"IF cpuLoad IS low THEN stop IS applicable\n"}}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(
+		record(journalRecord{Kind: recDispatch, Action: &acked}),
+		rule,
+		record(journalRecord{Kind: recDispatch, Action: &pending}),
+		record(journalRecord{Kind: recLiveness, Host: "h3", Dead: true, Minute: 7}),
+		record(journalRecord{Kind: recAck, Key: acked.Key, Ack: &wire.ActionAck{Key: acked.Key, OK: true}}),
+	)
+
+	check := func(cj *CoordinatorJournal, epoch uint64, down ...string) {
+		t.Helper()
+		if got := cj.Epoch(); got != epoch {
+			t.Errorf("epoch = %d, want %d", got, epoch)
+		}
+		if p := cj.Pending(); len(p) != 1 || p[0].Key != pending.Key {
+			t.Errorf("pending = %+v, want the one dispatch %s", p, pending.Key)
+		}
+		if got := cj.DownHosts(); !slices.Equal(got, down) {
+			t.Errorf("down = %v, want %v", got, down)
+		}
+	}
+	cj := openTestJournal(t, dir)
+	check(cj, 4, "h3")
+	if err := cj.LogLiveness("h1", true, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := cj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(rule)
+	cj = openTestJournal(t, dir)
+	defer cj.Close()
+	check(cj, 5, "h1", "h3")
+}
+
 // TestPlaneCrashCoordinator drives the whole-plane crash/restart cycle:
 // pending actions are re-issued through the agents' caches, the epoch
 // fences the dead incarnation, and journaled host deaths survive into

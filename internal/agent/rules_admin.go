@@ -11,9 +11,11 @@ import (
 )
 
 // Administrative rule-base plumbing shared by the daemons and the
-// simulator: loading a versioned rule directory into a live controller,
-// building a shadow overlay from a candidate directory, and replaying
-// journaled activations after a coordinator restart.
+// simulator: loading a versioned rule directory into a live controller
+// and building a shadow overlay from a candidate directory. Rule bases
+// change only through these loads: no wire message swaps them and no
+// journal records them, so a restarted daemon runs what its directory
+// holds.
 
 // LoadRuleDir loads every versioned rule file under dir into reg and
 // hot-swaps the active (highest) version of each base into ctl.
@@ -72,33 +74,4 @@ func ShadowOverlayDir(dir string) (map[monitor.TriggerKind]*fuzzy.RuleBase, map[
 		}
 	}
 	return action, selection, nil
-}
-
-// ReplayRules re-activates the journaled active rule set: each
-// activation record's source is re-validated into the registry under
-// its original version, re-swapped through swap, and re-activated.
-// Idempotent — a record matching an already-stored version is a no-op,
-// and swapping an identical base does not change decisions.
-func ReplayRules(cj *CoordinatorJournal, reg *rules.Registry, swap RuleActivator) error {
-	if reg == nil {
-		return nil
-	}
-	for _, ra := range cj.ActiveRules() {
-		e, err := reg.PutVersion(ra.Name, ra.Version, ra.Source)
-		if err != nil {
-			return fmt.Errorf("agent: replay rule %s@v%d: %w", ra.Name, ra.Version, err)
-		}
-		if ra.Hash != "" && e.Hash != ra.Hash {
-			return fmt.Errorf("agent: replay rule %s@v%d: hash mismatch", ra.Name, ra.Version)
-		}
-		if swap != nil {
-			if err := swap(e); err != nil {
-				return fmt.Errorf("agent: replay rule %s@v%d: %w", ra.Name, ra.Version, err)
-			}
-		}
-		if _, err := reg.Activate(e.Name, e.Version); err != nil {
-			return fmt.Errorf("agent: replay rule %s@v%d: %w", ra.Name, ra.Version, err)
-		}
-	}
-	return nil
 }

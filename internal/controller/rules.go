@@ -339,8 +339,8 @@ func ActionsForRuleBase(name string) []service.Action {
 
 // SwapRuleBase routes a compiled rule base from the registry to the
 // controller's matching swap point by name. Unknown names are an error
-// — a coordinator must reject a push it cannot route rather than accept
-// and drop it.
+// — a rules directory holding a base nothing answers to must fail the
+// load rather than be accepted and dropped.
 func (c *Controller) SwapRuleBase(name string, rb *fuzzy.RuleBase) error {
 	if kind, ok := TriggerForRuleBase(name); ok {
 		return c.SwapActionRules(kind, rb)

@@ -421,8 +421,8 @@ func (c *Controller) SelectHost(a service.Action, svcName, instID string, minute
 // scale-out placement base — both place a fresh instance, so sharing is
 // deliberate and documented. Any other action with no registered base
 // selects no host: silently borrowing the placement base would change
-// scoring semantics invisibly (e.g. after a partial rule push), so the
-// miss is counted in autoglobe_rules_fallback_total and annotated on
+// scoring semantics invisibly (e.g. under a partial rules directory), so
+// the miss is counted in autoglobe_rules_fallback_total and annotated on
 // the open trace instead.
 func (c *Controller) selectHostIn(rs *ruleSet, a service.Action, svcName, instID string, minute int, exclude map[string]bool, live bool) (string, float64) {
 	rb, ok := rs.selection[a]

@@ -12,8 +12,8 @@ import (
 
 // Rule-base files on disk are named <name>@v<version>.rules, with '/'
 // in the name mapping to subdirectories (select/placement@v2.rules).
-// The file body is the pushed source, byte for byte — the content hash
-// of a loaded file must match the hash journaled at activation time.
+// The file body is the rule source; its content hash identifies the
+// version in listings.
 
 // fileExt is the rule-file suffix LoadDir scans for.
 const fileExt = ".rules"
@@ -33,11 +33,12 @@ func parseEntryName(rel string) (name string, version int, err error) {
 	return filepath.ToSlash(base[:at]), version, nil
 }
 
-// LoadDir loads every *.rules file under dir into the registry via
-// PutVersion and activates the highest loaded version of each name.
-// (A coordinator recovering from its journal re-activates the journaled
-// versions afterwards, overriding the highest-wins default.) A missing
-// dir is an empty registry, not an error. Returns the loaded refs.
+// LoadDir loads every *.rules file under dir into the registry, each
+// under the version its name gives, and activates the highest loaded
+// version of each name. It is the only way a version enters a registry,
+// so a restarted manager's active rule set is whatever the directory
+// holds. A missing dir is an empty registry, not an error. Returns the
+// loaded refs.
 func (r *Registry) LoadDir(dir string) ([]Ref, error) {
 	var loaded []Ref
 	highest := make(map[string]int)
@@ -63,7 +64,7 @@ func (r *Registry) LoadDir(dir string) ([]Ref, error) {
 		if err != nil {
 			return err
 		}
-		e, err := r.PutVersion(name, version, string(src))
+		e, err := r.putVersion(name, version, string(src))
 		if err != nil {
 			return err
 		}
@@ -77,7 +78,7 @@ func (r *Registry) LoadDir(dir string) ([]Ref, error) {
 		return nil, fmt.Errorf("rules: load %s: %w", dir, err)
 	}
 	for name, v := range highest {
-		if _, err := r.Activate(name, v); err != nil {
+		if err := r.activate(name, v); err != nil {
 			return nil, err
 		}
 	}

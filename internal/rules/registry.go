@@ -1,15 +1,16 @@
 // Package rules implements AutoGlobe's versioned rule registry — the
 // piece that turns the controller's rule bases from compile-time string
 // constants into administrable data (ROADMAP item 3, the paper's "the
-// fuzzy controller can be adapted by the administrator"). Every rule
-// base is addressable by (name, version) and carries its source text,
-// the parsed and vocabulary-validated rules, the compiled inference
-// program, and a content hash. Versions are append-only: a push of new
-// source yields the next version, a push of byte-identical source is
-// idempotent and returns the version that already holds it. Exactly one
-// version per name is active; activation is an explicit step so a
-// candidate can be validated — and shadow-evaluated by the controller —
-// before it takes over.
+// fuzzy controller can be adapted by the administrator"). An
+// administrator adapts a rule base by writing a file: LoadDir reads a
+// directory of <name>@v<version>.rules files, checks each (parse,
+// vocabulary, compile) before anything is stored, and activates the
+// highest version of each name. Every stored base is addressable by
+// (name, version) and carries the parsed and vocabulary-validated rules,
+// the compiled inference program, and the content hash of its file. A
+// candidate is checked offline (Validate, fuzzyc) and shadow-evaluated
+// by the controller from a second directory before it takes over as a
+// new file and a restart.
 package rules
 
 import (
@@ -28,18 +29,17 @@ type Entry struct {
 	// Name addresses the rule base, e.g. "serviceOverloaded" or
 	// "select/placement" (selection bases live under "select/").
 	Name string
-	// Version is 1 for the first push of a name and increments per push.
+	// Version is the <version> of the file the base was loaded from (0
+	// for an entry Validate returns).
 	Version int
-	// Hash is the SHA-256 of Source, hex encoded — the identity a
-	// coordinator and an offline tool compare without shipping sources.
+	// Hash is the SHA-256 of the source text, hex encoded: two loads of
+	// one (name, version) must agree on it.
 	Hash string
-	// Source is the rule text exactly as pushed.
-	Source string
 	// Base is the parsed, validated and compiled rule base.
 	Base *fuzzy.RuleBase
 }
 
-// Ref names one version for listings and journal records.
+// Ref names one version for listings.
 type Ref struct {
 	Name    string `json:"name"`
 	Version int    `json:"version"`
@@ -54,14 +54,14 @@ type Ref struct {
 // vocabulary, everything else the action-selection vocabulary.
 type VocabFunc func(name string) *fuzzy.Vocabulary
 
-// Hash returns the content hash of rule source text.
-func Hash(source string) string {
+// hash returns the content hash of rule source text.
+func hash(source string) string {
 	sum := sha256.Sum256([]byte(source))
 	return hex.EncodeToString(sum[:])
 }
 
 // Registry holds the versions of every rule base. Safe for concurrent
-// use; reads never block pushes for long (pushes parse and compile
+// use; reads never block loads for long (loads parse and compile
 // outside the lock).
 type Registry struct {
 	vocab VocabFunc
@@ -71,7 +71,7 @@ type Registry struct {
 	active map[string]int      // name -> active version
 }
 
-// New builds an empty registry validating pushes through vocab.
+// New builds an empty registry validating loads through vocab.
 func New(vocab VocabFunc) *Registry {
 	if vocab == nil {
 		panic("rules: nil VocabFunc")
@@ -84,7 +84,7 @@ func New(vocab VocabFunc) *Registry {
 }
 
 // build parses, validates and compiles source for name — the
-// validation-before-activation step every push goes through. No
+// validation-before-activation step every load goes through. No
 // registry state is touched.
 func (r *Registry) build(name, source string) (*Entry, error) {
 	if name == "" {
@@ -108,10 +108,10 @@ func (r *Registry) build(name, source string) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rules: %s: %w", name, err)
 	}
-	// Force the lazy compile now so a pathological base fails at push
+	// Force the lazy compile now so a pathological base fails at load
 	// time, never on the inference path.
 	base.Compile()
-	return &Entry{Name: name, Hash: Hash(source), Source: source, Base: base}, nil
+	return &Entry{Name: name, Hash: hash(source), Base: base}, nil
 }
 
 // Validate parses, validates and compiles source for name without
@@ -120,34 +120,10 @@ func (r *Registry) Validate(name, source string) (*Entry, error) {
 	return r.build(name, source)
 }
 
-// Put stores source as the next version of name (or returns the
-// existing version if an identical source is already stored). The new
-// version is NOT activated; see Activate.
-func (r *Registry) Put(name, source string) (*Entry, error) {
-	e, err := r.build(name, source)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, have := range r.byName[name] {
-		if have.Hash == e.Hash {
-			return have, nil
-		}
-	}
-	e.Version = 1
-	if n := len(r.byName[name]); n > 0 {
-		e.Version = r.byName[name][n-1].Version + 1
-	}
-	e.Base.Version = e.Version // the base is still ours alone
-	r.byName[name] = append(r.byName[name], e)
-	return e, nil
-}
-
-// PutVersion stores source under an explicit version — journal recovery
-// replaying logged pushes. An existing (name, version) must carry the
-// identical hash; anything else is a corruption signal.
-func (r *Registry) PutVersion(name string, version int, source string) (*Entry, error) {
+// putVersion stores source under an explicit version, the one its file
+// name gives. An existing (name, version) must carry the identical
+// hash; anything else is a corruption signal.
+func (r *Registry) putVersion(name string, version int, source string) (*Entry, error) {
 	if version < 1 {
 		return nil, fmt.Errorf("rules: %s: invalid version %d", name, version)
 	}
@@ -173,47 +149,35 @@ func (r *Registry) PutVersion(name string, version int, source string) (*Entry, 
 	return e, nil
 }
 
-// Get returns one version of a rule base. version 0 means the active
-// version.
-func (r *Registry) Get(name string, version int) (*Entry, bool) {
+// Active returns the active version of a rule base, if one is activated.
+func (r *Registry) Active(name string) (*Entry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if version == 0 {
-		version = r.active[name]
-		if version == 0 {
-			return nil, false
-		}
-	}
 	for _, e := range r.byName[name] {
-		if e.Version == version {
+		if e.Version == r.active[name] { // versions start at 1: none when unset
 			return e, true
 		}
 	}
 	return nil, false
 }
 
-// Active returns the active version of a rule base, if one is activated.
-func (r *Registry) Active(name string) (*Entry, bool) {
-	return r.Get(name, 0)
-}
-
-// Activate marks (name, version) as the active version and returns its
-// entry. The version must have been Put first — activation never
-// compiles, so it cannot fail halfway.
-func (r *Registry) Activate(name string, version int) (*Entry, error) {
+// activate marks (name, version) as the active version. The version must
+// have been stored first — activation never compiles, so it cannot fail
+// halfway.
+func (r *Registry) activate(name string, version int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.byName[name] {
 		if e.Version == version {
 			r.active[name] = version
-			return e, nil
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("rules: no version %d of %q to activate", version, name)
+	return fmt.Errorf("rules: no version %d of %q to activate", version, name)
 }
 
 // List returns every stored version as a Ref, sorted by name then
-// version — the payload of the ruleList wire reply.
+// version.
 func (r *Registry) List() []Ref {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -32,28 +32,19 @@ const goodSelSrc = "IF cpuLoad IS low THEN score IS applicable\n"
 
 func TestPutVersionsAndHash(t *testing.T) {
 	r := New(testVocab)
-	e1, err := r.Put("serviceOverloaded", goodSrc)
+	e1, err := r.putVersion("serviceOverloaded", 1, goodSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.Version != 1 || e1.Hash != Hash(goodSrc) || e1.Base == nil {
+	if e1.Version != 1 || e1.Hash != hash(goodSrc) || e1.Base == nil {
 		t.Fatalf("entry = %+v", e1)
 	}
-	// Identical source is idempotent.
-	again, err := r.Put("serviceOverloaded", goodSrc)
+	e2, err := r.putVersion("serviceOverloaded", 2, goodSrc2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Version != 1 {
-		t.Fatalf("idempotent put created version %d", again.Version)
-	}
-	// New source bumps the version.
-	e2, err := r.Put("serviceOverloaded", goodSrc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.Version != 2 {
-		t.Fatalf("second put version = %d, want 2", e2.Version)
+	if e2.Hash == e1.Hash {
+		t.Fatal("two sources share a hash")
 	}
 	// A stored base names its rules under its version.
 	if id := e2.Base.ID(0); id != (fuzzy.RuleID{Base: "serviceOverloaded", Version: 2, Index: 0}) || e1.Base.Version != 1 {
@@ -70,18 +61,21 @@ func TestPutRejectsBadSource(t *testing.T) {
 		"empty":            "# nothing here\n",
 	}
 	for what, src := range cases {
-		if _, err := r.Put("serviceOverloaded", src); err == nil {
+		if _, err := r.putVersion("serviceOverloaded", 1, src); err == nil {
 			t.Errorf("%s: accepted", what)
 		}
 	}
-	if _, err := r.Put("rejected", goodSrc); err == nil {
+	if _, err := r.putVersion("rejected", 1, goodSrc); err == nil {
 		t.Error("name with no vocabulary accepted")
 	}
-	if _, err := r.Put("bad name", goodSrc); err == nil {
+	if _, err := r.putVersion("bad name", 1, goodSrc); err == nil {
 		t.Error("name with whitespace accepted")
 	}
+	if _, err := r.putVersion("serviceOverloaded", 0, goodSrc); err == nil {
+		t.Error("version 0 accepted")
+	}
 	if len(r.List()) != 0 {
-		t.Errorf("rejected pushes left entries behind: %v", r.List())
+		t.Errorf("rejected sources left entries behind: %v", r.List())
 	}
 }
 
@@ -90,72 +84,58 @@ func TestActivateAndGet(t *testing.T) {
 	if _, ok := r.Active("serviceOverloaded"); ok {
 		t.Fatal("empty registry has an active version")
 	}
-	e1, _ := r.Put("serviceOverloaded", goodSrc)
-	e2, _ := r.Put("serviceOverloaded", goodSrc2)
-	// Put does not activate.
+	r.putVersion("serviceOverloaded", 1, goodSrc)
+	r.putVersion("serviceOverloaded", 2, goodSrc2)
+	// Storing does not activate.
 	if _, ok := r.Active("serviceOverloaded"); ok {
 		t.Fatal("put activated implicitly")
 	}
-	if _, err := r.Activate("serviceOverloaded", 99); err == nil {
+	if err := r.activate("serviceOverloaded", 99); err == nil {
 		t.Fatal("activated a version that was never put")
 	}
-	if _, err := r.Activate("serviceOverloaded", e2.Version); err != nil {
+	if err := r.activate("serviceOverloaded", 2); err != nil {
 		t.Fatal(err)
 	}
 	a, ok := r.Active("serviceOverloaded")
-	if !ok || a.Version != e2.Version {
+	if !ok || a.Version != 2 || a.Hash != hash(goodSrc2) {
 		t.Fatalf("active = %+v", a)
 	}
-	// Get by explicit version still reaches the older one.
-	old, ok := r.Get("serviceOverloaded", e1.Version)
-	if !ok || old.Hash != Hash(goodSrc) {
-		t.Fatalf("old version lookup = %+v, %v", old, ok)
-	}
-	// Rollback: activating the older version again.
-	if _, err := r.Activate("serviceOverloaded", e1.Version); err != nil {
+	if err := r.activate("serviceOverloaded", 1); err != nil {
 		t.Fatal(err)
 	}
-	if a, _ := r.Active("serviceOverloaded"); a.Version != e1.Version {
-		t.Fatalf("rollback failed: active = %+v", a)
+	if a, _ := r.Active("serviceOverloaded"); a.Version != 1 {
+		t.Fatalf("active after activating version 1 = %+v", a)
 	}
 }
 
 func TestPutVersionReplay(t *testing.T) {
 	r := New(testVocab)
-	if e, err := r.PutVersion("serviceOverloaded", 3, goodSrc); err != nil || e.Base.Version != 3 {
-		t.Fatalf("replayed entry %+v, %v: want its base at version 3", e, err)
+	if e, err := r.putVersion("serviceOverloaded", 3, goodSrc); err != nil || e.Base.Version != 3 {
+		t.Fatalf("stored entry %+v, %v: want its base at version 3", e, err)
 	}
 	// Same version, same hash: idempotent.
-	if _, err := r.PutVersion("serviceOverloaded", 3, goodSrc); err != nil {
+	if _, err := r.putVersion("serviceOverloaded", 3, goodSrc); err != nil {
 		t.Fatal(err)
 	}
 	// Same version, different content: corruption.
-	if _, err := r.PutVersion("serviceOverloaded", 3, goodSrc2); err == nil {
+	if _, err := r.putVersion("serviceOverloaded", 3, goodSrc2); err == nil {
 		t.Fatal("conflicting replay accepted")
 	}
 	// Out-of-order inserts keep versions sorted.
-	if _, err := r.PutVersion("serviceOverloaded", 1, goodSrc2); err != nil {
+	if _, err := r.putVersion("serviceOverloaded", 1, goodSrc2); err != nil {
 		t.Fatal(err)
 	}
 	refs := r.List()
 	if len(refs) != 2 || refs[0].Version != 1 || refs[1].Version != 3 {
 		t.Fatalf("List = %+v", refs)
 	}
-	// A later Put lands after the highest replayed version.
-	e, err := r.Put("serviceOverloaded", goodSrc+goodSrc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Version != 4 {
-		t.Fatalf("put after replay version = %d, want 4", e.Version)
-	}
 }
 
 func TestListAndActiveRefs(t *testing.T) {
 	r := New(testVocab)
-	r.Put("serviceOverloaded", goodSrc)
-	r.Put("select/placement", goodSelSrc)
-	r.Activate("select/placement", 1)
+	r.putVersion("serviceOverloaded", 1, goodSrc)
+	r.putVersion("select/placement", 1, goodSelSrc)
+	r.activate("select/placement", 1)
 	refs := r.List()
 	if len(refs) != 2 {
 		t.Fatalf("List = %+v", refs)
@@ -170,16 +150,21 @@ func TestListAndActiveRefs(t *testing.T) {
 
 func TestDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	r := New(testVocab)
-	e1, _ := r.Put("serviceOverloaded", goodSrc)
-	e2, _ := r.Put("serviceOverloaded", goodSrc2)
-	sel, _ := r.Put("select/placement", goodSelSrc)
-	for _, e := range []*Entry{e1, e2, sel} {
-		path := filepath.Join(dir, filepath.FromSlash(e.Name)+"@v"+strconv.Itoa(e.Version)+fileExt)
+	files := []struct {
+		name    string
+		version int
+		src     string
+	}{
+		{"serviceOverloaded", 1, goodSrc},
+		{"serviceOverloaded", 2, goodSrc2},
+		{"select/placement", 1, goodSelSrc},
+	}
+	for _, f := range files {
+		path := filepath.Join(dir, filepath.FromSlash(f.name)+"@v"+strconv.Itoa(f.version)+fileExt)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(e.Source), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(f.src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,16 +183,19 @@ func TestDirRoundTrip(t *testing.T) {
 	}
 	// Highest version of each name is active after a plain load.
 	a, ok := r2.Active("serviceOverloaded")
-	if !ok || a.Version != 2 || a.Hash != e2.Hash {
+	if !ok || a.Version != 2 || a.Hash != hash(goodSrc2) {
 		t.Fatalf("active after load = %+v", a)
 	}
 	if a, ok := r2.Active("select/placement"); !ok || a.Version != 1 {
 		t.Fatalf("selection active after load = %+v", a)
 	}
-	// Sources survived byte-identically.
-	got, _ := r2.Get("serviceOverloaded", 1)
-	if got.Source != goodSrc {
-		t.Fatalf("source round trip changed: %q", got.Source)
+	// Sources survived byte-identically: every version hashes as its file.
+	for _, ref := range r2.List() {
+		for _, f := range files {
+			if f.name == ref.Name && f.version == ref.Version && ref.Hash != hash(f.src) {
+				t.Fatalf("%s@v%d hashes %s, want its file's %s", ref.Name, ref.Version, ref.Hash, hash(f.src))
+			}
+		}
 	}
 	// The returned refs carry the activation outcome — callers route
 	// active bases into swap points off these refs alone.
@@ -249,15 +237,15 @@ func TestValidateDoesNotStore(t *testing.T) {
 
 func TestRegistryConcurrent(t *testing.T) {
 	r := New(testVocab)
-	r.Put("serviceOverloaded", goodSrc)
-	r.Activate("serviceOverloaded", 1)
+	r.putVersion("serviceOverloaded", 1, goodSrc)
+	r.activate("serviceOverloaded", 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			r.Put("serviceOverloaded", goodSrc2)
-			r.Activate("serviceOverloaded", 2)
-			r.Activate("serviceOverloaded", 1)
+			r.putVersion("serviceOverloaded", 2, goodSrc2)
+			r.activate("serviceOverloaded", 2)
+			r.activate("serviceOverloaded", 1)
 		}
 	}()
 	for i := 0; i < 200; i++ {

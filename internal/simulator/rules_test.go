@@ -23,14 +23,14 @@ func paperSim0(adjust func(*Config)) (*Simulator, error) {
 	return New(cfg)
 }
 
-// swapDefaults pushes fresh compilations of the default rule sources
-// through the registry and into the controller — semantically identical
+// swapDefaults swaps fresh compilations of the default rule sources,
+// checked by the registry, into the controller — semantically identical
 // bases, brand-new pointers.
 func swapDefaults(t *testing.T, ctl *controller.Controller) {
 	t.Helper()
 	reg := rules.New(controller.RuleVocabulary)
 	for name, src := range controller.DefaultRuleSources() {
-		e, err := reg.Put(name, src)
+		e, err := reg.Validate(name, src)
 		if err != nil {
 			t.Fatalf("recompile %s: %v", name, err)
 		}

@@ -35,10 +35,13 @@ const frameMagic = 0xA7
 // than this is rejected before any allocation.
 const maxFrame = 4 << 20
 
-// binary payload kind bytes (follow the version byte). The first eleven
-// open with [From][To][uvarint Seq][uvarint Epoch]; the last three are
-// the steady heartbeat round trip, numbers without names (DESIGN.md
-// "The ingest plane"):
+// binary payload kind bytes (follow the version byte). Kinds 7, 8 and 9
+// are retired: they framed rule-base pushes and lookups, which no node
+// sends since rule bases load from files only, and the decoder refuses
+// them as unknown. Every other kind keeps its byte. The live kinds below
+// kindHeartbeatIdx open with [From][To][uvarint Seq][uvarint Epoch]; the
+// last three are the steady heartbeat round trip, numbers without names
+// (DESIGN.md "The ingest plane"):
 //
 //	kindHeartbeatIdx  [uvarint seq][uvarint epoch][u64 session][uvarint host]
 //	                  [varint minute][f64 cpu][f64 mem][uvarint n]
@@ -63,9 +66,9 @@ const (
 	kindProbe
 	kindProbeAck
 	kindHello
-	kindRuleGet
-	kindRulePut
-	kindRuleList
+	_ // 7, 8, 9: retired rule-admin kinds
+	_
+	_
 	kindLease
 	kindLeaseAck
 	kindHeartbeatIdx
@@ -100,12 +103,6 @@ func kindFor(e *Envelope) (byte, bool) {
 		return kindProbeAck, true
 	case TypeHello:
 		return kindHello, true
-	case TypeRuleGet:
-		return kindRuleGet, true
-	case TypeRulePut:
-		return kindRulePut, true
-	case TypeRuleList:
-		return kindRuleList, true
 	case TypeLease:
 		return kindLease, true
 	case TypeLeaseAck:
@@ -128,12 +125,6 @@ func typeOf(k byte) (MsgType, bool) {
 		return TypeProbeAck, true
 	case kindHello:
 		return TypeHello, true
-	case kindRuleGet:
-		return TypeRuleGet, true
-	case kindRulePut:
-		return TypeRulePut, true
-	case kindRuleList:
-		return TypeRuleList, true
 	case kindLease:
 		return TypeLease, true
 	case kindLeaseAck:
@@ -185,12 +176,6 @@ type envBox struct {
 	ack   ActionAck
 	probe Probe
 	hello Hello
-	// Rule admin messages are cold-path; their payloads ride in the box
-	// for uniformity, not for allocation savings (sources and catalog
-	// entries allocate fresh strings/slices anyway).
-	rget  RuleGet
-	rput  RulePut
-	rlist RuleList
 	lease Lease
 }
 
@@ -217,12 +202,6 @@ func (bx *envBox) reset() {
 		bx.probe = Probe{}
 	case e.Hello != nil:
 		bx.hello = Hello{}
-	case e.RuleGet != nil:
-		bx.rget = RuleGet{}
-	case e.RulePut != nil:
-		bx.rput = RulePut{}
-	case e.RuleList != nil:
-		bx.rlist = RuleList{}
 	case e.Lease != nil:
 		bx.lease = Lease{}
 	}
@@ -470,38 +449,6 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendFloat(dst, h.PerformanceIndex)
 		dst = appendVarint(dst, int64(h.MemoryMB))
 		dst = appendString(dst, h.Addr)
-	case kindRuleGet:
-		g := e.RuleGet
-		dst = appendString(dst, g.Name)
-		dst = appendVarint(dst, int64(g.Version))
-	case kindRulePut:
-		p := e.RulePut
-		dst = appendString(dst, p.Name)
-		dst = appendVarint(dst, int64(p.Version))
-		dst = appendString(dst, p.Hash)
-		dst = appendString(dst, p.Source)
-		var flags byte
-		if p.Activate {
-			flags |= 1
-		}
-		dst = append(dst, flags)
-		dst = appendString(dst, p.Error)
-	case kindRuleList:
-		l := e.RuleList
-		dst = appendUvarint(dst, uint64(len(l.Entries)))
-		for i := range l.Entries {
-			r := &l.Entries[i]
-			dst = appendString(dst, r.Name)
-			dst = appendVarint(dst, int64(r.Version))
-			dst = appendString(dst, r.Hash)
-			var flags byte
-			if r.Active {
-				flags |= 1
-			}
-			dst = append(dst, flags)
-			dst = appendVarint(dst, int64(r.Rules))
-		}
-		dst = appendString(dst, l.Error)
 	case kindLease, kindLeaseAck:
 		l := e.Lease
 		dst = appendString(dst, l.Leader)
@@ -827,79 +774,6 @@ func (bx *envBox) decode(b []byte, in *Interner) (int, error) {
 		}
 		h.MemoryMB = int(memMB)
 		h.Addr, err = d.str()
-	case kindRuleGet:
-		g := &bx.rget
-		e.RuleGet = g
-		var version int64
-		if g.Name, err = d.ident(); err != nil {
-			break
-		}
-		if version, err = d.varint(); err != nil {
-			break
-		}
-		g.Version = int(version)
-	case kindRulePut:
-		p := &bx.rput
-		e.RulePut = p
-		var version int64
-		var flags byte
-		if p.Name, err = d.ident(); err != nil {
-			break
-		}
-		if version, err = d.varint(); err != nil {
-			break
-		}
-		p.Version = int(version)
-		if p.Hash, err = d.str(); err != nil {
-			break
-		}
-		if p.Source, err = d.str(); err != nil {
-			break
-		}
-		if flags, err = d.byteVal(); err != nil {
-			break
-		}
-		p.Activate = flags&1 != 0
-		p.Error, err = d.str()
-	case kindRuleList:
-		l := &bx.rlist
-		e.RuleList = l
-		var count uint64
-		if count, err = d.uvarint(); err != nil {
-			break
-		}
-		if count > uint64(len(d.b)) { // each entry needs ≥ 1 byte
-			err = errShortFrame
-			break
-		}
-		for i := uint64(0); i < count; i++ {
-			var r RuleInfo
-			var version, rules int64
-			var flags byte
-			if r.Name, err = d.ident(); err != nil {
-				break
-			}
-			if version, err = d.varint(); err != nil {
-				break
-			}
-			r.Version = int(version)
-			if r.Hash, err = d.str(); err != nil {
-				break
-			}
-			if flags, err = d.byteVal(); err != nil {
-				break
-			}
-			r.Active = flags&1 != 0
-			if rules, err = d.varint(); err != nil {
-				break
-			}
-			r.Rules = int(rules)
-			l.Entries = append(l.Entries, r)
-		}
-		if err != nil {
-			break
-		}
-		l.Error, err = d.str()
 	case kindLease, kindLeaseAck:
 		l := &bx.lease
 		e.Lease = l

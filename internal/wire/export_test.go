@@ -47,10 +47,3 @@ func AckEnvelope(from, to string, ack ActionAck) *Envelope {
 	e.Ack = &ack
 	return e
 }
-
-// RuleGetEnvelope frames a rule-base lookup request.
-func RuleGetEnvelope(from, to string, g RuleGet) *Envelope {
-	e := NewEnvelope(TypeRuleGet, from, to)
-	e.RuleGet = &g
-	return e
-}

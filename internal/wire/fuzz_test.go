@@ -53,22 +53,6 @@ func corpusEnvelopes() map[string]*Envelope {
 		"seed-hello": {Version: Version, Type: TypeHello, From: "b9", To: "coordinator",
 			Hello: &Hello{Host: "b9", PerformanceIndex: 1.25, MemoryMB: 4096,
 				Addr: "http://127.0.0.1:8147"}},
-		"seed-rule-get": {Version: Version, Type: TypeRuleGet, From: "admin", To: "coordinator", Seq: 11,
-			RuleGet: &RuleGet{Name: "serviceOverloaded", Version: 2}},
-		"seed-rule-put": {Version: Version, Type: TypeRulePut, From: "admin", To: "coordinator", Seq: 12,
-			RulePut: &RulePut{Name: "select/placement", Version: 3,
-				Hash:     "ab12cd34",
-				Source:   "IF cpuLoad IS high THEN scaleOut IS applicable\n",
-				Activate: true}},
-		"seed-rule-put-err": {Version: Version, Type: TypeRulePut, From: "coordinator", To: "admin", Seq: 13,
-			RulePut: &RulePut{Name: "serverIdle", Error: "fuzzy: parse error at line 1"}},
-		"seed-rule-list": {Version: Version, Type: TypeRuleList, From: "admin", To: "coordinator",
-			RuleList: &RuleList{}},
-		"seed-rule-list-reply": {Version: Version, Type: TypeRuleList, From: "coordinator", To: "admin",
-			RuleList: &RuleList{Entries: []RuleInfo{
-				{Name: "select/placement", Version: 3, Hash: "ab12cd34", Active: true, Rules: 5},
-				{Name: "serviceOverloaded", Version: 1, Hash: "99ff00aa", Rules: 2},
-			}}},
 		"seed-lease": {Version: Version, Type: TypeLease, From: "coordinator", To: "b1", Seq: 14, Epoch: 3,
 			Lease: &Lease{Leader: "coordinator", Epoch: 3, Minute: 615}},
 		"seed-lease-ack": {Version: Version, Type: TypeLeaseAck, From: "b1", To: "coordinator", Seq: 15,
@@ -106,6 +90,28 @@ func rawIndexAck(host, count uint64, indices ...uint64) []byte {
 	return rawFrame(p)
 }
 
+// legacyRuleFrame frames one of the retired rule-admin kinds (7 ruleGet,
+// 8 rulePut, 9 ruleList) as the encoder once did: the envelope header
+// of every named kind, then the payload fields in order.
+//
+//	ruleGet   [name][varint version]
+//	rulePut   [name][varint version][hash][source][flags: 1 activate][error]
+//	ruleList  [uvarint n] n × ([name][varint version][hash][flags: 1 active]
+//	          [varint rules]) [error]
+func legacyRuleFrame(kind byte, from, to string, seq uint64, fields ...[]byte) []byte {
+	p := append([]byte{Version, kind}, legacyString(from)...)
+	p = append(p, legacyString(to)...)
+	p = binary.AppendUvarint(binary.AppendUvarint(p, seq), 0)
+	for _, f := range fields {
+		p = append(p, f...)
+	}
+	return rawFrame(p)
+}
+
+func legacyString(s string) []byte  { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+func legacyVarint(v int64) []byte   { return binary.AppendVarint(nil, v) }
+func legacyUvarint(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+
 // fuzzSeed is one file of the seed corpus.
 type fuzzSeed struct {
 	frame  []byte
@@ -113,12 +119,12 @@ type fuzzSeed struct {
 }
 
 // fuzzSeeds is the whole seed corpus by file name: every valid envelope
-// above, framed, and the handcrafted malformed mutations — of the frame
+// above, framed, the handcrafted malformed mutations — of the frame
 // (truncation, lying length, bad magic, unknown kind, trailing bytes)
 // and of the three index kinds (session 0, index 0, an index past 32
 // bits, a count larger than the bytes left, trailing bytes, a next
-// minute cut short). It feeds
-// f.Add and, through TestFuzzCorpus, testdata/fuzz.
+// minute cut short) — and the frames of the retired rule-admin kinds.
+// It feeds f.Add and, through TestFuzzCorpus, testdata/fuzz.
 func fuzzSeeds(tb testing.TB) map[string]fuzzSeed {
 	seeds := make(map[string]fuzzSeed)
 	for name, env := range corpusEnvelopes() {
@@ -157,6 +163,21 @@ func fuzzSeeds(tb testing.TB) map[string]fuzzSeed {
 		"seed-ack-index-lying-count": rawIndexAck(3, 200, 1, 300),
 		"seed-ack-index-trailing":    rawIndexAck(3, 1, 1, 300),
 		"seed-ack-next-truncated":    rawFrame(next[5 : len(next)-1]), // flag 4, half a varint
+
+		// the rule-admin frames, kinds nothing sends or accepts any more
+		"seed-rule-get": legacyRuleFrame(7, "admin", "coordinator", 11,
+			legacyString("serviceOverloaded"), legacyVarint(2)),
+		"seed-rule-put": legacyRuleFrame(8, "admin", "coordinator", 12,
+			legacyString("select/placement"), legacyVarint(3), legacyString("ab12cd34"),
+			legacyString("IF cpuLoad IS high THEN scaleOut IS applicable\n"), []byte{1}, legacyString("")),
+		"seed-rule-put-err": legacyRuleFrame(8, "coordinator", "admin", 13,
+			legacyString("serverIdle"), legacyVarint(0), legacyString(""), legacyString(""), []byte{0},
+			legacyString("fuzzy: parse error at line 1")),
+		"seed-rule-list": legacyRuleFrame(9, "admin", "coordinator", 0, legacyUvarint(0), legacyString("")),
+		"seed-rule-list-reply": legacyRuleFrame(9, "coordinator", "admin", 0, legacyUvarint(2),
+			legacyString("select/placement"), legacyVarint(3), legacyString("ab12cd34"), []byte{1}, legacyVarint(5),
+			legacyString("serviceOverloaded"), legacyVarint(1), legacyString("99ff00aa"), []byte{0}, legacyVarint(2),
+			legacyString("")),
 	} {
 		seeds[name] = fuzzSeed{frame: b, reject: true}
 	}
@@ -185,12 +206,6 @@ func renderEnvelope(e *Envelope) string {
 		s += fmt.Sprintf("|%+v", *e.Probe)
 	case e.Hello != nil:
 		s += fmt.Sprintf("|%+v", *e.Hello)
-	case e.RuleGet != nil:
-		s += fmt.Sprintf("|%+v", *e.RuleGet)
-	case e.RulePut != nil:
-		s += fmt.Sprintf("|%+v", *e.RulePut)
-	case e.RuleList != nil:
-		s += fmt.Sprintf("|%+v", *e.RuleList)
 	case e.Lease != nil:
 		s += fmt.Sprintf("|%+v", *e.Lease)
 	}
@@ -319,15 +334,15 @@ func checkBoxReuse(t *testing.T, b []byte, in *Interner, others [][2][]byte) {
 // points at, and every payload the box holds.
 func renderBox(bx *envBox) string {
 	e := &bx.env
-	return fmt.Sprintf("%s|%t%t%t%t%t%t%t%t%t|%+v|%+v|%+v|%+v|%+v|%+v|%+v|%+v|%+v", renderEnvelope(e),
-		e.Heartbeat != nil, e.Action != nil, e.Ack != nil, e.Probe != nil, e.Hello != nil,
-		e.RuleGet != nil, e.RulePut != nil, e.RuleList != nil, e.Lease != nil,
-		bx.hb, bx.act, bx.ack, bx.probe, bx.hello, bx.rget, bx.rput, bx.rlist, bx.lease)
+	return fmt.Sprintf("%s|%t%t%t%t%t%t|%+v|%+v|%+v|%+v|%+v|%+v", renderEnvelope(e),
+		e.Heartbeat != nil, e.Action != nil, e.Ack != nil, e.Probe != nil, e.Hello != nil, e.Lease != nil,
+		bx.hb, bx.act, bx.ack, bx.probe, bx.hello, bx.lease)
 }
 
 // TestFuzzSeedsDecode pins the intent of the corpus: each handcrafted
-// mutation must be rejected with an error, never a panic, and every
-// other seed must decode — consuming exactly its one frame.
+// mutation must be rejected with an error, never a panic, a retired
+// rule-admin frame as an unknown kind, and every other seed must
+// decode — consuming exactly its one frame.
 func TestFuzzSeedsDecode(t *testing.T) {
 	in := NewInterner()
 	hb := fuzzSeeds(t)["seed-heartbeat"].frame
@@ -336,6 +351,8 @@ func TestFuzzSeedsDecode(t *testing.T) {
 		switch {
 		case seed.reject && err == nil:
 			t.Errorf("%s: decoded successfully, want error", name)
+		case strings.HasPrefix(name, "seed-rule-") && !strings.Contains(err.Error(), "unknown binary kind"):
+			t.Errorf("%s: %v, want an unknown binary kind", name, err)
 		case !seed.reject && err != nil:
 			t.Errorf("%s: %v", name, err)
 		case name == "seed-trailing-garbage" && n != len(hb):

@@ -113,9 +113,9 @@ func TestBodyReadDeadlineIsTimeout(t *testing.T) {
 }
 
 // TestServerRefusesNonFrames: binary frames are the only encoding the
-// wire endpoint speaks. A JSON envelope, a body without the frame magic
-// and an empty body are each refused with 400, and the handler never
-// runs.
+// wire endpoint speaks. A JSON envelope, a body without the frame magic,
+// an empty body and a frame of each retired rule-admin kind (7, 8, 9)
+// are each refused with 400, and the handler never runs.
 func TestServerRefusesNonFrames(t *testing.T) {
 	tr := NewHTTP()
 	defer tr.Close()
@@ -136,7 +136,13 @@ func TestServerRefusesNonFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame[0] = 0x7B // a valid frame but for its first byte
-	for name, body := range map[string][]byte{"json envelope": doc, "no magic": frame, "empty": nil} {
+	seeds := fuzzSeeds(t)
+	for name, body := range map[string][]byte{
+		"json envelope": doc, "no magic": frame, "empty": nil,
+		"kind 7 ruleGet":  seeds["seed-rule-get"].frame,
+		"kind 8 rulePut":  seeds["seed-rule-put"].frame,
+		"kind 9 ruleList": seeds["seed-rule-list"].frame,
+	} {
 		code, msg, err := rawPost(base, body)
 		if err != nil {
 			t.Fatal(err)

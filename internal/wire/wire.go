@@ -57,20 +57,6 @@ const (
 	// TypeHello announces an agent joining the landscape (host name and
 	// hardware attributes), used by cmd/autoglobe-agentd.
 	TypeHello MsgType = "hello"
-	// TypeRuleGet asks the coordinator for one archived rule base
-	// (by name, optionally by version); answered with a TypeRulePut
-	// carrying the source, or an error.
-	TypeRuleGet MsgType = "ruleGet"
-	// TypeRulePut pushes a rule base to the coordinator's registry —
-	// the admin half of treating rule bases as hot-swappable data. The
-	// coordinator validates (parse + vocabulary + compile) before any
-	// version is assigned or activated, and answers with a TypeRulePut
-	// echoing the stored name/version/hash (or an Error). The same
-	// payload shape also answers TypeRuleGet.
-	TypeRulePut MsgType = "rulePut"
-	// TypeRuleList asks for (request) and carries (reply) the registry
-	// catalog: every stored rule-base version and which are active.
-	TypeRuleList MsgType = "ruleList"
 	// TypeLease is the acting leader's renewal beacon: sent every
 	// coordinated minute to standby coordinators (renewing their lease
 	// timers), and to the agents whose last heartbeat did not carry the
@@ -214,54 +200,6 @@ type Hello struct {
 	Addr string
 }
 
-// RuleGet asks for one rule base from the coordinator's registry.
-type RuleGet struct {
-	// Name addresses the rule base ("serviceOverloaded",
-	// "select/placement", …).
-	Name string
-	// Version selects an archived version; zero means the active one.
-	Version int
-}
-
-// RulePut carries a rule base's source text. As a request it pushes a
-// candidate to the coordinator's registry; as a reply it echoes what
-// was stored (Version and Hash assigned by the registry) or answers a
-// RuleGet, or reports an Error with everything else empty.
-type RulePut struct {
-	Name string
-	// Version is registry-assigned in replies; requests leave it zero
-	// (journal replay between coordinators pins it explicitly).
-	Version int
-	// Hash is the hex SHA-256 of Source. Requests may leave it empty;
-	// when set, the receiver verifies it against the received Source
-	// before validating — a cheap end-to-end corruption check.
-	Hash string
-	// Source is the rule-language text.
-	Source string
-	// Activate asks the coordinator to hot-swap the pushed version into
-	// the live controller after validation. False archives it only — an
-	// admin can then shadow-evaluate before promoting.
-	Activate bool
-	// Error reports a rejected push or failed lookup (reply only).
-	Error string
-}
-
-// RuleInfo is one registry entry in a rule-list reply, mirroring the
-// rules package's Ref.
-type RuleInfo struct {
-	Name    string
-	Version int
-	Hash    string
-	Active  bool
-	Rules   int
-}
-
-// RuleList is both the catalog request (empty) and its reply.
-type RuleList struct {
-	Entries []RuleInfo
-	Error   string
-}
-
 // Lease is the leader-election renewal payload, shared by TypeLease
 // (the beacon) and TypeLeaseAck (the reply). In a beacon, Leader names
 // the sender claiming leadership, Epoch is its journal epoch and Minute
@@ -298,9 +236,6 @@ type Envelope struct {
 	Ack       *ActionAck
 	Probe     *Probe
 	Hello     *Hello
-	RuleGet   *RuleGet
-	RulePut   *RulePut
-	RuleList  *RuleList
 	Lease     *Lease
 
 	// box links a pooled envelope back to its carrier; ReleaseEnvelope
@@ -332,20 +267,6 @@ func ProbeEnvelope(from, to string, p Probe) *Envelope {
 func HelloEnvelope(from, to string, h Hello) *Envelope {
 	e := NewEnvelope(TypeHello, from, to)
 	e.Hello = &h
-	return e
-}
-
-// RulePutEnvelope frames a rule-base push (or a ruleGet reply).
-func RulePutEnvelope(from, to string, p RulePut) *Envelope {
-	e := NewEnvelope(TypeRulePut, from, to)
-	e.RulePut = &p
-	return e
-}
-
-// RuleListEnvelope frames a registry-catalog request or reply.
-func RuleListEnvelope(from, to string, l RuleList) *Envelope {
-	e := NewEnvelope(TypeRuleList, from, to)
-	e.RuleList = &l
 	return e
 }
 
@@ -389,30 +310,6 @@ func (e *Envelope) Validate() error {
 	case TypeHello:
 		if e.Hello == nil {
 			return fmt.Errorf("wire: hello envelope without hello payload")
-		}
-	case TypeRuleGet:
-		if e.RuleGet == nil {
-			return fmt.Errorf("wire: ruleGet envelope without ruleGet payload")
-		}
-		if e.RuleGet.Name == "" {
-			return fmt.Errorf("wire: ruleGet without rule-base name")
-		}
-	case TypeRulePut:
-		if e.RulePut == nil {
-			return fmt.Errorf("wire: rulePut envelope without rulePut payload")
-		}
-		if e.RulePut.Name == "" {
-			return fmt.Errorf("wire: rulePut without rule-base name")
-		}
-		// A push carries Source; an error reply carries Error; a success
-		// reply carries the registry-assigned Version. Anything with none
-		// of the three says nothing at all.
-		if e.RulePut.Source == "" && e.RulePut.Error == "" && e.RulePut.Version == 0 {
-			return fmt.Errorf("wire: rulePut without source, version or error")
-		}
-	case TypeRuleList:
-		if e.RuleList == nil {
-			return fmt.Errorf("wire: ruleList envelope without ruleList payload")
 		}
 	case TypeLease, TypeLeaseAck:
 		if e.Lease == nil {

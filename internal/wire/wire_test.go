@@ -24,10 +24,6 @@ func TestEnvelopeValidate(t *testing.T) {
 		{"missing payload", NewEnvelope(TypeHeartbeat, "a", "b"), "without heartbeat"},
 		{"missing key", ActionEnvelope("c", "a", ActionRequest{Op: OpStart}), "idempotency key"},
 		{"unknown type", &Envelope{Version: Version, Type: "gossip"}, "unknown message type"},
-		{"ruleGet no name", RuleGetEnvelope("a", "c", RuleGet{}), "without rule-base name"},
-		{"rulePut no name", RulePutEnvelope("a", "c", RulePut{Source: "IF x IS y THEN z IS applicable"}), "without rule-base name"},
-		{"rulePut empty", RulePutEnvelope("a", "c", RulePut{Name: "serviceIdle"}), "without source, version or error"},
-		{"ruleList no payload", NewEnvelope(TypeRuleList, "a", "c"), "without ruleList payload"},
 	}
 	for _, c := range cases {
 		err := c.env.Validate()
@@ -57,29 +53,6 @@ func TestEnvelopeJSONRoundTrip(t *testing.T) {
 	if back.Action.Key != "act-7" || back.Action.Op != OpBind || back.Seq != 42 ||
 		back.Action.InstanceID != "FI-3" || back.Action.DeadlineUnixMS != 12345 {
 		t.Errorf("round trip mangled envelope: %+v", back)
-	}
-}
-
-func TestRuleEnvelopeJSONRoundTrip(t *testing.T) {
-	env := RulePutEnvelope("admin", "coordinator", RulePut{
-		Name: "select/placement", Version: 2, Hash: "deadbeef",
-		Source: "IF cpuLoad IS high THEN score IS applicable\n", Activate: true,
-	})
-	buf, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Envelope
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p := back.RulePut
-	if p.Name != "select/placement" || p.Version != 2 || p.Hash != "deadbeef" ||
-		!p.Activate || p.Source != env.RulePut.Source {
-		t.Errorf("round trip mangled rulePut: %+v", p)
 	}
 }
 

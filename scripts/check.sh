@@ -24,7 +24,9 @@
 # detector, the Table 7 golden file (the exact text of
 # `autoglobe-sim -table7 -seeds 3`) once more on one CPU, so the
 # parallel sweep is shown to assemble the bytes a single worker does,
-# ten seconds each of real fuzzing of the wire frame decoder,
+# ten seconds each of real fuzzing of the wire frame decoder, of the
+# coordinator's receive path (any bytes through that decoder into a
+# paper-landscape coordinator's Handle: FuzzCoordinatorReceive),
 # of the journal's frame reader, of the tsdb segment-record decoder, of
 # the tsdb tail's windows against the reference in its test
 # (FuzzTailWindows), of
@@ -154,6 +156,13 @@ go test -race -count=10 -run '^TestLivenessHandleConcurrentBeats$' ./internal/mo
 # fuzzing: the decoder reads whatever an unauthenticated peer sends.
 echo "== fuzz: the wire frame decoder, 10 s"
 go test ./internal/wire -run '^$' -fuzz FuzzEnvelopeDecode -fuzztime 10s
+
+# Behind the decoder, the coordinator's handler takes whatever decodes:
+# no input may panic it, produce a reply that does not encode, or lower
+# its heartbeat count, and no retired rule-admin kind (7, 8, 9) may
+# decode to reach it.
+echo "== fuzz: the coordinator's receive path, 10 s"
+go test ./internal/agent -run '^$' -fuzz FuzzCoordinatorReceive -fuzztime 10s
 
 # Every journal replay — the coordinator's WAL and the tsdb's segments —
 # starts by cutting whatever a crash left on disk into frames.
