@@ -12,7 +12,8 @@ import (
 // TestHeartbeatPathZeroAlloc is the perf gate of the ingest plane: one
 // steady-state heartbeat — reporter batching, binary frame encode, the
 // loopback's socket-equivalent decode, buffering in the host's slot
-// under the ingest lock and the pooled ack coming back — must allocate
+// under the ingest lock and the shared bare ack coming back, encoded
+// into the request's frame and decoded into its box — must allocate
 // nothing. The pools
 // (frames, envelope carriers, interned identifiers, recycled pending
 // beats) exist precisely for this property; if a change re-introduces

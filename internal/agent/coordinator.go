@@ -349,28 +349,39 @@ func (c *Coordinator) Handle(env *wire.Envelope) (*wire.Envelope, error) {
 	switch env.Type {
 	case wire.TypeHeartbeat:
 		// Nobody reads a reply's From and To; without them an ack with
-		// only OK to say is two bytes on the wire.
-		reply := wire.AcquireAckEnvelope("", "", wire.ActionAck{OK: true})
-		if err := checkFinite(env.Heartbeat); err != nil {
-			reply.Ack.OK, reply.Ack.Error = false, err.Error()
-			return reply, nil
+		// only OK to say is two bytes on the wire, and a steady indexed
+		// beat's is the shared one. A named frame's ack appends its
+		// indices to a pooled box's own array.
+		hb, ack, reply := env.Heartbeat, &wire.ActionAck{OK: true}, (*wire.Envelope)(nil)
+		if err := checkFinite(hb); err != nil {
+			return wire.AcquireAckEnvelope("", "", wire.ActionAck{Error: err.Error()}), nil
+		}
+		if hb.HostIndex == 0 {
+			reply = wire.AcquireAckEnvelope("", "", *ack)
+			ack = reply.Ack
 		}
 		c.ingestMu.Lock()
-		if hs := c.resolveLocked(env.Heartbeat, reply.Ack); hs != nil {
-			c.ingestLocked(hs, env.Heartbeat, env.Epoch)
-			if env.Heartbeat.Minute <= c.floor {
-				reply.Ack.NextMinute = c.floor + 1 // the agent lags: give it the clock
+		if hs := c.resolveLocked(hb, ack); hs != nil {
+			c.ingestLocked(hs, hb, env.Epoch)
+			if hb.Minute <= c.floor {
+				ack.NextMinute = c.floor + 1 // the agent lags: give it the clock
 			}
 		}
 		c.ingestMu.Unlock()
-		return reply, nil
+		switch {
+		case reply != nil:
+			return reply, nil
+		case ack.Resync || ack.NextMinute != 0:
+			return wire.AcquireAckEnvelope("", "", *ack), nil
+		}
+		return wire.AckOKEnvelope(), nil
 	case wire.TypeHello:
 		if c.OnHello != nil {
 			if err := c.OnHello(*env.Hello); err != nil {
 				return nil, err
 			}
 		}
-		return wire.AcquireAckEnvelope("", "", wire.ActionAck{OK: true}), nil
+		return wire.AckOKEnvelope(), nil
 	case wire.TypeLease:
 		c.mu.Lock()
 		hook := c.leaseHook

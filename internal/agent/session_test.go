@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -952,5 +953,108 @@ func BenchmarkReportStage1k(b *testing.B) {
 		if err := report(ctx, 3+i); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSteadyAckIsSharedAndBare: the coordinator answers a steady indexed
+// heartbeat with the one shared bare ack and every other beat — lagging,
+// under a stale session, refused as non-finite, named — with an ack of
+// its own, so no answer that says more than OK ever lands in the shared
+// one: after all of them it still encodes to the 7-byte bare frame with
+// only OK set.
+func TestSteadyAckIsSharedAndBare(t *testing.T) {
+	tr := wire.NewLoopback()
+	t.Cleanup(func() { tr.Close() })
+	dep := testDeployment(t)
+	p, _ := sessionPlane(t, tr, dep)
+	coord := p.Coordinator()
+	// Listen through a wrapper that sees what Handle itself returns.
+	var handled *wire.Envelope
+	if err := tr.Unlisten(CoordinatorNode); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Listen(CoordinatorNode, func(env *wire.Envelope) (*wire.Envelope, error) {
+		reply, err := coord.Handle(env)
+		handled = reply
+		return reply, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	shared := wire.AckOKEnvelope()
+	beat := func(hb wire.Heartbeat) wire.ActionAck {
+		t.Helper()
+		reply, err := tr.Call(context.Background(), CoordinatorNode, wire.HeartbeatEnvelope("h1", CoordinatorNode, hb))
+		if err != nil || reply == nil || reply.Ack == nil {
+			t.Fatalf("minute %d: reply %+v, err %v", hb.Minute, reply, err)
+		}
+		ack := *reply.Ack
+		ack.Indices = append([]uint32(nil), ack.Indices...) // nil when empty
+		wire.ReleaseEnvelope(reply)
+		return ack
+	}
+	var insts []wire.InstanceSample
+	for _, inst := range dep.InstancesOn("h1") {
+		insts = append(insts, wire.InstanceSample{ID: inst.ID, Service: inst.Service, Load: 0.4})
+	}
+	if len(insts) == 0 {
+		t.Fatal("h1 runs no instance")
+	}
+	named := func(minute int) wire.Heartbeat {
+		return wire.Heartbeat{Host: "h1", Minute: minute, CPU: 0.4, Mem: 0.3, Instances: slices.Clone(insts)}
+	}
+	learned := beat(named(0))
+	if !learned.OK || learned.Session == 0 || learned.HostIndex == 0 || len(learned.Indices) != len(insts) {
+		t.Fatalf("named beat acked %+v, want the session's numbers", learned)
+	}
+	indexed := func(minute int) wire.Heartbeat {
+		hb := named(minute)
+		hb.Session, hb.HostIndex = learned.Session, learned.HostIndex
+		for i := range hb.Instances {
+			hb.Instances[i].Index = learned.Indices[i]
+		}
+		return hb
+	}
+
+	for minute := 1; minute < 40; minute += 4 {
+		if ack := beat(indexed(minute)); !reflect.DeepEqual(ack, wire.ActionAck{OK: true}) {
+			t.Fatalf("steady minute %d acked %+v, want OK only", minute, ack)
+		}
+		if handled != shared {
+			t.Fatalf("steady minute %d: Handle returned %p, want the shared ack %p", minute, handled, shared)
+		}
+
+		if err := coord.ObserveServices(minute + 1); err != nil {
+			t.Fatal(err)
+		}
+		if ack := beat(indexed(minute + 1)); !reflect.DeepEqual(ack, wire.ActionAck{OK: true, NextMinute: minute + 2}) {
+			t.Fatalf("lagging minute %d acked %+v, want OK and next minute %d", minute+1, ack, minute+2)
+		}
+
+		stale := indexed(minute + 2)
+		stale.Session++
+		if ack := beat(stale); !reflect.DeepEqual(ack, wire.ActionAck{Resync: true}) {
+			t.Fatalf("stale-session minute %d acked %+v, want a resync", minute+2, ack)
+		}
+
+		refused := indexed(minute + 2)
+		refused.CPU = math.NaN()
+		if ack := beat(refused); ack.OK || !strings.Contains(ack.Error, "non-finite") || ack.Resync || ack.NextMinute != 0 || len(ack.Indices) != 0 {
+			t.Fatalf("NaN minute %d acked %+v, want a non-finite refusal", minute+2, ack)
+		}
+
+		if ack := beat(named(minute + 3)); !reflect.DeepEqual(ack, learned) {
+			t.Fatalf("named minute %d acked %+v, want %+v", minute+3, ack, learned)
+		}
+		if handled == shared {
+			t.Fatalf("named minute %d: Handle returned the shared ack", minute+3)
+		}
+	}
+
+	if !reflect.DeepEqual(*shared, wire.Envelope{Version: wire.Version, Type: wire.TypeAck, Ack: &wire.ActionAck{OK: true}}) {
+		t.Fatalf("shared ack written: %+v, ack %+v", *shared, *shared.Ack)
+	}
+	frame, err := wire.AppendEnvelope(nil, shared)
+	if err != nil || len(frame) != 7 {
+		t.Fatalf("shared ack encodes to %d bytes (%v), want the 7-byte bare frame", len(frame), err)
 	}
 }

@@ -111,26 +111,12 @@ func kindFor(e *Envelope) (byte, bool) {
 	return 0, false
 }
 
-func typeOf(k byte) (MsgType, bool) {
-	switch k {
-	case kindHeartbeat, kindHeartbeatIdx:
-		return TypeHeartbeat, true
-	case kindAction:
-		return TypeAction, true
-	case kindAck, kindAckBare, kindAckIndex:
-		return TypeAck, true
-	case kindProbe:
-		return TypeProbe, true
-	case kindProbeAck:
-		return TypeProbeAck, true
-	case kindHello:
-		return TypeHello, true
-	case kindLease:
-		return TypeLease, true
-	case kindLeaseAck:
-		return TypeLeaseAck, true
-	}
-	return "", false
+// kindType is the message type of each live frame kind; a retired or
+// unknown kind has none.
+var kindType = [...]MsgType{
+	kindHeartbeat: TypeHeartbeat, kindHeartbeatIdx: TypeHeartbeat, kindAction: TypeAction,
+	kindAck: TypeAck, kindAckBare: TypeAck, kindAckIndex: TypeAck, kindProbe: TypeProbe,
+	kindProbeAck: TypeProbeAck, kindHello: TypeHello, kindLease: TypeLease, kindLeaseAck: TypeLeaseAck,
 }
 
 // ---------------------------------------------------------------------
@@ -144,15 +130,15 @@ var framePool = sync.Pool{
 	},
 }
 
-// AcquireFrame returns a pooled byte slice (length 0) for encoding a
-// frame into. Return it with ReleaseFrame when the bytes have been
+// acquireFrame returns a pooled byte slice (length 0) for encoding a
+// frame into. Return it with releaseFrame when the bytes have been
 // consumed.
-func AcquireFrame() *[]byte {
+func acquireFrame() *[]byte {
 	return framePool.Get().(*[]byte)
 }
 
-// ReleaseFrame returns a frame buffer to the pool.
-func ReleaseFrame(b *[]byte) {
+// releaseFrame returns a frame buffer to the pool.
+func releaseFrame(b *[]byte) {
 	if b == nil || cap(*b) > maxFrame {
 		return // don't cache giants
 	}
@@ -210,8 +196,9 @@ func (bx *envBox) reset() {
 
 // ReleaseEnvelope returns a pooled envelope (one produced by
 // DecodeEnvelope or an Acquire* constructor) to the pool. Envelopes
-// built by the plain constructors are untracked and the call is a
-// no-op, so transports can release every reply unconditionally.
+// built by the plain constructors, and the shared AckOKEnvelope, are
+// untracked and the call is a no-op, so transports can release every
+// reply unconditionally.
 // Callers must not retain any pointer into the envelope (payload
 // structs, the heartbeat's Instances backing array) past the release;
 // strings remain valid (they are immutable and never recycled).
@@ -227,20 +214,24 @@ func ReleaseEnvelope(e *Envelope) {
 // AcquireAckEnvelope frames an action ack in a pooled envelope. The
 // receiver of the reply releases it (transports do this after
 // serialising; in-process callers after copying the ack). An ack passed
-// without Indices keeps the box's empty pooled slice to append to.
+// without Indices keeps the box's empty pooled slice to append to. An
+// answer with nothing to say but OK needs no box: AckOKEnvelope.
 func AcquireAckEnvelope(from, to string, ack ActionAck) *Envelope {
 	bx := acquireBox()
-	bx.env.Version = Version
-	bx.env.Type = TypeAck
-	bx.env.From = from
-	bx.env.To = to
 	if ack.Indices == nil {
 		ack.Indices = bx.ack.Indices
 	}
 	bx.ack = ack
-	bx.env.Ack = &bx.ack
+	bx.env = Envelope{Version: Version, Type: TypeAck, From: from, To: to, Ack: &bx.ack, box: bx}
 	return &bx.env
 }
+
+var ackOK = Envelope{Version: Version, Type: TypeAck, Ack: &ActionAck{OK: true}}
+
+// AckOKEnvelope returns the one shared bare OK ack, the answer to a
+// steady indexed heartbeat: a 7-byte frame, and no box for
+// ReleaseEnvelope to recycle. A handler may return it; nobody writes it.
+func AckOKEnvelope() *Envelope { return &ackOK }
 
 // AcquireActionEnvelope frames an action request in a pooled envelope —
 // the dispatcher's sending half of the zero-allocation action path (the
@@ -250,24 +241,16 @@ func AcquireAckEnvelope(from, to string, ack ActionAck) *Envelope {
 // held message as that frame), so the box can be recycled immediately.
 func AcquireActionEnvelope(from, to string, req ActionRequest) *Envelope {
 	bx := acquireBox()
-	bx.env.Version = Version
-	bx.env.Type = TypeAction
-	bx.env.From = from
-	bx.env.To = to
 	bx.act = req
-	bx.env.Action = &bx.act
+	bx.env = Envelope{Version: Version, Type: TypeAction, From: from, To: to, Action: &bx.act, box: bx}
 	return &bx.env
 }
 
 // AcquireProbeAckEnvelope frames a probe ack in a pooled envelope.
 func AcquireProbeAckEnvelope(from, to string, p Probe) *Envelope {
 	bx := acquireBox()
-	bx.env.Version = Version
-	bx.env.Type = TypeProbeAck
-	bx.env.From = from
-	bx.env.To = to
 	bx.probe = p
-	bx.env.Probe = &bx.probe
+	bx.env = Envelope{Version: Version, Type: TypeProbeAck, From: from, To: to, Probe: &bx.probe, box: bx}
 	return &bx.env
 }
 
@@ -276,12 +259,8 @@ func AcquireProbeAckEnvelope(from, to string, p Probe) *Envelope {
 // beacon, so the reply rides the pooled path like probe acks do.
 func AcquireLeaseAckEnvelope(from, to string, l Lease) *Envelope {
 	bx := acquireBox()
-	bx.env.Version = Version
-	bx.env.Type = TypeLeaseAck
-	bx.env.From = from
-	bx.env.To = to
 	bx.lease = l
-	bx.env.Lease = &bx.lease
+	bx.env = Envelope{Version: Version, Type: TypeLeaseAck, From: from, To: to, Lease: &bx.lease, box: bx}
 	return &bx.env
 }
 
@@ -330,14 +309,6 @@ func (in *Interner) Intern(b []byte) string {
 // Encoding
 // ---------------------------------------------------------------------
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func appendVarint(dst []byte, v int64) []byte {
-	return binary.AppendVarint(dst, v)
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -369,8 +340,8 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendString(dst, e.To)
 	}
 	if kind <= kindHeartbeatIdx {
-		dst = appendUvarint(dst, e.Seq)
-		dst = appendUvarint(dst, e.Epoch)
+		dst = binary.AppendUvarint(dst, e.Seq)
+		dst = binary.AppendUvarint(dst, e.Epoch)
 	}
 
 	switch kind { // kindAckBare has no payload
@@ -388,13 +359,13 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		}
 		dst = append(dst, flags)
 		dst = binary.LittleEndian.AppendUint64(dst, a.Session)
-		dst = appendUvarint(dst, uint64(a.HostIndex))
-		dst = appendUvarint(dst, uint64(len(a.Indices)))
+		dst = binary.AppendUvarint(dst, uint64(a.HostIndex))
+		dst = binary.AppendUvarint(dst, uint64(len(a.Indices)))
 		for _, idx := range a.Indices {
-			dst = appendUvarint(dst, uint64(idx))
+			dst = binary.AppendUvarint(dst, uint64(idx))
 		}
 		if a.NextMinute != 0 {
-			dst = appendVarint(dst, int64(a.NextMinute))
+			dst = binary.AppendVarint(dst, int64(a.NextMinute))
 		}
 	case kindHeartbeat, kindHeartbeatIdx:
 		hb := e.Heartbeat
@@ -402,19 +373,19 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 			dst = appendString(dst, hb.Host)
 		} else {
 			dst = binary.LittleEndian.AppendUint64(dst, hb.Session)
-			dst = appendUvarint(dst, uint64(hb.HostIndex))
+			dst = binary.AppendUvarint(dst, uint64(hb.HostIndex))
 		}
-		dst = appendVarint(dst, int64(hb.Minute))
+		dst = binary.AppendVarint(dst, int64(hb.Minute))
 		dst = appendFloat(dst, hb.CPU)
 		dst = appendFloat(dst, hb.Mem)
-		dst = appendUvarint(dst, uint64(len(hb.Instances)))
+		dst = binary.AppendUvarint(dst, uint64(len(hb.Instances)))
 		for i := range hb.Instances {
 			s := &hb.Instances[i]
 			if kind == kindHeartbeat {
 				dst = appendString(dst, s.ID)
 				dst = appendString(dst, s.Service)
 			} else {
-				dst = appendUvarint(dst, uint64(s.Index))
+				dst = binary.AppendUvarint(dst, uint64(s.Index))
 			}
 			dst = appendFloat(dst, s.Load)
 		}
@@ -425,8 +396,8 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 		dst = appendString(dst, a.Host)
 		dst = appendString(dst, a.Service)
 		dst = appendString(dst, a.InstanceID)
-		dst = appendVarint(dst, int64(a.Delta))
-		dst = appendVarint(dst, a.DeadlineUnixMS)
+		dst = binary.AppendVarint(dst, int64(a.Delta))
+		dst = binary.AppendVarint(dst, a.DeadlineUnixMS)
 	case kindAck:
 		a := e.Ack
 		dst = appendString(dst, a.Key)
@@ -442,18 +413,18 @@ func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	case kindProbe, kindProbeAck:
 		p := e.Probe
 		dst = appendString(dst, p.Host)
-		dst = appendVarint(dst, int64(p.Minute))
+		dst = binary.AppendVarint(dst, int64(p.Minute))
 	case kindHello:
 		h := e.Hello
 		dst = appendString(dst, h.Host)
 		dst = appendFloat(dst, h.PerformanceIndex)
-		dst = appendVarint(dst, int64(h.MemoryMB))
+		dst = binary.AppendVarint(dst, int64(h.MemoryMB))
 		dst = appendString(dst, h.Addr)
 	case kindLease, kindLeaseAck:
 		l := e.Lease
 		dst = appendString(dst, l.Leader)
-		dst = appendUvarint(dst, l.Epoch)
-		dst = appendVarint(dst, int64(l.Minute))
+		dst = binary.AppendUvarint(dst, l.Epoch)
+		dst = binary.AppendVarint(dst, int64(l.Minute))
 	}
 
 	payload := len(dst) - start
@@ -600,14 +571,13 @@ func (bx *envBox) decode(b []byte, in *Interner) (int, error) {
 	if int(version) != Version {
 		return 0, fmt.Errorf("wire: protocol version %d, want %d", version, Version)
 	}
-	t, ok := typeOf(kind)
-	if !ok {
+	if int(kind) >= len(kindType) || kindType[kind] == "" {
 		return 0, fmt.Errorf("wire: unknown binary kind %d", kind)
 	}
 
 	e := &bx.env
 	e.Version = int(version)
-	e.Type = t
+	e.Type = kindType[kind]
 	var err error
 	if kind < kindHeartbeatIdx {
 		if e.From, err = d.ident(); err == nil {
@@ -793,7 +763,7 @@ func (bx *envBox) decode(b []byte, in *Interner) (int, error) {
 		return 0, err
 	}
 	if len(d.b) != 0 {
-		return 0, fmt.Errorf("wire: %d trailing bytes after %s payload", len(d.b), t)
+		return 0, fmt.Errorf("wire: %d trailing bytes after %s payload", len(d.b), e.Type)
 	}
 	if err := e.Validate(); err != nil {
 		return 0, err

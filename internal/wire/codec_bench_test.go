@@ -37,7 +37,7 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 		in := NewInterner()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			frame := AcquireFrame()
+			frame := acquireFrame()
 			buf, err := AppendEnvelope((*frame)[:0], env)
 			if err != nil {
 				b.Fatal(err)
@@ -48,7 +48,7 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			ReleaseEnvelope(dec)
-			ReleaseFrame(frame)
+			releaseFrame(frame)
 		}
 	})
 
@@ -63,7 +63,7 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 		in := NewInterner()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			frame := AcquireFrame()
+			frame := acquireFrame()
 			buf, err := AppendEnvelope((*frame)[:0], indexed)
 			if err != nil {
 				b.Fatal(err)
@@ -74,7 +74,7 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			ReleaseEnvelope(dec)
-			ReleaseFrame(frame)
+			releaseFrame(frame)
 		}
 	})
 
@@ -101,8 +101,8 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 func BenchmarkEnvelopeEncode(b *testing.B) {
 	env := benchHeartbeatEnvelope()
 	b.Run("binary", func(b *testing.B) {
-		frame := AcquireFrame()
-		defer ReleaseFrame(frame)
+		frame := acquireFrame()
+		defer releaseFrame(frame)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf, err := AppendEnvelope((*frame)[:0], env)

@@ -224,8 +224,8 @@ func (t *HTTP) serveWire(w http.ResponseWriter, r *http.Request, h Handler) {
 		http.Error(w, "wire: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	buf := AcquireFrame()
-	defer ReleaseFrame(buf)
+	buf := acquireFrame()
+	defer releaseFrame(buf)
 	if err := readBody(r.Body, buf); err != nil {
 		http.Error(w, "wire: read: "+err.Error(), http.StatusBadRequest)
 		return
@@ -251,10 +251,9 @@ func (t *HTTP) serveWire(w http.ResponseWriter, r *http.Request, h Handler) {
 		return
 	}
 	defer ReleaseEnvelope(reply)
-	out := AcquireFrame()
-	defer ReleaseFrame(out)
-	b, err := AppendEnvelope((*out)[:0], reply)
-	*out = b
+	// The body was read whole, and the request holds none of its bytes.
+	b, err := AppendEnvelope((*buf)[:0], reply)
+	*buf = b
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -300,8 +299,8 @@ func (t *HTTP) call(ctx context.Context, node string, env *Envelope) (*Envelope,
 
 	// Encode into a pooled frame and send it through a pooled reader:
 	// the encode side of a call performs no steady-state allocations.
-	frame := AcquireFrame()
-	defer ReleaseFrame(frame)
+	frame := acquireFrame()
+	defer releaseFrame(frame)
 	payload, err := AppendEnvelope((*frame)[:0], env)
 	*frame = payload
 	if err != nil {
@@ -324,8 +323,8 @@ func (t *HTTP) call(ctx context.Context, node string, env *Envelope) (*Envelope,
 		return nil, fmt.Errorf("wire: call %s: %w", node, err)
 	}
 	defer resp.Body.Close()
-	rbuf := AcquireFrame()
-	defer ReleaseFrame(rbuf)
+	rbuf := acquireFrame()
+	defer releaseFrame(rbuf)
 	if err := readBody(resp.Body, rbuf); err != nil {
 		// A context deadline can expire mid-body just as well as
 		// mid-connect: the caller asked for a bounded call, so both

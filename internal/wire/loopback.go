@@ -201,8 +201,9 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 	}
 
 	// No defer releases the frame: with this many returns it would be
-	// heap-allocated on every call.
-	buf := AcquireFrame()
+	// heap-allocated on every call. The reply is encoded into it, except
+	// a duplicate's first reply: the frame is read again.
+	buf := acquireFrame()
 	frame, err := AppendEnvelope((*buf)[:0], env)
 	*buf = frame
 	var reply *Envelope
@@ -212,12 +213,14 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 			// handler twice (a replayed packet). The first reply vanishes;
 			// the caller sees only the second — which an idempotent
 			// receiver answers from its applied cache without re-executing.
-			first, _ := l.deliver(h, frame)
+			scratch := acquireFrame()
+			first, _ := l.deliver(h, frame, scratch)
+			releaseFrame(scratch)
 			ReleaseEnvelope(first) // swallowed, like a reply lost in transit
 		}
-		reply, err = l.deliver(h, frame)
+		reply, err = l.deliver(h, frame, buf)
 	}
-	ReleaseFrame(buf)
+	releaseFrame(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -236,33 +239,34 @@ func (l *Loopback) call(ctx context.Context, node string, env *Envelope) (*Envel
 	return reply, nil
 }
 
-// deliver decodes one request frame and hands the copy to the handler,
-// as a socket's receiver would; the reply round-trips through a frame of
-// its own, so the caller receives a decoded reply it must
-// ReleaseEnvelope.
-func (l *Loopback) deliver(h Handler, frame []byte) (*Envelope, error) {
+// deliver decodes one request frame into a pooled box, hands it to the
+// handler as a socket's receiver would, and encodes the reply into out,
+// which may be the request's frame: a decoded request holds no byte of
+// it. Only then — a reply may point into its request, as over HTTP — is
+// the box reset and the reply decoded into it; the caller releases it.
+func (l *Loopback) deliver(h Handler, frame []byte, out *[]byte) (*Envelope, error) {
 	req, _, err := DecodeEnvelope(frame, l.intern)
 	if err != nil {
 		return nil, err
 	}
-	// The request is released only once the reply is encoded: a reply
-	// may point into it (an echoed payload), as over HTTP.
-	defer ReleaseEnvelope(req)
 	reply, err := h(req)
-	if err != nil || reply == nil {
+	if err == nil && reply != nil {
+		*out, err = AppendEnvelope((*out)[:0], reply)
+	}
+	if reply != req {
 		ReleaseEnvelope(reply)
+	}
+	if err != nil || reply == nil {
+		ReleaseEnvelope(req)
 		return nil, err
 	}
-	buf := AcquireFrame()
-	defer ReleaseFrame(buf)
-	b, err := AppendEnvelope((*buf)[:0], reply)
-	*buf = b
-	ReleaseEnvelope(reply)
-	if err != nil {
+	bx := req.box
+	bx.reset()
+	if _, err := bx.decode(*out, l.intern); err != nil {
+		ReleaseEnvelope(&bx.env)
 		return nil, err
 	}
-	out, _, err := DecodeEnvelope(b, l.intern)
-	return out, err
+	return &bx.env, nil
 }
 
 // Close implements Transport.
@@ -328,10 +332,12 @@ func (l *Loopback) DeliverHeld(node string) int {
 	if h == nil {
 		return 0
 	}
+	scratch := acquireFrame()
 	for _, frame := range frames {
-		reply, _ := l.deliver(h, frame) // stale traffic: replies and errors vanish
+		reply, _ := l.deliver(h, frame, scratch) // stale traffic: replies and errors vanish
 		ReleaseEnvelope(reply)
 	}
+	releaseFrame(scratch)
 	return len(frames)
 }
 

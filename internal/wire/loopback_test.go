@@ -228,3 +228,117 @@ func TestLoopbackClosed(t *testing.T) {
 		t.Errorf("Call after close: %v", err)
 	}
 }
+
+// TestLoopbackReplyInRequestBox: a round trip takes one frame and one
+// box — the reply is encoded into the request's frame and decoded into
+// the request's box — except where the fault model reads a frame again.
+// Whatever the faults, every delivery hands the handler the request as
+// sent, and every caller's reply equals a fresh decode of the frame of
+// what the handler answered, also when the reply points into the
+// request (the echoed probe) and when the box's last use was another
+// kind (heartbeat, index ack, bare ack, probe).
+func TestLoopbackReplyInRequestBox(t *testing.T) {
+	tr := NewLoopback()
+	defer tr.Close()
+	fresh := func(frame []byte) string {
+		t.Helper()
+		env, _, err := DecodeEnvelope(frame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ReleaseEnvelope(env)
+		return renderEnvelope(env)
+	}
+	encode := func(env *Envelope) []byte {
+		t.Helper()
+		frame, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	var seen []string // each delivered request, as the handler read it
+	var answer []byte // the frame of the handler's last reply
+	echo := echoHandler("a")
+	tr.Listen("a", func(env *Envelope) (*Envelope, error) { //nolint:errcheck
+		seen = append(seen, renderEnvelope(env))
+		var reply *Envelope
+		switch hb := env.Heartbeat; {
+		case hb != nil && hb.HostIndex == 0: // named: answered with numbers
+			reply = AcquireAckEnvelope("", "", ActionAck{OK: true, Session: 7, HostIndex: 1})
+			for i := range hb.Instances {
+				reply.Ack.Indices = append(reply.Ack.Indices, uint32(i+1))
+			}
+		case hb != nil:
+			reply = AckOKEnvelope()
+		default:
+			reply, _ = echo(env)
+		}
+		answer = encode(reply)
+		return reply, nil
+	})
+	ctx := context.Background()
+	// deliveries checks that the handler saw n copies of env, as sent.
+	deliveries := func(what string, env *Envelope, n int) {
+		t.Helper()
+		want := fresh(encode(env))
+		if len(seen) != n {
+			t.Fatalf("%s: handler ran %d times, want %d", what, len(seen), n)
+		}
+		for i, got := range seen {
+			if got != want {
+				t.Fatalf("%s: delivery %d read\n%s\nwant\n%s", what, i, got, want)
+			}
+		}
+		seen = seen[:0]
+	}
+	call := func(what string, env *Envelope, n int) {
+		t.Helper()
+		reply, err := tr.Call(ctx, "a", env)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		deliveries(what, env, n)
+		if got, want := renderEnvelope(reply), fresh(answer); got != want {
+			t.Fatalf("%s: caller read\n%s\nwant\n%s", what, got, want)
+		}
+		ReleaseEnvelope(reply)
+	}
+	probe := func(minute int) *Envelope {
+		return ProbeEnvelope("c", "a", Probe{Host: "a", Minute: minute})
+	}
+	samples := []InstanceSample{{ID: "i1", Service: "s", Load: 0.25}, {ID: "i2", Service: "s", Load: 0.5}}
+	named := HeartbeatEnvelope("h", "a", Heartbeat{Host: "h", Minute: 3, CPU: 0.5, Instances: samples})
+	indexed := HeartbeatEnvelope("h", "a", Heartbeat{Minute: 4, CPU: 0.5, Session: 7, HostIndex: 1,
+		Instances: []InstanceSample{{Index: 1, Load: 0.25}, {Index: 2, Load: 0.5}}})
+
+	// A duplicated delivery reads the request frame twice: the first
+	// reply must not land in it.
+	tr.DuplicateNext("a", 1)
+	call("duplicated probe", probe(9), 2)
+
+	// Held frames land later, each answered into scratch.
+	tr.HoldNext("a", 2)
+	for _, m := range []int{10, 11} {
+		if _, err := tr.Call(ctx, "a", probe(m)); err != ErrTimeout {
+			t.Fatalf("held probe %d: err = %v, want ErrTimeout", m, err)
+		}
+	}
+	if n := tr.DeliverHeld("a"); n != 2 {
+		t.Fatalf("DeliverHeld delivered %d, want 2", n)
+	}
+	if len(seen) != 2 || seen[0] != fresh(encode(probe(10))) || seen[1] != fresh(encode(probe(11))) {
+		t.Fatalf("held probes read %q", seen)
+	}
+	seen = seen[:0]
+
+	// The steady sequence, twice over the same pooled boxes.
+	for round := 0; round < 2; round++ {
+		call("named heartbeat", named, 1)
+		call("indexed heartbeat", indexed, 1)
+		call("probe", probe(12), 1)
+		call("action", ActionEnvelope("c", "a", ActionRequest{Key: "k", Op: OpStart, Host: "a"}), 1)
+		tr.DuplicateNext("a", 1)
+		call("duplicated indexed heartbeat", indexed, 2)
+	}
+}

@@ -7,7 +7,8 @@ import (
 
 // Handler processes one incoming envelope and returns the reply
 // envelope. Transports invoke it synchronously per delivered message;
-// implementations must be safe for concurrent use.
+// implementations must be safe for concurrent use. A handler neither
+// keeps nor releases its request; the reply may point into it.
 type Handler func(*Envelope) (*Envelope, error)
 
 // Transport moves envelopes between named nodes. Implementations:

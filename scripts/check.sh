@@ -9,9 +9,10 @@
 # race-free — the *ZeroAlloc guards and the root package's surface
 # ratchet skip themselves under -race, so the second pass is the one in
 # which they assert, and the allocation guards — the simulator's exact
-# window count, the agent's two zero-alloc minutes, the tsdb's
-# zero-alloc append path and its seal burst that allocates the same at
-# 400 and 4,000 entities — run twenty more times each, so a flaky count
+# window count, the agent's zero-alloc heartbeat round trip and minute
+# and its dispatch path's exact count, the tsdb's zero-alloc append path
+# and its seal burst that allocates the same at 400 and 4,000
+# entities — run twenty more times each, so a flaky count
 # fails the gate; the ratchet fails when a line joins SURFACE.txt: an
 # exported name in internal/ without a non-test caller outside its
 # package, an unexported function no non-test code calls, or an
@@ -121,12 +122,13 @@ echo "== go test ./...   (race-free: the zero-alloc guards assert here)"
 go test ./...
 
 # An allocation guard that passes most of the time is not a guard: the
-# exact window count, the two zero-alloc minutes, the tsdb's zero-alloc
-# append path and its bounded seal burst must read the same twenty times
-# in one process. About 6 s.
+# exact window count, the zero-alloc heartbeat round trip and minute,
+# the dispatch path's exact count, the tsdb's zero-alloc append path and
+# its bounded seal burst must read the same twenty times in one process.
+# About 6 s.
 echo "== go test -count=20: the allocation guards"
 go test -count=20 -run '^TestSimulatorStepAllocs$' ./internal/simulator
-go test -count=20 -run '^(TestMinuteZeroAlloc|TestDispatchPathZeroAlloc)$' ./internal/agent
+go test -count=20 -run '^(TestHeartbeatPathZeroAlloc|TestMinuteZeroAlloc|TestDispatchPathZeroAlloc)$' ./internal/agent
 go test -count=20 -run '^(TestSealBurstBounded|TestTSDBAppendPathZeroAlloc)$' ./internal/tsdb
 
 # The sweep runs its points on GOMAXPROCS workers and assembles them in
