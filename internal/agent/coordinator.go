@@ -2,7 +2,6 @@ package agent
 
 import (
 	"cmp"
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -25,8 +24,9 @@ import (
 // the transport as the coordinator node, ingests agent heartbeats into
 // the load monitoring system (the advisors and watchTime state machines
 // are untouched — a heartbeat is simply a load monitor's report arriving
-// over the network), tracks host liveness with hysteresis, and queues
-// the triggers the monitor confirms for the control loop to collect.
+// over the network), tracks host liveness with hysteresis in the host
+// slots (see CheckLiveness), and queues the triggers the monitor
+// confirms for the control loop to collect.
 //
 // A heartbeat is buffered in its host's slot under one ingest lock: a
 // load monitor reports once a minute, so ingest is one short critical
@@ -61,7 +61,6 @@ type Coordinator struct {
 	dep  *service.Deployment
 	lms  *monitor.System
 	tr   wire.Transport
-	live *monitor.Liveness
 
 	// OnHello, when set, is invoked for every hello message (an agent
 	// joining the landscape); its error is returned to the agent.
@@ -71,11 +70,15 @@ type Coordinator struct {
 
 	// ingestMu guards the session dictionary and every piece of ingest
 	// state: the host slots' pending and parked beats, stale-replay
-	// watermarks and Follows records, the counters, the queued list and
-	// the freelist. It is taken after mu, never before.
+	// watermarks, Follows records and failure-detector state, the
+	// counters, the queued list and the freelist. It is taken after mu,
+	// never before.
 	ingestMu   sync.Mutex
 	heartbeats int
 	maxMinute  int // newest minute a beat was ingested for
+	// deaths and recoveries count the failure detector's transitions;
+	// nil until Liveness().Instrument.
+	deaths, recoveries *obs.Counter
 	// queued lists the slots that took a pending beat since the last
 	// merge (one that Forget emptied stays listed, and may be listed
 	// twice); free recycles merged beats.
@@ -89,10 +92,12 @@ type Coordinator struct {
 	// The session dictionary: what this incarnation (session, a non-zero
 	// nonce) lets a reporter say by number. hostTab and instTab are
 	// append-only — index i is entry i-1, for good — up to dictCap; hosts
-	// holds every name ever seen.
+	// holds every name ever seen, and slots the same slots in creation
+	// order, for the failure detector's walks.
 	session uint64
 	dictCap int
 	hosts   map[string]*hostSlot
+	slots   []*hostSlot
 	hostTab []*hostSlot
 	instTab []instName
 	instIdx map[instName]uint32
@@ -160,26 +165,24 @@ type watchReg struct {
 // must not grow without bound. Twice the 100,700-host round's ~265k.
 const maxSessionNames = 1 << 19
 
-// probeTimeout bounds one liveness probe.
-const probeTimeout = time.Second
-
 // instName is one instance entry of the session dictionary.
 type instName struct{ id, service string }
 
 // hostSlot is everything the coordinator holds for one host name: the
 // dictionary entry an indexed frame addresses, the ingest slot its beats
-// wait in (guarded by Coordinator.ingestMu) and the merge's resolved
-// state (guarded by Coordinator.mu).
+// wait in and its failure-detector state (guarded by
+// Coordinator.ingestMu), and the merge's resolved state (guarded by
+// Coordinator.mu).
 type hostSlot struct {
 	name  string
 	index uint32 // session-dictionary number; 0: the dictionary was full
 
-	pending   *hostBeat              // the newest buffered beat, nil between merges
-	parked    []*hostBeat            // older buffered minutes, ascending, at most reporterBufferCap
-	lastMin   int                    // newest minute observed at (stale-replay guard); math.MinInt: none
-	beatMin   int                    // newest minute a beat was ingested for (Follows); math.MinInt: none
-	beatEpoch uint64                 // the epoch that beat was stamped with
-	live      monitor.LivenessHandle // the host's liveness state, resolved by its first beat
+	pending   *hostBeat   // the newest buffered beat, nil between merges
+	parked    []*hostBeat // older buffered minutes, ascending, at most reporterBufferCap
+	lastMin   int         // newest minute observed at (stale-replay guard); math.MinInt: none
+	beatMin   int         // newest minute a beat was ingested for (Follows); math.MinInt: none
+	beatEpoch uint64      // the epoch that beat was stamped with
+	liveState
 
 	watchReg
 	pos   int         // 1-based cluster position; 0: not in the cluster
@@ -217,24 +220,19 @@ func (c *Coordinator) takeBeatLocked() *hostBeat {
 
 // NewCoordinator starts a coordinator over the deployment and load
 // monitoring system, listening on the transport under node (empty:
-// CoordinatorNode). The liveness detector may be shared with the
-// caller; nil builds a fresh one.
-func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, tr wire.Transport, live *monitor.Liveness) (*Coordinator, error) {
+// CoordinatorNode).
+func NewCoordinator(node string, dep *service.Deployment, lms *monitor.System, tr wire.Transport) (*Coordinator, error) {
 	if node == "" {
 		node = CoordinatorNode
 	}
 	if dep == nil || lms == nil || tr == nil {
 		return nil, fmt.Errorf("agent: coordinator needs deployment, monitor system and transport")
 	}
-	if live == nil {
-		live = monitor.NewLiveness()
-	}
 	c := &Coordinator{
 		node:     node,
 		dep:      dep,
 		lms:      lms,
 		tr:       tr,
-		live:     live,
 		dictCap:  maxSessionNames,
 		hosts:    make(map[string]*hostSlot),
 		instIdx:  make(map[instName]uint32),
@@ -290,7 +288,7 @@ func (c *Coordinator) Instrument(r *obs.Registry) {
 
 // AttachJournal makes liveness transitions durable: every host death
 // and recovery CheckLiveness confirms is journaled, so a restarted
-// coordinator keeps demoted hosts demoted (see Liveness.MarkDead). A
+// coordinator keeps demoted hosts demoted (see liveness.MarkDead). A
 // nil journal detaches.
 func (c *Coordinator) AttachJournal(cj *CoordinatorJournal) {
 	c.mu.Lock()
@@ -319,9 +317,6 @@ func (c *Coordinator) SetLeaseHook(hook func(wire.Lease) wire.Lease) {
 
 // Node returns the coordinator's transport node name.
 func (c *Coordinator) Node() string { return c.node }
-
-// Liveness exposes the host liveness detector.
-func (c *Coordinator) Liveness() *monitor.Liveness { return c.live }
 
 // Heartbeats returns how many heartbeats have been ingested.
 func (c *Coordinator) Heartbeats() int {
@@ -416,6 +411,7 @@ func (c *Coordinator) slotLocked(host string) *hostSlot {
 			hs.index = uint32(len(c.hostTab))
 		}
 		c.hosts[host] = hs
+		c.slots = append(c.slots, hs)
 	}
 	return hs
 }
@@ -534,7 +530,7 @@ func (c *Coordinator) ingestLocked(hs *hostSlot, hb *wire.Heartbeat, epoch uint6
 	// Liveness is eager — a beat is proof of life the moment it
 	// arrives, independent of the minute-boundary merge. Everything
 	// monitor-facing waits for the merge.
-	c.live.BeatHandle(&hs.live, hs.name, hb.Minute)
+	c.beatLocked(hs, hb.Minute)
 
 	if hb.Minute >= hs.beatMin {
 		hs.beatMin, hs.beatEpoch = hb.Minute, epoch
@@ -891,48 +887,6 @@ func (c *Coordinator) RecycleTriggers(ptrs []*monitor.Trigger) {
 	}
 }
 
-// CheckLiveness probes the hosts that stayed silent this minute — and
-// the hosts already considered dead, so a healed partition is noticed —
-// and returns the hosts newly confirmed dead (after two consecutive
-// misses, probes included) and those newly recovered (after two
-// consecutive answered probes). A probe answer counts as a
-// beat: a host whose heartbeats are lost but which still answers probes
-// is degraded, not dead.
-func (c *Coordinator) CheckLiveness(ctx context.Context, minute int) (dead, recovered []string) {
-	for _, host := range c.live.Probes(minute) {
-		probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
-		reply, err := c.tr.Call(probeCtx, host,
-			wire.ProbeEnvelope(c.node, host, wire.Probe{Host: host, Minute: minute}))
-		cancel()
-		if err == nil && reply != nil && reply.Type == wire.TypeProbeAck {
-			c.live.Beat(host, minute)
-		}
-		wire.ReleaseEnvelope(reply)
-	}
-	dead, recovered = c.live.Sweep(minute)
-	c.mu.Lock()
-	cj := c.journal
-	c.mu.Unlock()
-	if cj != nil {
-		// Liveness transitions are journaled AFTER detection but before
-		// the caller acts on them: a crash between the two leaves a
-		// journaled death whose demotion never ran — recovery re-reports
-		// it via DownHosts and the demotion is re-planned (demoting an
-		// already-demoted host is a no-op at the model layer).
-		for _, h := range dead {
-			if err := cj.LogLiveness(h, true, minute); err != nil && c.noteErr(err) {
-				break
-			}
-		}
-		for _, h := range recovered {
-			if err := cj.LogLiveness(h, false, minute); err != nil && c.noteErr(err) {
-				break
-			}
-		}
-	}
-	return dead, recovered
-}
-
 // noteErr records the first ingestion-path error for Err and reports
 // whether an error was present.
 func (c *Coordinator) noteErr(err error) bool {
@@ -947,10 +901,11 @@ func (c *Coordinator) noteErr(err error) bool {
 // Forget clears a demoted host's monitor registration — dropping the
 // slot's cached watch handle with it — and discards every beat still
 // buffered for it, parked minutes included (the host is dead; its last
-// report must not resurface at the next merge). The liveness detector keeps
-// tracking it: a healed partition is then reported by Sweep after
-// the hysteresis streak, and the host's heartbeats re-register it. Its
-// record of the last beat is dropped too: it must earn Follows again.
+// report must not resurface at the next merge). The failure detector
+// keeps tracking it: a healed partition is then reported by
+// CheckLiveness after the hysteresis streak, and the host's heartbeats
+// re-register it. Its record of the last beat is dropped too: it must
+// earn Follows again.
 func (c *Coordinator) Forget(host string) {
 	c.ingestMu.Lock()
 	hs := c.slotLocked(host)
@@ -970,12 +925,12 @@ func (c *Coordinator) Forget(host string) {
 
 // Release fully removes a host (orderly pool removal): monitor
 // registration, buffered beats, the stale-replay watermark and
-// liveness tracking all end, so the host is neither probed nor ever
-// reported dead or recovered.
+// liveness tracking all end, so the host is neither probed nor
+// reported dead or recovered until a beat starts tracking it afresh.
 func (c *Coordinator) Release(host string) {
 	c.Forget(host)
 	c.ingestMu.Lock()
-	c.slotLocked(host).lastMin = math.MinInt
+	hs := c.slotLocked(host)
+	hs.lastMin, hs.liveState = math.MinInt, liveState{}
 	c.ingestMu.Unlock()
-	c.live.Forget(host)
 }

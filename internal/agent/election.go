@@ -49,11 +49,12 @@ type ElectionConfig struct {
 // deadlock. Tick never holds any member lock across a transport call.
 type electionMember struct {
 	node string
-	// coord is the member's coordinator over the SHARED deployment,
-	// monitor system and liveness detector: the monitor state a leader
-	// accumulates is the state its successor continues from, modelling
-	// standbys that track the leader's observations. The group's journal
-	// (dispatch state) is the part a takeover recovers by reopening it.
+	// coord is the member's coordinator over the SHARED deployment and
+	// monitor system: the monitor state a leader accumulates is the state
+	// its successor continues from, modelling standbys that track the
+	// leader's observations. The failure detector is handed over at the
+	// takeover (see takeoverLocked), and the group's journal (dispatch
+	// state) is the part a takeover recovers by reopening it.
 	coord *Coordinator
 
 	mu      sync.Mutex
@@ -127,7 +128,7 @@ func (p *Plane) AttachStandbys(n int, cfg ElectionConfig) (*Election, error) {
 	e.members = append(e.members, lead)
 	for i := 1; i <= n; i++ {
 		node := fmt.Sprintf("%s-standby-%d", p.coord.Node(), i)
-		coord, err := NewCoordinator(node, p.dep, p.lms, p.tr, p.coord.Liveness())
+		coord, err := NewCoordinator(node, p.dep, p.lms, p.tr)
 		if err != nil {
 			return nil, err
 		}
@@ -330,8 +331,10 @@ func (e *Election) beaconLocked(ctx context.Context, m *electionMember, minute i
 // failed reopen returns before anything is rewired — the plane is
 // rewired to m's coordinator, its floor read from the shared archive so
 // a drained agent backlog cannot double-observe a minute already in the
-// monitor, and adoptJournal recovers: journaled dead hosts and the
-// unacked dispatches re-issued through the agents' idempotency caches.
+// monitor, the predecessor's failure detector copied into m's host
+// slots, and adoptJournal recovers: journaled dead hosts re-marked over
+// that copy and the unacked dispatches re-issued through the agents'
+// idempotency caches.
 // m then announces itself so agents redirect before this minute's
 // reports. Callers hold e.mu.
 func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute int) error {
@@ -339,6 +342,7 @@ func (e *Election) takeoverLocked(ctx context.Context, m *electionMember, minute
 	if err != nil {
 		return fmt.Errorf("agent: takeover by %s: %w", m.node, err)
 	}
+	m.coord.adoptLiveness(e.p.coord)
 	e.p.coord = m.coord
 	m.coord.resetFloor()
 	if _, _, err := e.p.adoptJournal(ctx, cj); err != nil {

@@ -364,7 +364,7 @@ func TestElectionStaleStampBeaconed(t *testing.T) {
 func TestFollowsKeepsNewestBeat(t *testing.T) {
 	tr := wire.NewLoopback()
 	t.Cleanup(func() { tr.Close() })
-	coord, err := NewCoordinator(CoordinatorNode, testDeployment(t), sessionSystem(t), tr, nil)
+	coord, err := NewCoordinator(CoordinatorNode, testDeployment(t), sessionSystem(t), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

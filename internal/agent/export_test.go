@@ -55,3 +55,13 @@ func (r memberRole) String() string {
 		return "standby"
 	}
 }
+
+// probeNames returns the hosts CheckLiveness would probe at minute, in
+// probe order.
+func (c *Coordinator) probeNames(minute int) []string {
+	var names []string
+	for _, hs := range c.probes(minute) {
+		names = append(names, hs.name)
+	}
+	return names
+}

@@ -22,7 +22,7 @@ func overloadCoordinator(t *testing.T) *Coordinator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback(), nil)
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStaleBeatDoesNotReviveDeadHost(t *testing.T) {
 	}
 	beat(1)
 	beat(1)
-	if _, rec := coord.Liveness().Sweep(6); len(rec) != 0 {
+	if _, rec := coord.sweep(6); len(rec) != 0 {
 		t.Fatalf("replayed minute-1 beats recovered %v", rec)
 	}
 	beat(7)

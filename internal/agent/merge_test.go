@@ -43,7 +43,7 @@ func mergeCoordinator(t *testing.T, nHosts, overloadWatch int, services ...strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback(), nil)
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func minuteCloseZeroAlloc(t *testing.T, span int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback(), nil)
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestCloseQueuesConfirmedTriggers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback(), nil)
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, wire.NewLoopback())
 	if err != nil {
 		t.Fatal(err)
 	}

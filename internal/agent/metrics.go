@@ -86,6 +86,10 @@ const (
 	// to="member" (every live member, every minute) and to="agent" (only
 	// agents whose last beat did not prove they follow the sender).
 	MetricElectionBeacons = "autoglobe_election_beacons_total"
+	// MetricLiveness counts host liveness transitions: dead (a host
+	// completed its consecutive missed probes) and recovered (a dead host
+	// completed its beat streak).
+	MetricLiveness = "autoglobe_liveness_transitions_total"
 )
 
 // dispatchMetrics pre-resolves the dispatcher's series. Nil-safe.

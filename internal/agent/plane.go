@@ -71,7 +71,7 @@ func newCoordinatorPlane(cfg PlaneConfig, dep *service.Deployment, lms *monitor.
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("agent: plane needs a transport")
 	}
-	coord, err := NewCoordinator(CoordinatorNode, dep, lms, cfg.Transport, nil)
+	coord, err := NewCoordinator(CoordinatorNode, dep, lms, cfg.Transport)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func FuzzCoordinatorReceive(f *testing.F) {
 	}
 	tr := wire.NewLoopback()
 	f.Cleanup(func() { tr.Close() })
-	c, err := NewCoordinator(CoordinatorNode, dep, lms, tr, nil)
+	c, err := NewCoordinator(CoordinatorNode, dep, lms, tr)
 	if err != nil {
 		f.Fatal(err)
 	}

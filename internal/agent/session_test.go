@@ -174,7 +174,7 @@ func TestSessionResyncOnRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	lms := sessionSystem(t)
-	next, err := NewCoordinator(CoordinatorNode, dep, lms, spy, nil)
+	next, err := NewCoordinator(CoordinatorNode, dep, lms, spy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRestartedAgentCatchesUp(t *testing.T) {
 	if n := coord.Heartbeats(); n != 30 {
 		t.Fatalf("%d heartbeats counted, want 30", n)
 	}
-	if live := coord.Liveness(); !live.Tracking("h1") || slices.Contains(live.Probes(529), "h1") {
+	if live := coord.Liveness(); !live.Tracking("h1") || slices.Contains(coord.probeNames(529), "h1") {
 		t.Fatal("h1 is not alive and heard from at minute 529")
 	}
 }
@@ -334,7 +334,7 @@ func TestSessionStaleIndexedFrameIsDroppedWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	lms := sessionSystem(t)
-	next, err := NewCoordinator(CoordinatorNode, reorderedDeployment(t), lms, spy, nil)
+	next, err := NewCoordinator(CoordinatorNode, reorderedDeployment(t), lms, spy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +684,7 @@ func TestSessionConcurrentReporters(t *testing.T) {
 	)
 	lb := wire.NewLoopback()
 	t.Cleanup(func() { lb.Close() })
-	coord, err := NewCoordinator(CoordinatorNode, testDeployment(t), sessionSystem(t), lb, nil)
+	coord, err := NewCoordinator(CoordinatorNode, testDeployment(t), sessionSystem(t), lb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -838,7 +838,7 @@ func TestSessionRefusesNonFiniteLoads(t *testing.T) {
 	if err := coord.ObserveServices(11); err != nil {
 		t.Fatal(err)
 	}
-	if coord.Heartbeats() != 1 || !slices.Contains(coord.Liveness().Probes(11), "ghost") {
+	if coord.Heartbeats() != 1 || !slices.Contains(coord.probeNames(11), "ghost") {
 		t.Fatalf("refused indexed frames ingested (%d heartbeats) or marked ghost alive", coord.Heartbeats())
 	}
 	for _, key := range []string{archive.HostEntity("ghost"), archive.InstanceEntity("ghost-i")} {

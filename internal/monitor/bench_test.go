@@ -1,9 +1,6 @@
 package monitor
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkObserve times one sample through ObserveWatch on a calm host
 // (no watch ever opens), on a host at 0.9 that confirms an overload
@@ -35,27 +32,5 @@ func BenchmarkObserve(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkLivenessMinute times one control-plane minute of the liveness
-// detector at fleet scale: 1,007 hosts beat through their cached
-// handles, then the minute's probe list and verdicts are taken.
-func BenchmarkLivenessMinute(b *testing.B) {
-	const hosts = 1007
-	l := NewLiveness()
-	names := make([]string, hosts)
-	handles := make([]LivenessHandle, hosts)
-	for i := range names {
-		names[i] = fmt.Sprintf("host-%04d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for m := 0; m < b.N; m++ {
-		for i := range handles {
-			l.BeatHandle(&handles[i], names[i], m)
-		}
-		l.Probes(m)
-		l.Sweep(m)
 	}
 }

@@ -9,10 +9,6 @@ const (
 	// average stayed past the threshold for the watch time — a trigger),
 	// expired (the average receded; a short peak was filtered out).
 	MetricWatches = "autoglobe_monitor_watches_total"
-	// MetricLiveness counts liveness transitions: dead (an entity
-	// completed its consecutive missed probes) and recovered (a dead
-	// entity completed its beat streak).
-	MetricLiveness = "autoglobe_liveness_transitions_total"
 )
 
 // monitorMetrics pre-resolves the System's series. Nil-safe.
@@ -57,29 +53,4 @@ func (m *monitorMetrics) expire() {
 // registry leaves the system uninstrumented.
 func (s *System) Instrument(r *obs.Registry) {
 	s.metrics = newMonitorMetrics(r)
-}
-
-// livenessMetrics pre-resolves the Liveness detector's series. Nil-safe.
-type livenessMetrics struct {
-	dead      *obs.Counter
-	recovered *obs.Counter
-}
-
-func newLivenessMetrics(r *obs.Registry) *livenessMetrics {
-	if r == nil {
-		return nil
-	}
-	r.Help(MetricLiveness, "Liveness transitions, by direction.")
-	return &livenessMetrics{
-		dead:      r.Counter(MetricLiveness, "transition", "dead"),
-		recovered: r.Counter(MetricLiveness, "transition", "recovered"),
-	}
-}
-
-// Instrument attaches an obs registry to the liveness detector: death
-// and recovery transitions are counted. A nil registry is a no-op.
-func (l *Liveness) Instrument(r *obs.Registry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.metrics = newLivenessMetrics(r)
 }

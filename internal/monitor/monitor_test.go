@@ -357,3 +357,50 @@ func TestTriggerString(t *testing.T) {
 		t.Error("empty trigger string")
 	}
 }
+
+// TestMonitorWatchMetrics counts observed / expired / confirmed watches
+// through the System state machine.
+func TestMonitorWatchMetrics(t *testing.T) {
+	r := obs.NewRegistry()
+	s, err := NewSystem(Params{
+		OverloadThreshold: 0.7, OverloadWatch: 2,
+		IdleThresholdBase: 0.125, IdleWatch: 2,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Instrument(r)
+	s.Register("h1", Server, 1)
+
+	// Short peak: watch opens at minute 0, recedes by minute 2 → expired.
+	feed := func(minute int, cpu float64) *Trigger {
+		t.Helper()
+		tr, err := s.Observe("h1", minute, cpu, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	feed(0, 0.9)
+	feed(1, 0.2)
+	if tr := feed(2, 0.2); tr != nil {
+		t.Fatalf("short peak confirmed: %+v", tr)
+	}
+	// Sustained overload: watch opens at minute 3, confirms at minute 5.
+	feed(3, 0.9)
+	feed(4, 0.9)
+	if tr := feed(5, 0.9); tr == nil || tr.Kind != ServerOverloaded {
+		t.Fatalf("sustained overload not confirmed: %+v", tr)
+	}
+
+	snap := r.Snapshot()
+	for key, want := range map[string]float64{
+		`autoglobe_monitor_watches_total{phase="observed"}`:  2,
+		`autoglobe_monitor_watches_total{phase="expired"}`:   1,
+		`autoglobe_monitor_watches_total{phase="confirmed"}`: 1,
+	} {
+		if snap[key] != want {
+			t.Errorf("snapshot[%s] = %v, want %v", key, snap[key], want)
+		}
+	}
+}

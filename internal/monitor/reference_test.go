@@ -2,21 +2,18 @@ package monitor
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"autoglobe/internal/obs"
 )
 
-// This file holds the two reference machines the production monitor is
+// This file holds the reference machine the production monitor is
 // checked against: the watch state machine written out once for CPU and
-// once for memory, and the liveness detector answering a minute through
-// four separate calls (Silent, Down, Dead, Recovered). Both fuzz
-// targets drive the reference and the production code with one schedule
-// and demand equal answers after every step.
+// once for memory. The fuzz target drives the reference and the
+// production code with one schedule and demands equal answers after
+// every step. (The liveness detector's reference is in liveness_test.go.)
 
 // refWatcher is one entity's watch state, CPU and memory side by side.
 type refWatcher struct {
@@ -274,239 +271,6 @@ func FuzzWatchMatchesReference(f *testing.F) {
 			}
 			if a, b := s.metrics.counts(), ref.metrics.counts(); a != b {
 				t.Fatalf("step %d minute %d: watch counters %v, reference %v", step, minute, a, b)
-			}
-		}
-	})
-}
-
-// refLiveness is the reference liveness detector: one minute is
-// answered by Silent and Down (the probe list), the answered probes'
-// beats, then Dead and Recovered.
-type refLiveness struct {
-	state   map[string]*refLivenessState
-	metrics *livenessMetrics
-}
-
-type refLivenessState struct {
-	last      int
-	misses    int
-	missedAt  int
-	dead      bool
-	successes int
-	recovered bool
-	gone      bool
-}
-
-type refLivenessHandle struct{ st *refLivenessState }
-
-func newRefLiveness(r *obs.Registry) *refLiveness {
-	return &refLiveness{state: make(map[string]*refLivenessState), metrics: newLivenessMetrics(r)}
-}
-
-func (l *refLiveness) Beat(entity string, minute int) {
-	l.BeatHandle(new(refLivenessHandle), entity, minute)
-}
-
-func (l *refLiveness) BeatHandle(h *refLivenessHandle, entity string, minute int) {
-	if h.st == nil || h.st.gone {
-		if h.st = l.state[entity]; h.st == nil {
-			h.st = &refLivenessState{last: minute, missedAt: -1}
-			l.state[entity] = h.st
-			return
-		}
-	}
-	st := h.st
-	if st.dead && minute <= st.missedAt {
-		return
-	}
-	if minute > st.last {
-		st.last = minute
-	}
-	if st.dead {
-		st.successes++
-		if st.successes >= aliveAfter {
-			st.dead = false
-			st.misses = 0
-			st.successes = 0
-			st.missedAt = -1
-			st.recovered = true
-			if l.metrics != nil {
-				l.metrics.recovered.Inc()
-			}
-		}
-		return
-	}
-	st.misses = 0
-}
-
-func (l *refLiveness) MarkDead(entity string, minute int) {
-	st, ok := l.state[entity]
-	if !ok {
-		st = &refLivenessState{}
-		l.state[entity] = st
-	}
-	st.last = minute
-	st.misses = deadAfter
-	st.missedAt = minute
-	st.dead = true
-	st.successes = 0
-	st.recovered = false
-}
-
-func (l *refLiveness) Forget(entity string) {
-	if st := l.state[entity]; st != nil {
-		st.gone = true
-		delete(l.state, entity)
-	}
-}
-
-func (l *refLiveness) Tracking(entity string) bool {
-	st, ok := l.state[entity]
-	return ok && !st.dead
-}
-
-func (l *refLiveness) Silent(minute int) []string {
-	var out []string
-	for e, st := range l.state {
-		if !st.dead && minute-st.last > timeout {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (l *refLiveness) Down() []string {
-	var out []string
-	for e, st := range l.state {
-		if st.dead {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (l *refLiveness) Dead(minute int) []string {
-	var out []string
-	for e, st := range l.state {
-		if st.dead {
-			if minute-st.last > timeout {
-				st.successes = 0
-			}
-			continue
-		}
-		if minute-st.last <= timeout {
-			continue
-		}
-		if st.missedAt != minute {
-			st.misses++
-			st.missedAt = minute
-		}
-		if st.misses >= deadAfter {
-			st.dead = true
-			st.successes = 0
-			st.recovered = false
-			if l.metrics != nil {
-				l.metrics.dead.Inc()
-			}
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (l *refLiveness) Recovered() []string {
-	var out []string
-	for e, st := range l.state {
-		if st.recovered {
-			st.recovered = false
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FuzzLivenessMatchesReference runs one random schedule against the
-// detector and the reference: beats by name and through cached handles
-// (replays at or before a death minute included), MarkDead, Forget,
-// minutes skipped as in a leaderless window, and minutes swept once or
-// twice. A sweep runs in production order — the probe list, a beat for
-// each answered probe, then the verdicts — and the probe list, the
-// dead and recovered lists, Down, Tracking and both transition counters
-// must agree after every step.
-func FuzzLivenessMatchesReference(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 5, 0, 5, 0, 5, 0, 5, 0, 0, 0, 5, 255, 5, 255})
-	f.Add([]byte{3, 1, 5, 0, 5, 0, 6, 0, 5, 0, 0, 33, 0, 33, 5, 255, 5, 255, 2, 1, 5, 7})
-	f.Add([]byte{0, 2, 1, 2, 5, 0, 7, 0, 5, 0, 4, 2, 5, 0, 5, 0, 1, 2, 1, 18, 5, 255, 5, 255})
-	// Minute 3 swept twice: one miss, not the two that kill.
-	f.Add([]byte{0, 0, 5, 0, 5, 0, 5, 0, 7, 0, 7, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const entities = 5
-		in := fuzzBytes(data)
-		r, rr := obs.NewRegistry(), obs.NewRegistry()
-		l := NewLiveness()
-		l.Instrument(r)
-		ref := newRefLiveness(rr)
-		var handles [entities]LivenessHandle
-		var refHandles [entities]refLivenessHandle
-		names := [entities]string{"h0", "h1", "h2", "h3", "h4"}
-		minute := 0
-		for step := 0; len(in) > 0 && step < 512; step++ {
-			op, arg := in.byte(), in.byte()
-			e := int(arg) % entities
-			var got, want string
-			switch op % 8 {
-			case 0:
-				// A fresh beat, or a replay up to three minutes old.
-				m := minute - int(arg>>4)%4
-				l.Beat(names[e], m)
-				ref.Beat(names[e], m)
-			case 1:
-				m := minute - int(arg>>4)%4
-				l.BeatHandle(&handles[e], names[e], m)
-				ref.BeatHandle(&refHandles[e], names[e], m)
-			case 2:
-				l.MarkDead(names[e], minute)
-				ref.MarkDead(names[e], minute)
-			case 3:
-				l.Forget(names[e])
-				ref.Forget(names[e])
-			case 4:
-				// A leaderless window: minutes pass and nobody sweeps.
-				minute += 1 + int(arg)%4
-			case 5, 6, 7:
-				if op%8 != 7 {
-					minute++ // 7 sweeps the same minute again
-				}
-				// Bit i of arg answers the i-th probe.
-				probes := l.Probes(minute)
-				for i, host := range probes {
-					if arg>>(i%8)&1 == 1 {
-						l.Beat(host, minute)
-					}
-				}
-				dead, recovered := l.Sweep(minute)
-				got = fmt.Sprint(probes, dead, recovered)
-
-				refProbes := append(ref.Silent(minute), ref.Down()...)
-				for i, host := range refProbes {
-					if arg>>(i%8)&1 == 1 {
-						ref.Beat(host, minute)
-					}
-				}
-				want = fmt.Sprint(refProbes, ref.Dead(minute), ref.Recovered())
-			}
-			got += fmt.Sprint(l.Down(), l.metrics.dead.Value(), l.metrics.recovered.Value())
-			want += fmt.Sprint(ref.Down(), ref.metrics.dead.Value(), ref.metrics.recovered.Value())
-			for _, n := range names {
-				got += fmt.Sprint(l.Tracking(n))
-				want += fmt.Sprint(ref.Tracking(n))
-			}
-			if got != want {
-				t.Fatalf("step %d op %d minute %d:\n got  %s\n want %s", step, op%8, minute, got, want)
 			}
 		}
 	})

@@ -19,10 +19,12 @@
 # exported field nobody sets or reads), the daemon test
 # that restarts an agent over real HTTP ten more times on one CPU, the
 # ingest and dispatch concurrency tests — the session dictionary, the
-# single ingest lock that guards it with every pending beat, and
-# journaled dispatch — and the liveness handles beaten concurrently
-# (TestLivenessHandleConcurrentBeats) ten more times under the race
-# detector, the Table 7 golden file (the exact text of
+# single ingest lock that guards it with every pending beat and every
+# host's failure-detector state, and journaled dispatch — and the
+# coordinator's Handle beaten concurrently while the minute checks
+# liveness (TestLivenessHandleConcurrentBeats, in internal/monitor's
+# external test package) ten more times under the race detector, the
+# Table 7 golden file (the exact text of
 # `autoglobe-sim -table7 -seeds 3`) once more on one CPU, so the
 # parallel sweep is shown to assemble the bytes a single worker does,
 # ten seconds each of real fuzzing of the wire frame decoder, of the
@@ -38,8 +40,8 @@
 # (FuzzDeploymentSnapshots), of the simulator's host, service and
 # instance slots against the landscape read afresh (FuzzSimulatorSlots),
 # of the monitor's watch machine against its CPU-and-memory reference
-# (FuzzWatchMatchesReference), of the liveness detector's probe list
-# and sweep against its four-call reference
+# (FuzzWatchMatchesReference), of the coordinator's liveness check (the
+# hosts it probes and its verdicts) against its four-call reference
 # (FuzzLivenessMatchesReference) and of the archive's day profiles built
 # on demand against profiles kept from the start
 # (FuzzKeepProfilesMatchesLive), and every benchmark of the root package,
@@ -148,9 +150,9 @@ go test -count=10 -cpu 1 -run '^TestCoordinatorAndAgentsOverHTTP$' ./cmd/autoglo
 # against the minute close, Forget and the election's Follows query; 64
 # direct ingesters against the same close (one lock guards both the
 # session dictionary and every pending beat); and concurrent journaled
-# dispatch; and 32 goroutines beating through cached liveness handles
-# while the minute sweeps and Forgets. About 7 s on 2 vCPUs.
-echo "== go test -race -count=10: the ingest, dispatch and liveness-handle concurrency tests"
+# dispatch; and 32 goroutines beating through the coordinator's Handle
+# while the minute runs CheckLiveness and Release. About 7 s on 2 vCPUs.
+echo "== go test -race -count=10: the ingest, dispatch and liveness concurrency tests"
 go test -race -count=10 -run '^(TestSessionConcurrentReporters|TestConcurrentIngestStress|TestDispatchConcurrentCallersStress)$' ./internal/agent
 go test -race -count=10 -run '^TestLivenessHandleConcurrentBeats$' ./internal/monitor
 
@@ -212,8 +214,8 @@ go test ./internal/simulator -run '^$' -fuzz FuzzSimulatorSlots -fuzztime 10s -f
 # One watch machine serves CPU and memory, and one sweep judges a
 # minute's deaths and recoveries: any loads (−0, NaN and ±Inf
 # included) under any parameters, and any schedule of beats, replays,
-# deaths, forgets, skipped and repeated minutes, must answer as the
-# references in the test file do. Minimization stops at 100 runs.
+# deaths, releases, skipped and repeated minutes, must answer as the
+# references in the test files do. Minimization stops at 100 runs.
 echo "== fuzz: the watch machine and the liveness sweep vs their references, 10 s each"
 go test ./internal/monitor -run '^$' -fuzz FuzzWatchMatchesReference -fuzztime 10s -fuzzminimizetime 100x
 go test ./internal/monitor -run '^$' -fuzz FuzzLivenessMatchesReference -fuzztime 10s -fuzzminimizetime 100x
